@@ -20,6 +20,7 @@ import (
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
 	"repro/internal/transfer"
+	"repro/internal/transform"
 	"repro/internal/wal"
 	"repro/monetlite"
 )
@@ -732,6 +733,54 @@ for i in range(0, 1000):
 		if _, err := in.Run(mod); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPyLiteUDF times the interpreter's share of the two UDFs the repo
+// benchmark scans with, bound the way the engine binds them (body wrapped
+// in a def, one Call per column): agg is mean_deviation over 50k rows, map
+// is square_vec over 20k, hooked is agg under a no-op trace hook (what a
+// debug session adds before it decides anything).
+func BenchmarkPyLiteUDF(b *testing.B) {
+	column := func(n int) script.Value {
+		items := make([]script.Value, n)
+		for i := range items {
+			items[i] = script.IntVal(int64(i*7919) % 100_000)
+		}
+		return script.NewList(items...)
+	}
+	for _, bc := range []struct {
+		leg, name, param, body string
+		rows                   int
+		hooked                 bool
+	}{
+		{"agg", "mean_deviation", "column", bench.MeanDeviationFixedBody, 50_000, false},
+		{"map", "square_vec", "x", "out = []\nfor v in x:\n    out.append(v * v)\nreturn out", 20_000, false},
+		{"hooked", "mean_deviation", "column", bench.MeanDeviationFixedBody, 50_000, true},
+	} {
+		b.Run(bc.leg, func(b *testing.B) {
+			mod, err := script.Parse(bc.name, transform.WrapFunction(bc.name, []string{bc.param}, bc.body))
+			if err != nil {
+				b.Fatal(err)
+			}
+			in := script.NewInterp()
+			env, err := in.Run(mod)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fn, _ := env.Get(bc.name)
+			if bc.hooked {
+				in.Trace = func(*script.Interp, script.TraceEvent) error { return nil }
+			}
+			args := []script.Value{column(bc.rows)}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := in.Call(fn, args); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(bc.rows), "ns/row")
+		})
 	}
 }
 

@@ -141,6 +141,12 @@ func TestExpositionRoundTripUnderLoad(t *testing.T) {
 					}
 				}
 			}
+			// A statement is accounted after its reply is written but before
+			// the connection's next one starts: wait for one more reply so
+			// the scrape below sees all of this worker's rounds.
+			if _, _, err := cc.Query(context.Background(), `SELECT 1 AS settled`); err != nil {
+				t.Error(err)
+			}
 		}(w)
 	}
 	wg.Wait()

@@ -62,6 +62,11 @@ type Breakpoint struct {
 	Line      int
 	Condition string
 	HitCount  int
+
+	// cond is Condition parsed once, when the breakpoint is set; nil for an
+	// unconditional breakpoint or a condition that does not parse (which,
+	// like one that fails to evaluate, never stops).
+	cond *script.Watch
 }
 
 // Config configures a Session.
@@ -218,9 +223,13 @@ func (s *Session) SetGlobal(name string, v script.Value) {
 // SetBreakpoint sets (or replaces) a breakpoint. Safe from any goroutine,
 // including while the debuggee is running.
 func (s *Session) SetBreakpoint(line int, condition string) {
+	bp := &Breakpoint{Line: line, Condition: condition}
+	if condition != "" {
+		bp.cond, _ = script.ParseWatch(condition)
+	}
 	s.bpMu.Lock()
 	defer s.bpMu.Unlock()
-	s.breakpoints[line] = &Breakpoint{Line: line, Condition: condition}
+	s.breakpoints[line] = bp
 }
 
 // ClearBreakpoint removes a breakpoint. Safe from any goroutine.
@@ -450,7 +459,7 @@ func (s *Session) trace(in *script.Interp, ev script.TraceEvent) error {
 			v, err := in.EvalInFrame(cmd.expr, ev.Frame)
 			cmd.resp <- cmdResult{value: v, err: err}
 		case cmdLocals:
-			cmd.resp <- cmdResult{vars: ev.Frame.Env.Snapshot()}
+			cmd.resp <- cmdResult{vars: ev.Frame.Locals()}
 		case cmdGlobals:
 			g := in.Globals
 			if g == nil {
@@ -497,17 +506,17 @@ func (s *Session) shouldStop(in *script.Interp, ev script.TraceEvent) (StopReaso
 	}
 	s.bpMu.Lock()
 	bp, ok := s.breakpoints[ev.Line]
-	var cond string
-	if ok {
-		cond = bp.Condition
-	}
 	s.bpMu.Unlock()
 	if !ok {
 		return "", false
 	}
-	if cond != "" {
-		v, err := in.EvalInFrame(cond, ev.Frame)
-		if err != nil || !script.Truthy(v) {
+	// A Breakpoint's condition never changes (SetBreakpoint replaces the
+	// whole entry), and only this goroutine evaluates it.
+	if bp.Condition != "" {
+		if bp.cond == nil {
+			return "", false
+		}
+		if v, err := in.EvalWatch(bp.cond, ev.Frame); err != nil || !script.Truthy(v) {
 			return "", false
 		}
 	}

@@ -365,3 +365,90 @@ func TestBreakpointHitCounts(t *testing.T) {
 		t.Fatalf("breakpoint meta: %+v", bps)
 	}
 }
+
+// TestConditionInFunctionFrames: a breakpoint's condition is parsed once,
+// when it is set, and resolved against the frame that hits its line — the
+// same name is a different slot in each of the two functions here.
+// Replacing the breakpoint replaces the condition, a condition that does
+// not parse or does not evaluate never stops, and Locals of a function
+// frame lists its bound variables only.
+func TestConditionInFunctionFrames(t *testing.T) {
+	const src = `scale = 10
+def first(i, pad):
+    unused = None
+    return i * scale
+def second(pad, i):
+    return i + scale
+total = 0
+for k in range(0, 6):
+    total += first(k, 0) + second(0, k)
+`
+	s := NewSession(parseMod(t, src), Config{})
+	s.SetBreakpoint(3, "i == 2 and scale == 10") // first: i is slot 0
+	s.SetBreakpoint(6, "i == 4")                 // second: i is slot 1
+	s.SetBreakpoint(9, "k ==")                   // does not parse
+	s.SetBreakpoint(7, "nosuch > 1")             // does not evaluate
+	ev := s.Start()
+	if ev.Reason != ReasonBreakpoint || ev.Line != 3 || ev.FuncName != "first" {
+		t.Fatalf("first stop: %+v", ev)
+	}
+	vars, err := s.Locals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vars) != 2 || vars["i"].Repr() != "2" || vars["pad"].Repr() != "0" {
+		t.Fatalf("locals of first before `unused` is bound: %v", vars)
+	}
+	// Same line, new condition: the old one must not be consulted again.
+	s.SetBreakpoint(3, "i == 5")
+	ev = s.Continue()
+	if ev.Line != 6 || ev.FuncName != "second" {
+		t.Fatalf("second stop: %+v", ev)
+	}
+	if v, err := s.Eval("[i, pad, scale, len([i])]"); err != nil || v.Repr() != "[4, 0, 10, 1]" {
+		t.Fatalf("eval in second: %v %v", v, err)
+	}
+	ev = s.Continue()
+	if ev.Line != 3 {
+		t.Fatalf("third stop: %+v", ev)
+	}
+	if v, _ := s.Eval("i"); v.Repr() != "5" {
+		t.Fatalf("replaced condition stopped at i=%v", v)
+	}
+	if ev = s.Continue(); !ev.Terminal || ev.Err != nil {
+		t.Fatalf("terminal: %+v", ev)
+	}
+	for _, bp := range s.Breakpoints() {
+		want := map[int]int{3: 1, 6: 1, 7: 0, 9: 0}[bp.Line] // line 3 was replaced after its first hit
+		if bp.HitCount != want {
+			t.Errorf("line %d (%q): %d hits, want %d", bp.Line, bp.Condition, bp.HitCount, want)
+		}
+	}
+}
+
+// TestWatchHonoursGlobalDeclaration: a watch in a function that declares
+// `global x` reads the module's x, as the paused code does, not the local x
+// of the enclosing function.
+func TestWatchHonoursGlobalDeclaration(t *testing.T) {
+	const src = `x = 'module'
+def outer():
+    x = 'outer'
+    def inner():
+        global x
+        return x
+    return inner()
+r = outer()
+`
+	s := NewSession(parseMod(t, src), Config{})
+	s.SetBreakpoint(6, "x == 'module'")
+	ev := s.Start()
+	if ev.Reason != ReasonBreakpoint || ev.Line != 6 || ev.FuncName != "inner" {
+		t.Fatalf("stop: %+v", ev)
+	}
+	if v, err := s.Eval("x"); err != nil || v.Repr() != "'module'" {
+		t.Fatalf("eval x in inner: %v %v", v, err)
+	}
+	if ev = s.Continue(); !ev.Terminal || ev.Err != nil {
+		t.Fatalf("terminal: %+v", ev)
+	}
+}

@@ -8,9 +8,11 @@ import (
 	"repro/internal/core"
 )
 
-// spinUDF is an interpreter UDF that runs long enough to straddle any
-// cancellation signal but still terminates on its own (the loop bound is
-// the backstop against a hung test if an interrupt is lost).
+// spinUDF loops until it is cancelled: every test that runs it interrupts
+// it within a few hundred milliseconds. It is sized in interpreter steps,
+// not seconds — 200M of them, four times the 50M default step budget, which
+// is the backstop that ends a run whose interrupt was lost. A faster
+// interpreter only brings that backstop closer; it stays seconds away.
 const spinUDF = `CREATE FUNCTION spin(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON {
     s = 0
     for k in range(0, 100000000):

@@ -40,11 +40,11 @@ type AssignStmt struct {
 }
 
 // AugAssignStmt is an augmented assignment such as x += 1. Op is the
-// operator without '=', e.g. "+".
+// operator without '=', e.g. OpAdd.
 type AugAssignStmt struct {
 	pos
 	Target Expr
-	Op     string
+	Op     Op
 	Value  Expr
 }
 
@@ -93,6 +93,9 @@ type DefStmt struct {
 	Params  []Param
 	Body    []Stmt
 	EndLine int
+
+	bind  *Name     // where the function value is stored
+	scope *funcInfo // the body's slot table
 }
 
 // Param is a function parameter with an optional default expression.
@@ -106,6 +109,8 @@ type ImportStmt struct {
 	pos
 	Module string
 	Alias  string // binding name; defaults to first path segment
+
+	bind *Name
 }
 
 // FromImportStmt is `from a.b import c, d as e`.
@@ -113,9 +118,12 @@ type FromImportStmt struct {
 	pos
 	Module string
 	Names  [][2]string // pairs of (exported name, binding alias)
+
+	binds []*Name // one per alias
 }
 
-// GlobalStmt declares names as referring to module scope.
+// GlobalStmt declares names as referring to module scope. It acts at
+// resolve time; executing it only counts a step.
 type GlobalStmt struct {
 	pos
 	Names []string
@@ -148,6 +156,8 @@ type TryStmt struct {
 	ExcName string // binding for the error message; "" for none
 	Handler []Stmt // nil when no except clause
 	Finally []Stmt // nil when no finally clause
+
+	excBind *Name // nil when ExcName is ""
 }
 
 func (*ExprStmt) stmt()       {}
@@ -177,49 +187,40 @@ type Expr interface {
 	expr()
 }
 
-// Name references a variable.
+// Name references a variable. The resolve pass fills in where it lives:
+// a frame slot depth function scopes out, module scope, or the builtin
+// table (consulted behind module scope).
 type Name struct {
 	pos
 	Ident string
+
+	kind  nameKind
+	depth int // nameLocal: enclosing-function hops from the using frame
+	idx   int // nameLocal: slot; nameBuiltin: index into builtinTable
 }
 
-// IntLit is an integer literal.
-type IntLit struct {
+type nameKind uint8
+
+const (
+	nameGlobal nameKind = iota
+	nameLocal
+	nameBuiltin
+)
+
+// Lit is a literal — int, float, str, True, False or None — carrying its
+// value already boxed, so evaluating one does not allocate. The resolve
+// pass also folds constant arithmetic into one.
+type Lit struct {
 	pos
-	Value int64
+	Value Value
 }
 
-// FloatLit is a floating-point literal.
-type FloatLit struct {
-	pos
-	Value float64
-}
-
-// StrLit is a string literal (already unescaped).
-type StrLit struct {
-	pos
-	Value string
-}
-
-// BoolLit is True or False.
-type BoolLit struct {
-	pos
-	Value bool
-}
-
-// NoneLit is None.
-type NoneLit struct{ pos }
-
-// ListLit is [a, b, ...].
-type ListLit struct {
+// SeqLit is a list display [a, b, ...] or, with Tuple set, a tuple: (a, b)
+// or a bare comma-list a, b. As an assignment target either unpacks.
+type SeqLit struct {
 	pos
 	Elems []Expr
-}
-
-// TupleLit is (a, b) or a bare comma-list a, b.
-type TupleLit struct {
-	pos
-	Elems []Expr
+	Tuple bool
 }
 
 // DictLit is {k: v, ...}.
@@ -229,10 +230,57 @@ type DictLit struct {
 	Values []Expr
 }
 
-// UnaryExpr applies Op ("-", "not", "+") to X.
+// Op is a unary or binary operator. The arithmetic operators come first so
+// the interpreter can test for them with one comparison.
+type Op uint8
+
+// Operators.
+const (
+	OpAdd Op = iota + 1
+	OpSub
+	OpMul
+	OpDiv
+	OpFloorDiv
+	OpMod
+	OpPow
+	OpEq
+	OpNe
+	OpLt
+	OpLe
+	OpGt
+	OpGe
+	OpIs
+	OpIsNot
+	OpIn
+	OpNotIn
+	OpAnd
+	OpOr
+	OpNot
+)
+
+var opNames = [...]string{
+	OpAdd: "+", OpSub: "-", OpMul: "*", OpDiv: "/", OpFloorDiv: "//", OpMod: "%", OpPow: "**",
+	OpEq: "==", OpNe: "!=", OpLt: "<", OpLe: "<=", OpGt: ">", OpGe: ">=",
+	OpIs: "is", OpIsNot: "is not", OpIn: "in", OpNotIn: "not in",
+	OpAnd: "and", OpOr: "or", OpNot: "not",
+}
+
+func (o Op) String() string { return opNames[o] }
+
+// opOf maps an operator token's spelling to its Op.
+func opOf(spelling string) Op {
+	for o, s := range opNames {
+		if s == spelling {
+			return Op(o)
+		}
+	}
+	panic("script: unknown operator " + spelling)
+}
+
+// UnaryExpr applies Op (OpSub or OpNot) to X.
 type UnaryExpr struct {
 	pos
-	Op string
+	Op Op
 	X  Expr
 }
 
@@ -241,7 +289,7 @@ type UnaryExpr struct {
 // (a < b) and (b < c).
 type BinExpr struct {
 	pos
-	Op   string // + - * / // % ** == != < <= > >= and or in notin is
+	Op   Op
 	L, R Expr
 }
 
@@ -280,6 +328,8 @@ type LambdaExpr struct {
 	pos
 	Params []Param
 	Body   Expr
+
+	scope *funcInfo
 }
 
 // CondExpr is the ternary `a if cond else b`.
@@ -301,13 +351,8 @@ type CompExpr struct {
 }
 
 func (*Name) expr()       {}
-func (*IntLit) expr()     {}
-func (*FloatLit) expr()   {}
-func (*StrLit) expr()     {}
-func (*BoolLit) expr()    {}
-func (*NoneLit) expr()    {}
-func (*ListLit) expr()    {}
-func (*TupleLit) expr()   {}
+func (*Lit) expr()        {}
+func (*SeqLit) expr()     {}
 func (*DictLit) expr()    {}
 func (*UnaryExpr) expr()  {}
 func (*BinExpr) expr()    {}

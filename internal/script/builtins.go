@@ -16,34 +16,27 @@ func argErr(name string, want string) error {
 	return core.Errorf(core.KindType, "%s() %s", name, want)
 }
 
-// installBuiltins populates the root builtin scope.
-func installBuiltins(env *Env) {
-	env.Set("len", bi("len", biLen))
-	env.Set("range", bi("range", biRange))
-	env.Set("print", bi("print", biPrint))
-	env.Set("sum", bi("sum", biSum))
-	env.Set("min", bi("min", biMin))
-	env.Set("max", bi("max", biMax))
-	env.Set("abs", bi("abs", biAbs))
-	env.Set("int", bi("int", biInt))
-	env.Set("float", bi("float", biFloat))
-	env.Set("str", bi("str", biStr))
-	env.Set("bool", bi("bool", biBool))
-	env.Set("list", bi("list", biList))
-	env.Set("dict", bi("dict", biDict))
-	env.Set("tuple", bi("tuple", biTuple))
-	env.Set("sorted", bi("sorted", biSorted))
-	env.Set("reversed", bi("reversed", biReversed))
-	env.Set("enumerate", bi("enumerate", biEnumerate))
-	env.Set("zip", bi("zip", biZip))
-	env.Set("round", bi("round", biRound))
-	env.Set("type", bi("type", biType))
-	env.Set("repr", bi("repr", biRepr))
-	env.Set("open", bi("open", biOpen))
-	env.Set("Exception", bi("Exception", biException))
-	env.Set("ValueError", bi("ValueError", biException))
-	env.Set("TypeError", bi("TypeError", biException))
-	env.Set("isinstance", bi("isinstance", biIsinstance))
+// builtinTable holds the builtins, which are stateless and shared by every
+// interpreter; the resolve pass binds builtin names to indices into it.
+var (
+	builtinTable []*BuiltinVal
+	builtinIndex = map[string]int{}
+)
+
+// Filled at init, not by an initializer: the builtins reach the evaluator,
+// which reads the table.
+func init() {
+	for name, fn := range map[string]BuiltinFunc{
+		"len": biLen, "range": biRange, "print": biPrint, "sum": biSum, "min": biMin, "max": biMax,
+		"abs": biAbs, "int": biInt, "float": biFloat, "str": biStr, "bool": biBool, "list": biList,
+		"dict": biDict, "tuple": biTuple, "sorted": biSorted, "reversed": biReversed,
+		"enumerate": biEnumerate, "zip": biZip, "round": biRound, "type": biType, "repr": biRepr,
+		"open": biOpen, "Exception": biException, "ValueError": biException, "TypeError": biException,
+		"isinstance": biIsinstance,
+	} {
+		builtinIndex[name] = len(builtinTable)
+		builtinTable = append(builtinTable, bi(name, fn))
+	}
 }
 
 func seqLen(v Value) (int64, bool) {
@@ -115,13 +108,10 @@ func biPrint(in *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 	return None, nil
 }
 
+// toSlice copies an iterable's elements into a slice the caller owns.
 func toSlice(in *Interp, v Value) ([]Value, error) {
-	var out []Value
-	err := in.iterate(v, 0, func(item Value) error {
-		out = append(out, item)
-		return nil
-	})
-	return out, err
+	items, err := in.items(v, 0)
+	return append([]Value(nil), items...), err
 }
 
 func biSum(in *Interp, args []Value, _ map[string]Value) (Value, error) {
@@ -550,7 +540,7 @@ type fileHandle struct {
 	lines []Value
 }
 
-// IterValues implements the opaque-iteration protocol used by Interp.iterate.
+// IterValues implements the opaque-iteration protocol used by Interp.items.
 func (h *fileHandle) IterValues() ([]Value, error) { return h.lines, nil }
 
 func biOpen(in *Interp, args []Value, _ map[string]Value) (Value, error) {

@@ -1,74 +1,37 @@
 package script
 
-// Env is a lexical environment: a chain of scopes from the innermost
-// function frame out to module globals and finally builtins.
+import "maps"
+
+// Env is a module scope: the interpreter's one name-keyed table. Function
+// locals live in frame slots; module scope stays addressable by name because
+// embedders inject and read bindings (`_conn`, the UDF itself) after the
+// code that uses them was resolved.
 type Env struct {
-	vars    map[string]Value
-	parent  *Env
-	globals map[string]bool // names declared `global` in this scope
+	vars map[string]Value
+	// shadowed is set once a builtin's name is bound here. Until then a
+	// read that resolved to a builtin skips the table.
+	shadowed bool
 }
 
-// NewEnv creates an environment chained to parent (which may be nil).
-func NewEnv(parent *Env) *Env {
-	return &Env{vars: map[string]Value{}, parent: parent}
-}
-
-// Get resolves a name through the chain.
+// Get resolves a name in module scope, then among the builtins.
 func (e *Env) Get(name string) (Value, bool) {
-	for s := e; s != nil; s = s.parent {
-		if v, ok := s.vars[name]; ok {
-			return v, true
-		}
+	if v, ok := e.vars[name]; ok {
+		return v, true
+	}
+	if i, ok := builtinIndex[name]; ok {
+		return builtinTable[i], true
 	}
 	return nil, false
 }
 
-// Set binds a name. If the name was declared `global` in this scope it is
-// bound at module level, otherwise locally.
+// Set binds a name at module level.
 func (e *Env) Set(name string, v Value) {
-	if e.globals != nil && e.globals[name] {
-		e.moduleScope().vars[name] = v
-		return
+	if _, ok := builtinIndex[name]; ok {
+		e.shadowed = true
 	}
 	e.vars[name] = v
 }
 
-// Delete removes a binding from the nearest scope holding it, reporting
-// whether it existed.
-func (e *Env) Delete(name string) bool {
-	for s := e; s != nil; s = s.parent {
-		if _, ok := s.vars[name]; ok {
-			delete(s.vars, name)
-			return true
-		}
-	}
-	return false
-}
-
-// DeclareGlobal marks a name as module-scoped for subsequent Sets.
-func (e *Env) DeclareGlobal(name string) {
-	if e.globals == nil {
-		e.globals = map[string]bool{}
-	}
-	e.globals[name] = true
-}
-
-// moduleScope walks to the outermost environment that still has a parent
-// (the module scope sits directly above builtins, or is the root).
-func (e *Env) moduleScope() *Env {
-	s := e
-	for s.parent != nil && s.parent.parent != nil {
-		s = s.parent
-	}
-	return s
-}
-
-// Snapshot copies the local bindings of this scope only, for debugger
-// variable inspection.
-func (e *Env) Snapshot() map[string]Value {
-	out := make(map[string]Value, len(e.vars))
-	for k, v := range e.vars {
-		out[k] = v
-	}
-	return out
-}
+// Snapshot copies the module-level bindings, for debugger variable
+// inspection.
+func (e *Env) Snapshot() map[string]Value { return maps.Clone(e.vars) }

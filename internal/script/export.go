@@ -17,12 +17,18 @@ func AsInt(v Value) (int64, bool) { return asInt(v) }
 // NewBuiltin wraps a Go function as a callable PyLite value.
 func NewBuiltin(name string, fn BuiltinFunc) *BuiltinVal { return bi(name, fn) }
 
-// EvalInFrame parses src as a single expression and evaluates it in the
-// given frame's environment. The debugger uses this for watch expressions
-// and conditional breakpoints; it must only be called while the interpreter
-// is paused inside a trace callback (the interpreter is single-threaded).
-func (in *Interp) EvalInFrame(src string, f *Frame) (Value, error) {
-	mod, err := Parse("<watch>", src)
+// Watch is a parsed debugger expression: a watch or a breakpoint condition.
+// Parse it once and evaluate it at every stop; it re-resolves itself only
+// when the paused frame belongs to a different function than last time.
+type Watch struct {
+	x     Expr
+	in    *funcInfo // scope of the frame x is resolved against
+	scope *funcInfo // slots for names x itself binds; nil until resolved
+}
+
+// ParseWatch parses src as a single expression.
+func ParseWatch(src string) (*Watch, error) {
+	mod, err := parse("<watch>", src)
 	if err != nil {
 		return nil, err
 	}
@@ -33,13 +39,33 @@ func (in *Interp) EvalInFrame(src string, f *Frame) (Value, error) {
 	if !ok {
 		return nil, core.Errorf(core.KindSyntax, "watch input must be an expression, not a statement")
 	}
-	saveFrame := in.frame
-	saveTrace := in.Trace
-	in.frame = f
+	return &Watch{x: es.X}, nil
+}
+
+// EvalWatch evaluates w in the given frame: names resolve against the
+// frame's slot-name table, then its enclosing functions', module scope and
+// builtins. It must only be called while the interpreter is paused inside
+// a trace callback (the interpreter is single-threaded).
+func (in *Interp) EvalWatch(w *Watch, f *Frame) (Value, error) {
+	if w.scope == nil || w.in != f.scope {
+		w.x, w.scope = resolveWatch(w.x, f.scope)
+		w.in = f.scope
+	}
+	wf := *f // stands in for f in tracebacks
+	wf.scope, wf.slots, wf.outer = w.scope, make([]Value, w.scope.nslots), f
+	saveFrame, saveTrace := in.frame, in.Trace
+	in.frame = &wf
 	in.Trace = nil // watch evaluation must not re-enter the debugger
-	defer func() {
-		in.frame = saveFrame
-		in.Trace = saveTrace
-	}()
-	return in.eval(es.X, f)
+	defer func() { in.frame, in.Trace = saveFrame, saveTrace }()
+	return in.eval(w.x, &wf)
+}
+
+// EvalInFrame parses src as a single expression and evaluates it in the
+// given frame, under the rules of EvalWatch.
+func (in *Interp) EvalInFrame(src string, f *Frame) (Value, error) {
+	w, err := ParseWatch(src)
+	if err != nil {
+		return nil, err
+	}
+	return in.EvalWatch(w, f)
 }

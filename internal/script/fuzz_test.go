@@ -29,6 +29,18 @@ var fuzzSeeds = []string{
 	"def g():\n    global cnt\n    cnt = cnt + 1\n",
 	"x = 1 if True else 2\n",
 	"s = 'a' * 3 + 'b'\nn = len(s)\n",
+	// the resolver's edges: closures, late and early `global`, targets that
+	// bind (for, comprehension, except-as, def, import), del, a rebound
+	// builtin, read-before-bind, folding that must fail at run time
+	"def outer():\n    x = 1\n    def get():\n        return x\n    x = 2\n    return get()\nr = outer()\n",
+	"def f():\n    n = 1\n    global n\n    return n\nf()\n",
+	"def f(p):\n    global p\n    return p\nf(1)\n",
+	"def f():\n    y = x\n    x = 1\nx = 0\nf()\n",
+	"def f():\n    sq = [i * i for i in range(0, 3) if i]\n    return (lambda k=i: k + i)()\nf()\n",
+	"def f():\n    try:\n        1 / 0\n    except Exception as e:\n        del e\n        return e\nf()\n",
+	"len = 3\ndef f(abs):\n    import math as len\n    return [len, abs]\nf(len)\ndel len\nlen([])\n",
+	"x = 1 / 0 + 2 ** -1 - (not 0) * -True\n",
+	"def f(a, b=a):\n    for a, (b, c) in [(1, (2, 3))]:\n        a += b\n    return a\nf(1)\n",
 }
 
 // FuzzParse asserts the lexer/parser never panic, parse deterministically,
@@ -72,25 +84,45 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
+// TestFuzzSeedsRun runs every seed that parses: the resolve pass hands the
+// interpreter slot indices and scope depths it uses unchecked, so a
+// resolver bug surfaces here as a panic. (Not a fuzz target: the
+// interpreter bounds steps, not memory, so generated programs could
+// exhaust it.)
+func TestFuzzSeedsRun(t *testing.T) {
+	for _, src := range fuzzSeeds {
+		mod, err := Parse("fuzz.py", src)
+		if err != nil {
+			continue
+		}
+		in := NewInterp()
+		in.MaxSteps = 5000
+		_, _ = in.Run(mod) // script errors are fine
+	}
+}
+
 // FuzzEvalExpr asserts the expression path the debugger uses for watch
 // expressions and conditional breakpoints never panics, even on adversarial
-// input typed into the condition box.
+// input typed into the condition box. The host pauses inside a nested
+// function, so names resolve against slots, an enclosing function, module
+// scope and builtins.
 func FuzzEvalExpr(f *testing.F) {
 	for _, seed := range []string{
 		"i > 3", "column[i] - mean", "len(x) == 0", "1 / 0", "(", "a.b.c",
 		"x = 1", "'s' + 1", "d['missing']", "f(", "not (a and b) or c",
+		"[k * i for k in column if k > mean]", "(lambda q=i: q + later)(1)", "later", "[x for x in x]",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, expr string) {
-		mod, err := Parse("cond.py", "x = 1\n")
+		mod, err := Parse("cond.py", "x = 1\ndef outer(column, mean):\n    def inner(i):\n        return column[i] - mean\n    r = inner(0)\n    later = r\n    return later\nouter([3, 4], 1)\n")
 		if err != nil {
 			t.Fatal(err)
 		}
 		in := NewInterp()
 		var paused bool
 		in.Trace = func(in *Interp, ev TraceEvent) error {
-			if paused || ev.Kind != TraceLine {
+			if paused || ev.Kind != TraceLine || ev.Frame.FuncName != "inner" {
 				return nil
 			}
 			paused = true

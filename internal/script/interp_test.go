@@ -428,6 +428,20 @@ func TestStepLimit(t *testing.T) {
 	}
 }
 
+// A comprehension counts through a range like a for statement does: the step
+// budget ends it before the range — too large to build — is materialized.
+func TestStepLimitInsideComprehensionOverRange(t *testing.T) {
+	mod, err := Parse("test", "r = [i for i in range(0, 100000000000)]\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := NewInterp()
+	in.MaxSteps = 1000
+	if _, err := in.Run(mod); err == nil || !strings.Contains(err.Error(), "step limit") {
+		t.Fatalf("want step limit error, got %v", err)
+	}
+}
+
 func TestRecursionLimit(t *testing.T) {
 	err := runSrcErr(t, `
 def loop():

@@ -9,384 +9,331 @@ import (
 // getAttr resolves attribute access X.name: bound methods on builtin types,
 // attributes and methods on native objects.
 func (in *Interp) getAttr(x Value, name string, line int) (Value, error) {
-	switch x := x.(type) {
-	case *ObjectVal:
-		if v, ok := x.Attrs.GetStr(name); ok {
+	if o, ok := x.(*ObjectVal); ok {
+		if v, ok := o.Attrs.GetStr(name); ok {
 			return v, nil
 		}
-		if m, ok := x.Methods[name]; ok {
-			return bi(x.Class+"."+name, m), nil
+		if m, ok := o.Methods[name]; ok {
+			return bi(o.Class+"."+name, m), nil
 		}
-		return nil, in.rtErrf(line, "'%s' object has no attribute '%s'", x.Class, name)
-	case *ListVal:
-		if fn, ok := listMethod(x, name); ok {
-			return fn, nil
-		}
-	case *DictVal:
-		if fn, ok := dictMethod(x, name); ok {
-			return fn, nil
-		}
-	case StrVal:
-		if fn, ok := strMethod(x, name); ok {
-			return fn, nil
-		}
+	} else if m, typ := builtinMethod(x, name); m.fn != nil {
+		return bi(typ+"."+name, func(in *Interp, args []Value, kwargs map[string]Value) (Value, error) {
+			return m.call(in, name, x, args, kwargs)
+		}), nil
 	}
 	return nil, in.rtErrf(line, "'%s' object has no attribute '%s'", x.TypeName(), name)
 }
 
-func listMethod(l *ListVal, name string) (Value, bool) {
-	switch name {
-	case "append":
-		return bi("list.append", func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
-			if len(args) != 1 {
-				return nil, argErr("append", "takes exactly one argument")
-			}
-			l.Items = append(l.Items, args[0])
-			return None, nil
-		}), true
-	case "extend":
-		return bi("list.extend", func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
-			if len(args) != 1 {
-				return nil, argErr("extend", "takes exactly one argument")
-			}
-			items, err := toSlice(in, args[0])
-			if err != nil {
-				return nil, err
-			}
-			l.Items = append(l.Items, items...)
-			return None, nil
-		}), true
-	case "insert":
-		return bi("list.insert", func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
-			if len(args) != 2 {
-				return nil, argErr("insert", "takes exactly two arguments")
-			}
-			i, ok := asInt(args[0])
+// method is a method of a builtin type, its receiver not yet applied.
+type method struct {
+	nargs int // positional arguments it takes exactly, or anyArgs if it checks itself
+	fn    func(in *Interp, recv Value, args []Value, kwargs map[string]Value) (Value, error)
+}
+
+const anyArgs = -1
+
+// methodOn adapts a method written against its concrete receiver type.
+func methodOn[T Value](nargs int, m func(*Interp, T, []Value, map[string]Value) (Value, error)) method {
+	return method{nargs, func(in *Interp, recv Value, args []Value, kwargs map[string]Value) (Value, error) {
+		return m(in, recv.(T), args, kwargs)
+	}}
+}
+
+// call checks the declared argument count and applies m to recv.
+func (m method) call(in *Interp, name string, recv Value, args []Value, kwargs map[string]Value) (Value, error) {
+	if m.nargs >= 0 && len(args) != m.nargs {
+		return nil, argErr(name, [...]string{1: "takes exactly one argument", 2: "takes exactly two arguments"}[m.nargs])
+	}
+	return m.fn(in, recv, args, kwargs)
+}
+
+// builtinMethod looks name up in the method table of x's type.
+func builtinMethod(x Value, name string) (method, string) {
+	switch x.(type) {
+	case *ListVal:
+		return listMethods[name], "list"
+	case *DictVal:
+		return dictMethods[name], "dict"
+	case StrVal:
+		return strMethods[name], "str"
+	}
+	return method{}, ""
+}
+
+var listMethods = map[string]method{
+	"append": methodOn(1, func(in *Interp, l *ListVal, args []Value, _ map[string]Value) (Value, error) {
+		l.Items = append(l.Items, args[0])
+		return None, nil
+	}),
+	"extend": methodOn(1, func(in *Interp, l *ListVal, args []Value, _ map[string]Value) (Value, error) {
+		items, err := toSlice(in, args[0])
+		if err != nil {
+			return nil, err
+		}
+		l.Items = append(l.Items, items...)
+		return None, nil
+	}),
+	"insert": methodOn(2, func(in *Interp, l *ListVal, args []Value, _ map[string]Value) (Value, error) {
+		i, ok := asInt(args[0])
+		if !ok {
+			return nil, argErr("insert", "index must be an integer")
+		}
+		n := int64(len(l.Items))
+		if i < 0 {
+			i += n
+		}
+		if i < 0 {
+			i = 0
+		}
+		if i > n {
+			i = n
+		}
+		l.Items = append(l.Items, nil)
+		copy(l.Items[i+1:], l.Items[i:])
+		l.Items[i] = args[1]
+		return None, nil
+	}),
+	"pop": methodOn(anyArgs, func(in *Interp, l *ListVal, args []Value, _ map[string]Value) (Value, error) {
+		if len(l.Items) == 0 {
+			return nil, core.Errorf(core.KindConstraint, "pop from empty list")
+		}
+		i := int64(len(l.Items) - 1)
+		if len(args) == 1 {
+			v, ok := asInt(args[0])
 			if !ok {
-				return nil, argErr("insert", "index must be an integer")
+				return nil, argErr("pop", "index must be an integer")
 			}
-			n := int64(len(l.Items))
+			i = v
 			if i < 0 {
-				i += n
+				i += int64(len(l.Items))
 			}
-			if i < 0 {
-				i = 0
+			if i < 0 || i >= int64(len(l.Items)) {
+				return nil, core.Errorf(core.KindConstraint, "pop index out of range")
 			}
-			if i > n {
-				i = n
+		}
+		v := l.Items[i]
+		l.Items = append(l.Items[:i], l.Items[i+1:]...)
+		return v, nil
+	}),
+	"remove": methodOn(1, func(in *Interp, l *ListVal, args []Value, _ map[string]Value) (Value, error) {
+		for i, it := range l.Items {
+			if Equal(it, args[0]) {
+				l.Items = append(l.Items[:i], l.Items[i+1:]...)
+				return None, nil
 			}
-			l.Items = append(l.Items, nil)
-			copy(l.Items[i+1:], l.Items[i:])
-			l.Items[i] = args[1]
-			return None, nil
-		}), true
-	case "pop":
-		return bi("list.pop", func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
-			if len(l.Items) == 0 {
-				return nil, core.Errorf(core.KindConstraint, "pop from empty list")
+		}
+		return nil, core.Errorf(core.KindConstraint, "list.remove(x): x not in list")
+	}),
+	"index": methodOn(1, func(in *Interp, l *ListVal, args []Value, _ map[string]Value) (Value, error) {
+		for i, it := range l.Items {
+			if Equal(it, args[0]) {
+				return IntVal(i), nil
 			}
-			i := int64(len(l.Items) - 1)
-			if len(args) == 1 {
-				v, ok := asInt(args[0])
-				if !ok {
-					return nil, argErr("pop", "index must be an integer")
-				}
-				i = v
-				if i < 0 {
-					i += int64(len(l.Items))
-				}
-				if i < 0 || i >= int64(len(l.Items)) {
-					return nil, core.Errorf(core.KindConstraint, "pop index out of range")
-				}
+		}
+		return nil, core.Errorf(core.KindConstraint, "%s is not in list", args[0].Repr())
+	}),
+	"count": methodOn(1, func(in *Interp, l *ListVal, args []Value, _ map[string]Value) (Value, error) {
+		n := int64(0)
+		for _, it := range l.Items {
+			if Equal(it, args[0]) {
+				n++
 			}
-			v := l.Items[i]
-			l.Items = append(l.Items[:i], l.Items[i+1:]...)
-			return v, nil
-		}), true
-	case "remove":
-		return bi("list.remove", func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
-			if len(args) != 1 {
-				return nil, argErr("remove", "takes exactly one argument")
-			}
-			for i, it := range l.Items {
-				if Equal(it, args[0]) {
-					l.Items = append(l.Items[:i], l.Items[i+1:]...)
-					return None, nil
-				}
-			}
-			return nil, core.Errorf(core.KindConstraint, "list.remove(x): x not in list")
-		}), true
-	case "index":
-		return bi("list.index", func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
-			if len(args) != 1 {
-				return nil, argErr("index", "takes exactly one argument")
-			}
-			for i, it := range l.Items {
-				if Equal(it, args[0]) {
-					return IntVal(i), nil
-				}
-			}
-			return nil, core.Errorf(core.KindConstraint, "%s is not in list", args[0].Repr())
-		}), true
-	case "count":
-		return bi("list.count", func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
-			if len(args) != 1 {
-				return nil, argErr("count", "takes exactly one argument")
-			}
-			n := int64(0)
-			for _, it := range l.Items {
-				if Equal(it, args[0]) {
-					n++
-				}
-			}
-			return IntVal(n), nil
-		}), true
-	case "sort":
-		return bi("list.sort", func(in *Interp, args []Value, kwargs map[string]Value) (Value, error) {
-			if err := SortValues(l.Items); err != nil {
-				return nil, err
-			}
-			if rv, ok := kwargs["reverse"]; ok && Truthy(rv) {
-				for i, j := 0, len(l.Items)-1; i < j; i, j = i+1, j-1 {
-					l.Items[i], l.Items[j] = l.Items[j], l.Items[i]
-				}
-			}
-			return None, nil
-		}), true
-	case "reverse":
-		return bi("list.reverse", func(in *Interp, _ []Value, _ map[string]Value) (Value, error) {
+		}
+		return IntVal(n), nil
+	}),
+	"sort": methodOn(anyArgs, func(in *Interp, l *ListVal, args []Value, kwargs map[string]Value) (Value, error) {
+		if err := SortValues(l.Items); err != nil {
+			return nil, err
+		}
+		if rv, ok := kwargs["reverse"]; ok && Truthy(rv) {
 			for i, j := 0, len(l.Items)-1; i < j; i, j = i+1, j-1 {
 				l.Items[i], l.Items[j] = l.Items[j], l.Items[i]
 			}
-			return None, nil
-		}), true
-	case "copy":
-		return bi("list.copy", func(in *Interp, _ []Value, _ map[string]Value) (Value, error) {
-			return &ListVal{Items: append([]Value(nil), l.Items...)}, nil
-		}), true
-	}
-	return nil, false
+		}
+		return None, nil
+	}),
+	"reverse": methodOn(anyArgs, func(in *Interp, l *ListVal, _ []Value, _ map[string]Value) (Value, error) {
+		for i, j := 0, len(l.Items)-1; i < j; i, j = i+1, j-1 {
+			l.Items[i], l.Items[j] = l.Items[j], l.Items[i]
+		}
+		return None, nil
+	}),
+	"copy": methodOn(anyArgs, func(in *Interp, l *ListVal, _ []Value, _ map[string]Value) (Value, error) {
+		return &ListVal{Items: append([]Value(nil), l.Items...)}, nil
+	}),
 }
 
-func dictMethod(d *DictVal, name string) (Value, bool) {
-	switch name {
-	case "keys":
-		return bi("dict.keys", func(in *Interp, _ []Value, _ map[string]Value) (Value, error) {
-			return &ListVal{Items: d.Keys()}, nil
-		}), true
-	case "values":
-		return bi("dict.values", func(in *Interp, _ []Value, _ map[string]Value) (Value, error) {
-			return &ListVal{Items: d.Values()}, nil
-		}), true
-	case "items":
-		return bi("dict.items", func(in *Interp, _ []Value, _ map[string]Value) (Value, error) {
-			items := d.Items()
-			out := make([]Value, len(items))
-			for i, kv := range items {
-				out[i] = &TupleVal{Items: []Value{kv[0], kv[1]}}
-			}
-			return &ListVal{Items: out}, nil
-		}), true
-	case "get":
-		return bi("dict.get", func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
-			if len(args) < 1 || len(args) > 2 {
-				return nil, argErr("get", "takes 1 or 2 arguments")
-			}
-			v, ok, err := d.Get(args[0])
-			if err != nil {
+var dictMethods = map[string]method{
+	"keys": methodOn(anyArgs, func(in *Interp, d *DictVal, _ []Value, _ map[string]Value) (Value, error) {
+		return &ListVal{Items: d.Keys()}, nil
+	}),
+	"values": methodOn(anyArgs, func(in *Interp, d *DictVal, _ []Value, _ map[string]Value) (Value, error) {
+		return &ListVal{Items: d.Values()}, nil
+	}),
+	"items": methodOn(anyArgs, func(in *Interp, d *DictVal, _ []Value, _ map[string]Value) (Value, error) {
+		items := d.Items()
+		out := make([]Value, len(items))
+		for i, kv := range items {
+			out[i] = &TupleVal{Items: []Value{kv[0], kv[1]}}
+		}
+		return &ListVal{Items: out}, nil
+	}),
+	"get": methodOn(anyArgs, func(in *Interp, d *DictVal, args []Value, _ map[string]Value) (Value, error) {
+		if len(args) < 1 || len(args) > 2 {
+			return nil, argErr("get", "takes 1 or 2 arguments")
+		}
+		v, ok, err := d.Get(args[0])
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			return v, nil
+		}
+		if len(args) == 2 {
+			return args[1], nil
+		}
+		return None, nil
+	}),
+	"pop": methodOn(anyArgs, func(in *Interp, d *DictVal, args []Value, _ map[string]Value) (Value, error) {
+		if len(args) < 1 || len(args) > 2 {
+			return nil, argErr("pop", "takes 1 or 2 arguments")
+		}
+		v, ok, err := d.Get(args[0])
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			if _, err := d.Delete(args[0]); err != nil {
 				return nil, err
 			}
-			if ok {
-				return v, nil
-			}
-			if len(args) == 2 {
-				return args[1], nil
-			}
-			return None, nil
-		}), true
-	case "pop":
-		return bi("dict.pop", func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
-			if len(args) < 1 || len(args) > 2 {
-				return nil, argErr("pop", "takes 1 or 2 arguments")
-			}
-			v, ok, err := d.Get(args[0])
-			if err != nil {
+			return v, nil
+		}
+		if len(args) == 2 {
+			return args[1], nil
+		}
+		return nil, core.Errorf(core.KindConstraint, "KeyError: %s", args[0].Repr())
+	}),
+	"update": methodOn(1, func(in *Interp, d *DictVal, args []Value, _ map[string]Value) (Value, error) {
+		src, ok := args[0].(*DictVal)
+		if !ok {
+			return nil, argErr("update", "argument must be a dict")
+		}
+		for _, kv := range src.Items() {
+			if err := d.Set(kv[0], kv[1]); err != nil {
 				return nil, err
 			}
-			if ok {
-				if _, err := d.Delete(args[0]); err != nil {
-					return nil, err
-				}
-				return v, nil
+		}
+		return None, nil
+	}),
+	"copy": methodOn(anyArgs, func(in *Interp, d *DictVal, _ []Value, _ map[string]Value) (Value, error) {
+		out := NewDict()
+		for _, kv := range d.Items() {
+			if err := out.Set(kv[0], kv[1]); err != nil {
+				return nil, err
 			}
-			if len(args) == 2 {
-				return args[1], nil
-			}
-			return nil, core.Errorf(core.KindConstraint, "KeyError: %s", args[0].Repr())
-		}), true
-	case "update":
-		return bi("dict.update", func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
-			if len(args) != 1 {
-				return nil, argErr("update", "takes exactly one argument")
-			}
-			src, ok := args[0].(*DictVal)
-			if !ok {
-				return nil, argErr("update", "argument must be a dict")
-			}
-			for _, kv := range src.Items() {
-				if err := d.Set(kv[0], kv[1]); err != nil {
-					return nil, err
-				}
-			}
-			return None, nil
-		}), true
-	case "copy":
-		return bi("dict.copy", func(in *Interp, _ []Value, _ map[string]Value) (Value, error) {
-			out := NewDict()
-			for _, kv := range d.Items() {
-				if err := out.Set(kv[0], kv[1]); err != nil {
-					return nil, err
-				}
-			}
-			return out, nil
-		}), true
-	}
-	return nil, false
+		}
+		return out, nil
+	}),
 }
 
-func strMethod(s StrVal, name string) (Value, bool) {
-	str := string(s)
-	switch name {
-	case "split":
-		return bi("str.split", func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
-			var parts []string
-			if len(args) == 0 {
-				parts = strings.Fields(str)
-			} else {
-				sep, ok := args[0].(StrVal)
-				if !ok {
-					return nil, argErr("split", "separator must be a string")
-				}
-				parts = strings.Split(str, string(sep))
-			}
-			out := make([]Value, len(parts))
-			for i, p := range parts {
-				out[i] = StrVal(p)
-			}
-			return &ListVal{Items: out}, nil
-		}), true
-	case "join":
-		return bi("str.join", func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
-			if len(args) != 1 {
-				return nil, argErr("join", "takes exactly one argument")
-			}
-			items, err := toSlice(in, args[0])
-			if err != nil {
-				return nil, err
-			}
-			parts := make([]string, len(items))
-			for i, it := range items {
-				sv, ok := it.(StrVal)
-				if !ok {
-					return nil, core.Errorf(core.KindType,
-						"sequence item %d: expected str instance, %s found", i, it.TypeName())
-				}
-				parts[i] = string(sv)
-			}
-			return StrVal(strings.Join(parts, str)), nil
-		}), true
-	case "strip":
-		return bi("str.strip", func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
-			cut := " \t\n\r"
-			if len(args) == 1 {
-				c, ok := args[0].(StrVal)
-				if !ok {
-					return nil, argErr("strip", "argument must be a string")
-				}
-				cut = string(c)
-			}
-			return StrVal(strings.Trim(str, cut)), nil
-		}), true
-	case "lstrip":
-		return bi("str.lstrip", func(in *Interp, _ []Value, _ map[string]Value) (Value, error) {
-			return StrVal(strings.TrimLeft(str, " \t\n\r")), nil
-		}), true
-	case "rstrip":
-		return bi("str.rstrip", func(in *Interp, _ []Value, _ map[string]Value) (Value, error) {
-			return StrVal(strings.TrimRight(str, " \t\n\r")), nil
-		}), true
-	case "upper":
-		return bi("str.upper", func(in *Interp, _ []Value, _ map[string]Value) (Value, error) {
-			return StrVal(strings.ToUpper(str)), nil
-		}), true
-	case "lower":
-		return bi("str.lower", func(in *Interp, _ []Value, _ map[string]Value) (Value, error) {
-			return StrVal(strings.ToLower(str)), nil
-		}), true
-	case "startswith":
-		return bi("str.startswith", func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
-			if len(args) != 1 {
-				return nil, argErr("startswith", "takes exactly one argument")
-			}
-			p, ok := args[0].(StrVal)
+var strMethods = map[string]method{
+	"split": methodOn(anyArgs, func(in *Interp, s StrVal, args []Value, _ map[string]Value) (Value, error) {
+		var parts []string
+		if len(args) == 0 {
+			parts = strings.Fields(string(s))
+		} else {
+			sep, ok := args[0].(StrVal)
 			if !ok {
-				return nil, argErr("startswith", "prefix must be a string")
+				return nil, argErr("split", "separator must be a string")
 			}
-			return BoolVal(strings.HasPrefix(str, string(p))), nil
-		}), true
-	case "endswith":
-		return bi("str.endswith", func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
-			if len(args) != 1 {
-				return nil, argErr("endswith", "takes exactly one argument")
-			}
-			p, ok := args[0].(StrVal)
+			parts = strings.Split(string(s), string(sep))
+		}
+		out := make([]Value, len(parts))
+		for i, p := range parts {
+			out[i] = StrVal(p)
+		}
+		return &ListVal{Items: out}, nil
+	}),
+	"join": methodOn(1, func(in *Interp, s StrVal, args []Value, _ map[string]Value) (Value, error) {
+		items, err := toSlice(in, args[0])
+		if err != nil {
+			return nil, err
+		}
+		parts := make([]string, len(items))
+		for i, it := range items {
+			sv, ok := it.(StrVal)
 			if !ok {
-				return nil, argErr("endswith", "suffix must be a string")
+				return nil, core.Errorf(core.KindType,
+					"sequence item %d: expected str instance, %s found", i, it.TypeName())
 			}
-			return BoolVal(strings.HasSuffix(str, string(p))), nil
-		}), true
-	case "replace":
-		return bi("str.replace", func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
-			if len(args) != 2 {
-				return nil, argErr("replace", "takes exactly two arguments")
-			}
-			from, ok1 := args[0].(StrVal)
-			to, ok2 := args[1].(StrVal)
-			if !ok1 || !ok2 {
-				return nil, argErr("replace", "arguments must be strings")
-			}
-			return StrVal(strings.ReplaceAll(str, string(from), string(to))), nil
-		}), true
-	case "find":
-		return bi("str.find", func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
-			if len(args) != 1 {
-				return nil, argErr("find", "takes exactly one argument")
-			}
-			sub, ok := args[0].(StrVal)
+			parts[i] = string(sv)
+		}
+		return StrVal(strings.Join(parts, string(s))), nil
+	}),
+	"strip": methodOn(anyArgs, func(in *Interp, s StrVal, args []Value, _ map[string]Value) (Value, error) {
+		cut := " \t\n\r"
+		if len(args) == 1 {
+			c, ok := args[0].(StrVal)
 			if !ok {
-				return nil, argErr("find", "argument must be a string")
+				return nil, argErr("strip", "argument must be a string")
 			}
-			return IntVal(int64(strings.Index(str, string(sub)))), nil
-		}), true
-	case "count":
-		return bi("str.count", func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
-			if len(args) != 1 {
-				return nil, argErr("count", "takes exactly one argument")
-			}
-			sub, ok := args[0].(StrVal)
-			if !ok {
-				return nil, argErr("count", "argument must be a string")
-			}
-			return IntVal(int64(strings.Count(str, string(sub)))), nil
-		}), true
-	case "format":
-		return bi("str.format", func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
-			out := str
-			for _, a := range args {
-				out = strings.Replace(out, "{}", Str(a), 1)
-			}
-			return StrVal(out), nil
-		}), true
-	}
-	return nil, false
+			cut = string(c)
+		}
+		return StrVal(strings.Trim(string(s), cut)), nil
+	}),
+	"lstrip": methodOn(anyArgs, func(in *Interp, s StrVal, _ []Value, _ map[string]Value) (Value, error) {
+		return StrVal(strings.TrimLeft(string(s), " \t\n\r")), nil
+	}),
+	"rstrip": methodOn(anyArgs, func(in *Interp, s StrVal, _ []Value, _ map[string]Value) (Value, error) {
+		return StrVal(strings.TrimRight(string(s), " \t\n\r")), nil
+	}),
+	"upper": methodOn(anyArgs, func(in *Interp, s StrVal, _ []Value, _ map[string]Value) (Value, error) {
+		return StrVal(strings.ToUpper(string(s))), nil
+	}),
+	"lower": methodOn(anyArgs, func(in *Interp, s StrVal, _ []Value, _ map[string]Value) (Value, error) {
+		return StrVal(strings.ToLower(string(s))), nil
+	}),
+	"startswith": methodOn(1, func(in *Interp, s StrVal, args []Value, _ map[string]Value) (Value, error) {
+		p, ok := args[0].(StrVal)
+		if !ok {
+			return nil, argErr("startswith", "prefix must be a string")
+		}
+		return BoolVal(strings.HasPrefix(string(s), string(p))), nil
+	}),
+	"endswith": methodOn(1, func(in *Interp, s StrVal, args []Value, _ map[string]Value) (Value, error) {
+		p, ok := args[0].(StrVal)
+		if !ok {
+			return nil, argErr("endswith", "suffix must be a string")
+		}
+		return BoolVal(strings.HasSuffix(string(s), string(p))), nil
+	}),
+	"replace": methodOn(2, func(in *Interp, s StrVal, args []Value, _ map[string]Value) (Value, error) {
+		from, ok1 := args[0].(StrVal)
+		to, ok2 := args[1].(StrVal)
+		if !ok1 || !ok2 {
+			return nil, argErr("replace", "arguments must be strings")
+		}
+		return StrVal(strings.ReplaceAll(string(s), string(from), string(to))), nil
+	}),
+	"find": methodOn(1, func(in *Interp, s StrVal, args []Value, _ map[string]Value) (Value, error) {
+		sub, ok := args[0].(StrVal)
+		if !ok {
+			return nil, argErr("find", "argument must be a string")
+		}
+		return IntVal(int64(strings.Index(string(s), string(sub)))), nil
+	}),
+	"count": methodOn(1, func(in *Interp, s StrVal, args []Value, _ map[string]Value) (Value, error) {
+		sub, ok := args[0].(StrVal)
+		if !ok {
+			return nil, argErr("count", "argument must be a string")
+		}
+		return IntVal(int64(strings.Count(string(s), string(sub)))), nil
+	}),
+	"format": methodOn(anyArgs, func(in *Interp, s StrVal, args []Value, _ map[string]Value) (Value, error) {
+		out := string(s)
+		for _, a := range args {
+			out = strings.Replace(out, "{}", Str(a), 1)
+		}
+		return StrVal(out), nil
+	}),
 }

@@ -14,9 +14,21 @@ type Parser struct {
 	name string
 }
 
-// Parse parses PyLite source into a Module. name labels the module in
-// tracebacks (usually the UDF or file name).
+// Parse parses PyLite source into a Module and resolves it: every name is
+// bound to a frame slot, module scope or a builtin, and constant
+// sub-expressions are folded, so the Module is ready to run and is never
+// written again (any number of interpreters may share it). name labels the
+// module in tracebacks (usually the UDF or file name).
 func Parse(name, src string) (*Module, error) {
+	mod, err := parse(name, src)
+	if err == nil {
+		resolveModule(mod)
+	}
+	return mod, err
+}
+
+// parse builds the unresolved AST.
+func parse(name, src string) (*Module, error) {
 	toks, err := NewLexer(src).Tokens()
 	if err != nil {
 		return nil, err
@@ -263,7 +275,7 @@ func (p *Parser) simpleStatement() (Stmt, error) {
 			if err := checkAssignable(lhs); err != nil {
 				return nil, p.errf("%v", err)
 			}
-			return &AugAssignStmt{pos{t.Line}, lhs, strings.TrimSuffix(aug, "="), rhs}, nil
+			return &AugAssignStmt{pos{t.Line}, lhs, opOf(strings.TrimSuffix(aug, "=")), rhs}, nil
 		}
 	}
 	return &ExprStmt{pos{t.Line}, lhs}, nil
@@ -273,14 +285,7 @@ func checkAssignable(e Expr) error {
 	switch e := e.(type) {
 	case *Name, *IndexExpr, *AttrExpr, *SliceExpr:
 		return nil
-	case *TupleLit:
-		for _, el := range e.Elems {
-			if err := checkAssignable(el); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *ListLit:
+	case *SeqLit:
 		for _, el := range e.Elems {
 			if err := checkAssignable(el); err != nil {
 				return err
@@ -305,7 +310,7 @@ func (p *Parser) importStmt() (Stmt, error) {
 		}
 		alias = p.next().Lit
 	}
-	return &ImportStmt{pos{t.Line}, mod, alias}, nil
+	return &ImportStmt{pos: pos{t.Line}, Module: mod, Alias: alias}, nil
 }
 
 func (p *Parser) fromImportStmt() (Stmt, error) {
@@ -433,7 +438,7 @@ func (p *Parser) targetList() (Expr, error) {
 		}
 		elems = append(elems, e)
 	}
-	return &TupleLit{pos{first.Pos()}, elems}, nil
+	return &SeqLit{pos{first.Pos()}, elems, true}, nil
 }
 
 func (p *Parser) primaryTarget() (Expr, error) {
@@ -479,7 +484,7 @@ func (p *Parser) defStmt() (Stmt, error) {
 	if len(body) > 0 {
 		end = body[len(body)-1].Pos()
 	}
-	return &DefStmt{pos{t.Line}, name, params, body, end}, nil
+	return &DefStmt{pos: pos{t.Line}, Name: name, Params: params, Body: body, EndLine: end}, nil
 }
 
 // paramList parses parameters up to and including the closing ')'.
@@ -573,7 +578,7 @@ func (p *Parser) exprOrTuple() (Expr, error) {
 		}
 		elems = append(elems, e)
 	}
-	return &TupleLit{pos{first.Pos()}, elems}, nil
+	return &SeqLit{pos{first.Pos()}, elems, true}, nil
 }
 
 // expr parses a conditional expression (ternary) or below.
@@ -630,7 +635,7 @@ func (p *Parser) lambda() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LambdaExpr{pos{t.Line}, params, body}, nil
+	return &LambdaExpr{pos: pos{t.Line}, Params: params, Body: body}, nil
 }
 
 func (p *Parser) orExpr() (Expr, error) {
@@ -644,7 +649,7 @@ func (p *Parser) orExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinExpr{pos{line}, "or", l, r}
+		l = &BinExpr{pos{line}, OpOr, l, r}
 	}
 	return l, nil
 }
@@ -660,7 +665,7 @@ func (p *Parser) andExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinExpr{pos{line}, "and", l, r}
+		l = &BinExpr{pos{line}, OpAnd, l, r}
 	}
 	return l, nil
 }
@@ -672,7 +677,7 @@ func (p *Parser) notExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{pos{line}, "not", x}, nil
+		return &UnaryExpr{pos{line}, OpNot, x}, nil
 	}
 	return p.comparison()
 }
@@ -685,19 +690,19 @@ func (p *Parser) comparison() (Expr, error) {
 	var chain Expr
 	prev := l
 	for {
-		op := ""
+		var op Op
 		switch {
 		case p.atOp("=="), p.atOp("!="), p.atOp("<"), p.atOp("<="), p.atOp(">"), p.atOp(">="):
-			op = p.next().Lit
+			op = opOf(p.next().Lit)
 		case p.atKw("in"):
 			p.next()
-			op = "in"
+			op = OpIn
 		case p.atKw("is"):
 			p.next()
-			op = "is"
+			op = OpIs
 			if p.atKw("not") {
 				p.next()
-				op = "isnot"
+				op = OpIsNot
 			}
 		case p.atKw("not"):
 			// `not in`
@@ -705,7 +710,7 @@ func (p *Parser) comparison() (Expr, error) {
 			if !p.acceptKw("in") {
 				return nil, p.errf("expected 'in' after 'not'")
 			}
-			op = "notin"
+			op = OpNotIn
 		default:
 			if chain != nil {
 				return chain, nil
@@ -720,7 +725,7 @@ func (p *Parser) comparison() (Expr, error) {
 		if chain == nil {
 			chain = cmp
 		} else {
-			chain = &BinExpr{pos{prev.Pos()}, "and", chain, cmp}
+			chain = &BinExpr{pos{prev.Pos()}, OpAnd, chain, cmp}
 		}
 		prev = r
 	}
@@ -737,7 +742,7 @@ func (p *Parser) arith() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinExpr{pos{op.Line}, op.Lit, l, r}
+		l = &BinExpr{pos{op.Line}, opOf(op.Lit), l, r}
 	}
 	return l, nil
 }
@@ -753,7 +758,7 @@ func (p *Parser) term() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinExpr{pos{op.Line}, op.Lit, l, r}
+		l = &BinExpr{pos{op.Line}, opOf(op.Lit), l, r}
 	}
 	return l, nil
 }
@@ -768,7 +773,7 @@ func (p *Parser) factor() (Expr, error) {
 		if op.Lit == "+" {
 			return x, nil
 		}
-		return &UnaryExpr{pos{op.Line}, "-", x}, nil
+		return &UnaryExpr{pos{op.Line}, OpSub, x}, nil
 	}
 	return p.power()
 }
@@ -785,7 +790,7 @@ func (p *Parser) power() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &BinExpr{pos{op.Line}, "**", base, exp}, nil
+		return &BinExpr{pos{op.Line}, OpPow, base, exp}, nil
 	}
 	return base, nil
 }
@@ -880,14 +885,14 @@ func (p *Parser) atom() (Expr, error) {
 		if err != nil {
 			return nil, p.errf("bad integer literal %q", t.Lit)
 		}
-		return &IntLit{pos{t.Line}, v}, nil
+		return &Lit{pos{t.Line}, IntVal(v)}, nil
 	case TokFloat:
 		p.next()
 		v, err := strconv.ParseFloat(t.Lit, 64)
 		if err != nil {
 			return nil, p.errf("bad float literal %q", t.Lit)
 		}
-		return &FloatLit{pos{t.Line}, v}, nil
+		return &Lit{pos{t.Line}, FloatVal(v)}, nil
 	case TokString:
 		p.next()
 		val := t.Lit
@@ -895,21 +900,21 @@ func (p *Parser) atom() (Expr, error) {
 		for p.at(TokString) {
 			val += p.next().Lit
 		}
-		return &StrLit{pos{t.Line}, val}, nil
+		return &Lit{pos{t.Line}, StrVal(val)}, nil
 	case TokName:
 		p.next()
-		return &Name{pos{t.Line}, t.Lit}, nil
+		return &Name{pos: pos{t.Line}, Ident: t.Lit}, nil
 	case TokKeyword:
 		switch t.Lit {
 		case "True":
 			p.next()
-			return &BoolLit{pos{t.Line}, true}, nil
+			return &Lit{pos{t.Line}, BoolVal(true)}, nil
 		case "False":
 			p.next()
-			return &BoolLit{pos{t.Line}, false}, nil
+			return &Lit{pos{t.Line}, BoolVal(false)}, nil
 		case "None":
 			p.next()
-			return &NoneLit{pos{t.Line}}, nil
+			return &Lit{pos{t.Line}, None}, nil
 		case "lambda":
 			return p.lambda()
 		case "not":
@@ -922,7 +927,7 @@ func (p *Parser) atom() (Expr, error) {
 			p.next()
 			if p.atOp(")") {
 				p.next()
-				return &TupleLit{pos{t.Line}, nil}, nil
+				return &SeqLit{pos{t.Line}, nil, true}, nil
 			}
 			inner, err := p.exprOrTuple()
 			if err != nil {
@@ -934,7 +939,7 @@ func (p *Parser) atom() (Expr, error) {
 			return inner, nil
 		case "[":
 			p.next()
-			lst := &ListLit{pos: pos{t.Line}}
+			lst := &SeqLit{pos: pos{t.Line}}
 			first := true
 			for !p.atOp("]") {
 				e, err := p.expr()

@@ -4,6 +4,23 @@
 // UDF bodies from the paper's listings run in it nearly verbatim, and its
 // tracing hooks are what the interactive debugger (internal/debug) and the
 // devUDF local-run harness attach to.
+//
+// Parse returns a Module that is resolved and immutable: every name is bound
+// to where it lives, operators are enums, constant arithmetic is folded, so
+// any number of interpreters may run one Module at once. Scoping is static,
+// as in CPython: a def or lambda's locals are its parameters plus every name
+// its body binds (assignment, augmented assignment, for and comprehension
+// targets — comprehensions share the enclosing scope, as in Python 2 —
+// `except … as`, def, import) minus names it declares `global`; locals live
+// in frame slots, a nested function reads its enclosing functions' slots,
+// and anything else is module scope — one name-keyed table embedders can
+// read and write (Env) — and behind it the builtins. One deviation from the
+// dynamic lookup PyLite used to have: reading a function's local before it
+// is bound is an error ("local variable 'x' referenced before assignment"),
+// not a read of a same-named global. Remaining deviations from CPython:
+// there is no `nonlocal`, default arguments are evaluated per call in the
+// defining scope, and an unbound variable of an enclosing function reads
+// through to module scope.
 package script
 
 import "fmt"

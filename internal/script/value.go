@@ -273,21 +273,19 @@ type FuncVal struct {
 	Params  []Param
 	Body    []Stmt  // nil for lambdas
 	Expr    Expr    // lambda body
-	Closure *Env    // defining environment
+	Closure *Frame  // variables of the defining frame: the free variables
 	Module  *Module // for tracebacks
 	DefLine int
+
+	scope *funcInfo
 }
 
 func (*FuncVal) TypeName() string { return "function" }
-func (f *FuncVal) Repr() string {
-	name := f.Name
-	if name == "" {
-		name = "<lambda>"
-	}
-	return "<function " + name + ">"
-}
+func (f *FuncVal) Repr() string   { return "<function " + displayName(f) + ">" }
 
-// BuiltinFunc is the Go signature of builtin functions and methods.
+// BuiltinFunc is the Go signature of builtin functions and methods. args
+// belongs to the interpreter and is reused after the call returns: keep the
+// values, not the slice.
 type BuiltinFunc func(in *Interp, args []Value, kwargs map[string]Value) (Value, error)
 
 // BuiltinVal is a function implemented in Go.

@@ -145,6 +145,15 @@ func (sc *serverConn) runExecStmt(stmt *engine.Stmt, args []any) {
 // respondTraced writes the response (timing it as the write span),
 // finalizes the trace, feeds the histogram, query log, and slow-query
 // log, and releases the trace back to its pool.
+//
+// Accounting comes after the write because the write span is part of it,
+// so a client can hold a reply the server has not yet accounted for. The
+// contract is: a statement's accounting is visible to the next statement on
+// the same connection (the connection's worker runs statements one after
+// another, and this function returns before the next one starts), and to
+// other observers — another connection, a /metrics scrape, the log sink —
+// eventually. An observer that needs it now issues a statement on the same
+// connection and waits for that reply.
 func (sc *serverConn) respondTraced(tr *obs.Trace, res *engine.Result, err error) {
 	defer obs.ReleaseTrace(tr)
 	if err != nil {

@@ -33,6 +33,17 @@ func startObsServer(t *testing.T, configure func(*Server)) (*obs.Registry, *Serv
 	return reg, srv, ConnParams{Host: host, Port: portStr, Database: "demo", User: "monetdb", Password: "secret"}
 }
 
+// settle returns once every statement already answered on c has been
+// accounted for (histogram, query log, slow-query line): the server records
+// a statement after writing its reply, but before starting the next one on
+// the same connection — respondTraced's contract.
+func settle(t *testing.T, c *Client) {
+	t.Helper()
+	if _, _, err := c.Query(background(), `SELECT 1 AS settled`); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func scrapeReg(t *testing.T, reg *obs.Registry) *obs.Scrape {
 	t.Helper()
 	var b strings.Builder
@@ -69,6 +80,7 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 			t.Fatalf("%s: %v", sql, err)
 		}
 	}
+	settle(t, c)
 	sc := scrapeReg(t, reg)
 	if v := mustValue(t, sc, "wire_connections_opened_total", nil); v < 1 {
 		t.Fatalf("wire_connections_opened_total = %v", v)
@@ -121,8 +133,41 @@ func TestStmtRejectionCounter(t *testing.T) {
 	}
 }
 
+// TestAccountingVisibleToNextStatement proves the ordering half of
+// respondTraced's contract from inside the server: a statement that reads
+// sys.query_log always finds the statement answered just before it on the
+// same connection, however quickly the client sends it.
+func TestAccountingVisibleToNextStatement(t *testing.T) {
+	_, srv, params := startObsServer(t, nil)
+	srv.DB.QueryLog = obs.NewQueryLog(16)
+	c, err := Dial(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 200; i++ {
+		marker := fmt.Sprintf(`SELECT %d AS marker`, i)
+		if _, _, err := c.Query(background(), marker); err != nil {
+			t.Fatal(err)
+		}
+		_, tbl, err := c.Query(background(), `SELECT query FROM sys.query_log`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, q := range tbl.Cols[0].Strs {
+			found = found || q == marker
+		}
+		if !found {
+			t.Fatalf("statement %d answered but not in the log its successor read: %q", i, tbl.Cols[0].Strs)
+		}
+	}
+}
+
 // TestSlowQueryLogLine: a query past the threshold produces one
-// structured line carrying the per-stage breakdown.
+// structured line carrying the per-stage breakdown. nap is sized in
+// interpreter steps, not seconds: 600k steps are tens of milliseconds
+// against the 1 ms threshold, whatever the interpreter's speed.
 func TestSlowQueryLogLine(t *testing.T) {
 	var mu sync.Mutex
 	var lines []string
@@ -156,6 +201,7 @@ func TestSlowQueryLogLine(t *testing.T) {
 	if _, _, err := c.Query(background(), `SELECT nap(i) AS n FROM t`); err != nil {
 		t.Fatal(err)
 	}
+	settle(t, c)
 	mu.Lock()
 	defer mu.Unlock()
 	var slow string

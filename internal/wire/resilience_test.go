@@ -15,9 +15,11 @@ import (
 	"repro/internal/faultnet"
 )
 
-// spinUDF runs long enough to straddle any cancellation signal but still
-// terminates on its own — the loop bound is the backstop against a hung
-// test if an interrupt is lost.
+// spinUDF loops until it is cancelled: every test that runs it interrupts
+// it within a few hundred milliseconds. It is sized in interpreter steps,
+// not seconds — 200M of them, four times the 50M default step budget, which
+// is the backstop that ends a run whose interrupt was lost. A faster
+// interpreter only brings that backstop closer; it stays seconds away.
 const spinUDF = `CREATE FUNCTION spin(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON {
     s = 0
     for k in range(0, 100000000):
@@ -25,8 +27,10 @@ const spinUDF = `CREATE FUNCTION spin(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON
     return x
 };`
 
-// busyUDF runs for a noticeable but bounded time — long enough to pile
-// pipelined requests behind it, short enough to finish on its own.
+// busyUDF finishes on its own after 6M interpreter steps. It only has to
+// outlast the server reading the few small frames pipelined behind it
+// (microseconds), so its margin is four orders of magnitude at any
+// interpreter speed.
 const busyUDF = `CREATE FUNCTION busy(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON {
     s = 0
     for k in range(0, 3000000):
