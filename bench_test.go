@@ -331,7 +331,7 @@ func BenchmarkFilterAggregate(b *testing.B) {
 			if tc.obsOn {
 				for i := 0; i < b.N; i++ {
 					tr := monetlite.AcquireTrace(query, "monetdb")
-					_, err := conn.ExecTraced(tr, query)
+					_, err := conn.ExecWith(monetlite.ExecOpts{Trace: tr}, query)
 					monetlite.ReleaseTrace(tr)
 					if err != nil {
 						b.Fatal(err)
@@ -630,9 +630,10 @@ func clientAnalysis(b *testing.B) func([]int64) error {
 
 // ---- v2 transport: streaming vs buffered result transfer ----
 
-// BenchmarkWireTransfer pits the v2 chunked streaming path against the v1
-// one-shot buffered path for the same result set, plus a pooled-connection
-// variant — the transport side of the §2.2 transfer-cost argument.
+// BenchmarkWireTransfer pits consuming a chunked result stream batch by
+// batch against buffering the same stream into one table, plus a
+// pooled-connection variant — the transport side of the §2.2
+// transfer-cost argument.
 func BenchmarkWireTransfer(b *testing.B) {
 	const rows = 200_000
 	fx, err := bench.StartServer(
@@ -646,20 +647,6 @@ func BenchmarkWireTransfer(b *testing.B) {
 	// stream aggressively so the benchmark exercises the chunked path
 	fx.Server.StreamThreshold = 64 << 10
 
-	b.Run("buffered-v1", func(b *testing.B) {
-		cli, err := monetlite.DialContext(ctx, fx.Params, monetlite.WithProtoVersion(monetlite.ProtoV1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cli.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_, tbl, err := cli.Query(ctx, `SELECT i FROM numbers`)
-			if err != nil || tbl.NumRows() != rows {
-				b.Fatalf("%v %v", tbl, err)
-			}
-		}
-	})
 	b.Run("buffered-v2", func(b *testing.B) {
 		cli, err := monetlite.DialContext(ctx, fx.Params)
 		if err != nil {
@@ -876,7 +863,7 @@ func BenchmarkWALInsert(b *testing.B) {
 		if obsOn {
 			for i := 0; i < b.N; i++ {
 				tr := monetlite.AcquireTrace(insert, "monetdb")
-				_, err := conn.ExecTraced(tr, insert)
+				_, err := conn.ExecWith(monetlite.ExecOpts{Trace: tr}, insert)
 				monetlite.ReleaseTrace(tr)
 				if err != nil {
 					b.Fatal(err)

@@ -30,19 +30,14 @@
 package main
 
 import (
-	"bytes"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"io/fs"
 	"log"
 	"os"
 	"os/signal"
 	"syscall"
 
 	"repro/internal/core"
-	"repro/internal/dump"
 	"repro/internal/wal"
 	"repro/monetlite"
 )
@@ -55,10 +50,9 @@ func main() {
 	dataDir := flag.String("data", "", "data directory: WAL + snapshots live here (durable across kill -9), and COPY INTO / UDF file access resolve against it (empty: in-memory database, process cwd for files)")
 	walSync := flag.String("wal-sync", "interval", "WAL fsync policy: interval (group commit), always (fsync per commit), never")
 	initFile := flag.String("init", "", "SQL script to execute at startup")
-	persist := flag.String("persist", "", "deprecated: snapshot file restored at startup and written at shutdown only; use -data, which also survives crashes")
 	tupleMode := flag.Bool("tuple-at-a-time", false, "use the tuple-at-a-time UDF processing model (paper §2.4)")
 	maxSteps := flag.Int64("max-udf-steps", 50_000_000, "interpreter step budget per UDF call (0 = unlimited)")
-	streamThreshold := flag.Int("stream-threshold", 1<<20, "encoded result size (bytes) above which v2 sessions get chunked streaming (negative streams everything)")
+	streamThreshold := flag.Int("stream-threshold", 1<<20, "encoded result size (bytes) above which a result is sent as a chunked stream (negative streams everything)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address (empty: disabled)")
 	slowQueryMs := flag.Int("slow-query-ms", 0, "log one structured line with the per-stage span breakdown for queries slower than this many milliseconds (0: disabled)")
 	queryTimeout := flag.Duration("query-timeout", 0, "abort any query running longer than this, measured from dequeue (0: unlimited)")
@@ -81,10 +75,6 @@ func main() {
 		db.Mode = monetlite.ModeTupleAtATime
 	}
 
-	if *persist != "" && *dataDir != "" {
-		log.Fatalf("-persist and -data are mutually exclusive; -data subsumes -persist (WAL + snapshots under the data directory)")
-	}
-
 	var mgr *wal.Manager
 	if *dataDir != "" {
 		opts := wal.Options{Logf: log.Printf}
@@ -103,17 +93,6 @@ func main() {
 			log.Fatalf("open data dir %s: %v", *dataDir, err)
 		}
 		log.Printf("durable storage at %s (wal segment %s)", *dataDir, *walSync)
-	}
-
-	if *persist != "" {
-		log.Printf("warning: -persist is deprecated (snapshot only at clean shutdown); use -data for crash-safe storage")
-		restored, err := restoreSnapshot(db, *persist)
-		if err != nil {
-			log.Fatalf("restore %s: %v", *persist, err)
-		}
-		if restored {
-			log.Printf("restored database from %s", *persist)
-		}
 	}
 
 	if *initFile != "" {
@@ -175,42 +154,4 @@ func main() {
 		}
 		log.Printf("database persisted to %s", *dataDir)
 	}
-	if *persist != "" {
-		if err := persistSnapshot(*persist, func(w io.Writer) error { return dump.Dump(db, w) }); err != nil {
-			log.Fatalf("persist %s: %v", *persist, err)
-		}
-		log.Printf("database persisted to %s", *persist)
-	}
-}
-
-// restoreSnapshot loads a -persist snapshot if one exists. Only a missing
-// file means "start with an empty database"; any other failure (a
-// permission error, a truncated or corrupt snapshot) is returned so the
-// caller can abort — booting empty would overwrite the snapshot with an
-// empty database at the next shutdown.
-func restoreSnapshot(db *monetlite.DB, path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return false, nil
-		}
-		return false, err
-	}
-	defer f.Close()
-	if err := dump.Restore(db, f); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// persistSnapshot writes a -persist snapshot without ever endangering the
-// previous one: the dump is produced in memory and lands on disk via an
-// atomic temp-file-then-rename. The old code os.Create'd (truncated) the
-// only copy before dumping, so a failed dump destroyed the snapshot.
-func persistSnapshot(path string, dumpTo func(io.Writer) error) error {
-	var buf bytes.Buffer
-	if err := dumpTo(&buf); err != nil {
-		return err
-	}
-	return wal.WriteFileAtomic(path, buf.Bytes())
 }

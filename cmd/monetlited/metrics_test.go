@@ -97,7 +97,7 @@ func TestDrainAndStopWithoutMetrics(t *testing.T) {
 func TestExpositionRoundTripUnderLoad(t *testing.T) {
 	_, _, params, maddr := startStack(t, 0)
 
-	c, err := monetlite.Dial(params)
+	c, err := monetlite.DialContext(context.Background(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestExpositionRoundTripUnderLoad(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cc, err := monetlite.Dial(params)
+			cc, err := monetlite.DialContext(context.Background(), params)
 			if err != nil {
 				t.Error(err)
 				return
@@ -218,7 +218,7 @@ func TestExpositionRoundTripUnderLoad(t *testing.T) {
 	}
 
 	// The same spans back the sys.query_log virtual table.
-	cc, err := monetlite.Dial(params)
+	cc, err := monetlite.DialContext(context.Background(), params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,13 +67,6 @@ func Open(ctx context.Context, settings Settings, opts ...Option) (*Client, erro
 	}, nil
 }
 
-// Connect dials the database from the settings and opens the project in fs.
-//
-// Deprecated: use Open, which accepts a context and options.
-func Connect(settings Settings, fs core.FS) (*Client, error) {
-	return Open(context.Background(), settings, WithFS(fs)) //ctxflow:edge deprecated ctx-less entry point
-}
-
 // Close closes the cached prepared statements and the connection pool.
 func (c *Client) Close() error {
 	c.stmtMu.Lock()
@@ -130,15 +123,6 @@ func (c *Client) forgetStmt(sql string, ps *wire.PoolStmt) {
 		delete(c.stmts, sql)
 	}
 	c.stmtMu.Unlock()
-}
-
-// QueryTable runs raw SQL and returns the pre-prepared-statements shape.
-//
-// Deprecated: use Query, which accepts bind arguments and returns a
-// QueryResult.
-func (c *Client) QueryTable(ctx context.Context, sql string) (string, *storage.Table, error) {
-	res, err := c.Query(ctx, sql)
-	return res.Tag, res.Table, err
 }
 
 // Prepare compiles sql once for repeated execution with bind arguments.

@@ -42,12 +42,6 @@ func TestClientQueryVariadic(t *testing.T) {
 	if err != nil || res.Table.Cols[0].Ints[0] != 4 {
 		t.Fatalf("%v %v", res, err)
 	}
-	// the deprecated wrapper preserves the old shape
-	//lint:ignore SA1019 exercising the deprecated QueryTable compatibility shim
-	tag, tbl, err := c.QueryTable(ctx, `SELECT count(*) AS n FROM nums`)
-	if err != nil || tag != "SELECT 1" || tbl.Cols[0].Ints[0] != 4 {
-		t.Fatalf("%q %v %v", tag, tbl, err)
-	}
 }
 
 // TestClientPreparedStmt: the explicit Prepare surface, including reuse

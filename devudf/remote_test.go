@@ -14,8 +14,8 @@ import (
 // TestRemoteDebugAcceptance is the examples/remote_debug scenario as an
 // automated test: attach to the buggy mean_deviation UDF executing inside
 // the in-process monetlited, hit a conditional breakpoint, inspect locals /
-// stack / a watch expression, step, and resume to completion — while v1
-// clients and non-debug v2 traffic keep working.
+// stack / a watch expression, step, and resume to completion — while
+// non-debug traffic on other connections keeps working.
 func TestRemoteDebugAcceptance(t *testing.T) {
 	params, _ := startServer(t,
 		`CREATE TABLE numbers (i INTEGER)`,
@@ -31,14 +31,14 @@ func TestRemoteDebugAcceptance(t *testing.T) {
 	}
 	defer client.Close()
 
-	// A v1 client on its own connection, before / after the debug run.
-	v1, err := wire.DialContext(ctx, params, wire.WithProtoVersion(wire.ProtoV1))
+	// A plain client on its own connection, before / after the debug run.
+	plain, err := wire.DialContext(ctx, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v1.Close()
-	if msg, _, err := v1.Query(ctx, "SELECT i FROM numbers"); err != nil || msg != "SELECT 5" {
-		t.Fatalf("v1 pre-debug query: %q %v", msg, err)
+	defer plain.Close()
+	if msg, _, err := plain.Query(ctx, "SELECT i FROM numbers"); err != nil || msg != "SELECT 5" {
+		t.Fatalf("pre-debug query: %q %v", msg, err)
 	}
 
 	sess, err := client.NewRemoteDebugSession(ctx, "mean_deviation", false)
@@ -130,9 +130,9 @@ func TestRemoteDebugAcceptance(t *testing.T) {
 	if res, err := client.Query(ctx, "SELECT mean_deviation(i) FROM numbers"); err != nil || res.Table.NumRows() != 1 {
 		t.Fatalf("pool query after debug: %v", err)
 	}
-	// And the v1 session still works.
-	if msg, _, err := v1.Query(ctx, "SELECT i FROM numbers"); err != nil || msg != "SELECT 5" {
-		t.Fatalf("v1 post-debug query: %q %v", msg, err)
+	// And the plain session still works.
+	if msg, _, err := plain.Query(ctx, "SELECT i FROM numbers"); err != nil || msg != "SELECT 5" {
+		t.Fatalf("post-debug query: %q %v", msg, err)
 	}
 }
 

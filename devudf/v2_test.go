@@ -95,7 +95,7 @@ func TestPoolStatsThroughClient(t *testing.T) {
 	if _, err := c.Query(ctx, `SELECT i FROM t`); err != nil {
 		t.Fatal(err)
 	}
-	st := c.Pool().Stats()
+	st := c.Pool().StatsSnapshot()
 	if st.Size != 2 || st.Dials < 1 || st.BytesRead == 0 {
 		t.Fatalf("pool stats: %+v", st)
 	}

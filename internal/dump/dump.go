@@ -1,18 +1,17 @@
 // Package dump implements database persistence for the embedded engine: a
 // binary snapshot of every user table and UDF definition. It is the
 // snapshot half of durable storage (internal/wal layers a write-ahead log
-// on top), the monetlited -persist file, and how a developer ships a
-// reproducible demo database.
+// on top) and how a developer ships a reproducible demo database.
 //
-// Two format versions exist. V1 ("MLDUMP1\n") stored plain columns and
-// dropped function IDs, so sys.functions IDs drifted across a
-// dump/restore cycle. V2 ("MLDUMP2\n") persists each FuncDef.ID and the
-// catalog's next-ID counter, and compresses columns (dictionary-encoded
-// strings, run-length-encoded runs — see compress.go). Dump always writes
-// V2; Restore reads both.
+// The format ("MLDUMP2\n") persists each FuncDef.ID and the catalog's
+// next-ID counter, so sys.functions IDs survive a dump/restore cycle, and
+// compresses columns (dictionary-encoded strings, run-length-encoded runs
+// — see compress.go). Its predecessor, version 1, stored plain columns and
+// dropped function IDs; Restore refuses it with a typed error.
 package dump
 
 import (
+	"bytes"
 	"encoding/binary"
 	"io"
 
@@ -22,8 +21,8 @@ import (
 )
 
 const (
-	magicV1 = "MLDUMP1\n"
-	magicV2 = "MLDUMP2\n"
+	magicPrefix = "MLDUMP"
+	magicV2     = magicPrefix + "2\n"
 )
 
 // Dump writes a snapshot of db (tables + functions) to w.
@@ -75,10 +74,6 @@ func EncodeCatalog(cat *storage.Catalog) ([]byte, error) {
 // Go-UDF registration records.
 func AppendFuncDef(buf []byte, f *storage.FuncDef) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(f.ID))
-	return appendFuncBody(buf, f)
-}
-
-func appendFuncBody(buf []byte, f *storage.FuncDef) []byte {
 	buf = storage.AppendString(buf, f.Name)
 	buf = storage.AppendString(buf, f.Language)
 	buf = storage.AppendString(buf, f.Body)
@@ -101,9 +96,9 @@ func encodeSchema(buf []byte, s storage.Schema) []byte {
 	return buf
 }
 
-// Restore loads a snapshot produced by Dump (either format version) into
-// db, all-or-nothing: on any error the database is left exactly as it
-// was. Existing tables or functions with clashing names fail the restore.
+// Restore loads a snapshot produced by Dump into db, all-or-nothing: on
+// any error the database is left exactly as it was. Existing tables or
+// functions with clashing names fail the restore.
 func Restore(db *engine.DB, r io.Reader) error {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -118,21 +113,20 @@ func Restore(db *engine.DB, r io.Reader) error {
 // The caller must hold the database lock; internal/wal calls it during
 // crash recovery to load the newest valid snapshot.
 func RestoreCatalog(cat *storage.Catalog, data []byte) error {
-	v2 := false
 	switch {
-	case len(data) >= len(magicV2) && string(data[:len(magicV2)]) == magicV2:
-		v2 = true
-	case len(data) >= len(magicV1) && string(data[:len(magicV1)]) == magicV1:
+	case bytes.HasPrefix(data, []byte(magicV2)):
+	case bytes.HasPrefix(data, []byte(magicPrefix)):
+		// Another format version (version 1 wrote plain columns and no
+		// function IDs): name it rather than misread it or call it foreign.
+		return core.Errorf(core.KindProtocol, "unsupported dump version %q; this build reads %q only",
+			data[:min(len(data), len(magicV2))], magicV2)
 	default:
 		return core.Errorf(core.KindProtocol, "not a monetlite dump")
 	}
 	br := storage.NewByteReader(data[len(magicV2):])
-	nextID := uint32(0)
-	if v2 {
-		var err error
-		if nextID, err = br.U32(); err != nil {
-			return err
-		}
+	nextID, err := br.U32()
+	if err != nil {
+		return err
 	}
 	ntables, err := br.U32()
 	if err != nil {
@@ -141,12 +135,7 @@ func RestoreCatalog(cat *storage.Catalog, data []byte) error {
 	var tables []*storage.Table
 	budget := maxDumpCells
 	for i := uint32(0); i < ntables; i++ {
-		var t *storage.Table
-		if v2 {
-			t, err = readTableV2(br, &budget)
-		} else {
-			t, err = storage.DecodeTable(br)
-		}
+		t, err := readTableV2(br, &budget)
 		if err != nil {
 			return err
 		}
@@ -158,12 +147,7 @@ func RestoreCatalog(cat *storage.Catalog, data []byte) error {
 	}
 	var funcs []*storage.FuncDef
 	for i := uint32(0); i < nfuncs; i++ {
-		var f *storage.FuncDef
-		if v2 {
-			f, err = ReadFuncDef(br)
-		} else {
-			f, err = readFuncBody(br, 0)
-		}
+		f, err := ReadFuncDef(br)
 		if err != nil {
 			return err
 		}
@@ -183,12 +167,7 @@ func RestoreCatalog(cat *storage.Catalog, data []byte) error {
 		}
 	}
 	for _, f := range funcs {
-		if v2 {
-			err = scratch.InstallFunction(f, false)
-		} else {
-			err = scratch.CreateFunction(f, false)
-		}
-		if err != nil {
+		if err := scratch.InstallFunction(f, false); err != nil {
 			return err
 		}
 	}
@@ -212,20 +191,13 @@ func RestoreCatalog(cat *storage.Catalog, data []byte) error {
 		doneTables = append(doneTables, t.Name)
 	}
 	for _, f := range funcs {
-		if v2 {
-			err = cat.InstallFunction(f, false)
-		} else {
-			err = cat.CreateFunction(f, false)
-		}
-		if err != nil {
+		if err := cat.InstallFunction(f, false); err != nil {
 			rollback()
 			return err
 		}
 		doneFuncs = append(doneFuncs, f.Name)
 	}
-	if v2 {
-		cat.SetNextID(int(nextID))
-	}
+	cat.SetNextID(int(nextID))
 	return nil
 }
 
@@ -238,12 +210,7 @@ func ReadFuncDef(br *storage.ByteReader) (*storage.FuncDef, error) {
 	if id > 1<<30 {
 		return nil, core.Errorf(core.KindProtocol, "implausible function id %d", id)
 	}
-	return readFuncBody(br, int(id))
-}
-
-func readFuncBody(br *storage.ByteReader, id int) (*storage.FuncDef, error) {
-	f := &storage.FuncDef{ID: id}
-	var err error
+	f := &storage.FuncDef{ID: int(id)}
 	if f.Name, err = br.Str(); err != nil {
 		return nil, err
 	}

@@ -75,9 +75,9 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		[]byte("not a dump"),
-		[]byte("MLDUMP1\n"),                 // truncated counts
-		[]byte("MLDUMP1\n\x00\x00\x00\x01"), // table promised, absent
-		[]byte("MLDUMP1\nxxxxxxxxxxxxxxxxxxxxxx"), // garbage counts
+		[]byte("MLDUMP2\n"), // truncated counts
+		[]byte("MLDUMP2\n\x00\x00\x00\x01\x00\x00\x00\x01"), // table promised, absent
+		[]byte("MLDUMP2\nxxxxxxxxxxxxxxxxxxxxxx"),           // garbage counts
 	}
 	for i, c := range cases {
 		if err := Restore(fresh, bytes.NewReader(c)); err == nil {

@@ -23,17 +23,18 @@ func exec(t *testing.T, db *engine.DB, sql string) *engine.Result {
 	return r
 }
 
-// encodeV1 reproduces the legacy MLDUMP1 writer so compatibility with
-// dumps written by older binaries stays under test.
+// encodeV1 reproduces the retired MLDUMP1 writer, so the refusal test and
+// the fuzz seeds feed Restore a well-formed file of the old version rather
+// than only a bare magic.
 func encodeV1(tables []*storage.Table, funcs []*storage.FuncDef) []byte {
-	buf := []byte(magicV1)
+	buf := []byte("MLDUMP1\n")
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(tables)))
 	for _, t := range tables {
 		buf = storage.EncodeTable(buf, t)
 	}
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(funcs)))
 	for _, f := range funcs {
-		buf = appendFuncBody(buf, f)
+		buf = append(buf, AppendFuncDef(nil, f)[4:]...) // v1 carried no function ID
 	}
 	return buf
 }
@@ -95,7 +96,10 @@ func TestFunctionIDsSurviveRoundTrip(t *testing.T) {
 	}
 }
 
-func TestV1DumpStillReadable(t *testing.T) {
+// TestV1DumpRefused: a well-formed dump of the retired version 1 is named
+// as such with a typed error — not misread as version 2, not called
+// foreign — and the catalog it was offered to stays as it was.
+func TestV1DumpRefused(t *testing.T) {
 	tbl := storage.NewTable("legacy", storage.Schema{
 		{Name: "i", Type: storage.TInt},
 		{Name: "s", Type: storage.TStr},
@@ -112,17 +116,21 @@ func TestV1DumpStillReadable(t *testing.T) {
 	data := encodeV1([]*storage.Table{tbl}, []*storage.FuncDef{fn})
 
 	db := engine.NewDB()
-	if err := Restore(db, bytes.NewReader(data)); err != nil {
-		t.Fatalf("v1 dump no longer readable: %v", err)
+	exec(t, db, `CREATE TABLE mine (i INTEGER)`)
+	err := Restore(db, bytes.NewReader(data))
+	if core.KindOf(err) != core.KindProtocol || !strings.Contains(err.Error(), "unsupported dump version") {
+		t.Fatalf("v1 dump: want a protocol error naming the unsupported version, got %v", err)
 	}
-	r := exec(t, db, `SELECT plus_one(i) FROM legacy`)
-	if r.Table.NumRows() != 1 || r.Table.Cols[0].Ints[0] != 8 {
-		t.Fatalf("v1 restore content: %v", r.Table.Cols[0].Ints)
-	}
-	// legacy dumps carry no IDs; restore assigns fresh ones
-	r = exec(t, db, `SELECT id FROM sys.functions WHERE name = 'plus_one'`)
-	if r.Table.Cols[0].Ints[0] < 1 {
-		t.Fatalf("v1 function id: %v", r.Table.Cols[0].Ints)
+	if err := db.Lock(func(cat *storage.Catalog) error {
+		if names := cat.TableNames(); len(names) != 1 || names[0] != "mine" {
+			t.Errorf("refused restore changed the tables: %v", names)
+		}
+		if n := len(cat.Functions()); n != 0 {
+			t.Errorf("refused restore left %d functions", n)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

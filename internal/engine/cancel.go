@@ -25,11 +25,11 @@ type Interrupt struct {
 }
 
 // armed reports whether the interrupt can ever fire.
-func (i Interrupt) armed() bool { return i.Done != nil || !i.Deadline.IsZero() }
+func (i *Interrupt) armed() bool { return i.Done != nil || !i.Deadline.IsZero() }
 
 // InterruptFrom extracts the cancellation signal of a context: its Done
-// channel and deadline, if any. The engine's *Context entry points use it
-// so a context.WithTimeout caller gets real mid-statement cancellation.
+// channel and deadline, if any. The engine's ExecContext entry points use
+// it so a context.WithTimeout caller gets real mid-statement cancellation.
 func InterruptFrom(ctx context.Context) Interrupt {
 	if ctx == nil {
 		return Interrupt{}
@@ -41,31 +41,18 @@ func InterruptFrom(ctx context.Context) Interrupt {
 	return intr
 }
 
-// intrState is the per-statement interrupt installed on DB.activeIntr
-// while the statement executes under the database lock. Like activeTrace
-// it is fixed for the statement's duration, so morsel workers may read it
-// without synchronization.
-type intrState struct {
-	done        <-chan struct{}
-	deadline    time.Time
-	hasDeadline bool
-}
-
 // err reports the typed cancellation error once the interrupt has fired,
-// or nil. Nil-receiver-safe: the unarmed path is one pointer check.
-func (st *intrState) err() error {
-	if st == nil {
-		return nil
-	}
-	if st.done != nil {
+// or nil; the unarmed path is two comparisons.
+func (i *Interrupt) err() error {
+	if i.Done != nil {
 		select {
-		case <-st.done:
+		case <-i.Done:
 			return core.Wrapf(core.KindCancelled, context.Canceled,
 				"query cancelled")
 		default:
 		}
 	}
-	if st.hasDeadline && !time.Now().Before(st.deadline) {
+	if !i.Deadline.IsZero() && !time.Now().Before(i.Deadline) {
 		return core.Wrapf(core.KindCancelled, context.DeadlineExceeded,
 			"query deadline exceeded")
 	}
@@ -73,7 +60,7 @@ func (st *intrState) err() error {
 }
 
 // stopped adapts err to the vec.Pol.Stop morsel-boundary hook.
-func (st *intrState) stopped() bool { return st.err() != nil }
+func (i *Interrupt) stopped() bool { return i.err() != nil }
 
 // interruptErr is the engine's pipeline-stage checkpoint: nil while the
 // statement may keep running, the typed cancellation error once it must

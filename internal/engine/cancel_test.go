@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // spinUDF loops until it is cancelled: every test that runs it interrupts
@@ -89,11 +90,11 @@ func TestStmtExecContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := stmt.QueryContext(ctx, int64(1)); !core.IsCancelled(err) {
+	if _, err := stmt.ExecContext(ctx, int64(1)); !core.IsCancelled(err) {
 		t.Fatalf("want cancelled error, got %v", err)
 	}
 	// The statement survives its cancelled execution.
-	res, err := stmt.QueryContext(context.Background(), int64(1))
+	res, err := stmt.ExecContext(context.Background(), int64(1))
 	if err != nil || res.Table.NumRows() != 1 {
 		t.Fatalf("statement unusable after cancelled run: %v %v", res, err)
 	}
@@ -134,5 +135,48 @@ func TestUDFWallBudget(t *testing.T) {
 	res := mustExec(t, c, `SELECT quick(41) AS a`)
 	if got := intCol(t, res.Table, "a"); len(got) != 1 || got[0] != 42 {
 		t.Fatalf("quick: %v", got)
+	}
+}
+
+// TestExecWithAllocsMatchPlainExec pins the explicit door's promise: an
+// armed interrupt, a trace, or both cost a prepared execution no
+// allocation beyond what the plain Stmt.Exec of the same statement makes.
+// The filter reaches the morsel policy, so the interrupt is handed to the
+// kernels on every run.
+func TestExecWithAllocsMatchPlainExec(t *testing.T) {
+	c := newTestConn()
+	mustExec(t, c, `CREATE TABLE t (i INTEGER)`)
+	mustExec(t, c, `INSERT INTO t VALUES (1), (2), (3), (4)`)
+	stmt, err := c.Prepare(`SELECT i FROM t WHERE i > ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []any{int64(2)}
+	run := func(o ExecOpts) float64 {
+		return testing.AllocsPerRun(200, func() {
+			if _, err := stmt.ExecWith(o, args...); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	plain := testing.AllocsPerRun(200, func() {
+		if _, err := stmt.Exec(args...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	tr := obs.AcquireTrace(stmt.SQL(), c.User)
+	defer obs.ReleaseTrace(tr)
+	armed := Interrupt{Done: make(chan struct{}), Deadline: time.Now().Add(time.Hour)}
+	for _, tc := range []struct {
+		name string
+		opts ExecOpts
+	}{
+		{"armed interrupt", ExecOpts{Interrupt: armed}},
+		{"pooled trace", ExecOpts{Trace: tr}},
+		{"both", ExecOpts{Interrupt: armed, Trace: tr}},
+	} {
+		if got := run(tc.opts); got > plain {
+			t.Errorf("%s: %.0f allocs/op, plain Stmt.Exec makes %.0f", tc.name, got, plain)
+		}
 	}
 }

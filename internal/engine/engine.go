@@ -112,14 +112,19 @@ type DB struct {
 	// read without mu on hot paths; nil means observability is off.
 	metrics *dbMetrics
 	// activeTrace is the trace of the statement currently executing under
-	// mu, set by the *Context entry points so parse/UDF/WAL sub-stages can
-	// report spans without threading a context through every operator.
+	// mu, installed by guarded so parse/UDF/WAL sub-stages can report
+	// spans without threading a context through every operator.
 	activeTrace *obs.Trace
 	// activeIntr is the interrupt of the statement currently executing
 	// under mu — the cooperative-cancellation signal the pipeline-stage
 	// and morsel-boundary checkpoints observe. Fixed for the statement's
 	// duration, so morsel workers read it without synchronization.
-	activeIntr *intrState
+	activeIntr Interrupt
+	// intrErr and intrStop are activeIntr's checkpoint methods bound once
+	// at construction: handing one to a UDF runtime or a morsel policy
+	// costs an armed statement no closure allocation.
+	intrErr  func() error
+	intrStop func() bool
 	// queriesCancelled counts statements aborted by an interrupt (client
 	// disconnect, deadline, server stop). Atomic so a metrics scrape never
 	// takes the database lock.
@@ -138,11 +143,13 @@ type DB struct {
 
 // NewDB creates an empty database.
 func NewDB() *DB {
-	return &DB{
+	db := &DB{
 		cat:      storage.NewCatalog(),
 		FS:       core.OSFS{},
 		compiled: map[string]*compiledUDF{},
 	}
+	db.intrErr, db.intrStop = db.activeIntr.err, db.activeIntr.stopped
+	return db
 }
 
 // RegisterTable installs a pre-built table into the catalog under the
@@ -179,7 +186,7 @@ type Conn struct {
 	UDFInvoke udfrt.InvokeHook
 
 	// binds holds the current execution's bind arguments (length-1 columns,
-	// one per placeholder slot). It is set by Stmt.exec under the database
+	// one per placeholder slot). It is set by Stmt.ExecWith under the database
 	// lock and read by placeholder evaluation; plain Query/Exec rejects
 	// parameterized statements before execution, so stale binds can never
 	// be observed.
@@ -194,15 +201,16 @@ type Result struct {
 	Msg string
 }
 
-// Exec parses and executes one statement under the database lock. It
-// deliberately does not route through execTraced: the trace install
-// and its deferred restore cost tens of nanoseconds, and this is the
-// path every untraced statement takes.
-func (c *Conn) Exec(sql string) (*Result, error) {
-	c.DB.mu.Lock()
-	defer c.DB.mu.Unlock()
-	return c.exec(sql)
+// ExecOpts is the per-call value of ExecWith: the statement's cancellation
+// signal and the trace its spans report into. The zero value runs the
+// statement uninterruptible and untraced.
+type ExecOpts struct {
+	Interrupt Interrupt
+	Trace     *obs.Trace
 }
+
+// Exec parses and executes one statement under the database lock.
+func (c *Conn) Exec(sql string) (*Result, error) { return c.ExecWith(ExecOpts{}, sql) }
 
 // ExecContext is Exec with a context, honored for real: cancelling the
 // context (or passing one with a deadline) aborts the statement
@@ -212,69 +220,40 @@ func (c *Conn) Exec(sql string) (*Result, error) {
 // (obs.WithTrace), the execution reports its parse, execute, UDF and WAL
 // spans into it.
 func (c *Conn) ExecContext(ctx context.Context, sql string) (*Result, error) {
-	return c.execGuarded(InterruptFrom(ctx), obs.TraceFrom(ctx), sql)
+	return c.ExecWith(ExecOpts{Interrupt: InterruptFrom(ctx), Trace: obs.TraceFrom(ctx)}, sql)
 }
 
-// ExecTraced is ExecContext without the context detour: the wire
-// server's per-query hot path, where the context allocation and value
-// lookup are measurable against sub-microsecond statements. tr may be
-// nil. Embedded callers normally use ExecContext.
-func (c *Conn) ExecTraced(tr *obs.Trace, sql string) (*Result, error) {
-	return c.execGuarded(Interrupt{}, tr, sql)
+// ExecWith is ExecContext without the context detour: the wire server's
+// per-query path, where the context allocation and value lookup are
+// measurable against sub-microsecond statements. Embedded callers
+// normally use ExecContext.
+func (c *Conn) ExecWith(o ExecOpts, sql string) (*Result, error) {
+	return c.DB.guarded(o, func() (*Result, error) { return c.exec(sql) })
 }
 
-// ExecInterruptible is the fully explicit entry point: an interrupt
-// (cancellation channel + deadline) and an optional trace, with no
-// context allocation — the wire server's per-query path. Either may be
-// zero/nil.
-func (c *Conn) ExecInterruptible(intr Interrupt, tr *obs.Trace, sql string) (*Result, error) {
-	return c.execGuarded(intr, tr, sql)
-}
-
-// execGuarded runs one statement under the database lock with tr
-// installed as the active trace and intr as the active interrupt. With
-// neither armed it takes the plain Exec path so unguarded statements pay
-// nothing.
-func (c *Conn) execGuarded(intr Interrupt, tr *obs.Trace, sql string) (*Result, error) {
-	if !intr.armed() {
-		if tr == nil {
-			return c.Exec(sql)
-		}
-		c.DB.mu.Lock()
-		defer c.DB.mu.Unlock()
-		prev := c.DB.activeTrace
-		c.DB.activeTrace = tr
-		defer func() { c.DB.activeTrace = prev }()
-		et := tr.StartStage(obs.StageExec)
-		defer et.Done()
-		return c.exec(sql)
-	}
-	st := &intrState{done: intr.Done, deadline: intr.Deadline, hasDeadline: !intr.Deadline.IsZero()}
-	c.DB.mu.Lock()
-	defer c.DB.mu.Unlock()
+// guarded is the one way a single statement runs: under the database
+// lock, with o's interrupt and trace installed for exactly run's duration
+// and run timed as the exec span. Nothing re-enters it under the lock
+// (loopback queries call exec directly), so the installs need no
+// save/restore; run is only called, never stored, so it stays off the heap.
+func (db *DB) guarded(o ExecOpts, run func() (*Result, error)) (*Result, error) {
+	db.mu.Lock()
+	defer func() {
+		db.activeIntr, db.activeTrace = Interrupt{}, nil
+		db.mu.Unlock()
+	}()
 	// A statement that waited out its deadline behind a slow predecessor
 	// aborts before doing any work.
-	if err := st.err(); err != nil {
-		c.DB.queriesCancelled.Add(1)
+	if err := o.Interrupt.err(); err != nil {
+		db.queriesCancelled.Add(1)
 		return nil, err
 	}
-	prevI := c.DB.activeIntr
-	c.DB.activeIntr = st
-	defer func() { c.DB.activeIntr = prevI }()
-	var res *Result
-	var err error
-	if tr == nil {
-		res, err = c.exec(sql)
-	} else {
-		prev := c.DB.activeTrace
-		c.DB.activeTrace = tr
-		defer func() { c.DB.activeTrace = prev }()
-		et := tr.StartStage(obs.StageExec)
-		res, err = c.exec(sql)
-		et.Done()
-	}
+	db.activeIntr, db.activeTrace = o.Interrupt, o.Trace
+	et := o.Trace.StartStage(obs.StageExec)
+	res, err := run()
+	et.Done()
 	if err != nil && core.IsCancelled(err) {
-		c.DB.queriesCancelled.Add(1)
+		db.queriesCancelled.Add(1)
 	}
 	return res, err
 }

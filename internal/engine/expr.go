@@ -34,8 +34,8 @@ func (c *Conn) newCtx(src *storage.Table, sel []int32) *evalCtx {
 // kernels pay one nil-check per morsel.
 func (c *Conn) pol() vec.Pol {
 	p := vec.Pol{Workers: c.DB.Workers, MorselSize: c.DB.MorselSize}
-	if st := c.DB.activeIntr; st != nil {
-		p.Stop = st.stopped
+	if c.DB.activeIntr.armed() {
+		p.Stop = c.DB.intrStop
 	}
 	return p
 }

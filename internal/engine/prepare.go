@@ -158,98 +158,38 @@ func (s *Stmt) NumParams() int { return s.nparams }
 
 // Query executes the statement with one set of bind arguments and returns
 // its result.
-func (s *Stmt) Query(args ...any) (*Result, error) { return s.execGuarded(Interrupt{}, nil, args) }
+func (s *Stmt) Query(args ...any) (*Result, error) { return s.ExecWith(ExecOpts{}, args...) }
 
 // Exec is Query for statements executed for their side effects; the
 // returned Result carries the status tag.
-func (s *Stmt) Exec(args ...any) (*Result, error) { return s.execGuarded(Interrupt{}, nil, args) }
+func (s *Stmt) Exec(args ...any) (*Result, error) { return s.ExecWith(ExecOpts{}, args...) }
 
 // ExecContext is Exec honoring the context's cancellation and deadline
 // mid-execution (see Conn.ExecContext) and reporting bind and execution
 // spans into the trace carried on ctx (obs.WithTrace), if any.
 func (s *Stmt) ExecContext(ctx context.Context, args ...any) (*Result, error) {
-	return s.execGuarded(InterruptFrom(ctx), obs.TraceFrom(ctx), args)
+	return s.ExecWith(ExecOpts{Interrupt: InterruptFrom(ctx), Trace: obs.TraceFrom(ctx)}, args...)
 }
 
-// QueryContext is Query honoring the context's cancellation/deadline and
-// reporting spans into the trace carried on ctx.
-func (s *Stmt) QueryContext(ctx context.Context, args ...any) (*Result, error) {
-	return s.execGuarded(InterruptFrom(ctx), obs.TraceFrom(ctx), args)
-}
-
-// ExecTraced is ExecContext without the context detour — see
-// Conn.ExecTraced. tr may be nil.
-func (s *Stmt) ExecTraced(tr *obs.Trace, args ...any) (*Result, error) {
-	return s.execGuarded(Interrupt{}, tr, args)
-}
-
-// ExecInterruptible is the fully explicit entry point: an interrupt and
-// an optional trace, no context allocation — the wire server's
-// per-statement path. Either may be zero/nil.
-func (s *Stmt) ExecInterruptible(intr Interrupt, tr *obs.Trace, args ...any) (*Result, error) {
-	return s.execGuarded(intr, tr, args)
-}
-
-func (s *Stmt) execGuarded(intr Interrupt, tr *obs.Trace, args []any) (*Result, error) {
-	if tr == nil && !intr.armed() {
-		// Unguarded executions skip the trace/interrupt installs and their
-		// deferred restores — this is the path every plain Exec/Query takes.
-		cols, err := s.bindArgs(args)
-		if err != nil {
-			return nil, err
-		}
-		c := s.conn
-		c.DB.mu.Lock()
-		defer c.DB.mu.Unlock()
-		c.binds = cols
-		defer func() { c.binds = nil }()
-		return c.execStmt(s.st)
-	}
-	var cols []*storage.Column
-	var err error
-	if tr != nil {
-		bt := tr.StartStage(obs.StageBind)
-		cols, err = s.bindArgs(args)
-		bt.Done()
-		// The statement was parsed once at Prepare; every execution is a
-		// plan reuse regardless of what the text cache does.
-		tr.CacheHit = true
-	} else {
-		cols, err = s.bindArgs(args)
-	}
+// ExecWith is ExecContext without the context detour — see Conn.ExecWith.
+func (s *Stmt) ExecWith(o ExecOpts, args ...any) (*Result, error) {
+	bt := o.Trace.StartStage(obs.StageBind)
+	cols, err := s.bindArgs(args)
+	bt.Done()
 	if err != nil {
 		return nil, err
 	}
+	if o.Trace != nil {
+		// The statement was parsed once at Prepare; every execution is a
+		// plan reuse regardless of what the text cache does.
+		o.Trace.CacheHit = true
+	}
 	c := s.conn
-	var st *intrState
-	if intr.armed() {
-		st = &intrState{done: intr.Done, deadline: intr.Deadline, hasDeadline: !intr.Deadline.IsZero()}
-	}
-	c.DB.mu.Lock()
-	defer c.DB.mu.Unlock()
-	if err := st.err(); err != nil {
-		c.DB.queriesCancelled.Add(1)
-		return nil, err
-	}
-	if st != nil {
-		prevI := c.DB.activeIntr
-		c.DB.activeIntr = st
-		defer func() { c.DB.activeIntr = prevI }()
-	}
-	if tr != nil {
-		prev := c.DB.activeTrace
-		c.DB.activeTrace = tr
-		defer func() { c.DB.activeTrace = prev }()
-		et := tr.StartStage(obs.StageExec)
-		defer et.Done()
-	}
-	c.binds = cols
-	defer func() { c.binds = nil }()
-	res, err := c.execStmt(s.st)
-	if err != nil && core.IsCancelled(err) {
-		c.DB.queriesCancelled.Add(1)
-	}
-	return res, err
+	return c.DB.guarded(o, func() (*Result, error) {
+		c.binds = cols
+		defer func() { c.binds = nil }()
+		return c.execStmt(s.st)
+	})
 }
 
 // bindArgs converts the Go arguments into length-1 columns and enforces

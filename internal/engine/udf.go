@@ -75,8 +75,8 @@ func (c *Conn) udfEnv() *udfrt.Env {
 		Loopback: func(in *script.Interp) script.Value { return c.loopbackConn(in) },
 		Invoke:   c.UDFInvoke,
 	}
-	if st := c.DB.activeIntr; st != nil {
-		env.Interrupt = st.err
+	if c.DB.activeIntr.armed() {
+		env.Interrupt = c.DB.intrErr
 	}
 	if c.DB.UDFOutput != nil {
 		env.Stdout = c.DB.UDFOutput

@@ -429,7 +429,7 @@ func (m *Manager) recover() error {
 	}
 	// Snapshots present but none restorable means the log's prefix is
 	// unreachable: starting empty here would replay a suffix over the wrong
-	// base and silently lose data — the bug the old -persist path had.
+	// base and silently lose data.
 	if len(snaps) > 0 && !restored {
 		return core.Errorf(core.KindIO, "no snapshot in %s is readable; refusing to start empty", m.dir)
 	}
@@ -495,12 +495,27 @@ func (m *Manager) createSegment(seq uint64) (*os.File, error) {
 
 // replaySegment applies every intact record of one segment to the
 // database. last marks the final segment, whose torn tail (crash
-// mid-append) is truncated away; anywhere else corruption is fatal.
+// mid-append) is truncated away and whose torn header (crash mid-create)
+// is rewritten; anywhere else corruption is fatal.
 func (m *Manager) replaySegment(seq uint64, last bool) error {
 	path := m.segPath(seq)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return core.Wrapf(core.KindIO, err, "read wal segment: %v", err)
+	}
+	if last && len(data) < segHeaderLen {
+		// A crash inside createSegment: the header never reached the disk
+		// whole, so no record was appended, let alone acknowledged. Rewrite
+		// it, or it refuses the next start, when it is no longer final.
+		m.logf("wal: recreating segment %d, cut short inside its %d-byte header (%d bytes)", seq, segHeaderLen, len(data))
+		if err := os.Remove(path); err != nil {
+			return core.Wrapf(core.KindIO, err, "remove headerless wal segment: %v", err)
+		}
+		f, err := m.createSegment(seq)
+		if err != nil {
+			return err
+		}
+		return f.Close()
 	}
 	if len(data) < segHeaderLen || string(data[:len(segMagic)]) != segMagic {
 		return core.Errorf(core.KindIO, "wal segment %d: bad header", seq)
@@ -627,9 +642,7 @@ func decodeChange(payload []byte) (engine.Change, error) {
 
 // WriteFileAtomic replaces path with data crash-safely: write to a
 // same-directory temp file, fsync it, rename over path, fsync the
-// directory. A failure at any step leaves the previous file intact —
-// the fix for the monetlited -persist path, which used to os.Create
-// (truncate) the only copy before writing the new one.
+// directory. A failure at any step leaves the previous file intact.
 func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -337,5 +338,76 @@ func TestWriteFileAtomicPreservesOldOnNoSpace(t *testing.T) {
 	ents, _ := os.ReadDir(dir)
 	if len(ents) != 1 {
 		t.Fatalf("leftover files: %v", ents)
+	}
+}
+
+// TestHeaderlessFinalSegmentRecreated is the deterministic form of the
+// crash the kill -9 harness hits when the kill lands inside createSegment:
+// the newest segment exists but is shorter than its header. It holds no
+// record, so recovery must rewrite it and carry on — and the rewritten file
+// must be a valid non-final segment on the start after that. The same
+// damage anywhere an acknowledged record could sit still refuses to start.
+func TestHeaderlessFinalSegmentRecreated(t *testing.T) {
+	header := func(seq uint64) []byte {
+		return binary.BigEndian.AppendUint64([]byte(segMagic), seq)
+	}
+	for _, tc := range []struct {
+		name    string
+		damage  func(t *testing.T, m *Manager, last uint64) // applied after a clean close
+		refused string                                      // "": recovers; else the error must contain it
+	}{
+		{"final segment of 0 bytes", func(t *testing.T, m *Manager, last uint64) {
+			writeFile(t, m.segPath(last+1), nil)
+		}, ""},
+		{"final segment one byte short of its header", func(t *testing.T, m *Manager, last uint64) {
+			writeFile(t, m.segPath(last+1), header(last + 1)[:segHeaderLen-1])
+		}, ""},
+		{"short header on a non-final segment", func(t *testing.T, m *Manager, last uint64) {
+			writeFile(t, m.segPath(last+1), header(last + 1)[:segHeaderLen-1])
+			writeFile(t, m.segPath(last+2), header(last+2))
+		}, "bad header"},
+		{"wrong magic on the final segment", func(t *testing.T, m *Manager, last uint64) {
+			h := header(last + 1)
+			h[0] ^= 0xff
+			writeFile(t, m.segPath(last+1), h)
+		}, "bad header"},
+		{"wrong sequence number on the final segment", func(t *testing.T, m *Manager, last uint64) {
+			writeFile(t, m.segPath(last+1), header(last+7))
+		}, "header names sequence"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			db, m := openDB(t, dir, Options{})
+			mustExec(t, db, workload...)
+			last := m.seq
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, m, last)
+
+			if tc.refused != "" {
+				if _, err := Open(dir, engine.NewDB(), Options{}); err == nil || !strings.Contains(err.Error(), tc.refused) {
+					t.Fatalf("want a refusal mentioning %q, got %v", tc.refused, err)
+				}
+				return
+			}
+			for start := 1; start <= 2; start++ {
+				db, m := openDB(t, dir, Options{})
+				verifyWorkload(t, db)
+				if err := m.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, err := os.ReadFile(m.segPath(last + 1)); err != nil || !bytes.Equal(got, header(last+1)) {
+				t.Fatalf("recreated segment: %x, %v; want the bare header %x", got, err, header(last+1))
+			}
+		})
+	}
+}
+
+func writeFile(t *testing.T, path string, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

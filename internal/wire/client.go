@@ -55,11 +55,10 @@ func itoa(n int) string {
 // Client is a connected, authenticated database session. A Client is not
 // safe for concurrent use; Pool hands out Clients one checkout at a time.
 type Client struct {
-	params  ConnParams
-	nc      net.Conn
-	cfg     dialConfig
-	version byte        // negotiated protocol version
-	broken  atomic.Bool // protocol desync (cancellation, IO error): do not reuse
+	params ConnParams
+	nc     net.Conn
+	cfg    dialConfig
+	broken atomic.Bool // protocol desync (cancellation, IO error): do not reuse
 	// stmtCloses queues deferred server-side statement closes (see
 	// deferCloseStmt); guarded by stmtCloseMu because PoolStmt.Close may
 	// append while another goroutine holds the connection.
@@ -74,7 +73,7 @@ type Client struct {
 	poolCountedWritten int64
 }
 
-// DialContext connects and authenticates, negotiating the protocol version.
+// DialContext connects and authenticates as a protocol v2 client.
 // The context governs the TCP connect and the handshake; cancelling it
 // afterwards has no effect on the connection.
 func DialContext(ctx context.Context, p ConnParams, opts ...DialOption) (*Client, error) {
@@ -90,20 +89,13 @@ func DialContext(ctx context.Context, p ConnParams, opts ...DialOption) (*Client
 	if err != nil {
 		return nil, core.Wrapf(core.KindIO, err, "connect %s: %v", p.Addr(), err)
 	}
-	c := &Client{params: p, nc: nc, cfg: cfg, version: ProtoV1}
+	c := &Client{params: p, nc: nc, cfg: cfg}
 	if err := c.handshake(ctx); err != nil {
 		nc.Close()
 		return nil, err
 	}
-	c.logf("wire: connected to %s (proto v%d)", p.Addr(), c.version)
+	c.logf("wire: connected to %s (proto v%d)", p.Addr(), ProtoV2)
 	return c, nil
-}
-
-// Dial connects and authenticates with default options.
-//
-// Deprecated: use DialContext, which supports cancellation and options.
-func Dial(p ConnParams) (*Client, error) {
-	return DialContext(context.Background(), p) //ctxflow:edge deprecated ctx-less entry point
 }
 
 func (c *Client) handshake(ctx context.Context) error {
@@ -117,7 +109,7 @@ func (c *Client) handshake(ctx context.Context) error {
 
 func (c *Client) handshakeLocked() error {
 	p := c.params
-	if err := c.send(MsgAuth, EncodeAuth(p.User, p.Password, p.Database, c.cfg.version)); err != nil {
+	if err := c.send(MsgAuth, EncodeAuth(p.User, p.Password, p.Database, ProtoV2)); err != nil {
 		return err
 	}
 	typ, payload, err := c.recv()
@@ -130,10 +122,10 @@ func (c *Client) handshakeLocked() error {
 		if err != nil {
 			return err
 		}
-		if ver > c.cfg.version {
-			ver = c.cfg.version
+		if ver < ProtoV2 {
+			return core.Errorf(core.KindProtocol,
+				"server negotiated protocol v%d; this client speaks v%d only", ver, ProtoV2)
 		}
-		c.version = ver
 		return nil
 	case MsgErr:
 		return DecodeError(payload)
@@ -144,9 +136,6 @@ func (c *Client) handshakeLocked() error {
 
 // Params returns the connection parameters this client was dialed with.
 func (c *Client) Params() ConnParams { return c.params }
-
-// ProtoVersion returns the negotiated protocol version.
-func (c *Client) ProtoVersion() byte { return c.version }
 
 // Broken reports whether the connection is protocol-desynced (a cancelled
 // in-flight operation, an IO error) and must not be reused. Pool discards
@@ -220,7 +209,7 @@ func (c *Client) recv() (byte, []byte, error) {
 
 // Query executes SQL on the server and returns the status message and the
 // fully materialized result table (nil for statements without one). Large
-// v2 result sets arrive chunked and are reassembled here; use QueryStream
+// result sets arrive chunked and are reassembled here; use QueryStream
 // to consume them incrementally instead.
 func (c *Client) Query(ctx context.Context, sql string) (string, *storage.Table, error) {
 	rows, err := c.QueryStream(ctx, sql)
@@ -237,12 +226,7 @@ func (c *Client) Exec(ctx context.Context, sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	for rows.Next() {
-	}
-	if err := rows.Close(); err != nil {
-		return "", err
-	}
-	return rows.Msg(), nil
+	return rows.discard()
 }
 
 // QueryStream executes SQL and returns a Rows iterator over the result
@@ -316,15 +300,11 @@ func (c *Client) readQueryResponse() (*Rows, error) {
 	}
 }
 
-// Ping round-trips a liveness probe (v2 sessions; v1 falls back to a cheap
-// no-op query). The pool uses it to health-check idle connections.
+// Ping round-trips a liveness probe. The pool uses it to health-check idle
+// connections.
 func (c *Client) Ping(ctx context.Context) error {
 	if c.broken.Load() {
 		return core.Errorf(core.KindIO, "connection is broken")
-	}
-	if c.version < ProtoV2 {
-		_, err := c.Exec(ctx, "SELECT 1 AS ping")
-		return err
 	}
 	stop := c.watch(ctx)
 	err := c.pingLocked()

@@ -275,46 +275,6 @@ func TestDebugTupleAtATimeMode(t *testing.T) {
 	}
 }
 
-// TestDebugRequiresV2 verifies a v1 session is refused debugging in-band
-// while its ordinary traffic is untouched.
-func TestDebugRequiresV2(t *testing.T) {
-	_, cV2 := debugFixture(t)
-	p := cV2.Params()
-	cV1, err := DialContext(context.Background(), p, WithProtoVersion(ProtoV1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cV1.Close()
-	if cV1.ProtoVersion() != ProtoV1 {
-		t.Fatalf("negotiated %d", cV1.ProtoVersion())
-	}
-	if _, err := cV1.Debug(); err == nil {
-		t.Fatal("Debug() on a v1 client should fail client-side")
-	}
-	// Force the frame through anyway: the server must reject it in-band.
-	if err := cV1.send(MsgDebug, EncodeDebugRequest(DebugRequest{Command: DebugCmdLaunch, Query: "SELECT 1", UDF: "f"})); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := cV1.recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != MsgDebugReply {
-		t.Fatalf("reply type %d", typ)
-	}
-	rep, err := DecodeDebugReply(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Success || !strings.Contains(rep.Error, "v2") {
-		t.Fatalf("v1 debug reply: %+v", rep)
-	}
-	// Ordinary v1 traffic still works on the same connection.
-	if msg, _, err := cV1.Query(context.Background(), "SELECT i FROM numbers"); err != nil || msg != "SELECT 5" {
-		t.Fatalf("v1 query after refusal: %q %v", msg, err)
-	}
-}
-
 // TestDebugLaunchErrors covers the in-band failure paths: bad launch
 // parameters, double launch, control without a session.
 func TestDebugLaunchErrors(t *testing.T) {

@@ -53,13 +53,10 @@ type queryOutcome struct {
 }
 
 // Debug switches the client connection into debug mode and starts the
-// demux reader. The connection must be a v2 session.
+// demux reader.
 func (c *Client) Debug() (*DebugConn, error) {
 	if c.broken.Load() {
 		return nil, core.Errorf(core.KindIO, "connection is broken")
-	}
-	if c.version < ProtoV2 {
-		return nil, core.Errorf(core.KindProtocol, "debugging requires a protocol v2 session")
 	}
 	dc := &DebugConn{
 		c:          c,

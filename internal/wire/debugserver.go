@@ -284,10 +284,6 @@ func (sc *serverConn) handleDebug(payload []byte) bool {
 		rep.Success = false
 		rep.Error = errString(err)
 	}
-	if sc.version < ProtoV2 {
-		fail(core.Errorf(core.KindProtocol, "debugging requires a protocol v2 session"))
-		return sc.w.writeFrame(MsgDebugReply, EncodeDebugReply(rep)) == nil
-	}
 	switch req.Command {
 	case DebugCmdLaunch:
 		if req.Query == "" || req.UDF == "" {

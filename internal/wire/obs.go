@@ -101,50 +101,13 @@ func (c countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// runQuery executes one MsgQuery with the full observability envelope:
-// a trace carried through the engine (parse/exec/udf/wal spans), the
-// response write timed as the write span, the latency histogram, the
-// query log ring, and the slow-query log line. With everything off it
-// degrades to the plain execute-and-respond path.
-func (sc *serverConn) runQuery(fr frame) {
-	srv := sc.srv
-	intr := sc.execIntr()
-	if srv.metrics == nil && srv.DB.QueryLog == nil && srv.SlowQueryMs <= 0 {
-		res, err := sc.sess.ExecInterruptible(intr, nil, string(fr.payload))
-		if err != nil {
-			_ = sc.w.writeFrame(MsgErr, EncodeError(core.KindOf(err), errString(err)))
-			return
-		}
-		_ = sc.writeResult(res)
-		return
-	}
-	tr := obs.AcquireTrace(string(fr.payload), sc.sess.User)
-	res, err := sc.sess.ExecInterruptible(intr, tr, tr.Query)
-	sc.respondTraced(tr, res, err)
-}
-
-// runExecStmt is runQuery for a prepared execution that already resolved
-// its statement and bind arguments.
-func (sc *serverConn) runExecStmt(stmt *engine.Stmt, args []any) {
-	srv := sc.srv
-	intr := sc.execIntr()
-	if srv.metrics == nil && srv.DB.QueryLog == nil && srv.SlowQueryMs <= 0 {
-		res, err := stmt.ExecInterruptible(intr, nil, args...)
-		if err != nil {
-			_ = sc.w.writeFrame(MsgErr, EncodeError(core.KindOf(err), errString(err)))
-			return
-		}
-		_ = sc.writeResult(res)
-		return
-	}
-	tr := obs.AcquireTrace(stmt.SQL(), sc.sess.User)
-	res, err := stmt.ExecInterruptible(intr, tr, args...)
-	sc.respondTraced(tr, res, err)
-}
-
-// respondTraced writes the response (timing it as the write span),
-// finalizes the trace, feeds the histogram, query log, and slow-query
-// log, and releases the trace back to its pool.
+// runStatement executes one statement — MsgQuery text or a prepared
+// MsgExecStmt, behind exec — and answers it. With metrics, the query log
+// or the slow-query line on, it carries a trace through the engine
+// (parse/bind/exec/udf/wal spans), times the response write as the write
+// span, and feeds the latency histogram, the query log ring and the
+// slow-query log; with all of them off the trace is nil and every hook
+// below is a no-op.
 //
 // Accounting comes after the write because the write span is part of it,
 // so a client can hold a reply the server has not yet accounted for. The
@@ -154,21 +117,32 @@ func (sc *serverConn) runExecStmt(stmt *engine.Stmt, args []any) {
 // other observers — another connection, a /metrics scrape, the log sink —
 // eventually. An observer that needs it now issues a statement on the same
 // connection and waits for that reply.
-func (sc *serverConn) respondTraced(tr *obs.Trace, res *engine.Result, err error) {
-	defer obs.ReleaseTrace(tr)
+func (sc *serverConn) runStatement(sql string, exec func(engine.ExecOpts) (*engine.Result, error)) {
+	srv := sc.srv
+	var tr *obs.Trace
+	if srv.metrics != nil || srv.DB.QueryLog != nil || srv.SlowQueryMs > 0 {
+		tr = obs.AcquireTrace(sql, sc.sess.User)
+		defer obs.ReleaseTrace(tr)
+	}
+	res, err := exec(sc.execOpts(tr))
+	// On a failed write the client is gone; write errors are swallowed so
+	// draining never blocks (subsequent writes fail fast).
 	if err != nil {
-		tr.Err = errString(err)
 		_ = sc.w.writeFrame(MsgErr, EncodeError(core.KindOf(err), errString(err)))
 	} else {
-		if res.Table != nil {
-			tr.Rows = int64(res.Table.NumRows())
-		}
 		wt := tr.StartStage(obs.StageWrite)
 		_ = sc.writeResult(res)
 		wt.Done()
 	}
+	if tr == nil {
+		return
+	}
+	if err != nil {
+		tr.Err = errString(err)
+	} else if res.Table != nil {
+		tr.Rows = int64(res.Table.NumRows())
+	}
 	total := time.Since(tr.Start)
-	srv := sc.srv
 	if m := srv.metrics; m != nil {
 		m.querySeconds.Observe(total.Seconds())
 	}

@@ -66,7 +66,7 @@ func mustValue(t *testing.T, sc *obs.Scrape, name string, labels map[string]stri
 
 func TestServerMetricsEndToEnd(t *testing.T) {
 	reg, _, params := startObsServer(t, nil)
-	c, err := Dial(params)
+	c, err := DialContext(background(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestStmtRejectionCounter(t *testing.T) {
 func TestAccountingVisibleToNextStatement(t *testing.T) {
 	_, srv, params := startObsServer(t, nil)
 	srv.DB.QueryLog = obs.NewQueryLog(16)
-	c, err := Dial(params)
+	c, err := DialContext(background(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestSlowQueryLogLine(t *testing.T) {
 		defer mu.Unlock()
 		lines = append(lines, fmt.Sprintf(format, args...))
 	}
-	c, err := Dial(params)
+	c, err := DialContext(background(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestSlowQueryLogLine(t *testing.T) {
 func TestQueryLogOverWire(t *testing.T) {
 	_, srv, params := startObsServer(t, nil)
 	srv.DB.QueryLog = obs.NewQueryLog(16)
-	c, err := Dial(params)
+	c, err := DialContext(background(), params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,23 +2,20 @@ package wire
 
 import "time"
 
-// dialConfig collects the knobs of the v2 client surface. All fields have
-// working zero-value defaults so DialContext(ctx, params) alone behaves
-// like the old Dial.
+// dialConfig collects the knobs of the client surface. All fields have
+// working defaults, so DialContext(ctx, params) alone connects.
 type dialConfig struct {
 	dialTimeout  time.Duration
 	readTimeout  time.Duration // per-receive deadline; 0 = none
 	writeTimeout time.Duration // per-send deadline; 0 = none
 	keepAlive    time.Duration
 	logf         func(format string, args ...any)
-	version      byte // highest protocol version to offer
 }
 
 func defaultDialConfig() dialConfig {
 	return dialConfig{
 		dialTimeout: 10 * time.Second,
 		keepAlive:   30 * time.Second,
-		version:     ProtoV2,
 	}
 }
 
@@ -51,11 +48,4 @@ func WithKeepAlive(d time.Duration) DialOption {
 // connections) to logf. Default: silent.
 func WithLogger(logf func(format string, args ...any)) DialOption {
 	return func(c *dialConfig) { c.logf = logf }
-}
-
-// WithProtoVersion caps the protocol version the client offers during the
-// handshake. WithProtoVersion(ProtoV1) forces the legacy one-shot result
-// path, for back-compat testing against old servers.
-func WithProtoVersion(v byte) DialOption {
-	return func(c *dialConfig) { c.version = v }
 }

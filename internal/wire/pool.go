@@ -107,9 +107,6 @@ func (p *Pool) Get(ctx context.Context) (*Client, error) {
 	if ctx == nil {
 		ctx = context.Background() //ctxflow:edge nil-ctx fallback of the exported pool API
 	}
-	if p.retry == nil {
-		return p.get(ctx)
-	}
 	var out *Client
 	err := p.withConnRetry(ctx, func(c *Client) error { out = c; return nil })
 	return out, err
@@ -230,66 +227,58 @@ func (p *Pool) retire(pc *pooledConn) {
 	_ = pc.c.Close()
 }
 
-// Query checks out a connection, runs Query, and checks it back in.
-// Under an EnableRetry policy, retryable failures — transient checkout
-// errors and overload sheds the server answered before executing — are
-// retried with backoff; a mid-query transport failure is not.
-func (p *Pool) Query(ctx context.Context, sql string) (string, *storage.Table, error) {
-	if ctx == nil {
-		ctx = context.Background() //ctxflow:edge nil-ctx fallback of the exported pool API
-	}
-	var status string
-	var tbl *storage.Table
-	err := p.withConnRetry(ctx, func(c *Client) error {
-		defer p.Put(c)
-		var err error
-		status, tbl, err = c.Query(ctx, sql)
-		return err
-	})
-	return status, tbl, err
-}
-
-// QueryStream checks out a connection and starts a streaming query on it.
-// The connection is checked back in automatically when the stream is fully
-// consumed or Closed — a Rows obtained here must not be abandoned, or its
-// connection stays checked out. Retry (under an EnableRetry policy)
-// covers only the start of the stream; once rows flow, failures surface
-// to the consumer.
-func (p *Pool) QueryStream(ctx context.Context, sql string) (*Rows, error) {
+// stream is the pool's one checkout-run-release path, ad-hoc and prepared
+// alike: check a connection out, start a statement on it, and check it
+// back in when the returned Rows is fully consumed or Closed — at once if
+// the start fails. Under an EnableRetry policy, failures the server is
+// known not to have executed (transient checkout errors, overload sheds)
+// are retried with backoff. Retry covers only the start: once rows flow,
+// failures surface to the consumer; a mid-statement transport failure is
+// never retried.
+func (p *Pool) stream(ctx context.Context, start func(context.Context, *Client) (*Rows, error)) (*Rows, error) {
 	if ctx == nil {
 		ctx = context.Background() //ctxflow:edge nil-ctx fallback of the exported pool API
 	}
 	var rows *Rows
 	err := p.withConnRetry(ctx, func(c *Client) error {
-		r, err := c.QueryStream(ctx, sql)
+		r, err := start(ctx, c)
 		if err != nil {
 			p.Put(c)
 			return err
 		}
-		r.release = func() { p.Put(c) }
+		r.pool = p
 		rows = r
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return rows, err
 }
 
-// Exec checks out a connection, runs Exec, and checks it back in. Retry
-// semantics match Query.
-func (p *Pool) Exec(ctx context.Context, sql string) (string, error) {
-	if ctx == nil {
-		ctx = context.Background() //ctxflow:edge nil-ctx fallback of the exported pool API
-	}
-	var status string
-	err := p.withConnRetry(ctx, func(c *Client) error {
-		defer p.Put(c)
-		var err error
-		status, err = c.Exec(ctx, sql)
-		return err
+// QueryStream checks out a connection and starts a streaming query on it
+// (see stream for checkin and retry). A Rows obtained here must not be
+// abandoned, or its connection stays checked out.
+func (p *Pool) QueryStream(ctx context.Context, sql string) (*Rows, error) {
+	return p.stream(ctx, func(ctx context.Context, c *Client) (*Rows, error) {
+		return c.QueryStream(ctx, sql)
 	})
-	return status, err
+}
+
+// Query is QueryStream with the result fully materialized.
+func (p *Pool) Query(ctx context.Context, sql string) (string, *storage.Table, error) {
+	rows, err := p.QueryStream(ctx, sql)
+	if err != nil {
+		return "", nil, err
+	}
+	return rows.ReadAll()
+}
+
+// Exec is QueryStream for statements run for their side effects: it
+// discards result rows and returns the status message.
+func (p *Pool) Exec(ctx context.Context, sql string) (string, error) {
+	rows, err := p.QueryStream(ctx, sql)
+	if err != nil {
+		return "", err
+	}
+	return rows.discard()
 }
 
 func (p *Pool) isClosed() bool {
@@ -303,15 +292,10 @@ func (p *Pool) isClosed() bool {
 // in at its next checkin. It never blocks: every source is a channel
 // length or an atomic.
 func (p *Pool) StatsSnapshot() PoolStats {
-	idle := len(p.idle)
-	inUse := len(p.sem)
-	if inUse < 0 {
-		inUse = 0
-	}
 	st := PoolStats{
 		Size:                p.size,
-		Idle:                idle,
-		InUse:               inUse,
+		Idle:                len(p.idle),
+		InUse:               len(p.sem),
 		Waits:               p.waits.Load(),
 		Dials:               p.dials.Load(),
 		Discards:            p.discards.Load(),
@@ -327,9 +311,6 @@ func (p *Pool) StatsSnapshot() PoolStats {
 	}
 	return st
 }
-
-// Stats is StatsSnapshot under its historical name.
-func (p *Pool) Stats() PoolStats { return p.StatsSnapshot() }
 
 // RegisterObs registers the pool's stats on reg as pool_* gauges and
 // counters, all read at scrape time from StatsSnapshot. Register at most

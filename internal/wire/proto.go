@@ -14,21 +14,21 @@ import (
 
 // Protocol message types.
 const (
-	MsgAuth    byte = 1  // client → server: user, password, database [+ version]
+	MsgAuth    byte = 1  // client → server: user, password, database, version
 	MsgQuery   byte = 2  // client → server: SQL text
 	MsgClose   byte = 3  // client → server: goodbye
-	MsgPing    byte = 4  // client → server: liveness probe (v2)
-	MsgAuthOK  byte = 16 // server → client: server banner [+ negotiated version]
+	MsgPing    byte = 4  // client → server: liveness probe
+	MsgAuthOK  byte = 16 // server → client: server banner, negotiated version
 	MsgResult  byte = 17 // server → client: status + optional result table
 	MsgErr     byte = 18 // server → client: error kind + message
 	MsgGoodbye byte = 19 // server → client: close ack
-	// v2 streaming result protocol: zero or more chunks carrying column
+	// streaming result protocol: zero or more chunks carrying column
 	// batches, terminated by an end frame carrying the status message.
 	MsgResultChunk byte = 20 // server → client: one column batch
 	MsgResultEnd   byte = 21 // server → client: stream terminator + status
 	MsgPong        byte = 22 // server → client: ping ack
 	// (5 and 23–24 are the debug sub-protocol; see debugproto.go)
-	// v2 prepared statements: SQL is parsed and planned once server-side,
+	// prepared statements: SQL is parsed and planned once server-side,
 	// then executed any number of times with typed bind arguments.
 	MsgPrepare     byte = 6  // client → server: SQL text to prepare
 	MsgExecStmt    byte = 7  // client → server: stmt id + bind arguments
@@ -37,16 +37,14 @@ const (
 	MsgCloseStmtOK byte = 26 // server → client: close-stmt ack
 )
 
-// Protocol versions negotiated during the auth handshake. A v1 client omits
-// the version byte from MsgAuth and is served the one-shot MsgResult path
-// only; a v2 session may receive chunked result streams and may ping.
-const (
-	ProtoV1 byte = 1
-	ProtoV2 byte = 2
-)
+// ProtoV2 is the one protocol version served: chunked result streams,
+// pings and prepared statements. The handshake carries a version byte each
+// way so that a peer speaking anything older, or sending no byte at all, is
+// refused with a typed protocol error instead of being misread.
+const ProtoV2 byte = 2
 
 // maxFrame bounds a single frame (64 MiB) as a protocol sanity check.
-// Result sets larger than this must travel the v2 chunked streaming path.
+// Result sets larger than this travel the chunked streaming path.
 const maxFrame = 64 << 20
 
 // DefaultChunkBytes is the target encoded size of one MsgResultChunk batch.
@@ -99,20 +97,16 @@ func appendString(buf []byte, s string) []byte { return storage.AppendString(buf
 
 // EncodeAuth encodes the MsgAuth payload (Fig. 2's connection parameters
 // minus host/port, which name the socket itself) plus the client's highest
-// supported protocol version. v1 clients historically omitted the trailing
-// version byte; DecodeAuth treats its absence as ProtoV1.
+// supported protocol version.
 func EncodeAuth(user, password, database string, version byte) []byte {
 	buf := appendString(nil, user)
 	buf = appendString(buf, password)
 	buf = appendString(buf, database)
-	if version > ProtoV1 {
-		buf = append(buf, version)
-	}
-	return buf
+	return append(buf, version)
 }
 
 // DecodeAuth decodes a MsgAuth payload. A payload without the trailing
-// version byte is a v1 client.
+// version byte comes from a pre-negotiation client and reports version 0.
 func DecodeAuth(payload []byte) (user, password, database string, version byte, err error) {
 	r := storage.NewByteReader(payload)
 	if user, err = r.Str(); err != nil {
@@ -124,7 +118,6 @@ func DecodeAuth(payload []byte) (user, password, database string, version byte, 
 	if database, err = r.Str(); err != nil {
 		return
 	}
-	version = ProtoV1
 	if r.Remaining() > 0 {
 		version, err = r.U8()
 		if err != nil {
@@ -139,19 +132,18 @@ func DecodeAuth(payload []byte) (user, password, database string, version byte, 
 }
 
 // EncodeAuthOK encodes the MsgAuthOK payload: server banner plus the
-// negotiated protocol version. v1 clients ignore the payload entirely.
+// negotiated protocol version.
 func EncodeAuthOK(banner string, version byte) []byte {
 	return append(appendString(nil, banner), version)
 }
 
 // DecodeAuthOK decodes a MsgAuthOK payload. Banners from pre-negotiation
-// servers lack the version byte and imply ProtoV1.
+// servers lack the version byte and report version 0.
 func DecodeAuthOK(payload []byte) (banner string, version byte, err error) {
 	r := storage.NewByteReader(payload)
 	if banner, err = r.Str(); err != nil {
 		return
 	}
-	version = ProtoV1
 	if r.Remaining() > 0 {
 		version, err = r.U8()
 	}
@@ -267,7 +259,7 @@ func EncodeResult(msg string, t *storage.Table) []byte {
 	return storage.EncodeTable(buf, t)
 }
 
-// ---- v2 chunked result stream ----
+// ---- chunked result stream ----
 
 // EncodeResultChunk encodes one MsgResultChunk payload: a column batch in
 // the shared table codec, carrying the full schema so every chunk is
@@ -371,7 +363,7 @@ func chunkOverhead(t *storage.Table) int {
 // WriteResultStream writes a result table as a MsgResultChunk sequence
 // followed by MsgResultEnd, slicing rows into batches of about chunkBytes
 // encoded bytes each (a single row larger than the frame cap is a protocol
-// error). It is how v2 sessions ship result sets beyond maxFrame.
+// error). It is how result sets beyond maxFrame ship.
 func WriteResultStream(w io.Writer, msg string, t *storage.Table, chunkBytes int) error {
 	if chunkBytes <= 0 {
 		chunkBytes = DefaultChunkBytes

@@ -61,7 +61,7 @@ func TestQueryTimeoutCancelsStatement(t *testing.T) {
 	srv, params := startConfiguredServer(t, func(s *Server) {
 		s.QueryTimeout = 100 * time.Millisecond
 	})
-	c, err := Dial(params)
+	c, err := DialContext(background(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestQueryTimeoutCancelsStatement(t *testing.T) {
 // worker. The next client's statement has to run within the deadline.
 func TestKillClientMidQueryReclaimsEngine(t *testing.T) {
 	srv, params := startTestServer(t)
-	setup, err := Dial(params)
+	setup, err := DialContext(background(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestKillClientMidQueryReclaimsEngine(t *testing.T) {
 	// A fresh session must get the engine promptly: the dead client's
 	// statement aborts at its next interrupt checkpoint and releases the
 	// database lock.
-	c2, err := Dial(params)
+	c2, err := DialContext(background(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestRateLimitShedsWithRetryableError(t *testing.T) {
 		s.RateLimit = 0.001 // effectively no refill within the test
 		s.RateBurst = 1
 	})
-	c, err := Dial(params)
+	c, err := DialContext(background(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,14 +174,17 @@ func TestRateLimitShedsWithRetryableError(t *testing.T) {
 }
 
 // TestQueueBoundShedsInFIFOOrder pipelines past MaxQueueDepth and checks
-// the saturation contract: accepted requests complete, excess requests
-// get a retryable error, and every request is answered in FIFO position —
-// never silently dropped.
+// the saturation contract: every request is answered in its FIFO position,
+// either with its own result or with a retryable overload error — never
+// dropped, never answered out of turn. Which of the pipelined requests are
+// shed is not part of the contract: it depends on whether the worker had
+// already dequeued the slow query when they arrived, so each query returns
+// its own position and the test checks response i against request i.
 func TestQueueBoundShedsInFIFOOrder(t *testing.T) {
 	srv, params := startConfiguredServer(t, func(s *Server) {
 		s.MaxQueueDepth = 1
 	})
-	setup, err := Dial(params)
+	setup, err := DialContext(background(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,14 +204,14 @@ func TestQueueBoundShedsInFIFOOrder(t *testing.T) {
 	if typ, _, err := ReadFrame(nc); err != nil || typ != MsgAuthOK {
 		t.Fatalf("handshake: %d %v", typ, err)
 	}
-	// One slow query, then four fast ones on its heels: the first fast
-	// query fits the depth-1 queue, the rest must be shed.
+	// One slow query, then four fast ones on its heels: at most one of
+	// them fits the depth-1 queue while the slow one runs.
 	const pipelined = 5
-	if err := WriteFrame(nc, MsgQuery, []byte(`SELECT busy(1)`)); err != nil {
+	if err := WriteFrame(nc, MsgQuery, []byte(`SELECT busy(0) AS pos`)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < pipelined-1; i++ {
-		if err := WriteFrame(nc, MsgQuery, []byte(`SELECT 1 AS one`)); err != nil {
+	for i := 1; i < pipelined; i++ {
+		if err := WriteFrame(nc, MsgQuery, []byte(fmt.Sprintf(`SELECT %d AS pos`, i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,8 +224,9 @@ func TestQueueBoundShedsInFIFOOrder(t *testing.T) {
 		switch typ {
 		case MsgResult:
 			results++
-			if sheds > 0 {
-				t.Fatalf("response %d: result after a shed — FIFO order broken", i)
+			_, tbl, err := DecodeResult(payload)
+			if err != nil || tbl.NumRows() != 1 || tbl.Cols[0].Ints[0] != int64(i) {
+				t.Fatalf("response %d does not answer request %d — FIFO order broken: %v %v", i, i, tbl, err)
 			}
 		case MsgErr:
 			sheds++
@@ -250,14 +254,14 @@ func TestMaxConnsRejectsCleanly(t *testing.T) {
 	srv, params := startConfiguredServer(t, func(s *Server) {
 		s.MaxConns = 1
 	})
-	c1, err := Dial(params)
+	c1, err := DialContext(background(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := c1.Query(background(), `SELECT 1 AS one`); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Dial(params)
+	_, err = DialContext(background(), params)
 	if core.KindOf(err) != core.KindOverload || !core.Retryable(err) {
 		t.Fatalf("over-limit dial: want retryable overload, got %v", err)
 	}
@@ -273,7 +277,7 @@ func TestMaxConnsRejectsCleanly(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	var c2 *Client
 	for {
-		c2, err = Dial(params)
+		c2, err = DialContext(background(), params)
 		if err == nil {
 			break
 		}
@@ -298,7 +302,7 @@ func TestDrainRacesStreamedResult(t *testing.T) {
 		s.StreamThreshold = -1 // stream everything
 		s.ChunkBytes = 256     // many small chunks widen the race window
 	})
-	c, err := Dial(params)
+	c, err := DialContext(background(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +359,7 @@ func TestDrainTimeoutAbortsInFlight(t *testing.T) {
 	srv, params := startConfiguredServer(t, func(s *Server) {
 		s.DrainTimeout = 100 * time.Millisecond
 	})
-	c, err := Dial(params)
+	c, err := DialContext(background(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +408,7 @@ func TestPoolRetriesThroughOverload(t *testing.T) {
 		s.MaxConns = 1
 	})
 	_ = srv
-	hog, err := Dial(params)
+	hog, err := DialContext(background(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,6 +426,53 @@ func TestPoolRetriesThroughOverload(t *testing.T) {
 	}
 	if st := pool.StatsSnapshot(); st.Retries == 0 {
 		t.Fatal("pool_retries_total not bumped")
+	}
+}
+
+// TestPoolRetriesShedStatements: a statement the server shed before running
+// it is retried under the pool's policy, and a prepared execution exactly as
+// an ad-hoc one. The session's rate limiter has one token that never
+// refills and Prepare spends it, so every attempt after that is shed: each
+// entry point must make all of its attempts, count the extra ones, and
+// return the typed overload error — with no dependence on timing.
+func TestPoolRetriesShedStatements(t *testing.T) {
+	srv, params := startConfiguredServer(t, func(s *Server) {
+		s.RateLimit = 0.001 // effectively no refill within the test
+		s.RateBurst = 1
+	})
+	const attempts = 3
+	pool := NewPool(params, 1)
+	defer pool.Close()
+	pool.EnableRetry(RetryPolicy{MaxAttempts: attempts, BaseBackoff: time.Millisecond, BreakerThreshold: -1})
+	ctx := background()
+	ps, err := pool.Prepare(ctx, `SELECT ? AS x`)
+	if err != nil {
+		t.Fatalf("prepare spends the burst token and must pass: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Pool.Query", func() error { _, _, err := pool.Query(ctx, `SELECT 1 AS x`); return err }},
+		{"PoolStmt.Query", func() error { _, _, err := ps.Query(ctx, int64(1)); return err }},
+		{"PoolStmt.Exec", func() error { _, err := ps.Exec(ctx, int64(1)); return err }},
+		{"PoolStmt.QueryStream", func() error { _, err := ps.QueryStream(ctx, int64(1)); return err }},
+	} {
+		retries, shed := pool.StatsSnapshot().Retries, srv.QueriesShed()
+		err := tc.run()
+		if core.KindOf(err) != core.KindOverload {
+			t.Fatalf("%s: want the overload error of the last attempt, got %v", tc.name, err)
+		}
+		if got := pool.StatsSnapshot().Retries - retries; got != attempts-1 {
+			t.Errorf("%s: %d retries, want %d", tc.name, got, attempts-1)
+		}
+		if got := srv.QueriesShed() - shed; got != attempts {
+			t.Errorf("%s: server shed %d requests, want one per attempt (%d)", tc.name, got, attempts)
+		}
+	}
+	// Shed attempts leave the pooled connection in sync and reusable.
+	if st := pool.StatsSnapshot(); st.Dials != 1 || st.Discards != 0 {
+		t.Fatalf("sheds must not cost the connection: %+v", st)
 	}
 }
 

@@ -19,15 +19,15 @@ import (
 // A Rows must be fully consumed (Next until false) or Closed before the
 // next operation on the same Client.
 type Rows struct {
-	c       *Client
-	stop    func() error // disarms the context watchdog; nil once called
-	release func()       // returns a pooled connection; nil once called
+	c    *Client
+	stop func() error // disarms the context watchdog; nil once called
+	pool *Pool        // the pool c goes back to when the stream ends; nil once returned
 
 	msg       string
 	totalRows int64
 	pending   *storage.Table // first batch, consumed by the first Next
 	cur       *storage.Table
-	streaming bool // true when served by the v2 chunked path
+	streaming bool // true when served by the chunked path
 	finished  bool // terminator (or one-shot result) already read
 	closed    bool
 	err       error
@@ -54,7 +54,7 @@ func (r *Rows) Next() bool {
 		r.finish()
 		return false
 	}
-	//wireswitch:ignore continuation matcher for an in-flight v2 stream; only chunk, end, and error frames are legal here
+	//wireswitch:ignore continuation matcher for an in-flight stream; only chunk, end, and error frames are legal here
 	switch typ {
 	case MsgResultChunk:
 		t, err := DecodeResultChunk(payload)
@@ -104,7 +104,7 @@ func (r *Rows) Msg() string { return r.msg }
 // available once the stream is exhausted (0 for one-shot results).
 func (r *Rows) TotalRows() int64 { return r.totalRows }
 
-// Streaming reports whether the result arrived via the v2 chunked path.
+// Streaming reports whether the result arrived via the chunked path.
 func (r *Rows) Streaming() bool { return r.streaming }
 
 // Err returns the error that terminated iteration, if any. A cancelled
@@ -122,9 +122,9 @@ func (r *Rows) finish() {
 			r.err = werr
 		}
 	}
-	if r.release != nil {
-		r.release()
-		r.release = nil
+	if r.pool != nil {
+		r.pool.Put(r.c)
+		r.pool = nil
 	}
 }
 
@@ -146,9 +146,20 @@ func (r *Rows) Close() error {
 	return r.err
 }
 
+// discard consumes the stream batch by batch, keeping peak memory at one
+// chunk, and returns the status message: the Exec surface.
+func (r *Rows) discard() (string, error) {
+	for r.Next() {
+	}
+	if err := r.Close(); err != nil {
+		return "", err
+	}
+	return r.msg, nil
+}
+
 // ReadAll consumes the whole stream and reassembles it into one table,
-// returning the status message — the buffered v1-style surface on top of
-// the streaming one.
+// returning the status message — the buffered surface on top of the
+// streaming one.
 func (r *Rows) ReadAll() (string, *storage.Table, error) {
 	var out *storage.Table
 	for r.Next() {

@@ -23,8 +23,8 @@ const defaultMaxStmtsPerConn = 64
 const defaultMaxQueueDepth = 256
 
 // pipelineDepth bounds how many requests a connection may have in flight
-// while earlier ones execute: the reader keeps pulling frames so a v2
-// client can pipeline queries without waiting for responses.
+// while earlier ones execute: the reader keeps pulling frames so a client
+// can pipeline queries without waiting for responses.
 const pipelineDepth = 16
 
 // Server serves one database over TCP to wire clients. The zero value is
@@ -39,8 +39,8 @@ type Server struct {
 	DB *engine.DB
 	// Logf, when set, receives connection-level log lines.
 	Logf func(format string, args ...any)
-	// StreamThreshold is the encoded result size (bytes) above which a v2
-	// session receives the chunked streaming path instead of one MsgResult.
+	// StreamThreshold is the encoded result size (bytes) above which a
+	// result travels the chunked streaming path instead of one MsgResult.
 	// Zero applies the 1 MiB default; negative streams everything.
 	StreamThreshold int
 	// ChunkBytes is the target encoded size of one streamed chunk; zero
@@ -213,13 +213,12 @@ type frame struct {
 }
 
 // serverConn is the per-connection serving state: the authenticated engine
-// session, the negotiated protocol version, the serialized frame writer,
-// the prepared-statement table, and the active remote debug run (if any).
+// session, the serialized frame writer, the prepared-statement table, and
+// the active remote debug run (if any).
 type serverConn struct {
 	srv        *Server
 	w          *connWriter
 	sess       *engine.Conn
-	version    byte
 	connDone   chan struct{}
 	closeOnce  sync.Once
 	dr         *debugRun
@@ -253,15 +252,16 @@ func (sc *serverConn) markGone() {
 	sc.goneOnce.Do(func() { close(sc.gone) })
 }
 
-// execIntr is the per-statement interrupt: the connection's client-gone
-// signal plus the server's query timeout. Built at dequeue so the
-// deadline covers execution, not the time spent queued.
-func (sc *serverConn) execIntr() engine.Interrupt {
-	intr := engine.Interrupt{Done: sc.gone}
+// execOpts is the per-statement value handed to the engine: the
+// connection's client-gone signal plus the server's query timeout, and
+// the statement's trace (nil when observability is off). Built at dequeue
+// so the deadline covers execution, not the time spent queued.
+func (sc *serverConn) execOpts(tr *obs.Trace) engine.ExecOpts {
+	o := engine.ExecOpts{Interrupt: engine.Interrupt{Done: sc.gone}, Trace: tr}
 	if qt := sc.srv.QueryTimeout; qt > 0 {
-		intr.Deadline = time.Now().Add(qt)
+		o.Interrupt.Deadline = time.Now().Add(qt)
 	}
-	return intr
+	return o
 }
 
 // tokenBucket is the per-session statement-admission rate limiter.
@@ -456,9 +456,10 @@ func (sc *serverConn) queryWorker() {
 		//wireswitch:ignore MsgAuth MsgDebug MsgPing MsgClose -- handled on the frame loop or during the handshake; never queued
 		switch fr.typ {
 		case MsgQuery:
-			// On a failed write the client is gone; runQuery swallows write
-			// errors so draining never blocks (subsequent writes fail fast).
-			sc.runQuery(fr)
+			sql := string(fr.payload)
+			sc.runStatement(sql, func(o engine.ExecOpts) (*engine.Result, error) {
+				return sc.sess.ExecWith(o, sql)
+			})
 		case MsgPrepare:
 			sc.handlePrepare(fr.payload)
 		case MsgExecStmt:
@@ -518,7 +519,9 @@ func (sc *serverConn) handleExecStmt(payload []byte) {
 	for i, col := range cols {
 		args[i] = col.Value(0)
 	}
-	sc.runExecStmt(stmt, args)
+	sc.runStatement(stmt.SQL(), func(o engine.ExecOpts) (*engine.Result, error) {
+		return stmt.ExecWith(o, args...)
+	})
 }
 
 // handleCloseStmt discards a prepared statement and acks.
@@ -558,7 +561,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	if m != nil {
 		nc = countingConn{Conn: nc, in: m.bytesIn, out: m.bytesOut}
 	}
-	sess, version, err := s.handshake(nc)
+	sess, err := s.handshake(nc)
 	if err != nil {
 		s.logf("handshake failed from %s: %v", nc.RemoteAddr(), err)
 		return
@@ -569,14 +572,13 @@ func (s *Server) serveConn(nc net.Conn) {
 		m.connsActive.Add(1)
 		defer m.connsActive.Add(-1)
 	}
-	s.logf("session opened: user=%s proto=v%d from %s", sess.User, version, nc.RemoteAddr())
+	s.logf("session opened: user=%s proto=v%d from %s", sess.User, ProtoV2, nc.RemoteAddr())
 
 	reqs := make(chan frame, pipelineDepth)
 	sc := &serverConn{
 		srv:        s,
 		w:          &connWriter{nc: nc},
 		sess:       sess,
-		version:    version,
 		connDone:   make(chan struct{}),
 		gone:       make(chan struct{}),
 		queries:    newQueryQueue(),
@@ -695,16 +697,7 @@ func (sc *serverConn) handleFrame(fr frame) bool {
 	//wireswitch:dispatch client-to-server
 	//wireswitch:ignore MsgAuth -- only legal during the handshake, before the frame loop starts
 	switch fr.typ {
-	case MsgQuery:
-		sc.admit(fr)
-		return true
-	case MsgPrepare, MsgExecStmt, MsgCloseStmt:
-		if sc.version < ProtoV2 {
-			sc.shutdown()
-			_ = sc.w.writeFrame(MsgErr, EncodeError(core.KindProtocol,
-				"prepared statements require protocol v2"))
-			return false
-		}
+	case MsgQuery, MsgPrepare, MsgExecStmt, MsgCloseStmt:
 		sc.admit(fr)
 		return true
 	case MsgDebug:
@@ -738,12 +731,12 @@ func (sc *serverConn) admit(fr frame) {
 	sc.queries.push(fr, limit)
 }
 
-// writeResult ships a statement result: small results (and every v1
-// session) get the one-shot MsgResult; v2 results whose encoding crosses
-// the stream threshold travel as a MsgResultChunk/MsgResultEnd stream and
-// are therefore not bounded by the frame cap. The whole response is written
-// under the connection's write lock so a concurrent debug event push can
-// never split a result stream mid-frame.
+// writeResult ships a statement result: small results get the one-shot
+// MsgResult; results whose encoding crosses the stream threshold travel as
+// a MsgResultChunk/MsgResultEnd stream and are therefore not bounded by
+// the frame cap. The whole response is written under the connection's
+// write lock so a concurrent debug event push can never split a result
+// stream mid-frame.
 func (sc *serverConn) writeResult(res *engine.Result) error {
 	s := sc.srv
 	sc.w.mu.Lock()
@@ -754,7 +747,7 @@ func (sc *serverConn) writeResult(res *engine.Result) error {
 		return WriteFrame(nc, MsgErr, EncodeError(core.KindResource,
 			"result exceeds the per-query byte budget; add a LIMIT or raise the budget"))
 	}
-	if sc.version >= ProtoV2 && res.Table != nil {
+	if res.Table != nil {
 		threshold := s.StreamThreshold
 		if threshold == 0 {
 			threshold = 1 << 20
@@ -769,16 +762,8 @@ func (sc *serverConn) writeResult(res *engine.Result) error {
 			return WriteResultStream(nc, res.Msg, res.Table, s.ChunkBytes)
 		}
 	}
-	payload := EncodeResult(res.Msg, res.Table)
-	if len(payload)+1 > maxFrame {
-		// A v1 session asked for more than one frame can carry: report it
-		// instead of killing the connection with an unframeable write.
-		//lockblock:ok the writer mutex exists to serialize result frames against debug-event frames
-		return WriteFrame(nc, MsgErr, EncodeError(core.KindProtocol,
-			"result set exceeds the 64 MiB frame cap; reconnect with protocol v2 streaming"))
-	}
 	//lockblock:ok the writer mutex exists to serialize result frames against debug-event frames
-	return WriteFrame(nc, MsgResult, payload)
+	return WriteFrame(nc, MsgResult, EncodeResult(res.Msg, res.Table))
 }
 
 func errString(err error) string {
@@ -789,33 +774,39 @@ func errString(err error) string {
 	return err.Error()
 }
 
-func (s *Server) handshake(nc net.Conn) (*engine.Conn, byte, error) {
+// handshake authenticates one client. One that offers less than protocol
+// v2, or sends no version byte at all, is refused with a typed protocol
+// error before its credentials are looked at: every session speaks v2.
+func (s *Server) handshake(nc net.Conn) (*engine.Conn, error) {
 	typ, payload, err := ReadFrame(nc)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if typ != MsgAuth {
 		_ = WriteFrame(nc, MsgErr, EncodeError(core.KindProtocol, "expected auth message"))
-		return nil, 0, core.Errorf(core.KindProtocol, "expected auth, got type %d", typ)
+		return nil, core.Errorf(core.KindProtocol, "expected auth, got type %d", typ)
 	}
 	user, password, database, version, err := DecodeAuth(payload)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if version > ProtoV2 {
-		version = ProtoV2 // serve future clients at our highest version
+	if version < ProtoV2 {
+		_ = WriteFrame(nc, MsgErr, EncodeError(core.KindProtocol,
+			"protocol v1 is no longer served; reconnect with a v2 client"))
+		return nil, core.Errorf(core.KindProtocol, "client offered protocol v%d, need v%d", version, ProtoV2)
 	}
 	if database != s.Database {
 		_ = WriteFrame(nc, MsgErr, EncodeError(core.KindAuth, "unknown database "+database))
-		return nil, 0, core.Errorf(core.KindAuth, "unknown database %q", database)
+		return nil, core.Errorf(core.KindAuth, "unknown database %q", database)
 	}
 	want, ok := s.Users[user]
 	if !ok || want != password {
 		_ = WriteFrame(nc, MsgErr, EncodeError(core.KindAuth, "invalid credentials"))
-		return nil, 0, core.Errorf(core.KindAuth, "invalid credentials for %q", user)
+		return nil, core.Errorf(core.KindAuth, "invalid credentials for %q", user)
 	}
-	if err := WriteFrame(nc, MsgAuthOK, EncodeAuthOK("monetlite/2.0", version)); err != nil {
-		return nil, 0, err
+	// Clients offering a later version are served at ours.
+	if err := WriteFrame(nc, MsgAuthOK, EncodeAuthOK("monetlite/2.0", ProtoV2)); err != nil {
+		return nil, err
 	}
-	return &engine.Conn{DB: s.DB, User: user, Password: password}, version, nil
+	return &engine.Conn{DB: s.DB, User: user, Password: password}, nil
 }

@@ -13,10 +13,10 @@ import (
 // when a cached statement is evicted mid-flight.
 var ErrStmtClosed = core.Errorf(core.KindConstraint, "statement is closed")
 
-// Stmt is a statement prepared on one connection (v2 sessions only): the
-// server parsed and planned the SQL once, and each Query/Exec ships only a
-// statement id plus typed bind arguments. Like Client, a Stmt is not safe
-// for concurrent use; PoolStmt layers pooling on top.
+// Stmt is a statement prepared on one connection: the server parsed and
+// planned the SQL once, and each Query/Exec ships only a statement id plus
+// typed bind arguments. Like Client, a Stmt is not safe for concurrent use;
+// PoolStmt layers pooling on top.
 type Stmt struct {
 	c       *Client
 	id      uint32
@@ -89,14 +89,9 @@ func (c *Client) flushStmtCloses(keep uint32) (keptPending bool, err error) {
 }
 
 // Prepare compiles sql server-side and returns the statement handle.
-// Requires a v2 session.
 func (c *Client) Prepare(ctx context.Context, sql string) (*Stmt, error) {
 	if c.broken.Load() {
 		return nil, core.Errorf(core.KindIO, "connection is broken")
-	}
-	if c.version < ProtoV2 {
-		return nil, core.Errorf(core.KindProtocol,
-			"prepared statements require protocol v2 (negotiated v%d)", c.version)
 	}
 	stop := c.watch(ctx)
 	st, err := c.prepareLocked(sql)
@@ -218,12 +213,7 @@ func (s *Stmt) Exec(ctx context.Context, args ...any) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	for rows.Next() {
-	}
-	if err := rows.Close(); err != nil {
-		return "", err
-	}
-	return rows.Msg(), nil
+	return rows.discard()
 }
 
 // Close discards the server-side statement, freeing its slot in the
@@ -292,14 +282,13 @@ func (p *Pool) Prepare(ctx context.Context, sql string) (*PoolStmt, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.Put(c)
 	st, err := c.Prepare(ctx, sql)
 	if err != nil {
-		p.Put(c)
 		return nil, err
 	}
 	ps.nparams = st.nparams
 	ps.prepared[c] = st
-	p.Put(c)
 	return ps, nil
 }
 
@@ -348,55 +337,35 @@ func (ps *PoolStmt) stmtFor(ctx context.Context, c *Client) (*Stmt, error) {
 	return st, nil
 }
 
-// Query checks out a connection (re-preparing there if needed), executes
-// with the given binds, and checks it back in.
+// QueryStream checks out a connection (re-preparing there if needed) and
+// starts a streaming execution on it. Checkin and retry are Pool.stream's:
+// a prepared execution shed before it ran is retried as an ad-hoc one is.
+func (ps *PoolStmt) QueryStream(ctx context.Context, args ...any) (*Rows, error) {
+	return ps.pool.stream(ctx, func(ctx context.Context, c *Client) (*Rows, error) {
+		st, err := ps.stmtFor(ctx, c)
+		if err != nil {
+			return nil, err
+		}
+		return st.QueryStream(ctx, args...)
+	})
+}
+
+// Query is QueryStream with the result fully materialized.
 func (ps *PoolStmt) Query(ctx context.Context, args ...any) (string, *storage.Table, error) {
-	c, err := ps.pool.Get(ctx)
+	rows, err := ps.QueryStream(ctx, args...)
 	if err != nil {
 		return "", nil, err
 	}
-	defer ps.pool.Put(c)
-	st, err := ps.stmtFor(ctx, c)
-	if err != nil {
-		return "", nil, err
-	}
-	return st.Query(ctx, args...)
+	return rows.ReadAll()
 }
 
 // Exec is Query for executions whose rows the caller does not need.
 func (ps *PoolStmt) Exec(ctx context.Context, args ...any) (string, error) {
-	c, err := ps.pool.Get(ctx)
+	rows, err := ps.QueryStream(ctx, args...)
 	if err != nil {
 		return "", err
 	}
-	defer ps.pool.Put(c)
-	st, err := ps.stmtFor(ctx, c)
-	if err != nil {
-		return "", err
-	}
-	return st.Exec(ctx, args...)
-}
-
-// QueryStream checks out a connection and starts a streaming execution on
-// it; the connection is checked back in when the Rows is fully consumed or
-// Closed.
-func (ps *PoolStmt) QueryStream(ctx context.Context, args ...any) (*Rows, error) {
-	c, err := ps.pool.Get(ctx)
-	if err != nil {
-		return nil, err
-	}
-	st, err := ps.stmtFor(ctx, c)
-	if err != nil {
-		ps.pool.Put(c)
-		return nil, err
-	}
-	rows, err := st.QueryStream(ctx, args...)
-	if err != nil {
-		ps.pool.Put(c)
-		return nil, err
-	}
-	rows.release = func() { ps.pool.Put(c) }
-	return rows, nil
+	return rows.discard()
 }
 
 // Close drops the per-connection handles and queues their server-side

@@ -246,20 +246,6 @@ func TestStmtTableFreedOnDisconnect(t *testing.T) {
 	}
 }
 
-// TestStmtRequiresV2: a v1 session cannot prepare.
-func TestStmtRequiresV2(t *testing.T) {
-	_, params := preparedFixture(t)
-	c, err := DialContext(background(), params, WithProtoVersion(ProtoV1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Prepare(background(), `SELECT 1`); err == nil ||
-		!strings.Contains(err.Error(), "protocol v2") {
-		t.Fatalf("expected v2 requirement, got %v", err)
-	}
-}
-
 // TestStmtErrors: server-side bind errors arrive as ordinary errors and
 // leave the connection usable; unknown ids are rejected.
 func TestStmtErrors(t *testing.T) {

@@ -31,14 +31,16 @@ func TestWriteFrameRejectsOversizedPayload(t *testing.T) {
 }
 
 func TestAuthVersionNegotiationPayloads(t *testing.T) {
-	// v1 clients omit the version byte.
-	u, p, d, v, err := DecodeAuth(EncodeAuth("u", "p", "db", ProtoV1))
-	if err != nil || u != "u" || p != "p" || d != "db" || v != ProtoV1 {
-		t.Fatalf("v1 auth: %q %q %q v%d %v", u, p, d, v, err)
+	full := EncodeAuth("u", "p", "db", ProtoV2)
+	u, p, d, v, err := DecodeAuth(full)
+	if err != nil || u != "u" || p != "p" || d != "db" || v != ProtoV2 {
+		t.Fatalf("v2 auth: %q %q %q v%d %v", u, p, d, v, err)
 	}
-	_, _, _, v, err = DecodeAuth(EncodeAuth("u", "p", "db", ProtoV2))
-	if err != nil || v != ProtoV2 {
-		t.Fatalf("v2 auth: v%d %v", v, err)
+	// A pre-negotiation client sends no version byte: it decodes, as
+	// version 0, so the handshake can refuse it by name.
+	_, _, _, v, err = DecodeAuth(full[:len(full)-1])
+	if err != nil || v != 0 {
+		t.Fatalf("version-less auth: v%d %v", v, err)
 	}
 	// trailing junk after the version byte is a protocol error
 	bad := append(EncodeAuth("u", "p", "db", ProtoV2), 0xFF)
@@ -194,40 +196,84 @@ func TestDialContextHonorsCancelledContext(t *testing.T) {
 	}
 }
 
-// ---- protocol version back-compat ----
+// ---- protocol version refusal ----
 
-func TestProtoV1FallbackStillServes(t *testing.T) {
-	srv, params := startTestServer(t)
-	srv.StreamThreshold = 1 // would stream to any v2 client
-	c, err := DialContext(background(), params, WithProtoVersion(ProtoV1))
-	if err != nil {
-		t.Fatal(err)
+// TestPreV2HandshakeRefused speaks the handshake on a raw socket the way a
+// protocol v1 client did — once with version byte 1, once with no version
+// byte at all. Each gets a typed protocol error and a closed connection,
+// and the server goes on serving v2 clients.
+func TestPreV2HandshakeRefused(t *testing.T) {
+	_, params := startTestServer(t)
+	v1 := EncodeAuth(params.User, params.Password, params.Database, 1)
+	for name, auth := range map[string][]byte{
+		"version byte 1":  v1,
+		"no version byte": v1[:len(v1)-1],
+	} {
+		nc, err := net.Dial("tcp", params.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
+		if err := WriteFrame(nc, MsgAuth, auth); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := ReadFrame(nc)
+		if err != nil || typ != MsgErr {
+			t.Fatalf("%s: reply type %d, %v; want MsgErr", name, typ, err)
+		}
+		if derr := DecodeError(payload); core.KindOf(derr) != core.KindProtocol {
+			t.Fatalf("%s: want a protocol error, got %v", name, derr)
+		}
+		if _, _, err := ReadFrame(nc); err != io.EOF {
+			t.Fatalf("%s: connection must be closed after the refusal, read gave %v", name, err)
+		}
+		nc.Close()
+
+		c, err := DialContext(background(), params)
+		if err != nil {
+			t.Fatalf("%s: v2 dial after the refusal: %v", name, err)
+		}
+		if _, tbl, err := c.Query(background(), `SELECT 1 AS one`); err != nil || tbl.NumRows() != 1 {
+			t.Fatalf("%s: v2 query after the refusal: %v %v", name, tbl, err)
+		}
+		c.Close()
 	}
-	defer c.Close()
-	if c.ProtoVersion() != ProtoV1 {
-		t.Fatalf("negotiated v%d", c.ProtoVersion())
-	}
-	if _, _, err := c.Query(background(), `CREATE TABLE t (i INTEGER)`); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Query(background(), `INSERT INTO t VALUES (1), (2)`); err != nil {
-		t.Fatal(err)
-	}
-	_, tbl, err := c.Query(background(), `SELECT i FROM t`)
-	if err != nil || tbl.NumRows() != 2 {
-		t.Fatalf("v1 session must get the one-shot result path: %v %v", tbl, err)
-	}
-	// v1 has no ping frame; the fallback goes through a query
-	if err := c.Ping(background()); err != nil {
-		t.Fatal(err)
+}
+
+// TestClientRefusesPreV2Server: a MsgAuthOK that negotiates anything below
+// v2 — or carries no version — fails the dial with a protocol error.
+func TestClientRefusesPreV2Server(t *testing.T) {
+	for name, authOK := range map[string][]byte{
+		"version byte 1":  EncodeAuthOK("old/1.0", 1),
+		"no version byte": appendString(nil, "older/0.9"),
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer nc.Close()
+			if _, _, err := ReadFrame(nc); err == nil {
+				_ = WriteFrame(nc, MsgAuthOK, authOK)
+			}
+		}()
+		host, port, _ := splitHostPort(ln.Addr().String())
+		_, err = DialContext(background(), ConnParams{Host: host, Port: port, Database: "demo", User: "u", Password: "p"})
+		if core.KindOf(err) != core.KindProtocol {
+			t.Fatalf("%s: want a protocol error from the dial, got %v", name, err)
+		}
+		ln.Close()
 	}
 }
 
 // ---- streaming end to end ----
 
 // TestStreamingBeyondFrameCap round-trips a result set larger than the
-// 64 MiB frame cap through the chunked path — impossible over the v1
-// one-shot protocol.
+// 64 MiB frame cap through the chunked path — impossible in one frame.
 func TestStreamingBeyondFrameCap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates ~200 MiB")
@@ -293,18 +339,6 @@ func TestStreamingBeyondFrameCap(t *testing.T) {
 	}
 	if rowsIter.TotalRows() != rows {
 		t.Fatalf("total rows: %d", rowsIter.TotalRows())
-	}
-	// the same result over a v1 session must be refused, not crash the conn
-	v1, err := DialContext(background(), params, WithProtoVersion(ProtoV1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1.Close()
-	if _, _, err := v1.Query(background(), `SELECT payload FROM big`); err == nil {
-		t.Fatal("v1 session cannot carry >64MiB one-shot results")
-	}
-	if _, _, err := v1.Query(background(), `SELECT 1 AS one`); err != nil {
-		t.Fatalf("v1 connection should survive the refusal: %v", err)
 	}
 }
 
@@ -501,7 +535,7 @@ func TestPoolServesConcurrentClients(t *testing.T) {
 	if err != nil || tbl.Cols[0].Ints[0] != workers*perWorker {
 		t.Fatalf("%v %v", tbl, err)
 	}
-	st := pool.Stats()
+	st := pool.StatsSnapshot()
 	if st.Dials == 0 || st.Dials > 4 {
 		t.Fatalf("pool bound violated: %+v", st)
 	}
@@ -527,7 +561,7 @@ func TestPoolDiscardsBrokenConnectionsAtCheckin(t *testing.T) {
 		t.Fatal("connection should be broken")
 	}
 	pool.Put(c)
-	if st := pool.Stats(); st.Discards != 1 {
+	if st := pool.StatsSnapshot(); st.Discards != 1 {
 		t.Fatalf("broken conn must be discarded: %+v", st)
 	}
 	// the pool recovers with a fresh dial

@@ -160,7 +160,7 @@ func splitHostPort(addr string) (string, int, error) {
 
 func TestClientServerEndToEnd(t *testing.T) {
 	_, params := startTestServer(t)
-	c, err := Dial(params)
+	c, err := DialContext(background(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestClientServerEndToEnd(t *testing.T) {
 
 func TestServerSQLErrorDoesNotKillConnection(t *testing.T) {
 	_, params := startTestServer(t)
-	c, err := Dial(params)
+	c, err := DialContext(background(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,24 +207,24 @@ func TestAuthFailures(t *testing.T) {
 	_, params := startTestServer(t)
 	bad := params
 	bad.Password = "wrong"
-	if _, err := Dial(bad); err == nil || core.KindOf(err) != core.KindAuth {
+	if _, err := DialContext(background(), bad); err == nil || core.KindOf(err) != core.KindAuth {
 		t.Fatalf("wrong password: %v", err)
 	}
 	bad = params
 	bad.User = "eve"
-	if _, err := Dial(bad); err == nil || core.KindOf(err) != core.KindAuth {
+	if _, err := DialContext(background(), bad); err == nil || core.KindOf(err) != core.KindAuth {
 		t.Fatalf("unknown user: %v", err)
 	}
 	bad = params
 	bad.Database = "other"
-	if _, err := Dial(bad); err == nil || core.KindOf(err) != core.KindAuth {
+	if _, err := DialContext(background(), bad); err == nil || core.KindOf(err) != core.KindAuth {
 		t.Fatalf("unknown database: %v", err)
 	}
 }
 
 func TestConcurrentClients(t *testing.T) {
 	_, params := startTestServer(t)
-	setup, err := Dial(params)
+	setup, err := DialContext(background(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestConcurrentClients(t *testing.T) {
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
-			c, err := Dial(params)
+			c, err := DialContext(background(), params)
 			if err != nil {
 				errs <- err
 				return
@@ -257,7 +257,7 @@ func TestConcurrentClients(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	check, err := Dial(params)
+	check, err := DialContext(background(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestConcurrentClients(t *testing.T) {
 
 func TestRemoteUDFThroughWire(t *testing.T) {
 	_, params := startTestServer(t)
-	c, err := Dial(params)
+	c, err := DialContext(background(), params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ type Rows = wire.Rows
 type Stmt = engine.Stmt
 
 // ClientStmt is a prepared statement on one wire connection
-// (Client.Prepare; protocol v2).
+// (Client.Prepare).
 type ClientStmt = wire.Stmt
 
 // PoolStmt is a pool-aware prepared statement (Pool.Prepare): it
@@ -84,19 +84,16 @@ type ClientStmt = wire.Stmt
 // back.
 type PoolStmt = wire.PoolStmt
 
-// DialOption customizes DialContext (timeouts, keepalive, logger,
-// protocol version).
+// DialOption customizes DialContext (timeouts, keepalive, logger).
 type DialOption = wire.DialOption
 
 // ConnParams are the five connection parameters of the devUDF settings
 // window (paper Fig. 2): host, port, database, user, password.
 type ConnParams = wire.ConnParams
 
-// Wire protocol versions negotiated during the handshake.
-const (
-	ProtoV1 = wire.ProtoV1
-	ProtoV2 = wire.ProtoV2
-)
+// ProtoV2 is the wire protocol version clients and servers speak; the
+// handshake refuses anything older.
+const ProtoV2 = wire.ProtoV2
 
 // Dial options, re-exported from the wire layer.
 var (
@@ -105,7 +102,6 @@ var (
 	WithWriteTimeout = wire.WithWriteTimeout
 	WithKeepAlive    = wire.WithKeepAlive
 	WithLogger       = wire.WithLogger
-	WithProtoVersion = wire.WithProtoVersion
 )
 
 // Registry collects metrics (counters, gauges, histograms) and serves
@@ -120,6 +116,15 @@ type QueryLog = obs.QueryLog
 // Trace carries one query's per-stage timings; embedded callers can pass
 // one via WithTrace and Conn.ExecContext to time their own statements.
 type Trace = obs.Trace
+
+// ExecOpts is the per-call value of Conn.ExecWith / Stmt.ExecWith, the
+// explicit door beside ExecContext: an Interrupt and a Trace handed over
+// directly, with no context to allocate or search.
+type ExecOpts = engine.ExecOpts
+
+// Interrupt is a statement's cancellation signal: a done channel plus an
+// optional deadline.
+type Interrupt = engine.Interrupt
 
 // Observability constructors and helpers, re-exported from the obs layer.
 var (
@@ -148,8 +153,8 @@ func NewServer(database, user, password string, db *DB) *Server {
 	return wire.NewServer(database, user, password, db)
 }
 
-// DialContext connects and authenticates to a served database, negotiating
-// the protocol version. The context governs connect and handshake;
+// DialContext connects and authenticates to a served database as a
+// protocol v2 client. The context governs connect and handshake;
 // per-operation contexts are passed to Query/Exec/QueryStream.
 func DialContext(ctx context.Context, p ConnParams, opts ...DialOption) (*Client, error) {
 	return wire.DialContext(ctx, p, opts...)
@@ -159,12 +164,4 @@ func DialContext(ctx context.Context, p ConnParams, opts ...DialOption) (*Client
 // are opened lazily and health-checked at checkout.
 func NewPool(p ConnParams, size int, opts ...DialOption) *Pool {
 	return wire.NewPool(p, size, opts...)
-}
-
-// Dial connects and authenticates to a served database.
-//
-// Deprecated: use DialContext, which supports cancellation and options.
-func Dial(p ConnParams) (*Client, error) {
-	//lint:ignore SA1019 the deprecated shim delegates to its deprecated wire counterpart
-	return wire.Dial(p)
 }

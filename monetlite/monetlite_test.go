@@ -37,8 +37,7 @@ func TestServedUse(t *testing.T) {
 	}
 	defer srv.Close()
 	host, port := split(addr)
-	//lint:ignore SA1019 exercising the deprecated Dial compatibility shim
-	cli, err := monetlite.Dial(monetlite.ConnParams{
+	cli, err := monetlite.DialContext(context.Background(), monetlite.ConnParams{
 		Host: host, Port: port, Database: "demo", User: "u", Password: "p",
 	})
 	if err != nil {
