@@ -258,124 +258,10 @@ func BenchmarkProcessingModel(b *testing.B) {
 	}
 }
 
-// ---- vectorized execution core: filtered aggregate over 1M rows ----
-
-// buildFilterAggregateDB bulk-loads a 1M-row table (int key, float
-// measure) straight into the catalog — the fixture for the vectorized
-// core's flagship benchmark.
-func buildFilterAggregateDB(b *testing.B, rows int) *monetlite.DB {
-	b.Helper()
-	iCol := &storage.Column{Name: "i", Typ: storage.TInt, Ints: make([]int64, rows)}
-	fCol := &storage.Column{Name: "f", Typ: storage.TFloat, Flts: make([]float64, rows)}
-	// deterministic LCG so every leg filters the same ~50% of rows
-	state := uint64(42)
-	next := func() uint64 {
-		state = state*6364136223846793005 + 1442695040888963407
-		return state >> 11
-	}
-	for r := 0; r < rows; r++ {
-		iCol.Ints[r] = int64(next() % 1000)
-		fCol.Flts[r] = float64(next()%1_000_000) / 1_000_000
-	}
-	db := monetlite.NewDB()
-	if err := db.RegisterTable(&storage.Table{Name: "big", Cols: []*storage.Column{iCol, fCol}}); err != nil {
-		b.Fatal(err)
-	}
-	return db
-}
-
-// BenchmarkFilterAggregate is the vectorized core's headline number: a
-// filtered aggregate over 1M rows through three execution strategies —
-// the retained scalar reference (row-at-a-time closures, immediate
-// gather), the vectorized single-threaded path (fused compare-select
-// into a selection vector consumed by typed aggregation kernels), and
-// the morsel-parallel path across all cores. The ISSUE acceptance bar is
-// ≥5x for vectorized over scalar-reference.
-func BenchmarkFilterAggregate(b *testing.B) {
-	const rows = 1_000_000
-	const query = `SELECT COUNT(*) AS n, SUM(i) AS si, AVG(f) AS af FROM big WHERE f > 0.5`
-	for _, tc := range []struct {
-		name      string
-		scalarRef bool
-		workers   int
-		obsOn     bool
-	}{
-		{"scalar-reference", true, 1, false},
-		{"vectorized", false, 1, false},
-		{"vectorized-parallel", false, 0, false}, // 0 = GOMAXPROCS
-		// The vectorized leg with the full observability envelope on —
-		// metrics registry plus a pooled per-query trace, the serving-path
-		// configuration. Tracing costs a fixed ~0.4µs per statement, so on
-		// a millisecond-scale scan it vanishes; the CI overhead gate holds
-		// this within 10% of the plain vectorized leg from the same run
-		// (pure runner-noise headroom — the measured delta is ~0.01%).
-		{"vectorized-obs", false, 1, true},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			db := buildFilterAggregateDB(b, rows)
-			db.ScalarRef = tc.scalarRef
-			db.Workers = tc.workers
-			if tc.obsOn {
-				db.EnableObs(monetlite.NewRegistry())
-			}
-			conn := monetlite.Connect(db, "monetdb", "monetdb")
-			// sanity: all legs must agree on the aggregate
-			r, err := conn.Exec(query)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if n := r.Table.Cols[0].Ints[0]; n < rows/3 || n > 2*rows/3 {
-				b.Fatalf("selectivity off: %d of %d rows", n, rows)
-			}
-			b.ResetTimer()
-			if tc.obsOn {
-				for i := 0; i < b.N; i++ {
-					tr := monetlite.AcquireTrace(query, "monetdb")
-					_, err := conn.ExecWith(monetlite.ExecOpts{Trace: tr}, query)
-					monetlite.ReleaseTrace(tr)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				return
-			}
-			for i := 0; i < b.N; i++ {
-				if _, err := conn.Exec(query); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFilterProject measures the projection side of selection
-// vectors: WHERE + column materialization + LIMIT, where the historical
-// path paid an append-grown index, a full gather into an intermediate
-// table, a projection clone, and an identity-index LIMIT copy.
-func BenchmarkFilterProject(b *testing.B) {
-	const rows = 1_000_000
-	const query = `SELECT i, f FROM big WHERE i < 100 LIMIT 1000`
-	for _, tc := range []struct {
-		name      string
-		scalarRef bool
-	}{
-		{"scalar-reference", true},
-		{"vectorized", false},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			db := buildFilterAggregateDB(b, rows)
-			db.ScalarRef = tc.scalarRef
-			db.Workers = 1
-			conn := monetlite.Connect(db, "monetdb", "monetdb")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := conn.Exec(query); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+// The vectorized core's BenchmarkFilterAggregate / BenchmarkFilterProject
+// live in internal/engine (vectorized_bench_test.go): their
+// scalar-reference legs run the test-side refSelect oracle, which only
+// that package can reach.
 
 // ---- prepared statements: parse/plan amortization ----
 

@@ -163,6 +163,30 @@ func TestRunUnitVetxOnly(t *testing.T) {
 	}
 }
 
+// TestStandardUnit: the go command never lists a unit in its own Standard
+// map, so the standard library is recognised by GOROOT — and skipped, so
+// that the vettool computes facts over exactly the packages the source
+// driver does.
+func TestStandardUnit(t *testing.T) {
+	t.Setenv("GOROOT", filepath.FromSlash("/opt/go"))
+	for dir, want := range map[string]bool{
+		"/opt/go/src/net":              true,
+		"/opt/go/src/vendor/x/y":       true,
+		"/opt/go/srcfoo":               false,
+		"/home/me/repro/internal/wire": false,
+		"internal/core":                false, // module units arrive with relative dirs
+	} {
+		cfg := unitConfig{ImportPath: "p", Dir: filepath.FromSlash(dir), Standard: map[string]bool{"fmt": true}}
+		if got := standardUnit(&cfg); got != want {
+			t.Errorf("standardUnit(%s) = %t, want %t", dir, got, want)
+		}
+	}
+	t.Setenv("GOROOT", "")
+	if standardUnit(&unitConfig{Dir: filepath.FromSlash("/opt/go/src/net")}) {
+		t.Error("without GOROOT nothing can be called standard")
+	}
+}
+
 func TestSummaryLine(t *testing.T) {
 	got := summaryLine(map[string]int{"errkind": 3, "goleak": 1, "quiet": 0})
 	want := "monetlint: 4 findings (errkind:3 goleak:1)"

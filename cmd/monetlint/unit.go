@@ -10,6 +10,7 @@ import (
 	"go/types"
 	"io"
 	"os"
+	"path/filepath"
 	"regexp"
 	"time"
 
@@ -84,10 +85,10 @@ func runUnit(cfgPath string, analyzers []*analysis.Analyzer, opts options) {
 
 	if cfg.VetxOnly {
 		analyzers = withFacts(analyzers)
-		// Standard-library units cannot carry monetlint facts (the suite's
-		// fact producers all key off repro types and directives), so skip
-		// the typecheck and just thread the imported facts through.
-		if len(analyzers) == 0 || cfg.Standard[cfg.ImportPath] {
+		// Facts come from the module's packages only, exactly as in the
+		// source-mode driver, so both report the same findings: a
+		// standard-library unit just threads the imported facts through.
+		if len(analyzers) == 0 || standardUnit(&cfg) {
 			writeVetx()
 			return
 		}
@@ -141,6 +142,19 @@ func runUnit(cfgPath string, analyzers []*analysis.Analyzer, opts options) {
 		fmt.Fprintln(os.Stderr, summaryLine(r.counts))
 		os.Exit(2)
 	}
+}
+
+// standardUnit reports whether the unit's sources live under GOROOT/src
+// (the go command exports GOROOT to the tool). cfg.Standard cannot say:
+// it lists the unit's standard imports, never the unit itself.
+func standardUnit(cfg *unitConfig) bool {
+	goroot := os.Getenv("GOROOT")
+	if goroot == "" {
+		return false
+	}
+	// a module unit's relative Dir has no path from GOROOT: Rel errors
+	rel, err := filepath.Rel(filepath.Join(goroot, "src"), cfg.Dir)
+	return err == nil && filepath.IsLocal(rel)
 }
 
 func fatalUnit(format string, args ...any) {

@@ -14,9 +14,11 @@
 // local error variables may currently hold a cancellation-critical error —
 // seeded by calls to functions carrying a Cancellable fact (exported
 // bottom-up: constructors of KindCancelled/KindOverload errors and
-// functions propagating them) and by context.Context.Err — and reports
-// any core.Wrapf that re-kinds one under a different literal kind.
-// Deliberate reclassification is annotated //errkind:ok <reason>.
+// functions propagating them), by context.Context.Err, and by calls that
+// hand a context to a package errkind never analysed (the standard
+// library: net.Dialer.DialContext returns the context's error) — and
+// reports any core.Wrapf that re-kinds one under a different literal
+// kind. Deliberate reclassification is annotated //errkind:ok <reason>.
 package errkind
 
 import (
@@ -38,7 +40,7 @@ wrapped: use the same kind, or core.KindOf(err). Wrapping it under another
 literal kind hides it from core.Retryable and core.IsCancelled. Annotate
 deliberate reclassification with //errkind:ok <reason>.`,
 	Run:       run,
-	FactTypes: []analysis.Fact{(*Cancellable)(nil)},
+	FactTypes: []analysis.Fact{(*Cancellable)(nil), (*Analyzed)(nil)},
 }
 
 // Cancellable is a fact on a function: it may return an error whose
@@ -47,6 +49,16 @@ type Cancellable struct{}
 
 // AFact marks Cancellable as a fact type.
 func (*Cancellable) AFact() {}
+
+// Analyzed is a fact on a package: errkind ran over it, so one of its
+// functions lacking a Cancellable fact does not return
+// cancellation-critical errors. Without it the absence means "unknown":
+// both drivers analyse the module's packages only, never the standard
+// library.
+type Analyzed struct{}
+
+// AFact marks Analyzed as a fact type.
+func (*Analyzed) AFact() {}
 
 // scopes lists the package path segments whose Wrapf calls are checked.
 var scopes = []string{"engine", "wire", "devudf", "udfrt"}
@@ -84,6 +96,7 @@ func run(pass *analysis.Pass) error {
 	for fn := range c.cancellable {
 		pass.ExportObjectFact(fn, &Cancellable{})
 	}
+	pass.ExportPackageFact(&Analyzed{})
 
 	inScope := false
 	for _, s := range scopes {
@@ -127,7 +140,28 @@ func (c *checker) isCancellableFn(fn *types.Func) bool {
 		}
 	}
 	var fact Cancellable
-	return c.pass.ImportObjectFact(fn, &fact)
+	if c.pass.ImportObjectFact(fn, &fact) {
+		return true
+	}
+	// A package errkind never saw has no facts either way. Assume the
+	// convention of the standard library: a function handed a context and
+	// returning an error returns the context's error once it is done.
+	var seen Analyzed
+	if fn.Pkg() == nil || fn.Pkg() == c.pass.Pkg || c.pass.ImportPackageFact(fn.Pkg(), &seen) {
+		return false
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok {
+		return false
+	}
+	takesCtx, returnsErr := false, false
+	for i := 0; i < sig.Params().Len(); i++ {
+		takesCtx = takesCtx || analysis.NamedFrom(sig.Params().At(i).Type(), "context", "Context")
+	}
+	for i := 0; i < sig.Results().Len(); i++ {
+		returnsErr = returnsErr || analysis.IsErrorType(sig.Results().At(i).Type())
+	}
+	return takesCtx && returnsErr
 }
 
 // hasCancellableCall reports whether n's subtree contains a call to a

@@ -3,6 +3,7 @@ package wire
 
 import (
 	"context"
+	"net"
 
 	"core"
 	"prod"
@@ -100,4 +101,44 @@ func deliberate() error {
 	err := prod.Interrupted()
 	//errkind:ok shutdown surfaces as a protocol error by wire contract
 	return core.Wrapf(core.KindProtocol, err, "connection closing")
+}
+
+// --- unanalysed packages (the standard library) ---
+
+// A context handed to a package errkind never analysed comes back as the
+// returned error when the context ends: net.Dialer.DialContext.
+func rekindDial(ctx context.Context) error {
+	var d net.Dialer
+	_, err := d.DialContext(ctx, "tcp", "localhost:1")
+	if err != nil {
+		return core.Wrapf(core.KindIO, err, "connect") // want "re-kinds a possibly cancellation-critical error as KindIO"
+	}
+	return nil
+}
+
+// Keeping the kind when the context is what ended the dial is clean.
+func dialKeepsKind(ctx context.Context) error {
+	var d net.Dialer
+	_, err := d.DialContext(ctx, "tcp", "localhost:1")
+	if cerr := ctx.Err(); err != nil && cerr != nil {
+		return core.Wrapf(core.KindCancelled, cerr, "connect aborted")
+	}
+	return err
+}
+
+// No context goes in, so none comes out.
+func dialNoCtx() error {
+	_, err := net.Dial("tcp", "localhost:1")
+	if err != nil {
+		return core.Wrapf(core.KindIO, err, "connect")
+	}
+	return nil
+}
+
+// prod was analysed: its ReadCtx has no Cancellable fact, and that means no.
+func analysedCalleeOK(ctx context.Context) error {
+	if err := prod.ReadCtx(ctx); err != nil {
+		return core.Wrapf(core.KindIO, err, "read")
+	}
+	return nil
 }

@@ -2,7 +2,11 @@
 // Cancellable facts consumed by the wire fixture.
 package prod
 
-import "core"
+import (
+	"context"
+
+	"core"
+)
 
 // Interrupted returns a KindCancelled error: cancellable.
 func Interrupted() error {
@@ -27,4 +31,11 @@ func Relay() error {
 // Checked swallows the cancellable error: not cancellable.
 func Checked() bool {
 	return Interrupted() != nil
+}
+
+// ReadCtx takes a context but never returns its error: not cancellable,
+// and errkind knows because it analysed this package.
+func ReadCtx(ctx context.Context) error {
+	_ = ctx
+	return core.Errorf(core.KindIO, "short read")
 }

@@ -195,8 +195,10 @@ func (l *Loader) LoadPath(path string) (*Package, error) {
 }
 
 // ModulePackages walks the module tree and returns the import paths of all
-// packages containing buildable Go files, skipping testdata, vendor, and
-// hidden directories — the expansion of the "./..." pattern.
+// packages containing buildable Go files, skipping testdata, vendor,
+// hidden directories and nested modules (a sub-directory with its own
+// go.mod) — the expansion of the "./..." pattern, as the go command
+// expands it.
 func (l *Loader) ModulePackages() ([]string, error) {
 	if l.cfg.ModulePath == "" {
 		return nil, fmt.Errorf("loader has no module configured")
@@ -210,9 +212,14 @@ func (l *Loader) ModulePackages() ([]string, error) {
 		if !d.IsDir() {
 			return nil
 		}
-		name := d.Name()
-		if p != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
+		if p != root {
+			name := d.Name()
+			if name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+				return filepath.SkipDir // a nested module
+			}
 		}
 		if !hasNonTestGoFiles(p) {
 			return nil

@@ -91,7 +91,7 @@ func TestModulePackages(t *testing.T) {
 	}
 	want := []string{"mod", "mod/sub"}
 	if len(paths) != len(want) || paths[0] != want[0] || paths[1] != want[1] {
-		t.Fatalf("ModulePackages = %v, want %v (testdata and test-only dirs skipped)", paths, want)
+		t.Fatalf("ModulePackages = %v, want %v (testdata, test-only dirs and the nested module skipped)", paths, want)
 	}
 	pkg, err := l.LoadPath("mod/sub")
 	if err != nil {

@@ -74,11 +74,6 @@ type DB struct {
 	// (0 = vec.DefaultMorselSize). Inputs smaller than one morsel always
 	// run inline.
 	MorselSize int
-	// ScalarRef routes expression evaluation, filtering, grouping,
-	// aggregation and DISTINCT through the retained row-at-a-time
-	// reference implementation instead of the vectorized kernels — the
-	// semantic baseline for differential tests and benchmarks.
-	ScalarRef bool
 	// PlanCacheSize bounds the parsed-plan cache keyed by normalized SQL
 	// (0 applies the 256 default; negative disables caching). Identical
 	// statement text — prepared or not — skips the lexer and parser; the

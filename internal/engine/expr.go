@@ -125,17 +125,6 @@ func (c *Conn) evalExpr(ctx *evalCtx, e sqlparse.Expr) (*storage.Column, error) 
 		if err != nil {
 			return nil, err
 		}
-		if c.DB.ScalarRef {
-			out := storage.NewColumn("", storage.TBool)
-			for i := 0; i < x.Len(); i++ {
-				v := x.IsNull(i)
-				if e.Neg {
-					v = !v
-				}
-				out.AppendBool(v)
-			}
-			return out, nil
-		}
 		return vec.IsNull(c.pol(), x, e.Neg), nil
 	case *sqlparse.CastExpr:
 		x, err := c.evalExpr(ctx, e.X)
@@ -173,12 +162,8 @@ func (c *Conn) bindColumn(e *sqlparse.Placeholder) (*storage.Column, error) {
 	return c.binds[e.Index], nil
 }
 
-// evalUnary dispatches a unary operator to the vectorized kernels (or
-// the scalar reference under DB.ScalarRef).
+// evalUnary dispatches a unary operator to the vectorized kernels.
 func (c *Conn) evalUnary(op string, x *storage.Column) (*storage.Column, error) {
-	if c.DB.ScalarRef {
-		return scalarEvalUnary(op, x)
-	}
 	switch op {
 	case "-":
 		return vec.Neg(c.pol(), x)
@@ -192,9 +177,6 @@ func (c *Conn) evalUnary(op string, x *storage.Column) (*storage.Column, error) 
 // evalBinary dispatches a binary operator: op and operand types resolve
 // to one typed kernel outside the loop.
 func (c *Conn) evalBinary(op string, l, r *storage.Column) (*storage.Column, error) {
-	if c.DB.ScalarRef {
-		return scalarEvalBinary(op, l, r)
-	}
 	n, err := vec.Align(l, r)
 	if err != nil {
 		return nil, err
@@ -218,11 +200,32 @@ func (c *Conn) evalBinary(op string, l, r *storage.Column) (*storage.Column, err
 	case "OR":
 		return vec.Logic(p, false, l, r, n), nil
 	case "||":
-		// string concat is not vectorized; share the reference loop
-		return scalarEvalBinary(op, l, r)
+		return concatColumns(l, r, n), nil
 	default:
 		return nil, core.Errorf(core.KindSyntax, "unsupported operator %q", op)
 	}
+}
+
+// concatColumns is the || operator, row at a time (string building has no
+// typed kernel): the formatted cells joined, NULL when either side is.
+func concatColumns(l, r *storage.Column, n int) *storage.Column {
+	at := func(c *storage.Column, i int) int {
+		if c.Len() == 1 {
+			return 0
+		}
+		return i
+	}
+	out := storage.NewColumn("", storage.TStr)
+	out.Reserve(n)
+	for i := 0; i < n; i++ {
+		li, ri := at(l, i), at(r, i)
+		if l.IsNull(li) || r.IsNull(ri) {
+			out.AppendNull()
+			continue
+		}
+		out.AppendStr(l.FormatValue(li) + r.FormatValue(ri))
+	}
+	return out
 }
 
 func cmpOpOf(op string) vec.CmpOp {
@@ -352,7 +355,7 @@ func exprIsColumnar(e sqlparse.Expr) bool {
 	return false
 }
 
-// ---- shared row accessors (scalar reference, ORDER BY, builtins) ----
+// ---- shared row accessors (ORDER BY, constant predicates, builtins) ----
 
 func numericAt(c *storage.Column, i int) (float64, bool) {
 	switch c.Typ {

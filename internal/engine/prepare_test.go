@@ -44,8 +44,8 @@ func fmtLit(v any) string {
 
 // TestPrepareDifferential pins the tentpole acceptance: a query prepared
 // once and executed with several bind sets returns results identical to
-// the equivalent literal-substituted Query calls, through both the
-// vectorized and the ScalarRef pipelines.
+// the equivalent literal-substituted Query calls, and to what the
+// refSelect oracle computes from the same text and binds.
 func TestPrepareDifferential(t *testing.T) {
 	queries := []struct {
 		param string // with placeholders
@@ -77,40 +77,36 @@ func TestPrepareDifferential(t *testing.T) {
 			},
 		},
 	}
-	for _, scalarRef := range []bool{false, true} {
-		name := "vectorized"
-		if scalarRef {
-			name = "scalar-ref"
+	c := prepTestDB(t)
+	for _, q := range queries {
+		stmt, err := c.Prepare(q.param)
+		if err != nil {
+			t.Fatalf("prepare %s: %v", q.param, err)
 		}
-		t.Run(name, func(t *testing.T) {
-			c := prepTestDB(t)
-			c.DB.ScalarRef = scalarRef
-			for _, q := range queries {
-				stmt, err := c.Prepare(q.param)
-				if err != nil {
-					t.Fatalf("prepare %s: %v", q.param, err)
-				}
-				for _, binds := range q.binds {
-					got, err := stmt.Query(binds...)
-					if err != nil {
-						t.Fatalf("%s binds %v: %v", q.param, binds, err)
-					}
-					lits := make([]any, len(binds))
-					for i, b := range binds {
-						lits[i] = fmtLit(b)
-					}
-					sql := fmt.Sprintf(q.subst, lits...)
-					want, err := c.Exec(sql)
-					if err != nil {
-						t.Fatalf("%s: %v", sql, err)
-					}
-					if got.Msg != want.Msg {
-						t.Fatalf("%s binds %v: msg %q vs %q", q.param, binds, got.Msg, want.Msg)
-					}
-					assertTablesEqual(t, q.param, got.Table, want.Table)
-				}
+		for _, binds := range q.binds {
+			got, err := stmt.Query(binds...)
+			if err != nil {
+				t.Fatalf("%s binds %v: %v", q.param, binds, err)
 			}
-		})
+			lits := make([]any, len(binds))
+			for i, b := range binds {
+				lits[i] = fmtLit(b)
+			}
+			sql := fmt.Sprintf(q.subst, lits...)
+			want, err := c.Exec(sql)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			if got.Msg != want.Msg {
+				t.Fatalf("%s binds %v: msg %q vs %q", q.param, binds, got.Msg, want.Msg)
+			}
+			assertTablesEqual(t, q.param, got.Table, want.Table)
+			ref, err := refExec(c, q.param, binds...)
+			if err != nil {
+				t.Fatalf("oracle %s binds %v: %v", q.param, binds, err)
+			}
+			assertTablesEqual(t, "oracle "+q.param, got.Table, ref)
+		}
 	}
 }
 

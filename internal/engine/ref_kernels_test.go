@@ -1,12 +1,11 @@
 package engine
 
-// The retained scalar reference evaluator: the engine's original
-// row-at-a-time implementation of expressions, filtering, grouping and
-// aggregation, kept as the executable semantic specification for the
-// vectorized core in internal/engine/vec. DB.ScalarRef routes the whole
-// SELECT pipeline through these paths; the differential/property tests
-// and BenchmarkFilterAggregate's scalar leg rely on both implementations
-// producing identical results.
+// The reference kernels: the engine's original row-at-a-time
+// implementation of operators, grouping keys, aggregates and
+// materialization, kept test-side as the executable semantic
+// specification of internal/engine/vec. refSelect (ref_select_test.go)
+// drives them over whole queries; the kernel agreement tests and the
+// scalar-reference benchmark legs call them directly.
 
 import (
 	"math"
@@ -225,7 +224,7 @@ func writeKeyCell(sb *strings.Builder, c *storage.Column, i int) {
 
 // scalarGroupRows is the historical GROUP BY keying: every row formatted
 // through a strings.Builder into a map key.
-func (c *Conn) scalarGroupRows(keyCols []*storage.Column, n int) [][]int32 {
+func scalarGroupRows(keyCols []*storage.Column, n int) [][]int32 {
 	index := map[string]int{}
 	var groups [][]int32
 	for i := 0; i < n; i++ {

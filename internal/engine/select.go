@@ -18,8 +18,7 @@ import (
 // column-vs-constant conjuncts), which projection and aggregation consume
 // lazily — filtered rows materialize once per referenced column at result
 // build, never as an intermediate table. LIMIT slices the result columns
-// in place. DB.ScalarRef routes everything through the retained
-// row-at-a-time reference instead.
+// in place.
 func (c *Conn) evalSelect(sel *sqlparse.Select) (*storage.Table, error) {
 	src, err := c.evalFrom(sel.From)
 	if err != nil {
@@ -39,11 +38,7 @@ func (c *Conn) evalSelect(sel *sqlparse.Select) (*storage.Table, error) {
 	// WHERE
 	var selv []int32
 	if sel.Where != nil && src != nil {
-		if c.DB.ScalarRef {
-			src, err = c.scalarFilter(src, sel.Where)
-		} else {
-			src, selv, err = c.filter(src, sel.Where)
-		}
+		src, selv, err = c.filter(src, sel.Where)
 		if err != nil {
 			return nil, err
 		}
@@ -87,23 +82,14 @@ func (c *Conn) evalSelect(sel *sqlparse.Select) (*storage.Table, error) {
 
 	// LIMIT
 	if sel.Limit >= 0 && int64(result.NumRows()) > sel.Limit {
-		if c.DB.ScalarRef {
-			// historical LIMIT: build an identity index, copy every column
-			idx := make([]int32, sel.Limit)
-			for i := range idx {
-				idx[i] = int32(i)
-			}
-			result = scalarGatherTable(result, idx)
+		// slice the result columns directly; no gather copy — but when
+		// the limit keeps only a small prefix, copy it so the result
+		// does not pin the full backing arrays for its lifetime
+		limit := int(sel.Limit)
+		if limit*2 < result.NumRows() {
+			result = result.SliceRows(0, limit).Clone()
 		} else {
-			// slice the result columns directly; no gather copy — but when
-			// the limit keeps only a small prefix, copy it so the result
-			// does not pin the full backing arrays for its lifetime
-			limit := int(sel.Limit)
-			if limit*2 < result.NumRows() {
-				result = result.SliceRows(0, limit).Clone()
-			} else {
-				result = result.SliceRows(0, limit)
-			}
+			result = result.SliceRows(0, limit)
 		}
 	}
 	if err := c.checkBudgetRows(result.NumRows()); err != nil {
@@ -136,31 +122,6 @@ func (c *Conn) filter(src *storage.Table, where sqlparse.Expr) (*storage.Table, 
 		return src, nil, nil
 	}
 	return src, vec.SelectTruthy(c.pol(), pred), nil
-}
-
-// scalarFilter is the retained reference WHERE: evaluate the predicate
-// row-at-a-time, append-grow the index list (no capacity hint — the
-// historical behavior the selection vectors subsume), materialize the
-// filtered table immediately through the append-based gather.
-func (c *Conn) scalarFilter(src *storage.Table, where sqlparse.Expr) (*storage.Table, error) {
-	ctx := c.newCtx(src, nil)
-	pred, err := c.evalExpr(ctx, where)
-	if err != nil {
-		return nil, err
-	}
-	if pred.Len() == 1 && src.NumRows() != 1 {
-		if !truthyAt(pred, 0) {
-			return emptyLike(src), nil
-		}
-		return src, nil
-	}
-	var idx []int32
-	for i := 0; i < pred.Len(); i++ {
-		if truthyAt(pred, i) {
-			idx = append(idx, int32(i))
-		}
-	}
-	return scalarGatherTable(src, idx), nil
 }
 
 // fastConjunct is one WHERE conjunct of the fused filter shape:
@@ -516,7 +477,7 @@ func (c *Conn) aggregateOver(ctx *evalCtx, call *sqlparse.FuncCall) (*storage.Co
 	}
 	var col *storage.Column
 	var effSel []int32
-	if ref, ok := call.Args[0].(*sqlparse.ColRef); ok && !c.DB.ScalarRef {
+	if ref, ok := call.Args[0].(*sqlparse.ColRef); ok {
 		base, err := ctx.src.Column(ref.Name)
 		if err != nil {
 			return nil, err
@@ -528,9 +489,6 @@ func (c *Conn) aggregateOver(ctx *evalCtx, call *sqlparse.FuncCall) (*storage.Co
 		if err != nil {
 			return nil, err
 		}
-	}
-	if c.DB.ScalarRef {
-		return scalarAggregateOver(name, col, false, n)
 	}
 	p := c.pol()
 	switch name {
@@ -740,9 +698,8 @@ func (c *Conn) evalGroupItem(ctx *evalCtx, e sqlparse.Expr) (*storage.Column, er
 }
 
 // groupRows partitions the logical rows by the GROUP BY key, returning
-// per-group physical row indexes into src in first-appearance order. The
-// vectorized path hashes typed key vectors; DB.ScalarRef retains the
-// formatted-string keying.
+// per-group physical row indexes into src in first-appearance order,
+// hashing the typed key vectors.
 func (c *Conn) groupRows(exprs []sqlparse.Expr, src *storage.Table, selv []int32) ([][]int32, error) {
 	n := src.NumRows()
 	if selv != nil {
@@ -763,12 +720,7 @@ func (c *Conn) groupRows(exprs []sqlparse.Expr, src *storage.Table, selv []int32
 	if n == 0 {
 		return nil, nil
 	}
-	var groups [][]int32
-	if c.DB.ScalarRef {
-		groups = c.scalarGroupRows(keyCols, n)
-	} else {
-		groups = vec.Groups(c.pol(), keyCols, n)
-	}
+	groups := vec.Groups(c.pol(), keyCols, n)
 	// map logical group members to physical source rows
 	if selv != nil {
 		for _, g := range groups {
@@ -869,16 +821,10 @@ func (c *Conn) orderResult(sel *sqlparse.Select, result, src *storage.Table, sel
 	return nil
 }
 
-// distinctRows drops duplicate result rows, keeping first occurrences.
-// The vectorized path reuses the typed group hasher over the result
-// columns.
+// distinctRows drops duplicate result rows, keeping first occurrences,
+// reusing the typed group hasher over the result columns.
 func (c *Conn) distinctRows(t *storage.Table) *storage.Table {
-	var idx []int32
-	if c.DB.ScalarRef {
-		idx = scalarDistinctIdx(t)
-	} else {
-		idx = vec.DistinctReps(c.pol(), t.Cols, t.NumRows())
-	}
+	idx := vec.DistinctReps(c.pol(), t.Cols, t.NumRows())
 	if len(idx) == t.NumRows() {
 		return t
 	}

@@ -87,7 +87,15 @@ func DialContext(ctx context.Context, p ConnParams, opts ...DialOption) (*Client
 	d := net.Dialer{Timeout: cfg.dialTimeout, KeepAlive: cfg.keepAlive}
 	nc, err := d.DialContext(ctx, "tcp", p.Addr())
 	if err != nil {
-		return nil, core.Wrapf(core.KindIO, err, "connect %s: %v", p.Addr(), err)
+		// The dialer reports a done context as its own "operation was
+		// canceled" / "i/o timeout": keep the kind when it was the caller
+		// who gave up, so nobody retries it or counts it against the
+		// endpoint.
+		kind := core.KindIO
+		if ctx.Err() != nil {
+			kind = core.KindCancelled
+		}
+		return nil, core.Wrapf(kind, err, "connect %s: %v", p.Addr(), err)
 	}
 	c := &Client{params: p, nc: nc, cfg: cfg}
 	if err := c.handshake(ctx); err != nil {

@@ -144,7 +144,11 @@ func (p *Pool) get(ctx context.Context) (*Client, error) {
 			}
 			c, err := DialContext(ctx, p.params, p.opts...)
 			if br := p.br; br != nil {
-				br.record(err == nil, time.Now())
+				if core.IsCancelled(err) {
+					br.abandon() // the caller gave up; the endpoint did not fail
+				} else {
+					br.record(err == nil, time.Now())
+				}
 			}
 			if err != nil {
 				<-p.sem

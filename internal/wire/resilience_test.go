@@ -2,7 +2,9 @@ package wire
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -505,6 +507,113 @@ func TestPoolBreakerOpensOnDeadEndpoint(t *testing.T) {
 	}
 	if st.BreakerFastFails == 0 || !sawFastFail {
 		t.Fatalf("breaker open must fail checkouts fast (fastFails=%d, saw=%t)", st.BreakerFastFails, sawFastFail)
+	}
+}
+
+// TestDialCancelIsKindCancelled: a dial whose context is already done (the
+// caller gave up, or its deadline passed) is a cancellation, with the
+// context's error as its cause — not a transport failure the retry path
+// would re-dial and the breaker would count. A refused connect under a
+// live context stays KindIO.
+func TestDialCancelIsKindCancelled(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, port, _ := splitHostPort(ln.Addr().String())
+	params := ConnParams{Host: host, Port: port, Database: "demo", User: "monetdb", Password: "secret"}
+	cancelled, cancel := context.WithCancel(background())
+	cancel()
+	expired, cancel := context.WithDeadline(background(), time.Unix(0, 0))
+	defer cancel()
+	for _, tc := range []struct {
+		name  string
+		ctx   context.Context
+		cause error
+	}{
+		{"cancelled", cancelled, context.Canceled},
+		{"deadline", expired, context.DeadlineExceeded},
+	} {
+		_, err := DialContext(tc.ctx, params)
+		if core.KindOf(err) != core.KindCancelled || !errors.Is(err, tc.cause) {
+			t.Fatalf("%s: dial under a done context = %v (kind %v), want KindCancelled wrapping %v",
+				tc.name, err, core.KindOf(err), tc.cause)
+		}
+	}
+	ln.Close()
+	if _, err := DialContext(background(), params); core.KindOf(err) != core.KindIO {
+		t.Fatalf("refused connect under a live context = %v, want KindIO", err)
+	}
+}
+
+// TestCancelledDialDoesNotTripBreaker: callers that give up while a
+// connection is being established — before the connect, or mid-handshake
+// against a server that accepted and then stalls — say nothing about the
+// endpoint, so no number of them opens the breaker for everyone else. The
+// stall is a listener that reads the auth frame and never answers; each
+// caller is cancelled only once the server has that frame in hand.
+func TestCancelledDialDoesNotTripBreaker(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	authSeen := make(chan struct{}, 16)
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer nc.Close()
+				if _, _, err := ReadFrame(nc); err != nil {
+					return
+				}
+				authSeen <- struct{}{}
+				io.Copy(io.Discard, nc) // hold the socket until the client hangs up
+			}()
+		}
+	}()
+	host, port, _ := splitHostPort(ln.Addr().String())
+	params := ConnParams{Host: host, Port: port, Database: "demo", User: "monetdb", Password: "secret"}
+	pool := NewPool(params, 1)
+	defer pool.Close()
+	pool.EnableRetry(RetryPolicy{MaxAttempts: 1, BreakerThreshold: 2, BreakerCooldown: time.Hour})
+
+	for i := 0; i < 4; i++ {
+		ctx, cancel := context.WithCancel(background())
+		if i%2 == 0 {
+			cancel() // gave up before the connect
+		} else {
+			go func() { <-authSeen; cancel() }() // gave up mid-handshake
+		}
+		_, _, err := pool.Query(ctx, `SELECT 1`)
+		cancel()
+		if core.KindOf(err) != core.KindCancelled {
+			t.Fatalf("attempt %d: %v (kind %v), want KindCancelled", i, err, core.KindOf(err))
+		}
+	}
+	if st := pool.StatsSnapshot(); st.BreakerOpens != 0 || st.BreakerFastFails != 0 {
+		t.Fatalf("cancelled dials moved the breaker: opens=%d fastFails=%d", st.BreakerOpens, st.BreakerFastFails)
+	}
+
+	// The half-open probe is a dial like any other: a prober that gives up
+	// must hand the probe slot on, not leave the breaker waiting for an
+	// outcome that never comes.
+	b := &breaker{threshold: 1, cooldown: time.Second}
+	t0 := time.Unix(100, 0)
+	b.record(false, t0)
+	if b.allow(t0) {
+		t.Fatal("breaker should be open")
+	}
+	t1 := t0.Add(2 * time.Second)
+	if !b.allow(t1) {
+		t.Fatal("cooldown over: the probe should be admitted")
+	}
+	b.abandon()
+	if !b.allow(t1) {
+		t.Fatal("an abandoned probe must free the probe slot")
 	}
 }
 

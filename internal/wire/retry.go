@@ -165,6 +165,15 @@ func (b *breaker) allow(now time.Time) bool {
 	return true
 }
 
+// abandon withdraws a dial that ended without an outcome — its caller's
+// context ended first, which says nothing about the endpoint. The
+// failure count is untouched; a half-open probe slot is handed on.
+func (b *breaker) abandon() {
+	b.mu.Lock()
+	b.probing = false
+	b.mu.Unlock()
+}
+
 // record feeds one dial outcome back.
 func (b *breaker) record(ok bool, now time.Time) {
 	b.mu.Lock()

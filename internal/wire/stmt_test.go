@@ -82,64 +82,53 @@ func TestStmtPayloadRoundTrip(t *testing.T) {
 
 // TestStmtWireDifferential is the tentpole acceptance over the wire: one
 // prepared statement executed with 3 bind sets must return exactly what
-// the literal-substituted Query calls return, through both the vectorized
-// and the ScalarRef pipelines.
+// the literal-substituted Query calls return.
 func TestStmtWireDifferential(t *testing.T) {
-	srv, params := preparedFixture(t)
-	for _, scalarRef := range []bool{false, true} {
-		name := "vectorized"
-		if scalarRef {
-			name = "scalar-ref"
+	_, params := preparedFixture(t)
+	c, err := DialContext(background(), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.Prepare(background(), `SELECT i, f, s FROM nums WHERE i >= ? AND f < ? ORDER BY i`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.NumParams() != 2 {
+		t.Fatalf("NumParams = %d", st.NumParams())
+	}
+	binds := [][]any{
+		{int64(1), 3.0},
+		{int64(3), 99.0},
+		{int64(0), 0.6},
+	}
+	for _, b := range binds {
+		gotMsg, got, err := st.Query(background(), b...)
+		if err != nil {
+			t.Fatalf("binds %v: %v", b, err)
 		}
-		t.Run(name, func(t *testing.T) {
-			srv.DB.ScalarRef = scalarRef
-			defer func() { srv.DB.ScalarRef = false }()
-			c, err := DialContext(background(), params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			st, err := c.Prepare(background(), `SELECT i, f, s FROM nums WHERE i >= ? AND f < ? ORDER BY i`)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.NumParams() != 2 {
-				t.Fatalf("NumParams = %d", st.NumParams())
-			}
-			binds := [][]any{
-				{int64(1), 3.0},
-				{int64(3), 99.0},
-				{int64(0), 0.6},
-			}
-			for _, b := range binds {
-				gotMsg, got, err := st.Query(background(), b...)
-				if err != nil {
-					t.Fatalf("binds %v: %v", b, err)
-				}
-				sql := fmt.Sprintf(`SELECT i, f, s FROM nums WHERE i >= %d AND f < %v ORDER BY i`, b[0], b[1])
-				wantMsg, want, err := c.Query(background(), sql)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gotMsg != wantMsg {
-					t.Fatalf("binds %v: msg %q vs %q", b, gotMsg, wantMsg)
-				}
-				if got.NumRows() != want.NumRows() || len(got.Cols) != len(want.Cols) {
-					t.Fatalf("binds %v: shape mismatch", b)
-				}
-				for ci := range got.Cols {
-					for r := 0; r < got.NumRows(); r++ {
-						if got.Cols[ci].FormatValue(r) != want.Cols[ci].FormatValue(r) {
-							t.Fatalf("binds %v: cell [%d,%d] %s vs %s", b, r, ci,
-								got.Cols[ci].FormatValue(r), want.Cols[ci].FormatValue(r))
-						}
-					}
+		sql := fmt.Sprintf(`SELECT i, f, s FROM nums WHERE i >= %d AND f < %v ORDER BY i`, b[0], b[1])
+		wantMsg, want, err := c.Query(background(), sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotMsg != wantMsg {
+			t.Fatalf("binds %v: msg %q vs %q", b, gotMsg, wantMsg)
+		}
+		if got.NumRows() != want.NumRows() || len(got.Cols) != len(want.Cols) {
+			t.Fatalf("binds %v: shape mismatch", b)
+		}
+		for ci := range got.Cols {
+			for r := 0; r < got.NumRows(); r++ {
+				if got.Cols[ci].FormatValue(r) != want.Cols[ci].FormatValue(r) {
+					t.Fatalf("binds %v: cell [%d,%d] %s vs %s", b, r, ci,
+						got.Cols[ci].FormatValue(r), want.Cols[ci].FormatValue(r))
 				}
 			}
-			if err := st.Close(background()); err != nil {
-				t.Fatal(err)
-			}
-		})
+		}
+	}
+	if err := st.Close(background()); err != nil {
+		t.Fatal(err)
 	}
 }
 
