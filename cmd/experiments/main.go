@@ -1,7 +1,6 @@
 // Command experiments regenerates every table and figure of the paper plus
-// a quantitative run of each efficiency claim the demo asserts; the mapping
-// from experiment IDs to paper artefacts is in DESIGN.md §5 and results
-// are recorded in EXPERIMENTS.md.
+// a quantitative run of each efficiency claim the demo asserts; each
+// experiment's heading names the paper artefact it reproduces.
 //
 //	experiments            run everything at the default scale
 //	experiments -only E4   run one experiment
@@ -12,6 +11,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -31,11 +31,19 @@ func main() {
 	only := flag.String("only", "", "run a single experiment (T1, F1, E1..E7, SA, SB)")
 	scale := flag.Int("scale", 1, "workload scale multiplier")
 	flag.Parse()
+	if err := run(*only, *scale, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
 
+// run writes the report of every experiment, or of the one whose id is
+// only, to w.
+func run(only string, scale int, w io.Writer) error {
 	experiments := []struct {
 		id   string
 		name string
-		run  func(int) error
+		run  func(io.Writer, int) error
 	}{
 		{"T1", "Table 1: development-environment market share", expT1},
 		{"F1", "Figure 1: menu integration (see `devudf menu`)", expF1},
@@ -51,36 +59,35 @@ func main() {
 	}
 	ran := 0
 	for _, e := range experiments {
-		if *only != "" && !strings.EqualFold(*only, e.id) {
+		if only != "" && !strings.EqualFold(only, e.id) {
 			continue
 		}
-		fmt.Printf("\n=== %s — %s ===\n", e.id, e.name)
-		if err := e.run(*scale); err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.id, err)
-			os.Exit(1)
+		fmt.Fprintf(w, "\n=== %s — %s ===\n", e.id, e.name)
+		if err := e.run(w, scale); err != nil {
+			return fmt.Errorf("%s failed: %w", e.id, err)
 		}
 		ran++
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "no experiment matches %q\n", *only)
-		os.Exit(2)
+		return fmt.Errorf("no experiment matches %q", only)
 	}
-}
-
-func expT1(int) error {
-	fmt.Printf("%-22s %-7s %s\n", "Name", "Share", "Type")
-	for _, r := range bench.Table1 {
-		fmt.Printf("%-22s %5.1f%%  %s\n", r.Name, r.Share, r.Kind)
-	}
-	ide, editor := bench.IDEShare()
-	fmt.Printf("\nIDE share %.1f%% vs text-editor share %.1f%% (ratio %.1fx) — the paper's\n",
-		ide, editor, ide/editor)
-	fmt.Println("argument for meeting developers inside their IDE.")
 	return nil
 }
 
-func expF1(int) error {
-	fmt.Println(`Main Menu
+func expT1(w io.Writer, _ int) error {
+	fmt.Fprintf(w, "%-22s %-7s %s\n", "Name", "Share", "Type")
+	for _, r := range bench.Table1 {
+		fmt.Fprintf(w, "%-22s %5.1f%%  %s\n", r.Name, r.Share, r.Kind)
+	}
+	ide, editor := bench.IDEShare()
+	fmt.Fprintf(w, "\nIDE share %.1f%% vs text-editor share %.1f%% (ratio %.1fx) — the paper's\n",
+		ide, editor, ide/editor)
+	fmt.Fprintln(w, "argument for meeting developers inside their IDE.")
+	return nil
+}
+
+func expF1(w io.Writer, _ int) error {
+	fmt.Fprintln(w, `Main Menu
 └── UDF Development
     ├── Settings...            (Fig. 2: connection, debug query, transfer options)
     ├── Import UDFs...         (Fig. 3a)
@@ -108,8 +115,8 @@ func newFixtureClient(fx *bench.Fixture, query string, opts devudf.TransferOptio
 	return devudf.Open(ctx, settings, devudf.WithFS(core.NewMemFS(nil)))
 }
 
-func expE1(scale int) error {
-	fmt.Printf("%-10s %-10s %-14s %-12s %s\n", "rows", "compress", "payloadBytes", "time", "ratio")
+func expE1(w io.Writer, scale int) error {
+	fmt.Fprintf(w, "%-10s %-10s %-14s %-12s %s\n", "rows", "compress", "payloadBytes", "time", "ratio")
 	for _, rows := range []int{1000 * scale, 10000 * scale, 100000 * scale} {
 		fx, err := bench.StartServer(
 			`CREATE TABLE numbers (i INTEGER)`,
@@ -143,14 +150,14 @@ func expE1(scale int) error {
 			} else if payload > 0 {
 				ratio = fmt.Sprintf("%.2fx smaller", float64(rawBytes)/float64(payload))
 			}
-			fmt.Printf("%-10d %-10v %-14d %-12s %s\n", rows, compress, payload, elapsed.Round(time.Microsecond), ratio)
+			fmt.Fprintf(w, "%-10d %-10v %-14d %-12s %s\n", rows, compress, payload, elapsed.Round(time.Microsecond), ratio)
 		}
 		fx.Close()
 	}
 	return nil
 }
 
-func expE2(scale int) error {
+func expE2(w io.Writer, scale int) error {
 	rows := 100000 * scale
 	fx, err := bench.StartServer(
 		`CREATE TABLE numbers (i INTEGER)`,
@@ -161,7 +168,7 @@ func expE2(scale int) error {
 		return err
 	}
 	defer fx.Close()
-	fmt.Printf("%-12s %-12s %-14s %s\n", "sampleSize", "shippedRows", "payloadBytes", "time")
+	fmt.Fprintf(w, "%-12s %-12s %-14s %s\n", "sampleSize", "shippedRows", "payloadBytes", "time")
 	for _, sample := range []int{0, rows / 2, rows / 10, rows / 100} {
 		c, err := newFixtureClient(fx, `SELECT mean_deviation(i) FROM numbers`,
 			devudf.TransferOptions{SampleSize: sample, Seed: 42})
@@ -183,13 +190,13 @@ func expE2(scale int) error {
 		if sample > 0 {
 			label = fmt.Sprintf("%d", sample)
 		}
-		fmt.Printf("%-12s %-12d %-14d %s\n", label, info.SampleRows, info.PayloadBytes, elapsed.Round(time.Microsecond))
+		fmt.Fprintf(w, "%-12s %-12d %-14d %s\n", label, info.SampleRows, info.PayloadBytes, elapsed.Round(time.Microsecond))
 	}
 	return nil
 }
 
-func expE3(scale int) error {
-	fmt.Printf("%-10s %-10s %-14s %s\n", "rows", "encrypt", "payloadBytes", "time")
+func expE3(w io.Writer, scale int) error {
+	fmt.Fprintf(w, "%-10s %-10s %-14s %s\n", "rows", "encrypt", "payloadBytes", "time")
 	for _, rows := range []int{10000 * scale, 100000 * scale} {
 		fx, err := bench.StartServer(
 			`CREATE TABLE numbers (i INTEGER)`,
@@ -217,7 +224,7 @@ func expE3(scale int) error {
 				fx.Close()
 				return err
 			}
-			fmt.Printf("%-10d %-10v %-14d %s\n", rows, encrypt, payload, elapsed.Round(time.Microsecond))
+			fmt.Fprintf(w, "%-10d %-10v %-14d %s\n", rows, encrypt, payload, elapsed.Round(time.Microsecond))
 		}
 		fx.Close()
 	}
@@ -228,7 +235,7 @@ func expE3(scale int) error {
 // traditional way (re-CREATE on the server + re-run the full query
 // remotely, every time) versus the devUDF way (extract inputs once, then
 // iterate locally).
-func expE4(scale int) error {
+func expE4(w io.Writer, scale int) error {
 	rows := 50000 * scale
 	fx, err := bench.StartServer(
 		`CREATE TABLE numbers (i INTEGER)`,
@@ -264,10 +271,10 @@ func expE4(scale int) error {
 		}
 		return time.Since(start), nil
 	}
-	fmt.Printf("input: %d rows; one probe = edit body + observe result;\n", rows)
-	fmt.Printf("devUDF pays one extract, then iterates locally (optionally on a 1%% sample —\n")
-	fmt.Printf("the §2.1 option offered exactly to alleviate this overhead)\n")
-	fmt.Printf("%-12s %-15s %-15s %-18s %s\n", "iterations", "traditional", "devUDF(full)", "devUDF(1% sample)", "speedup(sampled)")
+	fmt.Fprintf(w, "input: %d rows; one probe = edit body + observe result;\n", rows)
+	fmt.Fprintf(w, "devUDF pays one extract, then iterates locally (optionally on a 1%% sample —\n")
+	fmt.Fprintf(w, "the §2.1 option offered exactly to alleviate this overhead)\n")
+	fmt.Fprintf(w, "%-12s %-15s %-15s %-18s %s\n", "iterations", "traditional", "devUDF(full)", "devUDF(1% sample)", "speedup(sampled)")
 	for _, k := range []int{1, 2, 5, 10} {
 		// traditional: k × (CREATE OR REPLACE + remote query)
 		c, err := newFixtureClient(fx, query, devudf.TransferOptions{})
@@ -301,15 +308,15 @@ func expE4(scale int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-12d %-15s %-15s %-18s %.2fx\n", k,
+		fmt.Fprintf(w, "%-12d %-15s %-15s %-18s %.2fx\n", k,
 			trad.Round(time.Microsecond), devFull.Round(time.Microsecond),
 			devSampled.Round(time.Microsecond), float64(trad)/float64(devSampled))
 	}
 	return nil
 }
 
-func expE5(scale int) error {
-	fmt.Printf("%-10s %-22s %-14s %s\n", "rows", "model", "time", "slowdown")
+func expE5(w io.Writer, scale int) error {
+	fmt.Fprintf(w, "%-10s %-22s %-14s %s\n", "rows", "model", "time", "slowdown")
 	for _, rows := range []int{1000 * scale, 10000 * scale} {
 		var opTime time.Duration
 		for _, mode := range []monetlite.Mode{monetlite.ModeOperatorAtATime, monetlite.ModeTupleAtATime} {
@@ -339,14 +346,14 @@ func expE5(scale int) error {
 			} else if opTime > 0 {
 				slow = fmt.Sprintf("%.1fx slower", float64(elapsed)/float64(opTime))
 			}
-			fmt.Printf("%-10d %-22s %-14s %s\n", rows, mode, elapsed.Round(time.Microsecond), slow)
+			fmt.Fprintf(w, "%-10d %-22s %-14s %s\n", rows, mode, elapsed.Round(time.Microsecond), slow)
 			fx.Close()
 		}
 	}
 	return nil
 }
 
-func expE6(scale int) error {
+func expE6(w io.Writer, scale int) error {
 	setup := []string{
 		`CREATE TABLE trainingset (data DOUBLE, labels INTEGER)`,
 		`CREATE TABLE testingset (data DOUBLE, labels INTEGER)`,
@@ -386,15 +393,15 @@ func expE6(scale int) error {
 		return err
 	}
 	localTime := time.Since(startLocal)
-	fmt.Printf("imported (incl. nested): %s\n", strings.Join(imported, ", "))
-	fmt.Printf("%-22s %-14s best n_estimators\n", "where", "time")
-	fmt.Printf("%-22s %-14s %d\n", "server (in-DB)", serverTime.Round(time.Microsecond), serverBest)
-	fmt.Printf("%-22s %-14s %s\n", "devUDF (local+nested)", localTime.Round(time.Microsecond), local.Value.Repr())
+	fmt.Fprintf(w, "imported (incl. nested): %s\n", strings.Join(imported, ", "))
+	fmt.Fprintf(w, "%-22s %-14s best n_estimators\n", "where", "time")
+	fmt.Fprintf(w, "%-22s %-14s %d\n", "server (in-DB)", serverTime.Round(time.Microsecond), serverBest)
+	fmt.Fprintf(w, "%-22s %-14s %s\n", "devUDF (local+nested)", localTime.Round(time.Microsecond), local.Value.Repr())
 	return nil
 }
 
-func expE7(scale int) error {
-	fmt.Printf("%-10s %-22s %-14s %s\n", "rows", "strategy", "time", "bytes over wire")
+func expE7(w io.Writer, scale int) error {
+	fmt.Fprintf(w, "%-10s %-22s %-14s %s\n", "rows", "strategy", "time", "bytes over wire")
 	for _, rows := range []int{10000 * scale, 100000 * scale} {
 		fx, err := bench.StartServer(
 			`CREATE TABLE numbers (i INTEGER)`,
@@ -432,15 +439,15 @@ func expE7(scale int) error {
 		}
 		pull := time.Since(start)
 		pullBytes := cli.BytesRead - inDBBytes
-		fmt.Printf("%-10d %-22s %-14s %d\n", rows, "in-DB UDF", inDB.Round(time.Microsecond), inDBBytes)
-		fmt.Printf("%-10d %-22s %-14s %d\n", rows, "client pull+compute", pull.Round(time.Microsecond), pullBytes)
+		fmt.Fprintf(w, "%-10d %-22s %-14s %d\n", rows, "in-DB UDF", inDB.Round(time.Microsecond), inDBBytes)
+		fmt.Fprintf(w, "%-10d %-22s %-14s %d\n", rows, "client pull+compute", pull.Round(time.Microsecond), pullBytes)
 		cli.Close()
 		fx.Close()
 	}
 	return nil
 }
 
-func expSA(int) error {
+func expSA(w io.Writer, _ int) error {
 	fx, err := bench.StartServer(
 		`CREATE TABLE numbers (i INTEGER)`,
 		`INSERT INTO numbers VALUES (1), (2), (3), (4), (100)`,
@@ -455,7 +462,7 @@ func expSA(int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("buggy result on server: %g (differences cancel — the Listing 4 bug)\n",
+	fmt.Fprintf(w, "buggy result on server: %g (differences cancel — the Listing 4 bug)\n",
 		res.Table.Cols[0].Flts[0])
 
 	c, err := newFixtureClient(fx, `SELECT mean_deviation(i) FROM numbers`, devudf.TransferOptions{})
@@ -488,11 +495,11 @@ func expSA(int) error {
 			return err
 		}
 		i, _ := sess.Eval("i")
-		fmt.Printf("  breakpoint at line %d: i=%s distance=%s\n", ev.Line, i.Repr(), d.Repr())
+		fmt.Fprintf(w, "  breakpoint at line %d: i=%s distance=%s\n", ev.Line, i.Repr(), d.Repr())
 		ev = sess.Continue()
 	}
-	fmt.Println("debugger exposes a NEGATIVE running distance — a sum of absolute")
-	fmt.Println("deviations can never be negative, so the abs() is missing.")
+	fmt.Fprintln(w, "debugger exposes a NEGATIVE running distance — a sum of absolute")
+	fmt.Fprintln(w, "deviations can never be negative, so the abs() is missing.")
 
 	if err := c.EditBody("mean_deviation", bench.MeanDeviationFixedBody); err != nil {
 		return err
@@ -501,7 +508,7 @@ func expSA(int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("fixed locally: %s\n", local.Value.Repr())
+	fmt.Fprintf(w, "fixed locally: %s\n", local.Value.Repr())
 	if err := c.ExportUDFs(ctx, "mean_deviation"); err != nil {
 		return err
 	}
@@ -509,11 +516,11 @@ func expSA(int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("after export, server computes: %g\n", res.Table.Cols[0].Flts[0])
+	fmt.Fprintf(w, "after export, server computes: %g\n", res.Table.Cols[0].Flts[0])
 	return nil
 }
 
-func expSB(int) error {
+func expSB(w io.Writer, _ int) error {
 	fs := core.NewMemFS(map[string]string{
 		"csvs/a.csv": "1\n2\n3\n",
 		"csvs/b.csv": "4\n5\n",
@@ -535,7 +542,7 @@ func expSB(int) error {
 	}
 	n := res.Table.Cols[0].Ints[0]
 	total := res.Table.Cols[1].Ints[0]
-	fmt.Printf("buggy loader: %d rows, sum %d (c.csv with value 100 silently skipped)\n", n, total)
+	fmt.Fprintf(w, "buggy loader: %d rows, sum %d (c.csv with value 100 silently skipped)\n", n, total)
 
 	c, err := newFixtureClient(fx, `SELECT * FROM loadNumbers('csvs')`, devudf.TransferOptions{})
 	if err != nil {
@@ -563,8 +570,8 @@ return result`
 	if err != nil {
 		return err
 	}
-	fmt.Printf("fixed loader:  %d rows, sum %d (range was right-exclusive already —\n", res.Table.Cols[0].Ints[0], res.Table.Cols[1].Ints[0])
-	fmt.Println("the 'len(files) - 1' bound was the data-dependent bug)")
+	fmt.Fprintf(w, "fixed loader:  %d rows, sum %d (range was right-exclusive already —\n", res.Table.Cols[0].Ints[0], res.Table.Cols[1].Ints[0])
+	fmt.Fprintln(w, "the 'len(files) - 1' bound was the data-dependent bug)")
 	return nil
 }
 

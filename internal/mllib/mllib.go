@@ -3,10 +3,10 @@
 // and a `sklearn.ensemble.RandomForestClassifier` shim, so the paper's
 // Listings 1 and 3 (train_rnforest / find_best_classifier) run unmodified.
 //
-// The substitution is documented in DESIGN.md: the tooling claims the paper
-// makes (import/export/debug/pickle round-trips of a trained model) do not
-// depend on the statistical quality of the classifier, only on its API
-// surface — fit(data, labels), predict(data), pickling.
+// The substitution is safe because the tooling claims the paper makes
+// (import/export/debug/pickle round-trips of a trained model) do not depend
+// on the statistical quality of the classifier, only on its API surface —
+// fit(data, labels), predict(data), pickling.
 package mllib
 
 import (

@@ -47,6 +47,12 @@ const ProtoV2 byte = 2
 // Result sets larger than this travel the chunked streaming path.
 const maxFrame = 64 << 20
 
+// maxAuthFrame bounds the one frame read before credentials are checked:
+// room for EncodeAuth's three strings plus the version byte, so that a peer
+// who has proved nothing cannot make the server reserve maxFrame bytes with
+// a four-byte header.
+const maxAuthFrame = 4 << 10
+
 // DefaultChunkBytes is the target encoded size of one MsgResultChunk batch.
 const DefaultChunkBytes = 4 << 20
 
@@ -71,6 +77,13 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 
 // ReadFrame reads one frame.
 func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
+	return readFrameMax(r, maxFrame)
+}
+
+// readFrameMax reads one frame whose length header may claim at most limit
+// bytes; the body buffer is sized from the header, so limit is what a peer
+// can make the reader allocate.
+func readFrameMax(r io.Reader, limit uint32) (typ byte, payload []byte, err error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -79,7 +92,7 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 		return 0, nil, core.Wrapf(core.KindIO, err, "read frame header: %v", err)
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > maxFrame {
+	if n == 0 || n > limit {
 		return 0, nil, core.Errorf(core.KindProtocol, "bad frame length %d", n)
 	}
 	buf := make([]byte, n)

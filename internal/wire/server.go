@@ -679,7 +679,7 @@ func (s *Server) rejectConn(nc net.Conn) {
 	defer nc.Close()
 	s.connsRejected.Add(1)
 	_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, _, err := ReadFrame(nc); err != nil {
+	if _, _, err := readAuthFrame(nc); err != nil {
 		return
 	}
 	_ = WriteFrame(nc, MsgErr, EncodeError(core.KindOverload,
@@ -774,11 +774,22 @@ func errString(err error) string {
 	return err.Error()
 }
 
+// readAuthFrame reads a connection's opening frame under the pre-auth size
+// cap. A header that claims more (or zero) is answered with a typed protocol
+// error before any body is waited for; the caller hangs up.
+func readAuthFrame(nc net.Conn) (typ byte, payload []byte, err error) {
+	typ, payload, err = readFrameMax(nc, maxAuthFrame)
+	if core.KindOf(err) == core.KindProtocol {
+		_ = WriteFrame(nc, MsgErr, EncodeError(core.KindProtocol, errString(err)))
+	}
+	return typ, payload, err
+}
+
 // handshake authenticates one client. One that offers less than protocol
 // v2, or sends no version byte at all, is refused with a typed protocol
 // error before its credentials are looked at: every session speaks v2.
 func (s *Server) handshake(nc net.Conn) (*engine.Conn, error) {
-	typ, payload, err := ReadFrame(nc)
+	typ, payload, err := readAuthFrame(nc)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -237,6 +238,46 @@ func TestPreV2HandshakeRefused(t *testing.T) {
 			t.Fatalf("%s: v2 query after the refusal: %v %v", name, tbl, err)
 		}
 		c.Close()
+	}
+}
+
+// TestHandshakeRefusesOversizedAuthFrame: four bytes from a peer that has
+// proved nothing must not make the server reserve the 64 MiB they claim and
+// wait for it. The client sends only a frame header announcing maxFrame
+// bytes; the server answers with a typed protocol error straight from the
+// header and hangs up — on the normal handshake and on the over-MaxConns
+// refusal path alike.
+func TestHandshakeRefusesOversizedAuthFrame(t *testing.T) {
+	for name, maxConns := range map[string]int{"handshake": 0, "over MaxConns": 1} {
+		t.Run(name, func(t *testing.T) {
+			_, params := startConfiguredServer(t, func(s *Server) { s.MaxConns = maxConns })
+			if maxConns > 0 {
+				held, err := DialContext(background(), params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer held.Close()
+			}
+			nc, err := net.Dial("tcp", params.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
+			if _, err := nc.Write(binary.BigEndian.AppendUint32(nil, maxFrame)); err != nil {
+				t.Fatal(err)
+			}
+			typ, payload, err := ReadFrame(nc)
+			if err != nil || typ != MsgErr {
+				t.Fatalf("reply type %d, %v; want MsgErr without the body being sent", typ, err)
+			}
+			if derr := DecodeError(payload); core.KindOf(derr) != core.KindProtocol {
+				t.Fatalf("want a protocol error, got %v", derr)
+			}
+			if _, _, err := ReadFrame(nc); err != io.EOF {
+				t.Fatalf("connection must be closed after the refusal, read gave %v", err)
+			}
+		})
 	}
 }
 
