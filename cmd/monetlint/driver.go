@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"go/token"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,123 +15,120 @@ import (
 	"repro/internal/analysis/load"
 )
 
-// options carries the output flags shared by both driver modes.
-type options struct {
-	jsonOut bool
-	timing  bool
-}
-
-// resolveImportPath maps a filesystem-relative pattern ("./internal/wire",
-// ".") to its module import path; patterns already written as import paths
-// pass through. Exits on paths outside the module.
-func resolveImportPath(pat, modDir, modPath string) string {
-	if !strings.HasPrefix(pat, "./") && pat != "." {
-		return pat
-	}
-	abs, err := filepath.Abs(pat)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "monetlint: %v\n", err)
-		os.Exit(1)
-	}
-	rel, err := filepath.Rel(modDir, abs)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		fmt.Fprintf(os.Stderr, "monetlint: %s is outside module %s\n", pat, modPath)
-		os.Exit(1)
-	}
-	if rel == "." {
-		return modPath
-	}
-	return modPath + "/" + filepath.ToSlash(rel)
-}
-
-// runStandalone loads packages from source and applies the analyzers.
-// Exits 2 if any diagnostics were reported, 1 on operational errors.
+// lint loads the packages the patterns name from the module around the
+// working directory and applies the analyzers. Findings, the summary line
+// and operational errors go to stderr; the -timing report goes to stdout.
+// It returns the exit code: 0 clean, 2 findings, 1 operational error.
 //
 // Packages are analyzed in dependency order sharing one fact store:
 // analyzers that declare FactTypes also run (silently) over module-local
-// dependencies of the requested packages, so facts like "this engine
-// function returns cancellable errors" are in place before the packages
+// dependencies of the requested packages, so facts like "goroutines
+// running this function are bounded" are in place before the packages
 // that need them are checked.
-func runStandalone(patterns []string, analyzers []*analysis.Analyzer, opts options) {
+func lint(patterns []string, analyzers []*analysis.Analyzer, timing bool, stdout, stderr io.Writer) int {
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "monetlint: %v\n", err)
+		return 1
+	}
 	modDir, modPath, err := findModule()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "monetlint: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	loader := load.New(load.Config{ModulePath: modPath, ModuleDir: modDir})
-
-	var paths []string
-	for _, pat := range patterns {
-		switch {
-		case pat == "./..." || pat == "...":
-			all, err := loader.ModulePackages()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "monetlint: %v\n", err)
-				os.Exit(1)
-			}
-			paths = append(paths, all...)
-		case strings.HasSuffix(pat, "/..."):
-			// Subtree wildcard: every module package at or under the base.
-			base := resolveImportPath(strings.TrimSuffix(pat, "/..."), modDir, modPath)
-			all, err := loader.ModulePackages()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "monetlint: %v\n", err)
-				os.Exit(1)
-			}
-			n := len(paths)
-			for _, p := range all {
-				if p == base || strings.HasPrefix(p, base+"/") {
-					paths = append(paths, p)
-				}
-			}
-			if len(paths) == n {
-				fmt.Fprintf(os.Stderr, "monetlint: no packages match %s\n", pat)
-				os.Exit(1)
-			}
-		case strings.HasPrefix(pat, "./"):
-			paths = append(paths, resolveImportPath(pat, modDir, modPath))
-		default:
-			paths = append(paths, pat)
-		}
+	paths, err := expand(patterns, loader, modDir, modPath)
+	if err != nil {
+		return fail(err)
 	}
-
-	analysis.RegisterFactTypes(analyzers)
-	r := &runner{
-		fset:   loader.Fset(),
-		facts:  analysis.NewFactStore(),
-		opts:   opts,
-		counts: map[string]int{},
-		times:  map[string]time.Duration{},
-	}
-
 	targets := map[string]bool{}
 	for _, path := range paths {
 		if _, err := loader.LoadPath(path); err != nil {
-			fmt.Fprintf(os.Stderr, "monetlint: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		targets[path] = true
 	}
 
+	r := &runner{
+		fset:   loader.Fset(),
+		facts:  analysis.NewFactStore(),
+		stderr: stderr,
+		counts: map[string]int{},
+		times:  map[string]time.Duration{},
+	}
 	factAnalyzers := withFacts(analyzers)
-	exit := 0
 	for _, pkg := range depOrder(loader, paths) {
+		// A dependency of a target is visited for its facts only.
+		as, report := factAnalyzers, false
 		if targets[pkg.Path] {
-			if n := r.run(pkg, analyzers, true); n > 0 {
-				exit = 2
-			}
-		} else if len(factAnalyzers) > 0 {
-			// Dependency of a target: compute facts only.
-			r.run(pkg, factAnalyzers, false)
+			as, report = analyzers, true
+		}
+		if err := r.run(pkg, as, report); err != nil {
+			return fail(err)
 		}
 	}
-	if opts.timing {
-		printTiming(os.Stdout, opts.jsonOut, r.times)
+	if timing {
+		printTiming(stdout, r.times)
 	}
-	if exit != 0 {
-		fmt.Fprintln(os.Stderr, summaryLine(r.counts))
+	if len(r.counts) > 0 {
+		fmt.Fprintln(stderr, summaryLine(r.counts))
+		return 2
 	}
-	os.Exit(exit)
+	return 0
+}
+
+// expand turns package patterns into module import paths: "./..." and
+// "dir/..." wildcards walk the module tree, "./dir" resolves against the
+// working directory, anything else is taken as an import path.
+func expand(patterns []string, loader *load.Loader, modDir, modPath string) ([]string, error) {
+	var paths []string
+	for _, pat := range patterns {
+		base, wildcard := strings.CutSuffix(pat, "/...")
+		if pat == "..." {
+			base, wildcard = ".", true
+		}
+		base, err := resolveImportPath(base, modDir, modPath)
+		if err != nil {
+			return nil, err
+		}
+		if !wildcard {
+			paths = append(paths, base)
+			continue
+		}
+		all, err := loader.ModulePackages()
+		if err != nil {
+			return nil, err
+		}
+		n := len(paths)
+		for _, p := range all {
+			if p == base || strings.HasPrefix(p, base+"/") {
+				paths = append(paths, p)
+			}
+		}
+		if len(paths) == n {
+			return nil, fmt.Errorf("no packages match %s", pat)
+		}
+	}
+	return paths, nil
+}
+
+// resolveImportPath maps a filesystem-relative pattern ("./internal/wire",
+// ".") to its module import path; patterns already written as import paths
+// pass through. Paths outside the module are an error.
+func resolveImportPath(pat, modDir, modPath string) (string, error) {
+	if !strings.HasPrefix(pat, "./") && pat != "." {
+		return pat, nil
+	}
+	abs, err := filepath.Abs(pat)
+	if err != nil {
+		return "", err
+	}
+	rel, err := filepath.Rel(modDir, abs)
+	if err != nil || strings.HasPrefix(rel, "..") {
+		return "", fmt.Errorf("%s is outside module %s", pat, modPath)
+	}
+	if rel == "." {
+		return modPath, nil
+	}
+	return modPath + "/" + filepath.ToSlash(rel), nil
 }
 
 // withFacts filters analyzers to those declaring fact types.
@@ -168,19 +166,19 @@ func depOrder(loader *load.Loader, targets []string) []*load.Package {
 }
 
 // runner applies analyzers to packages, accumulating facts, per-analyzer
-// diagnostic counts, and wall times across the whole run.
+// finding counts, and wall times across the whole run.
 type runner struct {
 	fset   *token.FileSet
 	facts  *analysis.FactStore
-	opts   options
+	stderr io.Writer
 	counts map[string]int
 	times  map[string]time.Duration
 }
 
-// run applies the analyzers to one package. When report is false the
-// package is being visited only for its facts: diagnostics are discarded
-// and do not count toward the exit status. Returns the reported count.
-func (r *runner) run(pkg *load.Package, analyzers []*analysis.Analyzer, report bool) int {
+// run applies the analyzers to one package and prints its findings in
+// position order. When report is false the package is being visited only
+// for its facts: diagnostics are discarded and do not count.
+func (r *runner) run(pkg *load.Package, analyzers []*analysis.Analyzer, report bool) error {
 	type record struct {
 		analyzer string
 		pos      token.Position
@@ -205,8 +203,7 @@ func (r *runner) run(pkg *load.Package, analyzers []*analysis.Analyzer, report b
 		err := a.Run(pass)
 		r.times[a.Name] += time.Since(start)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "monetlint: %s: %s: %v\n", pkg.Path, a.Name, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
 		}
 	}
 	sort.Slice(recs, func(i, j int) bool {
@@ -221,21 +218,9 @@ func (r *runner) run(pkg *load.Package, analyzers []*analysis.Analyzer, report b
 	})
 	for _, rec := range recs {
 		r.counts[rec.analyzer]++
+		fmt.Fprintf(r.stderr, "%s: %s [%s]\n", rec.pos, rec.msg, rec.analyzer)
 	}
-	if r.opts.jsonOut {
-		byAnalyzer := map[string][]diagJSON{}
-		for _, rec := range recs {
-			byAnalyzer[rec.analyzer] = append(byAnalyzer[rec.analyzer], diagJSON{Posn: rec.pos.String(), Message: rec.msg})
-		}
-		if len(byAnalyzer) > 0 {
-			printDiags(os.Stdout, true, pkg.Path, byAnalyzer)
-		}
-		return len(recs)
-	}
-	for _, rec := range recs {
-		fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", rec.pos, rec.msg, rec.analyzer)
-	}
-	return len(recs)
+	return nil
 }
 
 // summaryLine renders the non-zero exit summary: total findings plus a
@@ -260,6 +245,19 @@ func summaryLine(counts map[string]int) string {
 		noun = "finding"
 	}
 	return fmt.Sprintf("monetlint: %d %s (%s)", total, noun, strings.Join(parts, " "))
+}
+
+// printTiming renders per-analyzer wall time accumulated over the run,
+// one line per analyzer.
+func printTiming(w io.Writer, times map[string]time.Duration) {
+	names := make([]string, 0, len(times))
+	for name := range times {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(w, "monetlint: timing: %-14s %s\n", name, times[name].Round(10*time.Microsecond))
+	}
 }
 
 // findModule walks up from the working directory to go.mod and reads the

@@ -1,90 +1,37 @@
 // Command monetlint runs the repo's static-analysis suite
-// (internal/analysis/suite) over the module. It supports two modes:
+// (internal/analysis/suite) over the module:
 //
-//	monetlint ./...                     standalone: loads packages from
-//	                                    source and prints findings
-//	go vet -vettool=<monetlint> ./...   vet tool: speaks the cmd/go
-//	                                    unitchecker protocol (-V=full,
-//	                                    -flags, a single *.cfg argument)
-//	                                    and typechecks from the export
-//	                                    data the go command hands it
+//	go run ./cmd/monetlint [flags] [package patterns]   (default ./...)
 //
-// Because `go run` deletes its binary on exit, -print-path copies the
-// running executable to a stable temp location and prints that path, so
-//
-//	go vet -vettool=$(go run ./cmd/monetlint -print-path) ./...
-//
-// works as documented in the README.
+// It loads packages from source, analyzes them in dependency order with
+// one in-memory fact store, prints one `file:line:col: message [analyzer]`
+// line per finding to stderr and exits 2 if there were any.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/suite"
 )
 
 func main() {
-	log := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "monetlint: "+format+"\n", args...)
-		os.Exit(1)
-	}
-
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: monetlint [flags] [package pattern | unit.cfg]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: monetlint [flags] [package patterns]\n\nAnalyzers:\n")
 		for _, a := range suite.Analyzers() {
 			fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, strings.SplitN(a.Doc, "\n", 2)[0])
 		}
 		flag.PrintDefaults()
 	}
-	flag.Var(versionFlag{}, "V", "print version and exit (cmd/go tool protocol)")
-	printFlags := flag.Bool("flags", false, "print analyzer flags in JSON (cmd/go tool protocol)")
-	printPath := flag.Bool("print-path", false, "copy this executable to a stable path and print it (for -vettool)")
-	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
-	timing := flag.Bool("timing", false, "report per-analyzer wall time (JSON object with -json, stderr lines otherwise)")
+	timing := flag.Bool("timing", false, "report per-analyzer wall time")
 	enabled := map[string]*bool{}
 	for _, a := range suite.Analyzers() {
 		enabled[a.Name] = flag.Bool(a.Name, false, "run only the "+a.Name+" analyzer (default: all)")
 	}
 	flag.Parse()
-
-	switch {
-	case *printFlags:
-		type jsonFlag struct {
-			Name  string
-			Bool  bool
-			Usage string
-		}
-		var out []jsonFlag
-		flag.VisitAll(func(f *flag.Flag) {
-			if f.Name == "V" || f.Name == "flags" || f.Name == "print-path" {
-				return
-			}
-			out = append(out, jsonFlag{Name: f.Name, Bool: true, Usage: f.Usage})
-		})
-		data, err := json.Marshal(out)
-		if err != nil {
-			log("%v", err)
-		}
-		os.Stdout.Write(data)
-		return
-	case *printPath:
-		path, err := stablePath()
-		if err != nil {
-			log("%v", err)
-		}
-		fmt.Println(path)
-		return
-	}
 
 	analyzers := suite.Analyzers()
 	var picked []*analysis.Analyzer
@@ -97,121 +44,9 @@ func main() {
 		analyzers = picked
 	}
 
-	opts := options{jsonOut: *jsonOut, timing: *timing}
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		runUnit(args[0], analyzers, opts)
-		return
+	patterns := flag.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	runStandalone(args, analyzers, opts)
-}
-
-// versionFlag implements the cmd/go -V=full handshake: print a tool
-// identity line whose buildID changes with the binary, so the go command
-// can cache vet results keyed on the tool version.
-type versionFlag struct{}
-
-func (versionFlag) IsBoolFlag() bool { return true }
-func (versionFlag) Get() any         { return nil }
-func (versionFlag) String() string   { return "" }
-func (versionFlag) Set(s string) error {
-	if s != "full" && s != "true" {
-		return fmt.Errorf("unsupported: -V=%s", s)
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	data, err := os.ReadFile(exe)
-	if err != nil {
-		return err
-	}
-	sum := sha256.Sum256(data)
-	name := strings.TrimSuffix(filepath.Base(exe), ".exe")
-	fmt.Printf("%s version devel buildID=%02x\n", name, sum[:16])
-	os.Exit(0)
-	return nil
-}
-
-// stablePath copies the running executable somewhere `go run` will not
-// delete, named by content hash so a rebuilt tool gets a fresh path.
-func stablePath() (string, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return "", err
-	}
-	data, err := os.ReadFile(exe)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	dest := filepath.Join(os.TempDir(), fmt.Sprintf("monetlint-%x", sum[:8]))
-	if _, err := os.Stat(dest); err == nil {
-		return dest, nil
-	}
-	tmp, err := os.CreateTemp(os.TempDir(), "monetlint-partial-*")
-	if err != nil {
-		return "", err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return "", err
-	}
-	if err := tmp.Close(); err != nil {
-		return "", err
-	}
-	if err := os.Chmod(tmp.Name(), 0o755); err != nil {
-		return "", err
-	}
-	if err := os.Rename(tmp.Name(), dest); err != nil {
-		return "", err
-	}
-	return dest, nil
-}
-
-// printDiags renders diagnostics in the vet text format or, with -json,
-// in the nested object form go vet -json expects.
-func printDiags(w io.Writer, jsonOut bool, pkgPath string, byAnalyzer map[string][]diagJSON) {
-	if jsonOut {
-		out := map[string]map[string][]diagJSON{pkgPath: byAnalyzer}
-		data, _ := json.MarshalIndent(out, "", "\t")
-		fmt.Fprintf(w, "%s\n", data)
-		return
-	}
-	for name, ds := range byAnalyzer {
-		for _, d := range ds {
-			fmt.Fprintf(w, "%s: %s [%s]\n", d.Posn, d.Message, name)
-		}
-	}
-}
-
-type diagJSON struct {
-	Posn    string `json:"posn"`
-	Message string `json:"message"`
-}
-
-// printTiming renders per-analyzer wall time accumulated over the run:
-// with -json a single {"timing": {analyzer: milliseconds}} object after
-// the diagnostics, otherwise one stderr line per analyzer.
-func printTiming(w io.Writer, jsonOut bool, times map[string]time.Duration) {
-	names := make([]string, 0, len(times))
-	for name := range times {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	if jsonOut {
-		ms := make(map[string]float64, len(times))
-		for name, d := range times {
-			ms[name] = float64(d.Microseconds()) / 1000
-		}
-		data, _ := json.MarshalIndent(map[string]map[string]float64{"timing": ms}, "", "\t")
-		fmt.Fprintf(w, "%s\n", data)
-		return
-	}
-	for _, name := range names {
-		fmt.Fprintf(os.Stderr, "monetlint: timing: %-14s %s\n", name, times[name].Round(10*time.Microsecond))
-	}
+	os.Exit(lint(patterns, analyzers, *timing, os.Stdout, os.Stderr))
 }

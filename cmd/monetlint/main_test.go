@@ -2,13 +2,98 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/analysis/suite"
 )
+
+// fixtureDir is resolved at init, before any test changes directory.
+var fixtureDir, _ = filepath.Abs(filepath.Join("testdata", "lintmod"))
+
+// lintFixture copies the fixture module to a scratch directory (so a test
+// may edit it), makes it the working directory and runs the whole suite.
+func lintFixture(t *testing.T, edit func(dir string), patterns ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(fixtureDir)); err != nil {
+		t.Fatal(err)
+	}
+	if edit != nil {
+		edit(dir)
+	}
+	t.Chdir(dir)
+	var out, errw bytes.Buffer
+	code = lint(patterns, suite.Analyzers(), false, &out, &errw)
+	return code, out.String(), errw.String()
+}
+
+func TestLintReportsSeededViolation(t *testing.T) {
+	code, stdout, stderr := lintFixture(t, nil, "./...")
+	if code != 2 {
+		t.Errorf("exit code = %d, want 2", code)
+	}
+	if stdout != "" {
+		t.Errorf("stdout = %q, want nothing without -timing", stdout)
+	}
+	lines := strings.Split(strings.TrimSpace(stderr), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("stderr = %q, want the one finding (nested module not walked) and the summary", stderr)
+	}
+	finding := filepath.Join("bad", "bad.go") + ":12:41: fmt.Errorf formats an error with %v"
+	if !strings.Contains(lines[0], finding) || !strings.HasSuffix(lines[0], " [errwrap]") {
+		t.Errorf("finding line = %q, want ...%s... [errwrap]", lines[0], finding)
+	}
+	if lines[1] != "monetlint: 1 finding (errwrap:1)" {
+		t.Errorf("summary line = %q", lines[1])
+	}
+}
+
+func TestLintCleanTree(t *testing.T) {
+	code, stdout, stderr := lintFixture(t, func(dir string) {
+		if err := os.RemoveAll(filepath.Join(dir, "bad")); err != nil {
+			t.Fatal(err)
+		}
+	}, "./...")
+	if code != 0 || stdout != "" || stderr != "" {
+		t.Errorf("clean tree: exit %d, stdout %q, stderr %q; want 0 and silence", code, stdout, stderr)
+	}
+}
+
+// TestLintFactsFlowInDependencyOrder: app's goroutine is bounded only by
+// the receive in workers.Pump, a package that is neither a target nor
+// listed before app.
+func TestLintFactsFlowInDependencyOrder(t *testing.T) {
+	if code, _, stderr := lintFixture(t, nil, "./app"); code != 0 || stderr != "" {
+		t.Errorf("bounded through the workers fact: exit %d, stderr %q; want clean", code, stderr)
+	}
+	code, _, stderr := lintFixture(t, func(dir string) {
+		path := filepath.Join(dir, "workers", "workers.go")
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, bytes.Replace(src, []byte("\t<-done\n"), nil, 1), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}, "./app")
+	if code != 2 || !strings.Contains(stderr, "goroutine running Pump is not provably bounded") ||
+		!strings.Contains(stderr, "monetlint: 1 finding (goleak:1)") {
+		t.Errorf("bound removed from workers.Pump: exit %d, stderr %q; want the goleak finding", code, stderr)
+	}
+}
+
+func TestLintOperationalErrors(t *testing.T) {
+	for _, pat := range []string{"./missing/...", "../outside", "lintmod/nosuch"} {
+		code, _, stderr := lintFixture(t, nil, pat)
+		if code != 1 || !strings.HasPrefix(stderr, "monetlint: ") {
+			t.Errorf("pattern %s: exit %d, stderr %q; want 1 and a monetlint: line", pat, code, stderr)
+		}
+	}
+}
 
 func TestFindModule(t *testing.T) {
 	dir, path, err := findModule()
@@ -30,186 +115,26 @@ func TestFindModuleMissing(t *testing.T) {
 	}
 }
 
-func TestLanguageVersion(t *testing.T) {
-	cases := map[string]string{
-		"go1.24.0":       "go1.24",
-		"go1.24":         "go1.24",
-		"go1.22.11":      "go1.22",
-		"":               "",
-		"devel +abcdef":  "",
-		"weird-go1.24.0": "",
-	}
-	for in, want := range cases {
-		if got := languageVersion(in); got != want {
-			t.Errorf("languageVersion(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-func TestCompilerFor(t *testing.T) {
-	if got := compilerFor(""); got != "gc" {
-		t.Errorf("compilerFor(\"\") = %q", got)
-	}
-	if got := compilerFor("gccgo"); got != "gccgo" {
-		t.Errorf("compilerFor(gccgo) = %q", got)
-	}
-}
-
-func TestStablePath(t *testing.T) {
-	p1, err := stablePath()
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := os.Stat(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Mode()&0o100 == 0 {
-		t.Errorf("%s is not executable: %v", p1, info.Mode())
-	}
-	// Content-addressed: a second call returns the same path.
-	p2, err := stablePath()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
-		t.Errorf("stablePath not stable: %s vs %s", p1, p2)
-	}
-}
-
-func TestPrintDiagsText(t *testing.T) {
-	var buf bytes.Buffer
-	printDiags(&buf, false, "repro/internal/wire", map[string][]diagJSON{
-		"errwrap": {{Posn: "wire.go:10:2", Message: "broken chain"}},
-	})
-	got := buf.String()
-	if !strings.Contains(got, "wire.go:10:2: broken chain [errwrap]") {
-		t.Errorf("text output = %q", got)
-	}
-}
-
-func TestPrintDiagsJSON(t *testing.T) {
-	var buf bytes.Buffer
-	printDiags(&buf, true, "repro/internal/wire", map[string][]diagJSON{
-		"errwrap": {{Posn: "wire.go:10:2", Message: "broken chain"}},
-	})
-	var out map[string]map[string][]diagJSON
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("invalid JSON %q: %v", buf.String(), err)
-	}
-	ds := out["repro/internal/wire"]["errwrap"]
-	if len(ds) != 1 || ds[0].Message != "broken chain" {
-		t.Errorf("JSON round trip = %+v", out)
-	}
-}
-
-func TestVersionFlagInterface(t *testing.T) {
-	var v versionFlag
-	if !v.IsBoolFlag() || v.String() != "" || v.Get() != nil {
-		t.Error("versionFlag does not satisfy the cmd/go flag contract")
-	}
-	if err := v.Set("short"); err == nil {
-		t.Error("Set(short) should be rejected")
-	}
-}
-
-// TestRunUnitClean drives the unitchecker path end to end on a synthetic
-// dependency-free unit: parse, typecheck, facts file, no findings.
-func TestRunUnitClean(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "u.go")
-	if err := os.WriteFile(src, []byte("package u\n\nfunc F() int { return 1 }\n"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	vetx := filepath.Join(dir, "u.vetx")
-	cfg := unitConfig{
-		ID:         "u",
-		Compiler:   "gc",
-		Dir:        dir,
-		ImportPath: "example/u",
-		GoVersion:  "go1.24.0",
-		GoFiles:    []string{src},
-		VetxOutput: vetx,
-	}
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgPath := filepath.Join(dir, "u.cfg")
-	if err := os.WriteFile(cfgPath, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	runUnit(cfgPath, nil, options{})
-	if _, err := os.Stat(vetx); err != nil {
-		t.Errorf("facts file was not written: %v", err)
-	}
-}
-
-func TestRunUnitVetxOnly(t *testing.T) {
-	dir := t.TempDir()
-	vetx := filepath.Join(dir, "v.vetx")
-	cfg := unitConfig{ID: "v", VetxOnly: true, VetxOutput: vetx}
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgPath := filepath.Join(dir, "v.cfg")
-	if err := os.WriteFile(cfgPath, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	runUnit(cfgPath, nil, options{})
-	if _, err := os.Stat(vetx); err != nil {
-		t.Errorf("facts file was not written in VetxOnly mode: %v", err)
-	}
-}
-
-// TestStandardUnit: the go command never lists a unit in its own Standard
-// map, so the standard library is recognised by GOROOT — and skipped, so
-// that the vettool computes facts over exactly the packages the source
-// driver does.
-func TestStandardUnit(t *testing.T) {
-	t.Setenv("GOROOT", filepath.FromSlash("/opt/go"))
-	for dir, want := range map[string]bool{
-		"/opt/go/src/net":              true,
-		"/opt/go/src/vendor/x/y":       true,
-		"/opt/go/srcfoo":               false,
-		"/home/me/repro/internal/wire": false,
-		"internal/core":                false, // module units arrive with relative dirs
-	} {
-		cfg := unitConfig{ImportPath: "p", Dir: filepath.FromSlash(dir), Standard: map[string]bool{"fmt": true}}
-		if got := standardUnit(&cfg); got != want {
-			t.Errorf("standardUnit(%s) = %t, want %t", dir, got, want)
-		}
-	}
-	t.Setenv("GOROOT", "")
-	if standardUnit(&unitConfig{Dir: filepath.FromSlash("/opt/go/src/net")}) {
-		t.Error("without GOROOT nothing can be called standard")
-	}
-}
-
 func TestSummaryLine(t *testing.T) {
-	got := summaryLine(map[string]int{"errkind": 3, "goleak": 1, "quiet": 0})
-	want := "monetlint: 4 findings (errkind:3 goleak:1)"
+	got := summaryLine(map[string]int{"errwrap": 3, "goleak": 1, "quiet": 0})
+	want := "monetlint: 4 findings (errwrap:3 goleak:1)"
 	if got != want {
 		t.Errorf("summaryLine = %q, want %q", got, want)
 	}
-	if got := summaryLine(map[string]int{"poolescape": 1}); got != "monetlint: 1 finding (poolescape:1)" {
+	if got := summaryLine(map[string]int{"lockblock": 1}); got != "monetlint: 1 finding (lockblock:1)" {
 		t.Errorf("singular summaryLine = %q", got)
 	}
 }
 
-func TestPrintTimingJSON(t *testing.T) {
+func TestPrintTiming(t *testing.T) {
 	var buf bytes.Buffer
-	printTiming(&buf, true, map[string]time.Duration{
-		"errkind": 1500 * time.Microsecond,
+	printTiming(&buf, map[string]time.Duration{
 		"goleak":  250 * time.Microsecond,
+		"errwrap": 1500 * time.Microsecond,
 	})
-	var out map[string]map[string]float64
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("invalid JSON %q: %v", buf.String(), err)
-	}
-	if out["timing"]["errkind"] != 1.5 {
-		t.Errorf("timing JSON = %+v", out)
+	want := "monetlint: timing: errwrap        1.5ms\nmonetlint: timing: goleak         250µs\n"
+	if buf.String() != want {
+		t.Errorf("printTiming = %q, want %q", buf.String(), want)
 	}
 }
 
@@ -225,8 +150,8 @@ func TestResolveImportPath(t *testing.T) {
 		{modPath + "/internal/engine", modPath + "/internal/engine"},
 	}
 	for _, c := range cases {
-		if got := resolveImportPath(c.pat, modDir, modPath); got != c.want {
-			t.Errorf("resolveImportPath(%q) = %q, want %q", c.pat, got, c.want)
+		if got, err := resolveImportPath(c.pat, modDir, modPath); err != nil || got != c.want {
+			t.Errorf("resolveImportPath(%q) = %q, %v; want %q", c.pat, got, err, c.want)
 		}
 	}
 }

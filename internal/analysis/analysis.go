@@ -68,7 +68,7 @@ func (p *Pass) Preorder(fn func(ast.Node) bool) {
 // ForEachFunc visits every function body in the package — declarations
 // and function literals — skipping test files. Literals nested inside a
 // declaration are visited after it. This is the shared entry point of the
-// function-at-a-time analyzers (lockblock, poolescape, goleak, ...): fn
+// function-at-a-time analyzers (lockblock, interruptloop): fn
 // receives the enclosing *ast.FuncDecl (nil for a literal not inside one)
 // and the body.
 func (p *Pass) ForEachFunc(fn func(decl *ast.FuncDecl, lit *ast.FuncLit, body *ast.BlockStmt)) {

@@ -187,6 +187,13 @@ func TestDirectives(t *testing.T) {
 	if !(verbs[0] == "first" && verbs[1] == "second" || verbs[0] == "second" && verbs[1] == "first") {
 		t.Errorf("stacked verbs = %v", verbs)
 	}
+	// Only a directive that carries a reason suppresses.
+	if pass.HasDirective(stacked, "tool", "first") {
+		t.Errorf("HasDirective accepted the bare //tool:first")
+	}
+	if !pass.HasDirective(stacked, "tool", "second") {
+		t.Errorf("HasDirective missed the reasoned //tool:second")
+	}
 
 	// Same-line attachment inside a body, visible from the statement.
 	helper := findFunc(pass, "helper")

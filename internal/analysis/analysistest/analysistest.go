@@ -35,11 +35,10 @@ import (
 // If a declares FactTypes, it first runs silently over the fixture
 // package's own fixture-tree imports (dependencies first), sharing one
 // fact store — so a fixture can import a helper package and exercise
-// cross-package facts exactly as the drivers produce them.
+// cross-package facts exactly as the driver produces them.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, paths ...string) {
 	t.Helper()
 	loader := load.New(load.Config{SrcDirs: []string{filepath.Join(testdata, "src")}})
-	analysis.RegisterFactTypes([]*analysis.Analyzer{a})
 	for _, path := range paths {
 		t.Run(path, func(t *testing.T) {
 			t.Helper()

@@ -132,10 +132,8 @@ func checkKernelFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	if len(stores) == 0 || zeroes {
 		return
 	}
-	for _, d := range pass.FuncDirectives(fd.Body.Pos(), "colinvariant") {
-		if d.Verb == "zeroed" {
-			return
-		}
+	if pass.HasDirective(fd, "colinvariant", "zeroed") {
+		return
 	}
 	for _, s := range stores {
 		pass.Reportf(s.Pos(), "%s sets a Nulls bitmap without zeroing value slots under the set bits; call zeroUnderNulls (zero-copy GO-UDF contract) or annotate the function //colinvariant:zeroed", fd.Name.Name)

@@ -10,7 +10,7 @@ import (
 // mechanism of the monetlint suite (mirroring `//go:build`-style tool
 // directives). Examples:
 //
-//	//ctxflow:edge
+//	//ctxflow:edge nil-ctx fallback of the exported API
 //	//wireswitch:dispatch client-to-server
 //	//wireswitch:ignore MsgAuth -- handled during the handshake
 //	//lockblock:ok write lock intentionally serializes frame writes
@@ -154,16 +154,13 @@ func (p *Pass) FuncDirectives(pos token.Pos, tool string) []Directive {
 	return nil
 }
 
-// HasDirective reports whether node n carries tool:verb — attached to its
-// line or declared on its enclosing function.
+// HasDirective reports whether node n carries a reasoned tool:verb —
+// attached to its line or declared on its enclosing function. This is the
+// one place suppressions are recognized, and a bare directive is not one:
+// every suppression in the tree says why it is there.
 func (p *Pass) HasDirective(n ast.Node, tool, verb string) bool {
-	for _, d := range p.Attached(n, tool) {
-		if d.Verb == verb {
-			return true
-		}
-	}
-	for _, d := range p.FuncDirectives(n.Pos(), tool) {
-		if d.Verb == verb {
+	for _, d := range append(p.Attached(n, tool), p.FuncDirectives(n.Pos(), tool)...) {
+		if d.Verb == verb && d.Args != "" {
 			return true
 		}
 	}

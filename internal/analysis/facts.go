@@ -1,23 +1,17 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 	"sync"
 )
 
-// Fact is a cross-package datum an analyzer attaches to a package or to an
-// exported package-level object (function, method, var, type) so that
-// analysis of downstream packages can consult it — the mechanism behind
-// "this engine function can return a KindCancelled error" reaching the
-// wire package's errkind pass. Concrete fact types must be gob-encodable
-// pointers (the vet-tool driver serializes them into the .vetx facts file
-// the go command threads between compilation units) and must implement the
-// marker method.
+// Fact is a cross-package datum an analyzer attaches to an exported
+// package-level object (function, method, var, type) so that analysis of
+// downstream packages can consult it — the mechanism behind "a goroutine
+// running this function stops on a done signal" reaching the goleak pass
+// of a package that spawns it. Concrete fact types must be pointers and
+// must implement the marker method.
 //
 // This mirrors golang.org/x/tools/go/analysis.Fact, narrowed to
 // package-level objects: facts on locals are not addressable across
@@ -26,21 +20,19 @@ type Fact interface {
 	AFact() // marker method
 }
 
-// FactStore accumulates facts across the packages of one analysis run.
-// The standalone driver shares one store over all packages (analyzed in
-// dependency order); the vet-tool driver fills it from the .vetx files of
-// the unit's imports and serializes it back out for dependents. Safe for
-// concurrent use.
+// FactStore accumulates facts across the packages of one analysis run:
+// the driver shares one store over all packages, analyzed in dependency
+// order. Safe for concurrent use.
 type FactStore struct {
 	mu    sync.Mutex
 	facts map[factKey]Fact
 }
 
 // factKey addresses one fact: the analyzer that produced it and the
-// package or object it is attached to.
+// object it is attached to.
 type factKey struct {
 	analyzer string
-	object   string // "" for a package fact
+	object   string
 	pkg      string
 }
 
@@ -111,23 +103,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	return p.Facts.get(factKey{p.Analyzer.Name, key, obj.Pkg().Path()}, fact)
 }
 
-// ExportPackageFact records fact for the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	if p.Facts == nil || p.Pkg == nil {
-		return
-	}
-	p.Facts.put(factKey{p.Analyzer.Name, "", p.Pkg.Path()}, fact)
-}
-
-// ImportPackageFact copies the fact recorded for pkg by this analyzer into
-// *fact and reports whether one existed.
-func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
-	if p.Facts == nil || pkg == nil {
-		return false
-	}
-	return p.Facts.get(factKey{p.Analyzer.Name, "", pkg.Path()}, fact)
-}
-
 func (s *FactStore) put(k factKey, fact Fact) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -153,80 +128,4 @@ func (s *FactStore) get(k factKey, dst Fact) bool {
 	}
 	dv.Elem().Set(sv.Elem())
 	return true
-}
-
-// savedFact is the serialized form of one fact in a .vetx file.
-type savedFact struct {
-	Analyzer string
-	Object   string // "" for a package fact
-	Pkg      string
-	Fact     Fact
-}
-
-// RegisterFactTypes registers the concrete fact types of the analyzers
-// with gob, so Encode/Decode can round-trip them. Call once per process
-// before Encode or Decode.
-func RegisterFactTypes(analyzers []*Analyzer) {
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			gob.Register(f)
-		}
-	}
-}
-
-// Encode serializes every fact in the store — those imported from
-// dependencies included, so facts propagate transitively through the vet
-// units of intermediate packages.
-func (s *FactStore) Encode() ([]byte, error) {
-	s.mu.Lock()
-	saved := make([]savedFact, 0, len(s.facts))
-	for k, f := range s.facts {
-		saved = append(saved, savedFact{k.analyzer, k.object, k.pkg, f})
-	}
-	s.mu.Unlock()
-	sort.Slice(saved, func(i, j int) bool {
-		a, b := saved[i], saved[j]
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		if a.Pkg != b.Pkg {
-			return a.Pkg < b.Pkg
-		}
-		return a.Object < b.Object
-	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(saved); err != nil {
-		return nil, fmt.Errorf("encoding facts: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode merges a serialized facts file into the store. Unknown fact
-// types (an analyzer was removed or renamed) fail the decode; the driver
-// treats that as a stale facts file.
-func (s *FactStore) Decode(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var saved []savedFact
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&saved); err != nil {
-		return fmt.Errorf("decoding facts: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.facts == nil {
-		s.facts = make(map[factKey]Fact)
-	}
-	for _, sf := range saved {
-		s.facts[factKey{sf.Analyzer, sf.Object, sf.Pkg}] = sf.Fact
-	}
-	return nil
-}
-
-// Len reports the number of facts in the store (for tests and -timing
-// diagnostics).
-func (s *FactStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.facts)
 }

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"encoding/gob"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -16,8 +15,6 @@ type testFact struct {
 }
 
 func (*testFact) AFact() {}
-
-func init() { gob.Register(&testFact{}) }
 
 // typecheck parses and typechecks src as package path, returning a Pass
 // wired to the given store.
@@ -144,17 +141,6 @@ func Exported() {}
 	}
 }
 
-func TestPackageFactRoundTrip(t *testing.T) {
-	store := NewFactStore()
-	p := typecheckPass(t, "example.com/pf", `package pf
-`, store)
-	p.ExportPackageFact(&testFact{N: 3})
-	var got testFact
-	if !p.ImportPackageFact(p.Pkg, &got) || got.N != 3 {
-		t.Errorf("package fact = %+v, %v", got, got.N == 3)
-	}
-}
-
 func TestNilStoreIsNoOp(t *testing.T) {
 	p := typecheckPass(t, "example.com/nil", `package nilpkg
 
@@ -165,52 +151,5 @@ func F() {}
 	var got testFact
 	if p.ImportObjectFact(obj, &got) {
 		t.Error("import from nil store succeeded")
-	}
-}
-
-func TestEncodeDecodeMerge(t *testing.T) {
-	store := NewFactStore()
-	p := typecheckPass(t, "example.com/enc", `package enc
-
-func A() {}
-func B() {}
-`, store)
-	p.ExportObjectFact(lookupObj(t, p, "A"), &testFact{N: 1, S: "a"})
-	p.ExportObjectFact(lookupObj(t, p, "B"), &testFact{N: 2, S: "b"})
-	p.ExportPackageFact(&testFact{N: 9})
-
-	data, err := store.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Deterministic output: encoding twice yields identical bytes.
-	data2, err := store.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != string(data2) {
-		t.Error("Encode is not deterministic")
-	}
-
-	fresh := NewFactStore()
-	if err := fresh.Decode(data); err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Len() != store.Len() {
-		t.Errorf("decoded %d facts, want %d", fresh.Len(), store.Len())
-	}
-	p2 := *p
-	p2.Facts = fresh
-	var got testFact
-	if !p2.ImportObjectFact(lookupObj(t, p, "B"), &got) || got.S != "b" {
-		t.Errorf("decoded fact for B = %+v", got)
-	}
-	if !p2.ImportPackageFact(p.Pkg, &got) || got.N != 9 {
-		t.Errorf("decoded package fact = %+v", got)
-	}
-
-	// Decoding empty input is a no-op, not an error.
-	if err := fresh.Decode(nil); err != nil {
-		t.Errorf("Decode(nil) = %v", err)
 	}
 }

@@ -95,10 +95,7 @@ func newBoundedness(pass *analysis.Pass) *boundedness {
 }
 
 func (b *boundedness) checkSpawn(gs *ast.GoStmt) {
-	if ds := b.pass.Attached(gs, "goleak"); hasReasonedBound(ds) {
-		return
-	}
-	if ds := b.pass.FuncDirectives(gs.Pos(), "goleak"); hasReasonedBound(ds) {
+	if b.pass.HasDirective(gs, "goleak", "bounded") {
 		return
 	}
 	switch fun := ast.Unparen(gs.Call.Fun).(type) {
@@ -125,17 +122,6 @@ func (b *boundedness) checkSpawn(gs *ast.GoStmt) {
 		}
 		b.pass.Reportf(gs.Pos(), "goroutine running %s is not provably bounded: it never receives from a channel, selects, or calls WaitGroup.Done (annotate //goleak:bounded <reason> if bounded externally)", fn.Name())
 	}
-}
-
-// hasReasonedBound accepts only //goleak:bounded directives that carry a
-// reason, so every suppression documents the external bound.
-func hasReasonedBound(ds []analysis.Directive) bool {
-	for _, d := range ds {
-		if d.Verb == "bounded" && d.Args != "" {
-			return true
-		}
-	}
-	return false
 }
 
 // bounded reports whether body reaches a termination signal, following

@@ -221,8 +221,7 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 		if c.containsCheckpoint(body) {
 			return false
 		}
-		if reason, ok := c.exempted(n); ok {
-			_ = reason
+		if c.pass.HasDirective(n, "interruptloop", "exempt") {
 			return false
 		}
 		if msg := c.trigger(n, body, hotPol); msg != "" {
@@ -232,22 +231,6 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 		return true
 	}
 	ast.Inspect(fd.Body, visit)
-}
-
-// exempted reports whether a reasoned //interruptloop:exempt directive is
-// attached to the loop or its enclosing function.
-func (c *checker) exempted(n ast.Node) (string, bool) {
-	for _, d := range c.pass.Attached(n, "interruptloop") {
-		if d.Verb == "exempt" && d.Args != "" {
-			return d.Args, true
-		}
-	}
-	for _, d := range c.pass.FuncDirectives(n.Pos(), "interruptloop") {
-		if d.Verb == "exempt" && d.Args != "" {
-			return d.Args, true
-		}
-	}
-	return "", false
 }
 
 // trigger classifies a non-checkpointing loop; an empty string means the

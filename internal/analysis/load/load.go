@@ -3,8 +3,7 @@
 // module root, fixture roots (GOPATH-style src trees) shadow everything,
 // and the standard library is delegated to the compiler's source importer.
 // It is the package loader behind `monetlint ./...` and the analysistest
-// harness; under `go vet -vettool` the cheaper export-data path in
-// cmd/monetlint is used instead.
+// harness.
 package load
 
 import (
@@ -181,7 +180,7 @@ func (l *Loader) Load(path, dir string) (*Package, error) {
 // Cached returns the already-loaded package for an import path, or nil.
 // Packages this loader typechecked from source (module packages, fixture
 // packages) are cached; standard-library imports are not — which makes
-// Cached the "is this one of ours" test the fact-aware drivers use to
+// Cached the "is this one of ours" test monetlint and analysistest use to
 // order analysis by dependency.
 func (l *Loader) Cached(path string) *Package { return l.pkgs[path] }
 

@@ -104,6 +104,14 @@ func (s *session) serializedWrite(c net.Conn, buf []byte) {
 	c.Write(buf) //lockblock:ok the mutex exists to serialize frame writes
 }
 
+// A bare directive with no reason does not count as a suppression.
+func (s *session) unreasonedDirective(c net.Conn, buf []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	//lockblock:ok
+	c.Write(buf) // want `net.Conn.Write while holding s.mu`
+}
+
 type guarded struct {
 	mu sync.RWMutex
 	ch chan int

@@ -5,13 +5,10 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/colinvariant"
 	"repro/internal/analysis/ctxflow"
-	"repro/internal/analysis/errkind"
 	"repro/internal/analysis/errwrap"
 	"repro/internal/analysis/goleak"
-	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/interruptloop"
 	"repro/internal/analysis/lockblock"
-	"repro/internal/analysis/poolescape"
 	"repro/internal/analysis/wireswitch"
 )
 
@@ -20,13 +17,10 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		colinvariant.Analyzer,
 		ctxflow.Analyzer,
-		errkind.Analyzer,
 		errwrap.Analyzer,
 		goleak.Analyzer,
-		hotalloc.Analyzer,
 		interruptloop.Analyzer,
 		lockblock.Analyzer,
-		poolescape.Analyzer,
 		wireswitch.Analyzer,
 	}
 }

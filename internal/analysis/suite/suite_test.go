@@ -9,8 +9,8 @@ import (
 
 func TestAnalyzers(t *testing.T) {
 	as := suite.Analyzers()
-	if len(as) != 10 {
-		t.Fatalf("expected 10 analyzers, got %d", len(as))
+	if len(as) != 7 {
+		t.Fatalf("expected 7 analyzers, got %d", len(as))
 	}
 	seen := map[string]bool{}
 	for _, a := range as {
@@ -26,8 +26,8 @@ func TestAnalyzers(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"colinvariant", "ctxflow", "errkind", "errwrap", "goleak",
-		"hotalloc", "interruptloop", "lockblock", "poolescape", "wireswitch",
+		"colinvariant", "ctxflow", "errwrap", "goleak",
+		"interruptloop", "lockblock", "wireswitch",
 	} {
 		if !seen[want] {
 			t.Errorf("suite is missing analyzer %q", want)

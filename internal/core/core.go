@@ -4,6 +4,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -95,7 +96,22 @@ func Errorf(kind ErrorKind, format string, args ...any) *Error {
 
 // Wrapf constructs an *Error that wraps cause, so errors.Is/As see through
 // it while the kind/message still classify it for the wire and the CLI.
+//
+// A kind that drives behaviour survives wrapping: when cause is already
+// KindCancelled or KindOverload the new error keeps that kind whatever
+// kind argument the caller passed, so no layer can turn a cancellation
+// into a breaker-counted KindIO or a shed request into something
+// Retryable no longer recognises. A bare ctx.Err() is KindCancelled too.
+// That test is identity, not errors.Is: net's dial-timeout error answers
+// errors.Is(err, context.DeadlineExceeded), and a dialer timeout must
+// stay the KindIO that the pool retries and the breaker counts.
 func Wrapf(kind ErrorKind, cause error, format string, args ...any) *Error {
+	switch k := KindOf(cause); {
+	case k == KindCancelled || k == KindOverload:
+		kind = k
+	case cause == context.Canceled || cause == context.DeadlineExceeded:
+		kind = KindCancelled
+	}
 	return &Error{Kind: kind, Msg: fmt.Sprintf(format, args...), Err: cause}
 }
 

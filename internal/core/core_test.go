@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"testing"
 )
@@ -20,6 +23,51 @@ func TestErrorKinds(t *testing.T) {
 	}
 	if KindOf(fmt.Errorf("plain")) != KindUnknown {
 		t.Fatal("plain errors are KindUnknown")
+	}
+}
+
+// TestWrapfKeepsBehaviourDrivingKinds states the constructor rule: under
+// every kind argument, a KindCancelled or KindOverload cause (however
+// deeply wrapped) and a bare ctx.Err() keep their kind; any other cause
+// takes the kind the caller asked for.
+func TestWrapfKeepsBehaviourDrivingKinds(t *testing.T) {
+	cancelled := Errorf(KindCancelled, "query aborted")
+	overload := Errorf(KindOverload, "queue full")
+	causes := []struct {
+		name  string
+		cause error
+		want  ErrorKind // KindUnknown: the kind argument wins
+	}{
+		{"cancelled", cancelled, KindCancelled},
+		{"overload", overload, KindOverload},
+		{"cancelled wrapped twice", Wrapf(KindIO, Wrapf(KindRuntime, cancelled, "inner"), "outer"), KindCancelled},
+		{"overload wrapped twice", Wrapf(KindIO, Wrapf(KindRuntime, overload, "inner"), "outer"), KindOverload},
+		{"cancelled in %w", fmt.Errorf("exec: %w", cancelled), KindCancelled},
+		{"overload in %w", fmt.Errorf("exec: %w", overload), KindOverload},
+		{"context.Canceled", context.Canceled, KindCancelled},
+		{"context.DeadlineExceeded", context.DeadlineExceeded, KindCancelled},
+		{"io.EOF", io.EOF, KindUnknown},
+	}
+	for kind := KindUnknown; kind <= KindResource; kind++ {
+		for _, c := range causes {
+			want := c.want
+			if want == KindUnknown {
+				want = kind
+			}
+			err := Wrapf(kind, c.cause, "step failed: %v", c.cause)
+			if err.Kind != want || KindOf(fmt.Errorf("outer: %w", err)) != want {
+				t.Errorf("Wrapf(%v, %s).Kind = %v, want %v", kind, c.name, err.Kind, want)
+			}
+			if !errors.Is(err, c.cause) {
+				t.Errorf("Wrapf(%v, %s) hides its cause from errors.Is", kind, c.name)
+			}
+			if got := Retryable(err); got != (want == KindOverload) {
+				t.Errorf("Retryable(Wrapf(%v, %s)) = %t", kind, c.name, got)
+			}
+			if got := IsCancelled(err); got != (want == KindCancelled) {
+				t.Errorf("IsCancelled(Wrapf(%v, %s)) = %t", kind, c.name, got)
+			}
+		}
 	}
 }
 

@@ -844,7 +844,7 @@ func Logic(p Pol, and bool, l, r *storage.Column, n int) *storage.Column {
 			}
 		})
 	}
-	PutBools(rm) //poolescape:ignore rm is only borrowed by the synchronous p.Run closures above
+	PutBools(rm) // p.Run is synchronous: the closures above are done with rm
 	return out
 }
 

@@ -25,10 +25,10 @@ func noDeadline() time.Time { return time.Time{} }
 type DebugConn struct {
 	c *Client
 
-	wmu sync.Mutex // serializes writes and seq allocation
-	seq int
+	wmu sync.Mutex // serializes frame writes
 
 	pmu     sync.Mutex
+	seq     int // last key handed out for pending
 	pending map[int]chan DebugReply
 
 	qmu     sync.Mutex
@@ -201,7 +201,7 @@ func (dc *DebugConn) failed() error {
 func (dc *DebugConn) send(typ byte, payload []byte) error {
 	dc.wmu.Lock()
 	defer dc.wmu.Unlock()
-	//lockblock:ok the write mutex exists to serialize frame writes with seq allocation
+	//lockblock:ok the write mutex exists to serialize frame writes
 	return dc.c.send(typ, payload)
 }
 
@@ -212,15 +212,12 @@ func (dc *DebugConn) RoundTrip(ctx context.Context, req DebugRequest) (DebugRepl
 		ctx = context.Background() //ctxflow:edge nil-ctx fallback of the exported debug API
 	}
 	ch := make(chan DebugReply, 1)
-	dc.wmu.Lock()
+	dc.pmu.Lock()
 	dc.seq++
 	req.Seq = dc.seq
-	dc.pmu.Lock()
 	dc.pending[req.Seq] = ch
 	dc.pmu.Unlock()
-	err := dc.c.send(MsgDebug, EncodeDebugRequest(req)) //lockblock:ok the write mutex pairs the send with its seq allocation
-	dc.wmu.Unlock()
-	if err != nil {
+	if err := dc.send(MsgDebug, EncodeDebugRequest(req)); err != nil {
 		dc.pmu.Lock()
 		delete(dc.pending, req.Seq)
 		dc.pmu.Unlock()

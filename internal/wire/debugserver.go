@@ -13,9 +13,10 @@ import (
 	"repro/internal/udfrt"
 )
 
-// connWriter serializes frame writes to one connection so the main request
+// connWriter serializes writes to one connection so the main request
 // loop's responses and the debug controller's asynchronous event pushes
-// never interleave mid-frame (or mid-stream).
+// never interleave mid-frame (or mid-stream). Its two methods are the only
+// code that touches mu; callers encode before they call.
 type connWriter struct {
 	mu sync.Mutex
 	nc net.Conn
@@ -26,6 +27,15 @@ func (w *connWriter) writeFrame(typ byte, payload []byte) error {
 	defer w.mu.Unlock()
 	//lockblock:ok this mutex exists to serialize frame writes from the event and reply paths
 	return WriteFrame(w.nc, typ, payload)
+}
+
+// writeStream ships a chunked result as one unit: no other frame can land
+// between its chunks and its MsgResultEnd.
+func (w *connWriter) writeStream(msg string, t *storage.Table, chunkBytes int) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	//lockblock:ok this mutex exists to keep a result stream's frames contiguous
+	return WriteResultStream(w.nc, msg, t, chunkBytes)
 }
 
 // ctrlCmd is a resume command queued to the debug controller.

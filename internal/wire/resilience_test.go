@@ -546,6 +546,38 @@ func TestDialCancelIsKindCancelled(t *testing.T) {
 	}
 }
 
+// TestDialTimeoutIsKindIOAndRetried: a connect that outlives the dialer's
+// own timeout is the endpoint's failure, not the caller's. net reports it
+// with an error that answers errors.Is(err, context.DeadlineExceeded), and
+// it must still be the KindIO that the pool retries and the breaker counts
+// — core.Wrapf recognises a cancellation by identity, not by errors.Is.
+func TestDialTimeoutIsKindIOAndRetried(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	host, port, _ := splitHostPort(ln.Addr().String())
+	params := ConnParams{Host: host, Port: port, Database: "demo", User: "monetdb", Password: "secret"}
+	_, err = DialContext(background(), params, WithDialTimeout(time.Nanosecond))
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("dial under a 1ns dialer timeout = %v, want net's timeout error", err)
+	}
+	if core.KindOf(err) != core.KindIO || core.IsCancelled(err) {
+		t.Fatalf("dialer timeout = %v (kind %v), want KindIO", err, core.KindOf(err))
+	}
+	const attempts = 3
+	pool := NewPool(params, 1, WithDialTimeout(time.Nanosecond))
+	defer pool.Close()
+	pool.EnableRetry(RetryPolicy{MaxAttempts: attempts, BaseBackoff: time.Microsecond, BreakerThreshold: -1})
+	if _, _, err := pool.Query(background(), `SELECT 1`); core.KindOf(err) != core.KindIO {
+		t.Fatalf("pooled query = %v, want the KindIO of the last dial", err)
+	}
+	if got := pool.StatsSnapshot().Retries; got != attempts-1 {
+		t.Fatalf("%d retries, want %d: a dialer timeout is a transient transport failure", got, attempts-1)
+	}
+}
+
 // TestCancelledDialDoesNotTripBreaker: callers that give up while a
 // connection is being established — before the connect, or mid-handshake
 // against a server that accepted and then stalls — say nothing about the

@@ -734,36 +734,32 @@ func (sc *serverConn) admit(fr frame) {
 // writeResult ships a statement result: small results get the one-shot
 // MsgResult; results whose encoding crosses the stream threshold travel as
 // a MsgResultChunk/MsgResultEnd stream and are therefore not bounded by
-// the frame cap. The whole response is written under the connection's
-// write lock so a concurrent debug event push can never split a result
-// stream mid-frame.
+// the frame cap. Sizing and the one-shot encoding happen before the
+// connection's write lock is taken, so a debug event push waits for frame
+// writes only.
 func (sc *serverConn) writeResult(res *engine.Result) error {
 	s := sc.srv
-	sc.w.mu.Lock()
-	defer sc.w.mu.Unlock()
-	nc := sc.w.nc
-	if max := s.MaxResultBytes; max > 0 && res.Table != nil && EncodedTableSize(res.Table) > max {
-		//lockblock:ok the writer mutex exists to serialize result frames against debug-event frames
-		return WriteFrame(nc, MsgErr, EncodeError(core.KindResource,
+	if res.Table == nil {
+		return sc.w.writeFrame(MsgResult, EncodeResult(res.Msg, nil))
+	}
+	size := EncodedTableSize(res.Table)
+	if max := s.MaxResultBytes; max > 0 && size > max {
+		return sc.w.writeFrame(MsgErr, EncodeError(core.KindResource,
 			"result exceeds the per-query byte budget; add a LIMIT or raise the budget"))
 	}
-	if res.Table != nil {
-		threshold := s.StreamThreshold
-		if threshold == 0 {
-			threshold = 1 << 20
-		}
-		// A threshold at or above the frame cap would route unframeable
-		// results onto the one-shot path; anything near the cap must stream.
-		if threshold > maxFrame/2 {
-			threshold = maxFrame / 2
-		}
-		if threshold < 0 || EncodedTableSize(res.Table) > threshold {
-			//lockblock:ok the writer mutex exists to serialize result frames against debug-event frames
-			return WriteResultStream(nc, res.Msg, res.Table, s.ChunkBytes)
-		}
+	threshold := s.StreamThreshold
+	if threshold == 0 {
+		threshold = 1 << 20
 	}
-	//lockblock:ok the writer mutex exists to serialize result frames against debug-event frames
-	return WriteFrame(nc, MsgResult, EncodeResult(res.Msg, res.Table))
+	// A threshold at or above the frame cap would route unframeable
+	// results onto the one-shot path; anything near the cap must stream.
+	if threshold > maxFrame/2 {
+		threshold = maxFrame / 2
+	}
+	if threshold < 0 || size > threshold {
+		return sc.w.writeStream(res.Msg, res.Table, s.ChunkBytes)
+	}
+	return sc.w.writeFrame(MsgResult, EncodeResult(res.Msg, res.Table))
 }
 
 func errString(err error) string {
