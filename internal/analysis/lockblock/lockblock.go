@@ -9,7 +9,8 @@
 //     a select with default is non-blocking and allowed)
 //   - Callable.Call — running user UDF code under an engine lock
 //   - network IO: net.Conn reads/writes, wire.WriteFrame/ReadFrame/
-//     WriteResultStream, and the wire.Client send/recv methods
+//     WriteResultStream, the per-connection frameWriter's writeFrame/
+//     writeResultStream, and the wire.Client send/recv methods
 //
 // The analysis is intra-procedural and syntactic: it sees locks taken and
 // released in the same function (including defer'd unlocks). Intentional
@@ -275,6 +276,11 @@ func blockingCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 		switch fn.Name() {
 		case "send", "recv":
 			return "wire.Client." + fn.Name() + " (network IO)", true
+		}
+	case recv != nil && analysis.NamedFrom(recv.Type(), "internal/wire", "frameWriter"):
+		switch fn.Name() {
+		case "writeFrame", "writeResultStream":
+			return "wire.frameWriter." + fn.Name() + " (network IO)", true
 		}
 	case recv == nil && analysis.PathHasSegments(fn.Pkg().Path(), "internal/wire"):
 		switch fn.Name() {

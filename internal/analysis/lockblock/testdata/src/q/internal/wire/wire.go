@@ -12,6 +12,11 @@ import (
 // with this name in internal/wire are classified as network IO.
 func WriteFrame(c net.Conn, t byte, payload []byte) error { return nil }
 
+// frameWriter mimics the per-connection writer whose methods hit the network.
+type frameWriter struct{}
+
+func (fw *frameWriter) writeFrame(t byte, payload []byte) error { return nil }
+
 // Client mimics the wire client whose send/recv methods hit the network.
 type Client struct {
 	mu sync.Mutex
@@ -83,6 +88,12 @@ func (s *session) badFrame(c net.Conn) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	WriteFrame(c, 1, nil) // want `WriteFrame \(network IO\) while holding s.mu`
+}
+
+func (s *session) badConnFrame(fw *frameWriter) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fw.writeFrame(1, nil) // want `wire.frameWriter.writeFrame \(network IO\) while holding s.mu`
 }
 
 func (s *session) badUDF(fn udfrt.Callable) {

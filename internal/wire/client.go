@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"net"
 	"sync"
@@ -57,6 +58,11 @@ func itoa(n int) string {
 type Client struct {
 	params ConnParams
 	nc     net.Conn
+	// br is the connection's one reader. recv, Close's goodbye read and
+	// DebugConn's demux all read through it: bytes it has buffered are
+	// lost to anyone reading nc directly.
+	br     *bufio.Reader
+	fw     frameWriter
 	cfg    dialConfig
 	broken atomic.Bool // protocol desync (cancellation, IO error): do not reuse
 	// stmtCloses queues deferred server-side statement closes (see
@@ -97,12 +103,21 @@ func DialContext(ctx context.Context, p ConnParams, opts ...DialOption) (*Client
 		}
 		return nil, core.Wrapf(kind, err, "connect %s: %v", p.Addr(), err)
 	}
-	c := &Client{params: p, nc: nc, cfg: cfg}
-	if err := c.handshake(ctx); err != nil {
+	c, err := newClient(ctx, nc, p, cfg)
+	if err != nil {
 		nc.Close()
 		return nil, err
 	}
 	c.logf("wire: connected to %s (proto v%d)", p.Addr(), ProtoV2)
+	return c, nil
+}
+
+// newClient authenticates over an established connection.
+func newClient(ctx context.Context, nc net.Conn, p ConnParams, cfg dialConfig) (*Client, error) {
+	c := &Client{params: p, nc: nc, br: bufio.NewReader(nc), fw: frameWriter{w: nc}, cfg: cfg}
+	if err := c.handshake(ctx); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 
@@ -156,29 +171,28 @@ func (c *Client) logf(format string, args ...any) {
 	}
 }
 
-// watch arms a watchdog that unblocks pending socket IO when ctx is
+// watch arranges for pending socket IO to be unblocked when ctx is
 // cancelled, by forcing an immediate deadline. The returned stop function
-// disarms it and reports the context error, if it fired.
+// disarms it and reports the context error, if it fired; call it exactly
+// once.
 func (c *Client) watch(ctx context.Context) (stop func() error) {
 	if ctx == nil || ctx.Done() == nil {
 		return func() error { return nil }
 	}
-	stopCh := make(chan struct{})
-	doneCh := make(chan struct{})
-	go func() {
-		defer close(doneCh)
-		select {
-		case <-ctx.Done():
-			// The connection is now mid-protocol; poison it so a pool
-			// never hands it out again.
-			c.broken.Store(true)
-			_ = c.nc.SetDeadline(time.Now())
-		case <-stopCh:
-		}
-	}()
+	fired := make(chan struct{})
+	disarm := context.AfterFunc(ctx, func() {
+		defer close(fired)
+		// The connection is now mid-protocol; poison it so a pool never
+		// hands it out again.
+		c.broken.Store(true)
+		_ = c.nc.SetDeadline(time.Now())
+	})
 	return func() error {
-		close(stopCh)
-		<-doneCh
+		if !disarm() {
+			// The callback has started: let it finish, or its deadline
+			// could land on whoever uses the connection next.
+			<-fired
+		}
 		if err := ctx.Err(); err != nil {
 			// The caller's context aborted the operation: surface it as a
 			// cancellation, not a transport failure, so core.IsCancelled
@@ -195,7 +209,7 @@ func (c *Client) send(typ byte, payload []byte) error {
 		_ = c.nc.SetWriteDeadline(time.Now().Add(c.cfg.writeTimeout))
 	}
 	c.BytesWritten += int64(len(payload)) + 5
-	if err := WriteFrame(c.nc, typ, payload); err != nil {
+	if err := c.fw.writeFrame(typ, payload); err != nil {
 		c.broken.Store(true)
 		return err
 	}
@@ -206,7 +220,7 @@ func (c *Client) recv() (byte, []byte, error) {
 	if c.cfg.readTimeout > 0 {
 		_ = c.nc.SetReadDeadline(time.Now().Add(c.cfg.readTimeout))
 	}
-	typ, payload, err := ReadFrame(c.nc)
+	typ, payload, err := ReadFrame(c.br)
 	if err != nil {
 		c.broken.Store(true)
 		return 0, nil, err
@@ -350,7 +364,7 @@ func (c *Client) Close() error {
 		_ = c.send(MsgClose, nil)
 		// best-effort read of the goodbye
 		_ = c.nc.SetReadDeadline(time.Now().Add(time.Second))
-		_, _, _ = ReadFrame(c.nc)
+		_, _, _ = ReadFrame(c.br)
 	}
 	c.broken.Store(true)
 	return c.nc.Close()

@@ -78,7 +78,7 @@ func (dc *DebugConn) readLoop() {
 	defer dc.finishRead()
 	var cur *queryAssembly
 	for {
-		typ, payload, err := ReadFrame(dc.c.nc)
+		typ, payload, err := ReadFrame(dc.c.br)
 		if err != nil {
 			dc.readErr = err
 			return

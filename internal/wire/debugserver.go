@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"net"
 	"strings"
 	"sync"
 
@@ -13,20 +12,21 @@ import (
 	"repro/internal/udfrt"
 )
 
-// connWriter serializes writes to one connection so the main request
-// loop's responses and the debug controller's asynchronous event pushes
-// never interleave mid-frame (or mid-stream). Its two methods are the only
-// code that touches mu; callers encode before they call.
+// connWriter serializes writes to one connection so the query worker's
+// responses, the frame loop's pongs and debug replies, and the debug
+// controller's asynchronous event pushes never interleave mid-frame (or
+// mid-stream). Its two methods are the only code that touches mu; callers
+// encode before they call.
 type connWriter struct {
 	mu sync.Mutex
-	nc net.Conn
+	fw frameWriter
 }
 
 func (w *connWriter) writeFrame(typ byte, payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	//lockblock:ok this mutex exists to serialize frame writes from the event and reply paths
-	return WriteFrame(w.nc, typ, payload)
+	return w.fw.writeFrame(typ, payload)
 }
 
 // writeStream ships a chunked result as one unit: no other frame can land
@@ -35,7 +35,7 @@ func (w *connWriter) writeStream(msg string, t *storage.Table, chunkBytes int) e
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	//lockblock:ok this mutex exists to keep a result stream's frames contiguous
-	return WriteResultStream(w.nc, msg, t, chunkBytes)
+	return w.fw.writeResultStream(msg, t, chunkBytes)
 }
 
 // ctrlCmd is a resume command queued to the debug controller.

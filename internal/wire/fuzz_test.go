@@ -1,12 +1,14 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
 	"runtime"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/core"
 )
@@ -43,9 +45,26 @@ func requireKind(t *testing.T, what string, err error) {
 	}
 }
 
+// framesOf reads r as a connection's reader does, frame after frame through
+// one bufio.Reader, until a read fails.
+func framesOf(r io.Reader) (frames [][]byte, err error) {
+	br := bufio.NewReader(r)
+	for {
+		typ, payload, err := ReadFrame(br)
+		if err != nil {
+			return frames, err
+		}
+		frames = append(frames, append([]byte{typ}, payload...))
+	}
+}
+
 // FuzzReadFrame feeds a byte stream to both frame readers: ReadFrame, which
-// trusts an authenticated peer up to maxFrame, and the pre-auth reader,
-// which must refuse from the header alone anything over maxAuthFrame.
+// trusts an authenticated peer up to maxFrame but reserves only what has
+// arrived, and the pre-auth reader, which must refuse from the header alone
+// anything over maxAuthFrame. Then it reads the whole stream the way a
+// connection does — every frame in it through one buffered reader — twice:
+// handed over in one piece and a byte at a time, which must come to the same
+// frames.
 func FuzzReadFrame(f *testing.F) {
 	var framed bytes.Buffer
 	_ = WriteFrame(&framed, MsgAuth, EncodeAuth("monetdb", "secret", "demo", ProtoV2))
@@ -58,6 +77,10 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(binary.BigEndian.AppendUint32(nil, maxFrame+1))      // over the frame cap
 	f.Add(binary.BigEndian.AppendUint32(nil, maxAuthFrame+1))  // just over the pre-auth cap
 	f.Add(append(binary.BigEndian.AppendUint32(nil, 1), 0xFF)) // type byte only
+	ping := []byte{0, 0, 0, 1, MsgPing}
+	f.Add(join(auth, ping))                                           // two frames in one segment
+	f.Add(join(ping, auth, []byte{0, 0}))                             // a third frame cut inside its header
+	f.Add(join(binary.BigEndian.AppendUint32(nil, 2*bodyStep), ping)) // past the first reservation, body cut short
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var claimed uint32
 		if len(data) >= 4 {
@@ -80,7 +103,15 @@ func FuzzReadFrame(f *testing.F) {
 			requireKind(t, "pre-auth read", err)
 		}
 
-		fullTyp, fullPayload, fullErr := ReadFrame(bytes.NewReader(data))
+		var fullTyp byte
+		var fullPayload []byte
+		var fullErr error
+		full := allocatedBy(func() {
+			fullTyp, fullPayload, fullErr = ReadFrame(bytes.NewReader(data))
+		})
+		if limit := uint64(bodyStep + 4*len(data) + allocSlack); full > limit {
+			t.Fatalf("ReadFrame of %d bytes claiming %d allocated %d (limit %d)", len(data), claimed, full, limit)
+		}
 		if fullErr != io.EOF {
 			requireKind(t, "ReadFrame", fullErr)
 		}
@@ -91,6 +122,24 @@ func FuzzReadFrame(f *testing.F) {
 		if claimed <= maxAuthFrame && (typ != fullTyp || !bytes.Equal(payload, fullPayload) || (err == nil) != (fullErr == nil)) {
 			t.Fatalf("readers disagree under the cap: (%d, %d bytes, %v) vs (%d, %d bytes, %v)",
 				typ, len(payload), err, fullTyp, len(fullPayload), fullErr)
+		}
+
+		joined, joinedErr := framesOf(bytes.NewReader(data))
+		split, splitErr := framesOf(iotest.OneByteReader(bytes.NewReader(data)))
+		if joinedErr != io.EOF {
+			requireKind(t, "buffered read", joinedErr)
+		}
+		if len(joined) != len(split) || core.KindOf(joinedErr) != core.KindOf(splitErr) {
+			t.Fatalf("one stream, two readings: %d frames then %v in one piece, %d frames then %v a byte at a time",
+				len(joined), joinedErr, len(split), splitErr)
+		}
+		for i := range joined {
+			if !bytes.Equal(joined[i], split[i]) {
+				t.Fatalf("frame %d reads differently a byte at a time", i)
+			}
+		}
+		if fullErr == nil && (len(joined) == 0 || !bytes.Equal(joined[0][1:], fullPayload) || joined[0][0] != fullTyp) {
+			t.Fatalf("the buffered reader's first frame is not the unbuffered reader's")
 		}
 	})
 }

@@ -56,33 +56,65 @@ const maxAuthFrame = 4 << 10
 // DefaultChunkBytes is the target encoded size of one MsgResultChunk batch.
 const DefaultChunkBytes = 4 << 20
 
-// WriteFrame writes a [length][type][payload] frame.
-func WriteFrame(w io.Writer, typ byte, payload []byte) error {
+// singleWriteMax is the largest payload that leaves with its header in one
+// Write: below it a frame costs one syscall and one copy into the writer's
+// buffer; above it the header goes first and the payload is written from
+// where it lies, because there the second syscall is noise and a copy is not.
+const singleWriteMax = 64 << 10
+
+// bodyStep is how much of a frame body is reserved on the header's word
+// alone; past it the buffer grows (fourfold, up to what the header claims)
+// only as bytes arrive, so a peer holds at most four times what it has sent.
+const bodyStep = 1 << 20
+
+// frameWriter writes frames to one connection and owns the buffer that
+// header and payload are assembled in, so it must not be used by two
+// goroutines at once: connWriter serialises the server's writes, and a
+// Client has one user.
+type frameWriter struct {
+	w   io.Writer
+	buf []byte
+}
+
+// writeFrame writes a [length][type][payload] frame.
+func (fw *frameWriter) writeFrame(typ byte, payload []byte) error {
 	if len(payload)+1 > maxFrame {
 		return core.Errorf(core.KindProtocol, "frame too large (%d bytes)", len(payload))
 	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
+	buf := binary.BigEndian.AppendUint32(fw.buf[:0], uint32(len(payload)+1))
+	buf = append(buf, typ)
+	if len(payload) <= singleWriteMax {
+		buf = append(buf, payload...)
+		payload = nil
+	}
+	fw.buf = buf
+	if _, err := fw.w.Write(buf); err != nil {
 		return core.Wrapf(core.KindIO, err, "write frame: %v", err)
 	}
 	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
+		if _, err := fw.w.Write(payload); err != nil {
 			return core.Wrapf(core.KindIO, err, "write frame: %v", err)
 		}
 	}
 	return nil
 }
 
-// ReadFrame reads one frame.
+// WriteFrame writes one frame to w through a writer of its own. A connection
+// that writes many keeps one frameWriter instead.
+func WriteFrame(w io.Writer, typ byte, payload []byte) error {
+	fw := frameWriter{w: w}
+	return fw.writeFrame(typ, payload)
+}
+
+// ReadFrame reads one frame. Pass the connection's one bufio.Reader, not the
+// connection: a small frame is then a single read, and whatever arrived
+// behind it waits in the buffer for the next call.
 func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	return readFrameMax(r, maxFrame)
 }
 
 // readFrameMax reads one frame whose length header may claim at most limit
-// bytes; the body buffer is sized from the header, so limit is what a peer
-// can make the reader allocate.
+// bytes.
 func readFrameMax(r io.Reader, limit uint32) (typ byte, payload []byte, err error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -95,11 +127,18 @@ func readFrameMax(r io.Reader, limit uint32) (typ byte, payload []byte, err erro
 	if n == 0 || n > limit {
 		return 0, nil, core.Errorf(core.KindProtocol, "bad frame length %d", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, core.Wrapf(core.KindIO, err, "read frame body: %v", err)
+	size, got := min(int(n), bodyStep), 0
+	buf := make([]byte, size)
+	for {
+		if _, err := io.ReadFull(r, buf[got:]); err != nil {
+			return 0, nil, core.Wrapf(core.KindIO, err, "read frame body: %v", err)
+		}
+		if size == int(n) {
+			return buf[0], buf[1:], nil
+		}
+		got, size = size, min(int(n), 4*size)
+		buf = append(make([]byte, 0, size), buf...)[:size]
 	}
-	return buf[0], buf[1:], nil
 }
 
 // ---- payload encoding helpers ----
@@ -373,11 +412,18 @@ func chunkOverhead(t *storage.Table) int {
 	return n
 }
 
-// WriteResultStream writes a result table as a MsgResultChunk sequence
+// WriteResultStream writes a result table to w as a chunked stream, through
+// a writer of its own.
+func WriteResultStream(w io.Writer, msg string, t *storage.Table, chunkBytes int) error {
+	fw := frameWriter{w: w}
+	return fw.writeResultStream(msg, t, chunkBytes)
+}
+
+// writeResultStream writes a result table as a MsgResultChunk sequence
 // followed by MsgResultEnd, slicing rows into batches of about chunkBytes
 // encoded bytes each (a single row larger than the frame cap is a protocol
 // error). It is how result sets beyond maxFrame ship.
-func WriteResultStream(w io.Writer, msg string, t *storage.Table, chunkBytes int) error {
+func (fw *frameWriter) writeResultStream(msg string, t *storage.Table, chunkBytes int) error {
 	if chunkBytes <= 0 {
 		chunkBytes = DefaultChunkBytes
 	}
@@ -389,10 +435,10 @@ func WriteResultStream(w io.Writer, msg string, t *storage.Table, chunkBytes int
 	if rows == 0 {
 		// Ship one empty chunk so the client still learns the schema, the
 		// way the one-shot path's empty table does.
-		if err := WriteFrame(w, MsgResultChunk, EncodeResultChunk(t.SliceRows(0, 0))); err != nil {
+		if err := fw.writeFrame(MsgResultChunk, EncodeResultChunk(t.SliceRows(0, 0))); err != nil {
 			return err
 		}
-		return WriteFrame(w, MsgResultEnd, EncodeResultEnd(msg, 0))
+		return fw.writeFrame(MsgResultEnd, EncodeResultEnd(msg, 0))
 	}
 	lo := 0
 	for lo < rows {
@@ -409,12 +455,12 @@ func WriteResultStream(w io.Writer, msg string, t *storage.Table, chunkBytes int
 			size += rb
 			hi++
 		}
-		if err := WriteFrame(w, MsgResultChunk, EncodeResultChunk(t.SliceRows(lo, hi))); err != nil {
+		if err := fw.writeFrame(MsgResultChunk, EncodeResultChunk(t.SliceRows(lo, hi))); err != nil {
 			return err
 		}
 		lo = hi
 	}
-	return WriteFrame(w, MsgResultEnd, EncodeResultEnd(msg, int64(rows)))
+	return fw.writeFrame(MsgResultEnd, EncodeResultEnd(msg, int64(rows)))
 }
 
 // DecodeResult decodes a MsgResult payload.

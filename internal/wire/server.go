@@ -1,10 +1,12 @@
 package wire
 
 import (
+	"bufio"
 	"errors"
 	"io"
 	"log"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,13 +24,9 @@ const defaultMaxStmtsPerConn = 64
 // Server.MaxQueueDepth is zero.
 const defaultMaxQueueDepth = 256
 
-// pipelineDepth bounds how many requests a connection may have in flight
-// while earlier ones execute: the reader keeps pulling frames so a client
-// can pipeline queries without waiting for responses.
-const pipelineDepth = 16
-
-// Server serves one database over TCP to wire clients. The zero value is
-// not usable; construct with NewServer.
+// Server serves one database over TCP to wire clients. NewServer fills in
+// the single-account case; a literal with Database, Users and DB set serves
+// just as well.
 type Server struct {
 	// Database is the database name clients must present (Fig. 2's
 	// "database" connection parameter).
@@ -143,6 +141,11 @@ func (s *Server) Listen(addr string) (string, error) {
 // listener — the seam the fault-injection tests use to interpose a chaos
 // listener — and returns its address. Close still tears it down.
 func (s *Server) ServeListener(ln net.Listener) string {
+	s.mu.Lock()
+	if s.drain == nil {
+		s.drain = make(chan struct{}) // a Server literal, not NewServer's
+	}
+	s.mu.Unlock()
 	s.ln = ln
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -154,14 +157,11 @@ func (s *Server) ServeListener(ln net.Listener) string {
 // and waits for them to wind down.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	wasClosed := s.closed
+	if !s.closed && s.drain != nil {
+		close(s.drain)
+	}
 	s.closed = true
 	s.mu.Unlock()
-	if !wasClosed {
-		if s.drain != nil {
-			close(s.drain)
-		}
-	}
 	var err error
 	if s.ln != nil {
 		err = s.ln.Close()
@@ -174,14 +174,6 @@ func (s *Server) logf(format string, args ...any) {
 	if s.Logf != nil {
 		s.Logf(format, args...)
 	}
-}
-
-func (s *Server) draining() <-chan struct{} {
-	if s.drain == nil {
-		// Zero-value construction; never drains early.
-		return make(chan struct{})
-	}
-	return s.drain
 }
 
 func (s *Server) acceptLoop() {
@@ -235,7 +227,7 @@ type serverConn struct {
 	goneOnce sync.Once
 
 	// limiter, when non-nil, is the per-session admission rate limiter.
-	// Touched only by the serving goroutine.
+	// Touched only by the frame loop.
 	limiter *tokenBucket
 
 	// stmts is the per-connection prepared-statement table. It is touched
@@ -265,8 +257,7 @@ func (sc *serverConn) execOpts(tr *obs.Trace) engine.ExecOpts {
 }
 
 // tokenBucket is the per-session statement-admission rate limiter.
-// Touched only by the connection's serving goroutine, so it needs no
-// lock.
+// Touched only by the connection's frame loop, so it needs no lock.
 type tokenBucket struct {
 	rate   float64 // tokens per second
 	burst  float64
@@ -423,7 +414,8 @@ func (q *queryQueue) close() {
 // shutdown kills any active debuggee (closing connDone) and flushes the
 // query worker so every accepted query gets its response before the
 // connection says goodbye, then tears down the prepared-statement table.
-// Safe to call more than once (always from the serving goroutine).
+// Safe to call more than once, never concurrently: the frame loop calls it
+// when the session ends there, serveConn only after the frame loop returned.
 func (sc *serverConn) shutdown() {
 	sc.closeOnce.Do(func() { close(sc.connDone) })
 	sc.queries.close()
@@ -541,10 +533,12 @@ func (sc *serverConn) handleCloseStmt(payload []byte) {
 	_ = sc.w.writeFrame(MsgCloseStmtOK, nil)
 }
 
-// serveConn speaks the protocol with one client: auth handshake, then a
-// pipelined request loop until MsgClose, disconnect, or server drain. A
-// reader goroutine keeps pulling frames while the main loop executes, so
-// clients may pipeline requests; responses are written in order. Debug
+// serveConn speaks the protocol with one client: auth handshake, then three
+// goroutines until MsgClose, disconnect, or server drain. The reader is the
+// frame loop: it reads the socket and handles each frame itself, so a ping
+// or a debug command costs no hand-off and a client may pipeline requests.
+// The query worker executes statements in FIFO order. This goroutine is
+// lifecycle only: it waits for the reader or for the server's drain. Debug
 // events are pushed by the debug controller through the shared connWriter,
 // interleaving with (but never corrupting) response frames.
 func (s *Server) serveConn(nc net.Conn) {
@@ -574,10 +568,9 @@ func (s *Server) serveConn(nc net.Conn) {
 	}
 	s.logf("session opened: user=%s proto=v%d from %s", sess.User, ProtoV2, nc.RemoteAddr())
 
-	reqs := make(chan frame, pipelineDepth)
 	sc := &serverConn{
 		srv:        s,
-		w:          &connWriter{nc: nc},
+		w:          &connWriter{fw: frameWriter{w: nc}},
 		sess:       sess,
 		connDone:   make(chan struct{}),
 		gone:       make(chan struct{}),
@@ -590,83 +583,64 @@ func (s *Server) serveConn(nc net.Conn) {
 	if m != nil {
 		sc.queries.depth = m.queueDepth
 	}
-	defer sc.shutdown()
 	go sc.queryWorker()
-	go func() {
-		defer close(reqs)
-		for {
-			typ, payload, err := ReadFrame(nc)
-			if err != nil {
-				// Any read failure — EOF included — means the client can no
-				// longer deliver requests and (absent a clean MsgClose) is
-				// not waiting for responses: fire the interrupt so in-flight
-				// statements abort instead of running to completion for a
-				// dead peer.
-				sc.markGone()
-				if err != io.EOF {
-					s.logf("read from %s: %v", nc.RemoteAddr(), err)
-				}
-				return
-			}
-			m.countMsg(typ)
-			select {
-			case reqs <- frame{typ, payload}:
-				if typ == MsgClose {
-					return
-				}
-			case <-sc.connDone:
-				return
-			}
-		}
-	}()
+	kicked := make(chan bool, 1)
+	go func() { kicked <- sc.frameLoop(nc) }()
 
+	select {
+	case <-kicked:
+		// The session ended on the frame loop: goodbye said, framing
+		// broken, or the client gone.
+		sc.shutdown()
+		return
+	case <-s.drain:
+	}
+	// Graceful drain: stop reading, answer everything already read, say
+	// goodbye, hang up. A read deadline in the past fails the reader's next
+	// socket read but not the frames it has already buffered; shutdown kills
+	// any paused debuggee and flushes the query worker. DrainTimeout, when
+	// set, bounds the flush: past the deadline the connection's interrupt
+	// fires and stuck statements abort with a typed cancelled error instead
+	// of stalling Close.
+	_ = nc.SetReadDeadline(time.Now())
+	if s.DrainTimeout > 0 {
+		defer time.AfterFunc(s.DrainTimeout, sc.markGone).Stop()
+	}
+	owedGoodbye := <-kicked
+	sc.shutdown()
+	if owedGoodbye {
+		_ = sc.w.writeFrame(MsgGoodbye, nil)
+		s.logf("session drained: user=%s from %s", sess.User, nc.RemoteAddr())
+	}
+}
+
+// frameLoop reads the connection and handles every frame until the session
+// ends. It reports whether it was the drain's read deadline that stopped it:
+// then the session is still open, the caller owes the client its goodbye,
+// and — a drain not being a dead client — the interrupt has not fired.
+func (sc *serverConn) frameLoop(nc net.Conn) (kicked bool) {
+	s := sc.srv
+	br := bufio.NewReader(nc)
 	for {
-		select {
-		case fr, ok := <-reqs:
-			if !ok {
-				return
+		typ, payload, err := ReadFrame(br)
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			return true
+		}
+		if err != nil {
+			// Any other read failure — EOF included — means the client can
+			// no longer deliver requests and (absent a clean MsgClose) is
+			// not waiting for responses: fire the interrupt so in-flight
+			// statements abort instead of running to completion for a dead
+			// peer.
+			sc.markGone()
+			if err != io.EOF {
+				s.logf("read from %s: %v", nc.RemoteAddr(), err)
 			}
-			if !sc.handleFrame(fr) {
-				return
-			}
-		case <-s.draining():
-			// Graceful drain: answer everything already pipelined, say
-			// goodbye, hang up. The deferred nc.Close unblocks the reader;
-			// closing connDone kills any paused debuggee. DrainTimeout, when
-			// set, bounds the flush: past the deadline the connection's
-			// interrupt fires and stuck statements abort with a typed
-			// cancelled error instead of stalling Close.
-			var hardStop *time.Timer
-			if s.DrainTimeout > 0 {
-				hardStop = time.AfterFunc(s.DrainTimeout, sc.markGone)
-			}
-			for {
-				select {
-				case fr, ok := <-reqs:
-					if !ok {
-						if hardStop != nil {
-							hardStop.Stop()
-						}
-						return
-					}
-					if !sc.handleFrame(fr) {
-						if hardStop != nil {
-							hardStop.Stop()
-						}
-						return
-					}
-				default:
-					// Kill any paused debuggee and flush the query worker so
-					// every accepted query is answered before the goodbye.
-					sc.shutdown()
-					if hardStop != nil {
-						hardStop.Stop()
-					}
-					_ = sc.w.writeFrame(MsgGoodbye, nil)
-					s.logf("session drained: user=%s from %s", sess.User, nc.RemoteAddr())
-					return
-				}
-			}
+			return false
+		}
+		s.metrics.countMsg(typ)
+		if !sc.handleFrame(frame{typ, payload}) {
+			return false
 		}
 	}
 }
@@ -689,10 +663,12 @@ func (s *Server) rejectConn(nc net.Conn) {
 
 // handleFrame processes one request, reporting whether the connection
 // should keep serving. Queries are queued to the per-connection worker (in
-// FIFO order, so response ordering is preserved) rather than executed here:
-// the frame loop must stay responsive for debug control even while a
-// statement — e.g. a debug query paused at a breakpoint — holds the engine
-// lock.
+// FIFO order, so response ordering is preserved) rather than executed here,
+// although executing here would save the hand-off: while a statement ran
+// nobody would read the socket, so a flood would back up in TCP instead of
+// being shed, a dead client would go unnoticed until its statement
+// finished, and the resume for a debug query paused at a breakpoint — which
+// holds the engine lock — could never arrive.
 func (sc *serverConn) handleFrame(fr frame) bool {
 	//wireswitch:dispatch client-to-server
 	//wireswitch:ignore MsgAuth -- only legal during the handshake, before the frame loop starts
