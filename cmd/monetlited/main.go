@@ -59,7 +59,7 @@ func main() {
 	maxConns := flag.Int("max-conns", 0, "reject new connections past this many concurrent sessions with a retryable error (0: unlimited)")
 	maxQueueDepth := flag.Int("max-queue-depth", 0, "pipelined requests buffered per connection before shedding with a retryable error (0: default 256, negative: unbounded)")
 	rateLimit := flag.Float64("rate-limit", 0, "sustained queries/second admitted per session; excess requests shed with a retryable error (0: unlimited)")
-	rateBurst := flag.Int("rate-burst", 0, "token-bucket burst size for -rate-limit (0: 2x the rate)")
+	rateBurst := flag.Int("rate-burst", 0, "token-bucket burst size for -rate-limit (below 1, including the default 0: a burst of 1)")
 	maxResultRows := flag.Int64("max-result-rows", 0, "fail queries whose result exceeds this many rows (0: unlimited)")
 	maxResultBytes := flag.Int("max-result-bytes", 0, "refuse to send results larger than this many encoded bytes (0: unlimited)")
 	udfWallBudget := flag.Duration("udf-wall-budget", 0, "wall-clock budget per UDF invocation across all runtimes (0: unlimited)")

@@ -2,17 +2,14 @@ package devudf
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
 	"repro/internal/transform"
-	"repro/internal/udfrt"
 	"repro/internal/udfrt/pyrt"
 	"repro/internal/wire"
 )
@@ -27,16 +24,7 @@ type Client struct {
 	Project  *Project
 
 	pool *wire.Pool
-
-	// stmts caches pool-aware prepared statements behind the variadic
-	// Query convenience path, bounded so an app cycling through distinct
-	// SQL texts cannot grow it without limit.
-	stmtMu sync.Mutex
-	stmts  map[string]*wire.PoolStmt
 }
-
-// maxCachedStmts bounds the client's convenience-path statement cache.
-const maxCachedStmts = 32
 
 // Open dials the database from the settings and opens the project
 // workspace. The returned client is backed by a bounded connection pool;
@@ -67,16 +55,8 @@ func Open(ctx context.Context, settings Settings, opts ...Option) (*Client, erro
 	}, nil
 }
 
-// Close closes the cached prepared statements and the connection pool.
-func (c *Client) Close() error {
-	c.stmtMu.Lock()
-	for _, ps := range c.stmts {
-		_ = ps.Close()
-	}
-	c.stmts = nil
-	c.stmtMu.Unlock()
-	return c.pool.Close()
-}
+// Close closes the connection pool.
+func (c *Client) Close() error { return c.pool.Close() }
 
 // Pool exposes the underlying connection pool (stats for the benches,
 // direct checkouts for streaming consumers).
@@ -89,40 +69,21 @@ type QueryResult struct {
 	Table *storage.Table
 }
 
-// Query runs SQL on the server. Bind arguments route through the
-// prepared-statement path: the statement is prepared once per SQL text
-// (cached on the client, re-prepared transparently across pool churn), so
-// a workload repeating the same parameterized query skips re-lex/re-parse/
-// re-plan on every call — the devUDF import/run/debug loop in one method.
+// Query runs SQL on the server. With bind arguments it prepares the
+// statement, executes it once and closes it; a caller repeating one
+// parameterized statement holds a Prepare'd Stmt instead.
 func (c *Client) Query(ctx context.Context, sql string, args ...any) (QueryResult, error) {
 	if len(args) == 0 {
 		tag, tbl, err := c.pool.Query(ctx, sql)
 		return QueryResult{Tag: tag, Table: tbl}, err
 	}
-	for attempt := 0; ; attempt++ {
-		ps, err := c.cachedStmt(ctx, sql)
-		if err != nil {
-			return QueryResult{}, err
-		}
-		tag, tbl, err := ps.Query(ctx, args...)
-		if errors.Is(err, wire.ErrStmtClosed) && attempt < 2 {
-			// cache eviction closed the statement between lookup and
-			// execution; drop the stale mapping and re-prepare
-			c.forgetStmt(sql, ps)
-			continue
-		}
-		return QueryResult{Tag: tag, Table: tbl}, err
+	ps, err := c.pool.Prepare(ctx, sql)
+	if err != nil {
+		return QueryResult{}, err
 	}
-}
-
-// forgetStmt removes a cache mapping if it still points at the given
-// statement (a concurrent re-prepare may already have replaced it).
-func (c *Client) forgetStmt(sql string, ps *wire.PoolStmt) {
-	c.stmtMu.Lock()
-	if c.stmts[sql] == ps {
-		delete(c.stmts, sql)
-	}
-	c.stmtMu.Unlock()
+	defer ps.Close()
+	tag, tbl, err := ps.Query(ctx, args...)
+	return QueryResult{Tag: tag, Table: tbl}, err
 }
 
 // Prepare compiles sql once for repeated execution with bind arguments.
@@ -155,41 +116,6 @@ func (s *Stmt) Exec(ctx context.Context, args ...any) (string, error) {
 
 // Close releases the statement.
 func (s *Stmt) Close() error { return s.ps.Close() }
-
-// cachedStmt returns (preparing on first use) the pool statement behind
-// the variadic Query path, evicting an arbitrary entry once the bounded
-// cache is full.
-func (c *Client) cachedStmt(ctx context.Context, sql string) (*wire.PoolStmt, error) {
-	c.stmtMu.Lock()
-	ps := c.stmts[sql]
-	c.stmtMu.Unlock()
-	if ps != nil {
-		return ps, nil
-	}
-	ps, err := c.pool.Prepare(ctx, sql)
-	if err != nil {
-		return nil, err
-	}
-	c.stmtMu.Lock()
-	defer c.stmtMu.Unlock()
-	if prev, ok := c.stmts[sql]; ok {
-		// another goroutine won the race; keep its statement
-		_ = ps.Close()
-		return prev, nil
-	}
-	if c.stmts == nil {
-		c.stmts = map[string]*wire.PoolStmt{}
-	}
-	for len(c.stmts) >= maxCachedStmts {
-		for k, victim := range c.stmts {
-			_ = victim.Close()
-			delete(c.stmts, k)
-			break
-		}
-	}
-	c.stmts[sql] = ps
-	return ps, nil
-}
 
 // serverCatalog is one consistent snapshot of the server's UDF meta
 // tables: the Fig. 3a listing plus every function body, fetched with two
@@ -344,20 +270,6 @@ func (c *Client) ImportUDFs(ctx context.Context, names ...string) ([]string, err
 	return imported, nil
 }
 
-// ImportAll imports every UDF stored on the server (the "import all
-// functions" choice of Fig. 3a).
-func (c *Client) ImportAll(ctx context.Context) ([]string, error) {
-	cat, err := c.listServerUDFs(ctx)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, len(cat.infos))
-	for i, info := range cat.infos {
-		names[i] = info.Name
-	}
-	return c.ImportUDFs(ctx, names...)
-}
-
 // nativeSymbolMarker tags the stub line carrying a native UDF's registered
 // symbol so exports can round-trip it.
 const nativeSymbolMarker = "# native-symbol:"
@@ -428,15 +340,6 @@ func (c *Client) ExportUDFs(ctx context.Context, names ...string) error {
 	return nil
 }
 
-// ExportAll exports every UDF in the project.
-func (c *Client) ExportAll(ctx context.Context) error {
-	names, err := c.Project.List()
-	if err != nil {
-		return err
-	}
-	return c.ExportUDFs(ctx, names...)
-}
-
 // createFunctionSQL renders CREATE OR REPLACE FUNCTION through the SQL AST
 // printer so quoting and types stay correct.
 func createFunctionSQL(info UDFInfo, body string) (string, error) {
@@ -466,26 +369,4 @@ func createFunctionSQL(info UDFInfo, body string) (string, error) {
 		OrReplace: true,
 	}
 	return sqlparse.Format(cf), nil
-}
-
-// DescribeServerUDF renders one server UDF the way MonetDB's meta-table
-// listing in the paper's Listing 1 looks (name + body), for the CLI.
-func (c *Client) DescribeServerUDF(ctx context.Context, name string) (string, error) {
-	cat, err := c.listServerUDFs(ctx)
-	if err != nil {
-		return "", err
-	}
-	info, body, err := fetchUDF(cat, name)
-	if err != nil {
-		return "", err
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "name: %s\nlanguage: %s\ndebuggable: %v\ntable function: %v\nparams:",
-		info.Name, languageOf(info), udfrt.LanguageDebuggable(info.Language), info.IsTable)
-	for _, p := range info.Params {
-		fmt.Fprintf(&sb, " %s %s", p.Name, p.Type)
-	}
-	sb.WriteString("\nfunc:\n")
-	sb.WriteString(body)
-	return sb.String(), nil
 }

@@ -8,8 +8,9 @@
 // reached through loopback queries.
 //
 // The CLI in cmd/devudf drives this package with the same verbs the
-// paper's figures show (settings / import / export / run / debug); the
-// examples/ directory walks the paper's demo scenarios end to end.
+// paper's figures show (settings / import / export / run / debug);
+// examples/ holds runnable walkthroughs, and the paper's two demo scenarios
+// are cmd/experiments -only SA / -only SB.
 package devudf
 
 import (

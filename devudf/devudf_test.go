@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/script"
 	"repro/monetlite"
@@ -40,41 +41,12 @@ var ctx = context.Background()
 
 func startServer(t *testing.T, setup ...string) (monetlite.ConnParams, *monetlite.DB) {
 	t.Helper()
-	db := monetlite.NewDB()
-	db.FS = core.NewMemFS(nil)
-	srv := monetlite.NewServer("demo", "monetdb", "monetdb", db)
-	addr, err := srv.Listen("127.0.0.1:0")
+	fx, err := bench.StartServer(setup...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
-	conn := monetlite.Connect(db, "monetdb", "monetdb")
-	for _, sql := range setup {
-		if _, err := conn.Exec(sql); err != nil {
-			t.Fatalf("setup %q: %v", sql[:min(40, len(sql))], err)
-		}
-	}
-	host, port := splitAddr(addr)
-	return monetlite.ConnParams{
-		Host: host, Port: port, Database: "demo",
-		User: "monetdb", Password: "monetdb",
-	}, db
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func splitAddr(addr string) (string, int) {
-	i := strings.LastIndexByte(addr, ':')
-	port := 0
-	for _, ch := range addr[i+1:] {
-		port = port*10 + int(ch-'0')
-	}
-	return addr[:i], port
+	t.Cleanup(fx.Close)
+	return fx.Params, fx.DB
 }
 
 func newClient(t *testing.T, params monetlite.ConnParams, query string) *Client {
@@ -155,6 +127,9 @@ func TestListAndImport(t *testing.T) {
 	names, _ := c.Project.List()
 	if len(names) != 1 {
 		t.Fatalf("project list: %v", names)
+	}
+	if _, err := c.ImportUDFs(ctx, "nope"); err == nil {
+		t.Fatal("importing a UDF the server does not have should fail")
 	}
 }
 
@@ -412,7 +387,16 @@ func TestImportAllAndVCS(t *testing.T) {
 		`CREATE FUNCTION b(y DOUBLE) RETURNS DOUBLE LANGUAGE PYTHON { return y }`,
 	)
 	c := newClient(t, params, "")
-	imported, err := c.ImportAll(ctx)
+	// what `devudf import -all` does: one catalog listing, then ImportUDFs
+	infos, err := c.ListServerUDFs(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, info := range infos {
+		names = append(names, info.Name)
+	}
+	imported, err := c.ImportUDFs(ctx, names...)
 	if err != nil || len(imported) != 2 {
 		t.Fatalf("import all: %v %v", imported, err)
 	}
@@ -438,48 +422,5 @@ func TestImportAllAndVCS(t *testing.T) {
 	log, _ := repo.Log()
 	if len(log) != 2 || log[0].Message != "double it" {
 		t.Fatalf("log: %+v", log)
-	}
-}
-
-// TestWriteLocalInputsQuickstart exercises the serverless input path.
-func TestWriteLocalInputsQuickstart(t *testing.T) {
-	params, _ := startServer(t, buggyMeanDeviation)
-	c := newClient(t, params, "")
-	if _, err := c.ImportUDFs(ctx, "mean_deviation"); err != nil {
-		t.Fatal(err)
-	}
-	err := c.WriteLocalInputs("mean_deviation", map[string]script.Value{
-		"column": script.NewList(script.IntVal(1), script.IntVal(5)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.RunLocal(ctx, "mean_deviation")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Value.Repr() != "0.0" { // buggy body cancels out
-		t.Fatalf("run: %s", res.Value.Repr())
-	}
-	// missing param is rejected
-	if err := c.WriteLocalInputs("mean_deviation", nil); err == nil {
-		t.Fatal("missing params should fail")
-	}
-}
-
-func TestDescribeServerUDF(t *testing.T) {
-	params, _ := startServer(t, buggyMeanDeviation)
-	c := newClient(t, params, "")
-	desc, err := c.DescribeServerUDF(ctx, "mean_deviation")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(desc, "name: mean_deviation") ||
-		!strings.Contains(desc, "column INTEGER") ||
-		!strings.Contains(desc, "distance += column[i] - mean") {
-		t.Fatalf("describe:\n%s", desc)
-	}
-	if _, err := c.DescribeServerUDF(ctx, "nope"); err == nil {
-		t.Fatal("unknown UDF should fail")
 	}
 }

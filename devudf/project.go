@@ -48,14 +48,6 @@ func toSchema(ps []ParamInfo) (storage.Schema, error) {
 	return s, nil
 }
 
-func fromSchema(s storage.Schema) []ParamInfo {
-	out := make([]ParamInfo, len(s))
-	for i, c := range s {
-		out[i] = ParamInfo{Name: c.Name, Type: c.Type.String()}
-	}
-	return out
-}
-
 // Project is the IDE-style workspace holding one .py file per imported UDF
 // plus signature metadata, all inside a core.FS so tests and examples can
 // run it in memory.
@@ -71,9 +63,6 @@ func OpenProject(fs core.FS, dir string) *Project {
 	}
 	return &Project{fs: fs, dir: dir}
 }
-
-// Dir returns the project root directory.
-func (p *Project) Dir() string { return p.dir }
 
 // FS returns the backing file system.
 func (p *Project) FS() core.FS { return p.fs }

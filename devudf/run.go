@@ -92,8 +92,7 @@ type RunResult struct {
 // by the UDF's language: PYTHON UDFs run their generated script (the
 // Listing 2 flow — the prologue loads input.bin and calls the function),
 // native UDFs dispatch through the udfrt runtime registry against the
-// locally registered implementation. Run ExtractInputs (or
-// WriteLocalInputs) first.
+// locally registered implementation. Run ExtractInputs first.
 func (c *Client) RunLocal(ctx context.Context, udfName string) (*RunResult, error) {
 	info, src, err := c.Project.LoadUDF(udfName)
 	if err != nil {
@@ -336,25 +335,6 @@ func shapeLoopbackResult(info UDFInfo, v script.Value) (script.Value, error) {
 	}
 	d.SetStr(name, v)
 	return d, nil
-}
-
-// WriteLocalInputs writes synthetic input parameters for a UDF without
-// contacting the server — useful for pure-local experimentation and the
-// quickstart example.
-func (c *Client) WriteLocalInputs(udfName string, params map[string]script.Value) error {
-	info, _, err := c.Project.LoadUDF(udfName)
-	if err != nil {
-		return err
-	}
-	d := script.NewDict()
-	for _, p := range info.Params {
-		v, ok := params[p.Name]
-		if !ok {
-			return core.Errorf(core.KindConstraint, "missing input for parameter %q", p.Name)
-		}
-		d.SetStr(p.Name, v)
-	}
-	return pickle.DumpFile(c.Project.FS(), c.Project.InputPath(info.Name), d)
 }
 
 // TraditionalCycle executes one iteration of the paper's *traditional*

@@ -12,6 +12,8 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"net"
+	"strconv"
 
 	"repro/devudf"
 	"repro/internal/core"
@@ -128,15 +130,15 @@ return vals[n - 2] - vals[1]`)
 }
 
 func splitAddr(addr string) (string, int) {
-	i := len(addr) - 1
-	for addr[i] != ':' {
-		i--
+	host, portStr, err := net.SplitHostPort(addr)
+	if err != nil {
+		log.Fatal(err)
 	}
-	port := 0
-	for _, ch := range addr[i+1:] {
-		port = port*10 + int(ch-'0')
+	port, err := strconv.Atoi(portStr)
+	if err != nil {
+		log.Fatal(err)
 	}
-	return addr[:i], port
+	return host, port
 }
 
 func indent(s string) string {

@@ -6,6 +6,8 @@ package bench
 
 import (
 	"fmt"
+	"net"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -196,7 +198,15 @@ func StartServer(setup ...string) (*Fixture, error) {
 			return nil, fmt.Errorf("setup: %w", err)
 		}
 	}
-	host, port := splitAddr(addr)
+	host, portStr, err := net.SplitHostPort(addr)
+	var port int
+	if err == nil {
+		port, err = strconv.Atoi(portStr)
+	}
+	if err != nil {
+		srv.Close()
+		return nil, err
+	}
 	return &Fixture{
 		DB:     db,
 		Server: srv,
@@ -209,15 +219,6 @@ func StartServer(setup ...string) (*Fixture, error) {
 
 // Close shuts the server down.
 func (f *Fixture) Close() { f.Server.Close() }
-
-func splitAddr(addr string) (string, int) {
-	i := strings.LastIndexByte(addr, ':')
-	port := 0
-	for _, ch := range addr[i+1:] {
-		port = port*10 + int(ch-'0')
-	}
-	return addr[:i], port
-}
 
 // Table1Row is one row of the paper's Table 1 (development-environment
 // market share, from the PYPL Top IDE index the paper cites).

@@ -9,7 +9,9 @@
 // A Session can debug either a whole module it owns (NewSession — the local
 // devUDF workflow) or an arbitrary run function under an externally-owned
 // interpreter (AttachSession — the hook the wire server uses to debug a UDF
-// invocation executing inside the database engine).
+// invocation executing inside the database engine). Remote debugging is
+// that second form driven over the database connection's MsgDebug frames
+// (internal/wire); this package speaks no protocol of its own.
 package debug
 
 import (

@@ -1,7 +1,6 @@
 package debug
 
 import (
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -236,81 +235,6 @@ result = mean_deviation([1, 2, 3, 4, 100])
 	}
 	if !sawNegative {
 		t.Fatal("the debugger should reveal a negative distance accumulator (the Scenario A bug)")
-	}
-}
-
-func TestRemoteDebugging(t *testing.T) {
-	s := NewSession(parseMod(t, countdownSrc), Config{})
-	srv := NewRemoteServer(s)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	done := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			done <- err
-			return
-		}
-		done <- srv.ServeConn(conn)
-	}()
-
-	rc, err := DialRemote(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	if err := rc.SetBreakpoint(3, "i == 2"); err != nil {
-		t.Fatal(err)
-	}
-	ev, err := rc.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Reason != ReasonBreakpoint || ev.Line != 3 {
-		t.Fatalf("remote stop: %+v", ev)
-	}
-	vars, err := rc.Locals()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vars["i"] != "2" {
-		t.Fatalf("remote locals: %v", vars)
-	}
-	val, err := rc.Eval("total + 100")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if val != "101" { // 0+1 accumulated before i==2
-		t.Fatalf("remote eval: %s", val)
-	}
-	stack, err := rc.Stack()
-	if err != nil || len(stack) != 1 {
-		t.Fatalf("remote stack: %v %v", stack, err)
-	}
-	src, err := rc.Source()
-	if err != nil || len(src) < 4 {
-		t.Fatalf("remote source: %d lines, %v", len(src), err)
-	}
-	ev, err = rc.Continue()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ev.Terminal {
-		t.Fatalf("remote terminal: %+v", ev)
-	}
-	rc.Close()
-	<-done
-}
-
-func TestRemoteUnknownCommand(t *testing.T) {
-	s := NewSession(parseMod(t, "x = 1\n"), Config{})
-	srv := NewRemoteServer(s)
-	resp := srv.handle(Request{Seq: 9, Command: "fly"})
-	if resp.Success || !strings.Contains(resp.Error, "unknown command") {
-		t.Fatalf("resp: %+v", resp)
 	}
 }
 

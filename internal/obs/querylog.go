@@ -21,9 +21,6 @@ type QueryLogEntry struct {
 	CacheHit bool
 }
 
-// StageNanos returns the recorded nanoseconds for one stage.
-func (e *QueryLogEntry) StageNanos(stage int) int64 { return e.Stages[stage] }
-
 // NumStages is the number of trace stages (for iterating Stages).
 const NumStages = numStages
 

@@ -90,8 +90,8 @@ func TestQueryLogRing(t *testing.T) {
 		if e.Seq != wantRows+1 {
 			t.Errorf("entry %d seq = %d, want %d", i, e.Seq, wantRows+1)
 		}
-		if e.StageNanos(StageExec) != wantRows*int64(time.Millisecond) {
-			t.Errorf("entry %d exec nanos = %d", i, e.StageNanos(StageExec))
+		if e.Stages[StageExec] != wantRows*int64(time.Millisecond) {
+			t.Errorf("entry %d exec nanos = %d", i, e.Stages[StageExec])
 		}
 	}
 }

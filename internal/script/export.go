@@ -14,9 +14,6 @@ func AsFloat(v Value) (float64, bool) { return asFloat(v) }
 // AsInt converts bool/int values to int64.
 func AsInt(v Value) (int64, bool) { return asInt(v) }
 
-// NewBuiltin wraps a Go function as a callable PyLite value.
-func NewBuiltin(name string, fn BuiltinFunc) *BuiltinVal { return bi(name, fn) }
-
 // Watch is a parsed debugger expression: a watch or a breakpoint condition.
 // Parse it once and evaluate it at every stop; it re-resolves itself only
 // when the paused frame belongs to a different function than last time.

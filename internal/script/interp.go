@@ -119,10 +119,6 @@ func NewInterp() *Interp {
 // Steps reports the number of statements executed so far.
 func (in *Interp) Steps() int64 { return in.steps }
 
-// CurrentFrame returns the innermost active frame (nil when idle). The
-// debugger inspects it during trace callbacks.
-func (in *Interp) CurrentFrame() *Frame { return in.frame }
-
 // control-flow signals, implemented as error sentinels.
 type breakSignal struct{}
 type continueSignal struct{}

@@ -250,7 +250,7 @@ func TestBuiltinRebindThroughEnv(t *testing.T) {
 	if got := call(); got != "2" {
 		t.Fatalf("builtin len: %s", got)
 	}
-	env.Set("len", NewBuiltin("len", func(*Interp, []Value, map[string]Value) (Value, error) {
+	env.Set("len", bi("len", func(*Interp, []Value, map[string]Value) (Value, error) {
 		return StrVal("from Go"), nil
 	}))
 	if got := call(); got != "'from Go'" {

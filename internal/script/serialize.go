@@ -2,7 +2,6 @@ package script
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"sync"
 
@@ -291,13 +290,4 @@ func unmarshalFrom(data []byte) (Value, []byte, error) {
 	default:
 		return nil, nil, core.Errorf(core.KindProtocol, "unknown pickle tag %d", tag)
 	}
-}
-
-// MustMarshal is a test/generator helper that panics on error.
-func MustMarshal(v Value) []byte {
-	b, err := Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("MustMarshal: %v", err))
-	}
-	return b
 }

@@ -113,6 +113,10 @@ func TestMarshalRoundTripProperty(t *testing.T) {
 }
 
 func TestUnmarshalRejectsGarbage(t *testing.T) {
+	one, err := Marshal(IntVal(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := [][]byte{
 		nil,
 		{},
@@ -121,7 +125,7 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		[]byte("PKL1\x03\x00"),               // truncated int
 		[]byte("PKL1\x05\x00\x00\x00\x09ab"), // str length beyond data
 		[]byte("PKL1\xff"),                   // unknown tag
-		append(MustMarshal(IntVal(1)), 0x00), // trailing garbage
+		append(one, 0x00),                    // trailing garbage
 	}
 	for i, c := range cases {
 		if _, err := Unmarshal(c); err == nil {
@@ -159,7 +163,11 @@ func TestDictOrderPreservedThroughPickle(t *testing.T) {
 	d.SetStr("z", IntVal(1))
 	d.SetStr("a", IntVal(2))
 	d.SetStr("m", IntVal(3))
-	back, err := Unmarshal(MustMarshal(d))
+	data, err := Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Unmarshal(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,10 +84,6 @@ func NumParams(st Statement) int {
 	return max
 }
 
-// HasPlaceholders reports whether the statement contains any bind
-// parameter — such statements cannot execute without a bind step.
-func HasPlaceholders(st Statement) bool { return NumParams(st) > 0 }
-
 // WalkExprs visits every expression in a statement, depth-first, including
 // expressions nested inside subqueries and table-function arguments.
 func WalkExprs(st Statement, fn func(Expr)) {

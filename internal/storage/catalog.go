@@ -24,14 +24,6 @@ type FuncDef struct {
 	IsTable bool
 }
 
-// Clone deep-copies the definition.
-func (f *FuncDef) Clone() *FuncDef {
-	out := *f
-	out.Params = f.Params.Clone()
-	out.Returns = f.Returns.Clone()
-	return &out
-}
-
 // Catalog is the database catalog: tables and UDFs. It is not synchronized;
 // the engine guards it with the database lock.
 type Catalog struct {

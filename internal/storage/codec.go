@@ -102,14 +102,9 @@ func AppendBytes(buf []byte, b []byte) []byte {
 	return append(buf, b...)
 }
 
-// EncodeColumn appends a column's binary encoding: name, type, row count,
-// optional packed validity bitmap, then the typed payload.
-func EncodeColumn(buf []byte, col *Column) []byte {
-	return EncodeColumnRange(buf, col, 0, col.Len())
-}
-
-// EncodeColumnRange encodes rows [from, to) of col in the EncodeColumn
-// format. The write-ahead log uses it to serialize an INSERT batch straight
+// EncodeColumnRange appends the binary encoding of rows [from, to) of col:
+// name, type, row count, optional packed validity bitmap, then the typed
+// payload. The write-ahead log uses it to serialize an INSERT batch straight
 // from the live table, without slicing a copy first.
 func EncodeColumnRange(buf []byte, col *Column, from, to int) []byte {
 	buf = AppendString(buf, col.Name)
@@ -160,7 +155,7 @@ func EncodeColumnRange(buf []byte, col *Column, from, to int) []byte {
 	return buf
 }
 
-// DecodeColumn reads one column previously written by EncodeColumn.
+// DecodeColumn reads one column previously written by EncodeColumnRange.
 func DecodeColumn(r *ByteReader) (*Column, error) {
 	name, err := r.Str()
 	if err != nil {

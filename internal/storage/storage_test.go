@@ -185,12 +185,12 @@ func TestCatalogFunctions(t *testing.T) {
 	if f.ID != 1 {
 		t.Fatalf("id = %d", f.ID)
 	}
-	if err := c.CreateFunction(f.Clone(), false); err == nil {
+	dup, f2 := *f, *f
+	if err := c.CreateFunction(&dup, false); err == nil {
 		t.Fatal("duplicate function should fail")
 	}
-	f2 := f.Clone()
 	f2.Body = "return 2.0"
-	if err := c.CreateFunction(f2, true); err != nil {
+	if err := c.CreateFunction(&f2, true); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.Function("MEAN_DEVIATION")

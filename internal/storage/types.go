@@ -67,17 +67,6 @@ type ColumnDef struct {
 // Schema is an ordered list of column definitions.
 type Schema []ColumnDef
 
-// ColumnIndex returns the position of a column by case-insensitive name, or
-// -1 when absent.
-func (s Schema) ColumnIndex(name string) int {
-	for i, c := range s {
-		if strings.EqualFold(c.Name, name) {
-			return i
-		}
-	}
-	return -1
-}
-
 // Names returns the column names in order.
 func (s Schema) Names() []string {
 	out := make([]string, len(s))
@@ -86,6 +75,3 @@ func (s Schema) Names() []string {
 	}
 	return out
 }
-
-// Clone deep-copies the schema.
-func (s Schema) Clone() Schema { return append(Schema(nil), s...) }

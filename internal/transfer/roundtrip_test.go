@@ -2,8 +2,12 @@ package transfer
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"regexp"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // payloads returns a spread of adversarial payload shapes: empty, tiny,
@@ -107,15 +111,24 @@ func TestUnpackTruncated(t *testing.T) {
 }
 
 // TestOptionsEncodeDecodeProperty round-trips option combinations through
-// the SQL literal encoding, including adversarial decode inputs.
+// the SQL literal encoding, including adversarial decode inputs. The
+// encoding is spliced into a quoted SQL string literal by RewriteToExtract,
+// so it must stay inside a quote-free alphabet for every seed.
 func TestOptionsEncodeDecodeProperty(t *testing.T) {
+	literalSafe := regexp.MustCompile(`^[a-z0-9=;-]*$`)
 	for _, o := range []Options{
 		{},
 		{Compress: true},
 		{Encrypt: true},
 		{Compress: true, Encrypt: true, SampleSize: 12345, Seed: -987654321},
 		{SampleSize: 1 << 30, Seed: 1 << 40},
+		{Seed: math.MinInt64},
+		{Seed: math.MaxInt64},
+		{Seed: -1},
 	} {
+		if enc := o.Encode(); !literalSafe.MatchString(enc) {
+			t.Fatalf("%+v encodes as %q, which is not safe inside a SQL string literal", o, enc)
+		}
 		got, err := DecodeOptions(o.Encode())
 		if err != nil {
 			t.Fatalf("%+v: %v", o, err)
@@ -128,9 +141,10 @@ func TestOptionsEncodeDecodeProperty(t *testing.T) {
 		"c", "c=1;e=1;s=;r=0", "c=1;e=1;s=x;r=0",
 		"x=1;e=1;s=1;r=0", "c=1;e=1;s=1;r=0;junk",
 		"c=1;e=1;s=99999999999999999999;r=0",
+		"c=1;e=1;s=1;r=-9223372036854775809",
 	} {
-		if _, err := DecodeOptions(bad); err == nil {
-			t.Errorf("DecodeOptions(%q) should fail", bad)
+		if _, err := DecodeOptions(bad); core.KindOf(err) != core.KindProtocol {
+			t.Errorf("DecodeOptions(%q) = %v, want a protocol error", bad, err)
 		}
 	}
 }

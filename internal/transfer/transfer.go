@@ -13,6 +13,8 @@ import (
 	"crypto/sha256"
 	"io"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"repro/internal/core"
 )
@@ -49,29 +51,11 @@ func (o Options) Encode() string {
 	buf = append(buf, "e="...)
 	buf = append(buf, b2i(o.Encrypt), ';')
 	buf = append(buf, "s="...)
-	buf = appendInt(buf, int64(o.SampleSize))
+	buf = strconv.AppendInt(buf, int64(o.SampleSize), 10)
 	buf = append(buf, ';')
 	buf = append(buf, "r="...)
-	buf = appendInt(buf, o.Seed)
+	buf = strconv.AppendInt(buf, o.Seed, 10)
 	return string(buf)
-}
-
-func appendInt(buf []byte, v int64) []byte {
-	if v < 0 {
-		buf = append(buf, '-')
-		v = -v
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	return append(buf, tmp[i:]...)
 }
 
 // DecodeOptions parses the literal produced by Encode.
@@ -79,13 +63,8 @@ func DecodeOptions(s string) (Options, error) {
 	var o Options
 	rest := s
 	for len(rest) > 0 {
-		// split on ';'
-		seg := rest
-		if i := indexByte(rest, ';'); i >= 0 {
-			seg, rest = rest[:i], rest[i+1:]
-		} else {
-			rest = ""
-		}
+		var seg string
+		seg, rest, _ = strings.Cut(rest, ";")
 		if len(seg) < 2 || seg[1] != '=' {
 			return o, core.Errorf(core.KindProtocol, "bad extract options segment %q", seg)
 		}
@@ -95,58 +74,21 @@ func DecodeOptions(s string) (Options, error) {
 			o.Compress = val == "1"
 		case 'e':
 			o.Encrypt = val == "1"
-		case 's':
-			n, err := parseInt(val)
+		case 's', 'r':
+			n, err := strconv.ParseInt(val, 10, 64)
 			if err != nil {
-				return o, err
+				return o, core.Wrapf(core.KindProtocol, err, "bad integer in extract options: %v", err)
 			}
-			o.SampleSize = int(n)
-		case 'r':
-			n, err := parseInt(val)
-			if err != nil {
-				return o, err
+			if seg[0] == 's' {
+				o.SampleSize = int(n)
+			} else {
+				o.Seed = n
 			}
-			o.Seed = n
 		default:
 			return o, core.Errorf(core.KindProtocol, "unknown extract option %q", seg)
 		}
 	}
 	return o, nil
-}
-
-func indexByte(s string, c byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == c {
-			return i
-		}
-	}
-	return -1
-}
-
-func parseInt(s string) (int64, error) {
-	neg := false
-	if len(s) > 0 && s[0] == '-' {
-		neg = true
-		s = s[1:]
-	}
-	if s == "" {
-		return 0, core.Errorf(core.KindProtocol, "bad integer in extract options")
-	}
-	var v int64
-	for i := 0; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
-			return 0, core.Errorf(core.KindProtocol, "bad integer in extract options")
-		}
-		d := int64(s[i] - '0')
-		if v > (1<<63-1-d)/10 {
-			return 0, core.Errorf(core.KindProtocol, "integer overflow in extract options")
-		}
-		v = v*10 + d
-	}
-	if neg {
-		v = -v
-	}
-	return v, nil
 }
 
 // Compress DEFLATEs data at the default level.

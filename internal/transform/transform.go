@@ -171,38 +171,6 @@ func dedent(lines []string) string {
 	return strings.Join(out, "\n")
 }
 
-// ExtractParams parses the parameter names out of the script's def line.
-func ExtractParams(source, name string) ([]string, error) {
-	for _, ln := range strings.Split(source, "\n") {
-		trimmed := strings.TrimSpace(ln)
-		if !strings.HasPrefix(trimmed, "def "+name) {
-			continue
-		}
-		open := strings.IndexByte(trimmed, '(')
-		close := strings.LastIndexByte(trimmed, ')')
-		if open < 0 || close < open {
-			continue
-		}
-		inner := strings.TrimSpace(trimmed[open+1 : close])
-		if inner == "" {
-			return nil, nil
-		}
-		parts := strings.Split(inner, ",")
-		out := make([]string, 0, len(parts))
-		for _, p := range parts {
-			p = strings.TrimSpace(p)
-			if i := strings.IndexByte(p, '='); i >= 0 {
-				p = strings.TrimSpace(p[:i])
-			}
-			if p != "" {
-				out = append(out, p)
-			}
-		}
-		return out, nil
-	}
-	return nil, core.Errorf(core.KindName, "could not find 'def %s(...)'", name)
-}
-
 // ExtractFuncName is the server-side table function the rewritten query
 // calls instead of the UDF.
 const ExtractFuncName = "sys_extract"

@@ -79,10 +79,6 @@ func TestExtractBodyReversesBuild(t *testing.T) {
 	if back != body {
 		t.Fatalf("extract:\n%q\nwant\n%q", back, body)
 	}
-	params, err := ExtractParams(src, "f")
-	if err != nil || len(params) != 1 || params[0] != "a" {
-		t.Fatalf("params: %v %v", params, err)
-	}
 }
 
 func TestExtractBodyEditedFile(t *testing.T) {

@@ -112,14 +112,6 @@ func Unregister(name string) {
 	mu.Unlock()
 }
 
-// Registered reports whether a Go function is registered under name.
-func Registered(name string) bool {
-	mu.RLock()
-	_, ok := funcs[strings.ToLower(name)]
-	mu.RUnlock()
-	return ok
-}
-
 func lookup(name string) (reflect.Value, bool) {
 	e, ok := lookupEntry(name)
 	return e.fn, ok

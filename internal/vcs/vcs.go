@@ -256,33 +256,6 @@ func (r *Repo) Log() ([]CommitInfo, error) {
 	return out, nil
 }
 
-// Checkout returns the full file snapshot of a commit ("" means HEAD).
-func (r *Repo) Checkout(hash string) (map[string][]byte, error) {
-	if hash == "" {
-		head, err := r.Head()
-		if err != nil {
-			return nil, err
-		}
-		if head == "" {
-			return nil, core.Errorf(core.KindConstraint, "repository has no commits")
-		}
-		hash = head
-	}
-	tree, err := r.treeOf(hash)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]byte, len(tree))
-	for p, bh := range tree {
-		blob, err := r.fs.ReadFile(r.path("objects", bh))
-		if err != nil {
-			return nil, core.Errorf(core.KindIO, "missing blob %s for %s", bh, p)
-		}
-		out[p] = blob
-	}
-	return out, nil
-}
-
 // FileAt returns one file's contents at a commit.
 func (r *Repo) FileAt(hash, path string) ([]byte, error) {
 	tree, err := r.treeOf(hash)
@@ -353,52 +326,6 @@ func (r *Repo) Diff(a, b string) ([]DiffEntry, error) {
 				Path: p, Status: DiffModified,
 				Lines: DiffLines(string(blobA), string(blobB)),
 			})
-		}
-	}
-	return out, nil
-}
-
-// StatusAgainstHead compares working files with HEAD, returning changed
-// paths with statuses (added/removed/modified).
-func (r *Repo) StatusAgainstHead(files map[string][]byte) ([]DiffEntry, error) {
-	head, err := r.Head()
-	if err != nil {
-		return nil, err
-	}
-	var tree map[string]string
-	if head == "" {
-		tree = map[string]string{}
-	} else {
-		tree, err = r.treeOf(head)
-		if err != nil {
-			return nil, err
-		}
-	}
-	paths := map[string]bool{}
-	for p := range tree {
-		paths[p] = true
-	}
-	for p := range files {
-		paths[p] = true
-	}
-	sorted := make([]string, 0, len(paths))
-	for p := range paths {
-		sorted = append(sorted, p)
-	}
-	sort.Strings(sorted)
-	var out []DiffEntry
-	for _, p := range sorted {
-		bh, inHead := tree[p]
-		cur, inWork := files[p]
-		switch {
-		case inHead && !inWork:
-			out = append(out, DiffEntry{Path: p, Status: DiffRemoved})
-		case !inHead && inWork:
-			out = append(out, DiffEntry{Path: p, Status: DiffAdded})
-		default:
-			if hashBytes(cur) != bh {
-				out = append(out, DiffEntry{Path: p, Status: DiffModified})
-			}
 		}
 	}
 	return out, nil

@@ -62,16 +62,15 @@ func TestCommitLogCheckout(t *testing.T) {
 	if log[0].Message != "fix abs bug" || log[0].Seq != 2 || log[0].Parent != h1 {
 		t.Fatalf("commit meta: %+v", log[0])
 	}
-	files, err := r.Checkout(h1)
-	if err != nil {
-		t.Fatal(err)
+	old, err := r.FileAt(h1, "mean_deviation.py")
+	if err != nil || !strings.Contains(string(old), "return 0") {
+		t.Fatalf("mean_deviation.py at h1: %q %v", old, err)
 	}
-	if len(files) != 1 || !strings.Contains(string(files["mean_deviation.py"]), "return 0") {
-		t.Fatalf("checkout h1: %v", files)
+	if _, err := r.FileAt(h1, "loader.py"); err == nil {
+		t.Fatal("loader.py was added in h2 and must not be in h1")
 	}
-	files, err = r.Checkout("") // HEAD
-	if err != nil || len(files) != 2 {
-		t.Fatalf("checkout HEAD: %v %v", files, err)
+	if _, err := r.FileAt(h2, "loader.py"); err != nil {
+		t.Fatalf("loader.py at h2: %v", err)
 	}
 }
 
@@ -117,33 +116,6 @@ func TestDiff(t *testing.T) {
 	joined := strings.Join(mod.Lines, "|")
 	if !strings.Contains(joined, "-b") || !strings.Contains(joined, "+B") || !strings.Contains(joined, "+d") {
 		t.Fatalf("diff lines: %v", mod.Lines)
-	}
-}
-
-func TestStatusAgainstHead(t *testing.T) {
-	r := newRepo(t)
-	_, _ = r.Commit("m", "v1", map[string][]byte{
-		"keep.py":   []byte("k\n"),
-		"change.py": []byte("old\n"),
-		"del.py":    []byte("d\n"),
-	})
-	status, err := r.StatusAgainstHead(map[string][]byte{
-		"keep.py":   []byte("k\n"),
-		"change.py": []byte("new\n"),
-		"added.py":  []byte("a\n"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]DiffStatus{}
-	for _, s := range status {
-		got[s.Path] = s.Status
-	}
-	if got["change.py"] != DiffModified || got["del.py"] != DiffRemoved || got["added.py"] != DiffAdded {
-		t.Fatalf("status: %v", got)
-	}
-	if _, ok := got["keep.py"]; ok {
-		t.Fatal("unchanged file should not appear")
 	}
 }
 

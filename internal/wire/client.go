@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,29 +29,7 @@ func (p ConnParams) Addr() string {
 	if host == "" {
 		host = "127.0.0.1"
 	}
-	return net.JoinHostPort(host, itoa(p.Port))
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var b [12]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
+	return net.JoinHostPort(host, strconv.Itoa(p.Port))
 }
 
 // Client is a connected, authenticated database session. A Client is not

@@ -240,10 +240,6 @@ func (dc *DebugConn) RoundTrip(ctx context.Context, req DebugRequest) (DebugRepl
 	}
 }
 
-// Events returns the server-pushed debug event stream. It is closed when
-// the connection dies.
-func (dc *DebugConn) Events() <-chan DebugEventMsg { return dc.events }
-
 // WaitEvent blocks for the next debug event.
 func (dc *DebugConn) WaitEvent(ctx context.Context) (DebugEventMsg, error) {
 	if ctx == nil {
