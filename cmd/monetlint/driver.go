@@ -9,23 +9,16 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/load"
 )
 
 // lint loads the packages the patterns name from the module around the
-// working directory and applies the analyzers. Findings, the summary line
-// and operational errors go to stderr; the -timing report goes to stdout.
-// It returns the exit code: 0 clean, 2 findings, 1 operational error.
-//
-// Packages are analyzed in dependency order sharing one fact store:
-// analyzers that declare FactTypes also run (silently) over module-local
-// dependencies of the requested packages, so facts like "goroutines
-// running this function are bounded" are in place before the packages
-// that need them are checked.
-func lint(patterns []string, analyzers []*analysis.Analyzer, timing bool, stdout, stderr io.Writer) int {
+// working directory and applies the analyzers to each. Findings, the summary
+// line and operational errors go to stderr. It returns the exit code:
+// 0 clean, 2 findings, 1 operational error.
+func lint(patterns []string, analyzers []*analysis.Analyzer, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "monetlint: %v\n", err)
 		return 1
@@ -39,37 +32,18 @@ func lint(patterns []string, analyzers []*analysis.Analyzer, timing bool, stdout
 	if err != nil {
 		return fail(err)
 	}
-	targets := map[string]bool{}
+	counts := map[string]int{}
 	for _, path := range paths {
-		if _, err := loader.LoadPath(path); err != nil {
+		pkg, err := loader.LoadPath(path)
+		if err != nil {
 			return fail(err)
 		}
-		targets[path] = true
-	}
-
-	r := &runner{
-		fset:   loader.Fset(),
-		facts:  analysis.NewFactStore(),
-		stderr: stderr,
-		counts: map[string]int{},
-		times:  map[string]time.Duration{},
-	}
-	factAnalyzers := withFacts(analyzers)
-	for _, pkg := range depOrder(loader, paths) {
-		// A dependency of a target is visited for its facts only.
-		as, report := factAnalyzers, false
-		if targets[pkg.Path] {
-			as, report = analyzers, true
-		}
-		if err := r.run(pkg, as, report); err != nil {
+		if err := run(pkg, analyzers, loader.Fset(), counts, stderr); err != nil {
 			return fail(err)
 		}
 	}
-	if timing {
-		printTiming(stdout, r.times)
-	}
-	if len(r.counts) > 0 {
-		fmt.Fprintln(stderr, summaryLine(r.counts))
+	if len(counts) > 0 {
+		fmt.Fprintln(stderr, summaryLine(counts))
 		return 2
 	}
 	return 0
@@ -131,54 +105,9 @@ func resolveImportPath(pat, modDir, modPath string) (string, error) {
 	return modPath + "/" + filepath.ToSlash(rel), nil
 }
 
-// withFacts filters analyzers to those declaring fact types.
-func withFacts(analyzers []*analysis.Analyzer) []*analysis.Analyzer {
-	var out []*analysis.Analyzer
-	for _, a := range analyzers {
-		if len(a.FactTypes) > 0 {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// depOrder returns the loader-cached packages reachable from the target
-// paths, dependencies first. Only packages the loader typechecked from
-// source appear (standard-library imports are excluded).
-func depOrder(loader *load.Loader, targets []string) []*load.Package {
-	var order []*load.Package
-	seen := map[string]bool{}
-	var visit func(p *load.Package)
-	visit = func(p *load.Package) {
-		if p == nil || seen[p.Path] {
-			return
-		}
-		seen[p.Path] = true
-		for _, imp := range p.Types.Imports() {
-			visit(loader.Cached(imp.Path()))
-		}
-		order = append(order, p)
-	}
-	for _, t := range targets {
-		visit(loader.Cached(t))
-	}
-	return order
-}
-
-// runner applies analyzers to packages, accumulating facts, per-analyzer
-// finding counts, and wall times across the whole run.
-type runner struct {
-	fset   *token.FileSet
-	facts  *analysis.FactStore
-	stderr io.Writer
-	counts map[string]int
-	times  map[string]time.Duration
-}
-
-// run applies the analyzers to one package and prints its findings in
-// position order. When report is false the package is being visited only
-// for its facts: diagnostics are discarded and do not count.
-func (r *runner) run(pkg *load.Package, analyzers []*analysis.Analyzer, report bool) error {
+// run applies the analyzers to one package, prints its findings in position
+// order and adds them to the per-analyzer counts.
+func run(pkg *load.Package, analyzers []*analysis.Analyzer, fset *token.FileSet, counts map[string]int, stderr io.Writer) error {
 	type record struct {
 		analyzer string
 		pos      token.Position
@@ -188,21 +117,15 @@ func (r *runner) run(pkg *load.Package, analyzers []*analysis.Analyzer, report b
 	for _, a := range analyzers {
 		pass := &analysis.Pass{
 			Analyzer:  a,
-			Fset:      r.fset,
+			Fset:      fset,
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
-			Facts:     r.facts,
+			Report: func(d analysis.Diagnostic) {
+				recs = append(recs, record{a.Name, fset.Position(d.Pos), d.Message})
+			},
 		}
-		pass.Report = func(d analysis.Diagnostic) {
-			if report {
-				recs = append(recs, record{a.Name, r.fset.Position(d.Pos), d.Message})
-			}
-		}
-		start := time.Now()
-		err := a.Run(pass)
-		r.times[a.Name] += time.Since(start)
-		if err != nil {
+		if err := a.Run(pass); err != nil {
 			return fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
 		}
 	}
@@ -217,8 +140,8 @@ func (r *runner) run(pkg *load.Package, analyzers []*analysis.Analyzer, report b
 		return a.Column < b.Column
 	})
 	for _, rec := range recs {
-		r.counts[rec.analyzer]++
-		fmt.Fprintf(r.stderr, "%s: %s [%s]\n", rec.pos, rec.msg, rec.analyzer)
+		counts[rec.analyzer]++
+		fmt.Fprintf(stderr, "%s: %s [%s]\n", rec.pos, rec.msg, rec.analyzer)
 	}
 	return nil
 }
@@ -245,19 +168,6 @@ func summaryLine(counts map[string]int) string {
 		noun = "finding"
 	}
 	return fmt.Sprintf("monetlint: %d %s (%s)", total, noun, strings.Join(parts, " "))
-}
-
-// printTiming renders per-analyzer wall time accumulated over the run,
-// one line per analyzer.
-func printTiming(w io.Writer, times map[string]time.Duration) {
-	names := make([]string, 0, len(times))
-	for name := range times {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(w, "monetlint: timing: %-14s %s\n", name, times[name].Round(10*time.Microsecond))
-	}
 }
 
 // findModule walks up from the working directory to go.mod and reads the

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/analysis/suite"
 )
@@ -16,7 +15,7 @@ var fixtureDir, _ = filepath.Abs(filepath.Join("testdata", "lintmod"))
 
 // lintFixture copies the fixture module to a scratch directory (so a test
 // may edit it), makes it the working directory and runs the whole suite.
-func lintFixture(t *testing.T, edit func(dir string), patterns ...string) (code int, stdout, stderr string) {
+func lintFixture(t *testing.T, edit func(dir string), patterns ...string) (code int, stderr string) {
 	t.Helper()
 	dir := t.TempDir()
 	if err := os.CopyFS(dir, os.DirFS(fixtureDir)); err != nil {
@@ -26,18 +25,15 @@ func lintFixture(t *testing.T, edit func(dir string), patterns ...string) (code 
 		edit(dir)
 	}
 	t.Chdir(dir)
-	var out, errw bytes.Buffer
-	code = lint(patterns, suite.Analyzers(), false, &out, &errw)
-	return code, out.String(), errw.String()
+	var errw bytes.Buffer
+	code = lint(patterns, suite.Analyzers(), &errw)
+	return code, errw.String()
 }
 
 func TestLintReportsSeededViolation(t *testing.T) {
-	code, stdout, stderr := lintFixture(t, nil, "./...")
+	code, stderr := lintFixture(t, nil, "./...")
 	if code != 2 {
 		t.Errorf("exit code = %d, want 2", code)
-	}
-	if stdout != "" {
-		t.Errorf("stdout = %q, want nothing without -timing", stdout)
 	}
 	lines := strings.Split(strings.TrimSpace(stderr), "\n")
 	if len(lines) != 2 {
@@ -53,42 +49,19 @@ func TestLintReportsSeededViolation(t *testing.T) {
 }
 
 func TestLintCleanTree(t *testing.T) {
-	code, stdout, stderr := lintFixture(t, func(dir string) {
+	code, stderr := lintFixture(t, func(dir string) {
 		if err := os.RemoveAll(filepath.Join(dir, "bad")); err != nil {
 			t.Fatal(err)
 		}
 	}, "./...")
-	if code != 0 || stdout != "" || stderr != "" {
-		t.Errorf("clean tree: exit %d, stdout %q, stderr %q; want 0 and silence", code, stdout, stderr)
-	}
-}
-
-// TestLintFactsFlowInDependencyOrder: app's goroutine is bounded only by
-// the receive in workers.Pump, a package that is neither a target nor
-// listed before app.
-func TestLintFactsFlowInDependencyOrder(t *testing.T) {
-	if code, _, stderr := lintFixture(t, nil, "./app"); code != 0 || stderr != "" {
-		t.Errorf("bounded through the workers fact: exit %d, stderr %q; want clean", code, stderr)
-	}
-	code, _, stderr := lintFixture(t, func(dir string) {
-		path := filepath.Join(dir, "workers", "workers.go")
-		src, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, bytes.Replace(src, []byte("\t<-done\n"), nil, 1), 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}, "./app")
-	if code != 2 || !strings.Contains(stderr, "goroutine running Pump is not provably bounded") ||
-		!strings.Contains(stderr, "monetlint: 1 finding (goleak:1)") {
-		t.Errorf("bound removed from workers.Pump: exit %d, stderr %q; want the goleak finding", code, stderr)
+	if code != 0 || stderr != "" {
+		t.Errorf("clean tree: exit %d, stderr %q; want 0 and silence", code, stderr)
 	}
 }
 
 func TestLintOperationalErrors(t *testing.T) {
 	for _, pat := range []string{"./missing/...", "../outside", "lintmod/nosuch"} {
-		code, _, stderr := lintFixture(t, nil, pat)
+		code, stderr := lintFixture(t, nil, pat)
 		if code != 1 || !strings.HasPrefix(stderr, "monetlint: ") {
 			t.Errorf("pattern %s: exit %d, stderr %q; want 1 and a monetlint: line", pat, code, stderr)
 		}
@@ -116,25 +89,13 @@ func TestFindModuleMissing(t *testing.T) {
 }
 
 func TestSummaryLine(t *testing.T) {
-	got := summaryLine(map[string]int{"errwrap": 3, "goleak": 1, "quiet": 0})
-	want := "monetlint: 4 findings (errwrap:3 goleak:1)"
+	got := summaryLine(map[string]int{"errwrap": 3, "ctxflow": 1, "quiet": 0})
+	want := "monetlint: 4 findings (ctxflow:1 errwrap:3)"
 	if got != want {
 		t.Errorf("summaryLine = %q, want %q", got, want)
 	}
 	if got := summaryLine(map[string]int{"lockblock": 1}); got != "monetlint: 1 finding (lockblock:1)" {
 		t.Errorf("singular summaryLine = %q", got)
-	}
-}
-
-func TestPrintTiming(t *testing.T) {
-	var buf bytes.Buffer
-	printTiming(&buf, map[string]time.Duration{
-		"goleak":  250 * time.Microsecond,
-		"errwrap": 1500 * time.Microsecond,
-	})
-	want := "monetlint: timing: errwrap        1.5ms\nmonetlint: timing: goleak         250µs\n"
-	if buf.String() != want {
-		t.Errorf("printTiming = %q, want %q", buf.String(), want)
 	}
 }
 

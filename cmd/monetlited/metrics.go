@@ -57,7 +57,7 @@ func (o *obsStack) serve(addr string) (string, error) {
 	}
 	o.ln = ln
 	o.http = &http.Server{Handler: mux}
-	//goleak:bounded Serve returns when shutdown closes the listener
+	// Serve returns when shutdown closes the listener.
 	go func() { _ = o.http.Serve(ln) }()
 	return ln.Addr().String(), nil
 }

@@ -29,12 +29,9 @@ type Client struct {
 // Open dials the database from the settings and opens the project
 // workspace. The returned client is backed by a bounded connection pool;
 // connectivity and credentials are verified eagerly with one checkout.
+// ctx must be non-nil.
 func Open(ctx context.Context, settings Settings, opts ...Option) (*Client, error) {
-	if ctx == nil {
-		ctx = context.Background() //ctxflow:edge nil-ctx fallback of the exported client API
-	}
 	cfg := clientConfig{fs: core.OSFS{}, poolSize: 4}
-	//interruptloop:exempt bounded by the handful of client options passed at Open
 	for _, o := range opts {
 		o(&cfg)
 	}

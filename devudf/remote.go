@@ -42,11 +42,9 @@ type RemoteDebugSession struct {
 // NewRemoteDebugSession prepares (but does not launch) a remote debug
 // session: the settings' debug query will execute inside the server with
 // the debugger attached to udfName's first invocation. The UDF does not
-// need to be imported locally — it is debugged where it lives.
+// need to be imported locally — it is debugged where it lives. ctx must be
+// non-nil.
 func (c *Client) NewRemoteDebugSession(ctx context.Context, udfName string, stopOnEntry bool) (*RemoteDebugSession, error) {
-	if ctx == nil {
-		ctx = context.Background() //ctxflow:edge nil-ctx fallback of the exported debug API
-	}
 	if c.Settings.DebugQuery == "" {
 		return nil, core.Errorf(core.KindConstraint,
 			"no debug query configured in settings (the SQL query which executes the to-be-debugged UDF)")

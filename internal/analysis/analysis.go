@@ -19,17 +19,12 @@ import (
 
 // Analyzer describes one static check.
 type Analyzer struct {
-	// Name is the vet-style identifier, e.g. "wireswitch".
+	// Name is the vet-style identifier, e.g. "errwrap".
 	Name string
 	// Doc is a one-paragraph description; the first line is the summary.
 	Doc string
 	// Run applies the check to one package.
 	Run func(*Pass) error
-	// FactTypes lists the concrete types of the facts this analyzer
-	// exports, one zero value per type (pointers). An analyzer with fact
-	// types runs over dependency packages too — silently, diagnostics
-	// discarded — so its facts are available when dependents are checked.
-	FactTypes []Fact
 }
 
 // Diagnostic is one finding, positioned within pass.Fset.
@@ -46,9 +41,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	Report    func(Diagnostic)
-	// Facts is the cross-package fact store of this run; nil when the
-	// driver does not support facts (Export/Import become no-ops).
-	Facts *FactStore
 
 	directives map[*ast.File]map[int][]Directive
 }
@@ -67,10 +59,9 @@ func (p *Pass) Preorder(fn func(ast.Node) bool) {
 
 // ForEachFunc visits every function body in the package — declarations
 // and function literals — skipping test files. Literals nested inside a
-// declaration are visited after it. This is the shared entry point of the
-// function-at-a-time analyzers (lockblock, interruptloop): fn
-// receives the enclosing *ast.FuncDecl (nil for a literal not inside one)
-// and the body.
+// declaration are visited after it. This is the entry point of the
+// function-at-a-time analyzer (lockblock): fn receives the enclosing
+// *ast.FuncDecl (nil for a literal not inside one) and the body.
 func (p *Pass) ForEachFunc(fn func(decl *ast.FuncDecl, lit *ast.FuncLit, body *ast.BlockStmt)) {
 	for _, f := range p.Files {
 		for _, d := range f.Decls {

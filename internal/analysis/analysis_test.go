@@ -161,9 +161,6 @@ func TestDirectives(t *testing.T) {
 	if ds := pass.Attached(annotated, "tool"); len(ds) != 1 || ds[0].Verb != "marked" || ds[0].Args != "on the declaration" {
 		t.Errorf("Attached(annotated) = %+v", ds)
 	}
-	if ds := pass.Within(annotated, "tool"); len(ds) != 1 || ds[0].Verb != "inner" {
-		t.Errorf("Within(annotated) = %+v", ds)
-	}
 	if ds := pass.FuncDirectives(annotated.Body.Pos(), "tool"); len(ds) != 1 || ds[0].Verb != "marked" {
 		t.Errorf("FuncDirectives(annotated) = %+v", ds)
 	}

@@ -31,11 +31,6 @@ import (
 
 // Run loads each fixture package under testdata/src, applies a, and
 // reports mismatches between diagnostics and want comments through t.
-//
-// If a declares FactTypes, it first runs silently over the fixture
-// package's own fixture-tree imports (dependencies first), sharing one
-// fact store — so a fixture can import a helper package and exercise
-// cross-package facts exactly as the driver produces them.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, paths ...string) {
 	t.Helper()
 	loader := load.New(load.Config{SrcDirs: []string{filepath.Join(testdata, "src")}})
@@ -46,61 +41,21 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, paths ...string) {
 			if err != nil {
 				t.Fatalf("loading fixture %s: %v", path, err)
 			}
-			facts := analysis.NewFactStore()
-			if len(a.FactTypes) > 0 {
-				for _, dep := range fixtureDeps(loader, pkg) {
-					if dep == pkg {
-						continue
-					}
-					runOn(t, loader.Fset(), a, dep, facts, nil)
-				}
-			}
 			var diags []analysis.Diagnostic
-			runOn(t, loader.Fset(), a, pkg, facts, func(d analysis.Diagnostic) { diags = append(diags, d) })
+			pass := &analysis.Pass{
+				Analyzer:  a,
+				Fset:      loader.Fset(),
+				Files:     pkg.Files,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.Info,
+				Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
+			}
+			if err := a.Run(pass); err != nil {
+				t.Fatalf("%s: %s: %v", a.Name, pkg.Path, err)
+			}
 			check(t, loader.Fset(), pkg, diags)
 		})
 	}
-}
-
-// runOn applies a to one package. A nil report discards diagnostics (the
-// facts-only pass over dependencies).
-func runOn(t *testing.T, fset *token.FileSet, a *analysis.Analyzer, pkg *load.Package, facts *analysis.FactStore, report func(analysis.Diagnostic)) {
-	t.Helper()
-	if report == nil {
-		report = func(analysis.Diagnostic) {}
-	}
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.Info,
-		Report:    report,
-		Facts:     facts,
-	}
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("%s: %s: %v", a.Name, pkg.Path, err)
-	}
-}
-
-// fixtureDeps returns pkg and its loader-cached (fixture-tree) imports,
-// dependencies first.
-func fixtureDeps(loader *load.Loader, pkg *load.Package) []*load.Package {
-	var order []*load.Package
-	seen := map[string]bool{}
-	var visit func(p *load.Package)
-	visit = func(p *load.Package) {
-		if p == nil || seen[p.Path] {
-			return
-		}
-		seen[p.Path] = true
-		for _, imp := range p.Types.Imports() {
-			visit(loader.Cached(imp.Path()))
-		}
-		order = append(order, p)
-	}
-	visit(pkg)
-	return order
 }
 
 type key struct {

@@ -37,7 +37,7 @@ func TestParseWant(t *testing.T) {
 		wantErr bool
 	}{
 		{text: "// a regular comment"},
-		{text: "//wireswitch:ignore a directive is not a want"},
+		{text: "//lockblock:ok a directive is not a want"},
 		{text: `// want "one"`, want: []string{"one"}},
 		{text: "// want `back quoted`", want: []string{"back quoted"}},
 		{text: `// want "one" "two"`, want: []string{"one", "two"}},

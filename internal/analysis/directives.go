@@ -10,13 +10,10 @@ import (
 // mechanism of the monetlint suite (mirroring `//go:build`-style tool
 // directives). Examples:
 //
-//	//ctxflow:edge nil-ctx fallback of the exported API
-//	//wireswitch:dispatch client-to-server
-//	//wireswitch:ignore MsgAuth -- handled during the handshake
+//	//ctxflow:edge process entry point
 //	//lockblock:ok write lock intentionally serializes frame writes
 //
-// Everything after the verb is Args; by convention a human reason follows
-// "--" or just trails the verb.
+// Everything after the verb is Args: the human reason.
 type Directive struct {
 	Tool string
 	Verb string
@@ -93,24 +90,6 @@ func (p *Pass) Attached(n ast.Node, tool string) []Directive {
 	for _, d := range byLine[line] {
 		if d.Tool == tool {
 			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// Within returns the directives for tool positioned inside n's source range
-// (e.g. comments between the cases of a switch statement).
-func (p *Pass) Within(n ast.Node, tool string) []Directive {
-	f := p.FileOf(n.Pos())
-	if f == nil {
-		return nil
-	}
-	var out []Directive
-	for _, ds := range p.fileDirectives(f) {
-		for _, d := range ds {
-			if d.Tool == tool && n.Pos() <= d.Pos && d.Pos < n.End() {
-				out = append(out, d)
-			}
 		}
 	}
 	return out

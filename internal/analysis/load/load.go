@@ -177,13 +177,6 @@ func (l *Loader) Load(path, dir string) (*Package, error) {
 	return pkg, nil
 }
 
-// Cached returns the already-loaded package for an import path, or nil.
-// Packages this loader typechecked from source (module packages, fixture
-// packages) are cached; standard-library imports are not — which makes
-// Cached the "is this one of ours" test monetlint and analysistest use to
-// order analysis by dependency.
-func (l *Loader) Cached(path string) *Package { return l.pkgs[path] }
-
 // LoadPath loads the package for an import path resolvable by this loader.
 func (l *Loader) LoadPath(path string) (*Package, error) {
 	dir, ok := l.dirFor(path)

@@ -6,10 +6,7 @@ import (
 	"repro/internal/analysis/colinvariant"
 	"repro/internal/analysis/ctxflow"
 	"repro/internal/analysis/errwrap"
-	"repro/internal/analysis/goleak"
-	"repro/internal/analysis/interruptloop"
 	"repro/internal/analysis/lockblock"
-	"repro/internal/analysis/wireswitch"
 )
 
 // Analyzers returns the full monetlint suite.
@@ -18,19 +15,6 @@ func Analyzers() []*analysis.Analyzer {
 		colinvariant.Analyzer,
 		ctxflow.Analyzer,
 		errwrap.Analyzer,
-		goleak.Analyzer,
-		interruptloop.Analyzer,
 		lockblock.Analyzer,
-		wireswitch.Analyzer,
 	}
-}
-
-// ByName returns the analyzer with the given name, or nil.
-func ByName(name string) *analysis.Analyzer {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }

@@ -264,7 +264,7 @@ func (s *Session) Start() Event {
 		return Event{Reason: ReasonDone, Terminal: true,
 			Err: core.Errorf(core.KindConstraint, "session already started")}
 	}
-	//goleak:bounded terminates when the debuggee script completes or Kill aborts it
+	// The goroutine ends when the debuggee script completes or Kill aborts it.
 	go func() {
 		err := s.run()
 		s.lastErr = err

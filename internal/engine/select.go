@@ -608,6 +608,9 @@ func (c *Conn) evalAggregateSelect(sel *sqlparse.Select, src *storage.Table, sel
 	if sel.Having != nil {
 		kept := groups[:0]
 		for _, g := range groups {
+			if err := c.interruptErr(); err != nil {
+				return nil, err
+			}
 			sub := gatherTableSel(src, g)
 			hv, err := c.evalGroupItem(c.newCtx(sub, nil), sel.Having)
 			if err != nil {
@@ -621,6 +624,11 @@ func (c *Conn) evalAggregateSelect(sel *sqlparse.Select, src *storage.Table, sel
 	}
 	var outCols []*storage.Column
 	for gi, g := range groups {
+		// One checkpoint per group: a group's items can each run a UDF over
+		// the whole group, and there may be as many groups as rows.
+		if err := c.interruptErr(); err != nil {
+			return nil, err
+		}
 		sctx := c.newCtx(gatherTableSel(src, g), nil)
 		for ii, item := range sel.Items {
 			if item.Star {

@@ -23,19 +23,25 @@ func TestStopHaltsInlineRun(t *testing.T) {
 }
 
 // TestStopHaltsParallelRun: every worker observes Stop at its next claim
-// and exits without touching the remaining ranges.
+// and exits without touching the remaining ranges. Only morsels that begin
+// after the trip are counted: a worker descheduled between its fifth-morsel
+// count and the store would otherwise let the others run on unobserved.
 func TestStopHaltsParallelRun(t *testing.T) {
-	var ran atomic.Int64
+	var ran, late atomic.Int64
 	var stop atomic.Bool
 	p := Pol{Workers: 4, MorselSize: 1, Stop: stop.Load}
 	p.RunIdx(10_000, func(m, lo, hi int) {
+		if stop.Load() {
+			late.Add(1)
+		}
 		if ran.Add(1) == 5 {
 			stop.Store(true)
 		}
 	})
-	// At most one in-flight morsel per worker can slip past the trip.
-	if got := ran.Load(); got > 5+4 {
-		t.Fatalf("ran %d morsels after stop, want at most 9", got)
+	// Each of the other three workers may have polled Stop just before the
+	// trip and so start one more morsel after it.
+	if got := late.Load(); got > 3 {
+		t.Fatalf("%d morsels began after stop, want at most 3", got)
 	}
 }
 

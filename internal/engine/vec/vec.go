@@ -296,8 +296,6 @@ func Arith(p Pol, op ArithOp, l, r *storage.Column, n int) (*storage.Column, err
 // GO-UDF boundary where NULLs are contractually Go zero values, and the
 // scalar reference's AppendNull stores zeros — this keeps outputs
 // bit-identical.
-//
-//vec:hot
 func zeroUnderNulls[T comparable](p Pol, dst []T, nulls []bool) {
 	if nulls == nil {
 		return
@@ -316,8 +314,6 @@ func zeroUnderNulls[T comparable](p Pol, dst []T, nulls []bool) {
 // arithVec dispatches op (Add/Sub/Mul/Div — Mod is per-type) and the
 // operand shape once, then runs tight generic loops morsel-parallel
 // (disjoint output ranges, no locking).
-//
-//vec:hot
 func arithVec[T number](p Pol, op ArithOp, dst, a, b []T, nulls []bool, n int) error {
 	av, bv := len(a) == n, len(b) == n
 	switch op {
@@ -375,49 +371,42 @@ func subNulls(nulls []bool, lo, hi int) []bool {
 // Branch-free kernels for the ops that cannot fail. NULL rows compute
 // harmless garbage over zero values; the validity bitmap masks them.
 
-//vec:hot
 func addVV[T number](dst, a, b []T) {
 	for i := range dst {
 		dst[i] = a[i] + b[i]
 	}
 }
 
-//vec:hot
 func addVS[T number](dst, a []T, b T) {
 	for i := range dst {
 		dst[i] = a[i] + b
 	}
 }
 
-//vec:hot
 func subVV[T number](dst, a, b []T) {
 	for i := range dst {
 		dst[i] = a[i] - b[i]
 	}
 }
 
-//vec:hot
 func subVS[T number](dst, a []T, b T) {
 	for i := range dst {
 		dst[i] = a[i] - b
 	}
 }
 
-//vec:hot
 func subSV[T number](dst []T, a T, b []T) {
 	for i := range dst {
 		dst[i] = a - b[i]
 	}
 }
 
-//vec:hot
 func mulVV[T number](dst, a, b []T) {
 	for i := range dst {
 		dst[i] = a[i] * b[i]
 	}
 }
 
-//vec:hot
 func mulVS[T number](dst, a []T, b T) {
 	for i := range dst {
 		dst[i] = a[i] * b
@@ -428,7 +417,6 @@ func mulVS[T number](dst, a []T, b T) {
 // unless the row is NULL (the scalar reference never reaches the check
 // on NULL rows).
 
-//vec:hot
 func divVV[T number](dst, a, b []T, nulls []bool) error {
 	for i := range dst {
 		if b[i] == 0 {
@@ -442,7 +430,6 @@ func divVV[T number](dst, a, b []T, nulls []bool) error {
 	return nil
 }
 
-//vec:hot
 func divSV[T number](dst []T, a T, b []T, nulls []bool) error {
 	for i := range dst {
 		if b[i] == 0 {
@@ -458,8 +445,6 @@ func divSV[T number](dst []T, a T, b []T, nulls []bool) error {
 
 // divVS handles a constant divisor: the zero check hoists out of the
 // loop entirely (a zero divisor errors iff any row is non-NULL).
-//
-//vec:hot
 func divVS[T number](p Pol, dst, a []T, b T, nulls []bool, n int) error {
 	if b == 0 {
 		return scalarZeroDivisor(nulls, n)
@@ -474,8 +459,6 @@ func divVS[T number](p Pol, dst, a []T, b T, nulls []bool, n int) error {
 }
 
 // modInt is integer modulo over the three operand shapes.
-//
-//vec:hot
 func modInt(p Pol, dst, a, b []int64, nulls []bool, n int) error {
 	av, bv := len(a) == n, len(b) == n
 	switch {
@@ -514,7 +497,6 @@ func modInt(p Pol, dst, a, b []int64, nulls []bool, n int) error {
 	}
 }
 
-//vec:hot
 func modIntVV(dst, a, b []int64, nulls []bool) error {
 	for i := range dst {
 		if b[i] == 0 {
@@ -529,8 +511,6 @@ func modIntVV(dst, a, b []int64, nulls []bool) error {
 }
 
 // modFlt is float modulo (math.Mod) over the three operand shapes.
-//
-//vec:hot
 func modFlt(p Pol, dst, a, b []float64, nulls []bool, n int) error {
 	av, bv := len(a) == n, len(b) == n
 	switch {
@@ -569,7 +549,6 @@ func modFlt(p Pol, dst, a, b []float64, nulls []bool, n int) error {
 	}
 }
 
-//vec:hot
 func modFltVV(dst, a, b []float64, nulls []bool) error {
 	for i := range dst {
 		if b[i] == 0 {
@@ -649,8 +628,6 @@ func Compare(p Pol, op CmpOp, l, r *storage.Column, n int) (*storage.Column, err
 }
 
 // cmpVec dispatches op and shape once, then runs per-op tight loops.
-//
-//vec:hot
 func cmpVec[T cmp.Ordered](p Pol, op CmpOp, dst []bool, a, b []T, n int) {
 	switch {
 	case len(a) == n && len(b) == n:
@@ -669,7 +646,6 @@ func cmpVec[T cmp.Ordered](p Pol, op CmpOp, dst []bool, a, b []T, n int) {
 // anything, <= and >= hold, < and > do not. For ints and strings these
 // formulations reduce to the direct operators.
 
-//vec:hot
 func cmpVV[T cmp.Ordered](op CmpOp, dst []bool, a, b []T) {
 	switch op {
 	case CmpEq:
@@ -699,7 +675,6 @@ func cmpVV[T cmp.Ordered](op CmpOp, dst []bool, a, b []T) {
 	}
 }
 
-//vec:hot
 func cmpVS[T cmp.Ordered](op CmpOp, dst []bool, a []T, b T) {
 	switch op {
 	case CmpEq:
@@ -735,8 +710,6 @@ func cmpVS[T cmp.Ordered](op CmpOp, dst []bool, a []T, b T) {
 // broadcast-aligned rows into dst: NULL is false, numbers are non-zero,
 // strings non-empty (the WHERE/AND/OR semantics of the scalar
 // reference).
-//
-//vec:hot
 func TruthyInto(p Pol, dst []bool, c *storage.Column, n int) {
 	if c.Len() == 1 && n != 1 {
 		v := truthyScalar(c)
@@ -789,7 +762,6 @@ func TruthyInto(p Pol, dst []bool, c *storage.Column, n int) {
 	}
 }
 
-//vec:hot
 func maskNulls(d []bool, nulls []bool, lo, hi int) {
 	if nulls == nil {
 		return

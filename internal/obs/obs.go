@@ -186,9 +186,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
 // Add adjusts the value by n (negative allowed).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 

@@ -13,7 +13,7 @@ func TestCounterGaugeExposition(t *testing.T) {
 	g := r.Gauge("test_active", "active things")
 	c.Add(3)
 	c.Inc()
-	g.Set(7)
+	g.Add(7)
 	g.Add(-2)
 
 	var b strings.Builder

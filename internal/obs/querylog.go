@@ -83,13 +83,3 @@ func (q *QueryLog) Snapshot() []QueryLogEntry {
 	}
 	return out
 }
-
-// Len returns the number of retained entries.
-func (q *QueryLog) Len() int {
-	if q == nil {
-		return 0
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.n
-}

@@ -253,7 +253,7 @@ func (m *Manager) appendChange(ch engine.Change) error {
 	m.bytes += int64(len(frame))
 	if m.opts.SnapshotBytes > 0 && m.bytes >= m.opts.SnapshotBytes &&
 		m.checkpointing.CompareAndSwap(false, true) {
-		//goleak:bounded one-shot checkpoint, serialized by the checkpointing CAS
+		// One-shot checkpoint, serialized by the checkpointing CAS.
 		go func() {
 			defer m.checkpointing.Store(false)
 			if err := m.Checkpoint(); err != nil {

@@ -60,11 +60,8 @@ type Client struct {
 
 // DialContext connects and authenticates as a protocol v2 client.
 // The context governs the TCP connect and the handshake; cancelling it
-// afterwards has no effect on the connection.
+// afterwards has no effect on the connection. ctx must be non-nil.
 func DialContext(ctx context.Context, p ConnParams, opts ...DialOption) (*Client, error) {
-	if ctx == nil {
-		ctx = context.Background() //ctxflow:edge nil-ctx fallback of the exported dial API
-	}
 	cfg := defaultDialConfig()
 	for _, o := range opts {
 		o(&cfg)
@@ -135,9 +132,6 @@ func (c *Client) handshakeLocked() error {
 		return core.Errorf(core.KindProtocol, "unexpected handshake reply %d", typ)
 	}
 }
-
-// Params returns the connection parameters this client was dialed with.
-func (c *Client) Params() ConnParams { return c.params }
 
 // Broken reports whether the connection is protocol-desynced (a cancelled
 // in-flight operation, an IO error) and must not be reused. Pool discards
@@ -270,7 +264,6 @@ func (c *Client) readQueryResponse() (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	//wireswitch:ignore first-frame matcher for one query response, not a dispatch point; unexpected frames poison the connection below
 	switch typ {
 	case MsgResult:
 		msg, t, err := DecodeResult(payload)

@@ -354,7 +354,7 @@ func TestDebugDisconnectKillsDebuggee(t *testing.T) {
 	// Drop the connection with the debuggee paused (holding the DB lock).
 	dc.Close()
 
-	c2, err := DialContext(ctx, c.Params())
+	c2, err := DialContext(ctx, c.params)
 	if err != nil {
 		t.Fatal(err)
 	}

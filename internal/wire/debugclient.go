@@ -67,7 +67,6 @@ func (c *Client) Debug() (*DebugConn, error) {
 	// The demux reader owns all reads from here on; disable the read
 	// deadline the synchronous path may have armed.
 	_ = c.nc.SetReadDeadline(noDeadline())
-	//goleak:bounded readLoop exits when the connection closes or says goodbye
 	go dc.readLoop()
 	return dc, nil
 }
@@ -84,8 +83,9 @@ func (dc *DebugConn) readLoop() {
 			return
 		}
 		dc.c.BytesRead += int64(len(payload)) + 5
-		//wireswitch:dispatch server-to-client
-		//wireswitch:ignore MsgAuthOK MsgPrepareOK MsgCloseStmtOK -- handshake and prepared statements cannot run on a debug-mode connection
+		// MsgAuthOK, MsgPrepareOK and MsgCloseStmtOK take the default arm:
+		// handshake and prepared statements cannot run on a debug-mode
+		// connection.
 		switch typ {
 		case MsgDebugEvent:
 			ev, err := DecodeDebugEvent(payload)
@@ -206,11 +206,9 @@ func (dc *DebugConn) send(typ byte, payload []byte) error {
 }
 
 // RoundTrip sends one debug request and waits for its reply. It fails with
-// the reply's in-band error when the server rejects the command.
+// the reply's in-band error when the server rejects the command. ctx must
+// be non-nil.
 func (dc *DebugConn) RoundTrip(ctx context.Context, req DebugRequest) (DebugReply, error) {
-	if ctx == nil {
-		ctx = context.Background() //ctxflow:edge nil-ctx fallback of the exported debug API
-	}
 	ch := make(chan DebugReply, 1)
 	dc.pmu.Lock()
 	dc.seq++
@@ -240,11 +238,8 @@ func (dc *DebugConn) RoundTrip(ctx context.Context, req DebugRequest) (DebugRepl
 	}
 }
 
-// WaitEvent blocks for the next debug event.
+// WaitEvent blocks for the next debug event. ctx must be non-nil.
 func (dc *DebugConn) WaitEvent(ctx context.Context) (DebugEventMsg, error) {
-	if ctx == nil {
-		ctx = context.Background() //ctxflow:edge nil-ctx fallback of the exported debug API
-	}
 	select {
 	case ev, ok := <-dc.events:
 		if !ok {
@@ -258,11 +253,8 @@ func (dc *DebugConn) WaitEvent(ctx context.Context) (DebugEventMsg, error) {
 
 // Query runs SQL on the same connection while the debug session is active —
 // the demux routes its response frames around interleaved debug events. The
-// result is fully materialized.
+// result is fully materialized. ctx must be non-nil.
 func (dc *DebugConn) Query(ctx context.Context, sql string) (string, *storage.Table, error) {
-	if ctx == nil {
-		ctx = context.Background() //ctxflow:edge nil-ctx fallback of the exported debug API
-	}
 	w := &queryWaiter{ch: make(chan queryOutcome, 1)}
 	dc.qmu.Lock()
 	dc.queries = append(dc.queries, w)

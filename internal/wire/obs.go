@@ -51,7 +51,6 @@ func (s *Server) EnableObs(reg *obs.Registry) {
 
 // msgTypeName labels a client frame type for wire_messages_total.
 func msgTypeName(typ byte) string {
-	//wireswitch:ignore maps message types to metric labels; not a dispatch path
 	switch typ {
 	case MsgAuth:
 		return "auth"

@@ -102,11 +102,8 @@ func NewPool(params ConnParams, size int, opts ...DialOption) *Pool {
 // none is idle. It blocks while the pool is at its bound until a connection
 // is checked in or ctx is cancelled. Every Get must be paired with a Put.
 // Under an EnableRetry policy, transient dial/handshake failures are
-// retried with jittered exponential backoff.
+// retried with jittered exponential backoff. ctx must be non-nil.
 func (p *Pool) Get(ctx context.Context) (*Client, error) {
-	if ctx == nil {
-		ctx = context.Background() //ctxflow:edge nil-ctx fallback of the exported pool API
-	}
 	var out *Client
 	err := p.withConnRetry(ctx, func(c *Client) error { out = c; return nil })
 	return out, err
@@ -240,9 +237,6 @@ func (p *Pool) retire(pc *pooledConn) {
 // failures surface to the consumer; a mid-statement transport failure is
 // never retried.
 func (p *Pool) stream(ctx context.Context, start func(context.Context, *Client) (*Rows, error)) (*Rows, error) {
-	if ctx == nil {
-		ctx = context.Background() //ctxflow:edge nil-ctx fallback of the exported pool API
-	}
 	var rows *Rows
 	err := p.withConnRetry(ctx, func(c *Client) error {
 		r, err := start(ctx, c)
@@ -259,7 +253,7 @@ func (p *Pool) stream(ctx context.Context, start func(context.Context, *Client) 
 
 // QueryStream checks out a connection and starts a streaming query on it
 // (see stream for checkin and retry). A Rows obtained here must not be
-// abandoned, or its connection stays checked out.
+// abandoned, or its connection stays checked out. ctx must be non-nil.
 func (p *Pool) QueryStream(ctx context.Context, sql string) (*Rows, error) {
 	return p.stream(ctx, func(ctx context.Context, c *Client) (*Rows, error) {
 		return c.QueryStream(ctx, sql)

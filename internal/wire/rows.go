@@ -54,7 +54,7 @@ func (r *Rows) Next() bool {
 		r.finish()
 		return false
 	}
-	//wireswitch:ignore continuation matcher for an in-flight stream; only chunk, end, and error frames are legal here
+	// Only chunk, end and error frames are legal inside a stream.
 	switch typ {
 	case MsgResultChunk:
 		t, err := DecodeResultChunk(payload)

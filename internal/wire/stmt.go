@@ -340,6 +340,7 @@ func (ps *PoolStmt) stmtFor(ctx context.Context, c *Client) (*Stmt, error) {
 // QueryStream checks out a connection (re-preparing there if needed) and
 // starts a streaming execution on it. Checkin and retry are Pool.stream's:
 // a prepared execution shed before it ran is retried as an ad-hoc one is.
+// ctx must be non-nil.
 func (ps *PoolStmt) QueryStream(ctx context.Context, args ...any) (*Rows, error) {
 	return ps.pool.stream(ctx, func(ctx context.Context, c *Client) (*Rows, error) {
 		st, err := ps.stmtFor(ctx, c)
