@@ -72,6 +72,12 @@ var gates = []gate{
 	{"obs-wal-insert", "BenchmarkWALInsert/wal-obs", "BenchmarkWALInsert/wal", "<=", 1.35,
 		"The same fixed ~0.4us on a deliberately tiny 2-3us INSERT reads as ~1.2x; one stray per-query allocation " +
 			"reads as +25% on top of that and trips this."},
+	{"python-vs-native", "BenchmarkProcessingModel/batch-python", "BenchmarkProcessingModel/native-go", "<=", 12.0,
+		"ISSUE 22's bar: squaring a 100k-row column in a PYTHON UDF (column wrapped, not converted; numbers unboxed in " +
+			"the interpreter; result taken back as a vector) costs ~60 ns/row against ~7 for the native GO runtime. " +
+			"Three runs of this command read 7.1, 7.4 and 9.0 (the sub-millisecond denominator drifts by a third on this " +
+			"box), so the limit is the largest plus that third. One allocation per row reads as 12 or more, boxing every cell again as 28. " +
+			"A faster native path also raises this ratio: then re-measure and reset the limit, do not slow it down."},
 }
 
 // Three gates the YAML had are not here: native-go, dormant-obs and
@@ -80,7 +86,9 @@ var gates = []gate{
 // far this machine drifts between two minutes (up to 40%), not the change.
 // A same-run ratio cannot replace them, because each guards an absolute
 // cost and every candidate anchor (batch-python, scalar-reference) moves
-// when its own layer is optimised. What they meant to protect is measured
+// when its own layer is optimised (python-vs-native bounds the interpreter
+// from above with the native path as its anchor; it says nothing about the
+// native path's own cost). What they meant to protect is measured
 // on paired parent/change runs by benchmark/run.sh: native_scan_p50_ms
 // (native GO path), insert_mean_us and native_scan_p50_ms with
 // obs.trace_overhead_pct (dormant hooks and cancellation checkpoints).

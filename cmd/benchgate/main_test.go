@@ -19,6 +19,8 @@ var legs = map[string]float64{
 	"BenchmarkWALInsert/in-memory":                 1_500,
 	"BenchmarkWALInsert/wal":                       2_000,
 	"BenchmarkWALInsert/wal-obs":                   2_400,
+	"BenchmarkProcessingModel/batch-python":        6_000_000,
+	"BenchmarkProcessingModel/native-go":           800_000,
 }
 
 // canned prints legs the way `go test -bench -benchmem -count=3` does on a
@@ -41,6 +43,7 @@ func canned(legs map[string]float64) string {
 		fmt.Fprintf(&b, "PASS\nok  \t%s\t1.234s\n", pkg)
 	}
 	emit("repro",
+		"BenchmarkProcessingModel/batch-python", "BenchmarkProcessingModel/native-go",
 		"BenchmarkPrepareExec/unprepared", "BenchmarkPrepareExec/prepared",
 		"BenchmarkWALInsert/in-memory", "BenchmarkWALInsert/wal", "BenchmarkWALInsert/wal-obs")
 	b.WriteString("BenchmarkExtra/rows=10-4 \t 30\t 9163144 ns/op\t 183.3 ns/row\t 1024 B/op\t 3 allocs/op\n")
@@ -100,7 +103,7 @@ func TestParseTakesTheFastestRepetitionOfExactlyNamedRows(t *testing.T) {
 	}
 }
 
-// TestEachGateBites pins the six thresholds and shows each one decides: a
+// TestEachGateBites pins the seven thresholds and shows each one decides: a
 // run in which one numerator sits just inside its limit passes, just past
 // it fails on that gate alone, and without either of its rows the gate
 // fails instead of matching a neighbour whose name it prefixes
@@ -116,6 +119,7 @@ func TestEachGateBites(t *testing.T) {
 		{"wal-append", "BenchmarkWALInsert/wal", "BenchmarkWALInsert/in-memory", "<=", 2.2},
 		{"obs-aggregate", "BenchmarkFilterAggregate/vectorized-obs", "BenchmarkFilterAggregate/vectorized", "<=", 1.10},
 		{"obs-wal-insert", "BenchmarkWALInsert/wal-obs", "BenchmarkWALInsert/wal", "<=", 1.35},
+		{"python-vs-native", "BenchmarkProcessingModel/batch-python", "BenchmarkProcessingModel/native-go", "<=", 12.0},
 	}
 	if len(gates) != len(want) {
 		t.Fatalf("%d gates, want %d", len(gates), len(want))

@@ -109,8 +109,8 @@ func main() {
 	}
 
 	fmt.Printf("haversine over %d row pairs, identical results from both runtimes\n", rows)
-	fmt.Printf("  LANGUAGE GO      (native, zero boxing): %v\n", goDur)
-	fmt.Printf("  LANGUAGE PYTHON  (interpreter, boxed):  %v\n", pyDur)
+	fmt.Printf("  LANGUAGE GO      (native):      %v\n", goDur)
+	fmt.Printf("  LANGUAGE PYTHON  (interpreter): %v\n", pyDur)
 	fmt.Printf("  speedup: %.1fx\n", float64(pyDur)/float64(goDur))
 	fmt.Printf("sample: first trip = %.2f km\n", g.Flts[0])
 }

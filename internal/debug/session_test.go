@@ -376,3 +376,68 @@ r = outer()
 		t.Fatalf("terminal: %+v", ev)
 	}
 }
+
+// TestColumnBackedArgumentIsAListToTheDebugger: a UDF's column argument is
+// a list wrapping the column's vector, and the interpreter keeps numbers
+// unboxed in its frames. The debugger must see neither: locals are the
+// boxed values they always were, watches index, measure and slice the
+// column, and a conditional breakpoint on the loop index hits once.
+func TestColumnBackedArgumentIsAListToTheDebugger(t *testing.T) {
+	src := `def mean_deviation(column):
+    mean = 0
+    for i in range(0, len(column)):
+        mean += column[i]
+    mean = mean / len(column)
+    distance = 0
+    for i in range(0, len(column)):
+        distance += column[i] - mean
+    deviation = distance / len(column)
+    return deviation
+
+result = mean_deviation(data)
+`
+	data := script.NewIntList([]int64{1, 2, 3, 4, 100}, nil)
+	s := NewSession(parseMod(t, src), Config{Globals: map[string]script.Value{"data": data}})
+	s.SetBreakpoint(8, "i == 3")
+	ev := s.Start()
+	if ev.Reason != ReasonBreakpoint || ev.Line != 8 || ev.FuncName != "mean_deviation" {
+		t.Fatalf("stop: %+v", ev)
+	}
+	vars, err := s.Locals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vars["i"] != script.IntVal(3) {
+		t.Errorf("i = %#v, want IntVal(3)", vars["i"])
+	}
+	if mean, ok := vars["mean"].(script.FloatVal); !ok || mean != 22 {
+		t.Errorf("mean = %#v, want FloatVal(22)", vars["mean"])
+	}
+	if col := vars["column"]; col.TypeName() != "list" || col.Repr() != "[1, 2, 3, 4, 100]" {
+		t.Errorf("column = %s %s", col.TypeName(), col.Repr())
+	}
+	for expr, want := range map[string]string{
+		"column[i]": "int 4", "len(column)": "int 5", "column[0:3]": "list [1, 2, 3]", "distance": "float -60.0",
+	} {
+		v, err := s.Eval(expr)
+		if err != nil || v.TypeName()+" "+v.Repr() != want {
+			t.Errorf("watch %s = %v %v, want %s", expr, v, err, want)
+		}
+	}
+	if ev = s.Continue(); !ev.Terminal || ev.Err != nil {
+		t.Fatalf("the condition holds once, then the run ends: %+v", ev)
+	}
+	if bps := s.Breakpoints(); len(bps) != 1 || bps[0].HitCount != 1 {
+		t.Errorf("breakpoints: %+v", bps)
+	}
+	env, err := s.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := env.Get("result"); v != script.FloatVal(0) {
+		t.Errorf("result = %#v", v)
+	}
+	if data.Repr() != "[1, 2, 3, 4, 100]" {
+		t.Errorf("the argument changed: %s", data.Repr())
+	}
+}

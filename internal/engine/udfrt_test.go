@@ -37,6 +37,50 @@ RETURNS INTEGER LANGUAGE PYTHON {
 	}
 }
 
+// TestPythonUDFWritesItsOwnCopy: a PYTHON UDF's column argument wraps the
+// table's vector without copying it, so it is the list that must copy
+// before its first write — in place, by append or by sort, to a cell that
+// was NULL, or through a second name for the same list. The table reads
+// the same after every one of them, and the UDF sees its own writes.
+func TestPythonUDFWritesItsOwnCopy(t *testing.T) {
+	c := newTestConn()
+	mustExec(t, c, `CREATE TABLE t (i INTEGER, f DOUBLE)`)
+	mustExec(t, c, `INSERT INTO t VALUES (3, 0.5), (NULL, NULL), (2, 2.5)`)
+	table := func() string {
+		var sb strings.Builder
+		res := mustExec(t, c, `SELECT i, f FROM t`)
+		for r := 0; r < res.Table.NumRows(); r++ {
+			sb.WriteString(res.Table.Cols[0].FormatValue(r) + "," + res.Table.Cols[1].FormatValue(r) + ";")
+		}
+		return sb.String()
+	}
+	before := table()
+	for body, want := range map[string]string{
+		"column[0] = 7\n    column.append(1)\n    column[1] = 5\n    column.sort()\n    return column[0] * 1000 + column[1] * 100 + column[2] * 10 + column[3]": "1257",
+		"alias = column\n    alias[1] = 9\n    alias.reverse()\n    return column[0] * 100 + column[1] * 10 + column[2]":                                        "293",
+		"column.extend(column)\n    return len(column)":                                  "6",
+		"for k in range(0, len(column)):\n        column[k] = k\n    return sum(column)": "3",
+	} {
+		for _, arg := range []string{"i", "f"} {
+			mustExec(t, c, "CREATE OR REPLACE FUNCTION scribble(column DOUBLE) RETURNS DOUBLE LANGUAGE PYTHON {\n    "+body+"\n}")
+			res := mustExec(t, c, `SELECT scribble(`+arg+`) FROM t`)
+			if got := res.Table.Cols[0].FormatValue(0); arg == "i" && got != want {
+				t.Errorf("UDF %q over %s returned %s, want %s", body, arg, got, want)
+			}
+			if after := table(); after != before {
+				t.Fatalf("UDF %q over %s wrote through to the table: %s, was %s", body, arg, after, before)
+			}
+		}
+	}
+	// A UDF that hands its argument back gets a column of its own too.
+	mustExec(t, c, "CREATE FUNCTION same(column INTEGER) RETURNS INTEGER LANGUAGE PYTHON { return column }")
+	res := mustExec(t, c, `SELECT same(i) FROM t`)
+	res.Table.Cols[0].Ints[0] = 99
+	if after := table(); after != before {
+		t.Fatalf("the result of same(i) is the table's own vector: %s, was %s", after, before)
+	}
+}
+
 // TestGoUDFThroughSQL drives the native GO runtime through the full SQL
 // path: registration, columnar call, constant broadcast, tuple-at-a-time
 // mode and the empty-input shortcut.

@@ -12,6 +12,22 @@ import (
 
 func bi(name string, fn BuiltinFunc) *BuiltinVal { return &BuiltinVal{Name: name, Fn: fn} }
 
+// laned is a builtin written once, against unboxed arguments; called with
+// Values (from Go, or with keyword arguments) it unboxes them first.
+func laned(name string, fn laneFunc) *BuiltinVal {
+	return &BuiltinVal{Name: name, lane: fn, Fn: func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
+		vs := make([]val, len(args))
+		for i, a := range args {
+			vs[i] = unbox(a)
+		}
+		v, err := fn(in, vs)
+		if err != nil {
+			return nil, err
+		}
+		return v.box(), nil
+	}}
+}
+
 func argErr(name string, want string) error {
 	return core.Errorf(core.KindType, "%s() %s", name, want)
 }
@@ -26,23 +42,33 @@ var (
 // Filled at init, not by an initializer: the builtins reach the evaluator,
 // which reads the table.
 func init() {
+	add := func(b *BuiltinVal) {
+		builtinIndex[b.Name] = len(builtinTable)
+		builtinTable = append(builtinTable, b)
+	}
 	for name, fn := range map[string]BuiltinFunc{
-		"len": biLen, "range": biRange, "print": biPrint, "sum": biSum, "min": biMin, "max": biMax,
-		"abs": biAbs, "int": biInt, "float": biFloat, "str": biStr, "bool": biBool, "list": biList,
+		"range": biRange, "print": biPrint, "sum": biSum, "str": biStr, "bool": biBool, "list": biList,
 		"dict": biDict, "tuple": biTuple, "sorted": biSorted, "reversed": biReversed,
-		"enumerate": biEnumerate, "zip": biZip, "round": biRound, "type": biType, "repr": biRepr,
+		"enumerate": biEnumerate, "zip": biZip, "type": biType, "repr": biRepr,
 		"open": biOpen, "Exception": biException, "ValueError": biException, "TypeError": biException,
 		"isinstance": biIsinstance,
 	} {
-		builtinIndex[name] = len(builtinTable)
-		builtinTable = append(builtinTable, bi(name, fn))
+		add(bi(name, fn))
+	}
+	// The numeric builtins a UDF's loop calls.
+	for name, fn := range map[string]laneFunc{
+		"len": biLen, "abs": biAbs, "int": biInt, "float": biFloat, "round": biRound,
+		"min": func(in *Interp, args []val) (val, error) { return extreme(in, "min", args, false) },
+		"max": func(in *Interp, args []val) (val, error) { return extreme(in, "max", args, true) },
+	} {
+		add(laned(name, fn))
 	}
 }
 
 func seqLen(v Value) (int64, bool) {
 	switch v := v.(type) {
 	case *ListVal:
-		return int64(len(v.Items)), true
+		return int64(v.Len()), true
 	case *TupleVal:
 		return int64(len(v.Items)), true
 	case StrVal:
@@ -58,14 +84,14 @@ func seqLen(v Value) (int64, bool) {
 	}
 }
 
-func biLen(in *Interp, args []Value, _ map[string]Value) (Value, error) {
+func biLen(in *Interp, args []val) (val, error) {
 	if len(args) != 1 {
-		return nil, argErr("len", "takes exactly one argument")
+		return val{}, argErr("len", "takes exactly one argument")
 	}
-	if n, ok := seqLen(args[0]); ok {
-		return IntVal(n), nil
+	if n, ok := seqLen(args[0].ref); ok {
+		return intV(n), nil
 	}
-	return nil, core.Errorf(core.KindType, "object of type '%s' has no len()", args[0].TypeName())
+	return val{}, core.Errorf(core.KindType, "object of type '%s' has no len()", args[0].typeName())
 }
 
 func biRange(in *Interp, args []Value, _ map[string]Value) (Value, error) {
@@ -108,6 +134,18 @@ func biPrint(in *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 	return None, nil
 }
 
+// cells is seq for a builtin. A builtin's loop counts no steps, so it must
+// not be longer than what the builtin could have been handed as a list: a
+// range too large to materialize is refused here too.
+func (in *Interp) cells(v Value) (seq, error) {
+	if r, ok := v.(RangeVal); ok {
+		if err := r.materialize(); err != nil {
+			return seq{}, in.rtErrf(0, "%s", errMsg(err))
+		}
+	}
+	return in.seq(v, 0)
+}
+
 // toSlice copies an iterable's elements into a slice the caller owns.
 func toSlice(in *Interp, v Value) ([]Value, error) {
 	items, err := in.items(v, 0)
@@ -118,7 +156,7 @@ func biSum(in *Interp, args []Value, _ map[string]Value) (Value, error) {
 	if len(args) < 1 || len(args) > 2 {
 		return nil, argErr("sum", "takes 1 or 2 arguments")
 	}
-	items, err := toSlice(in, args[0])
+	s, err := in.cells(args[0])
 	if err != nil {
 		return nil, err
 	}
@@ -135,31 +173,19 @@ func biSum(in *Interp, args []Value, _ map[string]Value) (Value, error) {
 			return nil, argErr("sum", "start must be a number")
 		}
 	}
-	for _, it := range items {
-		switch it := it.(type) {
-		case IntVal:
-			if isFloat {
-				facc += float64(it)
-			} else {
-				iacc += int64(it)
-			}
-		case BoolVal:
-			if it {
-				if isFloat {
-					facc++
-				} else {
-					iacc++
-				}
-			}
-		case FloatVal:
-			if !isFloat {
-				isFloat = true
-				facc = float64(iacc)
-			}
-			facc += float64(it)
+	for it, ok := s.next(); ok; it, ok = s.next() {
+		if it.kind == kFloat && !isFloat {
+			isFloat, facc = true, float64(iacc)
+		}
+		switch n, isInt := it.asInt(); {
+		case isInt && !isFloat: // ints and bools
+			iacc += n
+		case it.kind != kRef || isInt:
+			f, _ := it.asFloat()
+			facc += f
 		default:
 			return nil, core.Errorf(core.KindType,
-				"unsupported operand type(s) for +: 'int' and '%s'", it.TypeName())
+				"unsupported operand type(s) for +: 'int' and '%s'", it.typeName())
 		}
 	}
 	if isFloat {
@@ -168,121 +194,105 @@ func biSum(in *Interp, args []Value, _ map[string]Value) (Value, error) {
 	return IntVal(iacc), nil
 }
 
-func extreme(in *Interp, name string, args []Value, wantMax bool) (Value, error) {
-	var items []Value
-	if len(args) == 1 {
-		var err error
-		items, err = toSlice(in, args[0])
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		items = args
+// extreme is min and max: of one iterable, or of two or more arguments.
+func extreme(in *Interp, name string, args []val, wantMax bool) (val, error) {
+	if len(args) == 0 {
+		return val{}, argErr(name, "expected at least 1 argument")
 	}
-	if len(items) == 0 {
-		return nil, core.Errorf(core.KindConstraint, "%s() arg is an empty sequence", name)
-	}
-	best := items[0]
-	for _, it := range items[1:] {
-		c, err := Compare(it, best)
-		if err != nil {
-			return nil, err
+	var best val
+	consider := func(it val) error {
+		if !best.bound() {
+			best = it
+			return nil
 		}
+		c, err := cmpVal(it, best)
 		if (wantMax && c > 0) || (!wantMax && c < 0) {
 			best = it
 		}
+		return err
+	}
+	if len(args) == 1 {
+		s, err := in.cells(args[0].box())
+		if err != nil {
+			return val{}, err
+		}
+		for it, ok := s.next(); ok; it, ok = s.next() {
+			if err := consider(it); err != nil {
+				return val{}, err
+			}
+		}
+	} else {
+		for _, it := range args {
+			if err := consider(it); err != nil {
+				return val{}, err
+			}
+		}
+	}
+	if !best.bound() {
+		return val{}, core.Errorf(core.KindConstraint, "%s() arg is an empty sequence", name)
 	}
 	return best, nil
 }
 
-func biMin(in *Interp, args []Value, _ map[string]Value) (Value, error) {
-	if len(args) == 0 {
-		return nil, argErr("min", "expected at least 1 argument")
-	}
-	return extreme(in, "min", args, false)
-}
-
-func biMax(in *Interp, args []Value, _ map[string]Value) (Value, error) {
-	if len(args) == 0 {
-		return nil, argErr("max", "expected at least 1 argument")
-	}
-	return extreme(in, "max", args, true)
-}
-
-func biAbs(in *Interp, args []Value, _ map[string]Value) (Value, error) {
+func biAbs(in *Interp, args []val) (val, error) {
 	if len(args) != 1 {
-		return nil, argErr("abs", "takes exactly one argument")
+		return val{}, argErr("abs", "takes exactly one argument")
 	}
-	switch v := args[0].(type) {
-	case IntVal:
-		if v < 0 {
-			return -v, nil
+	switch v := args[0]; v.kind {
+	case kInt:
+		if v.int() < 0 {
+			return intV(-v.int()), nil
 		}
 		return v, nil
-	case FloatVal:
-		return FloatVal(math.Abs(float64(v))), nil
-	case BoolVal:
-		if v {
-			return IntVal(1), nil
-		}
-		return IntVal(0), nil
-	default:
-		return nil, core.Errorf(core.KindType, "bad operand type for abs(): '%s'", v.TypeName())
+	case kFloat:
+		return floatV(math.Abs(v.float())), nil
 	}
+	if b, ok := args[0].ref.(BoolVal); ok {
+		n, _ := asInt(b)
+		return intV(n), nil
+	}
+	return val{}, core.Errorf(core.KindType, "bad operand type for abs(): '%s'", args[0].typeName())
 }
 
-func biInt(in *Interp, args []Value, _ map[string]Value) (Value, error) {
+func biInt(in *Interp, args []val) (val, error) {
 	if len(args) == 0 {
-		return IntVal(0), nil
+		return intV(0), nil
 	}
-	switch v := args[0].(type) {
-	case IntVal:
-		return v, nil
-	case BoolVal:
-		if v {
-			return IntVal(1), nil
-		}
-		return IntVal(0), nil
-	case FloatVal:
-		return IntVal(int64(math.Trunc(float64(v)))), nil
-	case StrVal:
+	if args[0].kind == kFloat {
+		return intV(int64(math.Trunc(args[0].float()))), nil
+	}
+	if n, ok := args[0].asInt(); ok { // ints and bools
+		return intV(n), nil
+	}
+	if v, ok := args[0].ref.(StrVal); ok {
 		s := strings.TrimSpace(string(v))
 		n, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
-			return nil, core.Errorf(core.KindType,
+			return val{}, core.Errorf(core.KindType,
 				"invalid literal for int() with base 10: %q", string(v))
 		}
-		return IntVal(n), nil
-	default:
-		return nil, core.Errorf(core.KindType,
-			"int() argument must be a string or a number, not '%s'", v.TypeName())
+		return intV(n), nil
 	}
+	return val{}, core.Errorf(core.KindType,
+		"int() argument must be a string or a number, not '%s'", args[0].typeName())
 }
 
-func biFloat(in *Interp, args []Value, _ map[string]Value) (Value, error) {
+func biFloat(in *Interp, args []val) (val, error) {
 	if len(args) == 0 {
-		return FloatVal(0), nil
+		return floatV(0), nil
 	}
-	switch v := args[0].(type) {
-	case FloatVal:
-		return v, nil
-	case IntVal:
-		return FloatVal(float64(v)), nil
-	case BoolVal:
-		if v {
-			return FloatVal(1), nil
-		}
-		return FloatVal(0), nil
-	case StrVal:
+	if f, ok := args[0].asFloat(); ok { // ints, floats and bools
+		return floatV(f), nil
+	}
+	if v, ok := args[0].ref.(StrVal); ok {
 		f, err := strconv.ParseFloat(strings.TrimSpace(string(v)), 64)
 		if err != nil {
-			return nil, core.Errorf(core.KindType, "could not convert string to float: %q", string(v))
+			return val{}, core.Errorf(core.KindType, "could not convert string to float: %q", string(v))
 		}
-		return FloatVal(f), nil
-	default:
-		return nil, core.Errorf(core.KindType,
-			"float() argument must be a string or a number, not '%s'", v.TypeName())
+		return floatV(f), nil
 	}
+	return val{}, core.Errorf(core.KindType,
+		"float() argument must be a string or a number, not '%s'", args[0].typeName())
 }
 
 func biStr(in *Interp, args []Value, _ map[string]Value) (Value, error) {
@@ -302,6 +312,16 @@ func biBool(in *Interp, args []Value, _ map[string]Value) (Value, error) {
 func biList(in *Interp, args []Value, _ map[string]Value) (Value, error) {
 	if len(args) == 0 {
 		return &ListVal{}, nil
+	}
+	switch v := args[0].(type) {
+	case *ListVal:
+		return v.slice(0, v.Len()), nil
+	case RangeVal:
+		l, err := v.List()
+		if err != nil {
+			return nil, in.rtErrf(0, "%s", errMsg(err))
+		}
+		return l, nil
 	}
 	items, err := toSlice(in, args[0])
 	if err != nil {
@@ -361,23 +381,31 @@ func biSorted(in *Interp, args []Value, kwargs map[string]Value) (Value, error) 
 	if len(args) != 1 {
 		return nil, argErr("sorted", "takes exactly one positional argument")
 	}
-	items, err := toSlice(in, args[0])
-	if err != nil {
-		return nil, err
-	}
-	out := append([]Value(nil), items...)
 	reverse := false
 	if rv, ok := kwargs["reverse"]; ok {
 		reverse = Truthy(rv)
 	}
-	if keyFn, ok := kwargs["key"]; ok {
+	keyFn, hasKey := kwargs["key"]
+	if l, ok := args[0].(*ListVal); ok && !hasKey {
+		if sorted := l.slice(0, l.Len()); sorted.sortLane() {
+			if reverse {
+				sorted.reverse()
+			}
+			return sorted, nil
+		}
+	}
+	out, err := toSlice(in, args[0])
+	if err != nil {
+		return nil, err
+	}
+	if hasKey {
 		type pair struct {
 			key  Value
 			item Value
 		}
 		pairs := make([]pair, len(out))
 		for i, it := range out {
-			k, err := in.call(keyFn, []Value{it}, nil, 0)
+			k, err := in.Call(keyFn, []Value{it})
 			if err != nil {
 				return nil, err
 			}
@@ -476,23 +504,23 @@ func biZip(in *Interp, args []Value, _ map[string]Value) (Value, error) {
 	return &ListVal{Items: out}, nil
 }
 
-func biRound(in *Interp, args []Value, _ map[string]Value) (Value, error) {
+func biRound(in *Interp, args []val) (val, error) {
 	if len(args) < 1 || len(args) > 2 {
-		return nil, argErr("round", "takes 1 or 2 arguments")
+		return val{}, argErr("round", "takes 1 or 2 arguments")
 	}
-	f, ok := asFloat(args[0])
+	f, ok := args[0].asFloat()
 	if !ok {
-		return nil, argErr("round", "argument must be a number")
+		return val{}, argErr("round", "argument must be a number")
 	}
 	if len(args) == 1 {
-		return IntVal(int64(math.RoundToEven(f))), nil
+		return intV(int64(math.RoundToEven(f))), nil
 	}
-	nd, ok := asInt(args[1])
+	nd, ok := args[1].asInt()
 	if !ok {
-		return nil, argErr("round", "ndigits must be an integer")
+		return val{}, argErr("round", "ndigits must be an integer")
 	}
 	scale := math.Pow(10, float64(nd))
-	return FloatVal(math.RoundToEven(f*scale) / scale), nil
+	return floatV(math.RoundToEven(f*scale) / scale), nil
 }
 
 func biType(in *Interp, args []Value, _ map[string]Value) (Value, error) {

@@ -49,12 +49,13 @@ func (in *Interp) EvalWatch(w *Watch, f *Frame) (Value, error) {
 		w.in = f.scope
 	}
 	wf := *f // stands in for f in tracebacks
-	wf.scope, wf.slots, wf.outer = w.scope, make([]Value, w.scope.nslots), f
+	wf.scope, wf.slots, wf.outer = w.scope, make([]val, w.scope.nslots), f
 	saveFrame, saveTrace := in.frame, in.Trace
 	in.frame = &wf
 	in.Trace = nil // watch evaluation must not re-enter the debugger
 	defer func() { in.frame, in.Trace = saveFrame, saveTrace }()
-	return in.eval(w.x, &wf)
+	v, err := in.eval(w.x, &wf)
+	return v.box(), err
 }
 
 // EvalInFrame parses src as a single expression and evaluates it in the

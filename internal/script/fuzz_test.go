@@ -105,34 +105,57 @@ func TestFuzzSeedsRun(t *testing.T) {
 // expressions and conditional breakpoints never panics, even on adversarial
 // input typed into the condition box. The host pauses inside a nested
 // function, so names resolve against slots, an enclosing function, module
-// scope and builtins.
+// scope and builtins. Each expression is evaluated twice, with `column` a
+// list of boxed cells and a list wrapping a column's vector, and must come
+// to the same value or the same error both times.
 func FuzzEvalExpr(f *testing.F) {
 	for _, seed := range []string{
 		"i > 3", "column[i] - mean", "len(x) == 0", "1 / 0", "(", "a.b.c",
 		"x = 1", "'s' + 1", "d['missing']", "f(", "not (a and b) or c",
 		"[k * i for k in column if k > mean]", "(lambda q=i: q + later)(1)", "later", "[x for x in x]",
+		"column[0:1] + sorted(column) * 2", "[column.pop(), column.append(mean), column.sort(), column]", "max(column) in column",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, expr string) {
-		mod, err := Parse("cond.py", "x = 1\ndef outer(column, mean):\n    def inner(i):\n        return column[i] - mean\n    r = inner(0)\n    later = r\n    return later\nouter([3, 4], 1)\n")
+		mod, err := Parse("cond.py", "x = 1\ndef outer(column, mean):\n    def inner(i):\n        return column[i] - mean\n    r = inner(0)\n    later = r\n    return later\n")
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := NewInterp()
-		var paused bool
-		in.Trace = func(in *Interp, ev TraceEvent) error {
-			if paused || ev.Kind != TraceLine || ev.Frame.FuncName != "inner" {
+		// watch evaluates expr in inner's frame, paused on its first line.
+		watch := func(column Value) string {
+			in := NewInterp()
+			in.MaxSteps = 100_000
+			env, err := in.Run(mod)
+			if err != nil {
+				t.Fatalf("host script failed: %v", err)
+			}
+			outer, _ := env.Get("outer")
+			var got string
+			var paused bool
+			in.Trace = func(in *Interp, ev TraceEvent) error {
+				if paused || ev.Kind != TraceLine || ev.Frame.FuncName != "inner" {
+					return nil
+				}
+				paused = true
+				// Evaluating any expression in a paused frame must fail cleanly
+				// or succeed — never panic or corrupt the interpreter.
+				v, err := in.EvalInFrame(expr, ev.Frame)
+				if err != nil {
+					got = "error: " + err.Error()
+				} else {
+					got = v.TypeName() + " " + v.Repr()
+				}
 				return nil
 			}
-			paused = true
-			// Evaluating any expression in a paused frame must fail cleanly
-			// or succeed — never panic or corrupt the interpreter.
-			_, _ = in.EvalInFrame(expr, ev.Frame)
-			return nil
+			// The expression may have emptied column: only a panic is a failure.
+			_, _ = in.Call(outer, []Value{column, IntVal(1)})
+			return got + " | column " + column.Repr()
 		}
-		if _, err := in.Run(mod); err != nil {
-			t.Fatalf("host script failed: %v", err)
+		boxed := watch(NewList(IntVal(300), IntVal(400)))
+		backed := watch(NewIntList([]int64{300, 400}, nil))
+		if boxed != backed {
+			t.Fatalf("%q differs by representation of column:\n boxed         %s\n column-backed %s", expr, boxed, backed)
 		}
 	})
 }

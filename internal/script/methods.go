@@ -1,6 +1,7 @@
 package script
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -60,17 +61,23 @@ func builtinMethod(x Value, name string) (method, string) {
 	return method{}, ""
 }
 
+// The list methods. append, extend, sort, reverse and the reads work in
+// whichever lane holds the list; the rest box it first (ListVal.Boxed).
 var listMethods = map[string]method{
 	"append": methodOn(1, func(in *Interp, l *ListVal, args []Value, _ map[string]Value) (Value, error) {
-		l.Items = append(l.Items, args[0])
+		l.push(unbox(args[0]))
 		return None, nil
 	}),
 	"extend": methodOn(1, func(in *Interp, l *ListVal, args []Value, _ map[string]Value) (Value, error) {
-		items, err := toSlice(in, args[0])
-		if err != nil {
-			return nil, err
+		src, ok := args[0].(*ListVal)
+		if !ok {
+			items, err := toSlice(in, args[0])
+			if err != nil {
+				return nil, err
+			}
+			src = &ListVal{Items: items}
 		}
-		l.Items = append(l.Items, items...)
+		l.extend(src)
 		return None, nil
 	}),
 	"insert": methodOn(2, func(in *Interp, l *ListVal, args []Value, _ map[string]Value) (Value, error) {
@@ -78,26 +85,18 @@ var listMethods = map[string]method{
 		if !ok {
 			return nil, argErr("insert", "index must be an integer")
 		}
-		n := int64(len(l.Items))
+		n := int64(l.Len())
 		if i < 0 {
 			i += n
 		}
-		if i < 0 {
-			i = 0
-		}
-		if i > n {
-			i = n
-		}
-		l.Items = append(l.Items, nil)
-		copy(l.Items[i+1:], l.Items[i:])
-		l.Items[i] = args[1]
+		l.Items = slices.Insert(l.Boxed(), int(min(max(i, 0), n)), args[1])
 		return None, nil
 	}),
 	"pop": methodOn(anyArgs, func(in *Interp, l *ListVal, args []Value, _ map[string]Value) (Value, error) {
-		if len(l.Items) == 0 {
+		if l.Len() == 0 {
 			return nil, core.Errorf(core.KindConstraint, "pop from empty list")
 		}
-		i := int64(len(l.Items) - 1)
+		i := int64(l.Len() - 1)
 		if len(args) == 1 {
 			v, ok := asInt(args[0])
 			if !ok {
@@ -105,61 +104,55 @@ var listMethods = map[string]method{
 			}
 			i = v
 			if i < 0 {
-				i += int64(len(l.Items))
+				i += int64(l.Len())
 			}
-			if i < 0 || i >= int64(len(l.Items)) {
+			if i < 0 || i >= int64(l.Len()) {
 				return nil, core.Errorf(core.KindConstraint, "pop index out of range")
 			}
 		}
-		v := l.Items[i]
-		l.Items = append(l.Items[:i], l.Items[i+1:]...)
+		v := l.Boxed()[i]
+		l.Items = slices.Delete(l.Items, int(i), int(i)+1)
 		return v, nil
 	}),
 	"remove": methodOn(1, func(in *Interp, l *ListVal, args []Value, _ map[string]Value) (Value, error) {
-		for i, it := range l.Items {
-			if Equal(it, args[0]) {
-				l.Items = append(l.Items[:i], l.Items[i+1:]...)
-				return None, nil
-			}
+		if i := l.find(unbox(args[0])); i >= 0 {
+			l.Items = slices.Delete(l.Boxed(), i, i+1)
+			return None, nil
 		}
 		return nil, core.Errorf(core.KindConstraint, "list.remove(x): x not in list")
 	}),
 	"index": methodOn(1, func(in *Interp, l *ListVal, args []Value, _ map[string]Value) (Value, error) {
-		for i, it := range l.Items {
-			if Equal(it, args[0]) {
-				return IntVal(i), nil
-			}
+		if i := l.find(unbox(args[0])); i >= 0 {
+			return IntVal(i), nil
 		}
 		return nil, core.Errorf(core.KindConstraint, "%s is not in list", args[0].Repr())
 	}),
 	"count": methodOn(1, func(in *Interp, l *ListVal, args []Value, _ map[string]Value) (Value, error) {
-		n := int64(0)
-		for _, it := range l.Items {
-			if Equal(it, args[0]) {
+		n, x := int64(0), unbox(args[0])
+		for i := 0; i < l.Len(); i++ {
+			if equalVal(l.at(i), x) {
 				n++
 			}
 		}
 		return IntVal(n), nil
 	}),
 	"sort": methodOn(anyArgs, func(in *Interp, l *ListVal, args []Value, kwargs map[string]Value) (Value, error) {
-		if err := SortValues(l.Items); err != nil {
-			return nil, err
+		if !l.sortLane() {
+			if err := SortValues(l.Boxed()); err != nil {
+				return nil, err
+			}
 		}
 		if rv, ok := kwargs["reverse"]; ok && Truthy(rv) {
-			for i, j := 0, len(l.Items)-1; i < j; i, j = i+1, j-1 {
-				l.Items[i], l.Items[j] = l.Items[j], l.Items[i]
-			}
+			l.reverse()
 		}
 		return None, nil
 	}),
 	"reverse": methodOn(anyArgs, func(in *Interp, l *ListVal, _ []Value, _ map[string]Value) (Value, error) {
-		for i, j := 0, len(l.Items)-1; i < j; i, j = i+1, j-1 {
-			l.Items[i], l.Items[j] = l.Items[j], l.Items[i]
-		}
+		l.reverse()
 		return None, nil
 	}),
 	"copy": methodOn(anyArgs, func(in *Interp, l *ListVal, _ []Value, _ map[string]Value) (Value, error) {
-		return &ListVal{Items: append([]Value(nil), l.Items...)}, nil
+		return l.slice(0, l.Len()), nil
 	}),
 }
 

@@ -252,17 +252,17 @@ func numpyModule(in *Interp) Value {
 			if len(args) != 1 {
 				return nil, argErr(name, "takes exactly one argument")
 			}
-			items, err := toSlice(ii, args[0])
+			s, err := ii.cells(args[0])
 			if err != nil {
 				return nil, err
 			}
-			fs := make([]float64, len(items))
-			for i, it := range items {
-				f, ok := asFloat(it)
+			fs := make([]float64, 0, s.n)
+			for it, ok := s.next(); ok; it, ok = s.next() {
+				f, ok := it.asFloat()
 				if !ok {
 					return nil, argErr(name, "elements must be numbers")
 				}
-				fs[i] = f
+				fs = append(fs, f)
 			}
 			return FloatVal(fn(fs)), nil
 		}
@@ -312,29 +312,25 @@ func numpyModule(in *Interp) Value {
 		if len(args) != 1 {
 			return nil, argErr("numpy.array", "takes exactly one argument")
 		}
-		items, err := toSlice(ii, args[0])
-		if err != nil {
-			return nil, err
-		}
-		return &ListVal{Items: items}, nil
+		return biList(ii, args, nil)
 	}
 	m.Methods["abs"] = func(ii *Interp, args []Value, _ map[string]Value) (Value, error) {
 		if len(args) != 1 {
 			return nil, argErr("numpy.abs", "takes exactly one argument")
 		}
-		items, err := toSlice(ii, args[0])
+		s, err := ii.cells(args[0])
 		if err != nil {
 			return nil, err
 		}
-		out := make([]Value, len(items))
-		for i, it := range items {
-			v, err := biAbs(ii, []Value{it}, nil)
+		out := &ListVal{}
+		for it, ok := s.next(); ok; it, ok = s.next() {
+			v, err := biAbs(ii, []val{it})
 			if err != nil {
 				return nil, err
 			}
-			out[i] = v
+			out.push(v)
 		}
-		return &ListVal{Items: out}, nil
+		return out, nil
 	}
 	return m
 }
@@ -378,8 +374,9 @@ func randomModule(in *Interp) Value {
 		if !ok {
 			return nil, argErr("random.shuffle", "argument must be a list")
 		}
-		rng.Shuffle(len(l.Items), func(i, j int) {
-			l.Items[i], l.Items[j] = l.Items[j], l.Items[i]
+		items := l.Boxed()
+		rng.Shuffle(len(items), func(i, j int) {
+			items[i], items[j] = items[j], items[i]
 		})
 		return None, nil
 	}

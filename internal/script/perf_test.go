@@ -43,49 +43,53 @@ func boundUDF(tb testing.TB, name, src string) (*Interp, Value) {
 	return in, fn
 }
 
-// intColumn is a column of n ints above 255, so boxing one allocates as it
-// does for real data (the Go runtime interns smaller ones).
-func intColumn(n int) Value {
+// intColumns is a column of n ints above 255 — so boxing one allocates, as
+// it does for real data (the Go runtime interns smaller ones) — in both
+// representations: a list of boxed cells and a list wrapping the vector.
+func intColumns(n int) map[string]Value {
+	ints := make([]int64, n)
 	items := make([]Value, n)
 	for i := range items {
-		items[i] = IntVal(1000 + i%9973)
+		ints[i] = int64(1000 + i%9973)
+		items[i] = IntVal(ints[i])
 	}
-	return NewList(items...)
+	return map[string]Value{"boxed": NewList(items...), "column-backed": NewIntList(ints, nil)}
 }
 
 // TestInterpAllocsPerRow is the interpreter's perf gate: steps and
 // allocations of one call of the two benchmark UDFs. Both are properties of
 // the interpreter, not timings, so they hold on any machine. The step count
 // is exact: statements per call plus, per row, the loop bodies and the
-// loops' own step. What still allocates per row is boxing — the loop index
-// and the int and float results.
+// loops' own step. Nothing allocates per row: the loop index, column[i],
+// the arithmetic and abs() stay in the numeric lane, and out grows as a
+// []int64 whose doublings amortize to under 0.01.
 func TestInterpAllocsPerRow(t *testing.T) {
 	const rows = 10_000
-	col := intColumn(rows)
-	for _, tc := range []struct {
-		name, src    string
-		steps        int64   // per call
-		allocsPerRow float64 // upper bound
-	}{
-		{"mean_deviation", meanDeviationSrc, 7 + 4*rows, 6},
-		{"square_vec", squareVecSrc, 3 + 2*rows, 1.01}, // out's growth amortizes to under 0.01
-	} {
-		in, fn := boundUDF(t, tc.name, tc.src)
-		args := []Value{col}
-		call := func() {
-			if _, err := in.Call(fn, args); err != nil {
-				t.Fatal(err)
+	for repr, col := range intColumns(rows) {
+		for _, tc := range []struct {
+			name, src string
+			steps     int64 // per call
+		}{
+			{"mean_deviation", meanDeviationSrc, 7 + 4*rows},
+			{"square_vec", squareVecSrc, 3 + 2*rows},
+		} {
+			in, fn := boundUDF(t, tc.name, tc.src)
+			args := []Value{col}
+			call := func() {
+				if _, err := in.Call(fn, args); err != nil {
+					t.Fatal(err)
+				}
 			}
+			before := in.Steps()
+			call()
+			if got := in.Steps() - before; got != tc.steps {
+				t.Errorf("%s, %s: %d steps per call, want %d", tc.name, repr, got, tc.steps)
+			}
+			perRow := testing.AllocsPerRun(5, call) / rows
+			if perRow > 0.01 {
+				t.Errorf("%s, %s: %.3f allocs/row, want <= 0.01", tc.name, repr, perRow)
+			}
+			t.Logf("%s, %s: %.4f allocs/row", tc.name, repr, perRow)
 		}
-		before := in.Steps()
-		call()
-		if got := in.Steps() - before; got != tc.steps {
-			t.Errorf("%s: %d steps per call, want %d", tc.name, got, tc.steps)
-		}
-		perRow := testing.AllocsPerRun(5, call) / rows
-		if perRow > tc.allocsPerRow {
-			t.Errorf("%s: %.3f allocs/row, want <= %v", tc.name, perRow, tc.allocsPerRow)
-		}
-		t.Logf("%s: %.3f allocs/row", tc.name, perRow)
 	}
 }

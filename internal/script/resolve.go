@@ -210,14 +210,14 @@ func (s *scope) expr(e Expr) Expr {
 	case *UnaryExpr:
 		e.X = s.expr(e.X)
 		if x, ok := constant(e.X); ok {
-			return fold(e, func(in *Interp) (Value, error) { return in.unop(e.Op, x, e.Line) })
+			return fold(e, func(in *Interp) (val, error) { return in.unop(e.Op, unbox(x), e.Line) })
 		}
 	case *BinExpr:
 		e.L, e.R = s.expr(e.L), s.expr(e.R)
 		l, lok := constant(e.L)
 		r, rok := constant(e.R)
 		if lok && rok && e.Op < OpAnd {
-			return fold(e, func(in *Interp) (Value, error) { return in.binop(e.Op, l, r, e.Line) })
+			return fold(e, func(in *Interp) (val, error) { return in.binop(e.Op, unbox(l), unbox(r), e.Line) })
 		}
 	case *CondExpr:
 		e.Cond, e.Then, e.Else = s.expr(e.Cond), s.expr(e.Then), s.expr(e.Else)
@@ -254,9 +254,9 @@ func constant(e Expr) (Value, bool) {
 
 // fold evaluates a constant operation now. One that fails (1 / 0) is left
 // for run time, where the error gets its line and traceback.
-func fold(e Expr, eval func(*Interp) (Value, error)) Expr {
+func fold(e Expr, eval func(*Interp) (val, error)) Expr {
 	if v, err := eval(&Interp{}); err == nil {
-		return &Lit{pos{e.Pos()}, v}
+		return &Lit{pos{e.Pos()}, v.box()}
 	}
 	return e
 }

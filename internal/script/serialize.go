@@ -3,6 +3,7 @@ package script
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -68,12 +69,8 @@ func marshalInto(buf []byte, v Value) ([]byte, error) {
 		} else {
 			buf = append(buf, tagFalse)
 		}
-	case IntVal:
-		buf = append(buf, tagInt)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v))
-	case FloatVal:
-		buf = append(buf, tagFloat)
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(float64(v)))
+	case IntVal, FloatVal:
+		buf = marshalNumber(buf, unbox(v))
 	case StrVal:
 		buf = append(buf, tagStr)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(v)))
@@ -84,7 +81,14 @@ func marshalInto(buf []byte, v Value) ([]byte, error) {
 		buf = append(buf, v...)
 	case *ListVal:
 		buf = append(buf, tagList)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(v.Items)))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(v.Len()))
+		if v.lane != laneBoxed { // a column pickles from its slices, to the bytes its boxed cells would
+			buf = slices.Grow(buf, 9*v.Len())
+			for i, n := 0, v.Len(); i < n; i++ {
+				buf = marshalNumber(buf, v.at(i))
+			}
+			break
+		}
 		for _, it := range v.Items {
 			if buf, err = marshalInto(buf, it); err != nil {
 				return nil, err
@@ -112,9 +116,9 @@ func marshalInto(buf []byte, v Value) ([]byte, error) {
 		}
 	case RangeVal:
 		// ranges pickle as expanded lists, matching Python's list(range(...))
-		lst := &ListVal{}
-		for i, n := v.Start, v.Len(); int64(len(lst.Items)) < n; i += v.Step {
-			lst.Items = append(lst.Items, IntVal(i))
+		lst, err := v.List()
+		if err != nil {
+			return nil, err
 		}
 		return marshalInto(buf, lst)
 	case *ObjectVal:
@@ -136,6 +140,17 @@ func marshalInto(buf []byte, v Value) ([]byte, error) {
 		return nil, core.Errorf(core.KindType, "cannot pickle '%s' object", v.TypeName())
 	}
 	return buf, nil
+}
+
+// marshalNumber appends a cell of a typed lane: an int, a float or None.
+func marshalNumber(buf []byte, v val) []byte {
+	switch v.kind {
+	case kInt:
+		return binary.BigEndian.AppendUint64(append(buf, tagInt), v.bits)
+	case kFloat:
+		return binary.BigEndian.AppendUint64(append(buf, tagFloat), v.bits)
+	}
+	return append(buf, tagNone)
 }
 
 // Unmarshal decodes a value from the PyLite pickle format.

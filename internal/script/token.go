@@ -21,6 +21,32 @@
 // there is no `nonlocal`, default arguments are evaluated per call in the
 // defining scope, and an unbound variable of an enclosing function reads
 // through to module scope.
+//
+// Numbers do not touch the heap while a UDF runs. Value, the exported
+// interface, boxes: converting an int64 or a float64 to it allocates. Inside
+// the package a value is a val (lane.go) — {kind, bits, ref}, passed by
+// value — and an int or a float lives in bits. Frame slots, the argument
+// stack, every eval result, the range loop variable, arithmetic, comparisons
+// and the numeric builtins a loop calls (abs, len, int, float, min, max,
+// round) are vals. A list has a lane too: a ListVal whose cells are all ints
+// (or all floats, or None) keeps them in a []int64 ([]float64) with a None
+// mask, which may be a table column's own vector — NewIntList and
+// NewFloatList wrap one without copying, and the list copies it before its
+// first write. Indexing, len, iteration, slicing, `in`, sum/min/max/sorted/
+// list(), append/extend/sort/reverse/copy/index/count, the numpy shims,
+// pickling and a same-typed store all work on the typed slices; a list built
+// by appending numbers to [] starts in the lane of the first one. A val is
+// boxed into a Value only where it leaves the lane: a store into a dict, a
+// tuple, module scope or a list of mixed cells; the arguments of any other
+// builtin, method or native object (BuiltinFunc takes Values); Frame.Locals,
+// EvalWatch and Interp.Call's result, which is all the debugger and the
+// embedder see. A list leaves its lane, once and for good, when something
+// that is not taught the lanes needs its cells boxed (ListVal.Boxed, which
+// Interp.items and every remaining shim go through) or a cell of another
+// type is stored in it. There is one evaluator: boxed and typed lists, and
+// boxed and unboxed numbers, differ in cost only, which
+// TestBoxedAndColumnBackedAgree (internal/udfrt/conformance) and
+// FuzzEvalExpr check.
 package script
 
 import "fmt"

@@ -1,6 +1,7 @@
 package script
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -70,22 +71,25 @@ type BytesVal []byte
 func (BytesVal) TypeName() string { return "bytes" }
 func (b BytesVal) Repr() string   { return fmt.Sprintf("b'<%d bytes>'", len(b)) }
 
-// ListVal is a mutable list.
+// ListVal is a mutable list. It holds its cells one of two ways. Boxed, they
+// are Items — what NewList builds and pickle.loads returns. In a typed lane
+// (lane.go) every cell is an int, or every cell a float, or None: the numbers
+// sit unboxed in a []int64 or []float64 that may be a table column's own, and
+// Items is nil. Read a list through Len, Boxed or ToSlice unless you built it.
 type ListVal struct {
 	Items []Value
+
+	lane   lane
+	ints   []int64
+	flts   []float64
+	nulls  []bool // typed lanes: the cells that are None; nil for none
+	shared bool   // the typed slices are not the list's to write: own() copies them
 }
 
 // NewList builds a list value from items.
 func NewList(items ...Value) *ListVal { return &ListVal{Items: items} }
 
 func (*ListVal) TypeName() string { return "list" }
-func (l *ListVal) Repr() string {
-	parts := make([]string, len(l.Items))
-	for i, it := range l.Items {
-		parts[i] = it.Repr()
-	}
-	return "[" + strings.Join(parts, ", ") + "]"
-}
 
 // TupleVal is an immutable sequence.
 type TupleVal struct {
@@ -267,6 +271,32 @@ func (r RangeVal) Len() int64 {
 	return (r.Start - r.Stop + step - 1) / step
 }
 
+// materialize reports whether a range is small enough to build: a loop counts
+// through any range, but list(range(...)), pickling one or returning one as
+// a column allocates its length.
+func (r RangeVal) materialize() error {
+	if r.Step == 0 {
+		return core.Errorf(core.KindRuntime, "range() step must not be zero")
+	}
+	if n := r.Len(); n > 1<<26 {
+		return core.Errorf(core.KindRuntime, "range of %d elements is too large to materialize", n)
+	}
+	return nil
+}
+
+// List builds the range as a list of unboxed ints, or refuses as
+// materialize does.
+func (r RangeVal) List() (*ListVal, error) {
+	if err := r.materialize(); err != nil {
+		return nil, err
+	}
+	ints := make([]int64, r.Len())
+	for k := range ints {
+		ints[k] = r.Start + int64(k)*r.Step
+	}
+	return &ListVal{lane: laneInt, ints: ints}, nil
+}
+
 // FuncVal is a user-defined function (def or lambda).
 type FuncVal struct {
 	Name    string
@@ -292,7 +322,13 @@ type BuiltinFunc func(in *Interp, args []Value, kwargs map[string]Value) (Value,
 type BuiltinVal struct {
 	Name string
 	Fn   BuiltinFunc
+
+	lane laneFunc // set for the numeric builtins: the same function, on unboxed arguments
 }
+
+// laneFunc is a builtin that takes its arguments and returns its result
+// without boxing them; Fn wraps it for callers that hold Values.
+type laneFunc func(in *Interp, args []val) (val, error)
 
 func (*BuiltinVal) TypeName() string { return "builtin_function_or_method" }
 func (b *BuiltinVal) Repr() string   { return "<built-in function " + b.Name + ">" }
@@ -332,7 +368,7 @@ func Truthy(v Value) bool {
 	case BytesVal:
 		return len(v) > 0
 	case *ListVal:
-		return len(v.Items) > 0
+		return v.Len() > 0
 	case *TupleVal:
 		return len(v.Items) > 0
 	case *DictVal:
@@ -365,11 +401,11 @@ func Equal(a, b Value) bool {
 		return ok && string(a) == string(bb)
 	case *ListVal:
 		bl, ok := b.(*ListVal)
-		if !ok || len(a.Items) != len(bl.Items) {
+		if !ok || a.Len() != bl.Len() {
 			return false
 		}
-		for i := range a.Items {
-			if !Equal(a.Items[i], bl.Items[i]) {
+		for i, n := 0, a.Len(); i < n; i++ {
+			if !equalVal(a.at(i), bl.at(i)) {
 				return false
 			}
 		}
@@ -439,14 +475,7 @@ func asInt(v Value) (int64, bool) {
 func Compare(a, b Value) (int, error) {
 	if af, ok := asFloat(a); ok {
 		if bf, ok := asFloat(b); ok {
-			switch {
-			case af < bf:
-				return -1, nil
-			case af > bf:
-				return 1, nil
-			default:
-				return 0, nil
-			}
+			return cmpFloat(af, bf), nil
 		}
 	}
 	if as, ok := a.(StrVal); ok {
@@ -456,24 +485,13 @@ func Compare(a, b Value) (int, error) {
 	}
 	if al, ok := a.(*ListVal); ok {
 		if bl, ok := b.(*ListVal); ok {
-			n := len(al.Items)
-			if len(bl.Items) < n {
-				n = len(bl.Items)
-			}
-			for i := 0; i < n; i++ {
-				c, err := Compare(al.Items[i], bl.Items[i])
+			for i, n := 0, min(al.Len(), bl.Len()); i < n; i++ {
+				c, err := cmpVal(al.at(i), bl.at(i))
 				if err != nil || c != 0 {
 					return c, err
 				}
 			}
-			switch {
-			case len(al.Items) < len(bl.Items):
-				return -1, nil
-			case len(al.Items) > len(bl.Items):
-				return 1, nil
-			default:
-				return 0, nil
-			}
+			return cmp.Compare(al.Len(), bl.Len()), nil
 		}
 	}
 	return 0, core.Errorf(core.KindType,

@@ -37,22 +37,20 @@ func minMaxDef(language string) *storage.FuncDef {
 	}
 }
 
-// TestPythonConformance runs the suite against the interpreter runtime with
-// the catalog written as stored PYTHON bodies.
-func TestPythonConformance(t *testing.T) {
-	bodies := map[string]string{
-		FnDouble: `out = []
+// pythonBodies is the catalog written as stored PYTHON bodies.
+var pythonBodies = map[string]string{
+	FnDouble: `out = []
 for v in x:
     if v == None:
         v = 0
     out.append(v * 2)
 return out`,
-		FnAddScaled: `out = []
+	FnAddScaled: `out = []
 for v in x:
     out.append(v + f)
 return out`,
-		FnFail: `raise "boom"`,
-		FnMinMax: `lo = x[0]
+	FnFail: `raise "boom"`,
+	FnMinMax: `lo = x[0]
 hi = x[0]
 for v in x:
     if v < lo:
@@ -60,11 +58,14 @@ for v in x:
     if v > hi:
         hi = v
 return {'lo': lo, 'hi': hi}`,
-	}
+}
+
+// TestPythonConformance runs the suite against the interpreter runtime.
+func TestPythonConformance(t *testing.T) {
 	Run(t, Impl{
 		Runtime: pyrt.New(),
 		Def: func(t *testing.T, fn string) *storage.FuncDef {
-			body, ok := bodies[fn]
+			body, ok := pythonBodies[fn]
 			if !ok {
 				t.Fatalf("no PYTHON body for %s", fn)
 			}

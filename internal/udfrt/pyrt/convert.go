@@ -9,13 +9,21 @@ import (
 // ColumnToValue converts a column to the UDF-facing representation per
 // MonetDB/Python's convention: arguments deriving from table data arrive
 // as lists (isColumn true), constant expressions as bare scalars — even
-// when the column holds a single row.
+// when the column holds a single row. An INTEGER or DOUBLE column is not
+// converted at all: the list wraps the column's own vector and null mask,
+// reads them in place and copies them before the UDF's first write to it.
 func ColumnToValue(col *storage.Column, isColumn bool) script.Value {
 	if !isColumn {
 		if col.Len() == 0 {
 			return script.None
 		}
 		return CellToValue(col, 0)
+	}
+	switch col.Typ {
+	case storage.TInt:
+		return script.NewIntList(col.Ints, col.Nulls)
+	case storage.TFloat:
+		return script.NewFloatList(col.Flts, col.Nulls)
 	}
 	items := make([]script.Value, col.Len())
 	for i := range items {
@@ -46,17 +54,28 @@ func CellToValue(col *storage.Column, i int) script.Value {
 }
 
 // ValueToColumn converts a UDF result into a typed column: a sequence
-// becomes the column's rows, anything else a single row. Cardinality
-// validation (a scalar UDF over n rows must return n or 1 values) is the
-// engine's job, not the conversion's.
+// becomes the column's rows, anything else a single row. A list the UDF
+// built from numbers and a range are taken as the vector they already are.
+// Cardinality validation (a scalar UDF over n rows must return n or 1
+// values) is the engine's job, not the conversion's.
 func ValueToColumn(v script.Value, name string, typ storage.Type) (*storage.Column, error) {
 	col := storage.NewColumn(name, typ)
-	items, isSeq := sequenceItems(v)
-	if !isSeq {
-		if err := AppendScriptValue(col, v); err != nil {
+	if r, ok := v.(script.RangeVal); ok {
+		l, err := r.List()
+		if err != nil {
 			return nil, err
 		}
-		return col, nil
+		v = l
+	}
+	items := []script.Value{v}
+	switch v := v.(type) {
+	case *script.ListVal:
+		if numbersToColumn(col, v) {
+			return col, nil
+		}
+		items = v.Boxed()
+	case *script.TupleVal:
+		items = v.Items
 	}
 	for _, it := range items {
 		if err := AppendScriptValue(col, it); err != nil {
@@ -66,23 +85,35 @@ func ValueToColumn(v script.Value, name string, typ storage.Type) (*storage.Colu
 	return col, nil
 }
 
-func sequenceItems(v script.Value) ([]script.Value, bool) {
-	switch v := v.(type) {
-	case *script.ListVal:
-		return v.Items, true
-	case *script.TupleVal:
-		return v.Items, true
-	case script.RangeVal:
-		items := make([]script.Value, 0, v.Len())
-		if v.Step != 0 {
-			for i := v.Start; int64(len(items)) < v.Len(); i += v.Step {
-				items = append(items, script.IntVal(i))
-			}
-		}
-		return items, true
-	default:
-		return nil, false
+// numbersToColumn fills an INTEGER or DOUBLE column from a list of unboxed
+// ints or floats under AppendScriptValue's coercions (a float truncates
+// into an INTEGER), and reports whether it could.
+func numbersToColumn(col *storage.Column, l *script.ListVal) bool {
+	if col.Typ != storage.TInt && col.Typ != storage.TFloat {
+		return false
 	}
+	ints, flts, nulls := l.Numbers()
+	switch {
+	case ints != nil && col.Typ == storage.TFloat:
+		flts = make([]float64, len(ints))
+		for i, n := range ints {
+			flts[i] = float64(n)
+		}
+	case flts != nil && col.Typ == storage.TInt:
+		ints = make([]int64, len(flts))
+		for i, f := range flts {
+			ints[i] = int64(f)
+		}
+	case ints == nil && flts == nil:
+		return false
+	}
+	if col.Typ == storage.TInt {
+		col.Ints = ints
+	} else {
+		col.Flts = flts
+	}
+	col.Nulls = nulls
+	return true
 }
 
 // AppendScriptValue appends one script value to a column with the

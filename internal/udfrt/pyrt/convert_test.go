@@ -1,8 +1,10 @@
 package pyrt
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/script"
 	"repro/internal/storage"
 )
@@ -113,5 +115,26 @@ func TestValueToColumnCoercions(t *testing.T) {
 	}
 	if _, err := ValueToColumn(script.NewDict(), "c", storage.TInt); err == nil {
 		t.Fatal("dict → INTEGER must fail")
+	}
+}
+
+// TestValueToColumnRangeIsBounded: a range a UDF returns becomes an INTEGER
+// column without a boxed cell in between, and one too large to hold is a
+// typed error — it used to be an allocation the Go runtime dies of.
+func TestValueToColumnRangeIsBounded(t *testing.T) {
+	_, err := ValueToColumn(script.RangeVal{Start: 0, Stop: 1 << 42, Step: 1}, "r", storage.TInt)
+	if core.KindOf(err) != core.KindRuntime || !strings.Contains(err.Error(), "too large to materialize") {
+		t.Fatalf("range(0, 2**42) as a column: %v", err)
+	}
+	const rows = 100_000
+	legal := script.RangeVal{Start: 5, Stop: 5 + 2*rows, Step: 2}
+	allocs := testing.AllocsPerRun(3, func() {
+		col, err := ValueToColumn(legal, "r", storage.TInt)
+		if err != nil || col.Len() != rows || col.Ints[rows-1] != 5+2*(rows-1) {
+			t.Fatalf("%v %v", col, err)
+		}
+	})
+	if allocs > 4 { // the vector, the list around it, the column
+		t.Errorf("a %d-row range took %v allocations to become a column", rows, allocs)
 	}
 }

@@ -1,8 +1,10 @@
 // Package pyrt is the PYTHON UDF runtime: stored function bodies execute in
 // the embedded PyLite interpreter, whole columns crossing the boundary as
-// lists (MonetDB/Python's model). It is the reference — and only
-// debuggable — runtime: every call honors the Env.Invoke hook, which is
-// where the in-server remote debugger and trace-based tooling attach.
+// lists (MonetDB/Python's model) — for INTEGER and DOUBLE without
+// conversion: the list wraps the column's vector. It is the reference —
+// and only debuggable — runtime: every call honors the Env.Invoke hook,
+// which is where the in-server remote debugger and trace-based tooling
+// attach.
 package pyrt
 
 import (

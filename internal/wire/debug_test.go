@@ -365,3 +365,58 @@ func TestDebugDisconnectKillsDebuggee(t *testing.T) {
 		t.Fatalf("query after debug disconnect: %q %v", msg, err)
 	}
 }
+
+// TestDebugColumnBackedArgument: inside the server a UDF's column argument
+// wraps the table's own vector and numbers stay unboxed in the frame; over
+// MsgDebug the developer must see the list and the values they always saw.
+func TestDebugColumnBackedArgument(t *testing.T) {
+	_, c := debugFixture(t)
+	ctx := ctxSec(t)
+	dc, err := c.Debug()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dc.Close()
+	_, err = dc.RoundTrip(ctx, DebugRequest{
+		Command:     DebugCmdLaunch,
+		Query:       "SELECT mean_deviation(i) FROM numbers",
+		UDF:         "mean_deviation",
+		Breakpoints: []DebugBreakpoint{{Line: 8, Condition: "i == 3"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := dc.WaitEvent(ctx)
+	if err != nil || ev.Kind != DebugEventStopped || ev.Reason != string(debug.ReasonBreakpoint) || ev.Line != 8 {
+		t.Fatalf("stop: %+v %v", ev, err)
+	}
+	rep, err := dc.RoundTrip(ctx, DebugRequest{Command: DebugCmdLocals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{"i": "3", "mean": "22.0", "distance": "-60.0", "column": "[1, 2, 3, 4, 100]"} {
+		if rep.Vars[name] != want {
+			t.Errorf("local %s = %q, want %q", name, rep.Vars[name], want)
+		}
+	}
+	for expr, want := range map[string]string{"column[i]": "4", "len(column)": "5", "column[0:3]": "[1, 2, 3]"} {
+		rep, err := dc.RoundTrip(ctx, DebugRequest{Command: DebugCmdEval, Expr: expr})
+		if err != nil || rep.Value != want {
+			t.Errorf("watch %s = %q %v, want %q", expr, rep.Value, err, want)
+		}
+	}
+	// A watch may write to the list it sees; the table must not notice.
+	if rep, err := dc.RoundTrip(ctx, DebugRequest{Command: DebugCmdEval, Expr: "[column.reverse(), column[0]]"}); err != nil || rep.Value != "[None, 100]" {
+		t.Fatalf("writing watch: %q %v", rep.Value, err)
+	}
+	// The condition holds once: the next event is the end of the run.
+	if _, err := dc.RoundTrip(ctx, DebugRequest{Command: DebugCmdContinue}); err != nil {
+		t.Fatal(err)
+	}
+	if ev, err = dc.WaitEvent(ctx); err != nil || ev.Kind != DebugEventTerminated || ev.Err != "" {
+		t.Fatalf("after continue: %+v %v", ev, err)
+	}
+	if _, table, err := dc.Query(ctx, "SELECT i FROM numbers"); err != nil || table.Cols[0].FormatValue(0) != "1" {
+		t.Fatalf("numbers after the debug run: %v %v", table, err)
+	}
+}

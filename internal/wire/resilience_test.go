@@ -800,3 +800,40 @@ func TestPoolCheckoutCancelIsKindCancelled(t *testing.T) {
 		t.Fatalf("cancelled checkout should carry KindCancelled, got %v (%v)", core.KindOf(err), err)
 	}
 }
+
+// TestHugeRangeFromUDFIsATypedError: a UDF may loop over range(0, 2**42),
+// but returning it as a column or pickling it would allocate its length.
+// Both used to ask the Go runtime for 64 TiB, which is a fatal error, not a
+// panic: one statement killed the daemon. They are refused with the error
+// list(range(...)) always gave, and the server keeps serving.
+func TestHugeRangeFromUDFIsATypedError(t *testing.T) {
+	_, params := startTestServer(t)
+	c, err := DialContext(background(), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := background()
+	for _, sql := range []string{
+		`CREATE FUNCTION huge(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON { return range(0, 2**42) }`,
+		`CREATE FUNCTION huge_pickle(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON {
+    import pickle
+    return len(pickle.dumps(range(0, 2**42)))
+}`,
+		`CREATE FUNCTION legal(x INTEGER) RETURNS TABLE(i INTEGER) LANGUAGE PYTHON { return range(0, x) }`,
+	} {
+		if _, _, err := c.Query(ctx, sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sql := range []string{`SELECT huge(1)`, `SELECT huge_pickle(1)`} {
+		_, _, err := c.Query(ctx, sql)
+		if core.KindOf(err) != core.KindRuntime || !strings.Contains(err.Error(), "range of 4398046511104 elements is too large to materialize") {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	_, table, err := c.Query(ctx, `SELECT COUNT(*) AS n, SUM(i) AS s FROM legal(100000)`)
+	if err != nil || table.Cols[0].FormatValue(0) != "100000" || table.Cols[1].FormatValue(0) != "4999950000" {
+		t.Fatalf("a legal range after the refused ones: %v %v", table, err)
+	}
+}
