@@ -3,8 +3,8 @@
 //
 //  1. Outside internal/storage, internal/engine/vec, and _test.go files,
 //     Column values must be built through constructors (storage.NewColumn,
-//     storage.BindValue) — a composite literal elsewhere bypasses the
-//     type/buffer consistency the constructors maintain.
+//     storage.BindValue, storage.ColumnOver) — a composite literal elsewhere
+//     bypasses the type/buffer consistency the constructors maintain.
 //  2. Inside kernel packages (internal/engine/vec), a function that stores
 //     a non-nil Nulls bitmap into a Column must also zero the value slots
 //     under the set bits (call zeroUnderNulls) or be annotated

@@ -9,10 +9,10 @@ import (
 )
 
 // Compressed column codec for V2 dumps and WAL snapshots. Each column
-// carries one encoding byte after the shared framing (name, type, row
-// count, null bitmap):
+// carries one encoding byte after the storage codec's column header (name,
+// type, row count, null bitmap):
 //
-//	encPlain — the typed payload of the storage codec, verbatim
+//	encPlain — the values of the storage codec, verbatim
 //	encRLE   — run-length encoding: u32 run count, then (u32 length, value)
 //	           per run; chosen for any type with long runs of equal values
 //	encDict  — dictionary encoding (strings only): u32 dictionary size, the
@@ -41,34 +41,18 @@ const maxDumpRows = 1 << 24
 const maxDumpCells = 1 << 26
 
 func appendColumnV2(buf []byte, col *storage.Column) []byte {
-	buf = storage.AppendString(buf, col.Name)
-	buf = append(buf, byte(col.Typ))
 	n := col.Len()
-	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
-	if col.Nulls == nil {
-		buf = append(buf, 0)
-	} else {
-		buf = append(buf, 1)
-		bitmap := make([]byte, (n+7)/8)
-		for i := 0; i < n; i++ {
-			if col.Nulls[i] {
-				bitmap[i/8] |= 1 << (i % 8)
-			}
-		}
-		buf = append(buf, bitmap...)
-	}
-	switch enc := chooseEncoding(col); enc {
+	buf = storage.AppendColumnHeader(buf, col, 0, n)
+	enc := chooseEncoding(col)
+	buf = append(buf, enc)
+	switch enc {
 	case encRLE:
-		buf = append(buf, encRLE)
-		buf = appendRLE(buf, col)
+		return appendRLE(buf, col)
 	case encDict:
-		buf = append(buf, encDict)
-		buf = appendDict(buf, col)
+		return appendDict(buf, col)
 	default:
-		buf = append(buf, encPlain)
-		buf = appendPlain(buf, col)
+		return storage.AppendColumnValues(buf, col, 0, n)
 	}
-	return buf
 }
 
 // chooseEncoding picks the smallest exact encoding for col.
@@ -146,36 +130,6 @@ func countRuns(col *storage.Column) int {
 		}
 	}
 	return runs
-}
-
-func appendPlain(buf []byte, col *storage.Column) []byte {
-	switch col.Typ {
-	case storage.TInt:
-		for _, v := range col.Ints {
-			buf = binary.BigEndian.AppendUint64(buf, uint64(v))
-		}
-	case storage.TFloat:
-		for _, v := range col.Flts {
-			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
-		}
-	case storage.TStr:
-		for _, v := range col.Strs {
-			buf = storage.AppendString(buf, v)
-		}
-	case storage.TBool:
-		for _, v := range col.Bools {
-			if v {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
-		}
-	case storage.TBlob:
-		for _, v := range col.Blobs {
-			buf = storage.AppendBytes(buf, v)
-		}
-	}
-	return buf
 }
 
 // appendRLE writes (run length, value) pairs behind a run count.
@@ -264,132 +218,31 @@ func appendDict(buf []byte, col *storage.Column) []byte {
 // repeating such specs could soak up CPU and memory out of all proportion
 // to its size. The budget bounds the whole restore.
 func readColumnV2(br *storage.ByteReader, budget *int) (*storage.Column, error) {
-	name, err := br.Str()
-	if err != nil {
-		return nil, err
-	}
-	tb, err := br.U8()
-	if err != nil {
-		return nil, err
-	}
-	typ := storage.Type(tb)
-	switch typ {
-	case storage.TInt, storage.TFloat, storage.TStr, storage.TBool, storage.TBlob:
-	default:
-		return nil, core.Errorf(core.KindProtocol, "unknown column type %d", tb)
-	}
-	n32, err := br.U32()
-	if err != nil {
-		return nil, err
-	}
-	n := int(n32)
-	if n > maxDumpRows {
-		return nil, core.Errorf(core.KindProtocol, "implausible row count %d", n)
-	}
-	if *budget -= n; *budget < 0 {
-		return nil, core.Errorf(core.KindProtocol, "dump exceeds decode budget")
-	}
-	hasNulls, err := br.U8()
-	if err != nil {
-		return nil, err
-	}
-	if hasNulls > 1 {
-		return nil, core.Errorf(core.KindProtocol, "invalid null-bitmap flag %d", hasNulls)
-	}
-	var bitmap []byte
-	if hasNulls == 1 {
-		if bitmap, err = br.Raw((n + 7) / 8); err != nil {
-			return nil, err
+	return storage.DecodeColumnWith(br, func(br *storage.ByteReader, col *storage.Column, n int) error {
+		if n > maxDumpRows {
+			return core.Errorf(core.KindProtocol, "implausible row count %d", n)
 		}
-	}
-	enc, err := br.U8()
-	if err != nil {
-		return nil, err
-	}
-	col := storage.NewColumn(name, typ)
-	switch enc {
-	case encPlain:
-		if err := readPlain(br, col, n); err != nil {
-			return nil, err
+		if *budget -= n; *budget < 0 {
+			return core.Errorf(core.KindProtocol, "dump exceeds decode budget")
 		}
-	case encRLE:
-		if err := readRLE(br, col, n); err != nil {
-			return nil, err
+		enc, err := br.U8()
+		if err != nil {
+			return err
 		}
-	case encDict:
-		if typ != storage.TStr {
-			return nil, core.Errorf(core.KindProtocol, "dictionary encoding on non-string column %q", name)
+		switch enc {
+		case encPlain:
+			return storage.DecodeColumnValues(br, col, n)
+		case encRLE:
+			return readRLE(br, col, n)
+		case encDict:
+			if col.Typ != storage.TStr {
+				return core.Errorf(core.KindProtocol, "dictionary encoding on non-string column %q", col.Name)
+			}
+			return readDict(br, col, n)
+		default:
+			return core.Errorf(core.KindProtocol, "unknown column encoding %d", enc)
 		}
-		if err := readDict(br, col, n); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, core.Errorf(core.KindProtocol, "unknown column encoding %d", enc)
-	}
-	if bitmap != nil {
-		col.Nulls = make([]bool, n)
-		for i := 0; i < n; i++ {
-			if bitmap[i/8]&(1<<(i%8)) != 0 {
-				col.Nulls[i] = true
-			}
-		}
-	}
-	return col, nil
-}
-
-func readPlain(br *storage.ByteReader, col *storage.Column, n int) error {
-	// The remaining payload must plausibly back n rows before any append
-	// loop runs — same bound as storage.DecodeColumn.
-	need := n * 4
-	switch col.Typ {
-	case storage.TInt, storage.TFloat:
-		need = n * 8
-	case storage.TBool:
-		need = n
-	}
-	if need > br.Remaining() {
-		return core.Errorf(core.KindProtocol,
-			"implausible row count %d: needs >= %d bytes, %d remain", n, need, br.Remaining())
-	}
-	col.Reserve(n)
-	for i := 0; i < n; i++ {
-		switch col.Typ {
-		case storage.TInt:
-			v, err := br.U64()
-			if err != nil {
-				return err
-			}
-			col.AppendInt(int64(v))
-		case storage.TFloat:
-			v, err := br.U64()
-			if err != nil {
-				return err
-			}
-			col.AppendFloat(math.Float64frombits(v))
-		case storage.TStr:
-			s, err := br.Str()
-			if err != nil {
-				return err
-			}
-			col.AppendStr(s)
-		case storage.TBool:
-			b, err := br.U8()
-			if err != nil {
-				return err
-			}
-			if b > 1 {
-				return core.Errorf(core.KindProtocol, "invalid boolean byte %d", b)
-			}
-			col.AppendBool(b == 1)
-		case storage.TBlob:
-			b, err := br.Bytes()
-			if err != nil {
-				return err
-			}
-			col.AppendBlob(b)
-		}
-	}
-	return nil
+	})
 }
 
 func readRLE(br *storage.ByteReader, col *storage.Column, n int) error {

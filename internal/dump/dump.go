@@ -55,11 +55,7 @@ func EncodeCatalog(cat *storage.Catalog) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		buf = storage.AppendString(buf, t.Name)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(t.Cols)))
-		for _, col := range t.Cols {
-			buf = appendColumnV2(buf, col)
-		}
+		buf = storage.EncodeTableWith(buf, t, appendColumnV2)
 	}
 	funcs := cat.Functions()
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(funcs)))
@@ -135,7 +131,9 @@ func RestoreCatalog(cat *storage.Catalog, data []byte) error {
 	var tables []*storage.Table
 	budget := maxDumpCells
 	for i := uint32(0); i < ntables; i++ {
-		t, err := readTableV2(br, &budget)
+		t, err := storage.DecodeTableWith(br, func(br *storage.ByteReader) (*storage.Column, error) {
+			return readColumnV2(br, &budget)
+		})
 		if err != nil {
 			return err
 		}
@@ -256,41 +254,10 @@ func decodeSchema(br *storage.ByteReader) (storage.Schema, error) {
 			return nil, err
 		}
 		typ := storage.Type(tb)
-		switch typ {
-		case storage.TInt, storage.TFloat, storage.TStr, storage.TBool, storage.TBlob:
-		default:
+		if !typ.Valid() {
 			return nil, core.Errorf(core.KindProtocol, "unknown type %d in dump", tb)
 		}
 		s = append(s, storage.ColumnDef{Name: name, Type: typ})
 	}
 	return s, nil
-}
-
-func readTableV2(br *storage.ByteReader, budget *int) (*storage.Table, error) {
-	name, err := br.Str()
-	if err != nil {
-		return nil, err
-	}
-	ncols, err := br.U32()
-	if err != nil {
-		return nil, err
-	}
-	if ncols > 1<<16 {
-		return nil, core.Errorf(core.KindProtocol, "implausible column count %d", ncols)
-	}
-	t := &storage.Table{Name: name}
-	rows := -1
-	for i := uint32(0); i < ncols; i++ {
-		col, err := readColumnV2(br, budget)
-		if err != nil {
-			return nil, err
-		}
-		if rows >= 0 && col.Len() != rows {
-			return nil, core.Errorf(core.KindProtocol,
-				"ragged table %q: column %q has %d rows, want %d", name, col.Name, col.Len(), rows)
-		}
-		rows = col.Len()
-		t.Cols = append(t.Cols, col)
-	}
-	return t, nil
 }

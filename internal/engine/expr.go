@@ -427,11 +427,7 @@ func castColumn(x *storage.Column, to storage.Type) (*storage.Column, error) {
 	out := storage.NewColumn("", to)
 	out.Reserve(x.Len())
 	for i := 0; i < x.Len(); i++ {
-		if x.IsNull(i) {
-			out.AppendNull()
-			continue
-		}
-		if err := out.AppendValue(x.Value(i)); err != nil {
+		if err := out.AppendCell(x, i); err != nil {
 			return nil, err
 		}
 	}

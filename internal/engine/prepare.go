@@ -172,9 +172,27 @@ func (s *Stmt) ExecContext(ctx context.Context, args ...any) (*Result, error) {
 }
 
 // ExecWith is ExecContext without the context detour — see Conn.ExecWith.
+// It turns the Go arguments into length-1 columns (storage.BindValue) and
+// hands them to ExecBound.
 func (s *Stmt) ExecWith(o ExecOpts, args ...any) (*Result, error) {
+	cols := make([]*storage.Column, len(args))
+	for i, v := range args {
+		col, err := storage.BindValue(v)
+		if err != nil {
+			return nil, core.Wrapf(core.KindType, err, "parameter %d: %v", i+1, err)
+		}
+		cols[i] = col
+	}
+	return s.ExecBound(o, cols)
+}
+
+// ExecBound executes the statement with its bind arguments already in the
+// form execution uses, one length-1 column each: what the wire server
+// decodes from MsgExecStmt and ExecWith builds from Go values. The slice is
+// the statement's for the duration of the call.
+func (s *Stmt) ExecBound(o ExecOpts, cols []*storage.Column) (*Result, error) {
 	bt := o.Trace.StartStage(obs.StageBind)
-	cols, err := s.bindArgs(args)
+	err := s.typeSlots(cols)
 	bt.Done()
 	if err != nil {
 		return nil, err
@@ -192,45 +210,39 @@ func (s *Stmt) ExecWith(o ExecOpts, args ...any) (*Result, error) {
 	})
 }
 
-// bindArgs converts the Go arguments into length-1 columns and enforces
-// the slot types recorded at the first bind.
-func (s *Stmt) bindArgs(args []any) ([]*storage.Column, error) {
-	if len(args) != s.nparams {
-		return nil, core.Errorf(core.KindConstraint,
-			"statement expects %d bind parameter(s), got %d", s.nparams, len(args))
+// typeSlots enforces the slot types recorded at the first bind on cols,
+// replacing in place the columns that have to change type to fit.
+func (s *Stmt) typeSlots(cols []*storage.Column) error {
+	if len(cols) != s.nparams {
+		return core.Errorf(core.KindConstraint,
+			"statement expects %d bind parameter(s), got %d", s.nparams, len(cols))
 	}
-	cols := make([]*storage.Column, len(args))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, v := range args {
-		col, err := storage.BindValue(v)
-		if err != nil {
-			return nil, core.Wrapf(core.KindType, err, "parameter %d: %v", i+1, err)
-		}
-		if v == nil {
-			// NULL binds into any slot; take the slot's type once known so
-			// downstream kernels see a consistently-typed column.
-			if s.typed[i] {
-				col = storage.NewColumn("", s.types[i])
-				col.AppendNull()
-			}
-			cols[i] = col
-			continue
-		}
+	for i, col := range cols {
 		switch {
+		case col.IsNull(0):
+			// NULL binds into any slot, as a column of the engine's own
+			// (zero under the NULL bit, whatever a client sent there); it
+			// takes the slot's type once known so downstream kernels see a
+			// consistently-typed column.
+			typ := col.Typ
+			if s.typed[i] {
+				typ = s.types[i]
+			}
+			cols[i] = storage.NewColumn("", typ)
+			cols[i].AppendNull()
 		case !s.typed[i]:
 			s.types[i], s.typed[i] = col.Typ, true
 		case col.Typ == s.types[i]:
 		case s.types[i] == storage.TFloat && col.Typ == storage.TInt:
-			conv := storage.NewColumn("", storage.TFloat)
-			conv.AppendFloat(float64(col.Ints[0]))
-			col = conv
+			cols[i] = storage.NewColumn("", storage.TFloat)
+			cols[i].AppendFloat(float64(col.Ints[0]))
 		default:
-			return nil, core.Errorf(core.KindType,
+			return core.Errorf(core.KindType,
 				"parameter %d: cannot bind %s into a %s slot (typed at first bind)",
 				i+1, col.Typ, s.types[i])
 		}
-		cols[i] = col
 	}
-	return cols, nil
+	return nil
 }

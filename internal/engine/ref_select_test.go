@@ -369,7 +369,12 @@ func refExpr(c *Conn, t *storage.Table, e sqlparse.Expr) *storage.Column {
 		}
 		return out
 	case *sqlparse.CastExpr:
-		return must(castColumn(refExpr(c, t, e.X), e.To))
+		// a row at a time through a boxed value, not the engine's cell copy
+		x, out := refExpr(c, t, e.X), storage.NewColumn("", e.To)
+		for i := 0; i < x.Len(); i++ {
+			check(out.AppendValue(x.Value(i)))
+		}
+		return out
 	case *sqlparse.FuncCall:
 		return refCall(c, t, e)
 	case *sqlparse.Subquery:

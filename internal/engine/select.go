@@ -539,7 +539,7 @@ func (c *Conn) aggregateOver(ctx *evalCtx, call *sqlparse.FuncCall) (*storage.Co
 		out := storage.NewColumn("", col.Typ)
 		if best < 0 {
 			out.AppendNull()
-		} else if err := out.AppendValue(col.Value(best)); err != nil {
+		} else if err := out.AppendCell(col, best); err != nil {
 			return nil, err
 		}
 		return out, nil
@@ -591,9 +591,7 @@ func (c *Conn) evalAggregateSelect(sel *sqlparse.Select, src *storage.Table, sel
 					"aggregate query item must produce one value per group")
 			}
 			col := storage.NewColumn(itemName(item, ii), val.Typ)
-			if val.IsNull(0) {
-				col.AppendNull()
-			} else if err := col.AppendValue(val.Value(0)); err != nil {
+			if err := col.AppendCell(val, 0); err != nil {
 				return nil, err
 			}
 			outCols = append(outCols, col)
@@ -647,9 +645,7 @@ func (c *Conn) evalAggregateSelect(sel *sqlparse.Select, src *storage.Table, sel
 				return nil, core.Errorf(core.KindConstraint,
 					"aggregate query item must produce one value per group")
 			}
-			if val.IsNull(0) {
-				col.AppendNull()
-			} else if err := col.AppendValue(val.Value(0)); err != nil {
+			if err := col.AppendCell(val, 0); err != nil {
 				return nil, err
 			}
 		}

@@ -264,11 +264,7 @@ func (c *Conn) callScalarUDFTuple(def *storage.FuncDef, call udfrt.Callable,
 		if err != nil {
 			return nil, err
 		}
-		if col.IsNull(0) {
-			out.AppendNull()
-			continue
-		}
-		if err := out.AppendValue(col.Value(0)); err != nil {
+		if err := out.AppendCell(col, 0); err != nil {
 			return nil, err
 		}
 	}

@@ -236,6 +236,13 @@ var differentialQueries = []string{
 	`SELECT i = j AS e, i < j AS lt, f >= 10.0 AS ge FROM t`,
 	`SELECT s || '!' AS sx, b AND i > 0 AS ab, b OR f > 0.0 AS ob FROM t`,
 	`SELECT CAST(i AS DOUBLE) AS fd, CAST(f AS INTEGER) AS fi FROM t`,
+	`SELECT CAST(i AS INTEGER) AS ii, CAST(s AS STRING) AS ss, CAST(b AS BOOLEAN) AS bb FROM t`,
+	`SELECT CAST(i AS STRING) AS si, CAST(f AS STRING) AS sf, CAST(b AS STRING) AS sb FROM t`,
+	`SELECT CAST(b AS INTEGER) AS bi, CAST(i AS BOOLEAN) AS ib, CAST(s AS BLOB) AS sbl FROM t`,
+	`SELECT CAST(CAST(i AS STRING) AS INTEGER) + 1 AS back, CAST('2.5' AS DOUBLE) AS lit FROM t`,
+	`SELECT CAST(s AS INTEGER) FROM t`,
+	`SELECT CAST(f AS BOOLEAN) FROM t`,
+	`SELECT CAST(b AS DOUBLE) FROM t`,
 	`SELECT ABS(i) AS ai, SQRT(ABS(f)) AS sf, LENGTH(s) AS ls, UPPER(s) AS us FROM t`,
 	`SELECT ROUND(f, 1) AS r1 FROM t`,
 	// aggregates: ungrouped (selection consumed directly) and grouped
@@ -823,4 +830,47 @@ func FuzzBinaryKernelAgreement(f *testing.F) {
 			t.Fatalf("%s: %v", op, err)
 		}
 	})
+}
+
+// TestCastAllocationsDoNotScaleWithRows: CAST copies typed cells. Between
+// INTEGER and DOUBLE, and to the same type, it allocates the result's
+// vectors and nothing per row — it used to box every value on the way.
+func TestCastAllocationsDoNotScaleWithRows(t *testing.T) {
+	ints := func(n int) *storage.Column {
+		col := storage.NewColumn("i", storage.TInt)
+		for i := 0; i < n; i++ {
+			if i%7 == 0 {
+				col.AppendNull()
+			} else {
+				col.AppendInt(int64(i) << 20) // past the runtime's small-value boxing cache
+			}
+		}
+		return col
+	}
+	small, large := ints(1<<8), ints(10_000)
+	for _, tc := range []struct {
+		name     string
+		from, to storage.Type
+	}{
+		{"INTEGER to DOUBLE", storage.TInt, storage.TFloat},
+		{"DOUBLE to INTEGER", storage.TFloat, storage.TInt},
+		{"INTEGER to INTEGER", storage.TInt, storage.TInt},
+	} {
+		allocs := func(x *storage.Column) float64 {
+			if x.Typ != tc.from {
+				var err error
+				if x, err = castColumn(x, tc.from); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return testing.AllocsPerRun(10, func() {
+				if out, err := castColumn(x, tc.to); err != nil || out.Len() != x.Len() {
+					t.Fatalf("cast: %v", err)
+				}
+			})
+		}
+		if atSmall, atLarge := allocs(small), allocs(large); atSmall != atLarge {
+			t.Errorf("CAST %s: %v allocations at %d rows, %v at %d rows", tc.name, atSmall, small.Len(), atLarge, large.Len())
+		}
+	}
 }

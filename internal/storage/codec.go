@@ -7,8 +7,12 @@ import (
 	"repro/internal/core"
 )
 
-// Binary column/table codec, shared by the wire protocol's result sets and
-// the database dump format.
+// Binary column/table codec. This file is the only place that knows how a
+// column is laid out in bytes — header, null bitmap, typed values, table
+// framing — how big that is and how many rows of it fit a chunk; the wire
+// protocol, the write-ahead log and the dump format (which adds an encoding
+// byte, RLE and dictionaries) all call it, so a change to the layout is a
+// change here and to the golden digests (TestGoldenBytes), nowhere else.
 
 // ByteReader is a bounds-checked cursor over an encoded payload.
 type ByteReader struct {
@@ -102,30 +106,34 @@ func AppendBytes(buf []byte, b []byte) []byte {
 	return append(buf, b...)
 }
 
-// EncodeColumnRange appends the binary encoding of rows [from, to) of col:
-// name, type, row count, optional packed validity bitmap, then the typed
-// payload. The write-ahead log uses it to serialize an INSERT batch straight
-// from the live table, without slicing a copy first.
-func EncodeColumnRange(buf []byte, col *Column, from, to int) []byte {
+// AppendColumnHeader appends what precedes the values of rows [from, to) of
+// col: name, type, row count, and the null flag with its packed bitmap. The
+// dump format puts its encoding byte between this and the values.
+func AppendColumnHeader(buf []byte, col *Column, from, to int) []byte {
 	buf = AppendString(buf, col.Name)
 	buf = append(buf, byte(col.Typ))
 	n := to - from
 	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
 	if col.Nulls == nil {
+		return append(buf, 0)
+	}
+	buf = append(buf, 1)
+	// build the bitmap in place on buf — this runs per commit
+	base := len(buf)
+	for i := 0; i < (n+7)/8; i++ {
 		buf = append(buf, 0)
-	} else {
-		buf = append(buf, 1)
-		// build the bitmap in place on buf — this runs per commit
-		base := len(buf)
-		for i := 0; i < (n+7)/8; i++ {
-			buf = append(buf, 0)
-		}
-		for i := 0; i < n; i++ {
-			if col.Nulls[from+i] {
-				buf[base+i/8] |= 1 << (i % 8)
-			}
+	}
+	for i := 0; i < n; i++ {
+		if col.Nulls[from+i] {
+			buf[base+i/8] |= 1 << (i % 8)
 		}
 	}
+	return buf
+}
+
+// AppendColumnValues appends the typed values of rows [from, to) of col, one
+// after the other. Values under NULL bits are written as stored.
+func AppendColumnValues(buf []byte, col *Column, from, to int) []byte {
 	switch col.Typ {
 	case TInt:
 		for _, v := range col.Ints[from:to] {
@@ -155,8 +163,11 @@ func EncodeColumnRange(buf []byte, col *Column, from, to int) []byte {
 	return buf
 }
 
-// DecodeColumn reads one column previously written by EncodeColumnRange.
-func DecodeColumn(r *ByteReader) (*Column, error) {
+// DecodeColumnWith reads a column header (AppendColumnHeader), has values
+// append the n rows it announces to the new column, and then unpacks the
+// null bitmap over them. Nothing proportional to n is allocated before
+// values has accepted n.
+func DecodeColumnWith(r *ByteReader, values func(r *ByteReader, col *Column, n int) error) (*Column, error) {
 	name, err := r.Str()
 	if err != nil {
 		return nil, err
@@ -166,9 +177,7 @@ func DecodeColumn(r *ByteReader) (*Column, error) {
 		return nil, err
 	}
 	typ := Type(tb)
-	switch typ {
-	case TInt, TFloat, TStr, TBool, TBlob:
-	default:
+	if !typ.Valid() {
 		return nil, core.Errorf(core.KindProtocol, "unknown column type %d", tb)
 	}
 	n32, err := r.U32()
@@ -176,15 +185,6 @@ func DecodeColumn(r *ByteReader) (*Column, error) {
 		return nil, err
 	}
 	n := int(n32)
-	// An adversarial row count would drive n append loops (and for the
-	// fixed-width types a giant Reserve) before the cursor runs dry: reject
-	// any count the remaining payload cannot possibly hold, mirroring
-	// DecodeTable's column-count cap.
-	if need := minColumnBytes(typ, n); need > r.Remaining() {
-		return nil, core.Errorf(core.KindProtocol,
-			"implausible row count %d: needs >= %d bytes, %d remain", n, need, r.Remaining())
-	}
-	col := NewColumn(name, typ)
 	hasNulls, err := r.U8()
 	if err != nil {
 		return nil, err
@@ -194,61 +194,79 @@ func DecodeColumn(r *ByteReader) (*Column, error) {
 	}
 	var bitmap []byte
 	if hasNulls == 1 {
-		bitmap, err = r.Raw((n + 7) / 8)
-		if err != nil {
+		if bitmap, err = r.Raw((n + 7) / 8); err != nil {
 			return nil, err
 		}
 	}
-	for i := 0; i < n; i++ {
-		switch typ {
-		case TInt:
-			v, err := r.U64()
-			if err != nil {
-				return nil, err
-			}
-			col.AppendInt(int64(v))
-		case TFloat:
-			v, err := r.U64()
-			if err != nil {
-				return nil, err
-			}
-			col.AppendFloat(math.Float64frombits(v))
-		case TStr:
-			s, err := r.Str()
-			if err != nil {
-				return nil, err
-			}
-			col.AppendStr(s)
-		case TBool:
-			b, err := r.U8()
-			if err != nil {
-				return nil, err
-			}
-			col.AppendBool(b == 1)
-		case TBlob:
-			b, err := r.Bytes()
-			if err != nil {
-				return nil, err
-			}
-			col.AppendBlob(b)
-		}
+	col := NewColumn(name, typ)
+	if err := values(r, col, n); err != nil {
+		return nil, err
+	}
+	if col.Len() != n {
+		return nil, core.Errorf(core.KindProtocol, "column %q decoded to %d rows, header says %d", name, col.Len(), n)
 	}
 	if bitmap != nil {
-		if col.Nulls == nil {
-			col.Nulls = make([]bool, n)
-		}
-		for i := 0; i < n; i++ {
-			if bitmap[i/8]&(1<<(i%8)) != 0 {
-				col.Nulls[i] = true
-			}
+		col.Nulls = make([]bool, n)
+		for i := range col.Nulls {
+			col.Nulls[i] = bitmap[i/8]&(1<<(i%8)) != 0
 		}
 	}
 	return col, nil
 }
 
-// minColumnBytes returns the smallest possible encoded size of n rows of
-// type typ (excluding the null bitmap): the bound DecodeColumn uses to
-// reject row counts the payload cannot back.
+// DecodeColumnValues appends n values written by AppendColumnValues to col.
+func DecodeColumnValues(r *ByteReader, col *Column, n int) error {
+	// An adversarial row count would drive n append loops and a giant
+	// Reserve before the cursor runs dry: reject any count the remaining
+	// payload cannot possibly hold.
+	if need := minColumnBytes(col.Typ, n); need > r.Remaining() {
+		return core.Errorf(core.KindProtocol,
+			"implausible row count %d: needs >= %d bytes, %d remain", n, need, r.Remaining())
+	}
+	col.Reserve(n)
+	for i := 0; i < n; i++ {
+		switch col.Typ {
+		case TInt:
+			v, err := r.U64()
+			if err != nil {
+				return err
+			}
+			col.AppendInt(int64(v))
+		case TFloat:
+			v, err := r.U64()
+			if err != nil {
+				return err
+			}
+			col.AppendFloat(math.Float64frombits(v))
+		case TStr:
+			s, err := r.Str()
+			if err != nil {
+				return err
+			}
+			col.AppendStr(s)
+		case TBool:
+			b, err := r.U8()
+			if err != nil {
+				return err
+			}
+			if b > 1 {
+				return core.Errorf(core.KindProtocol, "invalid boolean byte %d", b)
+			}
+			col.AppendBool(b == 1)
+		case TBlob:
+			b, err := r.Bytes()
+			if err != nil {
+				return err
+			}
+			col.AppendBlob(b)
+		}
+	}
+	return nil
+}
+
+// minColumnBytes returns the smallest possible encoded size of n values of
+// type typ: the bound DecodeColumnValues uses to reject row counts the
+// payload cannot back.
 func minColumnBytes(typ Type, n int) int {
 	switch typ {
 	case TInt, TFloat:
@@ -266,18 +284,89 @@ func EncodeTable(buf []byte, t *Table) []byte {
 }
 
 // EncodeTableRange encodes rows [from, to) of every column of t in the
-// EncodeTable format (decodable with DecodeTable).
+// EncodeTable format (decodable with DecodeTable). The write-ahead log uses
+// it to serialize an INSERT batch straight from the live table, and the
+// result stream a chunk, without slicing a copy first.
 func EncodeTableRange(buf []byte, t *Table, from, to int) []byte {
+	return EncodeTableWith(buf, t, func(buf []byte, col *Column) []byte {
+		return AppendColumnValues(AppendColumnHeader(buf, col, from, to), col, from, to)
+	})
+}
+
+// EncodeTableWith appends t's framing — name and column count — and each
+// column as column writes it.
+func EncodeTableWith(buf []byte, t *Table, column func([]byte, *Column) []byte) []byte {
 	buf = AppendString(buf, t.Name)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(t.Cols)))
 	for _, col := range t.Cols {
-		buf = EncodeColumnRange(buf, col, from, to)
+		buf = column(buf, col)
 	}
 	return buf
 }
 
+// EncodedTableSize returns how many bytes EncodeTableRange writes for rows
+// [from, to) of t, without writing them.
+func EncodedTableSize(t *Table, from, to int) int {
+	n := 4 + len(t.Name) + 4
+	for _, c := range t.Cols {
+		n += 4 + len(c.Name) + 1 + 4 + 1 + valueBytes(c, from, to)
+		if c.Nulls != nil {
+			n += (to - from + 7) / 8
+		}
+	}
+	return n
+}
+
+// valueBytes is the size of what AppendColumnValues writes.
+func valueBytes(c *Column, from, to int) int {
+	n := minColumnBytes(c.Typ, to-from)
+	switch c.Typ {
+	case TStr:
+		for _, s := range c.Strs[from:to] {
+			n += len(s)
+		}
+	case TBlob:
+		for _, b := range c.Blobs[from:to] {
+			n += len(b)
+		}
+	}
+	return n
+}
+
+// ChunkEnd returns the end of the longest run of rows starting at from that
+// EncodeTableRange writes in at most limit bytes — one row at least, however
+// large — and an upper bound on the size of that encoding. A row is charged
+// a whole bitmap byte per cell, so a run may end a few rows early and never
+// late; where the result stream cuts its chunks is this function, and the
+// golden bytes pin it.
+func ChunkEnd(t *Table, from, limit int) (to, size int) {
+	rows := t.NumRows()
+	to, size = from, EncodedTableSize(t, 0, 0)
+	for to < rows {
+		row := len(t.Cols)
+		for _, c := range t.Cols {
+			row += valueBytes(c, to, to+1)
+		}
+		if to > from && size+row > limit {
+			break
+		}
+		size += row
+		to++
+	}
+	return to, size
+}
+
 // DecodeTable reads one table previously written by EncodeTable.
 func DecodeTable(r *ByteReader) (*Table, error) {
+	return DecodeTableWith(r, func(r *ByteReader) (*Column, error) {
+		return DecodeColumnWith(r, DecodeColumnValues)
+	})
+}
+
+// DecodeTableWith reads a table's framing (EncodeTableWith) and each column
+// as column reads it. Columns of different lengths are refused: the engine
+// indexes every column of a table by the first one's row count.
+func DecodeTableWith(r *ByteReader, column func(*ByteReader) (*Column, error)) (*Table, error) {
 	name, err := r.Str()
 	if err != nil {
 		return nil, err
@@ -291,9 +380,13 @@ func DecodeTable(r *ByteReader) (*Table, error) {
 	}
 	t := &Table{Name: name}
 	for i := uint32(0); i < ncols; i++ {
-		col, err := DecodeColumn(r)
+		col, err := column(r)
 		if err != nil {
 			return nil, err
+		}
+		if i > 0 && col.Len() != t.NumRows() {
+			return nil, core.Errorf(core.KindProtocol,
+				"ragged table %q: column %q has %d rows, want %d", name, col.Name, col.Len(), t.NumRows())
 		}
 		t.Cols = append(t.Cols, col)
 	}

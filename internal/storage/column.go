@@ -67,22 +67,30 @@ func (c *Column) AppendBool(v bool) { c.Bools = append(c.Bools, v); c.growNulls(
 // AppendBlob appends a blob row.
 func (c *Column) AppendBlob(v []byte) { c.Blobs = append(c.Blobs, v); c.growNulls() }
 
-// AppendNull appends a NULL row.
+// AppendNull appends a NULL row. The bitmap it may have to create gets the
+// value vector's capacity, so rows a caller has Reserved stay free of
+// reallocation when some of them turn out NULL.
 func (c *Column) AppendNull() {
+	var room int
 	switch c.Typ {
 	case TInt:
 		c.Ints = append(c.Ints, 0)
+		room = cap(c.Ints)
 	case TFloat:
 		c.Flts = append(c.Flts, 0)
+		room = cap(c.Flts)
 	case TStr:
 		c.Strs = append(c.Strs, "")
+		room = cap(c.Strs)
 	case TBool:
 		c.Bools = append(c.Bools, false)
+		room = cap(c.Bools)
 	case TBlob:
 		c.Blobs = append(c.Blobs, nil)
+		room = cap(c.Blobs)
 	}
 	if c.Nulls == nil {
-		c.Nulls = make([]bool, c.Len())
+		c.Nulls = make([]bool, c.Len(), room)
 	} else {
 		c.Nulls = append(c.Nulls, false)
 	}
@@ -113,88 +121,171 @@ func (c *Column) Value(i int) any {
 // AppendValue appends a Go value with coercion to the column type. nil
 // appends NULL.
 func (c *Column) AppendValue(v any) error {
-	if v == nil {
+	switch v := v.(type) {
+	case nil:
+		c.AppendNull()
+		return nil
+	case int64:
+		return c.appendInt(v)
+	case int:
+		if c.Typ == TInt || c.Typ == TFloat {
+			return c.appendInt(int64(v))
+		}
+	case float64:
+		return c.appendFloat(v)
+	case string:
+		return c.appendStr(v)
+	case bool:
+		return c.appendBool(v)
+	case []byte:
+		return c.appendBlob(v)
+	}
+	return coerceErr(v, c.Typ)
+}
+
+// AppendCell appends row i of src, NULL included, with AppendValue's
+// coercions when the types differ — the copy of one cell between columns,
+// without boxing it on the way.
+func (c *Column) AppendCell(src *Column, i int) error {
+	if src.IsNull(i) {
 		c.AppendNull()
 		return nil
 	}
+	switch src.Typ {
+	case TInt:
+		return c.appendInt(src.Ints[i])
+	case TFloat:
+		return c.appendFloat(src.Flts[i])
+	case TStr:
+		return c.appendStr(src.Strs[i])
+	case TBool:
+		return c.appendBool(src.Bools[i])
+	default:
+		return c.appendBlob(src.Blobs[i])
+	}
+}
+
+// The five coercers below are the one conversion matrix, a source type
+// each: what AppendValue does with a Go value and AppendCell with a cell.
+
+func (c *Column) appendInt(v int64) error {
 	switch c.Typ {
 	case TInt:
-		switch v := v.(type) {
-		case int64:
-			c.AppendInt(v)
-		case int:
-			c.AppendInt(int64(v))
-		case float64:
-			c.AppendInt(int64(v))
-		case bool:
-			if v {
-				c.AppendInt(1)
-			} else {
-				c.AppendInt(0)
-			}
-		case string:
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return core.Errorf(core.KindType, "cannot convert %q to INTEGER", v)
-			}
-			c.AppendInt(n)
-		default:
-			return coerceErr(v, c.Typ)
-		}
+		c.AppendInt(v)
 	case TFloat:
-		switch v := v.(type) {
-		case float64:
-			c.AppendFloat(v)
-		case int64:
-			c.AppendFloat(float64(v))
-		case int:
-			c.AppendFloat(float64(v))
-		case string:
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return core.Errorf(core.KindType, "cannot convert %q to DOUBLE", v)
-			}
-			c.AppendFloat(f)
-		default:
-			return coerceErr(v, c.Typ)
+		c.AppendFloat(float64(v))
+	case TStr:
+		c.AppendStr(strconv.FormatInt(v, 10))
+	case TBool:
+		c.AppendBool(v != 0)
+	default:
+		return coerceErr(v, c.Typ)
+	}
+	return nil
+}
+
+func (c *Column) appendFloat(v float64) error {
+	switch c.Typ {
+	case TInt:
+		c.AppendInt(int64(v))
+	case TFloat:
+		c.AppendFloat(v)
+	case TStr:
+		c.AppendStr(strconv.FormatFloat(v, 'g', -1, 64))
+	default:
+		return coerceErr(v, c.Typ)
+	}
+	return nil
+}
+
+func (c *Column) appendStr(v string) error {
+	switch c.Typ {
+	case TInt:
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			return core.Errorf(core.KindType, "cannot convert %q to INTEGER", v)
+		}
+		c.AppendInt(n)
+	case TFloat:
+		f, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			return core.Errorf(core.KindType, "cannot convert %q to DOUBLE", v)
+		}
+		c.AppendFloat(f)
+	case TStr:
+		c.AppendStr(v)
+	case TBlob:
+		c.AppendBlob([]byte(v))
+	default:
+		return coerceErr(v, c.Typ)
+	}
+	return nil
+}
+
+func (c *Column) appendBool(v bool) error {
+	switch c.Typ {
+	case TInt:
+		if v {
+			c.AppendInt(1)
+		} else {
+			c.AppendInt(0)
 		}
 	case TStr:
-		switch v := v.(type) {
-		case string:
-			c.AppendStr(v)
-		case int64:
-			c.AppendStr(strconv.FormatInt(v, 10))
-		case float64:
-			c.AppendStr(strconv.FormatFloat(v, 'g', -1, 64))
-		case bool:
-			c.AppendStr(strconv.FormatBool(v))
-		default:
-			return coerceErr(v, c.Typ)
-		}
+		c.AppendStr(strconv.FormatBool(v))
 	case TBool:
-		switch v := v.(type) {
-		case bool:
-			c.AppendBool(v)
-		case int64:
-			c.AppendBool(v != 0)
-		default:
-			return coerceErr(v, c.Typ)
-		}
-	case TBlob:
-		switch v := v.(type) {
-		case []byte:
-			c.AppendBlob(v)
-		case string:
-			c.AppendBlob([]byte(v))
-		default:
-			return coerceErr(v, c.Typ)
-		}
+		c.AppendBool(v)
+	default:
+		return coerceErr(v, c.Typ)
 	}
+	return nil
+}
+
+func (c *Column) appendBlob(v []byte) error {
+	if c.Typ != TBlob {
+		return coerceErr(v, c.Typ)
+	}
+	c.AppendBlob(v)
 	return nil
 }
 
 func coerceErr(v any, t Type) error {
 	return core.Errorf(core.KindType, "cannot store %T in %s column", v, t)
+}
+
+// Vector returns the column's backing typed slice ([]int64, []float64,
+// []string, []bool or [][]byte) without copying: what a GO UDF receives.
+func (c *Column) Vector() any {
+	switch c.Typ {
+	case TInt:
+		return c.Ints
+	case TFloat:
+		return c.Flts
+	case TStr:
+		return c.Strs
+	case TBool:
+		return c.Bools
+	default:
+		return c.Blobs
+	}
+}
+
+// ColumnOver wraps a caller-owned typed slice (see Vector) in a column
+// without copying: what a GO UDF returns. Any other type is the caller's
+// bug.
+func ColumnOver(name string, vec any) *Column {
+	switch v := vec.(type) {
+	case []int64:
+		return &Column{Name: name, Typ: TInt, Ints: v}
+	case []float64:
+		return &Column{Name: name, Typ: TFloat, Flts: v}
+	case []string:
+		return &Column{Name: name, Typ: TStr, Strs: v}
+	case []bool:
+		return &Column{Name: name, Typ: TBool, Bools: v}
+	case [][]byte:
+		return &Column{Name: name, Typ: TBlob, Blobs: v}
+	}
+	panic(fmt.Sprintf("storage.ColumnOver: %T is not a column vector", vec))
 }
 
 // BindValue builds a length-1 column from a Go bind argument, inferring
@@ -422,7 +513,8 @@ func (c *Column) BroadcastTo(n int) *Column {
 }
 
 // AppendAll bulk-appends every row of o (same type) to c — the morsel
-// result stitcher. Nulls are reconciled like Table.AppendTable.
+// result stitcher, and Table.AppendTable column by column. A bitmap appears
+// on c as soon as either side has one.
 func (c *Column) AppendAll(o *Column) error {
 	if o.Typ != c.Typ {
 		return core.Errorf(core.KindConstraint,

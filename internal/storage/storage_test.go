@@ -1,9 +1,14 @@
 package storage
 
 import (
+	"encoding/binary"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/core"
 )
 
 func TestParseType(t *testing.T) {
@@ -295,5 +300,153 @@ func TestColumnValueRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// codecTable has a column of every type, NULLs in some of them.
+func codecTable(t *testing.T) *Table {
+	t.Helper()
+	tbl := NewTable("codec", Schema{
+		{Name: "i", Type: TInt}, {Name: "f", Type: TFloat}, {Name: "s", Type: TStr},
+		{Name: "b", Type: TBool}, {Name: "bl", Type: TBlob},
+	})
+	for _, row := range [][]any{
+		{int64(1), 1.5, "one", true, []byte("x")},
+		{nil, 2.5, "", false, nil},
+		{int64(3), 3.5, nil, true, []byte{}},
+	} {
+		if err := tbl.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tbl
+}
+
+func TestTableCodecRoundTrip(t *testing.T) {
+	tbl := codecTable(t)
+	r := NewByteReader(EncodeTable(nil, tbl))
+	got, err := DecodeTable(r)
+	if err != nil || r.Remaining() != 0 {
+		t.Fatalf("decode: %v, %d bytes left", err, r.Remaining())
+	}
+	if got.Name != tbl.Name || !reflect.DeepEqual(got.Schema(), tbl.Schema()) || got.NumRows() != tbl.NumRows() {
+		t.Fatalf("round trip changed the table's shape: %s %v, %d rows", got.Name, got.Schema(), got.NumRows())
+	}
+	for c, col := range tbl.Cols {
+		for i := 0; i < col.Len(); i++ {
+			// Sprint: a nil blob and an empty one are the same cell
+			if g, w := fmt.Sprint(got.Cols[c].Value(i)), fmt.Sprint(col.Value(i)); g != w {
+				t.Errorf("%s row %d: decoded %s, encoded %s", col.Name, i, g, w)
+			}
+		}
+	}
+}
+
+// TestDecodeRejectsInvalidBooleanByte: a BOOLEAN value byte is 0 or 1. The
+// decoder behind bind arguments, result chunks and WAL records used to read
+// 2..255 as false.
+func TestDecodeRejectsInvalidBooleanByte(t *testing.T) {
+	col := NewColumn("b", TBool)
+	col.AppendBool(true)
+	col.AppendBool(false)
+	valid := EncodeTable(nil, &Table{Name: "t", Cols: []*Column{col}})
+	if _, err := DecodeTable(NewByteReader(valid)); err != nil {
+		t.Fatalf("control: %v", err)
+	}
+	for _, b := range []byte{2, 0x80, 0xFF} {
+		bad := append([]byte{}, valid...)
+		bad[len(bad)-1] = b // the last value
+		_, err := DecodeTable(NewByteReader(bad))
+		if core.KindOf(err) != core.KindProtocol || !strings.Contains(err.Error(), "invalid boolean byte") {
+			t.Errorf("boolean byte %d: want a protocol error naming it, got %v", b, err)
+		}
+	}
+}
+
+// TestDecodeRejectsRaggedTable: columns of one table have one length. A
+// 2-row column followed by a 1-row one used to decode to a table whose
+// NumRows is 2, and the next scan indexed past the short vector.
+func TestDecodeRejectsRaggedTable(t *testing.T) {
+	long := NewColumn("i", TInt)
+	long.AppendInt(1)
+	long.AppendInt(2)
+	short := NewColumn("b", TBool)
+	short.AppendBool(true)
+	buf := AppendString(nil, "ragged")
+	buf = binary.BigEndian.AppendUint32(buf, 2)
+	for _, col := range []*Column{long, short} {
+		buf = AppendColumnValues(AppendColumnHeader(buf, col, 0, col.Len()), col, 0, col.Len())
+	}
+	tbl, err := DecodeTable(NewByteReader(buf))
+	if core.KindOf(err) != core.KindProtocol || !strings.Contains(err.Error(), "ragged table") {
+		t.Fatalf("want a protocol error naming the ragged table, got table %v, error %v", tbl, err)
+	}
+}
+
+// TestEncodedTableSizeAndChunkEnd: the size is exact for every row range;
+// a chunk holds at least one row, never encodes to more than the size
+// ChunkEnd reports, and stays within the limit unless it is a single row.
+func TestEncodedTableSizeAndChunkEnd(t *testing.T) {
+	tbl := codecTable(t)
+	n := tbl.NumRows()
+	for _, c := range []*Table{tbl, tbl.SliceRows(0, 0), {Name: "no-columns"}} {
+		for from := 0; from <= c.NumRows(); from++ {
+			for to := from; to <= c.NumRows(); to++ {
+				if got, want := EncodedTableSize(c, from, to), len(EncodeTableRange(nil, c, from, to)); got != want {
+					t.Errorf("%s rows [%d,%d): EncodedTableSize %d, encoding is %d bytes", c.Name, from, to, got, want)
+				}
+			}
+		}
+	}
+	for limit := 0; limit <= EncodedTableSize(tbl, 0, n)+8; limit++ {
+		for from := 0; from < n; from++ {
+			to, size := ChunkEnd(tbl, from, limit)
+			if to <= from || to > n {
+				t.Fatalf("limit %d from %d: chunk ends at %d", limit, from, to)
+			}
+			if enc := EncodedTableSize(tbl, from, to); enc > size || (size > limit && to > from+1) {
+				t.Errorf("limit %d rows [%d,%d): reported %d bytes, encoding is %d", limit, from, to, size, enc)
+			}
+		}
+	}
+	if to, size := ChunkEnd(tbl.SliceRows(0, 0), 0, 64); to != 0 || size != EncodedTableSize(tbl, 0, 0) {
+		t.Errorf("empty table: chunk ends at %d with %d bytes", to, size)
+	}
+}
+
+// TestAppendCellAgreesWithAppendValue: for every pair of types, NULL and
+// not, copying a cell does what boxing it and appending the value does —
+// same cell or same error.
+func TestAppendCellAgreesWithAppendValue(t *testing.T) {
+	src := codecTable(t)
+	parsable := NewColumn("digits", TStr)
+	parsable.AppendStr("42")
+	parsable.AppendStr("4.5")
+	parsable.AppendNull()
+	for _, from := range append(src.Cols, parsable) {
+		for to := TInt; to <= TBlob; to++ {
+			for i := 0; i < from.Len(); i++ {
+				cell, boxed := NewColumn("", to), NewColumn("", to)
+				cellErr, boxedErr := cell.AppendCell(from, i), boxed.AppendValue(from.Value(i))
+				if (cellErr == nil) != (boxedErr == nil) || (cellErr != nil && cellErr.Error() != boxedErr.Error()) {
+					t.Errorf("%s row %d of %s: AppendCell says %v, AppendValue %v", to, i, from.Name, cellErr, boxedErr)
+				}
+				if !reflect.DeepEqual(cell, boxed) {
+					t.Errorf("%s row %d of %s: AppendCell left %+v, AppendValue %+v", to, i, from.Name, cell, boxed)
+				}
+			}
+		}
+	}
+}
+
+func TestVectorAndColumnOverShareTheBackingArray(t *testing.T) {
+	for _, col := range codecTable(t).Cols {
+		over := ColumnOver("o", col.Vector())
+		if over.Typ != col.Typ || over.Len() != col.Len() {
+			t.Fatalf("%s: ColumnOver(Vector()) is %s with %d rows", col.Name, over.Typ, over.Len())
+		}
+		if reflect.ValueOf(over.Vector()).Pointer() != reflect.ValueOf(col.Vector()).Pointer() {
+			t.Errorf("%s: the vector was copied", col.Name)
+		}
 	}
 }

@@ -42,8 +42,7 @@ func (t *Table) NumRows() int {
 
 // SliceRows returns a view table holding rows [lo, hi) of t. Column slices
 // alias t's backing arrays — the view must not be appended to or mutated.
-// The wire protocol uses it to batch large result sets into chunks; LIMIT
-// uses it to truncate results without a gather copy.
+// LIMIT uses it to truncate results without a gather copy.
 func (t *Table) SliceRows(lo, hi int) *Table {
 	out := &Table{Name: t.Name, Cols: make([]*Column, len(t.Cols))}
 	for i, c := range t.Cols {
@@ -60,32 +59,8 @@ func (t *Table) AppendTable(o *Table) error {
 			"cannot append %d-column batch to %d-column table", len(o.Cols), len(t.Cols))
 	}
 	for i, c := range t.Cols {
-		oc := o.Cols[i]
-		if oc.Typ != c.Typ {
-			return core.Errorf(core.KindConstraint,
-				"column %s: type mismatch appending batch", c.Name)
-		}
-		if oc.Nulls != nil && c.Nulls == nil {
-			c.Nulls = make([]bool, c.Len())
-		}
-		switch c.Typ {
-		case TInt:
-			c.Ints = append(c.Ints, oc.Ints...)
-		case TFloat:
-			c.Flts = append(c.Flts, oc.Flts...)
-		case TStr:
-			c.Strs = append(c.Strs, oc.Strs...)
-		case TBool:
-			c.Bools = append(c.Bools, oc.Bools...)
-		case TBlob:
-			c.Blobs = append(c.Blobs, oc.Blobs...)
-		}
-		if c.Nulls != nil {
-			if oc.Nulls != nil {
-				c.Nulls = append(c.Nulls, oc.Nulls...)
-			} else {
-				c.Nulls = append(c.Nulls, make([]bool, oc.Len())...)
-			}
+		if err := c.AppendAll(o.Cols[i]); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -40,6 +40,10 @@ func (t Type) String() string {
 	}
 }
 
+// Valid reports whether t is one of the five column types: the check on a
+// type byte read from outside the program.
+func (t Type) Valid() bool { return t >= TInt && t <= TBlob }
+
 // ParseType resolves a SQL type name (with common aliases) to a Type.
 func ParseType(name string) (Type, error) {
 	switch strings.ToUpper(name) {

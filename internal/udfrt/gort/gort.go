@@ -352,119 +352,27 @@ func (c *callable) bindArg(i int, col *storage.Column, columnar bool, rows int) 
 				"UDF %s: argument %d is a %d-row column but the Go function takes a scalar — declare a slice parameter to receive whole columns",
 				c.def.Name, i+1, col.Len())
 		}
-		return reflect.ValueOf(scalarAt(col, 0)), nil
+		return reflect.ValueOf(col.Vector()).Index(0), nil
 	}
 	if col.Len() == 1 && rows != 1 {
-		return reflect.ValueOf(broadcastSlice(col, rows)), nil
+		col = col.BroadcastTo(rows)
 	}
 	if col.Len() != rows {
 		return reflect.Value{}, core.Errorf(core.KindConstraint,
 			"UDF %s: argument %d has %d rows, batch has %d", c.def.Name, i+1, col.Len(), rows)
 	}
-	return reflect.ValueOf(colSlice(col)), nil
-}
-
-// colSlice hands out the column's backing vector — the zero-copy fast path.
-func colSlice(col *storage.Column) any {
-	switch col.Typ {
-	case storage.TInt:
-		return col.Ints
-	case storage.TFloat:
-		return col.Flts
-	case storage.TStr:
-		return col.Strs
-	case storage.TBool:
-		return col.Bools
-	default:
-		return col.Blobs
-	}
-}
-
-func scalarAt(col *storage.Column, i int) any {
-	switch col.Typ {
-	case storage.TInt:
-		return col.Ints[i]
-	case storage.TFloat:
-		return col.Flts[i]
-	case storage.TStr:
-		return col.Strs[i]
-	case storage.TBool:
-		return col.Bools[i]
-	default:
-		return col.Blobs[i]
-	}
-}
-
-// broadcastSlice materializes a length-1 column as a rows-long vector.
-func broadcastSlice(col *storage.Column, rows int) any {
-	switch col.Typ {
-	case storage.TInt:
-		out := make([]int64, rows)
-		for i := range out {
-			out[i] = col.Ints[0]
-		}
-		return out
-	case storage.TFloat:
-		out := make([]float64, rows)
-		for i := range out {
-			out[i] = col.Flts[0]
-		}
-		return out
-	case storage.TStr:
-		out := make([]string, rows)
-		for i := range out {
-			out[i] = col.Strs[0]
-		}
-		return out
-	case storage.TBool:
-		out := make([]bool, rows)
-		for i := range out {
-			out[i] = col.Bools[0]
-		}
-		return out
-	default:
-		out := make([][]byte, rows)
-		for i := range out {
-			out[i] = col.Blobs[0]
-		}
-		return out
-	}
+	// the column's backing vector, not a copy of it
+	return reflect.ValueOf(col.Vector()), nil
 }
 
 // colFromValue wraps a typed result in a column, aliasing result slices
 // without copying.
 func colFromValue(name string, typ storage.Type, v reflect.Value, isSlice bool) *storage.Column {
+	if isSlice {
+		return storage.ColumnOver(name, v.Interface())
+	}
 	col := storage.NewColumn(name, typ)
-	if !isSlice {
-		appendScalar(col, typ, v.Interface())
-		return col
-	}
-	switch typ {
-	case storage.TInt:
-		col.Ints = v.Interface().([]int64)
-	case storage.TFloat:
-		col.Flts = v.Interface().([]float64)
-	case storage.TStr:
-		col.Strs = v.Interface().([]string)
-	case storage.TBool:
-		col.Bools = v.Interface().([]bool)
-	case storage.TBlob:
-		col.Blobs = v.Interface().([][]byte)
-	}
+	// Compile matched the Go type to typ, so there is nothing to coerce
+	_ = col.AppendValue(v.Interface())
 	return col
-}
-
-func appendScalar(col *storage.Column, typ storage.Type, v any) {
-	switch typ {
-	case storage.TInt:
-		col.AppendInt(v.(int64))
-	case storage.TFloat:
-		col.AppendFloat(v.(float64))
-	case storage.TStr:
-		col.AppendStr(v.(string))
-	case storage.TBool:
-		col.AppendBool(v.(bool))
-	case storage.TBlob:
-		col.AppendBlob(v.([]byte))
-	}
 }

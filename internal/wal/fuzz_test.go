@@ -52,6 +52,10 @@ func FuzzReplaySegment(f *testing.F) {
 		for _, n := range []int{0, 1, len(segMagic), segHeaderLen - 1} {
 			f.Add(seg[:n], final)
 		}
+		// records with a good checksum around tables no encoder writes
+		f.Add(withRecord(seg, engine.ChangeCreateTable, raggedTable("hostile")), final)
+		f.Add(withRecord(seg, engine.ChangeInsert, raggedTable("nums")), final)
+		f.Add(withRecord(seg, engine.ChangeCreateTable, badBoolTable("hostile")), final)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte, final bool) {

@@ -3,12 +3,15 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/storage"
 )
 
 func openDB(t *testing.T, dir string, opts Options) (*engine.DB, *Manager) {
@@ -409,5 +412,84 @@ func writeFile(t *testing.T, path string, data []byte) {
 	t.Helper()
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// withRecord returns seg with one more record: payload behind a correct
+// length and checksum, which is all a CRC can vouch for.
+func withRecord(seg []byte, kind engine.ChangeKind, body []byte) []byte {
+	payload := append([]byte{byte(kind)}, body...)
+	seg = binary.BigEndian.AppendUint32(append([]byte{}, seg...), uint32(len(payload)))
+	seg = binary.BigEndian.AppendUint32(seg, crc32.Checksum(payload, crcTable))
+	return append(seg, payload...)
+}
+
+// raggedTable encodes a table called name, with the schema of the workload's
+// nums, whose INTEGER column has two rows and whose STRING column has one;
+// badBoolTable one whose BOOLEAN value byte is 2. No encoder writes either.
+func raggedTable(name string) []byte {
+	long := storage.NewColumn("i", storage.TInt)
+	long.AppendInt(1)
+	long.AppendInt(2)
+	short := storage.NewColumn("s", storage.TStr)
+	short.AppendStr("one")
+	buf := binary.BigEndian.AppendUint32(storage.AppendString(nil, name), 2)
+	for _, col := range []*storage.Column{long, short} {
+		buf = storage.AppendColumnValues(storage.AppendColumnHeader(buf, col, 0, col.Len()), col, 0, col.Len())
+	}
+	return buf
+}
+
+func badBoolTable(name string) []byte {
+	col := storage.NewColumn("b", storage.TBool)
+	col.AppendBool(true)
+	buf := storage.EncodeTable(nil, &storage.Table{Name: name, Cols: []*storage.Column{col}})
+	buf[len(buf)-1] = 2
+	return buf
+}
+
+// TestReplayRefusesTablesNoEncoderWrites: a record whose checksum is right
+// and whose table is ragged, or holds a BOOLEAN byte that is neither 0 nor
+// 1, used to replay — the ragged table was installed and the next scan
+// indexed past its short column. Open now names the record and installs
+// nothing from it.
+func TestReplayRefusesTablesNoEncoderWrites(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kind engine.ChangeKind
+		body []byte
+		want string
+	}{
+		{"ragged CREATE TABLE", engine.ChangeCreateTable, raggedTable("hostile"), "ragged table"},
+		{"ragged INSERT", engine.ChangeInsert, raggedTable("nums"), "ragged table"},
+		{"boolean byte 2", engine.ChangeCreateTable, badBoolTable("hostile"), "invalid boolean byte"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			db, m := openDB(t, dir, Options{SnapshotBytes: -1})
+			mustExec(t, db, workload...)
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			seg, err := os.ReadFile(m.segPath(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeFile(t, m.segPath(1), withRecord(seg, tc.kind, tc.body))
+
+			fresh := engine.NewDB()
+			_, err = Open(dir, fresh, Options{})
+			if core.KindOf(err) != core.KindIO || !strings.Contains(err.Error(), tc.want) ||
+				!strings.Contains(err.Error(), "wal segment 1 offset") {
+				t.Fatalf("Open: want an IO error naming the record and %q, got %v", tc.want, err)
+			}
+			conn := &engine.Conn{DB: fresh, User: "u", Password: "p"}
+			if _, err := conn.Exec(`SELECT i FROM hostile`); err == nil {
+				t.Error("the refused record's table was installed")
+			}
+			if got := queryInts(t, fresh, `SELECT COUNT(*) FROM nums`); got[0] != 4 {
+				t.Errorf("nums has %d rows after the refused record, the records before it hold 4", got[0])
+			}
+		})
 	}
 }

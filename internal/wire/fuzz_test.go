@@ -11,6 +11,7 @@ import (
 	"testing/iotest"
 
 	"repro/internal/core"
+	"repro/internal/storage"
 )
 
 // The two fuzzers below cover every byte decoder a socket feeds. Shared
@@ -188,6 +189,10 @@ func FuzzDecodePayloads(f *testing.F) {
 		EncodeDebugEvent(DebugEventMsg{Kind: DebugEventStopped, Reason: "breakpoint", Line: 3, Func: "f"}),
 		// a column whose header claims 2^32-1 rows over an empty body
 		append(EncodeResultChunk(tbl)[:20], 0xFF, 0xFF, 0xFF, 0xFF),
+		// tables no encoder writes: a BOOLEAN value byte of 2, and columns
+		// of different lengths
+		badBoolChunk(),
+		raggedChunk(),
 		{},
 	} {
 		f.Add(seed)
@@ -202,4 +207,67 @@ func FuzzDecodePayloads(f *testing.F) {
 			}
 		}
 	})
+}
+
+// badBoolChunk is a result chunk whose one BOOLEAN value byte is 2.
+func badBoolChunk() []byte {
+	col := storage.NewColumn("b", storage.TBool)
+	col.AppendBool(true)
+	chunk := EncodeResultChunk(&storage.Table{Name: "result", Cols: []*storage.Column{col}})
+	chunk[len(chunk)-1] = 2
+	return chunk
+}
+
+// raggedChunk is a result chunk whose INTEGER column has two rows and whose
+// BOOLEAN column has one.
+func raggedChunk() []byte {
+	long := storage.NewColumn("i", storage.TInt)
+	long.AppendInt(1)
+	long.AppendInt(2)
+	short := storage.NewColumn("b", storage.TBool)
+	short.AppendBool(true)
+	chunk := binary.BigEndian.AppendUint32(storage.AppendString(nil, "result"), 2)
+	for _, col := range []*storage.Column{long, short} {
+		chunk = storage.AppendColumnValues(storage.AppendColumnHeader(chunk, col, 0, col.Len()), col, 0, col.Len())
+	}
+	return chunk
+}
+
+// TestClientRefusesTablesNoEncoderWrites: a chunk that is ragged, or holds a
+// BOOLEAN byte that is neither 0 nor 1, ends the stream with a protocol
+// error and a connection marked broken — the ragged one used to be handed
+// to the caller, whose first scan indexed past the short column.
+func TestClientRefusesTablesNoEncoderWrites(t *testing.T) {
+	for name, chunk := range map[string][]byte{"ragged": raggedChunk(), "boolean byte 2": badBoolChunk()} {
+		t.Run(name, func(t *testing.T) {
+			tbl := sampleTable()
+			nc := newScriptConn(false,
+				frameBytes(MsgAuthOK, EncodeAuthOK("script/2.0", ProtoV2)),
+				join(frameBytes(MsgResultChunk, EncodeResultChunk(tbl)),
+					frameBytes(MsgResultChunk, chunk),
+					frameBytes(MsgResultEnd, EncodeResultEnd("SELECT 5", 5))),
+			)
+			c, err := newClient(background(), nc, ConnParams{Database: "demo"}, defaultDialConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			rows, err := c.QueryStream(background(), `SELECT * FROM t`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rows.Next() || rows.Batch().NumRows() != tbl.NumRows() {
+				t.Fatalf("the well-formed first chunk: %v", rows.Err())
+			}
+			if rows.Next() {
+				t.Fatalf("the client handed out the hostile chunk: %d rows", rows.Batch().NumRows())
+			}
+			if core.KindOf(rows.Err()) != core.KindProtocol {
+				t.Fatalf("Rows.Err: want a protocol error, got %v", rows.Err())
+			}
+			if !c.broken.Load() {
+				t.Error("the connection is not marked broken")
+			}
+		})
+	}
 }

@@ -356,62 +356,6 @@ func DecodeResultEnd(payload []byte) (msg string, rows int64, err error) {
 	return msg, int64(n), nil
 }
 
-// encodedRowBytes estimates the encoded size of row i across all columns of
-// t, used to slice a result set into chunks that respect the frame cap.
-func encodedRowBytes(t *storage.Table, i int) int {
-	n := 0
-	for _, c := range t.Cols {
-		switch c.Typ {
-		case storage.TInt, storage.TFloat:
-			n += 8
-		case storage.TStr:
-			n += 4 + len(c.Strs[i])
-		case storage.TBool:
-			n++
-		case storage.TBlob:
-			n += 4 + len(c.Blobs[i])
-		}
-		n++ // validity bitmap amortization, rounded up
-	}
-	return n
-}
-
-// EncodedTableSize conservatively estimates a table's encoded payload size
-// without materializing the encoding; the server compares it against the
-// stream threshold to pick the one-shot or chunked result path.
-func EncodedTableSize(t *storage.Table) int {
-	n := chunkOverhead(t)
-	for _, c := range t.Cols {
-		switch c.Typ {
-		case storage.TInt, storage.TFloat:
-			n += 8 * c.Len()
-		case storage.TBool:
-			n += c.Len()
-		case storage.TStr:
-			for _, s := range c.Strs {
-				n += 4 + len(s)
-			}
-		case storage.TBlob:
-			for _, b := range c.Blobs {
-				n += 4 + len(b)
-			}
-		}
-		if c.Nulls != nil {
-			n += (c.Len() + 7) / 8
-		}
-	}
-	return n
-}
-
-// chunkOverhead bounds the per-chunk schema/header bytes.
-func chunkOverhead(t *storage.Table) int {
-	n := 4 + len(t.Name) + 4
-	for _, c := range t.Cols {
-		n += 4 + len(c.Name) + 1 + 4 + 1
-	}
-	return n
-}
-
 // WriteResultStream writes a result table to w as a chunked stream, through
 // a writer of its own.
 func WriteResultStream(w io.Writer, msg string, t *storage.Table, chunkBytes int) error {
@@ -431,34 +375,19 @@ func (fw *frameWriter) writeResultStream(msg string, t *storage.Table, chunkByte
 		chunkBytes = maxFrame / 2
 	}
 	rows := t.NumRows()
-	overhead := chunkOverhead(t)
-	if rows == 0 {
-		// Ship one empty chunk so the client still learns the schema, the
-		// way the one-shot path's empty table does.
-		if err := fw.writeFrame(MsgResultChunk, EncodeResultChunk(t.SliceRows(0, 0))); err != nil {
+	// At least one chunk ships, so that the client learns the schema of an
+	// empty table the way the one-shot path's empty table teaches it.
+	for lo := 0; ; {
+		hi, size := storage.ChunkEnd(t, lo, chunkBytes)
+		if size+1 > maxFrame { // only a chunk of one row can be
+			return core.Errorf(core.KindProtocol, "single row of %d bytes exceeds the frame cap", size)
+		}
+		if err := fw.writeFrame(MsgResultChunk, storage.EncodeTableRange(nil, t, lo, hi)); err != nil {
 			return err
 		}
-		return fw.writeFrame(MsgResultEnd, EncodeResultEnd(msg, 0))
-	}
-	lo := 0
-	for lo < rows {
-		hi, size := lo, overhead
-		for hi < rows {
-			rb := encodedRowBytes(t, hi)
-			if overhead+rb+1 > maxFrame {
-				return core.Errorf(core.KindProtocol,
-					"single row of %d bytes exceeds the frame cap", rb)
-			}
-			if hi > lo && size+rb > chunkBytes {
-				break
-			}
-			size += rb
-			hi++
+		if lo = hi; lo >= rows {
+			break
 		}
-		if err := fw.writeFrame(MsgResultChunk, EncodeResultChunk(t.SliceRows(lo, hi))); err != nil {
-			return err
-		}
-		lo = hi
 	}
 	return fw.writeFrame(MsgResultEnd, EncodeResultEnd(msg, int64(rows)))
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faultnet"
+	"repro/internal/storage"
 )
 
 // spinUDF loops until it is cancelled: every test that runs it interrupts
@@ -835,5 +836,66 @@ func TestHugeRangeFromUDFIsATypedError(t *testing.T) {
 	_, table, err := c.Query(ctx, `SELECT COUNT(*) AS n, SUM(i) AS s FROM legal(100000)`)
 	if err != nil || table.Cols[0].FormatValue(0) != "100000" || table.Cols[1].FormatValue(0) != "4999950000" {
 		t.Fatalf("a legal range after the refused ones: %v %v", table, err)
+	}
+}
+
+// ---- per-query result budget ----
+
+// TestMaxResultBytes: the budget is on the result's encoded size, to the
+// byte. A result exactly at it ships, one a byte over is answered with a
+// resource error before anything of it is written, and the connection
+// carries on either way — whether results leave in one frame or as a stream.
+func TestMaxResultBytes(t *testing.T) {
+	for _, mode := range []struct {
+		name            string
+		streamThreshold int
+	}{{"one-shot", 0}, {"streamed", -1}} {
+		t.Run(mode.name, func(t *testing.T) {
+			_, params := startConfiguredServer(t, func(s *Server) {
+				conn := &engine.Conn{DB: s.DB, User: "monetdb", Password: "secret"}
+				for _, sql := range []string{
+					`CREATE TABLE fits (s STRING, i INTEGER)`,
+					`INSERT INTO fits VALUES ('aaaa', 1), ('bbbb', NULL), (NULL, 3)`,
+					`CREATE TABLE over (s STRING, i INTEGER)`,
+					`INSERT INTO over VALUES ('aaaa', 1), ('bbbbb', NULL), (NULL, 3)`,
+				} {
+					if _, err := conn.Exec(sql); err != nil {
+						t.Fatal(err)
+					}
+				}
+				r, err := conn.Exec(`SELECT s, i FROM fits`)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.MaxResultBytes = len(storage.EncodeTable(nil, r.Table))
+				s.StreamThreshold = mode.streamThreshold
+				s.ChunkBytes = 64 // a row or two per chunk when streaming
+			})
+			c, err := DialContext(background(), params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			for round := 0; round < 2; round++ {
+				_, _, err = c.Query(background(), `SELECT s, i FROM over`)
+				if core.KindOf(err) != core.KindResource {
+					t.Fatalf("a result one byte over the budget: want a resource error, got %v", err)
+				}
+				rows, err := c.QueryStream(background(), `SELECT s, i FROM fits`)
+				if err != nil {
+					t.Fatalf("a result exactly at the budget: %v", err)
+				}
+				if streamed := mode.streamThreshold < 0; rows.Streaming() != streamed {
+					t.Fatalf("result streamed: %v, want %v", rows.Streaming(), streamed)
+				}
+				_, tbl, err := rows.ReadAll()
+				if err != nil || tbl.NumRows() != 3 || tbl.Cols[0].Strs[1] != "bbbb" {
+					t.Fatalf("a result exactly at the budget: %v, %v", tbl, err)
+				}
+			}
+			if _, tbl, err := c.Query(background(), `SELECT 7 AS n`); err != nil || tbl.Cols[0].Ints[0] != 7 {
+				t.Fatalf("the statement after: %v", err)
+			}
+		})
 	}
 }

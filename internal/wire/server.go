@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/storage"
 )
 
 // defaultMaxStmtsPerConn bounds a connection's prepared-statement table
@@ -506,12 +507,8 @@ func (sc *serverConn) handleExecStmt(payload []byte) {
 			"unknown prepared-statement id"))
 		return
 	}
-	args := make([]any, len(cols))
-	for i, col := range cols {
-		args[i] = col.Value(0)
-	}
 	sc.runStatement(stmt.SQL(), func(o engine.ExecOpts) (*engine.Result, error) {
-		return stmt.ExecWith(o, args...)
+		return stmt.ExecBound(o, cols)
 	})
 }
 
@@ -717,7 +714,7 @@ func (sc *serverConn) writeResult(res *engine.Result) error {
 	if res.Table == nil {
 		return sc.w.writeFrame(MsgResult, EncodeResult(res.Msg, nil))
 	}
-	size := EncodedTableSize(res.Table)
+	size := storage.EncodedTableSize(res.Table, 0, res.Table.NumRows())
 	if max := s.MaxResultBytes; max > 0 && size > max {
 		return sc.w.writeFrame(MsgErr, EncodeError(core.KindResource,
 			"result exceeds the per-query byte budget; add a LIMIT or raise the budget"))
