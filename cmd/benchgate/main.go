@@ -32,6 +32,7 @@ var runs = []struct{ pkg, bench, benchtime string }{
 	{".", "BenchmarkWALInsert", "100000x"},
 	{"./internal/engine", "BenchmarkFilterAggregate", "5x"},
 	{"./internal/engine", "BenchmarkFilterProject", "3x"},
+	{"./internal/transfer", "BenchmarkCompress", "20x"},
 }
 
 const repetitions = 3
@@ -78,6 +79,11 @@ var gates = []gate{
 			"Three runs of this command read 7.1, 7.4 and 9.0 (the sub-millisecond denominator drifts by a third on this " +
 			"box), so the limit is the largest plus that third. One allocation per row reads as 12 or more, boxing every cell again as 28. " +
 			"A faster native path also raises this ratio: then re-measure and reset the limit, do not slow it down."},
+	{"compress-planes", "BenchmarkCompress/planes", "BenchmarkCompress/plain-deflate", "<=", 0.4,
+		"ISSUE 24's bar: the benchmark's extract payload (50 000 pickled ints in [0, 10 000), 9-byte cells) through " +
+			"transfer.Compress — stride detected, byte planes, DEFLATE at the default level — against the same DEFLATE " +
+			"over the bytes as they are. Measured 0.18 (3.9 ms against 22). Losing the planes reads as 1.0; compressing " +
+			"the sample a third way, or the whole payload twice, reads as 0.5 or more."},
 }
 
 // Three gates the YAML had are not here: native-go, dormant-obs and

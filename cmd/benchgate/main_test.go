@@ -21,10 +21,12 @@ var legs = map[string]float64{
 	"BenchmarkWALInsert/wal-obs":                   2_400,
 	"BenchmarkProcessingModel/batch-python":        6_000_000,
 	"BenchmarkProcessingModel/native-go":           800_000,
+	"BenchmarkCompress/planes":                     4_000_000,
+	"BenchmarkCompress/plain-deflate":              22_000_000,
 }
 
 // canned prints legs the way `go test -bench -benchmem -count=3` does on a
-// four-core runner, two packages one after the other: three repetitions
+// four-core runner, three packages one after the other: three repetitions
 // per row of which the middle one is the fastest, rows with a custom
 // metric, and the headers and trailers between them.
 func canned(legs map[string]float64) string {
@@ -50,6 +52,7 @@ func canned(legs map[string]float64) string {
 	emit("repro/internal/engine",
 		"BenchmarkFilterAggregate/scalar-reference", "BenchmarkFilterAggregate/vectorized",
 		"BenchmarkFilterAggregate/vectorized-parallel", "BenchmarkFilterAggregate/vectorized-obs")
+	emit("repro/internal/transfer", "BenchmarkCompress/planes", "BenchmarkCompress/plain-deflate")
 	return b.String()
 }
 
@@ -103,7 +106,7 @@ func TestParseTakesTheFastestRepetitionOfExactlyNamedRows(t *testing.T) {
 	}
 }
 
-// TestEachGateBites pins the seven thresholds and shows each one decides: a
+// TestEachGateBites pins the eight thresholds and shows each one decides: a
 // run in which one numerator sits just inside its limit passes, just past
 // it fails on that gate alone, and without either of its rows the gate
 // fails instead of matching a neighbour whose name it prefixes
@@ -120,6 +123,7 @@ func TestEachGateBites(t *testing.T) {
 		{"obs-aggregate", "BenchmarkFilterAggregate/vectorized-obs", "BenchmarkFilterAggregate/vectorized", "<=", 1.10},
 		{"obs-wal-insert", "BenchmarkWALInsert/wal-obs", "BenchmarkWALInsert/wal", "<=", 1.35},
 		{"python-vs-native", "BenchmarkProcessingModel/batch-python", "BenchmarkProcessingModel/native-go", "<=", 12.0},
+		{"compress-planes", "BenchmarkCompress/planes", "BenchmarkCompress/plain-deflate", "<=", 0.4},
 	}
 	if len(gates) != len(want) {
 		t.Fatalf("%d gates, want %d", len(gates), len(want))

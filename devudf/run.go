@@ -153,7 +153,7 @@ func (c *Client) runLocalNative(info UDFInfo, src string) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	v, err := pickle.LoadFile(c.Project.FS(), c.Project.InputPath(info.Name))
+	v, err := pickle.LoadFileColumns(c.Project.FS(), c.Project.InputPath(info.Name))
 	if err != nil {
 		return nil, core.Wrapf(core.KindConstraint, err,
 			"no extracted inputs for %s (run extract first): %v", info.Name, err)

@@ -105,13 +105,15 @@ func (c *Conn) evalExtract(call *sqlparse.FuncCall) (*storage.Table, error) {
 // DecodeExtractPayload is the client-side inverse: it unpacks a sys_extract
 // payload (decrypt, decompress, unpickle) into the parameter dict and
 // metadata. The devudf package calls this after fetching the rewritten
-// query's result over the wire.
+// query's result over the wire. A parameter that was a numeric column is a
+// column-backed list (script.UnmarshalColumns): read it with Len, Repr,
+// Boxed or Numbers, not through Items.
 func DecodeExtractPayload(packed []byte, password string) (udf string, params *script.DictVal, totalRows, sampleRows int64, err error) {
 	raw, err := transfer.Unpack(packed, password)
 	if err != nil {
 		return "", nil, 0, 0, err
 	}
-	v, err := script.Unmarshal(raw)
+	v, err := script.UnmarshalColumns(raw)
 	if err != nil {
 		return "", nil, 0, 0, err
 	}

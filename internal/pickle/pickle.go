@@ -27,9 +27,20 @@ func DumpFile(fs core.FS, name string, v script.Value) error {
 
 // LoadFile deserializes the value stored in fs at name.
 func LoadFile(fs core.FS, name string) (script.Value, error) {
+	return loadFile(fs, name, script.Unmarshal)
+}
+
+// LoadFileColumns is LoadFile for a caller that reads lists through Len,
+// Boxed or Numbers and never through Items: a list of numbers comes back
+// column-backed (script.UnmarshalColumns) instead of boxed cell by cell.
+func LoadFileColumns(fs core.FS, name string) (script.Value, error) {
+	return loadFile(fs, name, script.UnmarshalColumns)
+}
+
+func loadFile(fs core.FS, name string, unmarshal func([]byte) (script.Value, error)) (script.Value, error) {
 	data, err := fs.ReadFile(name)
 	if err != nil {
 		return nil, err
 	}
-	return script.Unmarshal(data)
+	return unmarshal(data)
 }

@@ -75,7 +75,7 @@ func pickleModule(in *Interp) Value {
 		default:
 			return nil, argErr("pickle.loads", "argument must be bytes")
 		}
-		return Unmarshal(raw)
+		return UnmarshalColumns(raw)
 	}
 	m.Methods["dump"] = func(ii *Interp, args []Value, _ map[string]Value) (Value, error) {
 		if len(args) != 2 {
@@ -110,7 +110,7 @@ func pickleModule(in *Interp) Value {
 		if !ok {
 			return nil, core.Errorf(core.KindIO, "file is not open for reading")
 		}
-		return Unmarshal(h.data)
+		return UnmarshalColumns(h.data)
 	}
 	return m
 }

@@ -1,7 +1,10 @@
 package script
 
 import (
+	"bytes"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // deepValue builds a nested value exercising every serializable tag.
@@ -87,10 +90,23 @@ func TestUnmarshalAdversarial(t *testing.T) {
 
 // FuzzUnmarshal hammers the decoder with arbitrary bytes (seeded with valid
 // pickles): it must never panic, and any value it does decode must survive
-// a re-marshal/re-unmarshal cycle.
+// a re-marshal/re-unmarshal cycle. The two entry points are one decoder:
+// UnmarshalColumns (number lists in typed lanes) and Unmarshal (every cell
+// boxed) accept the same inputs with the same error, print the same repr and
+// marshal to the same bytes, and those bytes, being Marshal's, decode and
+// marshal back to themselves through both.
 func FuzzUnmarshal(f *testing.F) {
 	for _, v := range []Value{None, IntVal(42), StrVal("seed"), deepValue(),
-		NewList(IntVal(1), NewList(IntVal(2)))} {
+		NewList(IntVal(1), NewList(IntVal(2))),
+		NewIntList([]int64{300, -1, 1 << 62}, nil),                        // all ints: the int lane
+		NewFloatList([]float64{0.5, -2.5, 1e308}, nil),                    // all floats: the float lane
+		NewIntList([]int64{7, 0, 9}, []bool{false, true, false}),          // int then None: a lane with nulls
+		NewList(None, None, FloatVal(1.5)),                                // the number comes last
+		NewList(IntVal(1), IntVal(2), StrVal("x"), IntVal(3)),             // int then str: boxed after all
+		NewList(IntVal(1), FloatVal(2)),                                   // two kinds of number: boxed
+		&TupleVal{Items: []Value{IntVal(1), IntVal(2)}},                   // a tuple never takes a lane
+		NewList(NewIntList([]int64{1, 2}, nil), NewList(), NewList(None)), // lanes inside a boxed list
+	} {
 		data, err := Marshal(v)
 		if err != nil {
 			f.Fatal(err)
@@ -98,14 +114,27 @@ func FuzzUnmarshal(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(pickleMagic))
+	// a count larger than the cells that follow: three claimed, one there, and a cell cut short
+	f.Add(append([]byte(pickleMagic), tagList, 0, 0, 0, 3, tagInt, 0, 0, 0, 0, 0, 0, 0, 1))
+	f.Add(append([]byte(pickleMagic), tagList, 0xFF, 0xFF, 0xFF, 0xFF, tagInt, 0, 0, 0, 0, 0, 0, 0, 1, tagInt, 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := Unmarshal(data)
+		lanes, lerr := UnmarshalColumns(data)
+		if (err == nil) != (lerr == nil) || (err != nil && err.Error() != lerr.Error()) {
+			t.Fatalf("Unmarshal says %v, UnmarshalColumns %v", err, lerr)
+		}
 		if err != nil {
+			if k := core.KindOf(err); k != core.KindProtocol && k != core.KindType {
+				t.Fatalf("malformed input is a %v error: %v", k, err)
+			}
 			return
 		}
 		again, err := Marshal(v)
 		if err != nil {
 			t.Fatalf("decoded value does not re-marshal: %v", err)
+		}
+		if lagain, err := Marshal(lanes); err != nil || !bytes.Equal(again, lagain) || v.Repr() != lanes.Repr() {
+			t.Fatalf("boxed and lane decodings differ (%v):\n%s\n%s", err, v.Repr(), lanes.Repr())
 		}
 		v2, err := Unmarshal(again)
 		if err != nil {
@@ -113,6 +142,15 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		if v.Repr() != v2.Repr() {
 			t.Fatalf("unstable codec: %s vs %s", v.Repr(), v2.Repr())
+		}
+		lanes2, err := UnmarshalColumns(again)
+		if err != nil {
+			t.Fatalf("re-marshaled value does not decode into lanes: %v", err)
+		}
+		for _, d := range []Value{v2, lanes2} {
+			if b, err := Marshal(d); err != nil || !bytes.Equal(b, again) {
+				t.Fatalf("Marshal's own bytes do not decode back to themselves (%v)", err)
+			}
 		}
 	})
 }

@@ -2,6 +2,7 @@ package transfer
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math/rand"
 	"strings"
 	"testing"
@@ -200,5 +201,35 @@ func TestCompressionActuallyHelpsOnColumnData(t *testing.T) {
 	}
 	if float64(len(comp)) > 0.5*float64(len(data)) {
 		t.Fatalf("expected >2x compression on low-entropy data: %d -> %d", len(data), len(comp))
+	}
+}
+
+// parentPayloads are Pack's output at the commit before Compress byte-planed
+// (header bytes 0 and 1 only), recorded there: the pickle of
+// {"column": [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8]} under password "s3cret",
+// seed 7. A payload from a server of that vintage must still unpack.
+var parentPayloads = map[string]string{
+	"verbatim":         "0000504b4c3109000000010500000006636f6c756d6e070000000c030000000000000003030000000000000001030000000000000004030000000000000001030000000000000005030000000000000009030000000000000002030000000000000006030000000000000005030000000000000003030000000000000005030000000000000008",
+	"compress":         "01000af0f631e46460606064656060604bcecf29cdcd63676060e06166800066188311c660c11061853138610c2618830d430d33860807200000ffff",
+	"encrypt":          "000162178e70d7ba4a645cf8302002169e54b34950aadb3b65f15e9890397127c106ee0ef5ee6370e8bf3f2cd4e50273f004f06f3b7832461f8ff9b3296c10f75300b1ecadc582e89f13c7aa6513d4212f33df8b212aec48da2604c0fd5a5ef9394fe1c9761098a2df7fa5dc02a07527e1a9f5c00f81d03a87206c0f556c2238b12f134b9985ba426913248c49d4c5cf2a6d90b0db3a2c",
+	"compress+encrypt": "0101b4d8938ead4218e4481bc15dc50c9961c8c3ec29f452997f9c6b066be5c8cbcd6ab494ea054c26fd690ef5c40e614b2cff49e2c52caecfe6feebc77e54ef4dff11c1883b16a6bafbf0f8",
+}
+
+func unhex(t testing.TB, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func TestUnpackReadsParentPayloads(t *testing.T) {
+	want := unhex(t, parentPayloads["verbatim"])[2:]
+	for name, h := range parentPayloads {
+		got, err := Unpack(unhex(t, h), "s3cret")
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: unpacked %x (%v), want %x", name, got, err, want)
+		}
 	}
 }

@@ -236,6 +236,55 @@ func TestBoxedAndColumnBackedAgree(t *testing.T) {
 	}
 }
 
+// TestUnmarshalLaneAgreesWithBoxed is the same differential for the pickle
+// decoder: every argument is pickled, then decoded once through
+// script.UnmarshalColumns (a numeric column lands in a typed lane) and once
+// through script.Unmarshal (every cell boxed), and each shipped UDF must not
+// be able to tell which it was given. Both decodings pickle back to the bytes
+// they came from.
+func TestUnmarshalLaneAgreesWithBoxed(t *testing.T) {
+	for _, u := range append(shippedUDFs(t), laneUDFs...) {
+		for _, col := range argColumns() {
+			raw, err := script.Marshal(pyrt.ColumnToValue(col, true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var boxed, lanes []script.Value
+			for range u.params {
+				b, err := script.Unmarshal(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				l, err := script.UnmarshalColumns(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range []script.Value{b, l} {
+					if again, err := script.Marshal(v); err != nil || !bytes.Equal(again, raw) {
+						t.Fatalf("%s does not pickle back to its bytes: %v", col.Name, err)
+					}
+				}
+				// a lane needs a number to name it: an all-NULL column stays boxed
+				numbers := false
+				for i := 0; i < col.Len(); i++ {
+					numbers = numbers || ((col.Typ == storage.TInt || col.Typ == storage.TFloat) && !col.IsNull(i))
+				}
+				if (l.(*script.ListVal).Items == nil) != numbers {
+					t.Fatalf("%s: decoded into the wrong lane: Items %v", col.Name, l.(*script.ListVal).Items)
+				}
+				if got := b.(*script.ListVal).Items; len(got) != col.Len() {
+					t.Fatalf("%s: Unmarshal left %d boxed cells of %d", col.Name, len(got), col.Len())
+				}
+				boxed, lanes = append(boxed, b), append(lanes, l)
+			}
+			want, got := runUDF(t, u, boxed), runUDF(t, u, lanes)
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s over %s:\n boxed %+v\n lane  %+v", u.name, col.Name, want, got)
+			}
+		}
+	}
+}
+
 // TestColumnBackedResultIsTheBoxedOne checks the way back: whatever list a
 // UDF returns, ValueToColumn fills the same column from it in either
 // representation, for every declared return type.
