@@ -99,8 +99,7 @@ func TestNativeUDFWorkflow(t *testing.T) {
 	}
 
 	// remote debugging terminates immediately with the same explanation
-	// (the server-side check runs on the launch goroutine, off the frame
-	// loop)
+	// (the server-side check runs on the query worker, off the frame loop)
 	rsess, err := c.NewRemoteDebugSession(ctx, "double_all", true)
 	if err != nil {
 		t.Fatal(err)

@@ -238,10 +238,9 @@ func (s *RemoteDebugSession) Source() []string {
 func (s *RemoteDebugSession) Status() string { return s.lastStatus }
 
 // Query runs SQL on the debug connection itself — the demux interleaves
-// its response with any debug events in flight. Note that while the
-// debuggee is paused it holds the engine's statement lock, so queries
-// issued here block until the debuggee resumes; use a separate pooled
-// connection for concurrent traffic.
+// its response with any debug events in flight. Note that the server runs
+// a connection's statements in order and the debug query is one of them,
+// so queries issued here wait until the debug query finishes.
 func (s *RemoteDebugSession) Query(ctx context.Context, sql string) (string, error) {
 	msg, _, err := s.dc.Query(ctx, sql)
 	return msg, err

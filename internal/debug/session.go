@@ -6,12 +6,17 @@
 // variable inspection, and watch expressions, built on PyLite's trace hook
 // exactly as pydevd builds on CPython's sys.settrace.
 //
-// A Session can debug either a whole module it owns (NewSession — the local
-// devUDF workflow) or an arbitrary run function under an externally-owned
-// interpreter (AttachSession — the hook the wire server uses to debug a UDF
-// invocation executing inside the database engine). Remote debugging is
-// that second form driven over the database connection's MsgDebug frames
-// (internal/wire); this package speaks no protocol of its own.
+// A Session's one controller is its pause loop: it runs in the trace hook,
+// on the goroutine executing the debuggee, takes commands only while paused
+// and ends on a resume or when the kill channel closes. A Session debugs
+// either a whole module it owns (NewSession — the local devUDF workflow: the
+// debuggee gets a goroutine and the API waits for each stop) or an arbitrary
+// run function under an externally-owned interpreter (AttachSession — the
+// wire server's UDF invocation inside the engine: the debuggee runs on the
+// goroutine that calls Start, the connection's query worker, and stops go to
+// a callback). Remote debugging is that second form driven over the
+// database connection's MsgDebug frames (internal/wire); this package speaks
+// no protocol of its own.
 package debug
 
 import (
@@ -87,10 +92,7 @@ type Config struct {
 type cmdKind int
 
 const (
-	cmdContinue cmdKind = iota
-	cmdStepOver
-	cmdStepInto
-	cmdStepOut
+	cmdResume cmdKind = iota
 	cmdKill
 	cmdEval
 	cmdLocals
@@ -100,8 +102,9 @@ const (
 
 type command struct {
 	kind cmdKind
-	expr string
-	resp chan cmdResult
+	mode stepMode       // cmdResume
+	expr string         // cmdEval
+	resp chan cmdResult // inspections only
 }
 
 type cmdResult struct {
@@ -120,11 +123,10 @@ const (
 	stepOut
 )
 
-// Session debugs one execution under the trace hook. Control methods
-// (Continue, Step*, …) are synchronous: they resume the debuggee and return
-// the next stop event. A Session supports a single controlling goroutine;
-// SetBreakpoint, ClearBreakpoint, RequestPause and Kill are additionally
-// safe to call from any goroutine at any time.
+// Session debugs one execution under the trace hook. A Session supports a
+// single controlling goroutine; SetBreakpoint, ClearBreakpoint and
+// RequestPause are additionally safe to call from any goroutine at any time,
+// and so is Kill on a local session.
 type Session struct {
 	in    *script.Interp
 	lines []string
@@ -133,19 +135,33 @@ type Session struct {
 	bpMu        sync.Mutex
 	breakpoints map[int]*Breakpoint
 
-	cmds      chan command
-	events    chan Event
-	done      chan struct{} // closed once the terminal state is recorded
+	// The pause loop's inputs: commands, received only while paused, and
+	// the kill channel, whose close ends the loop and aborts the debuggee.
+	cmds chan command
+	kill <-chan struct{}
+	// onStop reports a stop, on the debuggee's goroutine, before the pause
+	// loop takes commands.
+	onStop func(Event)
+
+	// paused is set before onStop and cleared by the sender of a resume or
+	// by the kill that ends the pause.
+	paused    atomic.Bool
 	pauseFlag atomic.Bool
-	killed    atomic.Bool
 	started   atomic.Bool
+	done      chan struct{} // closed once the terminal state is recorded
 
 	// terminal is valid to read after done is closed.
 	terminal Event
 
-	// Debuggee-goroutine-only step state.
+	// Local sessions only: stops travel to the synchronous controller on
+	// events, and Kill closes the kill channel through stop.
+	events chan Event
+	stop   func()
+
+	// Debuggee-goroutine-only state.
 	mode      stepMode
 	modeDepth int
+	killed    bool
 
 	result      *script.Env
 	lastErr     error
@@ -174,6 +190,15 @@ func NewSession(mod *script.Module, cfg Config) *Session {
 		s.result = globals
 		return err
 	}
+	kill := make(chan struct{})
+	s.kill, s.stop = kill, sync.OnceFunc(func() { close(kill) })
+	s.events = make(chan Event)
+	s.onStop = func(ev Event) {
+		select {
+		case s.events <- ev:
+		case <-kill:
+		}
+	}
 	return s
 }
 
@@ -181,13 +206,20 @@ func NewSession(mod *script.Module, cfg Config) *Session {
 // executing under an externally-owned interpreter — the wire server uses it
 // to debug one UDF invocation inside the engine. The session installs its
 // trace hook on in (replacing any existing hook); lines is the source shown
-// by Source(). The run function executes on the session's goroutine once
-// Start is called.
-func AttachSession(in *script.Interp, lines []string, run func() error, cfg Config) *Session {
+// by Source(). Start runs the debuggee on the calling goroutine, reports
+// each stop to onStop there, and returns the terminal event. Control calls
+// from another goroutine, Kill included, do not wait for the next stop: they
+// return a zero Event, or one carrying Err when the debuggee was not paused,
+// without blocking. Closing kill aborts the debuggee, paused or running; one
+// killed before its first line never stops.
+func AttachSession(in *script.Interp, lines []string, run func() error, cfg Config,
+	onStop func(Event), kill <-chan struct{}) *Session {
 	s := newSession(cfg)
 	s.in = in
 	s.lines = lines
 	s.run = run
+	s.onStop = onStop
+	s.kill = kill
 	in.Trace = s.trace
 	return s
 }
@@ -196,7 +228,6 @@ func newSession(cfg Config) *Session {
 	s := &Session{
 		breakpoints: map[int]*Breakpoint{},
 		cmds:        make(chan command),
-		events:      make(chan Event),
 		done:        make(chan struct{}),
 	}
 	if cfg.StopOnEntry {
@@ -257,63 +288,61 @@ func (s *Session) Breakpoints() []Breakpoint {
 // line number: Source()[l-1]).
 func (s *Session) Source() []string { return s.lines }
 
-// Start launches the debuggee and returns the first stop event: the entry
-// pause when StopOnEntry, otherwise the first breakpoint hit / completion.
+// Start launches the debuggee. A local session runs it on a goroutine of
+// its own and returns the first stop event: the entry pause when
+// StopOnEntry, otherwise the first breakpoint hit / completion. An attached
+// session runs it on the calling goroutine and returns the terminal event.
 func (s *Session) Start() Event {
 	if !s.started.CompareAndSwap(false, true) {
 		return Event{Reason: ReasonDone, Terminal: true,
 			Err: core.Errorf(core.KindConstraint, "session already started")}
 	}
+	if s.events == nil {
+		s.exec()
+		return s.terminal
+	}
 	// The goroutine ends when the debuggee script completes or Kill aborts it.
-	go func() {
-		err := s.run()
-		s.lastErr = err
-		reason := ReasonDone
-		if s.killed.Load() {
-			reason = ReasonKilled
-			err = nil
-		}
-		s.terminal = Event{Reason: reason, Terminal: true, Err: err}
-		close(s.done)
-	}()
+	go s.exec()
 	return s.waitEvent()
 }
 
+// exec runs the debuggee and records its terminal state.
+func (s *Session) exec() {
+	err := s.run()
+	s.lastErr = err
+	reason := ReasonDone
+	if s.killed {
+		reason, err = ReasonKilled, nil
+	}
+	s.terminal = Event{Reason: reason, Terminal: true, Err: err}
+	close(s.done)
+}
+
 // Continue resumes until the next breakpoint, pause request or completion.
-func (s *Session) Continue() Event { return s.control(command{kind: cmdContinue}) }
+func (s *Session) Continue() Event { return s.control(command{mode: stepNone}) }
 
 // StepOver resumes until the next line at the same or a shallower depth.
-func (s *Session) StepOver() Event { return s.control(command{kind: cmdStepOver}) }
+func (s *Session) StepOver() Event { return s.control(command{mode: stepOver}) }
 
 // StepInto resumes until the next line anywhere (entering calls).
-func (s *Session) StepInto() Event { return s.control(command{kind: cmdStepInto}) }
+func (s *Session) StepInto() Event { return s.control(command{mode: stepInto}) }
 
 // StepOut resumes until control returns to the caller.
-func (s *Session) StepOut() Event { return s.control(command{kind: cmdStepOut}) }
+func (s *Session) StepOut() Event { return s.control(command{mode: stepOut}) }
 
-// Kill aborts the debuggee and returns the terminal event. Safe from any
-// goroutine, concurrently with an in-flight control call.
+// Kill aborts the debuggee. On a local session it is safe from any
+// goroutine, paused or running, and returns the terminal event; on an
+// attached session it is a command like the resumes.
 func (s *Session) Kill() Event {
+	if s.stop == nil {
+		return s.control(command{kind: cmdKill})
+	}
 	if !s.started.Load() || s.Finished() {
 		return notPausedEvent()
 	}
-	s.killed.Store(true)
-	for {
-		select {
-		case s.cmds <- command{kind: cmdKill}:
-			// Delivered: the debuggee aborts at this trace event; wait for
-			// the terminal state.
-			<-s.done
-			return s.terminal
-		case ev := <-s.events:
-			// A stop event raced our kill; the next trace event observes the
-			// killed flag, but the debuggee is paused waiting for a command,
-			// so keep offering cmdKill.
-			_ = ev
-		case <-s.done:
-			return s.terminal
-		}
-	}
+	s.stop()
+	<-s.done
+	return s.terminal
 }
 
 // RequestPause asks a *running* debuggee to stop at its next line. It is
@@ -321,23 +350,54 @@ func (s *Session) Kill() Event {
 // ReasonPause event from the in-flight (or next) control call.
 func (s *Session) RequestPause() { s.pauseFlag.Store(true) }
 
+var errNotPaused = core.Errorf(core.KindConstraint, "debuggee is not paused")
+
 // notPausedEvent is the error event for control calls outside a pause:
 // before Start or after the terminal event.
 func notPausedEvent() Event {
-	return Event{Reason: ReasonDone, Terminal: true,
-		Err: core.Errorf(core.KindConstraint, "debuggee is not paused")}
+	return Event{Reason: ReasonDone, Terminal: true, Err: errNotPaused}
 }
 
+// control hands a resume (or an attached session's kill) to the pause loop
+// and, on a local session, waits for the stop that follows.
 func (s *Session) control(cmd command) Event {
-	if !s.started.Load() || s.Finished() {
+	err := s.post(cmd)
+	switch {
+	case s.events == nil:
+		return Event{Err: err}
+	case err != nil:
 		return notPausedEvent()
+	}
+	return s.waitEvent()
+}
+
+// post hands cmd to the pause loop. It never waits for the debuggee to
+// pause: one that is running, or finished, refuses. A resume ends the pause
+// here, before the loop takes it, so the next command already finds the
+// debuggee running and nobody waits for the loop to say so.
+func (s *Session) post(cmd command) error {
+	paused := s.paused.Load()
+	if cmd.kind == cmdResume || cmd.kind == cmdKill {
+		paused = s.paused.CompareAndSwap(true, false)
+	}
+	if !paused {
+		return errNotPaused
 	}
 	select {
 	case s.cmds <- cmd:
-	case <-s.done:
-		return s.terminal
+		return nil
+	case <-s.kill:
+		return errNotPaused
 	}
-	return s.waitEvent()
+}
+
+// send posts cmd and returns the pause loop's answer.
+func (s *Session) send(cmd command) cmdResult {
+	cmd.resp = make(chan cmdResult, 1)
+	if err := s.post(cmd); err != nil {
+		return cmdResult{err: err}
+	}
+	return <-cmd.resp
 }
 
 // waitEvent blocks until the debuggee pauses or terminates.
@@ -362,44 +422,26 @@ func (s *Session) Finished() bool {
 
 // Eval evaluates a watch expression in the paused frame.
 func (s *Session) Eval(expr string) (script.Value, error) {
-	res := s.inspect(command{kind: cmdEval, expr: expr})
+	res := s.send(command{kind: cmdEval, expr: expr})
 	return res.value, res.err
 }
 
 // Locals returns the paused frame's local variables.
 func (s *Session) Locals() (map[string]script.Value, error) {
-	res := s.inspect(command{kind: cmdLocals})
+	res := s.send(command{kind: cmdLocals})
 	return res.vars, res.err
 }
 
 // GlobalVars returns the module-level variables.
 func (s *Session) GlobalVars() (map[string]script.Value, error) {
-	res := s.inspect(command{kind: cmdGlobals})
+	res := s.send(command{kind: cmdGlobals})
 	return res.vars, res.err
 }
 
 // Stack returns the call stack, innermost frame first.
 func (s *Session) Stack() ([]FrameInfo, error) {
-	res := s.inspect(command{kind: cmdStack})
+	res := s.send(command{kind: cmdStack})
 	return res.frames, res.err
-}
-
-func (s *Session) inspect(cmd command) cmdResult {
-	if !s.started.Load() || s.Finished() {
-		return cmdResult{err: core.Errorf(core.KindConstraint, "debuggee is not paused")}
-	}
-	cmd.resp = make(chan cmdResult, 1)
-	select {
-	case s.cmds <- cmd:
-	case <-s.done:
-		return cmdResult{err: core.Errorf(core.KindConstraint, "debuggee is not paused")}
-	}
-	select {
-	case res := <-cmd.resp:
-		return res
-	case <-s.done:
-		return cmdResult{err: core.Errorf(core.KindConstraint, "debuggee is not paused")}
-	}
 }
 
 // Result returns the module globals (module sessions; nil for attached
@@ -415,69 +457,70 @@ func (s *Session) Result() (*script.Env, error) {
 var errKilled = core.Errorf(core.KindRuntime, "killed by debugger")
 
 // trace is the interpreter hook: it decides whether to pause at this event
-// and, when paused, processes inspection/control commands until resumed.
+// and, when paused, runs the pause loop.
 func (s *Session) trace(in *script.Interp, ev script.TraceEvent) error {
-	if s.killed.Load() {
+	select {
+	case <-s.kill:
+		s.killed = true
+	default:
+	}
+	if s.killed {
 		return errKilled
 	}
 	if ev.Kind != script.TraceLine {
-		return nil
-	}
-	if s.Finished() {
-		// A stale hook on a reused interpreter (AttachSession embedders):
-		// the controller is gone, so pausing would block forever.
 		return nil
 	}
 	reason, stop := s.shouldStop(in, ev)
 	if !stop {
 		return nil
 	}
-	s.events <- Event{
+	s.paused.Store(true)
+	s.onStop(Event{
 		Reason:   reason,
 		Line:     ev.Line,
 		FuncName: ev.Frame.FuncName,
 		Depth:    ev.Frame.Depth,
-	}
-	for cmd := range s.cmds {
-		switch cmd.kind {
-		case cmdContinue:
-			s.mode = stepNone
-			return nil
-		case cmdStepOver:
-			s.mode = stepOver
-			s.modeDepth = ev.Frame.Depth
-			return nil
-		case cmdStepInto:
-			s.mode = stepInto
-			return nil
-		case cmdStepOut:
-			s.mode = stepOut
-			s.modeDepth = ev.Frame.Depth
-			return nil
-		case cmdKill:
-			s.killed.Store(true)
+	})
+	return s.pauseLoop(in, ev)
+}
+
+// pauseLoop answers inspection commands in the paused frame until a resume
+// or a kill command arrives or the kill channel closes.
+func (s *Session) pauseLoop(in *script.Interp, ev script.TraceEvent) error {
+	for {
+		var cmd command
+		select {
+		case cmd = <-s.cmds:
+		case <-s.kill:
+			s.paused.Store(false)
+			s.killed = true
 			return errKilled
+		}
+		var res cmdResult
+		switch cmd.kind {
+		case cmdResume, cmdKill:
+			s.mode, s.modeDepth = cmd.mode, ev.Frame.Depth
+			if cmd.kind == cmdKill {
+				s.killed = true
+				return errKilled
+			}
+			return nil
 		case cmdEval:
-			v, err := in.EvalInFrame(cmd.expr, ev.Frame)
-			cmd.resp <- cmdResult{value: v, err: err}
+			res.value, res.err = in.EvalInFrame(cmd.expr, ev.Frame)
 		case cmdLocals:
-			cmd.resp <- cmdResult{vars: ev.Frame.Locals()}
+			res.vars = ev.Frame.Locals()
 		case cmdGlobals:
-			g := in.Globals
-			if g == nil {
-				cmd.resp <- cmdResult{vars: map[string]script.Value{}}
-			} else {
-				cmd.resp <- cmdResult{vars: g.Snapshot()}
+			res.vars = map[string]script.Value{}
+			if in.Globals != nil {
+				res.vars = in.Globals.Snapshot()
 			}
 		case cmdStack:
-			var frames []FrameInfo
 			for f := ev.Frame; f != nil; f = f.Caller {
-				frames = append(frames, FrameInfo{FuncName: f.FuncName, Line: f.Line, Depth: f.Depth})
+				res.frames = append(res.frames, FrameInfo{FuncName: f.FuncName, Line: f.Line, Depth: f.Depth})
 			}
-			cmd.resp <- cmdResult{frames: frames}
 		}
+		cmd.resp <- res
 	}
-	return nil
 }
 
 // shouldStop applies pause requests, step modes and breakpoints, in that

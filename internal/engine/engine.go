@@ -175,9 +175,9 @@ type Conn struct {
 	// invocation on this session: it receives the UDF's name, the
 	// interpreter about to run it, the source lines of the compiled wrapper
 	// module, and the call thunk, and must return the thunk's result
-	// (calling it exactly once, on any goroutine). The wire server's remote
-	// debugger uses it to run the invocation under the trace hook. Only
-	// debuggable runtimes (udfrt.IsDebuggable) route calls through it.
+	// (calling it exactly once, on the calling goroutine). The wire server's
+	// remote debugger uses it to run the invocation under the trace hook.
+	// Only debuggable runtimes (udfrt.IsDebuggable) route calls through it.
 	UDFInvoke udfrt.InvokeHook
 
 	// binds holds the current execution's bind arguments (length-1 columns,

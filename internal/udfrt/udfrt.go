@@ -129,7 +129,8 @@ type ParallelSafe interface {
 // InvokeHook intercepts one interpreter-backed UDF invocation: it receives
 // the UDF's name, the interpreter about to run it, the source lines of the
 // compiled wrapper module, and the call thunk, and must return the thunk's
-// result (calling it exactly once, on any goroutine). The wire server's
+// result, calling it exactly once and on the calling goroutine, so that the
+// invocation stays inside the statement that made it. The wire server's
 // remote debugger installs one to run the invocation under its trace hook.
 type InvokeHook func(name string, in *script.Interp, lines []string,
 	call func() (script.Value, error)) (script.Value, error)

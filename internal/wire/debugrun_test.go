@@ -1,0 +1,322 @@
+package wire
+
+import (
+	"context"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/debug"
+)
+
+// waitEvent waits up to d for the next debug event.
+func waitEvent(t *testing.T, dc *DebugConn, d time.Duration) DebugEventMsg {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	ev, err := dc.WaitEvent(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev
+}
+
+// debugCmd sends one debug request that must succeed.
+func debugCmd(t *testing.T, dc *DebugConn, req DebugRequest) DebugReply {
+	t.Helper()
+	rep, err := dc.RoundTrip(ctxSec(t), req)
+	if err != nil {
+		t.Fatalf("%s: %v", req.Command, err)
+	}
+	return rep
+}
+
+// TestDebugCommandsTheOtherTestsSkip drives every debug command the wire's
+// other debug tests leave out: pause of a running debuggee, stepIn into a
+// nested def and stepOut back, globals, setBreakpoints replacing the set
+// while paused, kill of a running debuggee, and a run whose target is
+// invoked only after the client said goodbye.
+func TestDebugCommandsTheOtherTestsSkip(t *testing.T) {
+	srv, c := debugFixture(t)
+	ctx := ctxSec(t)
+	for _, sql := range []string{spinUDF, busyUDF, `CREATE FUNCTION nested(x INTEGER)
+RETURNS INTEGER LANGUAGE PYTHON {
+    def helper(v):
+        w = v + 1
+        return w
+    y = helper(x)
+    return y
+};`} {
+		if _, err := c.Exec(ctx, sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dc, err := c.Debug()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dc.Close()
+
+	t.Run("pause, globals, kill while running", func(t *testing.T) {
+		debugCmd(t, dc, DebugRequest{Command: DebugCmdLaunch, Query: "SELECT spin(1)", UDF: "spin"})
+		// The launch is acked before the statement reaches the UDF: a pause
+		// sent before the debugger attaches is refused, so retry it.
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			if _, err := dc.RoundTrip(ctx, DebugRequest{Command: DebugCmdPause}); err == nil {
+				break
+			} else if time.Now().After(deadline) {
+				t.Fatalf("pause never accepted: %v", err)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if ev := waitEvent(t, dc, 10*time.Second); ev.Kind != DebugEventStopped || ev.Reason != string(debug.ReasonPause) || ev.Func != "spin" {
+			t.Fatalf("pause of a running debuggee: %+v", ev)
+		}
+		rep := debugCmd(t, dc, DebugRequest{Command: DebugCmdGlobals})
+		if !strings.Contains(rep.Vars["spin"], "function") {
+			t.Fatalf("globals: %v", rep.Vars)
+		}
+		debugCmd(t, dc, DebugRequest{Command: DebugCmdContinue})
+		// A running debuggee refuses kill in-band and keeps running.
+		if _, err := dc.RoundTrip(ctx, DebugRequest{Command: DebugCmdKill}); err == nil {
+			t.Fatal("kill of a running debuggee was accepted")
+		}
+		debugCmd(t, dc, DebugRequest{Command: DebugCmdPause})
+		if ev := waitEvent(t, dc, 10*time.Second); ev.Kind != DebugEventStopped || ev.Reason != string(debug.ReasonPause) {
+			t.Fatalf("second pause: %+v", ev)
+		}
+		debugCmd(t, dc, DebugRequest{Command: DebugCmdKill})
+		ev := waitEvent(t, dc, 10*time.Second)
+		if ev.Kind != DebugEventTerminated || ev.Reason != string(debug.ReasonKilled) || !strings.Contains(ev.Err, "killed") {
+			t.Fatalf("kill of a paused debuggee: %+v", ev)
+		}
+	})
+
+	t.Run("stepIn and stepOut of a nested def", func(t *testing.T) {
+		// Line 5 of the wrapper module is `y = helper(x)`, line 3 helper's body.
+		debugCmd(t, dc, DebugRequest{Command: DebugCmdLaunch, Query: "SELECT nested(1)", UDF: "nested",
+			Breakpoints: []DebugBreakpoint{{Line: 5}}})
+		at := waitEvent(t, dc, 10*time.Second)
+		if at.Kind != DebugEventStopped || at.Line != 5 || at.Func != "nested" {
+			t.Fatalf("breakpoint: %+v", at)
+		}
+		debugCmd(t, dc, DebugRequest{Command: DebugCmdStepInto})
+		in := waitEvent(t, dc, 10*time.Second)
+		if in.Reason != string(debug.ReasonStep) || in.Line != 3 || in.Func != "helper" || in.Depth != at.Depth+1 {
+			t.Fatalf("stepIn from depth %d: %+v", at.Depth, in)
+		}
+		debugCmd(t, dc, DebugRequest{Command: DebugCmdStepOut})
+		out := waitEvent(t, dc, 10*time.Second)
+		if out.Reason != string(debug.ReasonStep) || out.Func != "nested" || out.Depth != at.Depth {
+			t.Fatalf("stepOut to depth %d: %+v", at.Depth, out)
+		}
+		debugCmd(t, dc, DebugRequest{Command: DebugCmdContinue})
+		if ev := waitEvent(t, dc, 10*time.Second); ev.Kind != DebugEventTerminated || ev.Err != "" || ev.Msg != "SELECT 1" {
+			t.Fatalf("terminated: %+v", ev)
+		}
+	})
+
+	t.Run("setBreakpoints while paused", func(t *testing.T) {
+		// Line 4 accumulates the mean, line 8 the distance.
+		debugCmd(t, dc, DebugRequest{Command: DebugCmdLaunch, Query: "SELECT mean_deviation(i) FROM numbers",
+			UDF: "mean_deviation", Breakpoints: []DebugBreakpoint{{Line: 4}}})
+		if ev := waitEvent(t, dc, 10*time.Second); ev.Kind != DebugEventStopped || ev.Line != 4 {
+			t.Fatalf("first stop: %+v", ev)
+		}
+		// Replace {4} by {8 if i == 3}: line 4 is removed, so its loop runs on.
+		debugCmd(t, dc, DebugRequest{Command: DebugCmdSetBreakpoints,
+			Breakpoints: []DebugBreakpoint{{Line: 8, Condition: "i == 3"}}})
+		debugCmd(t, dc, DebugRequest{Command: DebugCmdContinue})
+		if ev := waitEvent(t, dc, 10*time.Second); ev.Kind != DebugEventStopped || ev.Line != 8 {
+			t.Fatalf("after replacing the set: %+v", ev)
+		}
+		if rep := debugCmd(t, dc, DebugRequest{Command: DebugCmdEval, Expr: "i"}); rep.Value != "3" {
+			t.Fatalf("stopped at i = %s, want 3", rep.Value)
+		}
+		debugCmd(t, dc, DebugRequest{Command: DebugCmdContinue})
+		if ev := waitEvent(t, dc, 10*time.Second); ev.Kind != DebugEventTerminated || ev.Err != "" {
+			t.Fatalf("terminated: %+v", ev)
+		}
+	})
+
+	t.Run("target invoked after goodbye", func(t *testing.T) {
+		// busy runs for milliseconds before double_it is invoked; the close
+		// behind the launch is read in microseconds. Stop-on-entry makes a
+		// run that is not killed pause forever, and Close with it.
+		nc, br := rawSession(t, c.params)
+		launch := EncodeDebugRequest(DebugRequest{Seq: 1, Command: DebugCmdLaunch,
+			Query: "SELECT double_it(busy(1))", UDF: "double_it", StopOnEntry: true})
+		if _, err := nc.Write(join(frameBytes(MsgDebug, launch), frameBytes(MsgClose, nil))); err != nil {
+			t.Fatal(err)
+		}
+		var sawReply, sawGoodbye bool
+		for {
+			typ, payload, err := ReadFrame(br)
+			if err != nil {
+				break
+			}
+			switch typ {
+			case MsgDebugReply:
+				rep, err := DecodeDebugReply(payload)
+				sawReply = err == nil && rep.Seq == 1 && rep.Success
+			case MsgDebugEvent:
+				// Whether the end of the run still reaches the client is not
+				// part of this contract; if it does, it says killed.
+				if ev, err := DecodeDebugEvent(payload); err != nil || ev.Kind != DebugEventTerminated || ev.Reason != string(debug.ReasonKilled) {
+					t.Fatalf("event after goodbye was asked for: %+v %v", ev, err)
+				}
+			case MsgGoodbye:
+				sawGoodbye = true
+			default:
+				t.Fatalf("unexpected frame %d", typ)
+			}
+		}
+		if !sawReply || !sawGoodbye {
+			t.Fatalf("reply %v, goodbye %v", sawReply, sawGoodbye)
+		}
+		closed := make(chan error, 1)
+		go func() { closed <- srv.Close() }()
+		select {
+		case err := <-closed:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatal("Close hung on a debug run launched before goodbye")
+		}
+	})
+}
+
+// debugSpinSteps is the step budget of the debug-run regression tests: a
+// spin whose cancellation is lost ends on it about 3 s in (at PR 24's
+// ~16 ns a step), well past the 1 s every test below allows, instead of at
+// the 50M default that a fast interpreter reaches inside 1 s.
+const debugSpinSteps = 180_000_000
+
+// launchSpin starts a debug run of `SELECT spin(n)` that never attaches:
+// the launch names a UDF the statement does not call.
+func launchSpin(t *testing.T, dc *DebugConn) {
+	t.Helper()
+	debugCmd(t, dc, DebugRequest{Command: DebugCmdLaunch, Query: "SELECT spin(1)", UDF: "never_called"})
+}
+
+// spinServer starts a server with spin defined and the step cap applied,
+// and a debug-mode client on it.
+func spinServer(t *testing.T, configure func(*Server)) (*Server, ConnParams, *DebugConn) {
+	t.Helper()
+	srv, params := startConfiguredServer(t, func(s *Server) {
+		s.DB.MaxUDFSteps = debugSpinSteps
+		configure(s)
+	})
+	c, err := DialContext(background(), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Exec(background(), spinUDF); err != nil {
+		t.Fatal(err)
+	}
+	dc, err := c.Debug()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dc.Close() })
+	return srv, params, dc
+}
+
+// TestQueryTimeoutAbortsDebugRun: a debug launch is a statement, so the
+// server's QueryTimeout cancels it like one.
+func TestQueryTimeoutAbortsDebugRun(t *testing.T) {
+	_, _, dc := spinServer(t, func(s *Server) { s.QueryTimeout = 100 * time.Millisecond })
+	start := time.Now()
+	launchSpin(t, dc)
+	ev := waitEvent(t, dc, 30*time.Second)
+	took := time.Since(start)
+	if ev.Kind != DebugEventTerminated || !strings.Contains(ev.Err, "query deadline exceeded") {
+		t.Fatalf("want the run terminated with the typed deadline error, got %+v after %v", ev, took)
+	}
+	if took > time.Second {
+		t.Fatalf("QueryTimeout is 100ms; the debug run ended after %v", took)
+	}
+	if _, _, err := dc.Query(ctxSec(t), `SELECT 1 AS one`); err != nil {
+		t.Fatalf("connection unusable after the timeout: %v", err)
+	}
+}
+
+// TestKillClientMidQueryInDebugRun: a client that vanishes mid debug run
+// frees the engine like one that vanishes mid query.
+func TestKillClientMidQueryInDebugRun(t *testing.T) {
+	_, params, dc := spinServer(t, func(*Server) {})
+	launchSpin(t, dc)
+	time.Sleep(100 * time.Millisecond) // let the statement reach the engine
+	dc.Close()
+
+	c2, err := DialContext(background(), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	start := time.Now()
+	if _, _, err := c2.Query(ctxSec(t), `SELECT 1 AS one`); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("the dead client's debug run held the engine for %v", took)
+	}
+}
+
+// TestDrainTimeoutBoundsDebugRun: DrainTimeout bounds a debug run the way it
+// bounds any in-flight statement.
+func TestDrainTimeoutBoundsDebugRun(t *testing.T) {
+	srv, _, dc := spinServer(t, func(s *Server) { s.DrainTimeout = 100 * time.Millisecond })
+	launchSpin(t, dc)
+	time.Sleep(100 * time.Millisecond) // let the statement reach the engine
+	start := time.Now()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("DrainTimeout is 100ms; Close took %v", took)
+	}
+}
+
+// settledGoroutines reads runtime.NumGoroutine once it holds still across
+// two reads 20ms apart (or after 2s).
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+	return n
+}
+
+// TestPausedDebugRunAddsNoGoroutines: the debuggee runs on the connection's
+// query worker, inside the engine call, and the frame loop drives it; a
+// paused run costs no goroutine of its own.
+func TestPausedDebugRunAddsNoGoroutines(t *testing.T) {
+	_, c := debugFixture(t)
+	dc, err := c.Debug()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dc.Close()
+	before := settledGoroutines()
+	debugCmd(t, dc, DebugRequest{Command: DebugCmdLaunch, Query: "SELECT mean_deviation(i) FROM numbers",
+		UDF: "mean_deviation", StopOnEntry: true})
+	if ev := waitEvent(t, dc, 10*time.Second); ev.Kind != DebugEventStopped || ev.Reason != string(debug.ReasonEntry) {
+		t.Fatalf("entry stop: %+v", ev)
+	}
+	if after := settledGoroutines(); after > before {
+		t.Errorf("paused at entry: %d goroutines, %d before the launch", after, before)
+	}
+	debugCmd(t, dc, DebugRequest{Command: DebugCmdKill})
+	if ev := waitEvent(t, dc, 10*time.Second); ev.Kind != DebugEventTerminated {
+		t.Fatalf("kill: %+v", ev)
+	}
+}

@@ -37,7 +37,7 @@ func (s *Server) EnableObs(reg *obs.Registry) {
 		bytesOut:      reg.Counter("wire_bytes_written_total", "Bytes written to client sockets."),
 		queueDepth:    reg.Gauge("wire_query_queue_depth", "Requests pipelined behind executing statements, across all connections."),
 		querySeconds:  reg.Histogram("wire_query_seconds", "Wall time from dequeue of a query (or prepared execution) to its response being written.", nil),
-		debugSessions: reg.Gauge("wire_debug_sessions_active", "Remote debug runs currently launched."),
+		debugSessions: reg.Gauge("wire_debug_sessions_active", "Remote debug runs currently executing on a query worker."),
 		stmtRejects:   reg.Counter("wire_stmt_rejections_total", "MsgPrepare requests refused because the per-connection statement table was full."),
 	}
 	reg.GaugeFunc("wire_open_statements", "Server-side prepared statements currently live across all connections.",

@@ -207,7 +207,7 @@ type frame struct {
 
 // serverConn is the per-connection serving state: the authenticated engine
 // session, the serialized frame writer, the prepared-statement table, and
-// the active remote debug run (if any).
+// the latest remote debug run (if any; touched only by the frame loop).
 type serverConn struct {
 	srv        *Server
 	w          *connWriter
@@ -289,22 +289,23 @@ func (tb *tokenBucket) allow(now time.Time) bool {
 	return true
 }
 
-// qitem is one queryQueue entry: a real request, or a run of shed
-// (admission-refused) requests that the worker answers with retryable
-// overload errors. Coalescing consecutive sheds into one counter keeps
-// the queue's memory bounded no matter how fast a client floods it,
+// qitem is one queryQueue entry: a real request, a debug launch, or a run
+// of shed (admission-refused) requests that the worker answers with
+// retryable overload errors. Coalescing consecutive sheds into one counter
+// keeps the queue's memory bounded no matter how fast a client floods it,
 // while each shed response still goes out in its FIFO position.
 type qitem struct {
 	fr   frame
-	shed int // > 0: this entry stands for that many shed requests
+	dr   *debugRun // non-nil: a debug launch, run instead of fr
+	shed int       // > 0: this entry stands for that many shed requests
 }
 
 // queryQueue is the FIFO of pending statement-executing requests
-// (MsgQuery, MsgPrepare, MsgExecStmt, MsgCloseStmt) feeding the
-// connection's query worker. push never blocks — requests beyond the
+// (MsgQuery, MsgPrepare, MsgExecStmt, MsgCloseStmt, a debug launch) feeding
+// the connection's query worker. push never blocks — requests beyond the
 // admission bound are recorded as shed markers instead — which matters
-// because a paused debuggee holds the engine lock and the resume command
-// that releases it arrives on the same frame loop.
+// because a paused debuggee holds the worker and the engine lock, and the
+// resume command that releases them arrives on the same frame loop.
 type queryQueue struct {
 	mu      sync.Mutex
 	items   []qitem
@@ -323,11 +324,11 @@ func newQueryQueue() *queryQueue {
 // push admits a request unless the queue already holds limit admitted
 // requests (limit <= 0 means unbounded), reporting whether it was
 // admitted. Refused requests become shed markers via shedLocked.
-func (q *queryQueue) push(fr frame, limit int) bool {
+func (q *queryQueue) push(it qitem, limit int) bool {
 	q.mu.Lock()
 	admitted := limit <= 0 || q.pending < limit
 	if admitted {
-		q.items = append(q.items, qitem{fr: fr})
+		q.items = append(q.items, it)
 		q.pending++
 	} else {
 		q.shedLocked()
@@ -364,35 +365,34 @@ func (q *queryQueue) wakeUp() {
 	}
 }
 
-// pop blocks for the next request; shed reports a refused request to be
-// answered with an overload error; ok is false once the queue is closed
-// and drained.
-func (q *queryQueue) pop() (fr frame, shed, ok bool) {
+// pop blocks for the next entry — one with shed > 0 is one refused request
+// to be answered with an overload error; ok is false once the queue is
+// closed and drained.
+func (q *queryQueue) pop() (it qitem, ok bool) {
 	for {
 		q.mu.Lock()
 		if len(q.items) > 0 {
-			it := &q.items[0]
-			if it.shed > 0 {
-				it.shed--
-				if it.shed == 0 {
+			if head := &q.items[0]; head.shed > 0 {
+				head.shed--
+				if head.shed == 0 {
 					q.items = q.items[1:]
 				}
 				q.mu.Unlock()
-				return frame{}, true, true
+				return qitem{shed: 1}, true
 			}
-			fr = it.fr
+			it = q.items[0]
 			q.items = q.items[1:]
 			q.pending--
 			q.mu.Unlock()
 			if q.depth != nil {
 				q.depth.Add(-1)
 			}
-			return fr, false, true
+			return it, true
 		}
 		closed := q.closed
 		q.mu.Unlock()
 		if closed {
-			return frame{}, false, false
+			return qitem{}, false
 		}
 		<-q.wake
 	}
@@ -427,26 +427,31 @@ func (sc *serverConn) shutdown() {
 	}
 }
 
-// queryWorker executes queued requests — queries and the prepared-statement
-// verbs — in FIFO order, writing each response through the shared
-// connWriter. Running them off the frame loop keeps debug control (and
-// ping/close) responsive while a statement — including a debug query paused
-// at a breakpoint — holds the engine lock.
+// queryWorker executes queued requests — queries, the prepared-statement
+// verbs and debug launches — in FIFO order, writing each response through
+// the shared connWriter. Running them off the frame loop keeps debug control
+// (and ping/close) responsive while a statement — including a debug query
+// paused at a breakpoint, whose debuggee runs right here — holds the engine
+// lock.
 func (sc *serverConn) queryWorker() {
 	defer close(sc.workerDone)
 	for {
-		fr, shed, ok := sc.queries.pop()
+		it, ok := sc.queries.pop()
 		if !ok {
 			return
 		}
-		if shed {
+		if it.shed > 0 {
 			sc.srv.queriesShed.Add(1)
 			_ = sc.w.writeFrame(MsgErr, EncodeError(core.KindOverload,
 				"server overloaded: request shed before execution; safe to retry"))
 			continue
 		}
+		if it.dr != nil {
+			sc.runDebug(it.dr)
+			continue
+		}
 		// Only the types handleFrame admits are ever queued.
-		switch fr.typ {
+		switch fr := it.fr; fr.typ {
 		case MsgQuery:
 			sql := string(fr.payload)
 			sc.runStatement(sql, func(o engine.ExecOpts) (*engine.Result, error) {
@@ -533,10 +538,11 @@ func (sc *serverConn) handleCloseStmt(payload []byte) {
 // goroutines until MsgClose, disconnect, or server drain. The reader is the
 // frame loop: it reads the socket and handles each frame itself, so a ping
 // or a debug command costs no hand-off and a client may pipeline requests.
-// The query worker executes statements in FIFO order. This goroutine is
-// lifecycle only: it waits for the reader or for the server's drain. Debug
-// events are pushed by the debug controller through the shared connWriter,
-// interleaving with (but never corrupting) response frames.
+// The query worker executes statements — a debug launch among them, with
+// its debuggee — in FIFO order. This goroutine is lifecycle only: it waits
+// for the reader or for the server's drain. Debug events are pushed by the
+// worker through the shared connWriter, interleaving with (but never
+// corrupting) the frame loop's replies.
 func (s *Server) serveConn(nc net.Conn) {
 	if max := s.MaxConns; max > 0 {
 		if int(s.connCount.Add(1)) > max {
@@ -700,7 +706,7 @@ func (sc *serverConn) admit(fr frame) {
 	if limit == 0 {
 		limit = defaultMaxQueueDepth
 	}
-	sc.queries.push(fr, limit)
+	sc.queries.push(qitem{fr: fr}, limit)
 }
 
 // writeResult ships a statement result: small results get the one-shot
