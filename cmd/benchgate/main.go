@@ -61,9 +61,10 @@ var gates = []gate{
 	{"morsel-parallel", "BenchmarkFilterAggregate/vectorized-parallel", "BenchmarkFilterAggregate/vectorized", "<=", 1.10,
 		"Morsel-parallel execution beats the single-threaded vectorized path only where there are several cores; " +
 			"on any runner it must at least not lose. The 10% is runner noise."},
-	{"prepared-statement", "BenchmarkPrepareExec/unprepared", "BenchmarkPrepareExec/prepared", ">=", 2.0,
-		"ISSUE 5's bar: 10k executions of a parameterized filter+UDF query through Prepare/Bind/Exec run at least " +
-			"2x faster than per-call Exec with formatted literals (distinct binds, so the plan cache cannot hide the re-parse)."},
+	{"adhoc-vs-prepared", "BenchmarkPrepareExec/unprepared", "BenchmarkPrepareExec/prepared", "<=", 1.3,
+		"Every statement is a prepared statement: 10k executions of a filter+UDF query with distinct literals formatted " +
+			"into the text (fmt.Sprintf in the loop, then shape, plan-cache hit, literal binds) stay within 1.3x of the same " +
+			"values bound to a prepared statement. A re-parse per call reads as 2x or more."},
 	{"wal-append", "BenchmarkWALInsert/wal", "BenchmarkWALInsert/in-memory", "<=", 2.2,
 		"ISSUE 7's bar: a 3-row INSERT committed through the write-ahead log (encode, CRC, write(2), interval fsync) " +
 			"stays under 2x the same statement against an in-memory database, plus the 10% noise allowance of the morsel gate."},

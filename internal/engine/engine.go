@@ -11,7 +11,6 @@ package engine
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"fmt"
 	"strings"
@@ -74,10 +73,17 @@ type DB struct {
 	// (0 = vec.DefaultMorselSize). Inputs smaller than one morsel always
 	// run inline.
 	MorselSize int
-	// PlanCacheSize bounds the parsed-plan cache keyed by normalized SQL
-	// (0 applies the 256 default; negative disables caching). Identical
-	// statement text — prepared or not — skips the lexer and parser; the
-	// cache is flushed on every catalog change.
+	// PlanCacheSize bounds the plan cache (0 applies the 256 default;
+	// negative disables caching). The cache is keyed by a statement's shape:
+	// its text as written with each literal replaced by a slot of the
+	// literal's kind (INTEGER, DOUBLE, STRING), less surrounding whitespace
+	// and trailing ';'. Texts that differ only in literal values — prepared
+	// or not — share one parsed plan, their literals bound to its slots.
+	// Literals the engine reads as syntax stay in the plan and must repeat
+	// for a text to use it: ORDER BY positions, LIMIT, COPY paths and the
+	// first two arguments of sys_extract. NULL, TRUE and FALSE are keywords,
+	// so they are part of the shape. The cache is flushed on every catalog
+	// change.
 	PlanCacheSize int
 	// MaxResultRows bounds the rows a single SELECT may materialize
 	// (0 = unlimited). Oversize results abort with a typed KindResource
@@ -125,15 +131,7 @@ type DB struct {
 	// takes the database lock.
 	queriesCancelled atomic.Uint64
 
-	// plan cache state: the map and LRU are guarded by mu; the counters
-	// are atomic so a metrics scrape never has to take the database lock
-	// (a paused debuggee can hold it indefinitely).
-	plans         map[string]*planEntry
-	planLRU       *list.List
-	planHits      atomic.Uint64
-	planMisses    atomic.Uint64
-	planEvictions atomic.Uint64
-	planEntries   atomic.Int64
+	plans planCache // its own lock, never held while a statement runs
 }
 
 // NewDB creates an empty database.
@@ -181,10 +179,9 @@ type Conn struct {
 	UDFInvoke udfrt.InvokeHook
 
 	// binds holds the current execution's bind arguments (length-1 columns,
-	// one per placeholder slot). It is set by Stmt.ExecWith under the database
-	// lock and read by placeholder evaluation; plain Query/Exec rejects
-	// parameterized statements before execution, so stale binds can never
-	// be observed.
+	// one per placeholder slot: the caller's arguments, then the text's own
+	// literals). Conn.run installs them under the database lock for one
+	// statement and puts back those of the statement it ran inside.
 	binds []*storage.Column
 }
 
@@ -204,7 +201,7 @@ type ExecOpts struct {
 	Trace     *obs.Trace
 }
 
-// Exec parses and executes one statement under the database lock.
+// Exec executes one statement under the database lock (see ExecWith).
 func (c *Conn) Exec(sql string) (*Result, error) { return c.ExecWith(ExecOpts{}, sql) }
 
 // ExecContext is Exec with a context, honored for real: cancelling the
@@ -221,9 +218,15 @@ func (c *Conn) ExecContext(ctx context.Context, sql string) (*Result, error) {
 // ExecWith is ExecContext without the context detour: the wire server's
 // per-query path, where the context allocation and value lookup are
 // measurable against sub-microsecond statements. Embedded callers
-// normally use ExecContext.
+// normally use ExecContext. The text runs as a prepared statement would:
+// resolved to a plan through the plan cache without the database lock (see
+// DB.PlanCacheSize), its literals bound, and executed by Stmt.ExecBound.
 func (c *Conn) ExecWith(o ExecOpts, sql string) (*Result, error) {
-	return c.DB.guarded(o, func() (*Result, error) { return c.exec(sql) })
+	var s Stmt
+	if err := c.adhoc(&s, sql, o.Trace); err != nil {
+		return nil, err
+	}
+	return s.ExecBound(o, nil)
 }
 
 // guarded is the one way a single statement runs: under the database
@@ -277,20 +280,28 @@ func (c *Conn) ExecAll(sql string) ([]*Result, error) {
 	return out, nil
 }
 
-// exec runs one statement without taking the lock (loopback queries from
-// inside UDFs re-enter here). Parsing goes through the DB plan cache, so a
-// statement executed repeatedly with identical text is lexed and parsed
-// once.
+// exec runs one ad-hoc statement under the lock its caller holds: a UDF's
+// loopback query. It resolves like ExecWith and runs in the middle of the
+// calling statement, whose binds it puts back.
 func (c *Conn) exec(sql string) (*Result, error) {
-	st, nparams, err := c.DB.cachedParse(sql)
-	if err != nil {
+	var s Stmt
+	if err := c.adhoc(&s, sql, c.DB.activeTrace); err != nil {
 		return nil, err
 	}
-	if nparams > 0 {
-		return nil, core.Errorf(core.KindConstraint,
-			"statement expects %d bind parameter(s); use Prepare and pass arguments", nparams)
+	return c.run(s.plan.st, s.lits)
+}
+
+// adhoc makes s the statement for ad-hoc text (see resolve), refusing
+// placeholders of the text's own: ad hoc, nothing binds them.
+func (c *Conn) adhoc(s *Stmt, sql string, tr *obs.Trace) error {
+	if err := c.resolve(s, sql, tr); err != nil {
+		return err
 	}
-	return c.execStmt(st)
+	if n := s.plan.nparams; n > 0 {
+		return core.Errorf(core.KindConstraint,
+			"statement expects %d bind parameter(s); use Prepare and pass arguments", n)
+	}
+	return nil
 }
 
 func (c *Conn) execStmt(st sqlparse.Statement) (*Result, error) {
@@ -419,16 +430,8 @@ func (c *Conn) insert(st *sqlparse.Insert) (*Result, error) {
 // parameter of a prepared INSERT.
 func (c *Conn) constEval(e sqlparse.Expr) (any, error) {
 	switch e := e.(type) {
-	case *sqlparse.IntLit:
-		return e.Value, nil
-	case *sqlparse.FloatLit:
-		return e.Value, nil
-	case *sqlparse.StrLit:
-		return e.Value, nil
-	case *sqlparse.BoolLit:
-		return e.Value, nil
-	case *sqlparse.NullLit:
-		return nil, nil
+	case *sqlparse.IntLit, *sqlparse.FloatLit, *sqlparse.StrLit, *sqlparse.BoolLit, *sqlparse.NullLit:
+		return sqlparse.LiteralValue(e)
 	case *sqlparse.Placeholder:
 		col, err := c.bindColumn(e)
 		if err != nil {

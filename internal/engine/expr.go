@@ -71,26 +71,9 @@ func (ctx *evalCtx) column(name string) (*storage.Column, error) {
 // broadcast by callers).
 func (c *Conn) evalExpr(ctx *evalCtx, e sqlparse.Expr) (*storage.Column, error) {
 	switch e := e.(type) {
-	case *sqlparse.IntLit:
-		col := storage.NewColumn("", storage.TInt)
-		col.AppendInt(e.Value)
-		return col, nil
-	case *sqlparse.FloatLit:
-		col := storage.NewColumn("", storage.TFloat)
-		col.AppendFloat(e.Value)
-		return col, nil
-	case *sqlparse.StrLit:
-		col := storage.NewColumn("", storage.TStr)
-		col.AppendStr(e.Value)
-		return col, nil
-	case *sqlparse.BoolLit:
-		col := storage.NewColumn("", storage.TBool)
-		col.AppendBool(e.Value)
-		return col, nil
-	case *sqlparse.NullLit:
-		col := storage.NewColumn("", storage.TStr)
-		col.AppendNull()
-		return col, nil
+	case *sqlparse.IntLit, *sqlparse.FloatLit, *sqlparse.StrLit, *sqlparse.BoolLit, *sqlparse.NullLit:
+		v, _ := sqlparse.LiteralValue(e) // never fails on a literal node
+		return storage.BindValue(v)
 	case *sqlparse.Placeholder:
 		col, err := c.bindColumn(e)
 		if err != nil {
@@ -152,8 +135,8 @@ func (c *Conn) evalExpr(ctx *evalCtx, e sqlparse.Expr) (*storage.Column, error) 
 }
 
 // bindColumn resolves a placeholder to its bound length-1 column. Binds
-// are installed by Stmt.exec for the duration of one execution; reaching
-// an unbound slot means the statement ran outside the prepared path.
+// are installed by Conn.run for the duration of one execution; reaching
+// an unbound slot means the statement ran without them (a script).
 func (c *Conn) bindColumn(e *sqlparse.Placeholder) (*storage.Column, error) {
 	if e.Index < 0 || e.Index >= len(c.binds) || c.binds[e.Index] == nil {
 		return nil, core.Errorf(core.KindConstraint,

@@ -41,13 +41,13 @@ func (db *DB) EnableObs(reg *obs.Registry) {
 		udfSeconds:   reg.HistogramVec("udf_call_seconds", "UDF runtime invocation latency.", "runtime", nil),
 	}
 	reg.CounterFunc("engine_plan_cache_hits_total", "Plan cache lookups served from a cached AST.",
-		func() float64 { return float64(db.planHits.Load()) })
+		func() float64 { return float64(db.plans.hits.Load()) })
 	reg.CounterFunc("engine_plan_cache_misses_total", "Plan cache lookups that had to lex and parse.",
-		func() float64 { return float64(db.planMisses.Load()) })
+		func() float64 { return float64(db.plans.misses.Load()) })
 	reg.CounterFunc("engine_plan_cache_evictions_total", "Cached plans evicted by the LRU capacity bound.",
-		func() float64 { return float64(db.planEvictions.Load()) })
+		func() float64 { return float64(db.plans.evictions.Load()) })
 	reg.GaugeFunc("engine_plan_cache_entries", "Cached plans currently live.",
-		func() float64 { return float64(db.planEntries.Load()) })
+		func() float64 { return float64(db.plans.entries.Load()) })
 	reg.CounterFunc("engine_morsels_total", "Morsels executed by the vectorized kernels.",
 		func() float64 { return float64(vec.StatsSnapshot().Morsels) })
 	reg.CounterFunc("engine_morsel_inline_runs_total", "Kernel dispatches that ran inline on the query goroutine.",

@@ -84,13 +84,13 @@ func TestEngineMetrics(t *testing.T) {
 }
 
 // TestPlanCacheEvictionCounter pins the new eviction counter against the
-// LRU bound.
+// LRU bound. The aliases differ, so each text is a shape of its own.
 func TestPlanCacheEvictionCounter(t *testing.T) {
 	c := prepTestDB(t)
 	c.DB.PlanCacheSize = 4
 	base := c.DB.PlanCacheStatsSnapshot()
 	for i := 0; i < 10; i++ {
-		if _, err := c.Exec(strings.Replace(`SELECT N AS v`, "N", string(rune('0'+i)), 1)); err != nil {
+		if _, err := c.Exec(strings.Replace(`SELECT 1 AS vN`, "N", string(rune('0'+i)), 1)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,8 +3,10 @@ package engine
 import (
 	"container/list"
 	"context"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -15,13 +17,31 @@ import (
 // defaultPlanCacheSize bounds the DB plan cache when DB.PlanCacheSize is 0.
 const defaultPlanCacheSize = 256
 
-// planEntry is one cached plan: the parsed statement plus its bind-slot
-// count, keyed by normalized SQL text.
-type planEntry struct {
-	key     string
+// plan is one plan-cache entry: a statement parsed from shaped text, its
+// value literals turned into bind slots numbered after its own placeholders.
+// It is immutable once cached, so executions read it without a lock.
+type plan struct {
+	key     string // the text's sqlparse.Shape key
 	st      sqlparse.Statement
-	nparams int
-	elem    *list.Element
+	nparams int // the text's own placeholders
+	nbound  int // literals bound to slots
+	// slots holds, for each literal of the shape, its bind slot, or -1 for
+	// a literal the statement keeps as syntax; pins holds those literals'
+	// text, which a text must repeat to use this plan.
+	slots []int
+	pins  []string
+	elem  *list.Element
+}
+
+// planCache maps shape keys to plans under its own mutex, so no lookup
+// waits for db.mu; the counters are atomic, so a scrape takes no lock.
+type planCache struct {
+	mu      sync.Mutex
+	byShape map[string]*plan
+	lru     *list.List
+
+	hits, misses, evictions atomic.Uint64
+	entries                 atomic.Int64
 }
 
 // PlanCacheStats is a snapshot of the plan cache's activity.
@@ -32,72 +52,144 @@ type PlanCacheStats struct {
 	Entries   int
 }
 
-// normalizeSQL is the plan-cache key rule: surrounding whitespace and
-// trailing statement separators do not make a new plan.
-func normalizeSQL(sql string) string {
-	return strings.TrimRight(strings.TrimSpace(sql), "; \t\n\r")
-}
+// shapes recycles shape buffers, which then grow no more.
+var shapes = sync.Pool{New: func() any { return new(sqlparse.Shape) }}
 
-// cachedParse parses one statement through the DB plan cache: identical
-// normalized SQL skips the lexer and parser entirely and reuses the
-// previous AST (execution never mutates it). Must be called with db.mu
-// held. A negative PlanCacheSize disables caching.
-func (db *DB) cachedParse(sql string) (sqlparse.Statement, int, error) {
-	if db.PlanCacheSize < 0 {
-		st, err := sqlparse.Parse(sql)
-		if err != nil {
-			return nil, 0, err
-		}
-		return st, sqlparse.NumParams(st), nil
+// resolve makes s the statement for sql: shape the text, look the shape
+// up, on a miss parse the text and cache what it parses to, and bind the
+// text's literals. It takes no lock but the cache's own; tr receives the
+// parse span of a miss. A negative PlanCacheSize bypasses the cache.
+func (c *Conn) resolve(s *Stmt, sql string, tr *obs.Trace) error {
+	sh := shapes.Get().(*sqlparse.Shape)
+	defer shapes.Put(sh)
+	if err := sh.Scan(sql); err != nil {
+		return err
 	}
-	key := normalizeSQL(sql)
-	if e, ok := db.plans[key]; ok {
-		db.planLRU.MoveToFront(e.elem)
-		db.planHits.Add(1)
-		if tr := db.activeTrace; tr != nil {
-			tr.CacheHit = true
+	s.conn, s.sql = c, sql
+	pc, caching := &c.DB.plans, c.DB.PlanCacheSize >= 0
+	if caching {
+		if p := pc.lookup(sh); p != nil {
+			if lits, ok := p.bind(sh); ok {
+				pc.hits.Add(1)
+				s.plan, s.lits, s.reused = p, lits, true
+				return nil
+			}
 		}
-		return e.st, e.nparams, nil
+		pc.misses.Add(1)
 	}
-	db.planMisses.Add(1)
-	pt := db.activeTrace.StartStage(obs.StageParse)
-	st, err := sqlparse.Parse(sql)
+	pt := tr.StartStage(obs.StageParse)
+	st, slots, err := sqlparse.Parameterize(sql, func(call *sqlparse.FuncCall) int {
+		if strings.EqualFold(call.Name, extractFuncName) {
+			return 2 // sys_extract reads its UDF name and options as syntax
+		}
+		return 0
+	})
 	pt.Done()
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
-	e := &planEntry{key: key, st: st, nparams: sqlparse.NumParams(st)}
-	if db.plans == nil {
-		db.plans = map[string]*planEntry{}
-		db.planLRU = list.New()
-	}
-	cap := db.PlanCacheSize
-	if cap == 0 {
-		cap = defaultPlanCacheSize
-	}
-	for len(db.plans) >= cap {
-		oldest := db.planLRU.Back()
-		if oldest == nil {
-			break
+	p := &plan{key: string(sh.Key), st: st, slots: slots, pins: make([]string, len(slots))}
+	for i, slot := range slots {
+		if slot < 0 {
+			p.pins[i] = sh.Lits[i].Text
+		} else {
+			p.nbound++
 		}
-		victim := db.planLRU.Remove(oldest).(*planEntry)
-		delete(db.plans, victim.key)
-		db.planEvictions.Add(1)
 	}
-	e.elem = db.planLRU.PushFront(e)
-	db.plans[key] = e
-	db.planEntries.Store(int64(len(db.plans)))
-	return st, e.nparams, nil
+	p.nparams = sqlparse.NumParams(st) - p.nbound
+	s.plan = p
+	s.lits, _ = p.bind(sh) // the parse succeeded, so every literal converts
+	if caching {
+		pc.store(p, c.DB.PlanCacheSize)
+	}
+	return nil
+}
+
+// bind builds the length-1 column of each of the shape's bound literals, in
+// slot order, their headers in one allocation; false when a number does not
+// convert (the parse reports it).
+func (p *plan) bind(sh *sqlparse.Shape) ([]*storage.Column, bool) {
+	cols := make([]*storage.Column, p.nbound)
+	cells := make([]storage.Column, p.nbound)
+	for i, l := range sh.Lits {
+		if p.slots[i] < 0 {
+			continue
+		}
+		col := &cells[p.slots[i]-p.nparams]
+		col.Typ = l.Kind
+		switch l.Kind {
+		case storage.TInt:
+			n, err := strconv.ParseInt(l.Text, 10, 64)
+			if err != nil {
+				return nil, false
+			}
+			col.AppendInt(n)
+		case storage.TFloat:
+			f, err := strconv.ParseFloat(l.Text, 64)
+			if err != nil {
+				return nil, false
+			}
+			col.AppendFloat(f)
+		default:
+			// A copy: a stored string must not keep the statement text alive.
+			col.AppendStr(strings.Clone(l.Text))
+		}
+		cols[p.slots[i]-p.nparams] = col
+	}
+	return cols, true
+}
+
+// lookup returns the cached plan of sh's shape, marking it most recently
+// used, or nil — also when sh does not repeat the plan's pinned literals.
+func (pc *planCache) lookup(sh *sqlparse.Shape) *plan {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	p := pc.byShape[string(sh.Key)]
+	if p == nil {
+		return nil
+	}
+	for i, s := range p.slots {
+		if s < 0 && sh.Lits[i].Text != p.pins[i] {
+			return nil
+		}
+	}
+	pc.lru.MoveToFront(p.elem)
+	return p
+}
+
+// store caches p, in place of a plan of its shape with other pinned
+// literals, evicting least recently used plans down to the bound.
+func (pc *planCache) store(p *plan, size int) {
+	if size == 0 {
+		size = defaultPlanCacheSize
+	}
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.byShape == nil {
+		pc.byShape, pc.lru = map[string]*plan{}, list.New()
+	}
+	if old := pc.byShape[p.key]; old != nil {
+		pc.lru.Remove(old.elem)
+	}
+	for pc.lru.Len() >= size {
+		delete(pc.byShape, pc.lru.Remove(pc.lru.Back()).(*plan).key)
+		pc.evictions.Add(1)
+	}
+	pc.byShape[p.key] = p
+	p.elem = pc.lru.PushFront(p)
+	pc.entries.Store(int64(pc.lru.Len()))
 }
 
 // invalidatePlans drops every cached plan. Called (with db.mu held) on any
 // catalog change — CREATE/DROP TABLE, CREATE/DROP FUNCTION, Go-UDF
-// (re-)registration, bulk table registration — so a cached plan can never
-// outlive the schema it was planned against.
+// (re-)registration, bulk table registration — so the next statement of
+// each shape parses again against the new catalog.
 func (db *DB) invalidatePlans() {
-	db.plans = nil
-	db.planLRU = nil
-	db.planEntries.Store(0)
+	pc := &db.plans
+	pc.mu.Lock()
+	pc.byShape, pc.lru = nil, nil
+	pc.entries.Store(0)
+	pc.mu.Unlock()
 }
 
 // PlanCacheStatsSnapshot reports plan-cache hits, misses, evictions and
@@ -105,10 +197,10 @@ func (db *DB) invalidatePlans() {
 // running statement.
 func (db *DB) PlanCacheStatsSnapshot() PlanCacheStats {
 	return PlanCacheStats{
-		Hits:      db.planHits.Load(),
-		Misses:    db.planMisses.Load(),
-		Evictions: db.planEvictions.Load(),
-		Entries:   int(db.planEntries.Load()),
+		Hits:      db.plans.hits.Load(),
+		Misses:    db.plans.misses.Load(),
+		Evictions: db.plans.evictions.Load(),
+		Entries:   int(db.plans.entries.Load()),
 	}
 }
 
@@ -118,43 +210,49 @@ func (db *DB) PlanCacheStatsSnapshot() PlanCacheStats {
 // the first bind and re-checked on every execution (INTEGER widens into a
 // DOUBLE slot; anything else mismatched is rejected). Execution serializes
 // on the database lock, and the bind-type state has its own lock, so a
-// Stmt is safe for concurrent use.
+// Stmt is safe for concurrent use. Ad-hoc text runs as a Stmt too, one
+// built per statement (see Conn.ExecWith).
 type Stmt struct {
-	conn    *Conn
-	sql     string
-	st      sqlparse.Statement
-	nparams int
+	conn *Conn
+	sql  string
+	plan *plan
+	// lits binds the text's own literals, in the slots after the
+	// statement's placeholders.
+	lits []*storage.Column
+	// reused reports executions as plan reuse in their trace: always for a
+	// prepared statement, for ad-hoc text when its plan came from the cache.
+	reused bool
+	// slots holds the placeholders' types; nil for ad-hoc text, which has
+	// no placeholders (and so stays off the heap).
+	slots *slotTypes
+}
 
+// slotTypes records each placeholder's type at its first bind.
+type slotTypes struct {
 	mu    sync.Mutex
 	types []storage.Type
 	typed []bool
 }
 
-// Prepare compiles sql into a reusable statement. The parse goes through
-// (and seeds) the DB plan cache, so preparing the same text twice shares
-// one AST.
+// Prepare compiles sql into a reusable statement. It resolves through the
+// DB plan cache, so preparing text that was run ad hoc, or whose literals
+// differ only in value from text prepared before, shares one plan. It does
+// not take the database lock: a statement prepares while another runs.
 func (c *Conn) Prepare(sql string) (*Stmt, error) {
-	c.DB.mu.Lock()
-	st, nparams, err := c.DB.cachedParse(sql)
-	c.DB.mu.Unlock()
-	if err != nil {
+	s := new(Stmt)
+	if err := c.resolve(s, sql, nil); err != nil {
 		return nil, err
 	}
-	return &Stmt{
-		conn:    c,
-		sql:     sql,
-		st:      st,
-		nparams: nparams,
-		types:   make([]storage.Type, nparams),
-		typed:   make([]bool, nparams),
-	}, nil
+	n := s.plan.nparams
+	s.reused, s.slots = true, &slotTypes{types: make([]storage.Type, n), typed: make([]bool, n)}
+	return s, nil
 }
 
 // SQL returns the statement's original text.
 func (s *Stmt) SQL() string { return s.sql }
 
 // NumParams reports how many bind arguments each execution needs.
-func (s *Stmt) NumParams() int { return s.nparams }
+func (s *Stmt) NumParams() int { return s.plan.nparams }
 
 // Query executes the statement with one set of bind arguments and returns
 // its result.
@@ -189,36 +287,52 @@ func (s *Stmt) ExecWith(o ExecOpts, args ...any) (*Result, error) {
 // ExecBound executes the statement with its bind arguments already in the
 // form execution uses, one length-1 column each: what the wire server
 // decodes from MsgExecStmt and ExecWith builds from Go values. The slice is
-// the statement's for the duration of the call.
+// the statement's for the duration of the call. Every statement the engine
+// runs outside a script or a UDF's loopback query runs here.
 func (s *Stmt) ExecBound(o ExecOpts, cols []*storage.Column) (*Result, error) {
 	bt := o.Trace.StartStage(obs.StageBind)
 	err := s.typeSlots(cols)
+	binds := cols
+	switch {
+	case len(cols) == 0:
+		binds = s.lits
+	case len(s.lits) > 0:
+		binds = append(cols[:len(cols):len(cols)], s.lits...)
+	}
 	bt.Done()
 	if err != nil {
 		return nil, err
 	}
 	if o.Trace != nil {
-		// The statement was parsed once at Prepare; every execution is a
-		// plan reuse regardless of what the text cache does.
-		o.Trace.CacheHit = true
+		o.Trace.CacheHit = s.reused
 	}
 	c := s.conn
-	return c.DB.guarded(o, func() (*Result, error) {
-		c.binds = cols
-		defer func() { c.binds = nil }()
-		return c.execStmt(s.st)
-	})
+	return c.DB.guarded(o, func() (*Result, error) { return c.run(s.plan.st, binds) })
+}
+
+// run executes st with binds in place for its placeholders, then puts back
+// the binds of the statement it ran inside: a UDF's loopback query runs in
+// the middle of its caller's.
+func (c *Conn) run(st sqlparse.Statement, binds []*storage.Column) (*Result, error) {
+	outer := c.binds
+	c.binds = binds
+	defer func() { c.binds = outer }()
+	return c.execStmt(st)
 }
 
 // typeSlots enforces the slot types recorded at the first bind on cols,
 // replacing in place the columns that have to change type to fit.
 func (s *Stmt) typeSlots(cols []*storage.Column) error {
-	if len(cols) != s.nparams {
+	if len(cols) != s.plan.nparams {
 		return core.Errorf(core.KindConstraint,
-			"statement expects %d bind parameter(s), got %d", s.nparams, len(cols))
+			"statement expects %d bind parameter(s), got %d", s.plan.nparams, len(cols))
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	if len(cols) == 0 {
+		return nil
+	}
+	ts := s.slots
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
 	for i, col := range cols {
 		switch {
 		case col.IsNull(0):
@@ -227,21 +341,21 @@ func (s *Stmt) typeSlots(cols []*storage.Column) error {
 			// takes the slot's type once known so downstream kernels see a
 			// consistently-typed column.
 			typ := col.Typ
-			if s.typed[i] {
-				typ = s.types[i]
+			if ts.typed[i] {
+				typ = ts.types[i]
 			}
 			cols[i] = storage.NewColumn("", typ)
 			cols[i].AppendNull()
-		case !s.typed[i]:
-			s.types[i], s.typed[i] = col.Typ, true
-		case col.Typ == s.types[i]:
-		case s.types[i] == storage.TFloat && col.Typ == storage.TInt:
+		case !ts.typed[i]:
+			ts.types[i], ts.typed[i] = col.Typ, true
+		case col.Typ == ts.types[i]:
+		case ts.types[i] == storage.TFloat && col.Typ == storage.TInt:
 			cols[i] = storage.NewColumn("", storage.TFloat)
 			cols[i].AppendFloat(float64(col.Ints[0]))
 		default:
 			return core.Errorf(core.KindType,
 				"parameter %d: cannot bind %s into a %s slot (typed at first bind)",
-				i+1, col.Typ, s.types[i])
+				i+1, col.Typ, ts.types[i])
 		}
 	}
 	return nil

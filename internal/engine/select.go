@@ -210,11 +210,11 @@ func isCmpOp(op string) bool {
 	return false
 }
 
-// literalColumn builds a length-1 column from a literal expression
-// (optionally sign-negated) or a bound placeholder, or reports that the
+// literalColumn builds a length-1 column from a literal expression or a
+// bound placeholder, optionally sign-negated, or reports that the
 // expression is not a plain literal. Bound placeholders qualify so a
-// prepared filter takes the same fused compare-select kernels as its
-// literal-substituted equivalent.
+// prepared filter — and ad-hoc text, whose literals are binds — takes the
+// same fused compare-select kernels as its literal equivalent.
 func (c *Conn) literalColumn(e sqlparse.Expr) (*storage.Column, bool) {
 	switch e := e.(type) {
 	case *sqlparse.Placeholder:
@@ -223,40 +223,19 @@ func (c *Conn) literalColumn(e sqlparse.Expr) (*storage.Column, bool) {
 			return nil, false
 		}
 		return col, true
-	case *sqlparse.IntLit:
-		col := storage.NewColumn("", storage.TInt)
-		col.AppendInt(e.Value)
-		return col, true
-	case *sqlparse.FloatLit:
-		col := storage.NewColumn("", storage.TFloat)
-		col.AppendFloat(e.Value)
-		return col, true
-	case *sqlparse.StrLit:
-		col := storage.NewColumn("", storage.TStr)
-		col.AppendStr(e.Value)
-		return col, true
-	case *sqlparse.BoolLit:
-		col := storage.NewColumn("", storage.TBool)
-		col.AppendBool(e.Value)
-		return col, true
-	case *sqlparse.NullLit:
-		col := storage.NewColumn("", storage.TStr)
-		col.AppendNull()
-		return col, true
+	case *sqlparse.IntLit, *sqlparse.FloatLit, *sqlparse.StrLit, *sqlparse.BoolLit, *sqlparse.NullLit:
+		col, err := c.evalExpr(nil, e)
+		return col, err == nil
 	case *sqlparse.UnaryExpr:
 		if e.Op != "-" {
 			return nil, false
 		}
-		switch x := e.X.(type) {
-		case *sqlparse.IntLit:
-			col := storage.NewColumn("", storage.TInt)
-			col.AppendInt(-x.Value)
-			return col, true
-		case *sqlparse.FloatLit:
-			col := storage.NewColumn("", storage.TFloat)
-			col.AppendFloat(-x.Value)
-			return col, true
+		x, ok := c.literalColumn(e.X)
+		if !ok {
+			return nil, false
 		}
+		neg, err := vec.Neg(vec.Pol{}, x)
+		return neg, err == nil
 	}
 	return nil, false
 }

@@ -415,7 +415,7 @@ func vectorStart(c *storage.Column) any {
 // through the oracle.
 func agreePrepared(t *testing.T, c *Conn, q string) {
 	t.Helper()
-	psql, binds := parameterize(t, q)
+	psql, binds := parameterize(t, c, q)
 	if len(binds) == 0 {
 		return
 	}
@@ -430,76 +430,20 @@ func agreePrepared(t *testing.T, c *Conn, q string) {
 	}
 }
 
-// parameterize rewrites every literal of a SELECT into a numbered bind
-// parameter, returning the new text and the values to bind. ORDER BY
-// positions stay (they are syntax, not values) and so do NULLs (an
-// untyped NULL bind has no literal twin).
-func parameterize(t *testing.T, sql string) (string, []any) {
+// parameterize lifts the value literals of a statement into numbered bind
+// parameters by the plan cache's own rule, returning the new text and the
+// values to bind.
+func parameterize(t *testing.T, c *Conn, sql string) (string, []any) {
 	t.Helper()
-	st, err := sqlparse.Parse(sql)
-	if err != nil {
+	var s Stmt
+	if err := c.resolve(&s, sql, nil); err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
-	var binds []any
-	bind := func(v any) sqlparse.Expr {
-		binds = append(binds, v)
-		return &sqlparse.Placeholder{Index: len(binds) - 1, Numbered: true}
+	binds := make([]any, len(s.lits))
+	for i, col := range s.lits {
+		binds[i] = col.Value(0)
 	}
-	var query func(sel *sqlparse.Select)
-	var expr func(e sqlparse.Expr) sqlparse.Expr
-	expr = func(e sqlparse.Expr) sqlparse.Expr {
-		switch e := e.(type) {
-		case *sqlparse.IntLit:
-			return bind(e.Value)
-		case *sqlparse.FloatLit:
-			return bind(e.Value)
-		case *sqlparse.StrLit:
-			return bind(e.Value)
-		case *sqlparse.BoolLit:
-			return bind(e.Value)
-		case *sqlparse.BinaryExpr:
-			e.L, e.R = expr(e.L), expr(e.R)
-		case *sqlparse.UnaryExpr:
-			e.X = expr(e.X)
-		case *sqlparse.IsNullExpr:
-			e.X = expr(e.X)
-		case *sqlparse.CastExpr:
-			e.X = expr(e.X)
-		case *sqlparse.FuncCall:
-			for i, a := range e.Args {
-				e.Args[i] = expr(a)
-			}
-		case *sqlparse.Subquery:
-			query(e.Sel)
-		}
-		return e
-	}
-	query = func(sel *sqlparse.Select) {
-		for i, item := range sel.Items {
-			if !item.Star {
-				sel.Items[i].Expr = expr(item.Expr)
-			}
-		}
-		if f, ok := sel.From.(*sqlparse.FromSelect); ok {
-			query(f.Sel)
-		}
-		if sel.Where != nil {
-			sel.Where = expr(sel.Where)
-		}
-		for i, e := range sel.GroupBy {
-			sel.GroupBy[i] = expr(e)
-		}
-		if sel.Having != nil {
-			sel.Having = expr(sel.Having)
-		}
-		for i, o := range sel.OrderBy {
-			if _, pos := o.Expr.(*sqlparse.IntLit); !pos {
-				sel.OrderBy[i].Expr = expr(o.Expr)
-			}
-		}
-	}
-	query(st.(*sqlparse.Select))
-	return sqlparse.Format(st), binds
+	return sqlparse.Format(s.plan.st), binds
 }
 
 // TestQueriesAgreeWithScalarReference runs the differential corpus, as

@@ -1,6 +1,17 @@
 package sqlparse
 
-import "testing"
+import (
+	"bytes"
+	"go/ast"
+	goparser "go/parser"
+	gotoken "go/token"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/storage"
+)
 
 var sqlFuzzSeeds = []string{
 	"",
@@ -121,6 +132,172 @@ func FuzzParseAll(f *testing.F) {
 			if _, err := Parse(out); err != nil {
 				t.Fatalf("formatted statement does not reparse: %q: %v", out, err)
 			}
+		}
+	})
+}
+
+// differentialCorpus reads the engine's differential queries out of the
+// source of the test that runs them, so the shape fuzzer starts from every
+// query the oracle checks without a copy to keep in step.
+func differentialCorpus(f *testing.F) []string {
+	f.Helper()
+	file, err := goparser.ParseFile(gotoken.NewFileSet(), "../engine/vectorized_test.go", nil, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var out []string
+	ast.Inspect(file, func(n ast.Node) bool {
+		spec, ok := n.(*ast.ValueSpec)
+		if !ok || len(spec.Names) != 1 || spec.Names[0].Name != "differentialQueries" {
+			return true
+		}
+		for _, e := range spec.Values[0].(*ast.CompositeLit).Elts {
+			q, err := strconv.Unquote(e.(*ast.BasicLit).Value)
+			if err != nil {
+				f.Fatal(err)
+			}
+			out = append(out, q)
+		}
+		return false
+	})
+	if len(out) == 0 {
+		f.Fatal("no differentialQueries in ../engine/vectorized_test.go")
+	}
+	return out
+}
+
+// extractArgs is the engine's syntax-argument rule: sys_extract's UDF name
+// and options are syntax.
+func extractArgs(call *FuncCall) int {
+	if strings.EqualFold(call.Name, "sys_extract") {
+		return 2
+	}
+	return 0
+}
+
+// unbind puts shaped literals back in place of the placeholders
+// Parameterize lifted them into.
+func unbind(t *testing.T, st Statement, slots []int, lits []Lit) string {
+	t.Helper()
+	own := NumParams(st)
+	vals := map[int]Expr{}
+	for i, s := range slots {
+		if s < 0 {
+			continue
+		}
+		switch l := lits[i]; l.Kind {
+		case storage.TInt:
+			n, err := strconv.ParseInt(l.Text, 10, 64)
+			if err != nil {
+				t.Fatalf("bound INTEGER literal %q does not convert", l.Text)
+			}
+			vals[s] = &IntLit{Value: n}
+		case storage.TFloat:
+			f, err := strconv.ParseFloat(l.Text, 64)
+			if err != nil {
+				t.Fatalf("bound DOUBLE literal %q does not convert", l.Text)
+			}
+			vals[s] = &FloatLit{Value: f}
+		default:
+			vals[s] = &StrLit{Value: l.Text}
+		}
+		own--
+	}
+	editExprs(st, func(e Expr) Expr {
+		if ph, ok := e.(*Placeholder); ok && ph.Index >= own {
+			return vals[ph.Index]
+		}
+		return e
+	})
+	return Format(st)
+}
+
+// sameErr requires two errors to agree in kind and text.
+func sameErr(t *testing.T, what string, got, want error) {
+	t.Helper()
+	if (got == nil) != (want == nil) || (got != nil && (got.Error() != want.Error() || core.KindOf(got) != core.KindOf(want))) {
+		t.Fatalf("%s: error %v, Parse says %v", what, got, want)
+	}
+}
+
+// revalued rewrites every literal of sql that Parameterize bound to another
+// value of the same kind, keeping the pinned ones: a text of the same shape.
+// A number keeps its spelling with each digit lowered (so it neither
+// overflows nor lexes apart), a string becomes z's, quote escaped.
+func revalued(sql string, slots []int) string {
+	lx := &lexer{src: sql}
+	var b strings.Builder
+	last, n := 0, 0
+	for {
+		t, err := lx.scan()
+		if err != nil || t.kind == tEOF {
+			break
+		}
+		if t.kind != tNumber && t.kind != tString {
+			continue
+		}
+		if slots[n] >= 0 {
+			b.WriteString(sql[last:t.pos])
+			if t.kind == tString {
+				b.WriteString("'z''s'")
+			} else {
+				b.WriteString(strings.Map(func(r rune) rune {
+					if r > '0' && r <= '9' {
+						return r - 1
+					}
+					return r
+				}, t.lit))
+			}
+			last = lx.pos
+		}
+		n++
+	}
+	return b.String() + sql[last:]
+}
+
+// FuzzShapeAgreesWithParse holds the plan cache's rule to the parser: for
+// any text, shaping fails exactly when lexing does; Parameterize succeeds or
+// fails exactly as Parse does; its statement with the shape's literals put
+// back formats as Parse's; and a text of the same shape with other values
+// in the bound slots has an equal key, and the first text's plan with the
+// second text's literals formats as the second text's parse.
+func FuzzShapeAgreesWithParse(f *testing.F) {
+	for _, seed := range append(differentialCorpus(f), sqlFuzzSeeds...) {
+		f.Add(seed)
+	}
+	f.Add("SELECT * FROM sys_extract('f', 'c=1;e=0', (SELECT i FROM t WHERE i > 2), 5) ORDER BY 1 LIMIT 3")
+	f.Add("SELECT -9223372036854775808, 1e999, 1.2.3, 'it''s', \"a\"\"b\" FROM t;; ")
+	f.Fuzz(func(t *testing.T, sql string) {
+		want, errP := Parse(sql)
+		var sh Shape
+		if err := sh.Scan(sql); err != nil {
+			sameErr(t, "Shape", err, errP)
+			return
+		}
+		st, slots, err := Parameterize(sql, extractArgs)
+		sameErr(t, "Parameterize", err, errP)
+		if err != nil {
+			return
+		}
+		if len(slots) != len(sh.Lits) {
+			t.Fatalf("%d literal slots, %d shaped literals", len(slots), len(sh.Lits))
+		}
+		if got := unbind(t, st, slots, sh.Lits); got != Format(want) {
+			t.Fatalf("shape plus binds formats as\n%q\nParse as\n%q", got, Format(want))
+		}
+
+		other := revalued(sql, slots)
+		want2, err := Parse(other)
+		if err != nil {
+			t.Fatalf("%q parses, %q of the same shape does not: %v", sql, other, err)
+		}
+		var sh2 Shape
+		if err := sh2.Scan(other); err != nil || !bytes.Equal(sh2.Key, sh.Key) {
+			t.Fatalf("%q and %q shape apart (%v)", sql, other, err)
+		}
+		st, slots, _ = Parameterize(sql, extractArgs)
+		if got := unbind(t, st, slots, sh2.Lits); got != Format(want2) {
+			t.Fatalf("the plan of %q with the literals of %q formats as\n%q\nParse as\n%q", sql, other, got, Format(want2))
 		}
 	})
 }

@@ -11,7 +11,7 @@ import (
 	"repro/internal/core"
 )
 
-type tokKind int
+type tokKind uint8
 
 const (
 	tEOF tokKind = iota
@@ -24,11 +24,11 @@ const (
 
 type token struct {
 	kind tokKind
-	lit  string
-	pos  int // byte offset, for error messages
 	// quoted marks a "double-quoted" identifier: never a keyword, and
 	// allowed to spell reserved words.
 	quoted bool
+	pos    int // byte offset, for error messages
+	lit    string
 }
 
 // sqlKeywords is consulted for error messages only; the parser matches
@@ -42,106 +42,107 @@ func (lx *lexer) errf(format string, args ...any) error {
 	return core.Errorf(core.KindSyntax, "SQL: "+format, args...)
 }
 
-// lex tokenizes the whole statement. The UDF body `{ ... }` is captured as
-// a single tBody token with balanced-brace scanning that respects PyLite
-// string literals (dict literals inside UDF bodies contain braces).
+// lex tokenizes the whole statement.
 func (lx *lexer) lex() ([]token, error) {
 	var toks []token
 	for {
-		lx.skipSpace()
-		if lx.pos >= len(lx.src) {
-			toks = append(toks, token{kind: tEOF, pos: lx.pos})
+		t, err := lx.scan()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.kind == tEOF {
 			return toks, nil
 		}
-		start := lx.pos
-		c := lx.src[lx.pos]
-		switch {
-		case c == '{':
-			body, err := lx.lexBody()
-			if err != nil {
-				return nil, err
-			}
-			toks = append(toks, token{kind: tBody, lit: body, pos: start})
-		case c == '\'':
-			s, err := lx.lexString()
-			if err != nil {
-				return nil, err
-			}
-			toks = append(toks, token{kind: tString, lit: s, pos: start})
-		case c == '"':
-			// quoted identifier; "" escapes an embedded quote
-			lx.pos++
-			var sb strings.Builder
-			closed := false
-			for lx.pos < len(lx.src) {
-				if lx.src[lx.pos] == '"' {
-					if lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '"' {
-						sb.WriteByte('"')
-						lx.pos += 2
-						continue
-					}
-					lx.pos++
-					closed = true
-					break
-				}
-				sb.WriteByte(lx.src[lx.pos])
-				lx.pos++
-			}
-			if !closed {
-				return nil, lx.errf("unterminated quoted identifier")
-			}
-			toks = append(toks, token{kind: tIdent, lit: sb.String(), pos: start, quoted: true})
-		case isSQLDigit(c) || (c == '.' && lx.pos+1 < len(lx.src) && isSQLDigit(lx.src[lx.pos+1])):
-			toks = append(toks, token{kind: tNumber, lit: lx.lexNumber(), pos: start})
-		case isSQLIdentStart(c):
-			toks = append(toks, token{kind: tIdent, lit: lx.lexIdent(), pos: start})
-		default:
-			op, err := lx.lexOp()
-			if err != nil {
-				return nil, err
-			}
-			toks = append(toks, token{kind: tOp, lit: op, pos: start})
-		}
 	}
 }
 
+// scan reads the next token, tEOF at the end of the input. It allocates
+// nothing unless a quoted token holds an escaped quote. The UDF body
+// `{ ... }` is captured as a single tBody token with balanced-brace scanning
+// that respects PyLite string literals (dict literals inside UDF bodies
+// contain braces).
+func (lx *lexer) scan() (token, error) {
+	lx.skipSpace()
+	start := lx.pos
+	if lx.pos >= len(lx.src) {
+		return token{kind: tEOF, pos: start}, nil
+	}
+	c := lx.src[lx.pos]
+	switch {
+	case isSQLIdentStart(c):
+		return token{kind: tIdent, lit: lx.lexIdent(), pos: start}, nil
+	case isSQLDigit(c) || (c == '.' && lx.pos+1 < len(lx.src) && isSQLDigit(lx.src[lx.pos+1])):
+		return token{kind: tNumber, lit: lx.lexNumber(), pos: start}, nil
+	case c == '\'':
+		s, err := lx.lexQuoted("string literal")
+		return token{kind: tString, lit: s, pos: start}, err
+	case c == '"':
+		s, err := lx.lexQuoted("quoted identifier")
+		return token{kind: tIdent, lit: s, pos: start, quoted: true}, err
+	case c == '{':
+		body, err := lx.lexBody()
+		return token{kind: tBody, lit: body, pos: start}, err
+	default:
+		op, err := lx.lexOp()
+		return token{kind: tOp, lit: op, pos: start}, err
+	}
+}
+
+// skipSpace steps over whitespace and -- comments. Most tokens follow one
+// space or none, which takes two tests and no loop.
 func (lx *lexer) skipSpace() {
-	for lx.pos < len(lx.src) {
-		c := lx.src[lx.pos]
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
-			lx.pos++
-			continue
-		}
-		// -- line comments
-		if c == '-' && lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '-' {
-			for lx.pos < len(lx.src) && lx.src[lx.pos] != '\n' {
-				lx.pos++
-			}
-			continue
-		}
-		return
-	}
-}
-
-func (lx *lexer) lexString() (string, error) {
-	lx.pos++ // opening quote
-	var sb strings.Builder
-	for lx.pos < len(lx.src) {
-		c := lx.src[lx.pos]
-		if c == '\'' {
-			// '' escapes a quote
-			if lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '\'' {
-				sb.WriteByte('\'')
-				lx.pos += 2
-				continue
-			}
-			lx.pos++
-			return sb.String(), nil
-		}
-		sb.WriteByte(c)
+	if lx.pos < len(lx.src) && lx.src[lx.pos] == ' ' {
 		lx.pos++
 	}
-	return "", lx.errf("unterminated string literal")
+	if lx.pos < len(lx.src) && (lx.src[lx.pos] <= ' ' || lx.src[lx.pos] == '-') {
+		lx.skipBlank()
+	}
+}
+
+func (lx *lexer) skipBlank() {
+	src, i := lx.src, lx.pos
+	for i < len(src) {
+		switch c := src[i]; {
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			i++
+		case c == '-' && i+1 < len(src) && src[i+1] == '-': // -- line comment
+			for i < len(src) && src[i] != '\n' {
+				i++
+			}
+		default:
+			lx.pos = i
+			return
+		}
+	}
+	lx.pos = i
+}
+
+// lexQuoted reads a token quoted by the character at lx.pos, in which a
+// doubled quote stands for one: a '...' string or a "..." identifier. The
+// text is a slice of the source unless it held an escape.
+func (lx *lexer) lexQuoted(what string) (string, error) {
+	q := lx.src[lx.pos]
+	start := lx.pos + 1
+	escaped := false
+	for i := start; i < len(lx.src); i++ {
+		if lx.src[i] != q {
+			continue
+		}
+		if i+1 < len(lx.src) && lx.src[i+1] == q {
+			escaped = true
+			i++
+			continue
+		}
+		lx.pos = i + 1
+		s := lx.src[start:i]
+		if escaped {
+			one := lx.src[i : i+1]
+			s = strings.ReplaceAll(s, one+one, one)
+		}
+		return s, nil
+	}
+	return "", lx.errf("unterminated %s", what)
 }
 
 func (lx *lexer) lexNumber() string {
@@ -167,20 +168,20 @@ func (lx *lexer) lexNumber() string {
 }
 
 func (lx *lexer) lexIdent() string {
-	start := lx.pos
-	for lx.pos < len(lx.src) && isSQLIdentCont(lx.src[lx.pos]) {
-		lx.pos++
+	src, i := lx.src, lx.pos
+	for i < len(src) && isSQLIdentCont(src[i]) {
+		i++
 	}
-	return lx.src[start:lx.pos]
+	start := lx.pos
+	lx.pos = i
+	return src[start:i]
 }
 
-var sqlMultiOps = []string{"<>", "<=", ">=", "!=", "||"}
-
 func (lx *lexer) lexOp() (string, error) {
-	rest := lx.src[lx.pos:]
-	for _, op := range sqlMultiOps {
-		if strings.HasPrefix(rest, op) {
-			lx.pos += len(op)
+	if rest := lx.src[lx.pos:]; len(rest) >= 2 {
+		switch op := rest[:2]; op {
+		case "<>", "<=", ">=", "!=", "||":
+			lx.pos += 2
 			return op, nil
 		}
 	}
@@ -188,7 +189,7 @@ func (lx *lexer) lexOp() (string, error) {
 	switch c {
 	case '+', '-', '*', '/', '%', '<', '>', '=', '(', ')', ',', '.', ';', ':', '?':
 		lx.pos++
-		return string(c), nil
+		return lx.src[lx.pos-1 : lx.pos], nil
 	case '$':
 		// numbered placeholder: '$' immediately followed by digits; the
 		// whole spelling travels as one op token ("$3") so the parser can

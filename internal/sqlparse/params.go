@@ -20,7 +20,7 @@ func ParseLiteral(s string) (any, error) {
 	if !p.at(tEOF) {
 		return nil, p.errf("unexpected input after literal: %q", p.cur().lit)
 	}
-	return literalValue(e)
+	return LiteralValue(e)
 }
 
 // ParseLiterals applies ParseLiteral to a list of -param flag values,
@@ -41,7 +41,9 @@ func ParseLiterals(params []string) ([]any, error) {
 	return binds, nil
 }
 
-func literalValue(e Expr) (any, error) {
+// LiteralValue is the Go value of a literal expression, optionally
+// sign-negated: int64, float64, string, bool, or nil for NULL.
+func LiteralValue(e Expr) (any, error) {
 	switch e := e.(type) {
 	case *IntLit:
 		return e.Value, nil
@@ -55,7 +57,7 @@ func literalValue(e Expr) (any, error) {
 		return nil, nil
 	case *UnaryExpr:
 		if e.Op == "-" {
-			v, err := literalValue(e.X)
+			v, err := LiteralValue(e.X)
 			if err != nil {
 				return nil, err
 			}
@@ -76,75 +78,74 @@ func literalValue(e Expr) (any, error) {
 // count a Prepare'd statement binds.
 func NumParams(st Statement) int {
 	max := 0
-	WalkExprs(st, func(e Expr) {
+	editExprs(st, func(e Expr) Expr {
 		if ph, ok := e.(*Placeholder); ok && ph.Index+1 > max {
 			max = ph.Index + 1
 		}
+		return e
 	})
 	return max
 }
 
-// WalkExprs visits every expression in a statement, depth-first, including
-// expressions nested inside subqueries and table-function arguments.
-func WalkExprs(st Statement, fn func(Expr)) {
+// editExprs calls fn on every expression of a statement, parents first,
+// subqueries and table-function arguments included, and puts what fn
+// returns in the expression's place (a FROM clause's call must come back
+// unchanged). ORDER BY positions are syntax and are not visited.
+func editExprs(st Statement, fn func(Expr) Expr) {
 	switch st := st.(type) {
 	case *Insert:
 		for _, row := range st.Rows {
-			for _, e := range row {
-				walkExpr(e, fn)
+			for i, e := range row {
+				row[i] = editExpr(e, fn)
 			}
 		}
 	case *Select:
-		walkSelectExprs(st, fn)
+		editSelect(st, fn)
 	}
 }
 
-func walkSelectExprs(sel *Select, fn func(Expr)) {
-	for _, item := range sel.Items {
-		if item.Expr != nil {
-			walkExpr(item.Expr, fn)
-		}
+func editSelect(sel *Select, fn func(Expr) Expr) {
+	for i, item := range sel.Items {
+		sel.Items[i].Expr = editExpr(item.Expr, fn)
 	}
 	switch f := sel.From.(type) {
 	case *FromFunc:
-		walkExpr(f.Call, fn)
+		editExpr(f.Call, fn)
 	case *FromSelect:
-		walkSelectExprs(f.Sel, fn)
+		editSelect(f.Sel, fn)
 	}
-	if sel.Where != nil {
-		walkExpr(sel.Where, fn)
+	sel.Where = editExpr(sel.Where, fn)
+	for i, e := range sel.GroupBy {
+		sel.GroupBy[i] = editExpr(e, fn)
 	}
-	for _, e := range sel.GroupBy {
-		walkExpr(e, fn)
-	}
-	if sel.Having != nil {
-		walkExpr(sel.Having, fn)
-	}
-	for _, o := range sel.OrderBy {
-		walkExpr(o.Expr, fn)
+	sel.Having = editExpr(sel.Having, fn)
+	for i, o := range sel.OrderBy {
+		if _, pos := o.Expr.(*IntLit); !pos {
+			sel.OrderBy[i].Expr = editExpr(o.Expr, fn)
+		}
 	}
 }
 
-func walkExpr(e Expr, fn func(Expr)) {
+func editExpr(e Expr, fn func(Expr) Expr) Expr {
 	if e == nil {
-		return
+		return nil
 	}
-	fn(e)
+	e = fn(e)
 	switch e := e.(type) {
 	case *BinaryExpr:
-		walkExpr(e.L, fn)
-		walkExpr(e.R, fn)
+		e.L, e.R = editExpr(e.L, fn), editExpr(e.R, fn)
 	case *UnaryExpr:
-		walkExpr(e.X, fn)
+		e.X = editExpr(e.X, fn)
 	case *IsNullExpr:
-		walkExpr(e.X, fn)
+		e.X = editExpr(e.X, fn)
 	case *CastExpr:
-		walkExpr(e.X, fn)
+		e.X = editExpr(e.X, fn)
 	case *FuncCall:
-		for _, a := range e.Args {
-			walkExpr(a, fn)
+		for i, a := range e.Args {
+			e.Args[i] = editExpr(a, fn)
 		}
 	case *Subquery:
-		walkSelectExprs(e.Sel, fn)
+		editSelect(e.Sel, fn)
 	}
+	return e
 }

@@ -17,6 +17,7 @@ type parser struct {
 	// density check reports gaps with the position of the highest $n).
 	qmarks      int
 	numberedPos map[int]int
+	lits        []Expr // per literal token: its node, or nil for a LIMIT or COPY path
 }
 
 // maxPlaceholder bounds $n at parse time; anything larger is a typo or an
@@ -24,8 +25,13 @@ type parser struct {
 const maxPlaceholder = 1 << 16
 
 // Parse parses a single SQL statement (a trailing semicolon is allowed).
-func Parse(sql string) (Statement, error) {
-	stmts, err := ParseAll(sql)
+func Parse(sql string) (Statement, error) { return new(parser).one(sql) }
+
+// ParseAll parses a semicolon-separated script of statements.
+func ParseAll(sql string) ([]Statement, error) { return new(parser).script(sql) }
+
+func (p *parser) one(sql string) (Statement, error) {
+	stmts, err := p.script(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -35,14 +41,13 @@ func Parse(sql string) (Statement, error) {
 	return stmts[0], nil
 }
 
-// ParseAll parses a semicolon-separated script of statements.
-func ParseAll(sql string) ([]Statement, error) {
+func (p *parser) script(sql string) ([]Statement, error) {
 	lx := &lexer{src: sql}
 	toks, err := lx.lex()
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p.toks = toks
 	var stmts []Statement
 	for {
 		for p.atOp(";") {
@@ -466,6 +471,7 @@ func (p *parser) copyStmt() (Statement, error) {
 	if !p.at(tString) {
 		return nil, p.errf("expected file path string after FROM")
 	}
+	p.lits = append(p.lits, nil)
 	ci := &CopyInto{Table: name, Path: p.next().lit}
 	if p.acceptKw("with") {
 		if err := p.expectKw("header"); err != nil {
@@ -566,6 +572,7 @@ func (p *parser) selectStmt() (*Select, error) {
 		if !p.at(tNumber) {
 			return nil, p.errf("expected number after LIMIT")
 		}
+		p.lits = append(p.lits, nil)
 		n, err := strconv.ParseInt(p.next().lit, 10, 64)
 		if err != nil || n < 0 {
 			return nil, p.errf("bad LIMIT value")
@@ -761,23 +768,27 @@ func (p *parser) unary() (Expr, error) {
 func (p *parser) primary() (Expr, error) {
 	t := p.cur()
 	switch t.kind {
-	case tNumber:
+	case tNumber, tString:
 		p.next()
-		if strings.ContainsAny(t.lit, ".eE") {
+		var e Expr
+		switch litOf(t).Kind {
+		case storage.TInt:
+			n, err := strconv.ParseInt(t.lit, 10, 64)
+			if err != nil {
+				return nil, p.errf("bad integer %q", t.lit)
+			}
+			e = &IntLit{Value: n}
+		case storage.TFloat:
 			f, err := strconv.ParseFloat(t.lit, 64)
 			if err != nil {
 				return nil, p.errf("bad number %q", t.lit)
 			}
-			return &FloatLit{Value: f}, nil
+			e = &FloatLit{Value: f}
+		default:
+			e = &StrLit{Value: strings.Clone(t.lit)} // not a slice of the text
 		}
-		n, err := strconv.ParseInt(t.lit, 10, 64)
-		if err != nil {
-			return nil, p.errf("bad integer %q", t.lit)
-		}
-		return &IntLit{Value: n}, nil
-	case tString:
-		p.next()
-		return &StrLit{Value: t.lit}, nil
+		p.lits = append(p.lits, e)
+		return e, nil
 	case tIdent:
 		switch {
 		case p.atKw("null"):

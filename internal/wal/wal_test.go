@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -491,5 +492,48 @@ func TestReplayRefusesTablesNoEncoderWrites(t *testing.T) {
 				t.Errorf("nums has %d rows after the refused record, the records before it hold 4", got[0])
 			}
 		})
+	}
+}
+
+// TestShapedInsertBatchWritesTheSameLog: a 100-row literal INSERT batch run
+// ad hoc (shaped, its literals bound) and run as the literal statement
+// ExecAll parses leave byte-identical segments, and so does a second batch
+// of the same shape served by the cached plan.
+func TestShapedInsertBatchWritesTheSameLog(t *testing.T) {
+	batch := func(base int) string {
+		rows := make([]string, 100)
+		for i := range rows {
+			v := base + i
+			rows[i] = "(" + strconv.Itoa(v) + ", " + strconv.Itoa(v) + ".5, 'r" + strconv.Itoa(v) + "', NULL)"
+		}
+		return "INSERT INTO ev VALUES " + strings.Join(rows, ", ")
+	}
+	stmts := []string{`CREATE TABLE ev (i INTEGER, f DOUBLE, s STRING, n INTEGER)`, batch(0), batch(1000)}
+	segment := func(run func(*engine.Conn, string) error) []byte {
+		dir := t.TempDir()
+		db, m := openDB(t, dir, Options{SnapshotBytes: -1, Sync: SyncNever})
+		conn := &engine.Conn{DB: db, User: "u", Password: "p"}
+		for _, sql := range stmts {
+			if err := run(conn, sql); err != nil {
+				t.Fatalf("%.60s: %v", sql, err)
+			}
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+		if err != nil || len(segs) != 1 {
+			t.Fatalf("want one segment, got %v (%v)", segs, err)
+		}
+		data, err := os.ReadFile(segs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	shaped := segment(func(c *engine.Conn, sql string) error { _, err := c.Exec(sql); return err })
+	literal := segment(func(c *engine.Conn, sql string) error { _, err := c.ExecAll(sql); return err })
+	if !bytes.Equal(shaped, literal) {
+		t.Fatalf("segments differ: %d bytes shaped, %d literal", len(shaped), len(literal))
 	}
 }

@@ -281,6 +281,53 @@ func TestDrainTimeoutBoundsDebugRun(t *testing.T) {
 	}
 }
 
+// TestPrepareReturnsWhileADebugRunIsPaused: a paused debuggee holds the
+// engine lock on its connection's worker. Preparing a statement on another
+// connection only parses, so it answers; executing one still waits for the
+// run to end.
+func TestPrepareReturnsWhileADebugRunIsPaused(t *testing.T) {
+	_, c := debugFixture(t)
+	dc, err := c.Debug()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dc.Close()
+	debugCmd(t, dc, DebugRequest{Command: DebugCmdLaunch, Query: "SELECT mean_deviation(i) FROM numbers",
+		UDF: "mean_deviation", StopOnEntry: true})
+	if ev := waitEvent(t, dc, 10*time.Second); ev.Kind != DebugEventStopped {
+		t.Fatalf("entry stop: %+v", ev)
+	}
+	c2, err := DialContext(background(), c.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	ctx, cancel := context.WithTimeout(background(), 2*time.Second)
+	defer cancel()
+	st, err := c2.Prepare(ctx, `SELECT i FROM numbers WHERE i > ? AND i < 50`)
+	if err != nil {
+		t.Fatalf("Prepare on another connection while a debug run is paused: %v", err)
+	}
+	done := make(chan error, 1)
+	qctx := ctxSec(t)
+	go func() {
+		_, _, err := st.Query(qctx, int64(1))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("a statement ran while the paused debuggee held the engine: %v", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	debugCmd(t, dc, DebugRequest{Command: DebugCmdKill})
+	if ev := waitEvent(t, dc, 10*time.Second); ev.Kind != DebugEventTerminated {
+		t.Fatalf("kill: %+v", ev)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("the waiting statement after the run ended: %v", err)
+	}
+}
+
 // settledGoroutines reads runtime.NumGoroutine once it holds still across
 // two reads 20ms apart (or after 2s).
 func settledGoroutines() int {
