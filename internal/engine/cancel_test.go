@@ -21,6 +21,47 @@ const spinUDF = `CREATE FUNCTION spin(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON
     return x
 };`
 
+// filterSpinUDF rejects every item of a comprehension over a range too large
+// to build, so nothing but the comprehension's own per-iteration step can
+// reach the interrupt.
+const filterSpinUDF = `CREATE FUNCTION filterspin(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON {
+    return len([i for i in range(0, 100000000000) if i < 0])
+};`
+
+// A comprehension whose filter rejects every item still counts a step per
+// item, so the statement's deadline and the UDF wall budget both end it.
+func TestFilteredComprehensionIsInterruptible(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kind core.ErrorKind
+		run  func(c *Conn) error
+	}{
+		{"ExecContext deadline", core.KindCancelled, func(c *Conn) error {
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			_, err := c.ExecContext(ctx, `SELECT filterspin(1)`)
+			return err
+		}},
+		{"MaxUDFWall", core.KindResource, func(c *Conn) error {
+			c.DB.MaxUDFWall = 50 * time.Millisecond
+			_, err := c.Exec(`SELECT filterspin(1)`)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestConn()
+			mustExec(t, c, filterSpinUDF)
+			start := time.Now()
+			if err := tc.run(c); core.KindOf(err) != tc.kind {
+				t.Fatalf("want %v error, got %v", tc.kind, err)
+			}
+			if d := time.Since(start); d > 5*time.Second {
+				t.Fatalf("took %v; the filtered comprehension escaped the interrupt", d)
+			}
+		})
+	}
+}
+
 func TestExecContextPreCancelled(t *testing.T) {
 	c := newTestConn()
 	mustExec(t, c, `CREATE TABLE t (i INTEGER)`)

@@ -23,6 +23,8 @@ type Module struct {
 	Name  string
 	Body  []Stmt
 	Lines []string // original source split by line, for tracebacks
+
+	code block // Body, compiled by Parse
 }
 
 // ExprStmt is a bare expression evaluated for effect (e.g. a call).

@@ -21,6 +21,7 @@ type Watch struct {
 	x     Expr
 	in    *funcInfo // scope of the frame x is resolved against
 	scope *funcInfo // slots for names x itself binds; nil until resolved
+	fn    evalFn    // x, compiled once resolved
 }
 
 // ParseWatch parses src as a single expression.
@@ -46,7 +47,7 @@ func ParseWatch(src string) (*Watch, error) {
 func (in *Interp) EvalWatch(w *Watch, f *Frame) (Value, error) {
 	if w.scope == nil || w.in != f.scope {
 		w.x, w.scope = resolveWatch(w.x, f.scope)
-		w.in = f.scope
+		w.in, w.fn = f.scope, compileExpr(w.x)
 	}
 	wf := *f // stands in for f in tracebacks
 	wf.scope, wf.slots, wf.outer = w.scope, make([]val, w.scope.nslots), f
@@ -54,7 +55,7 @@ func (in *Interp) EvalWatch(w *Watch, f *Frame) (Value, error) {
 	in.frame = &wf
 	in.Trace = nil // watch evaluation must not re-enter the debugger
 	defer func() { in.frame, in.Trace = saveFrame, saveTrace }()
-	v, err := in.eval(w.x, &wf)
+	v, err := w.fn(in, &wf)
 	return v.box(), err
 }
 

@@ -1,6 +1,9 @@
 package script
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -99,6 +102,44 @@ func TestFuzzSeedsRun(t *testing.T) {
 		in.MaxSteps = 5000
 		_, _ = in.Run(mod) // script errors are fine
 	}
+}
+
+// FuzzRunHookedAgrees runs every program that parses twice, plain and under a
+// trace hook that does nothing, and requires the same globals, output, error
+// text and step count both times: code that skips the hook's line event, or a
+// step, on one of the two paths shows here. Steps are bounded as in
+// TestFuzzSeedsRun; memory is not, as in FuzzEvalExpr.
+func FuzzRunHookedAgrees(f *testing.F) {
+	for _, seed := range fuzzSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		mod, err := Parse("fuzz.py", src)
+		if err != nil {
+			return
+		}
+		plain := runOutcome(mod, nil)
+		hooked := runOutcome(mod, func(*Interp, TraceEvent) error { return nil })
+		if plain != hooked {
+			t.Fatalf("%q runs differently under a trace hook:\n plain  %s\n hooked %s", src, plain, hooked)
+		}
+	})
+}
+
+// runOutcome runs mod in a fresh interpreter under hook and renders what it
+// left behind: its globals, what it printed, its error and its step count.
+func runOutcome(mod *Module, hook TraceFunc) string {
+	var out, sb strings.Builder
+	in := NewInterp()
+	in.Stdout = &out
+	in.MaxSteps = 5000
+	in.Trace = hook
+	env, err := in.Run(mod)
+	for _, name := range slices.Sorted(maps.Keys(env.vars)) {
+		fmt.Fprintf(&sb, "%s=%s ", name, env.vars[name].Repr())
+	}
+	fmt.Fprintf(&sb, "| stdout %q | error %v | steps %d", out.String(), err, in.Steps())
+	return sb.String()
 }
 
 // FuzzEvalExpr asserts the expression path the debugger uses for watch

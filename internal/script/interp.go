@@ -186,7 +186,7 @@ func (in *Interp) RunInEnv(mod *Module, globals *Env) error {
 	prev := in.frame
 	in.frame = &Frame{FuncName: "<module>", Module: mod, globals: globals}
 	defer func() { in.frame = prev }()
-	return in.execBlock(mod.Body, in.frame)
+	return mod.code.exec(in, in.frame)
 }
 
 // NewGlobals creates an empty module scope.
@@ -206,353 +206,21 @@ func (in *Interp) Call(fn Value, args []Value) (Value, error) {
 
 func (in *Interp) bumpStep(line int) error {
 	in.steps++
+	if in.steps&1023 != 0 && (in.MaxSteps <= 0 || in.steps <= in.MaxSteps) {
+		return nil
+	}
+	return in.checkStep(line)
+}
+
+// checkStep is bumpStep's slow path, out of line so a step stays a cheap call.
+// The interrupt's error propagates untouched: its kind (cancelled, resource)
+// must survive to the wire.
+func (in *Interp) checkStep(line int) error {
 	if in.MaxSteps > 0 && in.steps > in.MaxSteps {
 		return in.rtErrf(line, "step limit exceeded (%d)", in.MaxSteps)
 	}
-	// Poll the interrupt hook at a stride that keeps the per-step cost to
-	// one mask-and-branch; interrupt errors propagate untouched so their
-	// typed kind (cancelled, resource) survives to the wire.
 	if in.Interrupt != nil && in.steps&1023 == 0 {
-		if err := in.Interrupt(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (in *Interp) execBlock(body []Stmt, f *Frame) error {
-	for _, st := range body {
-		if err := in.exec(st, f); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (in *Interp) exec(st Stmt, f *Frame) error {
-	line := st.Pos()
-	f.Line = line
-	if err := in.bumpStep(line); err != nil {
-		return err
-	}
-	if in.Trace != nil {
-		if err := in.Trace(in, TraceEvent{Kind: TraceLine, Frame: f, Line: line}); err != nil {
-			return err
-		}
-	}
-	switch st := st.(type) {
-	case *ExprStmt:
-		_, err := in.eval(st.X, f)
-		return err
-	case *AssignStmt:
-		v, err := in.eval(st.Value, f)
-		if err != nil {
-			return err
-		}
-		return in.assign(st.Target, v, f)
-	case *AugAssignStmt:
-		cur, err := in.operand(st.Target, f)
-		if err != nil {
-			return err
-		}
-		rhs, err := in.eval(st.Value, f)
-		if err != nil {
-			return err
-		}
-		v, err := in.binop(st.Op, cur, rhs, st.Pos())
-		if err != nil {
-			return err
-		}
-		return in.assign(st.Target, v, f)
-	case *ReturnStmt:
-		f.ret = noneV
-		if st.Value != nil {
-			v, err := in.eval(st.Value, f)
-			if err != nil {
-				return err
-			}
-			f.ret = v
-		}
-		return returnSignal{}
-	case *PassStmt:
-		return nil
-	case *BreakStmt:
-		return breakSignal{}
-	case *ContinueStmt:
-		return continueSignal{}
-	case *IfStmt:
-		cond, err := in.eval(st.Cond, f)
-		if err != nil {
-			return err
-		}
-		if cond.truthy() {
-			return in.execBlock(st.Body, f)
-		}
-		if st.Else != nil {
-			return in.execBlock(st.Else, f)
-		}
-		return nil
-	case *WhileStmt:
-		for {
-			cond, err := in.eval(st.Cond, f)
-			if err != nil {
-				return err
-			}
-			if !cond.truthy() {
-				return nil
-			}
-			if err := in.execBlock(st.Body, f); err != nil {
-				switch err.(type) {
-				case breakSignal:
-					return nil
-				case continueSignal:
-					continue
-				default:
-					return err
-				}
-			}
-			if err := in.bumpStep(st.Pos()); err != nil {
-				return err
-			}
-		}
-	case *ForStmt:
-		iter, err := in.eval(st.Iter, f)
-		if err != nil {
-			return err
-		}
-		return in.forLoop(st, iter.box(), f)
-	case *DefStmt:
-		in.store(st.bind, val{ref: &FuncVal{
-			Name: st.Name, Params: st.Params, Body: st.Body, scope: st.scope,
-			Closure: f.env(), Module: f.Module, DefLine: st.Pos(),
-		}}, f)
-		return nil
-	case *ImportStmt:
-		mod, err := in.importModule(st.Module, st.Pos())
-		if err != nil {
-			return err
-		}
-		in.store(st.bind, unbox(mod), f)
-		return nil
-	case *FromImportStmt:
-		mod, err := in.importModule(st.Module, st.Pos())
-		if err != nil {
-			return err
-		}
-		obj, ok := mod.(*ObjectVal)
-		if !ok {
-			return in.rtErrf(st.Pos(), "cannot import names from %s", mod.TypeName())
-		}
-		for i, pair := range st.Names {
-			v, err := in.getAttr(obj, pair[0], st.Pos())
-			if err != nil {
-				return in.rtErrf(st.Pos(), "cannot import name '%s' from '%s'", pair[0], st.Module)
-			}
-			in.store(st.binds[i], unbox(v), f)
-		}
-		return nil
-	case *GlobalStmt:
-		return nil
-	case *DelStmt:
-		return in.del(st.Target, f)
-	case *AssertStmt:
-		cond, err := in.eval(st.Cond, f)
-		if err != nil {
-			return err
-		}
-		if cond.truthy() {
-			return nil
-		}
-		msg := "assertion failed"
-		if st.Msg != nil {
-			mv, err := in.eval(st.Msg, f)
-			if err != nil {
-				return err
-			}
-			msg = Str(mv.box())
-		}
-		return in.rtErrf(st.Pos(), "AssertionError: %s", msg)
-	case *RaiseStmt:
-		msg := "exception"
-		var raised Value = None
-		if st.Value != nil {
-			v, err := in.eval(st.Value, f)
-			if err != nil {
-				return err
-			}
-			raised = v.box()
-			// `raise Exception("msg")` parses as a call; the Exception
-			// builtin returns its argument, so Str(v) is the message.
-			msg = Str(raised)
-		}
-		re := in.rtErrf(st.Pos(), "%s", msg)
-		re.Value = raised
-		return re
-	case *TryStmt:
-		err := in.execBlock(st.Body, f)
-		switch err.(type) {
-		case nil:
-		case breakSignal, continueSignal, returnSignal:
-			// control flow passes through finally
-		default:
-			if st.Handler != nil {
-				if in.Trace != nil {
-					_ = in.Trace(in, TraceEvent{Kind: TraceException, Frame: f, Line: f.Line, Err: err})
-				}
-				if st.excBind != nil {
-					var bound Value = StrVal(err.Error())
-					if re, ok := err.(*RuntimeError); ok {
-						bound = StrVal(re.Msg)
-					}
-					in.store(st.excBind, val{ref: bound}, f)
-				}
-				err = in.execBlock(st.Handler, f)
-			}
-		}
-		if st.Finally != nil {
-			if ferr := in.execBlock(st.Finally, f); ferr != nil {
-				return ferr
-			}
-		}
-		return err
-	default:
-		return in.rtErrf(st.Pos(), "unsupported statement %T", st)
-	}
-}
-
-func (in *Interp) del(target Expr, f *Frame) error {
-	switch t := target.(type) {
-	case *Name:
-		if t.kind == nameLocal {
-			fr := f.up(t.depth)
-			if !fr.slots[t.idx].bound() {
-				return in.rtErrf(t.Pos(), "name '%s' is not defined", t.Ident)
-			}
-			fr.slots[t.idx] = val{}
-		} else if _, ok := f.globals.vars[t.Ident]; ok {
-			delete(f.globals.vars, t.Ident)
-		} else {
-			return in.rtErrf(t.Pos(), "name '%s' is not defined", t.Ident)
-		}
-		return nil
-	case *IndexExpr:
-		container, err := in.eval(t.X, f)
-		if err != nil {
-			return err
-		}
-		idx, err := in.eval(t.Idx, f)
-		if err != nil {
-			return err
-		}
-		switch c := container.ref.(type) {
-		case *DictVal:
-			ok, err := c.Delete(idx.box())
-			if err != nil {
-				return in.rtErrf(t.Pos(), "%v", err)
-			}
-			if !ok {
-				return in.rtErrf(t.Pos(), "KeyError: %s", idx.box().Repr())
-			}
-			return nil
-		case *ListVal:
-			i, ok := idx.asInt()
-			if !ok {
-				return in.rtErrf(t.Pos(), "list indices must be integers")
-			}
-			n := int64(c.Len())
-			if i < 0 {
-				i += n
-			}
-			if i < 0 || i >= n {
-				return in.rtErrf(t.Pos(), "list index out of range")
-			}
-			c.Items = slices.Delete(c.Boxed(), int(i), int(i)+1)
-			return nil
-		}
-		return in.rtErrf(t.Pos(), "cannot delete from %s", container.typeName())
-	default:
-		return in.rtErrf(target.Pos(), "cannot delete this expression")
-	}
-}
-
-func (in *Interp) assign(target Expr, v val, f *Frame) error {
-	switch t := target.(type) {
-	case *Name:
-		in.store(t, v, f)
-		return nil
-	case *SeqLit:
-		return in.unpack(t.Elems, v, f, t.Pos())
-	case *IndexExpr:
-		container, err := in.eval(t.X, f)
-		if err != nil {
-			return err
-		}
-		idx, err := in.eval(t.Idx, f)
-		if err != nil {
-			return err
-		}
-		switch c := container.ref.(type) {
-		case *ListVal:
-			i, ok := idx.asInt()
-			if !ok {
-				return in.rtErrf(t.Pos(), "list indices must be integers, not %s", idx.typeName())
-			}
-			n := int64(c.Len())
-			if i < 0 {
-				i += n
-			}
-			if i < 0 || i >= n {
-				return in.rtErrf(t.Pos(), "list assignment index out of range")
-			}
-			c.set(int(i), v)
-			return nil
-		case *DictVal:
-			if err := c.Set(idx.box(), v.box()); err != nil {
-				return in.rtErrf(t.Pos(), "%v", err)
-			}
-			return nil
-		default:
-			return in.rtErrf(t.Pos(), "'%s' object does not support item assignment", container.typeName())
-		}
-	case *AttrExpr:
-		obj, err := in.eval(t.X, f)
-		if err != nil {
-			return err
-		}
-		o, ok := obj.ref.(*ObjectVal)
-		if !ok {
-			return in.rtErrf(t.Pos(), "cannot set attribute on '%s'", obj.typeName())
-		}
-		o.Attrs.SetStr(t.Name, v.box())
-		return nil
-	default:
-		return in.rtErrf(target.Pos(), "cannot assign to this expression")
-	}
-}
-
-func (in *Interp) unpack(targets []Expr, v val, f *Frame, line int) error {
-	var items []Value
-	switch c := v.ref.(type) {
-	case *TupleVal:
-		items = c.Items
-	case *ListVal:
-		items = c.Boxed()
-	case *DictVal:
-		// Deviation from CPython (which unpacks keys): unpacking a dict
-		// yields its values in insertion order, so the paper's Listing 3
-		// idiom `(tdata, tlabels) = _conn.execute("SELECT data, labels...")`
-		// binds the two result columns directly.
-		items = c.Values()
-	default:
-		return in.rtErrf(line, "cannot unpack non-sequence %s", v.typeName())
-	}
-	if len(items) != len(targets) {
-		return in.rtErrf(line, "cannot unpack %d values into %d targets", len(items), len(targets))
-	}
-	for i, t := range targets {
-		if err := in.assign(t, unbox(items[i]), f); err != nil {
-			return err
-		}
+		return in.Interrupt()
 	}
 	return nil
 }
@@ -617,13 +285,12 @@ func (in *Interp) store(n *Name, v val, f *Frame) {
 
 // seq walks an iterable. A range — what a UDF loops over — is counted
 // through without being built, and a list is read cell by cell from whichever
-// lane holds it, so neither boxes anything; the rest are walked as their
-// items.
+// lane holds it, so neither boxes anything; anything else is walked as a list
+// of its items.
 type seq struct {
-	list  *ListVal
-	items []Value  // when list is nil
-	r     RangeVal // when items is too
-	k, n  int64
+	list *ListVal // nil for a range
+	r    RangeVal
+	k, n int64
 }
 
 func (in *Interp) seq(v Value, line int) (seq, error) {
@@ -636,7 +303,7 @@ func (in *Interp) seq(v Value, line int) (seq, error) {
 		return seq{list: v, n: int64(v.Len())}, nil
 	}
 	items, err := in.items(v, line)
-	return seq{items: items, n: int64(len(items))}, err
+	return seq{list: &ListVal{Items: items}, n: int64(len(items))}, err
 }
 
 func (s *seq) next() (val, bool) {
@@ -644,46 +311,30 @@ func (s *seq) next() (val, bool) {
 		return val{}, false
 	}
 	s.k++
-	switch {
-	case s.list != nil:
-		// The loop sees writes to the list but not its growth, and ends
-		// early if the list shrinks under it.
-		if s.k > int64(s.list.Len()) {
-			return val{}, false
-		}
-		return s.list.at(int(s.k - 1)), true
-	case s.items != nil:
-		return unbox(s.items[s.k-1]), true
+	if s.list == nil {
+		return intV(s.r.Start + (s.k-1)*s.r.Step), true
 	}
-	return intV(s.r.Start + (s.k-1)*s.r.Step), true
+	// The loop sees writes to the list but not its growth, and ends early if
+	// the list shrinks under it.
+	if s.k > int64(s.list.Len()) {
+		return val{}, false
+	}
+	return s.list.at(int(s.k - 1)), true
 }
 
-func (in *Interp) forLoop(st *ForStmt, iter Value, f *Frame) error {
-	s, err := in.seq(iter, st.Pos())
-	for item, ok := s.next(); ok; item, ok = s.next() {
-		if stop, err := in.forBody(st, item, f); stop || err != nil {
-			return err
-		}
+// iterated is the one rule for how a loop iteration ends: however it ended —
+// normally, by continue, or on a comprehension's false filter — it counts the
+// loop's step. done reports that the loop is over, by a break (err is nil),
+// an error, or the step limit or interrupt.
+func (in *Interp) iterated(err error, line int) (done bool, _ error) {
+	switch err.(type) {
+	case nil, continueSignal:
+		err = in.bumpStep(line)
+		return err != nil, err
+	case breakSignal:
+		return true, nil
 	}
-	return err
-}
-
-// forBody runs one iteration; stop reports a break.
-func (in *Interp) forBody(st *ForStmt, item val, f *Frame) (stop bool, err error) {
-	if err := in.assign(st.Target, item, f); err != nil {
-		return false, err
-	}
-	if err := in.execBlock(st.Body, f); err != nil {
-		switch err.(type) {
-		case breakSignal:
-			return true, nil
-		case continueSignal:
-			return false, nil
-		default:
-			return false, err
-		}
-	}
-	return false, in.bumpStep(st.Pos())
+	return true, err
 }
 
 // items returns the elements any iterable value yields, boxed, in a slice
@@ -724,199 +375,6 @@ func (in *Interp) items(v Value, line int) ([]Value, error) {
 	return nil, in.rtErrf(line, "'%s' object is not iterable", v.TypeName())
 }
 
-// operand is eval with the commonest case first: a bound local of this
-// frame is read without going through eval's type switch, measured at 5 % of
-// py_agg_p50_ms. The operands of arithmetic, indexing and calls come through
-// here.
-func (in *Interp) operand(e Expr, f *Frame) (val, error) {
-	if n, ok := e.(*Name); ok && n.kind == nameLocal && n.depth == 0 {
-		if v := f.slots[n.idx]; v.bound() {
-			return v, nil
-		}
-	}
-	return in.eval(e, f)
-}
-
-func (in *Interp) eval(e Expr, f *Frame) (val, error) {
-	switch e := e.(type) {
-	case *Lit:
-		return unbox(e.Value), nil
-	case *Name:
-		return in.load(e, f)
-	case *SeqLit:
-		if !e.Tuple {
-			out := &ListVal{}
-			for _, el := range e.Elems {
-				v, err := in.eval(el, f)
-				if err != nil {
-					return val{}, err
-				}
-				out.push(v)
-			}
-			return val{ref: out}, nil
-		}
-		items := make([]Value, len(e.Elems))
-		for i, el := range e.Elems {
-			v, err := in.eval(el, f)
-			if err != nil {
-				return val{}, err
-			}
-			items[i] = v.box()
-		}
-		return val{ref: &TupleVal{Items: items}}, nil
-	case *DictLit:
-		d := NewDict()
-		for i := range e.Keys {
-			k, err := in.eval(e.Keys[i], f)
-			if err != nil {
-				return val{}, err
-			}
-			v, err := in.eval(e.Values[i], f)
-			if err != nil {
-				return val{}, err
-			}
-			if err := d.Set(k.box(), v.box()); err != nil {
-				return val{}, in.rtErrf(e.Pos(), "%v", err)
-			}
-		}
-		return val{ref: d}, nil
-	case *UnaryExpr:
-		x, err := in.eval(e.X, f)
-		if err != nil {
-			return val{}, err
-		}
-		return in.unop(e.Op, x, e.Pos())
-	case *BinExpr:
-		l, err := in.operand(e.L, f)
-		if err != nil {
-			return val{}, err
-		}
-		// and/or short-circuit
-		if (e.Op == OpAnd && !l.truthy()) || (e.Op == OpOr && l.truthy()) {
-			return l, nil
-		}
-		r, err := in.operand(e.R, f)
-		if err != nil || e.Op >= OpAnd {
-			return r, err
-		}
-		return in.binop(e.Op, l, r, e.Pos())
-	case *CondExpr:
-		c, err := in.eval(e.Cond, f)
-		if err != nil {
-			return val{}, err
-		}
-		if c.truthy() {
-			return in.eval(e.Then, f)
-		}
-		return in.eval(e.Else, f)
-	case *CallExpr:
-		return in.evalCall(e, f)
-	case *IndexExpr:
-		x, err := in.operand(e.X, f)
-		if err != nil {
-			return val{}, err
-		}
-		idx, err := in.operand(e.Idx, f)
-		if err != nil {
-			return val{}, err
-		}
-		if l, ok := x.ref.(*ListVal); ok && idx.kind == kInt && idx.bits < uint64(l.Len()) { // column[i]
-			return l.at(int(idx.bits)), nil
-		}
-		return in.index(x, idx, e.Pos())
-	case *SliceExpr:
-		x, err := in.eval(e.X, f)
-		if err != nil {
-			return val{}, err
-		}
-		lo, hi := noneV, noneV
-		if e.Lo != nil {
-			if lo, err = in.eval(e.Lo, f); err != nil {
-				return val{}, err
-			}
-		}
-		if e.Hi != nil {
-			if hi, err = in.eval(e.Hi, f); err != nil {
-				return val{}, err
-			}
-		}
-		return in.slice(x, lo, hi, e.Pos())
-	case *AttrExpr:
-		x, err := in.eval(e.X, f)
-		if err != nil {
-			return val{}, err
-		}
-		v, err := in.getAttr(x.box(), e.Name, e.Pos())
-		return unbox(v), err
-	case *LambdaExpr:
-		return val{ref: &FuncVal{
-			Name: "", Params: e.Params, Expr: e.Body, scope: e.scope,
-			Closure: f.env(), Module: f.Module, DefLine: e.Pos(),
-		}}, nil
-	case *CompExpr:
-		iter, err := in.eval(e.Iter, f)
-		if err != nil {
-			return val{}, err
-		}
-		s, err := in.seq(iter.box(), e.Pos())
-		if err != nil {
-			return val{}, err
-		}
-		out := &ListVal{}
-		for item, ok := s.next(); ok; item, ok = s.next() {
-			if err := in.assign(e.Target, item, f); err != nil {
-				return val{}, err
-			}
-			if e.Cond != nil {
-				cond, err := in.eval(e.Cond, f)
-				if err != nil {
-					return val{}, err
-				}
-				if !cond.truthy() {
-					continue
-				}
-			}
-			v, err := in.eval(e.Elem, f)
-			if err != nil {
-				return val{}, err
-			}
-			out.push(v)
-			if err := in.bumpStep(e.Pos()); err != nil {
-				return val{}, err
-			}
-		}
-		return val{ref: out}, nil
-	default:
-		return val{}, in.rtErrf(e.Pos(), "unsupported expression %T", e)
-	}
-}
-
-// evalArgs evaluates a call's arguments onto the argument stack and returns
-// where its window starts; the caller releases it with popArgs.
-func (in *Interp) evalArgs(e *CallExpr, f *Frame) (base int, kwargs map[string]Value, err error) {
-	base = len(in.stack)
-	for _, a := range e.Args {
-		v, err := in.operand(a, f)
-		if err != nil {
-			in.popArgs(base)
-			return base, nil, err
-		}
-		in.stack = append(in.stack, v)
-	}
-	if len(e.KwName) > 0 {
-		kwargs = make(map[string]Value, len(e.KwName))
-		for i, n := range e.KwName {
-			v, err := in.eval(e.KwVal[i], f)
-			if err != nil {
-				in.popArgs(base)
-				return base, nil, err
-			}
-			kwargs[n] = v.box()
-		}
-	}
-	return base, kwargs, nil
-}
-
 // args is the argument window starting at base, capped so that a callee
 // appending to it cannot write into the stack.
 func (in *Interp) args(base int) []val { return in.stack[base:len(in.stack):len(in.stack)] }
@@ -945,51 +403,6 @@ func (in *Interp) popBoxed(n int) {
 	base := len(in.boxed) - n
 	clear(in.boxed[base:])
 	in.boxed = in.boxed[:base]
-}
-
-// evalCall evaluates a call. x.name(...) on a list, dict or str goes
-// straight to the method's Go function: no bound-method value is built.
-func (in *Interp) evalCall(e *CallExpr, f *Frame) (val, error) {
-	var recv, fn val
-	var m method
-	var typ string
-	var err error
-	at, isAttr := e.Fn.(*AttrExpr)
-	if !isAttr {
-		fn, err = in.eval(e.Fn, f)
-	} else if recv, err = in.operand(at.X, f); err == nil {
-		if l, ok := recv.ref.(*ListVal); ok && at.Name == "append" && len(e.Args) == 1 && len(e.KwName) == 0 {
-			// out.append(v * v): the number goes from the lane into out's
-			v, err := in.operand(e.Args[0], f)
-			if err == nil {
-				l.push(v)
-			}
-			return noneV, err
-		}
-		if m, typ = builtinMethod(recv.ref, at.Name); m.fn == nil {
-			var attr Value
-			attr, err = in.getAttr(recv.box(), at.Name, at.Pos())
-			fn = unbox(attr)
-		}
-	}
-	if err != nil {
-		return val{}, err
-	}
-	base, kwargs, err := in.evalArgs(e, f)
-	if err != nil {
-		return val{}, err
-	}
-	var v val
-	if m.fn != nil {
-		args := in.boxArgs(in.args(base))
-		out, cerr := m.call(in, at.Name, recv.ref, args, kwargs)
-		in.popBoxed(len(args))
-		v, err = in.builtinResult(out, cerr, typ, at.Name, e.Pos())
-	} else {
-		v, err = in.call(fn.box(), in.args(base), kwargs, e.Pos())
-	}
-	in.popArgs(base)
-	return v, err
 }
 
 // builtinResult shapes what a Go-implemented callable returned: nil means
@@ -1057,7 +470,7 @@ func (in *Interp) callFunc(fn *FuncVal, args []val, kwargs map[string]Value, lin
 	}
 	frame := &Frame{
 		FuncName: displayName(fn), Module: fn.Module, Line: fn.DefLine, Caller: caller, Depth: depth,
-		globals: fn.Closure.globals, scope: fn.scope, slots: make([]val, fn.scope.nslots), outer: fn.Closure,
+		globals: fn.Closure.globals, scope: fn.code.scope, slots: make([]val, fn.code.scope.nslots), outer: fn.Closure,
 	}
 	// Parameters are the first slots; the zero val is an unbound one.
 	copy(frame.slots, args)
@@ -1078,7 +491,8 @@ func (in *Interp) callFunc(fn *FuncVal, args []val, kwargs map[string]Value, lin
 		if frame.slots[i].bound() {
 			continue
 		}
-		if p.Default == nil {
+		def := fn.code.defaults[i]
+		if def == nil {
 			return val{}, in.rtErrf(line, "%s() missing required argument: '%s'", displayName(fn), p.Name)
 		}
 		// Defaults are evaluated per call, in the defining scope.
@@ -1086,7 +500,7 @@ func (in *Interp) callFunc(fn *FuncVal, args []val, kwargs map[string]Value, lin
 		dframe.FuncName, dframe.Module, dframe.Line, dframe.Caller, dframe.Depth =
 			frame.FuncName, fn.Module, fn.DefLine, caller, depth
 		in.frame = &dframe
-		dv, err := in.eval(p.Default, &dframe)
+		dv, err := def(in, &dframe)
 		in.frame = caller
 		if err != nil {
 			return val{}, err
@@ -1109,10 +523,10 @@ func (in *Interp) runFrame(fn *FuncVal, frame *Frame) (val, error) {
 	}
 	result := noneV
 	var err error
-	if fn.Expr != nil { // lambda
-		result, err = in.eval(fn.Expr, frame)
+	if fn.code.expr != nil { // lambda
+		result, err = fn.code.expr(in, frame)
 	} else {
-		err = in.execBlock(fn.Body, frame)
+		err = fn.code.body.exec(in, frame)
 		if _, ok := err.(returnSignal); ok {
 			result, err = frame.ret, nil
 		}
@@ -1138,48 +552,51 @@ func displayName(fn *FuncVal) string {
 	return fn.Name
 }
 
+// cell turns i into an index into n cells, counting a negative one from the
+// end; ok is false when it falls outside them.
+func cell(i, n int64) (int64, bool) {
+	if i < 0 {
+		i += n
+	}
+	return i, i >= 0 && i < n
+}
+
 func (in *Interp) index(x, idx val, line int) (val, error) {
-	// cell checks an index into a list or tuple of n cells.
-	cell := func(n int) (int, error) {
-		i, ok := idx.asInt()
-		if !ok {
+	i, isInt := idx.asInt()
+	// at checks i as an index into a list or tuple of n cells.
+	at := func(n int) (int, error) {
+		if !isInt {
 			return 0, in.rtErrf(line, "%s indices must be integers, not %s", x.typeName(), idx.typeName())
 		}
-		if i < 0 {
-			i += int64(n)
-		}
-		if i < 0 || i >= int64(n) {
+		k, ok := cell(i, int64(n))
+		if !ok {
 			return 0, in.rtErrf(line, "%s index out of range", x.typeName())
 		}
-		return int(i), nil
+		return int(k), nil
 	}
 	switch c := x.ref.(type) {
 	case *ListVal:
-		i, err := cell(c.Len())
+		k, err := at(c.Len())
 		if err != nil {
 			return val{}, err
 		}
-		return c.at(i), nil
+		return c.at(k), nil
 	case *TupleVal:
-		i, err := cell(len(c.Items))
+		k, err := at(len(c.Items))
 		if err != nil {
 			return val{}, err
 		}
-		return unbox(c.Items[i]), nil
+		return unbox(c.Items[k]), nil
 	case StrVal:
-		i, ok := idx.asInt()
-		if !ok {
+		if !isInt {
 			return val{}, in.rtErrf(line, "string indices must be integers")
 		}
 		runes := []rune(string(c))
-		n := int64(len(runes))
-		if i < 0 {
-			i += n
-		}
-		if i < 0 || i >= n {
+		k, ok := cell(i, int64(len(runes)))
+		if !ok {
 			return val{}, in.rtErrf(line, "string index out of range")
 		}
-		return val{ref: StrVal(string(runes[i]))}, nil
+		return val{ref: StrVal(string(runes[k]))}, nil
 	case *DictVal:
 		key := idx.box()
 		v, ok, err := c.Get(key)
@@ -1191,18 +608,14 @@ func (in *Interp) index(x, idx val, line int) (val, error) {
 		}
 		return unbox(v), nil
 	case RangeVal:
-		i, ok := idx.asInt()
-		if !ok {
+		if !isInt {
 			return val{}, in.rtErrf(line, "range indices must be integers")
 		}
-		n := c.Len()
-		if i < 0 {
-			i += n
-		}
-		if i < 0 || i >= n {
+		k, ok := cell(i, c.Len())
+		if !ok {
 			return val{}, in.rtErrf(line, "range index out of range")
 		}
-		return intV(c.Start + i*c.Step), nil
+		return intV(c.Start + k*c.Step), nil
 	default:
 		return val{}, in.rtErrf(line, "'%s' object is not subscriptable", x.typeName())
 	}
@@ -1376,7 +789,7 @@ func (in *Interp) intArith(op Op, li, ri int64, line int) (val, error) {
 		return intV(floorDiv(li, ri)), nil
 	default: // OpPow
 		if ri < 0 {
-			return floatV(math.Pow(float64(li), float64(ri))), nil
+			return in.floatArith(op, float64(li), float64(ri), line)
 		}
 		return intV(intPow(li, ri)), nil
 	}
@@ -1410,6 +823,9 @@ func (in *Interp) floatArith(op Op, lf, rf float64, line int) (val, error) {
 		}
 		return floatV(m), nil
 	default: // OpPow
+		if lf == 0 && rf < 0 {
+			return val{}, in.rtErrf(line, "ZeroDivisionError: 0.0 cannot be raised to a negative power")
+		}
 		return floatV(math.Pow(lf, rf)), nil
 	}
 }

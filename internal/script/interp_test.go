@@ -403,10 +403,33 @@ outer()
 }
 
 func TestDivisionByZero(t *testing.T) {
-	err := runSrcErr(t, `x = 1 / 0`)
-	if !strings.Contains(err.Error(), "division by zero") {
-		t.Fatalf("err: %v", err)
+	const negPow = "ZeroDivisionError: 0.0 cannot be raised to a negative power"
+	for _, tc := range []struct {
+		src, want string
+		line      int
+	}{
+		{"x = 1 / 0", "division by zero", 1},
+		{"x = 0 ** -1", negPow, 1},
+		{"z = 0\nx = z ** -1", negPow, 2},
+		{"x = 0.0 ** -1", negPow, 1},
+		{"x = 0 ** -0.5", negPow, 1},
+		// Constant folding leaves a failing operation for run time, so the
+		// literal form fails on its own line, inside its function.
+		{"def f():\n    y = 1\n    return 0 ** -1\nf()", negPow, 3},
+	} {
+		err := runSrcErr(t, tc.src)
+		re, ok := err.(*RuntimeError)
+		if !ok || re.Msg != tc.want || re.Line != tc.line {
+			t.Errorf("%q: err %v, want %q on line %d", tc.src, err, tc.want, tc.line)
+		}
 	}
+	err := runSrcErr(t, "def f():\n    y = 1\n    return 0 ** -1\nf()")
+	if stack := strings.Join(err.(*RuntimeError).Stack, "|"); stack != "<module> (test:4)|f (test:3)" {
+		t.Fatalf("stack %q", stack)
+	}
+	// 64-bit ints wrap, as SQL INTEGER does.
+	wantInt(t, runSrc(t, "x = 2 ** 64"), "x", 0)
+	wantFloat(t, runSrc(t, "x = 2 ** -1"), "x", 0.5)
 }
 
 func TestIndexOutOfRange(t *testing.T) {
@@ -439,6 +462,35 @@ func TestStepLimitInsideComprehensionOverRange(t *testing.T) {
 	in.MaxSteps = 1000
 	if _, err := in.Run(mod); err == nil || !strings.Contains(err.Error(), "step limit") {
 		t.Fatalf("want step limit error, got %v", err)
+	}
+}
+
+// A comprehension whose filter rejects every item still counts one step per
+// item: the step limit ends it, and the interrupt is polled every 1024 steps.
+func TestFilteredComprehensionCountsSteps(t *testing.T) {
+	mod, err := Parse("test", "r = [i for i in range(0, 100000000000) if i < 0]\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := NewInterp()
+	in.MaxSteps = 1000
+	if _, err := in.Run(mod); err == nil || !strings.Contains(err.Error(), "step limit") {
+		t.Fatalf("want step limit error, got %v", err)
+	}
+	stop := core.Errorf(core.KindCancelled, "stop")
+	polls := 0
+	in = NewInterp()
+	in.Interrupt = func() error {
+		if polls++; polls == 3 {
+			return stop
+		}
+		return nil
+	}
+	if _, err := in.Run(mod); err != stop {
+		t.Fatalf("want the interrupt's error, got %v", err)
+	}
+	if in.Steps() != 3*1024 {
+		t.Fatalf("interrupted after %d steps, want %d", in.Steps(), 3*1024)
 	}
 }
 

@@ -14,15 +14,16 @@ type Parser struct {
 	name string
 }
 
-// Parse parses PyLite source into a Module and resolves it: every name is
+// Parse parses PyLite source into a Module, resolves it — every name is
 // bound to a frame slot, module scope or a builtin, and constant
-// sub-expressions are folded, so the Module is ready to run and is never
-// written again (any number of interpreters may share it). name labels the
-// module in tracebacks (usually the UDF or file name).
+// sub-expressions are folded — and compiles it, so the Module is ready to
+// run and is never written again (any number of interpreters may share it).
+// name labels the module in tracebacks (usually the UDF or file name).
 func Parse(name, src string) (*Module, error) {
 	mod, err := parse(name, src)
 	if err == nil {
 		resolveModule(mod)
+		mod.code = compileBlock(mod.Body)
 	}
 	return mod, err
 }

@@ -1,6 +1,10 @@
 package script
 
-import "testing"
+import (
+	"strings"
+	"sync"
+	"testing"
+)
 
 // The two UDF bodies the repo benchmark replays, wrapped in a def the way
 // every UDF the engine runs is (transform.WrapFunction).
@@ -54,6 +58,66 @@ func intColumns(n int) map[string]Value {
 		items[i] = IntVal(ints[i])
 	}
 	return map[string]Value{"boxed": NewList(items...), "column-backed": NewIntList(ints, nil)}
+}
+
+// TestOneModuleManyInterpreters runs one parsed Module on four goroutines at
+// once, each with its own Interp and half of them traced, as pyrt shares one
+// across connections: what Parse returns is only read while it runs. It
+// guards that under -race.
+func TestOneModuleManyInterpreters(t *testing.T) {
+	mod, err := Parse("shared", meanDeviationSrc+squareVecSrc+traceScript)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ints := make([]int64, 500)
+	for i := range ints {
+		ints[i] = int64(i * 7 % 113)
+	}
+	run := func(hooked bool) (string, error) {
+		in := NewInterp()
+		if hooked {
+			in.Trace = func(*Interp, TraceEvent) error { return nil }
+		}
+		env, err := in.Run(mod)
+		if err != nil {
+			return "", err
+		}
+		out := []string{getVarRepr(env, "evens"), getVarRepr(env, "r")}
+		for _, name := range []string{"mean_deviation", "square_vec"} {
+			fn, _ := env.Get(name)
+			v, err := in.Call(fn, []Value{NewIntList(ints, nil)})
+			if err != nil {
+				return "", err
+			}
+			out = append(out, v.Repr())
+		}
+		return strings.Join(out, " "), nil
+	}
+	want, err := run(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 10 {
+				if got, err := run(g%2 == 1); err != nil || got != want {
+					t.Errorf("goroutine %d: %v\n got %.80s\nwant %.80s", g, err, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func getVarRepr(env *Env, name string) string {
+	if v, ok := env.Get(name); ok {
+		return v.Repr()
+	}
+	return name + " unbound"
 }
 
 // TestInterpAllocsPerRow is the interpreter's perf gate: steps and

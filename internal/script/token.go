@@ -5,28 +5,35 @@
 // tracing hooks are what the interactive debugger (internal/debug) and the
 // devUDF local-run harness attach to.
 //
-// Parse returns a Module that is resolved and immutable: every name is bound
-// to where it lives, operators are enums, constant arithmetic is folded, so
-// any number of interpreters may run one Module at once. Scoping is static,
-// as in CPython: a def or lambda's locals are its parameters plus every name
-// its body binds (assignment, augmented assignment, for and comprehension
-// targets — comprehensions share the enclosing scope, as in Python 2 —
-// `except … as`, def, import) minus names it declares `global`; locals live
-// in frame slots, a nested function reads its enclosing functions' slots,
-// and anything else is module scope — one name-keyed table embedders can
-// read and write (Env) — and behind it the builtins. One deviation from the
-// dynamic lookup PyLite used to have: reading a function's local before it
-// is bound is an error ("local variable 'x' referenced before assignment"),
-// not a read of a same-named global. Remaining deviations from CPython:
-// there is no `nonlocal`, default arguments are evaluated per call in the
-// defining scope, and an unbound variable of an enclosing function reads
-// through to module scope.
+// Parse runs parse → resolve → compile and returns a Module that is never
+// written again, so any number of interpreters may run one Module at once.
+// Resolve binds every name to where it lives and folds constant arithmetic;
+// compile (compile.go) turns every body and parameter default into Go
+// closures, once, specialised on what resolve knows. Each statement run is a
+// step, and so is each loop iteration however it ended, but by break;
+// MaxSteps bounds steps, and Interrupt is polled every 1024. The trace hook
+// is tested as each statement starts: absent, it costs that test; installed,
+// a call per event.
+//
+// Scoping is static, as in CPython: a def or lambda's locals are its
+// parameters plus every name its body binds (assignment, augmented
+// assignment, for and comprehension targets — comprehensions share the
+// enclosing scope, as in Python 2 — `except … as`, def, import) minus names
+// it declares `global`; locals live in frame slots, a nested function reads
+// its enclosing functions' slots, and anything else is module scope — one
+// name-keyed table embedders can read and write (Env) — and behind it the
+// builtins. One deviation from the dynamic lookup PyLite used to have:
+// reading a function's local before it is bound is an error ("local variable
+// 'x' referenced before assignment"), not a read of a same-named global.
+// Remaining deviations from CPython: there is no `nonlocal`, default
+// arguments are evaluated per call in the defining scope, and an unbound
+// variable of an enclosing function reads through to module scope.
 //
 // Numbers do not touch the heap while a UDF runs. Value, the exported
 // interface, boxes: converting an int64 or a float64 to it allocates. Inside
 // the package a value is a val (lane.go) — {kind, bits, ref}, passed by
 // value — and an int or a float lives in bits. Frame slots, the argument
-// stack, every eval result, the range loop variable, arithmetic, comparisons
+// stack, every expression's value, the loop variable, arithmetic, comparisons
 // and the numeric builtins a loop calls (abs, len, int, float, min, max,
 // round) are vals. A list has a lane too: a ListVal whose cells are all ints
 // (or all floats, or None) keeps them in a []int64 ([]float64) with a None

@@ -301,13 +301,11 @@ func (r RangeVal) List() (*ListVal, error) {
 type FuncVal struct {
 	Name    string
 	Params  []Param
-	Body    []Stmt  // nil for lambdas
-	Expr    Expr    // lambda body
 	Closure *Frame  // variables of the defining frame: the free variables
 	Module  *Module // for tracebacks
 	DefLine int
 
-	scope *funcInfo
+	code *code // the def's or lambda's, compiled by Parse
 }
 
 func (*FuncVal) TypeName() string { return "function" }
