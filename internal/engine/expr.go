@@ -312,30 +312,19 @@ func (c *Conn) udfArgColumns(ctx *evalCtx, args []sqlparse.Expr) ([]*storage.Col
 // data (and therefore arrives in the UDF as a list). Aggregates reduce
 // columns to scalars, so they do not count as columnar.
 func exprIsColumnar(e sqlparse.Expr) bool {
-	switch e := e.(type) {
-	case *sqlparse.ColRef:
-		return true
-	case *sqlparse.Subquery:
-		return true
-	case *sqlparse.BinaryExpr:
-		return exprIsColumnar(e.L) || exprIsColumnar(e.R)
-	case *sqlparse.UnaryExpr:
-		return exprIsColumnar(e.X)
-	case *sqlparse.CastExpr:
-		return exprIsColumnar(e.X)
-	case *sqlparse.IsNullExpr:
-		return exprIsColumnar(e.X)
-	case *sqlparse.FuncCall:
-		if isAggregateName(e.Name) {
-			return false
-		}
-		for _, a := range e.Args {
-			if exprIsColumnar(a) {
-				return true
+	found := false
+	sqlparse.EditExpr(e, func(x sqlparse.Expr) (sqlparse.Expr, bool) {
+		switch x := x.(type) {
+		case *sqlparse.ColRef, *sqlparse.Subquery:
+			found = true
+		case *sqlparse.FuncCall:
+			if isAggregateName(x.Name) {
+				return x, false
 			}
 		}
-	}
-	return false
+		return x, !found
+	})
+	return found
 }
 
 // ---- shared row accessors (ORDER BY, constant predicates, builtins) ----

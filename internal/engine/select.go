@@ -401,27 +401,19 @@ func hasAggregate(items []sqlparse.SelectItem) bool {
 	return false
 }
 
+// exprHasAggregate reports whether e calls an aggregate outside a subquery.
 func exprHasAggregate(e sqlparse.Expr) bool {
-	switch e := e.(type) {
-	case *sqlparse.FuncCall:
-		if isAggregateName(e.Name) {
-			return true
+	found := false
+	sqlparse.EditExpr(e, func(x sqlparse.Expr) (sqlparse.Expr, bool) {
+		switch x := x.(type) {
+		case *sqlparse.FuncCall:
+			found = found || isAggregateName(x.Name)
+		case *sqlparse.Subquery:
+			return x, false
 		}
-		for _, a := range e.Args {
-			if exprHasAggregate(a) {
-				return true
-			}
-		}
-	case *sqlparse.BinaryExpr:
-		return exprHasAggregate(e.L) || exprHasAggregate(e.R)
-	case *sqlparse.UnaryExpr:
-		return exprHasAggregate(e.X)
-	case *sqlparse.CastExpr:
-		return exprHasAggregate(e.X)
-	case *sqlparse.IsNullExpr:
-		return exprHasAggregate(e.X)
-	}
-	return false
+		return x, !found
+	})
+	return found
 }
 
 // evalAggregate computes a whole-context aggregate used directly inside an

@@ -37,7 +37,7 @@ func (lx *Lexer) errf(format string, args ...any) error {
 // Tokens lexes the whole input. It returns the complete token list ending
 // with TokEOF, or the first lexical error.
 func (lx *Lexer) Tokens() ([]Token, error) {
-	var toks []Token
+	toks := make([]Token, 0, len(lx.src)/4+4) // a token spans ~4 bytes of typical source
 	for {
 		t, err := lx.Next()
 		if err != nil {
@@ -54,7 +54,7 @@ func (lx *Lexer) Tokens() ([]Token, error) {
 func (lx *Lexer) Next() (Token, error) {
 	if len(lx.pend) > 0 {
 		t := lx.pend[0]
-		lx.pend = lx.pend[1:]
+		lx.pend = append(lx.pend[:0], lx.pend[1:]...) // keep the array for the next run
 		return t, nil
 	}
 	if lx.atBOL {
@@ -232,38 +232,46 @@ func (lx *Lexer) lexNumber() (Token, error) {
 func (lx *Lexer) lexString() (Token, error) {
 	startLine, startCol := lx.line, lx.col
 	quote := lx.src[lx.pos]
-	triple := strings.HasPrefix(lx.src[lx.pos:], strings.Repeat(string(quote), 3))
-	if triple {
+	closing := lx.src[lx.pos : lx.pos+1]
+	if lx.pos+2 < len(lx.src) && lx.src[lx.pos+1] == quote && lx.src[lx.pos+2] == quote {
+		closing = lx.src[lx.pos : lx.pos+3]
+	}
+	for range closing {
 		lx.advance()
-		lx.advance()
-		lx.advance()
-		var sb strings.Builder
-		for {
-			if lx.pos >= len(lx.src) {
-				return Token{}, lx.errf("unterminated triple-quoted string")
+	}
+	start := lx.pos
+	if len(closing) == 3 { // triple-quoted: raw, and may span lines
+		end := strings.Index(lx.src[start:], closing)
+		if end < 0 {
+			for lx.pos < len(lx.src) {
+				lx.advance()
 			}
-			if strings.HasPrefix(lx.src[lx.pos:], strings.Repeat(string(quote), 3)) {
-				lx.advance()
-				lx.advance()
-				lx.advance()
-				return Token{Kind: TokString, Lit: sb.String(), Line: startLine, Col: startCol}, nil
-			}
-			sb.WriteByte(lx.src[lx.pos])
+			return Token{}, lx.errf("unterminated triple-quoted string")
+		}
+		for lx.pos < start+end+3 {
 			lx.advance()
 		}
+		return Token{Kind: TokString, Lit: lx.src[start : start+end], Line: startLine, Col: startCol, EndLine: lx.line}, nil
 	}
-	lx.advance() // opening quote
-	var sb strings.Builder
+	var sb *strings.Builder // nil until an escape makes the value differ from the source
 	for {
 		if lx.pos >= len(lx.src) || lx.src[lx.pos] == '\n' {
 			return Token{}, lx.errf("unterminated string literal")
 		}
 		c := lx.src[lx.pos]
 		if c == quote {
+			lit := lx.src[start:lx.pos]
+			if sb != nil {
+				lit = sb.String()
+			}
 			lx.advance()
-			return Token{Kind: TokString, Lit: sb.String(), Line: startLine, Col: startCol}, nil
+			return Token{Kind: TokString, Lit: lit, Line: startLine, Col: startCol, EndLine: lx.line}, nil
 		}
 		if c == '\\' && lx.pos+1 < len(lx.src) {
+			if sb == nil {
+				sb = &strings.Builder{}
+				sb.WriteString(lx.src[start:lx.pos])
+			}
 			lx.advance()
 			esc := lx.src[lx.pos]
 			switch esc {
@@ -288,7 +296,9 @@ func (lx *Lexer) lexString() (Token, error) {
 			lx.advance()
 			continue
 		}
-		sb.WriteByte(c)
+		if sb != nil {
+			sb.WriteByte(c)
+		}
 		lx.advance()
 	}
 }
@@ -297,8 +307,9 @@ func (lx *Lexer) lexName() (Token, error) {
 	startLine, startCol := lx.line, lx.col
 	start := lx.pos
 	for lx.pos < len(lx.src) && isNameCont(lx.src[lx.pos]) {
-		lx.advance()
+		lx.pos++ // a name holds no newline
 	}
+	lx.col += lx.pos - start
 	lit := lx.src[start:lx.pos]
 	if keywords[lit] {
 		return Token{Kind: TokKeyword, Lit: lit, Line: startLine, Col: startCol}, nil
@@ -315,7 +326,11 @@ var multiOps = []string{
 func (lx *Lexer) lexOp() (Token, error) {
 	startLine, startCol := lx.line, lx.col
 	rest := lx.src[lx.pos:]
+	// Every multi-character operator's second character is one of these.
 	for _, op := range multiOps {
+		if len(rest) < 2 || !strings.ContainsRune("*/=>", rune(rest[1])) {
+			break
+		}
 		if strings.HasPrefix(rest, op) {
 			for range op {
 				lx.advance()
@@ -336,7 +351,7 @@ func (lx *Lexer) lexOp() (Token, error) {
 	case '+', '-', '*', '/', '%', '<', '>', '=', '(', ')', '[', ']', '{', '}',
 		',', ':', '.', ';', '@', '&', '|', '^', '~':
 		lx.advance()
-		return Token{Kind: TokOp, Lit: string(c), Line: startLine, Col: startCol}, nil
+		return Token{Kind: TokOp, Lit: rest[:1], Line: startLine, Col: startCol}, nil
 	}
 	return Token{}, lx.errf("unexpected character %q", string(c))
 }

@@ -109,6 +109,10 @@ type Token struct {
 	Lit  string // exact spelling; for TokString, the decoded value
 	Line int    // 1-based
 	Col  int    // 1-based
+	// EndLine is the line a TokString's closing quote is on: a string is
+	// the one token that can span lines (triple-quoted, or continued by a
+	// backslash). Zero for every other kind.
+	EndLine int
 }
 
 func (t Token) String() string {

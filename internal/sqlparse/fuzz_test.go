@@ -203,11 +203,11 @@ func unbind(t *testing.T, st Statement, slots []int, lits []Lit) string {
 		}
 		own--
 	}
-	editExprs(st, func(e Expr) Expr {
+	Edit(st, func(e Expr) (Expr, bool) {
 		if ph, ok := e.(*Placeholder); ok && ph.Index >= own {
-			return vals[ph.Index]
+			return vals[ph.Index], true
 		}
-		return e
+		return e, true
 	})
 	return Format(st)
 }

@@ -78,74 +78,11 @@ func LiteralValue(e Expr) (any, error) {
 // count a Prepare'd statement binds.
 func NumParams(st Statement) int {
 	max := 0
-	editExprs(st, func(e Expr) Expr {
+	Edit(st, func(e Expr) (Expr, bool) {
 		if ph, ok := e.(*Placeholder); ok && ph.Index+1 > max {
 			max = ph.Index + 1
 		}
-		return e
+		return e, true
 	})
 	return max
-}
-
-// editExprs calls fn on every expression of a statement, parents first,
-// subqueries and table-function arguments included, and puts what fn
-// returns in the expression's place (a FROM clause's call must come back
-// unchanged). ORDER BY positions are syntax and are not visited.
-func editExprs(st Statement, fn func(Expr) Expr) {
-	switch st := st.(type) {
-	case *Insert:
-		for _, row := range st.Rows {
-			for i, e := range row {
-				row[i] = editExpr(e, fn)
-			}
-		}
-	case *Select:
-		editSelect(st, fn)
-	}
-}
-
-func editSelect(sel *Select, fn func(Expr) Expr) {
-	for i, item := range sel.Items {
-		sel.Items[i].Expr = editExpr(item.Expr, fn)
-	}
-	switch f := sel.From.(type) {
-	case *FromFunc:
-		editExpr(f.Call, fn)
-	case *FromSelect:
-		editSelect(f.Sel, fn)
-	}
-	sel.Where = editExpr(sel.Where, fn)
-	for i, e := range sel.GroupBy {
-		sel.GroupBy[i] = editExpr(e, fn)
-	}
-	sel.Having = editExpr(sel.Having, fn)
-	for i, o := range sel.OrderBy {
-		if _, pos := o.Expr.(*IntLit); !pos {
-			sel.OrderBy[i].Expr = editExpr(o.Expr, fn)
-		}
-	}
-}
-
-func editExpr(e Expr, fn func(Expr) Expr) Expr {
-	if e == nil {
-		return nil
-	}
-	e = fn(e)
-	switch e := e.(type) {
-	case *BinaryExpr:
-		e.L, e.R = editExpr(e.L, fn), editExpr(e.R, fn)
-	case *UnaryExpr:
-		e.X = editExpr(e.X, fn)
-	case *IsNullExpr:
-		e.X = editExpr(e.X, fn)
-	case *CastExpr:
-		e.X = editExpr(e.X, fn)
-	case *FuncCall:
-		for i, a := range e.Args {
-			e.Args[i] = editExpr(a, fn)
-		}
-	case *Subquery:
-		editSelect(e.Sel, fn)
-	}
-	return e
 }

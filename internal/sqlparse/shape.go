@@ -86,10 +86,10 @@ func Parameterize(sql string, syntaxArgs func(*FuncCall) int) (st Statement, slo
 	slot := make(map[Expr]int, len(p.lits))
 	slots = make([]int, len(p.lits))
 	for i, e := range p.lits {
-		slots[i], slot[e] = -1, i // editExprs never asks for nil
+		slots[i], slot[e] = -1, i // Edit never asks for nil
 	}
 	next := NumParams(st)
-	editExprs(st, func(e Expr) Expr {
+	Edit(st, func(e Expr) (Expr, bool) {
 		if call, ok := e.(*FuncCall); ok {
 			for _, a := range call.Args[:min(len(call.Args), syntaxArgs(call))] {
 				delete(slot, a)
@@ -97,11 +97,11 @@ func Parameterize(sql string, syntaxArgs func(*FuncCall) int) (st Statement, slo
 		}
 		i, ok := slot[e]
 		if !ok {
-			return e
+			return e, true
 		}
 		slots[i] = next
 		next++
-		return &Placeholder{Index: slots[i], Numbered: true}
+		return &Placeholder{Index: slots[i], Numbered: true}, true
 	})
 	return st, slots, nil
 }

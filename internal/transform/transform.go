@@ -1,55 +1,81 @@
-// Package transform implements devUDF's code transformations (paper §2.2):
+// Package transform implements devUDF's code transformations (paper §2.2,
+// §2.3). They read the parsers' structure, never raw text: the SQL ones walk
+// sqlparse's tree through sqlparse.Edit, the Python ones read PyLite's tokens
+// (script.Lexer), which decode escapes, skip comments and delimit strings
+// and indented blocks.
 //
-//   - WrapFunction: the server-side wrap that turns a stored body into a
-//     callable definition (the database only stores the function body);
-//   - BuildLocalScript: the client-side transformation of Listing 2 — add
-//     the synthesized header, then a prologue that loads the function's
-//     input parameters from a pickled input.bin and calls the function;
-//   - ExtractBody: the reverse transformation applied on export, committing
-//     only the function body back to the database;
-//   - RewriteToExtract: the SQL rewrite that replaces the UDF call in the
-//     user's query with the server-side extract function so the input data
-//     is shipped to the client instead of executing the UDF (paper §2.2);
-//   - FindUDFCalls / FindLoopbackUDFs: discovery of the debugged UDF in a
-//     query and of nested UDFs reachable through _conn loopback queries
-//     (paper §2.3).
+//   - WrapFunction makes a stored body a callable def, indenting each line
+//     that does not begin inside a string token; BuildLocalScript adds the
+//     Listing 2 prologue that loads input.bin and calls it.
+//   - ExtractBody reverses that on export: the body is the indented block
+//     of the top-level `def name`.
+//   - RewriteToExtract replaces each call of the UDF, wherever the walk finds
+//     it, by the table-valued sys_extract. Extract acts on a call in FROM or
+//     a lone call in the select list, which moves into FROM. A call in WHERE
+//     or HAVING is rewritten too, and the server refuses the result with its
+//     "table-valued; use it in FROM" error.
+//   - FindUDFCalls lists the UDFs a query calls; LoopbackQueries and
+//     FindLoopbackUDFs read the string literal after the tokens
+//     `_conn . execute (` in a body. A query assembled in a variable or by
+//     concatenation is not such a literal, and is not seen.
 package transform
 
 import (
+	"cmp"
 	"fmt"
+	"regexp"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/script"
 	"repro/internal/sqlparse"
 	"repro/internal/transfer"
 )
 
-// WrapFunction synthesizes `def name(params):` around a stored body.
+// WrapFunction synthesizes `def name(params):` around a stored body. A body
+// that does not lex is indented line by line all the same, so Parse reports
+// the lexer's error.
 func WrapFunction(name string, params []string, body string) string {
 	var sb strings.Builder
-	sb.WriteString("def ")
-	sb.WriteString(name)
-	sb.WriteByte('(')
-	sb.WriteString(strings.Join(params, ", "))
-	sb.WriteString("):\n")
+	sb.WriteString("def " + name + "(" + strings.Join(params, ", ") + "):\n")
 	if strings.TrimSpace(body) == "" {
 		sb.WriteString("    pass\n")
 		return sb.String()
 	}
-	for _, ln := range strings.Split(body, "\n") {
-		if strings.TrimSpace(ln) == "" {
-			sb.WriteByte('\n')
-			continue
+	inString := stringLines(body)
+	for i, ln := range strings.Split(body, "\n") {
+		switch {
+		case inString[i+1]:
+			sb.WriteString(ln)
+		case strings.TrimSpace(ln) != "":
+			sb.WriteString("    " + ln)
 		}
-		sb.WriteString("    ")
-		sb.WriteString(ln)
 		sb.WriteByte('\n')
 	}
 	return sb.String()
 }
 
-// Markers bracket the function definition inside generated local scripts so
-// ExtractBody can reverse the transformation byte-exactly.
+// stringLines is the set of (1-based) lines that begin inside a string, or
+// nil when src does not lex.
+func stringLines(src string) map[int]bool {
+	in, lx := map[int]bool{}, script.NewLexer(src)
+	for {
+		t, err := lx.Next()
+		if err != nil {
+			return nil
+		}
+		for l := t.Line + 1; l <= t.EndLine; l++ {
+			in[l] = true
+		}
+		if t.Kind == script.TokEOF {
+			return in
+		}
+	}
+}
+
+// The marker comments bracket the function definition in a generated
+// script, for the user editing it; ExtractBody does not need them.
 const (
 	beginMarker = "# --- devUDF: function body (edit between markers) ---"
 	endMarker   = "# --- devUDF: end function body ---"
@@ -73,109 +99,93 @@ func BuildLocalScript(info LocalScriptInfo) string {
 	sb.WriteString(beginMarker + "\n")
 	sb.WriteString(WrapFunction(info.Name, info.Params, info.Body))
 	sb.WriteString(endMarker + "\n\n")
-	inputFile := info.InputFile
-	if inputFile == "" {
-		inputFile = "./input.bin"
-	}
-	sb.WriteString("input_parameters = pickle.load(open('" + inputFile + "', 'rb'))\n\n")
-	sb.WriteString("result = " + info.Name + "(")
+	sb.WriteString("input_parameters = pickle.load(open('" + cmp.Or(info.InputFile, "./input.bin") + "', 'rb'))\n\n")
+	args := make([]string, len(info.Params))
 	for i, p := range info.Params {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "input_parameters[%q]", p)
+		args[i] = fmt.Sprintf("input_parameters[%q]", p)
 	}
-	sb.WriteString(")\n")
+	sb.WriteString("result = " + info.Name + "(" + strings.Join(args, ", ") + ")\n")
 	fmt.Fprintf(&sb, "print('devUDF: %s returned', repr(result))\n", info.Name)
 	return sb.String()
 }
 
-// ExtractBody reverses BuildLocalScript: it locates the function definition
-// (between markers if present, otherwise by its def line) and returns the
-// dedented body — the only part committed back to the database on export.
+// ExtractBody reverses BuildLocalScript: it returns the body of the
+// top-level `def name` in source — the only part committed back to the
+// database on export. The body runs from the line after the def's header
+// to the last statement of its indented block, plus the comment lines
+// indented as deep as the block that follow it; trailing blank lines are
+// dropped. Each line that does not begin inside a string loses at most the
+// block's indentation; a blank one becomes empty.
 func ExtractBody(source, name string) (string, error) {
+	toks, err := script.NewLexer(source).Tokens()
+	if err != nil {
+		return "", err
+	}
+	// A top-level def is the one that starts its line.
+	i := 0
+	for i+1 < len(toks) && !(is(toks[i], script.TokKeyword, "def") && toks[i].Col == 1 && is(toks[i+1], script.TokName, name)) {
+		i++
+	}
+	if i+1 == len(toks) {
+		return "", core.Errorf(core.KindName, "could not find 'def %s(...)' in the source file", name)
+	}
+	for toks[i].Kind != script.TokNewline {
+		i++
+	}
+	if toks[i+1].Kind != script.TokIndent {
+		return "", core.Errorf(core.KindConstraint, "function %s has an empty body", name)
+	}
 	lines := strings.Split(source, "\n")
-	begin, end := -1, -1
-	for i, ln := range lines {
-		switch strings.TrimSpace(ln) {
-		case beginMarker:
-			begin = i
-		case endMarker:
-			if end < 0 {
-				end = i
+	indent := func(ln string) int { return len(ln) - len(strings.TrimLeft(ln, " \t")) }
+	first, width := toks[i].Line+1, indent(lines[toks[i+1].Line-1])
+	// Walk the block to its DEDENT, noting where its last statement ends.
+	last, inString := first-1, map[int]bool{}
+	i++ // the block's INDENT
+	for depth := 1; depth > 0; {
+		i++
+		switch t := toks[i]; t.Kind {
+		case script.TokIndent:
+			depth++
+		case script.TokDedent:
+			depth--
+		case script.TokNewline:
+		default:
+			last = max(t.Line, t.EndLine)
+			for l := t.Line + 1; l <= t.EndLine; l++ {
+				inString[l] = true
 			}
 		}
 	}
-	if begin >= 0 && end > begin {
-		lines = lines[begin+1 : end]
+	limit := len(lines) // the block runs to the end of the source
+	if next := toks[i+1]; next.Kind != script.TokEOF {
+		limit = next.Line - 1
 	}
-	// find the def line
-	defPrefix := "def " + name
-	defIdx := -1
-	for i, ln := range lines {
-		trimmed := strings.TrimSpace(ln)
-		if strings.HasPrefix(trimmed, defPrefix) &&
-			(len(trimmed) == len(defPrefix) || !isIdentByte(trimmed[len(defPrefix)])) {
-			defIdx = i
-			break
-		}
+	for last < limit && (strings.TrimSpace(lines[last]) == "" || indent(lines[last]) >= width) {
+		last++
 	}
-	if defIdx < 0 {
-		return "", core.Errorf(core.KindName,
-			"could not find 'def %s(...)' in the source file", name)
-	}
-	var body []string
-	for _, ln := range lines[defIdx+1:] {
-		if strings.TrimSpace(ln) == "" {
-			body = append(body, "")
-			continue
-		}
-		if !strings.HasPrefix(ln, " ") && !strings.HasPrefix(ln, "\t") {
-			break // dedent: function ended
+	body := make([]string, 0, last-first+1)
+	for l := first; l <= last; l++ {
+		ln := lines[l-1]
+		switch {
+		case inString[l]:
+		case strings.TrimSpace(ln) == "":
+			ln = ""
+		default:
+			ln = ln[min(width, indent(ln)):]
 		}
 		body = append(body, ln)
 	}
 	for len(body) > 0 && body[len(body)-1] == "" {
 		body = body[:len(body)-1]
 	}
-	if len(body) == 0 {
-		return "", core.Errorf(core.KindConstraint, "function %s has an empty body", name)
-	}
-	return dedent(body), nil
-}
-
-func isIdentByte(c byte) bool {
-	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-}
-
-func dedent(lines []string) string {
-	indent := -1
-	for _, ln := range lines {
-		if strings.TrimSpace(ln) == "" {
-			continue
-		}
-		n := len(ln) - len(strings.TrimLeft(ln, " \t"))
-		if indent < 0 || n < indent {
-			indent = n
-		}
-	}
-	if indent <= 0 {
-		return strings.Join(lines, "\n")
-	}
-	out := make([]string, len(lines))
-	for i, ln := range lines {
-		if len(ln) >= indent {
-			out[i] = ln[indent:]
-		}
-	}
-	return strings.Join(out, "\n")
+	return strings.Join(body, "\n"), nil
 }
 
 // ExtractFuncName is the server-side table function the rewritten query
 // calls instead of the UDF.
 const ExtractFuncName = "sys_extract"
 
-// RewriteToExtract replaces the call to udfName in the query with
+// RewriteToExtract replaces each call of udfName in the query with
 // sys_extract('udfName', '<options>', <original arguments...>), preserving
 // subquery arguments — the transformation of paper §2.2. It returns the
 // rewritten SQL text.
@@ -189,156 +199,64 @@ func RewriteToExtract(sql, udfName string, opts transfer.Options) (string, error
 		return "", core.Errorf(core.KindConstraint, "only SELECT queries can be rewritten for extraction")
 	}
 	replaced := 0
-	rewriteCall := func(call *sqlparse.FuncCall) *sqlparse.FuncCall {
-		if !strings.EqualFold(call.Name, udfName) {
-			return call
+	sqlparse.Edit(sel, func(e sqlparse.Expr) (sqlparse.Expr, bool) {
+		call, ok := e.(*sqlparse.FuncCall)
+		if !ok || !strings.EqualFold(call.Name, udfName) {
+			return e, true
 		}
 		replaced++
 		args := append([]sqlparse.Expr{
 			&sqlparse.StrLit{Value: call.Name},
 			&sqlparse.StrLit{Value: opts.Encode()},
 		}, call.Args...)
-		return &sqlparse.FuncCall{Name: ExtractFuncName, Args: args}
-	}
-	rewriteSelect(sel, rewriteCall)
+		return &sqlparse.FuncCall{Name: ExtractFuncName, Args: args}, true
+	})
 	if replaced == 0 {
-		return "", core.Errorf(core.KindName,
-			"query does not call UDF %q", udfName)
+		return "", core.Errorf(core.KindName, "query does not call UDF %q", udfName)
 	}
-	// The extract function is table-valued: if the UDF was called in the
-	// projection (SELECT udf(col) FROM t), hoist the rewritten call into
-	// FROM and select everything from it.
-	if callInItems(sel, ExtractFuncName) {
-		hoisted := hoistProjectionCall(sel)
-		if hoisted != nil {
-			sel = hoisted
+	// A lone projected call moves into FROM; each argument that reads the
+	// source becomes a subquery over the original FROM and WHERE.
+	if len(sel.Items) == 1 {
+		if call, ok := sel.Items[0].Expr.(*sqlparse.FuncCall); ok && strings.EqualFold(call.Name, ExtractFuncName) {
+			for i, a := range call.Args {
+				if readsSource(a) {
+					call.Args[i] = &sqlparse.Subquery{Sel: &sqlparse.Select{
+						Items: []sqlparse.SelectItem{{Expr: a}},
+						From:  sel.From,
+						Where: sel.Where,
+						Limit: -1,
+					}}
+				}
+			}
+			sel = &sqlparse.Select{
+				Items: []sqlparse.SelectItem{{Star: true}},
+				From:  &sqlparse.FromFunc{Call: call},
+				Limit: -1,
+			}
 		}
 	}
 	return sqlparse.Format(sel), nil
 }
 
-func callInItems(sel *sqlparse.Select, name string) bool {
-	for _, item := range sel.Items {
-		if item.Expr == nil {
-			continue
+// readsSource reports whether e reads a column of the enclosing query; a
+// subquery brings its own source.
+func readsSource(e sqlparse.Expr) bool {
+	found := false
+	sqlparse.EditExpr(e, func(x sqlparse.Expr) (sqlparse.Expr, bool) {
+		switch x.(type) {
+		case *sqlparse.ColRef:
+			found = true
+		case *sqlparse.Subquery:
+			return x, false
 		}
-		if call, ok := item.Expr.(*sqlparse.FuncCall); ok && strings.EqualFold(call.Name, name) {
-			return true
-		}
-	}
-	return false
+		return x, !found
+	})
+	return found
 }
 
-// hoistProjectionCall turns `SELECT sys_extract(args) FROM src [WHERE ...]`
-// into `SELECT * FROM sys_extract('...', (SELECT args FROM src WHERE ...))`
-// shape: each column argument becomes a subquery over the original source
-// so filters still apply before extraction.
-func hoistProjectionCall(sel *sqlparse.Select) *sqlparse.Select {
-	if len(sel.Items) != 1 || sel.Items[0].Expr == nil {
-		return nil
-	}
-	call, ok := sel.Items[0].Expr.(*sqlparse.FuncCall)
-	if !ok {
-		return nil
-	}
-	// Column-reference arguments need the original FROM/WHERE context;
-	// wrap each in a subquery over it.
-	for i, a := range call.Args {
-		if needsSourceContext(a) {
-			call.Args[i] = &sqlparse.Subquery{Sel: &sqlparse.Select{
-				Items: []sqlparse.SelectItem{{Expr: a}},
-				From:  sel.From,
-				Where: sel.Where,
-				Limit: -1,
-			}}
-		}
-	}
-	return &sqlparse.Select{
-		Items: []sqlparse.SelectItem{{Star: true}},
-		From:  &sqlparse.FromFunc{Call: call},
-		Limit: -1,
-	}
-}
-
-func needsSourceContext(e sqlparse.Expr) bool {
-	switch e := e.(type) {
-	case *sqlparse.ColRef:
-		return true
-	case *sqlparse.BinaryExpr:
-		return needsSourceContext(e.L) || needsSourceContext(e.R)
-	case *sqlparse.UnaryExpr:
-		return needsSourceContext(e.X)
-	case *sqlparse.CastExpr:
-		return needsSourceContext(e.X)
-	case *sqlparse.FuncCall:
-		for _, a := range e.Args {
-			if needsSourceContext(a) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// rewriteSelect walks a select, applying fn to every function call
-// (projection, FROM, WHERE, nested subqueries).
-func rewriteSelect(sel *sqlparse.Select, fn func(*sqlparse.FuncCall) *sqlparse.FuncCall) {
-	for i, item := range sel.Items {
-		if item.Expr != nil {
-			sel.Items[i].Expr = rewriteExpr(item.Expr, fn)
-		}
-	}
-	switch f := sel.From.(type) {
-	case *sqlparse.FromFunc:
-		f.Call = fn(f.Call)
-		for i, a := range f.Call.Args {
-			f.Call.Args[i] = rewriteExpr(a, fn)
-		}
-	case *sqlparse.FromSelect:
-		rewriteSelect(f.Sel, fn)
-	}
-	if sel.Where != nil {
-		sel.Where = rewriteExpr(sel.Where, fn)
-	}
-	for i, e := range sel.GroupBy {
-		sel.GroupBy[i] = rewriteExpr(e, fn)
-	}
-	for i := range sel.OrderBy {
-		sel.OrderBy[i].Expr = rewriteExpr(sel.OrderBy[i].Expr, fn)
-	}
-}
-
-func rewriteExpr(e sqlparse.Expr, fn func(*sqlparse.FuncCall) *sqlparse.FuncCall) sqlparse.Expr {
-	switch e := e.(type) {
-	case *sqlparse.FuncCall:
-		for i, a := range e.Args {
-			e.Args[i] = rewriteExpr(a, fn)
-		}
-		return fn(e)
-	case *sqlparse.BinaryExpr:
-		e.L = rewriteExpr(e.L, fn)
-		e.R = rewriteExpr(e.R, fn)
-		return e
-	case *sqlparse.UnaryExpr:
-		e.X = rewriteExpr(e.X, fn)
-		return e
-	case *sqlparse.IsNullExpr:
-		e.X = rewriteExpr(e.X, fn)
-		return e
-	case *sqlparse.CastExpr:
-		e.X = rewriteExpr(e.X, fn)
-		return e
-	case *sqlparse.Subquery:
-		rewriteSelect(e.Sel, fn)
-		return e
-	default:
-		return e
-	}
-}
-
-// FindUDFCalls returns the names of user functions a query calls, in
-// discovery order (projection, FROM, WHERE, subqueries). isUDF filters
-// catalog functions from builtins.
+// FindUDFCalls returns the names of user functions a query calls, each
+// once, in the order sqlparse.Edit visits them. isUDF filters catalog
+// functions from builtins.
 func FindUDFCalls(sql string, isUDF func(string) bool) ([]string, error) {
 	st, err := sqlparse.Parse(sql)
 	if err != nil {
@@ -349,86 +267,81 @@ func FindUDFCalls(sql string, isUDF func(string) bool) ([]string, error) {
 		return nil, nil
 	}
 	var out []string
-	seen := map[string]bool{}
-	rewriteSelect(sel, func(call *sqlparse.FuncCall) *sqlparse.FuncCall {
-		lower := strings.ToLower(call.Name)
-		if isUDF(call.Name) && !seen[lower] {
-			seen[lower] = true
-			out = append(out, call.Name)
+	sqlparse.Edit(sel, func(e sqlparse.Expr) (sqlparse.Expr, bool) {
+		if call, ok := e.(*sqlparse.FuncCall); ok && isUDF(call.Name) {
+			out = addName(out, call.Name)
 		}
-		return call
+		return e, true
 	})
 	return out, nil
 }
 
-// FindLoopbackUDFs scans a UDF body for _conn.execute("...") loopback
-// queries and returns the UDFs those queries call — the nested UDFs of
-// paper §2.3 that must be imported and transformed alongside the main one.
+// addName appends name to names unless it is there in any case.
+func addName(names []string, name string) []string {
+	if slices.ContainsFunc(names, func(n string) bool { return strings.EqualFold(n, name) }) {
+		return names
+	}
+	return append(names, name)
+}
+
+// FindLoopbackUDFs returns the UDFs called by the loopback queries of a
+// UDF body — the nested UDFs of paper §2.3 that must be imported and
+// transformed alongside the main one.
 func FindLoopbackUDFs(body string, isUDF func(string) bool) []string {
 	var out []string
-	seen := map[string]bool{}
 	for _, q := range LoopbackQueries(body) {
-		names, err := FindUDFCalls(q, isUDF)
-		if err != nil {
-			continue // not every embedded string is SQL
-		}
+		names, _ := FindUDFCalls(q, isUDF) // not every embedded string is SQL
 		for _, n := range names {
-			if !seen[strings.ToLower(n)] {
-				seen[strings.ToLower(n)] = true
-				out = append(out, n)
-			}
+			out = addName(out, n)
 		}
 	}
 	return out
 }
 
-// LoopbackQueries extracts the string literals passed to _conn.execute in
-// a UDF body. It tolerates the %-formatting placeholders of Listing 3 by
-// substituting a neutral literal before parsing.
+// LoopbackQueries returns the string literal each `_conn.execute(` call of
+// a UDF body opens with (adjacent literals joined, as the interpreter joins
+// them), its %-placeholders neutralized. A body that does not lex has none.
 func LoopbackQueries(body string) []string {
+	toks, err := script.NewLexer(body).Tokens()
+	if err != nil {
+		return nil
+	}
 	var out []string
-	rest := body
-	for {
-		i := strings.Index(rest, "_conn.execute")
-		if i < 0 {
-			return out
-		}
-		rest = rest[i+len("_conn.execute"):]
-		j := strings.IndexByte(rest, '(')
-		if j < 0 {
-			return out
-		}
-		lit, ok := firstStringLiteral(rest[j+1:])
-		if !ok {
+	for i := 0; i+4 < len(toks); i++ {
+		if t := toks[i:]; !is(t[0], script.TokName, "_conn") || !is(t[1], script.TokOp, ".") ||
+			!is(t[2], script.TokName, "execute") || !is(t[3], script.TokOp, "(") || t[4].Kind != script.TokString {
 			continue
 		}
-		out = append(out, NeutralizePlaceholders(lit))
-	}
-}
-
-// NeutralizePlaceholders replaces %-style placeholders with literals so the
-// SQL parser can process format-string queries.
-func NeutralizePlaceholders(sql string) string {
-	replacer := strings.NewReplacer("%d", "0", "%s", "''", "%f", "0.0", "%g", "0.0", "%%", "%")
-	return replacer.Replace(sql)
-}
-
-// firstStringLiteral pulls the first Python string literal (single, double
-// or triple quoted) from s.
-func firstStringLiteral(s string) (string, bool) {
-	s = strings.TrimLeft(s, " \t\n\r")
-	if s == "" {
-		return "", false
-	}
-	for _, q := range []string{`"""`, `'''`, `"`, `'`} {
-		if strings.HasPrefix(s, q) {
-			rest := s[len(q):]
-			end := strings.Index(rest, q)
-			if end < 0 {
-				return "", false
-			}
-			return rest[:end], true
+		var q strings.Builder
+		for j := i + 4; toks[j].Kind == script.TokString; j++ {
+			q.WriteString(toks[j].Lit)
 		}
+		out = append(out, NeutralizePlaceholders(q.String()))
 	}
-	return "", false
+	return out
+}
+
+// is reports whether t is of kind k and spelled lit.
+func is(t script.Token, k script.TokKind, lit string) bool { return t.Kind == k && t.Lit == lit }
+
+// conversion is one %-conversion of a Python format string:
+// %[flags][width][.precision]type.
+var conversion = regexp.MustCompile(`%[#0\- +]*(?:[0-9]+|\*)?(?:\.(?:[0-9]+|\*)?)?[diuoxXeEfFgGsra%]`)
+
+// NeutralizePlaceholders replaces each %-conversion of a format-string
+// query by a literal of its class, so the SQL parser can read it: an
+// integer conversion (d i u o x X) by 0, a float one (e E f F g G) by 0.0, a
+// string one (s r a) by the empty string literal. %% becomes %.
+func NeutralizePlaceholders(sql string) string {
+	return conversion.ReplaceAllStringFunc(sql, func(c string) string {
+		switch c[len(c)-1] {
+		case '%':
+			return "%"
+		case 's', 'r', 'a':
+			return "''"
+		case 'e', 'E', 'f', 'F', 'g', 'G':
+			return "0.0"
+		}
+		return "0"
+	})
 }

@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -314,5 +315,36 @@ func TestColumnBackedResultIsTheBoxedOne(t *testing.T) {
 				t.Errorf("%s as %s: boxed gives\n%s column-backed\n%s", col.Name, typ, w.String(), g.String())
 			}
 		}
+	}
+}
+
+// TestWrapFunctionIndentsEveryLineOutsideStrings pins WrapFunction to the
+// line-by-line indentation it always had — four spaces in front of every
+// non-blank line, a blank line left empty — for every shipped body without
+// a multi-line string; only such a string's own lines are left alone.
+func TestWrapFunctionIndentsEveryLineOutsideStrings(t *testing.T) {
+	compared := 0
+	for _, u := range append(shippedUDFs(t), laneUDFs...) {
+		toks, err := script.NewLexer(u.body).Tokens()
+		if err != nil {
+			t.Fatalf("%s does not lex: %v", u.name, err)
+		}
+		if slices.ContainsFunc(toks, func(tk script.Token) bool { return tk.EndLine > tk.Line }) {
+			continue
+		}
+		want := "def udf(" + strings.Join(u.params, ", ") + "):\n"
+		for _, ln := range strings.Split(u.body, "\n") {
+			if strings.TrimSpace(ln) != "" {
+				want += "    " + ln
+			}
+			want += "\n"
+		}
+		if got := transform.WrapFunction("udf", u.params, u.body); got != want {
+			t.Errorf("%s: WrapFunction =\n%s\nwant\n%s", u.name, got, want)
+		}
+		compared++
+	}
+	if compared < 20 {
+		t.Fatalf("compared %d bodies: is the corpus scan broken?", compared)
 	}
 }
