@@ -19,9 +19,10 @@ import (
 //
 // The API mirrors DebugSession, with errors surfaced (the debugger is now
 // on the other side of a network). A RemoteDebugSession owns one pooled
-// connection exclusively; Close releases it. Control methods are
-// synchronous and single-goroutine, like DebugSession's; Pause is safe from
-// any goroutine.
+// connection exclusively, for debug traffic only (queries go through the
+// Client, on the pool's other connections); Close releases it. Control
+// methods are synchronous and single-goroutine, like DebugSession's; Pause
+// is safe from any goroutine.
 type RemoteDebugSession struct {
 	ctx  context.Context
 	dc   *wire.DebugConn
@@ -236,15 +237,6 @@ func (s *RemoteDebugSession) Source() []string {
 // Status returns the debug query's status message after the terminated
 // event ("SELECT 1", ...).
 func (s *RemoteDebugSession) Status() string { return s.lastStatus }
-
-// Query runs SQL on the debug connection itself — the demux interleaves
-// its response with any debug events in flight. Note that the server runs
-// a connection's statements in order and the debug query is one of them,
-// so queries issued here wait until the debug query finishes.
-func (s *RemoteDebugSession) Query(ctx context.Context, sql string) (string, error) {
-	msg, _, err := s.dc.Query(ctx, sql)
-	return msg, err
-}
 
 // Close kills any active debuggee, tears down the debug connection and
 // releases its pool slot. Safe to call more than once.

@@ -90,47 +90,29 @@ func DialContext(ctx context.Context, p ConnParams, opts ...DialOption) (*Client
 
 // newClient authenticates over an established connection.
 func newClient(ctx context.Context, nc net.Conn, p ConnParams, cfg dialConfig) (*Client, error) {
-	c := &Client{params: p, nc: nc, br: bufio.NewReader(nc), fw: frameWriter{w: nc}, cfg: cfg}
+	c := clientOn(nc, p, cfg)
 	if err := c.handshake(ctx); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-func (c *Client) handshake(ctx context.Context) error {
-	stop := c.watch(ctx)
-	err := c.handshakeLocked()
-	if werr := stop(); werr != nil {
-		return werr
-	}
-	return err
+// clientOn is a Client over nc that has not authenticated yet.
+func clientOn(nc net.Conn, p ConnParams, cfg dialConfig) *Client {
+	return &Client{params: p, nc: nc, br: bufio.NewReader(nc), fw: frameWriter{w: nc}, cfg: cfg}
 }
 
-func (c *Client) handshakeLocked() error {
+// handshake authenticates the connection as a protocol v2 client.
+func (c *Client) handshake(ctx context.Context) error {
 	p := c.params
-	if err := c.send(MsgAuth, EncodeAuth(p.User, p.Password, p.Database, ProtoV2)); err != nil {
-		return err
-	}
-	typ, payload, err := c.recv()
-	if err != nil {
-		return err
-	}
-	switch typ {
-	case MsgAuthOK:
-		_, ver, err := DecodeAuthOK(payload)
-		if err != nil {
-			return err
-		}
-		if ver < ProtoV2 {
-			return core.Errorf(core.KindProtocol,
+	return c.call(ctx, MsgAuth, EncodeAuth(p.User, p.Password, p.Database, ProtoV2), MsgAuthOK, func(reply []byte) error {
+		_, ver, err := DecodeAuthOK(reply)
+		if err == nil && ver < ProtoV2 {
+			err = core.Errorf(core.KindProtocol,
 				"server negotiated protocol v%d; this client speaks v%d only", ver, ProtoV2)
 		}
-		return nil
-	case MsgErr:
-		return DecodeError(payload)
-	default:
-		return core.Errorf(core.KindProtocol, "unexpected handshake reply %d", typ)
-	}
+		return err
+	})
 }
 
 // Broken reports whether the connection is protocol-desynced (a cancelled
@@ -202,6 +184,102 @@ func (c *Client) recv() (byte, []byte, error) {
 	return typ, payload, nil
 }
 
+// Every request takes one of two shapes, and both open with begin: start
+// for a request answered by a result (MsgQuery, MsgExecStmt), call for one
+// answered by a single frame (the handshake, MsgPrepare, MsgCloseStmt,
+// MsgPing).
+
+// begin is the prologue of every request: it refuses a broken connection,
+// arms ctx's watch and flushes the deferred statement closes, except keep,
+// the statement the request executes (0 for none). The caller must pass the
+// returned stop function to disarm.
+func (c *Client) begin(ctx context.Context, keep uint32) (func() error, error) {
+	if c.broken.Load() {
+		return nil, core.Errorf(core.KindIO, "connection is broken")
+	}
+	stop := c.watch(ctx)
+	if err := c.flushStmtCloses(keep); err != nil {
+		return nil, disarm(stop, err)
+	}
+	return stop, nil
+}
+
+// disarm stops a request's context watch and returns the request's error,
+// or the context's when it was the context that ended the request.
+func disarm(stop func() error, err error) error {
+	if werr := stop(); werr != nil {
+		return werr
+	}
+	return err
+}
+
+// start sends a request answered by a result and reads the reply's first
+// frame into the Rows that reads the rest.
+func (c *Client) start(ctx context.Context, typ byte, payload []byte, keep uint32) (*Rows, error) {
+	stop, err := c.begin(ctx, keep)
+	if err != nil {
+		return nil, err
+	}
+	r := &Rows{c: c, stop: stop}
+	if err = c.send(typ, payload); err == nil {
+		r.pending, err = r.fetch()
+	}
+	if err != nil {
+		return nil, disarm(stop, err)
+	}
+	return r, nil
+}
+
+// call sends a request answered by one frame of type want, whose payload
+// decode reads (decode may be nil).
+func (c *Client) call(ctx context.Context, typ byte, payload []byte, want byte, decode func([]byte) error) error {
+	stop, err := c.begin(ctx, 0)
+	if err != nil {
+		return err
+	}
+	return disarm(stop, c.exchange(typ, payload, want, decode))
+}
+
+// exchange sends one request and reads its reply by the reply rule: the
+// reply is the expected type, or MsgErr, returned as the typed error it
+// carries (see serverError). Anything else, or a payload decode refuses, is
+// a protocol error and poisons the connection.
+func (c *Client) exchange(typ byte, payload []byte, want byte, decode func([]byte) error) error {
+	if err := c.send(typ, payload); err != nil {
+		return err
+	}
+	got, reply, err := c.recv()
+	switch {
+	case err != nil:
+		return err
+	case got == MsgErr:
+		return serverError(reply)
+	case got != want:
+		err = core.Errorf(core.KindProtocol, "unexpected reply %d to request %d", got, typ)
+	case decode != nil:
+		err = decode(reply)
+	}
+	if err != nil {
+		c.broken.Store(true)
+	}
+	return err
+}
+
+// serverError is the error a MsgErr payload carries. The connection stays
+// in sync whatever its kind: the engine reports some statement errors as
+// protocol errors (extract options or a payload that do not decode) and the
+// session goes on serving. When the server refuses the byte stream itself
+// it hangs up, and the next read poisons the connection.
+func serverError(payload []byte) error { return remoteError{DecodeError(payload)} }
+
+// remoteError is an error the server reported. It reads as the error it
+// wraps; the type tells it apart from the client's own refusals, which
+// poison the connection.
+type remoteError struct{ err error }
+
+func (e remoteError) Error() string { return e.err.Error() }
+func (e remoteError) Unwrap() error { return e.err }
+
 // Query executes SQL on the server and returns the status message and the
 // fully materialized result table (nil for statements without one). Large
 // result sets arrive chunked and are reassembled here; use QueryStream
@@ -229,105 +307,13 @@ func (c *Client) Exec(ctx context.Context, sql string) (string, error) {
 // iteration and poisons the connection. Rows must be fully consumed or
 // Closed before the next operation on this client.
 func (c *Client) QueryStream(ctx context.Context, sql string) (*Rows, error) {
-	if c.broken.Load() {
-		return nil, core.Errorf(core.KindIO, "connection is broken")
-	}
-	stop := c.watch(ctx)
-	rows, err := c.queryStreamLocked(ctx, sql)
-	if err != nil {
-		if werr := stop(); werr != nil {
-			return nil, werr
-		}
-		return nil, err
-	}
-	rows.stop = stop
-	return rows, nil
-}
-
-// queryStreamLocked sends the query and consumes the first response frame,
-// classifying the reply into a one-shot result or a chunk stream.
-func (c *Client) queryStreamLocked(ctx context.Context, sql string) (*Rows, error) {
-	if _, err := c.flushStmtCloses(0); err != nil {
-		return nil, err
-	}
-	if err := c.send(MsgQuery, []byte(sql)); err != nil {
-		return nil, err
-	}
-	return c.readQueryResponse()
-}
-
-// readQueryResponse consumes the first response frame of a query-shaped
-// request (MsgQuery or MsgExecStmt), classifying the reply into a one-shot
-// result or a chunk stream.
-func (c *Client) readQueryResponse() (*Rows, error) {
-	typ, payload, err := c.recv()
-	if err != nil {
-		return nil, err
-	}
-	switch typ {
-	case MsgResult:
-		msg, t, err := DecodeResult(payload)
-		if err != nil {
-			c.broken.Store(true)
-			return nil, err
-		}
-		return &Rows{c: c, msg: msg, pending: t, finished: true}, nil
-	case MsgResultChunk:
-		t, err := DecodeResultChunk(payload)
-		if err != nil {
-			c.broken.Store(true)
-			return nil, err
-		}
-		return &Rows{c: c, pending: t, streaming: true}, nil
-	case MsgResultEnd:
-		msg, _, err := DecodeResultEnd(payload)
-		if err != nil {
-			c.broken.Store(true)
-			return nil, err
-		}
-		return &Rows{c: c, msg: msg, streaming: true, finished: true}, nil
-	case MsgErr:
-		return nil, DecodeError(payload)
-	default:
-		c.broken.Store(true)
-		return nil, core.Errorf(core.KindProtocol, "unexpected reply type %d", typ)
-	}
+	return c.start(ctx, MsgQuery, []byte(sql), 0)
 }
 
 // Ping round-trips a liveness probe. The pool uses it to health-check idle
 // connections.
 func (c *Client) Ping(ctx context.Context) error {
-	if c.broken.Load() {
-		return core.Errorf(core.KindIO, "connection is broken")
-	}
-	stop := c.watch(ctx)
-	err := c.pingLocked()
-	if werr := stop(); werr != nil {
-		return werr
-	}
-	return err
-}
-
-func (c *Client) pingLocked() error {
-	if _, err := c.flushStmtCloses(0); err != nil {
-		return err
-	}
-	if err := c.send(MsgPing, nil); err != nil {
-		return err
-	}
-	typ, payload, err := c.recv()
-	if err != nil {
-		return err
-	}
-	switch typ {
-	case MsgPong:
-		return nil
-	case MsgErr:
-		return DecodeError(payload)
-	default:
-		c.broken.Store(true)
-		return core.Errorf(core.KindProtocol, "unexpected ping reply %d", typ)
-	}
+	return c.call(ctx, MsgPing, nil, MsgPong, nil)
 }
 
 // Close says goodbye and closes the socket.

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -79,10 +81,8 @@ func ctxSec(t *testing.T) context.Context {
 }
 
 // TestDebugProtocolFullCycle drives launch → stopped(breakpoint) →
-// inspection → step → continue → terminated over the wire, with a query
-// interleaved on the same connection while the debuggee is paused... it
-// cannot run (the debuggee holds the engine lock), so the interleaved
-// traffic here is a ping plus queries before and after.
+// inspection → step → continue → terminated over the wire, then launches a
+// second run on the same connection.
 func TestDebugProtocolFullCycle(t *testing.T) {
 	_, c := debugFixture(t)
 	ctx := ctxSec(t)
@@ -91,11 +91,6 @@ func TestDebugProtocolFullCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dc.Close()
-
-	// Non-debug traffic on the same connection before launch.
-	if msg, _, err := dc.Query(ctx, "SELECT i FROM numbers"); err != nil || msg != "SELECT 5" {
-		t.Fatalf("pre-launch query: %q %v", msg, err)
-	}
 
 	// The wrapper module is "def mean_deviation(column):" + body; line 8 is
 	// the accumulation line (distance += ...).
@@ -172,65 +167,85 @@ func TestDebugProtocolFullCycle(t *testing.T) {
 		t.Fatalf("terminated msg: %q", ev.Msg)
 	}
 
-	// The connection still serves plain traffic after the debug run.
-	if msg, table, err := dc.Query(ctx, "SELECT i FROM numbers"); err != nil || table.NumRows() != 5 {
-		t.Fatalf("post-debug query: %q %v", msg, err)
+	// The connection still carries a whole run after this one ended.
+	if ev := launchAgain(t, dc, "SELECT i FROM numbers"); ev.Msg != "SELECT 5" {
+		t.Fatalf("second run: %+v", ev)
 	}
 }
 
-// TestDebugQueryWhilePaused is the regression for the frame-loop deadlock:
-// a plain query issued on the debug connection while the debuggee is paused
-// blocks on the engine lock, but the frame loop must keep serving — the
-// subsequent resume command releases the lock and the query completes.
-func TestDebugQueryWhilePaused(t *testing.T) {
-	_, c := debugFixture(t)
+// launchAgain launches query on dc once more, naming a UDF the query does
+// not call, and returns the run's terminated event: the check that a debug
+// connection still carries a whole run after the last one ended.
+func launchAgain(t *testing.T, dc *DebugConn, query string) DebugEventMsg {
+	t.Helper()
 	ctx := ctxSec(t)
-	dc, err := c.Debug()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dc.Close()
-	_, err = dc.RoundTrip(ctx, DebugRequest{
-		Command: DebugCmdLaunch,
-		Query:   "SELECT mean_deviation(i) FROM numbers",
-		UDF:     "mean_deviation", StopOnEntry: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev, err := dc.WaitEvent(ctx); err != nil || ev.Kind != DebugEventStopped {
-		t.Fatalf("entry stop: %+v %v", ev, err)
-	}
-	// Queue a query behind the paused debuggee's engine lock.
-	type qres struct {
-		msg string
-		err error
-	}
-	qdone := make(chan qres, 1)
-	go func() {
-		msg, _, err := dc.Query(ctx, "SELECT i FROM numbers")
-		qdone <- qres{msg, err}
-	}()
-	// The frame loop must still answer pings and debug commands with the
-	// query stuck in the worker.
-	time.Sleep(50 * time.Millisecond)
-	if _, err := dc.RoundTrip(ctx, DebugRequest{Command: DebugCmdLocals}); err != nil {
-		t.Fatalf("inspect with a queued query: %v", err)
-	}
-	if _, err := dc.RoundTrip(ctx, DebugRequest{Command: DebugCmdContinue}); err != nil {
-		t.Fatalf("resume with a queued query: %v", err)
+	if _, err := dc.RoundTrip(ctx, DebugRequest{Command: DebugCmdLaunch, Query: query, UDF: "never_called"}); err != nil {
+		t.Fatalf("launch %q: %v", query, err)
 	}
 	ev, err := dc.WaitEvent(ctx)
-	if err != nil || ev.Kind != DebugEventTerminated {
-		t.Fatalf("terminated: %+v %v", ev, err)
+	if err != nil || ev.Kind != DebugEventTerminated || ev.Err != "" {
+		t.Fatalf("run of %q: %+v %v", query, ev, err)
 	}
-	select {
-	case r := <-qdone:
-		if r.err != nil || r.msg != "SELECT 5" {
-			t.Fatalf("queued query: %q %v", r.msg, r.err)
+	return ev
+}
+
+// TestDebugQueryWhilePaused is the regression for the frame-loop deadlock,
+// on raw frames: a query sent on the debug connection while the debuggee is
+// paused waits in the connection's statement queue behind the debug run,
+// but the frame loop must keep serving. The inspection and the resume sent
+// behind the query are answered, the resume lets the run end, and the
+// query's result follows the run's terminated event.
+func TestDebugQueryWhilePaused(t *testing.T) {
+	_, c := debugFixture(t)
+	if _, err := c.Exec(ctxSec(t), busyUDF); err != nil {
+		t.Fatal(err)
+	}
+	nc, br := rawSession(t, c.params)
+	_ = nc.SetDeadline(time.Now().Add(30 * time.Second))
+	next := func() string {
+		t.Helper()
+		typ, payload, err := ReadFrame(br)
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-ctx.Done():
-		t.Fatal("queued query never completed after resume")
+		switch typ {
+		case MsgDebugReply:
+			rep, err := DecodeDebugReply(payload)
+			return fmt.Sprintf("reply %d %v %s %v", rep.Seq, rep.Success, rep.Error, err)
+		case MsgDebugEvent:
+			ev, err := DecodeDebugEvent(payload)
+			return fmt.Sprintf("event %s %s %s %v", ev.Kind, ev.Reason, ev.Msg, err)
+		case MsgResult:
+			msg, _, err := DecodeResult(payload)
+			return fmt.Sprintf("result %s %v", msg, err)
+		}
+		return fmt.Sprintf("frame %d", typ)
+	}
+	// double_it stops on entry; once resumed, busy runs for milliseconds
+	// before the run ends, far behind the replies the frame loop writes.
+	launch := DebugRequest{Seq: 1, Command: DebugCmdLaunch, Query: "SELECT busy(double_it(1))",
+		UDF: "double_it", StopOnEntry: true}
+	if _, err := nc.Write(frameBytes(MsgDebug, EncodeDebugRequest(launch))); err != nil {
+		t.Fatal(err)
+	}
+	// The launch's ack and the entry stop come from two goroutines.
+	got := []string{next(), next()}
+	slices.Sort(got)
+	if want := []string{"event stopped entry  <nil>", "reply 1 true  <nil>"}; !slices.Equal(got, want) {
+		t.Fatalf("launch: %q, want %q", got, want)
+	}
+	if _, err := nc.Write(join(frameBytes(MsgQuery, []byte("SELECT i FROM numbers")),
+		frameBytes(MsgDebug, EncodeDebugRequest(DebugRequest{Seq: 2, Command: DebugCmdLocals})),
+		frameBytes(MsgDebug, EncodeDebugRequest(DebugRequest{Seq: 3, Command: DebugCmdContinue})))); err != nil {
+		t.Fatal(err)
+	}
+	got = nil
+	for len(got) == 0 || !strings.HasPrefix(got[len(got)-1], "result") {
+		got = append(got, next())
+	}
+	want := []string{"reply 2 true  <nil>", "reply 3 true  <nil>", "event terminated done SELECT 1 <nil>", "result SELECT 5 <nil>"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("behind a paused run: %q, want %q", got, want)
 	}
 }
 
@@ -270,8 +285,8 @@ func TestDebugTupleAtATimeMode(t *testing.T) {
 	if err != nil || ev.Kind != DebugEventTerminated || ev.Err != "" {
 		t.Fatalf("terminated: %+v %v", ev, err)
 	}
-	if msg, _, err := dc.Query(ctx, "SELECT i FROM numbers"); err != nil || msg != "SELECT 5" {
-		t.Fatalf("query after tuple-mode debug: %q %v", msg, err)
+	if ev := launchAgain(t, dc, "SELECT i FROM numbers"); ev.Msg != "SELECT 5" {
+		t.Fatalf("run after tuple-mode debug: %+v", ev)
 	}
 }
 
@@ -416,7 +431,12 @@ func TestDebugColumnBackedArgument(t *testing.T) {
 	if ev, err = dc.WaitEvent(ctx); err != nil || ev.Kind != DebugEventTerminated || ev.Err != "" {
 		t.Fatalf("after continue: %+v %v", ev, err)
 	}
-	if _, table, err := dc.Query(ctx, "SELECT i FROM numbers"); err != nil || table.Cols[0].FormatValue(0) != "1" {
+	c2, err := DialContext(ctx, c.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if _, table, err := c2.Query(ctx, "SELECT i FROM numbers"); err != nil || table.Cols[0].FormatValue(0) != "1" {
 		t.Fatalf("numbers after the debug run: %v %v", table, err)
 	}
 }

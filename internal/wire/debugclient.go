@@ -6,22 +6,18 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/storage"
 )
 
 // noDeadline clears a connection deadline.
 func noDeadline() time.Time { return time.Time{} }
 
-// DebugConn takes exclusive ownership of a v2 client connection and demuxes
-// its inbound frames: replies to debug requests (matched by seq), server-
-// pushed debug events, and ordinary query responses — so the IDE side can
-// keep issuing queries on the same connection while the debuggee runs and
-// stop events arrive asynchronously.
-//
-// Once a Client is switched into debug mode its plain Query/Exec/Ping
-// methods must not be used; route queries through DebugConn.Query/Exec.
-// Close tears the connection down — debug state is not resumable, so the
-// connection is never returned to a pool.
+// DebugConn takes exclusive ownership of a v2 client connection for the
+// debug sub-protocol. It sends MsgDebug requests and demuxes what comes
+// back: replies, matched to their request by seq, and the stop events the
+// server pushes whenever the debuggee stops. It carries debug traffic only;
+// queries go through another connection, a pool's. Close tears the
+// connection down — debug state is not resumable, so the connection is
+// never returned to a pool.
 type DebugConn struct {
 	c *Client
 
@@ -31,10 +27,8 @@ type DebugConn struct {
 	seq     int // last key handed out for pending
 	pending map[int]chan DebugReply
 
-	qmu     sync.Mutex
-	queries []*queryWaiter
-
-	events chan DebugEventMsg
+	events  chan DebugEventMsg
+	closing chan struct{} // closed by Close: the demux stops delivering events
 
 	readerDone chan struct{}
 	readErr    error // valid after readerDone closes
@@ -42,18 +36,8 @@ type DebugConn struct {
 	closeOnce sync.Once
 }
 
-type queryWaiter struct {
-	ch chan queryOutcome
-}
-
-type queryOutcome struct {
-	msg   string
-	table *storage.Table
-	err   error
-}
-
-// Debug switches the client connection into debug mode and starts the
-// demux reader.
+// Debug hands the connection to a DebugConn and starts its demux. The
+// Client's own methods must not be used on it afterwards.
 func (c *Client) Debug() (*DebugConn, error) {
 	if c.broken.Load() {
 		return nil, core.Errorf(core.KindIO, "connection is broken")
@@ -62,6 +46,7 @@ func (c *Client) Debug() (*DebugConn, error) {
 		c:          c,
 		pending:    map[int]chan DebugReply{},
 		events:     make(chan DebugEventMsg, 64),
+		closing:    make(chan struct{}),
 		readerDone: make(chan struct{}),
 	}
 	// The demux reader owns all reads from here on; disable the read
@@ -71,11 +56,10 @@ func (c *Client) Debug() (*DebugConn, error) {
 	return dc, nil
 }
 
-// readLoop is the demux: it classifies every inbound frame until the
-// connection dies or says goodbye.
+// readLoop is the demux: it routes every inbound frame until the connection
+// dies, says goodbye, or sends something that is not debug traffic.
 func (dc *DebugConn) readLoop() {
 	defer dc.finishRead()
-	var cur *queryAssembly
 	for {
 		typ, payload, err := ReadFrame(dc.c.br)
 		if err != nil {
@@ -83,9 +67,6 @@ func (dc *DebugConn) readLoop() {
 			return
 		}
 		dc.c.BytesRead += int64(len(payload)) + 5
-		// MsgAuthOK, MsgPrepareOK and MsgCloseStmtOK take the default arm:
-		// handshake and prepared statements cannot run on a debug-mode
-		// connection.
 		switch typ {
 		case MsgDebugEvent:
 			ev, err := DecodeDebugEvent(payload)
@@ -93,7 +74,11 @@ func (dc *DebugConn) readLoop() {
 				dc.readErr = err
 				return
 			}
-			dc.events <- ev
+			select {
+			case dc.events <- ev:
+			case <-dc.closing:
+				return
+			}
 		case MsgDebugReply:
 			rep, err := DecodeDebugReply(payload)
 			if err != nil {
@@ -107,70 +92,18 @@ func (dc *DebugConn) readLoop() {
 			if ch != nil {
 				ch <- rep
 			}
-		case MsgResult:
-			msg, t, err := DecodeResult(payload)
-			dc.completeQuery(queryOutcome{msg: msg, table: t, err: err})
-			if err != nil {
-				dc.readErr = err
-				return
-			}
-		case MsgResultChunk:
-			t, err := DecodeResultChunk(payload)
-			if err != nil {
-				dc.completeQuery(queryOutcome{err: err})
-				dc.readErr = err
-				return
-			}
-			if cur == nil {
-				cur = &queryAssembly{}
-			}
-			if err := cur.add(t); err != nil {
-				dc.completeQuery(queryOutcome{err: err})
-				dc.readErr = err
-				return
-			}
-		case MsgResultEnd:
-			msg, _, err := DecodeResultEnd(payload)
-			if err != nil {
-				dc.completeQuery(queryOutcome{err: err})
-				dc.readErr = err
-				return
-			}
-			var t *storage.Table
-			if cur != nil {
-				t = cur.table
-			}
-			cur = nil
-			dc.completeQuery(queryOutcome{msg: msg, table: t})
-		case MsgErr:
-			cur = nil
-			dc.completeQuery(queryOutcome{err: DecodeError(payload)})
-		case MsgPong:
-			// Liveness ack; nothing waits on it in debug mode.
 		case MsgGoodbye:
 			dc.readErr = core.Errorf(core.KindIO, "server closed the session")
 			return
 		default:
-			dc.readErr = core.Errorf(core.KindProtocol, "unexpected frame %d in debug demux", typ)
+			dc.readErr = core.Errorf(core.KindProtocol, "unexpected frame %d on a debug connection", typ)
 			return
 		}
 	}
 }
 
-// queryAssembly reassembles a chunked result stream.
-type queryAssembly struct {
-	table *storage.Table
-}
-
-func (a *queryAssembly) add(t *storage.Table) error {
-	if a.table == nil {
-		a.table = t
-		return nil
-	}
-	return a.table.AppendTable(t)
-}
-
-// finishRead fails every waiter once the demux stops.
+// finishRead poisons the connection and fails every waiter once the demux
+// stops.
 func (dc *DebugConn) finishRead() {
 	dc.c.broken.Store(true)
 	close(dc.readerDone)
@@ -180,12 +113,6 @@ func (dc *DebugConn) finishRead() {
 		close(ch)
 	}
 	dc.pmu.Unlock()
-	dc.qmu.Lock()
-	for _, w := range dc.queries {
-		close(w.ch)
-	}
-	dc.queries = nil
-	dc.qmu.Unlock()
 	close(dc.events)
 }
 
@@ -251,67 +178,13 @@ func (dc *DebugConn) WaitEvent(ctx context.Context) (DebugEventMsg, error) {
 	}
 }
 
-// Query runs SQL on the same connection while the debug session is active —
-// the demux routes its response frames around interleaved debug events. The
-// result is fully materialized. ctx must be non-nil.
-func (dc *DebugConn) Query(ctx context.Context, sql string) (string, *storage.Table, error) {
-	w := &queryWaiter{ch: make(chan queryOutcome, 1)}
-	dc.qmu.Lock()
-	dc.queries = append(dc.queries, w)
-	dc.qmu.Unlock()
-	if err := dc.send(MsgQuery, []byte(sql)); err != nil {
-		// Unqueue the waiter, or the next query's response would be
-		// delivered to this abandoned slot and shift every result.
-		dc.qmu.Lock()
-		for i, qw := range dc.queries {
-			if qw == w {
-				dc.queries = append(dc.queries[:i], dc.queries[i+1:]...)
-				break
-			}
-		}
-		dc.qmu.Unlock()
-		return "", nil, err
-	}
-	select {
-	case out, ok := <-w.ch:
-		if !ok {
-			return "", nil, dc.failed()
-		}
-		return out.msg, out.table, out.err
-	case <-ctx.Done():
-		// The response will still arrive; without consuming it the stream
-		// is unusable, so poison the connection.
-		dc.c.broken.Store(true)
-		return "", nil, core.Wrapf(core.KindCancelled, ctx.Err(), "query aborted: %v", ctx.Err())
-	}
-}
-
-// Exec runs SQL for its side effects.
-func (dc *DebugConn) Exec(ctx context.Context, sql string) (string, error) {
-	msg, _, err := dc.Query(ctx, sql)
-	return msg, err
-}
-
-// completeQuery hands a finished query outcome to the oldest waiter.
-func (dc *DebugConn) completeQuery(out queryOutcome) {
-	dc.qmu.Lock()
-	var w *queryWaiter
-	if len(dc.queries) > 0 {
-		w = dc.queries[0]
-		dc.queries = dc.queries[1:]
-	}
-	dc.qmu.Unlock()
-	if w != nil {
-		w.ch <- out
-	}
-}
-
 // Close tears down the debug connection. The underlying client is poisoned
 // and closed; it must not be reused.
 func (dc *DebugConn) Close() error {
 	var err error
 	dc.closeOnce.Do(func() {
 		dc.c.broken.Store(true)
+		close(dc.closing)
 		err = dc.c.nc.Close()
 		<-dc.readerDone
 	})

@@ -27,7 +27,7 @@ func (m msgConst) toServer() bool { return m.typ < 16 }
 // msgConstants parses this package's non-test sources for every
 // `MsgName byte = N` constant, so a message type added to the protocol is in
 // the tests below without anyone listing it there.
-func msgConstants(t *testing.T) []msgConst {
+func msgConstants(t testing.TB) []msgConst {
 	t.Helper()
 	entries, err := os.ReadDir(".")
 	if err != nil {
@@ -220,23 +220,26 @@ func replyPayloads() map[string][]byte {
 }
 
 // TestEveryReplyTypeIsConsumedOrPoisons feeds each server → client message
-// type to the three client-side readers that switch on a frame type. A
-// reader either consumes the frame — a result, a server error, a goodbye it
-// understands — or refuses it with a protocol error and marks the
-// connection broken, because the byte stream can no longer be trusted. Which
-// types a reader refuses is written down here, per reader: a new reply type
-// is in nobody's list, so every reader must consume it or gain an entry.
+// type to the client's three readers that switch on a frame type: the reply
+// rule every one-frame request reads its answer by (one row per request),
+// Rows (as a reply's first frame and inside a stream), and the debug demux.
+// A reader either consumes the frame — a result, a server error, a goodbye
+// it understands — or refuses it with a protocol error and marks the
+// connection broken, because the byte stream can no longer be trusted.
+// Which types a reader refuses is written down here, per reader: a new
+// reply type is in nobody's list, so every reader must consume it or gain
+// an entry.
 func TestEveryReplyTypeIsConsumedOrPoisons(t *testing.T) {
-	auth := frameBytes(MsgAuthOK, EncodeAuthOK("script/2.0", ProtoV2))
-	scripted := func(t *testing.T, reply []byte) *Client {
-		t.Helper()
-		nc := newScriptConn(false, auth, reply)
-		t.Cleanup(func() { nc.Close() })
-		c, err := newClient(background(), nc, ConnParams{Database: "demo"}, defaultDialConfig())
-		if err != nil {
-			t.Fatal(err)
+	// Every reply type but the one a request expects, and MsgErr.
+	allBut := func(want string) []string {
+		var out []string
+		for _, name := range []string{"MsgAuthOK", "MsgResult", "MsgGoodbye", "MsgResultChunk", "MsgResultEnd",
+			"MsgPong", "MsgDebugReply", "MsgDebugEvent", "MsgPrepareOK", "MsgCloseStmtOK"} {
+			if name != want {
+				out = append(out, name)
+			}
 		}
-		return c
+		return out
 	}
 	readers := []struct {
 		name    string
@@ -246,10 +249,60 @@ func TestEveryReplyTypeIsConsumedOrPoisons(t *testing.T) {
 		feed func(t *testing.T, frame []byte) (*Client, error)
 	}{
 		{
-			name:    "readQueryResponse",
-			poisons: []string{"MsgAuthOK", "MsgGoodbye", "MsgPong", "MsgDebugReply", "MsgDebugEvent", "MsgPrepareOK", "MsgCloseStmtOK"},
+			name:    "reply rule/handshake",
+			poisons: allBut("MsgAuthOK"),
 			feed: func(t *testing.T, frame []byte) (*Client, error) {
-				c := scripted(t, frame)
+				// newClient returns no Client when the handshake fails: keep
+				// the one it shook hands on.
+				nc := newScriptConn(false, frame)
+				t.Cleanup(func() { nc.Close() })
+				c := clientOn(nc, ConnParams{Database: "demo"}, defaultDialConfig())
+				return c, c.handshake(background())
+			},
+		},
+		{
+			name:    "reply rule/Prepare",
+			poisons: allBut("MsgPrepareOK"),
+			feed: func(t *testing.T, frame []byte) (*Client, error) {
+				c := scriptedClient(t, newScriptConn(false, authOK(), frame))
+				_, err := c.Prepare(background(), `SELECT 1`)
+				return c, err
+			},
+		},
+		{
+			name:    "reply rule/Stmt.Close",
+			poisons: allBut("MsgCloseStmtOK"),
+			feed: func(t *testing.T, frame []byte) (*Client, error) {
+				c := scriptedClient(t, newScriptConn(false, authOK(), frame))
+				return c, (&Stmt{c: c, id: 7}).Close(background())
+			},
+		},
+		{
+			name:    "reply rule/deferred close",
+			poisons: allBut("MsgCloseStmtOK"),
+			feed: func(t *testing.T, frame []byte) (*Client, error) {
+				// The ping behind the close is answered when the frame under
+				// test was consumed.
+				c := scriptedClient(t, newScriptConn(false, authOK(), frame, frameBytes(MsgPong, nil)))
+				c.deferCloseStmt(7)
+				return c, c.Ping(background())
+			},
+		},
+		{
+			name:    "reply rule/Ping",
+			poisons: allBut("MsgPong"),
+			feed: func(t *testing.T, frame []byte) (*Client, error) {
+				c := scriptedClient(t, newScriptConn(false, authOK(), frame))
+				return c, c.Ping(background())
+			},
+		},
+		{
+			// Rows reads a reply's first frame inside start. An end frame
+			// closes a stream that chunks opened; no encoder sends one first.
+			name:    "Client.start",
+			poisons: []string{"MsgAuthOK", "MsgGoodbye", "MsgResultEnd", "MsgPong", "MsgDebugReply", "MsgDebugEvent", "MsgPrepareOK", "MsgCloseStmtOK"},
+			feed: func(t *testing.T, frame []byte) (*Client, error) {
+				c := scriptedClient(t, newScriptConn(false, authOK(), frame))
 				_, err := c.QueryStream(background(), `SELECT * FROM t`)
 				return c, err
 			},
@@ -258,7 +311,7 @@ func TestEveryReplyTypeIsConsumedOrPoisons(t *testing.T) {
 			name:    "Rows.Next",
 			poisons: []string{"MsgAuthOK", "MsgResult", "MsgGoodbye", "MsgPong", "MsgDebugReply", "MsgDebugEvent", "MsgPrepareOK", "MsgCloseStmtOK"},
 			feed: func(t *testing.T, frame []byte) (*Client, error) {
-				c := scripted(t, join(frameBytes(MsgResultChunk, EncodeResultChunk(sampleTable())), frame))
+				c := scriptedClient(t, newScriptConn(false, authOK(), join(frameBytes(MsgResultChunk, EncodeResultChunk(sampleTable())), frame)))
 				rows, err := c.QueryStream(background(), `SELECT * FROM t`)
 				if err != nil {
 					t.Fatal(err)
@@ -272,17 +325,17 @@ func TestEveryReplyTypeIsConsumedOrPoisons(t *testing.T) {
 		},
 		{
 			name:    "DebugConn.readLoop",
-			poisons: []string{"MsgAuthOK", "MsgPrepareOK", "MsgCloseStmtOK"},
+			poisons: []string{"MsgAuthOK", "MsgResult", "MsgErr", "MsgResultChunk", "MsgResultEnd", "MsgPong", "MsgPrepareOK", "MsgCloseStmtOK"},
 			feed: func(t *testing.T, frame []byte) (*Client, error) {
-				// An end frame follows: it answers the query when the frame
+				// A reply follows: it answers the request when the frame
 				// under test was consumed without doing so.
-				c := scripted(t, join(frame, frameBytes(MsgResultEnd, EncodeResultEnd("fence", 0))))
+				c := scriptedClient(t, newScriptConn(false, authOK(), join(frame, frameBytes(MsgDebugReply, EncodeDebugReply(DebugReply{Seq: 1, Success: true})))))
 				dc, err := c.Debug()
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { dc.Close() })
-				_, _, err = dc.Query(ctxSec(t), `SELECT * FROM t`)
+				_, err = dc.RoundTrip(ctxSec(t), DebugRequest{Command: DebugCmdPause})
 				return c, err
 			},
 		},

@@ -257,10 +257,14 @@ func TestLargeFrameIsTwoWritesAndNoCopy(t *testing.T) {
 // frame — the client writes no frame in two pieces below singleWriteMax)
 // releases the next step of canned reply bytes to the client's reader,
 // whole, so that however many frames a step holds arrive in one Read, or
-// with oneByte a byte per Read.
+// with oneByte a byte per Read. With hangUp, a Read that finds nothing
+// left to hand out reports io.EOF instead of waiting; with repeat, the last
+// step answers every write from then on.
 type scriptConn struct {
 	net.Conn // never called: the Client uses only the methods below
 	oneByte  bool
+	hangUp   bool
+	repeat   bool
 
 	mu     sync.Mutex
 	ready  *sync.Cond
@@ -279,17 +283,39 @@ func (c *scriptConn) Write(p []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.steps) > 0 {
-		c.buf = append(c.buf, c.steps[0]...)
-		c.steps = c.steps[1:]
+		// Read only copies out of buf, so an empty buf may alias the step:
+		// a repeated step then costs the writer no allocation.
+		if len(c.buf) == 0 {
+			c.buf = c.steps[0]
+		} else {
+			c.buf = append(c.buf[:len(c.buf):len(c.buf)], c.steps[0]...)
+		}
+		if !c.repeat || len(c.steps) > 1 {
+			c.steps = c.steps[1:]
+		}
 	}
 	c.ready.Broadcast()
 	return len(p), nil
 }
 
+// then queues one more step.
+func (c *scriptConn) then(step []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.steps = append(c.steps, step)
+}
+
+// unread reports how many released bytes no Read has taken yet.
+func (c *scriptConn) unread() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.buf)
+}
+
 func (c *scriptConn) Read(p []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for len(c.buf) == 0 && !c.closed {
+	for len(c.buf) == 0 && !c.closed && !(c.hangUp && len(c.steps) == 0) {
 		c.ready.Wait()
 	}
 	if len(c.buf) == 0 {
@@ -328,24 +354,20 @@ func TestBufferedReaderSplitsAndJoins(t *testing.T) {
 			name = "byte-at-a-time"
 		}
 		t.Run("client/"+name, func(t *testing.T) {
-			nc := newScriptConn(oneByte,
-				frameBytes(MsgAuthOK, EncodeAuthOK("script/2.0", ProtoV2)),
+			c := scriptedClient(t, newScriptConn(oneByte,
+				authOK(),
 				// a streamed result, all of it behind the query in one segment
 				join(frameBytes(MsgResultChunk, EncodeResultChunk(tbl.SliceRows(0, 2))),
 					frameBytes(MsgResultChunk, EncodeResultChunk(tbl.SliceRows(2, 3))),
 					frameBytes(MsgResultEnd, EncodeResultEnd("SELECT 3", 3))),
 				frameBytes(MsgPong, nil),
-				// debug mode: the reply with an event on its heels, then an
-				// event ahead of a query's result
+				// debug mode: a reply with an event on its heels, then an
+				// event ahead of a reply
 				join(frameBytes(MsgDebugReply, EncodeDebugReply(DebugReply{Seq: 1, Success: true})),
 					frameBytes(MsgDebugEvent, EncodeDebugEvent(stopped))),
 				join(frameBytes(MsgDebugEvent, EncodeDebugEvent(stopped)),
-					frameBytes(MsgResult, EncodeResult("SELECT 3", tbl))),
-			)
-			c, err := newClient(background(), nc, ConnParams{Database: "demo"}, defaultDialConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
+					frameBytes(MsgDebugReply, EncodeDebugReply(DebugReply{Seq: 2, Success: true, Value: "3"}))),
+			))
 			msg, got, err := c.Query(background(), `SELECT * FROM t`)
 			if err != nil || msg != "SELECT 3" || !bytes.Equal(storage.EncodeTable(nil, got), wantTable) {
 				t.Fatalf("streamed result: %q %v", msg, err)
@@ -365,12 +387,11 @@ func TestBufferedReaderSplitsAndJoins(t *testing.T) {
 			if ev, err := dc.WaitEvent(ctx); err != nil || ev != stopped {
 				t.Fatalf("debug event behind the reply: %+v %v", ev, err)
 			}
-			msg, got, err = dc.Query(ctx, `SELECT * FROM t`)
-			if err != nil || msg != "SELECT 3" || !bytes.Equal(storage.EncodeTable(nil, got), wantTable) {
-				t.Fatalf("result behind an event: %q %v", msg, err)
+			if rep, err := dc.RoundTrip(ctx, DebugRequest{Command: DebugCmdEval, Expr: "i"}); err != nil || rep.Seq != 2 || rep.Value != "3" {
+				t.Fatalf("reply behind an event: %+v %v", rep, err)
 			}
 			if ev, err := dc.WaitEvent(ctx); err != nil || ev != stopped {
-				t.Fatalf("debug event ahead of the result: %+v %v", ev, err)
+				t.Fatalf("debug event ahead of the reply: %+v %v", ev, err)
 			}
 		})
 

@@ -25,9 +25,10 @@ type Rows struct {
 
 	msg       string
 	totalRows int64
+	carried   int64          // rows of the chunks read so far
 	pending   *storage.Table // first batch, consumed by the first Next
 	cur       *storage.Table
-	streaming bool // true when served by the chunked path
+	streaming bool // a chunk arrived: the reply is a stream
 	finished  bool // terminator (or one-shot result) already read
 	closed    bool
 	err       error
@@ -40,56 +41,59 @@ func (r *Rows) Next() bool {
 		return false
 	}
 	if r.pending != nil {
-		r.cur = r.pending
-		r.pending = nil
+		r.cur, r.pending = r.pending, nil
 		return true
 	}
-	if r.finished {
-		r.finish()
-		return false
+	if !r.finished {
+		t, err := r.fetch()
+		if t != nil {
+			r.cur = t
+			return true
+		}
+		r.err = err
 	}
+	r.finish()
+	return false
+}
+
+// fetch reads the reply's next frame; it is the client's one reader of
+// result frames. MsgResult is a whole reply, legal only as the first frame;
+// chunks stream until MsgResultEnd, whose row count must be the chunks'.
+// MsgErr ends the reply with the error it carries (see serverError).
+// Anything else, or a payload that does not decode, is a protocol error and
+// poisons the connection. A nil table and a nil error mean the reply is
+// over.
+func (r *Rows) fetch() (t *storage.Table, err error) {
 	typ, payload, err := r.c.recv()
 	if err != nil {
-		r.err = err
-		r.finish()
-		return false
+		return nil, err
 	}
-	// Only chunk, end and error frames are legal inside a stream.
-	switch typ {
-	case MsgResultChunk:
-		t, err := DecodeResultChunk(payload)
-		if err != nil {
-			r.c.broken.Store(true)
-			r.err = err
-			r.finish()
-			return false
-		}
-		r.cur = t
-		return true
-	case MsgResultEnd:
-		msg, n, err := DecodeResultEnd(payload)
-		if err != nil {
-			r.c.broken.Store(true)
-			r.err = err
-		} else {
-			r.msg, r.totalRows = msg, n
-		}
+	switch {
+	case typ == MsgResult && !r.streaming:
 		r.finished = true
-		r.finish()
-		return false
-	case MsgErr:
-		// A server-side error terminates the stream; the connection stays
-		// in sync and reusable.
-		r.err = DecodeError(payload)
+		r.msg, t, err = DecodeResult(payload)
+	case typ == MsgResultChunk:
+		r.streaming = true
+		if t, err = DecodeResultChunk(payload); err == nil {
+			r.carried += int64(t.NumRows())
+		}
+	case typ == MsgResultEnd && r.streaming:
 		r.finished = true
-		r.finish()
-		return false
+		r.msg, r.totalRows, err = DecodeResultEnd(payload)
+		if err == nil && r.totalRows != r.carried {
+			err = core.Errorf(core.KindProtocol, "result stream ends at %d rows, its chunks carried %d", r.totalRows, r.carried)
+		}
+	case typ == MsgErr:
+		r.finished = true
+		return nil, serverError(payload)
 	default:
-		r.c.broken.Store(true)
-		r.err = core.Errorf(core.KindProtocol, "unexpected frame %d in result stream", typ)
-		r.finish()
-		return false
+		err = core.Errorf(core.KindProtocol, "unexpected frame %d in a result", typ)
 	}
+	if err != nil {
+		r.c.broken.Store(true)
+		return nil, err
+	}
+	return t, nil
 }
 
 // Batch returns the current batch after a successful Next. The table is

@@ -49,21 +49,21 @@ func (c *Client) stmtClosePending(id uint32) bool {
 	return false
 }
 
-// flushStmtCloses performs the deferred statement closes. Called at the
-// start of every protocol operation, while the caller exclusively holds
-// the connection. A non-zero keep id is left queued instead of closed —
-// the caller is about to execute that statement and must learn (via
-// keptPending) that it was closed under it. A server-side MsgErr (e.g.
-// the id raced a disconnect) is non-fatal; IO errors surface and poison
-// the connection as usual.
-func (c *Client) flushStmtCloses(keep uint32) (keptPending bool, err error) {
+// flushStmtCloses performs the deferred statement closes; begin calls it
+// while the caller exclusively holds the connection. A non-zero keep id is
+// left queued instead of closed, and reported as ErrStmtClosed: the caller
+// is about to execute that statement and must learn it was closed under
+// it. A server-side MsgErr (e.g. the id raced a disconnect) is non-fatal;
+// a reply that poisons the connection surfaces.
+func (c *Client) flushStmtCloses(keep uint32) error {
 	c.stmtCloseMu.Lock()
 	ids := c.stmtCloses
 	c.stmtCloses = nil
+	kept := false
 	for _, id := range ids {
 		if keep != 0 && id == keep {
 			c.stmtCloses = append(c.stmtCloses, id)
-			keptPending = true
+			kept = true
 		}
 	}
 	c.stmtCloseMu.Unlock()
@@ -71,61 +71,27 @@ func (c *Client) flushStmtCloses(keep uint32) (keptPending bool, err error) {
 		if keep != 0 && id == keep {
 			continue
 		}
-		if err := c.send(MsgCloseStmt, EncodeCloseStmt(id)); err != nil {
-			return keptPending, err
-		}
-		typ, _, err := c.recv()
-		if err != nil {
-			return keptPending, err
-		}
-		switch typ {
-		case MsgCloseStmtOK, MsgErr:
-		default:
-			c.broken.Store(true)
-			return keptPending, core.Errorf(core.KindProtocol, "unexpected close-stmt reply %d", typ)
+		if err := c.exchange(MsgCloseStmt, EncodeCloseStmt(id), MsgCloseStmtOK, nil); err != nil && c.broken.Load() {
+			return err
 		}
 	}
-	return keptPending, nil
+	if kept {
+		return ErrStmtClosed
+	}
+	return nil
 }
 
 // Prepare compiles sql server-side and returns the statement handle.
 func (c *Client) Prepare(ctx context.Context, sql string) (*Stmt, error) {
-	if c.broken.Load() {
-		return nil, core.Errorf(core.KindIO, "connection is broken")
-	}
-	stop := c.watch(ctx)
-	st, err := c.prepareLocked(sql)
-	if werr := stop(); werr != nil {
-		return nil, werr
-	}
-	return st, err
-}
-
-func (c *Client) prepareLocked(sql string) (*Stmt, error) {
-	if _, err := c.flushStmtCloses(0); err != nil {
-		return nil, err
-	}
-	if err := c.send(MsgPrepare, []byte(sql)); err != nil {
-		return nil, err
-	}
-	typ, payload, err := c.recv()
+	st := &Stmt{c: c, sql: sql}
+	err := c.call(ctx, MsgPrepare, []byte(sql), MsgPrepareOK, func(reply []byte) (err error) {
+		st.id, st.nparams, err = DecodePrepareOK(reply)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	switch typ {
-	case MsgPrepareOK:
-		id, nparams, err := DecodePrepareOK(payload)
-		if err != nil {
-			c.broken.Store(true)
-			return nil, err
-		}
-		return &Stmt{c: c, id: id, nparams: nparams, sql: sql}, nil
-	case MsgErr:
-		return nil, DecodeError(payload)
-	default:
-		c.broken.Store(true)
-		return nil, core.Errorf(core.KindProtocol, "unexpected prepare reply %d", typ)
-	}
+	return st, nil
 }
 
 // SQL returns the statement's original text.
@@ -157,9 +123,6 @@ func (s *Stmt) QueryStream(ctx context.Context, args ...any) (*Rows, error) {
 		// while another goroutine held this connection
 		return nil, ErrStmtClosed
 	}
-	if s.c.broken.Load() {
-		return nil, core.Errorf(core.KindIO, "connection is broken")
-	}
 	if len(args) != s.nparams {
 		return nil, core.Errorf(core.KindConstraint,
 			"statement expects %d bind parameter(s), got %d", s.nparams, len(args))
@@ -168,32 +131,10 @@ func (s *Stmt) QueryStream(ctx context.Context, args ...any) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	stop := s.c.watch(ctx)
-	rows, err := s.execLocked(cols)
-	if err != nil {
-		if werr := stop(); werr != nil {
-			return nil, werr
-		}
-		return nil, err
-	}
-	rows.stop = stop
-	return rows, nil
-}
-
-func (s *Stmt) execLocked(cols []*storage.Column) (*Rows, error) {
-	keptPending, err := s.c.flushStmtCloses(s.id)
-	if err != nil {
-		return nil, err
-	}
-	if keptPending {
-		// this statement was closed (deferred) while we held the
-		// connection; never execute a slot queued for release
-		return nil, ErrStmtClosed
-	}
-	if err := s.c.send(MsgExecStmt, EncodeExecStmt(s.id, cols)); err != nil {
-		return nil, err
-	}
-	return s.c.readQueryResponse()
+	// Keeping s.id out of the flush turns a close deferred since the check
+	// above into ErrStmtClosed too: a slot queued for release is never
+	// executed.
+	return s.c.start(ctx, MsgExecStmt, EncodeExecStmt(s.id, cols), s.id)
 }
 
 // Query executes the statement and returns the status message and the
@@ -228,34 +169,7 @@ func (s *Stmt) Close(ctx context.Context) error {
 		// the session.
 		return nil
 	}
-	stop := s.c.watch(ctx)
-	err := s.closeLocked()
-	if werr := stop(); werr != nil {
-		return werr
-	}
-	return err
-}
-
-func (s *Stmt) closeLocked() error {
-	if _, err := s.c.flushStmtCloses(0); err != nil {
-		return err
-	}
-	if err := s.c.send(MsgCloseStmt, EncodeCloseStmt(s.id)); err != nil {
-		return err
-	}
-	typ, payload, err := s.c.recv()
-	if err != nil {
-		return err
-	}
-	switch typ {
-	case MsgCloseStmtOK:
-		return nil
-	case MsgErr:
-		return DecodeError(payload)
-	default:
-		s.c.broken.Store(true)
-		return core.Errorf(core.KindProtocol, "unexpected close-stmt reply %d", typ)
-	}
+	return s.c.call(ctx, MsgCloseStmt, EncodeCloseStmt(s.id), MsgCloseStmtOK, nil)
 }
 
 // PoolStmt is a pool-aware prepared statement: one logical statement that
