@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,8 +81,8 @@ type DB struct {
 	// Literals the engine reads as syntax stay in the plan and must repeat
 	// for a text to use it: ORDER BY positions, LIMIT, COPY paths and the
 	// first two arguments of sys_extract. NULL, TRUE and FALSE are keywords,
-	// so they are part of the shape. The cache is flushed on every catalog
-	// change.
+	// so they are part of the shape. A plan is the parsed statement, and
+	// parsing reads no catalog, so catalog changes leave the cache as it is.
 	PlanCacheSize int
 	// MaxResultRows bounds the rows a single SELECT may materialize
 	// (0 = unlimited). Oversize results abort with a typed KindResource
@@ -151,15 +150,7 @@ func NewDB() *DB {
 func (db *DB) RegisterTable(t *storage.Table) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.invalidatePlans()
-	if err := db.cat.CreateTable(t); err != nil {
-		return err
-	}
-	if err := db.commit(Change{Kind: ChangeCreateTable, Table: t}); err != nil {
-		_ = db.cat.DropTable(t.Name)
-		return err
-	}
-	return nil
+	return db.mutate(Change{Kind: ChangeCreateTable, Table: t})
 }
 
 // Conn is a session: credentials plus the database handle. The wire server
@@ -305,49 +296,26 @@ func (c *Conn) adhoc(s *Stmt, sql string, tr *obs.Trace) error {
 }
 
 func (c *Conn) execStmt(st sqlparse.Statement) (*Result, error) {
+	db := c.DB
 	switch st := st.(type) {
 	case *sqlparse.CreateTable:
 		t := storage.NewTable(st.Name, st.Schema)
-		if err := c.DB.cat.CreateTable(t); err != nil {
-			return nil, err
-		}
-		if err := c.DB.commit(Change{Kind: ChangeCreateTable, Table: t}); err != nil {
-			_ = c.DB.cat.DropTable(t.Name)
-			return nil, err
-		}
-		c.DB.invalidatePlans()
-		return &Result{Msg: "CREATE TABLE"}, nil
+		return status("CREATE TABLE", db.mutate(Change{Kind: ChangeCreateTable, Table: t}))
 	case *sqlparse.DropTable:
-		old, err := c.DB.cat.Table(st.Name)
+		// The log names the table as the catalog spells it.
+		t, err := db.cat.Table(st.Name)
 		if err != nil {
 			return nil, err
 		}
-		if err := c.DB.cat.DropTable(st.Name); err != nil {
-			return nil, err
-		}
-		if err := c.DB.commit(Change{Kind: ChangeDropTable, Name: old.Name}); err != nil {
-			_ = c.DB.cat.CreateTable(old)
-			return nil, err
-		}
-		c.DB.invalidatePlans()
-		return &Result{Msg: "DROP TABLE"}, nil
+		return status("DROP TABLE", db.mutate(Change{Kind: ChangeDropTable, Name: t.Name}))
 	case *sqlparse.CreateFunction:
-		return c.createFunction(st)
+		return status("CREATE FUNCTION", c.createFunction(st))
 	case *sqlparse.DropFunction:
-		old, err := c.DB.cat.Function(st.Name)
+		f, err := db.cat.Function(st.Name)
 		if err != nil {
 			return nil, err
 		}
-		if err := c.DB.cat.DropFunction(st.Name); err != nil {
-			return nil, err
-		}
-		if err := c.DB.commit(Change{Kind: ChangeDropFunction, Name: old.Name}); err != nil {
-			_ = c.DB.cat.InstallFunction(old, true)
-			return nil, err
-		}
-		delete(c.DB.compiled, strings.ToLower(st.Name))
-		c.DB.invalidatePlans()
-		return &Result{Msg: "DROP FUNCTION"}, nil
+		return status("DROP FUNCTION", db.mutate(Change{Kind: ChangeDropFunction, Name: f.Name}))
 	case *sqlparse.Insert:
 		return c.insert(st)
 	case *sqlparse.CopyInto:
@@ -363,12 +331,25 @@ func (c *Conn) execStmt(st sqlparse.Statement) (*Result, error) {
 	}
 }
 
-func (c *Conn) createFunction(st *sqlparse.CreateFunction) (*Result, error) {
+// status is the result of a statement that reports only its tag.
+func status(tag string, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Msg: tag}, nil
+}
+
+func (c *Conn) createFunction(st *sqlparse.CreateFunction) error {
 	if isBuiltinName(st.Name) {
-		return nil, core.Errorf(core.KindConstraint,
-			"cannot create function %q: name is reserved", st.Name)
+		return core.Errorf(core.KindConstraint, "cannot create function %q: name is reserved", st.Name)
+	}
+	// The parser accepts any LANGUAGE; creation requires a registered
+	// runtime so a typo'd language fails here rather than at first call.
+	if _, err := udfrt.Lookup(st.Language); err != nil {
+		return err
 	}
 	def := &storage.FuncDef{
+		ID:       c.DB.funcID(st.Name),
 		Name:     st.Name,
 		Params:   st.Params,
 		Language: st.Language,
@@ -376,26 +357,7 @@ func (c *Conn) createFunction(st *sqlparse.CreateFunction) (*Result, error) {
 		Returns:  st.Returns,
 		IsTable:  st.IsTable,
 	}
-	// The parser accepts any LANGUAGE; creation requires a registered
-	// runtime so a typo'd language fails here rather than at first call.
-	if _, err := udfrt.Lookup(def.Language); err != nil {
-		return nil, err
-	}
-	prior, _ := c.DB.cat.Function(st.Name)
-	if err := c.DB.cat.CreateFunction(def, st.OrReplace); err != nil {
-		return nil, err
-	}
-	if err := c.DB.commit(Change{Kind: ChangeCreateFunction, Func: def, Replace: st.OrReplace}); err != nil {
-		if prior != nil {
-			_ = c.DB.cat.InstallFunction(prior, true)
-		} else {
-			_ = c.DB.cat.DropFunction(def.Name)
-		}
-		return nil, err
-	}
-	delete(c.DB.compiled, strings.ToLower(st.Name))
-	c.DB.invalidatePlans()
-	return &Result{Msg: "CREATE FUNCTION"}, nil
+	return c.DB.mutate(Change{Kind: ChangeCreateFunction, Func: def, Replace: st.OrReplace})
 }
 
 func (c *Conn) insert(st *sqlparse.Insert) (*Result, error) {
@@ -404,26 +366,42 @@ func (c *Conn) insert(st *sqlparse.Insert) (*Result, error) {
 		return nil, err
 	}
 	n0 := t.NumRows()
-	for _, row := range st.Rows {
+	if err := c.DB.commitAppend(t, n0, c.appendRows(t, st.Rows)); err != nil {
+		return nil, err
+	}
+	return &Result{Msg: fmt.Sprintf("INSERT %d", len(st.Rows))}, nil
+}
+
+// appendRows appends an INSERT's rows to t, stopping at the first that
+// fails.
+func (c *Conn) appendRows(t *storage.Table, rows [][]sqlparse.Expr) error {
+	for _, row := range rows {
 		vals := make([]any, len(row))
 		for i, e := range row {
 			v, err := c.constEval(e)
 			if err != nil {
-				t.Truncate(n0)
-				return nil, err
+				return err
 			}
 			vals[i] = v
 		}
 		if err := t.AppendRow(vals); err != nil {
-			t.Truncate(n0)
-			return nil, err
+			return err
 		}
 	}
-	if err := c.DB.commit(Change{Kind: ChangeInsert, Name: t.Name, Table: t, From: n0, To: t.NumRows()}); err != nil {
-		t.Truncate(n0)
-		return nil, err
+	return nil
+}
+
+// commitAppend commits the rows appended to t from row n0 on. If the
+// append failed (err) or the commit is refused, it drops them instead:
+// INSERT and COPY are all-or-nothing.
+func (db *DB) commitAppend(t *storage.Table, n0 int, err error) error {
+	if err == nil {
+		err = db.commit(Change{Kind: ChangeInsert, Name: t.Name, Table: t, From: n0, To: t.NumRows()})
 	}
-	return &Result{Msg: fmt.Sprintf("INSERT %d", len(st.Rows))}, nil
+	if err != nil {
+		t.Truncate(n0)
+	}
+	return err
 }
 
 // constEval evaluates a literal (possibly negated) INSERT value, or a bind
@@ -490,14 +468,7 @@ func (c *Conn) copyInto(st *sqlparse.CopyInto) (*Result, error) {
 	}
 	n0 := t.NumRows()
 	n, err := t.LoadCSV(bytes.NewReader(data), st.Header)
-	if err != nil {
-		// A mid-load error used to leave the rows before the bad record
-		// applied; COPY is all-or-nothing now.
-		t.Truncate(n0)
-		return nil, err
-	}
-	if err := c.DB.commit(Change{Kind: ChangeInsert, Name: t.Name, Table: t, From: n0, To: t.NumRows()}); err != nil {
-		t.Truncate(n0)
+	if err := c.DB.commitAppend(t, n0, err); err != nil {
 		return nil, err
 	}
 	return &Result{Msg: fmt.Sprintf("COPY %d", n)}, nil

@@ -40,6 +40,14 @@ func (c *Conn) pol() vec.Pol {
 	return p
 }
 
+// rows is the context's logical row count.
+func (ctx *evalCtx) rows() int {
+	if ctx.sel != nil {
+		return len(ctx.sel)
+	}
+	return ctx.src.NumRows()
+}
+
 // view returns the column restricted to the context's selection,
 // memoized per base column.
 func (ctx *evalCtx) view(col *storage.Column) *storage.Column {
@@ -233,11 +241,7 @@ func cmpOpOf(op string) vec.CmpOp {
 func (c *Conn) evalCall(ctx *evalCtx, call *sqlparse.FuncCall) (*storage.Column, error) {
 	name := strings.ToLower(call.Name)
 	if isAggregateName(name) {
-		v, err := c.evalAggregate(ctx, call)
-		if err != nil {
-			return nil, err
-		}
-		return v, nil
+		return c.aggregateOver(ctx, call)
 	}
 	if fn, ok := scalarBuiltins[name]; ok {
 		args, err := c.evalArgs(ctx, call.Args)

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"strings"
-
-	"repro/internal/udfrt/gort"
-)
+import "repro/internal/udfrt/gort"
 
 // RegisterGoUDF registers a typed Go function as a native UDF in one step:
 // the implementation goes into the process-wide GO runtime table and the
@@ -36,35 +32,23 @@ func (db *DB) RegisterGoUDFElementwise(name string, fn any) error {
 	return db.registerGoUDF(name, fn, true)
 }
 
+// registerGoUDF commits the catalog entry first and installs the
+// implementation only once the commit succeeded: calls read gort's table,
+// so a refused commit must leave the old implementation in place.
 func (db *DB) registerGoUDF(name string, fn any, elementwise bool) error {
-	var err error
-	if elementwise {
-		err = gort.RegisterElementwise(name, fn)
-	} else {
-		err = gort.Register(name, fn)
-	}
-	if err != nil {
-		return err
-	}
 	def, err := gort.InferDef(name, fn)
 	if err != nil {
 		return err
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	delete(db.compiled, strings.ToLower(name))
-	db.invalidatePlans()
-	prior, _ := db.cat.Function(name)
-	if err := db.cat.CreateFunction(def, true); err != nil {
+	def.ID = db.funcID(name)
+	if err := db.mutate(Change{Kind: ChangeRegisterGoUDF, Func: def}); err != nil {
 		return err
 	}
-	if err := db.commit(Change{Kind: ChangeRegisterGoUDF, Func: def}); err != nil {
-		if prior != nil {
-			_ = db.cat.InstallFunction(prior, true)
-		} else {
-			_ = db.cat.DropFunction(name)
-		}
-		return err
+	// InferDef accepted the signature, so registering cannot fail.
+	if elementwise {
+		return gort.RegisterElementwise(name, fn)
 	}
-	return nil
+	return gort.Register(name, fn)
 }

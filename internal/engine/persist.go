@@ -8,13 +8,15 @@ import (
 	"repro/internal/storage"
 )
 
-// This file is the engine half of durable storage: every statement that
+// This file is the engine half of durable storage. Every statement that
 // mutates the catalog or table data describes itself as a Change and offers
-// it to the installed commit hook while the database lock is still held.
-// If the hook refuses (the WAL append failed), the in-memory mutation is
-// rolled back and the statement fails — a change is either durable and
-// applied, or neither. Replay at startup feeds recovered Changes back in
-// through ApplyChange, which applies without re-logging.
+// it to the installed commit hook while the database lock is still held; if
+// the hook refuses (the WAL append failed), the mutation is undone and the
+// statement fails, so a change is either durable and applied, or neither.
+// apply is the one place the catalog changes: statements reach it through
+// mutate, which commits and undoes on a refusal, and WAL replay through
+// ApplyChange, which does not log. INSERT and COPY append in place, then
+// commit or truncate (commitAppend).
 
 // ChangeKind discriminates the logical record types of the write-ahead log.
 type ChangeKind int
@@ -120,37 +122,87 @@ func (db *DB) commit(ch Change) error {
 func (db *DB) ApplyChange(ch Change) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	_, err := db.apply(ch)
+	return err
+}
+
+// mutate is how a statement changes the catalog: apply ch, then commit it,
+// undoing it if the commit is refused. Called with db.mu held.
+func (db *DB) mutate(ch Change) error {
+	undo, err := db.apply(ch)
+	if err != nil {
+		return err
+	}
+	if err := db.commit(ch); err != nil {
+		undo()
+		return err
+	}
+	return nil
+}
+
+// apply makes ch's change to the catalog and returns its inverse; a
+// function's change also drops its compiled callable. Statements (through
+// mutate) and WAL replay both change the catalog here. Called with db.mu
+// held.
+func (db *DB) apply(ch Change) (undo func(), err error) {
+	cat := db.cat
 	switch ch.Kind {
 	case ChangeCreateTable:
-		if err := db.cat.CreateTable(ch.Table); err != nil {
-			return err
+		if err := cat.CreateTable(ch.Table); err != nil {
+			return nil, err
 		}
+		return func() { _ = cat.DropTable(ch.Table.Name) }, nil
 	case ChangeDropTable:
-		if err := db.cat.DropTable(ch.Name); err != nil {
-			return err
-		}
-	case ChangeInsert:
-		t, err := db.cat.Table(ch.Name)
+		old, err := cat.Table(ch.Name)
 		if err != nil {
-			return err
+			return nil, err
 		}
+		if err := cat.DropTable(ch.Name); err != nil {
+			return nil, err
+		}
+		return func() { _ = cat.CreateTable(old) }, nil
+	case ChangeInsert:
+		t, err := cat.Table(ch.Name)
+		if err != nil {
+			return nil, err
+		}
+		n0 := t.NumRows()
 		if err := t.AppendTable(ch.insertBatch()); err != nil {
-			return err
+			return nil, err
 		}
+		return func() { t.Truncate(n0) }, nil
 	case ChangeCreateFunction, ChangeRegisterGoUDF:
-		replace := ch.Replace || ch.Kind == ChangeRegisterGoUDF
-		if err := db.cat.InstallFunction(ch.Func, replace); err != nil {
-			return err
+		name := ch.Func.Name
+		prior, _ := cat.Function(name)
+		if err := cat.InstallFunction(ch.Func, ch.Replace || ch.Kind == ChangeRegisterGoUDF); err != nil {
+			return nil, err
 		}
-		delete(db.compiled, strings.ToLower(ch.Func.Name))
+		delete(db.compiled, strings.ToLower(name))
+		return func() {
+			if prior != nil {
+				_ = cat.InstallFunction(prior, true)
+			} else {
+				_ = cat.DropFunction(name)
+			}
+		}, nil
 	case ChangeDropFunction:
-		if err := db.cat.DropFunction(ch.Name); err != nil {
-			return err
+		old, err := cat.Function(ch.Name)
+		if err != nil {
+			return nil, err
 		}
+		_ = cat.DropFunction(ch.Name)
 		delete(db.compiled, strings.ToLower(ch.Name))
+		return func() { _ = cat.InstallFunction(old, false) }, nil
 	default:
-		return core.Errorf(core.KindProtocol, "unknown change kind %d in log", ch.Kind)
+		return nil, core.Errorf(core.KindProtocol, "unknown change kind %d in log", ch.Kind)
 	}
-	db.invalidatePlans()
-	return nil
+}
+
+// funcID is the ID a new definition of name takes: that of the function it
+// replaces, otherwise the catalog's next.
+func (db *DB) funcID(name string) int {
+	if f, err := db.cat.Function(name); err == nil {
+		return f.ID
+	}
+	return db.cat.NextID()
 }

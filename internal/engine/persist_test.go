@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -151,6 +152,112 @@ func TestHookVetoRollsBackFunctionDDL(t *testing.T) {
 	}
 }
 
+// TestRefusedCommitLeavesStateAsItWas runs every entry that changes the
+// catalog or table data against a refusing hook: each must fail with a
+// KindIO error and leave the tables, their rows, the function definitions
+// and IDs, and what the functions compute exactly as they were.
+func TestRefusedCommitLeavesStateAsItWas(t *testing.T) {
+	const goName = "veto_go"
+	times := func(k int64) func([]int64) []int64 {
+		return func(xs []int64) []int64 {
+			out := make([]int64, len(xs))
+			for i, x := range xs {
+				out[i] = k * x
+			}
+			return out
+		}
+	}
+	exec := func(sql string) func(*Conn) error {
+		return func(c *Conn) error { _, err := c.Exec(sql); return err }
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(*Conn) error
+	}{
+		{"CREATE TABLE", exec(`CREATE TABLE u (x INTEGER)`)},
+		{"DROP TABLE", exec(`DROP TABLE T`)},
+		{"CREATE FUNCTION", exec(`CREATE FUNCTION g(column INTEGER) RETURNS INTEGER LANGUAGE PYTHON {
+    return column
+}`)},
+		{"CREATE OR REPLACE FUNCTION", exec(`CREATE OR REPLACE FUNCTION f(column INTEGER) RETURNS INTEGER LANGUAGE PYTHON {
+    return [v * 100 for v in column]
+}`)},
+		{"DROP FUNCTION", exec(`DROP FUNCTION F`)},
+		{"INSERT", exec(`INSERT INTO t VALUES (9), (10)`)},
+		{"COPY INTO", exec(`COPY INTO t FROM 'rows.csv'`)},
+		{"RegisterTable", func(c *Conn) error {
+			return c.DB.RegisterTable(storage.NewTable("u", storage.Schema{{Name: "x", Type: storage.TInt}}))
+		}},
+		{"RegisterGoUDF", func(c *Conn) error { return c.DB.RegisterGoUDF(goName, times(3)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, c, h := newHookedDB(t)
+			db.FS = core.NewMemFS(map[string]string{"rows.csv": "7\n8\n"})
+			for _, sql := range []string{
+				`CREATE TABLE t (i INTEGER)`,
+				`INSERT INTO t VALUES (1), (2)`,
+				`CREATE FUNCTION f(column INTEGER) RETURNS INTEGER LANGUAGE PYTHON {
+    return [v * 10 for v in column]
+}`,
+			} {
+				if _, err := c.Exec(sql); err != nil {
+					t.Fatalf("%s: %v", sql, err)
+				}
+			}
+			if err := db.RegisterGoUDF(goName, times(2)); err != nil {
+				t.Fatal(err)
+			}
+			before := dbState(c)
+			h.fail = true
+			if err := tc.run(c); core.KindOf(err) != core.KindIO {
+				t.Fatalf("want a KindIO commit error, got %v", err)
+			}
+			if after := dbState(c); after != before {
+				t.Fatalf("a refused commit changed the database:\nbefore:\n%s\nafter:\n%s", before, after)
+			}
+		})
+	}
+}
+
+// dbState renders every table with its rows, every function with its ID and
+// body, and what t's rows give through f and veto_go.
+func dbState(c *Conn) string {
+	var b strings.Builder
+	_ = c.DB.Lock(func(cat *storage.Catalog) error {
+		for _, name := range cat.TableNames() {
+			tbl, _ := cat.Table(name)
+			fmt.Fprintf(&b, "table %s %v:", tbl.Name, tbl.Schema())
+			writeRows(&b, tbl)
+		}
+		for _, f := range cat.Functions() {
+			fmt.Fprintf(&b, "function %d %s %s %q\n", f.ID, f.Name, f.Language, f.Body)
+		}
+		return nil
+	})
+	r, err := c.Exec(`SELECT f(i) AS a, veto_go(i) AS b FROM t`)
+	if err != nil {
+		fmt.Fprintf(&b, "probe: %v\n", err)
+	} else {
+		b.WriteString("probe:")
+		writeRows(&b, r.Table)
+	}
+	return b.String()
+}
+
+func writeRows(b *strings.Builder, tbl *storage.Table) {
+	for i := 0; i < tbl.NumRows(); i++ {
+		b.WriteString(" (")
+		for j, col := range tbl.Cols {
+			if j > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(col.FormatValue(i))
+		}
+		b.WriteString(")")
+	}
+	b.WriteString("\n")
+}
+
 func TestInsertBadRowIsAtomic(t *testing.T) {
 	// Independent of any hook: a multi-row INSERT that fails on a later row
 	// must not leave earlier rows applied.
@@ -193,6 +300,28 @@ func TestHookSeesInsertBatch(t *testing.T) {
 	}
 	if ins.Table.Cols[1].Strs[1] != "b" {
 		t.Fatalf("insert batch content wrong: %v", ins.Table.Cols[1].Strs)
+	}
+}
+
+// TestDropLogsTheCatalogSpelling: a DROP names its object as the catalog
+// spells it, whatever case the statement used.
+func TestDropLogsTheCatalogSpelling(t *testing.T) {
+	_, c, h := newHookedDB(t)
+	for _, sql := range []string{
+		`CREATE TABLE Gone (x INTEGER)`,
+		`CREATE FUNCTION Fn(column INTEGER) RETURNS INTEGER LANGUAGE PYTHON {
+    return column
+}`,
+		`DROP TABLE GONE`,
+		`DROP FUNCTION fN`,
+	} {
+		if _, err := c.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	n := len(h.changes)
+	if n < 2 || h.changes[n-2].Name != "Gone" || h.changes[n-1].Name != "Fn" {
+		t.Fatalf("logged drops: %+v", h.changes)
 	}
 }
 

@@ -180,18 +180,6 @@ func (pc *planCache) store(p *plan, size int) {
 	pc.entries.Store(int64(pc.lru.Len()))
 }
 
-// invalidatePlans drops every cached plan. Called (with db.mu held) on any
-// catalog change — CREATE/DROP TABLE, CREATE/DROP FUNCTION, Go-UDF
-// (re-)registration, bulk table registration — so the next statement of
-// each shape parses again against the new catalog.
-func (db *DB) invalidatePlans() {
-	pc := &db.plans
-	pc.mu.Lock()
-	pc.byShape, pc.lru = nil, nil
-	pc.entries.Store(0)
-	pc.mu.Unlock()
-}
-
 // PlanCacheStatsSnapshot reports plan-cache hits, misses, evictions and
 // live entries. The counters are atomic, so this never blocks behind a
 // running statement.

@@ -215,8 +215,8 @@ func TestUnpreparedPlaceholderRejected(t *testing.T) {
 }
 
 // TestPlanCacheHitsAndInvalidation pins the DB plan cache: identical text
-// hits, DDL of every flavor (table, function, Go-UDF re-registration)
-// flushes, and the LRU stays bounded.
+// hits, and DDL of every flavor (table, function, Go-UDF re-registration,
+// bulk table registration) leaves the cached plans in place.
 func TestPlanCacheHitsAndInvalidation(t *testing.T) {
 	c := prepTestDB(t)
 	db := c.DB
@@ -237,7 +237,7 @@ func TestPlanCacheHitsAndInvalidation(t *testing.T) {
 		t.Fatalf("expected 5 cache hits, got %d", hits)
 	}
 
-	// DDL flushes the cache
+	// DDL keeps the cache: the next run of q is a hit
 	checks := []func() error{
 		func() error { _, err := c.Exec(`CREATE TABLE flush1 (x INTEGER)`); return err },
 		func() error { _, err := c.Exec(`DROP TABLE flush1`); return err },
@@ -261,15 +261,62 @@ func TestPlanCacheHitsAndInvalidation(t *testing.T) {
 			t.Fatalf("ddl %d: %v", i, err)
 		}
 		before := db.PlanCacheStatsSnapshot()
-		if before.Entries != 0 {
-			t.Fatalf("ddl %d: cache not flushed (%d entries)", i, before.Entries)
+		if before.Entries == 0 {
+			t.Fatalf("ddl %d: cache emptied", i)
 		}
 		if _, err := c.Exec(q); err != nil {
 			t.Fatal(err)
 		}
 		after := db.PlanCacheStatsSnapshot()
-		if after.Misses != before.Misses+1 {
-			t.Fatalf("ddl %d: expected a re-plan after invalidation", i)
+		if after.Hits != before.Hits+1 || after.Misses != before.Misses {
+			t.Fatalf("ddl %d: expected the cached plan to serve the next run", i)
+		}
+	}
+}
+
+// TestCachedPlanSurvivesDDL: a plan is the parsed statement, and parsing
+// reads no catalog, so a catalog change keeps the cache, and a cached plan
+// run after the change reads the new catalog.
+func TestCachedPlanSurvivesDDL(t *testing.T) {
+	c := newTestConn()
+	for _, sql := range []string{
+		`CREATE TABLE t (i INTEGER)`,
+		`INSERT INTO t VALUES (1), (2), (3)`,
+		`CREATE FUNCTION f(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON {
+    return [v * 2 for v in x]
+}`,
+		`SELECT i FROM t WHERE i > 1`,
+		`SELECT f(i) AS v FROM t WHERE i > 1`,
+	} {
+		mustExec(t, c, sql)
+	}
+	for _, sql := range []string{
+		`DROP TABLE t`,
+		`CREATE TABLE t (i DOUBLE)`,
+		`INSERT INTO t VALUES (1.5), (2.5)`,
+		`CREATE OR REPLACE FUNCTION f(x DOUBLE) RETURNS DOUBLE LANGUAGE PYTHON {
+    return [v * 10 for v in x]
+}`,
+	} {
+		mustExec(t, c, sql)
+	}
+	for _, q := range []struct {
+		sql  string
+		want float64
+	}{
+		{`SELECT i FROM t WHERE i > 2`, 2.5},
+		{`SELECT f(i) AS v FROM t WHERE i > 2`, 25},
+	} {
+		before := c.DB.PlanCacheStatsSnapshot()
+		r := mustExec(t, c, q.sql)
+		after := c.DB.PlanCacheStatsSnapshot()
+		if after.Hits != before.Hits+1 || after.Misses != before.Misses {
+			t.Errorf("%s: want a cache hit after the DDL, got %d hit(s) and %d miss(es)",
+				q.sql, after.Hits-before.Hits, after.Misses-before.Misses)
+		}
+		col := r.Table.Cols[0]
+		if col.Typ != storage.TFloat || col.Len() != 1 || col.Flts[0] != q.want {
+			t.Errorf("%s: got %s %v, want DOUBLE [%v] from the new catalog", q.sql, col.Typ, col.Flts, q.want)
 		}
 	}
 }

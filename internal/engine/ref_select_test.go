@@ -211,12 +211,13 @@ func refAggregateSelect(c *Conn, sel *sqlparse.Select, src *storage.Table) *stor
 			}
 		}
 	}
-	out := &storage.Table{Name: "result"}
-	if len(groups) == 0 {
-		for i, item := range sel.Items {
-			out.Cols = append(out.Cols, storage.NewColumn(itemName(item, i), storage.TStr))
-		}
+	// with no group, the items still evaluate once over no rows for their
+	// types and errors; that row is dropped
+	none := len(groups) == 0
+	if none {
+		groups = []*storage.Table{emptyOf(src)}
 	}
+	out := &storage.Table{Name: "result"}
 	for gi, g := range groups {
 		for i, item := range sel.Items {
 			if item.Star {
@@ -232,6 +233,9 @@ func refAggregateSelect(c *Conn, sel *sqlparse.Select, src *storage.Table) *stor
 				check(out.Cols[i].AppendValue(val.Value(0)))
 			}
 		}
+	}
+	if none {
+		return scalarGatherTable(out, nil)
 	}
 	return out
 }

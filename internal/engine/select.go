@@ -416,31 +416,19 @@ func exprHasAggregate(e sqlparse.Expr) bool {
 	return found
 }
 
-// evalAggregate computes a whole-context aggregate used directly inside an
-// expression (non-grouped query), returning a length-1 column. It consumes
-// the context's selection vector directly — the filtered rows are never
-// materialized.
-func (c *Conn) evalAggregate(ctx *evalCtx, call *sqlparse.FuncCall) (*storage.Column, error) {
+// aggregateOver computes one aggregate call over the context's logical
+// view, returning a length-1 column. A bare column-reference argument feeds
+// the typed aggregation kernels unmaterialized (base column plus selection
+// vector); expression arguments evaluate through the shared context, so
+// several aggregates over the same filtered column materialize it once.
+func (c *Conn) aggregateOver(ctx *evalCtx, call *sqlparse.FuncCall) (*storage.Column, error) {
 	if ctx.src == nil {
 		return nil, core.Errorf(core.KindSyntax, "aggregate %s requires a FROM clause", call.Name)
 	}
-	return c.aggregateOver(ctx, call)
-}
-
-// aggregateOver computes one aggregate call over the context's logical
-// view. A bare column-reference argument feeds the typed aggregation
-// kernels unmaterialized (base column plus selection vector); expression
-// arguments evaluate through the shared context, so several aggregates
-// over the same filtered column materialize it once.
-func (c *Conn) aggregateOver(ctx *evalCtx, call *sqlparse.FuncCall) (*storage.Column, error) {
 	name := strings.ToLower(call.Name)
-	n := ctx.src.NumRows()
-	if ctx.sel != nil {
-		n = len(ctx.sel)
-	}
 	if name == "count" && call.Star {
 		out := storage.NewColumn("", storage.TInt)
-		out.AppendInt(int64(n))
+		out.AppendInt(int64(ctx.rows()))
 		return out, nil
 	}
 	if len(call.Args) != 1 {
@@ -519,60 +507,22 @@ func (c *Conn) aggregateOver(ctx *evalCtx, call *sqlparse.FuncCall) (*storage.Co
 	}
 }
 
-// evalAggregateSelect handles grouped queries (and ungrouped aggregates).
+// evalAggregateSelect evaluates an aggregate query one group at a time. A
+// group is a selection over the source: the WHERE selection for an
+// ungrouped query, one per key otherwise. Items evaluate over a context
+// on that selection, so aggregation kernels fold the base columns through
+// it and other references gather only the columns they name.
 func (c *Conn) evalAggregateSelect(sel *sqlparse.Select, src *storage.Table, selv []int32) (*storage.Table, error) {
 	if src == nil {
 		return nil, core.Errorf(core.KindSyntax, "aggregates require a FROM clause")
 	}
-	nLogical := src.NumRows()
-	if selv != nil {
-		nLogical = len(selv)
-	}
-
-	if len(sel.GroupBy) == 0 {
-		// One logical group: the whole filtered view, consumed by the
-		// aggregation kernels without materializing an intermediate table.
-		useEmpty := nLogical == 0
-		gctx := c.newCtx(src, selv)
-		if !useEmpty && sel.Having != nil {
-			hv, err := c.evalGroupItem(gctx, sel.Having)
-			if err != nil {
-				return nil, err
-			}
-			if !(hv.Len() == 1 && truthyAt(hv, 0)) {
-				// Ungrouped aggregates still yield one row, computed over
-				// an empty view (the historical zero-group behavior).
-				useEmpty = true
-			}
+	ungrouped := len(sel.GroupBy) == 0
+	groups := [][]int32{selv}
+	if !ungrouped {
+		var err error
+		if groups, err = c.groupRows(sel.GroupBy, src, selv); err != nil {
+			return nil, err
 		}
-		if useEmpty {
-			gctx = c.newCtx(emptyLike(src), nil)
-		}
-		var outCols []*storage.Column
-		for ii, item := range sel.Items {
-			if item.Star {
-				return nil, core.Errorf(core.KindSyntax, "SELECT * is not valid in an aggregate query")
-			}
-			val, err := c.evalGroupItem(gctx, item.Expr)
-			if err != nil {
-				return nil, err
-			}
-			if val.Len() != 1 {
-				return nil, core.Errorf(core.KindConstraint,
-					"aggregate query item must produce one value per group")
-			}
-			col := storage.NewColumn(itemName(item, ii), val.Typ)
-			if err := col.AppendCell(val, 0); err != nil {
-				return nil, err
-			}
-			outCols = append(outCols, col)
-		}
-		return &storage.Table{Name: "result", Cols: outCols}, nil
-	}
-
-	groups, err := c.groupRows(sel.GroupBy, src, selv)
-	if err != nil {
-		return nil, err
 	}
 	if sel.Having != nil {
 		kept := groups[:0]
@@ -580,53 +530,64 @@ func (c *Conn) evalAggregateSelect(sel *sqlparse.Select, src *storage.Table, sel
 			if err := c.interruptErr(); err != nil {
 				return nil, err
 			}
-			sub := gatherTableSel(src, g)
-			hv, err := c.evalGroupItem(c.newCtx(sub, nil), sel.Having)
+			ctx := c.newCtx(src, g)
+			if ungrouped && ctx.rows() == 0 {
+				kept = append(kept, g)
+				continue
+			}
+			hv, err := c.evalGroupItem(ctx, sel.Having)
 			if err != nil {
 				return nil, err
 			}
-			if hv.Len() == 1 && truthyAt(hv, 0) {
+			switch {
+			case hv.Len() == 1 && truthyAt(hv, 0):
 				kept = append(kept, g)
+			case ungrouped:
+				// An ungrouped query yields its one row even when HAVING
+				// refuses it, computed over no rows.
+				kept = append(kept, []int32{})
 			}
 		}
 		groups = kept
 	}
-	var outCols []*storage.Column
+	// With no group left, one pass over no rows still types the items and
+	// reports their errors; its row is dropped.
+	none := len(groups) == 0
+	if none {
+		groups = [][]int32{{}}
+	}
+	out := &storage.Table{Name: "result", Cols: make([]*storage.Column, len(sel.Items))}
 	for gi, g := range groups {
 		// One checkpoint per group: a group's items can each run a UDF over
 		// the whole group, and there may be as many groups as rows.
 		if err := c.interruptErr(); err != nil {
 			return nil, err
 		}
-		sctx := c.newCtx(gatherTableSel(src, g), nil)
+		ctx := c.newCtx(src, g)
 		for ii, item := range sel.Items {
 			if item.Star {
 				return nil, core.Errorf(core.KindSyntax, "SELECT * is not valid in an aggregate query")
 			}
-			val, err := c.evalGroupItem(sctx, item.Expr)
+			val, err := c.evalGroupItem(ctx, item.Expr)
 			if err != nil {
 				return nil, err
 			}
-			if gi == 0 && ii >= len(outCols) {
-				col := storage.NewColumn(itemName(item, ii), val.Typ)
-				outCols = append(outCols, col)
-			}
-			col := outCols[ii]
 			if val.Len() != 1 {
 				return nil, core.Errorf(core.KindConstraint,
 					"aggregate query item must produce one value per group")
 			}
-			if err := col.AppendCell(val, 0); err != nil {
+			if gi == 0 {
+				out.Cols[ii] = storage.NewColumn(itemName(item, ii), val.Typ)
+			}
+			if err := out.Cols[ii].AppendCell(val, 0); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if len(groups) == 0 {
-		for ii, item := range sel.Items {
-			outCols = append(outCols, storage.NewColumn(itemName(item, ii), storage.TStr))
-		}
+	if none {
+		out.Truncate(0)
 	}
-	return &storage.Table{Name: "result", Cols: outCols}, nil
+	return out, nil
 }
 
 // evalGroupItem evaluates one projection item over a group's logical
@@ -676,11 +637,8 @@ func (c *Conn) evalGroupItem(ctx *evalCtx, e sqlparse.Expr) (*storage.Column, er
 // per-group physical row indexes into src in first-appearance order,
 // hashing the typed key vectors.
 func (c *Conn) groupRows(exprs []sqlparse.Expr, src *storage.Table, selv []int32) ([][]int32, error) {
-	n := src.NumRows()
-	if selv != nil {
-		n = len(selv)
-	}
 	ctx := c.newCtx(src, selv)
+	n := ctx.rows()
 	keyCols := make([]*storage.Column, len(exprs))
 	for i, e := range exprs {
 		col, err := c.evalExpr(ctx, e)
@@ -803,13 +761,9 @@ func (c *Conn) distinctRows(t *storage.Table) *storage.Table {
 	if len(idx) == t.NumRows() {
 		return t
 	}
-	return gatherTableSel(t, idx)
-}
-
-func gatherTableSel(t *storage.Table, sel []int32) *storage.Table {
 	out := &storage.Table{Name: t.Name}
 	for _, col := range t.Cols {
-		out.Cols = append(out.Cols, col.GatherSel(sel))
+		out.Cols = append(out.Cols, col.GatherSel(idx))
 	}
 	return out
 }

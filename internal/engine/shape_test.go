@@ -171,7 +171,7 @@ func TestNegativeLiteralKeepsTheFusedFilter(t *testing.T) {
 }
 
 // TestPlanCacheUnderConcurrentUse: connections shape, look up, store and
-// evict plans while catalog changes flush the cache, all outside db.mu; run
+// evict plans while catalog changes run beside them, all outside db.mu; run
 // under -race, this is what guards the cache's own mutex. Every answer must
 // still be the one its own literals ask for.
 func TestPlanCacheUnderConcurrentUse(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -325,6 +326,10 @@ var differentialQueries = []string{
 	`SELECT i FROM t WHERE i > 0 LIMIT 100000`,
 	`SELECT s, COUNT(*) AS n FROM t GROUP BY s LIMIT 0`,
 	`SELECT DISTINCT b FROM t ORDER BY b LIMIT 100`,
+	// GROUP BY over no rows still types and checks its items
+	`SELECT s, COUNT(*) AS n FROM t WHERE i > 1000 GROUP BY s`,
+	`SELECT nosuch FROM t WHERE i > 1000 GROUP BY s`,
+	`SELECT * FROM t WHERE i > 1000 GROUP BY s`,
 	// UDFs: a native GO and a PYTHON function through both pipelines
 	`SELECT SUM(dsq(i)) AS s FROM t`,
 	`SELECT dsq(i) AS q, i FROM t WHERE i > 2 ORDER BY q DESC, i LIMIT 6`,
@@ -475,6 +480,31 @@ func TestQueriesAgreeWithScalarReference(t *testing.T) {
 				agreePrepared(t, c, q)
 			}
 		})
+	}
+}
+
+// TestEmptyGroupByTypesAndChecksItsItems: a GROUP BY that keeps no group,
+// because WHERE left no rows or HAVING refused every group, types its
+// items and reports their errors as it does when groups remain.
+func TestEmptyGroupByTypesAndChecksItsItems(t *testing.T) {
+	c := newTestConn()
+	mustExec(t, c, `CREATE TABLE t (i INTEGER, s STRING)`)
+	mustExec(t, c, `INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'a')`)
+	for _, tail := range []string{
+		`WHERE i > 0 GROUP BY s`,
+		`WHERE i < 0 GROUP BY s`,
+		`GROUP BY s HAVING COUNT(*) > 5`,
+	} {
+		r := mustExec(t, c, `SELECT s, COUNT(*) AS n FROM t `+tail)
+		if typ := r.Table.Cols[1].Typ; typ != storage.TInt {
+			t.Errorf("%s: n is %s, want INTEGER", tail, typ)
+		}
+		if _, err := c.Exec(`SELECT nosuch FROM t ` + tail); core.KindOf(err) != core.KindName {
+			t.Errorf("%s: SELECT nosuch gave %v, want a name error", tail, err)
+		}
+		if _, err := c.Exec(`SELECT * FROM t ` + tail); err == nil || !strings.Contains(err.Error(), "SELECT *") {
+			t.Errorf("%s: SELECT * gave %v, want it refused", tail, err)
+		}
 	}
 }
 

@@ -80,27 +80,10 @@ func (c *Catalog) TableNames() []string {
 	return names
 }
 
-// CreateFunction registers a UDF. replace allows CREATE OR REPLACE.
-func (c *Catalog) CreateFunction(f *FuncDef, replace bool) error {
-	k := key(f.Name)
-	if old, ok := c.funcs[k]; ok {
-		if !replace {
-			return core.Errorf(core.KindConstraint, "function %q already exists", f.Name)
-		}
-		f.ID = old.ID
-		c.funcs[k] = f
-		return nil
-	}
-	f.ID = c.nextID
-	c.nextID++
-	c.funcs[k] = f
-	return nil
-}
-
-// InstallFunction registers a UDF preserving its pre-assigned ID — the
-// restore/replay path of durable storage, where sys.functions IDs must
-// survive a restart byte-for-byte. The ID counter advances past f.ID so
-// later CreateFunction calls never collide with a replayed definition.
+// InstallFunction registers a UDF under the ID it carries; replace allows
+// CREATE OR REPLACE. The engine picks the ID (see NextID); restore and
+// replay keep the logged one, so sys.functions IDs survive a restart. The
+// ID counter advances past f.ID so no later ID collides with it.
 func (c *Catalog) InstallFunction(f *FuncDef, replace bool) error {
 	k := key(f.Name)
 	if _, ok := c.funcs[k]; ok && !replace {

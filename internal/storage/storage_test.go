@@ -184,23 +184,27 @@ func TestCatalogFunctions(t *testing.T) {
 		Body:     "return 1.0",
 		Returns:  Schema{{"result", TFloat}},
 	}
-	if err := c.CreateFunction(f, false); err != nil {
+	f.ID = c.NextID()
+	if err := c.InstallFunction(f, false); err != nil {
 		t.Fatal(err)
 	}
-	if f.ID != 1 {
-		t.Fatalf("id = %d", f.ID)
+	if f.ID != 1 || c.NextID() != 2 {
+		t.Fatalf("id = %d, next = %d", f.ID, c.NextID())
 	}
 	dup, f2 := *f, *f
-	if err := c.CreateFunction(&dup, false); err == nil {
+	if err := c.InstallFunction(&dup, false); err == nil {
 		t.Fatal("duplicate function should fail")
 	}
 	f2.Body = "return 2.0"
-	if err := c.CreateFunction(&f2, true); err != nil {
+	if err := c.InstallFunction(&f2, true); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.Function("MEAN_DEVIATION")
-	if err != nil || got.Body != "return 2.0" || got.ID != 1 {
+	if err != nil || got.Body != "return 2.0" || got.ID != 1 || c.NextID() != 2 {
 		t.Fatalf("replace kept id and new body: %+v %v", got, err)
+	}
+	if err := c.InstallFunction(&FuncDef{ID: 7, Name: "later"}, false); err != nil || c.NextID() != 8 {
+		t.Fatalf("install past the counter: next = %d, %v", c.NextID(), err)
 	}
 	if !c.HasFunction("mean_deviation") {
 		t.Fatal("HasFunction")
@@ -215,7 +219,8 @@ func TestCatalogFunctions(t *testing.T) {
 
 func TestSysFunctionsMetaTable(t *testing.T) {
 	c := NewCatalog()
-	_ = c.CreateFunction(&FuncDef{
+	_ = c.InstallFunction(&FuncDef{
+		ID:       1,
 		Name:     "train_rnforest",
 		Params:   Schema{{"data", TFloat}, {"classes", TInt}, {"n_estimators", TInt}},
 		Language: "PYTHON",
