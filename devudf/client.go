@@ -38,7 +38,7 @@ func Open(ctx context.Context, settings Settings, opts ...Option) (*Client, erro
 	if cfg.poolSize < 1 {
 		cfg.poolSize = 1
 	}
-	pool := wire.NewPool(settings.Connection, cfg.poolSize, cfg.dialOpts...)
+	pool := wire.NewPool(settings.Connection, cfg.poolSize)
 	wc, err := pool.Get(ctx)
 	if err != nil {
 		pool.Close()

@@ -100,7 +100,6 @@ func DefaultSettings() Settings {
 type clientConfig struct {
 	fs       core.FS
 	poolSize int
-	dialOpts []wire.DialOption
 }
 
 // Option customizes Open.
@@ -115,12 +114,6 @@ func WithFS(fs core.FS) Option {
 // WithPoolSize bounds the client's connection pool (default 4).
 func WithPoolSize(n int) Option {
 	return func(c *clientConfig) { c.poolSize = n }
-}
-
-// WithDialOptions forwards wire-level dial options (timeouts, keepalive,
-// logger, protocol version) to every pooled connection.
-func WithDialOptions(opts ...wire.DialOption) Option {
-	return func(c *clientConfig) { c.dialOpts = append(c.dialOpts, opts...) }
 }
 
 // SaveSettings persists settings as JSON in fs.

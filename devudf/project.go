@@ -36,6 +36,26 @@ func (u UDFInfo) ParamNames() []string {
 	return out
 }
 
+// funcDef rebuilds the catalog definition from the project metadata, less
+// its body.
+func (u UDFInfo) funcDef() (*storage.FuncDef, error) {
+	params, err := toSchema(u.Params)
+	if err != nil {
+		return nil, err
+	}
+	returns, err := toSchema(u.Returns)
+	if err != nil {
+		return nil, err
+	}
+	if len(returns) == 0 {
+		return nil, core.Errorf(core.KindConstraint, "UDF %s has no declared return type", u.Name)
+	}
+	return &storage.FuncDef{
+		Name: u.Name, Params: params, Returns: returns,
+		Language: languageOf(u), IsTable: u.IsTable,
+	}, nil
+}
+
 func toSchema(ps []ParamInfo) (storage.Schema, error) {
 	var s storage.Schema
 	for _, p := range ps {

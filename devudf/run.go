@@ -134,21 +134,11 @@ func (c *Client) runLocalNative(info UDFInfo, src string) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	params, err := toSchema(info.Params)
+	def, err := info.funcDef()
 	if err != nil {
 		return nil, err
 	}
-	returns, err := toSchema(info.Returns)
-	if err != nil {
-		return nil, err
-	}
-	if len(returns) == 0 {
-		return nil, core.Errorf(core.KindConstraint, "UDF %s has no declared return type", info.Name)
-	}
-	def := &storage.FuncDef{
-		Name: info.Name, Params: params, Returns: returns,
-		Language: languageOf(info), Body: nativeSymbol(src), IsTable: info.IsTable,
-	}
+	def.Body = nativeSymbol(src)
 	call, err := rt.Compile(def)
 	if err != nil {
 		return nil, err
@@ -230,46 +220,53 @@ func (c *Client) NewDebugSession(ctx context.Context, udfName string, stopOnEntr
 	return sess, nil
 }
 
-// localConn builds the client-side _conn shim used during local runs and
-// debugging (§2.3). Its execute(sql) behaves like the server-side loopback
-// with one crucial difference: queries that call an *imported* UDF are
-// executed locally — the shim extracts that nested UDF's input data from
-// the server (reusing the §2.2 rewrite) and invokes the local, possibly
-// edited, definition. Everything else is forwarded to the server.
+// localConn builds the client-side _conn used during local runs and
+// debugging (§2.3), bound to the interpreter in: the same object as the
+// server's loopback (pyrt.NewConn) with one crucial difference: a query
+// that calls an *imported* UDF runs that UDF locally — the shim extracts
+// the nested UDF's input data from the server (reusing the §2.2 rewrite)
+// and invokes the local, possibly edited, definition. Everything else is
+// forwarded to the server.
 func (c *Client) localConn(ctx context.Context, in *script.Interp) *script.ObjectVal {
-	obj := script.NewObject("connection")
-	obj.Methods["execute"] = func(callIn *script.Interp, args []script.Value, _ map[string]script.Value) (script.Value, error) {
-		if len(args) != 1 {
-			return nil, core.Errorf(core.KindType, "execute() takes exactly one argument")
-		}
-		sqlV, ok := args[0].(script.StrVal)
-		if !ok {
-			return nil, core.Errorf(core.KindType, "execute() argument must be a string")
-		}
-		sql := string(sqlV)
-		names, err := transform.FindUDFCalls(sql, c.Project.Has)
-		if err == nil && len(names) > 0 {
-			return c.runNestedLocally(ctx, callIn, sql, names[0])
-		}
-		_, t, err := c.pool.Query(ctx, sql)
-		if err != nil {
-			return nil, err
-		}
-		if t == nil {
-			return script.None, nil
-		}
-		return engine.TableToScriptDict(t), nil
-	}
-	return obj
+	return pyrt.NewConn(localExecutor{c, ctx, in})
 }
 
-// runNestedLocally executes one nested UDF call locally: extract the
-// nested UDF's inputs from the server, call the local definition, shape
-// the result like a loopback result dict.
-func (c *Client) runNestedLocally(ctx context.Context, in *script.Interp, sql, udfName string) (script.Value, error) {
+// localExecutor is the udfrt.Executor of a local run's _conn.
+type localExecutor struct {
+	c   *Client
+	ctx context.Context
+	in  *script.Interp
+}
+
+func (x localExecutor) Execute(sql string) (*storage.Table, error) {
+	names, err := transform.FindUDFCalls(sql, x.c.Project.Has)
+	if err == nil && len(names) > 0 {
+		return x.c.runNestedLocally(x.ctx, x.in, sql, names[0])
+	}
+	_, t, err := x.c.pool.Query(x.ctx, sql)
+	return t, err
+}
+
+// runNestedLocally answers a loopback query that calls an imported UDF:
+// extract the nested UDF's inputs from the server, call the local
+// definition on in, and shape its output into the table the server's
+// answer would hold. transform.LocalCall refuses the queries whose answer
+// is not the UDF's output as it is.
+func (c *Client) runNestedLocally(ctx context.Context, in *script.Interp, sql, udfName string) (*storage.Table, error) {
 	info, src, err := c.Project.LoadUDF(udfName)
 	if err != nil {
 		return nil, err
+	}
+	column, err := transform.LocalCall(sql, info.Name)
+	if err != nil {
+		return nil, err
+	}
+	def, err := info.funcDef()
+	if err != nil {
+		return nil, err
+	}
+	if column != "" && def.IsTable {
+		return nil, core.Errorf(core.KindType, "%s is a table function; use it in FROM", def.Name)
 	}
 	rewritten, err := transform.RewriteToExtract(sql, info.Name, c.Settings.Transfer)
 	if err != nil {
@@ -287,7 +284,61 @@ func (c *Client) runNestedLocally(ctx context.Context, in *script.Interp, sql, u
 	if err != nil {
 		return nil, err
 	}
-	// Build a callable from the project file's (possibly edited) body.
+	callArgs := make([]script.Value, len(info.Params))
+	for i, p := range info.Params {
+		v, ok := params.GetStr(p.Name)
+		if !ok {
+			return nil, core.Errorf(core.KindProtocol,
+				"nested extract is missing parameter %q", p.Name)
+		}
+		callArgs[i] = v
+	}
+	rows, columnar := inputRows(callArgs)
+	if column != "" && columnar && rows == 0 {
+		// The server calls no scalar UDF on no rows.
+		return &storage.Table{Cols: []*storage.Column{storage.NewColumn(column, def.Returns[0].Type)}}, nil
+	}
+	out, err := c.callLocal(ctx, in, info, src, callArgs)
+	if err != nil {
+		return nil, err
+	}
+	b, err := pyrt.Result(def, out)
+	if err != nil {
+		return nil, err
+	}
+	res := &storage.Table{Name: def.Name, Cols: b.Cols}
+	if column != "" {
+		col := b.Cols[0]
+		if rows > 0 && col.Len() != rows && col.Len() != 1 {
+			return nil, core.Errorf(core.KindConstraint,
+				"UDF returned %d rows for %d input rows", col.Len(), rows)
+		}
+		col.Name = column
+	}
+	if err := res.Broadcast(); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// inputRows is the row count the server gives a scalar UDF call on args,
+// and checks its result against: the longest list's length, else one row
+// of constants (none without arguments).
+func inputRows(args []script.Value) (rows int, columnar bool) {
+	for _, v := range args {
+		if l, ok := v.(*script.ListVal); ok {
+			rows, columnar = max(rows, l.Len()), true
+		}
+	}
+	if !columnar {
+		rows = min(len(args), 1)
+	}
+	return rows, columnar
+}
+
+// callLocal calls the project file's (possibly edited) definition of an
+// imported UDF on in, with _conn available to it.
+func (c *Client) callLocal(ctx context.Context, in *script.Interp, info UDFInfo, src string, args []script.Value) (script.Value, error) {
 	body, err := transform.ExtractBody(src, info.Name)
 	if err != nil {
 		return nil, err
@@ -306,35 +357,7 @@ func (c *Client) runNestedLocally(ctx context.Context, in *script.Interp, sql, u
 	}
 	// nested UDFs may themselves use _conn
 	env.Set("_conn", c.localConn(ctx, in))
-	callArgs := make([]script.Value, len(info.Params))
-	for i, p := range info.Params {
-		v, ok := params.GetStr(p.Name)
-		if !ok {
-			return nil, core.Errorf(core.KindProtocol,
-				"nested extract is missing parameter %q", p.Name)
-		}
-		callArgs[i] = v
-	}
-	out, err := in.Call(fn, callArgs)
-	if err != nil {
-		return nil, err
-	}
-	return shapeLoopbackResult(info, out)
-}
-
-// shapeLoopbackResult converts a locally-computed UDF result into the dict
-// shape _conn.execute returns, using the declared result columns.
-func shapeLoopbackResult(info UDFInfo, v script.Value) (script.Value, error) {
-	if d, ok := v.(*script.DictVal); ok {
-		return d, nil
-	}
-	d := script.NewDict()
-	name := "result"
-	if len(info.Returns) > 0 {
-		name = info.Returns[0].Name
-	}
-	d.SetStr(name, v)
-	return d, nil
+	return in.Call(fn, args)
 }
 
 // TraditionalCycle executes one iteration of the paper's *traditional*

@@ -41,9 +41,10 @@ func InterruptFrom(ctx context.Context) Interrupt {
 	return intr
 }
 
-// err reports the typed cancellation error once the interrupt has fired,
-// or nil; the unarmed path is two comparisons.
-func (i *Interrupt) err() error {
+// Err reports the typed cancellation error once the interrupt has fired,
+// or nil; the unarmed path is two comparisons. UDF runtimes poll it
+// (udfrt.Env.Interrupt).
+func (i *Interrupt) Err() error {
 	if i.Done != nil {
 		select {
 		case <-i.Done:
@@ -59,18 +60,18 @@ func (i *Interrupt) err() error {
 	return nil
 }
 
-// stopped adapts err to the vec.Pol.Stop morsel-boundary hook.
-func (i *Interrupt) stopped() bool { return i.err() != nil }
+// Stopped adapts Err to the vec.Pol.Stop morsel-boundary hook.
+func (i *Interrupt) Stopped() bool { return i.Err() != nil }
 
 // interruptErr is the engine's pipeline-stage checkpoint: nil while the
 // statement may keep running, the typed cancellation error once it must
 // abort. Called between stages of evalSelect and around UDF invocations.
-func (c *Conn) interruptErr() error { return c.DB.activeIntr.err() }
+func (f *frame) interruptErr() error { return f.Interrupt.Err() }
 
 // checkBudgetRows enforces the per-query result-row budget. Zero budget
 // admits everything; LIMIT clauses under the budget are unaffected.
-func (c *Conn) checkBudgetRows(rows int) error {
-	if max := c.DB.MaxResultRows; max > 0 && int64(rows) > max {
+func (f *frame) checkBudgetRows(rows int) error {
+	if max := f.DB.MaxResultRows; max > 0 && int64(rows) > max {
 		return core.Errorf(core.KindResource,
 			"result exceeds the per-query row budget (%d rows > %d); add a LIMIT or raise the budget", rows, max)
 	}

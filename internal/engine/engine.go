@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,7 +28,7 @@ import (
 	// UDFs can import them, matching the paper's Listing 1.
 	_ "repro/internal/mllib"
 	// Register the native GO runtime (the PYTHON runtime registers through
-	// udf.go's direct pyrt import).
+	// extract.go's direct pyrt import).
 	_ "repro/internal/udfrt/gort"
 )
 
@@ -62,9 +63,6 @@ type DB struct {
 	// MaxUDFSteps bounds each UDF invocation's interpreter steps
 	// (0 = unlimited).
 	MaxUDFSteps int64
-	// UDFOutput receives print() output of server-side UDFs — the paper's
-	// "print debugging" channel. Defaults to io.Discard.
-	UDFOutput *bytes.Buffer
 	// Workers caps morsel-parallel kernel execution: 0 selects
 	// GOMAXPROCS, 1 pins execution to the query goroutine.
 	Workers int
@@ -72,17 +70,17 @@ type DB struct {
 	// (0 = vec.DefaultMorselSize). Inputs smaller than one morsel always
 	// run inline.
 	MorselSize int
-	// PlanCacheSize bounds the plan cache (0 applies the 256 default;
-	// negative disables caching). The cache is keyed by a statement's shape:
-	// its text as written with each literal replaced by a slot of the
-	// literal's kind (INTEGER, DOUBLE, STRING), less surrounding whitespace
-	// and trailing ';'. Texts that differ only in literal values — prepared
-	// or not — share one parsed plan, their literals bound to its slots.
-	// Literals the engine reads as syntax stay in the plan and must repeat
-	// for a text to use it: ORDER BY positions, LIMIT, COPY paths and the
-	// first two arguments of sys_extract. NULL, TRUE and FALSE are keywords,
-	// so they are part of the shape. A plan is the parsed statement, and
-	// parsing reads no catalog, so catalog changes leave the cache as it is.
+	// PlanCacheSize bounds the plan cache (0 or less applies the 256
+	// default). The cache is keyed by a statement's shape: its text as
+	// written with each literal replaced by a slot of the literal's kind
+	// (INTEGER, DOUBLE, STRING), less surrounding whitespace and trailing
+	// ';'. Texts that differ only in literal values — prepared or not —
+	// share one parsed plan, their literals bound to its slots. Literals
+	// the engine reads as syntax stay in the plan and must repeat for a text
+	// to use it: ORDER BY positions, LIMIT, COPY paths and the first two
+	// arguments of sys_extract. NULL, TRUE and FALSE are keywords, so they
+	// are part of the shape. A plan is the parsed statement, and parsing
+	// reads no catalog, so catalog changes leave the cache as it is.
 	PlanCacheSize int
 	// MaxResultRows bounds the rows a single SELECT may materialize
 	// (0 = unlimited). Oversize results abort with a typed KindResource
@@ -111,20 +109,6 @@ type DB struct {
 	// metrics is set once by EnableObs before the DB starts serving and
 	// read without mu on hot paths; nil means observability is off.
 	metrics *dbMetrics
-	// activeTrace is the trace of the statement currently executing under
-	// mu, installed by guarded so parse/UDF/WAL sub-stages can report
-	// spans without threading a context through every operator.
-	activeTrace *obs.Trace
-	// activeIntr is the interrupt of the statement currently executing
-	// under mu — the cooperative-cancellation signal the pipeline-stage
-	// and morsel-boundary checkpoints observe. Fixed for the statement's
-	// duration, so morsel workers read it without synchronization.
-	activeIntr Interrupt
-	// intrErr and intrStop are activeIntr's checkpoint methods bound once
-	// at construction: handing one to a UDF runtime or a morsel policy
-	// costs an armed statement no closure allocation.
-	intrErr  func() error
-	intrStop func() bool
 	// queriesCancelled counts statements aborted by an interrupt (client
 	// disconnect, deadline, server stop). Atomic so a metrics scrape never
 	// takes the database lock.
@@ -135,13 +119,11 @@ type DB struct {
 
 // NewDB creates an empty database.
 func NewDB() *DB {
-	db := &DB{
+	return &DB{
 		cat:      storage.NewCatalog(),
 		FS:       core.OSFS{},
 		compiled: map[string]*compiledUDF{},
 	}
-	db.intrErr, db.intrStop = db.activeIntr.err, db.activeIntr.stopped
-	return db
 }
 
 // RegisterTable installs a pre-built table into the catalog under the
@@ -150,30 +132,17 @@ func NewDB() *DB {
 func (db *DB) RegisterTable(t *storage.Table) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.mutate(Change{Kind: ChangeCreateTable, Table: t})
+	return db.mutate(Change{Kind: ChangeCreateTable, Table: t}, nil)
 }
 
 // Conn is a session: credentials plus the database handle. The wire server
 // creates one per authenticated client; the encryption option of the
-// extract function derives its key from the session password.
+// extract function derives its key from the session password. A Conn holds
+// nothing of the statements it runs: each runs in a frame of its own.
 type Conn struct {
 	DB       *DB
 	User     string
 	Password string
-	// UDFInvoke, when set, intercepts every interpreter-backed UDF
-	// invocation on this session: it receives the UDF's name, the
-	// interpreter about to run it, the source lines of the compiled wrapper
-	// module, and the call thunk, and must return the thunk's result
-	// (calling it exactly once, on the calling goroutine). The wire server's
-	// remote debugger uses it to run the invocation under the trace hook.
-	// Only debuggable runtimes (udfrt.IsDebuggable) route calls through it.
-	UDFInvoke udfrt.InvokeHook
-
-	// binds holds the current execution's bind arguments (length-1 columns,
-	// one per placeholder slot: the caller's arguments, then the text's own
-	// literals). Conn.run installs them under the database lock for one
-	// statement and puts back those of the statement it ran inside.
-	binds []*storage.Column
 }
 
 // Result is the outcome of one statement.
@@ -184,12 +153,41 @@ type Result struct {
 	Msg string
 }
 
-// ExecOpts is the per-call value of ExecWith: the statement's cancellation
-// signal and the trace its spans report into. The zero value runs the
-// statement uninterruptible and untraced.
+// ExecOpts is the per-call value of ExecWith: what one statement carries
+// besides its text and binds. The zero value runs the statement
+// uninterruptible, untraced, undebugged and with UDF output discarded. A
+// UDF's loopback query runs under the ExecOpts of the statement that called
+// the UDF.
 type ExecOpts struct {
+	// Interrupt is the statement's cancellation signal.
 	Interrupt Interrupt
-	Trace     *obs.Trace
+	// Trace receives the statement's parse, bind, exec, UDF and WAL spans.
+	Trace *obs.Trace
+	// Invoke, when set, intercepts every interpreter-backed UDF invocation
+	// of the statement: it receives the UDF's name, the interpreter about to
+	// run it, the source lines of the compiled wrapper module, and the call
+	// thunk, and must return the thunk's result (calling it exactly once, on
+	// the calling goroutine). The wire server's remote debugger uses it to
+	// run the invocation under the trace hook. Only debuggable runtimes
+	// (udfrt.IsDebuggable) route calls through it.
+	Invoke udfrt.InvokeHook
+	// Stdout receives print() output of the statement's UDFs — the paper's
+	// "print debugging" channel; nil discards it.
+	Stdout io.Writer
+}
+
+// frame is one statement execution: the session it runs on, its ExecOpts,
+// and the binds of its placeholders (length-1 columns, one per slot: the
+// caller's arguments, then the text's own literals). Evaluation hangs off
+// the frame, so nothing a statement carries is stored on Conn or DB, and a
+// UDF's loopback query runs in a child frame of its own.
+type frame struct {
+	*Conn
+	ExecOpts
+	binds []*storage.Column
+	// res is the statement's Result, held here so that the frame replaces
+	// the allocation of the Result every statement returns.
+	res Result
 }
 
 // Exec executes one statement under the database lock (see ExecWith).
@@ -208,9 +206,10 @@ func (c *Conn) ExecContext(ctx context.Context, sql string) (*Result, error) {
 
 // ExecWith is ExecContext without the context detour: the wire server's
 // per-query path, where the context allocation and value lookup are
-// measurable against sub-microsecond statements. Embedded callers
-// normally use ExecContext. The text runs as a prepared statement would:
-// resolved to a plan through the plan cache without the database lock (see
+// measurable against sub-microsecond statements, and the door for the
+// options a context does not carry (ExecOpts). Embedded callers normally
+// use ExecContext. The text runs as a prepared statement would: resolved to
+// a plan through the plan cache without the database lock (see
 // DB.PlanCacheSize), its literals bound, and executed by Stmt.ExecBound.
 func (c *Conn) ExecWith(o ExecOpts, sql string) (*Result, error) {
 	var s Stmt
@@ -221,25 +220,20 @@ func (c *Conn) ExecWith(o ExecOpts, sql string) (*Result, error) {
 }
 
 // guarded is the one way a single statement runs: under the database
-// lock, with o's interrupt and trace installed for exactly run's duration
-// and run timed as the exec span. Nothing re-enters it under the lock
-// (loopback queries call exec directly), so the installs need no
-// save/restore; run is only called, never stored, so it stays off the heap.
-func (db *DB) guarded(o ExecOpts, run func() (*Result, error)) (*Result, error) {
+// lock, timed as the exec span. Nothing re-enters it under the lock
+// (loopback queries run through frame.Execute).
+func (f *frame) guarded(st sqlparse.Statement) (*Result, error) {
+	db := f.DB
 	db.mu.Lock()
-	defer func() {
-		db.activeIntr, db.activeTrace = Interrupt{}, nil
-		db.mu.Unlock()
-	}()
+	defer db.mu.Unlock()
 	// A statement that waited out its deadline behind a slow predecessor
 	// aborts before doing any work.
-	if err := o.Interrupt.err(); err != nil {
+	if err := f.interruptErr(); err != nil {
 		db.queriesCancelled.Add(1)
 		return nil, err
 	}
-	db.activeIntr, db.activeTrace = o.Interrupt, o.Trace
-	et := o.Trace.StartStage(obs.StageExec)
-	res, err := run()
+	et := f.Trace.StartStage(obs.StageExec)
+	res, err := f.execStmt(st)
 	et.Done()
 	if err != nil && core.IsCancelled(err) {
 		db.queriesCancelled.Add(1)
@@ -262,24 +256,13 @@ func (c *Conn) ExecAll(sql string) ([]*Result, error) {
 	defer c.DB.mu.Unlock()
 	var out []*Result
 	for _, st := range stmts {
-		r, err := c.execStmt(st)
+		r, err := (&frame{Conn: c}).execStmt(st)
 		if err != nil {
 			return out, err
 		}
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// exec runs one ad-hoc statement under the lock its caller holds: a UDF's
-// loopback query. It resolves like ExecWith and runs in the middle of the
-// calling statement, whose binds it puts back.
-func (c *Conn) exec(sql string) (*Result, error) {
-	var s Stmt
-	if err := c.adhoc(&s, sql, c.DB.activeTrace); err != nil {
-		return nil, err
-	}
-	return c.run(s.plan.st, s.lits)
 }
 
 // adhoc makes s the statement for ad-hoc text (see resolve), refusing
@@ -295,51 +278,54 @@ func (c *Conn) adhoc(s *Stmt, sql string, tr *obs.Trace) error {
 	return nil
 }
 
-func (c *Conn) execStmt(st sqlparse.Statement) (*Result, error) {
-	db := c.DB
+func (f *frame) execStmt(st sqlparse.Statement) (*Result, error) {
+	db := f.DB
 	switch st := st.(type) {
 	case *sqlparse.CreateTable:
 		t := storage.NewTable(st.Name, st.Schema)
-		return status("CREATE TABLE", db.mutate(Change{Kind: ChangeCreateTable, Table: t}))
+		return f.status("CREATE TABLE", db.mutate(Change{Kind: ChangeCreateTable, Table: t}, f.Trace))
 	case *sqlparse.DropTable:
 		// The log names the table as the catalog spells it.
 		t, err := db.cat.Table(st.Name)
 		if err != nil {
 			return nil, err
 		}
-		return status("DROP TABLE", db.mutate(Change{Kind: ChangeDropTable, Name: t.Name}))
+		return f.status("DROP TABLE", db.mutate(Change{Kind: ChangeDropTable, Name: t.Name}, f.Trace))
 	case *sqlparse.CreateFunction:
-		return status("CREATE FUNCTION", c.createFunction(st))
+		return f.status("CREATE FUNCTION", f.createFunction(st))
 	case *sqlparse.DropFunction:
-		f, err := db.cat.Function(st.Name)
+		fn, err := db.cat.Function(st.Name)
 		if err != nil {
 			return nil, err
 		}
-		return status("DROP FUNCTION", db.mutate(Change{Kind: ChangeDropFunction, Name: f.Name}))
+		return f.status("DROP FUNCTION", db.mutate(Change{Kind: ChangeDropFunction, Name: fn.Name}, f.Trace))
 	case *sqlparse.Insert:
-		return c.insert(st)
+		return f.insert(st)
 	case *sqlparse.CopyInto:
-		return c.copyInto(st)
+		return f.copyInto(st)
 	case *sqlparse.Select:
-		t, err := c.evalSelect(st)
+		t, err := f.evalSelect(st)
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Table: t, Msg: fmt.Sprintf("SELECT %d", t.NumRows())}, nil
+		f.res.Table = t
+		return f.status(fmt.Sprintf("SELECT %d", t.NumRows()), nil)
 	default:
 		return nil, core.Errorf(core.KindSyntax, "unsupported statement %T", st)
 	}
 }
 
-// status is the result of a statement that reports only its tag.
-func status(tag string, err error) (*Result, error) {
+// status completes the statement's Result, which the frame holds, with its
+// tag; or returns err.
+func (f *frame) status(tag string, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Msg: tag}, nil
+	f.res.Msg = tag
+	return &f.res, nil
 }
 
-func (c *Conn) createFunction(st *sqlparse.CreateFunction) error {
+func (f *frame) createFunction(st *sqlparse.CreateFunction) error {
 	if isBuiltinName(st.Name) {
 		return core.Errorf(core.KindConstraint, "cannot create function %q: name is reserved", st.Name)
 	}
@@ -349,7 +335,7 @@ func (c *Conn) createFunction(st *sqlparse.CreateFunction) error {
 		return err
 	}
 	def := &storage.FuncDef{
-		ID:       c.DB.funcID(st.Name),
+		ID:       f.DB.funcID(st.Name),
 		Name:     st.Name,
 		Params:   st.Params,
 		Language: st.Language,
@@ -357,28 +343,28 @@ func (c *Conn) createFunction(st *sqlparse.CreateFunction) error {
 		Returns:  st.Returns,
 		IsTable:  st.IsTable,
 	}
-	return c.DB.mutate(Change{Kind: ChangeCreateFunction, Func: def, Replace: st.OrReplace})
+	return f.DB.mutate(Change{Kind: ChangeCreateFunction, Func: def, Replace: st.OrReplace}, f.Trace)
 }
 
-func (c *Conn) insert(st *sqlparse.Insert) (*Result, error) {
-	t, err := c.DB.cat.Table(st.Table)
+func (f *frame) insert(st *sqlparse.Insert) (*Result, error) {
+	t, err := f.DB.cat.Table(st.Table)
 	if err != nil {
 		return nil, err
 	}
 	n0 := t.NumRows()
-	if err := c.DB.commitAppend(t, n0, c.appendRows(t, st.Rows)); err != nil {
+	if err := f.DB.commitAppend(t, n0, f.appendRows(t, st.Rows), f.Trace); err != nil {
 		return nil, err
 	}
-	return &Result{Msg: fmt.Sprintf("INSERT %d", len(st.Rows))}, nil
+	return f.status(fmt.Sprintf("INSERT %d", len(st.Rows)), nil)
 }
 
 // appendRows appends an INSERT's rows to t, stopping at the first that
 // fails.
-func (c *Conn) appendRows(t *storage.Table, rows [][]sqlparse.Expr) error {
+func (f *frame) appendRows(t *storage.Table, rows [][]sqlparse.Expr) error {
 	for _, row := range rows {
 		vals := make([]any, len(row))
 		for i, e := range row {
-			v, err := c.constEval(e)
+			v, err := f.constEval(e)
 			if err != nil {
 				return err
 			}
@@ -391,12 +377,12 @@ func (c *Conn) appendRows(t *storage.Table, rows [][]sqlparse.Expr) error {
 	return nil
 }
 
-// commitAppend commits the rows appended to t from row n0 on. If the
-// append failed (err) or the commit is refused, it drops them instead:
-// INSERT and COPY are all-or-nothing.
-func (db *DB) commitAppend(t *storage.Table, n0 int, err error) error {
+// commitAppend commits the rows appended to t from row n0 on (see commit
+// for tr). If the append failed (err) or the commit is refused, it drops
+// them instead: INSERT and COPY are all-or-nothing.
+func (db *DB) commitAppend(t *storage.Table, n0 int, err error, tr *obs.Trace) error {
 	if err == nil {
-		err = db.commit(Change{Kind: ChangeInsert, Name: t.Name, Table: t, From: n0, To: t.NumRows()})
+		err = db.commit(Change{Kind: ChangeInsert, Name: t.Name, Table: t, From: n0, To: t.NumRows()}, tr)
 	}
 	if err != nil {
 		t.Truncate(n0)
@@ -406,19 +392,19 @@ func (db *DB) commitAppend(t *storage.Table, n0 int, err error) error {
 
 // constEval evaluates a literal (possibly negated) INSERT value, or a bind
 // parameter of a prepared INSERT.
-func (c *Conn) constEval(e sqlparse.Expr) (any, error) {
+func (f *frame) constEval(e sqlparse.Expr) (any, error) {
 	switch e := e.(type) {
 	case *sqlparse.IntLit, *sqlparse.FloatLit, *sqlparse.StrLit, *sqlparse.BoolLit, *sqlparse.NullLit:
 		return sqlparse.LiteralValue(e)
 	case *sqlparse.Placeholder:
-		col, err := c.bindColumn(e)
+		col, err := f.bindColumn(e)
 		if err != nil {
 			return nil, err
 		}
 		return col.Value(0), nil
 	case *sqlparse.UnaryExpr:
 		if e.Op == "-" {
-			v, err := c.constEval(e.X)
+			v, err := f.constEval(e.X)
 			if err != nil {
 				return nil, err
 			}
@@ -431,11 +417,11 @@ func (c *Conn) constEval(e sqlparse.Expr) (any, error) {
 		}
 		return nil, core.Errorf(core.KindSyntax, "INSERT values must be literals")
 	case *sqlparse.BinaryExpr:
-		l, err := c.constEval(e.L)
+		l, err := f.constEval(e.L)
 		if err != nil {
 			return nil, err
 		}
-		r, err := c.constEval(e.R)
+		r, err := f.constEval(e.R)
 		if err != nil {
 			return nil, err
 		}
@@ -457,21 +443,21 @@ func (c *Conn) constEval(e sqlparse.Expr) (any, error) {
 	}
 }
 
-func (c *Conn) copyInto(st *sqlparse.CopyInto) (*Result, error) {
-	t, err := c.DB.cat.Table(st.Table)
+func (f *frame) copyInto(st *sqlparse.CopyInto) (*Result, error) {
+	t, err := f.DB.cat.Table(st.Table)
 	if err != nil {
 		return nil, err
 	}
-	data, err := c.DB.FS.ReadFile(st.Path)
+	data, err := f.DB.FS.ReadFile(st.Path)
 	if err != nil {
 		return nil, err
 	}
 	n0 := t.NumRows()
 	n, err := t.LoadCSV(bytes.NewReader(data), st.Header)
-	if err := c.DB.commitAppend(t, n0, err); err != nil {
+	if err := f.DB.commitAppend(t, n0, err, f.Trace); err != nil {
 		return nil, err
 	}
-	return &Result{Msg: fmt.Sprintf("COPY %d", n)}, nil
+	return f.status(fmt.Sprintf("COPY %d", n), nil)
 }
 
 // Catalog exposes the catalog for in-process embedders (the devudf package

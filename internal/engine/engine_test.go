@@ -471,16 +471,18 @@ func TestPrintDebuggingDiscardedByDefault(t *testing.T) {
 
 func TestUDFPrintCapture(t *testing.T) {
 	c := newTestConn()
-	c.DB.UDFOutput = &bytes.Buffer{}
+	var out bytes.Buffer
 	mustExec(t, c, `CREATE TABLE t (i INTEGER)`)
 	mustExec(t, c, `INSERT INTO t VALUES (7)`)
 	mustExec(t, c, `CREATE FUNCTION p(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON {
     print("value is", x)
     return x
 }`)
-	mustExec(t, c, `SELECT p(i) FROM t`)
+	if _, err := c.ExecWith(ExecOpts{Stdout: &out}, `SELECT p(i) FROM t`); err != nil {
+		t.Fatal(err)
+	}
 	// a column argument arrives as a list even with one row
-	if got := c.DB.UDFOutput.String(); !strings.Contains(got, "value is [7]") {
+	if got := out.String(); !strings.Contains(got, "value is [7]") {
 		t.Fatalf("print output: %q", got)
 	}
 }

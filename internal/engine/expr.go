@@ -15,27 +15,25 @@ import (
 // over its rows (the WHERE filter, consumed lazily — referenced columns
 // are materialized once, on first use).
 type evalCtx struct {
-	conn *Conn
-	src  *storage.Table
-	sel  []int32 // non-nil: the logical rows are src's rows at sel
+	src *storage.Table
+	sel []int32 // non-nil: the logical rows are src's rows at sel
 	// gathered memoizes per-column filtered views so an expression
 	// referencing a column twice materializes it once.
 	gathered map[*storage.Column]*storage.Column
 }
 
 // newCtx builds an evaluation context over a table view.
-func (c *Conn) newCtx(src *storage.Table, sel []int32) *evalCtx {
-	return &evalCtx{conn: c, src: src, sel: sel}
+func newCtx(src *storage.Table, sel []int32) *evalCtx {
+	return &evalCtx{src: src, sel: sel}
 }
 
-// pol is the morsel-execution policy for kernels running under this
-// context. When an interrupt is armed on the statement, morsel workers
-// poll it at every morsel boundary; otherwise Stop stays nil and the
-// kernels pay one nil-check per morsel.
-func (c *Conn) pol() vec.Pol {
-	p := vec.Pol{Workers: c.DB.Workers, MorselSize: c.DB.MorselSize}
-	if c.DB.activeIntr.armed() {
-		p.Stop = c.DB.intrStop
+// pol is the morsel-execution policy for the statement's kernels. When
+// its interrupt is armed, morsel workers poll it at every morsel boundary;
+// otherwise Stop stays nil and the kernels pay one nil-check per morsel.
+func (f *frame) pol() vec.Pol {
+	p := vec.Pol{Workers: f.DB.Workers, MorselSize: f.DB.MorselSize}
+	if f.Interrupt.armed() {
+		p.Stop = &f.Interrupt
 	}
 	return p
 }
@@ -77,13 +75,13 @@ func (ctx *evalCtx) column(name string) (*storage.Column, error) {
 // evalExpr evaluates an expression vectorized over the context, returning
 // a column of the context's logical row count or of length 1 (a constant,
 // broadcast by callers).
-func (c *Conn) evalExpr(ctx *evalCtx, e sqlparse.Expr) (*storage.Column, error) {
+func (f *frame) evalExpr(ctx *evalCtx, e sqlparse.Expr) (*storage.Column, error) {
 	switch e := e.(type) {
 	case *sqlparse.IntLit, *sqlparse.FloatLit, *sqlparse.StrLit, *sqlparse.BoolLit, *sqlparse.NullLit:
 		v, _ := sqlparse.LiteralValue(e) // never fails on a literal node
 		return storage.BindValue(v)
 	case *sqlparse.Placeholder:
-		col, err := c.bindColumn(e)
+		col, err := f.bindColumn(e)
 		if err != nil {
 			return nil, err
 		}
@@ -96,38 +94,38 @@ func (c *Conn) evalExpr(ctx *evalCtx, e sqlparse.Expr) (*storage.Column, error) 
 		}
 		return ctx.column(e.Name)
 	case *sqlparse.UnaryExpr:
-		x, err := c.evalExpr(ctx, e.X)
+		x, err := f.evalExpr(ctx, e.X)
 		if err != nil {
 			return nil, err
 		}
-		return c.evalUnary(e.Op, x)
+		return f.evalUnary(e.Op, x)
 	case *sqlparse.BinaryExpr:
-		l, err := c.evalExpr(ctx, e.L)
+		l, err := f.evalExpr(ctx, e.L)
 		if err != nil {
 			return nil, err
 		}
-		r, err := c.evalExpr(ctx, e.R)
+		r, err := f.evalExpr(ctx, e.R)
 		if err != nil {
 			return nil, err
 		}
-		return c.evalBinary(e.Op, l, r)
+		return f.evalBinary(e.Op, l, r)
 	case *sqlparse.IsNullExpr:
-		x, err := c.evalExpr(ctx, e.X)
+		x, err := f.evalExpr(ctx, e.X)
 		if err != nil {
 			return nil, err
 		}
-		return vec.IsNull(c.pol(), x, e.Neg), nil
+		return vec.IsNull(f.pol(), x, e.Neg), nil
 	case *sqlparse.CastExpr:
-		x, err := c.evalExpr(ctx, e.X)
+		x, err := f.evalExpr(ctx, e.X)
 		if err != nil {
 			return nil, err
 		}
 		return castColumn(x, e.To)
 	case *sqlparse.FuncCall:
-		return c.evalCall(ctx, e)
+		return f.evalCall(ctx, e)
 	case *sqlparse.Subquery:
 		// scalar subquery: single column, single row
-		t, err := c.evalSelect(e.Sel)
+		t, err := f.evalSelect(e.Sel)
 		if err != nil {
 			return nil, err
 		}
@@ -142,24 +140,24 @@ func (c *Conn) evalExpr(ctx *evalCtx, e sqlparse.Expr) (*storage.Column, error) 
 	}
 }
 
-// bindColumn resolves a placeholder to its bound length-1 column. Binds
-// are installed by Conn.run for the duration of one execution; reaching
-// an unbound slot means the statement ran without them (a script).
-func (c *Conn) bindColumn(e *sqlparse.Placeholder) (*storage.Column, error) {
-	if e.Index < 0 || e.Index >= len(c.binds) || c.binds[e.Index] == nil {
+// bindColumn resolves a placeholder to its bound length-1 column in the
+// frame's binds; reaching an unbound slot means the statement ran without
+// them (a script).
+func (f *frame) bindColumn(e *sqlparse.Placeholder) (*storage.Column, error) {
+	if e.Index < 0 || e.Index >= len(f.binds) || f.binds[e.Index] == nil {
 		return nil, core.Errorf(core.KindConstraint,
 			"no value bound for parameter %d; use Prepare and pass arguments", e.Index+1)
 	}
-	return c.binds[e.Index], nil
+	return f.binds[e.Index], nil
 }
 
 // evalUnary dispatches a unary operator to the vectorized kernels.
-func (c *Conn) evalUnary(op string, x *storage.Column) (*storage.Column, error) {
+func (f *frame) evalUnary(op string, x *storage.Column) (*storage.Column, error) {
 	switch op {
 	case "-":
-		return vec.Neg(c.pol(), x)
+		return vec.Neg(f.pol(), x)
 	case "NOT":
-		return vec.Not(c.pol(), x), nil
+		return vec.Not(f.pol(), x), nil
 	default:
 		return nil, core.Errorf(core.KindSyntax, "unsupported unary operator %q", op)
 	}
@@ -167,12 +165,12 @@ func (c *Conn) evalUnary(op string, x *storage.Column) (*storage.Column, error) 
 
 // evalBinary dispatches a binary operator: op and operand types resolve
 // to one typed kernel outside the loop.
-func (c *Conn) evalBinary(op string, l, r *storage.Column) (*storage.Column, error) {
+func (f *frame) evalBinary(op string, l, r *storage.Column) (*storage.Column, error) {
 	n, err := vec.Align(l, r)
 	if err != nil {
 		return nil, err
 	}
-	p := c.pol()
+	p := f.pol()
 	switch op {
 	case "+":
 		return vec.Arith(p, vec.OpAdd, l, r, n)
@@ -238,13 +236,13 @@ func cmpOpOf(op string) vec.CmpOp {
 
 // evalCall dispatches a function expression: scalar builtin, aggregate
 // (over the whole context, for non-grouped use), or a runtime UDF.
-func (c *Conn) evalCall(ctx *evalCtx, call *sqlparse.FuncCall) (*storage.Column, error) {
+func (f *frame) evalCall(ctx *evalCtx, call *sqlparse.FuncCall) (*storage.Column, error) {
 	name := strings.ToLower(call.Name)
-	if isAggregateName(name) {
-		return c.aggregateOver(ctx, call)
+	if sqlparse.IsAggregate(name) {
+		return f.aggregateOver(ctx, call)
 	}
 	if fn, ok := scalarBuiltins[name]; ok {
-		args, err := c.evalArgs(ctx, call.Args)
+		args, err := f.evalArgs(ctx, call.Args)
 		if err != nil {
 			return nil, err
 		}
@@ -254,12 +252,12 @@ func (c *Conn) evalCall(ctx *evalCtx, call *sqlparse.FuncCall) (*storage.Column,
 		return nil, core.Errorf(core.KindConstraint,
 			"%s is table-valued; use it in FROM", extractFuncName)
 	}
-	if c.DB.cat.HasFunction(call.Name) {
-		argCols, isColumn, err := c.udfArgColumns(ctx, call.Args)
+	if f.DB.cat.HasFunction(call.Name) {
+		argCols, isColumn, err := f.udfArgColumns(ctx, call.Args)
 		if err != nil {
 			return nil, err
 		}
-		out, err := c.callScalarUDF(call.Name, argCols, isColumn)
+		out, err := f.callScalarUDF(call.Name, argCols, isColumn)
 		if err != nil {
 			return nil, err
 		}
@@ -268,10 +266,10 @@ func (c *Conn) evalCall(ctx *evalCtx, call *sqlparse.FuncCall) (*storage.Column,
 	return nil, core.Errorf(core.KindName, "no such function: %s", call.Name)
 }
 
-func (c *Conn) evalArgs(ctx *evalCtx, args []sqlparse.Expr) ([]*storage.Column, error) {
+func (f *frame) evalArgs(ctx *evalCtx, args []sqlparse.Expr) ([]*storage.Column, error) {
 	out := make([]*storage.Column, len(args))
 	for i, a := range args {
-		col, err := c.evalExpr(ctx, a)
+		col, err := f.evalExpr(ctx, a)
 		if err != nil {
 			return nil, err
 		}
@@ -287,12 +285,12 @@ func (c *Conn) evalArgs(ctx *evalCtx, args []sqlparse.Expr) ([]*storage.Column, 
 // argument: column references and subquery outputs arrive in the UDF as
 // arrays (lists), constant expressions as scalars — regardless of how many
 // rows the column happens to hold.
-func (c *Conn) udfArgColumns(ctx *evalCtx, args []sqlparse.Expr) ([]*storage.Column, []bool, error) {
+func (f *frame) udfArgColumns(ctx *evalCtx, args []sqlparse.Expr) ([]*storage.Column, []bool, error) {
 	var out []*storage.Column
 	var isColumn []bool
 	for _, a := range args {
 		if sub, ok := a.(*sqlparse.Subquery); ok {
-			t, err := c.evalSelect(sub.Sel)
+			t, err := f.evalSelect(sub.Sel)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -302,7 +300,7 @@ func (c *Conn) udfArgColumns(ctx *evalCtx, args []sqlparse.Expr) ([]*storage.Col
 			}
 			continue
 		}
-		col, err := c.evalExpr(ctx, a)
+		col, err := f.evalExpr(ctx, a)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -322,7 +320,7 @@ func exprIsColumnar(e sqlparse.Expr) bool {
 		case *sqlparse.ColRef, *sqlparse.Subquery:
 			found = true
 		case *sqlparse.FuncCall:
-			if isAggregateName(x.Name) {
+			if sqlparse.IsAggregate(x.Name) {
 				return x, false
 			}
 		}
@@ -430,7 +428,7 @@ func isBuiltinName(name string) bool {
 	if _, ok := scalarBuiltins[n]; ok {
 		return true
 	}
-	return isAggregateName(n) || n == extractFuncName
+	return sqlparse.IsAggregate(n) || n == extractFuncName
 }
 
 func arity(name string, args []*storage.Column, want int) error {

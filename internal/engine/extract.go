@@ -26,7 +26,7 @@ var extractSchema = storage.Schema{
 }
 
 // evalExtract executes SELECT * FROM sys_extract('<udf>', '<opts>', args...).
-func (c *Conn) evalExtract(call *sqlparse.FuncCall) (*storage.Table, error) {
+func (f *frame) evalExtract(call *sqlparse.FuncCall) (*storage.Table, error) {
 	if len(call.Args) < 2 {
 		return nil, core.Errorf(core.KindConstraint,
 			"%s requires (udf_name, options, args...)", extractFuncName)
@@ -43,12 +43,12 @@ func (c *Conn) evalExtract(call *sqlparse.FuncCall) (*storage.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	def, err := c.DB.cat.Function(nameLit.Value)
+	def, err := f.DB.cat.Function(nameLit.Value)
 	if err != nil {
 		return nil, err
 	}
-	ctx := c.newCtx(nil, nil)
-	argCols, isColumn, err := c.udfArgColumns(ctx, call.Args[2:])
+	ctx := newCtx(nil, nil)
+	argCols, isColumn, err := f.udfArgColumns(ctx, call.Args[2:])
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +86,7 @@ func (c *Conn) evalExtract(call *sqlparse.FuncCall) (*storage.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	packed, err := transfer.Pack(payload, c.Password, opts)
+	packed, err := transfer.Pack(payload, f.Password, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -43,7 +43,7 @@ func (db *DB) registerGoUDF(name string, fn any, elementwise bool) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	def.ID = db.funcID(name)
-	if err := db.mutate(Change{Kind: ChangeRegisterGoUDF, Func: def}); err != nil {
+	if err := db.mutate(Change{Kind: ChangeRegisterGoUDF, Func: def}, nil); err != nil {
 		return err
 	}
 	// InferDef accepted the signature, so registering cannot fail.

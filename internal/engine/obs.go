@@ -67,11 +67,11 @@ func (db *DB) EnableObs(reg *obs.Registry) {
 // span and the per-runtime call/error/row/latency metrics. When
 // observability is off (no metrics, no active trace) it is a direct
 // call with zero extra work — the tuple-at-a-time benchmark loop stays
-// unmeasured. Safe from morsel workers: the active trace is fixed for
+// unmeasured. Safe from morsel workers: the frame's trace is fixed for
 // the duration of the statement and all trace cells are atomic.
-func (c *Conn) instrumentedCall(def *storage.FuncDef, call udfrt.Callable,
+func (f *frame) instrumentedCall(def *storage.FuncDef, call udfrt.Callable,
 	env *udfrt.Env, in *udfrt.Batch) (*udfrt.Batch, error) {
-	m, tr, bud := c.DB.metrics, c.DB.activeTrace, c.DB.MaxUDFWall
+	m, tr, bud := f.DB.metrics, f.Trace, f.DB.MaxUDFWall
 	if m == nil && tr == nil && bud <= 0 {
 		return call.Call(env, in)
 	}
@@ -106,7 +106,7 @@ const queryLogName = "sys.query_log"
 // one row per finished query, oldest first, with the per-stage span
 // breakdown in milliseconds. With no query log configured (embedded use
 // without a server) the table exists but is empty.
-func (c *Conn) queryLogTable(name string) (*storage.Table, bool) {
+func (f *frame) queryLogTable(name string) (*storage.Table, bool) {
 	if !strings.EqualFold(strings.TrimSpace(name), queryLogName) {
 		return nil, false
 	}
@@ -126,7 +126,7 @@ func (c *Conn) queryLogTable(name string) (*storage.Table, bool) {
 		{Name: "wal_ms", Type: storage.TFloat},
 		{Name: "write_ms", Type: storage.TFloat},
 	})
-	for _, e := range c.DB.QueryLog.Snapshot() {
+	for _, e := range f.DB.QueryLog.Snapshot() {
 		_ = t.AppendRow([]any{
 			e.Seq,
 			e.Start.Format(time.RFC3339Nano),

@@ -97,14 +97,15 @@ func (db *DB) Checkpoint() error {
 // commit offers a change to the persistence hook. Called with db.mu held,
 // after the in-memory mutation succeeded; a non-nil error obliges the
 // caller to roll that mutation back. The hook's time (WAL encode, append
-// and any synchronous fsync) is the statement's WAL span, and a refusal
-// is counted as a commit veto — previously these rollbacks were
-// indistinguishable from any other IO error.
-func (db *DB) commit(ch Change) error {
+// and any synchronous fsync) is the WAL span of tr, the statement's trace
+// (nil outside a traced statement), and a refusal is counted as a commit
+// veto — previously these rollbacks were indistinguishable from any other
+// IO error.
+func (db *DB) commit(ch Change, tr *obs.Trace) error {
 	if db.onCommit == nil {
 		return nil
 	}
-	wt := db.activeTrace.StartStage(obs.StageWAL)
+	wt := tr.StartStage(obs.StageWAL)
 	err := db.onCommit(ch)
 	wt.Done()
 	if err != nil {
@@ -126,14 +127,15 @@ func (db *DB) ApplyChange(ch Change) error {
 	return err
 }
 
-// mutate is how a statement changes the catalog: apply ch, then commit it,
-// undoing it if the commit is refused. Called with db.mu held.
-func (db *DB) mutate(ch Change) error {
+// mutate is how a statement changes the catalog: apply ch, then commit it
+// (see commit for tr), undoing it if the commit is refused. Called with
+// db.mu held.
+func (db *DB) mutate(ch Change, tr *obs.Trace) error {
 	undo, err := db.apply(ch)
 	if err != nil {
 		return err
 	}
-	if err := db.commit(ch); err != nil {
+	if err := db.commit(ch, tr); err != nil {
 		undo()
 		return err
 	}

@@ -14,7 +14,8 @@ import (
 	"repro/internal/storage"
 )
 
-// defaultPlanCacheSize bounds the DB plan cache when DB.PlanCacheSize is 0.
+// defaultPlanCacheSize bounds the DB plan cache when DB.PlanCacheSize is
+// not positive.
 const defaultPlanCacheSize = 256
 
 // plan is one plan-cache entry: a statement parsed from shaped text, its
@@ -58,7 +59,7 @@ var shapes = sync.Pool{New: func() any { return new(sqlparse.Shape) }}
 // resolve makes s the statement for sql: shape the text, look the shape
 // up, on a miss parse the text and cache what it parses to, and bind the
 // text's literals. It takes no lock but the cache's own; tr receives the
-// parse span of a miss. A negative PlanCacheSize bypasses the cache.
+// parse span of a miss.
 func (c *Conn) resolve(s *Stmt, sql string, tr *obs.Trace) error {
 	sh := shapes.Get().(*sqlparse.Shape)
 	defer shapes.Put(sh)
@@ -66,17 +67,15 @@ func (c *Conn) resolve(s *Stmt, sql string, tr *obs.Trace) error {
 		return err
 	}
 	s.conn, s.sql = c, sql
-	pc, caching := &c.DB.plans, c.DB.PlanCacheSize >= 0
-	if caching {
-		if p := pc.lookup(sh); p != nil {
-			if lits, ok := p.bind(sh); ok {
-				pc.hits.Add(1)
-				s.plan, s.lits, s.reused = p, lits, true
-				return nil
-			}
+	pc := &c.DB.plans
+	if p := pc.lookup(sh); p != nil {
+		if lits, ok := p.bind(sh); ok {
+			pc.hits.Add(1)
+			s.plan, s.lits, s.reused = p, lits, true
+			return nil
 		}
-		pc.misses.Add(1)
 	}
+	pc.misses.Add(1)
 	pt := tr.StartStage(obs.StageParse)
 	st, slots, err := sqlparse.Parameterize(sql, func(call *sqlparse.FuncCall) int {
 		if strings.EqualFold(call.Name, extractFuncName) {
@@ -99,9 +98,7 @@ func (c *Conn) resolve(s *Stmt, sql string, tr *obs.Trace) error {
 	p.nparams = sqlparse.NumParams(st) - p.nbound
 	s.plan = p
 	s.lits, _ = p.bind(sh) // the parse succeeded, so every literal converts
-	if caching {
-		pc.store(p, c.DB.PlanCacheSize)
-	}
+	pc.store(p, c.DB.PlanCacheSize)
 	return nil
 }
 
@@ -160,7 +157,7 @@ func (pc *planCache) lookup(sh *sqlparse.Shape) *plan {
 // store caches p, in place of a plan of its shape with other pinned
 // literals, evicting least recently used plans down to the bound.
 func (pc *planCache) store(p *plan, size int) {
-	if size == 0 {
+	if size <= 0 {
 		size = defaultPlanCacheSize
 	}
 	pc.mu.Lock()
@@ -294,18 +291,8 @@ func (s *Stmt) ExecBound(o ExecOpts, cols []*storage.Column) (*Result, error) {
 	if o.Trace != nil {
 		o.Trace.CacheHit = s.reused
 	}
-	c := s.conn
-	return c.DB.guarded(o, func() (*Result, error) { return c.run(s.plan.st, binds) })
-}
-
-// run executes st with binds in place for its placeholders, then puts back
-// the binds of the statement it ran inside: a UDF's loopback query runs in
-// the middle of its caller's.
-func (c *Conn) run(st sqlparse.Statement, binds []*storage.Column) (*Result, error) {
-	outer := c.binds
-	c.binds = binds
-	defer func() { c.binds = outer }()
-	return c.execStmt(st)
+	f := &frame{Conn: s.conn, ExecOpts: o, binds: binds}
+	return f.guarded(s.plan.st)
 }
 
 // typeSlots enforces the slot types recorded at the first bind on cols,

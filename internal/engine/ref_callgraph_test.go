@@ -25,11 +25,11 @@ var oracleMayCall = map[string]bool{
 	// row accessors and naming
 	"compareAt": true, "truthyAt": true, "numericAt": true, "itemName": true,
 	// syntactic predicates over the AST
-	"hasAggregate": true, "exprHasAggregate": true, "isAggregateName": true, "exprIsColumnar": true,
+	"hasAggregate": true, "exprIsColumnar": true,
 }
 
 // TestOracleCallsOnlyAllowedCode parses the oracle's files and fails on a
-// call to any function, or any method of Conn, DB or evalCtx, that this
+// call to any function, or any method of Conn, DB, frame or evalCtx, that this
 // package declares outside its test files unless it is on the list above
 // (matched by name: there are no types here) — so filter, tryFilterFast,
 // project, evalAggregateSelect, aggregateOver, groupRows, distinctRows,
@@ -98,5 +98,5 @@ func engineReceiver(typ ast.Expr) bool {
 		typ = star.X
 	}
 	id, ok := typ.(*ast.Ident)
-	return ok && (id.Name == "Conn" || id.Name == "DB" || id.Name == "evalCtx")
+	return ok && (id.Name == "Conn" || id.Name == "DB" || id.Name == "frame" || id.Name == "evalCtx")
 }

@@ -47,7 +47,6 @@ func fail(kind core.ErrorKind, format string, args ...any) {
 // bind arguments installed, the way Stmt.ExecWith installs them.
 func refExec(c *Conn, sql string, binds ...any) (t *storage.Table, err error) {
 	defer func() {
-		c.binds = nil
 		switch r := recover().(type) {
 		case nil:
 		case refFailure:
@@ -60,31 +59,32 @@ func refExec(c *Conn, sql string, binds ...any) (t *storage.Table, err error) {
 	if !ok {
 		fail(core.KindSyntax, "the oracle runs SELECT only")
 	}
+	f := &frame{Conn: c}
 	for _, v := range binds {
-		c.binds = append(c.binds, must(storage.BindValue(v)))
+		f.binds = append(f.binds, must(storage.BindValue(v)))
 	}
-	return refSelect(c, sel), nil
+	return refSelect(f, sel), nil
 }
 
-func refSelect(c *Conn, sel *sqlparse.Select) *storage.Table {
-	src := refFrom(c, sel.From)
+func refSelect(f *frame, sel *sqlparse.Select) *storage.Table {
+	src := refFrom(f, sel.From)
 	if sel.Where != nil && src != nil {
-		src = refWhere(c, src, sel.Where)
+		src = refWhere(f, src, sel.Where)
 	}
 	var result *storage.Table
 	switch {
 	case len(sel.GroupBy) > 0 || hasAggregate(sel.Items):
-		result = refAggregateSelect(c, sel, src)
+		result = refAggregateSelect(f, sel, src)
 	case sel.Having != nil:
 		fail(core.KindSyntax, "HAVING requires GROUP BY or aggregates")
 	default:
-		result = refProject(c, sel, src)
+		result = refProject(f, sel, src)
 	}
 	if sel.Distinct {
 		result = scalarGatherTable(result, scalarDistinctIdx(result))
 	}
 	if len(sel.OrderBy) > 0 {
-		result = refOrder(c, sel, result, src)
+		result = refOrder(f, sel, result, src)
 	}
 	if sel.Limit >= 0 && int64(result.NumRows()) > sel.Limit {
 		result = scalarGatherTable(result, identity(int(sel.Limit)))
@@ -102,24 +102,24 @@ func identity(n int) []int32 {
 
 func emptyOf(t *storage.Table) *storage.Table { return storage.NewTable(t.Name, t.Schema()) }
 
-func refFrom(c *Conn, from sqlparse.FromClause) *storage.Table {
-	switch f := from.(type) {
+func refFrom(f *frame, from sqlparse.FromClause) *storage.Table {
+	switch from := from.(type) {
 	case nil:
 		return nil
 	case *sqlparse.FromTable:
-		if t, ok := c.queryLogTable(f.Name); ok {
+		if t, ok := f.queryLogTable(from.Name); ok {
 			return t
 		}
-		return must(c.DB.cat.Table(f.Name))
+		return must(f.DB.cat.Table(from.Name))
 	case *sqlparse.FromSelect:
-		return refSelect(c, f.Sel)
+		return refSelect(f, from.Sel)
 	case *sqlparse.FromFunc:
-		if strings.EqualFold(f.Call.Name, extractFuncName) {
-			return must(c.evalExtract(f.Call))
+		if strings.EqualFold(from.Call.Name, extractFuncName) {
+			return must(f.evalExtract(from.Call))
 		}
-		def := must(c.DB.cat.Function(f.Call.Name))
-		args, isColumn := refUDFArgs(c, nil, f.Call.Args)
-		return must(c.callTableUDF(def, args, isColumn))
+		def := must(f.DB.cat.Function(from.Call.Name))
+		args, isColumn := refUDFArgs(f, nil, from.Call.Args)
+		return must(f.callTableUDF(def, args, isColumn))
 	}
 	fail(core.KindSyntax, "unsupported FROM clause %T", from)
 	return nil
@@ -127,8 +127,8 @@ func refFrom(c *Conn, from sqlparse.FromClause) *storage.Table {
 
 // refWhere keeps the rows whose predicate is truthy, one row at a time,
 // and materializes them; a length-1 predicate is a constant.
-func refWhere(c *Conn, src *storage.Table, where sqlparse.Expr) *storage.Table {
-	pred := refExpr(c, src, where)
+func refWhere(f *frame, src *storage.Table, where sqlparse.Expr) *storage.Table {
+	pred := refExpr(f, src, where)
 	if pred.Len() == 1 && src.NumRows() != 1 {
 		if truthyAt(pred, 0) {
 			return src
@@ -147,7 +147,7 @@ func refWhere(c *Conn, src *storage.Table, where sqlparse.Expr) *storage.Table {
 // refProject copies every output column, so no two result columns and no
 // result and source column ever share an object, then broadcasts
 // length-1 columns to the longest.
-func refProject(c *Conn, sel *sqlparse.Select, src *storage.Table) *storage.Table {
+func refProject(f *frame, sel *sqlparse.Select, src *storage.Table) *storage.Table {
 	out := &storage.Table{Name: "result"}
 	n := 0
 	for i, item := range sel.Items {
@@ -159,7 +159,7 @@ func refProject(c *Conn, sel *sqlparse.Select, src *storage.Table) *storage.Tabl
 			n = max(n, src.NumRows())
 			continue
 		}
-		col := refExpr(c, src, item.Expr).Clone()
+		col := refExpr(f, src, item.Expr).Clone()
 		col.Name = itemName(item, i)
 		out.Cols = append(out.Cols, col)
 		n = max(n, col.Len())
@@ -183,12 +183,12 @@ func refBroadcast(col *storage.Column, n int) *storage.Column {
 
 // refAggregateSelect materializes each group as its own table and
 // evaluates every item over it.
-func refAggregateSelect(c *Conn, sel *sqlparse.Select, src *storage.Table) *storage.Table {
+func refAggregateSelect(f *frame, sel *sqlparse.Select, src *storage.Table) *storage.Table {
 	if src == nil {
 		fail(core.KindSyntax, "aggregates require a FROM clause")
 	}
 	having := func(g *storage.Table) bool {
-		return sel.Having == nil || truthyAt(refGroupItem(c, g, sel.Having), 0)
+		return sel.Having == nil || truthyAt(refGroupItem(f, g, sel.Having), 0)
 	}
 	var groups []*storage.Table
 	if n := src.NumRows(); len(sel.GroupBy) == 0 {
@@ -201,7 +201,7 @@ func refAggregateSelect(c *Conn, sel *sqlparse.Select, src *storage.Table) *stor
 	} else {
 		keys := make([]*storage.Column, len(sel.GroupBy))
 		for i, e := range sel.GroupBy {
-			keys[i] = refBroadcast(refExpr(c, src, e), n)
+			keys[i] = refBroadcast(refExpr(f, src, e), n)
 		}
 		if n > 0 {
 			for _, rows := range scalarGroupRows(keys, n) {
@@ -223,7 +223,7 @@ func refAggregateSelect(c *Conn, sel *sqlparse.Select, src *storage.Table) *stor
 			if item.Star {
 				fail(core.KindSyntax, "SELECT * is not valid in an aggregate query")
 			}
-			val := refGroupItem(c, g, item.Expr)
+			val := refGroupItem(f, g, item.Expr)
 			if gi == 0 {
 				out.Cols = append(out.Cols, storage.NewColumn(itemName(item, i), val.Typ))
 			}
@@ -244,18 +244,18 @@ func refAggregateSelect(c *Conn, sel *sqlparse.Select, src *storage.Table) *stor
 // value: aggregates fold the group, operators over aggregates combine the
 // folded operands, anything else is taken from the group's first row
 // (NULL for an empty group).
-func refGroupItem(c *Conn, g *storage.Table, e sqlparse.Expr) *storage.Column {
+func refGroupItem(f *frame, g *storage.Table, e sqlparse.Expr) *storage.Column {
 	switch e := e.(type) {
 	case *sqlparse.BinaryExpr:
-		if exprHasAggregate(e) {
-			return must(scalarEvalBinary(e.Op, refGroupItem(c, g, e.L), refGroupItem(c, g, e.R)))
+		if sqlparse.HasAggregate(e) {
+			return must(scalarEvalBinary(e.Op, refGroupItem(f, g, e.L), refGroupItem(f, g, e.R)))
 		}
 	case *sqlparse.UnaryExpr:
-		if exprHasAggregate(e) {
-			return must(scalarEvalUnary(e.Op, refGroupItem(c, g, e.X)))
+		if sqlparse.HasAggregate(e) {
+			return must(scalarEvalUnary(e.Op, refGroupItem(f, g, e.X)))
 		}
 	}
-	val := refExpr(c, g, e)
+	val := refExpr(f, g, e)
 	if val.Len() == 0 {
 		null := storage.NewColumn("", val.Typ)
 		null.AppendNull()
@@ -265,7 +265,7 @@ func refGroupItem(c *Conn, g *storage.Table, e sqlparse.Expr) *storage.Column {
 }
 
 // refAggregate folds one aggregate call over a whole table.
-func refAggregate(c *Conn, t *storage.Table, call *sqlparse.FuncCall) *storage.Column {
+func refAggregate(f *frame, t *storage.Table, call *sqlparse.FuncCall) *storage.Column {
 	if t == nil {
 		fail(core.KindSyntax, "aggregate %s requires a FROM clause", call.Name)
 	}
@@ -276,13 +276,13 @@ func refAggregate(c *Conn, t *storage.Table, call *sqlparse.FuncCall) *storage.C
 	if len(call.Args) != 1 {
 		fail(core.KindType, "%s expects exactly one argument", strings.ToUpper(name))
 	}
-	return must(scalarAggregateOver(name, refExpr(c, t, call.Args[0]), false, t.NumRows()))
+	return must(scalarAggregateOver(name, refExpr(f, t, call.Args[0]), false, t.NumRows()))
 }
 
 // refOrder sorts the result by the ORDER BY keys: output columns by
 // position or name first, else an expression over the source when it
 // still lines up with the result row for row. NULLs sort first.
-func refOrder(c *Conn, sel *sqlparse.Select, result, src *storage.Table) *storage.Table {
+func refOrder(f *frame, sel *sqlparse.Select, result, src *storage.Table) *storage.Table {
 	n := result.NumRows()
 	keys := make([]*storage.Column, len(sel.OrderBy))
 	for ki, item := range sel.OrderBy {
@@ -302,7 +302,7 @@ func refOrder(c *Conn, sel *sqlparse.Select, result, src *storage.Table) *storag
 		if src == nil || src.NumRows() != n {
 			fail(core.KindConstraint, "ORDER BY expression must reference an output column")
 		}
-		keys[ki] = refBroadcast(refExpr(c, src, item.Expr), n)
+		keys[ki] = refBroadcast(refExpr(f, src, item.Expr), n)
 	}
 	idx := identity(n)
 	sort.SliceStable(idx, func(a, b int) bool {
@@ -333,7 +333,7 @@ func refOrder(c *Conn, sel *sqlparse.Select, result, src *storage.Table) *storag
 // refExpr evaluates an expression over a whole materialized table (nil
 // for FROM-less selects), returning a column of the table's row count or
 // of length 1 for a constant.
-func refExpr(c *Conn, t *storage.Table, e sqlparse.Expr) *storage.Column {
+func refExpr(f *frame, t *storage.Table, e sqlparse.Expr) *storage.Column {
 	lit := func(typ storage.Type, v any) *storage.Column {
 		col := storage.NewColumn("", typ)
 		if v == nil {
@@ -355,18 +355,18 @@ func refExpr(c *Conn, t *storage.Table, e sqlparse.Expr) *storage.Column {
 	case *sqlparse.NullLit:
 		return lit(storage.TStr, nil)
 	case *sqlparse.Placeholder:
-		return must(c.bindColumn(e))
+		return must(f.bindColumn(e))
 	case *sqlparse.ColRef:
 		if t == nil {
 			fail(core.KindName, "no FROM clause to resolve column %q", e.Name)
 		}
 		return must(t.Column(e.Name))
 	case *sqlparse.UnaryExpr:
-		return must(scalarEvalUnary(e.Op, refExpr(c, t, e.X)))
+		return must(scalarEvalUnary(e.Op, refExpr(f, t, e.X)))
 	case *sqlparse.BinaryExpr:
-		return must(scalarEvalBinary(e.Op, refExpr(c, t, e.L), refExpr(c, t, e.R)))
+		return must(scalarEvalBinary(e.Op, refExpr(f, t, e.L), refExpr(f, t, e.R)))
 	case *sqlparse.IsNullExpr:
-		x := refExpr(c, t, e.X)
+		x := refExpr(f, t, e.X)
 		out := storage.NewColumn("", storage.TBool)
 		for i := 0; i < x.Len(); i++ {
 			out.AppendBool(x.IsNull(i) != e.Neg)
@@ -374,15 +374,15 @@ func refExpr(c *Conn, t *storage.Table, e sqlparse.Expr) *storage.Column {
 		return out
 	case *sqlparse.CastExpr:
 		// a row at a time through a boxed value, not the engine's cell copy
-		x, out := refExpr(c, t, e.X), storage.NewColumn("", e.To)
+		x, out := refExpr(f, t, e.X), storage.NewColumn("", e.To)
 		for i := 0; i < x.Len(); i++ {
 			check(out.AppendValue(x.Value(i)))
 		}
 		return out
 	case *sqlparse.FuncCall:
-		return refCall(c, t, e)
+		return refCall(f, t, e)
 	case *sqlparse.Subquery:
-		sub := refSelect(c, e.Sel)
+		sub := refSelect(f, e.Sel)
 		if len(sub.Cols) != 1 || sub.NumRows() != 1 {
 			fail(core.KindConstraint, "scalar subquery must return one row and one column (got %dx%d)",
 				sub.NumRows(), len(sub.Cols))
@@ -395,39 +395,39 @@ func refExpr(c *Conn, t *storage.Table, e sqlparse.Expr) *storage.Column {
 
 // refCall evaluates the arguments itself and hands the finished columns
 // to the production builtin or UDF runtime.
-func refCall(c *Conn, t *storage.Table, call *sqlparse.FuncCall) *storage.Column {
+func refCall(f *frame, t *storage.Table, call *sqlparse.FuncCall) *storage.Column {
 	name := strings.ToLower(call.Name)
-	if isAggregateName(name) {
-		return refAggregate(c, t, call)
+	if sqlparse.IsAggregate(name) {
+		return refAggregate(f, t, call)
 	}
 	if fn, ok := scalarBuiltins[name]; ok {
 		args := make([]*storage.Column, len(call.Args))
 		for i, a := range call.Args {
-			args[i] = refExpr(c, t, a)
+			args[i] = refExpr(f, t, a)
 		}
 		return must(fn(args))
 	}
 	if name == extractFuncName {
 		fail(core.KindConstraint, "%s is table-valued; use it in FROM", extractFuncName)
 	}
-	if !c.DB.cat.HasFunction(call.Name) {
+	if !f.DB.cat.HasFunction(call.Name) {
 		fail(core.KindName, "no such function: %s", call.Name)
 	}
-	args, isColumn := refUDFArgs(c, t, call.Args)
-	return must(c.callScalarUDF(call.Name, args, isColumn))
+	args, isColumn := refUDFArgs(f, t, call.Args)
+	return must(f.callScalarUDF(call.Name, args, isColumn))
 }
 
 // refUDFArgs evaluates UDF arguments; a subquery argument expands into
 // one columnar argument per output column.
-func refUDFArgs(c *Conn, t *storage.Table, args []sqlparse.Expr) (cols []*storage.Column, isColumn []bool) {
+func refUDFArgs(f *frame, t *storage.Table, args []sqlparse.Expr) (cols []*storage.Column, isColumn []bool) {
 	for _, a := range args {
 		if sub, ok := a.(*sqlparse.Subquery); ok {
-			for _, col := range refSelect(c, sub.Sel).Cols {
+			for _, col := range refSelect(f, sub.Sel).Cols {
 				cols, isColumn = append(cols, col), append(isColumn, true)
 			}
 			continue
 		}
-		cols, isColumn = append(cols, refExpr(c, t, a)), append(isColumn, exprIsColumnar(a))
+		cols, isColumn = append(cols, refExpr(f, t, a)), append(isColumn, exprIsColumnar(a))
 	}
 	return cols, isColumn
 }

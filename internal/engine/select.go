@@ -19,63 +19,63 @@ import (
 // lazily — filtered rows materialize once per referenced column at result
 // build, never as an intermediate table. LIMIT slices the result columns
 // in place.
-func (c *Conn) evalSelect(sel *sqlparse.Select) (*storage.Table, error) {
-	src, err := c.evalFrom(sel.From)
+func (f *frame) evalSelect(sel *sqlparse.Select) (*storage.Table, error) {
+	src, err := f.evalFrom(sel.From)
 	if err != nil {
 		return nil, err
 	}
-	if m := c.DB.metrics; m != nil && src != nil {
+	if m := f.DB.metrics; m != nil && src != nil {
 		m.rowsScanned.Add(uint64(src.NumRows()))
 	}
 	// Pipeline-stage interrupt checkpoints: an armed interrupt stops morsel
 	// kernels mid-run (vec.Pol.Stop), which leaves well-formed but
 	// incomplete outputs — so each stage's result must be discarded here
 	// before the next stage consumes it.
-	if err := c.interruptErr(); err != nil {
+	if err := f.interruptErr(); err != nil {
 		return nil, err
 	}
 
 	// WHERE
 	var selv []int32
 	if sel.Where != nil && src != nil {
-		src, selv, err = c.filter(src, sel.Where)
+		src, selv, err = f.filter(src, sel.Where)
 		if err != nil {
 			return nil, err
 		}
-		if err := c.interruptErr(); err != nil {
+		if err := f.interruptErr(); err != nil {
 			return nil, err
 		}
 	}
 
 	var result *storage.Table
 	if len(sel.GroupBy) > 0 || hasAggregate(sel.Items) {
-		result, err = c.evalAggregateSelect(sel, src, selv)
+		result, err = f.evalAggregateSelect(sel, src, selv)
 	} else {
 		if sel.Having != nil {
 			return nil, core.Errorf(core.KindSyntax, "HAVING requires GROUP BY or aggregates")
 		}
-		result, err = c.project(sel, src, selv)
+		result, err = f.project(sel, src, selv)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if err := c.interruptErr(); err != nil {
+	if err := f.interruptErr(); err != nil {
 		return nil, err
 	}
 
 	if sel.Distinct {
-		result = c.distinctRows(result)
-		if err := c.interruptErr(); err != nil {
+		result = f.distinctRows(result)
+		if err := f.interruptErr(); err != nil {
 			return nil, err
 		}
 	}
 
 	// ORDER BY
 	if len(sel.OrderBy) > 0 {
-		if err := c.orderResult(sel, result, src, selv); err != nil {
+		if err := f.orderResult(sel, result, src, selv); err != nil {
 			return nil, err
 		}
-		if err := c.interruptErr(); err != nil {
+		if err := f.interruptErr(); err != nil {
 			return nil, err
 		}
 	}
@@ -92,10 +92,10 @@ func (c *Conn) evalSelect(sel *sqlparse.Select) (*storage.Table, error) {
 			result = result.SliceRows(0, limit)
 		}
 	}
-	if err := c.checkBudgetRows(result.NumRows()); err != nil {
+	if err := f.checkBudgetRows(result.NumRows()); err != nil {
 		return nil, err
 	}
-	if m := c.DB.metrics; m != nil {
+	if m := f.DB.metrics; m != nil {
 		m.rowsReturned.Add(uint64(result.NumRows()))
 	}
 	return result, nil
@@ -103,14 +103,14 @@ func (c *Conn) evalSelect(sel *sqlparse.Select) (*storage.Table, error) {
 
 // filter evaluates the WHERE clause into a selection vector (or an empty
 // source table for a false constant predicate).
-func (c *Conn) filter(src *storage.Table, where sqlparse.Expr) (*storage.Table, []int32, error) {
-	if selv, ok, err := c.tryFilterFast(src, where); err != nil {
+func (f *frame) filter(src *storage.Table, where sqlparse.Expr) (*storage.Table, []int32, error) {
+	if selv, ok, err := f.tryFilterFast(src, where); err != nil {
 		return nil, nil, err
 	} else if ok {
 		return src, selv, nil
 	}
-	ctx := c.newCtx(src, nil)
-	pred, err := c.evalExpr(ctx, where)
+	ctx := newCtx(src, nil)
+	pred, err := f.evalExpr(ctx, where)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -121,7 +121,7 @@ func (c *Conn) filter(src *storage.Table, where sqlparse.Expr) (*storage.Table, 
 		}
 		return src, nil, nil
 	}
-	return src, vec.SelectTruthy(c.pol(), pred), nil
+	return src, vec.SelectTruthy(f.pol(), pred), nil
 }
 
 // fastConjunct is one WHERE conjunct of the fused filter shape:
@@ -137,7 +137,7 @@ type fastConjunct struct {
 // compare-select kernels — no intermediate boolean column — intersecting
 // the conjunct selections. ok=false falls back to the generic predicate
 // path without having run any kernel.
-func (c *Conn) tryFilterFast(src *storage.Table, where sqlparse.Expr) ([]int32, bool, error) {
+func (f *frame) tryFilterFast(src *storage.Table, where sqlparse.Expr) ([]int32, bool, error) {
 	var conjs []sqlparse.Expr
 	var flatten func(e sqlparse.Expr)
 	flatten = func(e sqlparse.Expr) {
@@ -167,7 +167,7 @@ func (c *Conn) tryFilterFast(src *storage.Table, where sqlparse.Expr) ([]int32, 
 			}
 			op = op.Mirror()
 		}
-		lit, ok := c.literalColumn(litE)
+		lit, ok := f.literalColumn(litE)
 		if !ok {
 			return nil, false, nil
 		}
@@ -183,7 +183,7 @@ func (c *Conn) tryFilterFast(src *storage.Table, where sqlparse.Expr) ([]int32, 
 	if len(plan) == 0 {
 		return nil, false, nil
 	}
-	p := c.pol()
+	p := f.pol()
 	var selv []int32
 	for _, fc := range plan {
 		if selv != nil && len(selv) == 0 {
@@ -215,22 +215,22 @@ func isCmpOp(op string) bool {
 // expression is not a plain literal. Bound placeholders qualify so a
 // prepared filter — and ad-hoc text, whose literals are binds — takes the
 // same fused compare-select kernels as its literal equivalent.
-func (c *Conn) literalColumn(e sqlparse.Expr) (*storage.Column, bool) {
+func (f *frame) literalColumn(e sqlparse.Expr) (*storage.Column, bool) {
 	switch e := e.(type) {
 	case *sqlparse.Placeholder:
-		col, err := c.bindColumn(e)
+		col, err := f.bindColumn(e)
 		if err != nil {
 			return nil, false
 		}
 		return col, true
 	case *sqlparse.IntLit, *sqlparse.FloatLit, *sqlparse.StrLit, *sqlparse.BoolLit, *sqlparse.NullLit:
-		col, err := c.evalExpr(nil, e)
+		col, err := f.evalExpr(nil, e)
 		return col, err == nil
 	case *sqlparse.UnaryExpr:
 		if e.Op != "-" {
 			return nil, false
 		}
-		x, ok := c.literalColumn(e.X)
+		x, ok := f.literalColumn(e.X)
 		if !ok {
 			return nil, false
 		}
@@ -241,26 +241,26 @@ func (c *Conn) literalColumn(e sqlparse.Expr) (*storage.Column, bool) {
 }
 
 // evalFrom materializes the FROM source, or nil for FROM-less selects.
-func (c *Conn) evalFrom(from sqlparse.FromClause) (*storage.Table, error) {
-	switch f := from.(type) {
+func (f *frame) evalFrom(from sqlparse.FromClause) (*storage.Table, error) {
+	switch from := from.(type) {
 	case nil:
 		return nil, nil
 	case *sqlparse.FromTable:
 		// sys.query_log is engine-level (it reads the observability ring,
 		// which storage cannot depend on), unlike the catalog's sys.* meta
 		// tables.
-		if t, ok := c.queryLogTable(f.Name); ok {
+		if t, ok := f.queryLogTable(from.Name); ok {
 			return t, nil
 		}
-		t, err := c.DB.cat.Table(f.Name)
+		t, err := f.DB.cat.Table(from.Name)
 		if err != nil {
 			return nil, err
 		}
 		return t, nil
 	case *sqlparse.FromSelect:
-		return c.evalSelect(f.Sel)
+		return f.evalSelect(from.Sel)
 	case *sqlparse.FromFunc:
-		return c.evalTableFunc(f.Call)
+		return f.evalTableFunc(from.Call)
 	default:
 		return nil, core.Errorf(core.KindSyntax, "unsupported FROM clause %T", from)
 	}
@@ -268,27 +268,27 @@ func (c *Conn) evalFrom(from sqlparse.FromClause) (*storage.Table, error) {
 
 // evalTableFunc executes a table-valued function in FROM: sys_extract or a
 // Python table UDF.
-func (c *Conn) evalTableFunc(call *sqlparse.FuncCall) (*storage.Table, error) {
+func (f *frame) evalTableFunc(call *sqlparse.FuncCall) (*storage.Table, error) {
 	if strings.EqualFold(call.Name, extractFuncName) {
-		return c.evalExtract(call)
+		return f.evalExtract(call)
 	}
-	def, err := c.DB.cat.Function(call.Name)
+	def, err := f.DB.cat.Function(call.Name)
 	if err != nil {
 		return nil, err
 	}
-	ctx := c.newCtx(nil, nil)
-	argCols, isColumn, err := c.udfArgColumns(ctx, call.Args)
+	ctx := newCtx(nil, nil)
+	argCols, isColumn, err := f.udfArgColumns(ctx, call.Args)
 	if err != nil {
 		return nil, err
 	}
-	return c.callTableUDF(def, argCols, isColumn)
+	return f.callTableUDF(def, argCols, isColumn)
 }
 
 // project evaluates the projection list of a non-aggregate select. Bare
 // column references materialize straight off the selection vector; other
 // expressions evaluate over the lazily-gathered view.
-func (c *Conn) project(sel *sqlparse.Select, src *storage.Table, selv []int32) (*storage.Table, error) {
-	ctx := c.newCtx(src, selv)
+func (f *frame) project(sel *sqlparse.Select, src *storage.Table, selv []int32) (*storage.Table, error) {
+	ctx := newCtx(src, selv)
 	out := &storage.Table{Name: "result"}
 	usedViews := map[*storage.Column]bool{}
 	for i, item := range sel.Items {
@@ -331,7 +331,7 @@ func (c *Conn) project(sel *sqlparse.Select, src *storage.Table, selv []int32) (
 				named = base.Clone()
 			}
 		} else {
-			col, err := c.evalExpr(ctx, item.Expr)
+			col, err := f.evalExpr(ctx, item.Expr)
 			if err != nil {
 				return nil, err
 			}
@@ -344,30 +344,10 @@ func (c *Conn) project(sel *sqlparse.Select, src *storage.Table, selv []int32) (
 		named.Name = itemName(item, i)
 		out.Cols = append(out.Cols, named)
 	}
-	return broadcastColumns(out)
-}
-
-// broadcastColumns reconciles column lengths: length-1 columns broadcast to
-// the longest column (the operator-at-a-time convention that lets a scalar
-// UDF result or constant sit beside full columns).
-func broadcastColumns(t *storage.Table) (*storage.Table, error) {
-	maxLen := 0
-	for _, c := range t.Cols {
-		if c.Len() > maxLen {
-			maxLen = c.Len()
-		}
+	if err := out.Broadcast(); err != nil {
+		return nil, err
 	}
-	for i, c := range t.Cols {
-		switch {
-		case c.Len() == maxLen:
-		case c.Len() == 1:
-			t.Cols[i] = c.BroadcastTo(maxLen)
-		default:
-			return nil, core.Errorf(core.KindConstraint,
-				"projection columns have mismatched lengths (%d vs %d)", c.Len(), maxLen)
-		}
-	}
-	return t, nil
+	return out, nil
 }
 
 func itemName(item sqlparse.SelectItem, i int) string {
@@ -386,34 +366,13 @@ func itemName(item sqlparse.SelectItem, i int) string {
 
 // ---- aggregates ----
 
-var aggregateNames = map[string]bool{
-	"count": true, "sum": true, "avg": true, "min": true, "max": true,
-}
-
-func isAggregateName(name string) bool { return aggregateNames[strings.ToLower(name)] }
-
 func hasAggregate(items []sqlparse.SelectItem) bool {
 	for _, it := range items {
-		if it.Expr != nil && exprHasAggregate(it.Expr) {
+		if it.Expr != nil && sqlparse.HasAggregate(it.Expr) {
 			return true
 		}
 	}
 	return false
-}
-
-// exprHasAggregate reports whether e calls an aggregate outside a subquery.
-func exprHasAggregate(e sqlparse.Expr) bool {
-	found := false
-	sqlparse.EditExpr(e, func(x sqlparse.Expr) (sqlparse.Expr, bool) {
-		switch x := x.(type) {
-		case *sqlparse.FuncCall:
-			found = found || isAggregateName(x.Name)
-		case *sqlparse.Subquery:
-			return x, false
-		}
-		return x, !found
-	})
-	return found
 }
 
 // aggregateOver computes one aggregate call over the context's logical
@@ -421,7 +380,7 @@ func exprHasAggregate(e sqlparse.Expr) bool {
 // the typed aggregation kernels unmaterialized (base column plus selection
 // vector); expression arguments evaluate through the shared context, so
 // several aggregates over the same filtered column materialize it once.
-func (c *Conn) aggregateOver(ctx *evalCtx, call *sqlparse.FuncCall) (*storage.Column, error) {
+func (f *frame) aggregateOver(ctx *evalCtx, call *sqlparse.FuncCall) (*storage.Column, error) {
 	if ctx.src == nil {
 		return nil, core.Errorf(core.KindSyntax, "aggregate %s requires a FROM clause", call.Name)
 	}
@@ -444,12 +403,12 @@ func (c *Conn) aggregateOver(ctx *evalCtx, call *sqlparse.FuncCall) (*storage.Co
 		col, effSel = base, ctx.sel
 	} else {
 		var err error
-		col, err = c.evalExpr(ctx, call.Args[0])
+		col, err = f.evalExpr(ctx, call.Args[0])
 		if err != nil {
 			return nil, err
 		}
 	}
-	p := c.pol()
+	p := f.pol()
 	switch name {
 	case "count":
 		out := storage.NewColumn("", storage.TInt)
@@ -512,7 +471,7 @@ func (c *Conn) aggregateOver(ctx *evalCtx, call *sqlparse.FuncCall) (*storage.Co
 // ungrouped query, one per key otherwise. Items evaluate over a context
 // on that selection, so aggregation kernels fold the base columns through
 // it and other references gather only the columns they name.
-func (c *Conn) evalAggregateSelect(sel *sqlparse.Select, src *storage.Table, selv []int32) (*storage.Table, error) {
+func (f *frame) evalAggregateSelect(sel *sqlparse.Select, src *storage.Table, selv []int32) (*storage.Table, error) {
 	if src == nil {
 		return nil, core.Errorf(core.KindSyntax, "aggregates require a FROM clause")
 	}
@@ -520,22 +479,22 @@ func (c *Conn) evalAggregateSelect(sel *sqlparse.Select, src *storage.Table, sel
 	groups := [][]int32{selv}
 	if !ungrouped {
 		var err error
-		if groups, err = c.groupRows(sel.GroupBy, src, selv); err != nil {
+		if groups, err = f.groupRows(sel.GroupBy, src, selv); err != nil {
 			return nil, err
 		}
 	}
 	if sel.Having != nil {
 		kept := groups[:0]
 		for _, g := range groups {
-			if err := c.interruptErr(); err != nil {
+			if err := f.interruptErr(); err != nil {
 				return nil, err
 			}
-			ctx := c.newCtx(src, g)
+			ctx := newCtx(src, g)
 			if ungrouped && ctx.rows() == 0 {
 				kept = append(kept, g)
 				continue
 			}
-			hv, err := c.evalGroupItem(ctx, sel.Having)
+			hv, err := f.evalGroupItem(ctx, sel.Having)
 			if err != nil {
 				return nil, err
 			}
@@ -560,15 +519,15 @@ func (c *Conn) evalAggregateSelect(sel *sqlparse.Select, src *storage.Table, sel
 	for gi, g := range groups {
 		// One checkpoint per group: a group's items can each run a UDF over
 		// the whole group, and there may be as many groups as rows.
-		if err := c.interruptErr(); err != nil {
+		if err := f.interruptErr(); err != nil {
 			return nil, err
 		}
-		ctx := c.newCtx(src, g)
+		ctx := newCtx(src, g)
 		for ii, item := range sel.Items {
 			if item.Star {
 				return nil, core.Errorf(core.KindSyntax, "SELECT * is not valid in an aggregate query")
 			}
-			val, err := c.evalGroupItem(ctx, item.Expr)
+			val, err := f.evalGroupItem(ctx, item.Expr)
 			if err != nil {
 				return nil, err
 			}
@@ -595,33 +554,33 @@ func (c *Conn) evalAggregateSelect(sel *sqlparse.Select, src *storage.Table, sel
 // references materialize once), producing a single value. Aggregates
 // reduce the view; other expressions evaluate per-row and must be
 // constant within the group (we take row 0).
-func (c *Conn) evalGroupItem(ctx *evalCtx, e sqlparse.Expr) (*storage.Column, error) {
-	if call, ok := e.(*sqlparse.FuncCall); ok && isAggregateName(call.Name) {
-		return c.aggregateOver(ctx, call)
+func (f *frame) evalGroupItem(ctx *evalCtx, e sqlparse.Expr) (*storage.Column, error) {
+	if call, ok := e.(*sqlparse.FuncCall); ok && sqlparse.IsAggregate(call.Name) {
+		return f.aggregateOver(ctx, call)
 	}
 	switch e := e.(type) {
 	case *sqlparse.BinaryExpr:
-		if exprHasAggregate(e) {
-			l, err := c.evalGroupItem(ctx, e.L)
+		if sqlparse.HasAggregate(e) {
+			l, err := f.evalGroupItem(ctx, e.L)
 			if err != nil {
 				return nil, err
 			}
-			r, err := c.evalGroupItem(ctx, e.R)
+			r, err := f.evalGroupItem(ctx, e.R)
 			if err != nil {
 				return nil, err
 			}
-			return c.evalBinary(e.Op, l, r)
+			return f.evalBinary(e.Op, l, r)
 		}
 	case *sqlparse.UnaryExpr:
-		if exprHasAggregate(e) {
-			x, err := c.evalGroupItem(ctx, e.X)
+		if sqlparse.HasAggregate(e) {
+			x, err := f.evalGroupItem(ctx, e.X)
 			if err != nil {
 				return nil, err
 			}
-			return c.evalUnary(e.Op, x)
+			return f.evalUnary(e.Op, x)
 		}
 	}
-	col, err := c.evalExpr(ctx, e)
+	col, err := f.evalExpr(ctx, e)
 	if err != nil {
 		return nil, err
 	}
@@ -636,12 +595,12 @@ func (c *Conn) evalGroupItem(ctx *evalCtx, e sqlparse.Expr) (*storage.Column, er
 // groupRows partitions the logical rows by the GROUP BY key, returning
 // per-group physical row indexes into src in first-appearance order,
 // hashing the typed key vectors.
-func (c *Conn) groupRows(exprs []sqlparse.Expr, src *storage.Table, selv []int32) ([][]int32, error) {
-	ctx := c.newCtx(src, selv)
+func (f *frame) groupRows(exprs []sqlparse.Expr, src *storage.Table, selv []int32) ([][]int32, error) {
+	ctx := newCtx(src, selv)
 	n := ctx.rows()
 	keyCols := make([]*storage.Column, len(exprs))
 	for i, e := range exprs {
-		col, err := c.evalExpr(ctx, e)
+		col, err := f.evalExpr(ctx, e)
 		if err != nil {
 			return nil, err
 		}
@@ -653,7 +612,7 @@ func (c *Conn) groupRows(exprs []sqlparse.Expr, src *storage.Table, selv []int32
 	if n == 0 {
 		return nil, nil
 	}
-	groups := vec.Groups(c.pol(), keyCols, n)
+	groups := vec.Groups(f.pol(), keyCols, n)
 	// map logical group members to physical source rows
 	if selv != nil {
 		for _, g := range groups {
@@ -667,7 +626,7 @@ func (c *Conn) groupRows(exprs []sqlparse.Expr, src *storage.Table, selv []int32
 
 // orderResult sorts the result table in place per ORDER BY. Keys resolve
 // against result columns first (aliases), then source columns.
-func (c *Conn) orderResult(sel *sqlparse.Select, result, src *storage.Table, selv []int32) error {
+func (f *frame) orderResult(sel *sqlparse.Select, result, src *storage.Table, selv []int32) error {
 	n := result.NumRows()
 	keys := make([]*storage.Column, len(sel.OrderBy))
 	for ki, item := range sel.OrderBy {
@@ -696,8 +655,8 @@ func (c *Conn) orderResult(sel *sqlparse.Select, result, src *storage.Table, sel
 			return core.Errorf(core.KindConstraint,
 				"ORDER BY expression must reference an output column")
 		}
-		ctx := c.newCtx(src, selv)
-		col, err := c.evalExpr(ctx, item.Expr)
+		ctx := newCtx(src, selv)
+		col, err := f.evalExpr(ctx, item.Expr)
 		if err != nil {
 			return err
 		}
@@ -756,8 +715,8 @@ func (c *Conn) orderResult(sel *sqlparse.Select, result, src *storage.Table, sel
 
 // distinctRows drops duplicate result rows, keeping first occurrences,
 // reusing the typed group hasher over the result columns.
-func (c *Conn) distinctRows(t *storage.Table) *storage.Table {
-	idx := vec.DistinctReps(c.pol(), t.Cols, t.NumRows())
+func (f *frame) distinctRows(t *storage.Table) *storage.Table {
+	idx := vec.DistinctReps(f.pol(), t.Cols, t.NumRows())
 	if len(idx) == t.NumRows() {
 		return t
 	}

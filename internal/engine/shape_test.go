@@ -12,8 +12,8 @@ import (
 // TestLoopbackKeepsOuterBinds: a UDF's loopback statement binds its own
 // literals while the outer statement still has literals of its own to read
 // (`+ 100` and `'tail'` are evaluated after the UDF returned), in both
-// processing models. Conn.binds nests: the loopback statement installs its
-// binds and puts the outer ones back.
+// processing models. The loopback statement runs in a frame of its own, so
+// its binds never replace the outer ones.
 func TestLoopbackKeepsOuterBinds(t *testing.T) {
 	for _, mode := range []Mode{ModeOperatorAtATime, ModeTupleAtATime} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -159,9 +159,8 @@ func TestNegativeLiteralKeepsTheFusedFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.binds = s.lits
-	defer func() { c.binds = nil }()
-	sel, ok, err := c.tryFilterFast(src, s.plan.st.(*sqlparse.Select).Where)
+	f := &frame{Conn: c, binds: s.lits}
+	sel, ok, err := f.tryFilterFast(src, s.plan.st.(*sqlparse.Select).Where)
 	if err != nil || !ok {
 		t.Fatalf("fused filter declined -<bind>: ok=%v err=%v", ok, err)
 	}

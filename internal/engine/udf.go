@@ -9,10 +9,8 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/script"
 	"repro/internal/storage"
 	"repro/internal/udfrt"
-	"repro/internal/udfrt/pyrt"
 )
 
 // compiledUDF caches a runtime-compiled callable, keyed by a hash of the
@@ -46,40 +44,39 @@ func defHash(def *storage.FuncDef) string {
 // callableFor resolves the runtime serving a definition's LANGUAGE and
 // returns its compiled callable, from the per-DB cache when the definition
 // is unchanged.
-func (c *Conn) callableFor(def *storage.FuncDef) (udfrt.Callable, error) {
+func (f *frame) callableFor(def *storage.FuncDef) (udfrt.Callable, error) {
 	rt, err := udfrt.Lookup(def.Language)
 	if err != nil {
 		return nil, err
 	}
 	h := defHash(def)
 	key := strings.ToLower(def.Name)
-	if cu, ok := c.DB.compiled[key]; ok && cu.hash == h {
+	if cu, ok := f.DB.compiled[key]; ok && cu.hash == h {
 		return cu.call, nil
 	}
 	call, err := rt.Compile(def)
 	if err != nil {
 		return nil, err
 	}
-	c.DB.compiled[key] = &compiledUDF{hash: h, call: call}
+	f.DB.compiled[key] = &compiledUDF{hash: h, call: call}
 	return call, nil
 }
 
-// udfEnv builds the per-statement invocation environment handed to a
-// runtime: the session's file system, step budget, print channel, loopback
-// connection and (when the remote debugger is attached) the invoke hook.
-func (c *Conn) udfEnv() *udfrt.Env {
+// udfEnv builds the statement's invocation environment handed to a
+// runtime: the database's file system and budgets, and the frame's
+// interrupt (when armed), print channel, loopback connection and invoke
+// hook.
+func (f *frame) udfEnv() *udfrt.Env {
 	env := &udfrt.Env{
-		FS:       c.DB.FS,
-		MaxSteps: c.DB.MaxUDFSteps,
-		MaxWall:  c.DB.MaxUDFWall,
-		Loopback: func(in *script.Interp) script.Value { return c.loopbackConn(in) },
-		Invoke:   c.UDFInvoke,
+		FS:       f.DB.FS,
+		MaxSteps: f.DB.MaxUDFSteps,
+		MaxWall:  f.DB.MaxUDFWall,
+		Stdout:   f.Stdout,
+		Loopback: f,
+		Invoke:   f.Invoke,
 	}
-	if c.DB.activeIntr.armed() {
-		env.Interrupt = c.DB.intrErr
-	}
-	if c.DB.UDFOutput != nil {
-		env.Stdout = c.DB.UDFOutput
+	if f.Interrupt.armed() {
+		env.Interrupt = &f.Interrupt
 	}
 	return env
 }
@@ -88,8 +85,8 @@ func (c *Conn) udfEnv() *udfrt.Env {
 // processing mode, returning the result column (length-1 results broadcast
 // at projection time). isColumn follows udfArgColumns's calling
 // convention: columnar arguments pass as lists, constants as scalars.
-func (c *Conn) callScalarUDF(name string, argCols []*storage.Column, isColumn []bool) (*storage.Column, error) {
-	def, err := c.DB.cat.Function(name)
+func (f *frame) callScalarUDF(name string, argCols []*storage.Column, isColumn []bool) (*storage.Column, error) {
+	def, err := f.DB.cat.Function(name)
 	if err != nil {
 		return nil, err
 	}
@@ -112,20 +109,20 @@ func (c *Conn) callScalarUDF(name string, argCols []*storage.Column, isColumn []
 		}
 		in.Rows = n
 	}
-	call, err := c.callableFor(def)
+	call, err := f.callableFor(def)
 	if err != nil {
 		return nil, err
 	}
-	env := c.udfEnv()
-	if c.DB.Mode == ModeTupleAtATime {
-		return c.callScalarUDFTuple(def, call, env, in)
+	env := f.udfEnv()
+	if f.DB.Mode == ModeTupleAtATime {
+		return f.callScalarUDFTuple(def, call, env, in)
 	}
-	if col, ok, err := c.callScalarUDFMorsels(def, call, env, in); err != nil {
+	if col, ok, err := f.callScalarUDFMorsels(def, call, env, in); err != nil {
 		return nil, err
 	} else if ok {
 		return col, nil
 	}
-	out, err := c.instrumentedCall(def, call, env, in)
+	out, err := f.instrumentedCall(def, call, env, in)
 	if err != nil {
 		return nil, err
 	}
@@ -138,13 +135,13 @@ func (c *Conn) callScalarUDF(name string, argCols []*storage.Column, isColumn []
 // the single whole-batch call: the runtime is not parallel-safe, the
 // batch is too small to win, or a morsel returned a broadcast
 // (aggregate-style) result that must be computed over the whole batch.
-func (c *Conn) callScalarUDFMorsels(def *storage.FuncDef, call udfrt.Callable,
+func (f *frame) callScalarUDFMorsels(def *storage.FuncDef, call udfrt.Callable,
 	env *udfrt.Env, in *udfrt.Batch) (*storage.Column, bool, error) {
 	ps, ok := call.(udfrt.ParallelSafe)
 	if !ok || !ps.ParallelSafe() {
 		return nil, false, nil
 	}
-	p := c.pol()
+	p := f.pol()
 	// Morsel size 1 would make an aggregate-style UDF's per-morsel scalar
 	// result (length 1) indistinguishable from an elementwise one-row
 	// result, defeating the broadcast detection below — never split then.
@@ -169,7 +166,7 @@ func (c *Conn) callScalarUDFMorsels(def *storage.FuncDef, call udfrt.Callable,
 			return
 		}
 		b := in.Slice(lo, hi)
-		ob, err := c.instrumentedCall(def, call, env, b)
+		ob, err := f.instrumentedCall(def, call, env, b)
 		if err != nil {
 			errs[m] = err
 			return
@@ -195,7 +192,7 @@ func (c *Conn) callScalarUDFMorsels(def *storage.FuncDef, call udfrt.Callable,
 	}
 	// An interrupted run leaves unclaimed morsels' outputs nil; abort
 	// before stitching a partial result.
-	if err := c.interruptErr(); err != nil {
+	if err := f.interruptErr(); err != nil {
 		return nil, false, err
 	}
 	if broadcast.Load() {
@@ -249,14 +246,14 @@ func scalarResult(def *storage.FuncDef, out *udfrt.Batch, rows int) (*storage.Co
 // callScalarUDFTuple is the §2.4 tuple-at-a-time model: one runtime call
 // per input row, scalar in, scalar out. The shared Env lets
 // interpreter-based runtimes reuse one prepared instance across the loop.
-func (c *Conn) callScalarUDFTuple(def *storage.FuncDef, call udfrt.Callable,
+func (f *frame) callScalarUDFTuple(def *storage.FuncDef, call udfrt.Callable,
 	env *udfrt.Env, in *udfrt.Batch) (*storage.Column, error) {
 	out := storage.NewColumn(def.Returns[0].Name, def.Returns[0].Type)
 	for r := 0; r < in.Rows; r++ {
-		if err := c.interruptErr(); err != nil {
+		if err := f.interruptErr(); err != nil {
 			return nil, err
 		}
-		ob, err := c.instrumentedCall(def, call, env, in.Row(r))
+		ob, err := f.instrumentedCall(def, call, env, in.Row(r))
 		if err != nil {
 			return nil, err
 		}
@@ -274,12 +271,12 @@ func (c *Conn) callScalarUDFTuple(def *storage.FuncDef, call udfrt.Callable,
 // callTableUDF executes a RETURNS TABLE(...) UDF (or a scalar UDF used in
 // FROM) through its runtime; length-1 result columns broadcast to the
 // longest one.
-func (c *Conn) callTableUDF(def *storage.FuncDef, argCols []*storage.Column, isColumn []bool) (*storage.Table, error) {
+func (f *frame) callTableUDF(def *storage.FuncDef, argCols []*storage.Column, isColumn []bool) (*storage.Table, error) {
 	if len(argCols) != len(def.Params) {
 		return nil, core.Errorf(core.KindConstraint,
 			"%s expects %d argument(s), got %d", def.Name, len(def.Params), len(argCols))
 	}
-	call, err := c.callableFor(def)
+	call, err := f.callableFor(def)
 	if err != nil {
 		return nil, err
 	}
@@ -287,7 +284,7 @@ func (c *Conn) callTableUDF(def *storage.FuncDef, argCols []*storage.Column, isC
 	if n, ok := columnarRows(argCols, isColumn); ok && n > 0 {
 		in.Rows = n
 	}
-	out, err := c.instrumentedCall(def, call, c.udfEnv(), in)
+	out, err := f.instrumentedCall(def, call, f.udfEnv(), in)
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +300,11 @@ func (c *Conn) callTableUDF(def *storage.FuncDef, argCols []*storage.Column, isC
 		return nil, core.Errorf(core.KindConstraint,
 			"UDF %s returned %d columns, declared %d", def.Name, n, want)
 	}
-	return broadcastColumns(&storage.Table{Name: def.Name, Cols: out.Cols})
+	t := &storage.Table{Name: def.Name, Cols: out.Cols}
+	if err := t.Broadcast(); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 func maxColLen(cols []*storage.Column) int {
@@ -316,41 +317,18 @@ func maxColLen(cols []*storage.Column) int {
 	return n
 }
 
-// ---- loopback connection (_conn) ----
-
-// loopbackConn builds the _conn object passed to every UDF (paper §2.3):
-// execute(sql) runs a query against this same database and returns a dict
-// of column name to values — a list per column, or a bare scalar when the
-// result has exactly one row (the convention Listing 3 relies on:
-// res['clf'] of a one-row result is directly loads-able).
-func (c *Conn) loopbackConn(in *script.Interp) *script.ObjectVal {
-	obj := script.NewObject("connection")
-	obj.Methods["execute"] = func(_ *script.Interp, args []script.Value, _ map[string]script.Value) (script.Value, error) {
-		if len(args) != 1 {
-			return nil, core.Errorf(core.KindType, "execute() takes exactly one argument")
-		}
-		sql, ok := args[0].(script.StrVal)
-		if !ok {
-			return nil, core.Errorf(core.KindType, "execute() argument must be a string")
-		}
-		res, err := c.exec(string(sql))
-		if err != nil {
-			return nil, err
-		}
-		if res.Table == nil {
-			return script.None, nil
-		}
-		return TableToScriptDict(res.Table), nil
+// Execute runs a UDF's loopback query (_conn.execute, paper §2.3) under
+// the lock its caller holds: the frame is its UDFs' udfrt.Executor. It
+// resolves like ExecWith and runs in a child frame: the calling
+// statement's ExecOpts, the text's own binds.
+func (f *frame) Execute(sql string) (*storage.Table, error) {
+	var s Stmt
+	if err := f.adhoc(&s, sql, f.Trace); err != nil {
+		return nil, err
 	}
-	return obj
-}
-
-// TableToScriptDict converts a result table to the loopback dict shape.
-func TableToScriptDict(t *storage.Table) *script.DictVal {
-	d := script.NewDict()
-	single := t.NumRows() == 1
-	for _, col := range t.Cols {
-		d.SetStr(col.Name, pyrt.ColumnToValue(col, !single))
+	res, err := (&frame{Conn: f.Conn, ExecOpts: f.ExecOpts, binds: s.lits}).execStmt(s.plan.st)
+	if err != nil {
+		return nil, err
 	}
-	return d
+	return res.Table, nil
 }

@@ -59,12 +59,14 @@ type Pol struct {
 	// MorselSize is the rows-per-morsel split. <=0 selects
 	// DefaultMorselSize.
 	MorselSize int
-	// Stop, when non-nil, is polled at every morsel boundary; once it
-	// returns true no further morsels start (in-flight morsels finish).
-	// A stopped run leaves unclaimed morsel ranges untouched, so callers
-	// that arm Stop must re-check their stop condition before consuming
-	// results. The dormant cost is one nil-check per morsel.
-	Stop func() bool
+	// Stop, when non-nil, is polled at every morsel boundary; once its
+	// Stopped returns true no further morsels start (in-flight morsels
+	// finish). A stopped run leaves unclaimed morsel ranges untouched, so
+	// callers that arm Stop must re-check their stop condition before
+	// consuming results. The dormant cost is one nil-check per morsel. An
+	// interface, not a func, so that a pointer to the caller's signal arms
+	// it without allocating a method value.
+	Stop interface{ Stopped() bool }
 }
 
 // Serial executes every kernel inline on the calling goroutine.
@@ -120,7 +122,7 @@ func (p Pol) RunIdx(n int, fn func(m, lo, hi int)) {
 	if w <= 1 {
 		statInlineRuns.Add(1)
 		for m := 0; m < nm; m++ {
-			if p.Stop != nil && p.Stop() {
+			if p.Stop != nil && p.Stop.Stopped() {
 				return
 			}
 			lo := m * ms
@@ -141,7 +143,7 @@ func (p Pol) RunIdx(n int, fn func(m, lo, hi int)) {
 			defer wg.Done()
 			t0 := time.Now()
 			for {
-				if p.Stop != nil && p.Stop() {
+				if p.Stop != nil && p.Stop.Stopped() {
 					statBusyNanos.Add(int64(time.Since(t0)))
 					return
 				}

@@ -10,7 +10,7 @@ import (
 func TestStopHaltsInlineRun(t *testing.T) {
 	var ran atomic.Int64
 	var stop atomic.Bool
-	p := Pol{Workers: 1, MorselSize: 10, Stop: stop.Load}
+	p := Pol{Workers: 1, MorselSize: 10, Stop: stopFunc(stop.Load)}
 	p.RunIdx(100, func(m, lo, hi int) {
 		ran.Add(1)
 		if m == 2 {
@@ -29,7 +29,7 @@ func TestStopHaltsInlineRun(t *testing.T) {
 func TestStopHaltsParallelRun(t *testing.T) {
 	var ran, late atomic.Int64
 	var stop atomic.Bool
-	p := Pol{Workers: 4, MorselSize: 1, Stop: stop.Load}
+	p := Pol{Workers: 4, MorselSize: 1, Stop: stopFunc(stop.Load)}
 	p.RunIdx(10_000, func(m, lo, hi int) {
 		if stop.Load() {
 			late.Add(1)
@@ -48,9 +48,14 @@ func TestStopHaltsParallelRun(t *testing.T) {
 // TestStopPreTripped: a Stop already tripped runs nothing at all.
 func TestStopPreTripped(t *testing.T) {
 	var ran atomic.Int64
-	p := Pol{Workers: 4, MorselSize: 8, Stop: func() bool { return true }}
+	p := Pol{Workers: 4, MorselSize: 8, Stop: stopFunc(func() bool { return true })}
 	p.RunIdx(1000, func(m, lo, hi int) { ran.Add(1) })
 	if got := ran.Load(); got != 0 {
 		t.Fatalf("ran %d morsels with pre-tripped stop, want 0", got)
 	}
 }
+
+// stopFunc adapts a func to Pol.Stop.
+type stopFunc func() bool
+
+func (s stopFunc) Stopped() bool { return s() }

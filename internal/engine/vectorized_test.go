@@ -147,7 +147,7 @@ func tablesSemanticallyEqual(a, b *storage.Table) error {
 // the vectorized kernels and the reference kernels, requiring identical
 // columns or identical errors.
 func TestBinaryKernelsAgreeWithScalarReference(t *testing.T) {
-	vecC := newTestConn()
+	vecC := &frame{Conn: newTestConn()}
 	ops := []string{"+", "-", "*", "/", "%", "=", "<>", "<", "<=", ">", ">=", "AND", "OR", "||"}
 	types := []storage.Type{storage.TInt, storage.TFloat, storage.TStr, storage.TBool, storage.TBlob}
 	shapes := [][2]int{{64, 64}, {1, 64}, {64, 1}, {1, 1}, {0, 0}}
@@ -175,7 +175,7 @@ func TestBinaryKernelsAgreeWithScalarReference(t *testing.T) {
 
 // TestUnaryKernelsAgreeWithScalarReference covers unary minus and NOT.
 func TestUnaryKernelsAgreeWithScalarReference(t *testing.T) {
-	vecC := newTestConn()
+	vecC := &frame{Conn: newTestConn()}
 	rng := rand.New(rand.NewSource(11))
 	for _, op := range []string{"-", "NOT"} {
 		for _, typ := range []storage.Type{storage.TInt, storage.TFloat, storage.TStr, storage.TBool, storage.TBlob} {
@@ -783,7 +783,7 @@ func FuzzBinaryKernelAgreement(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 0}, []byte{0, 9})
 	f.Add(uint8(7), []byte{255}, []byte{1, 2, 3, 4})
 	ops := []string{"+", "-", "*", "/", "%", "=", "<>", "<", "<=", ">", ">=", "AND", "OR"}
-	vecC := newTestConn()
+	vecC := &frame{Conn: newTestConn()}
 	toCol := func(bs []byte) *storage.Column {
 		col := storage.NewColumn("", storage.TInt)
 		for _, b := range bs {

@@ -406,10 +406,15 @@ func (in *Interp) popBoxed(n int) {
 }
 
 // builtinResult shapes what a Go-implemented callable returned: nil means
-// None, and a plain Go error becomes a script error naming the callable.
+// None, and a plain Go error becomes a script error naming the callable —
+// except a cancellation or budget error (a loopback query interrupted, say),
+// which propagates untouched, as the interrupt's own does (checkStep).
 func (in *Interp) builtinResult(v Value, err error, typ, name string, line int) (val, error) {
 	if err != nil {
 		if _, ok := err.(*RuntimeError); ok {
+			return val{}, err
+		}
+		if k := core.KindOf(err); k == core.KindCancelled || k == core.KindResource {
 			return val{}, err
 		}
 		if typ != "" {

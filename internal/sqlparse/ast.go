@@ -1,6 +1,10 @@
 package sqlparse
 
-import "repro/internal/storage"
+import (
+	"strings"
+
+	"repro/internal/storage"
+)
 
 // Statement is any parsed SQL statement.
 type Statement interface{ stmtNode() }
@@ -162,6 +166,31 @@ type FuncCall struct {
 	Name string
 	Args []Expr
 	Star bool
+}
+
+// IsAggregate reports whether name, in any case, is an aggregate function:
+// COUNT, SUM, AVG, MIN or MAX.
+func IsAggregate(name string) bool {
+	switch strings.ToLower(name) {
+	case "count", "sum", "avg", "min", "max":
+		return true
+	}
+	return false
+}
+
+// HasAggregate reports whether e calls an aggregate outside a subquery.
+func HasAggregate(e Expr) bool {
+	found := false
+	EditExpr(e, func(x Expr) (Expr, bool) {
+		switch x := x.(type) {
+		case *FuncCall:
+			found = found || IsAggregate(x.Name)
+		case *Subquery:
+			return x, false
+		}
+		return x, !found
+	})
+	return found
 }
 
 // Subquery is a parenthesized SELECT used as a (table-valued) argument —

@@ -40,6 +40,28 @@ func (t *Table) NumRows() int {
 	return t.Cols[0].Len()
 }
 
+// Broadcast reconciles column lengths in place: length-1 columns broadcast
+// to the longest column (the operator-at-a-time convention that lets a
+// scalar UDF result or constant sit beside full columns); any other length
+// that differs is refused.
+func (t *Table) Broadcast() error {
+	n := 0
+	for _, c := range t.Cols {
+		n = max(n, c.Len())
+	}
+	for i, c := range t.Cols {
+		switch {
+		case c.Len() == n:
+		case c.Len() == 1:
+			t.Cols[i] = c.BroadcastTo(n)
+		default:
+			return core.Errorf(core.KindConstraint,
+				"projection columns have mismatched lengths (%d vs %d)", c.Len(), n)
+		}
+	}
+	return nil
+}
+
 // SliceRows returns a view table holding rows [lo, hi) of t. Column slices
 // alias t's backing arrays — the view must not be appended to or mutated.
 // LIMIT uses it to truncate results without a gather copy.

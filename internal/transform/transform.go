@@ -14,6 +14,8 @@
 //     a lone call in the select list, which moves into FROM. A call in WHERE
 //     or HAVING is rewritten too, and the server refuses the result with its
 //     "table-valued; use it in FROM" error.
+//   - LocalCall admits the loopback queries whose result devUDF's local
+//     _conn reproduces, and names their result column.
 //   - FindUDFCalls lists the UDFs a query calls; LoopbackQueries and
 //     FindLoopbackUDFs read the string literal after the tokens
 //     `_conn . execute (` in a body. A query assembled in a variable or by
@@ -236,6 +238,82 @@ func RewriteToExtract(sql, udfName string, opts transfer.Options) (string, error
 		}
 	}
 	return sqlparse.Format(sel), nil
+}
+
+// LocalCall checks that a loopback query returns udfName's output as it is
+// — what devUDF's local _conn can reproduce by running its own copy of the
+// UDF on the call's extracted inputs (§2.3) — and names that output as the
+// server would. A lone projected call, SELECT udf(...) [AS name] [FROM ...
+// WHERE ...], yields one column: the alias, otherwise the lower-cased
+// function name. A table function read whole, SELECT * FROM udf(...),
+// keeps its declared columns, and column is "". Any other shape computes
+// on the UDF's output, so it is refused with a KindConstraint error that
+// names the shape.
+func LocalCall(sql, udfName string) (column string, err error) {
+	st, err := sqlparse.Parse(sql)
+	if err != nil {
+		return "", err
+	}
+	sel, ok := st.(*sqlparse.Select)
+	if !ok {
+		return "", refuseLocal(udfName, "the query is not a SELECT")
+	}
+	calls := 0
+	sqlparse.Edit(sel, func(e sqlparse.Expr) (sqlparse.Expr, bool) {
+		if call, ok := e.(*sqlparse.FuncCall); ok && strings.EqualFold(call.Name, udfName) {
+			calls++
+		}
+		return e, true
+	})
+	if calls > 1 {
+		return "", refuseLocal(udfName, "the query calls it more than once")
+	}
+	clause := ""
+	switch {
+	case sel.Distinct:
+		clause = "DISTINCT"
+	case len(sel.GroupBy) > 0:
+		clause = "GROUP BY"
+	case sel.Having != nil:
+		clause = "HAVING"
+	case len(sel.OrderBy) > 0:
+		clause = "ORDER BY"
+	case sel.Limit >= 0:
+		clause = "LIMIT"
+	}
+	if from, ok := sel.From.(*sqlparse.FromFunc); ok && strings.EqualFold(from.Call.Name, udfName) {
+		if clause == "" && sel.Where != nil {
+			clause = "WHERE"
+		}
+		switch {
+		case clause != "":
+			return "", refuseLocal(udfName, "its output passes through the query's "+clause)
+		case len(sel.Items) != 1 || !sel.Items[0].Star:
+			return "", refuseLocal(udfName, "the query selects expressions over its output")
+		}
+		return "", nil
+	}
+	if len(sel.Items) != 1 {
+		return "", refuseLocal(udfName, "the query selects more than its output")
+	}
+	call, ok := sel.Items[0].Expr.(*sqlparse.FuncCall)
+	switch {
+	case !ok || !strings.EqualFold(call.Name, udfName):
+		return "", refuseLocal(udfName, "the call is inside an expression")
+	case clause != "":
+		return "", refuseLocal(udfName, "its output passes through the query's "+clause)
+	case slices.ContainsFunc(call.Args, sqlparse.HasAggregate):
+		return "", refuseLocal(udfName, "an aggregate computes its argument")
+	case sel.Items[0].Alias != "":
+		return sel.Items[0].Alias, nil
+	}
+	return strings.ToLower(call.Name), nil
+}
+
+func refuseLocal(udfName, why string) error {
+	return core.Errorf(core.KindConstraint,
+		"a local run of %s cannot answer this query: %s (it answers SELECT %s(...) and SELECT * FROM %s(...))",
+		udfName, why, udfName, udfName)
 }
 
 // readsSource reports whether e reads a column of the enclosing query; a

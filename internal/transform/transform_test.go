@@ -197,3 +197,38 @@ func TestNeutralizePlaceholders(t *testing.T) {
 		t.Fatalf("neutralized: %q", got)
 	}
 }
+
+// TestLocalCallNamesOrRefusesEachShape: the two shapes a local run answers
+// are named as the server names their columns; every other shape is a
+// constraint error that names what the query does to the UDF's output.
+func TestLocalCallNamesOrRefusesEachShape(t *testing.T) {
+	for _, tc := range []struct{ sql, column, refuse string }{
+		{"SELECT f(i) FROM t WHERE i > 1", "f", ""},
+		{"SELECT F(i) AS v FROM t", "v", ""},
+		{"SELECT f(3)", "f", ""},
+		{"SELECT f((SELECT SUM(i) FROM t))", "f", ""},
+		{"SELECT * FROM f((SELECT i FROM t), 2)", "", ""},
+		{"SELECT f(i) + 1 FROM t", "", "inside an expression"},
+		{"SELECT i FROM t WHERE f(i) > 0", "", "inside an expression"},
+		{"SELECT i, f(i) FROM t", "", "more than its output"},
+		{"SELECT f(f(i)) FROM t", "", "more than once"},
+		{"SELECT f(SUM(i)) FROM t", "", "aggregate"},
+		{"SELECT DISTINCT f(i) FROM t", "", "DISTINCT"},
+		{"SELECT f(i) FROM t ORDER BY 1", "", "ORDER BY"},
+		{"SELECT * FROM f((SELECT i FROM t)) WHERE r > 2", "", "WHERE"},
+		{"SELECT * FROM f((SELECT i FROM t)) LIMIT 1", "", "LIMIT"},
+		{"SELECT r FROM f((SELECT i FROM t))", "", "expressions over its output"},
+		{"INSERT INTO t VALUES (1)", "", "not a SELECT"},
+	} {
+		column, err := LocalCall(tc.sql, "f")
+		if tc.refuse == "" {
+			if err != nil || column != tc.column {
+				t.Errorf("%s: column %q, %v; want %q", tc.sql, column, err, tc.column)
+			}
+			continue
+		}
+		if core.KindOf(err) != core.KindConstraint || !strings.Contains(err.Error(), tc.refuse) {
+			t.Errorf("%s: %v, want a constraint error naming %q", tc.sql, err, tc.refuse)
+		}
+	}
+}

@@ -83,7 +83,7 @@ func (c *callable) prepare(env *udfrt.Env) (*instance, error) {
 			return nil, core.Errorf(core.KindRuntime, "UDF %s did not define itself", c.def.Name)
 		}
 		if env.Loopback != nil {
-			genv.Set("_conn", env.Loopback(in))
+			genv.Set("_conn", NewConn(env.Loopback))
 		}
 		return &instance{in: in, fn: fn}, nil
 	})
@@ -119,22 +119,22 @@ func (c *callable) Call(env *udfrt.Env, in *udfrt.Batch) (*udfrt.Batch, error) {
 	if err != nil {
 		return nil, udfrt.WrapErr(c.def.Name, err)
 	}
-	if c.def.IsTable {
-		return c.tableResult(out)
-	}
-	col, err := ValueToColumn(out, c.def.Returns[0].Name, c.def.Returns[0].Type)
-	if err != nil {
-		return nil, err
-	}
-	return &udfrt.Batch{Cols: []*storage.Column{col}, Rows: col.Len()}, nil
+	return Result(c.def, out)
 }
 
-// tableResult converts a table UDF's return value — a dict keyed by column
-// name, a positional tuple, a bare list (single column) or a scalar (single
-// row) — into a batch matching the declared schema. Column lengths may
-// still differ; the engine broadcasts.
-func (c *callable) tableResult(v script.Value) (*udfrt.Batch, error) {
-	def := c.def
+// Result converts a UDF's return value into a batch matching def's declared
+// result — for a table function, a dict keyed by column name, a positional
+// tuple, a bare list (single column) or a scalar (single row); otherwise
+// one column. Column lengths may still differ; the engine broadcasts.
+// devUDF's local runs convert through it as the server does.
+func Result(def *storage.FuncDef, v script.Value) (*udfrt.Batch, error) {
+	if !def.IsTable {
+		col, err := ValueToColumn(v, def.Returns[0].Name, def.Returns[0].Type)
+		if err != nil {
+			return nil, err
+		}
+		return &udfrt.Batch{Cols: []*storage.Column{col}, Rows: col.Len()}, nil
+	}
 	out := &udfrt.Batch{}
 	switch v := v.(type) {
 	case *script.DictVal:

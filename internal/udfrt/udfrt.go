@@ -135,6 +135,11 @@ type ParallelSafe interface {
 type InvokeHook func(name string, in *script.Interp, lines []string,
 	call func() (script.Value, error)) (script.Value, error)
 
+// Executor runs the queries of a UDF's loopback connection (_conn).
+type Executor interface {
+	Execute(sql string) (*storage.Table, error)
+}
+
 // Env is the per-statement invocation environment the engine (or a local
 // runner) hands to Callable.Call. One Env spans all row calls of a
 // tuple-at-a-time loop, so callables may memoize prepared state in it.
@@ -150,16 +155,18 @@ type Env struct {
 	// cannot be preempted, so the engine checks the elapsed time after
 	// the call returns.
 	MaxWall time.Duration
-	// Interrupt, when set, reports a non-nil typed error once the
+	// Interrupt, when set, reports a non-nil typed error from Err once the
 	// invoking statement has been cancelled. Interpreter-backed runtimes
 	// poll it between steps so a cancelled query preempts a long-running
-	// UDF; native runtimes may check it between rows if they choose.
-	Interrupt func() error
+	// UDF; native runtimes may check it between rows if they choose. An
+	// interface, not a func, so that the statement's own signal arms it
+	// without allocating a method value.
+	Interrupt interface{ Err() error }
 	// Stdout receives print() output; nil discards it.
 	Stdout io.Writer
-	// Loopback, when set, builds the _conn object bound to the invoking
-	// interpreter (paper §2.3). Interpreter-less runtimes ignore it.
-	Loopback func(in *script.Interp) script.Value
+	// Loopback, when set, runs the queries the UDF sends through its _conn
+	// object (paper §2.3). Interpreter-less runtimes ignore it.
+	Loopback Executor
 	// Invoke, when set, intercepts interpreter-backed invocations (the
 	// remote debugger's entry point). Native runtimes ignore it.
 	Invoke InvokeHook
@@ -200,7 +207,7 @@ func (e *Env) InterruptFor(name string, start time.Time) func() error {
 	}
 	return func() error {
 		if cancel != nil {
-			if err := cancel(); err != nil {
+			if err := cancel.Err(); err != nil {
 				return err
 			}
 		}

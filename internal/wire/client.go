@@ -42,7 +42,6 @@ type Client struct {
 	// lost to anyone reading nc directly.
 	br     *bufio.Reader
 	fw     frameWriter
-	cfg    dialConfig
 	broken atomic.Bool // protocol desync (cancellation, IO error): do not reuse
 	// stmtCloses queues deferred server-side statement closes (see
 	// deferCloseStmt); guarded by stmtCloseMu because PoolStmt.Close may
@@ -66,7 +65,7 @@ func DialContext(ctx context.Context, p ConnParams, opts ...DialOption) (*Client
 	for _, o := range opts {
 		o(&cfg)
 	}
-	d := net.Dialer{Timeout: cfg.dialTimeout, KeepAlive: cfg.keepAlive}
+	d := net.Dialer{Timeout: cfg.dialTimeout, KeepAlive: keepAlive}
 	nc, err := d.DialContext(ctx, "tcp", p.Addr())
 	if err != nil {
 		// The dialer reports a done context as its own "operation was
@@ -79,18 +78,17 @@ func DialContext(ctx context.Context, p ConnParams, opts ...DialOption) (*Client
 		}
 		return nil, core.Wrapf(kind, err, "connect %s: %v", p.Addr(), err)
 	}
-	c, err := newClient(ctx, nc, p, cfg)
+	c, err := newClient(ctx, nc, p)
 	if err != nil {
 		nc.Close()
 		return nil, err
 	}
-	c.logf("wire: connected to %s (proto v%d)", p.Addr(), ProtoV2)
 	return c, nil
 }
 
 // newClient authenticates over an established connection.
-func newClient(ctx context.Context, nc net.Conn, p ConnParams, cfg dialConfig) (*Client, error) {
-	c := clientOn(nc, p, cfg)
+func newClient(ctx context.Context, nc net.Conn, p ConnParams) (*Client, error) {
+	c := clientOn(nc, p)
 	if err := c.handshake(ctx); err != nil {
 		return nil, err
 	}
@@ -98,8 +96,8 @@ func newClient(ctx context.Context, nc net.Conn, p ConnParams, cfg dialConfig) (
 }
 
 // clientOn is a Client over nc that has not authenticated yet.
-func clientOn(nc net.Conn, p ConnParams, cfg dialConfig) *Client {
-	return &Client{params: p, nc: nc, br: bufio.NewReader(nc), fw: frameWriter{w: nc}, cfg: cfg}
+func clientOn(nc net.Conn, p ConnParams) *Client {
+	return &Client{params: p, nc: nc, br: bufio.NewReader(nc), fw: frameWriter{w: nc}}
 }
 
 // handshake authenticates the connection as a protocol v2 client.
@@ -119,12 +117,6 @@ func (c *Client) handshake(ctx context.Context) error {
 // in-flight operation, an IO error) and must not be reused. Pool discards
 // broken connections at checkin.
 func (c *Client) Broken() bool { return c.broken.Load() }
-
-func (c *Client) logf(format string, args ...any) {
-	if c.cfg.logf != nil {
-		c.cfg.logf(format, args...)
-	}
-}
 
 // watch arranges for pending socket IO to be unblocked when ctx is
 // cancelled, by forcing an immediate deadline. The returned stop function
@@ -160,9 +152,6 @@ func (c *Client) watch(ctx context.Context) (stop func() error) {
 }
 
 func (c *Client) send(typ byte, payload []byte) error {
-	if c.cfg.writeTimeout > 0 {
-		_ = c.nc.SetWriteDeadline(time.Now().Add(c.cfg.writeTimeout))
-	}
 	c.BytesWritten += int64(len(payload)) + 5
 	if err := c.fw.writeFrame(typ, payload); err != nil {
 		c.broken.Store(true)
@@ -172,9 +161,6 @@ func (c *Client) send(typ byte, payload []byte) error {
 }
 
 func (c *Client) recv() (byte, []byte, error) {
-	if c.cfg.readTimeout > 0 {
-		_ = c.nc.SetReadDeadline(time.Now().Add(c.cfg.readTimeout))
-	}
 	typ, payload, err := ReadFrame(c.br)
 	if err != nil {
 		c.broken.Store(true)

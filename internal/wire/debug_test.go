@@ -290,6 +290,43 @@ func TestDebugTupleAtATimeMode(t *testing.T) {
 	}
 }
 
+// TestBreakpointReachedThroughALoopbackQuery: the target UDF runs only
+// inside a loopback query of another UDF (paper §2.3); the loopback runs
+// under the launch's invoke hook, so its breakpoint still stops the run.
+func TestBreakpointReachedThroughALoopbackQuery(t *testing.T) {
+	_, c := debugFixture(t)
+	ctx := ctxSec(t)
+	if _, err := c.Exec(ctx, `CREATE FUNCTION via_loopback(x INTEGER)
+RETURNS INTEGER LANGUAGE PYTHON {
+    res = _conn.execute("SELECT mean_deviation(i) AS d FROM numbers")
+    return x
+};`); err != nil {
+		t.Fatal(err)
+	}
+	dc, err := c.Debug()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dc.Close()
+	debugCmd(t, dc, DebugRequest{
+		Command:     DebugCmdLaunch,
+		Query:       "SELECT via_loopback(1) AS v",
+		UDF:         "mean_deviation",
+		Breakpoints: []DebugBreakpoint{{Line: 8, Condition: "i == 3"}},
+	})
+	ev := waitEvent(t, dc, 10*time.Second)
+	if ev.Kind != DebugEventStopped || ev.Reason != string(debug.ReasonBreakpoint) || ev.Func != "mean_deviation" || ev.Line != 8 {
+		t.Fatalf("first event: %+v, want a breakpoint stop in mean_deviation", ev)
+	}
+	if rep := debugCmd(t, dc, DebugRequest{Command: DebugCmdEval, Expr: "distance"}); rep.Value != "-60.0" {
+		t.Fatalf("distance = %q, want -60.0, computed over the loopback's scan", rep.Value)
+	}
+	debugCmd(t, dc, DebugRequest{Command: DebugCmdContinue})
+	if ev := waitEvent(t, dc, 10*time.Second); ev.Kind != DebugEventTerminated || ev.Err != "" || ev.Msg != "SELECT 1" {
+		t.Fatalf("terminated: %+v", ev)
+	}
+}
+
 // TestDebugLaunchErrors covers the in-band failure paths: bad launch
 // parameters, double launch, control without a session.
 func TestDebugLaunchErrors(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/debug"
-	"repro/internal/engine"
 	"repro/internal/script"
 	"repro/internal/storage"
 	"repro/internal/udfrt"
@@ -65,8 +64,8 @@ func newDebugRun(w *connWriter, req DebugRequest, kill <-chan struct{}) *debugRu
 }
 
 // runDebug executes a launched debug run on the query worker: the launch's
-// query under the connection's interrupt and QueryTimeout, on an engine
-// session whose UDFInvoke hook attaches the debugger, then the terminated
+// query on the connection's session, under its interrupt and QueryTimeout,
+// with the Invoke hook that attaches the debugger, then the terminated
 // event.
 func (sc *serverConn) runDebug(dr *debugRun) {
 	if m := sc.srv.metrics; m != nil {
@@ -77,13 +76,9 @@ func (sc *serverConn) runDebug(dr *debugRun) {
 	if err := sc.srv.checkDebuggable(dr.req.UDF); err != nil {
 		evt.Reason, evt.Err = string(debug.ReasonException), errString(err)
 	} else {
-		dconn := &engine.Conn{
-			DB:        sc.sess.DB,
-			User:      sc.sess.User,
-			Password:  sc.sess.Password,
-			UDFInvoke: dr.invoke,
-		}
-		res, err := dconn.ExecWith(sc.execOpts(nil), dr.req.Query)
+		o := sc.execOpts(nil)
+		o.Invoke = dr.invoke
+		res, err := sc.sess.ExecWith(o, dr.req.Query)
 		if dr.killed {
 			evt.Reason = string(debug.ReasonKilled)
 		}

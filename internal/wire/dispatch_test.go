@@ -256,7 +256,7 @@ func TestEveryReplyTypeIsConsumedOrPoisons(t *testing.T) {
 				// the one it shook hands on.
 				nc := newScriptConn(false, frame)
 				t.Cleanup(func() { nc.Close() })
-				c := clientOn(nc, ConnParams{Database: "demo"}, defaultDialConfig())
+				c := clientOn(nc, ConnParams{Database: "demo"})
 				return c, c.handshake(background())
 			},
 		},

@@ -116,7 +116,7 @@ func dialSpied(t *testing.T, params ConnParams) (*Client, *spyConn) {
 		t.Fatal(err)
 	}
 	spy := &spyConn{Conn: nc}
-	c, err := newClient(background(), spy, params, defaultDialConfig())
+	c, err := newClient(background(), spy, params)
 	if err != nil {
 		nc.Close()
 		t.Fatal(err)

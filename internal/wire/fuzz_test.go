@@ -247,7 +247,7 @@ func TestClientRefusesTablesNoEncoderWrites(t *testing.T) {
 					frameBytes(MsgResultChunk, chunk),
 					frameBytes(MsgResultEnd, EncodeResultEnd("SELECT 5", 5))),
 			)
-			c, err := newClient(background(), nc, ConnParams{Database: "demo"}, defaultDialConfig())
+			c, err := newClient(background(), nc, ConnParams{Database: "demo"})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,7 +23,7 @@ func authOK() []byte { return frameBytes(MsgAuthOK, EncodeAuthOK("script/2.0", P
 func scriptedClient(t testing.TB, nc *scriptConn) *Client {
 	t.Helper()
 	t.Cleanup(func() { nc.Close() })
-	c, err := newClient(background(), nc, ConnParams{Database: "demo"}, defaultDialConfig())
+	c, err := newClient(background(), nc, ConnParams{Database: "demo"})
 	if err != nil {
 		t.Fatal(err)
 	}

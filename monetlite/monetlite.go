@@ -95,14 +95,9 @@ type ConnParams = wire.ConnParams
 // handshake refuses anything older.
 const ProtoV2 = wire.ProtoV2
 
-// Dial options, re-exported from the wire layer.
-var (
-	WithDialTimeout  = wire.WithDialTimeout
-	WithReadTimeout  = wire.WithReadTimeout
-	WithWriteTimeout = wire.WithWriteTimeout
-	WithKeepAlive    = wire.WithKeepAlive
-	WithLogger       = wire.WithLogger
-)
+// WithDialTimeout bounds the TCP connect (default 10s), re-exported from
+// the wire layer.
+var WithDialTimeout = wire.WithDialTimeout
 
 // Registry collects metrics (counters, gauges, histograms) and serves
 // them in Prometheus text format. Wire each layer in with DB.EnableObs,
@@ -118,8 +113,13 @@ type QueryLog = obs.QueryLog
 type Trace = obs.Trace
 
 // ExecOpts is the per-call value of Conn.ExecWith / Stmt.ExecWith, the
-// explicit door beside ExecContext: an Interrupt and a Trace handed over
-// directly, with no context to allocate or search.
+// explicit door beside ExecContext: everything one statement carries
+// besides its text and arguments, handed over directly with no context to
+// allocate or search — its Interrupt, its Trace, the Invoke hook that runs
+// its interpreter-backed UDF calls (the remote debugger's) and the Stdout
+// its UDFs print to. A UDF's loopback query runs under the same ExecOpts;
+// the zero value runs a statement uninterruptible, untraced, undebugged and
+// with UDF output discarded.
 type ExecOpts = engine.ExecOpts
 
 // Interrupt is a statement's cancellation signal: a done channel plus an
