@@ -516,7 +516,12 @@ func cmdDebug(ctx context.Context, fs core.FS, args []string) error {
 	if err != nil {
 		return err
 	}
-	return debugREPL(newLocalDriver(sess), os.Stdin, os.Stdout)
+	err = debugREPL(newLocalDriver(sess), os.Stdin, os.Stdout)
+	// The REPL has ended the program; show what it printed.
+	if out := sess.Stdout(); out != "" {
+		fmt.Printf("\nprogram output:\n%s", out)
+	}
+	return err
 }
 
 // debugDriver is the REPL's view of a debug session: the local in-process

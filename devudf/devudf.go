@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/debug"
+	"repro/internal/script"
 	"repro/internal/transfer"
 	"repro/internal/udfrt"
 	"repro/internal/udfrt/gort"
@@ -52,8 +53,28 @@ type TransferOptions = transfer.Options
 
 // DebugSession is an interactive local debug session over a UDF script:
 // breakpoints (optionally conditional), step over/into/out, pause, stack
-// and variable inspection, watch expressions.
-type DebugSession = debug.Session
+// and variable inspection, watch expressions. It is the debugger's one
+// session form, driven from this process by debug.Local: the script runs on
+// a goroutine of the session's own, and Start and each step return the
+// stop they lead to. RemoteDebugSession drives the same session inside the
+// server.
+type DebugSession struct {
+	*debug.Local
+	script *scriptRun
+}
+
+// Result returns the script's module globals and its error once it has
+// finished.
+func (s *DebugSession) Result() (*script.Env, error) {
+	if _, ended := s.Ended(); !ended {
+		return nil, core.Errorf(core.KindConstraint, "debuggee has not finished")
+	}
+	return s.script.globals, s.script.err
+}
+
+// Stdout returns what the script has printed so far. Call it while the
+// script is paused or after it has finished.
+func (s *DebugSession) Stdout() string { return s.script.stdout.String() }
 
 // DebugEvent is a debugger stop event.
 type DebugEvent = debug.Event

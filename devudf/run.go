@@ -101,24 +101,48 @@ func (c *Client) RunLocal(ctx context.Context, udfName string) (*RunResult, erro
 	if languageOf(info) != pyrt.Name {
 		return c.runLocalNative(info, src)
 	}
+	r, err := c.newScriptRun(ctx, info, src)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.run(); err != nil {
+		return &RunResult{Stdout: r.stdout.String(), Steps: r.in.Steps()}, err
+	}
+	result, _ := r.globals.Get("result")
+	if result == nil {
+		result = script.None
+	}
+	return &RunResult{Value: result, Stdout: r.stdout.String(), Steps: r.in.Steps()}, nil
+}
+
+// scriptRun is an imported UDF's generated script ready to run locally:
+// parsed, with an interpreter over the project's files whose print() output
+// is kept, and a module scope that holds _conn. RunLocal runs it to the
+// end; a DebugSession runs it under the debugger.
+type scriptRun struct {
+	mod     *script.Module
+	in      *script.Interp
+	globals *script.Env
+	stdout  bytes.Buffer
+	err     error // what run returned
+}
+
+func (c *Client) newScriptRun(ctx context.Context, info UDFInfo, src string) (*scriptRun, error) {
 	mod, err := script.Parse(info.Name+".py", src)
 	if err != nil {
 		return nil, err
 	}
-	var out bytes.Buffer
-	in := script.NewInterp()
-	in.FS = c.Project.FS()
-	in.Stdout = &out
-	globals := in.NewGlobals()
-	globals.Set("_conn", c.localConn(ctx, in))
-	if err := in.RunInEnv(mod, globals); err != nil {
-		return &RunResult{Stdout: out.String(), Steps: in.Steps()}, err
-	}
-	result, _ := globals.Get("result")
-	if result == nil {
-		result = script.None
-	}
-	return &RunResult{Value: result, Stdout: out.String(), Steps: in.Steps()}, nil
+	r := &scriptRun{mod: mod, in: script.NewInterp()}
+	r.in.FS = c.Project.FS()
+	r.in.Stdout = &r.stdout
+	r.globals = r.in.NewGlobals()
+	r.globals.Set("_conn", c.localConn(ctx, r.in))
+	return r, nil
+}
+
+func (r *scriptRun) run() error {
+	r.err = r.in.RunInEnv(r.mod, r.globals)
+	return r.err
 }
 
 // languageOf normalizes a project UDF's language (historic metadata without
@@ -194,7 +218,7 @@ func batchToValue(info UDFInfo, out *udfrt.Batch) script.Value {
 
 // NewDebugSession builds an interactive debug session over an imported
 // UDF's generated script (the "Debug" command of §2.1). The session runs
-// the same prologue as RunLocal, with _conn available for loopback. Only
+// the script RunLocal runs, on an interpreter built the same way. Only
 // interpreter-backed (debuggable) runtimes support it.
 func (c *Client) NewDebugSession(ctx context.Context, udfName string, stopOnEntry bool) (*DebugSession, error) {
 	info, src, err := c.Project.LoadUDF(udfName)
@@ -206,18 +230,12 @@ func (c *Client) NewDebugSession(ctx context.Context, udfName string, stopOnEntr
 			"UDF %s runs on the %s runtime, which is not debuggable (only interpreter-backed runtimes support breakpoints)",
 			info.Name, languageOf(info))
 	}
-	mod, err := script.Parse(info.Name+".py", src)
+	r, err := c.newScriptRun(ctx, info, src)
 	if err != nil {
 		return nil, err
 	}
-	sess := debug.NewSession(mod, debug.Config{
-		StopOnEntry: stopOnEntry,
-		Setup: func(in *script.Interp) {
-			in.FS = c.Project.FS()
-		},
-	})
-	sess.SetGlobal("_conn", c.localConn(ctx, sess.Interp()))
-	return sess, nil
+	sess := debug.New(debug.Config{StopOnEntry: stopOnEntry})
+	return &DebugSession{Local: debug.NewLocal(sess, r.in, r.mod.Lines, r.run), script: r}, nil
 }
 
 // localConn builds the client-side _conn used during local runs and

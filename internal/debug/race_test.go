@@ -29,7 +29,7 @@ func TestStressConcurrentControl(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := NewSession(mod, Config{StopOnEntry: true})
+		s := newModuleRun(mod, Config{StopOnEntry: true}, nil)
 
 		var wg sync.WaitGroup
 		stop := make(chan struct{})
@@ -117,7 +117,7 @@ func TestKillWhilePausedRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := NewSession(mod, Config{StopOnEntry: true})
+		s := newModuleRun(mod, Config{StopOnEntry: true}, nil)
 		ev := s.Start()
 		if ev.Terminal {
 			t.Fatal("expected entry pause")

@@ -1,22 +1,26 @@
 // Package debug implements the interactive debugger devUDF attaches to a
-// locally-running UDF — the capability the paper argues UDF developers are
-// normally denied because "the RDBMS must be in control of the code flow
-// while the UDF is being executed" (§1). It provides breakpoints
-// (optionally conditional), step over/into/out, pause, call-stack and
-// variable inspection, and watch expressions, built on PyLite's trace hook
-// exactly as pydevd builds on CPython's sys.settrace.
+// UDF — the capability the paper argues UDF developers are normally denied
+// because "the RDBMS must be in control of the code flow while the UDF is
+// being executed" (§1). It provides breakpoints (optionally conditional),
+// step over/into/out, pause, call-stack and variable inspection, and watch
+// expressions, built on PyLite's trace hook exactly as pydevd builds on
+// CPython's sys.settrace.
 //
-// A Session's one controller is its pause loop: it runs in the trace hook,
-// on the goroutine executing the debuggee, takes commands only while paused
-// and ends on a resume or when the kill channel closes. A Session debugs
-// either a whole module it owns (NewSession — the local devUDF workflow: the
-// debuggee gets a goroutine and the API waits for each stop) or an arbitrary
-// run function under an externally-owned interpreter (AttachSession — the
-// wire server's UDF invocation inside the engine: the debuggee runs on the
-// goroutine that calls Start, the connection's query worker, and stops go to
-// a callback). Remote debugging is that second form driven over the
-// database connection's MsgDebug frames (internal/wire); this package speaks
-// no protocol of its own.
+// A Session has one form. It is made with New, takes its breakpoints before,
+// during and after a run, and debugs one run: Session.Run executes the
+// debuggee on the calling goroutine, under the session's trace hook, and
+// returns the terminal event. Whoever owns the debuggee's goroutine calls
+// Run. The session's one controller is its pause loop: it runs in the trace
+// hook, takes commands only while paused and ends on a resume or when the
+// kill channel closes. The control and inspection methods post to it from
+// any other goroutine and never wait for a stop.
+//
+// Inside the database server the connection's query worker calls Run from
+// the engine's UDF invocation, and stops go to the client over the
+// connection's MsgDebug frames (internal/wire); this package speaks no
+// protocol of its own. For a local run, Local owns the goroutine: it calls
+// Run on one of its own and hands each stop back to the control call that
+// led to it.
 package debug
 
 import (
@@ -81,12 +85,6 @@ type Config struct {
 	// StopOnEntry pauses before the first statement (PyCharm's default
 	// when stepping from the gutter).
 	StopOnEntry bool
-	// Setup runs before execution to configure the interpreter (install
-	// FS, module providers, stdout). Module sessions only.
-	Setup func(*script.Interp)
-	// Globals, when non-nil, pre-populates module scope (the devUDF local
-	// runner injects _conn and input parameters). Module sessions only.
-	Globals map[string]script.Value
 }
 
 type cmdKind int
@@ -121,19 +119,23 @@ const (
 	stepOver
 	stepInto
 	stepOut
+	stepEntry // StopOnEntry's stop at the first line
 )
 
-// Session debugs one execution under the trace hook. A Session supports a
-// single controlling goroutine; SetBreakpoint, ClearBreakpoint and
-// RequestPause are additionally safe to call from any goroutine at any time,
-// and so is Kill on a local session.
-type Session struct {
-	in    *script.Interp
-	lines []string
-	run   func() error
+// The states of a Session's one run.
+const (
+	idle int32 = iota
+	running
+	ended
+)
 
-	bpMu        sync.Mutex
+// Session debugs one run under the trace hook. Every method is safe from
+// any goroutine; Run is called once, by the owner of the debuggee's
+// goroutine.
+type Session struct {
+	mu          sync.Mutex
 	breakpoints map[int]*Breakpoint
+	lines       []string
 
 	// The pause loop's inputs: commands, received only while paused, and
 	// the kill channel, whose close ends the loop and aborts the debuggee.
@@ -147,229 +149,146 @@ type Session struct {
 	// by the kill that ends the pause.
 	paused    atomic.Bool
 	pauseFlag atomic.Bool
-	started   atomic.Bool
-	done      chan struct{} // closed once the terminal state is recorded
-
-	// terminal is valid to read after done is closed.
+	state     atomic.Int32
+	// terminal is the event Run returned; valid to read once state is ended.
 	terminal Event
-
-	// Local sessions only: stops travel to the synchronous controller on
-	// events, and Kill closes the kill channel through stop.
-	events chan Event
-	stop   func()
 
 	// Debuggee-goroutine-only state.
 	mode      stepMode
 	modeDepth int
 	killed    bool
-
-	result      *script.Env
-	lastErr     error
-	cfgGlobals  map[string]script.Value
-	stopOnEntry bool
-	sawEntry    bool
 }
 
-// NewSession prepares (but does not start) a debug session over mod: the
-// session owns a fresh interpreter and runs the module's body.
-func NewSession(mod *script.Module, cfg Config) *Session {
-	s := newSession(cfg)
-	s.lines = mod.Lines
-	s.in = script.NewInterp()
-	if cfg.Setup != nil {
-		cfg.Setup(s.in)
-	}
-	s.in.Trace = s.trace
-	s.cfgGlobals = cfg.Globals
-	s.run = func() error {
-		globals := s.in.NewGlobals()
-		for k, v := range s.cfgGlobals {
-			globals.Set(k, v)
-		}
-		err := s.in.RunInEnv(mod, globals)
-		s.result = globals
-		return err
-	}
-	kill := make(chan struct{})
-	s.kill, s.stop = kill, sync.OnceFunc(func() { close(kill) })
-	s.events = make(chan Event)
-	s.onStop = func(ev Event) {
-		select {
-		case s.events <- ev:
-		case <-kill:
-		}
-	}
-	return s
-}
-
-// AttachSession prepares a debug session over an arbitrary run function
-// executing under an externally-owned interpreter — the wire server uses it
-// to debug one UDF invocation inside the engine. The session installs its
-// trace hook on in (replacing any existing hook); lines is the source shown
-// by Source(). Start runs the debuggee on the calling goroutine, reports
-// each stop to onStop there, and returns the terminal event. Control calls
-// from another goroutine, Kill included, do not wait for the next stop: they
-// return a zero Event, or one carrying Err when the debuggee was not paused,
-// without blocking. Closing kill aborts the debuggee, paused or running; one
-// killed before its first line never stops.
-func AttachSession(in *script.Interp, lines []string, run func() error, cfg Config,
-	onStop func(Event), kill <-chan struct{}) *Session {
-	s := newSession(cfg)
-	s.in = in
-	s.lines = lines
-	s.run = run
-	s.onStop = onStop
-	s.kill = kill
-	in.Trace = s.trace
-	return s
-}
-
-func newSession(cfg Config) *Session {
-	s := &Session{
-		breakpoints: map[int]*Breakpoint{},
-		cmds:        make(chan command),
-		done:        make(chan struct{}),
-	}
+// New makes a session that has not run yet.
+func New(cfg Config) *Session {
+	s := &Session{breakpoints: map[int]*Breakpoint{}, cmds: make(chan command)}
 	if cfg.StopOnEntry {
-		s.mode = stepInto // pause at the very first line
-		s.stopOnEntry = true
+		s.mode = stepEntry
 	}
 	return s
 }
 
-// Interp exposes the session's interpreter so embedders can construct
-// native objects (the devUDF _conn shim) bound to it before Start.
-func (s *Session) Interp() *script.Interp { return s.in }
-
-// SetGlobal injects a module-scope binding before Start (devUDF injects
-// _conn this way). It panics if called after Start.
-func (s *Session) SetGlobal(name string, v script.Value) {
-	if s.started.Load() {
-		panic("debug: SetGlobal after Start")
+// Run executes run, the debuggee, on the calling goroutine with the
+// session's trace hook installed on in, the interpreter run executes on,
+// and returns the terminal event once run returns; the hook is removed
+// then. lines is the debuggee's source (Source). onStop is called with
+// each stop, on this goroutine, before the pause loop takes commands.
+// Closing kill aborts the debuggee, paused or running; one killed before
+// its first line never stops. A session runs once: a second Run is
+// refused.
+func (s *Session) Run(in *script.Interp, lines []string, run func() error,
+	onStop func(Event), kill <-chan struct{}) Event {
+	s.mu.Lock()
+	if s.state.Load() != idle {
+		s.mu.Unlock()
+		return refused(errStarted)
 	}
-	if s.cfgGlobals == nil {
-		s.cfgGlobals = map[string]script.Value{}
-	}
-	s.cfgGlobals[name] = v
-}
-
-// SetBreakpoint sets (or replaces) a breakpoint. Safe from any goroutine,
-// including while the debuggee is running.
-func (s *Session) SetBreakpoint(line int, condition string) {
-	bp := &Breakpoint{Line: line, Condition: condition}
-	if condition != "" {
-		bp.cond, _ = script.ParseWatch(condition)
-	}
-	s.bpMu.Lock()
-	defer s.bpMu.Unlock()
-	s.breakpoints[line] = bp
-}
-
-// ClearBreakpoint removes a breakpoint. Safe from any goroutine.
-func (s *Session) ClearBreakpoint(line int) {
-	s.bpMu.Lock()
-	defer s.bpMu.Unlock()
-	delete(s.breakpoints, line)
-}
-
-// Breakpoints lists breakpoints sorted by line. Safe from any goroutine.
-func (s *Session) Breakpoints() []Breakpoint {
-	s.bpMu.Lock()
-	out := make([]Breakpoint, 0, len(s.breakpoints))
-	for _, b := range s.breakpoints {
-		out = append(out, *b)
-	}
-	s.bpMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Line < out[j].Line })
-	return out
-}
-
-// Source returns the debugged code's source lines (1-based indexing by
-// line number: Source()[l-1]).
-func (s *Session) Source() []string { return s.lines }
-
-// Start launches the debuggee. A local session runs it on a goroutine of
-// its own and returns the first stop event: the entry pause when
-// StopOnEntry, otherwise the first breakpoint hit / completion. An attached
-// session runs it on the calling goroutine and returns the terminal event.
-func (s *Session) Start() Event {
-	if !s.started.CompareAndSwap(false, true) {
-		return Event{Reason: ReasonDone, Terminal: true,
-			Err: core.Errorf(core.KindConstraint, "session already started")}
-	}
-	if s.events == nil {
-		s.exec()
-		return s.terminal
-	}
-	// The goroutine ends when the debuggee script completes or Kill aborts it.
-	go s.exec()
-	return s.waitEvent()
-}
-
-// exec runs the debuggee and records its terminal state.
-func (s *Session) exec() {
-	err := s.run()
-	s.lastErr = err
+	s.lines = lines // before Started reports true
+	s.state.Store(running)
+	s.mu.Unlock()
+	s.onStop, s.kill = onStop, kill
+	in.Trace = s.trace
+	err := run()
+	in.Trace = nil
 	reason := ReasonDone
 	if s.killed {
 		reason, err = ReasonKilled, nil
 	}
 	s.terminal = Event{Reason: reason, Terminal: true, Err: err}
-	close(s.done)
-}
-
-// Continue resumes until the next breakpoint, pause request or completion.
-func (s *Session) Continue() Event { return s.control(command{mode: stepNone}) }
-
-// StepOver resumes until the next line at the same or a shallower depth.
-func (s *Session) StepOver() Event { return s.control(command{mode: stepOver}) }
-
-// StepInto resumes until the next line anywhere (entering calls).
-func (s *Session) StepInto() Event { return s.control(command{mode: stepInto}) }
-
-// StepOut resumes until control returns to the caller.
-func (s *Session) StepOut() Event { return s.control(command{mode: stepOut}) }
-
-// Kill aborts the debuggee. On a local session it is safe from any
-// goroutine, paused or running, and returns the terminal event; on an
-// attached session it is a command like the resumes.
-func (s *Session) Kill() Event {
-	if s.stop == nil {
-		return s.control(command{kind: cmdKill})
-	}
-	if !s.started.Load() || s.Finished() {
-		return notPausedEvent()
-	}
-	s.stop()
-	<-s.done
+	s.state.Store(ended)
 	return s.terminal
 }
 
-// RequestPause asks a *running* debuggee to stop at its next line. It is
-// asynchronous and safe from any goroutine; the pause materializes as a
-// ReasonPause event from the in-flight (or next) control call.
+// Started reports whether Run has begun.
+func (s *Session) Started() bool { return s.state.Load() != idle }
+
+// Ended returns the terminal event once Run has returned it.
+func (s *Session) Ended() (Event, bool) {
+	if s.state.Load() != ended {
+		return Event{}, false
+	}
+	return s.terminal, true
+}
+
+// SetBreakpoint sets (or replaces) a breakpoint.
+func (s *Session) SetBreakpoint(line int, condition string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.setLocked(line, condition)
+}
+
+func (s *Session) setLocked(line int, condition string) {
+	bp := &Breakpoint{Line: line, Condition: condition}
+	if condition != "" {
+		bp.cond, _ = script.ParseWatch(condition)
+	}
+	s.breakpoints[line] = bp
+}
+
+// SetBreakpoints replaces the whole set by bps' lines and conditions.
+func (s *Session) SetBreakpoints(bps []Breakpoint) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	clear(s.breakpoints)
+	for _, bp := range bps {
+		s.setLocked(bp.Line, bp.Condition)
+	}
+}
+
+// ClearBreakpoint removes a breakpoint.
+func (s *Session) ClearBreakpoint(line int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.breakpoints, line)
+}
+
+// Breakpoints lists breakpoints sorted by line.
+func (s *Session) Breakpoints() []Breakpoint {
+	s.mu.Lock()
+	out := make([]Breakpoint, 0, len(s.breakpoints))
+	for _, b := range s.breakpoints {
+		out = append(out, *b)
+	}
+	s.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Line < out[j].Line })
+	return out
+}
+
+// Source returns the debugged code's source lines (1-based indexing by
+// line number: Source()[l-1]); nil before Run.
+func (s *Session) Source() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.lines
+}
+
+// Continue resumes until the next breakpoint, pause request or completion.
+func (s *Session) Continue() error { return s.post(command{mode: stepNone}) }
+
+// StepOver resumes until the next line at the same or a shallower depth.
+func (s *Session) StepOver() error { return s.post(command{mode: stepOver}) }
+
+// StepInto resumes until the next line anywhere (entering calls).
+func (s *Session) StepInto() error { return s.post(command{mode: stepInto}) }
+
+// StepOut resumes until control returns to the caller.
+func (s *Session) StepOut() error { return s.post(command{mode: stepOut}) }
+
+// Kill aborts a paused debuggee; a running one refuses (RequestPause it
+// first). Closing Run's kill channel aborts it either way.
+func (s *Session) Kill() error { return s.post(command{kind: cmdKill}) }
+
+// RequestPause asks a *running* debuggee to stop at its next line. The
+// pause materializes as a stop like any other.
 func (s *Session) RequestPause() { s.pauseFlag.Store(true) }
 
-var errNotPaused = core.Errorf(core.KindConstraint, "debuggee is not paused")
+var (
+	errNotPaused = core.Errorf(core.KindConstraint, "debuggee is not paused")
+	errStarted   = core.Errorf(core.KindConstraint, "session already started")
+)
 
-// notPausedEvent is the error event for control calls outside a pause:
-// before Start or after the terminal event.
-func notPausedEvent() Event {
-	return Event{Reason: ReasonDone, Terminal: true, Err: errNotPaused}
-}
-
-// control hands a resume (or an attached session's kill) to the pause loop
-// and, on a local session, waits for the stop that follows.
-func (s *Session) control(cmd command) Event {
-	err := s.post(cmd)
-	switch {
-	case s.events == nil:
-		return Event{Err: err}
-	case err != nil:
-		return notPausedEvent()
-	}
-	return s.waitEvent()
-}
+// refused is the terminal event of a call that cannot act on the session.
+func refused(err error) Event { return Event{Reason: ReasonDone, Terminal: true, Err: err} }
 
 // post hands cmd to the pause loop. It never waits for the debuggee to
 // pause: one that is running, or finished, refuses. A resume ends the pause
@@ -400,26 +319,6 @@ func (s *Session) send(cmd command) cmdResult {
 	return <-cmd.resp
 }
 
-// waitEvent blocks until the debuggee pauses or terminates.
-func (s *Session) waitEvent() Event {
-	select {
-	case ev := <-s.events:
-		return ev
-	case <-s.done:
-		return s.terminal
-	}
-}
-
-// Finished reports whether the debuggee has reached its terminal state.
-func (s *Session) Finished() bool {
-	select {
-	case <-s.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // Eval evaluates a watch expression in the paused frame.
 func (s *Session) Eval(expr string) (script.Value, error) {
 	res := s.send(command{kind: cmdEval, expr: expr})
@@ -432,7 +331,7 @@ func (s *Session) Locals() (map[string]script.Value, error) {
 	return res.vars, res.err
 }
 
-// GlobalVars returns the module-level variables.
+// GlobalVars returns the module-level variables of the paused frame.
 func (s *Session) GlobalVars() (map[string]script.Value, error) {
 	res := s.send(command{kind: cmdGlobals})
 	return res.vars, res.err
@@ -442,15 +341,6 @@ func (s *Session) GlobalVars() (map[string]script.Value, error) {
 func (s *Session) Stack() ([]FrameInfo, error) {
 	res := s.send(command{kind: cmdStack})
 	return res.frames, res.err
-}
-
-// Result returns the module globals (module sessions; nil for attached
-// sessions) and error after the terminal event.
-func (s *Session) Result() (*script.Env, error) {
-	if !s.Finished() {
-		return nil, core.Errorf(core.KindConstraint, "debuggee has not finished")
-	}
-	return s.result, s.lastErr
 }
 
 // errKilled aborts the interpreter from inside the trace hook.
@@ -510,10 +400,7 @@ func (s *Session) pauseLoop(in *script.Interp, ev script.TraceEvent) error {
 		case cmdLocals:
 			res.vars = ev.Frame.Locals()
 		case cmdGlobals:
-			res.vars = map[string]script.Value{}
-			if in.Globals != nil {
-				res.vars = in.Globals.Snapshot()
-			}
+			res.vars = ev.Frame.Globals().Snapshot()
 		case cmdStack:
 			for f := ev.Frame; f != nil; f = f.Caller {
 				res.frames = append(res.frames, FrameInfo{FuncName: f.FuncName, Line: f.Line, Depth: f.Depth})
@@ -531,12 +418,11 @@ func (s *Session) shouldStop(in *script.Interp, ev script.TraceEvent) (StopReaso
 		return ReasonPause, true
 	}
 	switch s.mode {
+	case stepEntry:
+		s.mode = stepNone
+		return ReasonEntry, true
 	case stepInto:
 		s.mode = stepNone
-		if s.stopOnEntry && !s.sawEntry {
-			s.sawEntry = true
-			return ReasonEntry, true
-		}
 		return ReasonStep, true
 	case stepOver:
 		if ev.Frame.Depth <= s.modeDepth {
@@ -549,9 +435,9 @@ func (s *Session) shouldStop(in *script.Interp, ev script.TraceEvent) (StopReaso
 			return ReasonStep, true
 		}
 	}
-	s.bpMu.Lock()
+	s.mu.Lock()
 	bp, ok := s.breakpoints[ev.Line]
-	s.bpMu.Unlock()
+	s.mu.Unlock()
 	if !ok {
 		return "", false
 	}
@@ -565,10 +451,10 @@ func (s *Session) shouldStop(in *script.Interp, ev script.TraceEvent) (StopReaso
 			return "", false
 		}
 	}
-	s.bpMu.Lock()
+	s.mu.Lock()
 	if cur, still := s.breakpoints[ev.Line]; still {
 		cur.HitCount++
 	}
-	s.bpMu.Unlock()
+	s.mu.Unlock()
 	return ReasonBreakpoint, true
 }

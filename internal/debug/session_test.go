@@ -1,6 +1,9 @@
 package debug
 
 import (
+	"errors"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +20,37 @@ func parseMod(t *testing.T, src string) *script.Module {
 	return mod
 }
 
+// moduleRun is a local debug run of a module's body in an interpreter of
+// its own, keeping the module's globals and the run's error for Result.
+type moduleRun struct {
+	*Local
+	globals *script.Env
+	err     error
+}
+
+// newModuleRun prepares a moduleRun of mod, with globals bound in its
+// module scope before it runs.
+func newModuleRun(mod *script.Module, cfg Config, globals map[string]script.Value) *moduleRun {
+	in := script.NewInterp()
+	r := &moduleRun{globals: in.NewGlobals()}
+	for name, v := range globals {
+		r.globals.Set(name, v)
+	}
+	r.Local = NewLocal(New(cfg), in, mod.Lines, func() error {
+		r.err = in.RunInEnv(mod, r.globals)
+		return r.err
+	})
+	return r
+}
+
+// Result returns the module's globals and the run's error once it ended.
+func (r *moduleRun) Result() (*script.Env, error) {
+	if _, ended := r.Ended(); !ended {
+		return nil, errors.New("debuggee has not finished")
+	}
+	return r.globals, r.err
+}
+
 const countdownSrc = `total = 0
 for i in range(0, 5):
     total = total + i
@@ -24,7 +58,7 @@ result = total * 2
 `
 
 func TestBreakpointAndLocals(t *testing.T) {
-	s := NewSession(parseMod(t, countdownSrc), Config{})
+	s := newModuleRun(parseMod(t, countdownSrc), Config{}, nil)
 	s.SetBreakpoint(3, "")
 	ev := s.Start()
 	if ev.Reason != ReasonBreakpoint || ev.Line != 3 {
@@ -62,7 +96,7 @@ func TestBreakpointAndLocals(t *testing.T) {
 }
 
 func TestConditionalBreakpoint(t *testing.T) {
-	s := NewSession(parseMod(t, countdownSrc), Config{})
+	s := newModuleRun(parseMod(t, countdownSrc), Config{}, nil)
 	s.SetBreakpoint(3, "i == 3")
 	ev := s.Start()
 	if ev.Reason != ReasonBreakpoint {
@@ -87,7 +121,7 @@ a = helper(1)
 b = helper(a)
 c = a + b
 `
-	s := NewSession(parseMod(t, src), Config{StopOnEntry: true})
+	s := newModuleRun(parseMod(t, src), Config{StopOnEntry: true}, nil)
 	ev := s.Start()
 	if ev.Reason != ReasonEntry || ev.Line != 1 {
 		t.Fatalf("entry: %+v", ev)
@@ -131,7 +165,7 @@ c = a + b
 }
 
 func TestWatchExpressions(t *testing.T) {
-	s := NewSession(parseMod(t, countdownSrc), Config{})
+	s := newModuleRun(parseMod(t, countdownSrc), Config{}, nil)
 	s.SetBreakpoint(4, "")
 	ev := s.Start()
 	if ev.Line != 4 {
@@ -154,7 +188,7 @@ func TestWatchExpressions(t *testing.T) {
 }
 
 func TestKill(t *testing.T) {
-	s := NewSession(parseMod(t, "i = 0\nwhile True:\n    i = i + 1\n"), Config{})
+	s := newModuleRun(parseMod(t, "i = 0\nwhile True:\n    i = i + 1\n"), Config{}, nil)
 	s.SetBreakpoint(3, "")
 	ev := s.Start()
 	if ev.Reason != ReasonBreakpoint {
@@ -172,7 +206,7 @@ func TestKill(t *testing.T) {
 }
 
 func TestExceptionReporting(t *testing.T) {
-	s := NewSession(parseMod(t, "x = 1\ny = x / 0\n"), Config{})
+	s := newModuleRun(parseMod(t, "x = 1\ny = x / 0\n"), Config{}, nil)
 	ev := s.Start()
 	if ev.Reason != ReasonDone || ev.Err == nil {
 		t.Fatalf("terminal: %+v", ev)
@@ -183,9 +217,8 @@ func TestExceptionReporting(t *testing.T) {
 }
 
 func TestGlobalsInjection(t *testing.T) {
-	s := NewSession(parseMod(t, "doubled = seed * 2\n"), Config{
-		Globals: map[string]script.Value{"seed": script.IntVal(21)},
-	})
+	s := newModuleRun(parseMod(t, "doubled = seed * 2\n"), Config{},
+		map[string]script.Value{"seed": script.IntVal(21)})
 	ev := s.Start()
 	if ev.Err != nil {
 		t.Fatal(ev.Err)
@@ -215,7 +248,7 @@ func TestScenarioADebugging(t *testing.T) {
 
 result = mean_deviation([1, 2, 3, 4, 100])
 `
-	s := NewSession(parseMod(t, src), Config{})
+	s := newModuleRun(parseMod(t, src), Config{}, nil)
 	// watch the accumulator each time around the second loop
 	s.SetBreakpoint(8, "")
 	ev := s.Start()
@@ -242,7 +275,7 @@ func TestRequestPause(t *testing.T) {
 	// A long-running loop with no breakpoints: RequestPause is the only
 	// way to stop it (PyCharm's "Pause Program").
 	src := "i = 0\nwhile i < 100000000:\n    i = i + 1\n"
-	s := NewSession(parseMod(t, src), Config{})
+	s := newModuleRun(parseMod(t, src), Config{}, nil)
 	done := make(chan Event, 1)
 	go func() { done <- s.Start() }()
 	// let it run a little, then pause
@@ -270,7 +303,7 @@ func TestRequestPause(t *testing.T) {
 }
 
 func TestBreakpointHitCounts(t *testing.T) {
-	s := NewSession(parseMod(t, countdownSrc), Config{})
+	s := newModuleRun(parseMod(t, countdownSrc), Config{}, nil)
 	s.SetBreakpoint(3, "")
 	ev := s.Start()
 	hits := 1
@@ -307,7 +340,7 @@ total = 0
 for k in range(0, 6):
     total += first(k, 0) + second(0, k)
 `
-	s := NewSession(parseMod(t, src), Config{})
+	s := newModuleRun(parseMod(t, src), Config{}, nil)
 	s.SetBreakpoint(3, "i == 2 and scale == 10") // first: i is slot 0
 	s.SetBreakpoint(6, "i == 4")                 // second: i is slot 1
 	s.SetBreakpoint(9, "k ==")                   // does not parse
@@ -363,7 +396,7 @@ def outer():
     return inner()
 r = outer()
 `
-	s := NewSession(parseMod(t, src), Config{})
+	s := newModuleRun(parseMod(t, src), Config{}, nil)
 	s.SetBreakpoint(6, "x == 'module'")
 	ev := s.Start()
 	if ev.Reason != ReasonBreakpoint || ev.Line != 6 || ev.FuncName != "inner" {
@@ -397,7 +430,7 @@ func TestColumnBackedArgumentIsAListToTheDebugger(t *testing.T) {
 result = mean_deviation(data)
 `
 	data := script.NewIntList([]int64{1, 2, 3, 4, 100}, nil)
-	s := NewSession(parseMod(t, src), Config{Globals: map[string]script.Value{"data": data}})
+	s := newModuleRun(parseMod(t, src), Config{}, map[string]script.Value{"data": data})
 	s.SetBreakpoint(8, "i == 3")
 	ev := s.Start()
 	if ev.Reason != ReasonBreakpoint || ev.Line != 8 || ev.FuncName != "mean_deviation" {
@@ -439,5 +472,33 @@ result = mean_deviation(data)
 	}
 	if data.Repr() != "[1, 2, 3, 4, 100]" {
 		t.Errorf("the argument changed: %s", data.Repr())
+	}
+}
+
+// TestGlobalVarsAfterABuiltinRunsAModule: a Go builtin that runs a second
+// module on the debuggee's interpreter (devUDF's local _conn does, for a
+// nested UDF) leaves the paused frame's globals as they were: the
+// debugger's globals are the paused frame's module scope, not the scope of
+// the last module the interpreter ran.
+func TestGlobalVarsAfterABuiltinRunsAModule(t *testing.T) {
+	other := parseMod(t, "helper = 1\n")
+	load := &script.BuiltinVal{Name: "load", Fn: func(in *script.Interp, _ []script.Value, _ map[string]script.Value) (script.Value, error) {
+		_, err := in.Run(other)
+		return script.None, err
+	}}
+	s := newModuleRun(parseMod(t, "x = 1\nload()\ny = 2\n"), Config{}, map[string]script.Value{"load": load})
+	s.SetBreakpoint(3, "")
+	if ev := s.Start(); ev.Reason != ReasonBreakpoint || ev.Line != 3 {
+		t.Fatalf("stop: %+v", ev)
+	}
+	vars, err := s.GlobalVars()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := slices.Sorted(maps.Keys(vars)), []string{"load", "x"}; !slices.Equal(got, want) {
+		t.Fatalf("globals %v, want %v", got, want)
+	}
+	if ev := s.Continue(); !ev.Terminal || ev.Err != nil {
+		t.Fatalf("terminal: %+v", ev)
 	}
 }

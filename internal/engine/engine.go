@@ -197,11 +197,10 @@ func (c *Conn) Exec(sql string) (*Result, error) { return c.ExecWith(ExecOpts{},
 // context (or passing one with a deadline) aborts the statement
 // mid-execution at the next pipeline-stage or morsel-boundary checkpoint
 // with a typed core.KindCancelled error, releasing the database lock
-// normally. When the context additionally carries an obs.Trace
-// (obs.WithTrace), the execution reports its parse, execute, UDF and WAL
-// spans into it.
+// normally. A statement that reports spans passes its obs.Trace in
+// ExecOpts (ExecWith).
 func (c *Conn) ExecContext(ctx context.Context, sql string) (*Result, error) {
-	return c.ExecWith(ExecOpts{Interrupt: InterruptFrom(ctx), Trace: obs.TraceFrom(ctx)}, sql)
+	return c.ExecWith(ExecOpts{Interrupt: InterruptFrom(ctx)}, sql)
 }
 
 // ExecWith is ExecContext without the context detour: the wire server's

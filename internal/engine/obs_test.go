@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -101,17 +100,16 @@ func TestPlanCacheEvictionCounter(t *testing.T) {
 	}
 }
 
-// TestExecContextTrace checks ExecContext reports spans into the carried
-// trace: exec always, parse only on a cache miss, WAL when a commit hook
-// is installed.
+// TestExecContextTrace checks a statement reports spans into the trace its
+// ExecOpts carry: exec always, parse only on a cache miss, WAL when a
+// commit hook is installed.
 func TestExecContextTrace(t *testing.T) {
 	c := prepTestDB(t)
 	committed := 0
 	c.DB.SetPersistence(func(Change) error { committed++; return nil }, nil)
 
 	tr := obs.NewTrace(`INSERT INTO nums VALUES (9, 9.5, 'z')`, "monetdb")
-	ctx := obs.WithTrace(context.Background(), tr)
-	if _, err := c.ExecContext(ctx, tr.Query); err != nil {
+	if _, err := c.ExecWith(ExecOpts{Trace: tr}, tr.Query); err != nil {
 		t.Fatal(err)
 	}
 	if committed != 1 {
@@ -131,7 +129,7 @@ func TestExecContextTrace(t *testing.T) {
 	}
 
 	tr2 := obs.NewTrace(tr.Query, "monetdb")
-	if _, err := c.ExecContext(obs.WithTrace(context.Background(), tr2), tr2.Query); err != nil {
+	if _, err := c.ExecWith(ExecOpts{Trace: tr2}, tr2.Query); err != nil {
 		t.Fatal(err)
 	}
 	if !tr2.CacheHit {
@@ -181,7 +179,7 @@ func TestStmtExecContextBindSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace(st.SQL(), "monetdb")
-	res, err := st.ExecContext(obs.WithTrace(context.Background(), tr), int64(1))
+	res, err := st.ExecWith(ExecOpts{Trace: tr}, int64(1))
 	if err != nil {
 		t.Fatal(err)
 	}

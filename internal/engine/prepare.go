@@ -248,10 +248,9 @@ func (s *Stmt) Query(args ...any) (*Result, error) { return s.ExecWith(ExecOpts{
 func (s *Stmt) Exec(args ...any) (*Result, error) { return s.ExecWith(ExecOpts{}, args...) }
 
 // ExecContext is Exec honoring the context's cancellation and deadline
-// mid-execution (see Conn.ExecContext) and reporting bind and execution
-// spans into the trace carried on ctx (obs.WithTrace), if any.
+// mid-execution (see Conn.ExecContext).
 func (s *Stmt) ExecContext(ctx context.Context, args ...any) (*Result, error) {
-	return s.ExecWith(ExecOpts{Interrupt: InterruptFrom(ctx), Trace: obs.TraceFrom(ctx)}, args...)
+	return s.ExecWith(ExecOpts{Interrupt: InterruptFrom(ctx)}, args...)
 }
 
 // ExecWith is ExecContext without the context detour — see Conn.ExecWith.

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,19 +119,4 @@ func (s StageTimer) Done() {
 		return
 	}
 	s.tr.stages[s.stage].Add(monoNanos() - s.t0)
-}
-
-// traceKey is the context key for the active trace.
-type traceKey struct{}
-
-// WithTrace attaches a trace to ctx for downstream stages to find.
-func WithTrace(ctx context.Context, t *Trace) context.Context {
-	return context.WithValue(ctx, traceKey{}, t)
-}
-
-// TraceFrom returns the trace attached to ctx, or nil — all trace
-// methods are nil-safe, so callers never need to check.
-func TraceFrom(ctx context.Context) *Trace {
-	t, _ := ctx.Value(traceKey{}).(*Trace)
-	return t
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"testing"
 	"time"
 )
@@ -40,18 +39,6 @@ func TestStageTimerMeasures(t *testing.T) {
 	st.Done()
 	if got := tr.Stage(StageExec); got < 2*time.Millisecond {
 		t.Errorf("exec stage = %v, want at least ~5ms", got)
-	}
-}
-
-func TestContextCarriage(t *testing.T) {
-	ctx := context.Background()
-	if TraceFrom(ctx) != nil {
-		t.Fatal("empty context should yield nil trace")
-	}
-	tr := NewTrace("SELECT 1", "monetdb")
-	ctx = WithTrace(ctx, tr)
-	if TraceFrom(ctx) != tr {
-		t.Fatal("trace not carried through context")
 	}
 }
 

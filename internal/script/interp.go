@@ -79,6 +79,9 @@ func (f *Frame) Locals() map[string]Value {
 	return out
 }
 
+// Globals returns the module scope the frame runs in.
+func (f *Frame) Globals() *Env { return f.globals }
+
 // Interp executes PyLite modules. The zero value is not usable; construct
 // with NewInterp. An Interp is not safe for concurrent use; the engine
 // creates one per query (or per connection for loopback state).
@@ -99,9 +102,6 @@ type Interp struct {
 	// ModuleProvider resolves imports beyond the standard shims; the engine
 	// injects database-aware modules through it.
 	ModuleProvider func(name string) (Value, bool)
-
-	// Globals is the module-level environment of the last Run.
-	Globals *Env
 
 	modules map[string]Value
 	steps   int64
@@ -182,7 +182,6 @@ func (in *Interp) Run(mod *Module) (*Env, error) {
 // devUDF local-run harness uses this to execute generated prologue +
 // function definitions in one scope.
 func (in *Interp) RunInEnv(mod *Module, globals *Env) error {
-	in.Globals = globals
 	prev := in.frame
 	in.frame = &Frame{FuncName: "<module>", Module: mod, globals: globals}
 	defer func() { in.frame = prev }()

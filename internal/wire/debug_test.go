@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -475,5 +476,62 @@ func TestDebugColumnBackedArgument(t *testing.T) {
 	defer c2.Close()
 	if _, table, err := c2.Query(ctx, "SELECT i FROM numbers"); err != nil || table.Cols[0].FormatValue(0) != "1" {
 		t.Fatalf("numbers after the debug run: %v %v", table, err)
+	}
+}
+
+// TestSetBreakpointsBeforeTheUDFIsReached: a launch's breakpoints belong to
+// its session from the start, so a setBreakpoints that arrives while the
+// statement is still on its way to the UDF replaces them. gate, a GO UDF
+// that blocks until the test releases it, holds the run: spin's argument is
+// evaluated first, so spin is reached only after the release.
+func TestSetBreakpointsBeforeTheUDFIsReached(t *testing.T) {
+	srv, c := debugFixture(t)
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	var once sync.Once
+	t.Cleanup(func() { once.Do(func() { close(release) }) })
+	if err := srv.DB.RegisterGoUDF("gate", func(x []int64) []int64 {
+		entered <- struct{}{}
+		<-release
+		return x
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Exec(ctxSec(t), spinUDF); err != nil {
+		t.Fatal(err)
+	}
+	dc, err := c.Debug()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dc.Close()
+	// Line 2 of spin's wrapper module is `s = 0`, line 4 the loop body.
+	debugCmd(t, dc, DebugRequest{Command: DebugCmdLaunch, Query: "SELECT spin(gate(1))", UDF: "spin",
+		Breakpoints: []DebugBreakpoint{{Line: 2}}})
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the debug run never reached gate")
+	}
+	// Until then every other command is refused.
+	for _, cmd := range []string{DebugCmdContinue, DebugCmdStepOver, DebugCmdStepInto, DebugCmdStepOut,
+		DebugCmdKill, DebugCmdPause, DebugCmdStack, DebugCmdLocals, DebugCmdGlobals, DebugCmdEval, DebugCmdSource} {
+		if _, err := dc.RoundTrip(ctxSec(t), DebugRequest{Command: cmd, Expr: "k"}); err == nil ||
+			!strings.Contains(err.Error(), "no UDF invocation is attached") {
+			t.Fatalf("%s before the UDF is reached: %v", cmd, err)
+		}
+	}
+	debugCmd(t, dc, DebugRequest{Command: DebugCmdSetBreakpoints,
+		Breakpoints: []DebugBreakpoint{{Line: 4, Condition: "k == 3"}}})
+	once.Do(func() { close(release) })
+	ev := waitEvent(t, dc, 10*time.Second)
+	if ev.Kind != DebugEventStopped || ev.Reason != string(debug.ReasonBreakpoint) || ev.Func != "spin" || ev.Line != 4 {
+		t.Fatalf("first event: %+v, want the replaced set's breakpoint on line 4", ev)
+	}
+	if rep := debugCmd(t, dc, DebugRequest{Command: DebugCmdEval, Expr: "k"}); rep.Value != "3" {
+		t.Fatalf("stopped at k = %s, want 3", rep.Value)
+	}
+	debugCmd(t, dc, DebugRequest{Command: DebugCmdKill})
+	if ev := waitEvent(t, dc, 10*time.Second); ev.Kind != DebugEventTerminated || ev.Reason != string(debug.ReasonKilled) {
+		t.Fatalf("kill: %+v", ev)
 	}
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/debug"
@@ -36,37 +37,39 @@ func (w *connWriter) writeStream(msg string, t *storage.Table, chunkBytes int) e
 	return w.fw.writeResultStream(msg, t, chunkBytes)
 }
 
-// debugRun is one remote debug run on one connection: the launch request,
-// the breakpoints wanted, and the debug.Session once the engine reaches the
-// target UDF. The query worker executes the run as a statement (runDebug);
-// the debuggee runs on the worker, inside the engine call, under the
-// session's pause loop, which is the run's only controller: the frame loop
-// hands it commands, and it refuses them unless the debuggee is paused.
+// debugRun is one remote debug run on one connection: the launch request
+// and its debug.Session, made at launch with the launch's breakpoints. The
+// query worker executes the run as a statement (runDebug); when the engine
+// reaches the target UDF, the debuggee runs under the session on the worker,
+// inside the engine call, and the session's pause loop is the run's only
+// controller: the frame loop hands it commands, and it refuses them unless
+// the debuggee is paused.
 type debugRun struct {
-	w    *connWriter
-	req  DebugRequest
-	kill <-chan struct{} // the connection's connDone
-
-	mu       sync.Mutex
-	bps      map[int]string // desired breakpoints: line → condition
-	sess     *debug.Session // non-nil once a UDF invocation is attached
-	finished bool
-
-	killed bool // the attached session ended killed; query worker only
+	w        *connWriter
+	req      DebugRequest
+	kill     <-chan struct{} // the connection's connDone
+	sess     *debug.Session
+	finished atomic.Bool // the launch's statement has ended
 }
 
 func newDebugRun(w *connWriter, req DebugRequest, kill <-chan struct{}) *debugRun {
-	dr := &debugRun{w: w, req: req, kill: kill, bps: map[int]string{}}
-	for _, bp := range req.Breakpoints {
-		dr.bps[bp.Line] = bp.Condition
+	sess := debug.New(debug.Config{StopOnEntry: req.StopOnEntry})
+	sess.SetBreakpoints(sessionBreakpoints(req.Breakpoints))
+	return &debugRun{w: w, req: req, kill: kill, sess: sess}
+}
+
+// sessionBreakpoints is bps in the debugger's terms.
+func sessionBreakpoints(bps []DebugBreakpoint) []debug.Breakpoint {
+	out := make([]debug.Breakpoint, len(bps))
+	for i, bp := range bps {
+		out[i] = debug.Breakpoint{Line: bp.Line, Condition: bp.Condition}
 	}
-	return dr
+	return out
 }
 
 // runDebug executes a launched debug run on the query worker: the launch's
 // query on the connection's session, under its interrupt and QueryTimeout,
-// with the Invoke hook that attaches the debugger, then the terminated
-// event.
+// with the Invoke hook that runs the debuggee, then the terminated event.
 func (sc *serverConn) runDebug(dr *debugRun) {
 	if m := sc.srv.metrics; m != nil {
 		m.debugSessions.Add(1)
@@ -77,9 +80,9 @@ func (sc *serverConn) runDebug(dr *debugRun) {
 		evt.Reason, evt.Err = string(debug.ReasonException), errString(err)
 	} else {
 		o := sc.execOpts(nil)
-		o.Invoke = dr.invoke
+		o.Invoke = dr.Run
 		res, err := sc.sess.ExecWith(o, dr.req.Query)
-		if dr.killed {
+		if end, _ := dr.sess.Ended(); end.Reason == debug.ReasonKilled {
 			evt.Reason = string(debug.ReasonKilled)
 		}
 		if res != nil {
@@ -89,44 +92,29 @@ func (sc *serverConn) runDebug(dr *debugRun) {
 			evt.Err = errString(err)
 		}
 	}
-	dr.mu.Lock()
-	dr.finished = true
-	dr.mu.Unlock()
+	dr.finished.Store(true)
 	// A closed connection makes this a no-op; the client is gone.
 	_ = sc.w.writeFrame(MsgDebugEvent, EncodeDebugEvent(evt))
 }
 
-// invoke is the engine hook: the first invocation of the target UDF runs
-// under an attached debug session, on the calling goroutine; every other UDF
-// (and later invocations) runs plain.
-func (dr *debugRun) invoke(name string, in *script.Interp, lines []string,
+// Run is the engine's Invoke hook: the first invocation of the target UDF
+// runs under the session, on the calling goroutine; every other UDF (and
+// later invocations) runs plain.
+func (dr *debugRun) Run(name string, in *script.Interp, lines []string,
 	call func() (script.Value, error)) (script.Value, error) {
-	dr.mu.Lock()
-	if dr.sess != nil || !strings.EqualFold(name, dr.req.UDF) {
-		dr.mu.Unlock()
+	if dr.sess.Started() || !strings.EqualFold(name, dr.req.UDF) {
 		return call()
 	}
 	var out script.Value
-	sess := debug.AttachSession(in, lines, func() error {
-		v, err := call()
-		out = v
+	var err error
+	dr.sess.Run(in, lines, func() error {
+		out, err = call()
 		return err
-	}, debug.Config{StopOnEntry: dr.req.StopOnEntry}, dr.stopped, dr.kill)
-	for line, cond := range dr.bps {
-		sess.SetBreakpoint(line, cond)
-	}
-	dr.sess = sess
-	dr.mu.Unlock()
-
-	dr.killed = sess.Start().Reason == debug.ReasonKilled
-	// Uninstall the trace hook: in tuple-at-a-time mode the engine reuses
-	// this interpreter for the next row, which runs undebugged.
-	in.Trace = nil
-	_, err := sess.Result()
+	}, dr.stopped, dr.kill)
 	return out, err
 }
 
-// stopped pushes one stop of the attached session to the client.
+// stopped pushes one stop of the session to the client.
 func (dr *debugRun) stopped(ev debug.Event) {
 	_ = dr.w.writeFrame(MsgDebugEvent, EncodeDebugEvent(DebugEventMsg{
 		Kind:   DebugEventStopped,
@@ -135,13 +123,6 @@ func (dr *debugRun) stopped(ev debug.Event) {
 		Func:   ev.FuncName,
 		Depth:  ev.Depth,
 	}))
-}
-
-// active reports whether a launch is still queued or executing.
-func (dr *debugRun) active() bool {
-	dr.mu.Lock()
-	defer dr.mu.Unlock()
-	return !dr.finished
 }
 
 // handleDebug processes one MsgDebug request and writes its MsgDebugReply.
@@ -167,84 +148,90 @@ func (sc *serverConn) handleDebug(payload []byte) bool {
 }
 
 // debugCommand executes one debug request on the frame loop. A launch joins
-// the query queue; every other command acts on the connection's debug run.
+// the query queue; every other command acts on the connection's debug run's
+// session. Only setBreakpoints acts before the engine reaches the UDF; a
+// resume or an inspection goes to the pause loop, which refuses it in-band
+// unless the debuggee is paused, and the stop a resume leads to is pushed by
+// the worker.
 func (sc *serverConn) debugCommand(req DebugRequest, rep *DebugReply) error {
+	var act func(*debug.Session) error
 	switch req.Command {
 	case DebugCmdLaunch:
 		if req.Query == "" || req.UDF == "" {
 			return core.Errorf(core.KindConstraint, "launch needs a query and a udf")
 		}
-		if sc.dr != nil && sc.dr.active() {
+		if sc.dr != nil && !sc.dr.finished.Load() {
 			return core.Errorf(core.KindConstraint, "a debug session is already active")
 		}
 		sc.dr = newDebugRun(sc.w, req, sc.connDone)
 		// In FIFO order behind the pending statements, never shed.
 		sc.queries.push(qitem{dr: sc.dr}, 0)
 		return nil
-	case DebugCmdSetBreakpoints, DebugCmdContinue, DebugCmdStepOver, DebugCmdStepInto,
-		DebugCmdStepOut, DebugCmdKill, DebugCmdPause, DebugCmdStack, DebugCmdLocals,
-		DebugCmdGlobals, DebugCmdEval, DebugCmdSource:
+	case DebugCmdSetBreakpoints:
+		act = func(s *debug.Session) error {
+			s.SetBreakpoints(sessionBreakpoints(req.Breakpoints))
+			return nil
+		}
+	case DebugCmdContinue:
+		act = (*debug.Session).Continue
+	case DebugCmdStepOver:
+		act = (*debug.Session).StepOver
+	case DebugCmdStepInto:
+		act = (*debug.Session).StepInto
+	case DebugCmdStepOut:
+		act = (*debug.Session).StepOut
+	case DebugCmdKill:
+		act = (*debug.Session).Kill
+	case DebugCmdPause:
+		act = func(s *debug.Session) error {
+			if _, ended := s.Ended(); ended {
+				return errNotAttached
+			}
+			s.RequestPause()
+			return nil
+		}
+	case DebugCmdSource:
+		act = func(s *debug.Session) error {
+			rep.Source = s.Source()
+			return nil
+		}
+	case DebugCmdEval:
+		act = func(s *debug.Session) error {
+			v, err := s.Eval(req.Expr)
+			if err == nil {
+				rep.Value = v.Repr()
+			}
+			return err
+		}
+	case DebugCmdStack:
+		act = func(s *debug.Session) error {
+			frames, err := s.Stack()
+			for _, f := range frames {
+				rep.Frames = append(rep.Frames, DebugFrame{Func: f.FuncName, Line: f.Line, Depth: f.Depth})
+			}
+			return err
+		}
+	case DebugCmdLocals:
+		act = func(s *debug.Session) error { return replyVars(rep, s.Locals) }
+	case DebugCmdGlobals:
+		act = func(s *debug.Session) error { return replyVars(rep, s.GlobalVars) }
 	default:
 		return core.Errorf(core.KindProtocol, "unknown debug command %q", req.Command)
 	}
 	if sc.dr == nil {
 		return core.Errorf(core.KindConstraint, "no debug session")
 	}
-	if req.Command == DebugCmdSetBreakpoints {
-		sc.dr.setBreakpoints(req.Breakpoints)
-		return nil
+	if req.Command != DebugCmdSetBreakpoints && !sc.dr.sess.Started() {
+		return errNotAttached
 	}
-	sc.dr.mu.Lock()
-	sess := sc.dr.sess
-	sc.dr.mu.Unlock()
-	if sess == nil || req.Command == DebugCmdPause && sess.Finished() {
-		return core.Errorf(core.KindConstraint, "no UDF invocation is attached")
-	}
-	return serveSession(sess, req, rep)
+	return act(sc.dr.sess)
 }
 
-// serveSession executes one control or inspection command on an attached
-// session. Resumes and inspections go to its pause loop, which refuses them
-// in-band unless the debuggee is paused; the stop a resume leads to is
-// pushed by the worker.
-func serveSession(sess *debug.Session, req DebugRequest, rep *DebugReply) error {
-	var vars map[string]script.Value
-	var err error
-	switch req.Command {
-	case DebugCmdContinue:
-		return sess.Continue().Err
-	case DebugCmdStepOver:
-		return sess.StepOver().Err
-	case DebugCmdStepInto:
-		return sess.StepInto().Err
-	case DebugCmdStepOut:
-		return sess.StepOut().Err
-	case DebugCmdKill:
-		return sess.Kill().Err
-	case DebugCmdPause:
-		sess.RequestPause()
-		return nil
-	case DebugCmdSource:
-		rep.Source = sess.Source()
-		return nil
-	case DebugCmdEval:
-		v, err := sess.Eval(req.Expr)
-		if err != nil {
-			return err
-		}
-		rep.Value = v.Repr()
-		return nil
-	case DebugCmdStack:
-		frames, err := sess.Stack()
-		for _, f := range frames {
-			rep.Frames = append(rep.Frames, DebugFrame{Func: f.FuncName, Line: f.Line, Depth: f.Depth})
-		}
-		return err
-	case DebugCmdLocals:
-		vars, err = sess.Locals()
-	case DebugCmdGlobals:
-		vars, err = sess.GlobalVars()
-	}
+var errNotAttached = core.Errorf(core.KindConstraint, "no UDF invocation is attached")
+
+// replyVars puts the variables read renders into rep.
+func replyVars(rep *DebugReply, read func() (map[string]script.Value, error)) error {
+	vars, err := read()
 	if err != nil {
 		return err
 	}
@@ -272,28 +259,4 @@ func (s *Server) checkDebuggable(udf string) error {
 	return core.Errorf(core.KindConstraint,
 		"UDF %s runs on the %s runtime, which is not debuggable",
 		def.Name, udfrt.Canonical(def.Language))
-}
-
-// setBreakpoints replaces the full breakpoint set, live when attached.
-func (dr *debugRun) setBreakpoints(bps []DebugBreakpoint) {
-	dr.mu.Lock()
-	sess := dr.sess
-	old := dr.bps
-	dr.bps = map[int]string{}
-	for _, bp := range bps {
-		dr.bps[bp.Line] = bp.Condition
-	}
-	next := dr.bps
-	dr.mu.Unlock()
-	if sess == nil {
-		return
-	}
-	for line := range old {
-		if _, keep := next[line]; !keep {
-			sess.ClearBreakpoint(line)
-		}
-	}
-	for line, cond := range next {
-		sess.SetBreakpoint(line, cond)
-	}
 }

@@ -108,16 +108,17 @@ type Registry = obs.Registry
 // assign one to DB.QueryLog to record per-query span breakdowns.
 type QueryLog = obs.QueryLog
 
-// Trace carries one query's per-stage timings; embedded callers can pass
-// one via WithTrace and Conn.ExecContext to time their own statements.
+// Trace carries one query's per-stage timings; embedded callers pass one
+// in ExecOpts to Conn.ExecWith or Stmt.ExecWith to time their own
+// statements.
 type Trace = obs.Trace
 
-// ExecOpts is the per-call value of Conn.ExecWith / Stmt.ExecWith, the
-// explicit door beside ExecContext: everything one statement carries
-// besides its text and arguments, handed over directly with no context to
-// allocate or search — its Interrupt, its Trace, the Invoke hook that runs
-// its interpreter-backed UDF calls (the remote debugger's) and the Stdout
-// its UDFs print to. A UDF's loopback query runs under the same ExecOpts;
+// ExecOpts is the per-call value of Conn.ExecWith / Stmt.ExecWith:
+// everything one statement carries besides its text and arguments, handed
+// over directly with no context to allocate or search — its Interrupt, its
+// Trace, the Invoke hook that runs its interpreter-backed UDF calls (the
+// remote debugger's) and the Stdout its UDFs print to. ExecContext is the
+// door for a context's cancellation alone. A UDF's loopback query runs under the same ExecOpts;
 // the zero value runs a statement uninterruptible, untraced, undebugged and
 // with UDF output discarded.
 type ExecOpts = engine.ExecOpts
@@ -131,7 +132,6 @@ var (
 	NewRegistry  = obs.NewRegistry
 	NewQueryLog  = obs.NewQueryLog
 	NewTrace     = obs.NewTrace
-	WithTrace    = obs.WithTrace
 	AcquireTrace = obs.AcquireTrace
 	ReleaseTrace = obs.ReleaseTrace
 )
