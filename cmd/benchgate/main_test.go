@@ -21,7 +21,7 @@ var legs = map[string]float64{
 	"BenchmarkWALInsert/wal-obs":                   2_400,
 	"BenchmarkProcessingModel/batch-python":        6_000_000,
 	"BenchmarkProcessingModel/native-go":           800_000,
-	"BenchmarkCompress/planes":                     4_000_000,
+	"BenchmarkCompress/planes":                     2_000_000,
 	"BenchmarkCompress/plain-deflate":              22_000_000,
 }
 
@@ -123,7 +123,7 @@ func TestEachGateBites(t *testing.T) {
 		{"obs-aggregate", "BenchmarkFilterAggregate/vectorized-obs", "BenchmarkFilterAggregate/vectorized", "<=", 1.10},
 		{"obs-wal-insert", "BenchmarkWALInsert/wal-obs", "BenchmarkWALInsert/wal", "<=", 1.35},
 		{"python-vs-native", "BenchmarkProcessingModel/batch-python", "BenchmarkProcessingModel/native-go", "<=", 14.7},
-		{"compress-planes", "BenchmarkCompress/planes", "BenchmarkCompress/plain-deflate", "<=", 0.4},
+		{"compress-planes", "BenchmarkCompress/planes", "BenchmarkCompress/plain-deflate", "<=", 0.12},
 	}
 	if len(gates) != len(want) {
 		t.Fatalf("%d gates, want %d", len(gates), len(want))

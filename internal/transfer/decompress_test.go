@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -180,18 +181,34 @@ func FuzzUnpack(f *testing.F) {
 	for _, h := range parentPayloads {
 		f.Add(unhex(f, h))
 	}
-	for _, s := range shapes(f) {
-		if len(s.data) > 4<<10 {
-			s.data = s.data[:4<<10] // a fuzz seed is mutated whole: keep it small
-		}
+	addPacked := func(data []byte) {
 		for _, o := range fuzzOptions {
-			packed, err := Pack(s.data, "pw", o)
+			packed, err := Pack(data, "pw", o)
 			if err != nil {
 				f.Fatal(err)
 			}
 			f.Add(packed)
 		}
 	}
+	for _, s := range shapes(f) {
+		if len(s.data) > 4<<10 {
+			s.data = s.data[:4<<10] // a fuzz seed is mutated whole: keep it small
+		}
+		addPacked(s.data)
+	}
+	// 4 KiB of whole cells is still planed, with more than one encoder, so
+	// the fuzzer starts from a stream of several segments. The pickle of the
+	// integer column ends with its cells.
+	cells := shapeNamed(f, "integer-column")
+	cells = cells[len(cells)-(4<<10)/9*9:]
+	p, _, err := new(coders).planFor(cells)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if slices.Min(p) == slices.Max(p) {
+		f.Fatalf("4 KiB of the integer column planed with encoders %v, want at least two", p)
+	}
+	addPacked(cells)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := Unpack(data, "pw"); err != nil && core.KindOf(err) != core.KindProtocol {
 			t.Fatalf("Unpack refused with a %v error: %v", core.KindOf(err), err)

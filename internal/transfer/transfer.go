@@ -9,8 +9,16 @@
 // INTEGER or DOUBLE column is a run of 9-byte cells whose redundancy lies
 // between the same byte of neighbouring cells, so Compress lays the payload
 // out as nine runs of like bytes first. Nobody tells it the 9: the stride is
-// read off the data (detectStride) and written into the compressed form,
+// read off the data (likelyStride) and written into the compressed form,
 // along with the raw length Decompress holds the stream to.
+//
+// The planes are not alike, and neither is what codes them. The DEFLATE
+// stream is a run of segments, each written by the encoder a sample of its
+// planes picked (planFor): Huffman coding alone for a plane of spread-out
+// values, BestSpeed for a plane of one value or a few, the default level
+// where long matches pay. A segment begins on a byte boundary and refers to
+// nothing before it, so the segments read as one stream: the compressed form
+// is the one Decompress has always read.
 package transfer
 
 import (
@@ -18,6 +26,7 @@ import (
 	"compress/flate"
 	"crypto/aes"
 	"crypto/cipher"
+	crand "crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"io"
@@ -25,6 +34,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 )
@@ -107,33 +117,36 @@ const (
 	// 64 MiB frame cap is to a wire frame: fixed, and checked before anything
 	// is allocated.
 	maxRawLen = 1 << 30
-	// maxStride bounds the record widths detectStride tries.
+	// maxStride bounds the record widths likelyStride tries.
 	maxStride = 16
-	// strideSample is how much of a payload detectStride reads, in
-	// strideWindows pieces.
+	// strideSample is how much of a payload Compress's trials read, in
+	// sampleWindows pieces: the payload as it is, and each plane its share.
 	strideSample  = 8 << 10
-	strideWindows = 4
+	sampleWindows = 4
 	// deflateMaxRatio is the most DEFLATE can expand: a 258-byte match in
 	// two bits of a fixed-Huffman block.
 	deflateMaxRatio = 1032
 	// inflatePrealloc is the most Decompress allocates on a header's word;
 	// past it the buffer grows only as bytes really inflate.
 	inflatePrealloc = 4 << 20
+	// maxPooledBytes is the largest buffer a Compress hands on to the next.
+	maxPooledBytes = 16 << 20
 )
 
-// sampleOf draws strideWindows evenly spaced windows out of data, so a
-// payload of several columns is judged by more than its first.
-func sampleOf(data []byte) []byte {
-	if len(data) <= strideSample {
-		return data
+// sampleOf copies sampleWindows evenly spaced windows, size bytes in all, out
+// of data into dst, so a payload of several columns is judged by more than
+// its first. Data of at most size bytes is its own sample.
+func sampleOf(dst, data []byte, size int) []byte {
+	if len(data) <= size {
+		return append(dst[:0], data...)
 	}
-	const window = strideSample / strideWindows
-	sample := make([]byte, 0, strideSample)
-	for w := 0; w < strideWindows; w++ {
-		at := (len(data) - window) / (strideWindows - 1) * w
-		sample = append(sample, data[at:at+window]...)
+	window := size / sampleWindows
+	dst = dst[:0]
+	for w := 0; w < sampleWindows; w++ {
+		at := (len(data) - window) / (sampleWindows - 1) * w
+		dst = append(dst, data[at:at+window]...)
 	}
-	return sample
+	return dst
 }
 
 // likelyStride reads a record width off the sample: the distance in
@@ -159,36 +172,146 @@ func likelyStride(sample []byte) int {
 	return best
 }
 
-// detectStride is the stride Compress byte-planes data at: the sample's
-// likely record width if w really deflates the sample's planes to fewer bytes
-// than the sample as it is, and 1 otherwise. Equal bytes at a distance are
-// necessary, not sufficient — cells of decimal fractions repeat inside
-// themselves, and planes would cut that up.
-func detectStride(data []byte, w *flate.Writer) (int, error) {
-	sample := sampleOf(data)
-	stride := likelyStride(sample)
-	if stride == 1 {
-		return 1, nil
-	}
-	planes, err := deflatedLen(w, transpose(sample, stride))
-	if err != nil {
-		return 0, err
-	}
-	plain, err := deflatedLen(w, sample)
-	if err != nil || planes >= plain {
-		return 1, err
-	}
-	return stride, nil
+// An encoder is one way of writing a plane into the DEFLATE stream. They are
+// ordered from the cheapest to run to the most thorough.
+type encoder uint8
+
+const (
+	huffmanOnly  encoder = iota // entropy coding alone: bytes spread over many values
+	bestSpeed                   // one hash probe a position: a few values, in runs
+	defaultLevel                // hash chains and lazy matching: everything else
+	numEncoders
+)
+
+var encoderLevels = [numEncoders]int{flate.HuffmanOnly, flate.BestSpeed, flate.DefaultCompression}
+
+// withinMargin reports whether a trial of size bytes is close enough to the
+// smallest trial, best, that its encoder may stand in for the smallest's.
+// The 16 bytes absorb what an encoder spends once per stream whatever its
+// length, which weighs on a sample as on the whole plane: BestSpeed leaves
+// the last 15 bytes of a block as literals, ~10 bytes more than the default
+// level on a plane of one value.
+func withinMargin(size, best int) bool { return size <= best+best/100+16 }
+
+// plan is how Compress writes a payload: plan[p] writes byte plane p, so the
+// plan's length is the stride. A plan of one is the payload as it is.
+type plan []encoder
+
+// coders is what one Compress works with: a DEFLATE writer per encoder, made
+// on first use, and the buffers it transposes, samples and writes into. A
+// writer at the default level is ~700 KB of tables, so coders are pooled.
+type coders struct {
+	w      [numEncoders]*flate.Writer
+	planes []byte
+	sample []byte
+	count  countWriter
+	out    bytes.Buffer
 }
 
-// deflatedLen is how many bytes w makes of data.
-func deflatedLen(w *flate.Writer, data []byte) (int, error) {
-	var n countWriter
-	w.Reset(&n)
+var coderPool = sync.Pool{New: func() any { return new(coders) }}
+
+func (c *coders) writer(e encoder) *flate.Writer {
+	if c.w[e] == nil {
+		c.w[e], _ = flate.NewWriter(nil, encoderLevels[e]) // the levels are valid
+	}
+	return c.w[e]
+}
+
+// planFor reads how to write data off samples of it, and returns data laid
+// out as the plan's planes.
+//
+// The stride is the sample's likely record width. Each plane's encoder is
+// the cheapest whose trial on an evenly spaced sample of the plane itself
+// comes within a margin of the smallest trial: a sample of the payload at an
+// arbitrary offset would put byte p+1 of a cell in plane p. The planes are
+// kept only if their trials sum to fewer bytes than BestSpeed makes of the
+// payload's sample as it is. Equal bytes at a distance are necessary, not
+// sufficient: cells of decimal fractions repeat inside themselves, and planes
+// would cut that up. BestSpeed stands in for the default level there at a
+// sixth of the cost: it reads the column shapes' samples 0.5-10 % larger, and
+// every shape TestCompressShapes holds is decided as the default level
+// decides it. Otherwise, and at stride 1, the plan is one default-level
+// stream.
+func (c *coders) planFor(data []byte) (plan, []byte, error) {
+	asIs := plan{defaultLevel}
+	c.sample = sampleOf(c.sample, data, strideSample)
+	stride := likelyStride(c.sample)
+	if stride == 1 {
+		return asIs, data, nil
+	}
+	plain, err := c.deflatedLen(bestSpeed, c.sample)
+	if err != nil {
+		return nil, nil, err
+	}
+	c.planes = transpose(c.planes, data, stride)
+	p := make(plan, stride)
+	n, sum := len(data)/stride, 0
+	for i := range p {
+		c.sample = sampleOf(c.sample, c.planes[i*n:(i+1)*n], strideSample/stride)
+		var size [numEncoders]int
+		for e := range size {
+			if size[e], err = c.deflatedLen(encoder(e), c.sample); err != nil {
+				return nil, nil, err
+			}
+		}
+		best := slices.Min(size[:])
+		for !withinMargin(size[p[i]], best) {
+			p[i]++
+		}
+		sum += size[p[i]]
+	}
+	if sum >= plain {
+		return asIs, data, nil
+	}
+	return p, c.planes, nil
+}
+
+// deflatedLen is how many bytes encoder e makes of data.
+func (c *coders) deflatedLen(e encoder, data []byte) (int, error) {
+	c.count = 0
+	w := c.writer(e)
+	w.Reset(&c.count)
 	if _, err := w.Write(data); err != nil {
 		return 0, err
 	}
-	return int(n), w.Close()
+	return int(c.count), w.Close()
+}
+
+// write writes planes by p into c.out as one DEFLATE stream. Each run of
+// planes with one encoder is a segment: its writer starts afresh, so no
+// back-reference leaves the segment, and a sync flush ends it on a byte
+// boundary, where the next segment's blocks begin. A Huffman-only plane is a
+// segment of its own: its code table is all that models it, and two planes
+// under one table are coded by neither's distribution. The len%stride tail
+// rides with the last segment, which alone is closed.
+func (c *coders) write(planes []byte, p plan) error {
+	c.out.Reset()
+	n := len(planes) / len(p)
+	for from := 0; from < len(p); {
+		to, end := from+1, len(planes)
+		for to < len(p) && p[to] == p[from] && p[from] != huffmanOnly {
+			to++
+		}
+		if to < len(p) {
+			end = to * n
+		}
+		w := c.writer(p[from])
+		w.Reset(&c.out)
+		if _, err := w.Write(planes[from*n : end]); err != nil {
+			return err
+		}
+		var err error
+		if to < len(p) {
+			err = w.Flush()
+		} else {
+			err = w.Close()
+		}
+		if err != nil {
+			return err
+		}
+		from = to
+	}
+	return nil
 }
 
 type countWriter int
@@ -198,14 +321,11 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// transpose lays stride-byte records out as byte planes: plane p holds byte p
-// of every record, and the len%stride tail follows verbatim. Stride 1 is the
-// identity.
-func transpose(data []byte, stride int) []byte {
-	if stride == 1 {
-		return data
-	}
-	out := make([]byte, len(data))
+// transpose lays stride-byte records out as byte planes in dst's memory:
+// plane p holds byte p of every record, and the len%stride tail follows
+// verbatim.
+func transpose(dst, data []byte, stride int) []byte {
+	out := slices.Grow(dst[:0], len(data))[:len(data)]
 	n := len(data) / stride
 	for p := 0; p < stride; p++ {
 		plane := out[p*n : (p+1)*n]
@@ -234,9 +354,9 @@ func untranspose(planes []byte, stride int) []byte {
 	return out
 }
 
-// Compress byte-planes data at the stride it detects and DEFLATEs the planes
-// at the default level. The result describes itself: the stride (one byte),
-// the raw length (uvarint), the DEFLATE stream.
+// Compress byte-planes data at the stride it detects and DEFLATEs each plane
+// with the encoder its sample asks for. The result describes itself: the
+// stride (one byte), the raw length (uvarint), the DEFLATE stream.
 func Compress(data []byte) ([]byte, error) { return appendCompressed(nil, data) }
 
 // appendCompressed appends Compress(data) to dst.
@@ -244,25 +364,21 @@ func appendCompressed(dst, data []byte) ([]byte, error) {
 	if len(data) > maxRawLen {
 		return nil, core.Errorf(core.KindResource, "payload of %d bytes exceeds the %d-byte transfer limit", len(data), maxRawLen)
 	}
-	w, err := flate.NewWriter(nil, flate.DefaultCompression)
+	c := coderPool.Get().(*coders)
+	p, planes, err := c.planFor(data)
+	if err == nil {
+		err = c.write(planes, p)
+	}
 	if err != nil {
 		return nil, core.Wrapf(core.KindIO, err, "flate: %v", err)
 	}
-	stride, err := detectStride(data, w)
-	if err != nil {
-		return nil, core.Wrapf(core.KindIO, err, "flate: %v", err)
-	}
-	dst = append(dst, byte(stride))
+	dst = append(dst, byte(len(p)))
 	dst = binary.AppendUvarint(dst, uint64(len(data)))
-	buf := bytes.NewBuffer(dst)
-	w.Reset(buf)
-	if _, err := w.Write(transpose(data, stride)); err != nil {
-		return nil, core.Wrapf(core.KindIO, err, "flate: %v", err)
+	dst = append(dst, c.out.Bytes()...)
+	if cap(c.planes) <= maxPooledBytes && c.out.Cap() <= maxPooledBytes {
+		coderPool.Put(c)
 	}
-	if err := w.Close(); err != nil {
-		return nil, core.Wrapf(core.KindIO, err, "flate: %v", err)
-	}
-	return buf.Bytes(), nil
+	return dst, nil
 }
 
 // Decompress reverses Compress. What the header claims is checked against
@@ -345,25 +461,25 @@ func DeriveKey(password string) []byte {
 	return sum[:]
 }
 
-// Encrypt applies AES-CTR with a random IV prepended to the ciphertext. The
-// IV is drawn from the provided seed source so tests are reproducible; the
-// secrecy of CTR mode rests on the key and IV uniqueness per payload, which
-// a seeded sequence provides within a session.
+// Encrypt applies AES-CTR under a random IV, which it prepends to the
+// ciphertext. CTR's secrecy rests on never using a key with one IV twice, so
+// the IV comes from crypto/rand: no two payloads share a keystream, whatever
+// their lengths and whatever seed the caller passes. The seed is ignored; the
+// signature keeps it for existing callers.
 func Encrypt(password string, seed int64, plaintext []byte) ([]byte, error) {
-	return appendEncrypted(nil, password, seed, plaintext)
+	return appendEncrypted(nil, password, plaintext)
 }
 
-// appendEncrypted appends Encrypt(password, seed, plaintext) to dst.
-func appendEncrypted(dst []byte, password string, seed int64, plaintext []byte) ([]byte, error) {
+// appendEncrypted appends Encrypt's output for plaintext to dst.
+func appendEncrypted(dst []byte, password string, plaintext []byte) ([]byte, error) {
 	block, err := aes.NewCipher(DeriveKey(password))
 	if err != nil {
 		return nil, core.Wrapf(core.KindIO, err, "aes: %v", err)
 	}
-	rng := rand.New(rand.NewSource(seed ^ int64(len(plaintext))*0x9E3779B9))
 	out := slices.Grow(dst, aes.BlockSize+len(plaintext))[:len(dst)+aes.BlockSize+len(plaintext)]
 	iv := out[len(dst) : len(dst)+aes.BlockSize]
-	for i := range iv {
-		iv[i] = byte(rng.Intn(256))
+	if _, err := crand.Read(iv); err != nil {
+		return nil, core.Wrapf(core.KindIO, err, "iv: %v", err)
 	}
 	cipher.NewCTR(block, iv).XORKeyStream(out[len(dst)+aes.BlockSize:], plaintext)
 	return out, nil
@@ -407,11 +523,11 @@ func Pack(payload []byte, password string, o Options) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return appendEncrypted(hdr, password, o.Seed, comp)
+		return appendEncrypted(hdr, password, comp)
 	case o.Compress:
 		return appendCompressed(hdr, payload)
 	case o.Encrypt:
-		return appendEncrypted(hdr, password, o.Seed, payload)
+		return appendEncrypted(hdr, password, payload)
 	}
 	return append(hdr, payload...), nil
 }

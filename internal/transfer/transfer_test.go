@@ -233,3 +233,35 @@ func TestUnpackReadsParentPayloads(t *testing.T) {
 		}
 	}
 }
+
+// TestEncryptNeverReusesAnIV: two payloads of equal length under one password
+// — a re-extract after the data changed — must not share an IV. Under CTR a
+// shared IV is a shared keystream, and the XOR of the two ciphertexts is the
+// XOR of the two plaintexts.
+func TestEncryptNeverReusesAnIV(t *testing.T) {
+	a, b := []byte("column of the patients, take 1"), []byte("column of the patients, take 2")
+	for _, o := range []Options{{Encrypt: true}, {Encrypt: true, Seed: 7}, {Compress: true, Encrypt: true}} {
+		pa, err := Pack(a, "pw", o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := Pack(b, "pw", o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ivA, ivB := pa[2:2+16], pb[2:2+16]; bytes.Equal(ivA, ivB) {
+			t.Errorf("%+v: two %d-byte payloads were encrypted under the same IV %x", o, len(a), ivA)
+		}
+	}
+	ea, err := Encrypt("pw", 0, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb, err := Encrypt("pw", 0, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(ea, eb) {
+		t.Error("encrypting the same payload twice under seed 0 gave the same ciphertext")
+	}
+}
