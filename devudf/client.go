@@ -338,32 +338,14 @@ func (c *Client) ExportUDFs(ctx context.Context, names ...string) error {
 }
 
 // createFunctionSQL renders CREATE OR REPLACE FUNCTION through the SQL AST
-// printer so quoting and types stay correct.
+// from the definition the project metadata rebuilds, with body as its body.
 func createFunctionSQL(info UDFInfo, body string) (string, error) {
-	params, err := toSchema(info.Params)
+	def, err := info.funcDef()
 	if err != nil {
 		return "", err
 	}
-	returns, err := toSchema(info.Returns)
-	if err != nil {
-		return "", err
-	}
-	if len(returns) == 0 {
-		return "", core.Errorf(core.KindConstraint,
-			"UDF %s has no declared return type", info.Name)
-	}
-	lang := info.Language
-	if lang == "" {
-		lang = "PYTHON"
-	}
-	cf := &sqlparse.CreateFunction{
-		Name:      info.Name,
-		Params:    params,
-		Returns:   returns,
-		IsTable:   info.IsTable,
-		Language:  lang,
-		Body:      body,
-		OrReplace: true,
-	}
-	return sqlparse.Format(cf), nil
+	return sqlparse.Format(&sqlparse.CreateFunction{
+		Name: def.Name, Params: def.Params, Returns: def.Returns, IsTable: def.IsTable,
+		Language: def.Language, Body: body, OrReplace: true,
+	}), nil
 }

@@ -175,6 +175,56 @@ func TestRemoteDebugStopOnEntry(t *testing.T) {
 	}
 }
 
+// TestRemoteDebugPause: Pause, sent from one goroutine while another is
+// inside Continue, stops a spinning debuggee with a pause stop; Kill then
+// ends it. The debugger is attached once Start returns the entry stop, so
+// the pause is accepted whether it reaches the server before the continue
+// or after it.
+func TestRemoteDebugPause(t *testing.T) {
+	params, _ := startServer(t, `CREATE FUNCTION spin(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON {
+    s = 0
+    for k in range(0, 100000000):
+        s += k
+    return x
+};`)
+	settings := DefaultSettings()
+	settings.Connection = params
+	settings.DebugQuery = `SELECT spin(1)`
+	client, err := Open(ctx, settings, WithFS(core.NewMemFS(nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	sess, err := client.NewRemoteDebugSession(ctx, "spin", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if ev, err := sess.Start(); err != nil || ev.Reason != debug.ReasonEntry {
+		t.Fatalf("entry stop: %+v %v", ev, err)
+	}
+	type stop struct {
+		ev  debug.Event
+		err error
+	}
+	stopped := make(chan stop, 1)
+	go func() {
+		ev, err := sess.Continue()
+		stopped <- stop{ev, err}
+	}()
+	if err := sess.Pause(); err != nil {
+		t.Fatal(err)
+	}
+	st := <-stopped
+	if st.err != nil || st.ev.Terminal || st.ev.Reason != debug.ReasonPause || st.ev.FuncName != "spin" {
+		t.Fatalf("continue, then pause: %+v %v", st.ev, st.err)
+	}
+	ev, err := sess.Kill()
+	if err != nil || !ev.Terminal || ev.Err == nil || !strings.Contains(ev.Err.Error(), "killed") {
+		t.Fatalf("kill: %+v %v", ev, err)
+	}
+}
+
 // TestRemoteDebugNoDebugQuery verifies construction fails without the
 // settings' debug query.
 func TestRemoteDebugNoDebugQuery(t *testing.T) {

@@ -42,39 +42,45 @@ func (c *Client) ExtractInputs(ctx context.Context, udfName string) (*ExtractInf
 	if err != nil {
 		return nil, err
 	}
-	rewritten, err := transform.RewriteToExtract(c.Settings.DebugQuery, info.Name, c.Settings.Transfer)
-	if err != nil {
-		return nil, err
-	}
-	_, t, err := c.pool.Query(ctx, rewritten)
-	if err != nil {
-		return nil, err
-	}
-	if t == nil || t.NumRows() != 1 {
-		return nil, core.Errorf(core.KindProtocol, "extract query returned no payload row")
-	}
-	payloadCol, err := t.Column("payload")
-	if err != nil {
-		return nil, err
-	}
-	packed := payloadCol.Blobs[0]
-	_, params, total, sample, err := engine.DecodeExtractPayload(packed, c.Settings.Connection.Password)
+	t, params, err := c.extract(ctx, c.Settings.DebugQuery, info.Name)
 	if err != nil {
 		return nil, err
 	}
 	if err := pickle.DumpFile(c.Project.FS(), c.Project.InputPath(info.Name), params); err != nil {
 		return nil, err
 	}
-	compressed, _ := t.Column("compressed")
-	encrypted, _ := t.Column("encrypted")
+	col := func(name string) *storage.Column { v, _ := t.Column(name); return v }
 	return &ExtractInfo{
 		UDF:          info.Name,
-		TotalRows:    total,
-		SampleRows:   sample,
-		PayloadBytes: len(packed),
-		Compressed:   compressed.Bools[0],
-		Encrypted:    encrypted.Bools[0],
+		TotalRows:    col("total_rows").Ints[0],
+		SampleRows:   col("sample_rows").Ints[0],
+		PayloadBytes: len(col("payload").Blobs[0]),
+		Compressed:   col("compressed").Bools[0],
+		Encrypted:    col("encrypted").Bools[0],
 	}, nil
+}
+
+// extract runs sql rewritten so that the server extracts the inputs of
+// its call of udfName (§2.2), and returns the one-row answer and the
+// parameter dict its payload unpacks to.
+func (c *Client) extract(ctx context.Context, sql, udfName string) (*storage.Table, *script.DictVal, error) {
+	rewritten, err := transform.RewriteToExtract(sql, udfName, c.Settings.Transfer)
+	if err != nil {
+		return nil, nil, err
+	}
+	_, t, err := c.pool.Query(ctx, rewritten)
+	if err != nil {
+		return nil, nil, err
+	}
+	if t == nil || t.NumRows() != 1 {
+		return nil, nil, core.Errorf(core.KindProtocol, "extract query returned no payload row")
+	}
+	payload, err := t.Column("payload")
+	if err != nil {
+		return nil, nil, err
+	}
+	_, params, _, _, err := engine.DecodeExtractPayload(payload.Blobs[0], c.Settings.Connection.Password)
+	return t, params, err
 }
 
 // RunResult is the outcome of a local UDF run.
@@ -149,21 +155,11 @@ func (r *scriptRun) run() error {
 // one means PYTHON).
 func languageOf(info UDFInfo) string { return udfrt.Canonical(info.Language) }
 
-// runLocalNative executes a non-interpreted UDF on its extracted inputs:
-// rebuild the catalog definition from the project metadata, compile it
-// through the runtime registry (the implementation must be registered in
-// this process — see RegisterGoUDF), shape input.bin into a batch, call.
+// runLocalNative executes a non-interpreted UDF on its extracted inputs
+// the way the generated script calls a PYTHON one: compiled against the
+// locally registered implementation, called on input.bin's parameters.
 func (c *Client) runLocalNative(info UDFInfo, src string) (*RunResult, error) {
-	rt, err := udfrt.Lookup(info.Language)
-	if err != nil {
-		return nil, err
-	}
-	def, err := info.funcDef()
-	if err != nil {
-		return nil, err
-	}
-	def.Body = nativeSymbol(src)
-	call, err := rt.Compile(def)
+	def, call, err := compileNative(info, src)
 	if err != nil {
 		return nil, err
 	}
@@ -176,29 +172,33 @@ func (c *Client) runLocalNative(info UDFInfo, src string) (*RunResult, error) {
 	if !ok {
 		return nil, core.Errorf(core.KindProtocol, "input file for %s is not a parameter dict", info.Name)
 	}
-	cols := make([]*storage.Column, len(def.Params))
-	isCol := make([]bool, len(def.Params))
-	for i, p := range def.Params {
-		pv, ok := inputs.GetStr(p.Name)
-		if !ok {
-			return nil, core.Errorf(core.KindConstraint, "extracted inputs are missing parameter %q", p.Name)
-		}
-		col, err := pyrt.ValueToColumn(pv, p.Name, p.Type)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = col
-		switch pv.(type) {
-		case *script.ListVal, *script.TupleVal:
-			isCol[i] = true
-		}
+	in, err := pyrt.ParamsBatch(def.Params, inputs)
+	if err != nil {
+		return nil, err
 	}
-	env := &udfrt.Env{FS: c.Project.FS()}
-	out, err := call.Call(env, udfrt.NewBatch(cols, isCol))
+	out, err := call.Call(&udfrt.Env{FS: c.Project.FS()}, in)
 	if err != nil {
 		return nil, err
 	}
 	return &RunResult{Value: batchToValue(info, out)}, nil
+}
+
+// compileNative rebuilds a non-PYTHON UDF's catalog definition from the
+// project metadata and compiles it through the runtime registry against
+// the symbol its stub records. The implementation must be registered in
+// this process (see RegisterGoUDF).
+func compileNative(info UDFInfo, src string) (*storage.FuncDef, udfrt.Callable, error) {
+	rt, err := udfrt.Lookup(info.Language)
+	if err != nil {
+		return nil, nil, err
+	}
+	def, err := info.funcDef()
+	if err != nil {
+		return nil, nil, err
+	}
+	def.Body = nativeSymbol(src)
+	call, err := rt.Compile(def)
+	return def, call, err
 }
 
 // batchToValue shapes a native result batch the way the interpreter-based
@@ -259,19 +259,19 @@ type localExecutor struct {
 func (x localExecutor) Execute(sql string) (*storage.Table, error) {
 	names, err := transform.FindUDFCalls(sql, x.c.Project.Has)
 	if err == nil && len(names) > 0 {
-		return x.c.runNestedLocally(x.ctx, x.in, sql, names[0])
+		return x.runNested(sql, names[0])
 	}
 	_, t, err := x.c.pool.Query(x.ctx, sql)
 	return t, err
 }
 
-// runNestedLocally answers a loopback query that calls an imported UDF:
-// extract the nested UDF's inputs from the server, call the local
-// definition on in, and shape its output into the table the server's
-// answer would hold. transform.LocalCall refuses the queries whose answer
-// is not the UDF's output as it is.
-func (c *Client) runNestedLocally(ctx context.Context, in *script.Interp, sql, udfName string) (*storage.Table, error) {
-	info, src, err := c.Project.LoadUDF(udfName)
+// runNested answers a loopback query that calls an imported UDF: extract
+// the nested UDF's inputs from the server and call the local definition on
+// them under the server's calling rules (udfrt.Run), so its output is the
+// table the server's answer would hold. transform.LocalCall refuses the
+// queries whose answer is not the UDF's output as it is.
+func (x localExecutor) runNested(sql, udfName string) (*storage.Table, error) {
+	info, src, err := x.c.Project.LoadUDF(udfName)
 	if err != nil {
 		return nil, err
 	}
@@ -279,103 +279,75 @@ func (c *Client) runNestedLocally(ctx context.Context, in *script.Interp, sql, u
 	if err != nil {
 		return nil, err
 	}
-	def, err := info.funcDef()
+	def, call, err := x.callable(info, src)
 	if err != nil {
 		return nil, err
 	}
-	if column != "" && def.IsTable {
-		return nil, core.Errorf(core.KindType, "%s is a table function; use it in FROM", def.Name)
-	}
-	rewritten, err := transform.RewriteToExtract(sql, info.Name, c.Settings.Transfer)
+	_, params, err := x.c.extract(x.ctx, sql, info.Name)
 	if err != nil {
 		return nil, err
 	}
-	_, t, err := c.pool.Query(ctx, rewritten)
+	in, err := pyrt.ParamsBatch(def.Params, params)
 	if err != nil {
 		return nil, err
 	}
-	payloadCol, err := t.Column("payload")
-	if err != nil || t.NumRows() != 1 {
-		return nil, core.Errorf(core.KindProtocol, "nested extract returned no payload")
-	}
-	_, params, _, _, err := engine.DecodeExtractPayload(payloadCol.Blobs[0], c.Settings.Connection.Password)
+	cols, err := udfrt.Run(def, in, column == "", func(in *udfrt.Batch) (*udfrt.Batch, error) {
+		return call.Call(&udfrt.Env{FS: x.c.Project.FS()}, in)
+	})
 	if err != nil {
 		return nil, err
 	}
-	callArgs := make([]script.Value, len(info.Params))
-	for i, p := range info.Params {
-		v, ok := params.GetStr(p.Name)
-		if !ok {
-			return nil, core.Errorf(core.KindProtocol,
-				"nested extract is missing parameter %q", p.Name)
-		}
-		callArgs[i] = v
-	}
-	rows, columnar := inputRows(callArgs)
-	if column != "" && columnar && rows == 0 {
-		// The server calls no scalar UDF on no rows.
-		return &storage.Table{Cols: []*storage.Column{storage.NewColumn(column, def.Returns[0].Type)}}, nil
-	}
-	out, err := c.callLocal(ctx, in, info, src, callArgs)
-	if err != nil {
-		return nil, err
-	}
-	b, err := pyrt.Result(def, out)
-	if err != nil {
-		return nil, err
-	}
-	res := &storage.Table{Name: def.Name, Cols: b.Cols}
 	if column != "" {
-		col := b.Cols[0]
-		if rows > 0 && col.Len() != rows && col.Len() != 1 {
-			return nil, core.Errorf(core.KindConstraint,
-				"UDF returned %d rows for %d input rows", col.Len(), rows)
-		}
-		col.Name = column
+		cols[0].Name = column
 	}
-	if err := res.Broadcast(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return &storage.Table{Name: def.Name, Cols: cols}, nil
 }
 
-// inputRows is the row count the server gives a scalar UDF call on args,
-// and checks its result against: the longest list's length, else one row
-// of constants (none without arguments).
-func inputRows(args []script.Value) (rows int, columnar bool) {
-	for _, v := range args {
-		if l, ok := v.(*script.ListVal); ok {
-			rows, columnar = max(rows, l.Len()), true
-		}
+// callable is how a local run calls an imported UDF by its language: a
+// PYTHON one in the caller's interpreter, so that stepping into it keeps
+// working; any other through the runtime registry.
+func (x localExecutor) callable(info UDFInfo, src string) (*storage.FuncDef, udfrt.Callable, error) {
+	if languageOf(info) != pyrt.Name {
+		return compileNative(info, src)
 	}
-	if !columnar {
-		rows = min(len(args), 1)
-	}
-	return rows, columnar
+	def, err := info.funcDef()
+	return def, localPython{x, src, def}, err
 }
 
-// callLocal calls the project file's (possibly edited) definition of an
-// imported UDF on in, with _conn available to it.
-func (c *Client) callLocal(ctx context.Context, in *script.Interp, info UDFInfo, src string, args []script.Value) (script.Value, error) {
-	body, err := transform.ExtractBody(src, info.Name)
+// localPython calls the project file's (possibly edited) definition of an
+// imported PYTHON UDF in its caller's interpreter, with _conn available to
+// it.
+type localPython struct {
+	x   localExecutor
+	src string
+	def *storage.FuncDef
+}
+
+func (p localPython) Call(_ *udfrt.Env, in *udfrt.Batch) (*udfrt.Batch, error) {
+	name := p.def.Name
+	body, err := transform.ExtractBody(p.src, name)
 	if err != nil {
 		return nil, err
 	}
-	mod, err := script.Parse(info.Name, transform.WrapFunction(info.Name, info.ParamNames(), body))
+	mod, err := script.Parse(name, transform.WrapFunction(name, p.def.Params.Names(), body))
 	if err != nil {
 		return nil, err
 	}
-	env, err := in.Run(mod)
+	env, err := p.x.in.Run(mod)
 	if err != nil {
 		return nil, err
 	}
-	fn, ok := env.Get(info.Name)
+	fn, ok := env.Get(name)
 	if !ok {
-		return nil, core.Errorf(core.KindRuntime, "nested UDF %s did not define itself", info.Name)
+		return nil, core.Errorf(core.KindRuntime, "nested UDF %s did not define itself", name)
 	}
 	// nested UDFs may themselves use _conn
-	env.Set("_conn", c.localConn(ctx, in))
-	return in.Call(fn, args)
+	env.Set("_conn", p.x.c.localConn(p.x.ctx, p.x.in))
+	out, err := p.x.in.Call(fn, pyrt.Args(in))
+	if err != nil {
+		return nil, err
+	}
+	return pyrt.Result(p.def, out)
 }
 
 // TraditionalCycle executes one iteration of the paper's *traditional*

@@ -70,18 +70,6 @@ type DB struct {
 	// (0 = vec.DefaultMorselSize). Inputs smaller than one morsel always
 	// run inline.
 	MorselSize int
-	// PlanCacheSize bounds the plan cache (0 or less applies the 256
-	// default). The cache is keyed by a statement's shape: its text as
-	// written with each literal replaced by a slot of the literal's kind
-	// (INTEGER, DOUBLE, STRING), less surrounding whitespace and trailing
-	// ';'. Texts that differ only in literal values — prepared or not —
-	// share one parsed plan, their literals bound to its slots. Literals
-	// the engine reads as syntax stay in the plan and must repeat for a text
-	// to use it: ORDER BY positions, LIMIT, COPY paths and the first two
-	// arguments of sys_extract. NULL, TRUE and FALSE are keywords, so they
-	// are part of the shape. A plan is the parsed statement, and parsing
-	// reads no catalog, so catalog changes leave the cache as it is.
-	PlanCacheSize int
 	// MaxResultRows bounds the rows a single SELECT may materialize
 	// (0 = unlimited). Oversize results abort with a typed KindResource
 	// error instead of shipping; queries that want big scans add a LIMIT.
@@ -98,7 +86,9 @@ type DB struct {
 	// any embedder) records entries; the engine only reads it.
 	QueryLog *obs.QueryLog
 
-	compiled map[string]*compiledUDF
+	// compiled caches each catalog function's callable; apply drops an
+	// entry when its definition is replaced or dropped. Guarded by mu.
+	compiled map[*storage.FuncDef]udfrt.Callable
 
 	// Durability hooks installed by SetPersistence (see persist.go):
 	// onCommit is offered every committed Change under mu; checkpoint backs
@@ -122,7 +112,7 @@ func NewDB() *DB {
 	return &DB{
 		cat:      storage.NewCatalog(),
 		FS:       core.OSFS{},
-		compiled: map[string]*compiledUDF{},
+		compiled: map[*storage.FuncDef]udfrt.Callable{},
 	}
 }
 
@@ -209,7 +199,7 @@ func (c *Conn) ExecContext(ctx context.Context, sql string) (*Result, error) {
 // options a context does not carry (ExecOpts). Embedded callers normally
 // use ExecContext. The text runs as a prepared statement would: resolved to
 // a plan through the plan cache without the database lock (see
-// DB.PlanCacheSize), its literals bound, and executed by Stmt.ExecBound.
+// planCacheSize), its literals bound, and executed by Stmt.ExecBound.
 func (c *Conn) ExecWith(o ExecOpts, sql string) (*Result, error) {
 	var s Stmt
 	if err := c.adhoc(&s, sql, o.Trace); err != nil {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
 	"repro/internal/transfer"
+	"repro/internal/udfrt"
 	"repro/internal/udfrt/pyrt"
 )
 
@@ -47,41 +48,34 @@ func (f *frame) evalExtract(call *sqlparse.FuncCall) (*storage.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx := newCtx(nil, nil)
-	argCols, isColumn, err := f.udfArgColumns(ctx, call.Args[2:])
+	argCols, isColumn, err := f.udfArgColumns(newCtx(nil, nil), call.Args[2:])
 	if err != nil {
 		return nil, err
 	}
-	if len(argCols) != len(def.Params) {
-		return nil, core.Errorf(core.KindConstraint,
-			"%s expects %d argument(s), got %d", def.Name, len(def.Params), len(argCols))
+	if err := udfrt.CheckCall(def, len(argCols), true); err != nil {
+		return nil, err
 	}
-
-	totalRows := maxColLen(argCols)
-	sampleRows := totalRows
+	in := udfrt.NewBatch(argCols, isColumn)
+	totalRows := in.Rows
 	if opts.SampleSize > 0 && opts.SampleSize < totalRows {
 		idx := transfer.SampleIndexes(totalRows, opts.SampleSize, opts.Seed)
-		for i, col := range argCols {
+		for i, col := range in.Cols {
 			if col.Len() == totalRows {
 				g := col.Gather(idx)
 				g.Name = col.Name
-				argCols[i] = g
+				in.Cols[i] = g
 			}
 		}
-		sampleRows = len(idx)
+		in.Rows = len(idx)
 	}
 
 	// Package the inputs as the pickled dict the generated local script
 	// loads: {param_name: column values} plus self-describing metadata.
-	params := script.NewDict()
-	for i, p := range def.Params {
-		params.SetStr(p.Name, pyrt.ColumnToValue(argCols[i], isColumn[i]))
-	}
 	envelope := script.NewDict()
 	envelope.SetStr("udf", script.StrVal(def.Name))
-	envelope.SetStr("params", params)
+	envelope.SetStr("params", pyrt.Params(def.Params, in))
 	envelope.SetStr("total_rows", script.IntVal(int64(totalRows)))
-	envelope.SetStr("sample_rows", script.IntVal(int64(sampleRows)))
+	envelope.SetStr("sample_rows", script.IntVal(int64(in.Rows)))
 	payload, err := script.Marshal(envelope)
 	if err != nil {
 		return nil, err
@@ -94,7 +88,7 @@ func (f *frame) evalExtract(call *sqlparse.FuncCall) (*storage.Table, error) {
 	t := storage.NewTable("extract", extractSchema)
 	err = t.AppendRow([]any{
 		def.Name, packed, opts.Compress, opts.Encrypt,
-		int64(totalRows), int64(sampleRows),
+		int64(totalRows), int64(in.Rows),
 	})
 	if err != nil {
 		return nil, err

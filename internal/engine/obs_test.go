@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -87,16 +88,16 @@ func TestEngineMetrics(t *testing.T) {
 // setup statements' plans are cached too, and go first.
 func TestPlanCacheEvictionCounter(t *testing.T) {
 	c := prepTestDB(t)
-	c.DB.PlanCacheSize = 4
 	base := c.DB.PlanCacheStatsSnapshot()
-	for i := 0; i < 10; i++ {
-		if _, err := c.Exec(strings.Replace(`SELECT 1 AS vN`, "N", string(rune('0'+i)), 1)); err != nil {
+	n := planCacheSize + 10
+	for i := 0; i < n; i++ {
+		if _, err := c.Exec(fmt.Sprintf(`SELECT 1 AS v%d`, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := c.DB.PlanCacheStatsSnapshot()
-	if got, want := st.Evictions-base.Evictions, uint64(base.Entries)+10-4; got != want {
-		t.Errorf("evictions = %d, want %d (%d cached + 10 plans through a 4-entry cache)", got, want, base.Entries)
+	if got, want := st.Evictions-base.Evictions, uint64(base.Entries+n-planCacheSize); got != want {
+		t.Errorf("evictions = %d, want %d (%d cached + %d plans through a %d-entry cache)", got, want, base.Entries, n, planCacheSize)
 	}
 }
 

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"strings"
-
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/storage"
@@ -179,7 +177,7 @@ func (db *DB) apply(ch Change) (undo func(), err error) {
 		if err := cat.InstallFunction(ch.Func, ch.Replace || ch.Kind == ChangeRegisterGoUDF); err != nil {
 			return nil, err
 		}
-		delete(db.compiled, strings.ToLower(name))
+		delete(db.compiled, prior)
 		return func() {
 			if prior != nil {
 				_ = cat.InstallFunction(prior, true)
@@ -193,7 +191,7 @@ func (db *DB) apply(ch Change) (undo func(), err error) {
 			return nil, err
 		}
 		_ = cat.DropFunction(ch.Name)
-		delete(db.compiled, strings.ToLower(ch.Name))
+		delete(db.compiled, old)
 		return func() { _ = cat.InstallFunction(old, false) }, nil
 	default:
 		return nil, core.Errorf(core.KindProtocol, "unknown change kind %d in log", ch.Kind)

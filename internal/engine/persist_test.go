@@ -152,6 +152,28 @@ func TestHookVetoRollsBackFunctionDDL(t *testing.T) {
 	}
 }
 
+// TestCompiledCallableFollowsTheCatalogEntry: the compiled-callable cache
+// holds one entry for a function however often it is replaced, and none
+// once it is dropped; each replacement computes with its own body.
+func TestCompiledCallableFollowsTheCatalogEntry(t *testing.T) {
+	c := newTestConn()
+	for k := 1; k <= 3; k++ {
+		mustExec(t, c, fmt.Sprintf(`CREATE OR REPLACE FUNCTION f(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON {
+    return x * %d
+}`, k))
+		if got := mustExec(t, c, `SELECT f(7) AS v`).Table.Cols[0].Ints[0]; got != int64(7*k) {
+			t.Fatalf("after replacement %d, f(7) = %d", k, got)
+		}
+		if n := len(c.DB.compiled); n != 1 {
+			t.Fatalf("after replacement %d the cache holds %d callables", k, n)
+		}
+	}
+	mustExec(t, c, `DROP FUNCTION f`)
+	if n := len(c.DB.compiled); n != 0 {
+		t.Fatalf("after DROP the cache holds %d callables", n)
+	}
+}
+
 // TestRefusedCommitLeavesStateAsItWas runs every entry that changes the
 // catalog or table data against a refusing hook: each must fail with a
 // KindIO error and leave the tables, their rows, the function definitions

@@ -14,9 +14,18 @@ import (
 	"repro/internal/storage"
 )
 
-// defaultPlanCacheSize bounds the DB plan cache when DB.PlanCacheSize is
-// not positive.
-const defaultPlanCacheSize = 256
+// planCacheSize bounds the DB plan cache. The cache is keyed by a
+// statement's shape: its text as written with each literal replaced by a
+// slot of the literal's kind (INTEGER, DOUBLE, STRING), less surrounding
+// whitespace and trailing ';'. Texts that differ only in literal values —
+// prepared or not — share one parsed plan, their literals bound to its
+// slots. Literals the engine reads as syntax stay in the plan and must
+// repeat for a text to use it: ORDER BY positions, LIMIT, COPY paths and
+// the first two arguments of sys_extract. NULL, TRUE and FALSE are
+// keywords, so they are part of the shape. A plan is the parsed statement,
+// and parsing reads no catalog, so catalog changes leave the cache as it
+// is.
+const planCacheSize = 256
 
 // plan is one plan-cache entry: a statement parsed from shaped text, its
 // value literals turned into bind slots numbered after its own placeholders.
@@ -98,7 +107,7 @@ func (c *Conn) resolve(s *Stmt, sql string, tr *obs.Trace) error {
 	p.nparams = sqlparse.NumParams(st) - p.nbound
 	s.plan = p
 	s.lits, _ = p.bind(sh) // the parse succeeded, so every literal converts
-	pc.store(p, c.DB.PlanCacheSize)
+	pc.store(p)
 	return nil
 }
 
@@ -156,10 +165,7 @@ func (pc *planCache) lookup(sh *sqlparse.Shape) *plan {
 
 // store caches p, in place of a plan of its shape with other pinned
 // literals, evicting least recently used plans down to the bound.
-func (pc *planCache) store(p *plan, size int) {
-	if size <= 0 {
-		size = defaultPlanCacheSize
-	}
+func (pc *planCache) store(p *plan) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if pc.byShape == nil {
@@ -168,7 +174,7 @@ func (pc *planCache) store(p *plan, size int) {
 	if old := pc.byShape[p.key]; old != nil {
 		pc.lru.Remove(old.elem)
 	}
-	for pc.lru.Len() >= size {
+	for pc.lru.Len() >= planCacheSize {
 		delete(pc.byShape, pc.lru.Remove(pc.lru.Back()).(*plan).key)
 		pc.evictions.Add(1)
 	}

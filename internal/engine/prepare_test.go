@@ -322,22 +322,22 @@ func TestCachedPlanSurvivesDDL(t *testing.T) {
 }
 
 // TestPlanCacheBound pins the LRU bound: the cache never exceeds
-// PlanCacheSize entries and evicts the least recently used shape (the
+// planCacheSize entries and evicts the least recently used shape (the
 // aliases differ, so each text is a shape of its own).
 func TestPlanCacheBound(t *testing.T) {
 	c := prepTestDB(t)
-	c.DB.PlanCacheSize = 4
-	for i := 0; i < 20; i++ {
+	n := planCacheSize + 16
+	for i := 0; i < n; i++ {
 		if _, err := c.Exec(fmt.Sprintf(`SELECT %d AS v%d`, i, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := c.DB.PlanCacheStatsSnapshot(); st.Entries > 4 {
+	if st := c.DB.PlanCacheStatsSnapshot(); st.Entries > planCacheSize {
 		t.Fatalf("cache grew past its bound: %d entries", st.Entries)
 	}
 	// the most recent shape must still hit
 	before := c.DB.PlanCacheStatsSnapshot()
-	if _, err := c.Exec(`SELECT 7 AS v19`); err != nil {
+	if _, err := c.Exec(fmt.Sprintf(`SELECT 7 AS v%d`, n-1)); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.DB.PlanCacheStatsSnapshot(); st.Hits != before.Hits+1 {

@@ -171,11 +171,16 @@ func TestNegativeLiteralKeepsTheFusedFilter(t *testing.T) {
 
 // TestPlanCacheUnderConcurrentUse: connections shape, look up, store and
 // evict plans while catalog changes run beside them, all outside db.mu; run
-// under -race, this is what guards the cache's own mutex. Every answer must
-// still be the one its own literals ask for.
+// under -race, this is what guards the cache's own mutex. The cache starts
+// full, so every new shape evicts one. Every answer must still be the one
+// its own literals ask for.
 func TestPlanCacheUnderConcurrentUse(t *testing.T) {
 	c := prepTestDB(t)
-	c.DB.PlanCacheSize = 3
+	for i := 0; i < planCacheSize; i++ {
+		if _, err := c.Exec(fmt.Sprintf(`SELECT 1 AS fill%d`, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	done := make(chan error, 5)
 	for g := 0; g < 4; g++ {
 		go func(g int) {

@@ -1,64 +1,29 @@
 package engine
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"io"
 	"sync/atomic"
 
-	"strings"
-
-	"repro/internal/core"
 	"repro/internal/storage"
 	"repro/internal/udfrt"
 )
 
-// compiledUDF caches a runtime-compiled callable, keyed by a hash of the
-// definition so CREATE OR REPLACE invalidates naturally.
-type compiledUDF struct {
-	hash string
-	call udfrt.Callable
-}
-
-// defHash fingerprints everything a runtime compiles against.
-func defHash(def *storage.FuncDef) string {
-	h := sha256.New()
-	for _, part := range []string{def.Name, def.Language, def.Body} {
-		io.WriteString(h, part)
-		h.Write([]byte{0})
-	}
-	for _, s := range []storage.Schema{def.Params, def.Returns} {
-		for _, c := range s {
-			io.WriteString(h, c.Name)
-			io.WriteString(h, c.Type.String())
-			h.Write([]byte{0})
-		}
-	}
-	if def.IsTable {
-		h.Write([]byte{1})
-	}
-	sum := h.Sum(nil)
-	return hex.EncodeToString(sum[:8])
-}
-
-// callableFor resolves the runtime serving a definition's LANGUAGE and
-// returns its compiled callable, from the per-DB cache when the definition
-// is unchanged.
+// callableFor returns the compiled callable of a catalog definition,
+// compiling it through the runtime serving its LANGUAGE on first use. The
+// cache is keyed by the catalog's entry: apply drops it whenever a
+// statement or WAL replay replaces or drops that entry.
 func (f *frame) callableFor(def *storage.FuncDef) (udfrt.Callable, error) {
+	if call, ok := f.DB.compiled[def]; ok {
+		return call, nil
+	}
 	rt, err := udfrt.Lookup(def.Language)
 	if err != nil {
 		return nil, err
-	}
-	h := defHash(def)
-	key := strings.ToLower(def.Name)
-	if cu, ok := f.DB.compiled[key]; ok && cu.hash == h {
-		return cu.call, nil
 	}
 	call, err := rt.Compile(def)
 	if err != nil {
 		return nil, err
 	}
-	f.DB.compiled[key] = &compiledUDF{hash: h, call: call}
+	f.DB.compiled[def] = call
 	return call, nil
 }
 
@@ -90,43 +55,24 @@ func (f *frame) callScalarUDF(name string, argCols []*storage.Column, isColumn [
 	if err != nil {
 		return nil, err
 	}
-	if def.IsTable {
-		return nil, core.Errorf(core.KindType,
-			"%s is a table function; use it in FROM", def.Name)
-	}
-	if len(argCols) != len(def.Params) {
-		return nil, core.Errorf(core.KindConstraint,
-			"%s expects %d argument(s), got %d", def.Name, len(def.Params), len(argCols))
-	}
-	in := udfrt.NewBatch(argCols, isColumn)
-	// The logical row count comes from the columnar arguments — a length-1
-	// constant must not mask an empty input column. An operator with no
-	// input tuples is never invoked: a scalar UDF over an empty column
-	// yields an empty column, not a broadcast 1-row result.
-	if n, ok := columnarRows(argCols, isColumn); ok {
-		if n == 0 {
-			return storage.NewColumn(def.Returns[0].Name, def.Returns[0].Type), nil
+	cols, err := udfrt.Run(def, udfrt.NewBatch(argCols, isColumn), false, func(in *udfrt.Batch) (*udfrt.Batch, error) {
+		call, err := f.callableFor(def)
+		if err != nil {
+			return nil, err
 		}
-		in.Rows = n
-	}
-	call, err := f.callableFor(def)
+		env := f.udfEnv()
+		if f.DB.Mode == ModeTupleAtATime {
+			return f.callScalarUDFTuple(def, call, env, in)
+		}
+		if out, ok, err := f.callScalarUDFMorsels(def, call, env, in); err != nil || ok {
+			return out, err
+		}
+		return f.instrumentedCall(def, call, env, in)
+	})
 	if err != nil {
 		return nil, err
 	}
-	env := f.udfEnv()
-	if f.DB.Mode == ModeTupleAtATime {
-		return f.callScalarUDFTuple(def, call, env, in)
-	}
-	if col, ok, err := f.callScalarUDFMorsels(def, call, env, in); err != nil {
-		return nil, err
-	} else if ok {
-		return col, nil
-	}
-	out, err := f.instrumentedCall(def, call, env, in)
-	if err != nil {
-		return nil, err
-	}
-	return scalarResult(def, out, in.Rows)
+	return cols[0], nil
 }
 
 // callScalarUDFMorsels runs a parallel-safe scalar UDF batch split into
@@ -136,7 +82,7 @@ func (f *frame) callScalarUDF(name string, argCols []*storage.Column, isColumn [
 // batch is too small to win, or a morsel returned a broadcast
 // (aggregate-style) result that must be computed over the whole batch.
 func (f *frame) callScalarUDFMorsels(def *storage.FuncDef, call udfrt.Callable,
-	env *udfrt.Env, in *udfrt.Batch) (*storage.Column, bool, error) {
+	env *udfrt.Env, in *udfrt.Batch) (*udfrt.Batch, bool, error) {
 	ps, ok := call.(udfrt.ParallelSafe)
 	if !ok || !ps.ParallelSafe() {
 		return nil, false, nil
@@ -171,16 +117,16 @@ func (f *frame) callScalarUDFMorsels(def *storage.FuncDef, call udfrt.Callable,
 			errs[m] = err
 			return
 		}
-		col, err := scalarResult(def, ob, b.Rows)
+		cols, err := udfrt.Shape(def, ob, b.Rows, false)
 		if err != nil {
 			errs[m] = err
 			return
 		}
-		if col.Len() != b.Rows {
+		if col := cols[0]; col.Len() != b.Rows {
 			broadcast.Store(true)
 			return
 		}
-		outs[m] = col
+		outs[m] = cols[0]
 	})
 	// UDF errors are user-authored and row-dependent, so unlike the
 	// engine kernels every morsel runs to completion and the earliest
@@ -205,49 +151,19 @@ func (f *frame) callScalarUDFMorsels(def *storage.FuncDef, call udfrt.Callable,
 			return nil, false, err
 		}
 	}
-	return out, true, nil
+	return columnBatch(out), true, nil
 }
 
-// columnarRows reports the longest columnar argument's length and whether
-// any argument is columnar at all.
-func columnarRows(argCols []*storage.Column, isColumn []bool) (int, bool) {
-	n, has := 0, false
-	for i, col := range argCols {
-		if i < len(isColumn) && isColumn[i] {
-			has = true
-			if col.Len() > n {
-				n = col.Len()
-			}
-		}
-	}
-	return n, has
-}
-
-// scalarResult validates a scalar call's result batch: one column with
-// either rows values or a single (aggregate-style) value.
-func scalarResult(def *storage.FuncDef, out *udfrt.Batch, rows int) (*storage.Column, error) {
-	if out == nil || len(out.Cols) != 1 {
-		n := 0
-		if out != nil {
-			n = len(out.Cols)
-		}
-		return nil, core.Errorf(core.KindConstraint,
-			"UDF %s returned %d columns, declared 1", def.Name, n)
-	}
-	col := out.Cols[0]
-	if rows > 0 && col.Len() != rows && col.Len() != 1 {
-		return nil, core.Errorf(core.KindConstraint,
-			"UDF returned %d rows for %d input rows", col.Len(), rows)
-	}
-	col.Name = def.Returns[0].Name
-	return col, nil
+// columnBatch is the result batch holding one column.
+func columnBatch(col *storage.Column) *udfrt.Batch {
+	return &udfrt.Batch{Cols: []*storage.Column{col}, Rows: col.Len()}
 }
 
 // callScalarUDFTuple is the §2.4 tuple-at-a-time model: one runtime call
 // per input row, scalar in, scalar out. The shared Env lets
 // interpreter-based runtimes reuse one prepared instance across the loop.
 func (f *frame) callScalarUDFTuple(def *storage.FuncDef, call udfrt.Callable,
-	env *udfrt.Env, in *udfrt.Batch) (*storage.Column, error) {
+	env *udfrt.Env, in *udfrt.Batch) (*udfrt.Batch, error) {
 	out := storage.NewColumn(def.Returns[0].Name, def.Returns[0].Type)
 	for r := 0; r < in.Rows; r++ {
 		if err := f.interruptErr(); err != nil {
@@ -257,64 +173,32 @@ func (f *frame) callScalarUDFTuple(def *storage.FuncDef, call udfrt.Callable,
 		if err != nil {
 			return nil, err
 		}
-		col, err := scalarResult(def, ob, 1)
+		cols, err := udfrt.Shape(def, ob, 1, false)
 		if err != nil {
 			return nil, err
 		}
-		if err := out.AppendCell(col, 0); err != nil {
+		if err := out.AppendCell(cols[0], 0); err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return columnBatch(out), nil
 }
 
 // callTableUDF executes a RETURNS TABLE(...) UDF (or a scalar UDF used in
 // FROM) through its runtime; length-1 result columns broadcast to the
 // longest one.
 func (f *frame) callTableUDF(def *storage.FuncDef, argCols []*storage.Column, isColumn []bool) (*storage.Table, error) {
-	if len(argCols) != len(def.Params) {
-		return nil, core.Errorf(core.KindConstraint,
-			"%s expects %d argument(s), got %d", def.Name, len(def.Params), len(argCols))
-	}
-	call, err := f.callableFor(def)
+	cols, err := udfrt.Run(def, udfrt.NewBatch(argCols, isColumn), true, func(in *udfrt.Batch) (*udfrt.Batch, error) {
+		call, err := f.callableFor(def)
+		if err != nil {
+			return nil, err
+		}
+		return f.instrumentedCall(def, call, f.udfEnv(), in)
+	})
 	if err != nil {
 		return nil, err
 	}
-	in := udfrt.NewBatch(argCols, isColumn)
-	if n, ok := columnarRows(argCols, isColumn); ok && n > 0 {
-		in.Rows = n
-	}
-	out, err := f.instrumentedCall(def, call, f.udfEnv(), in)
-	if err != nil {
-		return nil, err
-	}
-	want := len(def.Returns)
-	if !def.IsTable {
-		want = 1 // scalar function used in FROM: one column, as a table
-	}
-	if out == nil || len(out.Cols) != want {
-		n := 0
-		if out != nil {
-			n = len(out.Cols)
-		}
-		return nil, core.Errorf(core.KindConstraint,
-			"UDF %s returned %d columns, declared %d", def.Name, n, want)
-	}
-	t := &storage.Table{Name: def.Name, Cols: out.Cols}
-	if err := t.Broadcast(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-func maxColLen(cols []*storage.Column) int {
-	n := 0
-	for _, c := range cols {
-		if c.Len() > n {
-			n = c.Len()
-		}
-	}
-	return n
+	return &storage.Table{Name: def.Name, Cols: cols}, nil
 }
 
 // Execute runs a UDF's loopback query (_conn.execute, paper §2.3) under

@@ -4,6 +4,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/script"
 	"repro/internal/storage"
+	"repro/internal/udfrt"
 )
 
 // ColumnToValue converts a column to the UDF-facing representation per
@@ -32,6 +33,84 @@ func ColumnToValue(col *storage.Column, isColumn bool) script.Value {
 	return script.NewList(items...)
 }
 
+// Args converts a batch's columns to the values a UDF is called with.
+func Args(in *udfrt.Batch) []script.Value {
+	args := make([]script.Value, len(in.Cols))
+	for i, col := range in.Cols {
+		args[i] = ColumnToValue(col, in.Columnar(i))
+	}
+	return args
+}
+
+// Params is the {param: value} dict of in's arguments as the UDF receives
+// them. The extract payload that devUDF stores as input.bin pickles it;
+// ParamsBatch is its inverse.
+func Params(params storage.Schema, in *udfrt.Batch) *script.DictVal {
+	d := script.NewDict()
+	for i, p := range params {
+		d.SetStr(p.Name, ColumnToValue(in.Cols[i], in.Columnar(i)))
+	}
+	return d
+}
+
+// ParamsBatch rebuilds the input batch from a parameter dict. Each column
+// has the type of the argument it came from, which the engine passes
+// uncast, so not always the parameter's.
+func ParamsBatch(params storage.Schema, d *script.DictVal) (*udfrt.Batch, error) {
+	cols := make([]*storage.Column, len(params))
+	isColumn := make([]bool, len(params))
+	for i, p := range params {
+		v, ok := d.GetStr(p.Name)
+		if !ok {
+			return nil, core.Errorf(core.KindConstraint, "the inputs are missing parameter %q", p.Name)
+		}
+		col, columnar, err := paramColumn(v, p)
+		if err != nil {
+			return nil, err
+		}
+		cols[i], isColumn[i] = col, columnar
+	}
+	return udfrt.NewBatch(cols, isColumn), nil
+}
+
+// paramColumn converts a parameter value back to its column and reports
+// whether it is columnar (a list or tuple). A list of unboxed numbers wraps
+// its own vector; any other value takes its first non-NULL cell's type.
+func paramColumn(v script.Value, p storage.ColumnDef) (*storage.Column, bool, error) {
+	cells, columnar := []script.Value{v}, true
+	switch l := v.(type) {
+	case *script.ListVal:
+		if ints, flts, nulls := l.Numbers(); ints != nil || flts != nil {
+			col := storage.NewColumn(p.Name, storage.TFloat)
+			if ints != nil {
+				col.Typ = storage.TInt
+			}
+			col.Ints, col.Flts, col.Nulls = ints, flts, nulls
+			return col, true, nil
+		}
+		cells = l.Boxed()
+	case *script.TupleVal:
+		cells = l.Items
+	default:
+		columnar = false
+	}
+	typ := p.Type
+	for _, c := range cells {
+		if t, ok := cellTypes[c.TypeName()]; ok {
+			typ = t
+			break
+		}
+	}
+	col, err := ValueToColumn(v, p.Name, typ)
+	return col, columnar, err
+}
+
+// cellTypes maps the script type of a non-NULL cell to its column type.
+var cellTypes = map[string]storage.Type{
+	"int": storage.TInt, "float": storage.TFloat, "str": storage.TStr,
+	"bool": storage.TBool, "bytes": storage.TBlob,
+}
+
 // CellToValue converts row i of a column to a script value (NULL → None).
 func CellToValue(col *storage.Column, i int) script.Value {
 	if col.IsNull(i) {
@@ -57,7 +136,7 @@ func CellToValue(col *storage.Column, i int) script.Value {
 // becomes the column's rows, anything else a single row. A list the UDF
 // built from numbers and a range are taken as the vector they already are.
 // Cardinality validation (a scalar UDF over n rows must return n or 1
-// values) is the engine's job, not the conversion's.
+// values) is udfrt.Shape's job, not the conversion's.
 func ValueToColumn(v script.Value, name string, typ storage.Type) (*storage.Column, error) {
 	col := storage.NewColumn(name, typ)
 	if r, ok := v.(script.RangeVal); ok {

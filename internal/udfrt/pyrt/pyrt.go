@@ -105,11 +105,7 @@ func (c *callable) Call(env *udfrt.Env, in *udfrt.Batch) (*udfrt.Batch, error) {
 	// every call because the memoized instance outlives a tuple-at-a-time
 	// row loop while the wall budget is per invocation.
 	inst.in.Interrupt = env.InterruptFor(c.def.Name, time.Now())
-	args := make([]script.Value, len(in.Cols))
-	for i, col := range in.Cols {
-		args[i] = ColumnToValue(col, in.Columnar(i))
-	}
-	call := func() (script.Value, error) { return inst.in.Call(inst.fn, args) }
+	call := func() (script.Value, error) { return inst.in.Call(inst.fn, Args(in)) }
 	var out script.Value
 	if env.Invoke != nil {
 		out, err = env.Invoke(c.def.Name, inst.in, c.mod.Lines, call)
@@ -125,7 +121,7 @@ func (c *callable) Call(env *udfrt.Env, in *udfrt.Batch) (*udfrt.Batch, error) {
 // Result converts a UDF's return value into a batch matching def's declared
 // result — for a table function, a dict keyed by column name, a positional
 // tuple, a bare list (single column) or a scalar (single row); otherwise
-// one column. Column lengths may still differ; the engine broadcasts.
+// one column. Column lengths may still differ; udfrt.Shape broadcasts.
 // devUDF's local runs convert through it as the server does.
 func Result(def *storage.FuncDef, v script.Value) (*udfrt.Batch, error) {
 	if !def.IsTable {

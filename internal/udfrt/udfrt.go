@@ -5,10 +5,15 @@
 // dispatch through this one seam, so adding a UDF language is a matter of
 // registering a Runtime — the extension-point design the paper's IDE
 // integration presumes the engine exposes.
+//
+// How a UDF is called is decided here, once — CheckCall, NewBatch, Run and
+// Shape — for the engine's three dispatch modes and devUDF's local nested
+// calls alike, so a UDF run locally behaves as it does inside the server.
 package udfrt
 
 import (
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -30,16 +35,18 @@ type Batch struct {
 	IsColumn []bool
 }
 
-// NewBatch builds an input batch over argument columns; Rows is the longest
-// column length.
+// NewBatch builds an input batch over argument columns. Rows is the
+// longest columnar argument's length, else (constants only) the longest
+// column's: a length-1 constant must not mask an empty input column.
 func NewBatch(cols []*storage.Column, isColumn []bool) *Batch {
-	rows := 0
-	for _, c := range cols {
-		if c.Len() > rows {
-			rows = c.Len()
+	b := &Batch{Cols: cols, IsColumn: isColumn}
+	columnar := slices.Contains(isColumn, true)
+	for i, c := range cols {
+		if b.Columnar(i) == columnar {
+			b.Rows = max(b.Rows, c.Len())
 		}
 	}
-	return &Batch{Cols: cols, Rows: rows, IsColumn: isColumn}
+	return b
 }
 
 // Columnar reports the calling convention of argument i (false when the
@@ -79,6 +86,70 @@ func (b *Batch) Row(r int) *Batch {
 	return &Batch{Cols: cols, Rows: 1, IsColumn: make([]bool, len(cols))}
 }
 
+// CheckCall checks a call of def with nargs arguments against its
+// definition: one argument per parameter, and a table function only in
+// FROM (inFrom), where a scalar function may be used too.
+func CheckCall(def *storage.FuncDef, nargs int, inFrom bool) error {
+	if def.IsTable && !inFrom {
+		return core.Errorf(core.KindType, "%s is a table function; use it in FROM", def.Name)
+	}
+	if nargs != len(def.Params) {
+		return core.Errorf(core.KindConstraint,
+			"%s expects %d argument(s), got %d", def.Name, len(def.Params), nargs)
+	}
+	return nil
+}
+
+// Run makes one call of def over in, used in FROM or as a scalar: it checks
+// the call, makes it through call and shapes the result. A scalar call
+// whose columnar input has no rows is not made (an operator with no input
+// tuples is never invoked) and yields an empty column.
+func Run(def *storage.FuncDef, in *Batch, inFrom bool, call func(*Batch) (*Batch, error)) ([]*storage.Column, error) {
+	if err := CheckCall(def, len(in.Cols), inFrom); err != nil {
+		return nil, err
+	}
+	if !inFrom && in.Rows == 0 && slices.Contains(in.IsColumn, true) {
+		return []*storage.Column{storage.NewColumn(def.Returns[0].Name, def.Returns[0].Type)}, nil
+	}
+	out, err := call(in)
+	if err != nil {
+		return nil, err
+	}
+	return Shape(def, out, in.Rows, inFrom)
+}
+
+// Shape validates the result of a call of def over rows input rows and
+// returns its columns. In FROM, they are the declared ones (one for a
+// scalar function), length-1 columns broadcast to the longest. As a scalar,
+// it is the declared result column, of rows values or one (an aggregate).
+func Shape(def *storage.FuncDef, out *Batch, rows int, inFrom bool) ([]*storage.Column, error) {
+	want := 1
+	if def.IsTable {
+		want = len(def.Returns)
+	}
+	var n int
+	if out != nil {
+		n = len(out.Cols)
+	}
+	if n != want {
+		return nil, core.Errorf(core.KindConstraint,
+			"UDF %s returned %d columns, declared %d", def.Name, n, want)
+	}
+	if inFrom {
+		if err := (&storage.Table{Cols: out.Cols}).Broadcast(); err != nil {
+			return nil, err
+		}
+		return out.Cols, nil
+	}
+	col := out.Cols[0]
+	if rows > 0 && col.Len() != rows && col.Len() != 1 {
+		return nil, core.Errorf(core.KindConstraint,
+			"UDF returned %d rows for %d input rows", col.Len(), rows)
+	}
+	col.Name = def.Returns[0].Name
+	return out.Cols, nil
+}
+
 // Runtime is one UDF execution backend, registered under the LANGUAGE name
 // it serves.
 type Runtime interface {
@@ -92,7 +163,7 @@ type Runtime interface {
 // Callable is one compiled UDF. Call executes it over an input batch and
 // returns the result batch: one column for scalar functions, the declared
 // columns for table functions. Runtime errors carry the UDF name; the
-// engine validates result cardinality.
+// caller validates result cardinality (Shape).
 type Callable interface {
 	Call(env *Env, in *Batch) (*Batch, error)
 }

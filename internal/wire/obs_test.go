@@ -111,15 +111,16 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 // TestStmtRejectionCounter: a statement-table-full rejection, previously
 // only visible as a client error, must increment its counter.
 func TestStmtRejectionCounter(t *testing.T) {
-	reg, srv, params := startObsServer(t, func(s *Server) { s.MaxStmtsPerConn = 1 })
-	_ = srv
+	reg, _, params := startObsServer(t, nil)
 	c, err := DialContext(background(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Prepare(background(), `SELECT 1 AS a`); err != nil {
-		t.Fatal(err)
+	for i := 0; i < maxStmtsPerConn; i++ {
+		if _, err := c.Prepare(background(), fmt.Sprintf(`SELECT 1 AS a%d`, i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if v := mustValue(t, scrapeReg(t, reg), "wire_stmt_rejections_total", nil); v != 0 {
 		t.Fatalf("rejections before the bound = %v", v)

@@ -17,9 +17,9 @@ import (
 	"repro/internal/storage"
 )
 
-// defaultMaxStmtsPerConn bounds a connection's prepared-statement table
-// when Server.MaxStmtsPerConn is zero.
-const defaultMaxStmtsPerConn = 64
+// maxStmtsPerConn bounds a connection's prepared-statement table: MsgPrepare
+// beyond the bound is rejected until the client closes statements.
+const maxStmtsPerConn = 64
 
 // defaultMaxQueueDepth bounds a connection's pipelined request queue when
 // Server.MaxQueueDepth is zero.
@@ -45,10 +45,6 @@ type Server struct {
 	// ChunkBytes is the target encoded size of one streamed chunk; zero
 	// applies DefaultChunkBytes.
 	ChunkBytes int
-	// MaxStmtsPerConn bounds the per-connection prepared-statement table
-	// (MsgPrepare beyond the bound is rejected until the client closes
-	// statements). Zero applies the 64 default.
-	MaxStmtsPerConn int
 	// SlowQueryMs, when positive, logs (via Logf) one structured line with
 	// the per-stage span breakdown for every query whose wall time meets
 	// the threshold.
@@ -470,11 +466,7 @@ func (sc *serverConn) queryWorker() {
 // handlePrepare compiles the SQL into the connection's statement table and
 // answers with the assigned id plus the bind-parameter count.
 func (sc *serverConn) handlePrepare(payload []byte) {
-	limit := sc.srv.MaxStmtsPerConn
-	if limit <= 0 {
-		limit = defaultMaxStmtsPerConn
-	}
-	if len(sc.stmts) >= limit {
+	if len(sc.stmts) >= maxStmtsPerConn {
 		if m := sc.srv.metrics; m != nil {
 			m.stmtRejects.Inc()
 		}

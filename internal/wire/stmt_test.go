@@ -174,8 +174,7 @@ func TestStmtInterleavesWithQueries(t *testing.T) {
 // TestStmtTableBounded: the per-connection statement table rejects
 // prepares past the bound until a slot frees.
 func TestStmtTableBounded(t *testing.T) {
-	srv, params := preparedFixture(t)
-	srv.MaxStmtsPerConn = 2
+	_, params := preparedFixture(t)
 	c, err := DialContext(background(), params)
 	if err != nil {
 		t.Fatal(err)
@@ -185,8 +184,10 @@ func TestStmtTableBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Prepare(background(), `SELECT 2 AS b`); err != nil {
-		t.Fatal(err)
+	for i := 1; i < maxStmtsPerConn; i++ {
+		if _, err := c.Prepare(background(), fmt.Sprintf(`SELECT 2 AS b%d`, i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := c.Prepare(background(), `SELECT 3 AS c`); err == nil ||
 		!strings.Contains(err.Error(), "full") {
@@ -313,12 +314,12 @@ func TestPoolStmtSurvivesChurn(t *testing.T) {
 // TestPoolStmtCloseRecyclesServerSlots: closing PoolStmts must release
 // their server-side slots on live pooled connections (via deferred closes
 // flushed by the next operation), so cycling through many more distinct
-// statements than MaxStmtsPerConn keeps working on one connection.
+// statements than maxStmtsPerConn keeps working on one connection.
 func TestPoolStmtCloseRecyclesServerSlots(t *testing.T) {
 	srv, params := preparedFixture(t)
 	pool := NewPool(params, 1)
 	defer pool.Close()
-	for i := 0; i < 3*defaultMaxStmtsPerConn; i++ {
+	for i := 0; i < 3*maxStmtsPerConn; i++ {
 		ps, err := pool.Prepare(background(), fmt.Sprintf(`SELECT %d AS v, count(*) AS n FROM nums WHERE i > ?`, i))
 		if err != nil {
 			t.Fatalf("prepare %d: %v (server slots leaked?)", i, err)
