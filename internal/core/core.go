@@ -100,11 +100,11 @@ func Errorf(kind ErrorKind, format string, args ...any) *Error {
 // A kind that drives behaviour survives wrapping: when cause is already
 // KindCancelled or KindOverload the new error keeps that kind whatever
 // kind argument the caller passed, so no layer can turn a cancellation
-// into a breaker-counted KindIO or a shed request into something
+// into a KindIO failure of the endpoint or a shed request into something
 // Retryable no longer recognises. A bare ctx.Err() is KindCancelled too.
 // That test is identity, not errors.Is: net's dial-timeout error answers
-// errors.Is(err, context.DeadlineExceeded), and a dialer timeout must
-// stay the KindIO that the pool retries and the breaker counts.
+// errors.Is(err, context.DeadlineExceeded), and a dialer timeout is the
+// endpoint's failure, so it must stay KindIO.
 func Wrapf(kind ErrorKind, cause error, format string, args ...any) *Error {
 	switch k := KindOf(cause); {
 	case k == KindCancelled || k == KindOverload:

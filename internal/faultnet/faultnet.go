@@ -215,8 +215,8 @@ func (l *listener) Accept() (net.Conn, error) {
 // healthy target server: dial Proxy.Addr instead of the server and the
 // connection's client side experiences the plan's latency, resets,
 // stalls, and corruption while the server stays clean. This is the seam
-// for exercising client-side resilience (pool retry, breaker) without
-// touching server internals.
+// for exercising client-side resilience (the pool's health checks)
+// without touching server internals.
 type Proxy struct {
 	ln     net.Listener
 	target string

@@ -13,10 +13,10 @@
 // happens at scrape time, never at record time.
 //
 // Naming convention (enforced by review, documented in CONTRIBUTING):
-// series are prefixed by subsystem (wire_, engine_, udf_, wal_, pool_),
+// series are prefixed by subsystem (wire_, engine_, udf_, wal_),
 // counters end in _total, durations are _seconds histograms, sizes are
 // _bytes. One Registry per process; components register their
-// instruments once via their EnableObs/RegisterObs hooks.
+// instruments once via their EnableObs hooks.
 package obs
 
 import (

@@ -52,9 +52,6 @@ type Client struct {
 	BytesRead int64
 	// BytesWritten counts payload bytes sent.
 	BytesWritten int64
-	// poolCountedRead/Written are the Pool's accounting high-water marks.
-	poolCountedRead    int64
-	poolCountedWritten int64
 }
 
 // DialContext connects and authenticates as a protocol v2 client.
@@ -70,8 +67,8 @@ func DialContext(ctx context.Context, p ConnParams, opts ...DialOption) (*Client
 	if err != nil {
 		// The dialer reports a done context as its own "operation was
 		// canceled" / "i/o timeout": keep the kind when it was the caller
-		// who gave up, so nobody retries it or counts it against the
-		// endpoint.
+		// who gave up, so it reads as a cancellation, not as a failure of
+		// the endpoint.
 		kind := core.KindIO
 		if ctx.Err() != nil {
 			kind = core.KindCancelled
@@ -143,8 +140,7 @@ func (c *Client) watch(ctx context.Context) (stop func() error) {
 		if err := ctx.Err(); err != nil {
 			// The caller's context aborted the operation: surface it as a
 			// cancellation, not a transport failure, so core.IsCancelled
-			// recognizes it and the retry path does not re-run a
-			// deliberately abandoned operation.
+			// recognizes it.
 			return core.Wrapf(core.KindCancelled, err, "operation aborted: %v", err)
 		}
 		return nil

@@ -7,20 +7,16 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
 // Pool is a bounded connection pool over DialContext. Checkouts are
-// health-checked: broken connections are discarded at checkin, and idle
-// connections past IdlePingAfter are pinged before being handed out.
-// All methods are safe for concurrent use.
+// health-checked: broken connections are discarded at checkin, and
+// connections idle for idlePingAfter or longer are pinged before being
+// handed out. A checkout is one attempt: a failed dial or a shed
+// statement surfaces to the caller as it is. All methods are safe for
+// concurrent use.
 type Pool struct {
-	// IdlePingAfter is how long a connection may sit idle before a checkout
-	// verifies it with a Ping. Zero applies the 30s default; negative
-	// disables idle pings.
-	IdlePingAfter time.Duration
-
 	params ConnParams
 	opts   []DialOption
 	size   int
@@ -31,20 +27,16 @@ type Pool struct {
 	mu     sync.Mutex
 	closed bool
 
-	// retry and br are installed by EnableRetry before first use; nil
-	// means no client-side retry and no breaker.
-	retry *RetryPolicy
-	br    *breaker
-
-	waits        atomic.Int64
-	dials        atomic.Int64
-	discards     atomic.Int64
-	healthFails  atomic.Int64
-	reprepares   atomic.Int64
-	retries      atomic.Int64
-	bytesRead    atomic.Int64
-	bytesWritten atomic.Int64
+	waits       atomic.Int64
+	dials       atomic.Int64
+	discards    atomic.Int64
+	healthFails atomic.Int64
+	reprepares  atomic.Int64
 }
+
+// idlePingAfter is how long a connection may sit idle before a checkout
+// verifies it with a Ping.
+const idlePingAfter = 30 * time.Second
 
 // pooledConn pairs a connection with its idle stamp.
 type pooledConn struct {
@@ -69,18 +61,9 @@ type PoolStats struct {
 	// SQL because the pool handed back a connection that had not seen the
 	// statement yet (churn after retirement).
 	Reprepares int64
-	// Retries counts extra attempts made under the pool's RetryPolicy
-	// (dial/handshake failures and retryable overload sheds).
+	// Retries is always zero: the pool makes one attempt per checkout. It
+	// remains only because the benchmark's wire.retry_total reads it.
 	Retries int64
-	// BreakerOpens counts closed-to-open transitions of the endpoint's
-	// circuit breaker; BreakerFastFails counts checkouts it refused
-	// without touching the network.
-	BreakerOpens     int64
-	BreakerFastFails int64
-	// BytesRead/BytesWritten aggregate wire traffic of retired and
-	// checked-in connections.
-	BytesRead    int64
-	BytesWritten int64
 }
 
 // NewPool creates a pool of at most size connections to params, dialed with
@@ -100,19 +83,12 @@ func NewPool(params ConnParams, size int, opts ...DialOption) *Pool {
 
 // Get checks a healthy connection out of the pool, dialing a fresh one when
 // none is idle. It blocks while the pool is at its bound until a connection
-// is checked in or ctx is cancelled. Every Get must be paired with a Put.
-// Under an EnableRetry policy, transient dial/handshake failures are
-// retried with jittered exponential backoff. ctx must be non-nil.
+// is checked in or ctx is done. A failed dial is returned as it is, not
+// retried. Every successful Get must be paired with a Put. ctx must be
+// non-nil.
 func (p *Pool) Get(ctx context.Context) (*Client, error) {
-	var out *Client
-	err := p.withConnRetry(ctx, func(c *Client) error { out = c; return nil })
-	return out, err
-}
-
-// get is one checkout attempt, without retry.
-func (p *Pool) get(ctx context.Context) (*Client, error) {
-	if p.isClosed() {
-		return nil, core.Errorf(core.KindIO, "pool is closed")
+	if err := p.admit(ctx); err != nil {
+		return nil, err
 	}
 	select {
 	case p.sem <- struct{}{}:
@@ -121,12 +97,16 @@ func (p *Pool) get(ctx context.Context) (*Client, error) {
 		select {
 		case p.sem <- struct{}{}:
 		case <-ctx.Done():
-			// The caller gave up waiting: a cancellation, not an IO
-			// failure — the pool itself is healthy.
-			return nil, core.Wrapf(core.KindCancelled, ctx.Err(), "pool checkout: %v", ctx.Err())
+			return nil, p.admit(ctx) // ctx is done, so admit refuses
 		}
 	}
-	// Token held: either reuse an idle connection or dial.
+	// Slot held. A wait at the bound may have outlived a Close or the
+	// caller's context: check both again before an idle connection is
+	// pinged under a dead context or a closed pool dials.
+	if err := p.admit(ctx); err != nil {
+		<-p.sem
+		return nil, err
+	}
 	for {
 		select {
 		case pc := <-p.idle:
@@ -134,19 +114,7 @@ func (p *Pool) get(ctx context.Context) (*Client, error) {
 				return c, nil
 			}
 		default:
-			if br := p.br; br != nil && !br.allow(time.Now()) {
-				<-p.sem
-				return nil, core.Errorf(core.KindOverload,
-					"circuit breaker open for %s; backing off", p.params.Addr())
-			}
 			c, err := DialContext(ctx, p.params, p.opts...)
-			if br := p.br; br != nil {
-				if core.IsCancelled(err) {
-					br.abandon() // the caller gave up; the endpoint did not fail
-				} else {
-					br.record(err == nil, time.Now())
-				}
-			}
 			if err != nil {
 				<-p.sem
 				return nil, err
@@ -157,6 +125,19 @@ func (p *Pool) get(ctx context.Context) (*Client, error) {
 	}
 }
 
+// admit refuses a checkout from a closed pool or under a done context.
+func (p *Pool) admit(ctx context.Context) error {
+	if p.isClosed() {
+		return core.Errorf(core.KindIO, "pool is closed")
+	}
+	if err := ctx.Err(); err != nil {
+		// The caller gave up: a cancellation, not an IO failure — the pool
+		// itself is healthy.
+		return core.Wrapf(core.KindCancelled, err, "pool checkout: %v", err)
+	}
+	return nil
+}
+
 // vet health-checks an idle connection at checkout, returning nil (and
 // retiring it) when it fails.
 func (p *Pool) vet(ctx context.Context, pc *pooledConn) *Client {
@@ -165,11 +146,7 @@ func (p *Pool) vet(ctx context.Context, pc *pooledConn) *Client {
 		p.retire(pc)
 		return nil
 	}
-	after := p.IdlePingAfter
-	if after == 0 {
-		after = 30 * time.Second
-	}
-	if after > 0 && time.Since(pc.idleSince) >= after {
+	if time.Since(pc.idleSince) >= idlePingAfter {
 		if err := pc.c.Ping(ctx); err != nil {
 			p.healthFails.Add(1)
 			p.retire(pc)
@@ -182,12 +159,7 @@ func (p *Pool) vet(ctx context.Context, pc *pooledConn) *Client {
 // Put checks a connection back in. Broken connections are closed and their
 // slot freed; the next Get dials a replacement.
 func (p *Pool) Put(c *Client) {
-	if c == nil {
-		<-p.sem
-		return
-	}
 	pc := &pooledConn{c: c, idleSince: time.Now()}
-	p.account(pc)
 	if c.Broken() || p.isClosed() {
 		if c.Broken() {
 			p.healthFails.Add(1)
@@ -213,16 +185,6 @@ func (p *Pool) Put(c *Client) {
 	<-p.sem
 }
 
-// account folds a connection's byte counters into the pool totals. The
-// high-water marks live on the Client (accessed only while it is held
-// exclusively), so repeated checkins never double-count.
-func (p *Pool) account(pc *pooledConn) {
-	p.bytesRead.Add(pc.c.BytesRead - pc.c.poolCountedRead)
-	p.bytesWritten.Add(pc.c.BytesWritten - pc.c.poolCountedWritten)
-	pc.c.poolCountedRead = pc.c.BytesRead
-	pc.c.poolCountedWritten = pc.c.BytesWritten
-}
-
 func (p *Pool) retire(pc *pooledConn) {
 	p.discards.Add(1)
 	_ = pc.c.Close()
@@ -231,28 +193,23 @@ func (p *Pool) retire(pc *pooledConn) {
 // stream is the pool's one checkout-run-release path, ad-hoc and prepared
 // alike: check a connection out, start a statement on it, and check it
 // back in when the returned Rows is fully consumed or Closed — at once if
-// the start fails. Under an EnableRetry policy, failures the server is
-// known not to have executed (transient checkout errors, overload sheds)
-// are retried with backoff. Retry covers only the start: once rows flow,
-// failures surface to the consumer; a mid-statement transport failure is
-// never retried.
+// the start fails.
 func (p *Pool) stream(ctx context.Context, start func(context.Context, *Client) (*Rows, error)) (*Rows, error) {
-	var rows *Rows
-	err := p.withConnRetry(ctx, func(c *Client) error {
-		r, err := start(ctx, c)
-		if err != nil {
-			p.Put(c)
-			return err
-		}
-		r.pool = p
-		rows = r
-		return nil
-	})
-	return rows, err
+	c, err := p.Get(ctx)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := start(ctx, c)
+	if err != nil {
+		p.Put(c)
+		return nil, err
+	}
+	rows.pool = p
+	return rows, nil
 }
 
 // QueryStream checks out a connection and starts a streaming query on it
-// (see stream for checkin and retry). A Rows obtained here must not be
+// (see stream for checkin). A Rows obtained here must not be
 // abandoned, or its connection stays checked out. ctx must be non-nil.
 func (p *Pool) QueryStream(ctx context.Context, sql string) (*Rows, error) {
 	return p.stream(ctx, func(ctx context.Context, c *Client) (*Rows, error) {
@@ -285,12 +242,10 @@ func (p *Pool) isClosed() bool {
 	return p.closed
 }
 
-// StatsSnapshot snapshots pool activity. Byte totals cover checked-in
-// connections; traffic of a connection currently checked out is folded
-// in at its next checkin. It never blocks: every source is a channel
-// length or an atomic.
+// StatsSnapshot snapshots pool activity. It never blocks: every source is
+// a channel length or an atomic.
 func (p *Pool) StatsSnapshot() PoolStats {
-	st := PoolStats{
+	return PoolStats{
 		Size:                p.size,
 		Idle:                len(p.idle),
 		InUse:               len(p.sem),
@@ -299,47 +254,7 @@ func (p *Pool) StatsSnapshot() PoolStats {
 		Discards:            p.discards.Load(),
 		HealthCheckFailures: p.healthFails.Load(),
 		Reprepares:          p.reprepares.Load(),
-		Retries:             p.retries.Load(),
-		BytesRead:           p.bytesRead.Load(),
-		BytesWritten:        p.bytesWritten.Load(),
 	}
-	if br := p.br; br != nil {
-		st.BreakerOpens = br.opens.Load()
-		st.BreakerFastFails = br.fastFails.Load()
-	}
-	return st
-}
-
-// RegisterObs registers the pool's stats on reg as pool_* gauges and
-// counters, all read at scrape time from StatsSnapshot. Register at most
-// one pool per registry (metric names are process-global).
-func (p *Pool) RegisterObs(reg *obs.Registry) {
-	reg.GaugeFunc("pool_size", "Configured connection bound of the pool.",
-		func() float64 { return float64(p.StatsSnapshot().Size) })
-	reg.GaugeFunc("pool_idle", "Open pool connections awaiting checkout.",
-		func() float64 { return float64(p.StatsSnapshot().Idle) })
-	reg.GaugeFunc("pool_in_use", "Pool connections currently checked out.",
-		func() float64 { return float64(p.StatsSnapshot().InUse) })
-	reg.CounterFunc("pool_waits_total", "Checkouts that blocked on the pool bound.",
-		func() float64 { return float64(p.StatsSnapshot().Waits) })
-	reg.CounterFunc("pool_dials_total", "Connections the pool opened over its lifetime.",
-		func() float64 { return float64(p.StatsSnapshot().Dials) })
-	reg.CounterFunc("pool_discards_total", "Pool connections dropped for any reason.",
-		func() float64 { return float64(p.StatsSnapshot().Discards) })
-	reg.CounterFunc("pool_health_check_failures_total", "Pool connections that failed a checkout or checkin health check.",
-		func() float64 { return float64(p.StatsSnapshot().HealthCheckFailures) })
-	reg.CounterFunc("pool_reprepares_total", "Prepared statements re-prepared after pool connection churn.",
-		func() float64 { return float64(p.StatsSnapshot().Reprepares) })
-	reg.CounterFunc("pool_retries_total", "Extra attempts made under the pool's retry policy.",
-		func() float64 { return float64(p.StatsSnapshot().Retries) })
-	reg.CounterFunc("pool_breaker_opens_total", "Closed-to-open transitions of the endpoint circuit breaker.",
-		func() float64 { return float64(p.StatsSnapshot().BreakerOpens) })
-	reg.CounterFunc("pool_breaker_fast_fails_total", "Checkouts the open circuit breaker refused without dialing.",
-		func() float64 { return float64(p.StatsSnapshot().BreakerFastFails) })
-	reg.CounterFunc("pool_bytes_read_total", "Wire bytes read by pool connections (folded in at checkin).",
-		func() float64 { return float64(p.StatsSnapshot().BytesRead) })
-	reg.CounterFunc("pool_bytes_written_total", "Wire bytes written by pool connections (folded in at checkin).",
-		func() float64 { return float64(p.StatsSnapshot().BytesWritten) })
 }
 
 // Close marks the pool closed and closes every idle connection. Checked-out

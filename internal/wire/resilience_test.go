@@ -401,52 +401,20 @@ func TestDrainTimeoutAbortsInFlight(t *testing.T) {
 	}
 }
 
-// ---- pool retry and breaker ----
+// ---- pool checkouts under sheds, dead dials and churn ----
 
-// TestPoolRetriesThroughOverload points a retrying pool at a server with
-// one connection slot held hostage; the pool must back off and win the
-// slot once it frees.
-func TestPoolRetriesThroughOverload(t *testing.T) {
-	srv, params := startConfiguredServer(t, func(s *Server) {
-		s.MaxConns = 1
-	})
-	_ = srv
-	hog, err := DialContext(background(), params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := NewPool(params, 1)
-	defer pool.Close()
-	pool.EnableRetry(RetryPolicy{MaxAttempts: 10, BaseBackoff: 20 * time.Millisecond, BreakerThreshold: -1})
-	go func() {
-		time.Sleep(150 * time.Millisecond)
-		hog.Close()
-	}()
-	ctx, cancel := context.WithTimeout(background(), 10*time.Second)
-	defer cancel()
-	if _, _, err := pool.Query(ctx, `SELECT 1 AS one`); err != nil {
-		t.Fatalf("pool should retry through the overload window: %v", err)
-	}
-	if st := pool.StatsSnapshot(); st.Retries == 0 {
-		t.Fatal("pool_retries_total not bumped")
-	}
-}
-
-// TestPoolRetriesShedStatements: a statement the server shed before running
-// it is retried under the pool's policy, and a prepared execution exactly as
-// an ad-hoc one. The session's rate limiter has one token that never
-// refills and Prepare spends it, so every attempt after that is shed: each
-// entry point must make all of its attempts, count the extra ones, and
-// return the typed overload error — with no dependence on timing.
-func TestPoolRetriesShedStatements(t *testing.T) {
+// TestPoolShedStatementsAreOneAttempt: a statement the server shed before
+// running it surfaces as the typed overload error after exactly one shed,
+// a prepared execution exactly as an ad-hoc one. The session's rate limiter
+// has one token that never refills and Prepare spends it, so every later
+// request is shed — with no dependence on timing.
+func TestPoolShedStatementsAreOneAttempt(t *testing.T) {
 	srv, params := startConfiguredServer(t, func(s *Server) {
 		s.RateLimit = 0.001 // effectively no refill within the test
 		s.RateBurst = 1
 	})
-	const attempts = 3
 	pool := NewPool(params, 1)
 	defer pool.Close()
-	pool.EnableRetry(RetryPolicy{MaxAttempts: attempts, BaseBackoff: time.Millisecond, BreakerThreshold: -1})
 	ctx := background()
 	ps, err := pool.Prepare(ctx, `SELECT ? AS x`)
 	if err != nil {
@@ -461,61 +429,25 @@ func TestPoolRetriesShedStatements(t *testing.T) {
 		{"PoolStmt.Exec", func() error { _, err := ps.Exec(ctx, int64(1)); return err }},
 		{"PoolStmt.QueryStream", func() error { _, err := ps.QueryStream(ctx, int64(1)); return err }},
 	} {
-		retries, shed := pool.StatsSnapshot().Retries, srv.QueriesShed()
+		shed := srv.QueriesShed()
 		err := tc.run()
 		if core.KindOf(err) != core.KindOverload {
-			t.Fatalf("%s: want the overload error of the last attempt, got %v", tc.name, err)
+			t.Fatalf("%s: want the overload error of the shed, got %v", tc.name, err)
 		}
-		if got := pool.StatsSnapshot().Retries - retries; got != attempts-1 {
-			t.Errorf("%s: %d retries, want %d", tc.name, got, attempts-1)
-		}
-		if got := srv.QueriesShed() - shed; got != attempts {
-			t.Errorf("%s: server shed %d requests, want one per attempt (%d)", tc.name, got, attempts)
+		if got := srv.QueriesShed() - shed; got != 1 {
+			t.Errorf("%s: server shed %d requests, want 1", tc.name, got)
 		}
 	}
-	// Shed attempts leave the pooled connection in sync and reusable.
+	// Sheds leave the pooled connection in sync and reusable.
 	if st := pool.StatsSnapshot(); st.Dials != 1 || st.Discards != 0 {
 		t.Fatalf("sheds must not cost the connection: %+v", st)
 	}
 }
 
-func TestPoolBreakerOpensOnDeadEndpoint(t *testing.T) {
-	// A listener opened and closed immediately yields a port that refuses
-	// connections.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	host, port, _ := splitHostPort(ln.Addr().String())
-	ln.Close()
-	params := ConnParams{Host: host, Port: port, Database: "demo", User: "monetdb", Password: "secret"}
-	pool := NewPool(params, 1)
-	defer pool.Close()
-	pool.EnableRetry(RetryPolicy{MaxAttempts: 1, BreakerThreshold: 3, BreakerCooldown: 5 * time.Second})
-	sawFastFail := false
-	for i := 0; i < 6; i++ {
-		_, _, err := pool.Query(background(), `SELECT 1`)
-		if err == nil {
-			t.Fatal("query against a dead endpoint should fail")
-		}
-		if core.KindOf(err) == core.KindOverload {
-			sawFastFail = true // the breaker answered without dialing
-		}
-	}
-	st := pool.StatsSnapshot()
-	if st.BreakerOpens == 0 {
-		t.Fatal("breaker never opened on consecutive dial failures")
-	}
-	if st.BreakerFastFails == 0 || !sawFastFail {
-		t.Fatalf("breaker open must fail checkouts fast (fastFails=%d, saw=%t)", st.BreakerFastFails, sawFastFail)
-	}
-}
-
 // TestDialCancelIsKindCancelled: a dial whose context is already done (the
 // caller gave up, or its deadline passed) is a cancellation, with the
-// context's error as its cause — not a transport failure the retry path
-// would re-dial and the breaker would count. A refused connect under a
-// live context stays KindIO.
+// context's error as its cause — not a transport failure of the endpoint.
+// A refused connect under a live context stays KindIO.
 func TestDialCancelIsKindCancelled(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -547,12 +479,12 @@ func TestDialCancelIsKindCancelled(t *testing.T) {
 	}
 }
 
-// TestDialTimeoutIsKindIOAndRetried: a connect that outlives the dialer's
-// own timeout is the endpoint's failure, not the caller's. net reports it
-// with an error that answers errors.Is(err, context.DeadlineExceeded), and
-// it must still be the KindIO that the pool retries and the breaker counts
-// — core.Wrapf recognises a cancellation by identity, not by errors.Is.
-func TestDialTimeoutIsKindIOAndRetried(t *testing.T) {
+// TestDialTimeoutIsKindIO: a connect that outlives the dialer's own
+// timeout is the endpoint's failure, not the caller's. net reports it with
+// an error that answers errors.Is(err, context.DeadlineExceeded), and it
+// must still be KindIO — core.Wrapf recognises a cancellation by identity,
+// not by errors.Is.
+func TestDialTimeoutIsKindIO(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -567,25 +499,15 @@ func TestDialTimeoutIsKindIOAndRetried(t *testing.T) {
 	if core.KindOf(err) != core.KindIO || core.IsCancelled(err) {
 		t.Fatalf("dialer timeout = %v (kind %v), want KindIO", err, core.KindOf(err))
 	}
-	const attempts = 3
-	pool := NewPool(params, 1, WithDialTimeout(time.Nanosecond))
-	defer pool.Close()
-	pool.EnableRetry(RetryPolicy{MaxAttempts: attempts, BaseBackoff: time.Microsecond, BreakerThreshold: -1})
-	if _, _, err := pool.Query(background(), `SELECT 1`); core.KindOf(err) != core.KindIO {
-		t.Fatalf("pooled query = %v, want the KindIO of the last dial", err)
-	}
-	if got := pool.StatsSnapshot().Retries; got != attempts-1 {
-		t.Fatalf("%d retries, want %d: a dialer timeout is a transient transport failure", got, attempts-1)
-	}
 }
 
-// TestCancelledDialDoesNotTripBreaker: callers that give up while a
-// connection is being established — before the connect, or mid-handshake
-// against a server that accepted and then stalls — say nothing about the
-// endpoint, so no number of them opens the breaker for everyone else. The
-// stall is a listener that reads the auth frame and never answers; each
-// caller is cancelled only once the server has that frame in hand.
-func TestCancelledDialDoesNotTripBreaker(t *testing.T) {
+// TestPoolCancelledDialIsKindCancelled: a pooled query whose caller gives
+// up while its connection is being established — before the connect, or
+// mid-handshake against a server that accepted and then stalls — fails as
+// a cancellation and frees its slot. The stall is a listener that reads the
+// auth frame and never answers; each caller is cancelled only once the
+// server has that frame in hand.
+func TestPoolCancelledDialIsKindCancelled(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -612,7 +534,6 @@ func TestCancelledDialDoesNotTripBreaker(t *testing.T) {
 	params := ConnParams{Host: host, Port: port, Database: "demo", User: "monetdb", Password: "secret"}
 	pool := NewPool(params, 1)
 	defer pool.Close()
-	pool.EnableRetry(RetryPolicy{MaxAttempts: 1, BreakerThreshold: 2, BreakerCooldown: time.Hour})
 
 	for i := 0; i < 4; i++ {
 		ctx, cancel := context.WithCancel(background())
@@ -626,34 +547,15 @@ func TestCancelledDialDoesNotTripBreaker(t *testing.T) {
 		if core.KindOf(err) != core.KindCancelled {
 			t.Fatalf("attempt %d: %v (kind %v), want KindCancelled", i, err, core.KindOf(err))
 		}
-	}
-	if st := pool.StatsSnapshot(); st.BreakerOpens != 0 || st.BreakerFastFails != 0 {
-		t.Fatalf("cancelled dials moved the breaker: opens=%d fastFails=%d", st.BreakerOpens, st.BreakerFastFails)
-	}
-
-	// The half-open probe is a dial like any other: a prober that gives up
-	// must hand the probe slot on, not leave the breaker waiting for an
-	// outcome that never comes.
-	b := &breaker{threshold: 1, cooldown: time.Second}
-	t0 := time.Unix(100, 0)
-	b.record(false, t0)
-	if b.allow(t0) {
-		t.Fatal("breaker should be open")
-	}
-	t1 := t0.Add(2 * time.Second)
-	if !b.allow(t1) {
-		t.Fatal("cooldown over: the probe should be admitted")
-	}
-	b.abandon()
-	if !b.allow(t1) {
-		t.Fatal("an abandoned probe must free the probe slot")
+		if st := pool.StatsSnapshot(); st.InUse != 0 {
+			t.Fatalf("attempt %d: cancelled dial kept its slot: %+v", i, st)
+		}
 	}
 }
 
-// TestPoolSurvivesFaultnetChurn drives a retrying pool through a proxy
-// that randomly resets connections: operations may fail with typed
-// errors, but the pool must neither hang nor wedge, and some work must
-// get through.
+// TestPoolSurvivesFaultnetChurn drives a pool through a proxy that
+// randomly resets connections: operations may fail with typed errors, but
+// the pool must neither hang nor wedge, and some work must get through.
 func TestPoolSurvivesFaultnetChurn(t *testing.T) {
 	_, params := startTestServer(t)
 	proxy, err := faultnet.NewProxy(params.Addr(), faultnet.Plan{
@@ -670,7 +572,6 @@ func TestPoolSurvivesFaultnetChurn(t *testing.T) {
 	pp.Host, pp.Port = host, port
 	pool := NewPool(pp, 4)
 	defer pool.Close()
-	pool.EnableRetry(RetryPolicy{MaxAttempts: 4, BaseBackoff: 5 * time.Millisecond, BreakerThreshold: -1})
 
 	const workers, perWorker = 4, 20
 	var ok, failed atomic.Int64
@@ -701,7 +602,7 @@ func TestPoolSurvivesFaultnetChurn(t *testing.T) {
 	if ok.Load() == 0 {
 		t.Fatalf("no query survived the churn (%d failures)", failed.Load())
 	}
-	t.Logf("churn: %d ok, %d failed, %d retries", ok.Load(), failed.Load(), pool.StatsSnapshot().Retries)
+	t.Logf("churn: %d ok, %d failed", ok.Load(), failed.Load())
 }
 
 // ---- chaos: the server never deadlocks or leaks under fire ----

@@ -9,8 +9,7 @@ import (
 )
 
 // ErrStmtClosed reports execution of a prepared statement that has been
-// closed. Compare with errors.Is; the pool-aware layers use it to retry
-// when a cached statement is evicted mid-flight.
+// closed. Compare with errors.Is.
 var ErrStmtClosed = core.Errorf(core.KindConstraint, "statement is closed")
 
 // Stmt is a statement prepared on one connection: the server parsed and
@@ -252,9 +251,8 @@ func (ps *PoolStmt) stmtFor(ctx context.Context, c *Client) (*Stmt, error) {
 }
 
 // QueryStream checks out a connection (re-preparing there if needed) and
-// starts a streaming execution on it. Checkin and retry are Pool.stream's:
-// a prepared execution shed before it ran is retried as an ad-hoc one is.
-// ctx must be non-nil.
+// starts a streaming execution on it. Checkin is Pool.stream's, as for an
+// ad-hoc query. ctx must be non-nil.
 func (ps *PoolStmt) QueryStream(ctx context.Context, args ...any) (*Rows, error) {
 	return ps.pool.stream(ctx, func(ctx context.Context, c *Client) (*Rows, error) {
 		st, err := ps.stmtFor(ctx, c)

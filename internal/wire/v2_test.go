@@ -580,9 +580,6 @@ func TestPoolServesConcurrentClients(t *testing.T) {
 	if st.Dials == 0 || st.Dials > 4 {
 		t.Fatalf("pool bound violated: %+v", st)
 	}
-	if st.BytesRead == 0 || st.BytesWritten == 0 {
-		t.Fatalf("pool byte accounting missing: %+v", st)
-	}
 }
 
 func TestPoolDiscardsBrokenConnectionsAtCheckin(t *testing.T) {

@@ -61,12 +61,6 @@ type Client = wire.Client
 // Pool is a bounded, health-checked wire connection pool.
 type Pool = wire.Pool
 
-// RetryPolicy configures a Pool's client-side resilience
-// (Pool.EnableRetry): jittered exponential backoff on failures the
-// server is known not to have executed, plus a per-endpoint circuit
-// breaker.
-type RetryPolicy = wire.RetryPolicy
-
 // Rows streams a wire result set batch-at-a-time.
 type Rows = wire.Rows
 
@@ -100,8 +94,8 @@ const ProtoV2 = wire.ProtoV2
 var WithDialTimeout = wire.WithDialTimeout
 
 // Registry collects metrics (counters, gauges, histograms) and serves
-// them in Prometheus text format. Wire each layer in with DB.EnableObs,
-// Server.EnableObs, and Pool.RegisterObs, then expose Registry.Handler.
+// them in Prometheus text format. Wire each layer in with DB.EnableObs
+// and Server.EnableObs, then expose Registry.Handler.
 type Registry = obs.Registry
 
 // QueryLog is the ring buffer behind the sys.query_log virtual table;
