@@ -67,52 +67,28 @@ type QueryResult struct {
 }
 
 // Query runs SQL on the server. With bind arguments it prepares the
-// statement, executes it once and closes it; a caller repeating one
-// parameterized statement holds a Prepare'd Stmt instead.
+// statement, executes it once and closes it, all on one checked-out
+// connection, so nothing stays open on the server once Query returns.
 func (c *Client) Query(ctx context.Context, sql string, args ...any) (QueryResult, error) {
 	if len(args) == 0 {
 		tag, tbl, err := c.pool.Query(ctx, sql)
 		return QueryResult{Tag: tag, Table: tbl}, err
 	}
-	ps, err := c.pool.Prepare(ctx, sql)
+	wc, err := c.pool.Get(ctx)
 	if err != nil {
 		return QueryResult{}, err
 	}
-	defer ps.Close()
-	tag, tbl, err := ps.Query(ctx, args...)
-	return QueryResult{Tag: tag, Table: tbl}, err
-}
-
-// Prepare compiles sql once for repeated execution with bind arguments.
-// The statement is pool-aware: it transparently re-prepares on whichever
-// healthy connection the pool hands back.
-func (c *Client) Prepare(ctx context.Context, sql string) (*Stmt, error) {
-	ps, err := c.pool.Prepare(ctx, sql)
+	defer c.pool.Put(wc)
+	st, err := wc.Prepare(ctx, sql)
 	if err != nil {
-		return nil, err
+		return QueryResult{}, err
 	}
-	return &Stmt{ps: ps}, nil
-}
-
-// Stmt is a prepared statement over the client's connection pool.
-type Stmt struct{ ps *wire.PoolStmt }
-
-// NumParams reports how many bind arguments each execution needs.
-func (s *Stmt) NumParams() int { return s.ps.NumParams() }
-
-// Query executes the statement with one set of bind arguments.
-func (s *Stmt) Query(ctx context.Context, args ...any) (QueryResult, error) {
-	tag, tbl, err := s.ps.Query(ctx, args...)
+	tag, tbl, err := st.Query(ctx, args...)
+	if cerr := st.Close(ctx); err == nil && cerr != nil {
+		return QueryResult{}, cerr
+	}
 	return QueryResult{Tag: tag, Table: tbl}, err
 }
-
-// Exec executes the statement for its side effects, returning the tag.
-func (s *Stmt) Exec(ctx context.Context, args ...any) (string, error) {
-	return s.ps.Exec(ctx, args...)
-}
-
-// Close releases the statement.
-func (s *Stmt) Close() error { return s.ps.Close() }
 
 // serverCatalog is one consistent snapshot of the server's UDF meta
 // tables: the Fig. 3a listing plus every function body, fetched with two

@@ -1,11 +1,17 @@
 package devudf
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"net"
+	"strconv"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/monetlite"
 )
 
 func preparedClient(t *testing.T) *Client {
@@ -44,33 +50,6 @@ func TestClientQueryVariadic(t *testing.T) {
 	}
 }
 
-// TestClientPreparedStmt: the explicit Prepare surface, including reuse
-// across many binds and NumParams.
-func TestClientPreparedStmt(t *testing.T) {
-	c := preparedClient(t)
-	st, err := c.Prepare(ctx, `SELECT count(*) AS n FROM nums WHERE s = $1 AND i >= $2`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if st.NumParams() != 2 {
-		t.Fatalf("NumParams = %d", st.NumParams())
-	}
-	counts := map[string]int64{"a": 2, "b": 1, "zz": 0}
-	for s, want := range counts {
-		res, err := st.Query(ctx, s, int64(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := res.Table.Cols[0].Ints[0]; got != want {
-			t.Fatalf("%q: got %d, want %d", s, got, want)
-		}
-	}
-	if tag, err := st.Exec(ctx, "a", int64(3)); err != nil || tag != "SELECT 1" {
-		t.Fatalf("%q %v", tag, err)
-	}
-}
-
 // TestClientQueryArgsClosesItsStatement: every Query with bind arguments
 // prepares, executes and closes. The server holds at most 64 statements
 // per connection and the pool has four connections, so 320 distinct texts
@@ -99,4 +78,119 @@ func TestClientQueryArgsClosesItsStatement(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestClientQueryArgsPreparesOnceAndClosesBeforeReturning: a parameterized
+// Query prepares, executes and closes on one checkout. With two idle
+// connections in the pool the server still sees exactly one prepare, and
+// no statement is open on it once Query has returned.
+func TestClientQueryArgsPreparesOnceAndClosesBeforeReturning(t *testing.T) {
+	db := monetlite.NewDB()
+	db.FS = core.NewMemFS(nil)
+	if _, err := monetlite.Connect(db, "monetdb", "monetdb").ExecAll(
+		`CREATE TABLE nums (i INTEGER); INSERT INTO nums VALUES (1), (2);`); err != nil {
+		t.Fatal(err)
+	}
+	srv := monetlite.NewServer("demo", "monetdb", "monetdb", db)
+	reg := monetlite.NewRegistry()
+	srv.EnableObs(reg)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	host, portStr, _ := net.SplitHostPort(addr)
+	port, _ := strconv.Atoi(portStr)
+	settings := DefaultSettings()
+	settings.Connection = monetlite.ConnParams{Host: host, Port: port, Database: "demo", User: "monetdb", Password: "monetdb"}
+	c, err := Open(ctx, settings, WithFS(core.NewMemFS(nil)), WithPoolSize(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// Two idle connections: Get, Get, Put, Put.
+	a, err := c.Pool().Get(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.Pool().Get(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Pool().Put(a)
+	c.Pool().Put(b)
+
+	res, err := c.Query(ctx, `SELECT i FROM nums WHERE i = ?`, int64(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Table.NumRows() != 1 || res.Table.Cols[0].Ints[0] != 1 {
+		t.Fatalf("wrong rows %v", res.Table.Cols[0].Ints)
+	}
+	var buf bytes.Buffer
+	reg.WritePrometheus(&buf)
+	sc, err := obs.ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sc.Value("wire_messages_total", map[string]string{"type": "prepare"}); got != 1 {
+		t.Errorf("server received %v prepares, want 1", got)
+	}
+	if n := srv.OpenStatements(); n != 0 {
+		t.Errorf("server holds %d statements after Query returned, want 0", n)
+	}
+}
+
+// TestClientQueryArgsCancelMidExec: cancelling a parameterized Query while
+// the server executes it returns the typed cancellation and checks the
+// poisoned connection back in; the next call runs on a fresh connection.
+func TestClientQueryArgsCancelMidExec(t *testing.T) {
+	params, db := startServer(t,
+		`CREATE TABLE nums (i INTEGER)`,
+		`INSERT INTO nums VALUES (1), (2), (3)`,
+	)
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	if err := db.RegisterGoUDF("hold_go", func(x []int64) []int64 {
+		select {
+		case started <- struct{}{}:
+		default:
+		}
+		<-release
+		return x
+	}); err != nil {
+		t.Fatal(err)
+	}
+	settings := DefaultSettings()
+	settings.Connection = params
+	c, err := Open(ctx, settings, WithFS(core.NewMemFS(nil)), WithPoolSize(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	cctx, cancel := context.WithCancel(ctx)
+	go func() {
+		<-started
+		cancel()
+	}()
+	_, err = c.Query(cctx, `SELECT hold_go(i) AS v FROM nums WHERE i >= ?`, int64(0))
+	close(release)
+	if core.KindOf(err) != core.KindCancelled {
+		t.Fatalf("want the typed cancellation, got %v", err)
+	}
+	if st := c.Pool().StatsSnapshot(); st.InUse != 0 || st.Discards != 1 {
+		t.Fatalf("the cancelled checkout must be back and retired: %+v", st)
+	}
+	res, err := c.Query(ctx, `SELECT i FROM nums WHERE i >= ?`, int64(2))
+	if err != nil {
+		t.Fatalf("the call after the cancellation: %v", err)
+	}
+	if res.Table.NumRows() != 2 {
+		t.Fatalf("got %d rows, want 2", res.Table.NumRows())
+	}
+	if st := c.Pool().StatsSnapshot(); st.Dials != 2 || st.InUse != 0 {
+		t.Fatalf("the next call must dial a fresh connection: %+v", st)
+	}
 }

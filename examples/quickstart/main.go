@@ -112,16 +112,13 @@ return vals[n - 2] - vals[1]`)
 	fmt.Println("server result after export:", serverRes.Table.Cols[0].FormatValue(0))
 
 	// 7. The iteration loop itself is prepared-statement shaped: the same
-	//    UDF-bearing query runs over and over with different thresholds, so
-	//    prepare it once and bind per run — parse and plan amortize away
-	//    (pool-aware: the statement survives connection churn).
-	stmt, err := client.Prepare(ctx, `SELECT spread(v) AS s FROM measurements WHERE v < ?`)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stmt.Close()
+	//    UDF-bearing query runs over and over with different thresholds.
+	//    Bind each threshold instead of splicing it into the text: the
+	//    server finds the plan by the text's shape, so parse and plan
+	//    amortize away across the runs.
+	const spreadBelow = `SELECT spread(v) AS s FROM measurements WHERE v < ?`
 	for _, limit := range []int64{100, 50, 16} {
-		out, err := stmt.Query(ctx, limit)
+		out, err := client.Query(ctx, spreadBelow, limit)
 		if err != nil {
 			log.Fatal(err)
 		}

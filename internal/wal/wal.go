@@ -52,8 +52,8 @@ const (
 	// DefaultSnapshotBytes is the log volume that triggers an automatic
 	// checkpoint.
 	DefaultSnapshotBytes = 8 << 20
-	// DefaultSyncInterval is the group-commit fsync cadence of SyncInterval.
-	DefaultSyncInterval = 50 * time.Millisecond
+	// syncInterval is the group-commit fsync cadence of SyncInterval.
+	syncInterval = 50 * time.Millisecond
 	// retainSnapshots is how many snapshot generations survive a purge: the
 	// newest plus one fallback, so recovery can step back a generation if
 	// the newest file turns out unreadable.
@@ -68,7 +68,7 @@ type SyncMode int
 const (
 	// SyncInterval (the default) groups commits: records are written to the
 	// kernel at commit (surviving a process kill) and fsync'd in the
-	// background every SyncInterval (bounding loss on power failure).
+	// background every 50 ms, syncInterval (bounding loss on power failure).
 	SyncInterval SyncMode = iota
 	// SyncAlways fsyncs every append before the statement returns.
 	SyncAlways
@@ -84,8 +84,6 @@ type Options struct {
 	SnapshotBytes int64
 	// Sync selects the fsync policy for appends.
 	Sync SyncMode
-	// SyncEvery overrides the SyncInterval cadence (0 = DefaultSyncInterval).
-	SyncEvery time.Duration
 	// Logf receives recovery and background-checkpoint diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -121,9 +119,6 @@ type Manager struct {
 func Open(dir string, db *engine.DB, opts Options) (*Manager, error) {
 	if opts.SnapshotBytes == 0 {
 		opts.SnapshotBytes = DefaultSnapshotBytes
-	}
-	if opts.SyncEvery == 0 {
-		opts.SyncEvery = DefaultSyncInterval
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, core.Wrapf(core.KindIO, err, "create data dir: %v", err)
@@ -192,7 +187,7 @@ func (m *Manager) syncLocked() error {
 // flusher is the SyncInterval group-commit loop.
 func (m *Manager) flusher() {
 	defer close(m.flusherDone)
-	t := time.NewTicker(m.opts.SyncEvery)
+	t := time.NewTicker(syncInterval)
 	defer t.Stop()
 	for {
 		select {

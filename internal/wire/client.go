@@ -5,7 +5,6 @@ import (
 	"context"
 	"net"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,7 +32,9 @@ func (p ConnParams) Addr() string {
 }
 
 // Client is a connected, authenticated database session. A Client is not
-// safe for concurrent use; Pool hands out Clients one checkout at a time.
+// safe for concurrent use: Pool hands out Clients one checkout at a time,
+// and nothing but the goroutine holding a Client touches it, except the
+// context watch that poisons it. The statements it prepared live on it.
 type Client struct {
 	params ConnParams
 	nc     net.Conn
@@ -43,11 +44,6 @@ type Client struct {
 	br     *bufio.Reader
 	fw     frameWriter
 	broken atomic.Bool // protocol desync (cancellation, IO error): do not reuse
-	// stmtCloses queues deferred server-side statement closes (see
-	// deferCloseStmt); guarded by stmtCloseMu because PoolStmt.Close may
-	// append while another goroutine holds the connection.
-	stmtCloseMu sync.Mutex
-	stmtCloses  []uint32
 	// BytesRead counts payload bytes received, for the transfer benches.
 	BytesRead int64
 	// BytesWritten counts payload bytes sent.
@@ -171,19 +167,14 @@ func (c *Client) recv() (byte, []byte, error) {
 // answered by a single frame (the handshake, MsgPrepare, MsgCloseStmt,
 // MsgPing).
 
-// begin is the prologue of every request: it refuses a broken connection,
-// arms ctx's watch and flushes the deferred statement closes, except keep,
-// the statement the request executes (0 for none). The caller must pass the
-// returned stop function to disarm.
-func (c *Client) begin(ctx context.Context, keep uint32) (func() error, error) {
+// begin is the prologue of every request: it refuses a broken connection
+// and arms ctx's watch. The caller must pass the returned stop function to
+// disarm.
+func (c *Client) begin(ctx context.Context) (func() error, error) {
 	if c.broken.Load() {
 		return nil, core.Errorf(core.KindIO, "connection is broken")
 	}
-	stop := c.watch(ctx)
-	if err := c.flushStmtCloses(keep); err != nil {
-		return nil, disarm(stop, err)
-	}
-	return stop, nil
+	return c.watch(ctx), nil
 }
 
 // disarm stops a request's context watch and returns the request's error,
@@ -197,8 +188,8 @@ func disarm(stop func() error, err error) error {
 
 // start sends a request answered by a result and reads the reply's first
 // frame into the Rows that reads the rest.
-func (c *Client) start(ctx context.Context, typ byte, payload []byte, keep uint32) (*Rows, error) {
-	stop, err := c.begin(ctx, keep)
+func (c *Client) start(ctx context.Context, typ byte, payload []byte) (*Rows, error) {
+	stop, err := c.begin(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +206,7 @@ func (c *Client) start(ctx context.Context, typ byte, payload []byte, keep uint3
 // call sends a request answered by one frame of type want, whose payload
 // decode reads (decode may be nil).
 func (c *Client) call(ctx context.Context, typ byte, payload []byte, want byte, decode func([]byte) error) error {
-	stop, err := c.begin(ctx, 0)
+	stop, err := c.begin(ctx)
 	if err != nil {
 		return err
 	}
@@ -289,7 +280,7 @@ func (c *Client) Exec(ctx context.Context, sql string) (string, error) {
 // iteration and poisons the connection. Rows must be fully consumed or
 // Closed before the next operation on this client.
 func (c *Client) QueryStream(ctx context.Context, sql string) (*Rows, error) {
-	return c.start(ctx, MsgQuery, []byte(sql), 0)
+	return c.start(ctx, MsgQuery, []byte(sql))
 }
 
 // Ping round-trips a liveness probe. The pool uses it to health-check idle

@@ -278,17 +278,6 @@ func TestEveryReplyTypeIsConsumedOrPoisons(t *testing.T) {
 			},
 		},
 		{
-			name:    "reply rule/deferred close",
-			poisons: allBut("MsgCloseStmtOK"),
-			feed: func(t *testing.T, frame []byte) (*Client, error) {
-				// The ping behind the close is answered when the frame under
-				// test was consumed.
-				c := scriptedClient(t, newScriptConn(false, authOK(), frame, frameBytes(MsgPong, nil)))
-				c.deferCloseStmt(7)
-				return c, c.Ping(background())
-			},
-		},
-		{
 			name:    "reply rule/Ping",
 			poisons: allBut("MsgPong"),
 			feed: func(t *testing.T, frame []byte) (*Client, error) {

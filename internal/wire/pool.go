@@ -31,7 +31,6 @@ type Pool struct {
 	dials       atomic.Int64
 	discards    atomic.Int64
 	healthFails atomic.Int64
-	reprepares  atomic.Int64
 }
 
 // idlePingAfter is how long a connection may sit idle before a checkout
@@ -57,10 +56,6 @@ type PoolStats struct {
 	// subset of Discards, which also counts idle-overflow and close-time
 	// retirements.
 	HealthCheckFailures int64
-	// Reprepares counts PoolStmt executions that had to re-prepare their
-	// SQL because the pool handed back a connection that had not seen the
-	// statement yet (churn after retirement).
-	Reprepares int64
 	// Retries is always zero: the pool makes one attempt per checkout. It
 	// remains only because the benchmark's wire.retry_total reads it.
 	Retries int64
@@ -190,31 +185,23 @@ func (p *Pool) retire(pc *pooledConn) {
 	_ = pc.c.Close()
 }
 
-// stream is the pool's one checkout-run-release path, ad-hoc and prepared
-// alike: check a connection out, start a statement on it, and check it
-// back in when the returned Rows is fully consumed or Closed — at once if
-// the start fails.
-func (p *Pool) stream(ctx context.Context, start func(context.Context, *Client) (*Rows, error)) (*Rows, error) {
+// QueryStream checks out a connection and starts a streaming query on it.
+// The connection is checked back in when the returned Rows is fully
+// consumed or Closed, or at once if the query fails to start. A Rows
+// obtained here must not be abandoned, or its connection stays checked
+// out. ctx must be non-nil.
+func (p *Pool) QueryStream(ctx context.Context, sql string) (*Rows, error) {
 	c, err := p.Get(ctx)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := start(ctx, c)
+	rows, err := c.QueryStream(ctx, sql)
 	if err != nil {
 		p.Put(c)
 		return nil, err
 	}
 	rows.pool = p
 	return rows, nil
-}
-
-// QueryStream checks out a connection and starts a streaming query on it
-// (see stream for checkin). A Rows obtained here must not be
-// abandoned, or its connection stays checked out. ctx must be non-nil.
-func (p *Pool) QueryStream(ctx context.Context, sql string) (*Rows, error) {
-	return p.stream(ctx, func(ctx context.Context, c *Client) (*Rows, error) {
-		return c.QueryStream(ctx, sql)
-	})
 }
 
 // Query is QueryStream with the result fully materialized.
@@ -253,7 +240,6 @@ func (p *Pool) StatsSnapshot() PoolStats {
 		Dials:               p.dials.Load(),
 		Discards:            p.discards.Load(),
 		HealthCheckFailures: p.healthFails.Load(),
-		Reprepares:          p.reprepares.Load(),
 	}
 }
 

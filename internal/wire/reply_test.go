@@ -85,31 +85,6 @@ func TestServerProtocolErrorLeavesTheConnectionInSync(t *testing.T) {
 	}
 }
 
-// TestPendingCloseIsErrStmtClosedWhateverTheArgs: a statement whose
-// PoolStmt was closed while another goroutine held the connection reports
-// ErrStmtClosed before it looks at its arguments or the connection, and
-// sends nothing: the other queued closes wait for the next request.
-func TestPendingCloseIsErrStmtClosedWhateverTheArgs(t *testing.T) {
-	nc := newScriptConn(false, authOK())
-	nc.hangUp = true // a request sent after all reads EOF
-	c := scriptedClient(t, nc)
-	st := &Stmt{c: c, id: 1, nparams: 1}
-	c.deferCloseStmt(2)
-	c.deferCloseStmt(1)
-	for _, args := range [][]any{{int64(1)}, nil, {struct{}{}}} {
-		if _, _, err := st.Query(background(), args...); !errors.Is(err, ErrStmtClosed) {
-			t.Errorf("args %v: %v, want ErrStmtClosed", args, err)
-		}
-	}
-	c.broken.Store(true)
-	if _, _, err := st.Query(background(), int64(1)); !errors.Is(err, ErrStmtClosed) {
-		t.Errorf("on a broken connection: %v, want ErrStmtClosed", err)
-	}
-	if len(c.stmtCloses) != 2 {
-		t.Errorf("queued closes %v, want [2 1] still queued", c.stmtCloses)
-	}
-}
-
 // TestClientRequestAllocations pins what a request costs the client in
 // allocations, over a connection that answers every write with the same
 // canned reply and allocates nothing itself. The ceilings are what each

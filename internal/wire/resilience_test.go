@@ -405,9 +405,10 @@ func TestDrainTimeoutAbortsInFlight(t *testing.T) {
 
 // TestPoolShedStatementsAreOneAttempt: a statement the server shed before
 // running it surfaces as the typed overload error after exactly one shed,
-// a prepared execution exactly as an ad-hoc one. The session's rate limiter
-// has one token that never refills and Prepare spends it, so every later
-// request is shed — with no dependence on timing.
+// a prepared execution on a checked-out connection exactly as an ad-hoc
+// query through the pool. The session's rate limiter has one token that
+// never refills and Prepare spends it, so every later request is shed —
+// with no dependence on timing.
 func TestPoolShedStatementsAreOneAttempt(t *testing.T) {
 	srv, params := startConfiguredServer(t, func(s *Server) {
 		s.RateLimit = 0.001 // effectively no refill within the test
@@ -416,28 +417,32 @@ func TestPoolShedStatementsAreOneAttempt(t *testing.T) {
 	pool := NewPool(params, 1)
 	defer pool.Close()
 	ctx := background()
-	ps, err := pool.Prepare(ctx, `SELECT ? AS x`)
+	oneShed := func(name string, run func() error) {
+		t.Helper()
+		shed := srv.QueriesShed()
+		err := run()
+		if core.KindOf(err) != core.KindOverload {
+			t.Fatalf("%s: want the overload error of the shed, got %v", name, err)
+		}
+		if got := srv.QueriesShed() - shed; got != 1 {
+			t.Errorf("%s: server shed %d requests, want 1", name, got)
+		}
+	}
+	// The limiter is per session: prepare on the connection whose token
+	// the executions would spend.
+	c, err := pool.Get(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Prepare(ctx, `SELECT ? AS x`)
 	if err != nil {
 		t.Fatalf("prepare spends the burst token and must pass: %v", err)
 	}
-	for _, tc := range []struct {
-		name string
-		run  func() error
-	}{
-		{"Pool.Query", func() error { _, _, err := pool.Query(ctx, `SELECT 1 AS x`); return err }},
-		{"PoolStmt.Query", func() error { _, _, err := ps.Query(ctx, int64(1)); return err }},
-		{"PoolStmt.Exec", func() error { _, err := ps.Exec(ctx, int64(1)); return err }},
-		{"PoolStmt.QueryStream", func() error { _, err := ps.QueryStream(ctx, int64(1)); return err }},
-	} {
-		shed := srv.QueriesShed()
-		err := tc.run()
-		if core.KindOf(err) != core.KindOverload {
-			t.Fatalf("%s: want the overload error of the shed, got %v", tc.name, err)
-		}
-		if got := srv.QueriesShed() - shed; got != 1 {
-			t.Errorf("%s: server shed %d requests, want 1", tc.name, got)
-		}
-	}
+	oneShed("Stmt.Query", func() error { _, _, err := st.Query(ctx, int64(1)); return err })
+	oneShed("Stmt.Exec", func() error { _, err := st.Exec(ctx, int64(1)); return err })
+	oneShed("Stmt.QueryStream", func() error { _, err := st.QueryStream(ctx, int64(1)); return err })
+	pool.Put(c)
+	oneShed("Pool.Query", func() error { _, _, err := pool.Query(ctx, `SELECT 1 AS x`); return err })
 	// Sheds leave the pooled connection in sync and reusable.
 	if st := pool.StatsSnapshot(); st.Dials != 1 || st.Discards != 0 {
 		t.Fatalf("sheds must not cost the connection: %+v", st)

@@ -73,11 +73,6 @@ type Stmt = engine.Stmt
 // (Client.Prepare).
 type ClientStmt = wire.Stmt
 
-// PoolStmt is a pool-aware prepared statement (Pool.Prepare): it
-// transparently re-prepares on whichever healthy connection the pool hands
-// back.
-type PoolStmt = wire.PoolStmt
-
 // DialOption customizes DialContext (timeouts, keepalive, logger).
 type DialOption = wire.DialOption
 

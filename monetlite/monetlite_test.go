@@ -94,7 +94,8 @@ func TestPooledAndStreamingUse(t *testing.T) {
 }
 
 // TestPreparedUse exercises the prepared-statement surfaces through the
-// public aliases: the embedded Stmt and the pool-aware PoolStmt.
+// public aliases: the embedded Stmt and a ClientStmt prepared on a
+// connection checked out of a Pool.
 func TestPreparedUse(t *testing.T) {
 	db := monetlite.NewDB()
 	db.FS = core.NewMemFS(nil)
@@ -128,13 +129,20 @@ INSERT INTO t VALUES (1, 'one'), (2, 'two'), (3, 'three');
 		Host: host, Port: port, Database: "demo", User: "monetdb", Password: "monetdb",
 	}, 2)
 	defer pool.Close()
-	var ps *monetlite.PoolStmt
-	ps, err = pool.Prepare(context.Background(), `SELECT i FROM t WHERE s = $1`)
+	ctx := context.Background()
+	var cli *monetlite.Client
+	cli, err = pool.Get(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ps.Close()
-	if _, tbl, err := ps.Query(context.Background(), "two"); err != nil || tbl.Cols[0].Ints[0] != 2 {
+	defer pool.Put(cli)
+	var cs *monetlite.ClientStmt
+	cs, err = cli.Prepare(ctx, `SELECT i FROM t WHERE s = $1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close(ctx)
+	if _, tbl, err := cs.Query(ctx, "two"); err != nil || tbl.Cols[0].Ints[0] != 2 {
 		t.Fatalf("%v %v", tbl, err)
 	}
 }
