@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -19,19 +20,8 @@ import (
 // without its CI step would otherwise leave that step green while it
 // checks nothing in the test's place.
 func TestCIRunPatternsNameDeclaredTests(t *testing.T) {
-	src, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One command per line: fold the shell's line continuations.
-	text := strings.ReplaceAll(string(src), "\\\n", " ")
 	checked := 0
-	for _, line := range strings.Split(text, "\n") {
-		fields := strings.Fields(line)
-		i := slices.Index(fields, "go")
-		if i < 0 || i+1 >= len(fields) || fields[i+1] != "test" {
-			continue
-		}
+	for _, fields := range goTestCommands(t) {
 		var pattern string
 		var pkgs []string
 		for j, f := range fields {
@@ -61,6 +51,73 @@ func TestCIRunPatternsNameDeclaredTests(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("ci.yml: found no go test -run pattern to check")
 	}
+}
+
+// TestEveryFuzzerRunsInFuzzSmoke: every Fuzz function declared in the
+// repository is the -fuzz target of a go test command in the CI workflow
+// that names the fuzzer's package. Plain go test only replays a fuzzer's
+// seeds and corpus; one that CI never runs with -fuzz explores nothing.
+func TestEveryFuzzerRunsInFuzzSmoke(t *testing.T) {
+	targets := map[string]bool{} // "<package dir> <fuzzer>"
+	for _, fields := range goTestCommands(t) {
+		i := slices.Index(fields, "-fuzz")
+		if i < 0 || i+1 >= len(fields) {
+			continue
+		}
+		for _, f := range fields {
+			if strings.HasPrefix(f, "./") {
+				targets[filepath.Clean(f)+" "+strings.Trim(fields[i+1], `'"^$`)] = true
+			}
+		}
+	}
+	dirs := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
+			return filepath.SkipDir // .git, build output, fuzz corpora
+		case strings.HasSuffix(path, "_test.go"):
+			dirs[filepath.Dir(path)] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fuzzers := 0
+	for dir := range dirs {
+		for _, name := range declaredTests(t, []string{dir}) {
+			if !strings.HasPrefix(name, "Fuzz") {
+				continue
+			}
+			fuzzers++
+			if !targets[dir+" "+name] {
+				t.Errorf("ci.yml: no go test -fuzz %s ./%s/ runs the fuzzer declared there", name, dir)
+			}
+		}
+	}
+	if fuzzers == 0 {
+		t.Fatal("found no Fuzz function in the repository")
+	}
+}
+
+// goTestCommands returns the fields of each go test command in the CI
+// workflow, one command per line once the shell's continuations are folded.
+func goTestCommands(t *testing.T) [][]string {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cmds [][]string
+	for _, line := range strings.Split(strings.ReplaceAll(string(src), "\\\n", " "), "\n") {
+		fields := strings.Fields(line)
+		if i := slices.Index(fields, "go"); i >= 0 && i+1 < len(fields) && fields[i+1] == "test" {
+			cmds = append(cmds, fields)
+		}
+	}
+	return cmds
 }
 
 // declaredTests lists the Test and Fuzz functions declared in the _test.go

@@ -267,6 +267,37 @@ func TestExtractWithSamplingCompressionEncryption(t *testing.T) {
 	}
 }
 
+// TestExtractReadsTheAnswerByName: ExtractInputs reads the rewritten
+// query's answer by column name, in any order. An answer that lacks one of
+// its columns, or holds one with another type, is a protocol error.
+func TestExtractReadsTheAnswerByName(t *testing.T) {
+	params, _ := startServer(t,
+		`CREATE TABLE numbers (i INTEGER)`,
+		`INSERT INTO numbers VALUES (1), (2), (3)`,
+		buggyMeanDeviation)
+	const from = ` FROM mean_deviation((SELECT i FROM numbers))`
+	for query, missing := range map[string]string{
+		`SELECT sample_rows, total_rows, payload` + from:        "",
+		`SELECT payload, total_rows` + from:                     "sample_rows",
+		`SELECT payload, 'x' AS total_rows, sample_rows` + from: "total_rows",
+	} {
+		c := newClient(t, params, query)
+		if _, err := c.ImportUDFs(ctx, "mean_deviation"); err != nil {
+			t.Fatal(err)
+		}
+		info, err := c.ExtractInputs(ctx, "mean_deviation")
+		if missing == "" {
+			if err != nil || info.TotalRows != 3 || info.SampleRows != 3 || info.UDF != "mean_deviation" {
+				t.Fatalf("%s: %+v, %v", query, info, err)
+			}
+			continue
+		}
+		if core.KindOf(err) != core.KindProtocol || !strings.Contains(err.Error(), missing) {
+			t.Fatalf("%s: %v, want a protocol error naming %s", query, err, missing)
+		}
+	}
+}
+
 func itoa(n int) string {
 	if n == 0 {
 		return "0"

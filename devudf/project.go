@@ -101,11 +101,15 @@ func (p *Project) InputPath(name string) string { return p.path(name + ".input.b
 
 const metaFile = ".devudf/meta.json"
 
-// readMeta loads the metadata sidecar (empty map when absent).
+// readMeta loads the metadata sidecar: an empty map when it does not exist,
+// the read's error when it cannot be read.
 func (p *Project) readMeta() (map[string]UDFInfo, error) {
 	data, err := p.fs.ReadFile(p.path(metaFile))
-	if err != nil {
+	if core.IsNotExist(err) {
 		return map[string]UDFInfo{}, nil
+	}
+	if err != nil {
+		return nil, err
 	}
 	var m map[string]UDFInfo
 	if err := json.Unmarshal(data, &m); err != nil {

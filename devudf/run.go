@@ -16,9 +16,9 @@ import (
 	"repro/internal/udfrt/pyrt"
 )
 
-// ExtractInfo summarizes one input extraction (§2.2): how much data the
-// UDF's inputs hold, how much was actually shipped after sampling, and the
-// payload size after compression/encryption.
+// ExtractInfo summarizes one input extraction (§2.2) as asked and as
+// answered: the UDF and the transfer options devUDF asked for, the rows its
+// inputs hold and the rows shipped after sampling, and the payload's size.
 type ExtractInfo struct {
 	UDF          string
 	TotalRows    int64
@@ -42,29 +42,32 @@ func (c *Client) ExtractInputs(ctx context.Context, udfName string) (*ExtractInf
 	if err != nil {
 		return nil, err
 	}
-	t, params, err := c.extract(ctx, c.Settings.DebugQuery, info.Name)
+	x, params, err := c.extract(ctx, c.Settings.DebugQuery, info.Name)
 	if err != nil {
 		return nil, err
 	}
 	if err := pickle.DumpFile(c.Project.FS(), c.Project.InputPath(info.Name), params); err != nil {
 		return nil, err
 	}
-	col := func(name string) *storage.Column { v, _ := t.Column(name); return v }
-	return &ExtractInfo{
-		UDF:          info.Name,
-		TotalRows:    col("total_rows").Ints[0],
-		SampleRows:   col("sample_rows").Ints[0],
-		PayloadBytes: len(col("payload").Blobs[0]),
-		Compressed:   col("compressed").Bools[0],
-		Encrypted:    col("encrypted").Bools[0],
-	}, nil
+	return x, nil
+}
+
+// extractAnswer is the one-row answer of a rewritten query: the packed
+// payload and the input's row counts before and after sampling.
+var extractAnswer = [...]storage.ColumnDef{
+	{Name: "payload", Type: storage.TBlob},
+	{Name: "total_rows", Type: storage.TInt},
+	{Name: "sample_rows", Type: storage.TInt},
 }
 
 // extract runs sql rewritten so that the server extracts the inputs of
-// its call of udfName (§2.2), and returns the one-row answer and the
-// parameter dict its payload unpacks to.
-func (c *Client) extract(ctx context.Context, sql, udfName string) (*storage.Table, *script.DictVal, error) {
-	rewritten, err := transform.RewriteToExtract(sql, udfName, c.Settings.Transfer)
+// its call of udfName (§2.2) under the settings' transfer options, and
+// returns the extraction's summary and the parameter dict its payload
+// unpacks to. The answer is read by column name; one that lacks a column
+// of extractAnswer is a protocol error.
+func (c *Client) extract(ctx context.Context, sql, udfName string) (*ExtractInfo, *script.DictVal, error) {
+	opts := c.Settings.Transfer
+	rewritten, err := transform.RewriteToExtract(sql, udfName, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -75,12 +78,28 @@ func (c *Client) extract(ctx context.Context, sql, udfName string) (*storage.Tab
 	if t == nil || t.NumRows() != 1 {
 		return nil, nil, core.Errorf(core.KindProtocol, "extract query returned no payload row")
 	}
-	payload, err := t.Column("payload")
+	var cols [len(extractAnswer)]*storage.Column
+	for i, want := range extractAnswer {
+		col, err := t.Column(want.Name)
+		if err != nil || col.Typ != want.Type || col.Len() != 1 {
+			return nil, nil, core.Errorf(core.KindProtocol,
+				"extract answer has no %s column %q", want.Type, want.Name)
+		}
+		cols[i] = col
+	}
+	payload := cols[0].Blobs[0]
+	_, params, _, _, err := engine.DecodeExtractPayload(payload, c.Settings.Connection.Password)
 	if err != nil {
 		return nil, nil, err
 	}
-	_, params, _, _, err := engine.DecodeExtractPayload(payload.Blobs[0], c.Settings.Connection.Password)
-	return t, params, err
+	return &ExtractInfo{
+		UDF:          udfName,
+		TotalRows:    cols[1].Ints[0],
+		SampleRows:   cols[2].Ints[0],
+		PayloadBytes: len(payload),
+		Compressed:   opts.Compress,
+		Encrypted:    opts.Encrypt,
+	}, params, nil
 }
 
 // RunResult is the outcome of a local UDF run.

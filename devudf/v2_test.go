@@ -23,6 +23,51 @@ func (brokenFS) WriteFile(string, []byte) error {
 	return core.Errorf(core.KindIO, "permission denied")
 }
 
+// flakyFS fails the next read of the file named fail with an IO error that
+// is not not-exist, then reads through again.
+type flakyFS struct {
+	core.FS
+	fail string
+}
+
+func (f *flakyFS) ReadFile(name string) ([]byte, error) {
+	if name == f.fail {
+		f.fail = ""
+		return nil, core.Errorf(core.KindIO, "input/output error")
+	}
+	return f.FS.ReadFile(name)
+}
+
+// TestFailedMetadataReadKeepsTheProject: only a metadata file that does not
+// exist reads as an empty project. Any other read error reaches the caller
+// of LoadUDF, List and SaveUDF, and a SaveUDF that could not read the
+// metadata writes nothing over it.
+func TestFailedMetadataReadKeepsTheProject(t *testing.T) {
+	fs := &flakyFS{FS: core.NewMemFS(nil)}
+	p := OpenProject(fs, "")
+	for _, name := range []string{"a", "b", "c"} {
+		if err := p.SaveUDF(UDFInfo{Name: name, Language: "PYTHON"}, "return 1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, op := range []struct {
+		what string
+		run  func() error
+	}{
+		{"LoadUDF", func() error { _, _, err := p.LoadUDF("a"); return err }},
+		{"List", func() error { _, err := p.List(); return err }},
+		{"SaveUDF", func() error { return p.SaveUDF(UDFInfo{Name: "d", Language: "PYTHON"}, "return 2") }},
+	} {
+		fs.fail = p.path(metaFile)
+		if err := op.run(); core.KindOf(err) != core.KindIO || !strings.Contains(err.Error(), "input/output error") {
+			t.Errorf("%s after a failed metadata read: %v, want the read's IO error", op.what, err)
+		}
+	}
+	if names, err := p.List(); err != nil || strings.Join(names, ",") != "a,b,c" {
+		t.Fatalf("the project after failed reads lists %v (%v), want [a b c]", names, err)
+	}
+}
+
 func TestLoadSettingsOnlyDefaultsWhenMissing(t *testing.T) {
 	// missing file → defaults, no error
 	s, err := LoadSettings(core.NewMemFS(nil))

@@ -63,13 +63,6 @@ type DB struct {
 	// MaxUDFSteps bounds each UDF invocation's interpreter steps
 	// (0 = unlimited).
 	MaxUDFSteps int64
-	// Workers caps morsel-parallel kernel execution: 0 selects
-	// GOMAXPROCS, 1 pins execution to the query goroutine.
-	Workers int
-	// MorselSize overrides the rows-per-morsel split
-	// (0 = vec.DefaultMorselSize). Inputs smaller than one morsel always
-	// run inline.
-	MorselSize int
 	// MaxResultRows bounds the rows a single SELECT may materialize
 	// (0 = unlimited). Oversize results abort with a typed KindResource
 	// error instead of shipping; queries that want big scans add a LIMIT.
@@ -85,6 +78,12 @@ type DB struct {
 	// span breakdowns of recently finished queries. The wire server (or
 	// any embedder) records entries; the engine only reads it.
 	QueryLog *obs.QueryLog
+
+	// workers caps morsel-parallel kernel execution: 0 selects GOMAXPROCS,
+	// 1 pins execution to the query goroutine. morselSize overrides the
+	// rows-per-morsel split (0 = vec.DefaultMorselSize); inputs smaller than
+	// one morsel always run inline. Only this package's tests change them.
+	workers, morselSize int
 
 	// compiled caches each catalog function's callable; apply drops an
 	// entry when its definition is replaced or dropped. Guarded by mu.

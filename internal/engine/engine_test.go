@@ -384,7 +384,7 @@ func TestExtractFunction(t *testing.T) {
 	mustExec(t, c, `CREATE FUNCTION mean_deviation(column INTEGER) RETURNS DOUBLE LANGUAGE PYTHON {
     return 0.0
 }`)
-	r := mustExec(t, c, `SELECT * FROM sys_extract('mean_deviation', 'c=0;e=0;s=0;r=0', (SELECT i FROM numbers))`)
+	r := mustExec(t, c, `SELECT * FROM sys_extract('mean_deviation', FALSE, FALSE, 0, 0, (SELECT i FROM numbers))`)
 	if r.Table.NumRows() != 1 {
 		t.Fatalf("rows: %d", r.Table.NumRows())
 	}
@@ -418,18 +418,19 @@ func TestExtractWithSampleCompressEncrypt(t *testing.T) {
 	}
 	mustExec(t, c, sb.String())
 	mustExec(t, c, `CREATE FUNCTION f(column INTEGER) RETURNS DOUBLE LANGUAGE PYTHON { return 0.0 }`)
-	r := mustExec(t, c, `SELECT * FROM sys_extract('f', 'c=1;e=1;s=10;r=42', (SELECT i FROM numbers))`)
-	compressed, _ := r.Table.Column("compressed")
-	encrypted, _ := r.Table.Column("encrypted")
+	r := mustExec(t, c, `SELECT * FROM sys_extract('f', TRUE, TRUE, 10, 42, (SELECT i FROM numbers))`)
+	if names := r.Table.Schema().Names(); strings.Join(names, ",") != "payload,total_rows,sample_rows" {
+		t.Fatalf("extract answer columns %v", names)
+	}
 	sampleRows, _ := r.Table.Column("sample_rows")
 	totalRows, _ := r.Table.Column("total_rows")
-	if !compressed.Bools[0] || !encrypted.Bools[0] {
-		t.Fatal("flags should be set")
-	}
 	if totalRows.Ints[0] != 100 || sampleRows.Ints[0] != 10 {
 		t.Fatalf("rows: total=%d sample=%d", totalRows.Ints[0], sampleRows.Ints[0])
 	}
 	payload, _ := r.Table.Column("payload")
+	if hdr := payload.Blobs[0][:2]; hdr[0] != 2 || hdr[1] != 1 {
+		t.Fatalf("payload header %v, want byte-planed (2) and encrypted (1)", hdr)
+	}
 	// wrong password fails to decode
 	if _, _, _, _, err := DecodeExtractPayload(payload.Blobs[0], "wrong-password"); err == nil {
 		t.Fatal("wrong password should fail to unpack")
@@ -441,6 +442,45 @@ func TestExtractWithSampleCompressEncrypt(t *testing.T) {
 	colV, _ := params.GetStr("column")
 	if !strings.HasPrefix(colV.Repr(), "[") || strings.Count(colV.Repr(), ",") != 9 {
 		t.Fatalf("sampled column should have 10 values: %s", colV.Repr())
+	}
+}
+
+// TestExtractRefusesMalformedOptions: each leading argument of sys_extract
+// must be one non-NULL value of its type, whether written in the text or
+// bound to a prepared statement. The string form of the options that
+// devUDF wrote before they travelled as values is refused the same way,
+// never read as some other set of options.
+func TestExtractRefusesMalformedOptions(t *testing.T) {
+	c := newTestConn()
+	mustExec(t, c, `CREATE TABLE numbers (i INTEGER)`)
+	mustExec(t, c, `INSERT INTO numbers VALUES (1), (2), (3)`)
+	mustExec(t, c, `CREATE FUNCTION f(column INTEGER) RETURNS DOUBLE LANGUAGE PYTHON { return 0.0 }`)
+	for q, want := range map[string]string{
+		`SELECT * FROM sys_extract('f', TRUE, FALSE, 0)`:                               "argument 5 must be one INTEGER value",
+		`SELECT * FROM sys_extract('f', NULL, FALSE, 0, 0, (SELECT i FROM numbers))`:   "argument 2 must be one BOOLEAN value",
+		`SELECT * FROM sys_extract('f', TRUE, 'no', 0, 0, (SELECT i FROM numbers))`:    "argument 3 must be one BOOLEAN value",
+		`SELECT * FROM sys_extract('f', 'c=1;e=0;s=0;r=0', (SELECT i FROM numbers))`:   "argument 2 must be one BOOLEAN value",
+		`SELECT * FROM sys_extract('f', TRUE, FALSE, 0.5, 0, (SELECT i FROM numbers))`: "argument 4 must be one INTEGER value",
+	} {
+		_, err := c.Exec(q)
+		if core.KindOf(err) != core.KindType || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: %v, want a type error %q", q, err, want)
+		}
+	}
+	// A slot is typed by its first bind, so each bind gets its own statement.
+	prepare := func() *Stmt {
+		st, err := c.Prepare(`SELECT * FROM sys_extract(?, ?, FALSE, 0, 0, (SELECT i FROM numbers))`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	if _, err := prepare().Query("f", "yes"); core.KindOf(err) != core.KindType ||
+		!strings.Contains(err.Error(), "argument 2 must be one BOOLEAN value") {
+		t.Fatalf("a STRING bound where a BOOLEAN belongs: %v, want a type error", err)
+	}
+	if r, err := prepare().Query("f", true); err != nil || r.Table.Cols[1].Ints[0] != 3 {
+		t.Fatalf("a BOOLEAN bound: %v", err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/engine/vec"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
+	"repro/internal/transform"
 )
 
 // evalCtx is the row context an expression evaluates against: a source
@@ -31,7 +32,7 @@ func newCtx(src *storage.Table, sel []int32) *evalCtx {
 // its interrupt is armed, morsel workers poll it at every morsel boundary;
 // otherwise Stop stays nil and the kernels pay one nil-check per morsel.
 func (f *frame) pol() vec.Pol {
-	p := vec.Pol{Workers: f.DB.Workers, MorselSize: f.DB.MorselSize}
+	p := vec.Pol{Workers: f.DB.workers, MorselSize: f.DB.morselSize}
 	if f.Interrupt.armed() {
 		p.Stop = &f.Interrupt
 	}
@@ -248,9 +249,9 @@ func (f *frame) evalCall(ctx *evalCtx, call *sqlparse.FuncCall) (*storage.Column
 		}
 		return fn(args)
 	}
-	if name == extractFuncName {
+	if name == transform.ExtractFuncName {
 		return nil, core.Errorf(core.KindConstraint,
-			"%s is table-valued; use it in FROM", extractFuncName)
+			"%s is table-valued; use it in FROM", transform.ExtractFuncName)
 	}
 	if f.DB.cat.HasFunction(call.Name) {
 		argCols, isColumn, err := f.udfArgColumns(ctx, call.Args)
@@ -428,7 +429,7 @@ func isBuiltinName(name string) bool {
 	if _, ok := scalarBuiltins[n]; ok {
 		return true
 	}
-	return sqlparse.IsAggregate(n) || n == extractFuncName
+	return sqlparse.IsAggregate(n) || n == transform.ExtractFuncName
 }
 
 func arity(name string, args []*storage.Column, want int) error {

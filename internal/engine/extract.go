@@ -6,52 +6,52 @@ import (
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
 	"repro/internal/transfer"
+	"repro/internal/transform"
 	"repro/internal/udfrt"
 	"repro/internal/udfrt/pyrt"
 )
 
-// extractFuncName is the reserved table function devUDF's query rewriting
-// substitutes for a UDF call (paper §2.2): instead of executing the UDF,
-// the server packages the UDF's would-be input data — optionally sampled,
-// compressed and encrypted — and returns it to the client.
-const extractFuncName = "sys_extract"
-
-// extract result schema.
+// extractSchema is the answer of sys_extract, the reserved table function
+// devUDF's query rewriting substitutes for a UDF call (paper §2.2): instead
+// of executing the UDF, the server packages the UDF's would-be input data
+// — optionally sampled, compressed and encrypted — and returns it to the
+// client, which knows what it asked for.
 var extractSchema = storage.Schema{
-	{Name: "udf", Type: storage.TStr},
 	{Name: "payload", Type: storage.TBlob},
-	{Name: "compressed", Type: storage.TBool},
-	{Name: "encrypted", Type: storage.TBool},
 	{Name: "total_rows", Type: storage.TInt},
 	{Name: "sample_rows", Type: storage.TInt},
 }
 
-// evalExtract executes SELECT * FROM sys_extract('<udf>', '<opts>', args...).
+// extractArgs is the type of each of sys_extract's leading arguments: the
+// UDF's name and the transfer options compress, encrypt, sample_size and
+// seed.
+var extractArgs = [...]storage.Type{storage.TStr, storage.TBool, storage.TBool, storage.TInt, storage.TInt}
+
+// evalExtract executes SELECT * FROM sys_extract('<udf>', compress, encrypt,
+// sample_size, seed, args...). Its arguments are evaluated as a UDF's are,
+// and each leading one must be one non-NULL value of its type.
 func (f *frame) evalExtract(call *sqlparse.FuncCall) (*storage.Table, error) {
-	if len(call.Args) < 2 {
-		return nil, core.Errorf(core.KindConstraint,
-			"%s requires (udf_name, options, args...)", extractFuncName)
-	}
-	nameLit, ok := call.Args[0].(*sqlparse.StrLit)
-	if !ok {
-		return nil, core.Errorf(core.KindType, "%s: first argument must be a string literal", extractFuncName)
-	}
-	optLit, ok := call.Args[1].(*sqlparse.StrLit)
-	if !ok {
-		return nil, core.Errorf(core.KindType, "%s: second argument must be a string literal", extractFuncName)
-	}
-	opts, err := transfer.DecodeOptions(optLit.Value)
+	cols, isColumn, err := f.udfArgColumns(newCtx(nil, nil), call.Args)
 	if err != nil {
 		return nil, err
 	}
-	def, err := f.DB.cat.Function(nameLit.Value)
+	for i, typ := range extractArgs {
+		if i >= len(cols) || cols[i].Typ != typ || cols[i].Len() != 1 || cols[i].IsNull(0) {
+			return nil, core.Errorf(core.KindType, "%s: argument %d must be one %s value",
+				transform.ExtractFuncName, i+1, typ)
+		}
+	}
+	opts := transfer.Options{
+		Compress:   cols[1].Bools[0],
+		Encrypt:    cols[2].Bools[0],
+		SampleSize: int(cols[3].Ints[0]),
+		Seed:       cols[4].Ints[0],
+	}
+	def, err := f.DB.cat.Function(cols[0].Strs[0])
 	if err != nil {
 		return nil, err
 	}
-	argCols, isColumn, err := f.udfArgColumns(newCtx(nil, nil), call.Args[2:])
-	if err != nil {
-		return nil, err
-	}
+	argCols, isColumn := cols[len(extractArgs):], isColumn[len(extractArgs):]
 	if err := udfrt.CheckCall(def, len(argCols), true); err != nil {
 		return nil, err
 	}
@@ -86,11 +86,7 @@ func (f *frame) evalExtract(call *sqlparse.FuncCall) (*storage.Table, error) {
 	}
 
 	t := storage.NewTable("extract", extractSchema)
-	err = t.AppendRow([]any{
-		def.Name, packed, opts.Compress, opts.Encrypt,
-		int64(totalRows), int64(in.Rows),
-	})
-	if err != nil {
+	if err := t.AppendRow([]any{packed, int64(totalRows), int64(in.Rows)}); err != nil {
 		return nil, err
 	}
 	return t, nil

@@ -62,7 +62,7 @@ func TestInterruptStopsEveryPipeline(t *testing.T) {
 		for _, s := range shapes {
 			t.Run(d.name+"/"+s.name, func(t *testing.T) {
 				c := newTestConn()
-				c.DB.Workers, c.DB.MorselSize, c.DB.Mode = d.workers, morsel, d.mode
+				c.DB.workers, c.DB.morselSize, c.DB.Mode = d.workers, morsel, d.mode
 				x, g := storage.NewColumn("x", storage.TInt), storage.NewColumn("g", storage.TInt)
 				for i := 0; i < rows; i++ {
 					x.AppendInt(int64(i + 1))

@@ -254,8 +254,8 @@ func TestQueryLogVirtualTable(t *testing.T) {
 // through the engine registry.
 func TestMorselStatsExposed(t *testing.T) {
 	db := NewDB()
-	db.Workers = 4
-	db.MorselSize = 1024
+	db.workers = 4
+	db.morselSize = 1024
 	reg := obs.NewRegistry()
 	db.EnableObs(reg)
 	c := &Conn{DB: db, User: "monetdb"}

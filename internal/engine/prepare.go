@@ -20,11 +20,10 @@ import (
 // whitespace and trailing ';'. Texts that differ only in literal values —
 // prepared or not — share one parsed plan, their literals bound to its
 // slots. Literals the engine reads as syntax stay in the plan and must
-// repeat for a text to use it: ORDER BY positions, LIMIT, COPY paths and
-// the first two arguments of sys_extract. NULL, TRUE and FALSE are
-// keywords, so they are part of the shape. A plan is the parsed statement,
-// and parsing reads no catalog, so catalog changes leave the cache as it
-// is.
+// repeat for a text to use it: ORDER BY positions, LIMIT and COPY paths.
+// NULL, TRUE and FALSE are keywords, so they are part of the shape. A plan
+// is the parsed statement, and parsing reads no catalog, so catalog changes
+// leave the cache as it is.
 const planCacheSize = 256
 
 // plan is one plan-cache entry: a statement parsed from shaped text, its
@@ -86,12 +85,7 @@ func (c *Conn) resolve(s *Stmt, sql string, tr *obs.Trace) error {
 	}
 	pc.misses.Add(1)
 	pt := tr.StartStage(obs.StageParse)
-	st, slots, err := sqlparse.Parameterize(sql, func(call *sqlparse.FuncCall) int {
-		if strings.EqualFold(call.Name, extractFuncName) {
-			return 2 // sys_extract reads its UDF name and options as syntax
-		}
-		return 0
-	})
+	st, slots, err := sqlparse.Parameterize(sql)
 	pt.Done()
 	if err != nil {
 		return err

@@ -26,6 +26,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
+	"repro/internal/transform"
 )
 
 type refFailure struct{ err error }
@@ -114,7 +115,7 @@ func refFrom(f *frame, from sqlparse.FromClause) *storage.Table {
 	case *sqlparse.FromSelect:
 		return refSelect(f, from.Sel)
 	case *sqlparse.FromFunc:
-		if strings.EqualFold(from.Call.Name, extractFuncName) {
+		if strings.EqualFold(from.Call.Name, transform.ExtractFuncName) {
 			return must(f.evalExtract(from.Call))
 		}
 		def := must(f.DB.cat.Function(from.Call.Name))
@@ -407,8 +408,8 @@ func refCall(f *frame, t *storage.Table, call *sqlparse.FuncCall) *storage.Colum
 		}
 		return must(fn(args))
 	}
-	if name == extractFuncName {
-		fail(core.KindConstraint, "%s is table-valued; use it in FROM", extractFuncName)
+	if name == transform.ExtractFuncName {
+		fail(core.KindConstraint, "%s is table-valued; use it in FROM", transform.ExtractFuncName)
 	}
 	if !f.DB.cat.HasFunction(call.Name) {
 		fail(core.KindName, "no such function: %s", call.Name)

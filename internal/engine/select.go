@@ -9,6 +9,7 @@ import (
 	"repro/internal/engine/vec"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
+	"repro/internal/transform"
 )
 
 // evalSelect executes a SELECT and materializes its result table.
@@ -269,7 +270,7 @@ func (f *frame) evalFrom(from sqlparse.FromClause) (*storage.Table, error) {
 // evalTableFunc executes a table-valued function in FROM: sys_extract or a
 // Python table UDF.
 func (f *frame) evalTableFunc(call *sqlparse.FuncCall) (*storage.Table, error) {
-	if strings.EqualFold(call.Name, extractFuncName) {
+	if strings.EqualFold(call.Name, transform.ExtractFuncName) {
 		return f.evalExtract(call)
 	}
 	def, err := f.DB.cat.Function(call.Name)

@@ -2,11 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/sqlparse"
-	"repro/internal/transfer"
+	"repro/internal/storage"
 )
 
 // TestLoopbackKeepsOuterBinds: a UDF's loopback statement binds its own
@@ -47,7 +48,7 @@ func TestLoopbackKeepsOuterBinds(t *testing.T) {
 // literal AST, and the two must agree on the result or the error. Each group
 // shares one shape, so every statement after a group's first is served by
 // the plan its predecessors left (or, where a pinned literal differs, must
-// not be).
+// not be). The last group, of sys_extract calls, also counts its plans.
 func TestShapedTextAgreesWithLiteralText(t *testing.T) {
 	c := newTestConn()
 	mustExec(t, c, `CREATE TABLE t (i INTEGER, f DOUBLE, s STRING)`)
@@ -55,8 +56,9 @@ func TestShapedTextAgreesWithLiteralText(t *testing.T) {
 	mustExec(t, c, `CREATE FUNCTION ident(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON {
     return x
 }`)
-	plain := transfer.Options{}.Encode()
-	packed := transfer.Options{Compress: true, Encrypt: true}.Encode()
+	mustExec(t, c, `CREATE FUNCTION twin(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON {
+    return x
+}`)
 	groups := [][]string{
 		// unaliased literal items keep the col<n> names of their position
 		{`SELECT 1, 2.5, 'x', i FROM t`, `SELECT 7, -0.25, 'it''s', i FROM t`},
@@ -72,14 +74,8 @@ func TestShapedTextAgreesWithLiteralText(t *testing.T) {
 		{`SELECT -5 AS v`, `SELECT -9223372036854775808 AS v`, `SELECT -9223372036854775807 AS v`, `SELECT 1e999 AS v`},
 		{`SELECT ident(i) + 1 AS v FROM t WHERE i <> 2`, `SELECT ident(i) + 2 AS v FROM t WHERE i <> 3`},
 		{`SELECT COUNT(*) + 1 AS n, SUM(i) * 2 AS m FROM t GROUP BY s HAVING COUNT(*) > 0`, `SELECT COUNT(*) + 5 AS n, SUM(i) * 3 AS m FROM t GROUP BY s HAVING COUNT(*) > 1`},
-		// both string arguments of sys_extract are syntax
-		{
-			`SELECT udf, compressed, encrypted, total_rows FROM sys_extract('ident', '` + plain + `', (SELECT i FROM t WHERE i > 1))`,
-			`SELECT udf, compressed, encrypted, total_rows FROM sys_extract('ident', '` + packed + `', (SELECT i FROM t WHERE i > 2))`,
-			`SELECT udf, compressed, encrypted, total_rows FROM sys_extract('ident', '` + plain + `', (SELECT i FROM t WHERE i > 0))`,
-		},
 	}
-	for _, group := range groups {
+	run := func(group []string) {
 		for _, q := range group {
 			got, errS := c.Exec(q)
 			var want *Result
@@ -96,6 +92,42 @@ func TestShapedTextAgreesWithLiteralText(t *testing.T) {
 			}); err != nil {
 				t.Fatalf("%s: %v", q, err)
 			}
+		}
+	}
+	for _, group := range groups {
+		run(group)
+	}
+	// sys_extract's UDF name and transfer options are values like any
+	// other: texts that differ only in them share one plan.
+	before := c.DB.PlanCacheStatsSnapshot()
+	run([]string{
+		`SELECT * FROM sys_extract('ident', FALSE, FALSE, 0, -5, (SELECT i FROM t WHERE i > 1))`,
+		`SELECT * FROM sys_extract('twin', FALSE, FALSE, 2, -7, (SELECT i FROM t WHERE i > 0))`,
+		`SELECT * FROM sys_extract('ident', FALSE, FALSE, 3, -1, (SELECT i FROM t WHERE i > 0))`,
+	})
+	if st := c.DB.PlanCacheStatsSnapshot(); st.Misses-before.Misses != 1 || st.Hits-before.Hits != 2 {
+		t.Fatalf("three extracts of one shape: %d misses and %d hits, want 1 and 2",
+			st.Misses-before.Misses, st.Hits-before.Hits)
+	}
+}
+
+// TestFormattedMinInt64EvaluatesToItself: the one INTEGER whose magnitude
+// is no INTEGER literal formats as text that parses, and evaluates to it on
+// the shaped path and the literal one.
+func TestFormattedMinInt64EvaluatesToItself(t *testing.T) {
+	c := newTestConn()
+	q := `SELECT ` + sqlparse.FormatExpr(&sqlparse.IntLit{Value: math.MinInt64}) + ` AS v`
+	shaped, err := c.Exec(q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	all, err := c.ExecAll(q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	for _, r := range []*Result{shaped, all[0]} {
+		if v := r.Table.Cols[0]; v.Typ != storage.TInt || v.Ints[0] != math.MinInt64 {
+			t.Fatalf("%s = %v, want %d", q, v.Value(0), int64(math.MinInt64))
 		}
 	}
 }

@@ -76,7 +76,7 @@ func BenchmarkFilterAggregate(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			c := buildFilterAggregateDB(b, rows)
-			c.DB.Workers = tc.workers
+			c.DB.workers = tc.workers
 			if tc.obsOn {
 				c.DB.EnableObs(obs.NewRegistry())
 			}
@@ -116,7 +116,7 @@ func BenchmarkFilterProject(b *testing.B) {
 	})
 	b.Run("vectorized", func(b *testing.B) {
 		c := buildFilterAggregateDB(b, rows)
-		c.DB.Workers = 1
+		c.DB.workers = 1
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := c.Exec(query); err != nil {

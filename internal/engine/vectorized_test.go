@@ -474,7 +474,7 @@ func TestQueriesAgreeWithScalarReference(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := diffConn(t, tc.rows, tc.nullDensity)
-			c.DB.Workers, c.DB.MorselSize = tc.workers, tc.morsel
+			c.DB.workers, c.DB.morselSize = tc.workers, tc.morsel
 			for _, q := range differentialQueries {
 				agree(t, c, q)
 				agreePrepared(t, c, q)
@@ -578,9 +578,9 @@ func TestBlobGroupingAgrees(t *testing.T) {
 func TestMorselParallelExecution(t *testing.T) {
 	const rows = 40_000
 	serial, parallel := newTestConn(), newTestConn()
-	serial.DB.Workers = 1
-	parallel.DB.Workers = 8
-	parallel.DB.MorselSize = 512
+	serial.DB.workers = 1
+	parallel.DB.workers = 8
+	parallel.DB.morselSize = 512
 	rng := rand.New(rand.NewSource(21))
 	seedRandomTable(t, rng, []*Conn{serial, parallel}, rows, 0.1)
 	for _, c := range []*Conn{serial, parallel} {
@@ -648,8 +648,8 @@ func TestMorselParallelExecution(t *testing.T) {
 // whole-batch call instead of stitching per-morsel scalars.
 func TestParallelUDFBroadcastFallback(t *testing.T) {
 	c := newTestConn()
-	c.DB.Workers = 4
-	c.DB.MorselSize = 64
+	c.DB.workers = 4
+	c.DB.morselSize = 64
 	if err := c.DB.RegisterGoUDFElementwise("vtotal", func(x []int64) int64 {
 		var s int64
 		for _, v := range x {
@@ -675,12 +675,12 @@ func TestParallelUDFBroadcastFallback(t *testing.T) {
 	if got := r.Table.Cols[0].Ints[0]; got != want {
 		t.Fatalf("vtotal = %d, want %d", got, want)
 	}
-	// MorselSize=1 must never split: a per-morsel scalar result would be
+	// morselSize=1 must never split: a per-morsel scalar result would be
 	// indistinguishable from an elementwise one-row result
-	c.DB.MorselSize = 1
+	c.DB.morselSize = 1
 	r = mustExec(t, c, `SELECT vtotal(i) AS s FROM n1`)
 	if got, rows := r.Table.Cols[0].Ints[0], r.Table.NumRows(); rows != 1 || got != want {
-		t.Fatalf("vtotal with MorselSize=1 = %d over %d rows, want %d over 1", got, rows, want)
+		t.Fatalf("vtotal with morselSize=1 = %d over %d rows, want %d over 1", got, rows, want)
 	}
 }
 
@@ -690,8 +690,8 @@ func TestParallelUDFBroadcastFallback(t *testing.T) {
 // morsel if the engine split it.
 func TestBatchDependentUDFNeverSplit(t *testing.T) {
 	c := newTestConn()
-	c.DB.Workers = 4
-	c.DB.MorselSize = 4
+	c.DB.workers = 4
+	c.DB.morselSize = 4
 	if err := c.DB.RegisterGoUDF("prefix_sum", func(x []int64) []int64 {
 		out := make([]int64, len(x))
 		var run int64
@@ -721,8 +721,8 @@ func TestBatchDependentUDFNeverSplit(t *testing.T) {
 func TestParallelUDFMisalignedArgStillErrors(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		c := newTestConn()
-		c.DB.Workers = workers
-		c.DB.MorselSize = 64
+		c.DB.workers = workers
+		c.DB.morselSize = 64
 		if err := c.DB.RegisterGoUDFElementwise("padd", func(x, y []int64) []int64 {
 			out := make([]int64, len(x))
 			for i := range x {

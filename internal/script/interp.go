@@ -99,9 +99,6 @@ type Interp struct {
 	Interrupt func() error
 	// Trace, when set, observes line/call/return/exception events.
 	Trace TraceFunc
-	// ModuleProvider resolves imports beyond the standard shims; the engine
-	// injects database-aware modules through it.
-	ModuleProvider func(name string) (Value, bool)
 
 	modules map[string]Value
 	steps   int64
@@ -986,7 +983,8 @@ func (in *Interp) formatPercent(format string, arg Value, line int) (Value, erro
 	return StrVal(sb.String()), nil
 }
 
-// importModule resolves standard shims first, then the provider hook.
+// importModule resolves an import against the standard shims and the
+// registry.
 func (in *Interp) importModule(name string, line int) (Value, error) {
 	if m, ok := in.modules[name]; ok {
 		return m, nil
@@ -994,12 +992,6 @@ func (in *Interp) importModule(name string, line int) (Value, error) {
 	if m, ok := stdModule(in, name); ok {
 		in.modules[name] = m
 		return m, nil
-	}
-	if in.ModuleProvider != nil {
-		if m, ok := in.ModuleProvider(name); ok {
-			in.modules[name] = m
-			return m, nil
-		}
 	}
 	return nil, in.rtErrf(line, "ModuleNotFoundError: no module named '%s'", name)
 }

@@ -10,9 +10,8 @@ import (
 )
 
 // Module shims. PyLite resolves `import X` against, in order: the standard
-// shims below, the process-wide registry (RegisterModule — how the
-// sklearn/mllib substitution plugs in), and the interpreter's
-// ModuleProvider hook (how the engine injects database-aware modules).
+// shims below and the process-wide registry (RegisterModule — how the
+// sklearn/mllib substitution plugs in).
 
 var (
 	moduleRegMu sync.RWMutex

@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -202,6 +203,9 @@ func FormatExpr(e Expr) string {
 		}
 		return quoteIdent(e.Name)
 	case *IntLit:
+		if e.Value == math.MinInt64 {
+			return "(-9223372036854775807 - 1)" // its magnitude is no INTEGER literal
+		}
 		return strconv.FormatInt(e.Value, 10)
 	case *FloatLit:
 		s := strconv.FormatFloat(e.Value, 'g', -1, 64)

@@ -30,7 +30,7 @@ var sqlFuzzSeeds = []string{
 	"SELECT 'it''s' || 'quoted'",
 	"SELECT (1 + 2) * -3 AS v",
 	"SELECT CAST(i AS DOUBLE) FROM t",
-	"SELECT sys_extract('f', 'q', 'o', 'p') ",
+	"SELECT sys_extract('f', TRUE, FALSE, 0, -1, 'p') ",
 	"select distinct i from t;",
 	"SELECT\n\ti\nFROM t -- comment",
 	"SELECT \x00",
@@ -166,15 +166,6 @@ func differentialCorpus(f *testing.F) []string {
 	return out
 }
 
-// extractArgs is the engine's syntax-argument rule: sys_extract's UDF name
-// and options are syntax.
-func extractArgs(call *FuncCall) int {
-	if strings.EqualFold(call.Name, "sys_extract") {
-		return 2
-	}
-	return 0
-}
-
 // unbind puts shaped literals back in place of the placeholders
 // Parameterize lifted them into.
 func unbind(t *testing.T, st Statement, slots []int, lits []Lit) string {
@@ -265,7 +256,7 @@ func FuzzShapeAgreesWithParse(f *testing.F) {
 	for _, seed := range append(differentialCorpus(f), sqlFuzzSeeds...) {
 		f.Add(seed)
 	}
-	f.Add("SELECT * FROM sys_extract('f', 'c=1;e=0', (SELECT i FROM t WHERE i > 2), 5) ORDER BY 1 LIMIT 3")
+	f.Add("SELECT * FROM sys_extract('f', TRUE, FALSE, 500, (-9223372036854775807 - 1), (SELECT i FROM t WHERE i > 2), 5) ORDER BY 1 LIMIT 3")
 	f.Add("SELECT -9223372036854775808, 1e999, 1.2.3, 'it''s', \"a\"\"b\" FROM t;; ")
 	f.Fuzz(func(t *testing.T, sql string) {
 		want, errP := Parse(sql)
@@ -274,7 +265,7 @@ func FuzzShapeAgreesWithParse(f *testing.F) {
 			sameErr(t, "Shape", err, errP)
 			return
 		}
-		st, slots, err := Parameterize(sql, extractArgs)
+		st, slots, err := Parameterize(sql)
 		sameErr(t, "Parameterize", err, errP)
 		if err != nil {
 			return
@@ -295,7 +286,7 @@ func FuzzShapeAgreesWithParse(f *testing.F) {
 		if err := sh2.Scan(other); err != nil || !bytes.Equal(sh2.Key, sh.Key) {
 			t.Fatalf("%q and %q shape apart (%v)", sql, other, err)
 		}
-		st, slots, _ = Parameterize(sql, extractArgs)
+		st, slots, _ = Parameterize(sql)
 		if got := unbind(t, st, slots, sh2.Lits); got != Format(want2) {
 			t.Fatalf("the plan of %q with the literals of %q formats as\n%q\nParse as\n%q", sql, other, got, Format(want2))
 		}

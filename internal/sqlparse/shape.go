@@ -76,9 +76,8 @@ func appendPiece(key []byte, text string) []byte {
 // position into a numbered placeholder, numbered after the text's own. For
 // each literal of the text's Shape, in order, slots holds the index of the
 // placeholder that replaced it, or -1 for a literal kept as syntax: an ORDER
-// BY position, a LIMIT, a COPY path, or one of the first syntaxArgs(call)
-// arguments of a call.
-func Parameterize(sql string, syntaxArgs func(*FuncCall) int) (st Statement, slots []int, err error) {
+// BY position, a LIMIT or a COPY path.
+func Parameterize(sql string) (st Statement, slots []int, err error) {
 	p := new(parser)
 	if st, err = p.one(sql); err != nil {
 		return nil, nil, err
@@ -90,11 +89,6 @@ func Parameterize(sql string, syntaxArgs func(*FuncCall) int) (st Statement, slo
 	}
 	next := NumParams(st)
 	Edit(st, func(e Expr) (Expr, bool) {
-		if call, ok := e.(*FuncCall); ok {
-			for _, a := range call.Args[:min(len(call.Args), syntaxArgs(call))] {
-				delete(slot, a)
-			}
-		}
 		i, ok := slot[e]
 		if !ok {
 			return e, true

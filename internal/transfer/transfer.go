@@ -32,8 +32,6 @@ import (
 	"io"
 	"math/rand"
 	"slices"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -54,61 +52,6 @@ type Options struct {
 	// Seed makes sampling reproducible. The engine threads a fixed seed
 	// through benches and tests.
 	Seed int64
-}
-
-// Encode renders options as the compact string literal the rewritten SQL
-// carries into sys_extract.
-func (o Options) Encode() string {
-	buf := make([]byte, 0, 32)
-	b2i := func(b bool) byte {
-		if b {
-			return '1'
-		}
-		return '0'
-	}
-	buf = append(buf, "c="...)
-	buf = append(buf, b2i(o.Compress), ';')
-	buf = append(buf, "e="...)
-	buf = append(buf, b2i(o.Encrypt), ';')
-	buf = append(buf, "s="...)
-	buf = strconv.AppendInt(buf, int64(o.SampleSize), 10)
-	buf = append(buf, ';')
-	buf = append(buf, "r="...)
-	buf = strconv.AppendInt(buf, o.Seed, 10)
-	return string(buf)
-}
-
-// DecodeOptions parses the literal produced by Encode.
-func DecodeOptions(s string) (Options, error) {
-	var o Options
-	rest := s
-	for len(rest) > 0 {
-		var seg string
-		seg, rest, _ = strings.Cut(rest, ";")
-		if len(seg) < 2 || seg[1] != '=' {
-			return o, core.Errorf(core.KindProtocol, "bad extract options segment %q", seg)
-		}
-		val := seg[2:]
-		switch seg[0] {
-		case 'c':
-			o.Compress = val == "1"
-		case 'e':
-			o.Encrypt = val == "1"
-		case 's', 'r':
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return o, core.Wrapf(core.KindProtocol, err, "bad integer in extract options: %v", err)
-			}
-			if seg[0] == 's' {
-				o.SampleSize = int(n)
-			} else {
-				o.Seed = n
-			}
-		default:
-			return o, core.Errorf(core.KindProtocol, "unknown extract option %q", seg)
-		}
-	}
-	return o, nil
 }
 
 const (

@@ -9,33 +9,6 @@ import (
 	"testing/quick"
 )
 
-func TestOptionsEncodeDecodeRoundTrip(t *testing.T) {
-	cases := []Options{
-		{},
-		{Compress: true},
-		{Encrypt: true},
-		{SampleSize: 1000, Seed: 42},
-		{Compress: true, Encrypt: true, SampleSize: 5, Seed: -7},
-	}
-	for _, o := range cases {
-		back, err := DecodeOptions(o.Encode())
-		if err != nil {
-			t.Fatalf("decode %q: %v", o.Encode(), err)
-		}
-		if back != o {
-			t.Fatalf("round trip %+v -> %q -> %+v", o, o.Encode(), back)
-		}
-	}
-}
-
-func TestDecodeOptionsRejectsGarbage(t *testing.T) {
-	for _, s := range []string{"x", "c", "c=1;zz=3", "s=abc", "q=1"} {
-		if _, err := DecodeOptions(s); err == nil {
-			t.Errorf("DecodeOptions(%q) should fail", s)
-		}
-	}
-}
-
 func TestCompressRoundTrip(t *testing.T) {
 	data := bytes.Repeat([]byte("hello columnar world "), 1000)
 	comp, err := Compress(data)

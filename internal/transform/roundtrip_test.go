@@ -1,11 +1,15 @@
 package transform_test
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/engine"
 	"repro/internal/script"
+	"repro/internal/transfer"
 	"repro/internal/transform"
 )
 
@@ -67,4 +71,66 @@ func FuzzWrapExtractRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestExtractOptionsRoundTrip: the transfer options RewriteToExtract writes
+// into the query are the ones the engine applies. For every seed and sample
+// size, compressed and encrypted or not, the payload's header says what was
+// asked, and the rows it holds are the ones transfer.SampleIndexes draws.
+func TestExtractOptionsRoundTrip(t *testing.T) {
+	const rows = 40
+	c := newConn()
+	values := make([]string, rows)
+	for i := range values {
+		values[i] = "(" + strconv.Itoa(3*i) + ")"
+	}
+	for _, stmt := range []string{
+		"CREATE TABLE t (i INTEGER)",
+		"INSERT INTO t VALUES " + strings.Join(values, ", "),
+		"CREATE FUNCTION myudf(i INTEGER) RETURNS INTEGER LANGUAGE PYTHON {\nreturn 0\n}",
+	} {
+		if _, err := c.Exec(stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	n := 0
+	for _, seed := range []int64{0, -1, math.MaxInt64, math.MinInt64} {
+		for _, k := range []int{0, 5, 1 << 30} {
+			o := transfer.Options{Compress: n%2 == 1, Encrypt: n/2%2 == 1, SampleSize: k, Seed: seed}
+			n++
+			sql, err := transform.RewriteToExtract("SELECT myudf(i) FROM t", "myudf", o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := c.Exec(sql)
+			if err != nil {
+				t.Fatalf("%+v: %s: %v", o, sql, err)
+			}
+			payload, _ := r.Table.Column("payload")
+			packed := payload.Blobs[0]
+			wantHdr := [2]byte{}
+			if o.Compress {
+				wantHdr[0] = 2 // the byte-planed DEFLATE form
+			}
+			if o.Encrypt {
+				wantHdr[1] = 1
+			}
+			if [2]byte(packed[:2]) != wantHdr {
+				t.Fatalf("%+v: payload header %v, want %v", o, packed[:2], wantHdr)
+			}
+			_, params, total, sample, err := engine.DecodeExtractPayload(packed, c.Password)
+			if err != nil {
+				t.Fatalf("%+v: %v", o, err)
+			}
+			idx := transfer.SampleIndexes(rows, k, seed)
+			want := make([]string, len(idx))
+			for i, j := range idx {
+				want[i] = strconv.Itoa(3 * j)
+			}
+			got, _ := params.GetStr("i")
+			if total != rows || sample != int64(len(idx)) || got.Repr() != "["+strings.Join(want, ", ")+"]" {
+				t.Fatalf("%+v: %d of %d rows %s, want %d rows %v", o, sample, total, got.Repr(), len(idx), want)
+			}
+		}
+	}
 }

@@ -188,9 +188,10 @@ func ExtractBody(source, name string) (string, error) {
 const ExtractFuncName = "sys_extract"
 
 // RewriteToExtract replaces each call of udfName in the query with
-// sys_extract('udfName', '<options>', <original arguments...>), preserving
-// subquery arguments — the transformation of paper §2.2. It returns the
-// rewritten SQL text.
+// sys_extract('udfName', compress, encrypt, sample_size, seed, <original
+// arguments...>), preserving subquery arguments — the transformation of
+// paper §2.2. The transfer options travel as plain SQL values. It returns
+// the rewritten SQL text.
 func RewriteToExtract(sql, udfName string, opts transfer.Options) (string, error) {
 	st, err := sqlparse.Parse(sql)
 	if err != nil {
@@ -209,7 +210,10 @@ func RewriteToExtract(sql, udfName string, opts transfer.Options) (string, error
 		replaced++
 		args := append([]sqlparse.Expr{
 			&sqlparse.StrLit{Value: call.Name},
-			&sqlparse.StrLit{Value: opts.Encode()},
+			&sqlparse.BoolLit{Value: opts.Compress},
+			&sqlparse.BoolLit{Value: opts.Encrypt},
+			&sqlparse.IntLit{Value: int64(opts.SampleSize)},
+			&sqlparse.IntLit{Value: opts.Seed},
 		}, call.Args...)
 		return &sqlparse.FuncCall{Name: ExtractFuncName, Args: args}, true
 	})

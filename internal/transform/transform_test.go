@@ -111,7 +111,7 @@ func TestRewriteToExtractTableFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "sys_extract('train_rnforest', 'c=1;e=0;s=0;r=0'") {
+	if !strings.Contains(out, "sys_extract('train_rnforest', TRUE, FALSE, 0, 0, (SELECT") {
 		t.Fatalf("rewritten: %s", out)
 	}
 	if !strings.Contains(out, "(SELECT data, labels FROM trainingset)") {

@@ -239,8 +239,8 @@ func (c *Client) exchange(typ byte, payload []byte, want byte, decode func([]byt
 }
 
 // serverError is the error a MsgErr payload carries. The connection stays
-// in sync whatever its kind: the engine reports some statement errors as
-// protocol errors (extract options or a payload that do not decode) and the
+// in sync whatever its kind: the server reports some request errors as
+// protocol errors (an exec-stmt payload that does not decode) and the
 // session goes on serving. When the server refuses the byte stream itself
 // it hangs up, and the next read poisons the connection.
 func serverError(payload []byte) error { return remoteError{DecodeError(payload)} }

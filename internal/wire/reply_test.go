@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -53,10 +54,10 @@ func TestStreamEndCountMustMatchItsChunks(t *testing.T) {
 	}
 }
 
-// TestServerProtocolErrorLeavesTheConnectionInSync: the engine reports some
-// statement errors as protocol errors — extract options it cannot decode —
-// and the session goes on serving. The MsgErr that carries one is a reply
-// like any other, so the same Client runs the next statement.
+// TestServerProtocolErrorLeavesTheConnectionInSync: the server reports
+// some request errors as protocol errors — a MsgExecStmt whose bind payload
+// does not decode — and the session goes on serving. The MsgErr that carries
+// one is a reply like any other, so the same Client runs the next statement.
 func TestServerProtocolErrorLeavesTheConnectionInSync(t *testing.T) {
 	_, params := startTestServer(t)
 	c, err := DialContext(background(), params)
@@ -67,15 +68,15 @@ func TestServerProtocolErrorLeavesTheConnectionInSync(t *testing.T) {
 	for _, sql := range []string{
 		`CREATE TABLE numbers (i INTEGER)`,
 		`INSERT INTO numbers VALUES (1), (2), (3)`,
-		"CREATE FUNCTION f(column INTEGER) RETURNS DOUBLE LANGUAGE PYTHON {\n    return 0.0\n}",
 	} {
 		if _, err := c.Exec(background(), sql); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, _, err = c.Query(background(), `SELECT * FROM sys_extract('f', 'bogus', (SELECT i FROM numbers))`)
-	if core.KindOf(err) != core.KindProtocol {
-		t.Fatalf("extract with options that do not decode: %v, want the server's protocol error", err)
+	// a well-formed statement id and argument table, then a byte too many
+	_, err = c.start(background(), MsgExecStmt, append(EncodeExecStmt(1, nil), 0))
+	if core.KindOf(err) != core.KindProtocol || !strings.Contains(err.Error(), "trailing bytes") {
+		t.Fatalf("an exec-stmt payload that does not decode: %v, want the server's protocol error", err)
 	}
 	if c.Broken() {
 		t.Fatalf("the server's %v left the connection broken", err)
