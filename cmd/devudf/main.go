@@ -231,6 +231,14 @@ func cmdList(ctx context.Context, fs core.FS) error {
 		fmt.Println("no UDFs stored on the server")
 		return nil
 	}
+	names, err := c.Project.List()
+	if err != nil {
+		return err
+	}
+	imported := map[string]bool{}
+	for _, n := range names {
+		imported[strings.ToLower(n)] = true
+	}
 	fmt.Println("UDFs on the server (Import UDFs window):")
 	tw := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "  \tNAME\tLANGUAGE\tKIND\tDEBUGGABLE")
@@ -244,7 +252,7 @@ func cmdList(ctx context.Context, fs core.FS) error {
 			params[i] = p.Name + " " + p.Type
 		}
 		mark := "[ ]"
-		if c.Project.Has(info.Name) {
+		if imported[strings.ToLower(info.Name)] {
 			mark = "[x]" // already imported
 		}
 		debuggable := "yes"

@@ -16,12 +16,12 @@
 // virtual table.
 //
 // The resilience flags bound what any one client can cost the server:
-// -query-timeout aborts runaway statements, -max-conns and
+// -query-timeout aborts runaway statements, UDFs included, -max-conns and
 // -max-queue-depth cap concurrency and pipelining (excess requests get a
-// retryable overload error), -rate-limit/-rate-burst throttle per
-// session, -max-result-rows/-max-result-bytes bound result sizes,
-// -udf-wall-budget limits each UDF invocation's wall time, and
-// -drain-timeout puts a deadline on graceful shutdown.
+// retryable overload error), -rate-limit throttles each session with a
+// burst of one second's worth of requests, -max-result-bytes bounds a
+// result's encoded size, and -drain-timeout puts a deadline on graceful
+// shutdown.
 //
 // Usage:
 //
@@ -58,19 +58,15 @@ func main() {
 	queryTimeout := flag.Duration("query-timeout", 0, "abort any query running longer than this, measured from dequeue (0: unlimited)")
 	maxConns := flag.Int("max-conns", 0, "reject new connections past this many concurrent sessions with a retryable error (0: unlimited)")
 	maxQueueDepth := flag.Int("max-queue-depth", 0, "pipelined requests buffered per connection before shedding with a retryable error (0: default 256, negative: unbounded)")
-	rateLimit := flag.Float64("rate-limit", 0, "sustained queries/second admitted per session; excess requests shed with a retryable error (0: unlimited)")
-	rateBurst := flag.Int("rate-burst", 0, "token-bucket burst size for -rate-limit (below 1, including the default 0: a burst of 1)")
-	maxResultRows := flag.Int64("max-result-rows", 0, "fail queries whose result exceeds this many rows (0: unlimited)")
-	maxResultBytes := flag.Int("max-result-bytes", 0, "refuse to send results larger than this many encoded bytes (0: unlimited)")
-	udfWallBudget := flag.Duration("udf-wall-budget", 0, "wall-clock budget per UDF invocation across all runtimes (0: unlimited)")
+	rateLimit := flag.Float64("rate-limit", 0, "sustained queries/second admitted per session, in bursts of up to one second's worth; excess requests shed with a retryable error (0: unlimited)")
+	maxResultBytes := flag.Int("max-result-bytes", 0, "fail queries whose result encodes to more than this many bytes (0: unlimited)")
 	drainTimeout := flag.Duration("drain-timeout", 0, "on shutdown, force-abort sessions still executing after this long (0: wait for in-flight statements)")
 	flag.Parse()
 
 	db := monetlite.NewDB()
 	db.FS = core.OSFS{Dir: *dataDir}
 	db.MaxUDFSteps = *maxSteps
-	db.MaxResultRows = *maxResultRows
-	db.MaxUDFWall = *udfWallBudget
+	db.MaxResultBytes = *maxResultBytes
 	if *tupleMode {
 		db.Mode = monetlite.ModeTupleAtATime
 	}
@@ -114,8 +110,6 @@ func main() {
 	srv.MaxConns = *maxConns
 	srv.MaxQueueDepth = *maxQueueDepth
 	srv.RateLimit = *rateLimit
-	srv.RateBurst = *rateBurst
-	srv.MaxResultBytes = *maxResultBytes
 	srv.DrainTimeout = *drainTimeout
 
 	var stack *obsStack

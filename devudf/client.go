@@ -114,6 +114,24 @@ func (sc *serverCatalog) has(name string) bool {
 	return ok
 }
 
+// functionsAnswer and functionArgsAnswer are the columns listServerUDFs
+// reads from its two meta queries.
+var (
+	functionsAnswer = []storage.ColumnDef{
+		{Name: "id", Type: storage.TInt},
+		{Name: "name", Type: storage.TStr},
+		{Name: "func", Type: storage.TStr},
+		{Name: "language", Type: storage.TStr},
+		{Name: "is_table", Type: storage.TBool},
+	}
+	functionArgsAnswer = []storage.ColumnDef{
+		{Name: "function_id", Type: storage.TInt},
+		{Name: "name", Type: storage.TStr},
+		{Name: "type", Type: storage.TStr},
+		{Name: "is_result", Type: storage.TBool},
+	}
+)
+
 // listServerUDFs pulls the whole UDF catalog in two meta queries.
 func (c *Client) listServerUDFs(ctx context.Context) (*serverCatalog, error) {
 	_, funcs, err := c.pool.Query(ctx, `SELECT id, name, func, language, is_table FROM sys.functions ORDER BY name`)
@@ -124,31 +142,27 @@ func (c *Client) listServerUDFs(ctx context.Context) (*serverCatalog, error) {
 	if err != nil {
 		return nil, err
 	}
+	fc, err := answerColumns(funcs, "sys.functions", functionsAnswer)
+	if err != nil {
+		return nil, err
+	}
+	ac, err := answerColumns(args, "sys.function_args", functionArgsAnswer)
+	if err != nil {
+		return nil, err
+	}
 	type argRow struct {
 		name     string
 		typ      string
 		isResult bool
 	}
 	argsByID := map[int64][]argRow{}
-	if args != nil {
-		fid, _ := args.Column("function_id")
-		an, _ := args.Column("name")
-		at, _ := args.Column("type")
-		ir, _ := args.Column("is_result")
-		for i := 0; i < args.NumRows(); i++ {
-			argsByID[fid.Ints[i]] = append(argsByID[fid.Ints[i]],
-				argRow{an.Strs[i], at.Strs[i], ir.Bools[i]})
-		}
+	fid, an, at, ir := ac[0], ac[1], ac[2], ac[3]
+	for i := 0; i < args.NumRows(); i++ {
+		argsByID[fid.Ints[i]] = append(argsByID[fid.Ints[i]],
+			argRow{an.Strs[i], at.Strs[i], ir.Bools[i]})
 	}
 	cat := &serverCatalog{bodies: map[string]string{}}
-	if funcs == nil {
-		return cat, nil
-	}
-	id, _ := funcs.Column("id")
-	name, _ := funcs.Column("name")
-	body, _ := funcs.Column("func")
-	lang, _ := funcs.Column("language")
-	isTable, _ := funcs.Column("is_table")
+	id, name, body, lang, isTable := fc[0], fc[1], fc[2], fc[3], fc[4]
 	for i := 0; i < funcs.NumRows(); i++ {
 		info := UDFInfo{
 			Name:     name.Strs[i],
@@ -167,6 +181,26 @@ func (c *Client) listServerUDFs(ctx context.Context) (*serverCatalog, error) {
 		cat.bodies[strings.ToLower(info.Name)] = body.Strs[i]
 	}
 	return cat, nil
+}
+
+// answerColumns looks want's columns up by name in the server's answer t
+// to the query named what, in want's order. A missing answer, or a column
+// that is missing, of another type or of another length, is a protocol
+// error naming it.
+func answerColumns(t *storage.Table, what string, want []storage.ColumnDef) ([]*storage.Column, error) {
+	if t == nil {
+		return nil, core.Errorf(core.KindProtocol, "%s answer has no result table", what)
+	}
+	cols := make([]*storage.Column, len(want))
+	for i, w := range want {
+		col, err := t.Column(w.Name)
+		if err != nil || col.Typ != w.Type || col.Len() != t.NumRows() {
+			return nil, core.Errorf(core.KindProtocol,
+				"%s answer has no %s column %q", what, w.Type, w.Name)
+		}
+		cols[i] = col
+	}
+	return cols, nil
 }
 
 // ListServerUDFs queries the server's meta tables for stored UDFs — the

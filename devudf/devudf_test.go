@@ -2,6 +2,7 @@ package devudf
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -312,11 +313,10 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
-// TestNestedUDFLocalDebug reproduces §2.3 client-side: find_best_classifier
-// is imported (train_rnforest follows transitively through its loopback
-// query); running it locally executes train_rnforest locally too, on input
-// data extracted per call from the server.
-func TestNestedUDFLocalDebug(t *testing.T) {
+// nestedUDFServer serves the paper's §2.3 example: find_best_classifier
+// trains through loopback queries that call train_rnforest.
+func nestedUDFServer(t *testing.T) monetlite.ConnParams {
+	t.Helper()
 	params, _ := startServer(t,
 		`CREATE TABLE trainingset (data DOUBLE, labels INTEGER)`,
 		`INSERT INTO trainingset VALUES
@@ -358,6 +358,15 @@ RETURNS TABLE(clf BLOB, n_estimators INTEGER) LANGUAGE PYTHON {
     return {'clf': pickle.dumps(best_classifier), 'n_estimators': best_estimator}
 };`,
 	)
+	return params
+}
+
+// TestNestedUDFLocalDebug reproduces §2.3 client-side: find_best_classifier
+// is imported (train_rnforest follows transitively through its loopback
+// query); running it locally executes train_rnforest locally too, on input
+// data extracted per call from the server.
+func TestNestedUDFLocalDebug(t *testing.T) {
+	params := nestedUDFServer(t)
 	c := newClient(t, params, `SELECT * FROM find_best_classifier(3)`)
 	imported, err := c.ImportUDFs(ctx, "find_best_classifier")
 	if err != nil {
@@ -367,8 +376,8 @@ RETURNS TABLE(clf BLOB, n_estimators INTEGER) LANGUAGE PYTHON {
 	if len(imported) != 2 {
 		t.Fatalf("imported: %v (nested UDF should be pulled in)", imported)
 	}
-	if !c.Project.Has("train_rnforest") {
-		t.Fatal("train_rnforest missing from project")
+	if names, err := c.Project.List(); err != nil || !slices.Contains(names, "train_rnforest") {
+		t.Fatalf("train_rnforest missing from project: %v %v", names, err)
 	}
 	if _, err := c.ExtractInputs(ctx, "find_best_classifier"); err != nil {
 		t.Fatal(err)
@@ -384,6 +393,69 @@ RETURNS TABLE(clf BLOB, n_estimators INTEGER) LANGUAGE PYTHON {
 	best, _ := d.GetStr("n_estimators")
 	if n, ok := script.AsInt(best); !ok || n < 2 {
 		t.Fatalf("best n_estimators: %v", best)
+	}
+}
+
+// readArmsFS fails the next read of the file named arm once a file whose
+// name ends in on has been read.
+type readArmsFS struct {
+	*flakyFS
+	on, arm string
+}
+
+func (a *readArmsFS) ReadFile(name string) ([]byte, error) {
+	if strings.HasSuffix(name, a.on) {
+		a.fail = a.arm
+	}
+	return a.flakyFS.ReadFile(name)
+}
+
+// TestNestedCallFailsOnUnreadableMetadata: a local run's loopback query
+// looks its UDF calls up in the project metadata. When that read fails the
+// query fails with it; it does not go to the server, whose UDF is not the
+// local edit.
+func TestNestedCallFailsOnUnreadableMetadata(t *testing.T) {
+	params := nestedUDFServer(t)
+	settings := DefaultSettings()
+	settings.Connection = params
+	settings.DebugQuery = `SELECT * FROM find_best_classifier(1)`
+	fs := &readArmsFS{flakyFS: &flakyFS{FS: core.NewMemFS(nil)}, on: "find_best_classifier.input.bin"}
+	c, err := Open(ctx, settings, WithFS(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.ImportUDFs(ctx, "find_best_classifier"); err != nil {
+		t.Fatal(err)
+	}
+	info, src, err := c.Project.LoadUDF("train_rnforest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := strings.Replace(src, "    clf.fit(data, labels)\n", "    clf.fit(data, labels)\n    print('local edit')\n", 1)
+	if edited == src {
+		t.Fatal("train_rnforest's script has no clf.fit line to edit")
+	}
+	if err := c.Project.SaveUDF(info, edited); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ExtractInputs(ctx, "find_best_classifier"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.RunLocal(ctx, "find_best_classifier")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(res.Stdout, "local edit") {
+		t.Fatalf("the local run did not call the edited train_rnforest:\n%s", res.Stdout)
+	}
+
+	fs.arm = c.Project.path(metaFile)
+	_, err = c.RunLocal(ctx, "find_best_classifier")
+	// The script sees the failed _conn.execute as an error it could catch,
+	// as it sees any failed loopback query; uncaught, it ends the run.
+	if err == nil || !strings.Contains(err.Error(), "input/output error") {
+		t.Fatalf("a run whose loopback query cannot read the metadata: %v, want the read's IO error", err)
 	}
 }
 

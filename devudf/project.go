@@ -163,16 +163,6 @@ func (p *Project) LoadUDFSource(name string) (string, error) {
 	return src, err
 }
 
-// Has reports whether the project contains a UDF.
-func (p *Project) Has(name string) bool {
-	m, err := p.readMeta()
-	if err != nil {
-		return false
-	}
-	_, ok := m[strings.ToLower(name)]
-	return ok
-}
-
 // List returns the imported UDF names, sorted.
 func (p *Project) List() ([]string, error) {
 	m, err := p.readMeta()

@@ -54,7 +54,7 @@ func (c *Client) ExtractInputs(ctx context.Context, udfName string) (*ExtractInf
 
 // extractAnswer is the one-row answer of a rewritten query: the packed
 // payload and the input's row counts before and after sampling.
-var extractAnswer = [...]storage.ColumnDef{
+var extractAnswer = []storage.ColumnDef{
 	{Name: "payload", Type: storage.TBlob},
 	{Name: "total_rows", Type: storage.TInt},
 	{Name: "sample_rows", Type: storage.TInt},
@@ -78,14 +78,9 @@ func (c *Client) extract(ctx context.Context, sql, udfName string) (*ExtractInfo
 	if t == nil || t.NumRows() != 1 {
 		return nil, nil, core.Errorf(core.KindProtocol, "extract query returned no payload row")
 	}
-	var cols [len(extractAnswer)]*storage.Column
-	for i, want := range extractAnswer {
-		col, err := t.Column(want.Name)
-		if err != nil || col.Typ != want.Type || col.Len() != 1 {
-			return nil, nil, core.Errorf(core.KindProtocol,
-				"extract answer has no %s column %q", want.Type, want.Name)
-		}
-		cols[i] = col
+	cols, err := answerColumns(t, "extract", extractAnswer)
+	if err != nil {
+		return nil, nil, err
 	}
 	payload := cols[0].Blobs[0]
 	_, params, _, _, err := engine.DecodeExtractPayload(payload, c.Settings.Connection.Password)
@@ -275,8 +270,18 @@ type localExecutor struct {
 	in  *script.Interp
 }
 
+// Execute runs sql locally when it calls an imported UDF and on the server
+// otherwise. A project whose metadata cannot be read fails the query:
+// sending it to the server would run the server's UDF, not the local edit.
 func (x localExecutor) Execute(sql string) (*storage.Table, error) {
-	names, err := transform.FindUDFCalls(sql, x.c.Project.Has)
+	meta, err := x.c.Project.readMeta()
+	if err != nil {
+		return nil, err
+	}
+	names, err := transform.FindUDFCalls(sql, func(name string) bool {
+		_, ok := meta[strings.ToLower(name)]
+		return ok
+	})
 	if err == nil && len(names) > 0 {
 		return x.runNested(sql, names[0])
 	}

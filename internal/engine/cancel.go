@@ -67,13 +67,3 @@ func (i *Interrupt) Stopped() bool { return i.Err() != nil }
 // statement may keep running, the typed cancellation error once it must
 // abort. Called between stages of evalSelect and around UDF invocations.
 func (f *frame) interruptErr() error { return f.Interrupt.Err() }
-
-// checkBudgetRows enforces the per-query result-row budget. Zero budget
-// admits everything; LIMIT clauses under the budget are unaffected.
-func (f *frame) checkBudgetRows(rows int) error {
-	if max := f.DB.MaxResultRows; max > 0 && int64(rows) > max {
-		return core.Errorf(core.KindResource,
-			"result exceeds the per-query row budget (%d rows > %d); add a LIMIT or raise the budget", rows, max)
-	}
-	return nil
-}

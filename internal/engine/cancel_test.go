@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/storage"
 )
 
 // spinUDF loops until it is cancelled: every test that runs it interrupts
@@ -29,37 +30,21 @@ const filterSpinUDF = `CREATE FUNCTION filterspin(x INTEGER) RETURNS INTEGER LAN
 };`
 
 // A comprehension whose filter rejects every item still counts a step per
-// item, so the statement's deadline and the UDF wall budget both end it.
+// item, so the statement's deadline ends it.
 func TestFilteredComprehensionIsInterruptible(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		kind core.ErrorKind
-		run  func(c *Conn) error
-	}{
-		{"ExecContext deadline", core.KindCancelled, func(c *Conn) error {
-			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-			defer cancel()
-			_, err := c.ExecContext(ctx, `SELECT filterspin(1)`)
-			return err
-		}},
-		{"MaxUDFWall", core.KindResource, func(c *Conn) error {
-			c.DB.MaxUDFWall = 50 * time.Millisecond
-			_, err := c.Exec(`SELECT filterspin(1)`)
-			return err
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := newTestConn()
-			mustExec(t, c, filterSpinUDF)
-			start := time.Now()
-			if err := tc.run(c); core.KindOf(err) != tc.kind {
-				t.Fatalf("want %v error, got %v", tc.kind, err)
-			}
-			if d := time.Since(start); d > 5*time.Second {
-				t.Fatalf("took %v; the filtered comprehension escaped the interrupt", d)
-			}
-		})
-	}
+	t.Run("ExecContext deadline", func(t *testing.T) {
+		c := newTestConn()
+		mustExec(t, c, filterSpinUDF)
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		if _, err := c.ExecContext(ctx, `SELECT filterspin(1)`); !core.IsCancelled(err) {
+			t.Fatalf("want cancelled error, got %v", err)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Fatalf("took %v; the filtered comprehension escaped the interrupt", d)
+		}
+	})
 }
 
 func TestExecContextPreCancelled(t *testing.T) {
@@ -141,41 +126,68 @@ func TestStmtExecContextCancelled(t *testing.T) {
 	}
 }
 
-func TestMaxResultRowsBudget(t *testing.T) {
+// TestExecContextDeadlineFailsGoUDF: a native GO UDF cannot be preempted,
+// so one that sleeps past the statement's deadline runs to its end, and
+// the checkpoint after the projection fails the statement.
+func TestExecContextDeadlineFailsGoUDF(t *testing.T) {
 	c := newTestConn()
-	c.DB.MaxResultRows = 2
 	mustExec(t, c, `CREATE TABLE t (i INTEGER)`)
 	mustExec(t, c, `INSERT INTO t VALUES (1), (2), (3)`)
-	_, err := c.Exec(`SELECT i FROM t`)
-	if core.KindOf(err) != core.KindResource {
-		t.Fatalf("want resource error, got %v", err)
+	calls := 0
+	if err := c.DB.RegisterGoUDF("nap_embedded", func(x []int64) []int64 {
+		calls++
+		time.Sleep(100 * time.Millisecond)
+		return x
+	}); err != nil {
+		t.Fatal(err)
 	}
-	// Within budget passes; the budget bounds what ships, not what exists.
-	res := mustExec(t, c, `SELECT i FROM t LIMIT 2`)
-	if res.Table.NumRows() != 2 {
-		t.Fatalf("rows = %d, want 2", res.Table.NumRows())
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := c.ExecContext(ctx, `SELECT nap_embedded(i) AS v FROM t`); !core.IsCancelled(err) {
+		t.Fatalf("want cancelled error, got %v", err)
 	}
+	if calls != 1 {
+		t.Errorf("nap_embedded ran %d times, want once", calls)
+	}
+	mustExec(t, c, `SELECT i FROM t`)
 }
 
-func TestUDFWallBudget(t *testing.T) {
-	c := newTestConn()
-	c.DB.MaxUDFWall = 30 * time.Millisecond
-	mustExec(t, c, spinUDF)
-	start := time.Now()
-	_, err := c.Exec(`SELECT spin(3)`)
-	if core.KindOf(err) != core.KindResource {
-		t.Fatalf("want resource error, got %v", err)
+// TestMaxResultBytesBudget: the budget is on the encoded size of a SELECT
+// statement's result, checked once in the engine, so it reaches a UDF's
+// loopback queries as well as the statements a client sends. What a
+// statement reads on the way, a derived table say, is not its result.
+func TestMaxResultBytesBudget(t *testing.T) {
+	c := loopbackConn(t, "SELECT i FROM t")
+	size := func(sql string) int {
+		t.Helper()
+		tbl := mustExec(t, c, sql).Table
+		return storage.EncodedTableSize(tbl, 0, tbl.NumRows())
 	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("wall budget took %v to fire; interpreter not polling", d)
+	full, outer := size(`SELECT i FROM t`), size(`SELECT outer(1) AS v`)
+
+	c.DB.MaxResultBytes = full - 1
+	if _, err := c.Exec(`SELECT i FROM t`); core.KindOf(err) != core.KindResource {
+		t.Fatalf("a result one byte over the budget: want resource error, got %v", err)
 	}
-	// Fast calls stay under the budget and run normally.
-	mustExec(t, c, `CREATE FUNCTION quick(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON {
-    return x + 1
-};`)
-	res := mustExec(t, c, `SELECT quick(41) AS a`)
-	if got := intCol(t, res.Table, "a"); len(got) != 1 || got[0] != 42 {
-		t.Fatalf("quick: %v", got)
+	// A LIMIT that brings the result under the budget passes; the budget
+	// bounds what a statement returns, not what it scans.
+	if res := mustExec(t, c, `SELECT i FROM t LIMIT 2`); res.Table.NumRows() != 2 {
+		t.Fatalf("rows = %d, want 2", res.Table.NumRows())
+	}
+	if res := mustExec(t, c, `SELECT COUNT(*) AS n FROM (SELECT i FROM t) AS d`); intCol(t, res.Table, "n")[0] != 3 {
+		t.Fatalf("count over a derived table: %v", intCol(t, res.Table, "n"))
+	}
+	// outer's own result fits; the loopback query it sends does not.
+	if outer > c.DB.MaxResultBytes {
+		t.Fatalf("outer's result is %d bytes, over the %d budget", outer, c.DB.MaxResultBytes)
+	}
+	if _, err := c.Exec(`SELECT outer(1) AS v`); core.KindOf(err) != core.KindResource {
+		t.Fatalf("a loopback query over the budget: want its statement to fail with a resource error, got %v", err)
+	}
+
+	c.DB.MaxResultBytes = full
+	if res := mustExec(t, c, `SELECT i FROM t`); res.Table.NumRows() != 3 {
+		t.Fatalf("a result exactly at the budget: rows = %d, want 3", res.Table.NumRows())
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -63,16 +62,12 @@ type DB struct {
 	// MaxUDFSteps bounds each UDF invocation's interpreter steps
 	// (0 = unlimited).
 	MaxUDFSteps int64
-	// MaxResultRows bounds the rows a single SELECT may materialize
-	// (0 = unlimited). Oversize results abort with a typed KindResource
-	// error instead of shipping; queries that want big scans add a LIMIT.
-	MaxResultRows int64
-	// MaxUDFWall bounds the wall-clock time of one UDF runtime invocation
-	// (0 = unlimited) — the generalization of MaxUDFSteps to runtimes
-	// without an interpreter step counter (native GO). Interpreter-backed
-	// runtimes abort mid-run; native calls are measured and fail the
-	// statement once over budget.
-	MaxUDFWall time.Duration
+	// MaxResultBytes bounds the encoded size of a SELECT statement's
+	// result (0 = unlimited), whoever runs it: an embedder, a wire session
+	// or a UDF's loopback query. Subquery and derived-table results are
+	// not bounded. An oversize result fails with a typed KindResource
+	// error; queries that want big scans add a LIMIT.
+	MaxResultBytes int
 
 	// QueryLog, when set, backs the sys.query_log virtual table with the
 	// span breakdowns of recently finished queries. The wire server (or
@@ -295,6 +290,10 @@ func (f *frame) execStmt(st sqlparse.Statement) (*Result, error) {
 		t, err := f.evalSelect(st)
 		if err != nil {
 			return nil, err
+		}
+		if max := db.MaxResultBytes; max > 0 && storage.EncodedTableSize(t, 0, t.NumRows()) > max {
+			return nil, core.Errorf(core.KindResource,
+				"result exceeds the per-query byte budget; add a LIMIT or raise the budget")
 		}
 		f.res.Table = t
 		return f.status(fmt.Sprintf("SELECT %d", t.NumRows()), nil)

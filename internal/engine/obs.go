@@ -4,7 +4,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine/vec"
 	"repro/internal/obs"
 	"repro/internal/storage"
@@ -71,8 +70,8 @@ func (db *DB) EnableObs(reg *obs.Registry) {
 // the duration of the statement and all trace cells are atomic.
 func (f *frame) instrumentedCall(def *storage.FuncDef, call udfrt.Callable,
 	env *udfrt.Env, in *udfrt.Batch) (*udfrt.Batch, error) {
-	m, tr, bud := f.DB.metrics, f.Trace, f.DB.MaxUDFWall
-	if m == nil && tr == nil && bud <= 0 {
+	m, tr := f.DB.metrics, f.Trace
+	if m == nil && tr == nil {
 		return call.Call(env, in)
 	}
 	t0 := time.Now()
@@ -87,14 +86,6 @@ func (f *frame) instrumentedCall(def *storage.FuncDef, call udfrt.Callable,
 		if err != nil {
 			m.udfErrors.With(lang).Inc()
 		}
-	}
-	// The wall budget is per invocation, mirroring MaxSteps. Interpreted
-	// runtimes additionally abort mid-run through env's interrupt hook;
-	// native runtimes cannot be preempted, so an overrun is detected here,
-	// after the fact, and still fails the statement.
-	if err == nil && bud > 0 && d > bud {
-		return nil, core.Errorf(core.KindResource,
-			"UDF %s exceeded the wall-clock budget (%v > %v)", def.Name, d, bud)
 	}
 	return out, err
 }

@@ -93,9 +93,6 @@ func (f *frame) evalSelect(sel *sqlparse.Select) (*storage.Table, error) {
 			result = result.SliceRows(0, limit)
 		}
 	}
-	if err := f.checkBudgetRows(result.NumRows()); err != nil {
-		return nil, err
-	}
 	if m := f.DB.metrics; m != nil {
 		m.rowsReturned.Add(uint64(result.NumRows()))
 	}

@@ -35,7 +35,6 @@ func (f *frame) udfEnv() *udfrt.Env {
 	env := &udfrt.Env{
 		FS:       f.DB.FS,
 		MaxSteps: f.DB.MaxUDFSteps,
-		MaxWall:  f.DB.MaxUDFWall,
 		Stdout:   f.Stdout,
 		Loopback: f,
 		Invoke:   f.Invoke,

@@ -94,8 +94,8 @@ type Interp struct {
 	MaxSteps int64
 	// Interrupt, when set, is polled every 1024 interpreter steps; a
 	// non-nil result aborts the script with that error. The engine arms it
-	// with the statement's cancellation signal and UDF wall-clock budget,
-	// so a cancelled query preempts a long-running interpreted UDF.
+	// with the statement's cancellation signal, so a cancelled or timed-out
+	// query preempts a long-running interpreted UDF.
 	Interrupt func() error
 	// Trace, when set, observes line/call/return/exception events.
 	Trace TraceFunc

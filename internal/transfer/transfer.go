@@ -383,21 +383,6 @@ func inflate(stream []byte, n int) ([]byte, error) {
 	return out, nil
 }
 
-// inflateLegacy reads what Compress wrote before the payload described
-// itself: a bare DEFLATE stream of unknown length. Only Unpack's header byte
-// 1 leads here.
-func inflateLegacy(stream []byte) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(stream))
-	out, err := io.ReadAll(io.LimitReader(r, maxRawLen+1))
-	if err != nil {
-		return nil, core.Wrapf(core.KindProtocol, err, "corrupt compressed payload: %v", err)
-	}
-	if len(out) > maxRawLen {
-		return nil, core.Errorf(core.KindProtocol, "compressed payload inflates past the %d-byte transfer limit", maxRawLen)
-	}
-	return out, nil
-}
-
 // DeriveKey turns the database user's password into an AES-256 key.
 func DeriveKey(password string) []byte {
 	sum := sha256.Sum256([]byte("devudf-transfer-v1:" + password))
@@ -445,8 +430,7 @@ func Decrypt(password string, ciphertext []byte) ([]byte, error) {
 // The first byte of a packed payload says how its body was compressed.
 const (
 	formVerbatim byte = 0 // not compressed
-	formDeflate  byte = 1 // a bare DEFLATE stream: what servers before the planes wrote, read only
-	formPlanes   byte = 2 // Compress's output
+	formPlanes   byte = 2 // Compress's output; 1 was a bare DEFLATE stream, no longer read
 )
 
 // Pack applies the selected transformations to a payload, in order:
@@ -481,7 +465,7 @@ func Unpack(packed []byte, password string) ([]byte, error) {
 		return nil, core.Errorf(core.KindProtocol, "payload too short")
 	}
 	form, encrypted := packed[0], packed[1]
-	if form > formPlanes || encrypted > 1 {
+	if (form != formVerbatim && form != formPlanes) || encrypted > 1 {
 		return nil, core.Errorf(core.KindProtocol, "unknown payload header %d %d", form, encrypted)
 	}
 	payload := packed[2:]
@@ -491,11 +475,8 @@ func Unpack(packed []byte, password string) ([]byte, error) {
 			return nil, err
 		}
 	}
-	switch form {
-	case formPlanes:
+	if form == formPlanes {
 		return Decompress(payload)
-	case formDeflate:
-		return inflateLegacy(payload)
 	}
 	if encrypted == 0 {
 		payload = slices.Clone(payload) // still the caller's packed bytes

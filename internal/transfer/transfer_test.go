@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/core"
 )
 
 func TestCompressRoundTrip(t *testing.T) {
@@ -180,7 +182,8 @@ func TestCompressionActuallyHelpsOnColumnData(t *testing.T) {
 // parentPayloads are Pack's output at the commit before Compress byte-planed
 // (header bytes 0 and 1 only), recorded there: the pickle of
 // {"column": [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8]} under password "s3cret",
-// seed 7. A payload from a server of that vintage must still unpack.
+// seed 7. An uncompressed one from a server of that vintage must still
+// unpack; a compressed one, header byte 1, is refused as an unknown header.
 var parentPayloads = map[string]string{
 	"verbatim":         "0000504b4c3109000000010500000006636f6c756d6e070000000c030000000000000003030000000000000001030000000000000004030000000000000001030000000000000005030000000000000009030000000000000002030000000000000006030000000000000005030000000000000003030000000000000005030000000000000008",
 	"compress":         "01000af0f631e46460606064656060604bcecf29cdcd63676060e06166800066188311c660c11061853138610c2618830d430d33860807200000ffff",
@@ -199,10 +202,16 @@ func unhex(t testing.TB, s string) []byte {
 
 func TestUnpackReadsParentPayloads(t *testing.T) {
 	want := unhex(t, parentPayloads["verbatim"])[2:]
-	for name, h := range parentPayloads {
-		got, err := Unpack(unhex(t, h), "s3cret")
+	for _, name := range []string{"verbatim", "encrypt"} {
+		got, err := Unpack(unhex(t, parentPayloads[name]), "s3cret")
 		if err != nil || !bytes.Equal(got, want) {
 			t.Errorf("%s: unpacked %x (%v), want %x", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"compress", "compress+encrypt"} {
+		got, err := Unpack(unhex(t, parentPayloads[name]), "s3cret")
+		if core.KindOf(err) != core.KindProtocol || !strings.Contains(err.Error(), "unknown payload header") {
+			t.Errorf("%s: unpacked %x (%v), want the unknown header refused", name, got, err)
 		}
 	}
 }

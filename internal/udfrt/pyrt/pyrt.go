@@ -8,8 +8,6 @@
 package pyrt
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/script"
 	"repro/internal/storage"
@@ -73,6 +71,9 @@ func (c *callable) prepare(env *udfrt.Env) (*instance, error) {
 		in := script.NewInterp()
 		in.FS = env.FS
 		in.MaxSteps = env.MaxSteps
+		if env.Interrupt != nil {
+			in.Interrupt = env.Interrupt.Err
+		}
 		in.Stdout = env.Out()
 		genv, err := in.Run(c.mod)
 		if err != nil {
@@ -100,11 +101,6 @@ func (c *callable) Call(env *udfrt.Env, in *udfrt.Batch) (*udfrt.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Arm the interpreter's step-poll interrupt for this invocation:
-	// statement cancellation plus a fresh MaxWall deadline. Re-set on
-	// every call because the memoized instance outlives a tuple-at-a-time
-	// row loop while the wall budget is per invocation.
-	inst.in.Interrupt = env.InterruptFor(c.def.Name, time.Now())
 	call := func() (script.Value, error) { return inst.in.Call(inst.fn, Args(in)) }
 	var out script.Value
 	if env.Invoke != nil {

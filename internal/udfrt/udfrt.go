@@ -15,7 +15,6 @@ import (
 	"io"
 	"slices"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/script"
@@ -220,12 +219,6 @@ type Env struct {
 	FS core.FS
 	// MaxSteps bounds interpreter steps per invocation (0 = unlimited).
 	MaxSteps int64
-	// MaxWall bounds one invocation's wall clock (0 = unlimited) — the
-	// cross-runtime generalization of MaxSteps. Interpreter-backed
-	// runtimes abort mid-run via their step-poll hook; native runtimes
-	// cannot be preempted, so the engine checks the elapsed time after
-	// the call returns.
-	MaxWall time.Duration
 	// Interrupt, when set, reports a non-nil typed error from Err once the
 	// invoking statement has been cancelled. Interpreter-backed runtimes
 	// poll it between steps so a cancelled query preempts a long-running
@@ -261,33 +254,6 @@ func (e *Env) Memo(key any, build func() (any, error)) (any, error) {
 	}
 	e.memo[key] = v
 	return v, nil
-}
-
-// InterruptFor builds the per-invocation interrupt poll for the named
-// UDF: the Env's cancellation hook combined with a MaxWall deadline
-// starting at start. Nil when neither is armed, so unguarded invocations
-// install nothing.
-func (e *Env) InterruptFor(name string, start time.Time) func() error {
-	if e.Interrupt == nil && e.MaxWall <= 0 {
-		return nil
-	}
-	cancel, bud := e.Interrupt, e.MaxWall
-	var deadline time.Time
-	if bud > 0 {
-		deadline = start.Add(bud)
-	}
-	return func() error {
-		if cancel != nil {
-			if err := cancel.Err(); err != nil {
-				return err
-			}
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return core.Errorf(core.KindResource,
-				"UDF %s exceeded the wall-clock budget (%v)", name, bud)
-		}
-		return nil
-	}
 }
 
 // Out returns the Env's stdout, defaulting to io.Discard.

@@ -89,6 +89,40 @@ func TestQueryTimeoutCancelsStatement(t *testing.T) {
 	}
 }
 
+// TestQueryTimeoutFailsGoUDF: a native GO UDF cannot be preempted, so one
+// that sleeps past the query timeout runs to its end, and the engine's
+// checkpoint after the projection fails the statement.
+func TestQueryTimeoutFailsGoUDF(t *testing.T) {
+	var calls atomic.Int64
+	srv, params := startConfiguredServer(t, func(s *Server) {
+		s.QueryTimeout = 20 * time.Millisecond
+		if err := s.DB.RegisterGoUDF("nap_wire", func(x []int64) []int64 {
+			calls.Add(1)
+			time.Sleep(100 * time.Millisecond)
+			return x
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	c, err := DialContext(background(), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, _, err := c.Query(background(), `SELECT nap_wire(1) AS v`); !core.IsCancelled(err) {
+		t.Fatalf("want typed cancelled error over the wire, got %v", err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("nap_wire ran %d times, want once", n)
+	}
+	if _, _, err := c.Query(background(), `SELECT 1 AS one`); err != nil {
+		t.Fatalf("connection unusable after timeout: %v", err)
+	}
+	if srv.DB.QueriesCancelled() == 0 {
+		t.Fatal("engine_queries_cancelled_total not bumped")
+	}
+}
+
 // ---- client death mid-query reclaims the engine ----
 
 // TestKillClientMidQueryReclaimsEngine is the acceptance scenario: a
@@ -150,7 +184,6 @@ func TestKillClientMidQueryReclaimsEngine(t *testing.T) {
 func TestRateLimitShedsWithRetryableError(t *testing.T) {
 	srv, params := startConfiguredServer(t, func(s *Server) {
 		s.RateLimit = 0.001 // effectively no refill within the test
-		s.RateBurst = 1
 	})
 	c, err := DialContext(background(), params)
 	if err != nil {
@@ -173,6 +206,31 @@ func TestRateLimitShedsWithRetryableError(t *testing.T) {
 	// Shedding answers the request; it does not poison the session.
 	if err := c.Ping(background()); err != nil {
 		t.Fatalf("session dead after shed: %v", err)
+	}
+}
+
+// TestRateLimitBurstIsOneSecondOfTheRate: the bucket holds one second of
+// the rate, so at two requests a second a client's two back-to-back
+// requests both pass and a third sent at once is shed.
+func TestRateLimitBurstIsOneSecondOfTheRate(t *testing.T) {
+	srv, params := startConfiguredServer(t, func(s *Server) {
+		s.RateLimit = 2
+	})
+	c, err := DialContext(background(), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 1; i <= 2; i++ {
+		if _, _, err := c.Query(background(), `SELECT 1 AS one`); err != nil {
+			t.Fatalf("request %d of a second's worth must pass: %v", i, err)
+		}
+	}
+	if _, _, err := c.Query(background(), `SELECT 1 AS one`); core.KindOf(err) != core.KindOverload {
+		t.Fatalf("a third request at once: want overload error, got %v", err)
+	}
+	if got := srv.QueriesShed(); got != 1 {
+		t.Fatalf("QueriesShed = %d, want 1", got)
 	}
 }
 
@@ -412,7 +470,6 @@ func TestDrainTimeoutAbortsInFlight(t *testing.T) {
 func TestPoolShedStatementsAreOneAttempt(t *testing.T) {
 	srv, params := startConfiguredServer(t, func(s *Server) {
 		s.RateLimit = 0.001 // effectively no refill within the test
-		s.RateBurst = 1
 	})
 	pool := NewPool(params, 1)
 	defer pool.Close()
@@ -623,7 +680,6 @@ func TestChaosServerSurvives(t *testing.T) {
 	srv.MaxConns = 8
 	srv.MaxQueueDepth = 4
 	srv.RateLimit = 200
-	srv.RateBurst = 50
 	srv.QueryTimeout = 2 * time.Second
 	srv.DrainTimeout = 2 * time.Second
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -773,7 +829,7 @@ func TestMaxResultBytes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s.MaxResultBytes = len(storage.EncodeTable(nil, r.Table))
+				s.DB.MaxResultBytes = len(storage.EncodeTable(nil, r.Table))
 				s.StreamThreshold = mode.streamThreshold
 				s.ChunkBytes = 64 // a row or two per chunk when streaming
 			})

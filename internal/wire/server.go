@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"log"
+	"math"
 	"net"
 	"os"
 	"sync"
@@ -60,20 +61,14 @@ type Server struct {
 	// dropped. Zero applies the 256 default; negative means unbounded.
 	MaxQueueDepth int
 	// RateLimit, when positive, admits at most this many
-	// statement-executing requests per second per session (token bucket,
-	// burst RateBurst); excess requests are shed with a retryable
-	// overload error.
+	// statement-executing requests per second per session (token bucket
+	// holding one second of the rate, at least one request); excess
+	// requests are shed with a retryable overload error.
 	RateLimit float64
-	// RateBurst is the token-bucket burst for RateLimit; values below 1
-	// (including zero) allow a burst of 1.
-	RateBurst int
 	// QueryTimeout, when positive, bounds each statement's execution wall
 	// clock, measured from dequeue. An overrunning statement aborts with
 	// a typed cancelled error at the engine's next checkpoint.
 	QueryTimeout time.Duration
-	// MaxResultBytes, when positive, refuses to ship results whose
-	// encoding exceeds it, answering with a typed resource error.
-	MaxResultBytes int
 	// DrainTimeout, when positive, bounds how long a graceful drain waits
 	// for in-flight statements: past the deadline their interrupts fire
 	// and they abort with a cancelled error. Zero waits indefinitely.
@@ -253,7 +248,10 @@ func (sc *serverConn) execOpts(tr *obs.Trace) engine.ExecOpts {
 	return o
 }
 
-// tokenBucket is the per-session statement-admission rate limiter.
+// tokenBucket is the per-session statement-admission rate limiter. Its
+// burst is one second of the rate, at least one request: a client's
+// back-to-back requests (a prepare, its execution and its close) pass as
+// long as they fit in a second's worth.
 // Touched only by the connection's frame loop, so it needs no lock.
 type tokenBucket struct {
 	rate   float64 // tokens per second
@@ -262,11 +260,8 @@ type tokenBucket struct {
 	last   time.Time
 }
 
-func newTokenBucket(rate float64, burst int) *tokenBucket {
-	b := float64(burst)
-	if b < 1 {
-		b = 1
-	}
+func newTokenBucket(rate float64) *tokenBucket {
+	b := max(1, math.Ceil(rate))
 	return &tokenBucket{rate: rate, burst: b, tokens: b}
 }
 
@@ -572,7 +567,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		workerDone: make(chan struct{}),
 	}
 	if s.RateLimit > 0 {
-		sc.limiter = newTokenBucket(s.RateLimit, s.RateBurst)
+		sc.limiter = newTokenBucket(s.RateLimit)
 	}
 	if m != nil {
 		sc.queries.depth = m.queueDepth
@@ -713,10 +708,6 @@ func (sc *serverConn) writeResult(res *engine.Result) error {
 		return sc.w.writeFrame(MsgResult, EncodeResult(res.Msg, nil))
 	}
 	size := storage.EncodedTableSize(res.Table, 0, res.Table.NumRows())
-	if max := s.MaxResultBytes; max > 0 && size > max {
-		return sc.w.writeFrame(MsgErr, EncodeError(core.KindResource,
-			"result exceeds the per-query byte budget; add a LIMIT or raise the budget"))
-	}
 	threshold := s.StreamThreshold
 	if threshold == 0 {
 		threshold = 1 << 20
