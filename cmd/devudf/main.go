@@ -191,12 +191,12 @@ func applySetting(s *devudf.Settings, key, val string) error {
 	case "project":
 		s.ProjectDir = val
 	case "compress":
-		s.Transfer.Compress = val == "true" || val == "1"
+		return setBool(&s.Transfer.Compress, key, val)
 	case "encrypt":
-		s.Transfer.Encrypt = val == "true" || val == "1"
+		return setBool(&s.Transfer.Encrypt, key, val)
 	case "sample":
 		n, err := strconv.Atoi(val)
-		if err != nil {
+		if err != nil || n < 0 {
 			return fmt.Errorf("bad sample size %q", val)
 		}
 		s.Transfer.SampleSize = n
@@ -209,6 +209,17 @@ func applySetting(s *devudf.Settings, key, val string) error {
 	default:
 		return fmt.Errorf("unknown setting %q", key)
 	}
+	return nil
+}
+
+// setBool reads a boolean setting in strconv.ParseBool's spellings and
+// refuses anything else, so "yes" or a typo never reads as false.
+func setBool(dst *bool, key, val string) error {
+	b, err := strconv.ParseBool(val)
+	if err != nil {
+		return fmt.Errorf("bad %s %q (want true or false)", key, val)
+	}
+	*dst = b
 	return nil
 }
 

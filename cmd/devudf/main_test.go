@@ -41,7 +41,7 @@ func TestApplySetting(t *testing.T) {
 		s.Transfer.SampleSize != 5000 || s.Transfer.Seed != -3 || s.ProjectDir != "work" {
 		t.Fatalf("settings not applied: %+v", s)
 	}
-	for _, bad := range []string{"port=abc", "sample=x", "seed=?", "color=red"} {
+	for _, bad := range []string{"port=abc", "sample=x", "sample=-5", "seed=?", "color=red", "compress=yes", "encrypt=on"} {
 		k, v, _ := strings.Cut(bad, "=")
 		if err := applySetting(&s, k, v); err == nil {
 			t.Errorf("applySetting(%s) should fail", bad)

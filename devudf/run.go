@@ -111,8 +111,8 @@ type RunResult struct {
 // RunLocal executes an imported UDF locally on its extracted inputs, routed
 // by the UDF's language: PYTHON UDFs run their generated script (the
 // Listing 2 flow — the prologue loads input.bin and calls the function),
-// native UDFs dispatch through the udfrt runtime registry against the
-// locally registered implementation. Run ExtractInputs first.
+// GO UDFs compile as the engine compiles them (engine.CompileUDF) against
+// the locally registered implementation. Run ExtractInputs first.
 func (c *Client) RunLocal(ctx context.Context, udfName string) (*RunResult, error) {
 	info, src, err := c.Project.LoadUDF(udfName)
 	if err != nil {
@@ -198,20 +198,16 @@ func (c *Client) runLocalNative(info UDFInfo, src string) (*RunResult, error) {
 }
 
 // compileNative rebuilds a non-PYTHON UDF's catalog definition from the
-// project metadata and compiles it through the runtime registry against
-// the symbol its stub records. The implementation must be registered in
-// this process (see RegisterGoUDF).
+// project metadata and compiles it as the engine does (engine.CompileUDF)
+// against the symbol its stub records. The implementation must be
+// registered in this process (see RegisterGoUDF).
 func compileNative(info UDFInfo, src string) (*storage.FuncDef, udfrt.Callable, error) {
-	rt, err := udfrt.Lookup(info.Language)
-	if err != nil {
-		return nil, nil, err
-	}
 	def, err := info.funcDef()
 	if err != nil {
 		return nil, nil, err
 	}
 	def.Body = nativeSymbol(src)
-	call, err := rt.Compile(def)
+	call, err := engine.CompileUDF(def)
 	return def, call, err
 }
 
@@ -329,7 +325,7 @@ func (x localExecutor) runNested(sql, udfName string) (*storage.Table, error) {
 
 // callable is how a local run calls an imported UDF by its language: a
 // PYTHON one in the caller's interpreter, so that stepping into it keeps
-// working; any other through the runtime registry.
+// working; a GO one through engine.CompileUDF.
 func (x localExecutor) callable(info UDFInfo, src string) (*storage.FuncDef, udfrt.Callable, error) {
 	if languageOf(info) != pyrt.Name {
 		return compileNative(info, src)

@@ -1,10 +1,10 @@
-// go_udf: the pluggable-runtime scenario — one UDF, two runtimes.
+// go_udf: one UDF, two runtimes.
 //
-// The engine dispatches UDF execution through a registry keyed by the
-// CREATE FUNCTION LANGUAGE clause. This example registers a native Go
-// implementation of the haversine distance next to the equivalent stored
-// PYTHON UDF, runs the same query through both runtimes, checks they
-// agree, and times them — the zero-boxing fast path the udfrt seam buys.
+// The CREATE FUNCTION LANGUAGE clause picks the runtime a UDF runs on:
+// PYTHON or GO. This example registers a native Go implementation of the
+// haversine distance next to the equivalent stored PYTHON UDF, runs the
+// same query through both runtimes, checks they agree, and times them —
+// the zero-boxing fast path the GO runtime buys.
 //
 //	go run ./examples/go_udf
 package main

@@ -1,12 +1,11 @@
 // Package engine implements the query executor of the embedded MonetDB-like
 // database: DDL/DML, SELECT evaluation, and — centrally for the paper —
 // UDF execution in the operator-at-a-time model (whole columns per call)
-// dispatched through the udfrt runtime registry keyed by the LANGUAGE
-// clause (the embedded PYTHON interpreter and the native GO runtime ship
-// built in), loopback queries via the _conn object, the tuple-at-a-time
-// mode of §2.4 for comparison, and the server-side sys_extract function
-// that devUDF substitutes for a UDF call to pull its input data out for
-// local debugging.
+// on the runtime the LANGUAGE clause picks (CompileUDF: the embedded
+// PYTHON interpreter or the native GO runtime), loopback queries via the
+// _conn object, the tuple-at-a-time mode of §2.4 for comparison, and the
+// server-side sys_extract function that devUDF substitutes for a UDF call
+// to pull its input data out for local debugging.
 package engine
 
 import (
@@ -26,9 +25,6 @@ import (
 	// Register the sklearn/mllib module shims with the script runtime so
 	// UDFs can import them, matching the paper's Listing 1.
 	_ "repro/internal/mllib"
-	// Register the native GO runtime (the PYTHON runtime registers through
-	// extract.go's direct pyrt import).
-	_ "repro/internal/udfrt/gort"
 )
 
 // Mode selects the UDF processing model (paper §2.4).
@@ -152,8 +148,8 @@ type ExecOpts struct {
 	// run it, the source lines of the compiled wrapper module, and the call
 	// thunk, and must return the thunk's result (calling it exactly once, on
 	// the calling goroutine). The wire server's remote debugger uses it to
-	// run the invocation under the trace hook. Only debuggable runtimes
-	// (udfrt.IsDebuggable) route calls through it.
+	// run the invocation under the trace hook. Only PYTHON UDFs route calls
+	// through it (udfrt.LanguageDebuggable).
 	Invoke udfrt.InvokeHook
 	// Stdout receives print() output of the statement's UDFs — the paper's
 	// "print debugging" channel; nil discards it.
@@ -316,9 +312,9 @@ func (f *frame) createFunction(st *sqlparse.CreateFunction) error {
 	if isBuiltinName(st.Name) {
 		return core.Errorf(core.KindConstraint, "cannot create function %q: name is reserved", st.Name)
 	}
-	// The parser accepts any LANGUAGE; creation requires a registered
-	// runtime so a typo'd language fails here rather than at first call.
-	if _, err := udfrt.Lookup(st.Language); err != nil {
+	// The parser accepts any LANGUAGE; creation requires a known one so a
+	// typo'd language fails here rather than at first call.
+	if _, err := compilerFor(st.Language); err != nil {
 		return err
 	}
 	def := &storage.FuncDef{

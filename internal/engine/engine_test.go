@@ -461,6 +461,7 @@ func TestExtractRefusesMalformedOptions(t *testing.T) {
 		`SELECT * FROM sys_extract('f', TRUE, 'no', 0, 0, (SELECT i FROM numbers))`:    "argument 3 must be one BOOLEAN value",
 		`SELECT * FROM sys_extract('f', 'c=1;e=0;s=0;r=0', (SELECT i FROM numbers))`:   "argument 2 must be one BOOLEAN value",
 		`SELECT * FROM sys_extract('f', TRUE, FALSE, 0.5, 0, (SELECT i FROM numbers))`: "argument 4 must be one INTEGER value",
+		`SELECT * FROM sys_extract('f', TRUE, FALSE, -5, 0, (SELECT i FROM numbers))`:  "argument 4 must not be negative",
 	} {
 		_, err := c.Exec(q)
 		if core.KindOf(err) != core.KindType || !strings.Contains(err.Error(), want) {

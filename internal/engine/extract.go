@@ -41,6 +41,9 @@ func (f *frame) evalExtract(call *sqlparse.FuncCall) (*storage.Table, error) {
 				transform.ExtractFuncName, i+1, typ)
 		}
 	}
+	if cols[3].Ints[0] < 0 {
+		return nil, core.Errorf(core.KindType, "%s: argument 4 must not be negative", transform.ExtractFuncName)
+	}
 	opts := transfer.Options{
 		Compress:   cols[1].Bools[0],
 		Encrypt:    cols[2].Bools[0],

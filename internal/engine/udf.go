@@ -3,23 +3,46 @@ package engine
 import (
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/storage"
 	"repro/internal/udfrt"
+	"repro/internal/udfrt/gort"
+	"repro/internal/udfrt/pyrt"
 )
 
+// compilerFor picks the runtime a LANGUAGE clause names: PYTHON compiles
+// with pyrt, GO with gort. Any other language is refused.
+func compilerFor(language string) (func(*storage.FuncDef) (udfrt.Callable, error), error) {
+	switch udfrt.Canonical(language) {
+	case udfrt.Python:
+		return pyrt.New().Compile, nil
+	case udfrt.Go:
+		return gort.New().Compile, nil
+	}
+	return nil, core.Errorf(core.KindConstraint,
+		"no runtime for language %q (have %s, %s)", language, udfrt.Go, udfrt.Python)
+}
+
+// CompileUDF compiles a catalog definition with the runtime its LANGUAGE
+// picks. The engine, devUDF's local runner and the runtime conformance
+// suite all compile through it.
+func CompileUDF(def *storage.FuncDef) (udfrt.Callable, error) {
+	compile, err := compilerFor(def.Language)
+	if err != nil {
+		return nil, err
+	}
+	return compile(def)
+}
+
 // callableFor returns the compiled callable of a catalog definition,
-// compiling it through the runtime serving its LANGUAGE on first use. The
-// cache is keyed by the catalog's entry: apply drops it whenever a
-// statement or WAL replay replaces or drops that entry.
+// compiling it on first use. The cache is keyed by the catalog's entry:
+// apply drops it whenever a statement or WAL replay replaces or drops that
+// entry.
 func (f *frame) callableFor(def *storage.FuncDef) (udfrt.Callable, error) {
 	if call, ok := f.DB.compiled[def]; ok {
 		return call, nil
 	}
-	rt, err := udfrt.Lookup(def.Language)
-	if err != nil {
-		return nil, err
-	}
-	call, err := rt.Compile(def)
+	call, err := CompileUDF(def)
 	if err != nil {
 		return nil, err
 	}

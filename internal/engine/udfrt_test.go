@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/sqlparse"
 	"repro/internal/storage"
+	"repro/internal/udfrt"
 	"repro/internal/udfrt/gort"
 )
 
@@ -175,6 +178,56 @@ func TestCreateFunctionLanguageDispatch(t *testing.T) {
 	err := execErr(t, c, `CREATE FUNCTION f(x INTEGER) RETURNS INTEGER LANGUAGE FORTRAN { 1 };`)
 	if !strings.Contains(err.Error(), "FORTRAN") || !strings.Contains(err.Error(), "PYTHON") {
 		t.Fatalf("unknown-language error should list runtimes: %v", err)
+	}
+}
+
+// TestLanguagePicksTheRuntime: the LANGUAGE clause alone picks the runtime.
+// For each spelling, CREATE FUNCTION accepts it exactly when CompileUDF
+// compiles it, and only PYTHON is debuggable. "" is a stored definition
+// written without a LANGUAGE, which the parser never yields.
+func TestLanguagePicksTheRuntime(t *testing.T) {
+	if err := gort.Register("lang_pick_id", func(x []int64) []int64 { return x }); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gort.Unregister("lang_pick_id") })
+	c := newTestConn()
+	for i, tc := range []struct {
+		language          string
+		known, debuggable bool
+	}{
+		{"", true, true},
+		{"python", true, true},
+		{"PYTHON", true, true},
+		{"go", true, false},
+		{"GO", true, false},
+		{"FORTRAN", false, false},
+	} {
+		body := "return x"
+		if udfrt.Canonical(tc.language) == udfrt.Go {
+			body = "lang_pick_id"
+		}
+		st, err := sqlparse.Parse("CREATE FUNCTION lang_" + itoa(i) + "(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON {\n    " + body + "\n};")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cf := st.(*sqlparse.CreateFunction)
+		cf.Language = tc.language
+		_, createErr := (&frame{Conn: c}).guarded(cf)
+		_, compileErr := CompileUDF(&storage.FuncDef{
+			Name: cf.Name, Params: cf.Params, Returns: cf.Returns, Language: cf.Language, Body: cf.Body,
+		})
+		if (createErr == nil) != tc.known || (compileErr == nil) != tc.known {
+			t.Errorf("LANGUAGE %q: CREATE %v, CompileUDF %v; want known=%v", tc.language, createErr, compileErr, tc.known)
+		}
+		for _, err := range []error{createErr, compileErr} {
+			if err != nil && (core.KindOf(err) != core.KindConstraint || !strings.Contains(err.Error(), tc.language) ||
+				!strings.Contains(err.Error(), udfrt.Python) || !strings.Contains(err.Error(), udfrt.Go)) {
+				t.Errorf("LANGUAGE %q: %v, want a constraint error naming it and both runtimes", tc.language, err)
+			}
+		}
+		if got := udfrt.LanguageDebuggable(tc.language); got != tc.debuggable {
+			t.Errorf("LanguageDebuggable(%q) = %v, want %v", tc.language, got, tc.debuggable)
+		}
 	}
 }
 

@@ -348,9 +348,9 @@ func (p *parser) createFunction(orReplace bool) (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Any language identifier parses; the engine checks it against the
-	// registered UDF runtimes at CREATE time, so the grammar does not need
-	// to know which backends this build ships.
+	// Any language identifier parses; the engine refuses one it has no
+	// runtime for at CREATE time, so the grammar does not need to know the
+	// runtimes.
 	cf.Language = strings.ToUpper(lang)
 	if !p.at(tBody) {
 		return nil, p.errf("expected '{' UDF body, found %q", p.cur().lit)

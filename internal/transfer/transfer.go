@@ -40,14 +40,16 @@ import (
 // Options selects the transfer transformations for one extraction. The zero
 // value transfers everything verbatim.
 type Options struct {
-	// Compress applies DEFLATE to the payload.
+	// Compress byte-planes the payload and DEFLATEs each plane with the
+	// encoder it needs (see Compress).
 	Compress bool
 	// Encrypt applies AES-CTR with a key derived from the user's password
 	// (paper §2.2: "the data is encrypted ... using the password of the
 	// database user as a key").
 	Encrypt bool
 	// SampleSize, when > 0, uniformly samples that many rows server-side
-	// before extraction. 0 means the full input.
+	// before extraction. 0 means the full input; sys_extract refuses a
+	// negative size.
 	SampleSize int
 	// Seed makes sampling reproducible. The engine threads a fixed seed
 	// through benches and tests.

@@ -3,14 +3,15 @@
 // convention for constant arguments, multi-column table returns, and error
 // propagation with the UDF's name attached. Runtime packages implement the
 // small catalog of conformance functions in their own language and hand
-// Run their definitions; the suite drives them all through the same
-// udfrt.Callable contract the engine uses.
+// Run their definitions; the suite compiles them with engine.CompileUDF and
+// drives them through the same udfrt.Callable contract the engine uses.
 package conformance
 
 import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/storage"
 	"repro/internal/udfrt"
 )
@@ -33,11 +34,9 @@ const (
 
 // Impl binds one runtime to its implementations of the catalog.
 type Impl struct {
-	// Runtime under test.
-	Runtime udfrt.Runtime
-	// Def returns the catalog definition for one Fn* name, compilable by
-	// Runtime (its Language set accordingly, implementation registered or
-	// embodied as needed).
+	// Def returns the catalog definition for one Fn* name, its Language
+	// naming the runtime under test (implementation registered or embodied
+	// as needed).
 	Def func(t *testing.T, fn string) *storage.FuncDef
 	// NewEnv builds a fresh per-statement environment; nil means a zero Env
 	// per call.
@@ -53,9 +52,10 @@ func (im Impl) env() *udfrt.Env {
 
 func (im Impl) compile(t *testing.T, fn string) udfrt.Callable {
 	t.Helper()
-	call, err := im.Runtime.Compile(im.Def(t, fn))
+	def := im.Def(t, fn)
+	call, err := engine.CompileUDF(def)
 	if err != nil {
-		t.Fatalf("%s: Compile(%s): %v", im.Runtime.Name(), fn, err)
+		t.Fatalf("%s: CompileUDF(%s): %v", udfrt.Canonical(def.Language), fn, err)
 	}
 	return call
 }

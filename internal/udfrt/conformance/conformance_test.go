@@ -63,7 +63,6 @@ return {'lo': lo, 'hi': hi}`,
 // TestPythonConformance runs the suite against the interpreter runtime.
 func TestPythonConformance(t *testing.T) {
 	Run(t, Impl{
-		Runtime: pyrt.New(),
 		Def: func(t *testing.T, fn string) *storage.FuncDef {
 			body, ok := pythonBodies[fn]
 			if !ok {
@@ -128,7 +127,6 @@ func TestGoConformance(t *testing.T) {
 		defer gort.Unregister(symbol)
 	}
 	Run(t, Impl{
-		Runtime: gort.New(),
 		Def: func(t *testing.T, fn string) *storage.FuncDef {
 			var def *storage.FuncDef
 			switch fn {

@@ -40,18 +40,13 @@ import (
 )
 
 // Name is the LANGUAGE keyword this runtime serves.
-const Name = "GO"
-
-func init() { udfrt.Register(New()) }
+const Name = udfrt.Go
 
 // Runtime is the GO runtime singleton.
 type Runtime struct{}
 
 // New returns the GO runtime.
 func New() *Runtime { return &Runtime{} }
-
-// Name implements udfrt.Runtime.
-func (*Runtime) Name() string { return Name }
 
 // ---- the process-wide function table ----
 
@@ -211,11 +206,11 @@ func sqlType(t reflect.Type) (storage.Type, bool, error) {
 	return 0, false, fmt.Errorf("unsupported Go UDF type %s", t)
 }
 
-// Compile implements udfrt.Runtime: resolve the registered function (the
-// body names the Go symbol; an empty body defaults to the function's own
-// name) and check it against the declared signature. The callable re-reads
-// the table at call time, so re-registering a symbol with the same
-// signature swaps the implementation without re-creating the function.
+// Compile resolves the registered function (the body names the Go symbol;
+// an empty body defaults to the function's own name) and checks it against
+// the declared signature. The callable re-reads the table at call time, so
+// re-registering a symbol with the same signature swaps the implementation
+// without re-creating the function.
 func (*Runtime) Compile(def *storage.FuncDef) (udfrt.Callable, error) {
 	symbol := strings.TrimSpace(def.Body)
 	if symbol == "" {

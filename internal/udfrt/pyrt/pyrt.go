@@ -1,10 +1,9 @@
 // Package pyrt is the PYTHON UDF runtime: stored function bodies execute in
 // the embedded PyLite interpreter, whole columns crossing the boundary as
 // lists (MonetDB/Python's model) — for INTEGER and DOUBLE without
-// conversion: the list wraps the column's vector. It is the reference —
-// and only debuggable — runtime: every call honors the Env.Invoke hook,
-// which is where the in-server remote debugger and trace-based tooling
-// attach.
+// conversion: the list wraps the column's vector. It is the debuggable
+// runtime: every call honors the Env.Invoke hook, which is where the
+// in-server remote debugger and trace-based tooling attach.
 package pyrt
 
 import (
@@ -16,22 +15,13 @@ import (
 )
 
 // Name is the LANGUAGE keyword this runtime serves.
-const Name = "PYTHON"
-
-func init() { udfrt.Register(New()) }
+const Name = udfrt.Python
 
 // Runtime is the PYTHON runtime singleton.
 type Runtime struct{}
 
 // New returns the PYTHON runtime.
 func New() *Runtime { return &Runtime{} }
-
-// Name implements udfrt.Runtime.
-func (*Runtime) Name() string { return Name }
-
-// Debuggable implements udfrt.Debuggable: PyLite callables run under the
-// interpreter trace hook.
-func (*Runtime) Debuggable() bool { return true }
 
 // Compile wraps the stored body into a callable function definition
 // (MonetDB stores only the body — paper Listing 1) and parses it.

@@ -1,10 +1,9 @@
 // Package udfrt defines the engine↔UDF runtime contract: a columnar Batch
-// as the unit of exchange, a Runtime that compiles stored function
-// definitions into Callables, and a registry keyed by the CREATE FUNCTION
-// LANGUAGE clause. The engine, devudf's local runner and the debugger all
-// dispatch through this one seam, so adding a UDF language is a matter of
-// registering a Runtime — the extension-point design the paper's IDE
-// integration presumes the engine exposes.
+// as the unit of exchange and the Callable a stored function definition
+// compiles to. A CREATE FUNCTION's LANGUAGE picks one of two runtimes:
+// PYTHON runs in the embedded interpreter (pyrt), GO calls a registered
+// native function (gort). engine.CompileUDF makes that choice for the
+// engine, devUDF's local runner and the conformance suite alike.
 //
 // How a UDF is called is decided here, once — CheckCall, NewBatch, Run and
 // Shape — for the engine's three dispatch modes and devUDF's local nested
@@ -20,6 +19,30 @@ import (
 	"repro/internal/script"
 	"repro/internal/storage"
 )
+
+// The two LANGUAGE keywords, in canonical form.
+const (
+	Python = "PYTHON"
+	Go     = "GO"
+)
+
+// DefaultLanguage is assumed when a stored definition carries no LANGUAGE.
+const DefaultLanguage = Python
+
+// Canonical normalizes a LANGUAGE clause for display and comparison: upper
+// case, "" mapping to the default. Every layer that prints or compares
+// languages goes through this one rule.
+func Canonical(language string) string {
+	if language == "" {
+		return DefaultLanguage
+	}
+	return strings.ToUpper(language)
+}
+
+// LanguageDebuggable reports whether a language's UDFs run in the
+// interpreter, under the Env.Invoke trace hook debuggers attach to: PYTHON
+// only.
+func LanguageDebuggable(language string) bool { return Canonical(language) == Python }
 
 // Batch is a columnar slice of rows crossing the engine↔runtime boundary.
 // Each argument (or result) is one whole column; Rows is the logical row
@@ -149,40 +172,12 @@ func Shape(def *storage.FuncDef, out *Batch, rows int, inFrom bool) ([]*storage.
 	return out.Cols, nil
 }
 
-// Runtime is one UDF execution backend, registered under the LANGUAGE name
-// it serves.
-type Runtime interface {
-	// Name is the canonical (upper-case) LANGUAGE keyword.
-	Name() string
-	// Compile turns a stored definition into an executable. Compilation
-	// errors carry the UDF name.
-	Compile(def *storage.FuncDef) (Callable, error)
-}
-
 // Callable is one compiled UDF. Call executes it over an input batch and
 // returns the result batch: one column for scalar functions, the declared
 // columns for table functions. Runtime errors carry the UDF name; the
 // caller validates result cardinality (Shape).
 type Callable interface {
 	Call(env *Env, in *Batch) (*Batch, error)
-}
-
-// Debuggable marks runtimes whose callables execute in the embedded script
-// interpreter and therefore honor the Env.Invoke trace hook — the seam both
-// the in-server remote debugger and devudf's local debug sessions attach
-// to. Runtimes that run native code (GO) do not implement it.
-type Debuggable interface {
-	Runtime
-	// Debuggable reports whether compiled callables can run under an
-	// interpreter trace hook.
-	Debuggable() bool
-}
-
-// IsDebuggable reports whether a runtime supports interpreter-level
-// debugging.
-func IsDebuggable(rt Runtime) bool {
-	d, ok := rt.(Debuggable)
-	return ok && d.Debuggable()
 }
 
 // ParallelSafe marks callables the engine may invoke concurrently over

@@ -8,33 +8,6 @@ import (
 	"repro/internal/storage"
 )
 
-type fakeRuntime struct {
-	name  string
-	debug bool
-}
-
-func (f *fakeRuntime) Name() string                                   { return f.name }
-func (f *fakeRuntime) Debuggable() bool                               { return f.debug }
-func (f *fakeRuntime) Compile(def *storage.FuncDef) (Callable, error) { return nil, nil }
-
-func TestRegistryLookup(t *testing.T) {
-	rt := &fakeRuntime{name: "TESTLANG", debug: true}
-	Register(rt)
-	got, err := Lookup("testlang")
-	if err != nil || got != Runtime(rt) {
-		t.Fatalf("Lookup: %v %v", got, err)
-	}
-	if !LanguageDebuggable("TESTLANG") {
-		t.Fatal("TESTLANG should be debuggable")
-	}
-	if _, err := Lookup("NO_SUCH_LANG"); err == nil || !strings.Contains(err.Error(), "NO_SUCH_LANG") {
-		t.Fatalf("unknown language error: %v", err)
-	}
-	if LanguageDebuggable("NO_SUCH_LANG") {
-		t.Fatal("unknown language cannot be debuggable")
-	}
-}
-
 func TestBatchRowAndBroadcast(t *testing.T) {
 	x := storage.NewColumn("x", storage.TInt)
 	x.AppendInt(1)

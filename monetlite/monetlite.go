@@ -127,7 +127,7 @@ var (
 
 // NewDB creates an empty embedded database. Native Go UDFs register with
 // DB.RegisterGoUDF; stored PYTHON UDFs arrive via CREATE FUNCTION ...
-// LANGUAGE PYTHON. Both execute through the udfrt runtime registry.
+// LANGUAGE PYTHON. The LANGUAGE picks the runtime (engine.CompileUDF).
 func NewDB() *DB { return engine.NewDB() }
 
 // Connect opens an embedded session with credentials (the password keys
