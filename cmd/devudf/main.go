@@ -45,7 +45,7 @@ func main() {
 	fs := core.OSFS{}
 	// The first ^C cancels in-flight wire operations; a second one falls
 	// back to the default handler and exits the process.
-	ctx, cancel := context.WithCancel(context.Background()) //ctxflow:edge process entry point
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
@@ -170,6 +170,8 @@ func cmdSettings(fs core.FS, args []string) error {
 	return nil
 }
 
+// applySetting parses one -set value into s; whether the result is usable
+// is Settings.Validate's call, made when the settings are saved.
 func applySetting(s *devudf.Settings, key, val string) error {
 	switch key {
 	case "host":
@@ -196,7 +198,7 @@ func applySetting(s *devudf.Settings, key, val string) error {
 		return setBool(&s.Transfer.Encrypt, key, val)
 	case "sample":
 		n, err := strconv.Atoi(val)
-		if err != nil || n < 0 {
+		if err != nil {
 			return fmt.Errorf("bad sample size %q", val)
 		}
 		s.Transfer.SampleSize = n
@@ -461,7 +463,7 @@ func cmdQuery(ctx context.Context, fs core.FS, args []string) error {
 	}
 	if *timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout) //ctxflow:edge per-command deadline
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
 	c, _, err := connect(ctx, fs)

@@ -41,10 +41,17 @@ func TestApplySetting(t *testing.T) {
 		s.Transfer.SampleSize != 5000 || s.Transfer.Seed != -3 || s.ProjectDir != "work" {
 		t.Fatalf("settings not applied: %+v", s)
 	}
-	for _, bad := range []string{"port=abc", "sample=x", "sample=-5", "seed=?", "color=red", "compress=yes", "encrypt=on"} {
-		k, v, _ := strings.Cut(bad, "=")
-		if err := applySetting(&s, k, v); err == nil {
-			t.Errorf("applySetting(%s) should fail", bad)
+	if err := s.Validate(); err != nil {
+		t.Fatalf("good settings refused: %v", err)
+	}
+	for _, bad := range []string{"port=abc", "port=70000", "port=0", "sample=x", "sample=-5", "seed=?",
+		"color=red", "compress=yes", "encrypt=on", "host=", "project=", "nokeyvalue"} {
+		fs := core.NewMemFS(nil)
+		if err := cmdSettings(fs, []string{"-set", bad}); err == nil {
+			t.Errorf("settings -set %s should fail", bad)
+		}
+		if _, err := fs.ReadFile("devudf.json"); !core.IsNotExist(err) {
+			t.Errorf("settings -set %s saved the settings", bad)
 		}
 	}
 }

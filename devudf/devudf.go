@@ -14,7 +14,9 @@
 package devudf
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 
 	"repro/internal/core"
 	"repro/internal/debug"
@@ -137,8 +139,28 @@ func WithPoolSize(n int) Option {
 	return func(c *clientConfig) { c.poolSize = n }
 }
 
-// SaveSettings persists settings as JSON in fs.
+// Validate refuses settings that no connection or extract can use: a
+// port outside 1–65535, a negative sample size, an empty host or project
+// directory. The error names the field as devudf.json spells it.
+func (s Settings) Validate() error {
+	switch {
+	case s.Connection.Port < 1 || s.Connection.Port > 65535:
+		return core.Errorf(core.KindConstraint, "%s: connection.Port %d is outside 1-65535", settingsFile, s.Connection.Port)
+	case s.Transfer.SampleSize < 0:
+		return core.Errorf(core.KindConstraint, "%s: transfer.SampleSize %d is negative", settingsFile, s.Transfer.SampleSize)
+	case s.Connection.Host == "":
+		return core.Errorf(core.KindConstraint, "%s: connection.Host is empty", settingsFile)
+	case s.ProjectDir == "":
+		return core.Errorf(core.KindConstraint, "%s: project_dir is empty", settingsFile)
+	}
+	return nil
+}
+
+// SaveSettings persists valid settings as JSON in fs.
 func SaveSettings(fs core.FS, s Settings) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
 	data, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		return core.Wrapf(core.KindIO, err, "encode settings: %v", err)
@@ -148,7 +170,8 @@ func SaveSettings(fs core.FS, s Settings) error {
 
 // LoadSettings reads settings from fs, returning defaults when no file
 // exists yet. Any other read failure (permissions, IO) is surfaced rather
-// than silently masked by defaults.
+// than silently masked by defaults, and so are a key the settings do not
+// have and a value Validate refuses.
 func LoadSettings(fs core.FS) (Settings, error) {
 	data, err := fs.ReadFile(settingsFile)
 	if err != nil {
@@ -158,11 +181,20 @@ func LoadSettings(fs core.FS) (Settings, error) {
 		return Settings{}, core.Wrapf(core.KindIO, err, "read settings: %v", err)
 	}
 	var s Settings
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Settings{}, core.Wrapf(core.KindIO, err, "parse settings: %v", err)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err = dec.Decode(&s)
+	if err == nil && dec.More() {
+		err = errors.New("data after the settings object")
+	}
+	if err != nil {
+		return Settings{}, core.Wrapf(core.KindIO, err, "parse settings: %s: %v", settingsFile, err)
 	}
 	if s.ProjectDir == "" {
 		s.ProjectDir = "udfproject"
+	}
+	if err := s.Validate(); err != nil {
+		return Settings{}, err
 	}
 	return s, nil
 }

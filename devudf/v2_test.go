@@ -87,6 +87,35 @@ func TestLoadSettingsOnlyDefaultsWhenMissing(t *testing.T) {
 	}
 }
 
+// TestLoadSettingsRefusesWhatNoConnectionCanUse: a hand-edited
+// devudf.json with a value Validate refuses, a misspelled key or data
+// after the object fails at load, naming the file and the field, instead
+// of at the next connect or extract.
+func TestLoadSettingsRefusesWhatNoConnectionCanUse(t *testing.T) {
+	saved := DefaultSettings()
+	saved.Connection.Port = 70000
+	if err := SaveSettings(core.NewMemFS(nil), saved); err == nil {
+		t.Error("SaveSettings wrote port 70000")
+	}
+	for body, want := range map[string]string{
+		`{"connection": {"Host": "h", "Port": 70000}}`:                             "devudf.json: connection.Port 70000 is outside 1-65535",
+		`{"connection": {"Host": "h", "Port": 0}}`:                                 "devudf.json: connection.Port 0 is outside 1-65535",
+		`{"connection": {"Host": "h", "Port": 1}, "transfer": {"SampleSize": -5}}`: "devudf.json: transfer.SampleSize -5 is negative",
+		`{"connection": {"Host": "", "Port": 1}}`:                                  "devudf.json: connection.Host is empty",
+		`{"connection": {"Host": "h", "prot": 50000}}`:                             `devudf.json: json: unknown field "prot"`,
+		`{"connection": {"Host": "h", "Port": 1}} {}`:                              "devudf.json: data after the settings object",
+	} {
+		_, err := LoadSettings(core.NewMemFS(map[string]string{"devudf.json": body}))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("LoadSettings(%s) = %v, want an error containing %q", body, err, want)
+		}
+	}
+	s, err := LoadSettings(core.NewMemFS(map[string]string{"devudf.json": `{"connection": {"Host": "h", "Port": 1}}`}))
+	if err != nil || s.ProjectDir != "udfproject" {
+		t.Errorf("a minimal valid file: %+v, %v", s, err)
+	}
+}
+
 func TestOpenHonorsCancelledContext(t *testing.T) {
 	params, _ := startServer(t)
 	settings := DefaultSettings()

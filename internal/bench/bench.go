@@ -195,7 +195,7 @@ func StartServer(setup ...string) (*Fixture, error) {
 	for _, sql := range setup {
 		if _, err := conn.Exec(sql); err != nil {
 			srv.Close()
-			return nil, fmt.Errorf("setup: %w", err)
+			return nil, err
 		}
 	}
 	host, portStr, err := net.SplitHostPort(addr)

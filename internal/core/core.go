@@ -89,8 +89,16 @@ type Error struct {
 	Err error
 }
 
-// Errorf constructs an *Error with fmt-style formatting.
+// Errorf constructs an *Error with fmt-style formatting. Given an error
+// operand it is Wrapf around the first one, so no caller can format a
+// cause into the message and drop it from the chain: errors.Is/As still
+// reach it, and a KindCancelled or KindOverload cause keeps its kind.
 func Errorf(kind ErrorKind, format string, args ...any) *Error {
+	for _, a := range args {
+		if cause, ok := a.(error); ok {
+			return Wrapf(kind, cause, format, args...)
+		}
+	}
 	return &Error{Kind: kind, Msg: fmt.Sprintf(format, args...)}
 }
 

@@ -71,6 +71,34 @@ func TestWrapfKeepsBehaviourDrivingKinds(t *testing.T) {
 	}
 }
 
+// TestErrorfKeepsItsErrorOperand: Errorf given an error operand keeps the
+// first one as its cause, with Wrapf's kind rule, and formats the message
+// exactly as without it.
+func TestErrorfKeepsItsErrorOperand(t *testing.T) {
+	first, second := errors.New("first"), errors.New("second")
+	err := Errorf(KindIO, "x: %v, then %v", first, second)
+	if !errors.Is(err, first) || err.Err != first {
+		t.Errorf("Errorf hides its first error operand: Err = %v", err.Err)
+	}
+	if got := err.Error(); got != "io error: x: first, then second" {
+		t.Errorf("Error() = %q", got)
+	}
+	if err.Kind != KindIO {
+		t.Errorf("Kind = %v, want io", err.Kind)
+	}
+	if k := Errorf(KindIO, "x: %v", context.Canceled).Kind; k != KindCancelled {
+		t.Errorf("a context.Canceled operand gives %v, want cancelled", k)
+	}
+	shed := Errorf(KindOverload, "queue full")
+	if err := Errorf(KindRuntime, "x: %v", shed); err.Kind != KindOverload || !Retryable(err) {
+		t.Errorf("a KindOverload operand gives %v, want overload", err.Kind)
+	}
+	plain := Errorf(KindName, "no column %s (%d)", "c", 3)
+	if plain.Err != nil || plain.Error() != "name error: no column c (3)" {
+		t.Errorf("without an error operand: Err = %v, Error() = %q", plain.Err, plain.Error())
+	}
+}
+
 func TestErrorKindStrings(t *testing.T) {
 	kinds := map[ErrorKind]string{
 		KindUnknown: "unknown", KindSyntax: "syntax", KindName: "name",

@@ -104,9 +104,8 @@ func Numeric(t storage.Type) bool {
 	return t == storage.TInt || t == storage.TFloat || t == storage.TBool
 }
 
-// AllNull returns an n-row column of the given type with every row NULL.
-//
-//colinvariant:zeroed emptyTyped pre-sizes zeroed value buffers, so every slot under the bitmap is already zero
+// AllNull returns an n-row column of the given type with every row NULL;
+// its value slots are emptyTyped's zeroed buffers.
 func AllNull(typ storage.Type, n int) *storage.Column {
 	out := emptyTyped(typ, n)
 	if n > 0 {

@@ -237,3 +237,74 @@ func TestAlign(t *testing.T) {
 		t.Fatalf("broadcast align: n=%d err=%v", n, err)
 	}
 }
+
+// nonZeroUnderNull returns the first row of c whose NULL bit is set but
+// whose value slot is not the type's zero value, or -1. Raw vectors cross
+// the zero-copy GO UDF boundary, where a NULL reads as the zero value.
+func nonZeroUnderNull(c *storage.Column) int {
+	for i, null := range c.Nulls {
+		if !null {
+			continue
+		}
+		switch {
+		case c.Ints != nil && c.Ints[i] != 0,
+			c.Flts != nil && c.Flts[i] != 0,
+			c.Strs != nil && c.Strs[i] != "",
+			c.Bools != nil && c.Bools[i],
+			c.Blobs != nil && len(c.Blobs[i]) != 0:
+			return i
+		}
+	}
+	return -1
+}
+
+// TestKernelOutputsZeroUnderNulls: every kernel that returns a column with
+// a NULL bitmap leaves the zero value under each set bit, even where its
+// inputs carry other values under theirs. The branch-free kernels compute
+// through NULL rows, so each one that sets Nulls must zero them again.
+func TestKernelOutputsZeroUnderNulls(t *testing.T) {
+	nulls := []bool{false, true, false, true, false, false, true, false}
+	n := len(nulls)
+	ints := &storage.Column{Typ: storage.TInt, Ints: make([]int64, n), Nulls: nulls}
+	flts := &storage.Column{Typ: storage.TFloat, Flts: make([]float64, n), Nulls: nulls}
+	strs := &storage.Column{Typ: storage.TStr, Strs: make([]string, n), Nulls: nulls}
+	bools := &storage.Column{Typ: storage.TBool, Bools: make([]bool, n), Nulls: nulls}
+	for i := range nulls {
+		ints.Ints[i] = int64(i + 2)
+		flts.Flts[i] = float64(i) + 2.5
+		strs.Strs[i] = "s"
+		bools.Bools[i] = i%2 == 0
+	}
+	kernels := map[string]func(Pol) (*storage.Column, error){
+		"AllNull int":   func(Pol) (*storage.Column, error) { return AllNull(storage.TInt, n), nil },
+		"AllNull float": func(Pol) (*storage.Column, error) { return AllNull(storage.TFloat, n), nil },
+		"AllNull str":   func(Pol) (*storage.Column, error) { return AllNull(storage.TStr, n), nil },
+		"AllNull bool":  func(Pol) (*storage.Column, error) { return AllNull(storage.TBool, n), nil },
+		"Not":           func(p Pol) (*storage.Column, error) { return Not(p, bools), nil },
+		"Neg int":       func(p Pol) (*storage.Column, error) { return Neg(p, ints) },
+		"Neg float":     func(p Pol) (*storage.Column, error) { return Neg(p, flts) },
+		"AND":           func(p Pol) (*storage.Column, error) { return Logic(p, true, bools, ints, n), nil },
+		"OR":            func(p Pol) (*storage.Column, error) { return Logic(p, false, bools, ints, n), nil },
+	}
+	for _, op := range []ArithOp{OpAdd, OpSub, OpMul, OpDiv, OpMod} {
+		kernels["int "+op.String()+" int"] = func(p Pol) (*storage.Column, error) { return Arith(p, op, ints, ints, n) }
+		kernels["int "+op.String()+" float"] = func(p Pol) (*storage.Column, error) { return Arith(p, op, ints, flts, n) }
+		kernels["float "+op.String()+" float"] = func(p Pol) (*storage.Column, error) { return Arith(p, op, flts, flts, n) }
+	}
+	for op, name := range map[CmpOp]string{CmpEq: "=", CmpNe: "<>", CmpLt: "<", CmpLe: "<=", CmpGt: ">", CmpGe: ">="} {
+		kernels["int "+name+" int"] = func(p Pol) (*storage.Column, error) { return Compare(p, op, ints, ints, n) }
+		kernels["int "+name+" float"] = func(p Pol) (*storage.Column, error) { return Compare(p, op, ints, flts, n) }
+		kernels["str "+name+" str"] = func(p Pol) (*storage.Column, error) { return Compare(p, op, strs, strs, n) }
+	}
+	for name, kernel := range kernels {
+		for _, p := range []Pol{Serial, {Workers: 4, MorselSize: 2}} {
+			out, err := kernel(p)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if row := nonZeroUnderNull(out); row >= 0 {
+				t.Errorf("%s (%d workers): row %d is NULL but its value slot is not zero", name, p.Workers, row)
+			}
+		}
+	}
+}

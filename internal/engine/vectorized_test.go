@@ -777,9 +777,14 @@ func TestOracleServesUDFs(t *testing.T) {
 }
 
 // FuzzBinaryKernelAgreement fuzzes operand bytes into int columns and
-// checks vectorized-vs-reference agreement for the fuzzer-chosen op.
+// checks vectorized-vs-reference agreement for the fuzzer-chosen op, which
+// includes a zero value under every NULL of both results. A NULL operand
+// row carries a non-zero value, so a kernel that computes through it and
+// does not zero the result fails.
 func FuzzBinaryKernelAgreement(f *testing.F) {
 	f.Add(uint8(0), []byte{1, 2, 3}, []byte{4, 5, 6})
+	f.Add(uint8(0), []byte{1, 255, 3}, []byte{4, 5, 255})
+	f.Add(uint8(5), []byte{7, 255, 3}, []byte{7, 66, 255}) // "=": 2 == 2 under the NULL
 	f.Add(uint8(3), []byte{0, 0}, []byte{0, 9})
 	f.Add(uint8(7), []byte{255}, []byte{1, 2, 3, 4})
 	ops := []string{"+", "-", "*", "/", "%", "=", "<>", "<", "<=", ">", ">=", "AND", "OR"}
@@ -789,6 +794,7 @@ func FuzzBinaryKernelAgreement(f *testing.F) {
 		for _, b := range bs {
 			if b == 255 {
 				col.AppendNull()
+				col.Ints[len(col.Ints)-1] = int64(len(col.Ints))
 			} else {
 				col.AppendInt(int64(b) - 64)
 			}

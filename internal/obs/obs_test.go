@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"errors"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -211,15 +213,24 @@ func TestHandlerAndRoundTrip(t *testing.T) {
 }
 
 func TestParseTextErrors(t *testing.T) {
-	for _, bad := range []string{
-		"name_only\n",
-		"metric{le=\"0.1} 3\n",
-		"metric 1 2 3\n",
-		"metric{x=unquoted} 1\n",
+	for bad, want := range map[string]string{
+		"name_only\n":             `syntax error: metrics line 1: expected 'name value' in "name_only"`,
+		"metric 1 2 3\n":          `syntax error: metrics line 1: expected 'name value' in "metric 1 2 3"`,
+		"# TYPE m gauge\nm}{ 1\n": `syntax error: metrics line 2: unbalanced braces in "m}{ 1"`,
+		"m{a=\"b\"}\n":            `syntax error: metrics line 1: malformed sample "m{a=\"b\"}"`,
+		"m x\n":                   `syntax error: metrics line 1: bad value in "m x": strconv.ParseFloat: parsing "x": invalid syntax`,
+		"m{x} 1\n":                `syntax error: metrics line 1: label pair missing '=' in "x"`,
+		"metric{x=unquoted} 1\n":  `syntax error: metrics line 1: label value for x not quoted`,
+		"metric{le=\"0.1} 3\n":    `syntax error: metrics line 1: unterminated label value for le`,
 	} {
-		if _, err := ParseText(strings.NewReader(bad)); err == nil {
-			t.Errorf("ParseText(%q) should fail", bad)
+		_, err := ParseText(strings.NewReader(bad))
+		if err == nil || err.Error() != want {
+			t.Errorf("ParseText(%q) = %v, want %s", bad, err, want)
 		}
+	}
+	_, err := ParseText(strings.NewReader("m x\n"))
+	if !errors.Is(err, strconv.ErrSyntax) {
+		t.Errorf("a bad value hides its strconv cause: %v", err)
 	}
 }
 

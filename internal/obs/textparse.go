@@ -2,11 +2,12 @@ package obs
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/core"
 )
 
 // Sample is one parsed exposition sample: a metric name, its sorted
@@ -73,9 +74,9 @@ func ParseText(r io.Reader) (*Scrape, error) {
 			}
 			continue
 		}
-		sample, err := parseSample(line)
+		sample, err := parseSample(lineNo, line)
 		if err != nil {
-			return nil, fmt.Errorf("metrics line %d: %w", lineNo, err)
+			return nil, err
 		}
 		sc.Samples = append(sc.Samples, sample)
 	}
@@ -85,7 +86,8 @@ func ParseText(r io.Reader) (*Scrape, error) {
 	return sc, nil
 }
 
-func parseSample(line string) (Sample, error) {
+// parseSample parses one sample line; its errors name the line number.
+func parseSample(lineNo int, line string) (Sample, error) {
 	name := line
 	labels := map[string]string{}
 	rest := ""
@@ -93,10 +95,10 @@ func parseSample(line string) (Sample, error) {
 		name = line[:i]
 		j := strings.LastIndexByte(line, '}')
 		if j < i {
-			return Sample{}, fmt.Errorf("unbalanced braces in %q", line)
+			return Sample{}, core.Errorf(core.KindSyntax, "metrics line %d: unbalanced braces in %q", lineNo, line)
 		}
 		var err error
-		labels, err = parseLabels(line[i+1 : j])
+		labels, err = parseLabels(lineNo, line[i+1:j])
 		if err != nil {
 			return Sample{}, err
 		}
@@ -104,31 +106,31 @@ func parseSample(line string) (Sample, error) {
 	} else {
 		fields := strings.Fields(line)
 		if len(fields) != 2 {
-			return Sample{}, fmt.Errorf("expected 'name value' in %q", line)
+			return Sample{}, core.Errorf(core.KindSyntax, "metrics line %d: expected 'name value' in %q", lineNo, line)
 		}
 		name, rest = fields[0], fields[1]
 	}
 	if name == "" || rest == "" {
-		return Sample{}, fmt.Errorf("malformed sample %q", line)
+		return Sample{}, core.Errorf(core.KindSyntax, "metrics line %d: malformed sample %q", lineNo, line)
 	}
 	v, err := strconv.ParseFloat(rest, 64)
 	if err != nil {
-		return Sample{}, fmt.Errorf("bad value in %q: %w", line, err)
+		return Sample{}, core.Errorf(core.KindSyntax, "metrics line %d: bad value in %q: %v", lineNo, line, err)
 	}
 	return Sample{Name: name, Labels: labels, Value: v}, nil
 }
 
-func parseLabels(s string) (map[string]string, error) {
+func parseLabels(lineNo int, s string) (map[string]string, error) {
 	out := map[string]string{}
 	for len(s) > 0 {
 		eq := strings.IndexByte(s, '=')
 		if eq < 0 {
-			return nil, fmt.Errorf("label pair missing '=' in %q", s)
+			return nil, core.Errorf(core.KindSyntax, "metrics line %d: label pair missing '=' in %q", lineNo, s)
 		}
 		key := strings.TrimSpace(s[:eq])
 		s = s[eq+1:]
 		if len(s) == 0 || s[0] != '"' {
-			return nil, fmt.Errorf("label value for %s not quoted", key)
+			return nil, core.Errorf(core.KindSyntax, "metrics line %d: label value for %s not quoted", lineNo, key)
 		}
 		// Find the closing quote, honoring backslash escapes.
 		val := strings.Builder{}
@@ -152,7 +154,7 @@ func parseLabels(s string) (map[string]string, error) {
 			i++
 		}
 		if i >= len(s) {
-			return nil, fmt.Errorf("unterminated label value for %s", key)
+			return nil, core.Errorf(core.KindSyntax, "metrics line %d: unterminated label value for %s", lineNo, key)
 		}
 		out[key] = val.String()
 		s = strings.TrimPrefix(strings.TrimSpace(s[i+1:]), ",")

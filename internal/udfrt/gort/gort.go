@@ -91,8 +91,8 @@ func registerFn(name string, fn any, elementwise bool) error {
 	if !v.IsValid() || v.Kind() != reflect.Func {
 		return core.Errorf(core.KindType, "Go UDF %s: not a function (%T)", name, fn)
 	}
-	if _, _, err := signatureSchemas(v.Type()); err != nil {
-		return core.Wrapf(core.KindType, err, "Go UDF %s: %v", name, err)
+	if _, _, err := signatureSchemas(name, v.Type()); err != nil {
+		return err
 	}
 	mu.Lock()
 	funcs[strings.ToLower(name)] = regEntry{fn: v, elementwise: elementwise}
@@ -129,9 +129,9 @@ func InferDef(name string, fn any) (*storage.FuncDef, error) {
 	if !v.IsValid() || v.Kind() != reflect.Func {
 		return nil, core.Errorf(core.KindType, "Go UDF %s: not a function (%T)", name, fn)
 	}
-	params, returns, err := signatureSchemas(v.Type())
+	params, returns, err := signatureSchemas(name, v.Type())
 	if err != nil {
-		return nil, core.Wrapf(core.KindType, err, "Go UDF %s: %v", name, err)
+		return nil, err
 	}
 	return &storage.FuncDef{
 		Name:     name,
@@ -142,16 +142,16 @@ func InferDef(name string, fn any) (*storage.FuncDef, error) {
 	}, nil
 }
 
-// signatureSchemas validates a function type and derives parameter/result
-// schemas with placeholder names.
-func signatureSchemas(t reflect.Type) (params, returns storage.Schema, err error) {
+// signatureSchemas validates the type of the function registered as name
+// and derives parameter/result schemas with placeholder names.
+func signatureSchemas(name string, t reflect.Type) (params, returns storage.Schema, err error) {
 	if t.IsVariadic() {
-		return nil, nil, fmt.Errorf("variadic functions are not supported")
+		return nil, nil, core.Errorf(core.KindType, "Go UDF %s: variadic functions are not supported", name)
 	}
 	for i := 0; i < t.NumIn(); i++ {
-		st, _, err := sqlType(t.In(i))
-		if err != nil {
-			return nil, nil, fmt.Errorf("parameter %d: %w", i+1, err)
+		st, _, ok := sqlType(t.In(i))
+		if !ok {
+			return nil, nil, core.Errorf(core.KindType, "Go UDF %s: parameter %d: unsupported Go UDF type %s", name, i+1, t.In(i))
 		}
 		params = append(params, storage.ColumnDef{Name: fmt.Sprintf("arg%d", i+1), Type: st})
 	}
@@ -160,18 +160,18 @@ func signatureSchemas(t reflect.Type) (params, returns storage.Schema, err error
 		nOut--
 	}
 	if nOut == 0 {
-		return nil, nil, fmt.Errorf("must return at least one value")
+		return nil, nil, core.Errorf(core.KindType, "Go UDF %s: must return at least one value", name)
 	}
 	for i := 0; i < nOut; i++ {
-		st, _, err := sqlType(t.Out(i))
-		if err != nil {
-			return nil, nil, fmt.Errorf("result %d: %w", i+1, err)
+		st, _, ok := sqlType(t.Out(i))
+		if !ok {
+			return nil, nil, core.Errorf(core.KindType, "Go UDF %s: result %d: unsupported Go UDF type %s", name, i+1, t.Out(i))
 		}
-		name := fmt.Sprintf("col%d", i+1)
+		col := fmt.Sprintf("col%d", i+1)
 		if nOut == 1 {
-			name = "result"
+			col = "result"
 		}
-		returns = append(returns, storage.ColumnDef{Name: name, Type: st})
+		returns = append(returns, storage.ColumnDef{Name: col, Type: st})
 	}
 	return params, returns, nil
 }
@@ -179,31 +179,32 @@ func signatureSchemas(t reflect.Type) (params, returns storage.Schema, err error
 var errType = reflect.TypeOf((*error)(nil)).Elem()
 
 // sqlType maps a Go parameter/result type to its storage type, reporting
-// whether it is the whole-column (slice) form.
-func sqlType(t reflect.Type) (storage.Type, bool, error) {
+// whether it is the whole-column (slice) form and whether t is supported
+// at all.
+func sqlType(t reflect.Type) (st storage.Type, isSlice, ok bool) {
 	switch t {
 	case reflect.TypeOf(int64(0)):
-		return storage.TInt, false, nil
+		return storage.TInt, false, true
 	case reflect.TypeOf(float64(0)):
-		return storage.TFloat, false, nil
+		return storage.TFloat, false, true
 	case reflect.TypeOf(""):
-		return storage.TStr, false, nil
+		return storage.TStr, false, true
 	case reflect.TypeOf(false):
-		return storage.TBool, false, nil
+		return storage.TBool, false, true
 	case reflect.TypeOf([]byte(nil)):
-		return storage.TBlob, false, nil
+		return storage.TBlob, false, true
 	case reflect.TypeOf([]int64(nil)):
-		return storage.TInt, true, nil
+		return storage.TInt, true, true
 	case reflect.TypeOf([]float64(nil)):
-		return storage.TFloat, true, nil
+		return storage.TFloat, true, true
 	case reflect.TypeOf([]string(nil)):
-		return storage.TStr, true, nil
+		return storage.TStr, true, true
 	case reflect.TypeOf([]bool(nil)):
-		return storage.TBool, true, nil
+		return storage.TBool, true, true
 	case reflect.TypeOf([][]byte(nil)):
-		return storage.TBlob, true, nil
+		return storage.TBlob, true, true
 	}
-	return 0, false, fmt.Errorf("unsupported Go UDF type %s", t)
+	return 0, false, false
 }
 
 // Compile resolves the registered function (the body names the Go symbol;
@@ -230,8 +231,8 @@ func (*Runtime) Compile(def *storage.FuncDef) (udfrt.Callable, error) {
 	}
 	c := &callable{def: def, symbol: symbol, typ: t}
 	for i, p := range def.Params {
-		st, isSlice, err := sqlType(t.In(i))
-		if err != nil || st != p.Type {
+		st, isSlice, ok := sqlType(t.In(i))
+		if !ok || st != p.Type {
 			return nil, core.Errorf(core.KindType,
 				"UDF %s: parameter %s is declared %s but the Go function takes %s",
 				def.Name, p.Name, p.Type, t.In(i))
@@ -249,8 +250,8 @@ func (*Runtime) Compile(def *storage.FuncDef) (udfrt.Callable, error) {
 			def.Name, symbol, nOut, len(def.Returns))
 	}
 	for i, r := range def.Returns {
-		st, isSlice, err := sqlType(t.Out(i))
-		if err != nil || st != r.Type {
+		st, isSlice, ok := sqlType(t.Out(i))
+		if !ok || st != r.Type {
 			return nil, core.Errorf(core.KindType,
 				"UDF %s: result %s is declared %s but the Go function returns %s",
 				def.Name, r.Name, r.Type, t.Out(i))

@@ -37,18 +37,25 @@ func floatCol(name string, vals ...float64) *storage.Column {
 	return c
 }
 
+// TestRegisterValidatesSignature: Register and InferDef refuse a function
+// the runtime cannot call, with one type error that names the UDF once.
 func TestRegisterValidatesSignature(t *testing.T) {
-	if err := Register("notafunc", 42); err == nil {
-		t.Fatal("non-function must be rejected")
-	}
-	if err := Register("badparam", func(x []int32) []int32 { return x }); err == nil {
-		t.Fatal("unsupported parameter type must be rejected")
-	}
-	if err := Register("noresult", func(x []int64) {}); err == nil {
-		t.Fatal("zero-result function must be rejected")
-	}
-	if err := Register("variadic", func(x ...[]int64) []int64 { return nil }); err == nil {
-		t.Fatal("variadic function must be rejected")
+	for _, c := range []struct {
+		fn   any
+		want string
+	}{
+		{42, "type error: Go UDF f: not a function (int)"},
+		{func(x []int32) []int32 { return x }, "type error: Go UDF f: parameter 1: unsupported Go UDF type []int32"},
+		{func(x []int64) {}, "type error: Go UDF f: must return at least one value"},
+		{func(x []int64) []int32 { return nil }, "type error: Go UDF f: result 1: unsupported Go UDF type []int32"},
+		{func(x ...[]int64) []int64 { return nil }, "type error: Go UDF f: variadic functions are not supported"},
+	} {
+		if err := Register("f", c.fn); err == nil || err.Error() != c.want {
+			t.Errorf("Register: %v, want %s", err, c.want)
+		}
+		if _, err := InferDef("f", c.fn); err == nil || err.Error() != c.want {
+			t.Errorf("InferDef: %v, want %s", err, c.want)
+		}
 	}
 }
 

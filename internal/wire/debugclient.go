@@ -128,8 +128,7 @@ func (dc *DebugConn) failed() error {
 func (dc *DebugConn) send(typ byte, payload []byte) error {
 	dc.wmu.Lock()
 	defer dc.wmu.Unlock()
-	//lockblock:ok the write mutex exists to serialize frame writes
-	return dc.c.send(typ, payload)
+	return dc.c.send(typ, payload) //lockblock:ok the write mutex exists to serialize frame writes
 }
 
 // RoundTrip sends one debug request and waits for its reply. It fails with

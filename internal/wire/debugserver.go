@@ -24,8 +24,7 @@ type connWriter struct {
 func (w *connWriter) writeFrame(typ byte, payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	//lockblock:ok this mutex exists to serialize frame writes from the event and reply paths
-	return w.fw.writeFrame(typ, payload)
+	return w.fw.writeFrame(typ, payload) //lockblock:ok this mutex exists to serialize frame writes from the event and reply paths
 }
 
 // writeStream ships a chunked result as one unit: no other frame can land
@@ -33,8 +32,7 @@ func (w *connWriter) writeFrame(typ byte, payload []byte) error {
 func (w *connWriter) writeStream(msg string, t *storage.Table, chunkBytes int) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	//lockblock:ok this mutex exists to keep a result stream's frames contiguous
-	return w.fw.writeResultStream(msg, t, chunkBytes)
+	return w.fw.writeResultStream(msg, t, chunkBytes) //lockblock:ok this mutex exists to keep a result stream's frames contiguous
 }
 
 // debugRun is one remote debug run on one connection: the launch request
