@@ -102,6 +102,44 @@ func TestEveryFuzzerRunsInFuzzSmoke(t *testing.T) {
 	}
 }
 
+// TestReadmeLayoutNamesEveryPackage: README's "Repo layout" section names
+// every top-level directory under internal/ and cmd/, spelled out or in an
+// internal/{a,b,...} list, and every internal/ or cmd/ name it gives
+// exists, so a package added or deleted without its layout line fails here.
+func TestReadmeLayoutNamesEveryPackage(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, layout, ok := strings.Cut(string(readme), "\n## Repo layout\n")
+	if !ok {
+		t.Fatal(`README.md: no "## Repo layout" section`)
+	}
+	layout, _, _ = strings.Cut(layout, "\n## ")
+	named := map[string]bool{}
+	for _, m := range regexp.MustCompile(`\b(internal|cmd)/(?:\{([^}]*)\}|(\w+))`).FindAllStringSubmatch(layout, -1) {
+		for _, name := range strings.Split(m[2]+m[3], ",") {
+			named[m[1]+"/"+strings.TrimSpace(name)] = true
+		}
+	}
+	for name := range named {
+		if fi, err := os.Stat(name); err != nil || !fi.IsDir() {
+			t.Errorf("README.md Repo layout names %s, which is not a directory", name)
+		}
+	}
+	for _, parent := range []string{"internal", "cmd"} {
+		ents, err := os.ReadDir(parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if e.IsDir() && !named[parent+"/"+e.Name()] {
+				t.Errorf("README.md Repo layout does not name %s/%s", parent, e.Name())
+			}
+		}
+	}
+}
+
 // goTestCommands returns the fields of each go test command in the CI
 // workflow, one command per line once the shell's continuations are folded.
 func goTestCommands(t *testing.T) [][]string {

@@ -10,7 +10,6 @@
 //	devudf run     -udf NAME             run the imported UDF locally
 //	devudf query   [-param V ...] SQL    run SQL (placeholders bound to -param)
 //	devudf debug   -udf NAME             interactive local debugger
-//	devudf vcs     init|commit|log|diff  project version control
 //
 // Settings persist in ./devudf.json; the project lives in ./<project_dir>.
 package main
@@ -76,8 +75,6 @@ func main() {
 		err = cmdQuery(ctx, fs, args)
 	case "debug":
 		err = cmdDebug(ctx, fs, args)
-	case "vcs":
-		err = cmdVCS(fs, args)
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -104,7 +101,6 @@ commands:
   run        run an imported UDF locally
   query      run SQL on the server ([-param V ...] binds placeholders)
   debug      debug an imported UDF interactively
-  vcs        version-control the project (init|commit|log|diff)
 `)
 }
 
@@ -745,74 +741,4 @@ func stepCmd(sess debugDriver, started *bool,
 		return report(sess.Start())
 	}
 	return report(step())
-}
-
-func cmdVCS(fs core.FS, args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("usage: devudf vcs init|commit -m MSG|log|diff A B")
-	}
-	settings, err := devudf.LoadSettings(fs)
-	if err != nil {
-		return err
-	}
-	project := devudf.OpenProject(fs, settings.ProjectDir)
-	switch args[0] {
-	case "init":
-		if _, err := project.InitVCS(); err != nil {
-			return err
-		}
-		fmt.Println("initialized project repository")
-		return nil
-	case "commit":
-		flags := flag.NewFlagSet("commit", flag.ExitOnError)
-		msg := flags.String("m", "", "commit message")
-		author := flags.String("author", "devudf", "author")
-		if err := flags.Parse(args[1:]); err != nil {
-			return err
-		}
-		if *msg == "" {
-			return fmt.Errorf("-m is required")
-		}
-		hash, err := project.Commit(*author, *msg)
-		if err != nil {
-			return err
-		}
-		fmt.Println("committed", hash)
-		return nil
-	case "log":
-		repo, err := project.OpenVCS()
-		if err != nil {
-			return err
-		}
-		log, err := repo.Log()
-		if err != nil {
-			return err
-		}
-		for _, ci := range log {
-			fmt.Printf("%s  #%d  %s  %s\n", ci.Hash, ci.Seq, ci.Author, ci.Message)
-		}
-		return nil
-	case "diff":
-		repo, err := project.OpenVCS()
-		if err != nil {
-			return err
-		}
-		a, b := "", ""
-		if len(args) >= 3 {
-			a, b = args[1], args[2]
-		}
-		diff, err := repo.Diff(a, b)
-		if err != nil {
-			return err
-		}
-		for _, d := range diff {
-			fmt.Printf("%s %s\n", d.Status, d.Path)
-			for _, ln := range d.Lines {
-				fmt.Println("  " + ln)
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown vcs subcommand %q", args[0])
-	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"os"
 	"strings"
 	"testing"
 
@@ -53,6 +54,19 @@ func TestApplySetting(t *testing.T) {
 		if _, err := fs.ReadFile("devudf.json"); !core.IsNotExist(err) {
 			t.Errorf("settings -set %s saved the settings", bad)
 		}
+	}
+}
+
+// TestSettingsReadErrorNamesItsKindOnce: a devudf.json that cannot be read
+// is reported with one io tag, not one per layer the error passed through.
+func TestSettingsReadErrorNamesItsKindOnce(t *testing.T) {
+	t.Chdir(t.TempDir())
+	if err := os.Mkdir("devudf.json", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	const want = "io error: read settings: read devudf.json: is a directory"
+	if err := cmdSettings(core.OSFS{}, nil); err == nil || err.Error() != want {
+		t.Fatalf("settings with devudf.json a directory: %v, want %q", err, want)
 	}
 }
 

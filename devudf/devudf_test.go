@@ -484,7 +484,7 @@ func TestExtractRequiresDebugQuery(t *testing.T) {
 	}
 }
 
-func TestImportAllAndVCS(t *testing.T) {
+func TestImportAll(t *testing.T) {
 	params, _ := startServer(t,
 		`CREATE FUNCTION a(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON { return x }`,
 		`CREATE FUNCTION b(y DOUBLE) RETURNS DOUBLE LANGUAGE PYTHON { return y }`,
@@ -502,28 +502,5 @@ func TestImportAllAndVCS(t *testing.T) {
 	imported, err := c.ImportUDFs(ctx, names...)
 	if err != nil || len(imported) != 2 {
 		t.Fatalf("import all: %v %v", imported, err)
-	}
-	if _, err := c.Project.InitVCS(); err != nil {
-		t.Fatal(err)
-	}
-	h1, err := c.Project.Commit("dev", "import from server")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.EditBody("a", "return x * 2"); err != nil {
-		t.Fatal(err)
-	}
-	h2, err := c.Project.Commit("dev", "double it")
-	if err != nil {
-		t.Fatal(err)
-	}
-	repo, _ := c.Project.OpenVCS()
-	diff, err := repo.Diff(h1, h2)
-	if err != nil || len(diff) != 1 || diff[0].Path != "a.py" {
-		t.Fatalf("diff: %+v %v", diff, err)
-	}
-	log, _ := repo.Log()
-	if len(log) != 2 || log[0].Message != "double it" {
-		t.Fatalf("log: %+v", log)
 	}
 }

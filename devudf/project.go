@@ -2,12 +2,12 @@ package devudf
 
 import (
 	"encoding/json"
+	"regexp"
 	"sort"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/storage"
-	"repro/internal/vcs"
 )
 
 // ParamInfo is one named, SQL-typed parameter or result column.
@@ -126,17 +126,26 @@ func (p *Project) writeMeta(m map[string]UDFInfo) error {
 	return p.fs.WriteFile(p.path(metaFile), data)
 }
 
-// SaveUDF writes a UDF's script file and records its signature.
+// pyIdentifier is what a UDF name must match to name a script file.
+var pyIdentifier = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*$`)
+
+// SaveUDF writes a UDF's script file and then records its signature, so a
+// failed save leaves the project listing what it listed before. The name
+// comes from the server's catalog and becomes a file name and a def line,
+// so a name that is not a Python identifier is refused before any write.
 func (p *Project) SaveUDF(info UDFInfo, source string) error {
+	if !pyIdentifier.MatchString(info.Name) {
+		return core.Errorf(core.KindName, "UDF %q: the name is not a Python identifier", info.Name)
+	}
 	m, err := p.readMeta()
 	if err != nil {
 		return err
 	}
-	m[strings.ToLower(info.Name)] = info
-	if err := p.writeMeta(m); err != nil {
+	if err := p.fs.WriteFile(p.ScriptPath(info.Name), []byte(source)); err != nil {
 		return err
 	}
-	return p.fs.WriteFile(p.ScriptPath(info.Name), []byte(source))
+	m[strings.ToLower(info.Name)] = info
+	return p.writeMeta(m)
 }
 
 // LoadUDF reads a UDF's script source and signature.
@@ -175,41 +184,4 @@ func (p *Project) List() ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// Files snapshots all project script files (for VCS commits).
-func (p *Project) Files() (map[string][]byte, error) {
-	names, err := p.List()
-	if err != nil {
-		return nil, err
-	}
-	out := map[string][]byte{}
-	for _, n := range names {
-		b, err := p.fs.ReadFile(p.ScriptPath(n))
-		if err != nil {
-			return nil, err
-		}
-		out[n+".py"] = b
-	}
-	return out, nil
-}
-
-// InitVCS initializes version control over the project (paper §1: devUDF
-// restores VCS workflows by materializing UDFs as files).
-func (p *Project) InitVCS() (*vcs.Repo, error) { return vcs.Init(p.fs, p.dir) }
-
-// OpenVCS opens the project's repository.
-func (p *Project) OpenVCS() (*vcs.Repo, error) { return vcs.Open(p.fs, p.dir) }
-
-// Commit snapshots all UDF files into the project repository.
-func (p *Project) Commit(author, message string) (string, error) {
-	repo, err := p.OpenVCS()
-	if err != nil {
-		return "", err
-	}
-	files, err := p.Files()
-	if err != nil {
-		return "", err
-	}
-	return repo.Commit(author, message, files)
 }

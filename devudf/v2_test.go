@@ -23,11 +23,12 @@ func (brokenFS) WriteFile(string, []byte) error {
 	return core.Errorf(core.KindIO, "permission denied")
 }
 
-// flakyFS fails the next read of the file named fail with an IO error that
-// is not not-exist, then reads through again.
+// flakyFS fails the next read of the file named fail, and the next write of
+// the file named failWrite, with an IO error that is not not-exist, then
+// reads and writes through again.
 type flakyFS struct {
 	core.FS
-	fail string
+	fail, failWrite string
 }
 
 func (f *flakyFS) ReadFile(name string) ([]byte, error) {
@@ -36,6 +37,14 @@ func (f *flakyFS) ReadFile(name string) ([]byte, error) {
 		return nil, core.Errorf(core.KindIO, "input/output error")
 	}
 	return f.FS.ReadFile(name)
+}
+
+func (f *flakyFS) WriteFile(name string, data []byte) error {
+	if name == f.failWrite {
+		f.failWrite = ""
+		return core.Errorf(core.KindIO, "no space left on device")
+	}
+	return f.FS.WriteFile(name, data)
 }
 
 // TestFailedMetadataReadKeepsTheProject: only a metadata file that does not
@@ -65,6 +74,27 @@ func TestFailedMetadataReadKeepsTheProject(t *testing.T) {
 	}
 	if names, err := p.List(); err != nil || strings.Join(names, ",") != "a,b,c" {
 		t.Fatalf("the project after failed reads lists %v (%v), want [a b c]", names, err)
+	}
+}
+
+// TestFailedScriptWriteKeepsTheProject: a SaveUDF whose script cannot be
+// written leaves the project listing what it listed before, so no listed
+// UDF lacks its file.
+func TestFailedScriptWriteKeepsTheProject(t *testing.T) {
+	fs := &flakyFS{FS: core.NewMemFS(nil)}
+	p := OpenProject(fs, "")
+	if err := p.SaveUDF(UDFInfo{Name: "a", Language: "PYTHON"}, "return 1"); err != nil {
+		t.Fatal(err)
+	}
+	fs.failWrite = p.ScriptPath("b")
+	if err := p.SaveUDF(UDFInfo{Name: "b", Language: "PYTHON"}, "return 2"); core.KindOf(err) != core.KindIO {
+		t.Fatalf("SaveUDF with a failing script write: %v, want the write's IO error", err)
+	}
+	if names, err := p.List(); err != nil || strings.Join(names, ",") != "a" {
+		t.Errorf("the project after a failed save lists %v (%v), want [a]", names, err)
+	}
+	if _, _, err := p.LoadUDF("b"); core.KindOf(err) != core.KindName {
+		t.Errorf("LoadUDF of the unsaved UDF: %v, want a name error", err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -93,6 +94,7 @@ type Error struct {
 // operand it is Wrapf around the first one, so no caller can format a
 // cause into the message and drop it from the chain: errors.Is/As still
 // reach it, and a KindCancelled or KindOverload cause keeps its kind.
+// Operands format as under Wrapf.
 func Errorf(kind ErrorKind, format string, args ...any) *Error {
 	for _, a := range args {
 		if cause, ok := a.(error); ok {
@@ -113,12 +115,22 @@ func Errorf(kind ErrorKind, format string, args ...any) *Error {
 // That test is identity, not errors.Is: net's dial-timeout error answers
 // errors.Is(err, context.DeadlineExceeded), and a dialer timeout is the
 // endpoint's failure, so it must stay KindIO.
+//
+// A *Error operand formats as its Msg: the new error carries the kind tag,
+// so "read settings: %v" over an io error reads "io error: read settings:
+// ..." with the tag once, however many layers wrap the cause.
 func Wrapf(kind ErrorKind, cause error, format string, args ...any) *Error {
 	switch k := KindOf(cause); {
 	case k == KindCancelled || k == KindOverload:
 		kind = k
 	case cause == context.Canceled || cause == context.DeadlineExceeded:
 		kind = KindCancelled
+	}
+	args = slices.Clone(args)
+	for i, a := range args {
+		if e, ok := a.(*Error); ok {
+			args[i] = e.Msg
+		}
 	}
 	return &Error{Kind: kind, Msg: fmt.Sprintf(format, args...), Err: cause}
 }

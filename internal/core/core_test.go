@@ -99,6 +99,30 @@ func TestErrorfKeepsItsErrorOperand(t *testing.T) {
 	}
 }
 
+// TestWrapfTagsTheKindOnce: a *Error operand formats as its Msg, so a
+// cause wrapped as "step: %v" does not repeat its kind tag in the message,
+// while errors.Is and KindOf still reach the cause through the chain.
+func TestWrapfTagsTheKindOnce(t *testing.T) {
+	root := errors.New("is a directory")
+	inner := Wrapf(KindIO, root, "read devudf.json: %v", root)
+	for _, err := range []*Error{
+		Wrapf(KindIO, inner, "read settings: %v", inner),
+		Errorf(KindIO, "read settings: %v", inner),
+	} {
+		if got := err.Error(); got != "io error: read settings: read devudf.json: is a directory" {
+			t.Errorf("Error() = %q, want the io tag once", got)
+		}
+		if !errors.Is(err, root) || err.Err != inner {
+			t.Errorf("the cause is lost: Err = %v", err.Err)
+		}
+	}
+	shed := Errorf(KindOverload, "queue full")
+	err := Wrapf(KindRuntime, shed, "run: %v, %s", shed, "again")
+	if got := err.Error(); got != "overload error: run: queue full, again" || KindOf(err) != KindOverload {
+		t.Errorf("Error() = %q, KindOf = %v", got, KindOf(err))
+	}
+}
+
 func TestErrorKindStrings(t *testing.T) {
 	kinds := map[ErrorKind]string{
 		KindUnknown: "unknown", KindSyntax: "syntax", KindName: "name",
