@@ -87,8 +87,9 @@ var gates = []gate{
 		"The benchmark's extract payload (50 000 pickled ints in [0, 10 000), 9-byte cells) through transfer.Compress — " +
 			"stride detected, byte planes, each plane written into the one DEFLATE stream by the encoder its sample picks " +
 			"(Huffman only for the value's two bytes, BestSpeed for the tag and zero planes) — against DEFLATE at the " +
-			"default level over the bytes as they are. Three runs of this command read 0.071, 0.091 and 0.065. Every " +
-			"plane at the default level read 0.135-0.184 beside them, the parent's single default-level stream " +
+			"default level over the bytes as they are. The trials and the segments are coded on every P: three runs on " +
+			"a 2-vCPU box read 0.048, 0.048 and 0.045, where one worker coding them in turn read 0.067-0.078. Every " +
+			"plane at the default level read 0.135-0.184 beside the one-worker figures, a single default-level stream " +
 			"0.165-0.225, and losing the planes reads as 1.0."},
 }
 

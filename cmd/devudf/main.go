@@ -315,13 +315,10 @@ func cmdImport(ctx context.Context, fs core.FS, args []string) error {
 		}
 	}
 	imported, err := c.ImportUDFs(ctx, names...)
-	if err != nil {
-		return err
-	}
 	for _, name := range imported {
 		fmt.Printf("imported %s -> %s\n", name, c.Project.ScriptPath(name))
 	}
-	return nil
+	return err
 }
 
 // filterByLanguage keeps the named UDFs whose LANGUAGE matches

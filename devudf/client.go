@@ -231,7 +231,8 @@ func fetchUDF(cat *serverCatalog, name string) (UDFInfo, string, error) {
 // code transformation (header synthesis + input-loading prologue) and
 // writes the runnable script into the project. Nested UDFs reachable
 // through loopback queries (§2.3) are imported transitively. It returns
-// every imported name.
+// every imported name. A UDF it cannot import keeps none of the others out:
+// the error, of the first refusal's kind, names each UDF not imported.
 func (c *Client) ImportUDFs(ctx context.Context, names ...string) ([]string, error) {
 	cat, err := c.listServerUDFs(ctx)
 	if err != nil {
@@ -239,6 +240,7 @@ func (c *Client) ImportUDFs(ctx context.Context, names ...string) ([]string, err
 	}
 	isUDF := func(name string) bool { return cat.has(name) }
 	var imported []string
+	var refused []*core.Error // one per UDF not imported, each naming it
 	seen := map[string]bool{}
 	queue := append([]string(nil), names...)
 	for len(queue) > 0 {
@@ -251,7 +253,8 @@ func (c *Client) ImportUDFs(ctx context.Context, names ...string) ([]string, err
 		seen[key] = true
 		info, body, err := fetchUDF(cat, name)
 		if err != nil {
-			return imported, err
+			refused = append(refused, core.Wrapf(core.KindOf(err), err, "%s: %v", name, err))
+			continue
 		}
 		var src string
 		if languageOf(info) == pyrt.Name {
@@ -267,14 +270,22 @@ func (c *Client) ImportUDFs(ctx context.Context, names ...string) ([]string, err
 			src = nativeStub(info, body)
 		}
 		if err := c.Project.SaveUDF(info, src); err != nil {
-			return imported, err
+			refused = append(refused, core.Wrapf(core.KindOf(err), err, "%s: %v", name, err))
+			continue
 		}
 		imported = append(imported, info.Name)
 		// §2.3: follow loopback queries to nested UDFs
 		queue = append(queue, transform.FindLoopbackUDFs(body, isUDF)...)
 	}
 	sort.Strings(imported)
-	return imported, nil
+	if len(refused) == 0 {
+		return imported, nil
+	}
+	why := make([]string, len(refused))
+	for i, e := range refused {
+		why[i] = e.Msg
+	}
+	return imported, core.Wrapf(refused[0].Kind, refused[0], "not imported: %s", strings.Join(why, "; "))
 }
 
 // nativeSymbolMarker tags the stub line carrying a native UDF's registered

@@ -148,3 +148,23 @@ func TestSaveUDFRefusesNonIdentifierNames(t *testing.T) {
 		t.Errorf("importing ../escaped wrote %v", got)
 	}
 }
+
+// TestImportKeepsGoingPastARefusedUDF: one UDF the project refuses does not
+// keep the others out. ImportUDFs imports every UDF it can and returns one
+// error, of the first refusal's kind, that names each UDF it refused.
+func TestImportKeepsGoingPastARefusedUDF(t *testing.T) {
+	params, _ := startServer(t,
+		`CREATE FUNCTION "../escaped"(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON { return x }`,
+		`CREATE FUNCTION ok_udf(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON { return x }`)
+	c := newClient(t, params, "")
+	imported, err := c.ImportUDFs(ctx, "../escaped", "ok_udf", "absent_udf")
+	if !slices.Equal(imported, []string{"ok_udf"}) {
+		t.Errorf("imported %v, want [ok_udf]", imported)
+	}
+	if core.KindOf(err) != core.KindName || !strings.Contains(err.Error(), "../escaped") || !strings.Contains(err.Error(), "absent_udf") {
+		t.Errorf("import error %v, want a name error naming ../escaped and absent_udf", err)
+	}
+	if _, err := c.Project.FS().ReadFile(c.Project.ScriptPath("ok_udf")); err != nil {
+		t.Errorf("ok_udf.py: %v", err)
+	}
+}

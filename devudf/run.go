@@ -11,6 +11,7 @@ import (
 	"repro/internal/pickle"
 	"repro/internal/script"
 	"repro/internal/storage"
+	"repro/internal/transfer"
 	"repro/internal/transform"
 	"repro/internal/udfrt"
 	"repro/internal/udfrt/pyrt"
@@ -31,8 +32,9 @@ type ExtractInfo struct {
 // ExtractInputs rewrites the settings' debug query so the UDF call becomes
 // a call to the server-side extract function, runs it, unpacks the payload
 // with the connection password, and stores the UDF's input parameters as
-// the project's input.bin (paper §2.2). The target UDF must already be
-// imported.
+// the project's input.bin (paper §2.2). The parameters are written as they
+// arrived, the bytes the payload pickled them to, without being decoded and
+// pickled again. The target UDF must already be imported.
 func (c *Client) ExtractInputs(ctx context.Context, udfName string) (*ExtractInfo, error) {
 	if c.Settings.DebugQuery == "" {
 		return nil, core.Errorf(core.KindConstraint,
@@ -46,7 +48,7 @@ func (c *Client) ExtractInputs(ctx context.Context, udfName string) (*ExtractInf
 	if err != nil {
 		return nil, err
 	}
-	if err := pickle.DumpFile(c.Project.FS(), c.Project.InputPath(info.Name), params); err != nil {
+	if err := c.Project.FS().WriteFile(c.Project.InputPath(info.Name), params); err != nil {
 		return nil, err
 	}
 	return x, nil
@@ -62,10 +64,10 @@ var extractAnswer = []storage.ColumnDef{
 
 // extract runs sql rewritten so that the server extracts the inputs of
 // its call of udfName (§2.2) under the settings' transfer options, and
-// returns the extraction's summary and the parameter dict its payload
-// unpacks to. The answer is read by column name; one that lacks a column
-// of extractAnswer is a protocol error.
-func (c *Client) extract(ctx context.Context, sql, udfName string) (*ExtractInfo, *script.DictVal, error) {
+// returns the extraction's summary and the pickle of the parameter dict its
+// payload unpacks to (paramsOf). The answer is read by column name; one
+// that lacks a column of extractAnswer is a protocol error.
+func (c *Client) extract(ctx context.Context, sql, udfName string) (*ExtractInfo, []byte, error) {
 	opts := c.Settings.Transfer
 	rewritten, err := transform.RewriteToExtract(sql, udfName, opts)
 	if err != nil {
@@ -83,7 +85,7 @@ func (c *Client) extract(ctx context.Context, sql, udfName string) (*ExtractInfo
 		return nil, nil, err
 	}
 	payload := cols[0].Blobs[0]
-	_, params, _, _, err := engine.DecodeExtractPayload(payload, c.Settings.Connection.Password)
+	params, err := c.paramsOf(payload)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -95,6 +97,25 @@ func (c *Client) extract(ctx context.Context, sql, udfName string) (*ExtractInfo
 		Compressed:   opts.Compress,
 		Encrypted:    opts.Encrypt,
 	}, params, nil
+}
+
+// paramsOf unpacks a sys_extract payload with the connection password and
+// returns the pickle of its parameter dict: the bytes of the envelope's
+// "params" entry, read out of it by script.PickledEntry, so that nothing of
+// the envelope is decoded into values.
+func (c *Client) paramsOf(payload []byte) ([]byte, error) {
+	raw, err := transfer.Unpack(payload, c.Settings.Connection.Password)
+	if err != nil {
+		return nil, err
+	}
+	params, typeName, err := script.PickledEntry(raw, "params")
+	if err != nil {
+		return nil, err
+	}
+	if typeName != "dict" {
+		return nil, core.Errorf(core.KindProtocol, "extract payload's params is a %s, not a dict", typeName)
+	}
+	return params, nil
 }
 
 // RunResult is the outcome of a local UDF run.
@@ -303,11 +324,15 @@ func (x localExecutor) runNested(sql, udfName string) (*storage.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, params, err := x.c.extract(x.ctx, sql, info.Name)
+	_, pickled, err := x.c.extract(x.ctx, sql, info.Name)
 	if err != nil {
 		return nil, err
 	}
-	in, err := pyrt.ParamsBatch(def.Params, params)
+	params, err := script.UnmarshalColumns(pickled)
+	if err != nil {
+		return nil, err
+	}
+	in, err := pyrt.ParamsBatch(def.Params, params.(*script.DictVal)) // extract saw a dict
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -249,9 +250,14 @@ func NewMemFS(files map[string]string) *MemFS {
 	return m
 }
 
+// normalize resolves ".", ".." and repeated slashes in a name as
+// filepath.Join does in OSFS.path, so both file systems name a file alike;
+// the root is "".
 func normalize(p string) string {
-	p = strings.TrimPrefix(p, "./")
-	return strings.TrimSuffix(p, "/")
+	if p = path.Clean(p); p == "." {
+		return ""
+	}
+	return p
 }
 
 // ReadFile implements FS.

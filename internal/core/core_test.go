@@ -184,6 +184,41 @@ func TestMemFSDotSlashNormalization(t *testing.T) {
 	}
 }
 
+// TestMemFSResolvesPathsAsOSFS: the same writes on a MemFS and on an OSFS
+// read back the same files under the same names and list the same
+// directories: both resolve ".", ".." and "//" in a name the way
+// filepath.Join does, and no directory lists "..".
+func TestMemFSResolvesPathsAsOSFS(t *testing.T) {
+	written := []string{"a/../b.py", "./a/./c.py", "a//d.py"}
+	mem, disk := NewMemFS(nil), OSFS{Dir: t.TempDir()}
+	for i, name := range written {
+		for _, fs := range []FS{mem, disk} {
+			if err := fs.WriteFile(name, []byte{byte('0' + i)}); err != nil {
+				t.Fatalf("%T.WriteFile(%q): %v", fs, name, err)
+			}
+		}
+	}
+	for _, name := range append(written, "b.py", "a/c.py", "a/d.py", "a/../a/c.py", "./b.py") {
+		m, merr := mem.ReadFile(name)
+		d, derr := disk.ReadFile(name)
+		if merr != nil || derr != nil || string(m) != string(d) {
+			t.Errorf("ReadFile(%q): MemFS %q (%v), OSFS %q (%v)", name, m, merr, d, derr)
+		}
+	}
+	for _, dir := range []string{"", ".", "a", "./a", "a/", "a/./", "b/.."} {
+		m, merr := mem.ListDir(dir)
+		d, derr := disk.ListDir(dir)
+		if merr != nil || derr != nil || fmt.Sprint(m) != fmt.Sprint(d) {
+			t.Errorf("ListDir(%q): MemFS %q (%v), OSFS %q (%v)", dir, m, merr, d, derr)
+		}
+		for _, name := range m {
+			if name == ".." || name == "." || name == "" {
+				t.Errorf("MemFS.ListDir(%q) lists %q", dir, name)
+			}
+		}
+	}
+}
+
 func TestOSFS(t *testing.T) {
 	dir := t.TempDir()
 	fs := OSFS{Dir: dir}

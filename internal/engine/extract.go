@@ -97,9 +97,10 @@ func (f *frame) evalExtract(call *sqlparse.FuncCall) (*storage.Table, error) {
 
 // DecodeExtractPayload is the client-side inverse: it unpacks a sys_extract
 // payload (decrypt, decompress, unpickle) into the parameter dict and
-// metadata. The devudf package calls this after fetching the rewritten
-// query's result over the wire. A parameter that was a numeric column is a
-// column-backed list (script.UnmarshalColumns): read it with Len, Repr,
+// metadata, the whole envelope decoded and checked. devUDF does not call it:
+// it writes input.bin from the params entry's own bytes (script.PickledEntry)
+// and decodes nothing it does not run. A parameter that was a numeric column
+// is a column-backed list (script.UnmarshalColumns): read it with Len, Repr,
 // Boxed or Numbers, not through Items.
 func DecodeExtractPayload(packed []byte, password string) (udf string, params *script.DictVal, totalRows, sampleRows int64, err error) {
 	raw, err := transfer.Unpack(packed, password)

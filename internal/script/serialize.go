@@ -181,6 +181,85 @@ func unmarshal(data []byte, lanes bool) (Value, error) {
 	return v.box(), nil
 }
 
+// PickledEntry reads the pickled dict data and returns its value under the
+// string key as a pickle stream of its own, with that value's type name. It
+// builds neither the dict nor its columns: a list whose cells fit a typed
+// lane is stepped over by its length. It refuses whatever
+// UnmarshalColumns(data) refuses, with the same error, and a pickle that is
+// not a dict or has no such key; UnmarshalColumns(entry) is the value
+// UnmarshalColumns(data) holds under key.
+//
+// The entry is data's own bytes, not a copy: the stream's magic is written
+// over the last four bytes of the key's encoding, just before the value, so
+// data no longer reads as the dict once PickledEntry has succeeded.
+func PickledEntry(data []byte, key string) (entry []byte, typeName string, err error) {
+	if len(data) < len(pickleMagic) || string(data[:len(pickleMagic)]) != pickleMagic {
+		return nil, "", core.Errorf(core.KindProtocol, "not a PyLite pickle stream")
+	}
+	at, n := -1, 0
+	top, rest, err := skipValue(data[len(pickleMagic):], func(k val, typ string, value []byte, size int) {
+		if s, ok := k.ref.(StrVal); ok && string(s) == key {
+			at, n, typeName = len(data)-len(value), size, typ
+		}
+	})
+	switch {
+	case err != nil:
+		return nil, "", err
+	case len(rest) != 0:
+		return nil, "", core.Errorf(core.KindProtocol, "trailing garbage after pickled value (%d bytes)", len(rest))
+	case at < 0: // also when top is not a dict, whose entries alone are seen
+		return nil, "", core.Errorf(core.KindProtocol, "pickled %s has no key %q", top, key)
+	}
+	entry = data[at-len(pickleMagic) : at+n] // a str key's tag and length are five bytes: the magic stays inside it
+	copy(entry, pickleMagic)
+	return entry, typeName, nil
+}
+
+// skipValue steps over the value at the head of data as unmarshalFrom(data,
+// true) reads it, failing where and as it fails, and returns the value's
+// type name and the bytes after it. A list whose cells fit a typed lane is
+// stepped over by its length: laneOf has seen every cell whole. A dict is
+// stepped over entry by entry, each key decoded and hashed as DictVal.Set
+// hashes it and, if onEntry is set, handed to it with its value's type name,
+// the bytes from the value on and the value's size (the last of equal keys is
+// the one the dict keeps). Any other value is decoded by unmarshalFrom.
+func skipValue(data []byte, onEntry func(k val, typeName string, value []byte, size int)) (string, []byte, error) {
+	if len(data) >= 5 {
+		n := binary.BigEndian.Uint32(data[1:5])
+		switch data[0] {
+		case tagList:
+			if ln, nones := laneOf(data[5:], n); ln != laneBoxed {
+				return "list", data[5+nones+9*(int(n)-nones):], nil
+			}
+		case tagDict:
+			rest := data[5:]
+			for i := uint32(0); i < n; i++ {
+				k, v, err := unmarshalFrom(rest, true)
+				if err != nil {
+					return "", nil, err
+				}
+				typ, after, err := skipValue(v, nil)
+				if err != nil {
+					return "", nil, err
+				}
+				if _, err := hashKey(k.box()); err != nil {
+					return "", nil, err
+				}
+				if onEntry != nil {
+					onEntry(k, typ, v, len(v)-len(after))
+				}
+				rest = after
+			}
+			return "dict", rest, nil
+		}
+	}
+	v, rest, err := unmarshalFrom(data, true)
+	if err != nil {
+		return "", nil, err
+	}
+	return v.box().TypeName(), rest, nil
+}
+
 func truncErr() error {
 	return core.Errorf(core.KindProtocol, "truncated pickle stream")
 }

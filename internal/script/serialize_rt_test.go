@@ -88,14 +88,11 @@ func TestUnmarshalAdversarial(t *testing.T) {
 	}
 }
 
-// FuzzUnmarshal hammers the decoder with arbitrary bytes (seeded with valid
-// pickles): it must never panic, and any value it does decode must survive
-// a re-marshal/re-unmarshal cycle. The two entry points are one decoder:
-// UnmarshalColumns (number lists in typed lanes) and Unmarshal (every cell
-// boxed) accept the same inputs with the same error, print the same repr and
-// marshal to the same bytes, and those bytes, being Marshal's, decode and
-// marshal back to themselves through both.
-func FuzzUnmarshal(f *testing.F) {
+// pickleSeeds is FuzzUnmarshal's seed corpus: pickles of values that take
+// every tag and every lane, and streams cut short or claiming more cells
+// than follow.
+func pickleSeeds(tb testing.TB) [][]byte {
+	var seeds [][]byte
 	for _, v := range []Value{None, IntVal(42), StrVal("seed"), deepValue(),
 		NewList(IntVal(1), NewList(IntVal(2))),
 		NewIntList([]int64{300, -1, 1 << 62}, nil),                        // all ints: the int lane
@@ -109,14 +106,31 @@ func FuzzUnmarshal(f *testing.F) {
 	} {
 		data, err := Marshal(v)
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
+		seeds = append(seeds, data)
+	}
+	return append(seeds,
+		[]byte(pickleMagic),
+		// a count larger than the cells that follow: three claimed, one there, and a cell cut short
+		append([]byte(pickleMagic), tagList, 0, 0, 0, 3, tagInt, 0, 0, 0, 0, 0, 0, 0, 1),
+		append([]byte(pickleMagic), tagList, 0xFF, 0xFF, 0xFF, 0xFF, tagInt, 0, 0, 0, 0, 0, 0, 0, 1, tagInt, 0, 0),
+		// testdata's find: a dict of eight entries whose second value is a list claiming ~1.9 billion cells
+		[]byte("PKL1\t\x00\x00\x00\b\x05\x00\x00\x00\x04none\x00\x05\x00\x00\x00\x05bools\as\a\x00\x00\x00\x03\x03\x00\x00\x00\x00\x00\x00O\x00"),
+	)
+}
+
+// FuzzUnmarshal hammers the decoder with arbitrary bytes (seeded with valid
+// pickles): it must never panic, and any value it does decode must survive
+// a re-marshal/re-unmarshal cycle. The two entry points are one decoder:
+// UnmarshalColumns (number lists in typed lanes) and Unmarshal (every cell
+// boxed) accept the same inputs with the same error, print the same repr and
+// marshal to the same bytes, and those bytes, being Marshal's, decode and
+// marshal back to themselves through both.
+func FuzzUnmarshal(f *testing.F) {
+	for _, data := range pickleSeeds(f) {
 		f.Add(data)
 	}
-	f.Add([]byte(pickleMagic))
-	// a count larger than the cells that follow: three claimed, one there, and a cell cut short
-	f.Add(append([]byte(pickleMagic), tagList, 0, 0, 0, 3, tagInt, 0, 0, 0, 0, 0, 0, 0, 1))
-	f.Add(append([]byte(pickleMagic), tagList, 0xFF, 0xFF, 0xFF, 0xFF, tagInt, 0, 0, 0, 0, 0, 0, 0, 1, tagInt, 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := Unmarshal(data)
 		lanes, lerr := UnmarshalColumns(data)

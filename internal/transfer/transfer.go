@@ -19,6 +19,11 @@
 // where long matches pay. A segment begins on a byte boundary and refers to
 // nothing before it, so the segments read as one stream: the compressed form
 // is the one Decompress has always read.
+//
+// Nothing in a segment depends on another, and nothing in a plane's trials
+// on another plane, so Compress codes them concurrently, on up to GOMAXPROCS
+// workers, and joins the segments in plan order: the bytes are those one
+// writer makes segment after segment. With one P it starts no goroutine.
 package transfer
 
 import (
@@ -31,8 +36,10 @@ import (
 	"encoding/binary"
 	"io"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 )
@@ -74,22 +81,28 @@ const (
 	// inflatePrealloc is the most Decompress allocates on a header's word;
 	// past it the buffer grows only as bytes really inflate.
 	inflatePrealloc = 4 << 20
-	// maxPooledBytes is the largest buffer a Compress hands on to the next.
+	// maxPooledBytes is the most buffer memory a Compress hands on to the
+	// next.
 	maxPooledBytes = 16 << 20
 )
 
-// sampleOf copies sampleWindows evenly spaced windows, size bytes in all, out
-// of data into dst, so a payload of several columns is judged by more than
-// its first. Data of at most size bytes is its own sample.
-func sampleOf(dst, data []byte, size int) []byte {
-	if len(data) <= size {
-		return append(dst[:0], data...)
+// sampleOf copies into dst sampleWindows evenly spaced windows, size bytes
+// in all, of plane p of data's stride-byte records, read where the plane's
+// bytes lie in data, so a payload of several columns is judged by more than
+// its first. A plane of at most size bytes is its own sample; at stride 1 the
+// plane is data.
+func sampleOf(dst, data []byte, stride, p, size int) []byte {
+	n := len(data) / stride
+	windows, window, step := 1, n, 0
+	if n > size {
+		windows, window = sampleWindows, size/sampleWindows
+		step = (n - window) / (sampleWindows - 1)
 	}
-	window := size / sampleWindows
 	dst = dst[:0]
-	for w := 0; w < sampleWindows; w++ {
-		at := (len(data) - window) / (sampleWindows - 1) * w
-		dst = append(dst, data[at:at+window]...)
+	for w := 0; w < windows; w++ {
+		for r := w * step; r < w*step+window; r++ {
+			dst = append(dst, data[r*stride+p])
+		}
 	}
 	return dst
 }
@@ -142,24 +155,77 @@ func withinMargin(size, best int) bool { return size <= best+best/100+16 }
 // plan's length is the stride. A plan of one is the payload as it is.
 type plan []encoder
 
-// coders is what one Compress works with: a DEFLATE writer per encoder, made
-// on first use, and the buffers it transposes, samples and writes into. A
-// writer at the default level is ~700 KB of tables, so coders are pooled.
+// coders is what one worker of a Compress works with: a DEFLATE writer per
+// encoder, made on first use, the buffer it samples a plane into and the
+// counter its trials write to. The caller's coders also hold what its
+// workers read and write side by side: the payload's sample, the planes and
+// one buffer per segment. A writer at the default level is ~700 KB of
+// tables, so coders are pooled.
 type coders struct {
 	w      [numEncoders]*flate.Writer
-	planes []byte
-	sample []byte
+	plane  []byte
 	count  countWriter
-	out    bytes.Buffer
+	sample []byte
+	planes []byte
+	segs   []bytes.Buffer
 }
 
-var coderPool = sync.Pool{New: func() any { return new(coders) }}
+// coderPool holds the coders of Compress's callers and helperPool those of
+// the other workers of each, so a caller's planes and segments stay with
+// callers.
+var (
+	coderPool  = sync.Pool{New: func() any { return new(coders) }}
+	helperPool = sync.Pool{New: func() any { return new(coders) }}
+)
 
 func (c *coders) writer(e encoder) *flate.Writer {
 	if c.w[e] == nil {
 		c.w[e], _ = flate.NewWriter(nil, encoderLevels[e]) // the levels are valid
 	}
 	return c.w[e]
+}
+
+// pooledBytes is how much memory c would carry into the pool.
+func (c *coders) pooledBytes() int {
+	n := cap(c.planes)
+	for _, seg := range c.segs[:cap(c.segs)] {
+		n += seg.Cap()
+	}
+	return n
+}
+
+// each runs work(w, i) for every i in [0, units) on min(GOMAXPROCS, units)
+// workers, each with coders w of its own: the caller with c, the others with
+// coders from helperPool. A worker takes the next unit until none is left, so
+// units start in the order of their index. With one worker everything runs
+// on the caller and no goroutine starts; with more, each returns only after
+// every worker has. The error is the lowest-numbered failed unit's.
+func (c *coders) each(units int, work func(w *coders, i int) error) error {
+	errs := make([]error, units)
+	var next atomic.Int32
+	run := func(w *coders) {
+		for i := int(next.Add(1)) - 1; i < units; i = int(next.Add(1)) - 1 {
+			errs[i] = work(w, i)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), units) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := helperPool.Get().(*coders)
+			run(w)
+			helperPool.Put(w)
+		}()
+	}
+	run(c)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // planFor reads how to write data off samples of it, and returns data laid
@@ -177,38 +243,61 @@ func (c *coders) writer(e encoder) *flate.Writer {
 // every shape TestCompressShapes holds is decided as the default level
 // decides it. Otherwise, and at stride 1, the plan is one default-level
 // stream.
+//
+// The transposition, the trial of the payload as it is and each plane's
+// trials are independent units: each reads data, none another's output, so
+// they run side by side (each). A plane's sample is read from data, not
+// from the planes being transposed beside it.
 func (c *coders) planFor(data []byte) (plan, []byte, error) {
 	asIs := plan{defaultLevel}
-	c.sample = sampleOf(c.sample, data, strideSample)
+	c.sample = sampleOf(c.sample, data, 1, 0, strideSample)
 	stride := likelyStride(c.sample)
 	if stride == 1 {
 		return asIs, data, nil
 	}
-	plain, err := c.deflatedLen(bestSpeed, c.sample)
+	p, size := make(plan, stride), make([]int, stride)
+	var plain int
+	err := c.each(2+stride, func(w *coders, u int) (err error) {
+		switch u {
+		case 0:
+			c.planes = transpose(c.planes, data, stride)
+		case 1:
+			plain, err = w.deflatedLen(bestSpeed, c.sample)
+		default:
+			i := u - 2
+			w.plane = sampleOf(w.plane, data, stride, i, strideSample/stride)
+			p[i], size[i], err = w.pick(w.plane)
+		}
+		return err
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	c.planes = transpose(c.planes, data, stride)
-	p := make(plan, stride)
-	n, sum := len(data)/stride, 0
-	for i := range p {
-		c.sample = sampleOf(c.sample, c.planes[i*n:(i+1)*n], strideSample/stride)
-		var size [numEncoders]int
-		for e := range size {
-			if size[e], err = c.deflatedLen(encoder(e), c.sample); err != nil {
-				return nil, nil, err
-			}
-		}
-		best := slices.Min(size[:])
-		for !withinMargin(size[p[i]], best) {
-			p[i]++
-		}
-		sum += size[p[i]]
+	sum := 0
+	for _, n := range size {
+		sum += n
 	}
 	if sum >= plain {
 		return asIs, data, nil
 	}
 	return p, c.planes, nil
+}
+
+// pick tries every encoder on sample and returns the cheapest whose trial
+// comes within the margin of the smallest, and that trial's size.
+func (c *coders) pick(sample []byte) (encoder, int, error) {
+	var size [numEncoders]int
+	for e := range size {
+		var err error
+		if size[e], err = c.deflatedLen(encoder(e), sample); err != nil {
+			return 0, 0, err
+		}
+	}
+	best, e := slices.Min(size[:]), huffmanOnly
+	for !withinMargin(size[e], best) {
+		e++
+	}
+	return e, size[e], nil
 }
 
 // deflatedLen is how many bytes encoder e makes of data.
@@ -222,41 +311,48 @@ func (c *coders) deflatedLen(e encoder, data []byte) (int, error) {
 	return int(c.count), w.Close()
 }
 
-// write writes planes by p into c.out as one DEFLATE stream. Each run of
-// planes with one encoder is a segment: its writer starts afresh, so no
-// back-reference leaves the segment, and a sync flush ends it on a byte
-// boundary, where the next segment's blocks begin. A Huffman-only plane is a
-// segment of its own: its code table is all that models it, and two planes
-// under one table are coded by neither's distribution. The len%stride tail
-// rides with the last segment, which alone is closed.
+// write writes planes by p into c.segs as one DEFLATE stream, a segment a
+// buffer. Each run of planes with one encoder is a segment: its writer starts
+// afresh, so no back-reference leaves the segment, and a sync flush ends it
+// on a byte boundary, where the next segment's blocks begin. A Huffman-only
+// plane is a segment of its own: its code table is all that models it, and
+// two planes under one table are coded by neither's distribution. The
+// len%stride tail rides with the last segment, which alone is closed.
+//
+// Since a segment depends on no byte before it, the segments are coded side
+// by side (each), and c.segs in order is the stream one writer would have
+// written segment after segment.
 func (c *coders) write(planes []byte, p plan) error {
-	c.out.Reset()
 	n := len(planes) / len(p)
+	var bounds []int // segment k is planes bounds[k] up to bounds[k+1]
 	for from := 0; from < len(p); {
-		to, end := from+1, len(planes)
+		bounds = append(bounds, from)
+		to := from + 1
 		for to < len(p) && p[to] == p[from] && p[from] != huffmanOnly {
 			to++
 		}
+		from = to
+	}
+	bounds = append(bounds, len(p))
+	segs := len(bounds) - 1
+	c.segs = slices.Grow(c.segs[:0], segs)[:segs]
+	return c.each(segs, func(w *coders, k int) error {
+		from, to, end := bounds[k], bounds[k+1], len(planes)
 		if to < len(p) {
 			end = to * n
 		}
-		w := c.writer(p[from])
-		w.Reset(&c.out)
-		if _, err := w.Write(planes[from*n : end]); err != nil {
+		out := &c.segs[k]
+		out.Reset()
+		fw := w.writer(p[from])
+		fw.Reset(out)
+		if _, err := fw.Write(planes[from*n : end]); err != nil {
 			return err
 		}
-		var err error
 		if to < len(p) {
-			err = w.Flush()
-		} else {
-			err = w.Close()
+			return fw.Flush()
 		}
-		if err != nil {
-			return err
-		}
-		from = to
-	}
-	return nil
+		return fw.Close()
+	})
 }
 
 type countWriter int
@@ -317,10 +413,17 @@ func appendCompressed(dst, data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, core.Wrapf(core.KindIO, err, "flate: %v", err)
 	}
+	n := 0
+	for i := range c.segs {
+		n += c.segs[i].Len()
+	}
+	dst = slices.Grow(dst, 1+binary.MaxVarintLen64+n)
 	dst = append(dst, byte(len(p)))
 	dst = binary.AppendUvarint(dst, uint64(len(data)))
-	dst = append(dst, c.out.Bytes()...)
-	if cap(c.planes) <= maxPooledBytes && c.out.Cap() <= maxPooledBytes {
+	for i := range c.segs {
+		dst = append(dst, c.segs[i].Bytes()...)
+	}
+	if c.pooledBytes() <= maxPooledBytes {
 		coderPool.Put(c)
 	}
 	return dst, nil
