@@ -21,10 +21,6 @@ import (
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
 	"repro/internal/udfrt"
-
-	// Register the sklearn/mllib module shims with the script runtime so
-	// UDFs can import them, matching the paper's Listing 1.
-	_ "repro/internal/mllib"
 )
 
 // Mode selects the UDF processing model (paper §2.4).

@@ -2,11 +2,8 @@ package script
 
 import "repro/internal/core"
 
-// Exported conversion helpers for packages that embed PyLite (the engine,
-// the wire layer and native modules such as mllib).
-
-// ToSlice materializes any iterable value into a Go slice of values.
-func ToSlice(in *Interp, v Value) ([]Value, error) { return toSlice(in, v) }
+// Exported conversion helpers for packages that embed PyLite (the PYTHON
+// runtime, udfrt/pyrt).
 
 // AsFloat converts bool/int/float values to float64.
 func AsFloat(v Value) (float64, bool) { return asFloat(v) }

@@ -983,8 +983,7 @@ func (in *Interp) formatPercent(format string, arg Value, line int) (Value, erro
 	return StrVal(sb.String()), nil
 }
 
-// importModule resolves an import against the standard shims and the
-// registry.
+// importModule resolves an import against the module shims (stdModule).
 func (in *Interp) importModule(name string, line int) (Value, error) {
 	if m, ok := in.modules[name]; ok {
 		return m, nil

@@ -4,28 +4,12 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 )
 
-// Module shims. PyLite resolves `import X` against, in order: the standard
-// shims below and the process-wide registry (RegisterModule — how the
-// sklearn/mllib substitution plugs in).
-
-var (
-	moduleRegMu sync.RWMutex
-	moduleReg   = map[string]func(*Interp) Value{}
-)
-
-// RegisterModule installs a module constructor under an import path.
-// Packages providing native modules call this from init().
-func RegisterModule(name string, build func(*Interp) Value) {
-	moduleRegMu.Lock()
-	defer moduleRegMu.Unlock()
-	moduleReg[name] = build
-}
-
+// stdModule is what `import X` can name: the one place that decides which
+// modules a PYTHON UDF may import.
 func stdModule(in *Interp, name string) (Value, bool) {
 	switch name {
 	case "pickle":
@@ -38,12 +22,8 @@ func stdModule(in *Interp, name string) (Value, bool) {
 		return numpyModule(in), true
 	case "random":
 		return randomModule(in), true
-	}
-	moduleRegMu.RLock()
-	build, ok := moduleReg[name]
-	moduleRegMu.RUnlock()
-	if ok {
-		return build(in), true
+	case "sklearn", "sklearn.ensemble":
+		return sklearnModule(), true
 	}
 	return nil, false
 }

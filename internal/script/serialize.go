@@ -3,7 +3,6 @@ package script
 import (
 	"encoding/binary"
 	"slices"
-	"sync"
 
 	"repro/internal/core"
 )
@@ -28,28 +27,6 @@ const (
 	tagDict
 	tagObject
 )
-
-// Picklable is implemented by Opaque payloads of native objects that can
-// round-trip through pickle (e.g. the mllib classifier).
-type Picklable interface {
-	// PickleClass identifies the object class for the unpickler registry.
-	PickleClass() string
-	// PickleData serializes the object state.
-	PickleData() ([]byte, error)
-}
-
-var (
-	unpicklersMu sync.RWMutex
-	unpicklers   = map[string]func([]byte) (Value, error){}
-)
-
-// RegisterUnpickler installs a decoder for a native object class. Packages
-// providing picklable objects call this from init().
-func RegisterUnpickler(class string, fn func([]byte) (Value, error)) {
-	unpicklersMu.Lock()
-	defer unpicklersMu.Unlock()
-	unpicklers[class] = fn
-}
 
 // Marshal serializes a value to the PyLite pickle format.
 func Marshal(v Value) ([]byte, error) {
@@ -121,18 +98,14 @@ func marshalInto(buf []byte, v Value) ([]byte, error) {
 		}
 		return marshalInto(buf, lst)
 	case *ObjectVal:
-		p, ok := v.Opaque.(Picklable)
+		c, ok := v.Opaque.(*classifier)
 		if !ok {
 			return nil, core.Errorf(core.KindType, "cannot pickle '%s' object", v.Class)
 		}
-		data, err := p.PickleData()
-		if err != nil {
-			return nil, err
-		}
-		class := p.PickleClass()
+		data := c.pickleData()
 		buf = append(buf, tagObject)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(class)))
-		buf = append(buf, class...)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(classifierClass)))
+		buf = append(buf, classifierClass...)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(data)))
 		buf = append(buf, data...)
 	default:
@@ -439,18 +412,14 @@ func unmarshalFrom(data []byte, lanes bool) (val, []byte, error) {
 		if err != nil {
 			return val{}, nil, err
 		}
-		class := string(classB)
-		unpicklersMu.RLock()
-		fn, ok := unpicklers[class]
-		unpicklersMu.RUnlock()
-		if !ok {
-			return val{}, nil, core.Errorf(core.KindType, "no unpickler registered for class %q", class)
+		if string(classB) != classifierClass {
+			return val{}, nil, core.Errorf(core.KindType, "cannot unpickle class %q", classB)
 		}
-		v, err := fn(payload)
+		c, err := unpickleClassifier(payload)
 		if err != nil {
 			return val{}, nil, err
 		}
-		return unbox(v), rest, nil
+		return val{ref: classifierObject(c)}, rest, nil
 	default:
 		return val{}, nil, core.Errorf(core.KindProtocol, "unknown pickle tag %d", tag)
 	}

@@ -64,7 +64,8 @@ func TestUnmarshalTruncated(t *testing.T) {
 }
 
 // TestUnmarshalAdversarial covers hand-crafted corrupt inputs: bad magic,
-// unknown tags, and length fields pointing past the buffer.
+// unknown tags, length fields pointing past the buffer and an object of a
+// class the codec does not know. Each is refused with a typed error.
 func TestUnmarshalAdversarial(t *testing.T) {
 	good, err := Marshal(StrVal("x"))
 	if err != nil {
@@ -80,10 +81,14 @@ func TestUnmarshalAdversarial(t *testing.T) {
 		"huge list len": append([]byte(pickleMagic),
 			tagList, 0xFF, 0xFF, 0xFF, 0x00),
 		"trailing garbage": append(append([]byte{}, good...), 0x01, 0x02),
+		"unknown class": append([]byte(pickleMagic),
+			tagObject, 0, 0, 0, 3, 'o', 's', '.', 0, 0, 0, 0),
 	}
 	for name, data := range cases {
 		if _, err := Unmarshal(data); err == nil {
 			t.Errorf("%s: expected an error", name)
+		} else if core.KindOf(err) == core.KindUnknown {
+			t.Errorf("%s: untyped error %v", name, err)
 		}
 	}
 }

@@ -1,36 +1,36 @@
-// Package mllib is the reproduction's stand-in for scikit-learn: a small
-// nearest-centroid classifier exposed to PyLite as both the `mllib` module
-// and a `sklearn.ensemble.RandomForestClassifier` shim, so the paper's
-// Listings 1 and 3 (train_rnforest / find_best_classifier) run unmodified.
-//
-// The substitution is safe because the tooling claims the paper makes
-// (import/export/debug/pickle round-trips of a trained model) do not depend
-// on the statistical quality of the classifier, only on its API surface —
-// fit(data, labels), predict(data), pickling.
-package mllib
+package script
 
 import (
 	"encoding/binary"
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/script"
 )
 
-// Classifier is a nearest-centroid classifier over scalar features. The
+// The reproduction's stand-in for scikit-learn: a small nearest-centroid
+// classifier exposed to PyLite as `sklearn.ensemble.RandomForestClassifier`,
+// so the paper's Listings 1 and 3 (train_rnforest / find_best_classifier)
+// run unmodified.
+//
+// The substitution is safe because the tooling claims the paper makes
+// (import/export/debug/pickle round-trips of a trained model) do not depend
+// on the statistical quality of the classifier, only on its API surface —
+// fit(data, labels), predict(data), pickling.
+
+// classifier is a nearest-centroid classifier over scalar features. The
 // n parameter mirrors RandomForestClassifier(n_estimators): it quantizes
 // each feature into n sub-bins per class before computing centroids, so
 // larger n genuinely changes (usually improves) the fit, giving the
 // paper's parameter-sweep demo (Listing 3) something real to optimize.
-type Classifier struct {
+type classifier struct {
 	N         int64
 	Labels    []int64   // class label per centroid
 	Centroids []float64 // feature centroid per centroid
 	Trained   bool
 }
 
-// Fit trains on parallel slices of features and labels.
-func (c *Classifier) Fit(data []float64, labels []int64) error {
+// fit trains on parallel slices of features and labels.
+func (c *classifier) fit(data []float64, labels []int64) error {
 	if len(data) != len(labels) {
 		return core.Errorf(core.KindConstraint,
 			"fit: data and labels have different lengths (%d vs %d)", len(data), len(labels))
@@ -93,8 +93,8 @@ func insertionSort(fs []float64) {
 	}
 }
 
-// Predict returns the label of the nearest centroid for each feature.
-func (c *Classifier) Predict(data []float64) ([]int64, error) {
+// predict returns the label of the nearest centroid for each feature.
+func (c *classifier) predict(data []float64) ([]int64, error) {
 	if !c.Trained {
 		return nil, core.Errorf(core.KindConstraint, "predict: classifier is not fitted yet")
 	}
@@ -113,15 +113,15 @@ func (c *Classifier) Predict(data []float64) ([]int64, error) {
 	return out, nil
 }
 
-// Score returns the fraction of correct predictions.
-func (c *Classifier) Score(data []float64, labels []int64) (float64, error) {
+// score returns the fraction of correct predictions.
+func (c *classifier) score(data []float64, labels []int64) (float64, error) {
 	if len(data) != len(labels) {
 		return 0, core.Errorf(core.KindConstraint, "score: length mismatch")
 	}
 	if len(data) == 0 {
 		return 0, nil
 	}
-	pred, err := c.Predict(data)
+	pred, err := c.predict(data)
 	if err != nil {
 		return 0, err
 	}
@@ -134,13 +134,13 @@ func (c *Classifier) Score(data []float64, labels []int64) (float64, error) {
 	return float64(correct) / float64(len(data)), nil
 }
 
-const pickleClass = "mllib.Classifier"
+// classifierClass names a pickled classifier: the one class a pickle object
+// tag may carry. It is part of the pickle format, so models pickled under it
+// keep loading.
+const classifierClass = "mllib.Classifier"
 
-// PickleClass implements script.Picklable.
-func (c *Classifier) PickleClass() string { return pickleClass }
-
-// PickleData implements script.Picklable with a compact binary encoding.
-func (c *Classifier) PickleData() ([]byte, error) {
+// pickleData encodes the classifier's state compactly.
+func (c *classifier) pickleData() []byte {
 	buf := binary.BigEndian.AppendUint64(nil, uint64(c.N))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(c.Labels)))
 	for i := range c.Labels {
@@ -152,14 +152,14 @@ func (c *Classifier) PickleData() ([]byte, error) {
 	} else {
 		buf = append(buf, 0)
 	}
-	return buf, nil
+	return buf
 }
 
-func unpickle(data []byte) (*Classifier, error) {
+func unpickleClassifier(data []byte) (*classifier, error) {
 	if len(data) < 12 {
 		return nil, core.Errorf(core.KindProtocol, "truncated classifier pickle")
 	}
-	c := &Classifier{N: int64(binary.BigEndian.Uint64(data))}
+	c := &classifier{N: int64(binary.BigEndian.Uint64(data))}
 	n := binary.BigEndian.Uint32(data[8:])
 	data = data[12:]
 	if len(data) != int(n)*16+1 {
@@ -174,27 +174,14 @@ func unpickle(data []byte) (*Classifier, error) {
 	return c, nil
 }
 
-func init() {
-	script.RegisterUnpickler(pickleClass, func(data []byte) (script.Value, error) {
-		c, err := unpickle(data)
-		if err != nil {
-			return nil, err
-		}
-		return wrap(c), nil
-	})
-	script.RegisterModule("mllib", buildModule)
-	script.RegisterModule("sklearn.ensemble", buildSklearnModule)
-	script.RegisterModule("sklearn", buildSklearnModule)
-}
-
-func toFloats(in *script.Interp, v script.Value) ([]float64, error) {
-	items, err := script.ToSlice(in, v)
+func toFloats(in *Interp, v Value) ([]float64, error) {
+	items, err := toSlice(in, v)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, len(items))
 	for i, it := range items {
-		f, ok := script.AsFloat(it)
+		f, ok := asFloat(it)
 		if !ok {
 			return nil, core.Errorf(core.KindType, "expected numeric element, got %s", it.TypeName())
 		}
@@ -203,21 +190,21 @@ func toFloats(in *script.Interp, v script.Value) ([]float64, error) {
 	return out, nil
 }
 
-func toInts(in *script.Interp, v script.Value) ([]int64, error) {
-	items, err := script.ToSlice(in, v)
+func toInts(in *Interp, v Value) ([]int64, error) {
+	items, err := toSlice(in, v)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]int64, len(items))
 	for i, it := range items {
 		switch n := it.(type) {
-		case script.IntVal:
+		case IntVal:
 			out[i] = int64(n)
-		case script.BoolVal:
+		case BoolVal:
 			if n {
 				out[i] = 1
 			}
-		case script.FloatVal:
+		case FloatVal:
 			out[i] = int64(n)
 		default:
 			return nil, core.Errorf(core.KindType, "expected integer element, got %s", it.TypeName())
@@ -226,11 +213,11 @@ func toInts(in *script.Interp, v script.Value) ([]int64, error) {
 	return out, nil
 }
 
-// wrap exposes a Classifier to PyLite with the sklearn method surface.
-func wrap(c *Classifier) *script.ObjectVal {
-	obj := script.NewObject("Classifier")
+// classifierObject exposes a classifier to PyLite with the sklearn method surface.
+func classifierObject(c *classifier) *ObjectVal {
+	obj := NewObject("Classifier")
 	obj.Opaque = c
-	obj.Methods["fit"] = func(in *script.Interp, args []script.Value, _ map[string]script.Value) (script.Value, error) {
+	obj.Methods["fit"] = func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
 		if len(args) != 2 {
 			return nil, core.Errorf(core.KindType, "fit() takes exactly two arguments")
 		}
@@ -242,12 +229,12 @@ func wrap(c *Classifier) *script.ObjectVal {
 		if err != nil {
 			return nil, err
 		}
-		if err := c.Fit(data, labels); err != nil {
+		if err := c.fit(data, labels); err != nil {
 			return nil, err
 		}
 		return obj, nil
 	}
-	obj.Methods["predict"] = func(in *script.Interp, args []script.Value, _ map[string]script.Value) (script.Value, error) {
+	obj.Methods["predict"] = func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
 		if len(args) != 1 {
 			return nil, core.Errorf(core.KindType, "predict() takes exactly one argument")
 		}
@@ -255,17 +242,17 @@ func wrap(c *Classifier) *script.ObjectVal {
 		if err != nil {
 			return nil, err
 		}
-		pred, err := c.Predict(data)
+		pred, err := c.predict(data)
 		if err != nil {
 			return nil, err
 		}
-		out := make([]script.Value, len(pred))
+		out := make([]Value, len(pred))
 		for i, p := range pred {
-			out[i] = script.IntVal(p)
+			out[i] = IntVal(p)
 		}
-		return script.NewList(out...), nil
+		return NewList(out...), nil
 	}
-	obj.Methods["score"] = func(in *script.Interp, args []script.Value, _ map[string]script.Value) (script.Value, error) {
+	obj.Methods["score"] = func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
 		if len(args) != 2 {
 			return nil, core.Errorf(core.KindType, "score() takes exactly two arguments")
 		}
@@ -277,54 +264,50 @@ func wrap(c *Classifier) *script.ObjectVal {
 		if err != nil {
 			return nil, err
 		}
-		s, err := c.Score(data, labels)
+		s, err := c.score(data, labels)
 		if err != nil {
 			return nil, err
 		}
-		return script.FloatVal(s), nil
+		return FloatVal(s), nil
 	}
-	obj.Attrs.SetStr("n_estimators", script.IntVal(c.N))
+	obj.Attrs.SetStr("n_estimators", IntVal(c.N))
 	return obj
 }
 
-func newClassifierBuiltin(name string) script.BuiltinFunc {
-	return func(_ *script.Interp, args []script.Value, kwargs map[string]script.Value) (script.Value, error) {
-		n := int64(1)
-		if len(args) >= 1 {
-			v, ok := args[0].(script.IntVal)
-			if !ok {
-				return nil, core.Errorf(core.KindType, "%s: n_estimators must be an integer", name)
-			}
-			n = int64(v)
+// newRandomForest is RandomForestClassifier(n_estimators=1).
+func newRandomForest(_ *Interp, args []Value, kwargs map[string]Value) (Value, error) {
+	const name = "RandomForestClassifier"
+	n := int64(1)
+	if len(args) >= 1 {
+		v, ok := args[0].(IntVal)
+		if !ok {
+			return nil, core.Errorf(core.KindType, "%s: n_estimators must be an integer", name)
 		}
-		if v, ok := kwargs["n_estimators"]; ok {
-			iv, ok := v.(script.IntVal)
-			if !ok {
-				return nil, core.Errorf(core.KindType, "%s: n_estimators must be an integer", name)
-			}
-			n = int64(iv)
-		}
-		if n < 1 {
-			return nil, core.Errorf(core.KindConstraint, "%s: n_estimators must be >= 1", name)
-		}
-		return wrap(&Classifier{N: n}), nil
+		n = int64(v)
 	}
+	if v, ok := kwargs["n_estimators"]; ok {
+		iv, ok := v.(IntVal)
+		if !ok {
+			return nil, core.Errorf(core.KindType, "%s: n_estimators must be an integer", name)
+		}
+		n = int64(iv)
+	}
+	if n < 1 {
+		return nil, core.Errorf(core.KindConstraint, "%s: n_estimators must be >= 1", name)
+	}
+	return classifierObject(&classifier{N: n}), nil
 }
 
-func buildModule(in *script.Interp) script.Value {
-	m := script.NewObject("module")
-	m.Attrs.SetStr("__name__", script.StrVal("mllib"))
-	m.Methods["Classifier"] = newClassifierBuiltin("mllib.Classifier")
-	return m
-}
-
-func buildSklearnModule(in *script.Interp) script.Value {
-	m := script.NewObject("module")
-	m.Attrs.SetStr("__name__", script.StrVal("sklearn.ensemble"))
-	m.Methods["RandomForestClassifier"] = newClassifierBuiltin("RandomForestClassifier")
-	ensemble := script.NewObject("module")
-	ensemble.Attrs.SetStr("__name__", script.StrVal("sklearn.ensemble"))
-	ensemble.Methods["RandomForestClassifier"] = newClassifierBuiltin("RandomForestClassifier")
+// sklearnModule is both `sklearn` and `sklearn.ensemble`: `import
+// sklearn.ensemble` binds the name sklearn to it, so it carries the
+// classifier and an `ensemble` attribute that does too.
+func sklearnModule() Value {
+	m := NewObject("module")
+	m.Attrs.SetStr("__name__", StrVal("sklearn.ensemble"))
+	m.Methods["RandomForestClassifier"] = newRandomForest
+	ensemble := NewObject("module")
+	ensemble.Attrs.SetStr("__name__", StrVal("sklearn.ensemble"))
+	ensemble.Methods["RandomForestClassifier"] = newRandomForest
 	m.Attrs.SetStr("ensemble", ensemble)
 	return m
 }

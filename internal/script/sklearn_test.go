@@ -1,19 +1,17 @@
-package mllib
+package script
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/script"
 )
 
 func TestFitPredict(t *testing.T) {
-	c := &Classifier{N: 1}
-	if err := c.Fit([]float64{1, 1.1, 0.9, 5, 5.1, 4.9}, []int64{0, 0, 0, 1, 1, 1}); err != nil {
+	c := &classifier{N: 1}
+	if err := c.fit([]float64{1, 1.1, 0.9, 5, 5.1, 4.9}, []int64{0, 0, 0, 1, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	pred, err := c.Predict([]float64{1.05, 5.05})
+	pred, err := c.predict([]float64{1.05, 5.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,14 +21,14 @@ func TestFitPredict(t *testing.T) {
 }
 
 func TestFitValidation(t *testing.T) {
-	c := &Classifier{N: 1}
-	if err := c.Fit([]float64{1}, []int64{0, 1}); err == nil {
+	c := &classifier{N: 1}
+	if err := c.fit([]float64{1}, []int64{0, 1}); err == nil {
 		t.Fatal("length mismatch should fail")
 	}
-	if err := c.Fit(nil, nil); err == nil {
+	if err := c.fit(nil, nil); err == nil {
 		t.Fatal("empty training set should fail")
 	}
-	if _, err := c.Predict([]float64{1}); err == nil {
+	if _, err := c.predict([]float64{1}); err == nil {
 		t.Fatal("predict before fit should fail")
 	}
 }
@@ -58,11 +56,11 @@ func TestMoreEstimatorsImproveBimodalFit(t *testing.T) {
 		}
 	}
 	score := func(n int64) float64 {
-		c := &Classifier{N: n}
-		if err := c.Fit(data, labels); err != nil {
+		c := &classifier{N: n}
+		if err := c.fit(data, labels); err != nil {
 			t.Fatal(err)
 		}
-		s, err := c.Score(data, labels)
+		s, err := c.score(data, labels)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,23 +72,23 @@ func TestMoreEstimatorsImproveBimodalFit(t *testing.T) {
 }
 
 func TestPickleRoundTrip(t *testing.T) {
-	c := &Classifier{N: 3}
-	if err := c.Fit([]float64{1, 2, 3, 10, 11, 12}, []int64{0, 0, 0, 1, 1, 1}); err != nil {
+	c := &classifier{N: 3}
+	if err := c.fit([]float64{1, 2, 3, 10, 11, 12}, []int64{0, 0, 0, 1, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := script.Marshal(wrap(c))
+	blob, err := Marshal(classifierObject(c))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := script.Unmarshal(blob)
+	v, err := Unmarshal(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, ok := v.(*script.ObjectVal)
+	obj, ok := v.(*ObjectVal)
 	if !ok {
 		t.Fatalf("unpickled %T", v)
 	}
-	c2, ok := obj.Opaque.(*Classifier)
+	c2, ok := obj.Opaque.(*classifier)
 	if !ok {
 		t.Fatalf("opaque %T", obj.Opaque)
 	}
@@ -115,15 +113,11 @@ func TestPicklePropertyRoundTrip(t *testing.T) {
 				labels[i] = int64(rawLabels[i] % 3)
 			}
 		}
-		c := &Classifier{N: int64(n%8) + 1}
-		if err := c.Fit(feats, labels); err != nil {
+		c := &classifier{N: int64(n%8) + 1}
+		if err := c.fit(feats, labels); err != nil {
 			return false
 		}
-		data, err := c.PickleData()
-		if err != nil {
-			return false
-		}
-		c2, err := unpickle(data)
+		c2, err := unpickleClassifier(c.pickleData())
 		if err != nil {
 			return false
 		}
@@ -165,11 +159,11 @@ blob = out["clf"]
 clf2 = pickle.loads(blob)
 pred = clf2.predict([1.05, 5.1])
 `
-	mod, err := script.Parse("listing1", src)
+	mod, err := Parse("listing1", src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := script.NewInterp()
+	in := NewInterp()
 	env, err := in.Run(mod)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +173,7 @@ pred = clf2.predict([1.05, 5.1])
 		t.Fatalf("predictions: %s", pred.Repr())
 	}
 	blob, _ := env.Get("blob")
-	if _, ok := blob.(script.BytesVal); !ok {
+	if _, ok := blob.(BytesVal); !ok {
 		t.Fatalf("clf blob should be bytes, got %s", blob.TypeName())
 	}
 }
@@ -190,17 +184,50 @@ from sklearn.ensemble import RandomForestClassifier
 clf = RandomForestClassifier(n_estimators=3)
 n = clf.n_estimators
 `
-	mod, err := script.Parse("kw", src)
+	mod, err := Parse("kw", src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := script.NewInterp()
+	in := NewInterp()
 	env, err := in.Run(mod)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n, _ := env.Get("n")
-	if n.(script.IntVal) != 3 {
+	if n.(IntVal) != 3 {
 		t.Fatalf("n = %v", n)
+	}
+}
+
+// TestSklearnImportsFromABareInterpreter: sklearn is one of stdModule's own
+// modules and the classifier one of the pickle codec's own objects, so an
+// interpreter imports, fits, pickles and unpickles a model with nothing else
+// linked into the program.
+func TestSklearnImportsFromABareInterpreter(t *testing.T) {
+	src := `
+import pickle
+from sklearn.ensemble import RandomForestClassifier
+import sklearn.ensemble as e
+
+clf = RandomForestClassifier(2)
+clf.fit([1.0, 1.1, 0.9, 5.0, 5.2, 4.8], [0, 0, 0, 1, 1, 1])
+n = e.RandomForestClassifier(n_estimators=3).n_estimators
+blob = pickle.dumps(clf)
+back = pickle.loads(blob)
+pred = back.predict([1.05, 5.1])
+again = pickle.dumps(back) == blob
+`
+	mod, err := Parse("bare", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := NewInterp().Run(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{"n": "3", "pred": "[0, 1]", "again": "True"} {
+		if v, _ := env.Get(name); v == nil || v.Repr() != want {
+			t.Errorf("%s = %v, want %s", name, v, want)
+		}
 	}
 }

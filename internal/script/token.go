@@ -3,7 +3,10 @@
 // the stand-in for MonetDB/Python's embedded CPython in this reproduction:
 // UDF bodies from the paper's listings run in it nearly verbatim, and its
 // tracing hooks are what the interactive debugger (internal/debug) and the
-// devUDF local-run harness attach to.
+// devUDF local-run harness attach to. What a script can import is
+// stdModule's switch (modules.go): pickle, os, math, numpy, random and the
+// sklearn shim (sklearn.go), whose classifier is the one native object the
+// pickle codec (serialize.go) encodes.
 //
 // Parse runs parse → resolve → compile and returns a Module that is never
 // written again, so any number of interpreters may run one Module at once.

@@ -75,7 +75,7 @@ func (b BytesVal) Repr() string   { return fmt.Sprintf("b'<%d bytes>'", len(b)) 
 // are Items — what NewList builds and pickle.loads returns. In a typed lane
 // (lane.go) every cell is an int, or every cell a float, or None: the numbers
 // sit unboxed in a []int64 or []float64 that may be a table column's own, and
-// Items is nil. Read a list through Len, Boxed or ToSlice unless you built it.
+// Items is nil. Read a list through Len or Boxed unless you built it.
 type ListVal struct {
 	Items []Value
 
@@ -338,7 +338,7 @@ type ObjectVal struct {
 	Class   string
 	Attrs   *DictVal
 	Methods map[string]BuiltinFunc
-	// Opaque carries the backing Go state (e.g. *mllib.Classifier).
+	// Opaque carries the backing Go state (e.g. the sklearn shim's classifier).
 	Opaque any
 }
 

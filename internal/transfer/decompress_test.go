@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -137,6 +138,37 @@ func TestDecompressMemoryFollowsWhatArrived(t *testing.T) {
 	if got, err = Decompress(comp); err != nil || !bytes.Equal(got, big) {
 		t.Fatalf("round trip past the preallocation cap: %v", err)
 	}
+}
+
+// TestDecompressAllocatesOnlyItsResult: decompressing the benchmark's
+// payload again and again allocates the bytes it returns and little more.
+// Its planes inflate into a buffer the next Decompress reuses, not into a
+// second buffer as large as the result.
+func TestDecompressAllocatesOnlyItsResult(t *testing.T) {
+	if raceBuild() {
+		t.Skip("under the race detector sync.Pool drops a share of what it is given")
+	}
+	raw := benchPayload(t)
+	comp, err := Compress(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if got, err := Decompress(comp); err != nil || len(got) != len(raw) {
+				b.Fatalf("round trip: %d bytes, %v", len(got), err)
+			}
+		}
+	})
+	if got, limit := r.AllocedBytesPerOp(), int64(len(raw))*6/5; got > limit {
+		t.Errorf("decompressing %d bytes allocated %d B/op, want <= %d", len(raw), got, limit)
+	}
+}
+
+// raceBuild reports whether the test runs under the race detector.
+func raceBuild() bool {
+	bi, _ := debug.ReadBuildInfo()
+	return bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
 // TestUnpackRefusesUnknownHeader: a header byte is one of the forms Pack

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	_ "repro/internal/mllib" // registers the classifier's pickler
 	"repro/internal/script"
 )
 

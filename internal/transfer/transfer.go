@@ -378,12 +378,8 @@ func transpose(dst, data []byte, stride int) []byte {
 	return out
 }
 
-// untranspose reverses transpose.
-func untranspose(planes []byte, stride int) []byte {
-	if stride == 1 {
-		return planes
-	}
-	out := make([]byte, len(planes))
+// untranspose reverses transpose into out, which is as long as planes.
+func untranspose(out, planes []byte, stride int) []byte {
 	n := len(planes) / stride
 	for p := 0; p < stride; p++ {
 		plane := planes[p*n : (p+1)*n]
@@ -450,19 +446,36 @@ func Decompress(data []byte) ([]byte, error) {
 	case rawLen > deflateMaxRatio*uint64(len(stream)):
 		return nil, core.Errorf(core.KindProtocol, "compressed payload declares %d bytes, more than %d compressed bytes can hold", rawLen, len(stream))
 	}
-	planes, err := inflate(stream, int(rawLen))
+	if stride == 1 {
+		return inflate(nil, stream, int(rawLen))
+	}
+	buf := planesPool.Get().(*[]byte)
+	planes, err := inflate(*buf, stream, int(rawLen))
 	if err != nil {
+		planesPool.Put(buf)
 		return nil, err
 	}
-	return untranspose(planes, int(stride)), nil
+	out := untranspose(make([]byte, len(planes)), planes, int(stride))
+	if cap(planes) <= maxPooledBytes {
+		*buf = planes
+		planesPool.Put(buf)
+	}
+	return out, nil
 }
 
-// inflate reads exactly n bytes out of a DEFLATE stream that must end there,
-// and with it the input.
-func inflate(stream []byte, n int) ([]byte, error) {
+// planesPool holds the buffers Decompress inflates planes into before it
+// untransposes them into the slice it returns.
+var planesPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// inflate reads exactly n bytes, into dst's memory, out of a DEFLATE stream
+// that must end there, and with it the input.
+func inflate(dst, stream []byte, n int) ([]byte, error) {
 	src := bytes.NewReader(stream) // a ByteReader: flate takes no byte it does not use
 	r := flate.NewReader(src)
-	out := make([]byte, 0, min(n, inflatePrealloc))
+	out := dst[:0]
+	if cap(out) < min(n, inflatePrealloc) {
+		out = make([]byte, 0, min(n, inflatePrealloc))
+	}
 	for len(out) < n {
 		if len(out) == cap(out) {
 			out = slices.Grow(out, min(len(out), n-len(out)))

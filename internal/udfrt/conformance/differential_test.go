@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	_ "repro/internal/mllib" // the sklearn shim train_rnforest imports
 	"repro/internal/script"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"

@@ -50,15 +50,23 @@ type Client struct {
 	BytesWritten int64
 }
 
+// Every client connection's TCP keepalive period, and the bound on its
+// connect however long the caller's context allows.
+const (
+	keepAlive   = 30 * time.Second
+	dialTimeout = 10 * time.Second
+)
+
 // DialContext connects and authenticates as a protocol v2 client.
 // The context governs the TCP connect and the handshake; cancelling it
 // afterwards has no effect on the connection. ctx must be non-nil.
-func DialContext(ctx context.Context, p ConnParams, opts ...DialOption) (*Client, error) {
-	cfg := defaultDialConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	d := net.Dialer{Timeout: cfg.dialTimeout, KeepAlive: keepAlive}
+func DialContext(ctx context.Context, p ConnParams) (*Client, error) {
+	return dial(ctx, p, dialTimeout)
+}
+
+// dial is DialContext with the TCP connect bounded by timeout.
+func dial(ctx context.Context, p ConnParams, timeout time.Duration) (*Client, error) {
+	d := net.Dialer{Timeout: timeout, KeepAlive: keepAlive}
 	nc, err := d.DialContext(ctx, "tcp", p.Addr())
 	if err != nil {
 		// The dialer reports a done context as its own "operation was

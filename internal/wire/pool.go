@@ -18,7 +18,6 @@ import (
 // concurrent use.
 type Pool struct {
 	params ConnParams
-	opts   []DialOption
 	size   int
 
 	sem  chan struct{}    // bounds open+checked-out connections
@@ -61,15 +60,14 @@ type PoolStats struct {
 	Retries int64
 }
 
-// NewPool creates a pool of at most size connections to params, dialed with
-// opts. Connections are opened lazily, on checkout.
-func NewPool(params ConnParams, size int, opts ...DialOption) *Pool {
+// NewPool creates a pool of at most size connections to params.
+// Connections are opened lazily, on checkout.
+func NewPool(params ConnParams, size int) *Pool {
 	if size < 1 {
 		size = 1
 	}
 	return &Pool{
 		params: params,
-		opts:   opts,
 		size:   size,
 		sem:    make(chan struct{}, size),
 		idle:   make(chan *pooledConn, size),
@@ -109,7 +107,7 @@ func (p *Pool) Get(ctx context.Context) (*Client, error) {
 				return c, nil
 			}
 		default:
-			c, err := DialContext(ctx, p.params, p.opts...)
+			c, err := DialContext(ctx, p.params)
 			if err != nil {
 				<-p.sem
 				return nil, err

@@ -554,7 +554,7 @@ func TestDialTimeoutIsKindIO(t *testing.T) {
 	defer ln.Close()
 	host, port, _ := splitHostPort(ln.Addr().String())
 	params := ConnParams{Host: host, Port: port, Database: "demo", User: "monetdb", Password: "secret"}
-	_, err = DialContext(background(), params, WithDialTimeout(time.Nanosecond))
+	_, err = dial(background(), params, time.Nanosecond)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("dial under a 1ns dialer timeout = %v, want net's timeout error", err)
 	}

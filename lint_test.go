@@ -18,12 +18,14 @@ import (
 	"testing"
 )
 
-// The lint tests hold four properties of every call site in the module's
-// non-test files. Three are syntactic: no context.Background()/TODO()
-// under internal/wire, internal/engine or devudf (ctxflow); no
-// storage.Column literal outside internal/storage and internal/engine/vec;
-// no fmt.Errorf outside package main (core.Errorf keeps an error operand
-// as its cause). The fourth, lockblock, needs types: no channel operation,
+// The lint tests hold five properties of the module's non-test files. Four
+// are syntactic: no context.Background()/TODO() under internal/wire,
+// internal/engine or devudf (ctxflow); no storage.Column literal outside
+// internal/storage and internal/engine/vec; no fmt.Errorf outside package
+// main (core.Errorf keeps an error operand as its cause); nothing registers
+// at a distance — no blank import of a repro/ package and no func init that
+// calls into another package, so what a package does is what its callers
+// call. The fifth, lockblock, needs types: no channel operation,
 // UDF call or network IO under a mutex the same function holds, in
 // internal/wire and internal/debug, unless the operation's own line says
 // "//lockblock:ok <reason>".
@@ -53,7 +55,7 @@ var moduleFiles = sync.OnceValues(func() (map[string][]*ast.File, error) {
 	return files, err
 })
 
-// TestLintSyntaxRules runs the three syntactic rules over the module.
+// TestLintSyntaxRules runs the four syntactic rules over the module.
 func TestLintSyntaxRules(t *testing.T) {
 	dirs, err := moduleFiles()
 	if err != nil || len(dirs) < 20 {
@@ -111,12 +113,21 @@ func isSel(e ast.Expr, pkg string, names ...string) bool {
 	return ok && x.Name == pkg && slices.Contains(names, sel.Sel.Name)
 }
 
-// syntaxFindings applies the three syntactic rules to file f, which sits
+// syntaxFindings applies the four syntactic rules to file f, which sits
 // in the slash-separated directory dir of the module.
 func syntaxFindings(dir string, f *ast.File) []string {
 	var out []string
 	report := func(n ast.Node, format string, args ...any) {
 		out = append(out, fmt.Sprintf("%s: %s", sourceFset.Position(n.Pos()), fmt.Sprintf(format, args...)))
+	}
+	imports := map[string]bool{} // the names f calls other packages by
+	for _, imp := range f.Imports {
+		path, _ := strconv.Unquote(imp.Path.Value)
+		if name := importName(f, path); name == "_" && strings.HasPrefix(path, "repro/") {
+			report(imp, "blank import of %s links a package for what its init does; call what you use where you use it", path)
+		} else {
+			imports[name] = true
+		}
 	}
 	ctxflow := inDir(dir, "internal/wire", "internal/engine", "devudf")
 	columns := !inDir(dir, "internal/storage", "internal/engine/vec")
@@ -124,6 +135,20 @@ func syntaxFindings(dir string, f *ast.File) []string {
 	elided := map[*ast.CompositeLit]ast.Expr{} // the type an element literal leaves out
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if n.Name.Name != "init" || n.Recv != nil || n.Body == nil {
+				break
+			}
+			ast.Inspect(n.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+						if x, ok := sel.X.(*ast.Ident); ok && x.Obj == nil && imports[x.Name] {
+							report(call, "func init calls %s.%s: a package registers nothing at a distance; let the caller call it", x.Name, sel.Sel.Name)
+						}
+					}
+				}
+				return true
+			})
 		case *ast.CallExpr:
 			if ctxflow && isSel(n.Fun, context, "Background", "TODO") {
 				report(n, "context.%s() in a request path detaches it from caller cancellation; thread the caller's ctx through", n.Fun.(*ast.SelectorExpr).Sel.Name)
@@ -325,6 +350,23 @@ func otherLiterals() []storage.ColumnDef { return []storage.ColumnDef{{Name: "c"
 import (stdctx "context"; "repro/internal/storage")
 func fresh() stdctx.Context               { return stdctx.Background() } // want: context.Background() in a request path
 func kernel(nulls []bool) *storage.Column { return &storage.Column{Typ: storage.TInt, Nulls: nulls} }`},
+		{"registration", "internal/mllib", `package mllib
+import ("repro/internal/script"; _ "embed")
+var table = map[string]int{}
+func init() {
+	script.RegisterUnpickler(pickleClass, func(data []byte) (script.Value, error) { return unpickle(data) }) // want: func init calls script.RegisterUnpickler
+	script.RegisterModule("mllib", buildModule) // want: func init calls script.RegisterModule
+	for i, name := range []string{"sklearn", "sklearn.ensemble"} { table[name] = i }
+}
+func (c *Classifier) init() { script.RegisterModule("method", nil) }
+func register() { script.RegisterModule("later", nil) }`},
+		{"blank import", "internal/engine", `package engine
+import (
+	"repro/internal/udfrt"
+	_ "repro/internal/mllib" // want: blank import of repro/internal/mllib
+	_ "net/http/pprof"
+)
+func init() { udfrt := struct{ Register func() }{}; udfrt.Register() }`},
 		{"lockblock", "internal/wire", `package wire
 import ("net"; "sync"; "repro/internal/udfrt")
 func WriteFrame(c net.Conn, t byte, payload []byte) error       { return nil }

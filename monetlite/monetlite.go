@@ -73,9 +73,6 @@ type Stmt = engine.Stmt
 // (Client.Prepare).
 type ClientStmt = wire.Stmt
 
-// DialOption customizes DialContext (timeouts, keepalive, logger).
-type DialOption = wire.DialOption
-
 // ConnParams are the five connection parameters of the devUDF settings
 // window (paper Fig. 2): host, port, database, user, password.
 type ConnParams = wire.ConnParams
@@ -83,10 +80,6 @@ type ConnParams = wire.ConnParams
 // ProtoV2 is the wire protocol version clients and servers speak; the
 // handshake refuses anything older.
 const ProtoV2 = wire.ProtoV2
-
-// WithDialTimeout bounds the TCP connect (default 10s), re-exported from
-// the wire layer.
-var WithDialTimeout = wire.WithDialTimeout
 
 // Registry collects metrics (counters, gauges, histograms) and serves
 // them in Prometheus text format. Wire each layer in with DB.EnableObs
@@ -145,12 +138,12 @@ func NewServer(database, user, password string, db *DB) *Server {
 // DialContext connects and authenticates to a served database as a
 // protocol v2 client. The context governs connect and handshake;
 // per-operation contexts are passed to Query/Exec/QueryStream.
-func DialContext(ctx context.Context, p ConnParams, opts ...DialOption) (*Client, error) {
-	return wire.DialContext(ctx, p, opts...)
+func DialContext(ctx context.Context, p ConnParams) (*Client, error) {
+	return wire.DialContext(ctx, p)
 }
 
 // NewPool creates a bounded connection pool over DialContext; connections
 // are opened lazily and health-checked at checkout.
-func NewPool(p ConnParams, size int, opts ...DialOption) *Pool {
-	return wire.NewPool(p, size, opts...)
+func NewPool(p ConnParams, size int) *Pool {
+	return wire.NewPool(p, size)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/monetlite"
@@ -67,7 +66,7 @@ func TestPooledAndStreamingUse(t *testing.T) {
 	ctx := context.Background()
 	pool := monetlite.NewPool(monetlite.ConnParams{
 		Host: host, Port: port, Database: "demo", User: "u", Password: "p",
-	}, 2, monetlite.WithDialTimeout(5*time.Second))
+	}, 2)
 	defer pool.Close()
 	if _, err := pool.Exec(ctx, `CREATE TABLE t (i INTEGER)`); err != nil {
 		t.Fatal(err)
