@@ -2,6 +2,10 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -150,6 +154,72 @@ func TestExecContextDeadlineFailsGoUDF(t *testing.T) {
 		t.Errorf("nap_embedded ran %d times, want once", calls)
 	}
 	mustExec(t, c, `SELECT i FROM t`)
+}
+
+// TestExecContextStopsAnAggregateFold: an aggregate folding its argument
+// morsel by morsel stops claiming morsels once its statement is cancelled.
+// An element-wise GO UDF blocks from its second morsel on until the
+// context is cancelled; the statement then fails with a cancelled error and
+// no row, each worker makes at most the one call it was in, and neither a
+// UDF call nor a morsel worker outlives the statement.
+func TestExecContextStopsAnAggregateFold(t *testing.T) {
+	const morsels = 16
+	for _, workers := range []int{2, 4} {
+		for _, agg := range []string{"SUM", "MAX"} {
+			t.Run(fmt.Sprintf("%s/workers=%d", agg, workers), func(t *testing.T) {
+				c := newTestConn()
+				c.DB.workers, c.DB.morselSize = workers, 64
+				col := storage.NewColumn("i", storage.TInt)
+				for i := 0; i < morsels*64; i++ {
+					col.AppendInt(int64(i))
+				}
+				if err := c.DB.RegisterTable(&storage.Table{Name: "t", Cols: []*storage.Column{col}}); err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				var calls, inflight atomic.Int32
+				if err := c.DB.RegisterGoUDFElementwise("hold", func(x []int64) []int64 {
+					inflight.Add(1)
+					defer inflight.Add(-1)
+					if calls.Add(1) >= 2 {
+						<-ctx.Done()
+					}
+					return x
+				}); err != nil {
+					t.Fatal(err)
+				}
+				go func() {
+					for calls.Load() < 2 {
+						time.Sleep(time.Millisecond)
+					}
+					cancel()
+				}()
+				res, err := c.ExecContext(ctx, `SELECT `+agg+`(hold(i)) AS v FROM t WHERE i >= 0`)
+				if !core.IsCancelled(err) || res != nil {
+					t.Fatalf("want a cancelled error and no result, got %v, %v", res, err)
+				}
+				if n := inflight.Load(); n != 0 {
+					t.Errorf("%d UDF calls still running after the statement returned", n)
+				}
+				if n := calls.Load(); n > int32(workers)+1 {
+					t.Errorf("%d UDF calls, want at most %d: the fold kept claiming morsels after the cancel", n, workers+1)
+				}
+				// A worker has finished once RunIdx returns, but may take a
+				// moment more to exit; one that is still working never does.
+				buf := make([]byte, 1<<20)
+				for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+					stacks := string(buf[:runtime.Stack(buf, true)])
+					if !strings.Contains(stacks, "vec.Pol.RunIdx") {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("a morsel worker outlived the statement:\n%s", stacks)
+					}
+				}
+			})
+		}
+	}
 }
 
 // TestMaxResultBytesBudget: the budget is on the encoded size of a SELECT

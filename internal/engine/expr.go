@@ -21,6 +21,8 @@ type evalCtx struct {
 	// gathered memoizes per-column filtered views so an expression
 	// referencing a column twice materializes it once.
 	gathered map[*storage.Column]*storage.Column
+	folded   map[*sqlparse.FuncCall]*storage.Column // foldGroup's results
+	inMorsel bool                                   // one of foldGroup's morsels
 }
 
 // newCtx builds an evaluation context over a table view.
@@ -62,6 +64,15 @@ func (ctx *evalCtx) view(col *storage.Column) *storage.Column {
 	}
 	ctx.gathered[col] = g
 	return g
+}
+
+// morsel is the context over the logical rows [lo,hi) of ctx's view: a
+// slice of its selection, or of its source's rows when it has none.
+func (ctx *evalCtx) morsel(lo, hi int) *evalCtx {
+	if ctx.sel != nil {
+		return &evalCtx{src: ctx.src, sel: ctx.sel[lo:hi], inMorsel: true}
+	}
+	return &evalCtx{src: ctx.src.SliceRows(lo, hi), inMorsel: true}
 }
 
 // column resolves a column reference against the context's logical view.
@@ -259,10 +270,10 @@ func (f *frame) evalCall(ctx *evalCtx, call *sqlparse.FuncCall) (*storage.Column
 			return nil, err
 		}
 		out, err := f.callScalarUDF(call.Name, argCols, isColumn)
-		if err != nil {
-			return nil, err
+		if err == nil && ctx.inMorsel && out.Len() != ctx.rows() && exprIsColumnar(call) {
+			return nil, errWholeView
 		}
-		return out, nil
+		return out, err
 	}
 	return nil, core.Errorf(core.KindName, "no such function: %s", call.Name)
 }

@@ -277,7 +277,12 @@ func refAggregate(f *frame, t *storage.Table, call *sqlparse.FuncCall) *storage.
 	if len(call.Args) != 1 {
 		fail(core.KindType, "%s expects exactly one argument", strings.ToUpper(name))
 	}
-	return must(scalarAggregateOver(name, refExpr(f, t, call.Args[0]), false, t.NumRows()))
+	// an argument that references no column stands for its value on every row
+	col := refExpr(f, t, call.Args[0])
+	if !exprIsColumnar(call.Args[0]) && col.Len() == 1 {
+		col = scalarGatherTable(&storage.Table{Cols: []*storage.Column{col}}, make([]int32, t.NumRows())).Cols[0]
+	}
+	return must(scalarAggregateOver(name, col, false, t.NumRows()))
 }
 
 // refOrder sorts the result by the ORDER BY keys: output columns by

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
 	"repro/internal/transform"
+	"repro/internal/udfrt"
 )
 
 // evalSelect executes a SELECT and materializes its result table.
@@ -18,8 +20,10 @@ import (
 // source (fused compare-select kernels when the predicate is
 // column-vs-constant conjuncts), which projection and aggregation consume
 // lazily — filtered rows materialize once per referenced column at result
-// build, never as an intermediate table. LIMIT slices the result columns
-// in place.
+// build, never as an intermediate table. An aggregate may fold an
+// expression argument morsel by morsel on the workers (foldGroup), calling
+// an element-wise GO UDF under it once per morsel; a constant argument
+// counts every row. LIMIT slices the result columns in place.
 func (f *frame) evalSelect(sel *sqlparse.Select) (*storage.Table, error) {
 	src, err := f.evalFrom(sel.From)
 	if err != nil {
@@ -374,10 +378,10 @@ func hasAggregate(items []sqlparse.SelectItem) bool {
 }
 
 // aggregateOver computes one aggregate call over the context's logical
-// view, returning a length-1 column. A bare column-reference argument feeds
-// the typed aggregation kernels unmaterialized (base column plus selection
-// vector); expression arguments evaluate through the shared context, so
-// several aggregates over the same filtered column materialize it once.
+// view, returning a length-1 column: foldGroup's result, or foldMorsel's
+// over the whole view through the shared context, so several aggregates
+// over the same filtered column materialize it once. An argument that
+// references no column stands for its value on every row of the view.
 func (f *frame) aggregateOver(ctx *evalCtx, call *sqlparse.FuncCall) (*storage.Column, error) {
 	if ctx.src == nil {
 		return nil, core.Errorf(core.KindSyntax, "aggregate %s requires a FROM clause", call.Name)
@@ -391,77 +395,209 @@ func (f *frame) aggregateOver(ctx *evalCtx, call *sqlparse.FuncCall) (*storage.C
 	if len(call.Args) != 1 {
 		return nil, core.Errorf(core.KindType, "%s expects exactly one argument", strings.ToUpper(name))
 	}
-	var col *storage.Column
-	var effSel []int32
-	if ref, ok := call.Args[0].(*sqlparse.ColRef); ok {
-		base, err := ctx.src.Column(ref.Name)
-		if err != nil {
-			return nil, err
-		}
-		col, effSel = base, ctx.sel
-	} else {
-		var err error
-		col, err = f.evalExpr(ctx, call.Args[0])
-		if err != nil {
-			return nil, err
-		}
+	if col, ok := ctx.folded[call]; ok {
+		return col, nil
 	}
-	p := f.pol()
+	part, err := f.foldMorsel(ctx, f.pol(), name, call.Args[0])
+	if err != nil {
+		return nil, err
+	}
+	return mergeParts(name, []aggPart{part})
+}
+
+// aggPart is an aggregate's partial over one morsel: the argument's type,
+// SUM/AVG's sums (numeric: the argument is), the non-NULL rows' count, and
+// MIN/MAX's extremum as a one-row column, NULL when the morsel has none.
+type aggPart struct {
+	typ         storage.Type
+	numeric     bool
+	isum, count int64
+	fsum        float64
+	best        *storage.Column
+}
+
+// mergeParts merges an aggregate's partials in morsel order into its
+// length-1 result: the sums add as the kernels add their own morsels', and
+// MIN/MAX keep the earliest extremum among the morsels' extrema.
+func mergeParts(name string, parts []aggPart) (*storage.Column, error) {
+	if name == "min" || name == "max" {
+		cands := storage.NewColumn("", parts[0].best.Typ)
+		for _, pt := range parts {
+			if err := cands.AppendCell(pt.best, 0); err != nil {
+				return nil, err
+			}
+		}
+		best, err := vec.MinMaxIdx(vec.Serial, cands, nil, name == "min")
+		if err != nil {
+			return nil, err
+		}
+		return parts[max(best, 0)].best, nil
+	}
+	sum := aggPart{typ: parts[0].typ, numeric: parts[0].numeric}
+	for _, pt := range parts {
+		sum.isum += pt.isum
+		sum.fsum += pt.fsum
+		sum.count += pt.count
+	}
+	out := storage.NewColumn("", storage.TFloat)
+	if name == "count" || (name == "sum" && sum.typ == storage.TInt) {
+		out.Typ = storage.TInt
+	}
+	switch {
+	case name == "count":
+		out.AppendInt(sum.count)
+	case !sum.numeric && sum.count > 0:
+		// non-numeric input errors only if a row would actually evaluate
+		// (NULL rows are skipped before the type check)
+		return nil, core.Errorf(core.KindType, "%s needs numeric input", strings.ToUpper(name))
+	case sum.count == 0:
+		out.AppendNull()
+	case name == "avg":
+		out.AppendFloat(sum.fsum / float64(sum.count))
+	case sum.typ == storage.TInt:
+		out.AppendInt(sum.isum)
+	default:
+		out.AppendFloat(sum.fsum)
+	}
+	return out, nil
+}
+
+// errWholeView is a fold morsel's answer when a UDF over a column does not
+// answer one value per row (it is aggregate-style): fold the whole view.
+var errWholeView = errors.New("fold the whole view")
+
+// foldGroup folds the group's aggregates over a morselSafe expression into
+// ctx.folded when the view spans two morsels and several workers share
+// them (one gains nothing, as a UDF call does not split for it either).
+// The rows split into the kernels' own morsels; each worker evaluates
+// every argument over one context per morsel, gathering a column once for
+// them all, and reduces it to a partial at once. They merge in morsel order.
+func (f *frame) foldGroup(ctx *evalCtx, items []sqlparse.SelectItem) error {
+	p, n := f.pol(), ctx.rows()
+	if p.NumWorkers() < 2 || p.Morsel() < 2 || n < 2*p.Morsel() {
+		return nil
+	}
+	var calls []*sqlparse.FuncCall
+	for _, item := range items {
+		sqlparse.EditExpr(item.Expr, func(x sqlparse.Expr) (sqlparse.Expr, bool) {
+			call, ok := x.(*sqlparse.FuncCall)
+			if !ok || !sqlparse.IsAggregate(call.Name) {
+				_, sub := x.(*sqlparse.Subquery)
+				return x, !sub
+			}
+			if len(call.Args) == 1 {
+				if _, ref := call.Args[0].(*sqlparse.ColRef); !ref && f.morselSafe(call.Args[0]) {
+					calls = append(calls, call)
+				}
+			}
+			return x, false
+		})
+	}
+	if len(calls) == 0 {
+		return nil
+	}
+	nm := p.NumMorsels(n)
+	parts, errs := make([]aggPart, len(calls)*nm), make([]error, len(calls)*nm)
+	view := *ctx // the workers' copy: ctx itself stays off the heap
+	p.RunIdx(n, func(m, lo, hi int) {
+		mc := view.morsel(lo, hi)
+		for c, call := range calls {
+			parts[c*nm+m], errs[c*nm+m] = f.foldMorsel(mc, p, strings.ToLower(call.Name), call.Args[0])
+		}
+	})
+	// A stopped run leaves the unclaimed morsels' partials empty.
+	if err := f.interruptErr(); err != nil {
+		return err
+	}
+	ctx.folded = make(map[*sqlparse.FuncCall]*storage.Column, len(calls))
+next:
+	for c, call := range calls {
+		// Every morsel ran to its end, so the earliest morsel decides,
+		// whichever worker failed first.
+		for _, err := range errs[c*nm : (c+1)*nm] {
+			if err == errWholeView {
+				continue next
+			} else if err != nil {
+				return err
+			}
+		}
+		col, err := mergeParts(strings.ToLower(call.Name), parts[c*nm:(c+1)*nm])
+		if err != nil {
+			return err
+		}
+		ctx.folded[call] = col
+	}
+	return nil
+}
+
+// foldMorsel reduces an aggregate's argument over a morsel, or the whole
+// view, into a partial with the kernels (which split it into their own
+// morsels under p): a bare column unmaterialized (base plus selection),
+// any other argument evaluated first, a constant one broadcast.
+func (f *frame) foldMorsel(ctx *evalCtx, p vec.Pol, name string, arg sqlparse.Expr) (pt aggPart, err error) {
+	var col *storage.Column
+	sel := ctx.sel
+	if ref, ok := arg.(*sqlparse.ColRef); ok {
+		col, err = ctx.src.Column(ref.Name)
+	} else {
+		col, err = f.evalExpr(ctx, arg)
+		sel = nil
+	}
+	if err != nil {
+		return pt, err
+	}
+	if n := ctx.rows(); col.Len() == 1 && n != 1 && !exprIsColumnar(arg) {
+		col = col.BroadcastTo(n)
+	}
+	pt.typ = col.Typ
 	switch name {
 	case "count":
-		out := storage.NewColumn("", storage.TInt)
-		out.AppendInt(vec.CountNotNull(p, col, effSel))
-		return out, nil
+		pt.count = vec.CountNotNull(p, col, sel)
 	case "sum", "avg":
-		isum, fsum, cnt, ok := vec.SumCount(p, col, effSel)
-		if !ok {
-			// non-numeric input errors only if a row would actually
-			// evaluate (NULL rows are skipped before the type check)
-			if vec.CountNotNull(p, col, effSel) > 0 {
-				return nil, core.Errorf(core.KindType, "%s needs numeric input", strings.ToUpper(name))
-			}
-			cnt = 0
+		pt.isum, pt.fsum, pt.count, pt.numeric = vec.SumCount(p, col, sel)
+		if !pt.numeric {
+			pt.count = vec.CountNotNull(p, col, sel)
 		}
-		if name == "avg" {
-			out := storage.NewColumn("", storage.TFloat)
-			if cnt == 0 {
-				out.AppendNull()
-			} else {
-				out.AppendFloat(fsum / float64(cnt))
-			}
-			return out, nil
-		}
-		if col.Typ == storage.TInt {
-			out := storage.NewColumn("", storage.TInt)
-			if cnt == 0 {
-				out.AppendNull()
-			} else {
-				out.AppendInt(isum)
-			}
-			return out, nil
-		}
-		out := storage.NewColumn("", storage.TFloat)
-		if cnt == 0 {
-			out.AppendNull()
-		} else {
-			out.AppendFloat(fsum)
-		}
-		return out, nil
 	case "min", "max":
-		best, err := vec.MinMaxIdx(p, col, effSel, name == "min")
+		best, err := vec.MinMaxIdx(p, col, sel, name == "min")
 		if err != nil {
-			return nil, err
+			return pt, err
 		}
-		out := storage.NewColumn("", col.Typ)
+		pt.best = storage.NewColumn("", col.Typ)
 		if best < 0 {
-			out.AppendNull()
-		} else if err := out.AppendCell(col, best); err != nil {
-			return nil, err
+			pt.best.AppendNull()
+		} else if err := pt.best.AppendCell(col, best); err != nil {
+			return pt, err
 		}
-		return out, nil
-	default:
-		return nil, core.Errorf(core.KindName, "unknown aggregate %s", name)
 	}
+	return pt, nil
+}
+
+// morselSafe reports whether an aggregate's argument is built from columns,
+// literals, binds, operators, casts, builtins and element-wise UDFs
+// (udfrt.ParallelSafe). It compiles them on the statement's goroutine, so
+// that the workers folding it only read the compiled-callable cache.
+func (f *frame) morselSafe(arg sqlparse.Expr) bool {
+	safe := true
+	sqlparse.EditExpr(arg, func(x sqlparse.Expr) (sqlparse.Expr, bool) {
+		switch x := x.(type) {
+		case *sqlparse.Subquery:
+			safe = false
+		case *sqlparse.FuncCall:
+			name := strings.ToLower(x.Name)
+			if _, ok := scalarBuiltins[name]; !ok {
+				def, err := f.DB.cat.Function(name)
+				safe = err == nil && !sqlparse.IsAggregate(name)
+				if safe {
+					call, _ := f.callableFor(def) // nil when it does not compile
+					ps, ok := call.(udfrt.ParallelSafe)
+					safe = ok && ps.ParallelSafe()
+				}
+			}
+		}
+		return x, safe
+	})
+	return safe
 }
 
 // evalAggregateSelect evaluates an aggregate query one group at a time. A
@@ -521,6 +657,9 @@ func (f *frame) evalAggregateSelect(sel *sqlparse.Select, src *storage.Table, se
 			return nil, err
 		}
 		ctx := newCtx(src, g)
+		if err := f.foldGroup(ctx, sel.Items); err != nil {
+			return nil, err
+		}
 		for ii, item := range sel.Items {
 			if item.Star {
 				return nil, core.Errorf(core.KindSyntax, "SELECT * is not valid in an aggregate query")

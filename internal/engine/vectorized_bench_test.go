@@ -7,6 +7,8 @@ package engine
 //	go test -run '^$' -bench 'BenchmarkFilter' ./internal/engine
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -42,10 +44,16 @@ func buildFilterAggregateDB(b *testing.B, rows int) *Conn {
 // immediate gather), the vectorized single-threaded path (fused
 // compare-select into a selection vector consumed by typed aggregation
 // kernels), and the morsel-parallel path across all cores. The CI gate
-// is ≥5x for vectorized over scalar-reference in the same run.
+// is ≥5x for vectorized over scalar-reference in the same run. The go-udf
+// legs sum an element-wise GO UDF over the selection, which the aggregate
+// folds morsel by morsel: no table-sized gather, no stitched UDF result.
 func BenchmarkFilterAggregate(b *testing.B) {
 	const rows = 1_000_000
 	const query = `SELECT COUNT(*) AS n, SUM(i) AS si, AVG(f) AS af FROM big WHERE f > 0.5`
+	const udfQuery = `SELECT SUM(sq(i)) AS s FROM big WHERE i < 500`
+	// several expression aggregates over one filtered column: each folds
+	// the column's selection on its own
+	const multiQuery = `SELECT SUM(f * 2) AS a, AVG(f * 3) AS b, MIN(f - 1) AS c, MAX(f + 1) AS d FROM big WHERE f > 0.5`
 	table := func(r *Result, err error) (*storage.Table, error) {
 		if err != nil {
 			return nil, err
@@ -53,6 +61,8 @@ func BenchmarkFilterAggregate(b *testing.B) {
 		return r.Table, nil
 	}
 	vectorized := func(c *Conn) (*storage.Table, error) { return table(c.Exec(query)) }
+	goUDFSum := func(c *Conn) (*storage.Table, error) { return table(c.Exec(udfQuery)) }
+	multiAgg := func(c *Conn) (*storage.Table, error) { return table(c.Exec(multiQuery)) }
 	for _, tc := range []struct {
 		name    string
 		workers int
@@ -73,6 +83,10 @@ func BenchmarkFilterAggregate(b *testing.B) {
 			defer obs.ReleaseTrace(tr)
 			return table(c.ExecWith(ExecOpts{Trace: tr}, query))
 		}},
+		{"go-udf-sum", 1, false, goUDFSum},
+		{"go-udf-sum-parallel", 0, false, goUDFSum},
+		{"multi-expr-agg", 1, false, multiAgg},
+		{"multi-expr-agg-parallel", 0, false, multiAgg},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			c := buildFilterAggregateDB(b, rows)
@@ -80,12 +94,36 @@ func BenchmarkFilterAggregate(b *testing.B) {
 			if tc.obsOn {
 				c.DB.EnableObs(obs.NewRegistry())
 			}
+			if err := c.DB.RegisterGoUDFElementwise("sq", func(x []int64) []int64 {
+				out := make([]int64, len(x))
+				for i, v := range x {
+					out[i] = v * v
+				}
+				return out
+			}); err != nil {
+				b.Fatal(err)
+			}
 			// sanity: all legs must agree on the aggregate
 			t, err := tc.exec(c)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if n := t.Cols[0].Ints[0]; n < rows/3 || n > 2*rows/3 {
+			if strings.HasPrefix(tc.name, "go-udf") {
+				want, err := c.Exec(`SELECT SUM(i * i) AS s FROM big WHERE i < 500`)
+				if err != nil || want.Table.Cols[0].Ints[0] != t.Cols[0].Ints[0] {
+					b.Fatalf("SUM(sq(i)) = %v, SUM(i * i) = %v (%v)", t.Cols[0].Ints, want, err)
+				}
+			} else if strings.HasPrefix(tc.name, "multi") {
+				want, err := refExec(c, multiQuery)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for k, col := range t.Cols {
+					if got, w := col.Flts[0], want.Cols[k].Flts[0]; math.Abs(got-w) > 1e-9*math.Abs(w) {
+						b.Fatalf("%s = %v, scalar reference %v", col.Name, got, w)
+					}
+				}
+			} else if n := t.Cols[0].Ints[0]; n < rows/3 || n > 2*rows/3 {
 				b.Fatalf("selectivity off: %d of %d rows", n, rows)
 			}
 			b.ResetTimer()

@@ -257,6 +257,12 @@ var differentialQueries = []string{
 	`SELECT s, COUNT(*) AS n FROM t GROUP BY s HAVING COUNT(*) > 2`,
 	`SELECT COUNT(*) AS n FROM t WHERE i > 1000`,
 	`SELECT SUM(i) AS si FROM t WHERE i > 1000`,
+	// a constant argument stands for its value on every row (prepared, SUM(2)
+	// is SUM(?) with 2 bound)
+	`SELECT COUNT(1) AS c1, SUM(2) AS s2, AVG(2.5) AS a, MIN('x') AS mn, COUNT(NULL) AS cn, SUM(NULL) AS sn FROM t`,
+	`SELECT s, COUNT(1) AS c1, SUM(2) AS s2, MAX(3) AS m3 FROM t WHERE i > 0 GROUP BY s`,
+	`SELECT COUNT(1) AS c1, SUM(2) AS s2 FROM t WHERE i > 1000`,
+	`SELECT SUM(2 * 3) + COUNT(1) AS x FROM t HAVING SUM(2) > 4`,
 	// ORDER BY, LIMIT, DISTINCT on top of selections
 	`SELECT i, s FROM t WHERE i > 0 ORDER BY i DESC, s LIMIT 5`,
 	`SELECT i FROM t WHERE b ORDER BY f LIMIT 3`,

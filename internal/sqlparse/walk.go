@@ -31,21 +31,31 @@ func EditExpr(e Expr, fn func(Expr) (Expr, bool)) Expr {
 	}
 	switch e := e.(type) {
 	case *BinaryExpr:
-		e.L, e.R = EditExpr(e.L, fn), EditExpr(e.R, fn)
+		editChild(&e.L, fn)
+		editChild(&e.R, fn)
 	case *UnaryExpr:
-		e.X = EditExpr(e.X, fn)
+		editChild(&e.X, fn)
 	case *IsNullExpr:
-		e.X = EditExpr(e.X, fn)
+		editChild(&e.X, fn)
 	case *CastExpr:
-		e.X = EditExpr(e.X, fn)
+		editChild(&e.X, fn)
 	case *FuncCall:
-		for i, a := range e.Args {
-			e.Args[i] = EditExpr(a, fn)
+		for i := range e.Args {
+			editChild(&e.Args[i], fn)
 		}
 	case *Subquery:
 		editSelect(e.Sel, fn)
 	}
 	return e
+}
+
+// editChild edits the expression at slot and stores the result only when fn
+// replaced something: a walk that replaces nothing writes nothing, so
+// goroutines may walk one shared expression at once.
+func editChild(slot *Expr, fn func(Expr) (Expr, bool)) {
+	if e := EditExpr(*slot, fn); e != *slot {
+		*slot = e
+	}
 }
 
 func editSelect(sel *Select, fn func(Expr) (Expr, bool)) {

@@ -21,6 +21,13 @@
 // as Go zero values (the validity bitmap does not cross the boundary), and
 // native results never contain NULLs.
 //
+// A function registered with RegisterElementwise may be called on any
+// slice of a batch, from several goroutines at once: the engine splits a
+// projection's batch into morsels, and an aggregate over the function
+// (SUM(f(col))) calls it once per morsel of the aggregated rows. A
+// constant argument of the aggregate counts every row (SUM(f(2)) adds
+// f(2) once per row). Plain Register keeps one call per batch.
+//
 // CONTRACT — argument slices are READ-ONLY. The zero-copy fast path may
 // hand a function the engine's own storage vectors (a column reference
 // passes the stored table's backing slice); mutating one in place corrupts
