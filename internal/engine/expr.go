@@ -22,7 +22,6 @@ type evalCtx struct {
 	// referencing a column twice materializes it once.
 	gathered map[*storage.Column]*storage.Column
 	folded   map[*sqlparse.FuncCall]*storage.Column // foldGroup's results
-	inMorsel bool                                   // one of foldGroup's morsels
 }
 
 // newCtx builds an evaluation context over a table view.
@@ -70,9 +69,9 @@ func (ctx *evalCtx) view(col *storage.Column) *storage.Column {
 // slice of its selection, or of its source's rows when it has none.
 func (ctx *evalCtx) morsel(lo, hi int) *evalCtx {
 	if ctx.sel != nil {
-		return &evalCtx{src: ctx.src, sel: ctx.sel[lo:hi], inMorsel: true}
+		return &evalCtx{src: ctx.src, sel: ctx.sel[lo:hi]}
 	}
-	return &evalCtx{src: ctx.src.SliceRows(lo, hi), inMorsel: true}
+	return &evalCtx{src: ctx.src.SliceRows(lo, hi)}
 }
 
 // column resolves a column reference against the context's logical view.
@@ -269,11 +268,7 @@ func (f *frame) evalCall(ctx *evalCtx, call *sqlparse.FuncCall) (*storage.Column
 		if err != nil {
 			return nil, err
 		}
-		out, err := f.callScalarUDF(call.Name, argCols, isColumn)
-		if err == nil && ctx.inMorsel && out.Len() != ctx.rows() && exprIsColumnar(call) {
-			return nil, errWholeView
-		}
-		return out, err
+		return f.callScalarUDF(call.Name, argCols, isColumn)
 	}
 	return nil, core.Errorf(core.KindName, "no such function: %s", call.Name)
 }

@@ -115,12 +115,11 @@ func TestFoldResolvesCallablesBeforeFanningOut(t *testing.T) {
 }
 
 // TestFoldKeepsWholeBatchUDFAnswers: folding in morsels changes no UDF's
-// answer. An aggregate-style element-wise UDF (one value from a whole
-// column) comes back as one value from a morsel of many rows, bare or
-// inside an expression with a column, so the fold drops its partials and
-// evaluates the whole view, where the UDF is called once; a
-// batch-dependent UDF is never split. With one worker the UDF call itself
-// never splits, but the fold still does.
+// answer. A batch-dependent UDF — aggregate-style (one value from a whole
+// column, bare or inside an expression with a column) or a prefix sum —
+// is registered with RegisterGoUDF, so the fold leaves it to the whole
+// view, where the UDF is called once; an aggregate beside it in the group
+// still folds.
 func TestFoldKeepsWholeBatchUDFAnswers(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -133,7 +132,7 @@ func TestFoldKeepsWholeBatchUDFAnswers(t *testing.T) {
 
 func testWholeBatchUDFAnswers(t *testing.T, c *Conn) {
 	t.Helper()
-	if err := c.DB.RegisterGoUDFElementwise("vtotal", func(x []int64) int64 {
+	if err := c.DB.RegisterGoUDF("vtotal", func(x []int64) int64 {
 		var s int64
 		for _, v := range x {
 			s += v

@@ -23,20 +23,25 @@ func (db *DB) RegisterGoUDF(name string, fn any) error {
 
 // RegisterGoUDFElementwise is RegisterGoUDF for functions that are
 // element-wise (row i of the result depends only on row i of the
-// arguments) and safe to call from multiple goroutines: the engine may
-// split their batches into morsels executed across workers, so calls
-// scale with cores. Batch-dependent implementations (prefix sums,
-// stateful closures) must use RegisterGoUDF, which keeps whole-batch
-// semantics.
+// arguments), safe to call from multiple goroutines, and keep no argument
+// slice after they return: the engine may split their batches into
+// morsels executed across workers, so calls scale with cores. The
+// registration is a contract the engine holds the function to. A function
+// that takes a slice and returns a scalar is refused here with a type
+// error; an answer whose length is not its input's row count is a
+// constraint error at the call. Batch-dependent implementations
+// (aggregates, prefix sums, stateful closures) must use RegisterGoUDF,
+// which keeps whole-batch semantics.
 func (db *DB) RegisterGoUDFElementwise(name string, fn any) error {
 	return db.registerGoUDF(name, fn, true)
 }
 
-// registerGoUDF commits the catalog entry first and installs the
-// implementation only once the commit succeeded: calls read gort's table,
-// so a refused commit must leave the old implementation in place.
+// registerGoUDF validates the signature, commits the catalog entry, and
+// installs the implementation only once the commit succeeded: calls read
+// gort's table, so a refused signature or commit must leave the old
+// implementation in place.
 func (db *DB) registerGoUDF(name string, fn any, elementwise bool) error {
-	def, err := gort.InferDef(name, fn)
+	def, err := gort.InferDef(name, fn, elementwise)
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -462,10 +461,6 @@ func mergeParts(name string, parts []aggPart) (*storage.Column, error) {
 	return out, nil
 }
 
-// errWholeView is a fold morsel's answer when a UDF over a column does not
-// answer one value per row (it is aggregate-style): fold the whole view.
-var errWholeView = errors.New("fold the whole view")
-
 // foldGroup folds the group's aggregates over a morselSafe expression into
 // ctx.folded when the view spans two morsels and several workers share
 // them (one gains nothing, as a UDF call does not split for it either).
@@ -474,7 +469,7 @@ var errWholeView = errors.New("fold the whole view")
 // them all, and reduces it to a partial at once. They merge in morsel order.
 func (f *frame) foldGroup(ctx *evalCtx, items []sqlparse.SelectItem) error {
 	p, n := f.pol(), ctx.rows()
-	if p.NumWorkers() < 2 || p.Morsel() < 2 || n < 2*p.Morsel() {
+	if p.NumWorkers() < 2 || n < 2*p.Morsel() {
 		return nil
 	}
 	var calls []*sqlparse.FuncCall
@@ -510,14 +505,11 @@ func (f *frame) foldGroup(ctx *evalCtx, items []sqlparse.SelectItem) error {
 		return err
 	}
 	ctx.folded = make(map[*sqlparse.FuncCall]*storage.Column, len(calls))
-next:
 	for c, call := range calls {
 		// Every morsel ran to its end, so the earliest morsel decides,
 		// whichever worker failed first.
 		for _, err := range errs[c*nm : (c+1)*nm] {
-			if err == errWholeView {
-				continue next
-			} else if err != nil {
+			if err != nil {
 				return err
 			}
 		}

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"sync/atomic"
-
 	"repro/internal/core"
 	"repro/internal/storage"
 	"repro/internal/udfrt"
@@ -86,8 +84,8 @@ func (f *frame) callScalarUDF(name string, argCols []*storage.Column, isColumn [
 		if f.DB.Mode == ModeTupleAtATime {
 			return f.callScalarUDFTuple(def, call, env, in)
 		}
-		if out, ok, err := f.callScalarUDFMorsels(def, call, env, in); err != nil || ok {
-			return out, err
+		if ps, ok := call.(udfrt.ParallelSafe); ok && ps.ParallelSafe() {
+			return f.callScalarUDFMorsels(def, call, env, in)
 		}
 		return f.instrumentedCall(def, call, env, in)
 	})
@@ -97,44 +95,32 @@ func (f *frame) callScalarUDF(name string, argCols []*storage.Column, isColumn [
 	return cols[0], nil
 }
 
-// callScalarUDFMorsels runs a parallel-safe scalar UDF batch split into
-// morsels across workers — native GO UDF calls ride the same
-// morsel-driven pipeline as the built-in kernels. ok=false falls back to
-// the single whole-batch call: the runtime is not parallel-safe, the
-// batch is too small to win, or a morsel returned a broadcast
-// (aggregate-style) result that must be computed over the whole batch.
+// callScalarUDFMorsels runs an element-wise (parallel-safe) scalar UDF,
+// its batch split into morsels across workers when there are several
+// workers and at least two morsels of rows: native GO UDF calls ride the
+// same morsel-driven pipeline as the built-in kernels. Each call, over
+// the whole batch or a morsel, is held to the element-wise contract
+// (callElementwise), so the answer is the same however the batch splits.
 func (f *frame) callScalarUDFMorsels(def *storage.FuncDef, call udfrt.Callable,
-	env *udfrt.Env, in *udfrt.Batch) (*udfrt.Batch, bool, error) {
-	ps, ok := call.(udfrt.ParallelSafe)
-	if !ok || !ps.ParallelSafe() {
-		return nil, false, nil
-	}
+	env *udfrt.Env, in *udfrt.Batch) (*udfrt.Batch, error) {
 	p := f.pol()
-	// Morsel size 1 would make an aggregate-style UDF's per-morsel scalar
-	// result (length 1) indistinguishable from an elementwise one-row
-	// result, defeating the broadcast detection below — never split then.
-	if p.NumWorkers() == 1 || p.Morsel() < 2 || in.Rows < 2*p.Morsel() {
-		return nil, false, nil
-	}
+	split := p.NumWorkers() > 1 && in.Rows >= 2*p.Morsel()
 	// Every column must be batch-aligned or a length-1 constant: a
 	// mis-sized columnar argument passes through Batch.Slice whole and
 	// would look aligned to each morsel, silently re-broadcasting where
 	// the whole-batch call correctly errors.
 	for _, col := range in.Cols {
-		if col.Len() != in.Rows && col.Len() != 1 {
-			return nil, false, nil
-		}
+		split = split && (col.Len() == in.Rows || col.Len() == 1)
+	}
+	if !split {
+		return f.callElementwise(def, call, env, in)
 	}
 	nm := p.NumMorsels(in.Rows)
 	outs := make([]*storage.Column, nm)
 	errs := make([]error, nm)
-	var broadcast atomic.Bool
 	p.RunIdx(in.Rows, func(m, lo, hi int) {
-		if broadcast.Load() {
-			return
-		}
 		b := in.Slice(lo, hi)
-		ob, err := f.instrumentedCall(def, call, env, b)
+		ob, err := f.callElementwise(def, call, env, b)
 		if err != nil {
 			errs[m] = err
 			return
@@ -144,10 +130,6 @@ func (f *frame) callScalarUDFMorsels(def *storage.FuncDef, call udfrt.Callable,
 			errs[m] = err
 			return
 		}
-		if col := cols[0]; col.Len() != b.Rows {
-			broadcast.Store(true)
-			return
-		}
 		outs[m] = cols[0]
 	})
 	// UDF errors are user-authored and row-dependent, so unlike the
@@ -155,25 +137,35 @@ func (f *frame) callScalarUDFMorsels(def *storage.FuncDef, call udfrt.Callable,
 	// morsel's error wins — the reported message is deterministic.
 	for _, err := range errs {
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	}
 	// An interrupted run leaves unclaimed morsels' outputs nil; abort
 	// before stitching a partial result.
 	if err := f.interruptErr(); err != nil {
-		return nil, false, err
-	}
-	if broadcast.Load() {
-		return nil, false, nil
+		return nil, err
 	}
 	out := storage.NewColumn(def.Returns[0].Name, def.Returns[0].Type)
 	out.Reserve(in.Rows)
 	for _, mc := range outs {
 		if err := out.AppendAll(mc); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	}
-	return columnBatch(out), true, nil
+	return columnBatch(out), nil
+}
+
+// callElementwise makes one call of an element-wise UDF over b and refuses
+// an answer that is not one value per input row. The refusal does not
+// depend on b's row count, so it reads the same however the batch split.
+func (f *frame) callElementwise(def *storage.FuncDef, call udfrt.Callable,
+	env *udfrt.Env, b *udfrt.Batch) (*udfrt.Batch, error) {
+	ob, err := f.instrumentedCall(def, call, env, b)
+	if err == nil && ob != nil && len(ob.Cols) == 1 && ob.Cols[0].Len() != b.Rows {
+		return nil, core.Errorf(core.KindConstraint,
+			"UDF %s returned other than one value per input row, but it is registered element-wise; register it with RegisterGoUDF", def.Name)
+	}
+	return ob, err
 }
 
 // columnBatch is the result batch holding one column.

@@ -650,19 +650,24 @@ func TestMorselParallelExecution(t *testing.T) {
 }
 
 // TestParallelUDFBroadcastFallback: an aggregate-style GO UDF (column in,
-// scalar out) split into morsels must transparently fall back to one
-// whole-batch call instead of stitching per-morsel scalars.
+// scalar out) is not element-wise, so registering it so is a type error;
+// registered with RegisterGoUDF it answers one whole-batch total under
+// parallel settings, never per-morsel scalars.
 func TestParallelUDFBroadcastFallback(t *testing.T) {
 	c := newTestConn()
 	c.DB.workers = 4
 	c.DB.morselSize = 64
-	if err := c.DB.RegisterGoUDFElementwise("vtotal", func(x []int64) int64 {
+	vtotal := func(x []int64) int64 {
 		var s int64
 		for _, v := range x {
 			s += v
 		}
 		return s
-	}); err != nil {
+	}
+	if err := c.DB.RegisterGoUDFElementwise("vtotal", vtotal); core.KindOf(err) != core.KindType {
+		t.Fatalf("element-wise vtotal: %v, want a type error", err)
+	}
+	if err := c.DB.RegisterGoUDF("vtotal", vtotal); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, c, `CREATE TABLE n1 (i INTEGER)`)

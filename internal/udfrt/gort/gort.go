@@ -21,12 +21,19 @@
 // as Go zero values (the validity bitmap does not cross the boundary), and
 // native results never contain NULLs.
 //
-// A function registered with RegisterElementwise may be called on any
-// slice of a batch, from several goroutines at once: the engine splits a
-// projection's batch into morsels, and an aggregate over the function
+// RegisterElementwise is a contract, not a hint. The function states that
+// row i of its result depends only on row i of its arguments, that it may
+// be called on any slice of a batch from several goroutines at once, and
+// that it keeps no argument slice after it returns. The engine then splits
+// a projection's batch into morsels, and an aggregate over the function
 // (SUM(f(col))) calls it once per morsel of the aggregated rows. A
 // constant argument of the aggregate counts every row (SUM(f(2)) adds
-// f(2) once per row). Plain Register keeps one call per batch.
+// f(2) once per row). The engine refuses every breach it can see: a
+// function that takes a slice and returns a scalar is refused at
+// registration, and an answer whose length is not its input's row count
+// is a constraint error at the call, whatever the worker count. A breach
+// no check can see (a prefix sum answers one value per row) restarts at
+// every morsel. Plain Register keeps one call per batch.
 //
 // CONTRACT — argument slices are READ-ONLY. The zero-copy fast path may
 // hand a function the engine's own storage vectors (a column reference
@@ -85,10 +92,11 @@ func Register(name string, fn any) error {
 
 // RegisterElementwise installs fn like Register and additionally
 // declares it element-wise and concurrency-safe: row i of the result
-// depends only on row i of the arguments, and the function may be
-// invoked from several goroutines at once over disjoint morsels of one
-// batch. Aggregate-style results (one value for the whole batch) are
-// still detected at call time and re-run as a single whole-batch call.
+// depends only on row i of the arguments, the function may be invoked
+// from several goroutines at once over disjoint morsels of one batch, and
+// it keeps no argument slice after it returns. A function that takes a
+// slice and returns a scalar is refused with a type error: one value for
+// many rows needs Register's whole-batch call.
 func RegisterElementwise(name string, fn any) error {
 	return registerFn(name, fn, true)
 }
@@ -98,7 +106,7 @@ func registerFn(name string, fn any, elementwise bool) error {
 	if !v.IsValid() || v.Kind() != reflect.Func {
 		return core.Errorf(core.KindType, "Go UDF %s: not a function (%T)", name, fn)
 	}
-	if _, _, err := signatureSchemas(name, v.Type()); err != nil {
+	if _, _, err := signatureSchemas(name, v.Type(), elementwise); err != nil {
 		return err
 	}
 	mu.Lock()
@@ -130,13 +138,14 @@ func lookupEntry(name string) (regEntry, bool) {
 // parameter and result SQL types from the reflected signature, IsTable when
 // the function returns more than one column. Parameter names are arg1..argN
 // and result names col1..colN ("result" for scalars) — SQL-side CREATE
-// FUNCTION can declare friendlier ones.
-func InferDef(name string, fn any) (*storage.FuncDef, error) {
+// FUNCTION can declare friendlier ones. An element-wise function must
+// answer a slice wherever it takes one (RegisterElementwise).
+func InferDef(name string, fn any, elementwise bool) (*storage.FuncDef, error) {
 	v := reflect.ValueOf(fn)
 	if !v.IsValid() || v.Kind() != reflect.Func {
 		return nil, core.Errorf(core.KindType, "Go UDF %s: not a function (%T)", name, fn)
 	}
-	params, returns, err := signatureSchemas(name, v.Type())
+	params, returns, err := signatureSchemas(name, v.Type(), elementwise)
 	if err != nil {
 		return nil, err
 	}
@@ -150,16 +159,21 @@ func InferDef(name string, fn any) (*storage.FuncDef, error) {
 }
 
 // signatureSchemas validates the type of the function registered as name
-// and derives parameter/result schemas with placeholder names.
-func signatureSchemas(name string, t reflect.Type) (params, returns storage.Schema, err error) {
+// and derives parameter/result schemas with placeholder names. An
+// element-wise function that takes a column must not answer a scalar: one
+// value for many rows is an aggregate, which only a whole-batch call gets
+// right.
+func signatureSchemas(name string, t reflect.Type, elementwise bool) (params, returns storage.Schema, err error) {
 	if t.IsVariadic() {
 		return nil, nil, core.Errorf(core.KindType, "Go UDF %s: variadic functions are not supported", name)
 	}
+	takesColumn := false
 	for i := 0; i < t.NumIn(); i++ {
-		st, _, ok := sqlType(t.In(i))
+		st, isSlice, ok := sqlType(t.In(i))
 		if !ok {
 			return nil, nil, core.Errorf(core.KindType, "Go UDF %s: parameter %d: unsupported Go UDF type %s", name, i+1, t.In(i))
 		}
+		takesColumn = takesColumn || isSlice
 		params = append(params, storage.ColumnDef{Name: fmt.Sprintf("arg%d", i+1), Type: st})
 	}
 	nOut := t.NumOut()
@@ -170,9 +184,13 @@ func signatureSchemas(name string, t reflect.Type) (params, returns storage.Sche
 		return nil, nil, core.Errorf(core.KindType, "Go UDF %s: must return at least one value", name)
 	}
 	for i := 0; i < nOut; i++ {
-		st, _, ok := sqlType(t.Out(i))
+		st, isSlice, ok := sqlType(t.Out(i))
 		if !ok {
 			return nil, nil, core.Errorf(core.KindType, "Go UDF %s: result %d: unsupported Go UDF type %s", name, i+1, t.Out(i))
+		}
+		if elementwise && takesColumn && !isSlice {
+			return nil, nil, core.Errorf(core.KindType,
+				"Go UDF %s: takes a column but returns one value, so it is not element-wise; register it with RegisterGoUDF", name)
 		}
 		col := fmt.Sprintf("col%d", i+1)
 		if nOut == 1 {
@@ -270,12 +288,13 @@ func (*Runtime) Compile(def *storage.FuncDef) (udfrt.Callable, error) {
 
 // ParallelSafe implements udfrt.ParallelSafe: only functions installed
 // with RegisterElementwise opt in — they have declared row-i-depends-
-// only-on-row-i purity and goroutine safety, so the engine may invoke
-// the callable concurrently over disjoint morsels of a batch. Plain
-// Register keeps whole-batch semantics (batch-dependent implementations
-// like prefix sums stay correct, and no concurrency is imposed). The
-// flag is read from the live table, so re-registering under a different
-// contract takes effect immediately.
+// only-on-row-i purity, goroutine safety and that they keep no argument
+// slice, so the engine may invoke the callable concurrently over disjoint
+// morsels of a batch and refuses an answer that is not one value per row.
+// Plain Register keeps whole-batch semantics (batch-dependent
+// implementations like prefix sums stay correct, and no concurrency is
+// imposed). The flag is read from the live table, so re-registering under
+// a different contract takes effect immediately.
 func (c *callable) ParallelSafe() bool {
 	e, ok := lookupEntry(c.symbol)
 	return ok && e.elementwise

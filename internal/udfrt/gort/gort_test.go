@@ -53,15 +53,51 @@ func TestRegisterValidatesSignature(t *testing.T) {
 		if err := Register("f", c.fn); err == nil || err.Error() != c.want {
 			t.Errorf("Register: %v, want %s", err, c.want)
 		}
-		if _, err := InferDef("f", c.fn); err == nil || err.Error() != c.want {
+		if _, err := InferDef("f", c.fn, false); err == nil || err.Error() != c.want {
 			t.Errorf("InferDef: %v, want %s", err, c.want)
 		}
 	}
 }
 
+// TestElementwiseRefusesOneValueForAColumn: a function that takes a slice
+// and returns a scalar answers one value for many rows, so it is refused
+// as element-wise, by RegisterElementwise and InferDef alike, and leaves
+// the table as it was. Plain Register takes it, and a function of scalars
+// only, or one that answers slices, is element-wise.
+func TestElementwiseRefusesOneValueForAColumn(t *testing.T) {
+	for _, fn := range []any{
+		func(x []int64) int64 { return 0 },
+		func(x []float64, n int64) float64 { return 0 },
+		func(x []int64) ([]int64, int64, error) { return nil, 0, nil },
+	} {
+		want := "type error: Go UDF f: takes a column but returns one value, so it is not element-wise; register it with RegisterGoUDF"
+		if err := RegisterElementwise("f", fn); err == nil || err.Error() != want {
+			t.Errorf("RegisterElementwise(%T): %v, want %s", fn, err, want)
+		}
+		if _, err := InferDef("f", fn, true); err == nil || err.Error() != want {
+			t.Errorf("InferDef(%T): %v, want %s", fn, err, want)
+		}
+		if _, ok := lookup("f"); ok {
+			t.Fatalf("a refused registration of %T was installed", fn)
+		}
+		if _, err := InferDef("f", fn, false); err != nil {
+			t.Errorf("InferDef(%T) whole-batch: %v", fn, err)
+		}
+	}
+	for _, fn := range []any{
+		func(x int64) int64 { return x },
+		func(x []int64, n int64) []int64 { return x },
+	} {
+		if err := RegisterElementwise("f", fn); err != nil {
+			t.Errorf("RegisterElementwise(%T): %v", fn, err)
+		}
+		Unregister("f")
+	}
+}
+
 func TestInferDef(t *testing.T) {
 	fn := func(a []float64, n int64) ([]float64, []int64) { return a, nil }
-	def, err := InferDef("pairup", fn)
+	def, err := InferDef("pairup", fn, false)
 	if err != nil {
 		t.Fatal(err)
 	}

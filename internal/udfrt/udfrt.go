@@ -166,7 +166,7 @@ func Shape(def *storage.FuncDef, out *Batch, rows int, inFrom bool) ([]*storage.
 	col := out.Cols[0]
 	if rows > 0 && col.Len() != rows && col.Len() != 1 {
 		return nil, core.Errorf(core.KindConstraint,
-			"UDF returned %d rows for %d input rows", col.Len(), rows)
+			"UDF %s returned %d rows for %d input rows", def.Name, col.Len(), rows)
 	}
 	col.Name = def.Returns[0].Name
 	return out.Cols, nil
@@ -182,10 +182,12 @@ type Callable interface {
 
 // ParallelSafe marks callables the engine may invoke concurrently over
 // disjoint morsels of one batch, sharing a single Env: the callable must
-// not mutate the Env or any argument column, and its function must be
-// pure enough that splitting a batch preserves its result (true for the
-// native GO runtime's registered functions, false for interpreter-backed
-// runtimes, whose interpreter state is single-threaded).
+// not mutate the Env or keep any argument column, and its function must
+// be element-wise, answering one value per input row, so that splitting a
+// batch preserves its result. The engine refuses an answer of any other
+// length. Only the native GO runtime's functions registered element-wise
+// are parallel-safe; plain GO registrations and interpreter-backed
+// runtimes, whose interpreter state is single-threaded, are not.
 type ParallelSafe interface {
 	// ParallelSafe reports whether concurrent morsel invocation is safe.
 	ParallelSafe() bool
