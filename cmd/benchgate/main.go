@@ -1,43 +1,55 @@
-// Command benchgate is the repo's one perf-gate chain: it runs the
-// testing.B benchmarks listed in runs three times each, keeps the fastest
-// repetition of every row, checks the same-run ratios listed in gates, and
-// writes the rows to the path given as its only argument.
+// Command benchgate is the repo's one perf-gate chain. Each gate divides
+// the ns/op of two testing.B legs; it runs them as pairs of alternating
+// runs, A then B or B then A in an order drawn from a fixed seed, and
+// holds the median of the pairs' ratios to its limit. It writes each leg's
+// median run and each gate's median, IQR and pair count to the path given
+// as its only argument.
 //
 //	go run ./cmd/benchgate BENCH_new.json     (from the repo root)
 //
-// A gate divides two rows of the same run on the same machine, so it holds
-// on any runner; nothing here reads a recorded baseline. What a change does
+// A gate divides two runs made side by side on the same machine, so it
+// holds on any runner; nothing here reads a recorded baseline. A load phase
+// that lands on one leg spoils one pair, not the gate. What a change does
 // to absolute speed is measured by benchmark/run.sh on alternating
-// parent/change pairs. Exit status is 1 when a gate fails or a row it needs
-// is missing.
+// parent/change pairs. Exit status is 1 when a gate fails or a leg it
+// needs is missing.
 package main
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// runs is every benchmark this command executes. The iteration counts are
-// fixed so that repetitions, and the rows of different PRs, compare.
+// runs is every benchmark family a gate reads, with the package it lives
+// in. A leg runs the family's iteration count once; the counts are fixed
+// so that runs, and the rows of different PRs, compare.
 var runs = []struct{ pkg, bench, benchtime string }{
 	{".", "BenchmarkProcessingModel", "100x"},
 	{".", "BenchmarkPrepareExec", "10000x"},
 	{".", "BenchmarkWALInsert", "100000x"},
 	{"./internal/engine", "BenchmarkFilterAggregate", "5x"},
-	{"./internal/engine", "BenchmarkFilterProject", "3x"},
 	{"./internal/transfer", "BenchmarkCompress", "20x"},
 }
 
-const repetitions = 3
+// pairs is how many A/B pairs each gate runs, and seed orders them.
+const (
+	pairs = 15
+	seed  = 2013
+)
 
-// row is the fastest repetition of one benchmark.
+// row is one run of one benchmark leg.
 type row struct {
 	Name        string  `json:"name"`
 	Iterations  int64   `json:"iterations"`
@@ -46,7 +58,8 @@ type row struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// gate requires num/den (ns/op of two rows of this run) to be >= or <= limit.
+// gate requires the median over its pairs of num/den (the ns/op of two
+// legs run side by side) to be >= or <= limit.
 type gate struct {
 	name, num, den string
 	op             string // ">=" or "<="
@@ -111,31 +124,116 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: benchgate OUTPUT.json")
 		os.Exit(2)
 	}
-	var out bytes.Buffer
-	for _, r := range runs {
-		cmd := exec.Command("go", "test", "-run", "^$", "-bench", "^"+r.bench+"$", "-benchtime", r.benchtime,
-			"-benchmem", "-count", strconv.Itoa(repetitions), r.pkg)
-		cmd.Stdout = io.MultiWriter(os.Stdout, &out)
-		cmd.Stderr = os.Stderr
-		if err := cmd.Run(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %s in %s: %v\n", r.bench, r.pkg, err)
-			os.Exit(1)
-		}
-	}
-	rows := parse(out.String(), runtime.GOMAXPROCS(0))
-	data, err := render(rows)
+	bins, err := os.MkdirTemp("", "benchgate")
+	ok := false
 	if err == nil {
-		err = os.WriteFile(os.Args[1], data, 0o644)
+		ok, err = runPairs(bins)
+		os.RemoveAll(bins)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
+	}
+	if err != nil || !ok {
 		os.Exit(1)
 	}
-	report, ok := evaluate(rows, gates)
+}
+
+// runPairs builds each package's test binary once, runs the schedule,
+// writes the rows and reports the gates.
+func runPairs(bins string) (ok bool, err error) {
+	root, err := os.Getwd()
+	if err != nil {
+		return false, err
+	}
+	binOf := map[string]string{}
+	for i, r := range runs {
+		if binOf[r.pkg] != "" {
+			continue
+		}
+		binOf[r.pkg] = filepath.Join(bins, strconv.Itoa(i)+".test")
+		cmd := exec.Command("go", "test", "-c", "-o", binOf[r.pkg], r.pkg)
+		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
+		if err := cmd.Run(); err != nil {
+			return false, fmt.Errorf("building %s: %w", r.pkg, err)
+		}
+	}
+	procs := runtime.GOMAXPROCS(0)
+	legRows := map[string][]row{}
+	results := map[string][]pair{}
+	for _, st := range schedule(seed, pairs, len(gates)) {
+		g, ns := gates[st.gate], map[string]float64{}
+		for _, name := range st.legs(g) {
+			r, err := runLeg(root, binOf, name, procs)
+			if err != nil {
+				return false, err
+			}
+			legRows[name] = append(legRows[name], r)
+			ns[name] = r.NsPerOp
+		}
+		results[g.name] = append(results[g.name], pair{ns[g.num], ns[g.den]})
+	}
+	report, ok, sums := evaluate(results, gates)
+	data, err := render(legRows, sums)
+	if err == nil {
+		err = os.WriteFile(os.Args[1], data, 0o644)
+	}
 	fmt.Print("\n", report)
-	if !ok {
-		os.Exit(1)
+	return ok, err
+}
+
+// step is one pair of a gate: its two legs, the numerator first unless
+// swapped.
+type step struct {
+	gate, pair int
+	swapped    bool
+}
+
+func (st step) legs(g gate) [2]string {
+	if st.swapped {
+		return [2]string{g.den, g.num}
 	}
+	return [2]string{g.num, g.den}
+}
+
+// schedule runs pair p of every gate before pair p+1 of any, so that each
+// gate's pairs spread over the whole run, and draws each pair's order from
+// seed: a leg runs first in about half its pairs, and the same seed gives
+// the same schedule.
+func schedule(seed uint64, pairs, gates int) []step {
+	rng := rand.New(rand.NewPCG(seed, seed))
+	var steps []step
+	for p := 0; p < pairs; p++ {
+		for g := 0; g < gates; g++ {
+			steps = append(steps, step{gate: g, pair: p, swapped: rng.IntN(2) == 1})
+		}
+	}
+	return steps
+}
+
+// runLeg runs one leg (Family/leg) once, from its package's directory as go
+// test would, and reads its row.
+func runLeg(root string, binOf map[string]string, name string, procs int) (row, error) {
+	family, leg, _ := strings.Cut(name, "/")
+	for _, r := range runs {
+		if r.bench != family {
+			continue
+		}
+		cmd := exec.Command(binOf[r.pkg], "-test.run", "^$", "-test.benchmem", "-test.benchtime", r.benchtime,
+			"-test.bench", "^"+regexp.QuoteMeta(family)+"$/^"+regexp.QuoteMeta(leg)+"$")
+		cmd.Dir = filepath.Join(root, r.pkg)
+		var out bytes.Buffer
+		cmd.Stdout, cmd.Stderr = io.MultiWriter(os.Stdout, &out), os.Stderr
+		if err := cmd.Run(); err != nil {
+			return row{}, fmt.Errorf("%s in %s: %w", name, r.pkg, err)
+		}
+		for _, got := range parse(out.String(), procs) {
+			if got.Name == name {
+				return got, nil
+			}
+		}
+		return row{}, fmt.Errorf("%s in %s printed no row", name, r.pkg)
+	}
+	return row{}, fmt.Errorf("%s: no benchmark family %s", name, family)
 }
 
 // parse reads `go test -bench -benchmem` output: lines of the form
@@ -190,54 +288,100 @@ func parse(out string, procs int) []row {
 	return rows
 }
 
-// evaluate checks every gate against rows, matching row names exactly, and
+// pair is one A/B pair of a gate: the ns/op of its numerator and of its
+// denominator leg.
+type pair struct{ num, den float64 }
+
+// summary is what a gate read: the median of its pairs' ratios, their
+// interquartile range and how many pairs had both legs.
+type summary struct {
+	Gate   string  `json:"gate"`
+	Median float64 `json:"ratio_median"`
+	IQR    float64 `json:"ratio_iqr"`
+	Pairs  int     `json:"pairs"`
+	Limit  string  `json:"limit"`
+	Pass   bool    `json:"pass"`
+}
+
+// evaluate checks every gate's median pair ratio against its limit and
 // returns one report line per gate (plus the gate's reason when it fails).
-// A gate whose numerator or denominator row is absent fails.
-func evaluate(rows []row, gates []gate) (report string, ok bool) {
-	ns := map[string]float64{}
-	for _, r := range rows {
-		ns[r.Name] = r.NsPerOp
-	}
+// A pair missing either leg does not count; a gate with no whole pair
+// fails.
+func evaluate(results map[string][]pair, gates []gate) (report string, ok bool, sums []summary) {
 	var b strings.Builder
 	ok = true
 	for _, g := range gates {
-		num, den := ns[g.num], ns[g.den]
-		if num == 0 || den == 0 {
-			fmt.Fprintf(&b, "FAIL %-20s missing row: %s = %g ns/op, %s = %g ns/op\n", g.name, g.num, num, g.den, den)
+		var ratios []float64
+		for _, p := range results[g.name] {
+			if p.num > 0 && p.den > 0 {
+				ratios = append(ratios, p.num/p.den)
+			}
+		}
+		s := summary{Gate: g.name, Pairs: len(ratios), Limit: fmt.Sprintf("%s %.2f", g.op, g.limit)}
+		if len(ratios) == 0 {
+			fmt.Fprintf(&b, "FAIL %-20s missing row: no pair ran both %s and %s\n", g.name, g.num, g.den)
 			ok = false
+			sums = append(sums, s)
 			continue
 		}
-		ratio := num / den
-		pass := ratio >= g.limit
+		q1, med, q3 := quartiles(ratios)
+		s.Median, s.IQR = med, q3-q1
+		s.Pass = med >= g.limit
 		if g.op == "<=" {
-			pass = ratio <= g.limit
+			s.Pass = med <= g.limit
 		}
 		verdict := "ok  "
-		if !pass {
+		if !s.Pass {
 			verdict = "FAIL"
 			ok = false
 		}
-		fmt.Fprintf(&b, "%s %-20s %s %.0f ns/op / %s %.0f ns/op = %.3f (limit %s %.2f)\n",
-			verdict, g.name, g.num, num, g.den, den, ratio, g.op, g.limit)
-		if !pass {
+		fmt.Fprintf(&b, "%s %-20s %s / %s: median %.3f (IQR %.3f-%.3f, %d pairs) (limit %s)\n",
+			verdict, g.name, g.num, g.den, med, q1, q3, len(ratios), s.Limit)
+		if !s.Pass {
 			fmt.Fprintf(&b, "     %s\n", g.why)
 		}
+		sums = append(sums, s)
 	}
-	return b.String(), ok
+	return b.String(), ok, sums
 }
 
-// render writes rows as a JSON array, one row per line.
-func render(rows []row) ([]byte, error) {
+// quartiles returns the first quartile, the median and the third quartile
+// of xs, each the midpoint of the two middle values where there are two.
+func quartiles(xs []float64) (q1, med, q3 float64) {
+	s := slices.Sorted(slices.Values(xs))
+	mid := func(s []float64) float64 { return (s[(len(s)-1)/2] + s[len(s)/2]) / 2 }
+	return mid(s[:(len(s)+1)/2]), mid(s), mid(s[len(s)/2:])
+}
+
+// render writes a JSON array: each leg's median run, in order of first
+// appearance in gates, then each gate's summary, one per line.
+func render(legRows map[string][]row, sums []summary) ([]byte, error) {
+	var items []any
+	seen := map[string]bool{}
+	for _, g := range gates {
+		for _, name := range []string{g.num, g.den} {
+			rs := legRows[name]
+			if seen[name] || len(rs) == 0 {
+				continue
+			}
+			seen[name] = true
+			rs = slices.SortedFunc(slices.Values(rs), func(a, b row) int { return cmp.Compare(a.NsPerOp, b.NsPerOp) })
+			items = append(items, rs[(len(rs)-1)/2])
+		}
+	}
+	for _, s := range sums {
+		items = append(items, s)
+	}
 	var b bytes.Buffer
 	b.WriteString("[\n")
-	for i, r := range rows {
-		line, err := json.Marshal(r)
+	for i, it := range items {
+		line, err := json.Marshal(it)
 		if err != nil {
-			return nil, fmt.Errorf("row %s: %w", r.Name, err)
+			return nil, err
 		}
 		b.WriteString("  ")
 		b.Write(line)
-		if i < len(rows)-1 {
+		if i < len(items)-1 {
 			b.WriteByte(',')
 		}
 		b.WriteByte('\n')

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"maps"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -91,12 +92,16 @@ func TestParseTakesTheFastestRepetitionOfExactlyNamedRows(t *testing.T) {
 	if len(one) != 1 || one[0].Name != "BenchmarkX/top-4" {
 		t.Errorf("GOMAXPROCS=1: %+v", one)
 	}
-	data, err := render(rows)
+	legRows := map[string][]row{}
+	for _, r := range rows {
+		legRows[r.Name] = []row{r}
+	}
+	data, err := render(legRows, nil)
 	var back []map[string]any
 	if err == nil {
 		err = json.Unmarshal(data, &back)
 	}
-	if err != nil || len(back) != len(rows) {
+	if err != nil || len(back) != len(legs) {
 		t.Fatalf("rendered rows do not read back: %v\n%s", err, data)
 	}
 	for _, key := range []string{"name", "iterations", "ns_per_op", "bytes_per_op", "allocs_per_op"} {
@@ -104,6 +109,22 @@ func TestParseTakesTheFastestRepetitionOfExactlyNamedRows(t *testing.T) {
 			t.Errorf("rendered row lacks %q: %v", key, back[0])
 		}
 	}
+}
+
+// paired is a run of n pairs per gate in which every leg reads its value
+// in legs, the gate's numerator scaled by scale[gate] when there is one.
+func paired(n int, legs map[string]float64, scale map[string]float64) map[string][]pair {
+	results := map[string][]pair{}
+	for _, g := range gates {
+		for i := 0; i < n; i++ {
+			num := legs[g.num]
+			if f, ok := scale[g.name]; ok {
+				num *= f
+			}
+			results[g.name] = append(results[g.name], pair{num, legs[g.den]})
+		}
+	}
+	return results
 }
 
 // TestEachGateBites pins the eight thresholds and shows each one decides: a
@@ -128,7 +149,7 @@ func TestEachGateBites(t *testing.T) {
 	if len(gates) != len(want) {
 		t.Fatalf("%d gates, want %d", len(gates), len(want))
 	}
-	if report, ok := evaluate(parse(canned(legs), 4), gates); !ok || strings.Count(report, "\n") != len(gates) {
+	if report, ok, _ := evaluate(paired(pairs, legs, nil), gates); !ok || strings.Count(report, "\n") != len(gates) {
 		t.Fatalf("the passing run must pass with one line per gate:\n%s", report)
 	}
 	for i, w := range want {
@@ -141,18 +162,18 @@ func TestEachGateBites(t *testing.T) {
 		if g.op == ">=" {
 			inside, past = past, inside
 		}
-		edge := legs[g.den] * g.limit
+		edge := g.limit * legs[g.den] / legs[g.num]
 		for _, tc := range []struct {
-			what string
-			legs map[string]float64
-			pass bool
+			what    string
+			results map[string][]pair
+			pass    bool
 		}{
-			{"numerator just inside the limit", with(g.num, edge*inside), true},
-			{"numerator just past the limit", with(g.num, edge*past), false},
-			{"numerator row missing", with(g.num, 0), false},
-			{"denominator row missing", with(g.den, 0), false},
+			{"numerator just inside the limit", paired(pairs, legs, map[string]float64{g.name: edge * inside}), true},
+			{"numerator just past the limit", paired(pairs, legs, map[string]float64{g.name: edge * past}), false},
+			{"numerator row missing", paired(pairs, with(g.num, 0), nil), false},
+			{"denominator row missing", paired(pairs, with(g.den, 0), nil), false},
 		} {
-			report, ok := evaluate(parse(canned(tc.legs), 4), gates)
+			report, ok, _ := evaluate(tc.results, gates)
 			if ok != tc.pass {
 				t.Errorf("%s, %s: passed=%v, want %v\n%s", g.name, tc.what, ok, tc.pass, report)
 			}
@@ -163,5 +184,89 @@ func TestEachGateBites(t *testing.T) {
 				t.Errorf("%s, %s: exactly this gate should fail\n%s", g.name, tc.what, report)
 			}
 		}
+	}
+}
+
+// TestGateReadsTheMedianPair: a gate holds the median of its pairs' ratios
+// to its limit, so fewer than half the pairs past it (a load phase on one
+// leg) pass and more than half fail; the summary carries the median, the
+// IQR and the pair count, and a pair missing a leg does not count.
+func TestGateReadsTheMedianPair(t *testing.T) {
+	g := gates[2] // adhoc-vs-prepared, <= 1.3
+	run := func(ratios ...float64) (bool, summary) {
+		results := map[string][]pair{}
+		for _, r := range ratios {
+			results[g.name] = append(results[g.name], pair{r * 1000, 1000})
+		}
+		results[g.name] = append(results[g.name], pair{0, 1000}, pair{1000, 0})
+		_, _, sums := evaluate(results, []gate{g})
+		return sums[0].Pass, sums[0]
+	}
+	if ok, s := run(1.1, 1.9, 1.2, 2.5, 1.0, 1.6, 1.25); !ok || s.Median != 1.25 || s.Pairs != 7 {
+		t.Errorf("3 of 7 pairs past the limit: %+v, want a pass on the median 1.25 over 7 pairs", s)
+	}
+	if ok, s := run(1.1, 1.9, 1.35, 2.5, 1.0, 1.6, 1.25); ok || s.Median != 1.35 {
+		t.Errorf("4 of 7 pairs past the limit: %+v, want a failure on the median 1.35", s)
+	}
+	for _, tc := range []struct {
+		xs          []float64
+		q1, med, q3 float64
+	}{
+		{[]float64{3}, 3, 3, 3},
+		{[]float64{4, 1, 3, 2}, 1.5, 2.5, 3.5},
+		{[]float64{5, 1, 4, 2, 3}, 2, 3, 4},
+	} {
+		if q1, med, q3 := quartiles(tc.xs); q1 != tc.q1 || med != tc.med || q3 != tc.q3 {
+			t.Errorf("quartiles(%v) = %v, %v, %v; want %v, %v, %v", tc.xs, q1, med, q3, tc.q1, tc.med, tc.q3)
+		}
+	}
+	_, _, sums := evaluate(paired(pairs, legs, nil), gates)
+	data, err := render(nil, sums)
+	var back []map[string]any
+	if err == nil {
+		err = json.Unmarshal(data, &back)
+	}
+	if err != nil || len(back) != len(gates) {
+		t.Fatalf("gate rows do not read back: %v\n%s", err, data)
+	}
+	for _, key := range []string{"gate", "ratio_median", "ratio_iqr", "pairs", "limit", "pass"} {
+		if _, ok := back[0][key]; !ok {
+			t.Errorf("gate row lacks %q: %v", key, back[0])
+		}
+	}
+}
+
+// TestScheduleAlternatesSeededPairs: every gate runs its pairs in order,
+// one pair of each gate before the next pair of any, both legs of a pair
+// side by side; each order, numerator first or denominator first, comes up
+// for every gate, and a seed always draws the same schedule.
+func TestScheduleAlternatesSeededPairs(t *testing.T) {
+	steps := schedule(seed, pairs, len(gates))
+	if len(steps) != pairs*len(gates) {
+		t.Fatalf("%d steps, want %d", len(steps), pairs*len(gates))
+	}
+	swapped := make([]int, len(gates))
+	for i, st := range steps {
+		if st.pair != i/len(gates) || st.gate != i%len(gates) {
+			t.Fatalf("step %d is gate %d pair %d, want gate %d pair %d", i, st.gate, st.pair, i%len(gates), i/len(gates))
+		}
+		legs := st.legs(gates[st.gate])
+		if (legs[0] == gates[st.gate].den) != st.swapped || legs[0] == legs[1] {
+			t.Fatalf("step %d runs %v for %+v", i, legs, st)
+		}
+		if st.swapped {
+			swapped[st.gate]++
+		}
+	}
+	for g, n := range swapped {
+		if n == 0 || n == pairs {
+			t.Errorf("gate %s runs its numerator first in %d of %d pairs", gates[g].name, pairs-n, pairs)
+		}
+	}
+	if !slices.Equal(steps, schedule(seed, pairs, len(gates))) {
+		t.Error("the same seed drew two schedules")
+	}
+	if slices.Equal(steps, schedule(seed+1, pairs, len(gates))) {
+		t.Error("another seed drew the same schedule")
 	}
 }

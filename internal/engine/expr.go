@@ -22,6 +22,7 @@ type evalCtx struct {
 	// referencing a column twice materializes it once.
 	gathered map[*storage.Column]*storage.Column
 	folded   map[*sqlparse.FuncCall]*storage.Column // foldGroup's results
+	lazy     *vec.Counted                           // non-nil: the rows are its, sel is nil
 }
 
 // newCtx builds an evaluation context over a table view.
@@ -42,6 +43,9 @@ func (f *frame) pol() vec.Pol {
 
 // rows is the context's logical row count.
 func (ctx *evalCtx) rows() int {
+	if ctx.lazy != nil {
+		return ctx.lazy.Len()
+	}
 	if ctx.sel != nil {
 		return len(ctx.sel)
 	}
@@ -63,15 +67,6 @@ func (ctx *evalCtx) view(col *storage.Column) *storage.Column {
 	}
 	ctx.gathered[col] = g
 	return g
-}
-
-// morsel is the context over the logical rows [lo,hi) of ctx's view: a
-// slice of its selection, or of its source's rows when it has none.
-func (ctx *evalCtx) morsel(lo, hi int) *evalCtx {
-	if ctx.sel != nil {
-		return &evalCtx{src: ctx.src, sel: ctx.sel[lo:hi]}
-	}
-	return &evalCtx{src: ctx.src.SliceRows(lo, hi)}
 }
 
 // column resolves a column reference against the context's logical view.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -190,8 +191,8 @@ func testWholeBatchUDFAnswers(t *testing.T, c *Conn) {
 // TestFoldGroupPicksMorselSafeAggregates: a group folds, in morsels, the
 // aggregates over an expression of columns, literals and element-wise GO
 // UDFs, and leaves a bare column, COUNT(*), a plain GO UDF and a subquery
-// to aggregateOver's whole view; with one worker, or under two morsels of
-// rows, it folds none.
+// to aggregateOver's whole view, with one worker as with four; under two
+// morsels of rows it folds none.
 func TestFoldGroupPicksMorselSafeAggregates(t *testing.T) {
 	c := foldConn(t, 1000)
 	if err := c.DB.RegisterGoUDFElementwise("twice", func(x []int64) []int64 { return x }); err != nil {
@@ -210,7 +211,7 @@ func TestFoldGroupPicksMorselSafeAggregates(t *testing.T) {
 	for _, tc := range []struct {
 		workers, rows int
 		want          []string
-	}{{4, 1000, want}, {1, 1000, nil}, {4, 127, nil}} {
+	}{{4, 1000, want}, {1, 1000, want}, {4, 127, nil}} {
 		c.DB.workers = tc.workers
 		f := &frame{Conn: c}
 		ctx := newCtx(must(c.DB.cat.Table("t")), nil)
@@ -426,6 +427,11 @@ func wholeViewItem(t *testing.T, f *frame, ctx *evalCtx, e sqlparse.Expr) *stora
 // view's rows), then one call of the aggregation kernel.
 func wholeView(t *testing.T, f *frame, ctx *evalCtx, call *sqlparse.FuncCall) *storage.Column {
 	t.Helper()
+	if call.Star {
+		out := storage.NewColumn("", storage.TInt)
+		out.AppendInt(int64(ctx.rows()))
+		return out
+	}
 	arg := call.Args[0]
 	col := must(f.evalExpr(ctx, arg))
 	if n := ctx.rows(); col.Len() == 1 && n != 1 && !exprIsColumnar(arg) {
@@ -487,4 +493,109 @@ func bitIdentical(got, want *storage.Table) error {
 		}
 	}
 	return nil
+}
+
+// TestFilteredAggregateBuildsNoSelection: an ungrouped aggregate filtered
+// by one column-vs-literal conjunct counts the qualifying rows and fills
+// each morsel of them into a worker's own buffer, so a statement allocates
+// less than one table-sized int32 selection would take.
+func TestFilteredAggregateBuildsNoSelection(t *testing.T) {
+	const rows = 200_000
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			c := foldConn(t, rows)
+			c.DB.workers, c.DB.morselSize = workers, 0
+			stmt, err := c.Prepare(`SELECT COUNT(*) AS n, SUM(i) AS s, MIN(i) AS m FROM t WHERE i < ?`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const bound, runs = rows / 2, 8
+			var before, after runtime.MemStats
+			for k := 0; k <= runs; k++ {
+				if k == 1 {
+					runtime.ReadMemStats(&before)
+				}
+				r, err := stmt.Query(int64(bound))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n, s, m := r.Table.Cols[0].Ints[0], r.Table.Cols[1].Ints[0], r.Table.Cols[2].Ints[0]; n != bound || s != bound*(bound-1)/2 || m != 0 {
+					t.Fatalf("COUNT(*), SUM(i), MIN(i) = %d, %d, %d; want %d, %d, 0", n, s, m, bound, bound*(bound-1)/2)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			per := (after.TotalAlloc - before.TotalAlloc) / runs
+			t.Logf("%d bytes per statement", per)
+			if per >= 4*rows {
+				t.Errorf("%d bytes allocated per statement, want fewer than %d (one int32 per row)", per, 4*rows)
+			}
+		})
+	}
+}
+
+// TestLazyFilterFoldIsBitIdentical: an aggregate over a WHERE of one
+// fused conjunct, whose qualifying rows are counted and filled morsel by
+// morsel instead of built, answers bit for bit what wholeViewSelect answers
+// over the built selection. Its rows are scattered at about 5, 50 and 95
+// percent, so morsels of the qualifying rows start inside blocks of the
+// table; floats hold NULLs, -0.0 and +0.0, and x NaN too (y has none, so
+// its sums show where the partials split). With no row qualifying —
+// an empty range, a NULL literal or a NULL bind — it answers, typed alike,
+// what the same query over two conjuncts, which builds the selection,
+// answers.
+func TestLazyFilterFoldIsBitIdentical(t *testing.T) {
+	const items = `COUNT(*) AS n, SUM(y) AS a, AVG(y) AS b, MIN(x) AS c, MAX(x) AS d,
+		SUM(y * 1.5) AS e, AVG(x - 0.25) AS g, MIN(y + 1.0) AS h, MAX(k) AS m, COUNT(x) AS cx`
+	const rows = 1500
+	rng := rand.New(rand.NewSource(47))
+	k, r := storage.NewColumn("k", storage.TInt), storage.NewColumn("r", storage.TInt)
+	x, y := storage.NewColumn("x", storage.TFloat), storage.NewColumn("y", storage.TFloat)
+	specials := []float64{math.Copysign(0, -1), 0, math.NaN()}
+	for i := 0; i < rows; i++ {
+		k.AppendInt(int64(i))
+		r.AppendInt(rng.Int63n(100))
+		for _, col := range []*storage.Column{x, y} {
+			switch v := rng.Intn(12); {
+			case v == 0:
+				col.AppendNull()
+			case v < 4 && (col == x || v < 3):
+				col.AppendFloat(specials[v-1])
+			default:
+				col.AppendFloat(rng.NormFloat64() * 1e3) // not exactly summable
+			}
+		}
+	}
+	for _, workers := range []int{1, 2, 4} {
+		for _, morsel := range []int{16, 64} {
+			c := newTestConn()
+			c.DB.workers, c.DB.morselSize = workers, morsel
+			tbl := &storage.Table{Name: "t", Cols: []*storage.Column{k.Clone(), r.Clone(), x.Clone(), y.Clone()}}
+			if err := c.DB.RegisterTable(tbl); err != nil {
+				t.Fatal(err)
+			}
+			for _, where := range []string{"r < 5", "r >= 50", "r < 95", "r >= 0", "x > 0.0", "k <> 700"} {
+				sql := `SELECT ` + items + ` FROM t WHERE ` + where
+				got := mustExec(t, c, sql)
+				if err := bitIdentical(got.Table, wholeViewSelect(t, c, sql, nil)); err != nil {
+					t.Errorf("workers=%d morsel=%d %s: %v", workers, morsel, where, err)
+				}
+			}
+			for _, tc := range []struct {
+				where string
+				binds []any
+			}{{"r > 100", nil}, {"r < NULL", nil}, {"r < ?", []any{nil}}} {
+				stmt := must(c.Prepare(`SELECT ` + items + ` FROM t WHERE ` + tc.where))
+				got := must(stmt.Query(tc.binds...))
+				built := must(c.Prepare(`SELECT ` + items + ` FROM t WHERE ` + tc.where + ` AND ` + tc.where))
+				want := must(built.Query(append(tc.binds, tc.binds...)...))
+				if err := bitIdentical(got.Table, want.Table); err != nil {
+					t.Errorf("workers=%d morsel=%d %s: %v", workers, morsel, tc.where, err)
+				}
+				if n, a, m := got.Table.Cols[0].Ints[0], got.Table.Cols[1], got.Table.Cols[3]; n != 0 || !a.IsNull(0) || !m.IsNull(0) || m.Typ != storage.TFloat {
+					t.Errorf("workers=%d morsel=%d %s: COUNT(*), SUM(y), MIN(x) = %d, %v, %v (%s); want 0, NULL, NULL (DOUBLE)",
+						workers, morsel, tc.where, n, a.Value(0), m.Value(0), m.Typ)
+				}
+			}
+		}
+	}
 }

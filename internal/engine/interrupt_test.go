@@ -48,6 +48,7 @@ func TestInterruptStopsEveryPipeline(t *testing.T) {
 		{"order by", `SELECT x FROM t ORDER BY trip(x)`},
 		{"distinct", `SELECT DISTINCT trip(x) FROM t`},
 		{"table udf in from", `SELECT trip(a) FROM trip_pair((SELECT x FROM t))`},
+		{"filtered aggregate", `SELECT SUM(trip(x)) FROM t WHERE x > 3`},
 	}
 	drivers := []struct {
 		name    string

@@ -111,6 +111,13 @@ func FuzzAggregateRelations(f *testing.F) {
 	}
 	f.Add(int64(45), uint16(5), uint8(1), int8(1))
 	f.Add(int64(46), uint16(0), uint8(2), int8(3))
+	// 250 rows and one comparison with a literal (i <= 7, j <> 1, i = -4,
+	// j > NULL): the WHERE p query counts and fills its rows, and morsels
+	// of 16 and 64 of them start inside the table's blocks
+	f.Add(int64(140), uint16(250), uint8(0), int8(5))
+	f.Add(int64(109), uint16(250), uint8(4), int8(-3))
+	f.Add(int64(169), uint16(550), uint8(0), int8(0))
+	f.Add(int64(202), uint16(250), uint8(8), int8(2))
 	f.Fuzz(func(t *testing.T, seed int64, rows uint16, depth uint8, k int8) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(rows) % 300

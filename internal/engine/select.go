@@ -22,7 +22,9 @@ import (
 // build, never as an intermediate table. An aggregate may fold an
 // expression argument morsel by morsel on the workers (foldGroup), calling
 // an element-wise GO UDF under it once per morsel; a constant argument
-// counts every row. LIMIT slices the result columns in place.
+// counts every row. An ungrouped aggregate whose WHERE is one such
+// conjunct builds no selection: lazyFilter counts the rows, foldGroup
+// fills each morsel of them. LIMIT slices the result columns in place.
 func (f *frame) evalSelect(sel *sqlparse.Select) (*storage.Table, error) {
 	src, err := f.evalFrom(sel.From)
 	if err != nil {
@@ -39,10 +41,13 @@ func (f *frame) evalSelect(sel *sqlparse.Select) (*storage.Table, error) {
 		return nil, err
 	}
 
-	// WHERE
+	// WHERE; the checkpoint after it keeps a stopped count from sizing a fold
 	var selv []int32
+	var lazy *vec.Counted
 	if sel.Where != nil && src != nil {
-		src, selv, err = f.filter(src, sel.Where)
+		if lazy = f.lazyFilter(sel, src); lazy == nil {
+			src, selv, err = f.filter(src, sel.Where)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -53,7 +58,7 @@ func (f *frame) evalSelect(sel *sqlparse.Select) (*storage.Table, error) {
 
 	var result *storage.Table
 	if len(sel.GroupBy) > 0 || hasAggregate(sel.Items) {
-		result, err = f.evalAggregateSelect(sel, src, selv)
+		result, err = f.evalAggregateSelect(sel, src, selv, lazy)
 	} else {
 		if sel.Having != nil {
 			return nil, core.Errorf(core.KindSyntax, "HAVING requires GROUP BY or aggregates")
@@ -139,48 +144,7 @@ type fastConjunct struct {
 // the conjunct selections. ok=false falls back to the generic predicate
 // path without having run any kernel.
 func (f *frame) tryFilterFast(src *storage.Table, where sqlparse.Expr) ([]int32, bool, error) {
-	var conjs []sqlparse.Expr
-	var flatten func(e sqlparse.Expr)
-	flatten = func(e sqlparse.Expr) {
-		if b, ok := e.(*sqlparse.BinaryExpr); ok && b.Op == "AND" {
-			flatten(b.L)
-			flatten(b.R)
-			return
-		}
-		conjs = append(conjs, e)
-	}
-	flatten(where)
-	// validate every conjunct's shape before running any kernel
-	plan := make([]fastConjunct, 0, len(conjs))
-	for _, e := range conjs {
-		b, ok := e.(*sqlparse.BinaryExpr)
-		if !ok || !isCmpOp(b.Op) {
-			return nil, false, nil
-		}
-		op := cmpOpOf(b.Op)
-		refE, litE := b.L, b.R
-		ref, isRef := refE.(*sqlparse.ColRef)
-		if !isRef {
-			refE, litE = b.R, b.L
-			ref, isRef = refE.(*sqlparse.ColRef)
-			if !isRef {
-				return nil, false, nil
-			}
-			op = op.Mirror()
-		}
-		lit, ok := f.literalColumn(litE)
-		if !ok {
-			return nil, false, nil
-		}
-		col, err := src.Column(ref.Name)
-		if err != nil {
-			return nil, false, nil // generic path surfaces the name error
-		}
-		if !vec.Fusable(col, lit) {
-			return nil, false, nil
-		}
-		plan = append(plan, fastConjunct{op: op, col: col, lit: lit})
-	}
+	plan := f.fastPlan(src, where)
 	if len(plan) == 0 {
 		return nil, false, nil
 	}
@@ -201,6 +165,73 @@ func (f *frame) tryFilterFast(src *storage.Table, where sqlparse.Expr) ([]int32,
 		}
 	}
 	return selv, true, nil
+}
+
+// fastPlan validates every conjunct of the fused filter shape before any
+// kernel runs, or answers nil.
+func (f *frame) fastPlan(src *storage.Table, where sqlparse.Expr) []fastConjunct {
+	var conjs []sqlparse.Expr
+	var flatten func(e sqlparse.Expr)
+	flatten = func(e sqlparse.Expr) {
+		if b, ok := e.(*sqlparse.BinaryExpr); ok && b.Op == "AND" {
+			flatten(b.L)
+			flatten(b.R)
+			return
+		}
+		conjs = append(conjs, e)
+	}
+	flatten(where)
+	plan := make([]fastConjunct, 0, len(conjs))
+	for _, e := range conjs {
+		b, ok := e.(*sqlparse.BinaryExpr)
+		if !ok || !isCmpOp(b.Op) {
+			return nil
+		}
+		op := cmpOpOf(b.Op)
+		refE, litE := b.L, b.R
+		ref, isRef := refE.(*sqlparse.ColRef)
+		if !isRef {
+			refE, litE = b.R, b.L
+			ref, isRef = refE.(*sqlparse.ColRef)
+			if !isRef {
+				return nil
+			}
+			op = op.Mirror()
+		}
+		lit, ok := f.literalColumn(litE)
+		if !ok {
+			return nil
+		}
+		col, err := src.Column(ref.Name)
+		if err != nil {
+			return nil // generic path surfaces the name error
+		}
+		if !vec.Fusable(col, lit) {
+			return nil
+		}
+		plan = append(plan, fastConjunct{op: op, col: col, lit: lit})
+	}
+	return plan
+}
+
+// lazyFilter is a filtered aggregate's first pass: for an ungrouped SELECT
+// without HAVING or ORDER BY whose columns are all under aggregates that
+// foldGroup folds, and a WHERE of one fused conjunct, it counts the rows
+// (storing none) that foldGroup fills morsel by morsel; else nil.
+func (f *frame) lazyFilter(sel *sqlparse.Select, src *storage.Table) *vec.Counted {
+	if len(sel.GroupBy) > 0 || sel.Having != nil || len(sel.OrderBy) > 0 || !hasAggregate(sel.Items) {
+		return nil
+	}
+	if b, ok := sel.Where.(*sqlparse.BinaryExpr); ok && b.Op == "AND" {
+		return nil
+	}
+	if _, all := f.foldCalls(sel.Items, true); !all {
+		return nil
+	}
+	if plan := f.fastPlan(src, sel.Where); len(plan) == 1 {
+		return vec.CountCompareConst(f.pol(), plan[0].op, plan[0].col, plan[0].lit)
+	}
+	return nil
 }
 
 func isCmpOp(op string) bool {
@@ -461,44 +492,45 @@ func mergeParts(name string, parts []aggPart) (*storage.Column, error) {
 	return out, nil
 }
 
-// foldGroup folds the group's aggregates over a morselSafe expression into
-// ctx.folded when the view spans two morsels and several workers share
-// them (one gains nothing, as a UDF call does not split for it either).
-// The rows split into the kernels' own morsels; each worker evaluates
-// every argument over one context per morsel, gathering a column once for
-// them all, and reduces it to a partial at once. They merge in morsel order.
+// foldGroup folds the group's aggregates over a morselSafe expression
+// (over a lazy filter, which only a fold can read, every one but COUNT(*))
+// into ctx.folded when the view spans two morsels or is a lazy filter's.
+// At any worker count the rows split into the kernels' own morsels of the
+// view, so each partial covers what it covers over a built selection. A
+// worker gathers a column once per morsel for all arguments, into its own
+// buffers (fillMorsel), and reduces each argument to a partial before the
+// next morsel reuses them. The partials merge in morsel order.
 func (f *frame) foldGroup(ctx *evalCtx, items []sqlparse.SelectItem) error {
 	p, n := f.pol(), ctx.rows()
-	if p.NumWorkers() < 2 || n < 2*p.Morsel() {
+	if ctx.lazy != nil && n == 0 {
+		// no row qualifies: the empty whole view types every aggregate
+		ctx.lazy, ctx.sel = nil, []int32{}
+	}
+	if ctx.lazy == nil && n < 2*p.Morsel() {
 		return nil
 	}
-	var calls []*sqlparse.FuncCall
-	for _, item := range items {
-		sqlparse.EditExpr(item.Expr, func(x sqlparse.Expr) (sqlparse.Expr, bool) {
-			call, ok := x.(*sqlparse.FuncCall)
-			if !ok || !sqlparse.IsAggregate(call.Name) {
-				_, sub := x.(*sqlparse.Subquery)
-				return x, !sub
-			}
-			if len(call.Args) == 1 {
-				if _, ref := call.Args[0].(*sqlparse.ColRef); !ref && f.morselSafe(call.Args[0]) {
-					calls = append(calls, call)
-				}
-			}
-			return x, false
-		})
-	}
+	calls, _ := f.foldCalls(items, ctx.lazy != nil)
 	if len(calls) == 0 {
 		return nil
 	}
 	nm := p.NumMorsels(n)
 	parts, errs := make([]aggPart, len(calls)*nm), make([]error, len(calls)*nm)
+	workers := make(chan *evalCtx, min(p.NumWorkers(), nm))
+	for range cap(workers) {
+		mc := &evalCtx{src: ctx.src}
+		if ctx.lazy != nil {
+			mc.sel = make([]int32, 0, min(p.Morsel(), n))
+		}
+		workers <- mc
+	}
 	view := *ctx // the workers' copy: ctx itself stays off the heap
 	p.RunIdx(n, func(m, lo, hi int) {
-		mc := view.morsel(lo, hi)
+		mc := <-workers
+		view.fillMorsel(mc, lo, hi)
 		for c, call := range calls {
 			parts[c*nm+m], errs[c*nm+m] = f.foldMorsel(mc, p, strings.ToLower(call.Name), call.Args[0])
 		}
+		workers <- mc
 	})
 	// A stopped run leaves the unclaimed morsels' partials empty.
 	if err := f.interruptErr(); err != nil {
@@ -520,6 +552,59 @@ func (f *frame) foldGroup(ctx *evalCtx, items []sqlparse.SelectItem) error {
 		ctx.folded[call] = col
 	}
 	return nil
+}
+
+// fillMorsel points mc, a worker's context, at the logical rows [lo,hi)
+// of ctx's view (filled into mc's buffer from a lazy filter) and refills in
+// place what mc gathered for its last morsel: the arguments are the same.
+func (ctx *evalCtx) fillMorsel(mc *evalCtx, lo, hi int) {
+	switch {
+	case ctx.lazy != nil:
+		mc.sel = mc.sel[:hi-lo]
+		ctx.lazy.Fill(mc.sel, lo)
+	case ctx.sel != nil:
+		mc.sel = ctx.sel[lo:hi]
+	default:
+		mc.src = ctx.src.SliceRows(lo, hi)
+	}
+	for col, g := range mc.gathered {
+		col.GatherInto(g, mc.sel)
+	}
+}
+
+// foldCalls lists the items' aggregates outside subqueries that foldGroup
+// folds: over a morselSafe expression, or a bare column if lazy. all: every
+// other one is COUNT(*), and no column, subquery or * is outside them.
+func (f *frame) foldCalls(items []sqlparse.SelectItem, lazy bool) (calls []*sqlparse.FuncCall, all bool) {
+	all = true
+	for _, item := range items {
+		if item.Star {
+			all = false
+			continue
+		}
+		sqlparse.EditExpr(item.Expr, func(x sqlparse.Expr) (sqlparse.Expr, bool) {
+			call, ok := x.(*sqlparse.FuncCall)
+			if !ok || !sqlparse.IsAggregate(call.Name) {
+				_, sub := x.(*sqlparse.Subquery)
+				_, ref := x.(*sqlparse.ColRef)
+				all = all && !sub && !ref
+				return x, !sub
+			}
+			switch {
+			case call.Star && len(call.Args) == 0 && strings.EqualFold(call.Name, "count"):
+			case len(call.Args) != 1:
+				all = false
+			default:
+				if _, ref := call.Args[0].(*sqlparse.ColRef); ref && lazy || !ref && f.morselSafe(call.Args[0]) {
+					calls = append(calls, call)
+				} else {
+					all = all && ref
+				}
+			}
+			return x, false
+		})
+	}
+	return calls, all
 }
 
 // foldMorsel reduces an aggregate's argument over a morsel, or the whole
@@ -597,7 +682,7 @@ func (f *frame) morselSafe(arg sqlparse.Expr) bool {
 // ungrouped query, one per key otherwise. Items evaluate over a context
 // on that selection, so aggregation kernels fold the base columns through
 // it and other references gather only the columns they name.
-func (f *frame) evalAggregateSelect(sel *sqlparse.Select, src *storage.Table, selv []int32) (*storage.Table, error) {
+func (f *frame) evalAggregateSelect(sel *sqlparse.Select, src *storage.Table, selv []int32, lazy *vec.Counted) (*storage.Table, error) {
 	if src == nil {
 		return nil, core.Errorf(core.KindSyntax, "aggregates require a FROM clause")
 	}
@@ -648,7 +733,7 @@ func (f *frame) evalAggregateSelect(sel *sqlparse.Select, src *storage.Table, se
 		if err := f.interruptErr(); err != nil {
 			return nil, err
 		}
-		ctx := newCtx(src, g)
+		ctx := &evalCtx{src: src, sel: g, lazy: lazy}
 		if err := f.foldGroup(ctx, sel.Items); err != nil {
 			return nil, err
 		}

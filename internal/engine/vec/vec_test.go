@@ -2,6 +2,7 @@ package vec
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -304,6 +305,71 @@ func TestKernelOutputsZeroUnderNulls(t *testing.T) {
 			}
 			if row := nonZeroUnderNull(out); row >= 0 {
 				t.Errorf("%s (%d workers): row %d is NULL but its value slot is not zero", name, p.Workers, row)
+			}
+		}
+	}
+}
+
+// TestCountedFillsWhatSelectCompareConstSelects: for every operator, over
+// ints, floats with NaN and -0.0, strings, with and without NULLs, and at
+// several morsel sizes, Counted counts the rows SelectCompareConst selects
+// and fills every run of them, from any first row and of any length.
+func TestCountedFillsWhatSelectCompareConstSelects(t *testing.T) {
+	const n = 3000
+	ints, flts, strs := storage.NewColumn("", storage.TInt), storage.NewColumn("", storage.TFloat), storage.NewColumn("", storage.TStr)
+	nullable := storage.NewColumn("", storage.TInt)
+	for i := 0; i < n; i++ {
+		v := int64(i*7919%13) - 6
+		ints.AppendInt(v)
+		strs.AppendStr(string(rune('a' + v + 6)))
+		switch i % 11 {
+		case 3:
+			flts.AppendFloat(math.NaN())
+		case 5:
+			flts.AppendFloat(math.Copysign(0, -1))
+		default:
+			flts.AppendFloat(float64(v) / 2)
+		}
+		if i%5 == 2 {
+			nullable.AppendNull()
+		} else {
+			nullable.AppendInt(v)
+		}
+	}
+	lit := func(v any) *storage.Column {
+		c, err := storage.BindValue(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	cases := []struct {
+		col, lit *storage.Column
+	}{
+		{ints, lit(int64(1))}, {flts, lit(0.0)}, {flts, lit(int64(-2))}, {strs, lit("f")},
+		{nullable, lit(int64(-3))}, {ints, lit(int64(100))}, {ints, lit(nil)},
+	}
+	for _, p := range []Pol{Serial, {Workers: 3, MorselSize: 16}, {Workers: 2, MorselSize: 2048}} {
+		for ci, tc := range cases {
+			for op := CmpEq; op <= CmpGe; op++ {
+				want, handled := SelectCompareConst(p, op, tc.col, tc.lit)
+				if !handled {
+					t.Fatalf("case %d: not fusable", ci)
+				}
+				c := CountCompareConst(p, op, tc.col, tc.lit)
+				if c.Len() != len(want) {
+					t.Fatalf("case %d op %d morsel %d: counted %d, selected %d", ci, op, p.Morsel(), c.Len(), len(want))
+				}
+				for _, size := range []int{1, 7, 64, 1500} {
+					for first := 0; first < len(want); first += size/2 + 1 {
+						dst := make([]int32, min(size, len(want)-first))
+						c.Fill(dst, first)
+						if w := want[first : first+len(dst)]; !slices.Equal(dst, w) {
+							t.Fatalf("case %d op %d morsel %d: Fill(%d rows from %d) = %v, want %v",
+								ci, op, p.Morsel(), len(dst), first, dst, w)
+						}
+					}
+				}
 			}
 		}
 	}

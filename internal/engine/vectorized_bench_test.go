@@ -41,12 +41,15 @@ func buildFilterAggregateDB(b *testing.B, rows int) *Conn {
 // BenchmarkFilterAggregate is the vectorized core's headline number: a
 // filtered aggregate over 1M rows through three execution strategies —
 // the scalar reference (the refSelect oracle: row-at-a-time kernels,
-// immediate gather), the vectorized single-threaded path (fused
-// compare-select into a selection vector consumed by typed aggregation
-// kernels), and the morsel-parallel path across all cores. The CI gate
-// is ≥5x for vectorized over scalar-reference in the same run. The go-udf
-// legs sum an element-wise GO UDF over the selection, which the aggregate
-// folds morsel by morsel: no table-sized gather, no stitched UDF result.
+// immediate gather), the vectorized single-threaded path (typed
+// aggregation kernels over the qualifying rows), and the morsel-parallel
+// path across all cores. The CI gate is ≥5x for vectorized over
+// scalar-reference. Every engine leg filters on one conjunct, so none
+// builds its selection: a count pass, then a fill of each morsel of the
+// qualifying rows into a worker's buffer. The go-udf legs sum
+// an element-wise GO UDF over them, which the aggregate folds morsel by
+// morsel at one worker as at several: no table-sized selection or gather,
+// no stitched UDF result.
 func BenchmarkFilterAggregate(b *testing.B) {
 	const rows = 1_000_000
 	const query = `SELECT COUNT(*) AS n, SUM(i) AS si, AVG(f) AS af FROM big WHERE f > 0.5`

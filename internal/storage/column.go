@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/core"
@@ -416,60 +417,57 @@ func (c *Column) Clone() *Column {
 	return out
 }
 
-// gatherIdx is the shared typed gather: output buffers sized up front,
-// branch-free value loops, and a validity bitmap only when a gathered
-// row is actually NULL.
-func gatherIdx[I int | int32](c *Column, idx []I) *Column {
-	out := &Column{Name: c.Name, Typ: c.Typ}
-	n := len(idx)
+// gatherInto is the shared typed gather: out's buffers reused when large
+// enough, branch-free value loops, and a validity bitmap only when a
+// gathered row is actually NULL.
+func gatherInto[I int | int32](out, c *Column, idx []I) *Column {
+	out.Name, out.Typ = c.Name, c.Typ
 	switch c.Typ {
 	case TInt:
-		out.Ints = make([]int64, n)
-		for o, i := range idx {
-			out.Ints[o] = c.Ints[i]
-		}
+		out.Ints = gatherVals(out.Ints, c.Ints, idx)
 	case TFloat:
-		out.Flts = make([]float64, n)
-		for o, i := range idx {
-			out.Flts[o] = c.Flts[i]
-		}
+		out.Flts = gatherVals(out.Flts, c.Flts, idx)
 	case TStr:
-		out.Strs = make([]string, n)
-		for o, i := range idx {
-			out.Strs[o] = c.Strs[i]
-		}
+		out.Strs = gatherVals(out.Strs, c.Strs, idx)
 	case TBool:
-		out.Bools = make([]bool, n)
-		for o, i := range idx {
-			out.Bools[o] = c.Bools[i]
-		}
+		out.Bools = gatherVals(out.Bools, c.Bools, idx)
 	case TBlob:
-		out.Blobs = make([][]byte, n)
-		for o, i := range idx {
-			out.Blobs[o] = c.Blobs[i]
-		}
+		out.Blobs = gatherVals(out.Blobs, c.Blobs, idx)
 	}
+	var nulls []bool
 	if c.Nulls != nil {
-		nulls := make([]bool, n)
-		any := false
-		for o, i := range idx {
-			nulls[o] = c.Nulls[i]
-			any = any || c.Nulls[i]
-		}
-		if any {
-			out.Nulls = nulls
+		nulls = gatherVals(out.Nulls, c.Nulls, idx)
+		if !slices.Contains(nulls, true) {
+			nulls = nil
 		}
 	}
+	out.Nulls = nulls
 	return out
+}
+
+func gatherVals[T any, I int | int32](dst, src []T, idx []I) []T {
+	if dst == nil || cap(dst) < len(idx) {
+		dst = make([]T, len(idx))
+	}
+	dst = dst[:len(idx)]
+	for o, i := range idx {
+		dst[o] = src[i]
+	}
+	return dst
 }
 
 // Gather returns a new column holding the rows at the given indexes, in
 // order. Used by filters, sampling and ORDER BY.
-func (c *Column) Gather(idx []int) *Column { return gatherIdx(c, idx) }
+func (c *Column) Gather(idx []int) *Column { return gatherInto(&Column{}, c, idx) }
 
 // GatherSel is Gather over an int32 selection vector — the filter path's
 // materialization step, deferred until a result column is actually built.
-func (c *Column) GatherSel(sel []int32) *Column { return gatherIdx(c, sel) }
+func (c *Column) GatherSel(sel []int32) *Column { return gatherInto(&Column{}, c, sel) }
+
+// GatherInto is GatherSel into dst, a column the caller owns and reuses:
+// each of dst's buffers that holds len(sel) rows is overwritten in place,
+// so a morsel-sized gather allocates once per buffer, not once per morsel.
+func (c *Column) GatherInto(dst *Column, sel []int32) { gatherInto(dst, c, sel) }
 
 // BroadcastTo replicates a length-1 column to n rows with pre-sized
 // buffers — the projection/grouping broadcast that previously gathered

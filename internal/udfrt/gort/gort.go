@@ -33,7 +33,10 @@
 // registration, and an answer whose length is not its input's row count
 // is a constraint error at the call, whatever the worker count. A breach
 // no check can see (a prefix sum answers one value per row) restarts at
-// every morsel. Plain Register keeps one call per batch.
+// every morsel. Plain Register keeps one call per batch. An element-wise
+// function's answer may alias its argument (return x): the engine reduces
+// each morsel's answer before it reuses that morsel's argument buffers for
+// the next one.
 //
 // CONTRACT — argument slices are READ-ONLY. The zero-copy fast path may
 // hand a function the engine's own storage vectors (a column reference
