@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
 	"repro/internal/transform"
+	"repro/internal/udfrt/gort"
 	"repro/internal/udfrt/pyrt"
 	"repro/internal/wire"
 )
@@ -24,6 +26,22 @@ type Client struct {
 	Project  *Project
 
 	pool *wire.Pool
+	// native maps a lower-cased symbol to the Go function RegisterGoUDF
+	// gave this client: what its local runs of LANGUAGE GO UDFs call.
+	native sync.Map
+}
+
+// RegisterGoUDF gives this client fn under name: its local runs of
+// imported LANGUAGE GO UDFs bound to name call it. It mirrors the server
+// embedder's DB.RegisterGoUDF, whose functions do not reach a client, nor
+// this client's a server. A signature the GO runtime cannot call is a type
+// error; argument slices are read-only.
+func (c *Client) RegisterGoUDF(name string, fn any) error {
+	if _, err := gort.InferDef(name, fn, false); err != nil {
+		return err
+	}
+	c.native.Store(strings.ToLower(name), fn)
+	return nil
 }
 
 // Open dials the database from the settings and opens the project
@@ -294,17 +312,14 @@ const nativeSymbolMarker = "# native-symbol:"
 
 // nativeStub is the project file written for UDFs whose implementation is
 // native code (LANGUAGE GO): there is no source to edit, but the stub keeps
-// the import visible and records the bound symbol.
-func nativeStub(info UDFInfo, symbol string) string {
-	symbol = strings.TrimSpace(symbol)
-	if symbol == "" {
-		symbol = info.Name
-	}
+// the import visible and records the symbol body binds.
+func nativeStub(info UDFInfo, body string) string {
+	symbol := gort.Symbol(&storage.FuncDef{Name: info.Name, Body: body})
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "# %s is a native %s UDF; its implementation is compiled into the\n",
 		info.Name, languageOf(info))
-	sb.WriteString("# host binary and cannot be edited here. Register it in this process with\n")
-	fmt.Fprintf(&sb, "# devudf.RegisterGoUDF(%q, fn) to run it on extracted inputs.\n", symbol)
+	sb.WriteString("# host binary and cannot be edited here. Register it with this client's\n")
+	fmt.Fprintf(&sb, "# RegisterGoUDF(%q, fn) to run it on extracted inputs.\n", symbol)
 	fmt.Fprintf(&sb, "%s %s\n", nativeSymbolMarker, symbol)
 	return sb.String()
 }

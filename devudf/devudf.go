@@ -23,21 +23,8 @@ import (
 	"repro/internal/script"
 	"repro/internal/transfer"
 	"repro/internal/udfrt"
-	"repro/internal/udfrt/gort"
 	"repro/internal/wire"
 )
-
-// RegisterGoUDF registers a typed Go function in this process's native UDF
-// table so that Client.RunLocal can execute imported LANGUAGE GO UDFs on
-// their extracted inputs — the client-side mirror of the server embedder's
-// DB.RegisterGoUDF. Supported signatures take column slices ([]int64,
-// []float64, []string, []bool, [][]byte) or scalars of those element types
-// and return one value per result column plus an optional trailing error.
-// Argument slices are read-only (the engine may pass its own storage
-// vectors); allocate fresh slices for results:
-//
-//	devudf.RegisterGoUDF("haversine", func(lat1, lon1, lat2, lon2 []float64) []float64 { ... })
-func RegisterGoUDF(name string, fn any) error { return gort.Register(name, fn) }
 
 // LanguageDebuggable reports whether the runtime serving a CREATE FUNCTION
 // LANGUAGE clause supports interactive debugging ("" means PYTHON; false

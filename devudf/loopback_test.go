@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/script"
-	"repro/internal/udfrt/gort"
 )
 
 // TestLocalConnAnswersWhatTheServerAnswersOrRefuses: an outer UDF reduces
@@ -62,20 +61,16 @@ func TestLocalConnAnswersWhatTheServerAnswersOrRefuses(t *testing.T) {
 };`, tc.udf, tc.query, tc.reduce))
 	}
 	params, db := startServer(t, setup...)
-	if err := db.RegisterGoUDF("dbl_go", func(x []int64) []int64 {
-		out := make([]int64, len(x))
-		for i, v := range x {
-			out[i] = v * 2
-		}
-		return out
-	}); err != nil {
+	if err := db.RegisterGoUDF("dbl_go", doubleAll); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { gort.Unregister("dbl_go") })
 	for _, tc := range cases {
 		t.Run(tc.udf, func(t *testing.T) {
 			query := "SELECT " + tc.udf + "(1) AS s"
 			c := newClient(t, params, query)
+			if err := c.RegisterGoUDF("dbl_go", doubleAll); err != nil {
+				t.Fatal(err)
+			}
 			res, err := c.Query(ctx, query)
 			if tc.fails != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.fails) {

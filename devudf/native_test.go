@@ -6,23 +6,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/script"
-	"repro/internal/udfrt/gort"
 )
 
-// registerDoubleAll installs the shared native implementation used by the
-// tests in this file and cleans it up afterwards.
-func registerDoubleAll(t *testing.T) {
-	t.Helper()
-	if err := RegisterGoUDF("double_all", func(x []int64) []int64 {
-		out := make([]int64, len(x))
-		for i, v := range x {
-			out[i] = v * 2
-		}
-		return out
-	}); err != nil {
-		t.Fatal(err)
+// doubleAll is the native implementation the tests in this package
+// register, on the server and on the client alike.
+func doubleAll(x []int64) []int64 {
+	out := make([]int64, len(x))
+	for i, v := range x {
+		out[i] = v * 2
 	}
-	t.Cleanup(func() { gort.Unregister("double_all") })
+	return out
 }
 
 // TestNativeUDFWorkflow drives the devUDF loop over a LANGUAGE GO UDF:
@@ -34,14 +27,7 @@ func TestNativeUDFWorkflow(t *testing.T) {
 		`CREATE TABLE nums (i INTEGER)`,
 		`INSERT INTO nums VALUES (1), (2), (3)`,
 	)
-	registerDoubleAll(t)
-	if err := db.RegisterGoUDF("double_all", func(x []int64) []int64 {
-		out := make([]int64, len(x))
-		for i, v := range x {
-			out[i] = v * 2
-		}
-		return out
-	}); err != nil {
+	if err := db.RegisterGoUDF("double_all", doubleAll); err != nil {
 		t.Fatal(err)
 	}
 
@@ -53,6 +39,9 @@ func TestNativeUDFWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	if err := c.RegisterGoUDF("double_all", doubleAll); err != nil {
+		t.Fatal(err)
+	}
 
 	infos, err := c.ListServerUDFs(ctx)
 	if err != nil {
@@ -127,8 +116,9 @@ func TestNativeUDFWorkflow(t *testing.T) {
 	}
 }
 
-// TestRunLocalNativeUnregistered: running a native UDF whose implementation
-// is not registered in this process gives an actionable error.
+// TestRunLocalNativeUnregistered: a server's registration does not reach a
+// client, whose local run of the UDF then gives an actionable error; and the
+// function the client registers does not reach the server.
 func TestRunLocalNativeUnregistered(t *testing.T) {
 	params, db := startServer(t,
 		`CREATE TABLE nums (i INTEGER)`,
@@ -151,9 +141,25 @@ func TestRunLocalNativeUnregistered(t *testing.T) {
 	if _, err := c.ExtractInputs(ctx, "srv_only"); err != nil {
 		t.Fatal(err)
 	}
-	gort.Unregister("srv_only") // the server process has it; this one no longer does
-	if _, err := c.RunLocal(ctx, "srv_only"); err == nil ||
+	if _, err := c.RunLocal(ctx, "srv_only"); core.KindOf(err) != core.KindName ||
 		!strings.Contains(err.Error(), "RegisterGoUDF") {
-		t.Fatalf("unregistered native run must point at RegisterGoUDF, got %v", err)
+		t.Fatalf("unregistered native run must be a name error that points at RegisterGoUDF, got %v", err)
+	}
+	if err := c.RegisterGoUDF("srv_only", doubleAll); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.RunLocal(ctx, "srv_only")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := script.AsInt(res.Value); !ok || got != 8 {
+		t.Fatalf("local run with the client's function: %s, want 8", res.Value.Repr())
+	}
+	qres, err := c.Query(ctx, `SELECT srv_only(i) AS v FROM nums`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := qres.Table.Cols[0].Ints[0]; got != 4 {
+		t.Fatalf("the server answered %d after the client registered its own function, want 4", got)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/transfer"
 	"repro/internal/transform"
 	"repro/internal/udfrt"
+	"repro/internal/udfrt/gort"
 	"repro/internal/udfrt/pyrt"
 )
 
@@ -132,8 +133,8 @@ type RunResult struct {
 // RunLocal executes an imported UDF locally on its extracted inputs, routed
 // by the UDF's language: PYTHON UDFs run their generated script (the
 // Listing 2 flow — the prologue loads input.bin and calls the function),
-// GO UDFs compile as the engine compiles them (engine.CompileUDF) against
-// the locally registered implementation. Run ExtractInputs first.
+// GO UDFs compile as the engine compiles them (engine.CompileUDF) with the
+// function this client's RegisterGoUDF gave it. Run ExtractInputs first.
 func (c *Client) RunLocal(ctx context.Context, udfName string) (*RunResult, error) {
 	info, src, err := c.Project.LoadUDF(udfName)
 	if err != nil {
@@ -191,10 +192,10 @@ func (r *scriptRun) run() error {
 func languageOf(info UDFInfo) string { return udfrt.Canonical(info.Language) }
 
 // runLocalNative executes a non-interpreted UDF on its extracted inputs
-// the way the generated script calls a PYTHON one: compiled against the
-// locally registered implementation, called on input.bin's parameters.
+// the way the generated script calls a PYTHON one: compiled with the
+// client's registered function, called on input.bin's parameters.
 func (c *Client) runLocalNative(info UDFInfo, src string) (*RunResult, error) {
-	def, call, err := compileNative(info, src)
+	def, call, err := c.compileNative(info, src)
 	if err != nil {
 		return nil, err
 	}
@@ -219,15 +220,16 @@ func (c *Client) runLocalNative(info UDFInfo, src string) (*RunResult, error) {
 }
 
 // compileNative rebuilds a non-PYTHON UDF's catalog definition from the
-// project metadata and compiles it as the engine does (engine.CompileUDF)
-// against the symbol its stub records. The implementation must be
-// registered in this process (see RegisterGoUDF).
-func compileNative(info UDFInfo, src string) (*storage.FuncDef, udfrt.Callable, error) {
+// project metadata, gives it the function this client registered under the
+// symbol its stub records (see RegisterGoUDF), and compiles it as the
+// engine does (engine.CompileUDF).
+func (c *Client) compileNative(info UDFInfo, src string) (*storage.FuncDef, udfrt.Callable, error) {
 	def, err := info.funcDef()
 	if err != nil {
 		return nil, nil, err
 	}
 	def.Body = nativeSymbol(src)
+	def.Native, _ = c.native.Load(strings.ToLower(gort.Symbol(def)))
 	call, err := engine.CompileUDF(def)
 	return def, call, err
 }
@@ -353,7 +355,7 @@ func (x localExecutor) runNested(sql, udfName string) (*storage.Table, error) {
 // working; a GO one through engine.CompileUDF.
 func (x localExecutor) callable(info UDFInfo, src string) (*storage.FuncDef, udfrt.Callable, error) {
 	if languageOf(info) != pyrt.Name {
-		return compileNative(info, src)
+		return x.c.compileNative(info, src)
 	}
 	def, err := info.funcDef()
 	return def, localPython{x, src, def}, err

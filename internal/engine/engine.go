@@ -21,6 +21,7 @@ import (
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
 	"repro/internal/udfrt"
+	"repro/internal/udfrt/gort"
 )
 
 // Mode selects the UDF processing model (paper §2.4).
@@ -305,8 +306,8 @@ func (f *frame) status(tag string, err error) (*Result, error) {
 }
 
 func (f *frame) createFunction(st *sqlparse.CreateFunction) error {
-	if isBuiltinName(st.Name) {
-		return core.Errorf(core.KindConstraint, "cannot create function %q: name is reserved", st.Name)
+	if err := refuseBuiltinName(st.Name); err != nil {
+		return err
 	}
 	// The parser accepts any LANGUAGE; creation requires a known one so a
 	// typo'd language fails here rather than at first call.
@@ -321,6 +322,12 @@ func (f *frame) createFunction(st *sqlparse.CreateFunction) error {
 		Body:     st.Body,
 		Returns:  st.Returns,
 		IsTable:  st.IsTable,
+	}
+	if udfrt.Canonical(def.Language) == udfrt.Go {
+		// the function of the entry the declaration names, as it is now
+		if src, err := f.DB.cat.Function(gort.Symbol(def)); err == nil {
+			def.Native, def.Elementwise = src.Native, src.Elementwise
+		}
 	}
 	return f.DB.mutate(Change{Kind: ChangeCreateFunction, Func: def, Replace: st.OrReplace}, f.Trace)
 }

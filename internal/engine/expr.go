@@ -425,12 +425,14 @@ var scalarBuiltins = map[string]scalarFn{
 	"round":  fnRound,
 }
 
-func isBuiltinName(name string) bool {
+// refuseBuiltinName refuses to create a function under a name a builtin
+// owns: calls of that name would never reach it.
+func refuseBuiltinName(name string) error {
 	n := strings.ToLower(name)
-	if _, ok := scalarBuiltins[n]; ok {
-		return true
+	if _, ok := scalarBuiltins[n]; ok || sqlparse.IsAggregate(n) || n == transform.ExtractFuncName {
+		return core.Errorf(core.KindConstraint, "cannot create function %q: name is reserved", name)
 	}
-	return sqlparse.IsAggregate(n) || n == transform.ExtractFuncName
+	return nil
 }
 
 func arity(name string, args []*storage.Column, want int) error {

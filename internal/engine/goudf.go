@@ -1,19 +1,25 @@
 package engine
 
-import "repro/internal/udfrt/gort"
+import (
+	"strings"
+
+	"repro/internal/storage"
+	"repro/internal/udfrt"
+	"repro/internal/udfrt/gort"
+)
 
 // RegisterGoUDF registers a typed Go function as a native UDF in one step:
-// the implementation goes into the process-wide GO runtime table and the
-// matching catalog entry (parameter/result types inferred by reflection) is
-// created — CREATE OR REPLACE semantics. SQL can then call it like any
-// other UDF:
+// it commits a catalog entry (parameter/result types inferred by
+// reflection) that carries the function — CREATE OR REPLACE semantics.
+// SQL can then call it like any other UDF:
 //
 //	db.RegisterGoUDF("haversine", func(lat1, lon1, lat2, lon2 []float64) []float64 { ... })
 //	conn.Exec(`SELECT haversine(a, b, c, d) FROM coords`)
 //
-// For custom parameter names or a hand-written declaration, register the
-// implementation with gort.Register and issue CREATE FUNCTION ... LANGUAGE
-// GO yourself.
+// For custom parameter names, declare CREATE FUNCTION ... LANGUAGE GO
+// { haversine }: it takes this entry's function, now and at every later
+// registration of the name. A builtin's name is refused. The function is
+// not logged: a recovered database must register it again.
 //
 // Argument slices are read-only: the zero-copy fast path may pass the
 // stored table's backing vectors. Allocate fresh slices for results.
@@ -36,11 +42,12 @@ func (db *DB) RegisterGoUDFElementwise(name string, fn any) error {
 	return db.registerGoUDF(name, fn, true)
 }
 
-// registerGoUDF validates the signature, commits the catalog entry, and
-// installs the implementation only once the commit succeeded: calls read
-// gort's table, so a refused signature or commit must leave the old
-// implementation in place.
+// registerGoUDF validates the name and the signature, then commits the
+// entry that carries fn; a refusal leaves the catalog as it was.
 func (db *DB) registerGoUDF(name string, fn any, elementwise bool) error {
+	if err := refuseBuiltinName(name); err != nil {
+		return err
+	}
 	def, err := gort.InferDef(name, fn, elementwise)
 	if err != nil {
 		return err
@@ -48,12 +55,23 @@ func (db *DB) registerGoUDF(name string, fn any, elementwise bool) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	def.ID = db.funcID(name)
-	if err := db.mutate(Change{Kind: ChangeRegisterGoUDF, Func: def}, nil); err != nil {
-		return err
+	return db.mutate(Change{Kind: ChangeRegisterGoUDF, Func: def}, nil)
+}
+
+// follow hands a registered function to every other GO entry whose symbol
+// is its name: each is replaced by a copy that carries reg's function, and
+// its compiled callable is dropped. It returns the entries it replaced.
+// Called with db.mu held.
+func (db *DB) follow(reg *storage.FuncDef) (replaced []*storage.FuncDef) {
+	for _, g := range db.cat.Functions() {
+		if g == reg || udfrt.Canonical(g.Language) != udfrt.Go || !strings.EqualFold(gort.Symbol(g), reg.Name) {
+			continue
+		}
+		next := *g
+		next.Native, next.Elementwise = reg.Native, reg.Elementwise
+		_ = db.cat.InstallFunction(&next, true)
+		delete(db.compiled, g)
+		replaced = append(replaced, g)
 	}
-	// InferDef accepted the signature, so registering cannot fail.
-	if elementwise {
-		return gort.RegisterElementwise(name, fn)
-	}
-	return gort.Register(name, fn)
+	return replaced
 }

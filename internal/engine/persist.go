@@ -34,9 +34,11 @@ const (
 	ChangeCreateFunction
 	// ChangeDropFunction drops the UDF named Name.
 	ChangeDropFunction
-	// ChangeRegisterGoUDF records a native Go UDF registration marker: the
-	// catalog entry (Func) is replayable, while the Go implementation itself
-	// must be re-registered by the embedding process at startup.
+	// ChangeRegisterGoUDF records DB.RegisterGoUDF: Func replaces the entry
+	// of its name, and every other GO entry whose symbol is that name takes
+	// Func's function. The log keeps the entry but not the function, so a
+	// replayed entry has none until the embedding process registers it
+	// again at startup.
 	ChangeRegisterGoUDF
 )
 
@@ -178,7 +180,14 @@ func (db *DB) apply(ch Change) (undo func(), err error) {
 			return nil, err
 		}
 		delete(db.compiled, prior)
+		var followers []*storage.FuncDef
+		if ch.Kind == ChangeRegisterGoUDF {
+			followers = db.follow(ch.Func)
+		}
 		return func() {
+			for _, g := range followers {
+				_ = cat.InstallFunction(g, true)
+			}
 			if prior != nil {
 				_ = cat.InstallFunction(prior, true)
 			} else {

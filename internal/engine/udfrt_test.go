@@ -8,7 +8,6 @@ import (
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
 	"repro/internal/udfrt"
-	"repro/internal/udfrt/gort"
 )
 
 // TestScalarUDFOverEmptyColumn is the zero-row regression: an operator with
@@ -98,7 +97,6 @@ func TestGoUDFThroughSQL(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { gort.Unregister("go_scale") })
 	mustExec(t, c, `CREATE TABLE nums (i INTEGER)`)
 	mustExec(t, c, `INSERT INTO nums VALUES (1), (2), (3)`)
 
@@ -139,7 +137,6 @@ func TestGoTableUDFThroughSQL(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { gort.Unregister("go_stats") })
 	mustExec(t, c, `CREATE TABLE vals (i INTEGER)`)
 	mustExec(t, c, `INSERT INTO vals VALUES (5), (1), (9)`)
 	res := mustExec(t, c, `SELECT * FROM go_stats((SELECT i FROM vals))`)
@@ -151,11 +148,12 @@ func TestGoTableUDFThroughSQL(t *testing.T) {
 }
 
 // TestCreateFunctionGoLanguage: CREATE FUNCTION ... LANGUAGE GO binds the
-// declared signature to a pre-registered symbol named in the body, and
+// declared signature to the function of the registered entry its body
+// names, and
 // unknown languages are rejected at CREATE with the registered set.
 func TestCreateFunctionLanguageDispatch(t *testing.T) {
 	c := newTestConn()
-	if err := gort.Register("sqtest_impl", func(x []int64) []int64 {
+	if err := c.DB.RegisterGoUDF("sqtest_impl", func(x []int64) []int64 {
 		out := make([]int64, len(x))
 		for i, v := range x {
 			out[i] = v * v
@@ -164,7 +162,6 @@ func TestCreateFunctionLanguageDispatch(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { gort.Unregister("sqtest_impl") })
 	mustExec(t, c, `CREATE FUNCTION squared(x INTEGER) RETURNS INTEGER LANGUAGE GO {
     sqtest_impl
 };`)
@@ -186,10 +183,7 @@ func TestCreateFunctionLanguageDispatch(t *testing.T) {
 // compiles it, and only PYTHON is debuggable. "" is a stored definition
 // written without a LANGUAGE, which the parser never yields.
 func TestLanguagePicksTheRuntime(t *testing.T) {
-	if err := gort.Register("lang_pick_id", func(x []int64) []int64 { return x }); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { gort.Unregister("lang_pick_id") })
+	id := func(x []int64) []int64 { return x }
 	c := newTestConn()
 	for i, tc := range []struct {
 		language          string
@@ -202,9 +196,9 @@ func TestLanguagePicksTheRuntime(t *testing.T) {
 		{"GO", true, false},
 		{"FORTRAN", false, false},
 	} {
-		body := "return x"
+		body, native := "return x", any(nil)
 		if udfrt.Canonical(tc.language) == udfrt.Go {
-			body = "lang_pick_id"
+			body, native = "lang_pick_id", id
 		}
 		st, err := sqlparse.Parse("CREATE FUNCTION lang_" + itoa(i) + "(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON {\n    " + body + "\n};")
 		if err != nil {
@@ -214,7 +208,7 @@ func TestLanguagePicksTheRuntime(t *testing.T) {
 		cf.Language = tc.language
 		_, createErr := (&frame{Conn: c}).guarded(cf)
 		_, compileErr := CompileUDF(&storage.FuncDef{
-			Name: cf.Name, Params: cf.Params, Returns: cf.Returns, Language: cf.Language, Body: cf.Body,
+			Name: cf.Name, Params: cf.Params, Returns: cf.Returns, Language: cf.Language, Body: cf.Body, Native: native,
 		})
 		if (createErr == nil) != tc.known || (compileErr == nil) != tc.known {
 			t.Errorf("LANGUAGE %q: CREATE %v, CompileUDF %v; want known=%v", tc.language, createErr, compileErr, tc.known)
@@ -240,7 +234,6 @@ func TestGoUDFErrorAndInvalidation(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { gort.Unregister("go_trouble") })
 	mustExec(t, c, `CREATE TABLE tr_t (i INTEGER)`)
 	mustExec(t, c, `INSERT INTO tr_t VALUES (1)`)
 	_, err := c.Exec(`SELECT go_trouble(i) FROM tr_t`)

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/storage"
@@ -38,6 +39,25 @@ func TestRunPartitionsExactly(t *testing.T) {
 				t.Fatalf("n=%d w=%d m=%d: row %d visited %d times", tc.n, tc.workers, tc.morsel, i, v)
 			}
 		}
+	}
+}
+
+// TestRunOverlapsMorsels: with two workers, two morsels run at the same
+// time. Each waits, for at most 5 s, until the other has started, so a
+// scheduler that runs the morsels one after the other fails here.
+func TestRunOverlapsMorsels(t *testing.T) {
+	started := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	var waited [2]bool
+	Pol{Workers: 2, MorselSize: 1}.RunIdx(2, func(m, lo, hi int) {
+		close(started[m])
+		select {
+		case <-started[1-m]:
+		case <-time.After(5 * time.Second):
+			waited[m] = true
+		}
+	})
+	if waited != [2]bool{} {
+		t.Fatalf("morsels that gave up waiting for the other: %v; the two morsels did not overlap", waited)
 	}
 }
 

@@ -22,6 +22,11 @@ type FuncDef struct {
 	Returns Schema
 	// IsTable marks RETURNS TABLE(...) functions.
 	IsTable bool
+	// Native is a LANGUAGE GO function's Go implementation, and Elementwise
+	// the contract it was registered under. Neither is logged or dumped: a
+	// recovered entry has none until the process registers it again.
+	Native      any
+	Elementwise bool
 }
 
 // Catalog is the database catalog: tables and UDFs. It is not synchronized;

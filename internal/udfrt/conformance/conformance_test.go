@@ -2,7 +2,6 @@ package conformance
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/storage"
@@ -84,7 +83,7 @@ func TestPythonConformance(t *testing.T) {
 }
 
 // TestGoConformance runs the same suite against the native runtime with the
-// catalog registered as typed Go functions.
+// catalog carrying typed Go functions.
 func TestGoConformance(t *testing.T) {
 	impls := map[string]any{
 		FnDouble: func(x []int64) []int64 {
@@ -117,15 +116,6 @@ func TestGoConformance(t *testing.T) {
 			return lo, hi
 		},
 	}
-	// Register under test-scoped symbols so the process-wide table cannot
-	// collide with other tests; the def's Body carries the symbol.
-	for fn, impl := range impls {
-		symbol := fmt.Sprintf("conformance_%s", fn)
-		if err := gort.Register(symbol, impl); err != nil {
-			t.Fatal(err)
-		}
-		defer gort.Unregister(symbol)
-	}
 	Run(t, Impl{
 		Def: func(t *testing.T, fn string) *storage.FuncDef {
 			var def *storage.FuncDef
@@ -137,7 +127,7 @@ func TestGoConformance(t *testing.T) {
 			default:
 				def = intScalarDef(fn, gort.Name, "x")
 			}
-			def.Body = fmt.Sprintf("conformance_%s", fn)
+			def.Native = impls[fn]
 			return def
 		},
 		NewEnv: func() *udfrt.Env { return &udfrt.Env{} },

@@ -1,9 +1,11 @@
-// Package gort is the native GO UDF runtime: embedders register typed Go
-// functions in a process-wide table and expose them as UDFs with CREATE
-// FUNCTION ... LANGUAGE GO (or DB.RegisterGoUDF, which also writes the
-// catalog entry). Calls bind argument columns to the function's slice
-// parameters by reflection — the fast path hands the engine's column
-// vectors to the function directly, with zero interpreter boxing.
+// Package gort is the native GO UDF runtime. An embedder registers a typed
+// Go function with DB.RegisterGoUDF (or RegisterGoUDFElementwise), which
+// commits a catalog entry whose FuncDef.Native is the function; CREATE
+// FUNCTION ... LANGUAGE GO { f } declares another entry that takes entry
+// f's function. Compile binds the function the definition carries, and
+// calls bind argument columns to its slice parameters by reflection — the
+// fast path hands the engine's column vectors to the function directly,
+// with zero interpreter boxing.
 //
 // Supported parameter and result types per SQL type:
 //
@@ -21,22 +23,21 @@
 // as Go zero values (the validity bitmap does not cross the boundary), and
 // native results never contain NULLs.
 //
-// RegisterElementwise is a contract, not a hint. The function states that
-// row i of its result depends only on row i of its arguments, that it may
-// be called on any slice of a batch from several goroutines at once, and
-// that it keeps no argument slice after it returns. The engine then splits
-// a projection's batch into morsels, and an aggregate over the function
-// (SUM(f(col))) calls it once per morsel of the aggregated rows. A
-// constant argument of the aggregate counts every row (SUM(f(2)) adds
-// f(2) once per row). The engine refuses every breach it can see: a
-// function that takes a slice and returns a scalar is refused at
-// registration, and an answer whose length is not its input's row count
-// is a constraint error at the call, whatever the worker count. A breach
-// no check can see (a prefix sum answers one value per row) restarts at
-// every morsel. Plain Register keeps one call per batch. An element-wise
-// function's answer may alias its argument (return x): the engine reduces
-// each morsel's answer before it reuses that morsel's argument buffers for
-// the next one.
+// RegisterGoUDFElementwise is a contract, not a hint. The function states
+// that row i of its result depends only on row i of its arguments, that it
+// may be called on any slice of a batch from several goroutines at once,
+// and that it keeps no argument slice after it returns. The engine then
+// splits a projection's batch into morsels, and an aggregate over the
+// function (SUM(f(col))) calls it once per morsel of the aggregated rows. A
+// constant argument of the aggregate counts every row (SUM(f(2)) adds f(2)
+// once per row). The engine refuses every breach it can see: a function
+// that takes a slice and returns a scalar is refused at registration, and
+// an answer whose length is not its input's row count is a constraint error
+// at the call, whatever the worker count. A breach no check can see (a
+// prefix sum answers one value per row) restarts at every morsel. Plain
+// RegisterGoUDF keeps one call per batch. An element-wise function's answer
+// may alias its argument (return x): the engine reduces each morsel's
+// answer before it reuses that morsel's argument buffers for the next one.
 //
 // CONTRACT — argument slices are READ-ONLY. The zero-copy fast path may
 // hand a function the engine's own storage vectors (a column reference
@@ -49,7 +50,6 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/storage"
@@ -65,84 +65,12 @@ type Runtime struct{}
 // New returns the GO runtime.
 func New() *Runtime { return &Runtime{} }
 
-// ---- the process-wide function table ----
-
-// regEntry is one registered function plus its declared execution
-// contract.
-type regEntry struct {
-	fn reflect.Value
-	// elementwise declares that row i of the result depends only on row
-	// i of the arguments and that the function is safe to call from
-	// multiple goroutines — the engine may then split a batch into
-	// morsels and run them concurrently.
-	elementwise bool
-}
-
-var (
-	mu    sync.RWMutex
-	funcs = map[string]regEntry{}
-)
-
-// Register installs fn under name (case-insensitive), validating its
-// signature. Re-registering a name replaces the previous function. The
-// function keeps whole-batch semantics: every call receives the full
-// column, so batch-dependent implementations (prefix sums, stateful
-// closures) stay correct. Declare element-wise purity with
-// RegisterElementwise to let the engine morsel-parallelize calls.
-func Register(name string, fn any) error {
-	return registerFn(name, fn, false)
-}
-
-// RegisterElementwise installs fn like Register and additionally
-// declares it element-wise and concurrency-safe: row i of the result
-// depends only on row i of the arguments, the function may be invoked
-// from several goroutines at once over disjoint morsels of one batch, and
-// it keeps no argument slice after it returns. A function that takes a
-// slice and returns a scalar is refused with a type error: one value for
-// many rows needs Register's whole-batch call.
-func RegisterElementwise(name string, fn any) error {
-	return registerFn(name, fn, true)
-}
-
-func registerFn(name string, fn any, elementwise bool) error {
-	v := reflect.ValueOf(fn)
-	if !v.IsValid() || v.Kind() != reflect.Func {
-		return core.Errorf(core.KindType, "Go UDF %s: not a function (%T)", name, fn)
-	}
-	if _, _, err := signatureSchemas(name, v.Type(), elementwise); err != nil {
-		return err
-	}
-	mu.Lock()
-	funcs[strings.ToLower(name)] = regEntry{fn: v, elementwise: elementwise}
-	mu.Unlock()
-	return nil
-}
-
-// Unregister removes a registered function (tests).
-func Unregister(name string) {
-	mu.Lock()
-	delete(funcs, strings.ToLower(name))
-	mu.Unlock()
-}
-
-func lookup(name string) (reflect.Value, bool) {
-	e, ok := lookupEntry(name)
-	return e.fn, ok
-}
-
-func lookupEntry(name string) (regEntry, bool) {
-	mu.RLock()
-	e, ok := funcs[strings.ToLower(name)]
-	mu.RUnlock()
-	return e, ok
-}
-
-// InferDef builds the catalog definition a registered function implements:
-// parameter and result SQL types from the reflected signature, IsTable when
-// the function returns more than one column. Parameter names are arg1..argN
-// and result names col1..colN ("result" for scalars) — SQL-side CREATE
-// FUNCTION can declare friendlier ones. An element-wise function must
-// answer a slice wherever it takes one (RegisterElementwise).
+// InferDef builds the catalog definition that carries fn: parameter and
+// result SQL types from the reflected signature, IsTable when the function
+// returns more than one column, Native and Elementwise from its arguments.
+// Parameter names are arg1..argN and result names col1..colN ("result" for
+// scalars) — SQL-side CREATE FUNCTION can declare friendlier ones. An
+// element-wise function must answer a slice wherever it takes one.
 func InferDef(name string, fn any, elementwise bool) (*storage.FuncDef, error) {
 	v := reflect.ValueOf(fn)
 	if !v.IsValid() || v.Kind() != reflect.Func {
@@ -153,15 +81,17 @@ func InferDef(name string, fn any, elementwise bool) (*storage.FuncDef, error) {
 		return nil, err
 	}
 	return &storage.FuncDef{
-		Name:     name,
-		Params:   params,
-		Returns:  returns,
-		Language: Name,
-		IsTable:  len(returns) > 1,
+		Name:        name,
+		Params:      params,
+		Returns:     returns,
+		Language:    Name,
+		IsTable:     len(returns) > 1,
+		Native:      fn,
+		Elementwise: elementwise,
 	}, nil
 }
 
-// signatureSchemas validates the type of the function registered as name
+// signatureSchemas validates the type of the function named name
 // and derives parameter/result schemas with placeholder names. An
 // element-wise function that takes a column must not answer a scalar: one
 // value for many rows is an aggregate, which only a whole-batch call gets
@@ -235,21 +165,24 @@ func sqlType(t reflect.Type) (st storage.Type, isSlice, ok bool) {
 	return 0, false, false
 }
 
-// Compile resolves the registered function (the body names the Go symbol;
-// an empty body defaults to the function's own name) and checks it against
-// the declared signature. The callable re-reads the table at call time, so
-// re-registering a symbol with the same signature swaps the implementation
-// without re-creating the function.
-func (*Runtime) Compile(def *storage.FuncDef) (udfrt.Callable, error) {
-	symbol := strings.TrimSpace(def.Body)
-	if symbol == "" {
-		symbol = def.Name
+// Symbol is the name a LANGUAGE GO definition binds: its body, or the
+// function's own name when the body is empty.
+func Symbol(def *storage.FuncDef) string {
+	if s := strings.TrimSpace(def.Body); s != "" {
+		return s
 	}
-	fn, ok := lookup(symbol)
-	if !ok {
+	return def.Name
+}
+
+// Compile binds the function the definition carries (def.Native) and
+// checks it against the declared signature. The callable calls that
+// function for as long as it lives: a re-registration installs a new
+// catalog entry, which compiles to a new callable.
+func (*Runtime) Compile(def *storage.FuncDef) (udfrt.Callable, error) {
+	fn, symbol := reflect.ValueOf(def.Native), Symbol(def)
+	if fn.Kind() != reflect.Func {
 		return nil, core.Errorf(core.KindName,
-			"UDF %s: no Go function registered as %q (register it with RegisterGoUDF before CREATE FUNCTION ... LANGUAGE GO)",
-			def.Name, symbol)
+			"UDF %s: no Go function registered as %q (register it with RegisterGoUDF)", def.Name, symbol)
 	}
 	t := fn.Type()
 	if t.NumIn() != len(def.Params) {
@@ -257,7 +190,7 @@ func (*Runtime) Compile(def *storage.FuncDef) (udfrt.Callable, error) {
 			"UDF %s: Go function %q takes %d argument(s), declaration has %d",
 			def.Name, symbol, t.NumIn(), len(def.Params))
 	}
-	c := &callable{def: def, symbol: symbol, typ: t}
+	c := &callable{def: def, fn: fn, elementwise: def.Elementwise}
 	for i, p := range def.Params {
 		st, isSlice, ok := sqlType(t.In(i))
 		if !ok || st != p.Type {
@@ -289,48 +222,31 @@ func (*Runtime) Compile(def *storage.FuncDef) (udfrt.Callable, error) {
 	return c, nil
 }
 
-// ParallelSafe implements udfrt.ParallelSafe: only functions installed
-// with RegisterElementwise opt in — they have declared row-i-depends-
-// only-on-row-i purity, goroutine safety and that they keep no argument
-// slice, so the engine may invoke the callable concurrently over disjoint
-// morsels of a batch and refuses an answer that is not one value per row.
-// Plain Register keeps whole-batch semantics (batch-dependent
+// ParallelSafe implements udfrt.ParallelSafe: only functions registered
+// element-wise opt in — they have declared row-i-depends-only-on-row-i
+// purity, goroutine safety and that they keep no argument slice, so the
+// engine may invoke the callable concurrently over disjoint morsels of a
+// batch and refuses an answer that is not one value per row. Plain
+// RegisterGoUDF keeps whole-batch semantics (batch-dependent
 // implementations like prefix sums stay correct, and no concurrency is
-// imposed). The flag is read from the live table, so re-registering under
-// a different contract takes effect immediately.
-func (c *callable) ParallelSafe() bool {
-	e, ok := lookupEntry(c.symbol)
-	return ok && e.elementwise
-}
+// imposed).
+func (c *callable) ParallelSafe() bool { return c.elementwise }
 
-// callable is one compiled GO UDF: the validated signature plus the symbol
-// it resolves at every call.
+// callable is one compiled GO UDF: the function and its validated
+// signature.
 type callable struct {
-	def      *storage.FuncDef
-	symbol   string
-	typ      reflect.Type // the signature the declaration was checked against
-	sliceIn  []bool
-	sliceOut []bool
-	hasErr   bool
+	def         *storage.FuncDef
+	fn          reflect.Value
+	elementwise bool
+	sliceIn     []bool
+	sliceOut    []bool
+	hasErr      bool
 }
 
 // Call implements udfrt.Callable: bind columns to typed arguments, call the
 // function (panics become errors so a buggy UDF cannot take the server
-// down), convert typed results back to columns. The symbol resolves against
-// the live table so a re-registered implementation takes effect
-// immediately; a signature change, however, requires re-creating the
-// function.
+// down), convert typed results back to columns.
 func (c *callable) Call(_ *udfrt.Env, in *udfrt.Batch) (out *udfrt.Batch, err error) {
-	fn, ok := lookup(c.symbol)
-	if !ok {
-		return nil, core.Errorf(core.KindName,
-			"UDF %s: Go function %q is no longer registered", c.def.Name, c.symbol)
-	}
-	if fn.Type() != c.typ {
-		return nil, core.Errorf(core.KindType,
-			"UDF %s: Go function %q was re-registered with a different signature; re-create the function",
-			c.def.Name, c.symbol)
-	}
 	args := make([]reflect.Value, len(in.Cols))
 	for i, col := range in.Cols {
 		a, err := c.bindArg(i, col, in.Columnar(i), in.Rows)
@@ -344,7 +260,7 @@ func (c *callable) Call(_ *udfrt.Env, in *udfrt.Batch) (out *udfrt.Batch, err er
 			out, err = nil, core.Errorf(core.KindRuntime, "UDF %s failed: panic: %v", c.def.Name, r)
 		}
 	}()
-	rets := fn.Call(args)
+	rets := c.fn.Call(args)
 	if c.hasErr {
 		if e, _ := rets[len(rets)-1].Interface().(error); e != nil {
 			return nil, udfrt.WrapErr(c.def.Name, e)

@@ -8,19 +8,14 @@ import (
 	"repro/internal/udfrt"
 )
 
-func register(t *testing.T, name string, fn any) {
-	t.Helper()
-	if err := Register(name, fn); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { Unregister(name) })
-}
-
-func scalarDef(name string, params int) *storage.FuncDef {
+// scalarDef declares name(a, b, ...) RETURNS DOUBLE over DOUBLE parameters,
+// carrying fn as its implementation.
+func scalarDef(name string, params int, fn any) *storage.FuncDef {
 	def := &storage.FuncDef{
 		Name:     name,
 		Language: Name,
 		Returns:  storage.Schema{{Name: "result", Type: storage.TFloat}},
+		Native:   fn,
 	}
 	for i := 0; i < params; i++ {
 		def.Params = append(def.Params, storage.ColumnDef{
@@ -37,8 +32,8 @@ func floatCol(name string, vals ...float64) *storage.Column {
 	return c
 }
 
-// TestRegisterValidatesSignature: Register and InferDef refuse a function
-// the runtime cannot call, with one type error that names the UDF once.
+// TestRegisterValidatesSignature: InferDef refuses a function the runtime
+// cannot call, with one type error that names the UDF once.
 func TestRegisterValidatesSignature(t *testing.T) {
 	for _, c := range []struct {
 		fn   any
@@ -50,9 +45,6 @@ func TestRegisterValidatesSignature(t *testing.T) {
 		{func(x []int64) []int32 { return nil }, "type error: Go UDF f: result 1: unsupported Go UDF type []int32"},
 		{func(x ...[]int64) []int64 { return nil }, "type error: Go UDF f: variadic functions are not supported"},
 	} {
-		if err := Register("f", c.fn); err == nil || err.Error() != c.want {
-			t.Errorf("Register: %v, want %s", err, c.want)
-		}
 		if _, err := InferDef("f", c.fn, false); err == nil || err.Error() != c.want {
 			t.Errorf("InferDef: %v, want %s", err, c.want)
 		}
@@ -60,25 +52,18 @@ func TestRegisterValidatesSignature(t *testing.T) {
 }
 
 // TestElementwiseRefusesOneValueForAColumn: a function that takes a slice
-// and returns a scalar answers one value for many rows, so it is refused
-// as element-wise, by RegisterElementwise and InferDef alike, and leaves
-// the table as it was. Plain Register takes it, and a function of scalars
+// and returns a scalar answers one value for many rows, so InferDef refuses
+// it as element-wise. Whole-batch it is taken, and a function of scalars
 // only, or one that answers slices, is element-wise.
 func TestElementwiseRefusesOneValueForAColumn(t *testing.T) {
+	want := "type error: Go UDF f: takes a column but returns one value, so it is not element-wise; register it with RegisterGoUDF"
 	for _, fn := range []any{
 		func(x []int64) int64 { return 0 },
 		func(x []float64, n int64) float64 { return 0 },
 		func(x []int64) ([]int64, int64, error) { return nil, 0, nil },
 	} {
-		want := "type error: Go UDF f: takes a column but returns one value, so it is not element-wise; register it with RegisterGoUDF"
-		if err := RegisterElementwise("f", fn); err == nil || err.Error() != want {
-			t.Errorf("RegisterElementwise(%T): %v, want %s", fn, err, want)
-		}
 		if _, err := InferDef("f", fn, true); err == nil || err.Error() != want {
 			t.Errorf("InferDef(%T): %v, want %s", fn, err, want)
-		}
-		if _, ok := lookup("f"); ok {
-			t.Fatalf("a refused registration of %T was installed", fn)
 		}
 		if _, err := InferDef("f", fn, false); err != nil {
 			t.Errorf("InferDef(%T) whole-batch: %v", fn, err)
@@ -88,10 +73,29 @@ func TestElementwiseRefusesOneValueForAColumn(t *testing.T) {
 		func(x int64) int64 { return x },
 		func(x []int64, n int64) []int64 { return x },
 	} {
-		if err := RegisterElementwise("f", fn); err != nil {
-			t.Errorf("RegisterElementwise(%T): %v", fn, err)
+		if _, err := InferDef("f", fn, true); err != nil {
+			t.Errorf("InferDef(%T) element-wise: %v", fn, err)
 		}
-		Unregister("f")
+	}
+}
+
+// TestParallelSafeIsTheRegisteredContract: the callable is parallel-safe
+// exactly when its definition was registered element-wise, as it stood at
+// Compile.
+func TestParallelSafeIsTheRegisteredContract(t *testing.T) {
+	for _, elementwise := range []bool{false, true} {
+		def, err := InferDef("ident", func(x []int64) []int64 { return x }, elementwise)
+		if err != nil {
+			t.Fatal(err)
+		}
+		call, err := New().Compile(def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		def.Elementwise = !elementwise
+		if got := call.(udfrt.ParallelSafe).ParallelSafe(); got != elementwise {
+			t.Errorf("registered element-wise=%v: ParallelSafe() = %v", elementwise, got)
+		}
 	}
 }
 
@@ -110,39 +114,45 @@ func TestInferDef(t *testing.T) {
 	if def.Language != Name {
 		t.Fatalf("language %q", def.Language)
 	}
+	if def.Native == nil || def.Elementwise {
+		t.Fatalf("native %v element-wise %v: want the function, whole-batch", def.Native, def.Elementwise)
+	}
 }
 
 func TestCompileChecksDeclaration(t *testing.T) {
-	register(t, "halve", func(x []float64) []float64 { return x })
+	halve := func(x []float64) []float64 { return x }
 	rt := New()
 	// arity mismatch
-	if _, err := rt.Compile(scalarDef("halve", 2)); err == nil {
+	if _, err := rt.Compile(scalarDef("halve", 2, halve)); err == nil {
 		t.Fatal("arity mismatch must fail compile")
 	}
 	// type mismatch
-	def := scalarDef("halve", 1)
+	def := scalarDef("halve", 1, halve)
 	def.Params[0].Type = storage.TStr
 	if _, err := rt.Compile(def); err == nil {
 		t.Fatal("type mismatch must fail compile")
 	}
-	// unregistered symbol
-	if _, err := rt.Compile(scalarDef("no_such_symbol", 1)); err == nil {
-		t.Fatal("unregistered symbol must fail compile")
+	// a definition without a function names the symbol it binds
+	def = scalarDef("unbound", 1, nil)
+	def.Body = "  no_such_symbol\n"
+	if _, err := rt.Compile(def); err == nil || err.Error() !=
+		`name error: UDF unbound: no Go function registered as "no_such_symbol" (register it with RegisterGoUDF)` {
+		t.Fatalf("unbound definition: %v", err)
 	}
 }
 
 func TestCallZeroCopyAndBroadcast(t *testing.T) {
 	var seen []float64
-	register(t, "sumpair", func(a, b []float64) []float64 {
+	sumpair := func(a, b []float64) []float64 {
 		seen = a
 		out := make([]float64, len(a))
 		for i := range a {
 			out[i] = a[i] + b[i]
 		}
 		return out
-	})
+	}
 	rt := New()
-	call, err := rt.Compile(scalarDef("sumpair", 2))
+	call, err := rt.Compile(scalarDef("sumpair", 2, sumpair))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,15 +172,15 @@ func TestCallZeroCopyAndBroadcast(t *testing.T) {
 }
 
 func TestCallScalarParam(t *testing.T) {
-	register(t, "scale", func(x []float64, f float64) []float64 {
+	scale := func(x []float64, f float64) []float64 {
 		out := make([]float64, len(x))
 		for i := range x {
 			out[i] = x[i] * f
 		}
 		return out
-	})
+	}
 	rt := New()
-	def := scalarDef("scale", 2)
+	def := scalarDef("scale", 2, scale)
 	call, err := rt.Compile(def)
 	if err != nil {
 		t.Fatal(err)
@@ -186,11 +196,11 @@ func TestCallScalarParam(t *testing.T) {
 }
 
 func TestCallPanicBecomesError(t *testing.T) {
-	register(t, "boomer", func(x []float64) []float64 {
+	boomer := func(x []float64) []float64 {
 		panic("kaboom")
-	})
+	}
 	rt := New()
-	call, err := rt.Compile(scalarDef("boomer", 1))
+	call, err := rt.Compile(scalarDef("boomer", 1, boomer))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,9 +212,8 @@ func TestCallPanicBecomesError(t *testing.T) {
 
 func TestColumnarArgRefusesScalarParam(t *testing.T) {
 	// a multi-row column must not silently truncate to its first value
-	register(t, "sq1", func(x float64) float64 { return x * x })
 	rt := New()
-	call, err := rt.Compile(scalarDef("sq1", 1))
+	call, err := rt.Compile(scalarDef("sq1", 1, func(x float64) float64 { return x * x }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,47 +230,9 @@ func TestColumnarArgRefusesScalarParam(t *testing.T) {
 	}
 }
 
-func TestReRegisterSwapsImplementation(t *testing.T) {
-	register(t, "swapme", func(x []float64) []float64 { return x })
-	rt := New()
-	call, err := rt.Compile(scalarDef("swapme", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// same signature, new behavior: the compiled callable must pick it up
-	if err := Register("swapme", func(x []float64) []float64 {
-		out := make([]float64, len(x))
-		for i, v := range x {
-			out[i] = v + 100
-		}
-		return out
-	}); err != nil {
-		t.Fatal(err)
-	}
-	out, err := call.Call(&udfrt.Env{}, udfrt.NewBatch([]*storage.Column{floatCol("x", 1)}, []bool{true}))
-	if err != nil || out.Cols[0].Flts[0] != 101 {
-		t.Fatalf("re-registered implementation not used: %v %v", out, err)
-	}
-	// a signature change is refused with a pointed error
-	if err := Register("swapme", func(x []float64, y []float64) []float64 { return x }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := call.Call(&udfrt.Env{}, udfrt.NewBatch([]*storage.Column{floatCol("x", 1)}, []bool{true})); err == nil ||
-		!strings.Contains(err.Error(), "different signature") {
-		t.Fatalf("signature change must fail the call, got %v", err)
-	}
-	// unregistering makes calls fail cleanly
-	Unregister("swapme")
-	if _, err := call.Call(&udfrt.Env{}, udfrt.NewBatch([]*storage.Column{floatCol("x", 1)}, []bool{true})); err == nil ||
-		!strings.Contains(err.Error(), "no longer registered") {
-		t.Fatalf("unregistered call must fail, got %v", err)
-	}
-}
-
 func TestCallArgLengthMismatch(t *testing.T) {
-	register(t, "sum2", func(a, b []float64) []float64 { return a })
 	rt := New()
-	call, err := rt.Compile(scalarDef("sum2", 2))
+	call, err := rt.Compile(scalarDef("sum2", 2, func(a, b []float64) []float64 { return a }))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -270,28 +270,69 @@ func TestAllSnapshotsCorruptRefusesStart(t *testing.T) {
 	}
 }
 
+// tripled is a GO UDF the replay tests register.
+func tripled(xs []int64) []int64 {
+	out := make([]int64, len(xs))
+	for i, x := range xs {
+		out[i] = x * 3
+	}
+	return out
+}
+
+// queryKind is the error kind sql fails with on db (KindUnknown for none).
+func queryKind(db *engine.DB, sql string) core.ErrorKind {
+	_, err := (&engine.Conn{DB: db, User: "u", Password: "p"}).Exec(sql)
+	return core.KindOf(err)
+}
+
 func TestGoUDFMarkerReplay(t *testing.T) {
 	dir := t.TempDir()
 	db, m := openDB(t, dir, Options{})
-	if err := db.RegisterGoUDF("tripled", func(xs []int64) []int64 {
-		out := make([]int64, len(xs))
-		for i, x := range xs {
-			out[i] = x * 3
-		}
-		return out
-	}); err != nil {
+	if err := db.RegisterGoUDF("tripled", tripled); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, db, `CREATE TABLE t (i INTEGER)`, `INSERT INTO t VALUES (7)`)
 	m.Close()
 
-	// Replay recreates the catalog entry; the Go implementation is
-	// process-wide (gort registry), so the recovered function is callable.
+	// Replay recreates the catalog entry but not the Go function, which is
+	// not logged: the recovered database calls it once it is registered
+	// again.
 	db2, m2 := openDB(t, dir, Options{})
 	defer m2.Close()
+	if k := queryKind(db2, `SELECT tripled(i) FROM t`); k != core.KindName {
+		t.Fatalf("recovered go udf before registration: kind %v, want a name error", k)
+	}
+	if err := db2.RegisterGoUDF("tripled", tripled); err != nil {
+		t.Fatal(err)
+	}
 	got := queryInts(t, db2, `SELECT tripled(i) FROM t`)
 	if len(got) != 1 || got[0] != 21 {
 		t.Fatalf("recovered go udf: %v", got)
+	}
+}
+
+// TestReplayedDeclarationRunsOnceRegistered: a replayed CREATE FUNCTION g
+// ... LANGUAGE GO { f } is a name error until the process registers f
+// again, and then runs f.
+func TestReplayedDeclarationRunsOnceRegistered(t *testing.T) {
+	dir := t.TempDir()
+	db, m := openDB(t, dir, Options{})
+	if err := db.RegisterGoUDF("f", tripled); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE FUNCTION g(x INTEGER) RETURNS INTEGER LANGUAGE GO { f }`)
+	m.Close()
+
+	db2, m2 := openDB(t, dir, Options{})
+	defer m2.Close()
+	if k := queryKind(db2, `SELECT g(7)`); k != core.KindName {
+		t.Fatalf("replayed g before f is registered: kind %v, want a name error", k)
+	}
+	if err := db2.RegisterGoUDF("f", tripled); err != nil {
+		t.Fatal(err)
+	}
+	if got := queryInts(t, db2, `SELECT g(7)`); len(got) != 1 || got[0] != 21 {
+		t.Fatalf("replayed g after f is registered: %v, want [21]", got)
 	}
 }
 

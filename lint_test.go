@@ -18,17 +18,18 @@ import (
 	"testing"
 )
 
-// The lint tests hold five properties of the module's non-test files. Four
+// The lint tests hold six properties of the module's non-test files. Five
 // are syntactic: no context.Background()/TODO() under internal/wire,
 // internal/engine or devudf (ctxflow); no storage.Column literal outside
 // internal/storage and internal/engine/vec; no fmt.Errorf outside package
 // main (core.Errorf keeps an error operand as its cause); nothing registers
 // at a distance — no blank import of a repro/ package and no func init that
 // calls into another package, so what a package does is what its callers
-// call. The fifth, lockblock, needs types: no channel operation,
-// UDF call or network IO under a mutex the same function holds, in
-// internal/wire and internal/debug, unless the operation's own line says
-// "//lockblock:ok <reason>".
+// call; no file-scope sync.Mutex or sync.RWMutex, whose state belongs on
+// the value that owns it. The sixth, lockblock, needs types: no channel
+// operation, UDF call or network IO under a mutex the same function holds,
+// in internal/wire and internal/debug, unless the operation's own line
+// says "//lockblock:ok <reason>".
 
 // moduleFiles parses every non-test file of the module once, keyed by
 // slash-separated directory. testdata, dot and underscore directories
@@ -55,7 +56,7 @@ var moduleFiles = sync.OnceValues(func() (map[string][]*ast.File, error) {
 	return files, err
 })
 
-// TestLintSyntaxRules runs the four syntactic rules over the module.
+// TestLintSyntaxRules runs the five syntactic rules over the module.
 func TestLintSyntaxRules(t *testing.T) {
 	dirs, err := moduleFiles()
 	if err != nil || len(dirs) < 20 {
@@ -113,7 +114,7 @@ func isSel(e ast.Expr, pkg string, names ...string) bool {
 	return ok && x.Name == pkg && slices.Contains(names, sel.Sel.Name)
 }
 
-// syntaxFindings applies the four syntactic rules to file f, which sits
+// syntaxFindings applies the five syntactic rules to file f, which sits
 // in the slash-separated directory dir of the module.
 func syntaxFindings(dir string, f *ast.File) []string {
 	var out []string
@@ -132,6 +133,23 @@ func syntaxFindings(dir string, f *ast.File) []string {
 	ctxflow := inDir(dir, "internal/wire", "internal/engine", "devudf")
 	columns := !inDir(dir, "internal/storage", "internal/engine/vec")
 	context, fmtPkg, storage := importName(f, "context"), importName(f, "fmt"), importName(f, "repro/internal/storage")
+	syncPkg := importName(f, "sync")
+	for _, decl := range f.Decls {
+		if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				typ := vs.Type
+				if typ == nil && len(vs.Values) == 1 {
+					if lit, ok := ast.Unparen(vs.Values[0]).(*ast.CompositeLit); ok {
+						typ = lit.Type
+					}
+				}
+				if isSel(typ, syncPkg, "Mutex", "RWMutex") {
+					report(vs, "package-level mutex %s: a lock shared by every caller in the process; put it on the value that owns the state", vs.Names[0].Name)
+				}
+			}
+		}
+	}
 	elided := map[*ast.CompositeLit]ast.Expr{} // the type an element literal leaves out
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -367,6 +385,17 @@ import (
 	_ "net/http/pprof"
 )
 func init() { udfrt := struct{ Register func() }{}; udfrt.Register() }`},
+		{"package-level mutex", "internal/udfrt/gort", `package gort
+import "sync"
+var (
+	mu    sync.RWMutex // want: package-level mutex mu
+	funcs = map[string]any{}
+)
+var plain sync.Mutex // want: package-level mutex plain
+var literal = sync.Mutex{} // want: package-level mutex literal
+var group, once = sync.WaitGroup{}, sync.Once{}
+type table struct { mu sync.RWMutex; funcs map[string]any }
+func local() { var mu sync.Mutex; mu.Lock(); mu.Unlock() }`},
 		{"lockblock", "internal/wire", `package wire
 import ("net"; "sync"; "repro/internal/udfrt")
 func WriteFrame(c net.Conn, t byte, payload []byte) error       { return nil }
