@@ -163,3 +163,65 @@ func TestRunLocalNativeUnregistered(t *testing.T) {
 		t.Fatalf("the server answered %d after the client registered its own function, want 4", got)
 	}
 }
+
+// TestRunLocalNativeAnswersWhatTheServerAnswers: a local run of a GO UDF
+// is held to the server's calling rules. A scalar function that answers 2
+// rows for 3 fails with the server's own error, and a table function's
+// one-row column is broadcast as the server broadcasts it in FROM.
+func TestRunLocalNativeAnswersWhatTheServerAnswers(t *testing.T) {
+	fns := map[string]any{
+		"short_all": func(x []int64) []int64 { return x[:len(x)-1] },
+		"with_total": func(x []int64) ([]int64, int64) {
+			var s int64
+			for _, v := range x {
+				s += v
+			}
+			return x, s
+		},
+	}
+	params, db := startServer(t,
+		`CREATE TABLE nums (i INTEGER)`,
+		`INSERT INTO nums VALUES (1), (2), (3)`,
+	)
+	for name, fn := range fns {
+		if err := db.RegisterGoUDF(name, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// run answers the debug query on the server and runs name locally.
+	run := func(name, query string) (server QueryResult, serverErr error, local *RunResult, err error) {
+		c := newClient(t, params, query)
+		if err := c.RegisterGoUDF(name, fns[name]); err != nil {
+			t.Fatal(err)
+		}
+		server, serverErr = c.Query(ctx, query)
+		if _, err := c.ImportUDFs(ctx, name); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ExtractInputs(ctx, name); err != nil {
+			t.Fatal(err)
+		}
+		local, err = c.RunLocal(ctx, name)
+		return server, serverErr, local, err
+	}
+
+	const want = "constraint error: UDF short_all returned 2 rows for 3 input rows"
+	_, serverErr, local, err := run("short_all", `SELECT short_all(i) FROM nums`)
+	if serverErr == nil || serverErr.Error() != want {
+		t.Fatalf("server: %v, want %q", serverErr, want)
+	}
+	if err == nil || err.Error() != want {
+		t.Fatalf("local run: %v (answered %v), want the server's %q", err, local, want)
+	}
+
+	server, serverErr, local, err := run("with_total", `SELECT * FROM with_total((SELECT i FROM nums))`)
+	if err != nil || serverErr != nil {
+		t.Fatalf("local run: %v, server: %v", err, serverErr)
+	}
+	if got := server.Table.Cols[1].Ints; len(got) != 3 || got[2] != 6 {
+		t.Fatalf("server answered col2 = %v, want 6 broadcast to the 3 rows", got)
+	}
+	if got := local.Value.Repr(); got != "{'col1': [1, 2, 3], 'col2': [6, 6, 6]}" {
+		t.Fatalf("local run answered %s, want col2 broadcast as the server broadcast it", got)
+	}
+}

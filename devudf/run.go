@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/debug"
 	"repro/internal/engine"
-	"repro/internal/pickle"
 	"repro/internal/script"
 	"repro/internal/storage"
 	"repro/internal/transfer"
@@ -55,19 +54,11 @@ func (c *Client) ExtractInputs(ctx context.Context, udfName string) (*ExtractInf
 	return x, nil
 }
 
-// extractAnswer is the one-row answer of a rewritten query: the packed
-// payload and the input's row counts before and after sampling.
-var extractAnswer = []storage.ColumnDef{
-	{Name: "payload", Type: storage.TBlob},
-	{Name: "total_rows", Type: storage.TInt},
-	{Name: "sample_rows", Type: storage.TInt},
-}
-
 // extract runs sql rewritten so that the server extracts the inputs of
 // its call of udfName (§2.2) under the settings' transfer options, and
 // returns the extraction's summary and the pickle of the parameter dict its
 // payload unpacks to (paramsOf). The answer is read by column name; one
-// that lacks a column of extractAnswer is a protocol error.
+// that lacks a column of transform.ExtractAnswer is a protocol error.
 func (c *Client) extract(ctx context.Context, sql, udfName string) (*ExtractInfo, []byte, error) {
 	opts := c.Settings.Transfer
 	rewritten, err := transform.RewriteToExtract(sql, udfName, opts)
@@ -81,7 +72,7 @@ func (c *Client) extract(ctx context.Context, sql, udfName string) (*ExtractInfo
 	if t == nil || t.NumRows() != 1 {
 		return nil, nil, core.Errorf(core.KindProtocol, "extract query returned no payload row")
 	}
-	cols, err := answerColumns(t, "extract", extractAnswer)
+	cols, err := answerColumns(t, "extract", transform.ExtractAnswer)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -134,7 +125,8 @@ type RunResult struct {
 // by the UDF's language: PYTHON UDFs run their generated script (the
 // Listing 2 flow — the prologue loads input.bin and calls the function),
 // GO UDFs compile as the engine compiles them (engine.CompileUDF) with the
-// function this client's RegisterGoUDF gave it. Run ExtractInputs first.
+// function this client's RegisterGoUDF gave it and answer what the server
+// answers (runLocalNative). Run ExtractInputs first.
 func (c *Client) RunLocal(ctx context.Context, udfName string) (*RunResult, error) {
 	info, src, err := c.Project.LoadUDF(udfName)
 	if err != nil {
@@ -191,32 +183,55 @@ func (r *scriptRun) run() error {
 // one means PYTHON).
 func languageOf(info UDFInfo) string { return udfrt.Canonical(info.Language) }
 
-// runLocalNative executes a non-interpreted UDF on its extracted inputs
-// the way the generated script calls a PYTHON one: compiled with the
-// client's registered function, called on input.bin's parameters.
+// runLocalNative calls a non-interpreted UDF on input.bin's parameters
+// under the server's rules for a scalar function's call as a scalar and a
+// table function's in FROM (callOnParams). A scalar function's value is
+// its result column, a table function's a dict of its columns, each a list
+// or, for one row, a bare value.
 func (c *Client) runLocalNative(info UDFInfo, src string) (*RunResult, error) {
 	def, call, err := c.compileNative(info, src)
 	if err != nil {
 		return nil, err
 	}
-	v, err := pickle.LoadFileColumns(c.Project.FS(), c.Project.InputPath(info.Name))
+	pickled, err := c.Project.FS().ReadFile(c.Project.InputPath(info.Name))
 	if err != nil {
 		return nil, core.Wrapf(core.KindConstraint, err,
 			"no extracted inputs for %s (run extract first): %v", info.Name, err)
 	}
-	inputs, ok := v.(*script.DictVal)
+	cols, err := c.callOnParams(def, call, pickled, info.IsTable)
+	if err != nil {
+		return nil, err
+	}
+	if !info.IsTable {
+		return &RunResult{Value: pyrt.ColumnToValue(cols[0], cols[0].Len() != 1)}, nil
+	}
+	d := script.NewDict()
+	for _, col := range cols {
+		d.SetStr(col.Name, pyrt.ColumnToValue(col, col.Len() != 1))
+	}
+	return &RunResult{Value: d}, nil
+}
+
+// callOnParams calls an imported UDF on a parameter pickle, the dict
+// extract answers (pyrt.Params), under the server's calling rules for a
+// call in FROM or as a scalar (udfrt.Run): the columns are the ones the
+// server's answer to that call holds, or its error.
+func (c *Client) callOnParams(def *storage.FuncDef, call udfrt.Callable, pickled []byte, inFrom bool) ([]*storage.Column, error) {
+	params, err := script.UnmarshalColumns(pickled)
+	if err != nil {
+		return nil, err
+	}
+	dict, ok := params.(*script.DictVal)
 	if !ok {
-		return nil, core.Errorf(core.KindProtocol, "input file for %s is not a parameter dict", info.Name)
+		return nil, core.Errorf(core.KindProtocol, "the inputs of %s are not a parameter dict", def.Name)
 	}
-	in, err := pyrt.ParamsBatch(def.Params, inputs)
+	in, err := pyrt.ParamsBatch(def.Params, dict)
 	if err != nil {
 		return nil, err
 	}
-	out, err := call.Call(&udfrt.Env{FS: c.Project.FS()}, in)
-	if err != nil {
-		return nil, err
-	}
-	return &RunResult{Value: batchToValue(info, out)}, nil
+	return udfrt.Run(def, in, inFrom, func(in *udfrt.Batch) (*udfrt.Batch, error) {
+		return call.Call(&udfrt.Env{FS: c.Project.FS()}, in)
+	})
 }
 
 // compileNative rebuilds a non-PYTHON UDF's catalog definition from the
@@ -232,21 +247,6 @@ func (c *Client) compileNative(info UDFInfo, src string) (*storage.FuncDef, udfr
 	def.Native, _ = c.native.Load(strings.ToLower(gort.Symbol(def)))
 	call, err := engine.CompileUDF(def)
 	return def, call, err
-}
-
-// batchToValue shapes a native result batch the way the interpreter-based
-// flow would see it: a dict of columns for table functions, a bare list (or
-// scalar, for one-row results) for scalar functions.
-func batchToValue(info UDFInfo, out *udfrt.Batch) script.Value {
-	if len(out.Cols) == 1 && !info.IsTable {
-		col := out.Cols[0]
-		return pyrt.ColumnToValue(col, col.Len() != 1)
-	}
-	d := script.NewDict()
-	for _, col := range out.Cols {
-		d.SetStr(col.Name, pyrt.ColumnToValue(col, col.Len() != 1))
-	}
-	return d
 }
 
 // NewDebugSession builds an interactive debug session over an imported
@@ -310,8 +310,8 @@ func (x localExecutor) Execute(sql string) (*storage.Table, error) {
 
 // runNested answers a loopback query that calls an imported UDF: extract
 // the nested UDF's inputs from the server and call the local definition on
-// them under the server's calling rules (udfrt.Run), so its output is the
-// table the server's answer would hold. transform.LocalCall refuses the
+// them under the server's calling rules (callOnParams), so its output is
+// the table the server's answer would hold. transform.LocalCall refuses the
 // queries whose answer is not the UDF's output as it is.
 func (x localExecutor) runNested(sql, udfName string) (*storage.Table, error) {
 	info, src, err := x.c.Project.LoadUDF(udfName)
@@ -330,17 +330,7 @@ func (x localExecutor) runNested(sql, udfName string) (*storage.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	params, err := script.UnmarshalColumns(pickled)
-	if err != nil {
-		return nil, err
-	}
-	in, err := pyrt.ParamsBatch(def.Params, params.(*script.DictVal)) // extract saw a dict
-	if err != nil {
-		return nil, err
-	}
-	cols, err := udfrt.Run(def, in, column == "", func(in *udfrt.Batch) (*udfrt.Batch, error) {
-		return call.Call(&udfrt.Env{FS: x.c.Project.FS()}, in)
-	})
+	cols, err := x.c.callOnParams(def, call, pickled, column == "")
 	if err != nil {
 		return nil, err
 	}

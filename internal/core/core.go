@@ -138,6 +138,17 @@ func Wrapf(kind ErrorKind, cause error, format string, args ...any) *Error {
 
 func (e *Error) Error() string { return e.Kind.String() + " error: " + e.Msg }
 
+// Message is err's text without its kind tag: a *Error's Msg, any other
+// error's Error(). It looks at err itself, not at what err wraps, so an
+// error that wraps a *Error under its own text (a script traceback) keeps
+// that text.
+func Message(err error) string {
+	if e, ok := err.(*Error); ok {
+		return e.Msg
+	}
+	return err.Error()
+}
+
 // Unwrap exposes the wrapped cause to errors.Is/As.
 func (e *Error) Unwrap() error { return e.Err }
 

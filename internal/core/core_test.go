@@ -123,6 +123,27 @@ func TestWrapfTagsTheKindOnce(t *testing.T) {
 	}
 }
 
+// TestMessage: a *Error gives its Msg, any other error its Error(). Only
+// err itself is looked at, so an error that wraps a *Error under its own
+// text keeps that text.
+func TestMessage(t *testing.T) {
+	ce := Errorf(KindConstraint, "UDF f returned 2 rows for 3 input rows")
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{ce, "UDF f returned 2 rows for 3 input rows"},
+		{Wrapf(KindIO, io.EOF, "read: %v", io.EOF), "read: EOF"},
+		{Errorf(KindRuntime, "UDF g failed: %v", ce), "UDF g failed: UDF f returned 2 rows for 3 input rows"},
+		{io.EOF, "EOF"},
+		{fmt.Errorf("callback: %w", ce), "callback: constraint error: UDF f returned 2 rows for 3 input rows"},
+	} {
+		if got := Message(tc.err); got != tc.want {
+			t.Errorf("Message(%#v) = %q, want %q", tc.err, got, tc.want)
+		}
+	}
+}
+
 func TestErrorKindStrings(t *testing.T) {
 	kinds := map[ErrorKind]string{
 		KindUnknown: "unknown", KindSyntax: "syntax", KindName: "name",

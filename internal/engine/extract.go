@@ -11,17 +11,6 @@ import (
 	"repro/internal/udfrt/pyrt"
 )
 
-// extractSchema is the answer of sys_extract, the reserved table function
-// devUDF's query rewriting substitutes for a UDF call (paper §2.2): instead
-// of executing the UDF, the server packages the UDF's would-be input data
-// — optionally sampled, compressed and encrypted — and returns it to the
-// client, which knows what it asked for.
-var extractSchema = storage.Schema{
-	{Name: "payload", Type: storage.TBlob},
-	{Name: "total_rows", Type: storage.TInt},
-	{Name: "sample_rows", Type: storage.TInt},
-}
-
 // extractArgs is the type of each of sys_extract's leading arguments: the
 // UDF's name and the transfer options compress, encrypt, sample_size and
 // seed.
@@ -88,7 +77,7 @@ func (f *frame) evalExtract(call *sqlparse.FuncCall) (*storage.Table, error) {
 		return nil, err
 	}
 
-	t := storage.NewTable("extract", extractSchema)
+	t := storage.NewTable("extract", transform.ExtractAnswer)
 	if err := t.AppendRow([]any{packed, int64(totalRows), int64(in.Rows)}); err != nil {
 		return nil, err
 	}

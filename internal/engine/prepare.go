@@ -254,16 +254,12 @@ func (s *Stmt) ExecContext(ctx context.Context, args ...any) (*Result, error) {
 }
 
 // ExecWith is ExecContext without the context detour — see Conn.ExecWith.
-// It turns the Go arguments into length-1 columns (storage.BindValue) and
+// It turns the Go arguments into length-1 columns (storage.BindValues) and
 // hands them to ExecBound.
 func (s *Stmt) ExecWith(o ExecOpts, args ...any) (*Result, error) {
-	cols := make([]*storage.Column, len(args))
-	for i, v := range args {
-		col, err := storage.BindValue(v)
-		if err != nil {
-			return nil, core.Wrapf(core.KindType, err, "parameter %d: %v", i+1, err)
-		}
-		cols[i] = col
+	cols, err := storage.BindValues(args)
+	if err != nil {
+		return nil, err
 	}
 	return s.ExecBound(o, cols)
 }

@@ -140,7 +140,7 @@ func biPrint(in *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 func (in *Interp) cells(v Value) (seq, error) {
 	if r, ok := v.(RangeVal); ok {
 		if err := r.materialize(); err != nil {
-			return seq{}, in.rtErrf(0, "%s", errMsg(err))
+			return seq{}, in.rtErrf(0, "%s", core.Message(err))
 		}
 	}
 	return in.seq(v, 0)
@@ -319,7 +319,7 @@ func biList(in *Interp, args []Value, _ map[string]Value) (Value, error) {
 	case RangeVal:
 		l, err := v.List()
 		if err != nil {
-			return nil, in.rtErrf(0, "%s", errMsg(err))
+			return nil, in.rtErrf(0, "%s", core.Message(err))
 		}
 		return l, nil
 	}

@@ -344,7 +344,7 @@ func (in *Interp) items(v Value, line int) ([]Value, error) {
 		return v.Items, nil
 	case RangeVal:
 		if err := v.materialize(); err != nil {
-			return nil, in.rtErrf(line, "%s", errMsg(err))
+			return nil, in.rtErrf(line, "%s", core.Message(err))
 		}
 		out := make([]Value, v.Len())
 		for k := range out {
@@ -416,7 +416,7 @@ func (in *Interp) builtinResult(v Value, err error, typ, name string, line int) 
 		if typ != "" {
 			name = typ + "." + name
 		}
-		return val{}, in.rtErrf(line, "%s: %v", name, errMsg(err))
+		return val{}, in.rtErrf(line, "%s: %v", name, core.Message(err))
 	}
 	if v == nil {
 		return noneV, nil
@@ -444,14 +444,6 @@ func (in *Interp) call(fn Value, args []val, kwargs map[string]Value, line int) 
 	default:
 		return val{}, in.rtErrf(line, "'%s' object is not callable", fn.TypeName())
 	}
-}
-
-// errMsg strips the core error prefix for nicer script-level messages.
-func errMsg(err error) string {
-	if ce, ok := err.(*core.Error); ok {
-		return ce.Msg
-	}
-	return err.Error()
 }
 
 const maxCallDepth = 200

@@ -1,6 +1,7 @@
 package script
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -909,5 +910,30 @@ f = 5 in range(0, 10, 2)
 	}
 	if Truthy(getVar(t, env, "f")) {
 		t.Fatal("5 not in range(0,10,2)")
+	}
+}
+
+// TestBuiltinKeepsItsCallbacksTraceback: a Go builtin that fails with its
+// callback's error wrapped in its own text (not a *core.Error) reports
+// that text whole, the callback's traceback included (core.Message).
+func TestBuiltinKeepsItsCallbacksTraceback(t *testing.T) {
+	mod, err := Parse("test", "def boom():\n    return 1 / 0\napply(boom)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := NewInterp()
+	env := in.NewGlobals()
+	env.Set("apply", &BuiltinVal{Name: "apply", Fn: func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
+		v, err := in.Call(args[0], nil)
+		if err != nil {
+			return nil, fmt.Errorf("callback failed: %w", err)
+		}
+		return v, nil
+	}})
+	const want = "apply: callback failed: division by zero\n" +
+		"Traceback (most recent call last):\n  <module> (test:3)\n  boom (test:2)\n" +
+		"Traceback (most recent call last):\n  <module> (test:3)"
+	if err := in.RunInEnv(mod, env); err == nil || err.Error() != want {
+		t.Fatalf("error = %q, want %q", err, want)
 	}
 }

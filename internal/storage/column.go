@@ -292,8 +292,9 @@ func ColumnOver(name string, vec any) *Column {
 // BindValue builds a length-1 column from a Go bind argument, inferring
 // the SQL type from the Go type: int/int32/int64 → INTEGER, float32/
 // float64 → DOUBLE, string → STRING, bool → BOOLEAN, []byte → BLOB. nil
-// binds NULL. It is the shared typing rule of the prepared-statement
-// surfaces (engine Stmt binding and the wire MsgExecStmt arg encoding).
+// binds NULL. The statement surfaces (engine Stmt binding and the wire
+// MsgExecStmt arg encoding) apply it through BindValues, their one typing
+// rule for an argument list.
 func BindValue(v any) (*Column, error) {
 	switch v := v.(type) {
 	case nil:
@@ -337,6 +338,20 @@ func BindValue(v any) (*Column, error) {
 	default:
 		return nil, core.Errorf(core.KindType, "cannot bind a %T parameter", v)
 	}
+}
+
+// BindValues is BindValue over a statement's argument list; an argument it
+// cannot bind fails the list with its 1-based position.
+func BindValues(args []any) ([]*Column, error) {
+	cols := make([]*Column, len(args))
+	for i, v := range args {
+		col, err := BindValue(v)
+		if err != nil {
+			return nil, core.Wrapf(core.KindType, err, "parameter %d: %v", i+1, err)
+		}
+		cols[i] = col
+	}
+	return cols, nil
 }
 
 // Reserve grows the column's capacity so that n more rows can be appended

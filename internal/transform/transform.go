@@ -32,6 +32,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/script"
 	"repro/internal/sqlparse"
+	"repro/internal/storage"
 	"repro/internal/transfer"
 )
 
@@ -186,6 +187,16 @@ func ExtractBody(source, name string) (string, error) {
 // ExtractFuncName is the server-side table function the rewritten query
 // calls instead of the UDF.
 const ExtractFuncName = "sys_extract"
+
+// ExtractAnswer is the schema of sys_extract's one-row answer (paper §2.2):
+// instead of executing the UDF, the server packages the UDF's would-be
+// input data — optionally sampled, compressed and encrypted — as the
+// payload, beside the input's row counts before and after sampling.
+var ExtractAnswer = storage.Schema{
+	{Name: "payload", Type: storage.TBlob},
+	{Name: "total_rows", Type: storage.TInt},
+	{Name: "sample_rows", Type: storage.TInt},
+}
 
 // RewriteToExtract replaces each call of udfName in the query with
 // sys_extract('udfName', compress, encrypt, sample_size, seed, <original

@@ -29,16 +29,9 @@ func (*Runtime) Compile(def *storage.FuncDef) (udfrt.Callable, error) {
 	src := transform.WrapFunction(def.Name, def.Params.Names(), def.Body)
 	mod, err := script.Parse(def.Name, src)
 	if err != nil {
-		return nil, core.Errorf(core.KindSyntax, "in UDF %s: %v", def.Name, errText(err))
+		return nil, core.Errorf(core.KindSyntax, "in UDF %s: %v", def.Name, core.Message(err))
 	}
 	return &callable{def: def, mod: mod}, nil
-}
-
-func errText(err error) string {
-	if ce, ok := err.(*core.Error); ok {
-		return ce.Msg
-	}
-	return err.Error()
 }
 
 // callable is one compiled PYTHON UDF: the parsed wrapper module, whose

@@ -275,10 +275,7 @@ func WrapErr(name string, err error) error {
 	case core.KindCancelled, core.KindResource:
 		return err
 	}
-	msg := err.Error()
-	if ce, ok := err.(*core.Error); ok {
-		msg = ce.Msg
-	}
+	msg := core.Message(err)
 	if strings.HasPrefix(msg, "UDF "+name+" ") {
 		return err
 	}

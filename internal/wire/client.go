@@ -266,21 +266,13 @@ func (e remoteError) Unwrap() error { return e.err }
 // result sets arrive chunked and are reassembled here; use QueryStream
 // to consume them incrementally instead.
 func (c *Client) Query(ctx context.Context, sql string) (string, *storage.Table, error) {
-	rows, err := c.QueryStream(ctx, sql)
-	if err != nil {
-		return "", nil, err
-	}
-	return rows.ReadAll()
+	return queryReply(c.QueryStream(ctx, sql))
 }
 
 // Exec executes SQL for its side effects and returns the status message,
 // discarding result rows batch-by-batch so peak memory stays at one chunk.
 func (c *Client) Exec(ctx context.Context, sql string) (string, error) {
-	rows, err := c.QueryStream(ctx, sql)
-	if err != nil {
-		return "", err
-	}
-	return rows.discard()
+	return execReply(c.QueryStream(ctx, sql))
 }
 
 // QueryStream executes SQL and returns a Rows iterator over the result

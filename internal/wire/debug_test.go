@@ -535,3 +535,31 @@ func TestSetBreakpointsBeforeTheUDFIsReached(t *testing.T) {
 		t.Fatalf("kill: %+v", ev)
 	}
 }
+
+// TestDebugEvalErrorReplyIsTheMessage pins the text of a failed eval's
+// reply: the script error's message, without the traceback its
+// *script.RuntimeError carries (the one error a debug reply sees that is
+// not itself a *core.Error).
+func TestDebugEvalErrorReplyIsTheMessage(t *testing.T) {
+	_, c := debugFixture(t)
+	dc, err := c.Debug()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dc.Close()
+	debugCmd(t, dc, DebugRequest{
+		Command: DebugCmdLaunch, Query: "SELECT mean_deviation(i) FROM numbers",
+		UDF: "mean_deviation", StopOnEntry: true,
+	})
+	if ev := waitEvent(t, dc, 10*time.Second); ev.Reason != string(debug.ReasonEntry) {
+		t.Fatalf("entry stop: %+v", ev)
+	}
+	_, err = dc.RoundTrip(ctxSec(t), DebugRequest{Command: DebugCmdEval, Expr: "no_such_var"})
+	if want := "runtime error: name 'no_such_var' is not defined"; err == nil || err.Error() != want {
+		t.Fatalf("eval error = %v, want %q", err, want)
+	}
+	debugCmd(t, dc, DebugRequest{Command: DebugCmdKill})
+	if ev := waitEvent(t, dc, 10*time.Second); ev.Kind != DebugEventTerminated {
+		t.Fatalf("kill: %+v", ev)
+	}
+}

@@ -75,7 +75,7 @@ func (sc *serverConn) runDebug(dr *debugRun) {
 	}
 	evt := DebugEventMsg{Kind: DebugEventTerminated, Reason: string(debug.ReasonDone)}
 	if err := sc.srv.checkDebuggable(dr.req.UDF); err != nil {
-		evt.Reason, evt.Err = string(debug.ReasonException), errString(err)
+		evt.Reason, evt.Err = string(debug.ReasonException), core.Message(err)
 	} else {
 		o := sc.execOpts(nil)
 		o.Invoke = dr.Run
@@ -87,7 +87,7 @@ func (sc *serverConn) runDebug(dr *debugRun) {
 			evt.Msg = res.Msg
 		}
 		if err != nil {
-			evt.Err = errString(err)
+			evt.Err = core.Message(err)
 		}
 	}
 	dr.finished.Store(true)
@@ -140,7 +140,7 @@ func (sc *serverConn) handleDebug(payload []byte) bool {
 	rep := DebugReply{Seq: req.Seq, Success: true}
 	if err := sc.debugCommand(req, &rep); err != nil {
 		rep.Success = false
-		rep.Error = errString(err)
+		rep.Error = core.Message(err)
 	}
 	return sc.w.writeFrame(MsgDebugReply, EncodeDebugReply(rep)) == nil
 }
@@ -196,6 +196,11 @@ func (sc *serverConn) debugCommand(req DebugRequest, rep *DebugReply) error {
 	case DebugCmdEval:
 		act = func(s *debug.Session) error {
 			v, err := s.Eval(req.Expr)
+			if re, ok := err.(*script.RuntimeError); ok {
+				// The reply carries the failure without its traceback,
+				// which names only the frame the client is paused in.
+				return re.Unwrap()
+			}
 			if err == nil {
 				rep.Value = v.Repr()
 			}

@@ -127,7 +127,7 @@ func (sc *serverConn) runStatement(sql string, exec func(engine.ExecOpts) (*engi
 	// On a failed write the client is gone; write errors are swallowed so
 	// draining never blocks (subsequent writes fail fast).
 	if err != nil {
-		_ = sc.w.writeFrame(MsgErr, EncodeError(core.KindOf(err), errString(err)))
+		sc.replyErr(err)
 	} else {
 		wt := tr.StartStage(obs.StageWrite)
 		_ = sc.writeResult(res)
@@ -137,7 +137,7 @@ func (sc *serverConn) runStatement(sql string, exec func(engine.ExecOpts) (*engi
 		return
 	}
 	if err != nil {
-		tr.Err = errString(err)
+		tr.Err = core.Message(err)
 	} else if res.Table != nil {
 		tr.Rows = int64(res.Table.NumRows())
 	}

@@ -204,21 +204,13 @@ func (p *Pool) QueryStream(ctx context.Context, sql string) (*Rows, error) {
 
 // Query is QueryStream with the result fully materialized.
 func (p *Pool) Query(ctx context.Context, sql string) (string, *storage.Table, error) {
-	rows, err := p.QueryStream(ctx, sql)
-	if err != nil {
-		return "", nil, err
-	}
-	return rows.ReadAll()
+	return queryReply(p.QueryStream(ctx, sql))
 }
 
 // Exec is QueryStream for statements run for their side effects: it
 // discards result rows and returns the status message.
 func (p *Pool) Exec(ctx context.Context, sql string) (string, error) {
-	rows, err := p.QueryStream(ctx, sql)
-	if err != nil {
-		return "", err
-	}
-	return rows.discard()
+	return execReply(p.QueryStream(ctx, sql))
 }
 
 func (p *Pool) isClosed() bool {

@@ -150,15 +150,29 @@ func (r *Rows) Close() error {
 	return r.err
 }
 
-// discard consumes the stream batch by batch, keeping peak memory at one
-// chunk, and returns the status message: the Exec surface.
-func (r *Rows) discard() (string, error) {
+// execReply is the Exec surface of Client, Pool and Stmt over the stream
+// their QueryStream started (or failed to start): it consumes the stream
+// batch by batch, keeping peak memory at one chunk, and returns the status
+// message.
+func execReply(r *Rows, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
 	for r.Next() {
 	}
 	if err := r.Close(); err != nil {
 		return "", err
 	}
 	return r.msg, nil
+}
+
+// queryReply is the Query surface of Client, Pool and Stmt: ReadAll over
+// the stream their QueryStream started (or failed to start).
+func queryReply(r *Rows, err error) (string, *storage.Table, error) {
+	if err != nil {
+		return "", nil, err
+	}
+	return r.ReadAll()
 }
 
 // ReadAll consumes the whole stream and reassembles it into one table,

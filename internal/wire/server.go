@@ -433,7 +433,7 @@ func (sc *serverConn) queryWorker() {
 		}
 		if it.shed > 0 {
 			sc.srv.queriesShed.Add(1)
-			_ = sc.w.writeFrame(MsgErr, EncodeError(core.KindOverload,
+			sc.replyErr(core.Errorf(core.KindOverload,
 				"server overloaded: request shed before execution; safe to retry"))
 			continue
 		}
@@ -465,13 +465,13 @@ func (sc *serverConn) handlePrepare(payload []byte) {
 		if m := sc.srv.metrics; m != nil {
 			m.stmtRejects.Inc()
 		}
-		_ = sc.w.writeFrame(MsgErr, EncodeError(core.KindConstraint,
+		sc.replyErr(core.Errorf(core.KindConstraint,
 			"prepared-statement table is full; close statements first"))
 		return
 	}
 	stmt, err := sc.sess.Prepare(string(payload))
 	if err != nil {
-		_ = sc.w.writeFrame(MsgErr, EncodeError(core.KindOf(err), errString(err)))
+		sc.replyErr(err)
 		return
 	}
 	if sc.stmts == nil {
@@ -490,13 +490,12 @@ func (sc *serverConn) handlePrepare(payload []byte) {
 func (sc *serverConn) handleExecStmt(payload []byte) {
 	id, cols, err := DecodeExecStmt(payload)
 	if err != nil {
-		_ = sc.w.writeFrame(MsgErr, EncodeError(core.KindOf(err), errString(err)))
+		sc.replyErr(err)
 		return
 	}
 	stmt, ok := sc.stmts[id]
 	if !ok {
-		_ = sc.w.writeFrame(MsgErr, EncodeError(core.KindName,
-			"unknown prepared-statement id"))
+		sc.replyErr(core.Errorf(core.KindName, "unknown prepared-statement id"))
 		return
 	}
 	sc.runStatement(stmt.SQL(), func(o engine.ExecOpts) (*engine.Result, error) {
@@ -508,12 +507,11 @@ func (sc *serverConn) handleExecStmt(payload []byte) {
 func (sc *serverConn) handleCloseStmt(payload []byte) {
 	id, err := DecodeCloseStmt(payload)
 	if err != nil {
-		_ = sc.w.writeFrame(MsgErr, EncodeError(core.KindOf(err), errString(err)))
+		sc.replyErr(err)
 		return
 	}
 	if _, ok := sc.stmts[id]; !ok {
-		_ = sc.w.writeFrame(MsgErr, EncodeError(core.KindName,
-			"unknown prepared-statement id"))
+		sc.replyErr(core.Errorf(core.KindName, "unknown prepared-statement id"))
 		return
 	}
 	delete(sc.stmts, id)
@@ -675,7 +673,7 @@ func (sc *serverConn) handleFrame(fr frame) bool {
 		return false
 	default:
 		sc.shutdown()
-		_ = sc.w.writeFrame(MsgErr, EncodeError(core.KindProtocol, "unexpected message type"))
+		sc.replyErr(core.Errorf(core.KindProtocol, "unexpected message type"))
 		return false
 	}
 }
@@ -723,12 +721,10 @@ func (sc *serverConn) writeResult(res *engine.Result) error {
 	return sc.w.writeFrame(MsgResult, EncodeResult(res.Msg, res.Table))
 }
 
-func errString(err error) string {
-	var ce *core.Error
-	if errors.As(err, &ce) {
-		return ce.Msg
-	}
-	return err.Error()
+// replyErr answers the request being served with a MsgErr frame carrying
+// err's kind and message. A failed write is swallowed: the client is gone.
+func (sc *serverConn) replyErr(err error) {
+	_ = sc.w.writeFrame(MsgErr, EncodeError(core.KindOf(err), core.Message(err)))
 }
 
 // readAuthFrame reads a connection's opening frame under the pre-auth size
@@ -737,7 +733,7 @@ func errString(err error) string {
 func readAuthFrame(nc net.Conn) (typ byte, payload []byte, err error) {
 	typ, payload, err = readFrameMax(nc, maxAuthFrame)
 	if core.KindOf(err) == core.KindProtocol {
-		_ = WriteFrame(nc, MsgErr, EncodeError(core.KindProtocol, errString(err)))
+		_ = WriteFrame(nc, MsgErr, EncodeError(core.KindProtocol, core.Message(err)))
 	}
 	return typ, payload, err
 }

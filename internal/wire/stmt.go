@@ -43,20 +43,6 @@ func (s *Stmt) SQL() string { return s.sql }
 // NumParams reports how many bind arguments each execution needs.
 func (s *Stmt) NumParams() int { return s.nparams }
 
-// bindArgCols converts Go bind arguments into the typed length-1 columns
-// the MsgExecStmt encoding carries.
-func bindArgCols(args []any) ([]*storage.Column, error) {
-	cols := make([]*storage.Column, len(args))
-	for i, v := range args {
-		col, err := storage.BindValue(v)
-		if err != nil {
-			return nil, core.Wrapf(core.KindType, err, "parameter %d: %v", i+1, err)
-		}
-		cols[i] = col
-	}
-	return cols, nil
-}
-
 // QueryStream executes the statement with one set of bind arguments and
 // returns a Rows iterator over the result batches — the prepared analogue
 // of Client.QueryStream, sharing its response protocol.
@@ -68,7 +54,7 @@ func (s *Stmt) QueryStream(ctx context.Context, args ...any) (*Rows, error) {
 		return nil, core.Errorf(core.KindConstraint,
 			"statement expects %d bind parameter(s), got %d", s.nparams, len(args))
 	}
-	cols, err := bindArgCols(args)
+	cols, err := storage.BindValues(args)
 	if err != nil {
 		return nil, err
 	}
@@ -78,21 +64,13 @@ func (s *Stmt) QueryStream(ctx context.Context, args ...any) (*Rows, error) {
 // Query executes the statement and returns the status message and the
 // fully materialized result table.
 func (s *Stmt) Query(ctx context.Context, args ...any) (string, *storage.Table, error) {
-	rows, err := s.QueryStream(ctx, args...)
-	if err != nil {
-		return "", nil, err
-	}
-	return rows.ReadAll()
+	return queryReply(s.QueryStream(ctx, args...))
 }
 
 // Exec executes the statement for its side effects, returning the status
 // message.
 func (s *Stmt) Exec(ctx context.Context, args ...any) (string, error) {
-	rows, err := s.QueryStream(ctx, args...)
-	if err != nil {
-		return "", err
-	}
-	return rows.discard()
+	return execReply(s.QueryStream(ctx, args...))
 }
 
 // Close discards the server-side statement, freeing its slot in the

@@ -41,7 +41,7 @@ func TestStmtPayloadRoundTrip(t *testing.T) {
 		t.Fatal("trailing prepare-ok bytes should fail")
 	}
 
-	cols, err := bindArgCols([]any{int64(5), 2.5, "x", true, []byte{1, 2}, nil})
+	cols, err := storage.BindValues([]any{int64(5), 2.5, "x", true, []byte{1, 2}, nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestStmtPayloadRoundTrip(t *testing.T) {
 		t.Fatal("truncated close-stmt should fail")
 	}
 
-	if _, err := bindArgCols([]any{struct{}{}}); err == nil {
+	if _, err := storage.BindValues([]any{struct{}{}}); err == nil {
 		t.Fatal("unbindable Go type should fail")
 	}
 }

@@ -18,7 +18,7 @@ import (
 	"testing"
 )
 
-// The lint tests hold six properties of the module's non-test files. Five
+// The lint tests hold seven properties of the module's non-test files. Six
 // are syntactic: no context.Background()/TODO() under internal/wire,
 // internal/engine or devudf (ctxflow); no storage.Column literal outside
 // internal/storage and internal/engine/vec; no fmt.Errorf outside package
@@ -26,7 +26,9 @@ import (
 // at a distance — no blank import of a repro/ package and no func init that
 // calls into another package, so what a package does is what its callers
 // call; no file-scope sync.Mutex or sync.RWMutex, whose state belongs on
-// the value that owns it. The sixth, lockblock, needs types: no channel
+// the value that owns it; no .(*core.Error) type assertion outside
+// internal/core, so an error's text without its kind tag has one rule,
+// core.Message. The seventh, lockblock, needs types: no channel
 // operation, UDF call or network IO under a mutex the same function holds,
 // in internal/wire and internal/debug, unless the operation's own line
 // says "//lockblock:ok <reason>".
@@ -56,7 +58,7 @@ var moduleFiles = sync.OnceValues(func() (map[string][]*ast.File, error) {
 	return files, err
 })
 
-// TestLintSyntaxRules runs the five syntactic rules over the module.
+// TestLintSyntaxRules runs the six syntactic rules over the module.
 func TestLintSyntaxRules(t *testing.T) {
 	dirs, err := moduleFiles()
 	if err != nil || len(dirs) < 20 {
@@ -114,7 +116,7 @@ func isSel(e ast.Expr, pkg string, names ...string) bool {
 	return ok && x.Name == pkg && slices.Contains(names, sel.Sel.Name)
 }
 
-// syntaxFindings applies the five syntactic rules to file f, which sits
+// syntaxFindings applies the six syntactic rules to file f, which sits
 // in the slash-separated directory dir of the module.
 func syntaxFindings(dir string, f *ast.File) []string {
 	var out []string
@@ -133,7 +135,7 @@ func syntaxFindings(dir string, f *ast.File) []string {
 	ctxflow := inDir(dir, "internal/wire", "internal/engine", "devudf")
 	columns := !inDir(dir, "internal/storage", "internal/engine/vec")
 	context, fmtPkg, storage := importName(f, "context"), importName(f, "fmt"), importName(f, "repro/internal/storage")
-	syncPkg := importName(f, "sync")
+	syncPkg, corePkg := importName(f, "sync"), importName(f, "repro/internal/core")
 	for _, decl := range f.Decls {
 		if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
 			for _, spec := range gd.Specs {
@@ -173,6 +175,10 @@ func syntaxFindings(dir string, f *ast.File) []string {
 			}
 			if f.Name.Name != "main" && isSel(n.Fun, fmtPkg, "Errorf") {
 				report(n, "fmt.Errorf outside package main; use core.Errorf or core.Wrapf, which keep an error operand as the cause")
+			}
+		case *ast.TypeAssertExpr:
+			if star, ok := n.Type.(*ast.StarExpr); ok && isSel(star.X, corePkg, "Error") {
+				report(n, "type assertion to *core.Error outside internal/core; core.Message gives its text, core.KindOf its kind")
 			}
 		case *ast.CompositeLit:
 			typ := n.Type
@@ -355,6 +361,13 @@ func afterEscape(n int) error   { return fmt.Errorf("100%% failure after %d rows
 func dynamic(f string) error    { return fmt.Errorf(f, errBoom) } // want: fmt.Errorf outside package main
 func deliberate() error         { return fmt.Errorf("redacted: %v", errBoom) } //errwrap:ok a directive suppresses nothing // want: fmt.Errorf outside package main
 func coreErrorf(a string) error { return core.Errorf(core.KindIO, "connect %s: %v", a, errBoom) }`},
+		{"core.Error assertion", "internal/udfrt/pyrt", `package pyrt
+import (ce "repro/internal/core"; "errors")
+func errText(err error) string     { if e, ok := err.(*ce.Error); ok { return e.Msg }; return err.Error() } // want: type assertion to *core.Error
+func asserted(err error) *ce.Error { return err.(*ce.Error) } // want: type assertion to *core.Error
+func text(err error) string        { return ce.Message(err) }
+func kind(err error) ce.ErrorKind  { var e *ce.Error; _ = errors.As(err, &e); return ce.KindOf(err) }
+func other(v any) error            { err, _ := v.(error); return err }`},
 		{"column literal", "devudf", `package b
 import "repro/internal/storage"
 func value() storage.Column              { return storage.Column{Name: "x"} } // want: storage.Column composite literal
