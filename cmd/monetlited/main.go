@@ -55,7 +55,7 @@ func main() {
 	streamThreshold := flag.Int("stream-threshold", 1<<20, "encoded result size (bytes) above which a result is sent as a chunked stream (negative streams everything)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address (empty: disabled)")
 	slowQueryMs := flag.Int("slow-query-ms", 0, "log one structured line with the per-stage span breakdown for queries slower than this many milliseconds (0: disabled)")
-	queryTimeout := flag.Duration("query-timeout", 0, "abort any query running longer than this, measured from dequeue (0: unlimited)")
+	queryTimeout := flag.Duration("query-timeout", 0, "abort any query running longer than this, measured from its start (0: unlimited)")
 	maxConns := flag.Int("max-conns", 0, "reject new connections past this many concurrent sessions with a retryable error (0: unlimited)")
 	maxQueueDepth := flag.Int("max-queue-depth", 0, "pipelined requests buffered per connection before shedding with a retryable error (0: default 256, negative: unbounded)")
 	rateLimit := flag.Float64("rate-limit", 0, "sustained queries/second admitted per session, in bursts of up to one second's worth; excess requests shed with a retryable error (0: unlimited)")

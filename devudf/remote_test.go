@@ -240,3 +240,57 @@ func TestRemoteDebugNoDebugQuery(t *testing.T) {
 		t.Fatal("expected an error without a debug query")
 	}
 }
+
+// TestWatchErrorReadsTheSameInBothDebuggers: a watch expression that fails
+// in the paused frame answers with the same error from the local debugger
+// and the remote one — the same text, kind and message, no traceback.
+func TestWatchErrorReadsTheSameInBothDebuggers(t *testing.T) {
+	params, _ := startServer(t,
+		`CREATE TABLE numbers (i INTEGER)`,
+		`INSERT INTO numbers VALUES (1), (2), (3)`,
+		buggyMeanDeviation,
+	)
+	c := newClient(t, params, `SELECT mean_deviation(i) FROM numbers`)
+	if _, err := c.ImportUDFs(ctx, "mean_deviation"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ExtractInputs(ctx, "mean_deviation"); err != nil {
+		t.Fatal(err)
+	}
+
+	local, err := c.NewDebugSession(ctx, "mean_deviation", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := local.Start(); ev.Reason != debug.ReasonEntry {
+		t.Fatalf("local entry stop: %+v", ev)
+	}
+	_, lerr := local.Eval("no_such_var")
+	local.Kill()
+
+	remote, err := c.NewRemoteDebugSession(ctx, "mean_deviation", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	if ev, err := remote.Start(); err != nil || ev.Reason != debug.ReasonEntry {
+		t.Fatalf("remote entry stop: %+v %v", ev, err)
+	}
+	_, rerr := remote.Eval("no_such_var")
+	if _, err := remote.Kill(); err != nil {
+		t.Fatal(err)
+	}
+
+	if lerr == nil || rerr == nil {
+		t.Fatalf("local %v, remote %v: both must fail", lerr, rerr)
+	}
+	if lerr.Error() != rerr.Error() {
+		t.Errorf("Error(): local %q, remote %q", lerr.Error(), rerr.Error())
+	}
+	if lk, rk := core.KindOf(lerr), core.KindOf(rerr); lk != rk {
+		t.Errorf("kind: local %v, remote %v", lk, rk)
+	}
+	if lm, rm := core.Message(lerr), core.Message(rerr); lm != rm {
+		t.Errorf("message: local %q, remote %q", lm, rm)
+	}
+}

@@ -15,8 +15,9 @@
 // kill channel closes. The control and inspection methods post to it from
 // any other goroutine and never wait for a stop.
 //
-// Inside the database server the connection's query worker calls Run from
-// the engine's UDF invocation, and stops go to the client over the
+// Inside the database server the connection goroutine running the debug
+// launch calls Run from the engine's UDF invocation (the other one reads
+// the connection meanwhile), and stops go to the client over the
 // connection's MsgDebug frames (internal/wire); this package speaks no
 // protocol of its own. For a local run, Local owns the goroutine: it calls
 // Run on one of its own and hands each stop back to the control call that
@@ -319,9 +320,15 @@ func (s *Session) send(cmd command) cmdResult {
 	return <-cmd.resp
 }
 
-// Eval evaluates a watch expression in the paused frame.
+// Eval evaluates a watch expression in the paused frame. A failure is the
+// script error's *core.Error, without the traceback its *script.RuntimeError
+// carries (which names only the paused frame): a local and a remote
+// debugger report it alike.
 func (s *Session) Eval(expr string) (script.Value, error) {
 	res := s.send(command{kind: cmdEval, expr: expr})
+	if re, ok := res.err.(*script.RuntimeError); ok {
+		return nil, re.Unwrap()
+	}
 	return res.value, res.err
 }
 

@@ -343,9 +343,10 @@ func settledGoroutines() int {
 	return n
 }
 
-// TestPausedDebugRunAddsNoGoroutines: the debuggee runs on the connection's
-// query worker, inside the engine call, and the frame loop drives it; a
-// paused run costs no goroutine of its own.
+// TestPausedDebugRunAddsNoGoroutines: the debuggee runs on one of the
+// connection's two serving goroutines, inside the engine call, and the
+// other one — the follower, relieving it as reader — drives it; a paused
+// run costs no goroutine of its own.
 func TestPausedDebugRunAddsNoGoroutines(t *testing.T) {
 	_, c := debugFixture(t)
 	dc, err := c.Debug()

@@ -12,10 +12,11 @@ import (
 	"repro/internal/udfrt"
 )
 
-// connWriter serializes writes to one connection so the query worker's
-// responses and debug events and the frame loop's pongs and debug replies
-// never interleave mid-frame (or mid-stream). Its two methods are the only
-// code that touches mu; callers encode before they call.
+// connWriter serializes writes to one connection so statement replies and
+// debug events from the goroutine running statements and the reader's
+// pongs and debug replies never interleave mid-frame (or mid-stream). Its
+// two methods are the only code that touches mu; callers encode before
+// they call.
 type connWriter struct {
 	mu sync.Mutex
 	fw frameWriter
@@ -37,11 +38,13 @@ func (w *connWriter) writeStream(msg string, t *storage.Table, chunkBytes int) e
 
 // debugRun is one remote debug run on one connection: the launch request
 // and its debug.Session, made at launch with the launch's breakpoints. The
-// query worker executes the run as a statement (runDebug); when the engine
-// reaches the target UDF, the debuggee runs under the session on the worker,
-// inside the engine call, and the session's pause loop is the run's only
-// controller: the frame loop hands it commands, and it refuses them unless
-// the debuggee is paused.
+// run is a statement (runDebug), executed like any other: on the goroutine
+// that read the launch, or behind the pending statements. When the engine
+// reaches the target UDF, the debuggee runs under the session on that
+// goroutine, inside the engine call, and the session's pause loop is the
+// run's only controller: the reader hands it commands, and it refuses them
+// unless the debuggee is paused. A paused debuggee is a statement that
+// outlived the relief bound, so the reader is then the other goroutine.
 type debugRun struct {
 	w        *connWriter
 	req      DebugRequest
@@ -65,7 +68,7 @@ func sessionBreakpoints(bps []DebugBreakpoint) []debug.Breakpoint {
 	return out
 }
 
-// runDebug executes a launched debug run on the query worker: the launch's
+// runDebug executes a launched debug run as a statement: the launch's
 // query on the connection's session, under its interrupt and QueryTimeout,
 // with the Invoke hook that runs the debuggee, then the terminated event.
 func (sc *serverConn) runDebug(dr *debugRun) {
@@ -124,9 +127,10 @@ func (dr *debugRun) stopped(ev debug.Event) {
 }
 
 // handleDebug processes one MsgDebug request and writes its MsgDebugReply.
-// It reports whether the connection should keep serving (always true: debug
-// errors are in-band, never fatal to the session).
-func (sc *serverConn) handleDebug(payload []byte) bool {
+// Debug errors are in-band, never fatal to the session; only a request
+// that does not decode, or a reply that cannot be written, ends it. An
+// accepted launch runs after its reply, as a statement (run).
+func (sc *serverConn) handleDebug(payload []byte) next {
 	req, err := DecodeDebugRequest(payload)
 	if err != nil {
 		// Without a decodable request there is no seq to address the reply
@@ -135,22 +139,30 @@ func (sc *serverConn) handleDebug(payload []byte) bool {
 		sc.shutdown()
 		_ = sc.w.writeFrame(MsgDebugReply, EncodeDebugReply(DebugReply{
 			Success: false, Error: err.Error()}))
-		return false
+		return hangUp
 	}
 	rep := DebugReply{Seq: req.Seq, Success: true}
 	if err := sc.debugCommand(req, &rep); err != nil {
 		rep.Success = false
 		rep.Error = core.Message(err)
 	}
-	return sc.w.writeFrame(MsgDebugReply, EncodeDebugReply(rep)) == nil
+	if sc.w.writeFrame(MsgDebugReply, EncodeDebugReply(rep)) != nil {
+		return hangUp
+	}
+	if req.Command == DebugCmdLaunch && rep.Success {
+		// In FIFO order behind the pending statements, never shed.
+		return sc.run(qitem{dr: sc.dr}, 0)
+	}
+	return readOn
 }
 
-// debugCommand executes one debug request on the frame loop. A launch joins
-// the query queue; every other command acts on the connection's debug run's
-// session. Only setBreakpoints acts before the engine reaches the UDF; a
-// resume or an inspection goes to the pause loop, which refuses it in-band
-// unless the debuggee is paused, and the stop a resume leads to is pushed by
-// the worker.
+// debugCommand executes one debug request on the reader. A launch makes the
+// connection's debug run, which handleDebug then runs like a statement;
+// every other command acts on the run's session. Only setBreakpoints acts
+// before the engine reaches the UDF; a resume or an inspection goes to the
+// pause loop, which refuses it in-band unless the debuggee is paused, and
+// the stop a resume leads to is pushed by the goroutine running the
+// debuggee.
 func (sc *serverConn) debugCommand(req DebugRequest, rep *DebugReply) error {
 	var act func(*debug.Session) error
 	switch req.Command {
@@ -162,8 +174,6 @@ func (sc *serverConn) debugCommand(req DebugRequest, rep *DebugReply) error {
 			return core.Errorf(core.KindConstraint, "a debug session is already active")
 		}
 		sc.dr = newDebugRun(sc.w, req, sc.connDone)
-		// In FIFO order behind the pending statements, never shed.
-		sc.queries.push(qitem{dr: sc.dr}, 0)
 		return nil
 	case DebugCmdSetBreakpoints:
 		act = func(s *debug.Session) error {
@@ -196,11 +206,6 @@ func (sc *serverConn) debugCommand(req DebugRequest, rep *DebugReply) error {
 	case DebugCmdEval:
 		act = func(s *debug.Session) error {
 			v, err := s.Eval(req.Expr)
-			if re, ok := err.(*script.RuntimeError); ok {
-				// The reply carries the failure without its traceback,
-				// which names only the frame the client is paused in.
-				return re.Unwrap()
-			}
 			if err == nil {
 				rep.Value = v.Repr()
 			}

@@ -102,7 +102,7 @@ const fenceSQL = `SELECT 1 AS fence`
 // on its own authenticated connection, followed by a fence statement, and
 // demands exactly one reply of the type the protocol promises before the
 // fence's. A type with no arm in handleFrame gets the default arm's
-// protocol error; a type handleFrame queues but queryWorker has no case for
+// protocol error; a type handleFrame admits but execute has no case for
 // gets no reply at all. A new constant has no entry in probes: it is sent
 // with an empty payload, so that the failure says what the server did with
 // it, and fails until its probe is added.

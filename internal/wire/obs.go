@@ -36,8 +36,8 @@ func (s *Server) EnableObs(reg *obs.Registry) {
 		bytesIn:       reg.Counter("wire_bytes_read_total", "Bytes read from client sockets."),
 		bytesOut:      reg.Counter("wire_bytes_written_total", "Bytes written to client sockets."),
 		queueDepth:    reg.Gauge("wire_query_queue_depth", "Requests pipelined behind executing statements, across all connections."),
-		querySeconds:  reg.Histogram("wire_query_seconds", "Wall time from dequeue of a query (or prepared execution) to its response being written.", nil),
-		debugSessions: reg.Gauge("wire_debug_sessions_active", "Remote debug runs currently executing on a query worker."),
+		querySeconds:  reg.Histogram("wire_query_seconds", "Wall time from the start of a query (or prepared execution) to its response being written.", nil),
+		debugSessions: reg.Gauge("wire_debug_sessions_active", "Remote debug runs currently executing on a connection."),
 		stmtRejects:   reg.Counter("wire_stmt_rejections_total", "MsgPrepare requests refused because the per-connection statement table was full."),
 	}
 	reg.GaugeFunc("wire_open_statements", "Server-side prepared statements currently live across all connections.",
@@ -111,7 +111,7 @@ func (c countingConn) Write(p []byte) (int, error) {
 // Accounting comes after the write because the write span is part of it,
 // so a client can hold a reply the server has not yet accounted for. The
 // contract is: a statement's accounting is visible to the next statement on
-// the same connection (the connection's worker runs statements one after
+// the same connection (the connection runs its statements one after
 // another, and this function returns before the next one starts), and to
 // other observers — another connection, a /metrics scrape, the log sink —
 // eventually. An observer that needs it now issues a statement on the same

@@ -66,8 +66,9 @@ type Server struct {
 	// requests are shed with a retryable overload error.
 	RateLimit float64
 	// QueryTimeout, when positive, bounds each statement's execution wall
-	// clock, measured from dequeue. An overrunning statement aborts with
-	// a typed cancelled error at the engine's next checkpoint.
+	// clock, measured from its start, not from when it was read. An
+	// overrunning statement aborts with a typed cancelled error at the
+	// engine's next checkpoint.
 	QueryTimeout time.Duration
 	// DrainTimeout, when positive, bounds how long a graceful drain waits
 	// for in-flight statements: past the deadline their interrupts fire
@@ -197,17 +198,29 @@ type frame struct {
 }
 
 // serverConn is the per-connection serving state: the authenticated engine
-// session, the serialized frame writer, the prepared-statement table, and
-// the latest remote debug run (if any; touched only by the frame loop).
+// session, the socket's one buffered reader, the serialized frame writer,
+// the prepared-statement table, and the latest remote debug run (if any).
+//
+// Two goroutines serve it and swap two roles (Leader/Followers, Schmidt et
+// al., PLoP 2000). The reader reads frames and handles each one itself; a
+// statement read while nothing is queued or running runs right there. The
+// follower is parked on the relief ticker and takes over reading when that
+// statement outlives the relief bound (reliefTick); statements it reads
+// meanwhile join the FIFO, which the goroutine that ran the statement then
+// drains before parking as the new follower. At most one of the two reads
+// at a time; queryQueue.mu orders every hand-over, so the fields marked
+// "reader" need no lock of their own.
 type serverConn struct {
-	srv        *Server
-	w          *connWriter
-	sess       *engine.Conn
-	connDone   chan struct{}
-	closeOnce  sync.Once
-	dr         *debugRun
-	queries    *queryQueue
-	workerDone chan struct{}
+	srv          *Server
+	nc           net.Conn
+	br           *bufio.Reader // reader
+	w            *connWriter
+	sess         *engine.Conn
+	connDone     chan struct{}
+	closeOnce    sync.Once
+	dr           *debugRun // reader
+	queries      *queryQueue
+	followerDone chan struct{}
 
 	// gone closes when the client can no longer receive responses (the
 	// reader saw a non-MsgClose error) or a drain passed its DrainTimeout
@@ -219,16 +232,32 @@ type serverConn struct {
 	goneOnce sync.Once
 
 	// limiter, when non-nil, is the per-session admission rate limiter.
-	// Touched only by the frame loop.
+	// Touched only by the reader.
 	limiter *tokenBucket
 
 	// stmts is the per-connection prepared-statement table. It is touched
-	// only by the query worker goroutine (prepare/exec/close ride the same
-	// FIFO as queries, so responses stay ordered) and by shutdown, which
-	// runs strictly after the worker exits.
+	// only by the goroutine executing a statement (prepare/exec/close ride
+	// the same FIFO as queries, so responses stay ordered, and one request
+	// runs at a time) and by shutdown, which runs strictly after the
+	// follower exits.
 	stmts    map[uint32]*engine.Stmt
 	stmtNext uint32
 }
+
+// reliefTick is the period of the relief ticker. A request still running
+// on the reader at the second tick after it started — 50 to 100 µs in,
+// later by the runtime's timer slack (about a millisecond on an idle box)
+// — is relieved, so a flood is still shed in FIFO position, a client's
+// death still fires the interrupt and a paused debuggee still gets its
+// resume. A point statement, reply included, takes 10–20 µs. The ticker
+// runs while requests flow and stops after quietTicks ticks without one
+// (a millisecond): arming a timer per request, or per tick, while the
+// follower waits on it makes the runtime wake its network poller, which
+// cost more than the queue hop this replaces.
+const (
+	reliefTick = 50 * time.Microsecond
+	quietTicks = 20
+)
 
 // markGone signals that the client is dead (or abandoned): in-flight and
 // queued statements on this connection abort at their next checkpoint.
@@ -238,8 +267,9 @@ func (sc *serverConn) markGone() {
 
 // execOpts is the per-statement value handed to the engine: the
 // connection's client-gone signal plus the server's query timeout, and
-// the statement's trace (nil when observability is off). Built at dequeue
-// so the deadline covers execution, not the time spent queued.
+// the statement's trace (nil when observability is off). Built when the
+// statement starts, so the deadline covers execution, not the time spent
+// queued.
 func (sc *serverConn) execOpts(tr *obs.Trace) engine.ExecOpts {
 	o := engine.ExecOpts{Interrupt: engine.Interrupt{Done: sc.gone}, Trace: tr}
 	if qt := sc.srv.QueryTimeout; qt > 0 {
@@ -252,7 +282,7 @@ func (sc *serverConn) execOpts(tr *obs.Trace) engine.ExecOpts {
 // burst is one second of the rate, at least one request: a client's
 // back-to-back requests (a prepare, its execution and its close) pass as
 // long as they fit in a second's worth.
-// Touched only by the connection's frame loop, so it needs no lock.
+// Touched only by the connection's reader, so it needs no lock.
 type tokenBucket struct {
 	rate   float64 // tokens per second
 	burst  float64
@@ -280,181 +310,222 @@ func (tb *tokenBucket) allow(now time.Time) bool {
 	return true
 }
 
-// qitem is one queryQueue entry: a real request, a debug launch, or a run
-// of shed (admission-refused) requests that the worker answers with
-// retryable overload errors. Coalescing consecutive sheds into one counter
-// keeps the queue's memory bounded no matter how fast a client floods it,
-// while each shed response still goes out in its FIFO position.
+// qitem is one statement-executing request: a real request, a debug
+// launch, or a run of shed (admission-refused) requests answered with
+// retryable overload errors. In the queue, coalescing consecutive sheds
+// into one counter keeps its memory bounded no matter how fast a client
+// floods it, while each shed response still goes out in its FIFO position.
 type qitem struct {
 	fr   frame
 	dr   *debugRun // non-nil: a debug launch, run instead of fr
 	shed int       // > 0: this entry stands for that many shed requests
 }
 
-// queryQueue is the FIFO of pending statement-executing requests
-// (MsgQuery, MsgPrepare, MsgExecStmt, MsgCloseStmt, a debug launch) feeding
-// the connection's query worker. push never blocks — requests beyond the
-// admission bound are recorded as shed markers instead — which matters
-// because a paused debuggee holds the worker and the engine lock, and the
-// resume command that releases them arrives on the same frame loop.
+// execState says who executes a connection's statements.
+type execState int8
+
+const (
+	execIdle     execState = iota // nothing runs: the reader runs the next request
+	execInline                    // the reader runs a request; the follower is parked
+	execRelieved                  // the follower reads; the other goroutine runs the FIFO
+)
+
+// queryQueue is the FIFO of statement-executing requests (MsgQuery,
+// MsgPrepare, MsgExecStmt, MsgCloseStmt, a debug launch) read while another
+// one runs, the connection's execState and its relief ticker. enter never
+// blocks — requests beyond the admission bound are recorded as shed
+// markers instead — which matters because a paused debuggee holds its
+// goroutine and the engine lock, and the resume command that releases them
+// arrives on the reader. A non-empty FIFO implies a state other than
+// execIdle.
 type queryQueue struct {
 	mu      sync.Mutex
 	items   []qitem
 	pending int // admitted (non-shed) requests currently queued
-	closed  bool
-	wake    chan struct{}
+	state   execState
+	relief  *time.Ticker
+	ticks   int // relief ticks since a request last started on the reader
 	// depth, when non-nil, mirrors the admitted-request count into the
 	// wire_query_queue_depth gauge (shared across connections).
 	depth *obs.Gauge
 }
 
-func newQueryQueue() *queryQueue {
-	return &queryQueue{wake: make(chan struct{}, 1)}
-}
-
-// push admits a request unless the queue already holds limit admitted
-// requests (limit <= 0 means unbounded), reporting whether it was
-// admitted. Refused requests become shed markers via shedLocked.
-func (q *queryQueue) push(it qitem, limit int) bool {
+// enter places a request the reader just read. With nothing running it
+// runs on the reader (true). Otherwise it joins the FIFO unless it is
+// already refused (it.shed) or the FIFO holds limit admitted requests
+// (limit <= 0 means unbounded): then it is recorded as shed in its FIFO
+// position.
+func (q *queryQueue) enter(it qitem, limit int) bool {
 	q.mu.Lock()
-	admitted := limit <= 0 || q.pending < limit
+	if q.state == execIdle {
+		if q.ticks >= quietTicks {
+			q.relief.Reset(reliefTick)
+		}
+		q.state, q.ticks = execInline, 0
+		q.mu.Unlock()
+		return true
+	}
+	admitted := it.shed == 0 && (limit <= 0 || q.pending < limit)
 	if admitted {
 		q.items = append(q.items, it)
 		q.pending++
+	} else if n := len(q.items); n > 0 && q.items[n-1].shed > 0 {
+		q.items[n-1].shed++
 	} else {
-		q.shedLocked()
+		q.items = append(q.items, qitem{shed: 1})
 	}
 	q.mu.Unlock()
 	if admitted && q.depth != nil {
 		q.depth.Add(1)
 	}
-	q.wakeUp()
-	return admitted
+	return false
 }
 
-// shed records one refused request (e.g. over the rate limit) in FIFO
-// position.
-func (q *queryQueue) shed() {
+// tick is the follower's move when the relief ticker fires. A request
+// still running on the reader at its second tick is relieved (true). The
+// ticker stops after quietTicks ticks with no request started.
+func (q *queryQueue) tick() bool {
 	q.mu.Lock()
-	q.shedLocked()
-	q.mu.Unlock()
-	q.wakeUp()
-}
-
-func (q *queryQueue) shedLocked() {
-	if n := len(q.items); n > 0 && q.items[n-1].shed > 0 {
-		q.items[n-1].shed++
-	} else {
-		q.items = append(q.items, qitem{shed: 1})
+	defer q.mu.Unlock()
+	if q.ticks++; q.ticks >= quietTicks {
+		q.relief.Stop()
 	}
-}
-
-func (q *queryQueue) wakeUp() {
-	select {
-	case q.wake <- struct{}{}:
-	default:
+	if q.ticks < 2 || q.state != execInline {
+		return false
 	}
+	q.state = execRelieved
+	return true
 }
 
-// pop blocks for the next entry — one with shed > 0 is one refused request
-// to be answered with an overload error; ok is false once the queue is
-// closed and drained.
-func (q *queryQueue) pop() (it qitem, ok bool) {
-	for {
-		q.mu.Lock()
-		if len(q.items) > 0 {
-			if head := &q.items[0]; head.shed > 0 {
-				head.shed--
-				if head.shed == 0 {
-					q.items = q.items[1:]
-				}
-				q.mu.Unlock()
-				return qitem{shed: 1}, true
-			}
-			it = q.items[0]
-			q.items = q.items[1:]
-			q.pending--
-			q.mu.Unlock()
-			if q.depth != nil {
-				q.depth.Add(-1)
-			}
-			return it, true
-		}
-		closed := q.closed
+// done is called by the goroutine that just ran a request. It returns the
+// next queued one (ok; one with shed > 0 is one refused request), or else
+// leaves the connection idle and reports whether the follower had taken
+// over reading meanwhile (relieved).
+func (q *queryQueue) done() (it qitem, ok, relieved bool) {
+	q.mu.Lock()
+	if len(q.items) == 0 {
+		relieved = q.state == execRelieved
+		q.state = execIdle
 		q.mu.Unlock()
-		if closed {
-			return qitem{}, false
-		}
-		<-q.wake
+		return qitem{}, false, relieved
 	}
-}
-
-// close marks the queue finished; pending items still drain. Idempotent.
-func (q *queryQueue) close() {
-	q.mu.Lock()
-	wasClosed := q.closed
-	q.closed = true
+	if head := &q.items[0]; head.shed > 0 {
+		head.shed--
+		if head.shed == 0 {
+			q.items = q.items[1:]
+		}
+		q.mu.Unlock()
+		return qitem{shed: 1}, true, false
+	}
+	it = q.items[0]
+	q.items = q.items[1:]
+	q.pending--
 	q.mu.Unlock()
-	if !wasClosed {
-		select {
-		case q.wake <- struct{}{}:
-		default:
-		}
+	if q.depth != nil {
+		q.depth.Add(-1)
 	}
+	return it, true, false
 }
 
-// shutdown kills any active debuggee (closing connDone) and flushes the
-// query worker so every accepted query gets its response before the
-// connection says goodbye, then tears down the prepared-statement table.
-// Safe to call more than once, never concurrently: the frame loop calls it
-// when the session ends there, serveConn only after the frame loop returned.
+// shutdown kills any active debuggee (closing connDone) and waits for the
+// follower to exit — after it has answered every request it had queued —
+// so every accepted request gets its response before the connection says
+// goodbye, then tears down the prepared-statement table. Safe to call more
+// than once, never concurrently: the reader calls it when the session ends
+// there, serveConn only after the reader returned.
 func (sc *serverConn) shutdown() {
 	sc.closeOnce.Do(func() { close(sc.connDone) })
-	sc.queries.close()
-	<-sc.workerDone
+	<-sc.followerDone
 	if sc.stmts != nil {
 		sc.srv.stmtCount.Add(-int64(len(sc.stmts)))
 		sc.stmts = nil
 	}
 }
 
-// queryWorker executes queued requests — queries, the prepared-statement
-// verbs and debug launches — in FIFO order, writing each response through
-// the shared connWriter. Running them off the frame loop keeps debug control
-// (and ping/close) responsive while a statement — including a debug query
-// paused at a breakpoint, whose debuggee runs right here — holds the engine
-// lock.
-func (sc *serverConn) queryWorker() {
-	defer close(sc.workerDone)
+// next is what the reader does after handling a frame.
+type next int8
+
+const (
+	readOn  next = iota // keep reading
+	handOff             // the follower reads now: park
+	hangUp              // the session is over
+)
+
+// run executes a request the reader read: on the reader when nothing is
+// queued or running, else behind the running one (enter). The goroutine
+// that ran it then drains the FIFO the relieving reader filled, in order,
+// and keeps reading if it was never relieved, or parks (handOff).
+func (sc *serverConn) run(it qitem, limit int) next {
+	if !sc.queries.enter(it, limit) {
+		return readOn
+	}
+	for more, relieved := true, false; more; {
+		sc.execute(it)
+		it, more, relieved = sc.queries.done()
+		if relieved {
+			return handOff
+		}
+	}
+	return readOn
+}
+
+// follow parks the follower until the reader's request outlives the
+// relief bound (true: this goroutine reads from now on) or the session
+// ends (false).
+func (sc *serverConn) follow() bool {
 	for {
-		it, ok := sc.queries.pop()
-		if !ok {
+		select {
+		case <-sc.queries.relief.C:
+			if sc.queries.tick() {
+				return true
+			}
+		case <-sc.connDone:
+			return false
+		}
+	}
+}
+
+// serve is the body of both serving goroutines; the one started with read
+// set reads first. The one that sees the session end while reading sends
+// kicked (see frameLoop); the other exits as the follower once shutdown
+// closes connDone.
+func (sc *serverConn) serve(read bool, kicked chan<- bool) {
+	for read || sc.follow() {
+		if k, ended := sc.frameLoop(); ended {
+			kicked <- k
 			return
 		}
-		if it.shed > 0 {
-			sc.srv.queriesShed.Add(1)
-			sc.replyErr(core.Errorf(core.KindOverload,
-				"server overloaded: request shed before execution; safe to retry"))
-			continue
-		}
-		if it.dr != nil {
-			sc.runDebug(it.dr)
-			continue
-		}
-		// Only the types handleFrame admits are ever queued.
-		switch fr := it.fr; fr.typ {
-		case MsgQuery:
-			sql := string(fr.payload)
-			sc.runStatement(sql, func(o engine.ExecOpts) (*engine.Result, error) {
-				return sc.sess.ExecWith(o, sql)
-			})
-		case MsgPrepare:
-			sc.handlePrepare(fr.payload)
-		case MsgExecStmt:
-			sc.handleExecStmt(fr.payload)
-		case MsgCloseStmt:
-			sc.handleCloseStmt(fr.payload)
-		}
+		read = false
+	}
+	close(sc.followerDone)
+}
+
+// execute runs one request — on the reader or dequeued — and answers it
+// through the shared connWriter.
+func (sc *serverConn) execute(it qitem) {
+	if it.shed > 0 {
+		sc.srv.queriesShed.Add(1)
+		sc.replyErr(core.Errorf(core.KindOverload,
+			"server overloaded: request shed before execution; safe to retry"))
+		return
+	}
+	if it.dr != nil {
+		sc.runDebug(it.dr)
+		return
+	}
+	// Only the types handleFrame admits ever get here.
+	switch fr := it.fr; fr.typ {
+	case MsgQuery:
+		sql := string(fr.payload)
+		sc.runStatement(sql, func(o engine.ExecOpts) (*engine.Result, error) {
+			return sc.sess.ExecWith(o, sql)
+		})
+	case MsgPrepare:
+		sc.handlePrepare(fr.payload)
+	case MsgExecStmt:
+		sc.handleExecStmt(fr.payload)
+	case MsgCloseStmt:
+		sc.handleCloseStmt(fr.payload)
 	}
 }
 
@@ -520,14 +591,12 @@ func (sc *serverConn) handleCloseStmt(payload []byte) {
 }
 
 // serveConn speaks the protocol with one client: auth handshake, then three
-// goroutines until MsgClose, disconnect, or server drain. The reader is the
-// frame loop: it reads the socket and handles each frame itself, so a ping
-// or a debug command costs no hand-off and a client may pipeline requests.
-// The query worker executes statements — a debug launch among them, with
-// its debuggee — in FIFO order. This goroutine is lifecycle only: it waits
-// for the reader or for the server's drain. Debug events are pushed by the
-// worker through the shared connWriter, interleaving with (but never
-// corrupting) the frame loop's replies.
+// goroutines until MsgClose, disconnect, or server drain. Two serve the
+// connection as reader and follower (serverConn); this one is lifecycle
+// only: it waits for the reader to end the session or for the server's
+// drain. Debug events are pushed by the goroutine running the debuggee
+// through the shared connWriter, interleaving with (but never corrupting)
+// the reader's replies.
 func (s *Server) serveConn(nc net.Conn) {
 	if max := s.MaxConns; max > 0 {
 		if int(s.connCount.Add(1)) > max {
@@ -556,28 +625,31 @@ func (s *Server) serveConn(nc net.Conn) {
 	s.logf("session opened: user=%s proto=v%d from %s", sess.User, ProtoV2, nc.RemoteAddr())
 
 	sc := &serverConn{
-		srv:        s,
-		w:          &connWriter{fw: frameWriter{w: nc}},
-		sess:       sess,
-		connDone:   make(chan struct{}),
-		gone:       make(chan struct{}),
-		queries:    newQueryQueue(),
-		workerDone: make(chan struct{}),
+		srv:          s,
+		nc:           nc,
+		br:           bufio.NewReader(nc),
+		w:            &connWriter{fw: frameWriter{w: nc}},
+		sess:         sess,
+		connDone:     make(chan struct{}),
+		gone:         make(chan struct{}),
+		queries:      &queryQueue{relief: time.NewTicker(reliefTick), ticks: quietTicks},
+		followerDone: make(chan struct{}),
 	}
+	sc.queries.relief.Stop()
 	if s.RateLimit > 0 {
 		sc.limiter = newTokenBucket(s.RateLimit)
 	}
 	if m != nil {
 		sc.queries.depth = m.queueDepth
 	}
-	go sc.queryWorker()
 	kicked := make(chan bool, 1)
-	go func() { kicked <- sc.frameLoop(nc) }()
+	go sc.serve(true, kicked)
+	go sc.serve(false, kicked)
 
 	select {
 	case <-kicked:
-		// The session ended on the frame loop: goodbye said, framing
-		// broken, or the client gone.
+		// The session ended on the reader: goodbye said, framing broken,
+		// or the client gone.
 		sc.shutdown()
 		return
 	case <-s.drain:
@@ -585,10 +657,10 @@ func (s *Server) serveConn(nc net.Conn) {
 	// Graceful drain: stop reading, answer everything already read, say
 	// goodbye, hang up. A read deadline in the past fails the reader's next
 	// socket read but not the frames it has already buffered; shutdown kills
-	// any paused debuggee and flushes the query worker. DrainTimeout, when
-	// set, bounds the flush: past the deadline the connection's interrupt
-	// fires and stuck statements abort with a typed cancelled error instead
-	// of stalling Close.
+	// any paused debuggee and waits for the follower to answer what it
+	// queued. DrainTimeout, when set, bounds the wait: past the deadline the
+	// connection's interrupt fires and stuck statements abort with a typed
+	// cancelled error instead of stalling Close.
 	_ = nc.SetReadDeadline(time.Now())
 	if s.DrainTimeout > 0 {
 		defer time.AfterFunc(s.DrainTimeout, sc.markGone).Stop()
@@ -602,16 +674,17 @@ func (s *Server) serveConn(nc net.Conn) {
 }
 
 // frameLoop reads the connection and handles every frame until the session
-// ends. It reports whether it was the drain's read deadline that stopped it:
-// then the session is still open, the caller owes the client its goodbye,
-// and — a drain not being a dead client — the interrupt has not fired.
-func (sc *serverConn) frameLoop(nc net.Conn) (kicked bool) {
+// ends (ended) or a statement this goroutine ran outlived the relief bound
+// and the follower reads now. kicked reports whether it was the drain's read
+// deadline that ended the session: then the session is still open, the
+// caller owes the client its goodbye, and — a drain not being a dead
+// client — the interrupt has not fired.
+func (sc *serverConn) frameLoop() (kicked, ended bool) {
 	s := sc.srv
-	br := bufio.NewReader(nc)
 	for {
-		typ, payload, err := ReadFrame(br)
+		typ, payload, err := ReadFrame(sc.br)
 		if errors.Is(err, os.ErrDeadlineExceeded) {
-			return true
+			return true, true
 		}
 		if err != nil {
 			// Any other read failure — EOF included — means the client can
@@ -621,13 +694,16 @@ func (sc *serverConn) frameLoop(nc net.Conn) (kicked bool) {
 			// peer.
 			sc.markGone()
 			if err != io.EOF {
-				s.logf("read from %s: %v", nc.RemoteAddr(), err)
+				s.logf("read from %s: %v", sc.nc.RemoteAddr(), err)
 			}
-			return false
+			return false, true
 		}
 		s.metrics.countMsg(typ)
-		if !sc.handleFrame(frame{typ, payload}) {
-			return false
+		switch sc.handleFrame(frame{typ, payload}) {
+		case handOff:
+			return false, false
+		case hangUp:
+			return false, true
 		}
 	}
 }
@@ -648,33 +724,32 @@ func (s *Server) rejectConn(nc net.Conn) {
 	s.logf("connection rejected (over MaxConns=%d) from %s", s.MaxConns, nc.RemoteAddr())
 }
 
-// handleFrame processes one request, reporting whether the connection
-// should keep serving. Queries are queued to the per-connection worker (in
-// FIFO order, so response ordering is preserved) rather than executed here,
-// although executing here would save the hand-off: while a statement ran
-// nobody would read the socket, so a flood would back up in TCP instead of
-// being shed, a dead client would go unnoticed until its statement
-// finished, and the resume for a debug query paused at a breakpoint — which
-// holds the engine lock — could never arrive.
-func (sc *serverConn) handleFrame(fr frame) bool {
+// handleFrame processes one request and says what the reader does next.
+// Without the follower's relief (run), nobody would read the socket while
+// a statement ran: a flood would back up in TCP instead of being shed, a
+// dead client would go unnoticed, and a paused debuggee's resume could
+// never arrive.
+func (sc *serverConn) handleFrame(fr frame) next {
 	// MsgAuth is only legal during the handshake, before the frame loop
 	// starts; here it takes the default arm.
 	switch fr.typ {
 	case MsgQuery, MsgPrepare, MsgExecStmt, MsgCloseStmt:
-		sc.admit(fr)
-		return true
+		return sc.admit(fr)
 	case MsgDebug:
 		return sc.handleDebug(fr.payload)
 	case MsgPing:
-		return sc.w.writeFrame(MsgPong, nil) == nil
+		if sc.w.writeFrame(MsgPong, nil) != nil {
+			return hangUp
+		}
+		return readOn
 	case MsgClose:
 		sc.shutdown() // flush pending query responses first
 		_ = sc.w.writeFrame(MsgGoodbye, nil)
-		return false
+		return hangUp
 	default:
 		sc.shutdown()
 		sc.replyErr(core.Errorf(core.KindProtocol, "unexpected message type"))
-		return false
+		return hangUp
 	}
 }
 
@@ -682,16 +757,16 @@ func (sc *serverConn) handleFrame(fr frame) bool {
 // control: first the per-session rate limit, then the bounded queue.
 // Refused requests are shed — answered in FIFO position with a retryable
 // overload error — never dropped silently.
-func (sc *serverConn) admit(fr frame) {
+func (sc *serverConn) admit(fr frame) next {
+	it := qitem{fr: fr}
 	if sc.limiter != nil && !sc.limiter.allow(time.Now()) {
-		sc.queries.shed()
-		return
+		it = qitem{shed: 1}
 	}
 	limit := sc.srv.MaxQueueDepth
 	if limit == 0 {
 		limit = defaultMaxQueueDepth
 	}
-	sc.queries.push(qitem{fr: fr}, limit)
+	return sc.run(it, limit)
 }
 
 // writeResult ships a statement result: small results get the one-shot
