@@ -8,7 +8,9 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/script"
+	"repro/internal/storage"
 	"repro/monetlite"
 )
 
@@ -48,6 +50,18 @@ func startServer(t *testing.T, setup ...string) (monetlite.ConnParams, *monetlit
 	}
 	t.Cleanup(fx.Close)
 	return fx.Params, fx.DB
+}
+
+// replayUDF puts a PYTHON UDF of one INTEGER into db's catalog the way
+// WAL replay does, without compiling its body: a log written before CREATE
+// FUNCTION compiled bodies can hold one that CREATE now refuses.
+func replayUDF(t *testing.T, db *monetlite.DB, name, body string) {
+	t.Helper()
+	def := &storage.FuncDef{ID: db.Catalog().NextID(), Name: name, Language: "PYTHON", Body: body,
+		Params: storage.Schema{{Name: "x", Type: storage.TInt}}, Returns: storage.Schema{{Name: "result", Type: storage.TInt}}}
+	if err := db.ApplyChange(engine.Change{Kind: engine.ChangeCreateFunction, Func: def}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func newClient(t *testing.T, params monetlite.ConnParams, query string) *Client {

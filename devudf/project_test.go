@@ -139,7 +139,10 @@ func TestSaveUDFRefusesNonIdentifierNames(t *testing.T) {
 		}
 	}
 
-	params, _ := startServer(t, `CREATE FUNCTION "../escaped"(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON { return x }`)
+	// CREATE refuses the name (its def line does not parse); an old log's
+	// replay does not.
+	params, db := startServer(t)
+	replayUDF(t, db, "../escaped", " return x ")
 	c := newClient(t, params, "")
 	if _, err := c.ImportUDFs(ctx, "../escaped"); core.KindOf(err) != core.KindName {
 		t.Errorf("importing ../escaped: %v, want a name error", err)
@@ -153,9 +156,8 @@ func TestSaveUDFRefusesNonIdentifierNames(t *testing.T) {
 // keep the others out. ImportUDFs imports every UDF it can and returns one
 // error, of the first refusal's kind, that names each UDF it refused.
 func TestImportKeepsGoingPastARefusedUDF(t *testing.T) {
-	params, _ := startServer(t,
-		`CREATE FUNCTION "../escaped"(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON { return x }`,
-		`CREATE FUNCTION ok_udf(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON { return x }`)
+	params, db := startServer(t, `CREATE FUNCTION ok_udf(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON { return x }`)
+	replayUDF(t, db, "../escaped", " return x ")
 	c := newClient(t, params, "")
 	imported, err := c.ImportUDFs(ctx, "../escaped", "ok_udf", "absent_udf")
 	if !slices.Equal(imported, []string{"ok_udf"}) {

@@ -123,3 +123,34 @@ func TestUDFCardinalityErrorNamesTheUDF(t *testing.T) {
 		t.Errorf("whole-batch: %q; want %q", err, want)
 	}
 }
+
+// TestElementwiseUDFAnswersTheLowestFailingMorsel: an element-wise GO UDF
+// that fails in morsels 1 and 3, naming the morsel, answers morsel 1's
+// error at every worker count and morsel size, in a projection and in a
+// folded aggregate alike, as the whole-batch call does.
+func TestElementwiseUDFAnswersTheLowestFailingMorsel(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		for _, morsel := range []int{16, 64} {
+			t.Run(fmt.Sprintf("workers=%d/morsel=%d", workers, morsel), func(t *testing.T) {
+				c := foldConn(t, 1000)
+				c.DB.workers, c.DB.morselSize = workers, morsel
+				failing := func(x []int64) ([]int64, error) {
+					for _, v := range x {
+						if m := v / int64(morsel); m == 1 || m == 3 {
+							return nil, fmt.Errorf("morsel %d failed", m)
+						}
+					}
+					return slices.Clone(x), nil
+				}
+				if err := c.DB.RegisterGoUDFElementwise("failing", failing); err != nil {
+					t.Fatal(err)
+				}
+				for _, q := range []string{"SELECT failing(i) AS v FROM t", "SELECT SUM(failing(i)) AS v FROM t"} {
+					if err := execErr(t, c, q); !strings.Contains(err.Error(), "morsel 1 failed") {
+						t.Errorf("%s: %v; want morsel 1's error", q, err)
+					}
+				}
+			})
+		}
+	}
+}

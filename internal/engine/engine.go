@@ -311,7 +311,8 @@ func (f *frame) createFunction(st *sqlparse.CreateFunction) error {
 	}
 	// The parser accepts any LANGUAGE; creation requires a known one so a
 	// typo'd language fails here rather than at first call.
-	if _, err := compilerFor(st.Language); err != nil {
+	compile, err := compilerFor(st.Language)
+	if err != nil {
 		return err
 	}
 	def := &storage.FuncDef{
@@ -323,13 +324,28 @@ func (f *frame) createFunction(st *sqlparse.CreateFunction) error {
 		Returns:  st.Returns,
 		IsTable:  st.IsTable,
 	}
-	if udfrt.Canonical(def.Language) == udfrt.Go {
+	var call udfrt.Callable
+	switch udfrt.Canonical(def.Language) {
+	case udfrt.Go:
 		// the function of the entry the declaration names, as it is now
 		if src, err := f.DB.cat.Function(gort.Symbol(def)); err == nil {
 			def.Native, def.Elementwise = src.Native, src.Elementwise
 		}
+	case udfrt.Python:
+		// A body that does not compile is refused before the catalog or
+		// the log changes, with the error its first call would give; WAL
+		// replay does not re-check.
+		if call, err = compile(def); err != nil {
+			return err
+		}
 	}
-	return f.DB.mutate(Change{Kind: ChangeCreateFunction, Func: def, Replace: st.OrReplace}, f.Trace)
+	if err := f.DB.mutate(Change{Kind: ChangeCreateFunction, Func: def, Replace: st.OrReplace}, f.Trace); err != nil {
+		return err
+	}
+	if call != nil {
+		f.DB.compiled[def] = call
+	}
+	return nil
 }
 
 func (f *frame) insert(st *sqlparse.Insert) (*Result, error) {

@@ -348,12 +348,17 @@ func TestUDFRuntimeErrorSurfacesAsSQLError(t *testing.T) {
 	}
 }
 
+// TestUDFSyntaxErrorAtCallTime: CREATE FUNCTION refuses a body that does
+// not parse, but WAL replay does not re-check, so a log written before
+// CREATE compiled bodies can still hold one. Its first call fails with a
+// syntax error.
 func TestUDFSyntaxErrorAtCallTime(t *testing.T) {
 	c := newTestConn()
-	mustExec(t, c, `CREATE FUNCTION bad(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON {
-    if x
-        return 1
-}`)
+	def := &storage.FuncDef{ID: c.DB.cat.NextID(), Name: "bad", Language: "PYTHON", Body: "\n    if x\n        return 1\n",
+		Params: storage.Schema{{Name: "x", Type: storage.TInt}}, Returns: storage.Schema{{Name: "result", Type: storage.TInt}}}
+	if err := c.DB.ApplyChange(Change{Kind: ChangeCreateFunction, Func: def}); err != nil {
+		t.Fatal(err)
+	}
 	mustExec(t, c, `CREATE TABLE t (i INTEGER)`)
 	mustExec(t, c, `INSERT INTO t VALUES (1)`)
 	err := execErr(t, c, `SELECT bad(i) FROM t`)

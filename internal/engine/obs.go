@@ -53,7 +53,7 @@ func (db *DB) EnableObs(reg *obs.Registry) {
 		func() float64 { return float64(vec.StatsSnapshot().InlineRuns) })
 	reg.CounterFunc("engine_morsel_parallel_runs_total", "Kernel dispatches that fanned out to morsel workers.",
 		func() float64 { return float64(vec.StatsSnapshot().ParallelRuns) })
-	reg.CounterFunc("engine_morsel_worker_busy_seconds_total", "Wall time morsel workers spent executing parallel kernel runs.",
+	reg.CounterFunc("engine_morsel_worker_busy_seconds_total", "Wall time a parallel kernel run's caller and helper goroutines spent claiming morsels.",
 		func() float64 { return float64(vec.StatsSnapshot().WorkerBusyNanos) / 1e9 })
 	reg.CounterFunc("engine_queries_cancelled_total", "Statements aborted by an interrupt: deadline, client disconnect, or server stop.",
 		func() float64 { return float64(db.queriesCancelled.Load()) })

@@ -391,3 +391,51 @@ func TestApplyChangeRoundTrip(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }
+
+// TestCreateFunctionRefusesABodyThatDoesNotParse: CREATE FUNCTION and
+// CREATE OR REPLACE FUNCTION compile a PYTHON body before the catalog
+// changes. A body that does not parse is refused with the error its first
+// call would give, and the catalog, sys.functions and the log stay as they
+// were: the working function a refused replacement names keeps answering.
+// An accepted body's callable is kept for its first call.
+func TestCreateFunctionRefusesABodyThatDoesNotParse(t *testing.T) {
+	db, c, h := newHookedDB(t)
+	const bad = `FUNCTION f(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON { x = 1 / y = (x + / return y }`
+	const want = `syntax error: in UDF f: f:2: expected end of line, found OP("=")`
+	functions := func() string {
+		r := mustExec(t, c, `SELECT name, func FROM sys.functions`)
+		return fmt.Sprint(r.Table.Cols[0].Strs, r.Table.Cols[1].Strs)
+	}
+	for _, create := range []string{"CREATE ", "CREATE OR REPLACE "} {
+		if _, err := c.Exec(create + bad); err == nil || err.Error() != want {
+			t.Errorf("%s: %v, want %s", create+bad, err, want)
+		}
+	}
+	if got := functions(); got != "[] []" {
+		t.Errorf("sys.functions after the refusals: %s", got)
+	}
+	if n := len(h.changes); n != 0 {
+		t.Errorf("the log took %d changes", n)
+	}
+
+	mustExec(t, c, `CREATE FUNCTION f(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON { return x * 2 }`)
+	before := functions()
+	_ = db.Lock(func(cat *storage.Catalog) error {
+		if def, err := cat.Function("f"); err != nil || db.compiled[def] == nil {
+			t.Errorf("f's callable was not kept at CREATE (%v)", err)
+		}
+		return nil
+	})
+	if _, err := c.Exec("CREATE OR REPLACE " + bad); err == nil || err.Error() != want {
+		t.Errorf("CREATE OR REPLACE over a working f: %v, want %s", err, want)
+	}
+	if got := functions(); got != before {
+		t.Errorf("sys.functions after the refused replacement: %s, want %s", got, before)
+	}
+	if n := len(h.changes); n != 1 {
+		t.Errorf("the log took %d changes, want the working CREATE only", n)
+	}
+	if got := mustExec(t, c, `SELECT f(21) AS v`).Table.Cols[0].Ints[0]; got != 42 {
+		t.Fatalf("f(21) = %d after the refused replacement, want 42", got)
+	}
+}

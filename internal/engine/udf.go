@@ -98,9 +98,12 @@ func (f *frame) callScalarUDF(name string, argCols []*storage.Column, isColumn [
 // callScalarUDFMorsels runs an element-wise (parallel-safe) scalar UDF,
 // its batch split into morsels across workers when there are several
 // workers and at least two morsels of rows: native GO UDF calls ride the
-// same morsel-driven pipeline as the built-in kernels. Each call, over
-// the whole batch or a morsel, is held to the element-wise contract
+// same morsel-driven pipeline as the built-in kernels, the calling
+// goroutine claiming morsels beside the helpers. Each call, over the
+// whole batch or a morsel, is held to the element-wise contract
 // (callElementwise), so the answer is the same however the batch splits.
+// UDF errors are user-authored and row-dependent; RunErr answers the
+// lowest failing morsel's, so the reported message is deterministic.
 func (f *frame) callScalarUDFMorsels(def *storage.FuncDef, call udfrt.Callable,
 	env *udfrt.Env, in *udfrt.Batch) (*udfrt.Batch, error) {
 	p := f.pol()
@@ -115,30 +118,22 @@ func (f *frame) callScalarUDFMorsels(def *storage.FuncDef, call udfrt.Callable,
 	if !split {
 		return f.callElementwise(def, call, env, in)
 	}
-	nm := p.NumMorsels(in.Rows)
-	outs := make([]*storage.Column, nm)
-	errs := make([]error, nm)
-	p.RunIdx(in.Rows, func(m, lo, hi int) {
+	outs := make([]*storage.Column, p.NumMorsels(in.Rows))
+	err := p.RunErr(in.Rows, func(lo, hi int) error {
 		b := in.Slice(lo, hi)
 		ob, err := f.callElementwise(def, call, env, b)
 		if err != nil {
-			errs[m] = err
-			return
+			return err
 		}
 		cols, err := udfrt.Shape(def, ob, b.Rows, false)
 		if err != nil {
-			errs[m] = err
-			return
+			return err
 		}
-		outs[m] = cols[0]
+		outs[lo/p.Morsel()] = cols[0]
+		return nil
 	})
-	// UDF errors are user-authored and row-dependent, so unlike the
-	// engine kernels every morsel runs to completion and the earliest
-	// morsel's error wins — the reported message is deterministic.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	// An interrupted run leaves unclaimed morsels' outputs nil; abort
 	// before stitching a partial result.

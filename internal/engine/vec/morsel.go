@@ -11,7 +11,7 @@ import (
 // hottest control path, so it keeps raw atomics here and the metrics
 // registry reads them at scrape time (engine.EnableObs). The inline path
 // pays two uncontended atomic adds per kernel call; the parallel path
-// additionally accounts per-worker busy time.
+// also accounts each worker's busy time, the caller's included.
 var (
 	statMorsels      atomic.Int64
 	statInlineRuns   atomic.Int64
@@ -27,8 +27,8 @@ type Stats struct {
 	InlineRuns int64
 	// ParallelRuns counts kernel dispatches that fanned out to workers.
 	ParallelRuns int64
-	// WorkerBusyNanos accumulates wall time workers spent executing
-	// morsels in parallel runs — utilization is its rate over cores.
+	// WorkerBusyNanos accumulates the wall time the caller and its helpers
+	// spent claiming morsels in parallel runs: its rate over cores.
 	WorkerBusyNanos int64
 }
 
@@ -49,9 +49,9 @@ func StatsSnapshot() Stats {
 const DefaultMorselSize = 16 << 10
 
 // Pol is the execution policy a kernel call runs under: how many workers
-// may execute morsels concurrently and how many rows each morsel holds.
-// The zero value means "all cores, default morsel size"; Serial pins
-// execution to the calling goroutine.
+// may execute morsels concurrently (the caller and Workers−1 helpers) and
+// how many rows each morsel holds. The zero value means "all cores,
+// default morsel size"; Serial pins execution to the calling goroutine.
 type Pol struct {
 	// Workers caps concurrent morsel executors. <=0 selects GOMAXPROCS;
 	// 1 disables parallelism.
@@ -108,91 +108,80 @@ func (p Pol) Run(n int, fn func(lo, hi int)) {
 // RunIdx is Run with the morsel index passed through — the hook for
 // two-phase kernels (count per morsel, prefix-sum, fill per morsel) and
 // per-morsel partial aggregates that merge deterministically in morsel
-// order.
+// order. The calling goroutine is one of the w workers: it claims morsels
+// beside w−1 helper goroutines and waits for them only once none is left.
+// One worker or one morsel starts no helper.
 func (p Pol) RunIdx(n int, fn func(m, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	w, ms := p.workers(), p.Morsel()
-	nm := (n + ms - 1) / ms
-	if w > nm {
-		w = nm
-	}
+	nm := p.NumMorsels(n)
+	w := min(p.workers(), nm)
 	statMorsels.Add(int64(nm))
 	if w <= 1 {
 		statInlineRuns.Add(1)
-		for m := 0; m < nm; m++ {
-			if p.Stop != nil && p.Stop.Stopped() {
-				return
-			}
-			lo := m * ms
-			hi := lo + ms
-			if hi > n {
-				hi = n
-			}
-			fn(m, lo, hi)
-		}
+		var next atomic.Int64
+		p.claim(&next, n, fn)
 		return
 	}
 	statParallelRuns.Add(1)
-	var next atomic.Int64
+	next := new(atomic.Int64) // the helpers share it; the serial one stays on the stack
+	work := func() {
+		t0 := time.Now()
+		p.claim(next, n, fn)
+		statBusyNanos.Add(int64(time.Since(t0)))
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
+	wg.Add(w - 1)
+	for range w - 1 {
 		go func() {
 			defer wg.Done()
-			t0 := time.Now()
-			for {
-				if p.Stop != nil && p.Stop.Stopped() {
-					statBusyNanos.Add(int64(time.Since(t0)))
-					return
-				}
-				m := int(next.Add(1) - 1)
-				if m >= nm {
-					statBusyNanos.Add(int64(time.Since(t0)))
-					return
-				}
-				lo := m * ms
-				hi := lo + ms
-				if hi > n {
-					hi = n
-				}
-				fn(m, lo, hi)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 }
 
-// RunErr is Run for fallible kernels: once any morsel fails, remaining
-// morsels are cancelled and the earliest recorded error (in morsel
-// order) is returned. Engine kernels raise the same error text from any
-// morsel ("division by zero"), so which morsel reports first is not
-// observable through the SQL surface.
-func (p Pol) RunErr(n int, fn func(lo, hi int) error) error {
-	if n <= 0 {
-		return nil
+// claim runs fn over the morsels it takes from next until none is left
+// or Stop trips; Stop is polled before every claim.
+func (p Pol) claim(next *atomic.Int64, n int, fn func(m, lo, hi int)) {
+	ms := p.Morsel()
+	for p.Stop == nil || !p.Stop.Stopped() {
+		m := int(next.Add(1) - 1)
+		lo := m * ms
+		if lo >= n {
+			return
+		}
+		fn(m, lo, min(lo+ms, n))
 	}
-	nm := p.NumMorsels(n)
-	var failed atomic.Bool
-	errs := make([]error, nm)
+}
+
+// RunErr is Run for fallible kernels. A morsel is skipped once a
+// lower-numbered morsel has failed, so every morsel below the lowest
+// failing one runs, and RunErr answers that lowest failing morsel's
+// error whatever the schedule.
+func (p Pol) RunErr(n int, fn func(lo, hi int) error) error {
+	var low struct {
+		sync.Mutex
+		m   atomic.Int64 // lowest failed morsel; n while none has
+		err error
+	}
+	low.m.Store(int64(n))
 	p.RunIdx(n, func(m, lo, hi int) {
-		if failed.Load() {
+		if int64(m) > low.m.Load() {
 			return
 		}
 		if err := fn(lo, hi); err != nil {
-			errs[m] = err
-			failed.Store(true)
+			low.Lock()
+			if int64(m) < low.m.Load() {
+				low.m.Store(int64(m))
+				low.err = err
+			}
+			low.Unlock()
 		}
 	})
-	if failed.Load() {
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return low.err
 }
 
 // ---- shared column-buffer pool ----

@@ -1,7 +1,9 @@
 package vec
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -58,6 +60,71 @@ func TestRunOverlapsMorsels(t *testing.T) {
 	})
 	if waited != [2]bool{} {
 		t.Fatalf("morsels that gave up waiting for the other: %v; the two morsels did not overlap", waited)
+	}
+}
+
+// TestRunStartsOneHelperFewerThanItsWorkers: the calling goroutine is one
+// of a section's workers, so w workers start w−1 goroutines. The w
+// morsels wait for each other twice, once before counting and once after,
+// so each count sees every worker still running; each wait gives up
+// after 5 s.
+func TestRunStartsOneHelperFewerThanItsWorkers(t *testing.T) {
+	for _, w := range []int{1, 2, 4} {
+		var started, counted atomic.Int64
+		await := func(c *atomic.Int64) {
+			c.Add(1)
+			for deadline := time.Now().Add(5 * time.Second); c.Load() < int64(w) && time.Now().Before(deadline); {
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+		extra := make([]int, w)
+		before := settledGoroutines()
+		Pol{Workers: w, MorselSize: 1}.RunIdx(w, func(m, lo, hi int) {
+			await(&started)
+			extra[m] = runtime.NumGoroutine() - before
+			await(&counted)
+		})
+		for m, got := range extra {
+			if got != w-1 {
+				t.Errorf("workers=%d: morsel %d ran beside %d new goroutines, want %d", w, m, got, w-1)
+			}
+		}
+	}
+}
+
+// settledGoroutines is the goroutine count once it has stopped changing
+// for 20 ms (at most 2 s): the helpers of an earlier run may still be on
+// their way out.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+	return n
+}
+
+// TestRunErrAnswersTheLowestFailingMorsel: when morsels 3 and up fail,
+// each naming itself, RunErr answers morsel 3's error at every worker
+// count and whatever order the morsels ran in.
+func TestRunErrAnswersTheLowestFailingMorsel(t *testing.T) {
+	for _, w := range []int{1, 2, 8} {
+		p := Pol{Workers: w, MorselSize: 10}
+		for run := 0; run < 200; run++ {
+			err := p.RunErr(100, func(lo, hi int) error {
+				if m := lo / 10; m >= 3 {
+					return fmt.Errorf("morsel %d failed", m)
+				}
+				return nil
+			})
+			if err == nil || err.Error() != "morsel 3 failed" {
+				t.Fatalf("workers=%d, run %d: err = %v, want morsel 3's", w, run, err)
+			}
+		}
 	}
 }
 

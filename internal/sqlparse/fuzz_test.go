@@ -5,9 +5,11 @@ import (
 	"go/ast"
 	goparser "go/parser"
 	gotoken "go/token"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/storage"
@@ -125,6 +127,7 @@ func FuzzParseAll(f *testing.F) {
 	f.Fuzz(func(t *testing.T, sql string) {
 		stmts, err := ParseAll(sql)
 		if err != nil {
+			checkErrorPlace(t, sql, err)
 			return
 		}
 		for _, st := range stmts {
@@ -134,6 +137,26 @@ func FuzzParseAll(f *testing.F) {
 			}
 		}
 	})
+}
+
+// errorPlace matches the position a syntax error ends with.
+var errorPlace = regexp.MustCompile(` at line (\d+), column (\d+)$`)
+
+// checkErrorPlace requires err to be a syntax error that ends with a
+// position in sql: a line of the text, and a column on that line or one
+// rune past its end.
+func checkErrorPlace(t *testing.T, sql string, err error) {
+	t.Helper()
+	m := errorPlace.FindStringSubmatch(err.Error())
+	if core.KindOf(err) != core.KindSyntax || m == nil {
+		t.Fatalf("ParseAll(%q) = %v; want a syntax error ending with its line and column", sql, err)
+	}
+	line, _ := strconv.Atoi(m[1])
+	col, _ := strconv.Atoi(m[2])
+	lines := strings.Split(sql, "\n")
+	if line < 1 || line > len(lines) || col < 1 || col > utf8.RuneCountInString(lines[line-1])+1 {
+		t.Fatalf("ParseAll(%q) = %v; the position is outside the text", sql, err)
+	}
 }
 
 // differentialCorpus reads the engine's differential queries out of the

@@ -7,6 +7,7 @@ package sqlparse
 
 import (
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/core"
 )
@@ -38,8 +39,19 @@ type lexer struct {
 	pos int
 }
 
+// errf is a syntax error at the token being lexed: every lexing error
+// leaves lx.pos at the token's start.
 func (lx *lexer) errf(format string, args ...any) error {
-	return core.Errorf(core.KindSyntax, "SQL: "+format, args...)
+	return syntaxErr(lx.src, lx.pos, format, args...)
+}
+
+// syntaxErr is a syntax error that ends with the line and column of byte
+// offset pos in src. Columns count runes, and the end of the text is one
+// past its last rune.
+func syntaxErr(src string, pos int, format string, args ...any) error {
+	line := 1 + strings.Count(src[:pos], "\n")
+	col := 1 + utf8.RuneCountInString(src[strings.LastIndexByte(src[:pos], '\n')+1:pos])
+	return core.Errorf(core.KindSyntax, "SQL: "+format+" at line %d, column %d", append(args, line, col)...)
 }
 
 // lex tokenizes the whole statement.

@@ -12,7 +12,7 @@ func ParseLiteral(s string) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p := &parser{src: s, toks: toks}
 	e, err := p.expr()
 	if err != nil {
 		return nil, err

@@ -10,6 +10,7 @@ import (
 
 // Parser consumes a token stream into statements.
 type parser struct {
+	src  string // the text toks were lexed from, for error positions
 	toks []token
 	pos  int
 	// placeholder bookkeeping, reset per top-level statement: positional
@@ -36,7 +37,7 @@ func (p *parser) one(sql string) (Statement, error) {
 		return nil, err
 	}
 	if len(stmts) != 1 {
-		return nil, core.Errorf(core.KindSyntax, "expected exactly one statement, found %d", len(stmts))
+		return nil, p.errf("expected exactly one statement, found %d", len(stmts))
 	}
 	return stmts[0], nil
 }
@@ -47,7 +48,7 @@ func (p *parser) script(sql string) ([]Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.toks = toks
+	p.src, p.toks = sql, toks
 	var stmts []Statement
 	for {
 		for p.atOp(";") {
@@ -100,8 +101,9 @@ func (p *parser) acceptOp(op string) bool {
 	return false
 }
 
+// errf is a syntax error at the current token.
 func (p *parser) errf(format string, args ...any) error {
-	return core.Errorf(core.KindSyntax, "SQL: "+format, args...)
+	return syntaxErr(p.src, p.cur().pos, format, args...)
 }
 
 func (p *parser) expectKw(kw string) error {
@@ -165,13 +167,14 @@ func (p *parser) qualifiedName() (string, error) {
 // placeholder consumes one '?' or '$n' op token into a Placeholder node,
 // enforcing single-style use and the $n range at parse time.
 func (p *parser) placeholder() (Expr, error) {
-	t := p.next()
+	t := p.cur()
 	if t.lit == "?" {
 		if len(p.numberedPos) > 0 {
 			return nil, p.errf("cannot mix '?' and '$n' placeholders in one statement (byte %d)", t.pos)
 		}
 		ph := &Placeholder{Index: p.qmarks}
 		p.qmarks++
+		p.next()
 		return ph, nil
 	}
 	n, err := strconv.Atoi(t.lit[1:])
@@ -190,6 +193,7 @@ func (p *parser) placeholder() (Expr, error) {
 	if _, seen := p.numberedPos[n]; !seen {
 		p.numberedPos[n] = t.pos
 	}
+	p.next()
 	return &Placeholder{Index: n - 1, Numbered: true}, nil
 }
 
@@ -213,7 +217,7 @@ func (p *parser) finishPlaceholders() error {
 	}
 	for n := 1; n <= max; n++ {
 		if _, ok := p.numberedPos[n]; !ok {
-			return p.errf("placeholder $%d at byte %d is out of range: statement never binds $%d",
+			return syntaxErr(p.src, p.numberedPos[max], "placeholder $%d at byte %d is out of range: statement never binds $%d",
 				max, p.numberedPos[max], n)
 		}
 	}
@@ -247,10 +251,9 @@ func (p *parser) createStmt() (Statement, error) {
 		orReplace = true
 	}
 	switch {
+	case orReplace && p.atKw("table"):
+		return nil, p.errf("OR REPLACE is only supported for functions")
 	case p.acceptKw("table"):
-		if orReplace {
-			return nil, p.errf("OR REPLACE is only supported for functions")
-		}
 		return p.createTable()
 	case p.acceptKw("function"):
 		return p.createFunction(orReplace)
@@ -274,6 +277,20 @@ func (p *parser) createTable() (Statement, error) {
 	return &CreateTable{Name: name, Schema: schema}, nil
 }
 
+// typeName reads a type name; an unknown one is refused at its position.
+func (p *parser) typeName() (storage.Type, error) {
+	at := p.cur().pos
+	name, err := p.ident()
+	if err != nil {
+		return 0, err
+	}
+	typ, err := storage.ParseType(name)
+	if err != nil {
+		return 0, syntaxErr(p.src, at, "%s", core.Message(err))
+	}
+	return typ, nil
+}
+
 // columnDefs parses `name type, ...` up to and including ')'.
 func (p *parser) columnDefs() (storage.Schema, error) {
 	var schema storage.Schema
@@ -282,11 +299,7 @@ func (p *parser) columnDefs() (storage.Schema, error) {
 		if err != nil {
 			return nil, err
 		}
-		tname, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		typ, err := storage.ParseType(tname)
+		typ, err := p.typeName()
 		if err != nil {
 			return nil, err
 		}
@@ -331,11 +344,7 @@ func (p *parser) createFunction(orReplace bool) (Statement, error) {
 		}
 		cf.Returns = rets
 	} else {
-		tname, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		typ, err := storage.ParseType(tname)
+		typ, err := p.typeName()
 		if err != nil {
 			return nil, err
 		}
@@ -573,9 +582,10 @@ func (p *parser) selectStmt() (*Select, error) {
 			return nil, p.errf("expected number after LIMIT")
 		}
 		p.lits = append(p.lits, nil)
-		n, err := strconv.ParseInt(p.next().lit, 10, 64)
+		t := p.next()
+		n, err := strconv.ParseInt(t.lit, 10, 64)
 		if err != nil || n < 0 {
-			return nil, p.errf("bad LIMIT value")
+			return nil, syntaxErr(p.src, t.pos, "bad LIMIT value")
 		}
 		sel.Limit = n
 	}
@@ -775,13 +785,13 @@ func (p *parser) primary() (Expr, error) {
 		case storage.TInt:
 			n, err := strconv.ParseInt(t.lit, 10, 64)
 			if err != nil {
-				return nil, p.errf("bad integer %q", t.lit)
+				return nil, syntaxErr(p.src, t.pos, "bad integer %q", t.lit)
 			}
 			e = &IntLit{Value: n}
 		case storage.TFloat:
 			f, err := strconv.ParseFloat(t.lit, 64)
 			if err != nil {
-				return nil, p.errf("bad number %q", t.lit)
+				return nil, syntaxErr(p.src, t.pos, "bad number %q", t.lit)
 			}
 			e = &FloatLit{Value: f}
 		default:
@@ -812,11 +822,7 @@ func (p *parser) primary() (Expr, error) {
 			if err := p.expectKw("as"); err != nil {
 				return nil, err
 			}
-			tn, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			typ, err := storage.ParseType(tn)
+			typ, err := p.typeName()
 			if err != nil {
 				return nil, err
 			}

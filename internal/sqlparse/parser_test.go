@@ -1,9 +1,11 @@
 package sqlparse
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/storage"
 )
 
@@ -276,6 +278,35 @@ func TestParseErrors(t *testing.T) {
 	for _, sql := range cases {
 		if _, err := Parse(sql); err == nil {
 			t.Errorf("Parse(%q) should fail", sql)
+		}
+	}
+}
+
+// TestSyntaxErrorsNameTheirPlace: a syntax error ends with the line and
+// column of the token it is about, counting columns in runes (a tab is
+// one, so is a multi-byte rune) and placing the end of the text one past
+// its last rune.
+func TestSyntaxErrorsNameTheirPlace(t *testing.T) {
+	for _, tc := range []struct {
+		what, sql string
+		line, col int
+	}{
+		{"start of a line", "SELECT i\nFROM t\n) WHERE i > 2", 3, 1},
+		{"middle of a line", "SELECT i\nFROM t\nWHERE i >> 2", 3, 10},
+		{"end of a line", "SELECT i\nFROM t WHERE (i > 2))\nORDER BY i", 2, 21},
+		{"after a tab", "SELECT i\nFROM t\n\tWHERE i >> 2", 3, 11},
+		{"after a multi-byte rune", "SELECT 'h\u00e9llo' >> 1", 1, 17},
+		{"at EOF", "SELECT i\nFROM t\nWHERE", 3, 6},
+		{"at EOF after a multi-byte rune", "SELECT '\u00e9' ||", 1, 14},
+		{"lexing", "SELECT 1,\n  # 2", 2, 3},
+		{"unknown type", "CREATE TABLE t (\n  i BADTYPE)", 2, 5},
+		{"bad LIMIT", "SELECT i FROM t\nLIMIT 99999999999999999999", 2, 7},
+		{"dense placeholders", "SELECT $1,\n  $3", 2, 3},
+	} {
+		_, err := Parse(tc.sql)
+		want := fmt.Sprintf(" at line %d, column %d", tc.line, tc.col)
+		if core.KindOf(err) != core.KindSyntax || !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("%s: Parse(%q) = %v; want a syntax error ending %q", tc.what, tc.sql, err, want)
 		}
 	}
 }
