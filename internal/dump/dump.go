@@ -94,21 +94,14 @@ func encodeSchema(buf []byte, s storage.Schema) []byte {
 
 // Restore loads a snapshot produced by Dump into db, all-or-nothing: on
 // any error the database is left exactly as it was. Existing tables or
-// functions with clashing names fail the restore.
+// functions with clashing names fail the restore. It decodes the snapshot
+// and installs it with engine.DB.Restore, which logs it when persistence
+// is installed; internal/wal restores its checkpoint snapshots here too.
 func Restore(db *engine.DB, r io.Reader) error {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return core.Wrapf(core.KindIO, err, "read dump: %v", err)
 	}
-	return db.Lock(func(cat *storage.Catalog) error {
-		return RestoreCatalog(cat, data)
-	})
-}
-
-// RestoreCatalog decodes a dump and commits it into cat all-or-nothing.
-// The caller must hold the database lock; internal/wal calls it during
-// crash recovery to load the newest valid snapshot.
-func RestoreCatalog(cat *storage.Catalog, data []byte) error {
 	switch {
 	case bytes.HasPrefix(data, []byte(magicV2)):
 	case bytes.HasPrefix(data, []byte(magicPrefix)):
@@ -154,49 +147,7 @@ func RestoreCatalog(cat *storage.Catalog, data []byte) error {
 	if br.Remaining() != 0 {
 		return core.Errorf(core.KindProtocol, "trailing bytes in dump")
 	}
-
-	// Stage into a scratch catalog first: duplicate names inside the dump
-	// (and any other create failure) surface here, before the live catalog
-	// is touched — a half-populated catalog was the old failure mode.
-	scratch := storage.NewCatalog()
-	for _, t := range tables {
-		if err := scratch.CreateTable(t); err != nil {
-			return err
-		}
-	}
-	for _, f := range funcs {
-		if err := scratch.InstallFunction(f, false); err != nil {
-			return err
-		}
-	}
-
-	// Commit into the live catalog; a clash with pre-existing state rolls
-	// back everything staged so far.
-	var doneTables, doneFuncs []string
-	rollback := func() {
-		for _, name := range doneTables {
-			_ = cat.DropTable(name)
-		}
-		for _, name := range doneFuncs {
-			_ = cat.DropFunction(name)
-		}
-	}
-	for _, t := range tables {
-		if err := cat.CreateTable(t); err != nil {
-			rollback()
-			return err
-		}
-		doneTables = append(doneTables, t.Name)
-	}
-	for _, f := range funcs {
-		if err := cat.InstallFunction(f, false); err != nil {
-			rollback()
-			return err
-		}
-		doneFuncs = append(doneFuncs, f.Name)
-	}
-	cat.SetNextID(int(nextID))
-	return nil
+	return db.Restore(tables, funcs, int(nextID))
 }
 
 // ReadFuncDef reads one V2 function definition (the AppendFuncDef form).

@@ -73,10 +73,6 @@ type DB struct {
 	// one morsel always run inline. Only this package's tests change them.
 	workers, morselSize int
 
-	// compiled caches each catalog function's callable; apply drops an
-	// entry when its definition is replaced or dropped. Guarded by mu.
-	compiled map[*storage.FuncDef]udfrt.Callable
-
 	// Durability hooks installed by SetPersistence (see persist.go):
 	// onCommit is offered every committed Change under mu; checkpoint backs
 	// DB.Checkpoint.
@@ -96,11 +92,7 @@ type DB struct {
 
 // NewDB creates an empty database.
 func NewDB() *DB {
-	return &DB{
-		cat:      storage.NewCatalog(),
-		FS:       core.OSFS{},
-		compiled: map[*storage.FuncDef]udfrt.Callable{},
-	}
+	return &DB{cat: storage.NewCatalog(), FS: core.OSFS{}}
 }
 
 // RegisterTable installs a pre-built table into the catalog under the
@@ -309,12 +301,6 @@ func (f *frame) createFunction(st *sqlparse.CreateFunction) error {
 	if err := refuseBuiltinName(st.Name); err != nil {
 		return err
 	}
-	// The parser accepts any LANGUAGE; creation requires a known one so a
-	// typo'd language fails here rather than at first call.
-	compile, err := compilerFor(st.Language)
-	if err != nil {
-		return err
-	}
 	def := &storage.FuncDef{
 		ID:       f.DB.funcID(st.Name),
 		Name:     st.Name,
@@ -324,28 +310,22 @@ func (f *frame) createFunction(st *sqlparse.CreateFunction) error {
 		Returns:  st.Returns,
 		IsTable:  st.IsTable,
 	}
-	var call udfrt.Callable
-	switch udfrt.Canonical(def.Language) {
-	case udfrt.Go:
+	goUDF := udfrt.Canonical(def.Language) == udfrt.Go
+	if goUDF {
 		// the function of the entry the declaration names, as it is now
 		if src, err := f.DB.cat.Function(gort.Symbol(def)); err == nil {
 			def.Native, def.Elementwise = src.Native, src.Elementwise
 		}
-	case udfrt.Python:
-		// A body that does not compile is refused before the catalog or
-		// the log changes, with the error its first call would give; WAL
-		// replay does not re-check.
-		if call, err = compile(def); err != nil {
-			return err
-		}
 	}
-	if err := f.DB.mutate(Change{Kind: ChangeCreateFunction, Func: def, Replace: st.OrReplace}, f.Trace); err != nil {
+	// A language with no runtime, or a PYTHON body that does not compile,
+	// is refused before the catalog or the log changes, with the error its
+	// first call would give; apply keeps what compiled. A GO declaration
+	// may name a function registered later. WAL replay does not re-check.
+	def.Compiled = compiled(def)
+	if err, ok := def.Compiled.(error); ok && !goUDF {
 		return err
 	}
-	if call != nil {
-		f.DB.compiled[def] = call
-	}
-	return nil
+	return f.DB.mutate(Change{Kind: ChangeCreateFunction, Func: def, Replace: st.OrReplace}, f.Trace)
 }
 
 func (f *frame) insert(st *sqlparse.Insert) (*Result, error) {
@@ -466,8 +446,9 @@ func (f *frame) copyInto(st *sqlparse.CopyInto) (*Result, error) {
 // uses it in local/embedded mode; the wire server goes through SQL).
 func (db *DB) Catalog() *storage.Catalog { return db.cat }
 
-// Lock runs fn with the database lock held, for embedders that need a
-// consistent multi-statement view.
+// Lock runs fn with the database lock held, for readers that need a
+// consistent multi-statement view: dump.Dump, WAL checkpoints, the debug
+// server. fn must not change the catalog; apply is its one writer.
 func (db *DB) Lock(fn func(cat *storage.Catalog) error) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()

@@ -59,9 +59,9 @@ func (db *DB) registerGoUDF(name string, fn any, elementwise bool) error {
 }
 
 // follow hands a registered function to every other GO entry whose symbol
-// is its name: each is replaced by a copy that carries reg's function, and
-// its compiled callable is dropped. It returns the entries it replaced.
-// Called with db.mu held.
+// is its name: each is replaced by a copy that carries reg's function,
+// compiled afresh. It returns the entries it replaced. Called with db.mu
+// held.
 func (db *DB) follow(reg *storage.FuncDef) (replaced []*storage.FuncDef) {
 	for _, g := range db.cat.Functions() {
 		if g == reg || udfrt.Canonical(g.Language) != udfrt.Go || !strings.EqualFold(gort.Symbol(g), reg.Name) {
@@ -69,8 +69,8 @@ func (db *DB) follow(reg *storage.FuncDef) (replaced []*storage.FuncDef) {
 		}
 		next := *g
 		next.Native, next.Elementwise = reg.Native, reg.Elementwise
+		next.Compiled = compiled(&next)
 		_ = db.cat.InstallFunction(&next, true)
-		delete(db.compiled, g)
 		replaced = append(replaced, g)
 	}
 	return replaced

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/storage"
@@ -11,9 +13,11 @@ import (
 // it to the installed commit hook while the database lock is still held; if
 // the hook refuses (the WAL append failed), the mutation is undone and the
 // statement fails, so a change is either durable and applied, or neither.
-// apply is the one place the catalog changes: statements reach it through
-// mutate, which commits and undoes on a refusal, and WAL replay through
-// ApplyChange, which does not log. INSERT and COPY append in place, then
+// apply is the one place the catalog changes, and it compiles each function
+// entry it installs onto the entry (FuncDef.Compiled). Statements reach it
+// through mutate, which commits and undoes on a refusal; WAL replay through
+// ApplyChange, which does not log; a snapshot, restored by dump.Restore or
+// WAL recovery, through Restore. INSERT and COPY append in place, then
 // commit or truncate (commitAppend).
 
 // ChangeKind discriminates the logical record types of the write-ahead log.
@@ -127,6 +131,53 @@ func (db *DB) ApplyChange(ch Change) error {
 	return err
 }
 
+// Restore installs a snapshot's tables and functions all-or-nothing: a
+// name that clashes with the catalog or within the snapshot undoes every
+// one. It then commits each when persistence is installed, taking back the
+// ones already logged if a commit is refused, and sets the function ID
+// counter. dump.Restore and WAL recovery (before persistence is installed,
+// so it logs nothing) both install snapshots here.
+func (db *DB) Restore(tables []*storage.Table, funcs []*storage.FuncDef, nextID int) (err error) {
+	chs := make([]Change, 0, len(tables)+len(funcs))
+	for _, t := range tables {
+		chs = append(chs, Change{Kind: ChangeCreateTable, Table: t})
+	}
+	for _, f := range funcs {
+		chs = append(chs, Change{Kind: ChangeCreateFunction, Func: f})
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	undos := make([]func(), 0, len(chs))
+	defer func() {
+		if err != nil {
+			for _, undo := range slices.Backward(undos) {
+				undo()
+			}
+		}
+	}()
+	for _, ch := range chs {
+		undo, err := db.apply(ch)
+		if err != nil {
+			return err
+		}
+		undos = append(undos, undo)
+	}
+	for i, ch := range chs {
+		if err := db.commit(ch, nil); err != nil {
+			for _, done := range slices.Backward(chs[:i]) {
+				if done.Kind == ChangeCreateTable {
+					_ = db.commit(Change{Kind: ChangeDropTable, Name: done.Table.Name}, nil)
+				} else {
+					_ = db.commit(Change{Kind: ChangeDropFunction, Name: done.Func.Name}, nil)
+				}
+			}
+			return err
+		}
+	}
+	db.cat.SetNextID(nextID)
+	return nil
+}
+
 // mutate is how a statement changes the catalog: apply ch, then commit it
 // (see commit for tr), undoing it if the commit is refused. Called with
 // db.mu held.
@@ -142,10 +193,9 @@ func (db *DB) mutate(ch Change, tr *obs.Trace) error {
 	return nil
 }
 
-// apply makes ch's change to the catalog and returns its inverse; a
-// function's change also drops its compiled callable. Statements (through
-// mutate) and WAL replay both change the catalog here. Called with db.mu
-// held.
+// apply makes ch's change to the catalog and returns its inverse. A
+// function entry it installs holds what it compiles to (CREATE FUNCTION
+// has compiled it already). Called with db.mu held.
 func (db *DB) apply(ch Change) (undo func(), err error) {
 	cat := db.cat
 	switch ch.Kind {
@@ -176,10 +226,12 @@ func (db *DB) apply(ch Change) (undo func(), err error) {
 	case ChangeCreateFunction, ChangeRegisterGoUDF:
 		name := ch.Func.Name
 		prior, _ := cat.Function(name)
+		if ch.Func.Compiled == nil {
+			ch.Func.Compiled = compiled(ch.Func)
+		}
 		if err := cat.InstallFunction(ch.Func, ch.Replace || ch.Kind == ChangeRegisterGoUDF); err != nil {
 			return nil, err
 		}
-		delete(db.compiled, prior)
 		var followers []*storage.FuncDef
 		if ch.Kind == ChangeRegisterGoUDF {
 			followers = db.follow(ch.Func)
@@ -200,7 +252,6 @@ func (db *DB) apply(ch Change) (undo func(), err error) {
 			return nil, err
 		}
 		_ = cat.DropFunction(ch.Name)
-		delete(db.compiled, old)
 		return func() { _ = cat.InstallFunction(old, false) }, nil
 	default:
 		return nil, core.Errorf(core.KindProtocol, "unknown change kind %d in log", ch.Kind)

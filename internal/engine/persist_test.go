@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/storage"
+	"repro/internal/udfrt"
 )
 
 // failNext arms a persistence hook that vetoes the next commit.
@@ -152,25 +153,66 @@ func TestHookVetoRollsBackFunctionDDL(t *testing.T) {
 	}
 }
 
-// TestCompiledCallableFollowsTheCatalogEntry: the compiled-callable cache
-// holds one entry for a function however often it is replaced, and none
-// once it is dropped; each replacement computes with its own body.
+// TestCompiledCallableFollowsTheCatalogEntry: each definition of a
+// function holds its own callable, compiled as it was installed, and
+// computes with its own body; DROP takes the entry and its callable away.
 func TestCompiledCallableFollowsTheCatalogEntry(t *testing.T) {
 	c := newTestConn()
+	var prior any
 	for k := 1; k <= 3; k++ {
 		mustExec(t, c, fmt.Sprintf(`CREATE OR REPLACE FUNCTION f(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON {
     return x * %d
 }`, k))
+		def, err := c.DB.cat.Function("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := def.Compiled.(udfrt.Callable); !ok || def.Compiled == prior {
+			t.Fatalf("after replacement %d f holds %v, before it %v", k, def.Compiled, prior)
+		}
+		prior = def.Compiled
 		if got := mustExec(t, c, `SELECT f(7) AS v`).Table.Cols[0].Ints[0]; got != int64(7*k) {
 			t.Fatalf("after replacement %d, f(7) = %d", k, got)
 		}
-		if n := len(c.DB.compiled); n != 1 {
-			t.Fatalf("after replacement %d the cache holds %d callables", k, n)
-		}
 	}
 	mustExec(t, c, `DROP FUNCTION f`)
-	if n := len(c.DB.compiled); n != 0 {
-		t.Fatalf("after DROP the cache holds %d callables", n)
+	if c.DB.cat.HasFunction("f") {
+		t.Fatal("DROP left f in the catalog")
+	}
+}
+
+// TestRestoreTakesBackARefusedCommit: Restore logs a snapshot one change
+// at a time. When the log refuses one, the catalog is left as it was and
+// what the log already took is taken back.
+func TestRestoreTakesBackARefusedCommit(t *testing.T) {
+	db := NewDB()
+	var log []string
+	db.SetPersistence(func(ch Change) error {
+		if len(log) == 1 {
+			log = append(log, "refused")
+			return core.Errorf(core.KindIO, "disk full")
+		}
+		switch ch.Kind {
+		case ChangeCreateTable:
+			log = append(log, "create table "+ch.Table.Name)
+		case ChangeDropTable:
+			log = append(log, "drop table "+ch.Name)
+		default:
+			log = append(log, fmt.Sprintf("change %d", ch.Kind))
+		}
+		return nil
+	}, nil)
+	schema := storage.Schema{{Name: "x", Type: storage.TInt}}
+	g := &storage.FuncDef{ID: 4, Name: "g", Language: "PYTHON", Body: "return x", Params: schema, Returns: schema}
+	err := db.Restore([]*storage.Table{storage.NewTable("a", schema), storage.NewTable("b", schema)}, []*storage.FuncDef{g}, 9)
+	if core.KindOf(err) != core.KindIO {
+		t.Fatalf("want a KindIO commit error, got %v", err)
+	}
+	if got := fmt.Sprint(log); got != "[create table a refused drop table a]" {
+		t.Errorf("the log took %s", got)
+	}
+	if names, fns := db.cat.TableNames(), db.cat.Functions(); len(names) != 0 || len(fns) != 0 {
+		t.Errorf("a refused restore left tables %v and %d functions", names, len(fns))
 	}
 }
 
@@ -421,8 +463,10 @@ func TestCreateFunctionRefusesABodyThatDoesNotParse(t *testing.T) {
 	mustExec(t, c, `CREATE FUNCTION f(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON { return x * 2 }`)
 	before := functions()
 	_ = db.Lock(func(cat *storage.Catalog) error {
-		if def, err := cat.Function("f"); err != nil || db.compiled[def] == nil {
-			t.Errorf("f's callable was not kept at CREATE (%v)", err)
+		if def, err := cat.Function("f"); err != nil {
+			t.Error(err)
+		} else if _, ok := def.Compiled.(udfrt.Callable); !ok {
+			t.Errorf("f's callable was not kept at CREATE: %v", def.Compiled)
 		}
 		return nil
 	})

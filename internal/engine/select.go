@@ -652,8 +652,7 @@ func (f *frame) foldMorsel(ctx *evalCtx, p vec.Pol, name string, arg sqlparse.Ex
 
 // morselSafe reports whether an aggregate's argument is built from columns,
 // literals, binds, operators, casts, builtins and element-wise UDFs
-// (udfrt.ParallelSafe). It compiles them on the statement's goroutine, so
-// that the workers folding it only read the compiled-callable cache.
+// (udfrt.ParallelSafe).
 func (f *frame) morselSafe(arg sqlparse.Expr) bool {
 	safe := true
 	sqlparse.EditExpr(arg, func(x sqlparse.Expr) (sqlparse.Expr, bool) {
@@ -666,8 +665,7 @@ func (f *frame) morselSafe(arg sqlparse.Expr) bool {
 				def, err := f.DB.cat.Function(name)
 				safe = err == nil && !sqlparse.IsAggregate(name)
 				if safe {
-					call, _ := f.callableFor(def) // nil when it does not compile
-					ps, ok := call.(udfrt.ParallelSafe)
+					ps, ok := def.Compiled.(udfrt.ParallelSafe) // not when it does not compile
 					safe = ok && ps.ParallelSafe()
 				}
 			}

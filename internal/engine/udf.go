@@ -32,20 +32,23 @@ func CompileUDF(def *storage.FuncDef) (udfrt.Callable, error) {
 	return compile(def)
 }
 
-// callableFor returns the compiled callable of a catalog definition,
-// compiling it on first use. The cache is keyed by the catalog's entry:
-// apply drops it whenever a statement or WAL replay replaces or drops that
-// entry.
-func (f *frame) callableFor(def *storage.FuncDef) (udfrt.Callable, error) {
-	if call, ok := f.DB.compiled[def]; ok {
-		return call, nil
-	}
+// compiled is what def compiles to with the runtime its LANGUAGE picks:
+// its callable, or the error compiling gave. apply keeps it on the entry.
+func compiled(def *storage.FuncDef) any {
 	call, err := CompileUDF(def)
 	if err != nil {
+		return err
+	}
+	return call
+}
+
+// callableFor returns the callable apply compiled a catalog entry to, or
+// the error compiling it gave. apply installs no entry without one.
+func callableFor(def *storage.FuncDef) (udfrt.Callable, error) {
+	if err, ok := def.Compiled.(error); ok {
 		return nil, err
 	}
-	f.DB.compiled[def] = call
-	return call, nil
+	return def.Compiled.(udfrt.Callable), nil
 }
 
 // udfEnv builds the statement's invocation environment handed to a
@@ -76,7 +79,7 @@ func (f *frame) callScalarUDF(name string, argCols []*storage.Column, isColumn [
 		return nil, err
 	}
 	cols, err := udfrt.Run(def, udfrt.NewBatch(argCols, isColumn), false, func(in *udfrt.Batch) (*udfrt.Batch, error) {
-		call, err := f.callableFor(def)
+		call, err := callableFor(def)
 		if err != nil {
 			return nil, err
 		}
@@ -198,7 +201,7 @@ func (f *frame) callScalarUDFTuple(def *storage.FuncDef, call udfrt.Callable,
 // longest one.
 func (f *frame) callTableUDF(def *storage.FuncDef, argCols []*storage.Column, isColumn []bool) (*storage.Table, error) {
 	cols, err := udfrt.Run(def, udfrt.NewBatch(argCols, isColumn), true, func(in *udfrt.Batch) (*udfrt.Batch, error) {
-		call, err := f.callableFor(def)
+		call, err := callableFor(def)
 		if err != nil {
 			return nil, err
 		}

@@ -226,7 +226,7 @@ func TestLanguagePicksTheRuntime(t *testing.T) {
 }
 
 // TestGoUDFErrorAndInvalidation: runtime errors surface with the UDF's
-// name, and CREATE OR REPLACE invalidates the compiled-callable cache.
+// name, and CREATE OR REPLACE installs an entry with its own callable.
 func TestGoUDFErrorAndInvalidation(t *testing.T) {
 	c := newTestConn()
 	if err := c.DB.RegisterGoUDF("go_trouble", func(x []int64) ([]int64, error) {

@@ -211,7 +211,7 @@ func (lx *lexer) lexOp() (string, error) {
 			j++
 		}
 		if j == lx.pos+1 {
-			return "", lx.errf("expected digits after '$' at byte %d (numbered placeholder is $1, $2, ...)", lx.pos)
+			return "", lx.errf("expected digits after '$' (numbered placeholder is $1, $2, ...)")
 		}
 		op := lx.src[lx.pos:j]
 		lx.pos = j

@@ -19,6 +19,7 @@ type parser struct {
 	qmarks      int
 	numberedPos map[int]int
 	lits        []Expr // per literal token: its node, or nil for a LIMIT or COPY path
+	starts      []int  // the byte position each statement of the script starts at
 }
 
 // maxPlaceholder bounds $n at parse time; anything larger is a typo or an
@@ -37,7 +38,11 @@ func (p *parser) one(sql string) (Statement, error) {
 		return nil, err
 	}
 	if len(stmts) != 1 {
-		return nil, p.errf("expected exactly one statement, found %d", len(stmts))
+		at := p.cur().pos // the end of the text
+		if len(stmts) > 1 {
+			at = p.starts[1]
+		}
+		return nil, syntaxErr(p.src, at, "expected exactly one statement, found %d", len(stmts))
 	}
 	return stmts[0], nil
 }
@@ -57,6 +62,7 @@ func (p *parser) script(sql string) ([]Statement, error) {
 		if p.at(tEOF) {
 			return stmts, nil
 		}
+		p.starts = append(p.starts, p.cur().pos)
 		st, err := p.statement()
 		if err != nil {
 			return nil, err
@@ -170,7 +176,7 @@ func (p *parser) placeholder() (Expr, error) {
 	t := p.cur()
 	if t.lit == "?" {
 		if len(p.numberedPos) > 0 {
-			return nil, p.errf("cannot mix '?' and '$n' placeholders in one statement (byte %d)", t.pos)
+			return nil, p.errf("cannot mix '?' and '$n' placeholders in one statement")
 		}
 		ph := &Placeholder{Index: p.qmarks}
 		p.qmarks++
@@ -179,13 +185,13 @@ func (p *parser) placeholder() (Expr, error) {
 	}
 	n, err := strconv.Atoi(t.lit[1:])
 	if err != nil || n < 1 {
-		return nil, p.errf("invalid placeholder %q at byte %d: numbered placeholders start at $1", t.lit, t.pos)
+		return nil, p.errf("invalid placeholder %q: numbered placeholders start at $1", t.lit)
 	}
 	if n > maxPlaceholder {
-		return nil, p.errf("placeholder %q at byte %d is out of range (max $%d)", t.lit, t.pos, maxPlaceholder)
+		return nil, p.errf("placeholder %q is out of range (max $%d)", t.lit, maxPlaceholder)
 	}
 	if p.qmarks > 0 {
-		return nil, p.errf("cannot mix '?' and '$n' placeholders in one statement (byte %d)", t.pos)
+		return nil, p.errf("cannot mix '?' and '$n' placeholders in one statement")
 	}
 	if p.numberedPos == nil {
 		p.numberedPos = map[int]int{}
@@ -217,8 +223,7 @@ func (p *parser) finishPlaceholders() error {
 	}
 	for n := 1; n <= max; n++ {
 		if _, ok := p.numberedPos[n]; !ok {
-			return syntaxErr(p.src, p.numberedPos[max], "placeholder $%d at byte %d is out of range: statement never binds $%d",
-				max, p.numberedPos[max], n)
+			return syntaxErr(p.src, p.numberedPos[max], "placeholder $%d is out of range: statement never binds $%d", max, n)
 		}
 	}
 	return nil

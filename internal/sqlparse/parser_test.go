@@ -302,6 +302,7 @@ func TestSyntaxErrorsNameTheirPlace(t *testing.T) {
 		{"unknown type", "CREATE TABLE t (\n  i BADTYPE)", 2, 5},
 		{"bad LIMIT", "SELECT i FROM t\nLIMIT 99999999999999999999", 2, 7},
 		{"dense placeholders", "SELECT $1,\n  $3", 2, 3},
+		{"a second statement", "SELECT 1; SELECT 2", 1, 11},
 	} {
 		_, err := Parse(tc.sql)
 		want := fmt.Sprintf(" at line %d, column %d", tc.line, tc.col)

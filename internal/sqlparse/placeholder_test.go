@@ -60,8 +60,8 @@ func TestPlaceholderRejections(t *testing.T) {
 		frag string // must appear in the error
 	}{
 		{`SELECT $0`, `$0`},
-		{`SELECT $0`, `byte 7`},
-		{`SELECT $99999999999999999999`, `byte 7`},
+		{`SELECT $0`, `line 1, column 8`},
+		{`SELECT $99999999999999999999`, `line 1, column 8`},
 		{`SELECT $70000 FROM t`, `out of range`},
 		{`SELECT $2 FROM t`, `never binds $1`},
 		{`SELECT $1, $3 FROM t`, `never binds $2`},

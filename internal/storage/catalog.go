@@ -27,6 +27,10 @@ type FuncDef struct {
 	// recovered entry has none until the process registers it again.
 	Native      any
 	Elementwise bool
+	// Compiled is what the engine compiled the entry to as it installed
+	// it: a udfrt.Callable, or the error compiling gave, which the first
+	// call answers. Like Native it is neither logged nor dumped.
+	Compiled any
 }
 
 // Catalog is the database catalog: tables and UDFs. It is not synchronized;

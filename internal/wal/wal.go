@@ -404,17 +404,17 @@ func (m *Manager) recover() error {
 		}
 	}
 	// Newest snapshot that restores cleanly wins; an unreadable one falls
-	// back a generation (RestoreCatalog is all-or-nothing, so a failed
-	// attempt leaves the database empty for the next).
+	// back a generation (dump.Restore is all-or-nothing, so a failed
+	// attempt leaves the database empty for the next). Persistence is not
+	// installed yet, so restoring logs nothing.
 	var start uint64
 	restored := false
 	for i := len(snaps) - 1; i >= 0; i-- {
 		seq := snaps[i]
-		data, err := os.ReadFile(m.snapPath(seq))
+		f, err := os.Open(m.snapPath(seq))
 		if err == nil {
-			err = m.db.Lock(func(cat *storage.Catalog) error {
-				return dump.RestoreCatalog(cat, data)
-			})
+			err = dump.Restore(m.db, f)
+			f.Close()
 		}
 		if err == nil {
 			start, restored = seq, true

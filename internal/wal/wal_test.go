@@ -270,6 +270,61 @@ func TestAllSnapshotsCorruptRefusesStart(t *testing.T) {
 	}
 }
 
+// TestRestoredDatabaseReopens: a dump restored into a logged database is
+// logged like any statement's change, so what later statements log over
+// it replays at the next open.
+func TestRestoredDatabaseReopens(t *testing.T) {
+	src := engine.NewDB()
+	mustExec(t, src, `CREATE TABLE r (i INTEGER)`, `INSERT INTO r VALUES (1)`)
+	var snap bytes.Buffer
+	if err := dump.Dump(src, &snap); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	db, m := openDB(t, dir, Options{Sync: SyncAlways})
+	if err := dump.Restore(db, &snap); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `INSERT INTO r VALUES (2)`)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, m2 := openDB(t, dir, Options{})
+	defer m2.Close()
+	n, sum := queryInts(t, db2, `SELECT COUNT(*) AS n FROM r`), queryInts(t, db2, `SELECT SUM(i) AS s FROM r`)
+	if len(n) != 1 || n[0] != 2 || len(sum) != 1 || sum[0] != 3 {
+		t.Fatalf("r after reopening: %v rows, sum %v; want 2 rows, sum 3", n, sum)
+	}
+}
+
+// TestSnapshotUDFSyntaxErrorAtCallTime: a snapshot may hold a PYTHON body
+// that does not parse (CREATE refuses one, but older builds did not).
+// The database still opens, and the body's first call fails with the
+// syntax error its compile gave at install.
+func TestSnapshotUDFSyntaxErrorAtCallTime(t *testing.T) {
+	dir := t.TempDir()
+	db, m := openDB(t, dir, Options{})
+	mustExec(t, db, `CREATE TABLE t (i INTEGER)`, `INSERT INTO t VALUES (1)`)
+	bad := &storage.FuncDef{ID: 1, Name: "bad", Language: "PYTHON", Body: "\n    if x\n        return 1\n",
+		Params: storage.Schema{{Name: "x", Type: storage.TInt}}, Returns: storage.Schema{{Name: "result", Type: storage.TInt}}}
+	if err := db.ApplyChange(engine.Change{Kind: engine.ChangeCreateFunction, Func: bad}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, m2 := openDB(t, dir, Options{})
+	defer m2.Close()
+	if kind := queryKind(db2, `SELECT bad(i) FROM t`); kind != core.KindSyntax {
+		t.Fatalf("first call of the unparseable body: kind %v, want %v", kind, core.KindSyntax)
+	}
+}
+
 // tripled is a GO UDF the replay tests register.
 func tripled(xs []int64) []int64 {
 	out := make([]int64, len(xs))

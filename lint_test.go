@@ -18,8 +18,8 @@ import (
 	"testing"
 )
 
-// The lint tests hold seven properties of the module's non-test files. Six
-// are syntactic: no context.Background()/TODO() under internal/wire,
+// The lint tests hold eight properties of the module's non-test files.
+// Seven are syntactic: no context.Background()/TODO() under internal/wire,
 // internal/engine or devudf (ctxflow); no storage.Column literal outside
 // internal/storage and internal/engine/vec; no fmt.Errorf outside package
 // main (core.Errorf keeps an error operand as its cause); nothing registers
@@ -28,7 +28,10 @@ import (
 // call; no file-scope sync.Mutex or sync.RWMutex, whose state belongs on
 // the value that owns it; no .(*core.Error) type assertion outside
 // internal/core, so an error's text without its kind tag has one rule,
-// core.Message. The seventh, lockblock, needs types: no channel
+// core.Message; no call of a catalog write (CreateTable, DropTable,
+// InstallFunction, DropFunction, SetNextID) outside internal/storage and
+// internal/engine, whose DB.apply is the catalog's one writer. The eighth,
+// lockblock, needs types: no channel
 // operation, UDF call or network IO under a mutex the same function holds,
 // in internal/wire and internal/debug, unless the operation's own line
 // says "//lockblock:ok <reason>".
@@ -58,7 +61,7 @@ var moduleFiles = sync.OnceValues(func() (map[string][]*ast.File, error) {
 	return files, err
 })
 
-// TestLintSyntaxRules runs the six syntactic rules over the module.
+// TestLintSyntaxRules runs the seven syntactic rules over the module.
 func TestLintSyntaxRules(t *testing.T) {
 	dirs, err := moduleFiles()
 	if err != nil || len(dirs) < 20 {
@@ -116,7 +119,7 @@ func isSel(e ast.Expr, pkg string, names ...string) bool {
 	return ok && x.Name == pkg && slices.Contains(names, sel.Sel.Name)
 }
 
-// syntaxFindings applies the six syntactic rules to file f, which sits
+// syntaxFindings applies the seven syntactic rules to file f, which sits
 // in the slash-separated directory dir of the module.
 func syntaxFindings(dir string, f *ast.File) []string {
 	var out []string
@@ -134,6 +137,7 @@ func syntaxFindings(dir string, f *ast.File) []string {
 	}
 	ctxflow := inDir(dir, "internal/wire", "internal/engine", "devudf")
 	columns := !inDir(dir, "internal/storage", "internal/engine/vec")
+	catalogWriter := inDir(dir, "internal/storage", "internal/engine")
 	context, fmtPkg, storage := importName(f, "context"), importName(f, "fmt"), importName(f, "repro/internal/storage")
 	syncPkg, corePkg := importName(f, "sync"), importName(f, "repro/internal/core")
 	for _, decl := range f.Decls {
@@ -176,6 +180,9 @@ func syntaxFindings(dir string, f *ast.File) []string {
 			if f.Name.Name != "main" && isSel(n.Fun, fmtPkg, "Errorf") {
 				report(n, "fmt.Errorf outside package main; use core.Errorf or core.Wrapf, which keep an error operand as the cause")
 			}
+			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && !catalogWriter && slices.Contains(catalogWrites, sel.Sel.Name) {
+				report(n, "%s call outside internal/storage and internal/engine; engine.DB.apply is the catalog's one writer", sel.Sel.Name)
+			}
 		case *ast.TypeAssertExpr:
 			if star, ok := n.Type.(*ast.StarExpr); ok && isSel(star.X, corePkg, "Error") {
 				report(n, "type assertion to *core.Error outside internal/core; core.Message gives its text, core.KindOf its kind")
@@ -211,6 +218,9 @@ func syntaxFindings(dir string, f *ast.File) []string {
 	})
 	return out
 }
+
+// catalogWrites are the storage.Catalog methods that change it.
+var catalogWrites = []string{"CreateTable", "DropTable", "InstallFunction", "DropFunction", "SetNextID"}
 
 // sourceFset and sourceImporter are shared by every type check, so each
 // imported package is type-checked from source once per test binary.
@@ -398,6 +408,10 @@ import (
 	_ "net/http/pprof"
 )
 func init() { udfrt := struct{ Register func() }{}; udfrt.Register() }`},
+		{"catalog writer", "internal/dump", `package dump
+import "repro/internal/sqlparse"
+func restore(cat *storage.Catalog, f *storage.FuncDef) error { return cat.InstallFunction(f, false) } // want: InstallFunction call outside internal/storage and internal/engine
+func isCreate(st sqlparse.Statement) bool                  { _, ok := st.(*sqlparse.CreateTable); return ok }`},
 		{"package-level mutex", "internal/udfrt/gort", `package gort
 import "sync"
 var (
