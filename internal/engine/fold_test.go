@@ -80,9 +80,9 @@ func foldConn(t *testing.T, rows int) *Conn {
 }
 
 // TestFoldResolvesCallablesBeforeFanningOut: a GO UDF that has never been
-// called is compiled on the statement's goroutine, not by the workers that
-// fold its morsels (the compiled-callable cache is a plain map). Run under
-// -race.
+// called is resolved on the statement's goroutine, not by the workers that
+// fold its morsels, and what they call is its FuncDef.Compiled, which
+// DB.apply wrote once before installing the entry. Run under -race.
 func TestFoldResolvesCallablesBeforeFanningOut(t *testing.T) {
 	const rows = 64 * 10
 	c := foldConn(t, rows)

@@ -174,7 +174,7 @@ func (db *DB) Restore(tables []*storage.Table, funcs []*storage.FuncDef, nextID 
 			return err
 		}
 	}
-	db.cat.SetNextID(nextID)
+	db.cat.SetNextID(max(nextID, db.cat.NextID()))
 	return nil
 }
 
@@ -224,7 +224,7 @@ func (db *DB) apply(ch Change) (undo func(), err error) {
 		}
 		return func() { t.Truncate(n0) }, nil
 	case ChangeCreateFunction, ChangeRegisterGoUDF:
-		name := ch.Func.Name
+		name, next := ch.Func.Name, cat.NextID()
 		prior, _ := cat.Function(name)
 		if ch.Func.Compiled == nil {
 			ch.Func.Compiled = compiled(ch.Func)
@@ -245,6 +245,7 @@ func (db *DB) apply(ch Change) (undo func(), err error) {
 			} else {
 				_ = cat.DropFunction(name)
 			}
+			cat.SetNextID(next) // a refused definition uses up no ID
 		}, nil
 	case ChangeDropFunction:
 		old, err := cat.Function(ch.Name)

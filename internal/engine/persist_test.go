@@ -204,6 +204,7 @@ func TestRestoreTakesBackARefusedCommit(t *testing.T) {
 	}, nil)
 	schema := storage.Schema{{Name: "x", Type: storage.TInt}}
 	g := &storage.FuncDef{ID: 4, Name: "g", Language: "PYTHON", Body: "return x", Params: schema, Returns: schema}
+	next := db.cat.NextID()
 	err := db.Restore([]*storage.Table{storage.NewTable("a", schema), storage.NewTable("b", schema)}, []*storage.FuncDef{g}, 9)
 	if core.KindOf(err) != core.KindIO {
 		t.Fatalf("want a KindIO commit error, got %v", err)
@@ -213,6 +214,9 @@ func TestRestoreTakesBackARefusedCommit(t *testing.T) {
 	}
 	if names, fns := db.cat.TableNames(), db.cat.Functions(); len(names) != 0 || len(fns) != 0 {
 		t.Errorf("a refused restore left tables %v and %d functions", names, len(fns))
+	}
+	if got := db.cat.NextID(); got != next {
+		t.Errorf("a refused restore moved the next function ID from %d to %d", next, got)
 	}
 }
 

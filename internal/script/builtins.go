@@ -234,18 +234,32 @@ func extreme(in *Interp, name string, args []val, wantMax bool) (val, error) {
 	return best, nil
 }
 
+// numBuiltins are what abs, float and int do to one int or float: their
+// builtins call them, and so does a call's lane form.
+var numBuiltins = map[string]func(val) val{
+	"abs": absNum, "int": intNum, "float": func(v val) val { return floatV(v.float()) },
+}
+
+func absNum(v val) val {
+	if v.kind == kFloat {
+		return floatV(math.Abs(v.float()))
+	}
+	return intV(max(v.int(), -v.int())) // the most negative int is its own negation
+}
+
+func intNum(v val) val {
+	if v.kind == kFloat {
+		return intV(int64(math.Trunc(v.float())))
+	}
+	return v
+}
+
 func biAbs(in *Interp, args []val) (val, error) {
 	if len(args) != 1 {
 		return val{}, argErr("abs", "takes exactly one argument")
 	}
-	switch v := args[0]; v.kind {
-	case kInt:
-		if v.int() < 0 {
-			return intV(-v.int()), nil
-		}
-		return v, nil
-	case kFloat:
-		return floatV(math.Abs(v.float())), nil
+	if args[0].kind != kRef {
+		return absNum(args[0]), nil
 	}
 	if b, ok := args[0].ref.(BoolVal); ok {
 		n, _ := asInt(b)
@@ -258,10 +272,10 @@ func biInt(in *Interp, args []val) (val, error) {
 	if len(args) == 0 {
 		return intV(0), nil
 	}
-	if args[0].kind == kFloat {
-		return intV(int64(math.Trunc(args[0].float()))), nil
+	if args[0].kind != kRef {
+		return intNum(args[0]), nil
 	}
-	if n, ok := args[0].asInt(); ok { // ints and bools
+	if n, ok := args[0].asInt(); ok { // bools
 		return intV(n), nil
 	}
 	if v, ok := args[0].ref.(StrVal); ok {

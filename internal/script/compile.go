@@ -11,7 +11,14 @@ type (
 	evalFn func(in *Interp, f *Frame) (val, error)
 	// execFn is the work of a compiled statement; its prologue is block's.
 	execFn func(in *Interp, f *Frame) error
+	// laneFn is an expression's lane form (see compileLane).
+	laneFn func(f *Frame) (val, bool)
 )
+
+// compiler compiles resolved code. Parse uses the zero value; generic leaves
+// out every lane form, so that only the closures run, which is what
+// FuzzLaneFormAgrees compares the zero value against.
+type compiler struct{ generic bool }
 
 // block is a compiled statement list. Running it is where each statement's
 // prologue lives: the frame's line, the step and the trace hook's line event,
@@ -42,10 +49,10 @@ func (b block) exec(in *Interp, f *Frame) error {
 
 // compileBlock compiles a statement list. The parser refuses an empty block,
 // so an empty one is an absent clause.
-func compileBlock(body []Stmt) block {
+func (c compiler) compileBlock(body []Stmt) block {
 	b := make(block, len(body))
 	for i, st := range body {
-		b[i].line, b[i].run = st.Pos(), compileStmt(st)
+		b[i].line, b[i].run = st.Pos(), c.compileStmt(st)
 	}
 	return b
 }
@@ -59,36 +66,57 @@ type code struct {
 	defaults []evalFn // by parameter; nil where there is none
 }
 
-func compileFunc(params []Param, scope *funcInfo) *code {
-	c := &code{scope: scope, defaults: make([]evalFn, len(params))}
+func (c compiler) compileFunc(params []Param, scope *funcInfo) *code {
+	fc := &code{scope: scope, defaults: make([]evalFn, len(params))}
 	for i, p := range params {
-		c.defaults[i] = compileExpr(p.Default)
+		fc.defaults[i] = c.compileExpr(p.Default)
 	}
-	return c
+	return fc
 }
 
-func compileStmt(st Stmt) execFn {
+func (c compiler) compileStmt(st Stmt) execFn {
 	line := st.Pos()
 	switch st := st.(type) {
 	case *ExprStmt:
-		x := compileExpr(st.X)
+		x := c.compileExpr(st.X)
 		return func(in *Interp, f *Frame) error {
 			_, err := x(in, f)
 			return err
 		}
 	case *AssignStmt:
-		value, to := compileExpr(st.Value), compileTarget(st.Target)
+		value, to := c.compileDual(st.Value), c.compileTarget(st.Target)
 		return func(in *Interp, f *Frame) error {
-			v, err := value(in, f)
+			v, err := value.eval(in, f)
 			if err != nil {
 				return err
 			}
 			return to.set(in, f, v)
 		}
 	case *AugAssignStmt:
-		return compileAugAssign(st)
+		// target = target op value: its expressions are evaluated twice, once
+		// to read and once to store.
+		plain := &AssignStmt{st.pos, st.Target, &BinExpr{st.pos, st.Op, st.Target, st.Value}}
+		n, ok := st.Target.(*Name)
+		rhs, op := c.compileNum(st.Value), st.Op
+		if !ok || n.kind != nameLocal || rhs == nil || op > OpDiv {
+			return c.compileStmt(plain)
+		}
+		slot, value := n.idx, c.compileExpr(plain.Value)
+		return func(in *Interp, f *Frame) error {
+			if b, ok := rhs(f); ok {
+				if v, ok := arith(op, f.slots[slot], b); ok { // the target read and written in place
+					f.slots[slot] = v
+					return nil
+				}
+			}
+			v, err := value(in, f)
+			if err == nil {
+				f.slots[slot] = v
+			}
+			return err
+		}
 	case *ReturnStmt:
-		x := compileExpr(cmp.Or(st.Value, Expr(&Lit{st.pos, None})))
+		x := c.compileExpr(cmp.Or(st.Value, Expr(&Lit{st.pos, None})))
 		return func(in *Interp, f *Frame) (err error) {
 			if f.ret, err = x(in, f); err != nil {
 				return err
@@ -102,9 +130,9 @@ func compileStmt(st Stmt) execFn {
 	case *ContinueStmt:
 		return func(*Interp, *Frame) error { return continueSignal{} }
 	case *IfStmt:
-		cond, then, els := compileExpr(st.Cond), compileBlock(st.Body), compileBlock(st.Else)
+		cond, then, els := c.compileDual(st.Cond), c.compileBlock(st.Body), c.compileBlock(st.Else)
 		return func(in *Interp, f *Frame) error {
-			c, err := cond(in, f)
+			c, err := cond.eval(in, f)
 			if err != nil {
 				return err
 			}
@@ -114,10 +142,10 @@ func compileStmt(st Stmt) execFn {
 			return els.exec(in, f)
 		}
 	case *WhileStmt:
-		cond, body := compileExpr(st.Cond), compileBlock(st.Body)
+		cond, body := c.compileDual(st.Cond), c.compileBlock(st.Body)
 		return func(in *Interp, f *Frame) error {
 			for {
-				c, err := cond(in, f)
+				c, err := cond.eval(in, f)
 				if err != nil || !c.truthy() {
 					return err
 				}
@@ -127,13 +155,13 @@ func compileStmt(st Stmt) execFn {
 			}
 		}
 	case *ForStmt:
-		return compileFor(st)
+		return c.compileFor(st)
 	case *DefStmt:
-		c := compileFunc(st.Params, st.scope)
-		c.body = compileBlock(st.Body)
+		fc := c.compileFunc(st.Params, st.scope)
+		fc.body = c.compileBlock(st.Body)
 		return func(in *Interp, f *Frame) error {
 			in.store(st.bind, val{ref: &FuncVal{
-				Name: st.Name, Params: st.Params, code: c, Closure: f.env(), Module: f.Module, DefLine: line,
+				Name: st.Name, Params: st.Params, code: fc, Closure: f.env(), Module: f.Module, DefLine: line,
 			}}, f)
 			return nil
 		}
@@ -166,9 +194,9 @@ func compileStmt(st Stmt) execFn {
 			return nil
 		}
 	case *DelStmt:
-		return compileDel(st.Target)
+		return c.compileDel(st.Target)
 	case *AssertStmt:
-		cond, msg := compileExpr(st.Cond), compileExpr(cmp.Or(st.Msg, Expr(&Lit{st.pos, StrVal("assertion failed")})))
+		cond, msg := c.compileExpr(st.Cond), c.compileExpr(cmp.Or(st.Msg, Expr(&Lit{st.pos, StrVal("assertion failed")})))
 		return func(in *Interp, f *Frame) error {
 			c, err := cond(in, f)
 			if err != nil || c.truthy() {
@@ -181,7 +209,7 @@ func compileStmt(st Stmt) execFn {
 			return in.rtErrf(line, "AssertionError: %s", Str(m.box()))
 		}
 	case *RaiseStmt:
-		x := compileExpr(st.Value)
+		x := c.compileExpr(st.Value)
 		return func(in *Interp, f *Frame) error {
 			msg := "exception"
 			var raised Value = None
@@ -200,7 +228,7 @@ func compileStmt(st Stmt) execFn {
 			return re
 		}
 	case *TryStmt:
-		body, handler, finally := compileBlock(st.Body), compileBlock(st.Handler), compileBlock(st.Finally)
+		body, handler, finally := c.compileBlock(st.Body), c.compileBlock(st.Handler), c.compileBlock(st.Finally)
 		return func(in *Interp, f *Frame) error {
 			err := body.exec(in, f)
 			switch err.(type) {
@@ -233,8 +261,8 @@ func compileStmt(st Stmt) execFn {
 
 // compileFor walks the iterable as seq does, inline: a range counted with an
 // int64, a list read from whichever lane holds it.
-func compileFor(st *ForStmt) execFn {
-	iter, to, body, line := compileExpr(st.Iter), compileTarget(st.Target), compileBlock(st.Body), st.Line
+func (c compiler) compileFor(st *ForStmt) execFn {
+	iter, to, body, line := c.compileExpr(st.Iter), c.compileTarget(st.Target), c.compileBlock(st.Body), st.Line
 	return func(in *Interp, f *Frame) error {
 		it, err := iter(in, f)
 		if err != nil {
@@ -260,38 +288,7 @@ func compileFor(st *ForStmt) execFn {
 	}
 }
 
-// compileAugAssign updates a local in place.
-func compileAugAssign(st *AugAssignStmt) execFn {
-	if n, ok := st.Target.(*Name); ok && n.kind == nameLocal {
-		rhs, op, line, slot := compileLeaf(st.Value), st.Op, st.Line, n.idx
-		return func(in *Interp, f *Frame) (err error) {
-			a := f.slots[slot]
-			if !a.bound() {
-				_, err = in.load(n, f)
-				return err
-			}
-			b, ok := rhs.local(f)
-			if !ok {
-				if b, err = rhs.get(in, f); err != nil {
-					return err
-				}
-			}
-			v, ok := arith(op, a, b)
-			if !ok {
-				if v, err = in.binop(op, a, b, line); err != nil {
-					return err
-				}
-			}
-			f.slots[slot] = v
-			return nil
-		}
-	}
-	// target = target op value: its expressions are evaluated twice, once to
-	// read and once to store.
-	return compileStmt(&AssignStmt{st.pos, st.Target, &BinExpr{st.pos, st.Op, st.Target, st.Value}})
-}
-
-func compileDel(target Expr) execFn {
+func (c compiler) compileDel(target Expr) execFn {
 	line := target.Pos()
 	switch t := target.(type) {
 	case *Name:
@@ -308,7 +305,7 @@ func compileDel(target Expr) execFn {
 			return in.rtErrf(line, "name '%s' is not defined", t.Ident)
 		}
 	case *IndexExpr:
-		x, idx := compileExpr(t.X), compileExpr(t.Idx)
+		x, idx := c.compileExpr(t.X), c.compileExpr(t.Idx)
 		return func(in *Interp, f *Frame) error {
 			container, err := x(in, f)
 			if err != nil {
@@ -361,7 +358,7 @@ func (t target) set(in *Interp, f *Frame, v val) error {
 	return t.fn(in, f, v)
 }
 
-func compileTarget(e Expr) target {
+func (c compiler) compileTarget(e Expr) target {
 	line := e.Pos()
 	switch t := e.(type) {
 	case *Name:
@@ -375,7 +372,7 @@ func compileTarget(e Expr) target {
 	case *SeqLit:
 		elems := make([]target, len(t.Elems))
 		for i, el := range t.Elems {
-			elems[i] = compileTarget(el)
+			elems[i] = c.compileTarget(el)
 		}
 		return target{-1, func(in *Interp, f *Frame, v val) error {
 			var items []Value
@@ -404,7 +401,7 @@ func compileTarget(e Expr) target {
 			return nil
 		}}
 	case *IndexExpr:
-		x, idx := compileExpr(t.X), compileExpr(t.Idx)
+		x, idx := c.compileExpr(t.X), c.compileExpr(t.Idx)
 		return target{-1, func(in *Interp, f *Frame, v val) error {
 			container, err := x(in, f)
 			if err != nil {
@@ -435,7 +432,7 @@ func compileTarget(e Expr) target {
 			return in.rtErrf(line, "'%s' object does not support item assignment", container.typeName())
 		}}
 	case *AttrExpr:
-		x := compileExpr(t.X)
+		x := c.compileExpr(t.X)
 		return target{-1, func(in *Interp, f *Frame, v val) error {
 			obj, err := x(in, f)
 			if err != nil {
@@ -464,7 +461,7 @@ type leaf struct {
 	fn   evalFn
 }
 
-func compileLeaf(e Expr) leaf {
+func (c compiler) compileLeaf(e Expr) leaf {
 	switch e := e.(type) {
 	case *Name:
 		if e.kind == nameLocal && e.depth == 0 {
@@ -473,7 +470,7 @@ func compileLeaf(e Expr) leaf {
 	case *Lit:
 		return leaf{slot: -1, k: unbox(e.Value)}
 	}
-	return leaf{slot: -1, fn: compileExpr(e)}
+	return leaf{slot: -1, fn: c.compileExpr(e)}
 }
 
 // local reads a bound local or a constant without a call: the closures
@@ -497,7 +494,7 @@ func (o *leaf) get(in *Interp, f *Frame) (val, error) {
 }
 
 // compileExpr compiles e; a nil e compiles to nil.
-func compileExpr(e Expr) evalFn {
+func (c compiler) compileExpr(e Expr) evalFn {
 	if e == nil {
 		return nil
 	}
@@ -509,7 +506,7 @@ func compileExpr(e Expr) evalFn {
 	case *Name:
 		return func(in *Interp, f *Frame) (val, error) { return in.load(e, f) }
 	case *SeqLit:
-		elems := compileExprs(e.Elems)
+		elems := c.compileExprs(e.Elems)
 		if !e.Tuple {
 			return func(in *Interp, f *Frame) (val, error) {
 				out := &ListVal{}
@@ -535,7 +532,7 @@ func compileExpr(e Expr) evalFn {
 			return val{ref: &TupleVal{Items: items}}, nil
 		}
 	case *DictLit:
-		keys, values := compileExprs(e.Keys), compileExprs(e.Values)
+		keys, values := c.compileExprs(e.Keys), c.compileExprs(e.Values)
 		return func(in *Interp, f *Frame) (val, error) {
 			d := NewDict()
 			for i := range keys {
@@ -554,7 +551,7 @@ func compileExpr(e Expr) evalFn {
 			return val{ref: d}, nil
 		}
 	case *UnaryExpr:
-		x, op := compileExpr(e.X), e.Op
+		x, op := c.compileExpr(e.X), e.Op
 		return func(in *Interp, f *Frame) (val, error) {
 			v, err := x(in, f)
 			if err != nil {
@@ -563,9 +560,9 @@ func compileExpr(e Expr) evalFn {
 			return in.unop(op, v, line)
 		}
 	case *BinExpr:
-		return compileBinary(e)
+		return c.compileBinary(e)
 	case *CondExpr:
-		cond, then, els := compileExpr(e.Cond), compileExpr(e.Then), compileExpr(e.Else)
+		cond, then, els := c.compileExpr(e.Cond), c.compileExpr(e.Then), c.compileExpr(e.Else)
 		return func(in *Interp, f *Frame) (val, error) {
 			c, err := cond(in, f)
 			if err != nil {
@@ -577,9 +574,9 @@ func compileExpr(e Expr) evalFn {
 			return els(in, f)
 		}
 	case *CallExpr:
-		return compileCall(e)
+		return c.compileCall(e)
 	case *IndexExpr:
-		ops := &[2]leaf{compileLeaf(e.X), compileLeaf(e.Idx)}
+		ops := &[2]leaf{c.compileLeaf(e.X), c.compileLeaf(e.Idx)}
 		x, idx := &ops[0], &ops[1]
 		return func(in *Interp, f *Frame) (val, error) {
 			var err error
@@ -595,14 +592,11 @@ func compileExpr(e Expr) evalFn {
 					return val{}, err
 				}
 			}
-			if l, ok := c.ref.(*ListVal); ok && i.kind == kInt && i.bits < uint64(l.Len()) { // column[i]
-				return l.at(int(i.bits)), nil
-			}
 			return in.index(c, i, line)
 		}
 	case *SliceExpr:
 		none := &Lit{e.pos, None} // a bound left out
-		x, lo, hi := compileExpr(e.X), compileExpr(cmp.Or(e.Lo, Expr(none))), compileExpr(cmp.Or(e.Hi, Expr(none)))
+		x, lo, hi := c.compileExpr(e.X), c.compileExpr(cmp.Or(e.Lo, Expr(none))), c.compileExpr(cmp.Or(e.Hi, Expr(none)))
 		return func(in *Interp, f *Frame) (val, error) {
 			v, err := x(in, f)
 			if err != nil {
@@ -619,7 +613,7 @@ func compileExpr(e Expr) evalFn {
 			return in.slice(v, l, h, line)
 		}
 	case *AttrExpr:
-		x, name := compileExpr(e.X), e.Name
+		x, name := c.compileExpr(e.X), e.Name
 		return func(in *Interp, f *Frame) (val, error) {
 			v, err := x(in, f)
 			if err != nil {
@@ -629,28 +623,193 @@ func compileExpr(e Expr) evalFn {
 			return unbox(attr), err
 		}
 	case *LambdaExpr:
-		c := compileFunc(e.Params, e.scope)
-		c.expr = compileExpr(e.Body)
+		fc := c.compileFunc(e.Params, e.scope)
+		fc.expr = c.compileExpr(e.Body)
 		return func(_ *Interp, f *Frame) (val, error) {
-			return val{ref: &FuncVal{Params: e.Params, code: c, Closure: f.env(), Module: f.Module, DefLine: line}}, nil
+			return val{ref: &FuncVal{Params: e.Params, code: fc, Closure: f.env(), Module: f.Module, DefLine: line}}, nil
 		}
 	case *CompExpr:
-		return compileComp(e)
+		return c.compileComp(e)
 	}
 	panic(fmt.Sprintf("script: cannot compile %T", e))
 }
 
-func compileExprs(list []Expr) []evalFn {
+func (c compiler) compileExprs(list []Expr) []evalFn {
 	out := make([]evalFn, len(list))
 	for i, e := range list {
-		out[i] = compileExpr(e)
+		out[i] = c.compileExpr(e)
 	}
 	return out
 }
 
-// arith is + - * on two numbers in the lane, done in place; ok is false for
-// anything else, which binop does.
+// dual is an expression compiled both ways, for where a number is computed
+// to be kept — an assignment, an append, a condition: eval tries the lane
+// form first.
+type dual struct {
+	lane laneFn // nil when the expression has none
+	fn   evalFn
+}
+
+func (c compiler) compileDual(e Expr) dual { return dual{c.compileLane(e), c.compileExpr(e)} }
+
+func (x dual) eval(in *Interp, f *Frame) (val, error) {
+	if x.lane != nil {
+		if v, ok := x.lane(f); ok {
+			return v, nil
+		}
+	}
+	return x.fn(in, f)
+}
+
+// compileLane returns e's lane form, or nil if it has none. A lane form
+// computes a number, or a comparison of two, from frame slots and list cells
+// alone: it never errors, steps, allocates or writes anything. It answers
+// ok=false whenever it cannot compute the value so — an unbound or
+// non-number local, a NULL or missing cell, a zero divisor, a rebound
+// builtin — and the caller then runs the closure, which evaluates the
+// expression again from the start and raises, counts and traces as always.
+// Nothing it reads is written after Parse, so no guard needs state.
+func (c compiler) compileLane(e Expr) laneFn {
+	if b, ok := e.(*BinExpr); ok && b.Op >= OpEq && b.Op <= OpGe {
+		l, r, op := c.compileNum(b.L), c.compileNum(b.R), b.Op
+		if l == nil || r == nil {
+			return nil
+		}
+		return func(f *Frame) (val, bool) {
+			a, ok := l(f)
+			if !ok {
+				return a, false
+			}
+			b, ok := r(f)
+			if !ok {
+				return b, false
+			}
+			return boolV(compare(op, a, b)), true
+		}
+	}
+	return c.compileNum(e)
+}
+
+// compileNum returns e's lane form if it computes a number: one whose
+// answer, when ok, is an int or a float.
+func (c compiler) compileNum(e Expr) laneFn {
+	if c.generic {
+		return nil
+	}
+	switch e := e.(type) {
+	case *Name:
+		if e.kind == nameLocal && e.depth == 0 {
+			slot := e.idx
+			return func(f *Frame) (val, bool) { v := f.slots[slot]; return v, v.kind != kRef }
+		}
+	case *Lit:
+		if k := unbox(e.Value); k.kind != kRef {
+			return func(*Frame) (val, bool) { return k, true }
+		}
+	case *IndexExpr: // local[i]
+		x, ok := e.X.(*Name)
+		i := c.compileOperand(e.Idx)
+		if !ok || x.kind != nameLocal || x.depth != 0 || !i.ok() {
+			return nil
+		}
+		slot := x.idx
+		return func(f *Frame) (val, bool) {
+			l, ok := f.slots[slot].ref.(*ListVal)
+			k, kok := i.get(f)
+			if !ok || !kok || k.kind != kInt {
+				return val{}, false
+			}
+			n, ok := cell(k.int(), int64(l.Len()))
+			if !ok {
+				return val{}, false
+			}
+			switch { // a column's cell, inline
+			case l.nulls != nil:
+			case l.lane == laneInt:
+				return intV(l.ints[n]), true
+			case l.lane == laneFloat:
+				return floatV(l.flts[n]), true
+			}
+			v := l.at(int(n))
+			return v, v.kind != kRef
+		}
+	case *UnaryExpr:
+		if x := c.compileNum(e.X); x != nil && e.Op == OpSub {
+			return func(f *Frame) (val, bool) {
+				v, ok := x(f)
+				if v.kind == kFloat {
+					return floatV(-v.float()), ok
+				}
+				return intV(-v.int()), ok
+			}
+		}
+	case *BinExpr:
+		l, r, op := c.compileOperand(e.L), c.compileOperand(e.R), e.Op
+		if l.ok() && r.ok() && op <= OpDiv {
+			return func(f *Frame) (val, bool) {
+				a, ok := l.get(f)
+				if !ok {
+					return a, false
+				}
+				b, ok := r.get(f)
+				if !ok {
+					return b, false
+				}
+				return arith(op, a, b)
+			}
+		}
+	case *CallExpr: // abs(x), float(x), int(x)
+		n, ok := e.Fn.(*Name)
+		if !ok || n.kind != nameBuiltin || len(e.Args) != 1 || len(e.KwName) > 0 {
+			return nil
+		}
+		num, x := numBuiltins[builtinTable[n.idx].Name], c.compileNum(e.Args[0])
+		if num != nil && x != nil {
+			return func(f *Frame) (val, bool) {
+				v, ok := x(f)
+				if !ok || f.globals.shadowed { // module scope may have rebound the name
+					return v, false
+				}
+				return num(v), true
+			}
+		}
+	}
+	return nil
+}
+
+// operand is a lane form's operand: a local of the running frame, read in
+// place, or, when fn is set, that lane form.
+type operand struct {
+	slot int
+	fn   laneFn
+}
+
+func (c compiler) compileOperand(e Expr) operand {
+	if n, ok := e.(*Name); ok && n.kind == nameLocal && n.depth == 0 {
+		return operand{slot: n.idx}
+	}
+	return operand{-1, c.compileNum(e)}
+}
+
+func (o operand) ok() bool { return o.slot >= 0 || o.fn != nil }
+
+// get reads o. Unlike a lane form it answers a local whatever it holds: the
+// caller tests the kind. It is kept small enough to be inlined.
+func (o operand) get(f *Frame) (v val, ok bool) {
+	if o.fn == nil {
+		v, ok = f.slots[o.slot], true
+	} else {
+		v, ok = o.fn(f)
+	}
+	return
+}
+
+// arith is + - * / on two numbers as binop does it; ok is false for
+// anything else and for a zero divisor, which binop raises.
 func arith(op Op, a, b val) (val, bool) {
+	if a.kind == kRef || b.kind == kRef {
+		return val{}, false
+	}
 	if a.kind == kInt && b.kind == kInt {
 		switch op {
 		case OpAdd:
@@ -660,21 +819,32 @@ func arith(op Op, a, b val) (val, bool) {
 		case OpMul:
 			return intV(a.int() * b.int()), true
 		}
-	} else if a.kind != kRef && b.kind != kRef {
-		switch op {
-		case OpAdd:
-			return floatV(a.float() + b.float()), true
-		case OpSub:
-			return floatV(a.float() - b.float()), true
-		case OpMul:
-			return floatV(a.float() * b.float()), true
-		}
 	}
-	return val{}, false
+	switch op {
+	case OpAdd:
+		return floatV(a.float() + b.float()), true
+	case OpSub:
+		return floatV(a.float() - b.float()), true
+	case OpMul:
+		return floatV(a.float() * b.float()), true
+	}
+	d := b.float() // OpDiv
+	return floatV(a.float() / d), d != 0
 }
 
-func compileBinary(e *BinExpr) evalFn {
-	ops, op, line := &[2]leaf{compileLeaf(e.L), compileLeaf(e.R)}, e.Op, e.Line
+// compare is == != < <= > >= on two numbers as binop does it.
+func compare(op Op, a, b val) bool {
+	switch op {
+	case OpEq:
+		return equalVal(a, b)
+	case OpNe:
+		return !equalVal(a, b)
+	}
+	return ordered(op, cmpFloat(a.float(), b.float()))
+}
+
+func (c compiler) compileBinary(e *BinExpr) evalFn {
+	ops, op, line := &[2]leaf{c.compileLeaf(e.L), c.compileLeaf(e.R)}, e.Op, e.Line
 	l, r := &ops[0], &ops[1]
 	if op == OpAnd || op == OpOr { // short-circuit: the deciding operand is the value
 		return func(in *Interp, f *Frame) (val, error) {
@@ -699,18 +869,15 @@ func compileBinary(e *BinExpr) evalFn {
 				return val{}, err
 			}
 		}
-		if v, ok := arith(op, a, b); ok {
-			return v, nil
-		}
 		return in.binop(op, a, b, line)
 	}
 }
 
 // compileComp compiles a comprehension. Its loop ends every iteration the
 // way a for statement's does, kept or filtered out.
-func compileComp(e *CompExpr) evalFn {
-	iter, to, elem, line := compileExpr(e.Iter), compileTarget(e.Target), compileExpr(e.Elem), e.Line
-	cond := compileExpr(cmp.Or(e.Cond, Expr(&Lit{e.pos, BoolVal(true)}))) // no filter keeps every item
+func (c compiler) compileComp(e *CompExpr) evalFn {
+	iter, to, elem, line := c.compileExpr(e.Iter), c.compileTarget(e.Target), c.compileExpr(e.Elem), e.Line
+	cond := c.compileExpr(cmp.Or(e.Cond, Expr(&Lit{e.pos, BoolVal(true)}))) // no filter keeps every item
 	return func(in *Interp, f *Frame) (val, error) {
 		it, err := iter(in, f)
 		if err != nil {
@@ -790,17 +957,20 @@ func (a *args) call(in *Interp, f *Frame, fn Value, line int) (val, error) {
 
 // compileCall compiles a call. x.name(...) on a list, dict or str goes
 // straight to the method's Go function, with no bound-method value built,
-// and out.append(x) straight into out's lane; a call of a numeric builtin
-// goes straight to its lane while module scope has not rebound its name.
-func compileCall(e *CallExpr) evalFn {
-	a := &args{pos: make([]leaf, len(e.Args)), names: e.KwName, kw: compileExprs(e.KwVal)}
+// and out.append(x) straight into out's lane.
+func (c compiler) compileCall(e *CallExpr) evalFn {
+	a := &args{pos: make([]leaf, len(e.Args)), names: e.KwName, kw: c.compileExprs(e.KwVal)}
 	for i, x := range e.Args {
-		a.pos[i] = compileLeaf(x)
+		a.pos[i] = c.compileLeaf(x)
 	}
 	line := e.Line
 	if at, ok := e.Fn.(*AttrExpr); ok {
-		recv, name, atLine := compileLeaf(at.X), at.Name, at.Line
+		recv, name, atLine := c.compileLeaf(at.X), at.Name, at.Line
 		appendOne := name == "append" && len(e.Args) == 1 && len(e.KwName) == 0
+		var item dual
+		if appendOne {
+			item = dual{c.compileLane(e.Args[0]), a.pos[0].get}
+		}
 		return func(in *Interp, f *Frame) (val, error) {
 			var err error
 			r, ok := recv.local(f)
@@ -810,7 +980,7 @@ func compileCall(e *CallExpr) evalFn {
 				}
 			}
 			if l, ok := r.ref.(*ListVal); ok && appendOne {
-				v, err := a.pos[0].get(in, f)
+				v, err := item.eval(in, f)
 				if err == nil {
 					l.push(v)
 				}
@@ -835,35 +1005,12 @@ func compileCall(e *CallExpr) evalFn {
 			return in.builtinResult(out, cerr, typ, name, line)
 		}
 	}
-	n, ok := e.Fn.(*Name)
-	if !ok || n.kind != nameBuiltin || builtinTable[n.idx].lane == nil || len(e.KwName) > 0 {
-		fn := compileExpr(e.Fn)
-		return func(in *Interp, f *Frame) (val, error) {
-			v, err := fn(in, f)
-			if err != nil {
-				return val{}, err
-			}
-			return a.call(in, f, v.box(), line)
-		}
-	}
-	b := builtinTable[n.idx]
+	fn := c.compileExpr(e.Fn)
 	return func(in *Interp, f *Frame) (val, error) {
-		if f.globals.shadowed { // module scope may have rebound the name
-			v, err := in.load(n, f)
-			if err != nil {
-				return val{}, err
-			}
-			return a.call(in, f, v.box(), line)
-		}
-		base, _, err := a.push(in, f)
+		v, err := fn(in, f)
 		if err != nil {
 			return val{}, err
 		}
-		v, err := b.lane(in, in.args(base))
-		in.popArgs(base)
-		if err != nil {
-			return in.builtinResult(nil, err, "", b.Name, line)
-		}
-		return v, nil
+		return a.call(in, f, v.box(), line)
 	}
 }

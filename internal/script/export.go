@@ -44,7 +44,7 @@ func ParseWatch(src string) (*Watch, error) {
 func (in *Interp) EvalWatch(w *Watch, f *Frame) (Value, error) {
 	if w.scope == nil || w.in != f.scope {
 		w.x, w.scope = resolveWatch(w.x, f.scope)
-		w.in, w.fn = f.scope, compileExpr(w.x)
+		w.in, w.fn = f.scope, compiler{}.compileExpr(w.x)
 	}
 	wf := *f // stands in for f in tracebacks
 	wf.scope, wf.slots, wf.outer = w.scope, make([]val, w.scope.nslots), f

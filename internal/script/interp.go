@@ -692,7 +692,7 @@ func (in *Interp) binop(op Op, l, r val, line int) (val, error) {
 		if err != nil {
 			return val{}, in.rtErrf(line, "%v", err)
 		}
-		return boolV((op == OpLt && c < 0) || (op == OpLe && c <= 0) || (op == OpGt && c > 0) || (op == OpGe && c >= 0)), nil
+		return boolV(ordered(op, c)), nil
 	case OpIs:
 		return boolV(identical(l.box(), r.box())), nil
 	case OpIsNot:
@@ -757,6 +757,12 @@ func (in *Interp) binop(op Op, l, r val, line int) (val, error) {
 	}
 	return val{}, in.rtErrf(line, "unsupported operand type(s) for %s: '%s' and '%s'",
 		op, l.typeName(), r.typeName())
+}
+
+// ordered reports whether op (< <= > >=) holds of two values that Compare
+// ordered as c.
+func ordered(op Op, c int) bool {
+	return (op == OpLt && c < 0) || (op == OpLe && c <= 0) || (op == OpGt && c > 0) || (op == OpGe && c >= 0)
 }
 
 func (in *Interp) intArith(op Op, li, ri int64, line int) (val, error) {

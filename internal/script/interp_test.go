@@ -835,6 +835,8 @@ func TestParseErrors(t *testing.T) {
 		"for in range(3):\n    pass\n",
 		"x ===== 3",
 		"1 = x",
+		"def f(a, a):\n    return a\n", // one slot per name: a second a would bind past the frame
+		"g = lambda b, b: b",
 	}
 	for _, src := range cases {
 		if _, err := Parse("bad", src); err == nil {

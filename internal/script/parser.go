@@ -1,6 +1,7 @@
 package script
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -19,11 +20,14 @@ type Parser struct {
 // sub-expressions are folded — and compiles it, so the Module is ready to
 // run and is never written again (any number of interpreters may share it).
 // name labels the module in tracebacks (usually the UDF or file name).
-func Parse(name, src string) (*Module, error) {
+func Parse(name, src string) (*Module, error) { return compiler{}.parse(name, src) }
+
+// parse is Parse, compiled by c.
+func (c compiler) parse(name, src string) (*Module, error) {
 	mod, err := parse(name, src)
 	if err == nil {
 		resolveModule(mod)
-		mod.code = compileBlock(mod.Body)
+		mod.code = c.compileBlock(mod.Body)
 	}
 	return mod, err
 }
@@ -497,6 +501,9 @@ func (p *Parser) paramList() ([]Param, error) {
 			return nil, p.errf("expected parameter name")
 		}
 		prm := Param{Name: p.next().Lit}
+		if slices.ContainsFunc(params, func(q Param) bool { return q.Name == prm.Name }) {
+			return nil, p.errf("duplicate argument '%s' in function definition", prm.Name)
+		}
 		if p.acceptOp("=") {
 			d, err := p.expr()
 			if err != nil {
@@ -617,6 +624,9 @@ func (p *Parser) lambda() (Expr, error) {
 			return nil, p.errf("expected parameter name in lambda")
 		}
 		prm := Param{Name: p.next().Lit}
+		if slices.ContainsFunc(params, func(q Param) bool { return q.Name == prm.Name }) {
+			return nil, p.errf("duplicate argument '%s' in function definition", prm.Name)
+		}
 		if p.acceptOp("=") {
 			d, err := p.expr()
 			if err != nil {

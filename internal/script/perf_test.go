@@ -157,3 +157,39 @@ func TestInterpAllocsPerRow(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkUDFBody times one call of each benchmark UDF over a 50k-row
+// column wrapped the way the engine hands one to a PYTHON UDF, in the int
+// and in the float lane, and reports the interpreter's cost per row.
+func BenchmarkUDFBody(b *testing.B) {
+	const rows = 50_000
+	ints, flts := make([]int64, rows), make([]float64, rows)
+	for i := range ints {
+		ints[i] = int64(1000 + i%9973)
+		flts[i] = float64(ints[i]) / 7
+	}
+	for _, udf := range []struct{ name, src string }{
+		{"mean_deviation", meanDeviationSrc},
+		{"square_vec", squareVecSrc},
+	} {
+		for _, col := range []struct {
+			lane string
+			list func() *ListVal
+		}{
+			{"int", func() *ListVal { return NewIntList(ints, nil) }},
+			{"float", func() *ListVal { return NewFloatList(flts, nil) }},
+		} {
+			b.Run(udf.name+"/"+col.lane, func(b *testing.B) {
+				in, fn := boundUDF(b, udf.name, udf.src)
+				args := []Value{col.list()}
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := in.Call(fn, args); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+			})
+		}
+	}
+}

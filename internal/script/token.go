@@ -57,6 +57,21 @@
 // boxed and unboxed numbers, differ in cost only, which
 // TestBoxedAndColumnBackedAgree (internal/udfrt/conformance) and
 // FuzzEvalExpr check.
+//
+// Where a number is computed to be kept — an assignment's value, a local's
+// aug-assignment, out.append(x)'s argument, an if or while condition — the
+// expression is also compiled to a lane form (compileLane): a function of the
+// frame alone over locals, number literals, local[i] cells, + - * /, unary -,
+// number comparisons and one-argument abs/float/int. It never errors, steps,
+// allocates or writes, so a number leaves it only as the value it answers. It
+// falls back (answers not ok, and the closure evaluates the expression again
+// from the start, raising, counting and tracing as always) on any operand
+// that is not an int or a float: an unbound local, a bool, a NULL or boxed
+// non-number cell; on an index that is not an int or is out of range, a zero
+// divisor, and a builtin name rebound in module scope. A parsed Module is
+// shared, so nothing rewrites itself as it runs: lane forms are built at
+// Parse and guard on each call. FuzzLaneFormAgrees runs programs with them
+// and with them compiled out.
 package script
 
 import "fmt"

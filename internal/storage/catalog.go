@@ -108,12 +108,14 @@ func (c *Catalog) InstallFunction(f *FuncDef, replace bool) error {
 // NextID returns the next function ID the catalog would assign.
 func (c *Catalog) NextID() int { return c.nextID }
 
-// SetNextID forces the function ID counter, clamped so it never moves
-// backwards past an installed definition's ID.
+// SetNextID sets the function ID counter, clamped so it never moves
+// backwards past an installed definition's ID: it becomes at least the
+// highest installed ID + 1.
 func (c *Catalog) SetNextID(n int) {
-	if n > c.nextID {
-		c.nextID = n
+	for _, f := range c.funcs {
+		n = max(n, f.ID+1)
 	}
+	c.nextID = n
 }
 
 // DropFunction removes a UDF.

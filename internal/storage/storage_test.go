@@ -206,6 +206,11 @@ func TestCatalogFunctions(t *testing.T) {
 	if err := c.InstallFunction(&FuncDef{ID: 7, Name: "later"}, false); err != nil || c.NextID() != 8 {
 		t.Fatalf("install past the counter: next = %d, %v", c.NextID(), err)
 	}
+	for _, tc := range []struct{ set, want int }{{3, 8}, {12, 12}, {8, 8}} {
+		if c.SetNextID(tc.set); c.NextID() != tc.want {
+			t.Fatalf("SetNextID(%d) beside IDs 1 and 7: next = %d, want %d", tc.set, c.NextID(), tc.want)
+		}
+	}
 	if !c.HasFunction("mean_deviation") {
 		t.Fatal("HasFunction")
 	}

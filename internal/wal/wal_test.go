@@ -713,3 +713,41 @@ func TestShapedInsertBatchWritesTheSameLog(t *testing.T) {
 		t.Fatalf("segments differ: %d bytes shaped, %d literal", len(shaped), len(literal))
 	}
 }
+
+// TestRefusedFunctionKeepsNextID refuses the log record of a CREATE FUNCTION
+// and of a GO UDF registration: neither may use up a function ID, so the next
+// ID is what it was and what a close and reopen gives.
+func TestRefusedFunctionKeepsNextID(t *testing.T) {
+	dir := t.TempDir()
+	db, m := openDB(t, dir, Options{})
+	mustExec(t, db, `CREATE FUNCTION f(column INTEGER) RETURNS INTEGER LANGUAGE PYTHON {
+    return column
+}`)
+	next := db.Catalog().NextID()
+	m.mu.Lock()
+	seg := m.f
+	m.f = nil // appendChange refuses every record
+	m.mu.Unlock()
+	if _, err := (&engine.Conn{DB: db, User: "u", Password: "p"}).Exec(`CREATE FUNCTION g(column INTEGER) RETURNS INTEGER LANGUAGE PYTHON {
+    return column
+}`); core.KindOf(err) != core.KindIO {
+		t.Fatalf("CREATE FUNCTION: want a KindIO commit error, got %v", err)
+	}
+	if err := db.RegisterGoUDF("g_go", tripled); core.KindOf(err) != core.KindIO {
+		t.Fatalf("RegisterGoUDF: want a KindIO commit error, got %v", err)
+	}
+	if got := db.Catalog().NextID(); got != next {
+		t.Errorf("refused function changes moved the next ID from %d to %d", next, got)
+	}
+	m.mu.Lock()
+	m.f = seg
+	m.mu.Unlock()
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, m2 := openDB(t, dir, Options{})
+	defer m2.Close()
+	if got := db2.Catalog().NextID(); got != next {
+		t.Errorf("next ID %d after a reopen, %d before it", got, next)
+	}
+}
