@@ -15,6 +15,7 @@ var legs = map[string]float64{
 	"BenchmarkFilterAggregate/vectorized":          4_000_000,
 	"BenchmarkFilterAggregate/vectorized-parallel": 3_000_000,
 	"BenchmarkFilterAggregate/vectorized-obs":      4_000_400,
+	"BenchmarkFilterAggregate/range":               6_000_000,
 	"BenchmarkPrepareExec/unprepared":              6_600,
 	"BenchmarkPrepareExec/prepared":                6_000,
 	"BenchmarkWALInsert/in-memory":                 1_500,
@@ -52,7 +53,8 @@ func canned(legs map[string]float64) string {
 	b.WriteString("BenchmarkExtra/rows=10-4 \t 30\t 9163144 ns/op\t 183.3 ns/row\t 1024 B/op\t 3 allocs/op\n")
 	emit("repro/internal/engine",
 		"BenchmarkFilterAggregate/scalar-reference", "BenchmarkFilterAggregate/vectorized",
-		"BenchmarkFilterAggregate/vectorized-parallel", "BenchmarkFilterAggregate/vectorized-obs")
+		"BenchmarkFilterAggregate/vectorized-parallel", "BenchmarkFilterAggregate/vectorized-obs",
+		"BenchmarkFilterAggregate/range")
 	emit("repro/internal/transfer", "BenchmarkCompress/planes", "BenchmarkCompress/plain-deflate")
 	return b.String()
 }
@@ -127,7 +129,7 @@ func paired(n int, legs map[string]float64, scale map[string]float64) map[string
 	return results
 }
 
-// TestEachGateBites pins the eight thresholds and shows each one decides: a
+// TestEachGateBites pins the nine thresholds and shows each one decides: a
 // run in which one numerator sits just inside its limit passes, just past
 // it fails on that gate alone, and without either of its rows the gate
 // fails instead of matching a neighbour whose name it prefixes
@@ -145,6 +147,7 @@ func TestEachGateBites(t *testing.T) {
 		{"obs-wal-insert", "BenchmarkWALInsert/wal-obs", "BenchmarkWALInsert/wal", "<=", 1.35},
 		{"python-vs-native", "BenchmarkProcessingModel/batch-python", "BenchmarkProcessingModel/native-go", "<=", 14.7},
 		{"compress-planes", "BenchmarkCompress/planes", "BenchmarkCompress/plain-deflate", "<=", 0.12},
+		{"range-fold", "BenchmarkFilterAggregate/range", "BenchmarkFilterAggregate/vectorized", "<=", 1.96},
 	}
 	if len(gates) != len(want) {
 		t.Fatalf("%d gates, want %d", len(gates), len(want))

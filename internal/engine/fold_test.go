@@ -496,53 +496,68 @@ func bitIdentical(got, want *storage.Table) error {
 }
 
 // TestFilteredAggregateBuildsNoSelection: an ungrouped aggregate filtered
-// by one column-vs-literal conjunct counts the qualifying rows and fills
-// each morsel of them into a worker's own buffer, so a statement allocates
-// less than one table-sized int32 selection would take.
+// by one, two or three column-vs-literal conjuncts counts the qualifying
+// rows and fills each morsel of them into a worker's own buffer, so a
+// statement allocates less than one table-sized int32 selection would take.
 func TestFilteredAggregateBuildsNoSelection(t *testing.T) {
 	const rows = 200_000
+	const lo, hi = rows / 4, 3 * rows / 4
+	sum := func(from, to int64) int64 { return (to-1)*to/2 - (from-1)*from/2 } // of [from, to)
+	cases := []struct {
+		where   string
+		binds   []any
+		n, s, m int64
+	}{
+		{"i < ?", []any{int64(rows / 2)}, rows / 2, sum(0, rows/2), 0},
+		{"i >= ? AND i < ?", []any{int64(lo), int64(hi)}, hi - lo, sum(lo, hi), lo},
+		{"i >= ? AND i < ? AND i <> ?", []any{int64(lo), int64(hi), int64(lo)}, hi - lo - 1, sum(lo+1, hi), lo + 1},
+	}
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			c := foldConn(t, rows)
 			c.DB.workers, c.DB.morselSize = workers, 0
-			stmt, err := c.Prepare(`SELECT COUNT(*) AS n, SUM(i) AS s, MIN(i) AS m FROM t WHERE i < ?`)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const bound, runs = rows / 2, 8
-			var before, after runtime.MemStats
-			for k := 0; k <= runs; k++ {
-				if k == 1 {
-					runtime.ReadMemStats(&before)
-				}
-				r, err := stmt.Query(int64(bound))
+			for _, tc := range cases {
+				stmt, err := c.Prepare(`SELECT COUNT(*) AS n, SUM(i) AS s, MIN(i) AS m FROM t WHERE ` + tc.where)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if n, s, m := r.Table.Cols[0].Ints[0], r.Table.Cols[1].Ints[0], r.Table.Cols[2].Ints[0]; n != bound || s != bound*(bound-1)/2 || m != 0 {
-					t.Fatalf("COUNT(*), SUM(i), MIN(i) = %d, %d, %d; want %d, %d, 0", n, s, m, bound, bound*(bound-1)/2)
+				const runs = 8
+				var before, after runtime.MemStats
+				for k := 0; k <= runs; k++ {
+					if k == 1 {
+						runtime.ReadMemStats(&before)
+					}
+					r, err := stmt.Query(tc.binds...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n, s, m := r.Table.Cols[0].Ints[0], r.Table.Cols[1].Ints[0], r.Table.Cols[2].Ints[0]; n != tc.n || s != tc.s || m != tc.m {
+						t.Fatalf("%s: COUNT(*), SUM(i), MIN(i) = %d, %d, %d; want %d, %d, %d", tc.where, n, s, m, tc.n, tc.s, tc.m)
+					}
 				}
-			}
-			runtime.ReadMemStats(&after)
-			per := (after.TotalAlloc - before.TotalAlloc) / runs
-			t.Logf("%d bytes per statement", per)
-			if per >= 4*rows {
-				t.Errorf("%d bytes allocated per statement, want fewer than %d (one int32 per row)", per, 4*rows)
+				runtime.ReadMemStats(&after)
+				per := (after.TotalAlloc - before.TotalAlloc) / runs
+				t.Logf("%s: %d bytes per statement", tc.where, per)
+				if per >= 4*rows {
+					t.Errorf("%s: %d bytes allocated per statement, want fewer than %d (one int32 per row)", tc.where, per, 4*rows)
+				}
 			}
 		})
 	}
 }
 
-// TestLazyFilterFoldIsBitIdentical: an aggregate over a WHERE of one
-// fused conjunct, whose qualifying rows are counted and filled morsel by
-// morsel instead of built, answers bit for bit what wholeViewSelect answers
-// over the built selection. Its rows are scattered at about 5, 50 and 95
+// TestLazyFilterFoldIsBitIdentical: an aggregate over a WHERE of fused
+// conjuncts, whose qualifying rows are counted and filled morsel by morsel
+// instead of built, answers bit for bit what wholeViewSelect answers over
+// the built selection. Its rows are scattered at about 5, 50 and 95
 // percent, so morsels of the qualifying rows start inside blocks of the
 // table; floats hold NULLs, -0.0 and +0.0, and x NaN too (y has none, so
-// its sums show where the partials split). With no row qualifying —
-// an empty range, a NULL literal or a NULL bind — it answers, typed alike,
-// what the same query over two conjuncts, which builds the selection,
-// answers.
+// its sums show where the partials split). Conjunctions range over one int
+// column, compare both floats, a string, and run three deep. With no row
+// qualifying — an empty range, a NULL literal or a NULL bind, in the first
+// conjunct or the second — it answers, typed alike, what the same query
+// answers with a conjunct k = k added, which is not fused, so the
+// statement builds its selection.
 func TestLazyFilterFoldIsBitIdentical(t *testing.T) {
 	const items = `COUNT(*) AS n, SUM(y) AS a, AVG(y) AS b, MIN(x) AS c, MAX(x) AS d,
 		SUM(y * 1.5) AS e, AVG(x - 0.25) AS g, MIN(y + 1.0) AS h, MAX(k) AS m, COUNT(x) AS cx`
@@ -550,6 +565,7 @@ func TestLazyFilterFoldIsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	k, r := storage.NewColumn("k", storage.TInt), storage.NewColumn("r", storage.TInt)
 	x, y := storage.NewColumn("x", storage.TFloat), storage.NewColumn("y", storage.TFloat)
+	s := storage.NewColumn("s", storage.TStr)
 	specials := []float64{math.Copysign(0, -1), 0, math.NaN()}
 	for i := 0; i < rows; i++ {
 		k.AppendInt(int64(i))
@@ -564,16 +580,19 @@ func TestLazyFilterFoldIsBitIdentical(t *testing.T) {
 				col.AppendFloat(rng.NormFloat64() * 1e3) // not exactly summable
 			}
 		}
+		s.AppendStr(string(rune('a' + i*7%26)))
 	}
 	for _, workers := range []int{1, 2, 4} {
 		for _, morsel := range []int{16, 64} {
 			c := newTestConn()
 			c.DB.workers, c.DB.morselSize = workers, morsel
-			tbl := &storage.Table{Name: "t", Cols: []*storage.Column{k.Clone(), r.Clone(), x.Clone(), y.Clone()}}
+			tbl := &storage.Table{Name: "t", Cols: []*storage.Column{k.Clone(), r.Clone(), x.Clone(), y.Clone(), s.Clone()}}
 			if err := c.DB.RegisterTable(tbl); err != nil {
 				t.Fatal(err)
 			}
-			for _, where := range []string{"r < 5", "r >= 50", "r < 95", "r >= 0", "x > 0.0", "k <> 700"} {
+			for _, where := range []string{"r < 5", "r >= 50", "r < 95", "r >= 0", "x > 0.0", "k <> 700",
+				"k >= 300 AND k < 1100", "k > 1100 AND 1490 >= k", "x > -500.0 AND y <= 0.0", "x >= 0.0 AND y <> 0.0",
+				"s >= 'm' AND r < 50", "r >= 10 AND x < 500.0 AND k <> 700"} {
 				sql := `SELECT ` + items + ` FROM t WHERE ` + where
 				got := mustExec(t, c, sql)
 				if err := bitIdentical(got.Table, wholeViewSelect(t, c, sql, nil)); err != nil {
@@ -583,11 +602,12 @@ func TestLazyFilterFoldIsBitIdentical(t *testing.T) {
 			for _, tc := range []struct {
 				where string
 				binds []any
-			}{{"r > 100", nil}, {"r < NULL", nil}, {"r < ?", []any{nil}}} {
+			}{{"r > 100", nil}, {"r < NULL", nil}, {"r < ?", []any{nil}},
+				{"k >= 700 AND k < 700", nil}, {"r < 50 AND x > ?", []any{nil}}, {"x <> NULL AND r < 50", nil}} {
 				stmt := must(c.Prepare(`SELECT ` + items + ` FROM t WHERE ` + tc.where))
 				got := must(stmt.Query(tc.binds...))
-				built := must(c.Prepare(`SELECT ` + items + ` FROM t WHERE ` + tc.where + ` AND ` + tc.where))
-				want := must(built.Query(append(tc.binds, tc.binds...)...))
+				built := must(c.Prepare(`SELECT ` + items + ` FROM t WHERE ` + tc.where + ` AND k = k`))
+				want := must(built.Query(tc.binds...))
 				if err := bitIdentical(got.Table, want.Table); err != nil {
 					t.Errorf("workers=%d morsel=%d %s: %v", workers, morsel, tc.where, err)
 				}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -59,8 +60,9 @@ func extremum(min bool) func(a, b any) any {
 }
 
 // relPredicate builds a predicate over t(i, j, s) nested at most depth
-// deep: comparisons with literals, NULL and another column, IS [NOT] NULL
-// and the element-wise GO UDF rinc, under AND, OR and NOT.
+// deep: comparisons with literals, NULL and another column, IS [NOT] NULL,
+// the element-wise GO UDF rinc and AND chains of fused comparisons, under
+// AND, OR and NOT.
 func relPredicate(rng *rand.Rand, depth int) string {
 	if depth > 0 && rng.Intn(3) > 0 {
 		switch rng.Intn(3) {
@@ -78,7 +80,7 @@ func relPredicate(rng *rand.Rand, depth int) string {
 	if rng.Intn(8) == 0 {
 		lit = "NULL"
 	}
-	switch rng.Intn(6) {
+	switch rng.Intn(7) {
 	case 0:
 		return col + " " + op + " " + lit
 	case 1:
@@ -89,9 +91,27 @@ func relPredicate(rng *rand.Rand, depth int) string {
 		return []string{"i", "j", "s"}[rng.Intn(3)] + []string{" IS NULL", " IS NOT NULL"}[rng.Intn(2)]
 	case 4:
 		return "rinc(" + col + ") " + op + " " + lit
-	default:
+	case 5:
 		return "rinc(i) " + op + " rinc(j)"
 	}
+	// an AND chain of fused compares: a two-sided range on one column, or
+	// two or three compares with literals, NULL among them now and then
+	if rng.Intn(2) == 0 {
+		return fmt.Sprintf("(%s >= %d AND %s < %d)", col, rng.Intn(21)-15, col, rng.Intn(21)-5)
+	}
+	chain := []string{col + " " + op + " " + lit}
+	for range 1 + rng.Intn(2) {
+		op, lit := []string{"=", "<>", "<", "<=", ">", ">="}[rng.Intn(6)], strconv.Itoa(rng.Intn(41)-20)
+		if rng.Intn(4) == 0 {
+			lit = "NULL"
+		}
+		if rng.Intn(3) == 0 {
+			chain = append(chain, fmt.Sprintf("s %s '%c'", op, 'a'+rng.Intn(5)))
+		} else {
+			chain = append(chain, []string{"i", "j"}[rng.Intn(2)]+" "+op+" "+lit)
+		}
+	}
+	return "(" + strings.Join(chain, " AND ") + ")"
 }
 
 // FuzzAggregateRelations checks metamorphic relations, which need no
@@ -111,13 +131,20 @@ func FuzzAggregateRelations(f *testing.F) {
 	}
 	f.Add(int64(45), uint16(5), uint8(1), int8(1))
 	f.Add(int64(46), uint16(0), uint8(2), int8(3))
-	// 250 rows and one comparison with a literal (i <= 7, j <> 1, i = -4,
-	// j > NULL): the WHERE p query counts and fills its rows, and morsels
+	// 250 rows and one comparison with a literal (i > -13, j = -6, i <> 14,
+	// i < NULL): the WHERE p query counts and fills its rows, and morsels
 	// of 16 and 64 of them start inside the table's blocks
-	f.Add(int64(140), uint16(250), uint8(0), int8(5))
-	f.Add(int64(109), uint16(250), uint8(4), int8(-3))
-	f.Add(int64(169), uint16(550), uint8(0), int8(0))
-	f.Add(int64(202), uint16(250), uint8(8), int8(2))
+	f.Add(int64(137), uint16(250), uint8(0), int8(5))
+	f.Add(int64(121), uint16(250), uint8(4), int8(-3))
+	f.Add(int64(144), uint16(550), uint8(0), int8(0))
+	f.Add(int64(196), uint16(250), uint8(8), int8(2))
+	// the same with an AND chain, which each block refines: j >= -14 AND
+	// j < 8; i <= -2 AND j <> NULL AND j <> -11; i > 18 AND j < 6 AND
+	// s = 'd'; i < NULL AND s <= 'c'
+	f.Add(int64(228), uint16(250), uint8(0), int8(3))
+	f.Add(int64(117), uint16(250), uint8(0), int8(-1))
+	f.Add(int64(103), uint16(250), uint8(0), int8(7))
+	f.Add(int64(131), uint16(250), uint8(0), int8(-2))
 	f.Fuzz(func(t *testing.T, seed int64, rows uint16, depth uint8, k int8) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(rows) % 300

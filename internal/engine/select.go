@@ -22,9 +22,9 @@ import (
 // build, never as an intermediate table. An aggregate may fold an
 // expression argument morsel by morsel on the workers (foldGroup), calling
 // an element-wise GO UDF under it once per morsel; a constant argument
-// counts every row. An ungrouped aggregate whose WHERE is one such
-// conjunct builds no selection: lazyFilter counts the rows, foldGroup
-// fills each morsel of them. LIMIT slices the result columns in place.
+// counts every row. An ungrouped aggregate whose WHERE is such conjuncts
+// builds no selection: lazyFilter counts the rows, foldGroup fills each
+// morsel of them. LIMIT slices the result columns in place.
 func (f *frame) evalSelect(sel *sqlparse.Select) (*storage.Table, error) {
 	src, err := f.evalFrom(sel.From)
 	if err != nil {
@@ -110,9 +110,7 @@ func (f *frame) evalSelect(sel *sqlparse.Select) (*storage.Table, error) {
 // filter evaluates the WHERE clause into a selection vector (or an empty
 // source table for a false constant predicate).
 func (f *frame) filter(src *storage.Table, where sqlparse.Expr) (*storage.Table, []int32, error) {
-	if selv, ok, err := f.tryFilterFast(src, where); err != nil {
-		return nil, nil, err
-	} else if ok {
+	if selv, ok := f.tryFilterFast(src, where); ok {
 		return src, selv, nil
 	}
 	ctx := newCtx(src, nil)
@@ -130,46 +128,22 @@ func (f *frame) filter(src *storage.Table, where sqlparse.Expr) (*storage.Table,
 	return src, vec.SelectTruthy(f.pol(), pred), nil
 }
 
-// fastConjunct is one WHERE conjunct of the fused filter shape:
-// column <cmp> literal.
-type fastConjunct struct {
-	op  vec.CmpOp
-	col *storage.Column
-	lit *storage.Column
-}
-
 // tryFilterFast recognizes WHERE clauses that are AND-conjunctions of
-// column-vs-literal comparisons and evaluates them as fused
-// compare-select kernels — no intermediate boolean column — intersecting
-// the conjunct selections. ok=false falls back to the generic predicate
+// column-vs-literal comparisons and evaluates them in one fused pass — no
+// intermediate boolean column — in which each conjunct reads only the rows
+// the ones before it kept. ok=false falls back to the generic predicate
 // path without having run any kernel.
-func (f *frame) tryFilterFast(src *storage.Table, where sqlparse.Expr) ([]int32, bool, error) {
+func (f *frame) tryFilterFast(src *storage.Table, where sqlparse.Expr) ([]int32, bool) {
 	plan := f.fastPlan(src, where)
 	if len(plan) == 0 {
-		return nil, false, nil
+		return nil, false
 	}
-	p := f.pol()
-	var selv []int32
-	for _, fc := range plan {
-		if selv != nil && len(selv) == 0 {
-			break // an empty intersection stays empty; skip the dead scans
-		}
-		s, handled := vec.SelectCompareConst(p, fc.op, fc.col, fc.lit)
-		if !handled {
-			return nil, false, nil
-		}
-		if selv == nil {
-			selv = s
-		} else {
-			selv = vec.Intersect(selv, s)
-		}
-	}
-	return selv, true, nil
+	return vec.SelectConjunction(f.pol(), plan), true
 }
 
 // fastPlan validates every conjunct of the fused filter shape before any
 // kernel runs, or answers nil.
-func (f *frame) fastPlan(src *storage.Table, where sqlparse.Expr) []fastConjunct {
+func (f *frame) fastPlan(src *storage.Table, where sqlparse.Expr) []vec.Conjunct {
 	var conjs []sqlparse.Expr
 	var flatten func(e sqlparse.Expr)
 	flatten = func(e sqlparse.Expr) {
@@ -181,7 +155,7 @@ func (f *frame) fastPlan(src *storage.Table, where sqlparse.Expr) []fastConjunct
 		conjs = append(conjs, e)
 	}
 	flatten(where)
-	plan := make([]fastConjunct, 0, len(conjs))
+	plan := make([]vec.Conjunct, 0, len(conjs))
 	for _, e := range conjs {
 		b, ok := e.(*sqlparse.BinaryExpr)
 		if !ok || !isCmpOp(b.Op) {
@@ -209,27 +183,24 @@ func (f *frame) fastPlan(src *storage.Table, where sqlparse.Expr) []fastConjunct
 		if !vec.Fusable(col, lit) {
 			return nil
 		}
-		plan = append(plan, fastConjunct{op: op, col: col, lit: lit})
+		plan = append(plan, vec.Conjunct{Op: op, Col: col, Lit: lit})
 	}
 	return plan
 }
 
 // lazyFilter is a filtered aggregate's first pass: for an ungrouped SELECT
 // without HAVING or ORDER BY whose columns are all under aggregates that
-// foldGroup folds, and a WHERE of one fused conjunct, it counts the rows
-// (storing none) that foldGroup fills morsel by morsel; else nil.
+// foldGroup folds, and a WHERE of fused conjuncts, it counts the rows that
+// foldGroup fills morsel by morsel; else nil.
 func (f *frame) lazyFilter(sel *sqlparse.Select, src *storage.Table) *vec.Counted {
 	if len(sel.GroupBy) > 0 || sel.Having != nil || len(sel.OrderBy) > 0 || !hasAggregate(sel.Items) {
-		return nil
-	}
-	if b, ok := sel.Where.(*sqlparse.BinaryExpr); ok && b.Op == "AND" {
 		return nil
 	}
 	if _, all := f.foldCalls(sel.Items, true); !all {
 		return nil
 	}
-	if plan := f.fastPlan(src, sel.Where); len(plan) == 1 {
-		return vec.CountCompareConst(f.pol(), plan[0].op, plan[0].col, plan[0].lit)
+	if plan := f.fastPlan(src, sel.Where); len(plan) > 0 {
+		return vec.CountCompareConst(f.pol(), plan)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package vec
 import (
 	"cmp"
 	"sort"
+	"sync"
 
 	"repro/internal/storage"
 )
@@ -18,11 +19,17 @@ import (
 // regions compact with memmoves. Morsels fill disjoint regions, so the
 // output stays in ascending row order regardless of scheduling.
 //
+// An AND of compares with constants filters in one pass, block by block:
+// the first conjunct fills the block's candidates and each further one
+// compacts them in place, reading only the rows the ones before it kept
+// (selection-vector refinement, as in MonetDB/X100).
+//
 // A filtered aggregate needs only a morsel of the selection at a time, so
-// for one compare-with-constant it builds none (Counted): a first pass
-// counts the qualifying rows of each block and stores nothing, and a
-// second fills any run of them into a buffer the caller owns, skipping at
-// most a block to reach the run's first row.
+// for such a conjunction it builds none (Counted): a first pass counts the
+// qualifying rows of each block, and a second fills any run of them into a
+// buffer the caller owns, skipping at most a block to reach the run's
+// first row. One conjunct stores nothing in the first pass; several refine
+// each block's candidates in a pooled block-sized scratch.
 
 // b2i converts a predicate bit without a branch (the compiler emits
 // SETcc for this shape).
@@ -115,9 +122,9 @@ func fillNZ[T comparable](dst []int32, vals []T, zero T, nulls []bool, lo, hi in
 	return k
 }
 
-// Fusable reports whether SelectCompareConst supports a column/literal
-// pairing — the single source of truth planners must consult before
-// relying on the fused path (e.g. to short-circuit an AND chain safely).
+// Fusable reports whether a column/literal pairing compares on the fused
+// path — the single source of truth planners must consult before building
+// a Conjunct.
 func Fusable(col, lit *storage.Column) bool {
 	if lit.Len() != 1 {
 		return false
@@ -137,39 +144,99 @@ func Fusable(col, lit *storage.Column) bool {
 	}
 }
 
-// SelectCompareConst is the fused filter fast path: column-vs-constant
-// comparison emitting the selection directly, with no intermediate bool
-// column. handled=false falls back to the generic predicate path
-// (unsupported type pairing, per Fusable). NULL rows never qualify; a
-// NULL constant selects nothing.
+// Conjunct is one compare of a fused filter's AND: Col Op Lit, a pairing
+// Fusable accepts. A conjunction is a slice of them over columns of one
+// length, applied in its order.
+type Conjunct struct {
+	Op       CmpOp
+	Col, Lit *storage.Column
+}
+
+// SelectCompareConst is the fused filter fast path for one conjunct.
+// handled=false falls back to the generic predicate path (unsupported type
+// pairing, per Fusable).
 func SelectCompareConst(p Pol, op CmpOp, col, lit *storage.Column) (sel []int32, handled bool) {
 	if !Fusable(col, lit) {
 		return nil, false
 	}
-	if lit.IsNull(0) {
-		return []int32{}, true
-	}
-	_, fill := compareConst(op, col, lit)
-	return fillCompact(p, col.Len(), fill), true
+	return SelectConjunction(p, []Conjunct{{op, col, lit}}), true
 }
 
-// compareConst picks a fused comparison's typed scanCmp and fillCmp.
-func compareConst(op CmpOp, col, lit *storage.Column) (
-	scan func(dst []int32, lo, hi, skip int) int, fill func(dst []int32, lo, hi int) int) {
-	switch {
-	case col.Typ == storage.TInt && lit.Typ == storage.TInt:
-		return compareLoops(op, col.Ints, lit.Ints[0], col.Nulls)
-	case col.Typ == storage.TFloat:
-		return compareLoops(op, col.Flts, litFloat(lit), col.Nulls)
-	default:
-		return compareLoops(op, col.Strs, lit.Strs[0], col.Nulls)
+// SelectConjunction builds the selection of the rows every conjunct keeps
+// in one pass, with no intermediate bool column. NULL rows never qualify;
+// a NULL constant selects nothing.
+func SelectConjunction(p Pol, conj []Conjunct) []int32 {
+	cj := compile(conj)
+	if cj == nil {
+		return []int32{}
 	}
+	return fillCompact(p, conj[0].Col.Len(), func(dst []int32, lo, hi int) int {
+		k := 0
+		for ; lo < hi; lo += blockRows {
+			k += cj.block(dst[k:], lo, min(lo+blockRows, hi))
+		}
+		return k
+	})
 }
 
-func compareLoops[T cmp.Ordered](op CmpOp, vals []T, c T, nulls []bool) (
-	func(dst []int32, lo, hi, skip int) int, func(dst []int32, lo, hi int) int) {
-	return func(dst []int32, lo, hi, skip int) int { return scanCmp(op, dst, vals, c, nulls, lo, hi, skip) },
-		func(dst []int32, lo, hi int) int { return fillCmp(op, dst, vals, c, nulls, lo, hi) }
+// blockRows is the most rows a conjunction filters at once.
+const blockRows = 1024
+
+// conjunction is a compiled []Conjunct.
+type conjunction []cmpKernel
+
+// cmpKernel is a fused compare's typed loops.
+type cmpKernel interface {
+	scan(dst []int32, lo, hi, skip int) int
+	fill(dst []int32, lo, hi int) int
+	refine(cand []int32) int
+}
+
+type cmpConst[T cmp.Ordered] struct {
+	op    CmpOp
+	vals  []T
+	c     T
+	nulls []bool
+}
+
+func (k *cmpConst[T]) scan(dst []int32, lo, hi, skip int) int {
+	return scanCmp(k.op, dst, k.vals, k.c, k.nulls, lo, hi, skip)
+}
+func (k *cmpConst[T]) fill(dst []int32, lo, hi int) int {
+	return fillCmp(k.op, dst, k.vals, k.c, k.nulls, lo, hi)
+}
+func (k *cmpConst[T]) refine(cand []int32) int {
+	return refineCmp(k.op, cand, k.vals, k.c, k.nulls)
+}
+
+// compile picks each conjunct's typed loops, or answers nil if a literal
+// is NULL: then no row qualifies.
+func compile(conj []Conjunct) conjunction {
+	cj := make(conjunction, len(conj))
+	for i, x := range conj {
+		switch {
+		case x.Lit.IsNull(0):
+			return nil
+		case x.Col.Typ == storage.TInt && x.Lit.Typ == storage.TInt:
+			cj[i] = &cmpConst[int64]{x.Op, x.Col.Ints, x.Lit.Ints[0], x.Col.Nulls}
+		case x.Col.Typ == storage.TFloat:
+			cj[i] = &cmpConst[float64]{x.Op, x.Col.Flts, litFloat(x.Lit), x.Col.Nulls}
+		default:
+			cj[i] = &cmpConst[string]{x.Op, x.Col.Strs, x.Lit.Strs[0], x.Col.Nulls}
+		}
+	}
+	return cj
+}
+
+// block writes into dst, which has room for hi-lo rows, the rows of
+// [lo,hi) every conjunct keeps: the first fills its candidates, each
+// further one refines them. It answers how many.
+func (cj conjunction) block(dst []int32, lo, hi int) int {
+	k := cj[0].fill(dst, lo, hi)
+	for _, x := range cj[1:] {
+		k = x.refine(dst[:k])
+	}
+	return k
 }
 
 func litFloat(lit *storage.Column) float64 {
@@ -234,30 +301,44 @@ func cmpShape(op CmpOp) (lt, gt, neg int) {
 	return b2i(op != CmpGt && op != CmpLe), b2i(op != CmpLt && op != CmpGe), b2i(op == CmpGe || op == CmpLe || op == CmpEq)
 }
 
-// Counted is the selection SelectCompareConst would build, counted per
+// Counted is the selection SelectConjunction would build, counted per
 // block of the column but not stored, so that any run of it can be filled
 // where it is needed: a filtered aggregate's first pass; Fill its second.
 type Counted struct {
 	rows, block int
-	starts      []int // starts[b] rows qualify before block b
-	scan        func(dst []int32, lo, hi, skip int) int
-	fill        func(dst []int32, lo, hi int) int
+	starts      []int       // starts[b] rows qualify before block b
+	cj          conjunction // nil: a literal is NULL
 }
 
-// CountCompareConst counts, storing no row, what SelectCompareConst
-// selects in each block of at most 1024 rows, in morsels of p's size. A
+// CountCompareConst counts what SelectConjunction selects in each block of
+// at most 1024 rows, in morsels of p's size: the last conjunct counts
+// what the others keep, scanning the block while they keep every row. A
 // stopped run leaves counts out: re-check p.Stop. Callers check Fusable.
-func CountCompareConst(p Pol, op CmpOp, col, lit *storage.Column) *Counted {
-	c := &Counted{rows: col.Len(), block: min(p.Morsel(), 1024)}
+func CountCompareConst(p Pol, conj []Conjunct) *Counted {
+	c := &Counted{rows: conj[0].Col.Len(), block: min(p.Morsel(), blockRows), cj: compile(conj)}
 	c.starts = make([]int, (c.rows+c.block-1)/c.block+1)
-	if lit.IsNull(0) {
+	if c.cj == nil {
 		return c
 	}
-	c.scan, c.fill = compareConst(op, col, lit)
 	p.MorselSize = max(p.Morsel()/c.block, 1)
+	head, last := c.cj[:len(c.cj)-1], c.cj[len(c.cj)-1] // the last only counts
 	p.Run(len(c.starts)-1, func(lo, hi int) {
+		var buf *[blockRows]int32
+		if len(head) > 0 {
+			buf = blockPool.Get().(*[blockRows]int32)
+			defer blockPool.Put(buf)
+		}
 		for b := lo; b < hi; b++ {
-			c.starts[b+1] = c.scan(nil, b*c.block, min((b+1)*c.block, c.rows), 0)
+			blo, bhi := b*c.block, min((b+1)*c.block, c.rows)
+			k := bhi - blo
+			if len(head) > 0 {
+				k = head.block(buf[:], blo, bhi)
+			}
+			if k == bhi-blo {
+				c.starts[b+1] = last.scan(nil, blo, bhi, 0)
+			} else {
+				c.starts[b+1] = last.refine(buf[:k])
+			}
 		}
 	})
 	for b := 1; b < len(c.starts); b++ {
@@ -266,22 +347,37 @@ func CountCompareConst(p Pol, op CmpOp, col, lit *storage.Column) *Counted {
 	return c
 }
 
+// blockPool holds the scratch a conjunction of several compares refines
+// a block's candidates in, one per worker at a time.
+var blockPool = sync.Pool{New: func() any { return new([blockRows]int32) }}
+
 // Len is how many rows qualify.
 func (c *Counted) Len() int { return c.starts[len(c.starts)-1] }
 
 // Fill writes into dst the indexes of the qualifying rows first,
 // first+1, ... in row order until dst is full; there must be that many.
-// It skips at most a block to reach row first, and runs fillCmp over each
-// block whose rows fit whole.
+// It skips at most a block to reach row first. One compare runs fillCmp
+// over each block whose rows fit whole; several refine each block in
+// scratch and copy its survivors.
 func (c *Counted) Fill(dst []int32, first int) {
 	b := sort.Search(len(c.starts)-1, func(b int) bool { return c.starts[b+1] > first })
-	k := c.scan(dst, b*c.block, min((b+1)*c.block, c.rows), first-c.starts[b])
+	if len(c.cj) > 1 {
+		buf := blockPool.Get().(*[blockRows]int32)
+		for k, skip := 0, first-c.starts[b]; k < len(dst); b, skip = b+1, 0 {
+			n := c.cj.block(buf[:], b*c.block, min((b+1)*c.block, c.rows))
+			k += copy(dst[k:], buf[skip:n])
+		}
+		blockPool.Put(buf)
+		return
+	}
+	x := c.cj[0]
+	k := x.scan(dst, b*c.block, min((b+1)*c.block, c.rows), first-c.starts[b])
 	for b++; k < len(dst); b++ {
 		lo, hi := b*c.block, min((b+1)*c.block, c.rows)
 		if c.starts[b+1]-c.starts[b] < len(dst)-k {
-			k += c.fill(dst[k:], lo, hi) // fillCmp may write one past its rows
+			k += x.fill(dst[k:], lo, hi) // fillCmp may write one past its rows
 		} else {
-			k += c.scan(dst[k:], lo, hi, 0)
+			k += x.scan(dst[k:], lo, hi, 0)
 		}
 	}
 }
@@ -320,22 +416,32 @@ func scanCmp[T cmp.Ordered](op CmpOp, dst []int32, vals []T, c T, nulls []bool, 
 	return max(k, 0)
 }
 
-// Intersect merges two ascending selections — how an AND of fused
-// filter conjuncts combines without re-scanning.
-func Intersect(a, b []int32) []int32 {
-	out := make([]int32, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
+// refineCmp compacts cand in place to the rows that also pass, branchless
+// as fillCmp, and answers how many: one loop per shape, as scanCmp counts.
+func refineCmp[T cmp.Ordered](op CmpOp, cand []int32, vals []T, c T, nulls []bool) int {
+	lt, gt, neg := cmpShape(op)
+	k := 0
+	switch {
+	case nulls != nil:
+		for _, i := range cand {
+			cand[k] = i
+			k += (b2i(vals[i] < c)&lt | b2i(c < vals[i])&gt ^ neg) &^ b2i(nulls[i])
+		}
+	case gt == 0:
+		for _, i := range cand {
+			cand[k] = i
+			k += b2i(vals[i] < c) ^ neg
+		}
+	case lt == 0:
+		for _, i := range cand {
+			cand[k] = i
+			k += b2i(c < vals[i]) ^ neg
+		}
+	default:
+		for _, i := range cand {
+			cand[k] = i
+			k += b2i(vals[i] < c) | b2i(c < vals[i]) ^ neg
 		}
 	}
-	return out
+	return k
 }

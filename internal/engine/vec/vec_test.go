@@ -3,6 +3,7 @@ package vec
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -174,16 +175,6 @@ func TestSelectTruthyAndCompareConst(t *testing.T) {
 	// unsupported pairing falls back
 	if _, handled := SelectCompareConst(Serial, CmpEq, col, fltCol([]float64{1})); handled {
 		t.Fatal("int col vs float lit should fall back to the generic path")
-	}
-}
-
-func TestIntersect(t *testing.T) {
-	got := Intersect([]int32{1, 3, 5, 7}, []int32{0, 3, 4, 7, 9})
-	if len(got) != 2 || got[0] != 3 || got[1] != 7 {
-		t.Fatalf("intersect = %v", got)
-	}
-	if got := Intersect(nil, []int32{1}); len(got) != 0 {
-		t.Fatalf("empty intersect = %v", got)
 	}
 }
 
@@ -443,7 +434,7 @@ func TestCountedFillsWhatSelectCompareConstSelects(t *testing.T) {
 				if !handled {
 					t.Fatalf("case %d: not fusable", ci)
 				}
-				c := CountCompareConst(p, op, tc.col, tc.lit)
+				c := CountCompareConst(p, []Conjunct{{op, tc.col, tc.lit}})
 				if c.Len() != len(want) {
 					t.Fatalf("case %d op %d morsel %d: counted %d, selected %d", ci, op, p.Morsel(), c.Len(), len(want))
 				}
@@ -455,6 +446,95 @@ func TestCountedFillsWhatSelectCompareConstSelects(t *testing.T) {
 							t.Fatalf("case %d op %d morsel %d: Fill(%d rows from %d) = %v, want %v",
 								ci, op, p.Morsel(), len(dst), first, dst, w)
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestConjunctionSelectsWhatIntersectionSelects: over random int, float
+// (NaN, -0.0) and string columns with and without NULLs, random operators
+// and literals (a NULL one now and then), and one to three conjuncts,
+// SelectConjunction and Counted select what each conjunct's
+// SelectCompareConst intersected selects: Counted counts it and fills
+// every run of it, from any first row and of any length.
+func TestConjunctionSelectsWhatIntersectionSelects(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	const n = 2500
+	randCol := func() (col, lit *storage.Column) {
+		col = &storage.Column{Typ: []storage.Type{storage.TInt, storage.TFloat, storage.TStr}[rng.Intn(3)]}
+		if rng.Intn(2) == 0 {
+			col.Nulls = make([]bool, n)
+		}
+		for i := 0; i < n; i++ {
+			v := rng.Int63n(9) - 4
+			switch col.Typ {
+			case storage.TInt:
+				col.Ints = append(col.Ints, v)
+			case storage.TFloat:
+				col.Flts = append(col.Flts, []float64{float64(v) / 2, math.NaN(), math.Copysign(0, -1)}[rng.Intn(3)])
+			default:
+				col.Strs = append(col.Strs, string(rune('e'+v)))
+			}
+			if col.Nulls != nil && rng.Intn(5) == 0 {
+				col.Nulls[i] = true
+			}
+		}
+		v := rng.Int63n(7) - 3
+		lit = map[storage.Type]*storage.Column{
+			storage.TInt:   intCol([]int64{v}, nil),
+			storage.TFloat: fltCol([]float64{float64(v) / 2}),
+			storage.TStr:   {Typ: storage.TStr, Strs: []string{string(rune('e' + v))}},
+		}[col.Typ]
+		if col.Typ == storage.TFloat && rng.Intn(2) == 0 {
+			lit = intCol([]int64{v}, nil)
+		}
+		if rng.Intn(12) == 0 {
+			lit = AllNull(lit.Typ, 1)
+		}
+		return col, lit
+	}
+	intersect := func(a, b []int32) []int32 {
+		var out []int32
+		for _, r := range a {
+			if _, found := slices.BinarySearch(b, r); found {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	for trial := 0; trial < 40; trial++ {
+		conj := make([]Conjunct, 1+trial%3)
+		for i := range conj {
+			col, lit := randCol()
+			conj[i] = Conjunct{CmpOp(rng.Intn(int(CmpGe) + 1)), col, lit}
+		}
+		for _, p := range []Pol{Serial, {Workers: 3, MorselSize: 16}, {Workers: 2, MorselSize: 2048}} {
+			var want []int32
+			for i, x := range conj {
+				s, handled := SelectCompareConst(p, x.Op, x.Col, x.Lit)
+				if !handled {
+					t.Fatalf("trial %d conjunct %d: not fusable", trial, i)
+				}
+				if i > 0 {
+					s = intersect(want, s)
+				}
+				want = s
+			}
+			if got := SelectConjunction(p, conj); !slices.Equal(got, want) {
+				t.Fatalf("trial %d morsel %d: SelectConjunction = %d rows, want %d", trial, p.Morsel(), len(got), len(want))
+			}
+			c := CountCompareConst(p, conj)
+			if c.Len() != len(want) {
+				t.Fatalf("trial %d morsel %d: counted %d, selected %d", trial, p.Morsel(), c.Len(), len(want))
+			}
+			for _, size := range []int{1, 7, 64, 1500} {
+				for first := 0; first < len(want); first += size/2 + 1 {
+					dst := make([]int32, min(size, len(want)-first))
+					c.Fill(dst, first)
+					if w := want[first : first+len(dst)]; !slices.Equal(dst, w) {
+						t.Fatalf("trial %d morsel %d: Fill(%d rows from %d) = %v, want %v", trial, p.Morsel(), len(dst), first, dst, w)
 					}
 				}
 			}

@@ -7,6 +7,7 @@ package engine
 //	go test -run '^$' -bench 'BenchmarkFilter' ./internal/engine
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -44,9 +45,10 @@ func buildFilterAggregateDB(b *testing.B, rows int) *Conn {
 // immediate gather), the vectorized single-threaded path (typed
 // aggregation kernels over the qualifying rows), and the morsel-parallel
 // path across all cores. The CI gate is ≥5x for vectorized over
-// scalar-reference. Every engine leg filters on one conjunct, so none
-// builds its selection: a count pass, then a fill of each morsel of the
-// qualifying rows into a worker's buffer. The go-udf legs sum
+// scalar-reference. No engine leg builds its selection: a count pass, then
+// a fill of each morsel of the qualifying rows into a worker's buffer. The
+// range leg filters on two conjuncts, which the gate holds near the
+// vectorized leg's one. The go-udf legs sum
 // an element-wise GO UDF over them, which the aggregate folds morsel by
 // morsel at one worker as at several: no table-sized selection or gather,
 // no stitched UDF result.
@@ -57,6 +59,9 @@ func BenchmarkFilterAggregate(b *testing.B) {
 	// several expression aggregates over one filtered column: each folds
 	// the column's selection on its own
 	const multiQuery = `SELECT SUM(f * 2) AS a, AVG(f * 3) AS b, MIN(f - 1) AS c, MAX(f + 1) AS d FROM big WHERE f > 0.5`
+	// a two-sided range on one column, about half the rows: one pass
+	// refines each block's candidates of the first conjunct
+	const rangeQuery = `SELECT COUNT(*) AS n, SUM(i) AS si, AVG(f) AS af FROM big WHERE f > 0.25 AND f < 0.75`
 	table := func(r *Result, err error) (*storage.Table, error) {
 		if err != nil {
 			return nil, err
@@ -66,6 +71,7 @@ func BenchmarkFilterAggregate(b *testing.B) {
 	vectorized := func(c *Conn) (*storage.Table, error) { return table(c.Exec(query)) }
 	goUDFSum := func(c *Conn) (*storage.Table, error) { return table(c.Exec(udfQuery)) }
 	multiAgg := func(c *Conn) (*storage.Table, error) { return table(c.Exec(multiQuery)) }
+	rangeAgg := func(c *Conn) (*storage.Table, error) { return table(c.Exec(rangeQuery)) }
 	for _, tc := range []struct {
 		name    string
 		workers int
@@ -90,6 +96,7 @@ func BenchmarkFilterAggregate(b *testing.B) {
 		{"go-udf-sum-parallel", 0, false, goUDFSum},
 		{"multi-expr-agg", 1, false, multiAgg},
 		{"multi-expr-agg-parallel", 0, false, multiAgg},
+		{"range", 1, false, rangeAgg},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			c := buildFilterAggregateDB(b, rows)
@@ -165,4 +172,43 @@ func BenchmarkFilterProject(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkRangeAggregate is the ingest workload's reader without the
+// wire: a prepared COUNT and SUM over a range of up to 1000 sorted keys,
+// at the default worker count, on a table of 10k rows and one ten times
+// that, whose bytes per op must not be ten times as many.
+//
+//	go test -run '^$' -bench BenchmarkRangeAggregate -benchmem ./internal/engine
+func BenchmarkRangeAggregate(b *testing.B) {
+	for _, rows := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			k := &storage.Column{Name: "k", Typ: storage.TInt, Ints: make([]int64, rows)}
+			v := &storage.Column{Name: "v", Typ: storage.TFloat, Flts: make([]float64, rows)}
+			for r := range rows {
+				k.Ints[r], v.Flts[r] = int64(r), float64(r*37%10_000)/100
+			}
+			c := &Conn{DB: NewDB(), User: "monetdb", Password: "monetdb"}
+			if err := c.DB.RegisterTable(&storage.Table{Name: "dim", Cols: []*storage.Column{k, v}}); err != nil {
+				b.Fatal(err)
+			}
+			stmt, err := c.Prepare(`SELECT COUNT(*) AS n, SUM(v) AS s FROM dim WHERE k >= ? AND k < ?`)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := int64(i * 7919 % (rows - 1000))
+				hi := lo + 1 + int64(i*31%1000)
+				r, err := stmt.Query(lo, hi)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if n := r.Table.Cols[0].Ints[0]; n != hi-lo {
+					b.Fatalf("k in [%d,%d): COUNT(*) = %d", lo, hi, n)
+				}
+			}
+		})
+	}
 }

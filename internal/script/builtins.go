@@ -235,23 +235,25 @@ func extreme(in *Interp, name string, args []val, wantMax bool) (val, error) {
 }
 
 // numBuiltins are what abs, float and int do to one int or float: their
-// builtins call them, and so does a call's lane form.
-var numBuiltins = map[string]func(val) val{
-	"abs": absNum, "int": intNum, "float": func(v val) val { return floatV(v.float()) },
+// builtins call them, and so does a call's lane form. ok=false: the
+// builtin raises (int of NaN or an infinity).
+var numBuiltins = map[string]func(val) (val, bool){
+	"abs": absNum, "int": intNum, "float": func(v val) (val, bool) { return floatV(v.float()), true },
 }
 
-func absNum(v val) val {
+func absNum(v val) (val, bool) {
 	if v.kind == kFloat {
-		return floatV(math.Abs(v.float()))
+		return floatV(math.Abs(v.float())), true
 	}
-	return intV(max(v.int(), -v.int())) // the most negative int is its own negation
+	return intV(max(v.int(), -v.int())), true // the most negative int is its own negation
 }
 
-func intNum(v val) val {
+func intNum(v val) (val, bool) {
 	if v.kind == kFloat {
-		return intV(int64(math.Trunc(v.float())))
+		f := v.float()
+		return intV(int64(math.Trunc(f))), !math.IsNaN(f) && !math.IsInf(f, 0)
 	}
-	return v
+	return v, true
 }
 
 func biAbs(in *Interp, args []val) (val, error) {
@@ -259,7 +261,8 @@ func biAbs(in *Interp, args []val) (val, error) {
 		return val{}, argErr("abs", "takes exactly one argument")
 	}
 	if args[0].kind != kRef {
-		return absNum(args[0]), nil
+		v, _ := absNum(args[0])
+		return v, nil
 	}
 	if b, ok := args[0].ref.(BoolVal); ok {
 		n, _ := asInt(b)
@@ -273,7 +276,13 @@ func biInt(in *Interp, args []val) (val, error) {
 		return intV(0), nil
 	}
 	if args[0].kind != kRef {
-		return intNum(args[0]), nil
+		if v, ok := intNum(args[0]); ok {
+			return v, nil
+		}
+		if math.IsNaN(args[0].float()) {
+			return val{}, core.Errorf(core.KindRuntime, "ValueError: cannot convert float NaN to integer")
+		}
+		return val{}, core.Errorf(core.KindRuntime, "OverflowError: cannot convert float infinity to integer")
 	}
 	if n, ok := args[0].asInt(); ok { // bools
 		return intV(n), nil

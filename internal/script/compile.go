@@ -770,7 +770,7 @@ func (c compiler) compileNum(e Expr) laneFn {
 				if !ok || f.globals.shadowed { // module scope may have rebound the name
 					return v, false
 				}
-				return num(v), true
+				return num(v)
 			}
 		}
 	}
@@ -840,7 +840,7 @@ func compare(op Op, a, b val) bool {
 	case OpNe:
 		return !equalVal(a, b)
 	}
-	return ordered(op, cmpFloat(a.float(), b.float()))
+	return ordered(op, cmpNum(a, b))
 }
 
 func (c compiler) compileBinary(e *BinExpr) evalFn {

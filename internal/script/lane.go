@@ -1,6 +1,7 @@
 package script
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -111,8 +112,20 @@ func cmpFloat(a, b float64) int {
 	return 0
 }
 
+// cmpNum orders two numbers in the lane as Compare does: two ints
+// exactly, anything else as floats.
+func cmpNum(a, b val) int {
+	if a.kind == kInt && b.kind == kInt {
+		return cmp.Compare(a.int(), b.int())
+	}
+	return cmpFloat(a.float(), b.float())
+}
+
 // equalVal is Equal, cmpVal is Compare: numbers stay in the lane.
 func equalVal(a, b val) bool {
+	if a.kind == kInt && b.kind == kInt {
+		return a.int() == b.int()
+	}
 	if a.kind != kRef && b.kind != kRef {
 		return a.float() == b.float()
 	}
@@ -121,7 +134,7 @@ func equalVal(a, b val) bool {
 
 func cmpVal(a, b val) (int, error) {
 	if a.kind != kRef && b.kind != kRef {
-		return cmpFloat(a.float(), b.float()), nil
+		return cmpNum(a, b), nil
 	}
 	return Compare(a.box(), b.box())
 }
@@ -284,15 +297,16 @@ func (l *ListVal) find(x val) int {
 }
 
 // sortLane sorts a typed list without Nones in place and reports whether it
-// did. It orders by the less SortValues uses — numbers compare as floats —
-// under the same stable sort, so the result is the boxed one's cell for cell.
+// did. It orders by the less SortValues uses — ints exactly, floats as
+// floats — under the same stable sort, so the result is the boxed one's
+// cell for cell.
 func (l *ListVal) sortLane() bool {
 	if l.lane == laneBoxed || l.nulls != nil {
 		return false
 	}
 	l.own()
 	if l.lane == laneInt {
-		sort.SliceStable(l.ints, func(i, j int) bool { return float64(l.ints[i]) < float64(l.ints[j]) })
+		sort.SliceStable(l.ints, func(i, j int) bool { return l.ints[i] < l.ints[j] })
 	} else {
 		sort.SliceStable(l.flts, func(i, j int) bool { return l.flts[i] < l.flts[j] })
 	}

@@ -16,7 +16,8 @@ import (
 // column of laneColumns with k an index into it. Between them they reach
 // every lane form and every reason one falls back: NULL cells, boxed and
 // bool cells, negative and out-of-range indices, a zero divisor, an unbound
-// local, a rebound abs, int64 overflow, a list that leaves its lane.
+// local, a rebound abs, int64 overflow, a list that leaves its lane, ints
+// that one float cannot tell apart, int() of an infinity or NaN.
 var laneSeeds = []string{
 	`def udf(col, k):
     mean = 0
@@ -118,11 +119,27 @@ def udf(col, k):
     t = t - m * col[k]
     return t
 `,
+	`def udf(col, k):
+    a = col[0]
+    b = col[1]
+    e = a == b
+    g = col[0] > col[1]
+    if col[1] >= col[0]:
+        e = 1
+    s = sorted([a, b, col[2]])
+    return [e, g, a != b, b <= a, s, max(a, b) - b]
+`,
+	`def udf(col, k):
+    x = col[k] * 1e308 * 1e308
+    if k > 0:
+        return int(x)
+    return int(x - x)
+`,
 }
 
 // laneColumns are the columns each call of a seed's udf gets, in this order,
 // one interpreter for all of them: int and float lanes, the same with NULLs,
-// boxed numbers, and bool cells beside a None.
+// boxed numbers, bool cells beside a None, and ints around 2^53.
 func laneColumns() []*ListVal {
 	return []*ListVal{
 		NewIntList([]int64{3, -7, 1 << 40, 0}, nil),
@@ -131,6 +148,7 @@ func laneColumns() []*ListVal {
 		NewFloatList([]float64{0.5, -2.25, 4, 8}, []bool{false, false, true, false}),
 		NewList(IntVal(3), FloatVal(0.5), IntVal(-1), FloatVal(2)),
 		NewList(BoolVal(true), BoolVal(false), IntVal(2), None),
+		NewIntList([]int64{1<<53 + 1, 1 << 53, 1<<53 - 1, -1<<53 - 1}, nil),
 	}
 }
 
@@ -258,4 +276,74 @@ func TestLaneFormsShareOneModule(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestIntsCompareExactly: two ints compare as int64, not as the floats
+// they round to, where 2^53 + 1 and 2^53 are one float. The comparisons
+// run as lane forms (an assignment's value, an if condition), as closures
+// (inside a list, and everything under compiler{generic: true}), and in
+// sort, min, max and list compares.
+func TestIntsCompareExactly(t *testing.T) {
+	const src = `def udf(col, k):
+    a = col[0]
+    b = col[1]
+    eq = a == b
+    gt = col[0] > col[1]
+    lt = col[2] < col[1]
+    ne = 9007199254740993 != 9007199254740992
+    if a <= b:
+        eq = True
+    closures = [a == b, a != b, a > b, a >= b, a < b, a <= b, b > col[2]]
+    s = sorted([a, b, col[2]])
+    col.sort()
+    return [eq, gt, lt, ne, closures, s[0] < s[1], s[1] < s[2], col[2] - col[0], [a, b] == [b, a], [b] < [a], max(a, b) - min(a, b)]
+`
+	const want = `[False, True, True, True, [False, True, True, True, False, False, True], True, True, 2, False, True, 1]`
+	for _, c := range []compiler{{}, {generic: true}} {
+		mod, err := c.parse("exact.py", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := NewInterp()
+		env, err := in.Run(mod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := NewIntList([]int64{1<<53 + 1, 1 << 53, 1<<53 - 1}, nil)
+		got, err := in.Call(env.vars["udf"], []Value{col, IntVal(0)})
+		if err != nil {
+			t.Fatalf("generic=%v: %v", c.generic, err)
+		}
+		if got.Repr() != want {
+			t.Errorf("generic=%v: %s, want %s", c.generic, got.Repr(), want)
+		}
+	}
+}
+
+// TestIntOfNaNOrInfinityRaises: int() of NaN or an infinity raises what
+// CPython raises, from the closure and from the lane form, which answers
+// not-ok and hands the call back.
+func TestIntOfNaNOrInfinityRaises(t *testing.T) {
+	for _, tc := range []struct{ expr, want string }{
+		{"float('nan')", "ValueError: cannot convert float NaN to integer"},
+		{"col[0] * 1e308 * 1e308", "OverflowError: cannot convert float infinity to integer"},
+		{"-col[0] * 1e308 * 1e308", "OverflowError: cannot convert float infinity to integer"},
+		{"col[0] * 1e308 * 1e308 - col[0] * 1e308 * 1e308", "ValueError: cannot convert float NaN to integer"},
+	} {
+		for _, c := range []compiler{{}, {generic: true}} {
+			mod, err := c.parse("int.py", "def udf(col):\n    x = int("+tc.expr+")\n    return x\n")
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := NewInterp()
+			env, err := in.Run(mod)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = in.Call(env.vars["udf"], []Value{NewFloatList([]float64{2}, nil)})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("generic=%v int(%s): %v, want %q", c.generic, tc.expr, err, tc.want)
+			}
+		}
+	}
 }

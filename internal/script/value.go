@@ -379,8 +379,13 @@ func Truthy(v Value) bool {
 }
 
 // Equal reports deep value equality with Python's numeric cross-type rules
-// (1 == 1.0, True == 1).
+// (1 == 1.0, True == 1); two ints compare exactly.
 func Equal(a, b Value) bool {
+	if an, aok := asInt(a); aok {
+		if bn, bok := asInt(b); bok {
+			return an == bn
+		}
+	}
 	if an, aok := asFloat(a); aok {
 		if bn, bok := asFloat(b); bok {
 			return an == bn
@@ -469,8 +474,14 @@ func asInt(v Value) (int64, bool) {
 }
 
 // Compare orders two values, returning -1, 0 or +1. Only numbers compare
-// with numbers and strings with strings; anything else is a type error.
+// with numbers (two ints exactly) and strings with strings; anything else
+// is a type error.
 func Compare(a, b Value) (int, error) {
+	if ai, ok := asInt(a); ok {
+		if bi, ok := asInt(b); ok {
+			return cmp.Compare(ai, bi), nil
+		}
+	}
 	if af, ok := asFloat(a); ok {
 		if bf, ok := asFloat(b); ok {
 			return cmpFloat(af, bf), nil
